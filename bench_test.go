@@ -531,6 +531,45 @@ func BenchmarkServeBatch(b *testing.B) {
 	b.ReportMetric(float64(st.MaxBatchSize), "maxBatch")
 }
 
+// BenchmarkWarmAnswer measures the engine's share of a warm query — one
+// WarmEngine.AnswerBatch on a pool that already covers it, no planner,
+// no HTTP — on the serving graph imbench uses (R-MAT 13, weighted-cascade
+// IC, Workers=2), one sub-benchmark per serving shape. It is the
+// `go test -bench` counterpart of imbench's imm.warm_answer_ms and
+// imm.warm_answer_allocs.
+func BenchmarkWarmAnswer(b *testing.B) {
+	g, err := gen.RMAT(gen.DefaultRMAT(13, 8), graph.IC, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	graph.AssignWC(g)
+	opt := imm.Defaults()
+	opt.Workers = 2
+	opt.Seed = 1
+	w, err := imm.NewWarmEngine(g, opt)
+	if err != nil {
+		b.Fatal(err)
+	}
+	shapes := []imm.BatchQuery{{K: 50, Epsilon: 0.5}, {K: 25, Epsilon: 0.7}, {K: 100, Epsilon: 0.4}}
+	if _, err := w.AnswerBatch(opt, shapes); err != nil { // builds the pool past every shape
+		b.Fatal(err)
+	}
+	for _, q := range shapes {
+		b.Run(fmt.Sprintf("k=%d/eps=%g", q.K, q.Epsilon), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				rep, err := w.AnswerBatch(opt, []imm.BatchQuery{q})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if rep.Extensions != 0 {
+					b.Fatal("warm answer extended the pool")
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkServeWarm measures the steady-state served query: the pool
 // is warm after the first query, so every iteration is selection-only.
 // Compare against BenchmarkServeCold for the amortization win the

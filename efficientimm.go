@@ -91,7 +91,7 @@ const (
 	// PoolCompressed stores sparse sets as delta-encoded member lists
 	// (dense sets become bitset rows under the adaptive policy).
 	PoolCompressed = imm.PoolCompressed
-	// SelectCELF is the parallel lazy-greedy selection (default).
+	// SelectCELF is the lazy-greedy selection (default).
 	SelectCELF = imm.SelectCELF
 	// SelectScan is the eager argmax-and-update selection.
 	SelectScan = imm.SelectScan

@@ -158,7 +158,7 @@ func GainLess(a, b GainItem) bool {
 }
 
 // GainHeap is a deterministic binary max-heap of GainItems used as the
-// per-shard priority queue of the parallel CELF selection. It supports
+// per-region priority queue of the CELF selection. It supports
 // exactly the operations that selection needs — bulk build, peek, pop,
 // and re-keying the current top — so there is no position index to
 // maintain.
@@ -166,21 +166,18 @@ type GainHeap struct {
 	items []GainItem
 }
 
-// NewGainHeap returns an empty heap with capacity for hint items.
-func NewGainHeap(hint int) *GainHeap {
-	return &GainHeap{items: make([]GainItem, 0, hint)}
+// NewGainHeap returns a heap that adopts items, in any order, as its
+// storage and contents; call Init before the first Top. The selection
+// kernel builds all its region heaps over stretches of one slab this
+// way, so a selection allocates no per-heap storage.
+func NewGainHeap(items []GainItem) GainHeap {
+	return GainHeap{items: items}
 }
 
 // Len returns the number of queued candidates.
 func (h *GainHeap) Len() int { return len(h.items) }
 
-// Append adds an item without restoring heap order; call Init after the
-// bulk load. Splitting build this way keeps construction O(n).
-func (h *GainHeap) Append(gain int64, vertex int32) {
-	h.items = append(h.items, GainItem{Gain: gain, Vertex: vertex})
-}
-
-// Init establishes the heap invariant over all appended items.
+// Init establishes the heap invariant over the adopted items in O(n).
 func (h *GainHeap) Init() {
 	for i := len(h.items)/2 - 1; i >= 0; i-- {
 		h.siftDown(i)

@@ -200,10 +200,7 @@ func TestAddFrom(t *testing.T) {
 }
 
 func TestGainHeapOrdering(t *testing.T) {
-	h := NewGainHeap(8)
-	for _, it := range []GainItem{{3, 5}, {9, 2}, {3, 1}, {9, 7}, {0, 0}} {
-		h.Append(it.Gain, it.Vertex)
-	}
+	h := NewGainHeap([]GainItem{{3, 5}, {9, 2}, {3, 1}, {9, 7}, {0, 0}})
 	h.Init()
 	want := []GainItem{{9, 2}, {9, 7}, {3, 1}, {3, 5}, {0, 0}}
 	for i, w := range want {
@@ -221,10 +218,7 @@ func TestGainHeapOrdering(t *testing.T) {
 }
 
 func TestGainHeapUpdateTop(t *testing.T) {
-	h := NewGainHeap(4)
-	h.Append(10, 4)
-	h.Append(8, 1)
-	h.Append(6, 9)
+	h := NewGainHeap([]GainItem{{10, 4}, {8, 1}, {6, 9}})
 	h.Init()
 	h.UpdateTop(7) // 10@4 decays to 7@4: 8@1 must surface
 	if top, _ := h.Top(); top != (GainItem{8, 1}) {
@@ -245,10 +239,11 @@ func TestGainHeapMatchesArgMaxOrder(t *testing.T) {
 	for i := 0; i < 4000; i++ {
 		c.Inc(int32(r.Uint64() % uint64(n)))
 	}
-	h := NewGainHeap(int(n))
-	for v := int32(0); v < n; v++ {
-		h.Append(c.Get(v), v)
+	items := make([]GainItem, n)
+	for v := range items {
+		items[v] = GainItem{Gain: c.Get(int32(v)), Vertex: int32(v)}
 	}
+	h := NewGainHeap(items)
 	h.Init()
 	raw := c.Raw()
 	for i := 0; i < int(n); i++ {

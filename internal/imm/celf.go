@@ -1,36 +1,81 @@
 package imm
 
 import (
-	"sort"
-
 	"repro/internal/counter"
 	"repro/internal/rrr"
 	"repro/internal/sched"
 )
 
-// postPrefix returns how many of post's ascending local entry ids lie
+// prefixBelow returns how many of post's ascending local entry ids lie
 // below lim — a vertex's occurrence count within a truncated pool view.
-func postPrefix(post []int32, lim int32) int {
-	if len(post) == 0 || post[0] >= lim {
+// Only a segment that straddles the horizon is searched; the common
+// cases (empty, wholly below, wholly beyond) cost one or two compares.
+func prefixBelow(post []int32, lim int32) int {
+	n := len(post)
+	if n == 0 || post[0] >= lim {
 		return 0
 	}
-	if post[len(post)-1] < lim {
-		return len(post)
+	if post[n-1] < lim {
+		return n
 	}
-	return sort.Search(len(post), func(i int) bool { return post[i] >= lim })
+	lo, hi := 1, n-1 // post[lo-1] < lim <= post[hi]
+	for lo < hi {
+		if mid := int(uint(lo+hi) >> 1); post[mid] < lim {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
 }
 
-// Parallel lazy-greedy (CELF) seed selection over the sharded pool's
-// inverted index.
+// shardView is one shard as a selection sees it: the CSR postings, the
+// coverage words, and the view's horizon, hoisted out of the pool so the
+// pop loop touches no pointers it does not need.
+type shardView struct {
+	idx, data []int32
+	covered   []uint64
+	lim       int32 // entries below lim belong to the view
+	whole     bool  // lim covers every indexed entry: initial gains are segment lengths
+	owner     int   // worker sched.Static(workers, poolShards, ·) gives this shard
+}
+
+// shardOwners returns, for every shard, the worker that
+// sched.Static(workers, poolShards, ·) would run it on. The pop loop
+// walks postings inline on the calling goroutine but still bills each
+// shard's work to that worker, so the modeled per-worker critical path
+// is the one a shard-parallel walk would have produced.
+func shardOwners(workers int) (owner [poolShards]int) {
+	p := min(workers, poolShards)
+	for wk := 0; wk < p; wk++ {
+		for s := wk * poolShards / p; s < (wk+1)*poolShards/p; s++ {
+			owner[s] = wk
+		}
+	}
+	return owner
+}
+
+// Lazy-greedy (CELF) seed selection over the sharded pool's inverted
+// index.
 //
 // The eager kernel (SelectOnSetsScan) re-establishes the exact marginal
 // gain of every vertex after every seed; CELF exploits submodularity —
 // marginal coverage gain never increases as coverage grows — to keep
-// cached gains as upper bounds in per-shard max heaps and recompute only
+// cached gains as upper bounds in per-region max heaps and recompute only
 // the candidates that actually surface. A candidate is selected the
 // moment its cached gain is known to be current, because every other
 // cached gain is an upper bound that the heap order already places below
 // it.
+//
+// Parallel regions open only for the passes whose work scales with the
+// vertex count or with pool growth: index extension (when the pool grew),
+// initial gains, and heap construction. The pop loop opens none: a stale
+// re-evaluation or a seed retirement walks a few dozen postings per
+// shard, far less than a fork-join costs, so both run inline, shard by
+// shard. Their work is still charged to the worker that owns each shard
+// under the static shard partition (shardOwners), which keeps the modeled
+// cost — the per-worker critical path plus the serial heap machinery —
+// independent of how the walks are actually executed.
 //
 // Determinism: the heap order and the cross-heap reduction both use
 // (gain desc, vertex asc) — counter.GainLess — which is exactly the
@@ -38,7 +83,7 @@ func postPrefix(post []int32, lim int32) int {
 // fixed (poolShards does not depend on the worker count), and the
 // parallel passes only partition read-only postings, so the selected
 // seed sequence is byte-identical to SelectOnSetsScan at any worker
-// count. The tests pin this across workers ∈ {1,2,4,8} and both pool
+// count. The tests pin this across worker counts and both pool
 // representations.
 func (p *shardedPool) selectCELF(base *counter.Counter, workers, k int) (seeds []int32, coverage float64, modeledOps float64) {
 	return p.selectCELFLimited(base, workers, k, p.count)
@@ -61,19 +106,11 @@ func (p *shardedPool) selectCELFLimited(base *counter.Counter, workers, k int, l
 		limit = p.count
 	}
 	nsets := limit
-	full := limit == p.count
-	if !full {
+	if limit < p.count {
 		base = nil
 	}
-	var localLim [poolShards]int32
-	for s := range localLim {
-		localLim[s] = int32(localLimit(s, limit))
-	}
 	n := int(p.n)
-	w := workers
-	if w < 1 {
-		w = 1
-	}
+	w := max(workers, 1)
 	if nsets == 0 || k == 0 {
 		return nil, 0, 0
 	}
@@ -81,63 +118,80 @@ func (p *shardedPool) selectCELFLimited(base *counter.Counter, workers, k int, l
 	ops := make([]int64, w)
 	var serial int64 // critical-path work of the sequential heap machinery
 
-	// Bring the inverted index up to date with the pool (no-op unless
-	// the pool grew since the last selection) and clear the coverage
-	// scratch.
-	p.ensureIndexed(w, ops)
-	sched.Static(w, poolShards, func(wk, s0, s1 int) {
-		for s := s0; s < s1; s++ {
-			p.shards[s].covered.Reset()
-			ops[wk] += int64(p.shards[s].indexed)/64 + 1
-		}
-	})
-
-	// Initial gains: the fused base counter when it is fresh (a
-	// streaming copy), else a posting-length sum — both equal each
-	// vertex's occurrence count over the whole pool. Both branches
-	// overwrite every slot, so the scratch needs no clearing.
-	if cap(p.gainScratch) < n {
-		p.gainScratch = make([]int64, n)
+	// Bring the inverted index up to date with the pool. Only a pool that
+	// grew since the last selection has anything to extend; a warm query
+	// never does.
+	if !p.indexCurrent() {
+		p.ensureIndexed(w, ops)
 	}
-	gains := p.gainScratch[:n]
+
+	// Clear the coverage scratch and hoist each shard's view. Shards the
+	// view leaves empty (fewer sets than shards) are dropped here; they
+	// still draw the fixed per-walk charge at the end.
+	owner := shardOwners(w)
+	var viewBuf [poolShards]shardView
+	views := viewBuf[:0]
+	for s := range p.shards {
+		sh := &p.shards[s]
+		sh.covered.Reset()
+		ops[owner[s]] += int64(sh.indexed)/64 + 1
+		if lim := localLimit(s, limit); lim > 0 {
+			views = append(views, shardView{
+				idx: sh.postIdx, data: sh.postData, covered: sh.covered.Words(),
+				lim: int32(lim), whole: lim == sh.indexed, owner: owner[s],
+			})
+		}
+	}
+
+	// Initial gains, written straight into the heap slab (slot v holds
+	// vertex v until the heaps are built): the fused base counter when it
+	// is fresh (a streaming copy), else each vertex's occurrence count
+	// within the view. The counts are taken shard-major — every worker
+	// streams each shard's offset array once over its vertex range, and
+	// only a segment that straddles the horizon is searched.
+	if cap(p.heapScratch) < n {
+		p.heapScratch = make([]counter.GainItem, n)
+	}
+	items := p.heapScratch[:n]
 	if base != nil {
 		src := base.Raw()
 		sched.Static(w, n, func(wk, lo, hi int) {
-			copy(gains[lo:hi], src[lo:hi])
+			for v := lo; v < hi; v++ {
+				items[v] = counter.GainItem{Gain: src[v], Vertex: int32(v)}
+			}
 			ops[wk] += int64(hi-lo)/8 + 1
 		})
 	} else {
 		sched.Static(w, n, func(wk, lo, hi int) {
 			for v := lo; v < hi; v++ {
-				var g int64
-				for s := range p.shards {
-					if full {
-						g += int64(len(p.shards[s].postings(int32(v))))
-					} else {
-						g += int64(postPrefix(p.shards[s].postings(int32(v)), localLim[s]))
+				items[v] = counter.GainItem{Vertex: int32(v)}
+			}
+			for i := range views {
+				sv := &views[i]
+				a := sv.idx[lo]
+				for v := lo; v < hi; v++ {
+					b := sv.idx[v+1]
+					if sv.whole {
+						items[v].Gain += int64(b - a)
+					} else if a < b {
+						items[v].Gain += int64(prefixBelow(sv.data[a:b], sv.lim))
 					}
+					a = b
 				}
-				gains[v] = g
 			}
 			ops[wk] += int64(hi - lo)
 		})
 	}
 
-	// Per-shard max-gain heaps over fixed contiguous vertex regions.
-	regions := poolShards
-	if regions > n {
-		regions = n
-	}
-	heaps := make([]*counter.GainHeap, regions)
+	// Per-region max-gain heaps over fixed contiguous vertex ranges, each
+	// heapified in place over its stretch of the slab.
+	regions := min(poolShards, n)
+	heaps := make([]counter.GainHeap, regions)
 	sched.Static(w, regions, func(wk, r0, r1 int) {
 		for r := r0; r < r1; r++ {
 			lo, hi := r*n/regions, (r+1)*n/regions
-			h := counter.NewGainHeap(hi - lo)
-			for v := lo; v < hi; v++ {
-				h.Append(gains[v], int32(v))
-			}
-			h.Init()
-			heaps[r] = h
+			heaps[r] = counter.NewGainHeap(items[lo:hi])
+			heaps[r].Init()
 			ops[wk] += int64(hi - lo)
 		}
 	})
@@ -150,19 +204,18 @@ func (p *shardedPool) selectCELFLimited(base *counter.Counter, workers, k int, l
 	}
 	version := p.versionScratch[:n]
 	clear(version)
-	shardWork := make([]int64, poolShards)
 	seeds = make([]int32, 0, k)
-	var coveredCount int64
+	var coveredCount, walks int64
 
 	for len(seeds) < k && len(seeds) < n {
 		round := int32(len(seeds))
 		chosen := int32(-1)
 		for {
-			// Reduce the per-shard heap tops under the heap's own order.
+			// Reduce the per-region heap tops under the heap's own order.
 			bestR := -1
 			var best counter.GainItem
-			for r, h := range heaps {
-				if top, ok := h.Top(); ok {
+			for r := range heaps {
+				if top, ok := heaps[r].Top(); ok {
 					if bestR < 0 || counter.GainLess(top, best) {
 						bestR, best = r, top
 					}
@@ -180,30 +233,23 @@ func (p *shardedPool) selectCELFLimited(base *counter.Counter, workers, k int, l
 				chosen = best.Vertex
 				break
 			}
-			// Stale: recompute the true gain by counting uncovered
-			// postings, shard-parallel with a deterministic reduction.
+			// Stale: recompute the true gain by counting the vertex's
+			// uncovered postings inside the view.
 			v := best.Vertex
-			sched.Static(w, poolShards, func(wk, s0, s1 int) {
-				for s := s0; s < s1; s++ {
-					sh := &p.shards[s]
-					var g, walked int64
-					for _, j := range sh.postings(v) {
-						if j >= localLim[s] {
-							break // beyond the view's horizon
-						}
-						walked++
-						if !sh.covered.Test(int(j)) {
-							g++
-						}
-					}
-					shardWork[s] = g
-					ops[wk] += walked + 1
-				}
-			})
 			var g int64
-			for s := range shardWork {
-				g += shardWork[s]
+			for i := range views {
+				sv := &views[i]
+				walked := 0
+				for _, j := range sv.data[sv.idx[v]:sv.idx[v+1]] {
+					if j >= sv.lim {
+						break // beyond the view's horizon
+					}
+					walked++
+					g += int64(^sv.covered[uint32(j)>>6] >> (uint32(j) & 63) & 1)
+				}
+				ops[sv.owner] += int64(walked)
 			}
+			walks++
 			version[v] = round
 			heaps[bestR].UpdateTop(g)
 			serial += int64(log2i(heaps[bestR].Len() + 1))
@@ -216,34 +262,35 @@ func (p *shardedPool) selectCELFLimited(base *counter.Counter, workers, k int, l
 		// Retire the seed's coverage: walk its postings per shard and
 		// mark the newly covered entries. This is the whole counter
 		// maintenance — no decrement/rebuild pass over set members.
-		sched.Static(w, poolShards, func(wk, s0, s1 int) {
-			for s := s0; s < s1; s++ {
-				sh := &p.shards[s]
-				var newly, walked int64
-				for _, j := range sh.postings(chosen) {
-					if j >= localLim[s] {
-						break
-					}
-					walked++
-					if !sh.covered.Test(int(j)) {
-						sh.covered.Set(int(j))
-						newly++
-					}
+		for i := range views {
+			sv := &views[i]
+			walked := 0
+			for _, j := range sv.data[sv.idx[chosen]:sv.idx[chosen+1]] {
+				if j >= sv.lim {
+					break // beyond the view's horizon
 				}
-				shardWork[s] = newly
-				ops[wk] += walked + 1
+				walked++
+				word, bit := &sv.covered[uint32(j)>>6], uint64(1)<<(uint32(j)&63)
+				if *word&bit == 0 {
+					*word |= bit
+					coveredCount++
+				}
 			}
-		})
-		for s := range shardWork {
-			coveredCount += shardWork[s]
+			ops[sv.owner] += int64(walked)
 		}
+		walks++
+	}
+	// Every walk visits every shard; the fixed unit per shard visit goes
+	// to the shard's owner, like the postings it walked.
+	for _, wk := range owner {
+		ops[wk] += walks
 	}
 	return seeds, float64(coveredCount) / float64(nsets), float64(maxOf(ops)) + float64(serial)
 }
 
 // Selector is an incremental Find_Most_Influential_Set front-end over
 // an externally owned, append-only set collection: Extend absorbs new
-// sets into the sharded inverted index, Select runs the parallel CELF
+// sets into the sharded inverted index, Select runs the CELF
 // kernel over everything absorbed so far. Front-ends whose pool grows
 // across θ-estimation rounds (the distributed runtime's gathered rank-0
 // pool) index each set exactly once instead of rebuilding per round,
@@ -288,7 +335,7 @@ func (s *Selector) Select(base *counter.Counter, workers, k int) (seeds []int32,
 
 // SelectOnSets is the Find_Most_Influential_Set kernel over an explicit
 // pool: it builds a transient sharded inverted index over sets and runs
-// the parallel CELF selection, so front-ends that gather flat set slices
+// the CELF selection, so front-ends that gather flat set slices
 // inherit the lazy-greedy path unchanged (growing pools should hold a
 // Selector instead and pay the indexing once). base, when non-nil, must
 // already hold the occurrence counts of every member of sets (the fused

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/counter"
 	"repro/internal/graph"
+	"repro/internal/sched"
 )
 
 // generatePool builds a pool of nsets through the Efficient engine's
@@ -119,6 +120,100 @@ func TestSelectOnSetsIsCELF(t *testing.T) {
 		}
 		if ops <= 0 {
 			t.Fatalf("workers=%d: no modeled ops", w)
+		}
+	}
+}
+
+// TestCELFAccountingGolden pins the kernel's accounting contract: how
+// the posting walks are executed (inline, on the caller) must not show in
+// the modeled cost, which bills each shard's work to the worker the
+// static shard partition assigns it. Seeds, coverage and modeledOps are
+// the values the shard-parallel walk of the previous kernel produced on
+// this pool, at every worker count and view horizon; seeds and coverage
+// are checked against the eager scan on the same prefix as well.
+func TestCELFAccountingGolden(t *testing.T) {
+	g := testGraph(t, 8, graph.IC)
+	const theta, k = 900, 8
+	limits := []int64{1, theta / 3, theta - 1, theta}
+	golden := []struct {
+		seeds    string
+		coverage float64
+	}{
+		{"[0 1 2 3 4 5 6 7]", 1},
+		{"[56 94 173 250 59 61 87 119]", 0.6666666666666666},
+		{"[56 61 94 214 233 116 119 250]", 0.6140155728587319},
+		{"[56 61 94 214 233 116 119 250]", 0.6133333333333333},
+	}
+	// ops[workers] lists modeledOps per limit in order — the first call
+	// also pays the index extension of the fresh pool — then the
+	// full-view selection seeded from the fused base counter.
+	ops := map[int][5]float64{
+		1:  {6287, 31828, 77326, 77326, 77103},
+		2:  {4775, 18009, 41957, 41957, 41846},
+		3:  {4231, 14081, 30135, 30135, 30060},
+		4:  {4019, 11659, 24313, 24313, 24258},
+		8:  {3641, 7840, 14337, 14337, 14310},
+		32: {3444, 5918, 9198, 9198, 9192},
+	}
+	for _, w := range []int{1, 2, 3, 4, 8, 32} {
+		e := generatePool(t, g, testOpts(Efficient, w), theta)
+		if !e.baseFresh {
+			t.Fatal("fused base counter not maintained")
+		}
+		sets := e.p.flatten()
+		for i, lim := range limits {
+			seeds, cov, got := e.p.selectCELFLimited(nil, w, k, lim)
+			if fmt.Sprint(seeds) != golden[i].seeds || cov != golden[i].coverage {
+				t.Fatalf("workers=%d limit=%d: seeds %v coverage %v, want %s %v", w, lim, seeds, cov, golden[i].seeds, golden[i].coverage)
+			}
+			if got != ops[w][i] {
+				t.Errorf("workers=%d limit=%d: modeledOps %v, want %v", w, lim, got, ops[w][i])
+			}
+			scanSeeds, scanCov, _ := SelectOnSetsScan(g.N, sets[:lim], e.p.membersUpTo(lim), nil, w, counter.AdaptiveUpdate, k)
+			if fmt.Sprint(seeds) != fmt.Sprint(scanSeeds) || cov != scanCov {
+				t.Fatalf("workers=%d limit=%d: CELF %v/%v != scan %v/%v", w, lim, seeds, cov, scanSeeds, scanCov)
+			}
+		}
+		seeds, cov, got := e.p.selectCELFLimited(e.base, w, k, theta)
+		if fmt.Sprint(seeds) != golden[3].seeds || cov != golden[3].coverage {
+			t.Fatalf("workers=%d fused: seeds %v coverage %v", w, seeds, cov)
+		}
+		if got != ops[w][4] {
+			t.Errorf("workers=%d fused: modeledOps %v, want %v", w, got, ops[w][4])
+		}
+	}
+}
+
+// TestPrefixBelow checks the horizon search against a linear count on
+// every horizon around a segment with gaps and at its ends.
+func TestPrefixBelow(t *testing.T) {
+	for _, post := range [][]int32{nil, {4}, {0, 1, 2}, {3, 7, 8, 20, 21, 40}} {
+		for lim := int32(0); lim <= 42; lim++ {
+			want := 0
+			for _, j := range post {
+				if j < lim {
+					want++
+				}
+			}
+			if got := prefixBelow(post, lim); got != want {
+				t.Fatalf("prefixBelow(%v, %d) = %d, want %d", post, lim, got, want)
+			}
+		}
+	}
+}
+
+// TestShardOwnersMatchStatic pins the attribution table against the
+// partition sched.Static actually hands out.
+func TestShardOwnersMatchStatic(t *testing.T) {
+	for _, w := range []int{1, 2, 3, 4, 5, 8, 16, 32} {
+		var want [poolShards]int
+		sched.Static(w, poolShards, func(wk, s0, s1 int) {
+			for s := s0; s < s1; s++ {
+				want[s] = wk
+			}
+		})
+		if got := shardOwners(w); got != want {
+			t.Errorf("workers=%d: owners %v, Static gives %v", w, got, want)
 		}
 	}
 }

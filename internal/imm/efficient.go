@@ -165,7 +165,7 @@ func (e *efficientEngine) Generate(target int64) {
 }
 
 // SelectSeeds runs Find_Most_Influential_Set over the sharded pool. The
-// default path is the parallel lazy-greedy selection over the inverted
+// default path is the lazy-greedy selection over the inverted
 // index (selectCELF); SelectScan falls back to the eager
 // argmax-and-update kernel with the Figure 5 counter strategies. Both
 // are non-destructive — coverage marks live in per-call scratch and the

@@ -100,8 +100,8 @@ func ParsePool(s string) (PoolKind, error) {
 type SelectionKind int
 
 const (
-	// SelectCELF is the parallel lazy-greedy selection over the pool's
-	// inverted index — the default.
+	// SelectCELF is the lazy-greedy selection over the pool's inverted
+	// index — the default.
 	SelectCELF SelectionKind = iota
 	// SelectScan is the eager argmax-and-update kernel with the
 	// decrement/rebuild counter strategies (the Figure 5 ablation path).

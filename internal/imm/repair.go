@@ -155,9 +155,9 @@ func (e *efficientEngine) repair(ng *graph.Graph, rep *graph.DeltaReport) Repair
 		}
 	}
 	e.p.totalMembers += newMembers - oldMembers
-	// The byte/member prefixes are derived caches; drop them and let
-	// them rebuild lazily over the repaired contents.
-	e.p.bytePrefix, e.p.memberPrefix = nil, nil
+	// The prefix summaries are a derived cache; drop them and let them
+	// rebuild lazily over the repaired contents.
+	e.p.prefix = nil
 
 	e.rebuildTouchedIndexes(invalid)
 	return r

@@ -2,6 +2,7 @@ package imm
 
 import (
 	"repro/internal/bitset"
+	"repro/internal/counter"
 	"repro/internal/rrr"
 	"repro/internal/sched"
 )
@@ -19,9 +20,9 @@ import (
 //     re-scanning (and, for compressed sets, re-decoding) every set;
 //   - a coverage scratch bitset reused across selection calls.
 //
-// Shards give the two expensive maintenance passes — index extension
-// after generation and posting walks during selection — a natural
-// parallel grain that is independent of the simulated worker count.
+// Shards give index extension after generation a natural parallel grain,
+// and the posting walks of selection a fixed unit of modeled per-worker
+// attribution, both independent of the simulated worker count.
 
 // poolShards is the fixed shard count. A power of two keeps the id
 // mapping a mask/shift; 16 shards keep per-shard postings balanced (ids
@@ -90,7 +91,7 @@ func (s *poolShard) postings(v int32) []int32 {
 // back into place afterwards). Entry ids stay ascending within each
 // vertex segment because old postings precede new ones and new entries
 // are absorbed in ascending local id order — the invariant the
-// truncated-view binary search (postPrefix) relies on.
+// truncated-view binary search (prefixBelow) relies on.
 func (s *poolShard) extend(n int32) (members int64) {
 	if s.indexed == len(s.sets) {
 		if s.covered == nil {
@@ -159,20 +160,20 @@ type shardedPool struct {
 	// are write-once, so the cache only ever extends — never
 	// invalidates.
 	flat []rrr.Set
-	// bytePrefix[i] / memberPrefix[i] hold the summed Bytes()/Size() of
-	// sets [0, i), extended lazily like flat. They make the footprint
-	// and truncated-view accounting O(1) per query instead of an
-	// O(pool) rescan — the warm-serving hot path asks for both on every
-	// request. Guarded by the same serialization as selection (the
-	// engine runs one query at a time).
-	bytePrefix   []int64
-	memberPrefix []int64
-	// gainScratch/versionScratch are the CELF kernel's per-call vertex
-	// arrays, retained across selections so a batch of prefix answers
-	// on a warm pool (many selections per round trip) does not
-	// re-allocate 12 bytes per vertex per estimation round. Guarded by
-	// the same one-query-at-a-time serialization as selection.
-	gainScratch    []int64
+	// prefix[i] summarizes sets [0, i): summed Bytes()/Size(), per-kind
+	// counts and the running max size, extended lazily like flat. It
+	// makes the footprint, statistics and truncated-view accounting O(1)
+	// per query instead of an O(pool) rescan — the warm-serving hot path
+	// asks for all three on every request. Guarded by the same
+	// serialization as selection (the engine runs one query at a time).
+	prefix []prefixEntry
+	// heapScratch/versionScratch are the CELF kernel's per-call vertex
+	// arrays (the slab its region heaps live in, and the gain versions),
+	// retained across selections so a batch of prefix answers on a warm
+	// pool (many selections per round trip) does not re-allocate 20
+	// bytes per vertex per estimation round. Guarded by the same
+	// one-query-at-a-time serialization as selection.
+	heapScratch    []counter.GainItem
 	versionScratch []int32
 }
 
@@ -232,10 +233,23 @@ func (p *shardedPool) addMembers(perWorker []int64) {
 	}
 }
 
+// indexCurrent reports whether every shard's inverted index and
+// coverage scratch already cover the whole pool — true on every warm
+// query, and after fused generation, which indexes as it goes.
+func (p *shardedPool) indexCurrent() bool {
+	for s := range p.shards {
+		if sh := &p.shards[s]; sh.indexed != len(sh.sets) || sh.covered == nil {
+			return false
+		}
+	}
+	return true
+}
+
 // ensureIndexed extends every shard's inverted index over the entries
 // generated since the last selection, in parallel across shards, and
 // charges the decode-and-append work (2 ops per member) to the
-// executing workers. Idempotent and cheap when nothing is new.
+// executing workers. Idempotent; selection skips the fork-join when
+// indexCurrent says there is nothing to do.
 func (p *shardedPool) ensureIndexed(workers int, ops []int64) {
 	sched.Static(workers, poolShards, func(w, s0, s1 int) {
 		for s := s0; s < s1; s++ {
@@ -244,7 +258,16 @@ func (p *shardedPool) ensureIndexed(workers int, ops []int64) {
 	})
 }
 
-// stats summarizes the pool in one walk over the shards.
+// prefixEntry is the running rrr.Stats of a pool prefix, in the compact
+// form the lazy prefix array stores per set (lists are the remainder of
+// the count).
+type prefixEntry struct {
+	bytes, members      int64
+	bitmaps, compressed int32
+	maxSize             int32
+}
+
+// stats summarizes the whole pool.
 func (p *shardedPool) stats() rrr.Stats { return p.statsUpTo(p.count) }
 
 // statsUpTo summarizes the logically truncated view holding only global
@@ -252,30 +275,41 @@ func (p *shardedPool) stats() rrr.Stats { return p.statsUpTo(p.count) }
 // would report. The warm-serving engine uses it so a reused pool's
 // result statistics match a cold run's exactly.
 func (p *shardedPool) statsUpTo(limit int64) rrr.Stats {
-	if limit > p.count {
-		limit = p.count
-	}
-	var st rrr.Stats
-	for i := int64(0); i < limit; i++ {
-		st.Add(p.get(i))
+	count := int(min(limit, p.count))
+	e := p.prefixUpTo(limit)
+	st := rrr.Stats{
+		Count:      count,
+		TotalSize:  e.members,
+		MaxSize:    int(e.maxSize),
+		TotalBytes: e.bytes,
+		Bitmaps:    int(e.bitmaps),
+		Compressed: int(e.compressed),
+		Lists:      count - int(e.bitmaps) - int(e.compressed),
 	}
 	st.Finalize(p.n)
 	return st
 }
 
-// extendPrefixes grows the lazy byte/member prefix sums to cover set
-// ids below limit. Amortized O(new sets) across a pool's lifetime.
-func (p *shardedPool) extendPrefixes(limit int64) {
-	if p.bytePrefix == nil {
-		p.bytePrefix = []int64{0}
-		p.memberPrefix = []int64{0}
+// prefixUpTo returns the summary of set ids below limit (clamped to the
+// pool), growing the lazy prefix array over any sets it has not folded
+// yet. Amortized O(new sets) across a pool's lifetime, O(1) afterwards.
+func (p *shardedPool) prefixUpTo(limit int64) prefixEntry {
+	limit = min(limit, p.count)
+	if p.prefix == nil {
+		p.prefix = []prefixEntry{{}}
 	}
-	for int64(len(p.bytePrefix)) <= limit {
-		i := int64(len(p.bytePrefix)) - 1
-		set := p.get(i)
-		p.bytePrefix = append(p.bytePrefix, p.bytePrefix[i]+set.Bytes())
-		p.memberPrefix = append(p.memberPrefix, p.memberPrefix[i]+int64(set.Size()))
+	for int64(len(p.prefix)) <= limit {
+		e := p.prefix[len(p.prefix)-1]
+		var st rrr.Stats
+		st.Add(p.get(int64(len(p.prefix)) - 1))
+		e.bytes += st.TotalBytes
+		e.members += st.TotalSize
+		e.bitmaps += int32(st.Bitmaps)
+		e.compressed += int32(st.Compressed)
+		e.maxSize = max(e.maxSize, int32(st.MaxSize))
+		p.prefix = append(p.prefix, e)
 	}
+	return p.prefix[limit]
 }
 
 // membersUpTo returns Σ|R| over global set ids below limit.
@@ -283,18 +317,11 @@ func (p *shardedPool) membersUpTo(limit int64) int64 {
 	if limit >= p.count {
 		return p.totalMembers
 	}
-	p.extendPrefixes(limit)
-	return p.memberPrefix[limit]
+	return p.prefixUpTo(limit).members
 }
 
 // bytesUpTo returns the summed set representation bytes below limit.
-func (p *shardedPool) bytesUpTo(limit int64) int64 {
-	if limit > p.count {
-		limit = p.count
-	}
-	p.extendPrefixes(limit)
-	return p.bytePrefix[limit]
-}
+func (p *shardedPool) bytesUpTo(limit int64) int64 { return p.prefixUpTo(limit).bytes }
 
 // footprint reports resident pool bytes as they stand: set payloads for
 // the whole pool, index bytes only for what selection actually indexed.

@@ -11,6 +11,8 @@ import (
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/rng"
+	"repro/internal/rrr"
 )
 
 // runWarm serves one query through a warm engine via the same RunEngine
@@ -295,6 +297,63 @@ func TestAnswerBatchSharedExtension(t *testing.T) {
 	}
 	if rep.PoolBytes <= 0 {
 		t.Fatalf("batch reports non-positive pool bytes %d", rep.PoolBytes)
+	}
+}
+
+// TestWarmStatsMatchRescan pins the O(1) prefix summaries behind
+// WarmEngine.Stats against the walk they replaced: on random prefixes,
+// in random order (so the lazy array is read both behind and beyond what
+// it has folded), across the set representations a pool can hold.
+func TestWarmStatsMatchRescan(t *testing.T) {
+	for _, model := range []graph.Model{graph.IC, graph.LT} {
+		for _, pool := range []PoolKind{PoolSlices, PoolCompressed} {
+			g := testGraph(t, 8, model)
+			opt := testOpts(Efficient, 2)
+			opt.Pool = pool
+			const nsets = 700
+			we := &WarmEngine{g: g, inner: generatePool(t, g, opt, nsets)}
+			sets := we.inner.p.flatten()
+			if all := rrr.Summarize(g.N, sets); pool == PoolCompressed && all.Compressed == 0 || model == graph.IC && all.Bitmaps == 0 {
+				t.Fatalf("%v/%v: pool does not exercise the per-kind counts: %+v", model, pool, all)
+			}
+			r := rng.NewStream(5, 0)
+			for trial := 0; trial < 60; trial++ {
+				we.limit = int64(r.Uint64() % (nsets + 1))
+				want := rrr.Summarize(g.N, sets[:we.limit])
+				if got := we.Stats(); got != want {
+					t.Fatalf("%v/%v limit %d: Stats() %+v, rescan %+v", model, pool, we.limit, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestWarmAnswerAllocs gates the warm path's allocation count: with the
+// pop loop free of fork-joins, a base-shape answer on a pool that already
+// covers it allocates for the round driver, the few remaining parallel
+// regions and the result — not per heap pop (the fork-join kernel spent
+// about 30k allocations here).
+func TestWarmAnswerAllocs(t *testing.T) {
+	g := testGraph(t, 10, graph.IC)
+	opt := Defaults()
+	opt.Workers = 2
+	opt.Seed = 7
+	we, err := NewWarmEngine(g, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := []BatchQuery{{K: 50, Epsilon: 0.5}}
+	if _, err := we.AnswerBatch(opt, batch); err != nil { // builds the pool
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		rep, err := we.AnswerBatch(opt, batch)
+		if err != nil || rep.Extensions != 0 {
+			t.Fatalf("warm answer extended the pool or failed: %v", err)
+		}
+	})
+	if allocs > 500 {
+		t.Fatalf("warm AnswerBatch allocates %v times, want <= 500", allocs)
 	}
 }
 

@@ -17,7 +17,9 @@ import (
 
 // Static runs fn(worker, start, end) on p workers, giving worker w the
 // contiguous range [w*n/p, (w+1)*n/p). This reproduces the baseline's
-// fixed partitioning, including its imbalance when item costs vary.
+// fixed partitioning, including its imbalance when item costs vary. When
+// the effective worker count is 1 (p == 1 or n == 1) fn runs on the
+// caller's goroutine.
 func Static(p, n int, fn func(worker, start, end int)) {
 	if p < 1 {
 		p = 1
@@ -27,6 +29,10 @@ func Static(p, n int, fn func(worker, start, end int)) {
 	}
 	if p > n {
 		p = n
+	}
+	if p == 1 {
+		fn(0, 0, n) // one partition: no goroutine, no WaitGroup
+		return
 	}
 	var wg sync.WaitGroup
 	for w := 0; w < p; w++ {
@@ -46,7 +52,9 @@ func Static(p, n int, fn func(worker, start, end int)) {
 
 // Dynamic runs fn(worker, start, end) over [0,n) in chunks claimed from a
 // shared atomic cursor. Chunk is the claim granularity; values of 16-64
-// amortize the atomic while keeping tail imbalance small.
+// amortize the atomic while keeping tail imbalance small. When only one
+// worker could claim anything (p == 1 or a single chunk) the chunks run
+// on the caller's goroutine, as worker 0.
 func Dynamic(p, n, chunk int, fn func(worker, start, end int)) {
 	if p < 1 {
 		p = 1
@@ -57,18 +65,30 @@ func Dynamic(p, n, chunk int, fn func(worker, start, end int)) {
 	if n <= 0 {
 		return
 	}
+	if chunks := (n-1)/chunk + 1; p > chunks {
+		p = chunks // a worker beyond the chunk count would claim nothing
+	}
+	if p == 1 {
+		for start := 0; start < n; start += chunk {
+			fn(0, start, min(start+chunk, n))
+		}
+		return
+	}
 	var cursor atomic.Int64
 	var wg sync.WaitGroup
+	// The goroutines capture a never-reassigned copy: capturing chunk
+	// itself would move it to the heap on entry, inline path included.
+	step := chunk
 	for w := 0; w < p; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for {
-				start := int(cursor.Add(int64(chunk))) - chunk
+				start := int(cursor.Add(int64(step))) - step
 				if start >= n {
 					return
 				}
-				end := start + chunk
+				end := start + step
 				if end > n {
 					end = n
 				}

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -62,6 +63,53 @@ func TestStaticMoreWorkersThanItems(t *testing.T) {
 			}
 		})
 	})
+}
+
+// inlineVisited is written by the non-capturing callback below, so the
+// allocation count of an inline run is the scheduler's alone.
+var inlineVisited int
+
+func countInline(_, s, e int) { inlineVisited += e - s }
+
+// TestSinglePartitionRunsInline pins the fast path: when only one worker
+// would do anything, fn runs on the caller's goroutine — no goroutine,
+// no WaitGroup, no allocation — and still as worker 0 over the whole
+// range.
+func TestSinglePartitionRunsInline(t *testing.T) {
+	cases := []struct {
+		name string
+		n    int
+		run  func()
+	}{
+		{"Static(1,n)", 100, func() { Static(1, 100, countInline) }},
+		{"Static(p,1)", 1, func() { Static(8, 1, countInline) }},
+		{"Dynamic(1,n)", 100, func() { Dynamic(1, 100, 16, countInline) }},
+		{"Dynamic(p,one chunk)", 10, func() { Dynamic(8, 10, 16, countInline) }},
+	}
+	for _, c := range cases {
+		inlineVisited = 0
+		if allocs := testing.AllocsPerRun(20, c.run); allocs != 0 {
+			t.Errorf("%s: %v allocs per run, want 0", c.name, allocs)
+		}
+		if want := 21 * c.n; inlineVisited != want { // AllocsPerRun adds a warm-up run
+			t.Errorf("%s: visited %d items, want %d", c.name, inlineVisited, want)
+		}
+	}
+	Static(1, 5, func(w, s, e int) {
+		if w != 0 || s != 0 || e != 5 {
+			t.Errorf("Static(1,5) ran fn(%d,%d,%d), want fn(0,0,5)", w, s, e)
+		}
+	})
+	var got [][2]int
+	Dynamic(1, 5, 2, func(w, s, e int) {
+		if w != 0 {
+			t.Errorf("Dynamic(1,...) ran as worker %d", w)
+		}
+		got = append(got, [2]int{s, e}) // inline, so unsynchronized is safe
+	})
+	if want := [][2]int{{0, 2}, {2, 4}, {4, 5}}; !reflect.DeepEqual(got, want) {
+		t.Errorf("Dynamic(1,5,2) chunks %v, want %v", got, want)
+	}
 }
 
 func TestDynamicCoversAllIndices(t *testing.T) {
