@@ -599,3 +599,50 @@ func BenchmarkServeWarm(b *testing.B) {
 	}
 	b.ReportMetric(float64(reused), "reusedSets")
 }
+
+// BenchmarkColdRun is a complete cold Run in the three regimes the
+// sampler's density switch must serve — the same graphs imbench's
+// cold-ic-dense, serving (cluster-cold, tier-rotate, delta-churn) and
+// cold-lt-sparse workloads generate on. ns/edge divides the whole run by
+// the in-edges its θ slots examine, so it moves with the traversal and
+// not with θ. Reproduce with `go test -run '^$' -bench ColdRun -cpu 1`.
+func BenchmarkColdRun(b *testing.B) {
+	regimes := []struct {
+		name       string
+		scale      int
+		edgeFactor float64
+		model      graph.Model
+		wc         bool
+	}{
+		{"dense-ic", 9, 16, graph.IC, false}, // uniform IC: bitmap sets, dense scan shape
+		{"wc-ic", 13, 8, graph.IC, true},     // weighted cascade: list sets, sparse scan shape
+		{"lt", 16, 8, graph.LT, false},       // ~2-member walks: per-set overhead
+	}
+	for _, rg := range regimes {
+		b.Run(rg.name, func(b *testing.B) {
+			g, err := gen.RMAT(gen.DefaultRMAT(rg.scale, rg.edgeFactor), rg.model, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if rg.wc {
+				graph.AssignWC(g)
+			}
+			opt := imm.Defaults()
+			opt.Workers = 2
+			ref, err := imm.Run(g, opt)
+			if err != nil {
+				b.Fatal(err)
+			}
+			_, edges := imm.GenerateSlotsFused(g, imm.PolicyFromOptions(opt), opt.Seed, 0,
+				make([]rrr.Set, ref.Theta), rrr.NewArena(), nil)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := imm.Run(g, opt); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(edges), "ns/edge")
+		})
+	}
+}

@@ -199,7 +199,11 @@ func (b *Bitset) ForEach(fn func(i int)) {
 // AppendIndices appends the indices of all set bits to dst and returns
 // the extended slice.
 func (b *Bitset) AppendIndices(dst []int32) []int32 {
-	b.ForEach(func(i int) { dst = append(dst, int32(i)) })
+	for wi, w := range b.words {
+		for ; w != 0; w &= w - 1 {
+			dst = append(dst, int32(wi*wordBits+bits.TrailingZeros64(w)))
+		}
+	}
 	return dst
 }
 

@@ -311,30 +311,35 @@ func TestProbeReceivesTouches(t *testing.T) {
 	}
 }
 
-func BenchmarkSampleIC(b *testing.B) {
-	g, err := gen.RMAT(gen.DefaultRMAT(12, 8), graph.IC, 5)
-	if err != nil {
-		b.Fatal(err)
-	}
-	s := NewSampler(g)
-	r := rng.New(1)
-	var buf []int32
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf = s.SampleUniformRoot(r, buf[:0])
-	}
-}
-
-func BenchmarkSampleLT(b *testing.B) {
-	g, err := gen.RMAT(gen.DefaultRMAT(12, 8), graph.LT, 5)
-	if err != nil {
-		b.Fatal(err)
-	}
-	s := NewSampler(g)
-	r := rng.New(1)
-	var buf []int32
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf = s.SampleUniformRoot(r, buf[:0])
+// BenchmarkTraverse times one traversal per iteration in the three
+// regimes the sampler serves: uniform IC (dense sets, the two-pass scan),
+// weighted-cascade IC (sparse sets, the plain scan) and LT (two-member
+// walks, per-set overhead).
+func BenchmarkTraverse(b *testing.B) {
+	regimes := []struct {
+		name       string
+		scale      int
+		edgeFactor float64
+		model      graph.Model
+		wc         bool
+	}{{"dense-ic", 9, 16, graph.IC, false}, {"wc-ic", 13, 8, graph.IC, true}, {"lt", 16, 8, graph.LT, false}}
+	for _, rg := range regimes {
+		b.Run(rg.name, func(b *testing.B) {
+			g, err := gen.RMAT(gen.DefaultRMAT(rg.scale, rg.edgeFactor), rg.model, 5)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if rg.wc {
+				graph.AssignWC(g)
+			}
+			s := NewSampler(g)
+			r := rng.New(1)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.TraverseUniformRoot(r)
+				s.Release()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(s.EdgesVisited), "ns/edge")
+		})
 	}
 }

@@ -22,7 +22,7 @@ import (
 // (so they include selection, which is kernel-independent); the GenAllocs
 // columns isolate the generation path itself — allocations of producing
 // θ sets through GenerateSlots versus GenerateSlotsFused — which is
-// where the arena/visitor refactor removes the per-set copies.
+// where the arena-backed fused kernel removes the per-set copies.
 type KernelRow struct {
 	Dataset string
 	Model   string

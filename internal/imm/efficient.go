@@ -39,8 +39,8 @@ type efficientEngine struct {
 	// baseMembers tracks how many members base has absorbed, to detect
 	// staleness when fusion is off.
 	baseFresh bool
-	// gen holds the fused kernel's per-worker samplers, arenas, and emit
-	// callbacks (fused.go), persistent across Generate calls.
+	// gen holds the fused kernel's per-worker samplers, arenas, and
+	// generators (fused.go), persistent across Generate calls.
 	gen []*genWorker
 	// remote, when non-nil, sources pool extensions from a distributed
 	// slot generator (remote.go); local kernels are the fallback.

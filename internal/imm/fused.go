@@ -15,22 +15,27 @@ import (
 
 // The fused streaming generation kernel (KernelFused, the default).
 //
-// The materialized kernel is a produce-then-scan pipeline: diffusion
-// traverses into a scratch buffer, rrr copies the buffer into a fresh
-// per-set allocation, the pool stores it, and the fusion counter and the
-// inverted index each re-walk what was just written. The fused kernel
-// collapses those passes around diffusion's visitor seam
-// (Sampler.SampleEmit):
+// The materialized kernel is a produce-then-scan pipeline: diffusion's
+// members are copied into a scratch buffer, rrr copies the buffer into a
+// fresh per-set allocation, the pool stores it, and the fusion counter
+// and the inverted index each re-walk what was just written. The fused
+// kernel works on what the traversal already holds:
 //
 //   - Stage A (sampling): each worker owns a genWorker — a reusable
-//     sampler, an rrr.Arena, and an emit callback built once. The
-//     traversal emits every member straight into the worker's buffer and
-//     (when fusion is on) increments the global occurrence counter in
-//     the same step; the finished set is then carved out of the worker's
-//     arena (Policy.BuildArena), eliminating the per-set vertex copy and
-//     header allocations. Scheduling (work stealing or static) and slot
-//     RNG streams are identical to the materialized kernel, so pool
-//     contents are byte-identical.
+//     sampler, an rrr.Arena, and a generator re-seeded per slot. One
+//     traversal (diffusion.Sampler.Traverse) leaves the set's members in
+//     the sampler's own BFS queue and their visited bits set. The fusion
+//     counter is incremented from that list in one loop, and finishSet
+//     ends the set from the same state: a bitmap set takes a copy of the
+//     visited words as its row; any other is sorted in place and carved
+//     out of the worker's arena. No per-member callback, no second copy,
+//     no per-set allocation for lists. Scheduling (work stealing or
+//     static) and slot RNG streams are identical to the materialized
+//     kernel, so pool contents are byte-identical.
+//
+//     Under IC the traversal switches its in-segment scan from a plain
+//     loop to a filter-then-draw pair of passes once the set is dense;
+//     neither shape changes a draw (see diffusion.traverseIC).
 //
 //   - Stage B (index merge): while the new sets are still hot, each pool
 //     shard's CSR inverted index absorbs them on the shard's pinned
@@ -49,8 +54,6 @@ import (
 type genWorker struct {
 	smp   *diffusion.Sampler
 	arena *rrr.Arena
-	buf   []int32
-	emit  func(v int32)  // built once; appends to buf (+ counter when fused)
 	rng   rng.Xoshiro256 // re-seeded per slot (SeedStream) instead of allocated
 }
 
@@ -60,22 +63,26 @@ type genWorker struct {
 // or arenas.
 func (e *efficientEngine) ensureGenWorkers(workers int) {
 	for len(e.gen) < workers {
-		gw := &genWorker{smp: diffusion.NewSampler(e.g), arena: rrr.NewArena()}
-		if e.opt.Fusion {
-			gw.emit = func(v int32) {
-				gw.buf = append(gw.buf, v)
-				e.base.Inc(v)
-			}
-		} else {
-			gw.emit = func(v int32) { gw.buf = append(gw.buf, v) }
-		}
-		e.gen = append(e.gen, gw)
+		e.gen = append(e.gen, &genWorker{smp: diffusion.NewSampler(e.g), arena: rrr.NewArena()})
 	}
 }
 
-// fusedRange samples slots [s0, e0) on worker w through the visitor
-// seam and returns the job's critical-path cost (edge visits plus build
-// work), matching generateDynamic's per-job accounting.
+// finishSet builds the set whose members the last traversal left in
+// smp's queue and ends it: a dense set adopts the visited words as its
+// bitmap row, any other is sorted in place and stored per the policy (in
+// arena when non-nil).
+func finishSet(smp *diffusion.Sampler, policy rrr.Policy, n int32, members []int32, arena *rrr.Arena) rrr.Set {
+	if policy.Dense(n, len(members)) {
+		return rrr.AdoptBitmap(n, smp.TakeBitmap(), len(members))
+	}
+	set := policy.BuildArena(n, members, arena)
+	smp.Release() // after the sort: sorted members clear word-at-a-time
+	return set
+}
+
+// fusedRange samples slots [s0, e0) on worker w and returns the job's
+// critical-path cost (edge visits plus build work), matching
+// generateDynamic's per-job accounting.
 func (e *efficientEngine) fusedRange(w int, s0, e0 int64, members []int64) int64 {
 	gw := e.gen[w]
 	smp := gw.smp
@@ -83,10 +90,14 @@ func (e *efficientEngine) fusedRange(w int, s0, e0 int64, members []int64) int64
 	var jobMembers int64
 	for i := s0; i < e0; i++ {
 		gw.rng.SeedStream(e.opt.Seed, int(i))
-		gw.buf = gw.buf[:0]
-		smp.SampleUniformRootEmit(&gw.rng, gw.emit)
-		e.p.put(i, e.policy.BuildArena(e.p.n, gw.buf, gw.arena))
-		jobMembers += int64(len(gw.buf))
+		set := smp.TraverseUniformRoot(&gw.rng)
+		if e.opt.Fusion {
+			for _, v := range set {
+				e.base.Inc(v)
+			}
+		}
+		jobMembers += int64(len(set))
+		e.p.put(i, finishSet(smp, e.policy, e.p.n, set, gw.arena))
 	}
 	members[w] += jobMembers
 	return (smp.EdgesVisited - edgesBefore) + 3*jobMembers
@@ -217,32 +228,26 @@ func (p *shardedPool) indexNewSets(workers int) int64 {
 }
 
 // GenerateSlotsFused is GenerateSlots' streaming variant, the per-rank
-// half of the fused kernel for distributed front-ends: each member is
-// emitted through the visitor seam into arena storage and incremented
-// into cnt as it is produced, replacing the rank's post-pass over the
-// finished sets. Set contents are byte-identical to GenerateSlots (slot
-// indexed RNG streams), so gathered rank outputs still match a
-// shared-memory pool. The arena must outlive the returned sets; cnt may
-// be nil to skip counting.
+// half of the fused kernel for distributed front-ends: each set is built
+// from the sampler's own state into arena storage (finishSet) and its
+// members incremented into cnt as it is produced, replacing the rank's
+// post-pass over the finished sets. Set contents are byte-identical to
+// GenerateSlots (slot indexed RNG streams), so gathered rank outputs
+// still match a shared-memory pool. The arena must outlive the returned
+// sets; cnt may be nil to skip counting.
 func GenerateSlotsFused(g *graph.Graph, policy rrr.Policy, seed uint64, lo int64, out []rrr.Set, arena *rrr.Arena, cnt *counter.Counter) (members, edges int64) {
 	smp := diffusion.NewSampler(g)
-	var buf []int32
-	var emit func(v int32)
-	if cnt != nil {
-		emit = func(v int32) {
-			buf = append(buf, v)
-			cnt.Inc(v)
-		}
-	} else {
-		emit = func(v int32) { buf = append(buf, v) }
-	}
 	var r rng.Xoshiro256
 	for i := range out {
 		r.SeedStream(seed, int(lo+int64(i)))
-		buf = buf[:0]
-		smp.SampleUniformRootEmit(&r, emit)
-		out[i] = policy.BuildArena(g.N, buf, arena)
-		members += int64(len(buf))
+		set := smp.TraverseUniformRoot(&r)
+		if cnt != nil {
+			for _, v := range set {
+				cnt.Inc(v)
+			}
+		}
+		members += int64(len(set))
+		out[i] = finishSet(smp, policy, g.N, set, arena)
 	}
 	return members, smp.EdgesVisited
 }

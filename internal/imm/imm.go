@@ -134,10 +134,11 @@ func ParseSelection(s string) (SelectionKind, error) {
 type KernelKind int
 
 const (
-	// KernelFused is the streaming kernel (fused.go): traversal emits
-	// each member through the visitor seam directly into per-worker
-	// arena storage, the fusion counter, and the per-shard inverted
-	// index — no intermediate per-set allocation. The default.
+	// KernelFused is the streaming kernel (fused.go): each set is built
+	// straight from the sampler's member list and visited bitmap into
+	// per-worker arena storage (or a bitmap row), the fusion counter,
+	// and the per-shard inverted index — no intermediate per-set copy
+	// or allocation. The default.
 	KernelFused KernelKind = iota
 	// KernelMaterialized is the legacy produce-then-scan pipeline,
 	// retained as the differential-testing reference.

@@ -145,10 +145,11 @@ func MeasureNUMAGeneration(g *graph.Graph, topo numa.Topology, placement NUMAPla
 	for w := 0; w < workers; w++ {
 		smp := diffusion.NewSampler(g)
 		smp.Probe = probes[w]
-		var buf []int32
+		var r rng.Xoshiro256
 		for i := w; i < samples; i += workers {
-			r := rng.NewStream(seed, i)
-			buf = smp.SampleUniformRoot(r, buf[:0])
+			r.SeedStream(seed, i)
+			smp.TraverseUniformRoot(&r)
+			smp.Release()
 		}
 		probes[w].acc.Flush()
 	}
@@ -202,10 +203,11 @@ func TraceSelection(g *graph.Graph, kind EngineKind, k, nsets, simWorkers int, s
 	pool.grow(int64(nsets))
 	smp := diffusion.NewSampler(g)
 	var buf []int32
+	var r rng.Xoshiro256
 	for i := 0; i < nsets; i++ {
-		r := rng.NewStream(seed, i)
-		buf = smp.SampleUniformRoot(r, buf[:0])
-		pool.sets[i] = buildSet(g.N, rrr.ListOnlyPolicy(), buf)
+		r.SeedStream(seed, i)
+		buf = smp.SampleUniformRoot(&r, buf[:0])
+		pool.sets[i] = rrr.ListOnlyPolicy().BuildScratch(g.N, buf)
 		pool.totalMembers += int64(len(buf))
 	}
 

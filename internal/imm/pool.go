@@ -45,41 +45,22 @@ func (p *setPool) vertexCount() int32       { return p.n }
 func (p *setPool) put(i int64, set rrr.Set) { p.sets[i] = set }
 func (p *setPool) stats() rrr.Stats         { return rrr.Summarize(p.n, p.sets) }
 
-// buildSet finalizes one sampled vertex list into a Set. Representation
-// choice lives in rrr.Policy.BuildScratch — the one dispatch shared with
-// every other front-end — which sorts only when a list or compressed
+// generateJob is the one slot-sampling loop every materializing
+// generation path goes through: it hands put the set for each global
+// slot in [start, end). RNG streams are derived from the slot index, so
+// pool contents are identical for any worker count, schedule, engine,
+// and rank partitioning — which is what lets the tests compare engines
+// and the distributed runtime seed-for-seed. Representation choice lives
+// in rrr.Policy.BuildScratch, which sorts only when a list or compressed
 // representation is chosen (the paper's baseline sorts every set;
 // EFFICIENTIMM skips the sort for bitmaps).
-func buildSet(n int32, policy rrr.Policy, buf []int32) rrr.Set {
-	return policy.BuildScratch(n, buf)
-}
-
-// generateInto is the one slot-sampling loop every generation path goes
-// through: it fills out[i] with the set for global slot lo+int64(i). RNG
-// streams are derived from the slot index, so pool contents are
-// identical for any worker count, schedule, engine, and rank
-// partitioning — which is what lets the tests compare engines and the
-// distributed runtime seed-for-seed.
-func generateInto(n int32, policy rrr.Policy, seed uint64, s *diffusion.Sampler, lo int64, out []rrr.Set) (members int64) {
+func generateJob(n int32, policy rrr.Policy, seed uint64, s *diffusion.Sampler, start, end int64, put func(i int64, set rrr.Set)) (members int64) {
 	var buf []int32
-	for i := range out {
-		r := rng.NewStream(seed, int(lo+int64(i)))
-		buf = s.SampleUniformRoot(r, buf[:0])
-		out[i] = buildSet(n, policy, buf)
-		members += int64(len(buf))
-	}
-	return members
-}
-
-// generateJob fills pool slots [start, end) from the slot-indexed RNG
-// streams, writing each finished set through the store.
-func generateJob(store poolStore, policy rrr.Policy, seed uint64, s *diffusion.Sampler, start, end int64) (members int64) {
-	n := store.vertexCount()
-	var buf []int32
+	var r rng.Xoshiro256
 	for i := start; i < end; i++ {
-		r := rng.NewStream(seed, int(i))
-		buf = s.SampleUniformRoot(r, buf[:0])
-		store.put(i, buildSet(n, policy, buf))
+		r.SeedStream(seed, int(i))
+		buf = s.SampleUniformRoot(&r, buf[:0])
+		put(i, policy.BuildScratch(n, buf))
 		members += int64(len(buf))
 	}
 	return members
@@ -94,7 +75,7 @@ func generateJob(store poolStore, policy rrr.Policy, seed uint64, s *diffusion.S
 // count and the edges visited (the sampling work metric).
 func GenerateSlots(g *graph.Graph, policy rrr.Policy, seed uint64, lo int64, out []rrr.Set) (members, edges int64) {
 	smp := diffusion.NewSampler(g)
-	members = generateInto(g.N, policy, seed, smp, lo, out)
+	members = generateJob(g.N, policy, seed, smp, lo, lo+int64(len(out)), func(i int64, set rrr.Set) { out[i-lo] = set })
 	return members, smp.EdgesVisited
 }
 
@@ -134,7 +115,7 @@ func generateStatic(g *graph.Graph, pool poolStore, policy rrr.Policy, seed uint
 	}
 	sched.Static(workers, count, func(w, s0, e0 int) {
 		smp := diffusion.NewSampler(g)
-		m := generateJob(pool, policy, seed, smp, from+int64(s0), from+int64(e0))
+		m := generateJob(pool.vertexCount(), policy, seed, smp, from+int64(s0), from+int64(e0), pool.put)
 		edges[w] += smp.EdgesVisited
 		members[w] += m
 	})
@@ -181,20 +162,13 @@ func generateDynamic(g *graph.Graph, pool poolStore, policy rrr.Policy, seed uin
 			e0 = to
 		}
 		edgesBefore := smp.EdgesVisited
-		var jobMembers int64
-		var buf []int32
-		n := pool.vertexCount()
-		for i := s0; i < e0; i++ {
-			r := rng.NewStream(seed, int(i))
-			buf = smp.SampleUniformRoot(r, buf[:0])
-			set := buildSet(n, policy, buf)
+		jobMembers := generateJob(pool.vertexCount(), policy, seed, smp, s0, e0, func(i int64, set rrr.Set) {
 			pool.put(i, set)
-			members[w] += int64(len(buf))
-			jobMembers += int64(len(buf))
 			if onSet != nil {
 				onSet(w, set)
 			}
-		}
+		})
+		members[w] += jobMembers
 		if cost := (smp.EdgesVisited - edgesBefore) + 3*jobMembers; cost > jobMax[w] {
 			jobMax[w] = cost
 		}

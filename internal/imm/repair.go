@@ -19,7 +19,7 @@ import (
 // slot's replay on the post-delta graph differs from its resident
 // content only if the traversal would observe a changed in-segment —
 // and the traversal reads exactly the in-segments of the vertices it
-// visits, which are exactly the set's members (IC emits each first
+// visits, which are exactly the set's members (IC enqueues each first
 // visit; the LT walk's chain is the set). So a resident set disjoint
 // from the delta's dirty-vertex set D (vertices whose in-segment
 // changed) consumes identical RNG draws on the post-delta graph and
@@ -75,8 +75,8 @@ func (e *efficientEngine) repair(ng *graph.Graph, rep *graph.DeltaReport) Repair
 	grew := ng.N != e.g.N
 	e.g = ng
 	// The per-worker samplers hold visited bitmaps sized to the old
-	// graph; rebind them (arenas and emit closures survive — neither
-	// references the graph).
+	// graph; rebind them (arenas survive — they do not reference the
+	// graph).
 	for _, gw := range e.gen {
 		gw.smp = diffusion.NewSampler(ng)
 	}
@@ -120,10 +120,10 @@ func (e *efficientEngine) repair(ng *graph.Graph, rep *graph.DeltaReport) Repair
 	}
 
 	// Resample the invalidated slots from their slot-indexed streams on
-	// the new graph, in parallel. BuildScratch allocates fresh backing
-	// (the old arena storage cannot be reclaimed piecemeal); the set
-	// contents — the byte-identity quantity — are representation-equal
-	// to what cold arena generation builds.
+	// the new graph, in parallel. Without an arena finishSet allocates
+	// fresh backing (the old arena storage cannot be reclaimed
+	// piecemeal); the set contents — the byte-identity quantity — are
+	// representation-equal to what cold arena generation builds.
 	newSets := make([]rrr.Set, len(invalid))
 	workers := e.opt.Workers
 	if workers > len(invalid) {
@@ -131,12 +131,10 @@ func (e *efficientEngine) repair(ng *graph.Graph, rep *graph.DeltaReport) Repair
 	}
 	sched.Static(workers, len(invalid), func(w, s0, s1 int) {
 		smp := diffusion.NewSampler(ng)
-		var buf []int32
 		var x rng.Xoshiro256
 		for j := s0; j < s1; j++ {
 			x.SeedStream(e.opt.Seed, int(invalid[j]))
-			buf = smp.SampleUniformRoot(&x, buf[:0])
-			newSets[j] = buildSet(e.p.n, e.policy, buf)
+			newSets[j] = finishSet(smp, e.policy, e.p.n, smp.TraverseUniformRoot(&x), nil)
 		}
 	})
 

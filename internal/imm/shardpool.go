@@ -82,6 +82,16 @@ func (s *poolShard) postings(v int32) []int32 {
 	return s.postData[s.postIdx[v]:s.postIdx[v+1]]
 }
 
+// setMembers returns set's members, ascending, as a read-only slice: a
+// list's own storage, anything else decoded into buf (returned grown).
+func setMembers(set rrr.Set, buf []int32) (members, _ []int32) {
+	if ls, ok := set.(*rrr.ListSet); ok {
+		return ls.Raw(), buf
+	}
+	buf = set.Vertices(buf[:0])
+	return buf, buf
+}
+
 // extend indexes entries [indexed, len(sets)) and returns the member
 // count absorbed — the modeled work of the pass (a decode step and a
 // posting append per member). The new postings are merged into the CSR
@@ -101,11 +111,13 @@ func (s *poolShard) extend(n int32) (members int64) {
 	}
 	nn := int(n)
 	off := make([]int32, nn+1)
-	count := func(v int32) { off[v+1]++ } // hoisted: one closure per pass, not per set
+	var vs, buf []int32
 	for j := s.indexed; j < len(s.sets); j++ {
-		set := s.sets[j]
-		set.ForEach(count)
-		members += int64(set.Size())
+		vs, buf = setMembers(s.sets[j], buf)
+		for _, v := range vs {
+			off[v+1]++
+		}
+		members += int64(len(vs))
 	}
 	// Turn counts into merged segment starts: off[v+1] becomes
 	// start(v+1) = start(v) + oldLen(v) + newCount(v).
@@ -128,11 +140,12 @@ func (s *poolShard) extend(n int32) (members int64) {
 			off[v] += int32(len(seg))
 		}
 	}
-	var jj int32
-	fill := func(v int32) { data[off[v]] = jj; off[v]++ }
 	for j := s.indexed; j < len(s.sets); j++ {
-		jj = int32(j)
-		s.sets[j].ForEach(fill)
+		vs, buf = setMembers(s.sets[j], buf)
+		for _, v := range vs {
+			data[off[v]] = int32(j)
+			off[v]++
+		}
 	}
 	// Each cursor now sits at its segment's end == the next segment's
 	// start; shift right to recover the CSR index in place.

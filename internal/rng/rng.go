@@ -11,7 +11,10 @@
 // repository replayable.
 package rng
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // SplitMix64 is the seeding generator recommended for initializing
 // xoshiro state. It is also a decent standalone 64-bit generator.
@@ -36,8 +39,13 @@ func (s *SplitMix64) Next() uint64 {
 // Xoshiro256 implements the xoshiro256** 1.0 generator of Blackman and
 // Vigna. It has a 2^256-1 period and passes BigCrush; the zero value is
 // invalid and must be seeded through New or Seed.
+//
+// The state is four scalar words rather than an array so that Uint64
+// inlines and a by-value copy is four plain locals: the samplers draw
+// from a local copy for the length of one RRR set and store it back
+// once.
 type Xoshiro256 struct {
-	s [4]uint64
+	s0, s1, s2, s3 uint64
 }
 
 // New returns a generator seeded from seed via SplitMix64, per the
@@ -63,40 +71,28 @@ func NewStream(seed uint64, worker int) *Xoshiro256 {
 // work item (the fused generation kernel seeds one per RRR slot) reuse
 // a single generator through this instead of allocating per item.
 func (x *Xoshiro256) SeedStream(seed uint64, worker int) {
-	sm := NewSplitMix64(seed ^ (0xa0761d6478bd642f * (uint64(worker) + 1)))
-	for i := range x.s {
-		x.s[i] = sm.Next()
-	}
-	x.ensureNonZero()
+	x.Seed(seed ^ (0xa0761d6478bd642f * (uint64(worker) + 1)))
 }
 
 // Seed resets the generator state from seed.
 func (x *Xoshiro256) Seed(seed uint64) {
-	sm := NewSplitMix64(seed)
-	for i := range x.s {
-		x.s[i] = sm.Next()
-	}
-	x.ensureNonZero()
-}
-
-func (x *Xoshiro256) ensureNonZero() {
-	if x.s[0]|x.s[1]|x.s[2]|x.s[3] == 0 {
-		x.s[0] = 0x9e3779b97f4a7c15 // all-zero state is the one forbidden point
+	sm := SplitMix64{state: seed}
+	x.s0, x.s1, x.s2, x.s3 = sm.Next(), sm.Next(), sm.Next(), sm.Next()
+	if x.s0|x.s1|x.s2|x.s3 == 0 {
+		x.s0 = 0x9e3779b97f4a7c15 // all-zero state is the one forbidden point
 	}
 }
-
-func rotl(v uint64, k uint) uint64 { return v<<k | v>>(64-k) }
 
 // Uint64 returns the next 64 random bits.
 func (x *Xoshiro256) Uint64() uint64 {
-	result := rotl(x.s[1]*5, 7) * 9
-	t := x.s[1] << 17
-	x.s[2] ^= x.s[0]
-	x.s[3] ^= x.s[1]
-	x.s[1] ^= x.s[2]
-	x.s[0] ^= x.s[3]
-	x.s[2] ^= t
-	x.s[3] = rotl(x.s[3], 45)
+	s0, s1, s2, s3 := x.s0, x.s1, x.s2, x.s3
+	result := bits.RotateLeft64(s1*5, 7) * 9
+	t := s1 << 17
+	s2 ^= s0
+	s3 ^= s1
+	s1 ^= s2
+	s0 ^= s3
+	x.s0, x.s1, x.s2, x.s3 = s0, s1, s2^t, bits.RotateLeft64(s3, 45)
 	return result
 }
 
@@ -171,15 +167,15 @@ func (x *Xoshiro256) Jump() {
 	for _, j := range jump {
 		for b := 0; b < 64; b++ {
 			if j&(1<<uint(b)) != 0 {
-				s0 ^= x.s[0]
-				s1 ^= x.s[1]
-				s2 ^= x.s[2]
-				s3 ^= x.s[3]
+				s0 ^= x.s0
+				s1 ^= x.s1
+				s2 ^= x.s2
+				s3 ^= x.s3
 			}
 			x.Uint64()
 		}
 	}
-	x.s[0], x.s[1], x.s[2], x.s[3] = s0, s1, s2, s3
+	x.s0, x.s1, x.s2, x.s3 = s0, s1, s2, s3
 }
 
 func bitsFor(v uint64) uint {

@@ -183,7 +183,7 @@ func TestIntnRangeProperty(t *testing.T) {
 func TestZeroStateRecovery(t *testing.T) {
 	var x Xoshiro256
 	x.Seed(0) // SplitMix64(0) yields nonzero words, but guard anyway
-	if x.s[0]|x.s[1]|x.s[2]|x.s[3] == 0 {
+	if x.s0|x.s1|x.s2|x.s3 == 0 {
 		t.Fatal("seeded generator has all-zero state")
 	}
 	out := x.Uint64()

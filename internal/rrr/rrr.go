@@ -151,10 +151,12 @@ func NewBitmapSetUnique(n int32, unique []int32) *BitmapSet {
 }
 
 // AdoptBitmap adopts an existing word row as a BitmapSet over n vertices
-// with a pre-counted cardinality, without copying or validating it. This
-// is the pool-snapshot thaw seam: the codec has already checked the word
-// count, the trailing-bit zeros, and the popcount; the words may alias a
-// memory-mapped file. The set never writes to the words.
+// with a pre-counted cardinality, without copying or validating it. Two
+// callers: generation, which hands over the sampler's visited words for
+// a dense set (diffusion.Sampler.TakeBitmap), and the pool-snapshot
+// thaw, whose codec has already checked the word count, the trailing-bit
+// zeros, and the popcount and whose words may alias a memory-mapped
+// file. The set never writes to the words.
 func AdoptBitmap(n int32, words []uint64, size int) *BitmapSet {
 	return &BitmapSet{bits: bitset.FromWords(words, int(n)), size: size}
 }
@@ -287,11 +289,18 @@ func CompressedPolicy() Policy {
 	return p
 }
 
+// Dense reports whether a set of size members over n vertices is stored
+// as a bitmap under the policy. Every path that picks a representation
+// asks here, so pools built by different kernels agree set-for-set.
+func (p Policy) Dense(n int32, size int) bool {
+	return p.Adaptive && n > 0 && float64(size) >= p.DensityThreshold*float64(n)
+}
+
 // Build materializes a set from a sorted, unique member slice, choosing
 // the representation per the policy. The slice is adopted when a list is
 // chosen, so callers must not reuse it.
 func (p Policy) Build(n int32, sortedVerts []int32) Set {
-	if p.Adaptive && n > 0 && float64(len(sortedVerts)) >= p.DensityThreshold*float64(n) {
+	if p.Dense(n, len(sortedVerts)) {
 		return NewBitmapSet(n, sortedVerts)
 	}
 	if p.Compress {
@@ -309,7 +318,7 @@ func (p Policy) Build(n int32, sortedVerts []int32) Set {
 // both generation paths go through, so engine pools and Build-made sets
 // can never disagree on the policy semantics.
 func (p Policy) BuildScratch(n int32, buf []int32) Set {
-	if p.Adaptive && n > 0 && float64(len(buf)) >= p.DensityThreshold*float64(n) {
+	if p.Dense(n, len(buf)) {
 		return NewBitmapSetUnique(n, buf) // needs no order
 	}
 	slices.Sort(buf)
@@ -332,7 +341,7 @@ func (p Policy) BuildArena(n int32, buf []int32, a *Arena) Set {
 	if a == nil {
 		return p.BuildScratch(n, buf)
 	}
-	if p.Adaptive && n > 0 && float64(len(buf)) >= p.DensityThreshold*float64(n) {
+	if p.Dense(n, len(buf)) {
 		return NewBitmapSetUnique(n, buf) // needs no order
 	}
 	slices.Sort(buf)
