@@ -307,27 +307,14 @@ func BenchmarkDistributed(b *testing.B) {
 
 // BenchmarkEndToEnd measures real wall-clock of a complete Run on this
 // machine — the sanity check that the optimized engine also wins in
-// practice at the physical core count. The Efficient engine runs under
-// both generation kernels, so the fused/materialized wall-clock and
-// allocation gap is visible in the same table as the engine gap.
+// practice at the physical core count.
 func BenchmarkEndToEnd(b *testing.B) {
 	g := benchProfile(b, "web-Google", 10, graph.IC)
-	variants := []struct {
-		name   string
-		engine imm.EngineKind
-		kernel imm.KernelKind
-	}{
-		{"ripples", imm.Ripples, imm.KernelFused}, // kernel ignored by the baseline
-		{"efficientimm/fused", imm.Efficient, imm.KernelFused},
-		{"efficientimm/materialized", imm.Efficient, imm.KernelMaterialized},
-	}
-	for _, v := range variants {
-		b.Run(v.name, func(b *testing.B) {
+	for _, engine := range []imm.EngineKind{imm.Ripples, imm.Efficient} {
+		b.Run(engine.String(), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				opt := benchOpts(v.engine, graph.IC, 2)
-				opt.Kernel = v.kernel
-				if _, err := imm.Run(g, opt); err != nil {
+				if _, err := imm.Run(g, benchOpts(engine, graph.IC, 2)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -336,12 +323,11 @@ func BenchmarkEndToEnd(b *testing.B) {
 }
 
 // BenchmarkGenerationKernel isolates the generation path: filling the
-// same pool slots through the materialized GenerateSlots (per-set copy +
-// header) versus the fused GenerateSlotsFused (arena storage, counter
-// folded into the emit). allocs/op is the headline: the fused path's
-// per-set allocation rate is amortized zero, ≥10x below materialized.
-// The list policy is pinned because bitmap-represented sets allocate
-// identically under both kernels.
+// same pool slots through the copy-out reference GenerateSlots (per-set
+// copy + header) versus the engine's GenerateSlotsFused (arena storage,
+// counter folded into the emit). allocs/op is the headline: the fused
+// path's per-set allocation rate is amortized zero. The list policy is
+// pinned because bitmap-represented sets allocate alike on both sides.
 func BenchmarkGenerationKernel(b *testing.B) {
 	g := benchProfile(b, "web-Google", 10, graph.IC)
 	opt := benchOpts(imm.Efficient, graph.IC, 1)
@@ -350,7 +336,7 @@ func BenchmarkGenerationKernel(b *testing.B) {
 	const slots = 4096
 	out := make([]rrr.Set, slots)
 
-	b.Run("materialized", func(b *testing.B) {
+	b.Run("reference", func(b *testing.B) {
 		b.ReportAllocs()
 		cnt := counter.New(g.N)
 		for i := 0; i < b.N; i++ {

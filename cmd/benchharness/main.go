@@ -25,7 +25,7 @@ import (
 
 func main() {
 	var (
-		exp        = flag.String("exp", "all", "experiment: table1|fig1|fig2|table2|fig5|table3|fig6|fig7|table4|ablations|dist|mem|kernel|ingest|serve|tier|load|churn|ci|all")
+		exp        = flag.String("exp", "all", "experiment: table1|fig1|fig2|table2|fig5|table3|fig6|fig7|table4|ablations|dist|mem|ingest|serve|tier|load|churn|ci|all")
 		ingScale   = flag.Int("ingest-scale", 0, "ingest experiment: log2 vertices of the generated graph (0 = 17 for ~1M+ edges, or 13 with -quick)")
 		srvScale   = flag.Int("serve-scale", 0, "serve experiment: log2 vertices of the generated graph (0 = 16, the CI dataset shape, or 12 with -quick)")
 		tierScale  = flag.Int("tier-scale", 0, "tier experiment: log2 vertices of the generated graph (0 = 14, or 11 with -quick)")
@@ -61,10 +61,12 @@ func main() {
 		cfg.Datasets = strings.Split(*dataset, ",")
 	}
 
+	ran := false
 	run := func(name string, fn func() error) {
 		if *exp != "all" && *exp != name {
 			return
 		}
+		ran = true
 		fmt.Printf("== %s ==\n", name)
 		start := time.Now()
 		if err := fn(); err != nil {
@@ -206,21 +208,6 @@ func main() {
 		return nil
 	})
 
-	run("kernel", func() error {
-		rows, err := harness.KernelSweep(cfg, nil)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("%-12s %-3s %4s %10s %10s %8s %12s %12s %10s %6s\n",
-			"dataset", "mod", "w", "fused_ms", "mat_ms", "speedup", "genAllocF", "genAllocM", "reduction", "match")
-		for _, r := range rows {
-			fmt.Printf("%-12s %-3s %4d %10.1f %10.1f %7.2fx %12.4f %12.4f %9.1fx %6v\n",
-				r.Dataset, r.Model, r.Workers, r.FusedWallMS, r.MatWallMS, r.WallSpeedup,
-				r.GenAllocsFused, r.GenAllocsMat, r.AllocReduction, r.SeedsMatch)
-		}
-		return nil
-	})
-
 	run("ingest", func() error {
 		scale := *ingScale
 		if scale == 0 && *quick {
@@ -336,11 +323,6 @@ func main() {
 			fmt.Printf("%-45s theta=%-6d nodes=%d edges=%d snapshotB=%d (%.1f MB/s, not gated)\n",
 				"ingest (text->pipeline->snapshot->run)", in.Theta, in.Nodes, in.Edges, in.SnapshotBytes, in.MBPerSec)
 		}
-		if kn := digest.Kernel; kn != nil {
-			fmt.Printf("%-45s theta=%-6d match=%v sampling=%12.0f allocs/set=%.3f reduction=%.0fx speedup=%.2fx\n",
-				"kernel (fused vs materialized)", kn.Theta, kn.SeedsMatch, kn.FusedSamplingModeled,
-				kn.GenAllocsFused, kn.AllocReduction, kn.WallSpeedup)
-		}
 		fmt.Printf("digest written to %s\n", path)
 		if *baseline == "" {
 			return nil
@@ -372,6 +354,10 @@ func main() {
 		return nil
 	})
 
+	if !ran {
+		fmt.Fprintf(os.Stderr, "benchharness: unknown experiment %q (see -exp)\n", *exp)
+		os.Exit(2)
+	}
 	if *exp == "all" {
 		if _, err := harness.ExtractResults(cfg.OutDir); err != nil {
 			fmt.Fprintf(os.Stderr, "benchharness: extract: %v\n", err)

@@ -42,7 +42,6 @@ func main() {
 		engineName = flag.String("engine", "efficientimm", "engine: efficientimm or ripples")
 		poolName   = flag.String("pool", "slices", "RRR pool representation: slices or compressed")
 		selName    = flag.String("selection", "celf", "selection kernel: celf or scan")
-		kernName   = flag.String("kernel", "fused", "generation kernel: fused (streaming) or materialized (legacy reference)")
 		k          = flag.Int("k", 50, "seed set size")
 		eps        = flag.Float64("eps", 0.5, "approximation parameter epsilon")
 		workers    = flag.Int("workers", runtime.NumCPU(), "parallel workers")
@@ -77,8 +76,6 @@ func main() {
 	pool, err := efficientimm.ParsePool(*poolName)
 	fatalIf(err)
 	selection, err := efficientimm.ParseSelection(*selName)
-	fatalIf(err)
-	kernel, err := efficientimm.ParseKernel(*kernName)
 	fatalIf(err)
 
 	stopProf, err := prof.Start()
@@ -183,7 +180,6 @@ func main() {
 	opt.Engine = engine
 	opt.Pool = pool
 	opt.Selection = selection
-	opt.Kernel = kernel
 	opt.K = *k
 	opt.Epsilon = *eps
 	opt.Workers = *workers
@@ -243,7 +239,6 @@ func main() {
 		"rrr_compressed":    res.SetStats.Compressed,
 		"pool":              pool.String(),
 		"selection":         selection.String(),
-		"kernel":            kernel.String(),
 		// Peak pool footprint: resident set bytes, the inverted-index
 		// bytes CELF selection adds, and the raw []int32-slice cost the
 		// compression ratio is measured against.

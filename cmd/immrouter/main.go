@@ -9,8 +9,7 @@
 //	immrouter -listen :8370 -node http://10.0.0.1:8377 -node http://10.0.0.2:8377
 //	immrouter -node http://127.0.0.1:7601,http://127.0.0.1:7602,http://127.0.0.1:7603
 //
-// The router serves the same /v1 (and legacy) HTTP surface as the
-// nodes. /query and /batch shard by pool key (batch members fan out to
+// The router serves the same /v1 HTTP surface as the nodes. /query and /batch shard by pool key (batch members fan out to
 // their owners and reassemble in order), /jobs route by pool key with
 // node-prefixed job ids ("n2-job-7"), /graphs unions the fleet's
 // registries, /stats reports per-node counters, /healthz probes the

@@ -35,11 +35,9 @@
 //
 //	immserver -load g.imsnap -pool-budget-mb 1024 -pool-dir /var/lib/immserver/pools
 //
-// Endpoints (the versioned /v1 prefix is canonical; the unprefixed
-// aliases of the original query surface still answer but are
-// deprecated — they carry Deprecation + Successor-Version headers and
-// count in /v1/stats legacy_requests; see README "Legacy paths" for
-// the removal timeline):
+// Endpoints (every path lives under /v1; the unprefixed aliases of the
+// original query surface were removed after their sunset and answer
+// the 404 envelope):
 //
 //	GET    /v1/healthz                             liveness + graph count
 //	GET    /v1/graphs                              registered graphs ({"graphs":[...]})
@@ -51,7 +49,7 @@
 //	GET    /v1/jobs/{id}                           job state + result when done
 //	POST   /v1/pools/save {"dir":D?}               freeze resident pools to .impool snapshots
 //
-// Graph lifecycle (/v1 only) — graphs can be registered, updated with
+// Graph lifecycle — graphs can be registered, updated with
 // streaming edge deltas, and dropped without a restart. Each delta
 // produces a new graph epoch (visible in graph infos) and repairs the
 // resident warm pools in place: only RRR sets touching changed

@@ -58,9 +58,6 @@ type (
 	PoolKind = imm.PoolKind
 	// SelectionKind selects the seed-selection kernel (CELF or scan).
 	SelectionKind = imm.SelectionKind
-	// KernelKind selects the generation kernel (fused streaming or
-	// materialized).
-	KernelKind = imm.KernelKind
 	// PoolFootprint reports resident pool bytes inside Result.
 	PoolFootprint = imm.PoolFootprint
 	// CoverageStats summarizes RRR-set sizes (Table I methodology).
@@ -95,12 +92,6 @@ const (
 	SelectCELF = imm.SelectCELF
 	// SelectScan is the eager argmax-and-update selection.
 	SelectScan = imm.SelectScan
-	// KernelFused streams each RRR set into storage, counter, and index
-	// as it is produced (default).
-	KernelFused = imm.KernelFused
-	// KernelMaterialized is the legacy produce-then-scan generation
-	// pipeline, kept as the differential-testing reference.
-	KernelMaterialized = imm.KernelMaterialized
 )
 
 // Defaults returns the paper's evaluation options (k=50, ε=0.5, all
@@ -121,9 +112,6 @@ func ParsePool(s string) (PoolKind, error) { return imm.ParsePool(s) }
 
 // ParseSelection converts "celf"/"scan" to a SelectionKind.
 func ParseSelection(s string) (SelectionKind, error) { return imm.ParseSelection(s) }
-
-// ParseKernel converts "fused"/"materialized" to a KernelKind.
-func ParseKernel(s string) (KernelKind, error) { return imm.ParseKernel(s) }
 
 // NewBuilder returns a Builder for a graph with n vertices.
 func NewBuilder(n int32) *Builder { return graph.NewBuilder(n) }

@@ -1,13 +1,6 @@
-package compress
-
-import "fmt"
-
-// Plain delta-varint coding of sorted vertex lists — the pool-facing
-// sibling of the Huffman codec above. Encode/Decode pay a 256-byte
-// canonical-code header per set, which is fine for the footprint studies
-// they were written for but dwarfs the payload of a typical RRR set (a
-// handful of one-byte deltas). The plain layout drops the entropy stage
-// and keeps only the part that matters at pool granularity:
+// Package compress implements the plain delta-varint coding of sorted
+// vertex lists that the compressed pool, the wire set codec and the
+// .impool snapshot share:
 //
 //	varint(count) | varint(first) | varint(delta-1)...
 //
@@ -15,6 +8,9 @@ import "fmt"
 // one and the -1 bias keeps single-step runs in one byte. Decoding is a
 // single forward scan with no tables, cheap enough to sit on the
 // selection hot path.
+package compress
+
+import "fmt"
 
 // AppendPlain appends the delta-varint encoding of sorted to dst and
 // returns the extended slice. sorted must be strictly increasing and
@@ -31,11 +27,16 @@ func AppendPlain(dst []byte, sorted []int32) []byte {
 }
 
 // PlainCount returns the member count of a plain encoding without
-// decoding the payload.
+// decoding the payload, or an error if the payload cannot hold it.
 func PlainCount(data []byte) (int, error) {
 	count, n := readUvarint(data)
 	if n <= 0 {
 		return 0, fmt.Errorf("compress: truncated plain count")
+	}
+	// Every member costs at least one byte, so a larger count is
+	// malformed; callers size buffers from it, and data may be a peer's.
+	if count > uint64(len(data)-n) {
+		return 0, fmt.Errorf("compress: plain count %d exceeds the %d payload bytes", count, len(data)-n)
 	}
 	return int(count), nil
 }
@@ -88,4 +89,28 @@ func PlainContains(data []byte, v int32) bool {
 		}
 	}
 	return false
+}
+
+func appendUvarint(dst []byte, v uint64) []byte {
+	for v >= 0x80 {
+		dst = append(dst, byte(v)|0x80)
+		v >>= 7
+	}
+	return append(dst, byte(v))
+}
+
+func readUvarint(data []byte) (uint64, int) {
+	var v uint64
+	var shift uint
+	for i, b := range data {
+		if b < 0x80 {
+			if i > 9 || (i == 9 && b > 1) {
+				return 0, -1 // overflow
+			}
+			return v | uint64(b)<<shift, i + 1
+		}
+		v |= uint64(b&0x7f) << shift
+		shift += 7
+	}
+	return 0, 0
 }

@@ -114,3 +114,25 @@ func TestForEachPlainMatchesDecode(t *testing.T) {
 		}
 	}
 }
+
+// TestPlainCountRejectsImpossibleCounts pins that a count no payload of
+// this length could hold is an error: callers size buffers from it, and
+// the bytes may come from a peer (every member costs at least a byte).
+func TestPlainCountRejectsImpossibleCounts(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		data []byte
+	}{
+		{"2^40 members, no payload", []byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x20}},
+		{"2^63 members overflows int", []byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01}},
+		{"one member, no payload", []byte{1}},
+		{"three members, two bytes", []byte{3, 0, 0}},
+	} {
+		if c, err := PlainCount(tc.data); err == nil {
+			t.Errorf("%s: PlainCount = %d, want an error", tc.name, c)
+		}
+	}
+	if c, err := PlainCount([]byte{2, 0, 0}); err != nil || c != 2 {
+		t.Errorf("exact fit: PlainCount = %d, %v; want 2", c, err)
+	}
+}

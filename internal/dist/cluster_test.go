@@ -1,9 +1,15 @@
 package dist
 
 import (
+	"net"
+	"slices"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/imm"
+	"repro/internal/rrr"
+	"repro/internal/wire"
 )
 
 // startWorkers boots n worker rank servers on loopback listeners and
@@ -153,6 +159,102 @@ func TestClusterWorkerLossFailsOver(t *testing.T) {
 	}
 	if res.Comm.MeasuredBytesSent == 0 {
 		t.Fatal("surviving worker produced no measured traffic")
+	}
+}
+
+// startLyingRank serves the worker side of the wire protocol, but
+// answers every Round with sets whose plain header claims 2^40 members
+// and carries none. Returns its address.
+func startLyingRank(t *testing.T) string {
+	t.Helper()
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { lis.Close() })
+	hugeCount := []byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x20}
+	serve := func(nc net.Conn) {
+		conn := wire.NewConn(nc, 30*time.Second, nil)
+		conn.SetReadTimeout(0)
+		defer conn.Close()
+		for {
+			typ, payload, err := conn.ReadFrame()
+			if err != nil {
+				return // the root closed the cluster
+			}
+			switch typ {
+			case wire.MsgHello:
+				err = conn.WriteFrame(wire.MsgHelloAck, wire.EncodeHello(wire.Hello{Tag: "liar"}))
+			case wire.MsgGraph:
+				err = conn.WriteFrame(wire.MsgGraphAck, nil)
+			case wire.MsgRound:
+				rd, _ := wire.DecodeRound(payload)
+				rep := wire.RoundReply{Sets: make([][]byte, rd.Count)}
+				for i := range rep.Sets {
+					rep.Sets[i] = hugeCount
+				}
+				err = conn.WriteFrame(wire.MsgRoundReply, wire.EncodeRoundReply(rep))
+			case wire.MsgSeeds:
+				err = conn.WriteFrame(wire.MsgSeedsAck, nil)
+			}
+			if err != nil {
+				return
+			}
+		}
+	}
+	go func() {
+		for {
+			nc, err := lis.Accept()
+			if err != nil {
+				return
+			}
+			go serve(nc)
+		}
+	}()
+	return lis.Addr().String()
+}
+
+// TestClusterMalformedSetCountFailsOver feeds the root a rank reply whose
+// set payloads claim more members than they have bytes: both consumers of
+// wire.DecodeSetMembers must treat it as a failed exchange — regenerate
+// the chunk locally, count the failover, and return what a healthy
+// cluster would have — instead of sizing a buffer from the peer's count.
+func TestClusterMalformedSetCountFailsOver(t *testing.T) {
+	g := testGraph(t)
+	shared := sharedRun(t, g, testOptions(1))
+	cfg := ClusterConfig{Rank: 0, Peers: []string{"root.invalid:0", startLyingRank(t)}}
+	cl, err := Connect(cfg, testClusterOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+
+	res, err := RunCluster(g, testOptions(2), cl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameSeeds(t, shared.Seeds, res.Seeds)
+	if res.Theta != shared.Theta || res.Comm.Failovers == 0 {
+		t.Fatalf("theta %d (want %d), failovers %d (want > 0)", res.Theta, shared.Theta, res.Comm.Failovers)
+	}
+
+	// The serving path's pool generator: one remote chunk per call.
+	opt := testOptions(2)
+	policy := imm.PolicyFromOptions(opt.Options)
+	got, want := make([]rrr.Set, 64), make([]rrr.Set, 64)
+	before := cl.Failovers()
+	members, _, err := cl.PoolGenerator("g", g, policy, opt.Seed).GenerateSlots(100, got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantMembers, _ := imm.GenerateSlots(g, policy, opt.Seed, 100, want)
+	if cl.Failovers() != before+1 || members != wantMembers {
+		t.Fatalf("failovers %d -> %d (want +1), members %d (want %d)", before, cl.Failovers(), members, wantMembers)
+	}
+	for i := range want {
+		if got[i].Kind() != want[i].Kind() || !slices.Equal(got[i].Vertices(nil), want[i].Vertices(nil)) {
+			t.Fatalf("slot %d differs from local generation", 100+i)
+		}
 	}
 }
 

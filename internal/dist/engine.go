@@ -36,7 +36,7 @@ type engine struct {
 	// set is indexed exactly once across the θ-estimation rounds —
 	// the same incremental accounting as the shared-memory engine.
 	selector *imm.Selector
-	// arenas are the fused kernel's per-rank set storage (nil slots
+	// arenas are the per-rank set storage of local generation (nil slots
 	// until a rank first generates). They live as long as the engine —
 	// and therefore as long as the gathered pool that aliases them.
 	arenas []*rrr.Arena
@@ -129,22 +129,13 @@ func (e *engine) Generate(target int64) {
 				// survive the node loss.
 				failover = true
 			}
+			// Each member lands in the rank's arena and increments the
+			// rank counter as it is emitted.
 			cnt := counter.New(e.g.N)
-			var members, edges int64
-			if e.opt.Kernel == imm.KernelFused {
-				// Fused streaming kernel: each member lands in the rank's
-				// arena and increments the rank counter as it is emitted,
-				// replacing the post-pass over the finished sets.
-				if e.arenas[r] == nil {
-					e.arenas[r] = rrr.NewArena()
-				}
-				members, edges = imm.GenerateSlotsFused(e.g, e.policy, e.opt.Seed, lo, out, e.arenas[r], cnt)
-			} else {
-				members, edges = imm.GenerateSlots(e.g, e.policy, e.opt.Seed, lo, out)
-				for _, s := range out {
-					s.ForEach(func(v int32) { cnt.Inc(v) })
-				}
+			if e.arenas[r] == nil {
+				e.arenas[r] = rrr.NewArena()
 			}
+			members, edges := imm.GenerateSlotsFused(e.g, e.policy, e.opt.Seed, lo, out, e.arenas[r], cnt)
 			ch <- rankRound{rank: int(r), lo: lo, hi: hi, counts: cnt, members: members, edges: edges, failover: failover}
 		}(r, lo, hi)
 	}

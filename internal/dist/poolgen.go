@@ -32,7 +32,7 @@ type clusterGen struct {
 // policy must be the representation policy of the engine the generator
 // attaches to (imm.PolicyFromOptions of the engine options). Returns nil
 // for single-rank clusters — there is nobody to fan out to, and the
-// engine's local kernels (fused arenas included) are strictly better.
+// engine's local generation (arenas included) is strictly better.
 func (c *Cluster) PoolGenerator(hint string, g *graph.Graph, policy rrr.Policy, seed uint64) imm.SlotGenerator {
 	if c == nil || c.Ranks() < 2 {
 		return nil

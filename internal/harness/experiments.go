@@ -630,7 +630,6 @@ func Ablations(cfg Config) ([]AblationRow, error) {
 		{"scan-decrement", func(o *imm.Options) { o.Selection = imm.SelectScan; o.Update = counter.Decrement }},
 		{"scan-rebuild", func(o *imm.Options) { o.Selection = imm.SelectScan; o.Update = counter.Rebuild }},
 		{"static-schedule", func(o *imm.Options) { o.DynamicBalance = false }},
-		{"materialized-kernel", func(o *imm.Options) { o.Kernel = imm.KernelMaterialized }},
 		{"ripples-baseline", func(o *imm.Options) { o.Engine = imm.Ripples }},
 	}
 	var rows []AblationRow

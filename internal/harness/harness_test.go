@@ -223,8 +223,8 @@ func TestAblations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 10 {
-		t.Fatalf("%d ablation rows, want 10", len(rows))
+	if len(rows) != 9 {
+		t.Fatalf("%d ablation rows, want 9", len(rows))
 	}
 	if rows[0].Variant != "full" || rows[0].Penalty != 1 {
 		t.Fatalf("first row must be the full configuration: %+v", rows[0])
@@ -481,102 +481,5 @@ func TestCompareCIFlagsIngestRegressions(t *testing.T) {
 	cur.Ingest = nil
 	if regs := CompareCI(base, cur, 0.1); len(regs) != 1 {
 		t.Fatalf("missing ingest leg not flagged: %v", regs)
-	}
-}
-
-func TestKernelSweep(t *testing.T) {
-	cfg := quick(t, true)
-	rows, err := KernelSweep(cfg, []string{"com-Amazon"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 1 dataset x 2 models x worker grid {1, top}.
-	want := 2
-	if cfg.Workers[len(cfg.Workers)-1] > 1 {
-		want = 4
-	}
-	if len(rows) != want {
-		t.Fatalf("%d kernel rows, want %d", len(rows), want)
-	}
-	for _, r := range rows {
-		if !r.SeedsMatch {
-			t.Fatalf("%s/%s w=%d: fused and materialized kernels disagree", r.Dataset, r.Model, r.Workers)
-		}
-		if r.Theta <= 0 || r.GenSets <= 0 {
-			t.Fatalf("%s/%s w=%d: empty measurement: %+v", r.Dataset, r.Model, r.Workers, r)
-		}
-		if r.AllocReduction < 10 {
-			t.Fatalf("%s/%s w=%d: generation alloc reduction %.1fx below 10x", r.Dataset, r.Model, r.Workers, r.AllocReduction)
-		}
-	}
-	if _, err := os.Stat(filepath.Join(cfg.OutDir, "kernel_sweep.csv")); err != nil {
-		t.Fatalf("kernel_sweep.csv not written: %v", err)
-	}
-}
-
-func TestCompareCIFlagsKernelRegressions(t *testing.T) {
-	base := CIDigest{Config: ciConfigTag, Kernel: &CIKernel{
-		Theta: 2000, Seeds: "[1 2]", SeedsMatch: true,
-		FusedSamplingModeled: 1e6, MatSamplingModeled: 1e6,
-		GenSets: 4096, GenAllocsFused: 0.01, GenAllocsMat: 4, AllocReduction: 400,
-		WallSpeedup: 1.1,
-	}}
-	clone := func() CIDigest {
-		d := base
-		k := *base.Kernel
-		d.Kernel = &k
-		return d
-	}
-	if regs := CompareCI(base, clone(), 0.1); len(regs) != 0 {
-		t.Fatalf("identical kernel legs flagged: %v", regs)
-	}
-	// θ or seed drift fails exactly.
-	cur := clone()
-	cur.Kernel.Theta = 2001
-	if regs := CompareCI(base, cur, 0.1); len(regs) != 1 {
-		t.Fatalf("kernel theta drift not flagged: %v", regs)
-	}
-	cur = clone()
-	cur.Kernel.Seeds = "[1 3]"
-	if regs := CompareCI(base, cur, 0.1); len(regs) != 1 {
-		t.Fatalf("kernel seed drift not flagged: %v", regs)
-	}
-	// In-run kernel disagreement fails even with a matching baseline.
-	cur = clone()
-	cur.Kernel.SeedsMatch = false
-	if regs := CompareCI(base, cur, 0.1); len(regs) != 1 {
-		t.Fatalf("in-run kernel mismatch not flagged: %v", regs)
-	}
-	// Fused alloc rate is capped absolutely, not relative to baseline.
-	cur = clone()
-	cur.Kernel.GenAllocsFused = 0.2 // 20x baseline but under the cap
-	if regs := CompareCI(base, cur, 0.1); len(regs) != 0 {
-		t.Fatalf("sub-cap fused alloc jitter flagged: %v", regs)
-	}
-	cur.Kernel.GenAllocsFused = 0.3
-	if regs := CompareCI(base, cur, 0.1); len(regs) != 1 {
-		t.Fatalf("fused alloc cap breach not flagged: %v", regs)
-	}
-	// Losing the allocation win fails.
-	cur = clone()
-	cur.Kernel.AllocReduction = 5
-	if regs := CompareCI(base, cur, 0.1); len(regs) != 1 {
-		t.Fatalf("alloc reduction collapse not flagged: %v", regs)
-	}
-	// Wall speedup has only a loose sanity floor.
-	cur = clone()
-	cur.Kernel.WallSpeedup = 0.8
-	if regs := CompareCI(base, cur, 0.1); len(regs) != 0 {
-		t.Fatalf("hardware wall jitter flagged: %v", regs)
-	}
-	cur.Kernel.WallSpeedup = 0.4
-	if regs := CompareCI(base, cur, 0.1); len(regs) != 1 {
-		t.Fatalf("wall sanity floor breach not flagged: %v", regs)
-	}
-	// Missing leg fails.
-	cur = clone()
-	cur.Kernel = nil
-	if regs := CompareCI(base, cur, 0.1); len(regs) != 1 {
-		t.Fatalf("missing kernel leg not flagged: %v", regs)
 	}
 }

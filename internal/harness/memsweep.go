@@ -162,44 +162,18 @@ type CIIngest struct {
 	MBPerSec      float64 `json:"ingest_mb_per_s"`
 }
 
-// CIKernel is the generation-kernel leg of the digest: the fused
-// streaming kernel differentially against the materialized reference on
-// the pinned IC configuration at one worker. Theta/Seeds/SeedsMatch and
-// the modeled sampling cost are deterministic and gated; the generation-
-// path allocation rates are measured over a fixed slot count with a
-// single-threaded run (runtime jitter is a handful of allocations
-// against thousands, well inside the gate tolerance). WallSpeedup is
-// hardware-dependent: it is gated only by a loose in-run sanity floor,
-// never against the baseline.
-type CIKernel struct {
-	Theta      int64  `json:"theta"`
-	Seeds      string `json:"seeds"`
-	SeedsMatch bool   `json:"seeds_match"` // fused == materialized, in-run
-
-	FusedSamplingModeled float64 `json:"fused_sampling_modeled"`
-	MatSamplingModeled   float64 `json:"materialized_sampling_modeled"`
-
-	GenSets        int64   `json:"gen_sets"`
-	GenAllocsFused float64 `json:"gen_allocs_per_set_fused"`
-	GenAllocsMat   float64 `json:"gen_allocs_per_set_materialized"`
-	AllocReduction float64 `json:"gen_alloc_reduction"`
-
-	WallSpeedup float64 `json:"wall_speedup"` // materialized / fused, not baseline-gated
-}
-
 // CIDigest is the BENCH_ci.json payload: a self-describing config tag
 // plus the gated metrics.
 type CIDigest struct {
 	Config  string     `json:"config"`
 	Metrics []CIMetric `json:"metrics"`
 	Ingest  *CIIngest  `json:"ingest,omitempty"`
-	Kernel  *CIKernel  `json:"kernel,omitempty"`
 }
 
 // ciConfigTag names the pinned measurement configuration; bump it when
 // the CIBench setup changes so stale baselines fail loudly instead of
 // comparing apples to oranges.
-const ciConfigTag = "web-Google@9 k=25 w=4 seed=1 thetaIC=4000 thetaLT=8000 v3+ingest+kernel"
+const ciConfigTag = "web-Google@9 k=25 w=4 seed=1 thetaIC=4000 thetaLT=8000 v4+ingest"
 
 // CIBench runs the fixed small configuration the bench-regression CI
 // job gates on: the web-Google clone at scale 9, both models, the
@@ -299,39 +273,6 @@ func CIBench() (CIDigest, error) {
 		Seeds:         fmt.Sprint(res.Seeds),
 		MBPerSec:      st.MBPerSec(),
 	}
-
-	// Kernel leg: fused vs materialized on the pinned IC graph at one
-	// worker (single-threaded so allocation counts are reproducible).
-	kopt := imm.Defaults()
-	kopt.Workers = 1
-	kopt.K = 25
-	kopt.Seed = 1
-	kopt.MaxTheta = 4000
-	kopt.Kernel = imm.KernelFused
-	fusedRes, err := imm.Run(gIC, kopt)
-	if err != nil {
-		return digest, err
-	}
-	kopt.Kernel = imm.KernelMaterialized
-	matRes, err := imm.Run(gIC, kopt)
-	if err != nil {
-		return digest, err
-	}
-	const kernelGenSets = 4096
-	genFused, genMat := generationAllocs(gIC, kopt, kernelGenSets)
-	digest.Kernel = &CIKernel{
-		Theta:                fusedRes.Theta,
-		Seeds:                fmt.Sprint(fusedRes.Seeds),
-		SeedsMatch:           fusedRes.Theta == matRes.Theta && sameSeeds(fusedRes.Seeds, matRes.Seeds),
-		FusedSamplingModeled: fusedRes.Breakdown.SamplingModeled,
-		MatSamplingModeled:   matRes.Breakdown.SamplingModeled,
-		GenSets:              kernelGenSets,
-		GenAllocsFused:       genFused,
-		GenAllocsMat:         genMat,
-		AllocReduction:       safeDiv(genMat, genFused),
-		WallSpeedup: safeDiv(float64(matRes.Breakdown.TotalWall),
-			float64(fusedRes.Breakdown.TotalWall)),
-	}
 	return digest, nil
 }
 
@@ -430,49 +371,6 @@ func CompareCI(base, cur CIDigest, tol float64) []string {
 			if grew(float64(c.SnapshotBytes), float64(b.SnapshotBytes)) {
 				regressions = append(regressions, fmt.Sprintf("ingest: snapshot bytes %+.1f%% (%d -> %d)",
 					100*(float64(c.SnapshotBytes)/float64(b.SnapshotBytes)-1), b.SnapshotBytes, c.SnapshotBytes))
-			}
-		}
-	}
-	// Kernel gate: the fused kernel must stay observationally identical
-	// to the materialized reference (θ, seeds, in-run match), its modeled
-	// sampling cost may grow at most tol, and the generation path must
-	// keep its allocation win — the fused per-set rate stays under an
-	// absolute cap and the fused-over-materialized reduction may not fall
-	// below 10x (the refactor's headline guarantee; the measured margin
-	// is far larger). WallSpeedup only has an in-run sanity floor: a fused
-	// kernel slower than half the reference signals a real regression on
-	// any hardware.
-	if base.Kernel != nil {
-		b, c := base.Kernel, cur.Kernel
-		switch {
-		case c == nil:
-			regressions = append(regressions, "kernel: leg missing from current run")
-		default:
-			if c.Theta != b.Theta {
-				regressions = append(regressions, fmt.Sprintf("kernel: theta %d != baseline %d", c.Theta, b.Theta))
-			}
-			if c.Seeds != b.Seeds {
-				regressions = append(regressions, "kernel: fused seeds diverged from baseline")
-			}
-			if !c.SeedsMatch {
-				regressions = append(regressions, "kernel: fused and materialized kernels disagree in-run")
-			}
-			if grew(c.FusedSamplingModeled, b.FusedSamplingModeled) {
-				regressions = append(regressions, fmt.Sprintf("kernel: fused sampling modeled %+.1f%% (%.0f -> %.0f)",
-					100*(c.FusedSamplingModeled/b.FusedSamplingModeled-1), b.FusedSamplingModeled, c.FusedSamplingModeled))
-			}
-			// The fused rate hovers near zero, so a relative gate would
-			// amplify runtime jitter; the absolute cap matches the
-			// steady-state unit test's bar.
-			if c.GenAllocsFused > 0.25 {
-				regressions = append(regressions, fmt.Sprintf("kernel: fused generation allocs/set %.3f above the 0.25 cap (baseline %.3f)",
-					c.GenAllocsFused, b.GenAllocsFused))
-			}
-			if c.AllocReduction < 10 {
-				regressions = append(regressions, fmt.Sprintf("kernel: generation alloc reduction %.1fx below the 10x floor", c.AllocReduction))
-			}
-			if c.WallSpeedup < 0.5 {
-				regressions = append(regressions, fmt.Sprintf("kernel: fused kernel ran at %.2fx the materialized wall-clock (sanity floor 0.5)", c.WallSpeedup))
 			}
 		}
 	}

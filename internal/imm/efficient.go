@@ -39,11 +39,11 @@ type efficientEngine struct {
 	// baseMembers tracks how many members base has absorbed, to detect
 	// staleness when fusion is off.
 	baseFresh bool
-	// gen holds the fused kernel's per-worker samplers, arenas, and
+	// gen holds the generation kernel's per-worker samplers, arenas, and
 	// generators (fused.go), persistent across Generate calls.
 	gen []*genWorker
 	// remote, when non-nil, sources pool extensions from a distributed
-	// slot generator (remote.go); local kernels are the fallback.
+	// slot generator (remote.go); local generation is the fallback.
 	remote SlotGenerator
 }
 
@@ -90,78 +90,7 @@ func (e *efficientEngine) Generate(target int64) {
 	if e.remote != nil && e.generateRemote(from, to) {
 		return
 	}
-	if e.opt.Kernel == KernelFused {
-		e.generateFused(from, to)
-		return
-	}
-	start := time.Now()
-
-	fusionCounts := make([]int64, e.opt.Workers) // fused counter-update ops per worker
-	var onSet func(w int, set rrr.Set)
-	if e.opt.Fusion {
-		onSet = func(w int, set rrr.Set) {
-			set.ForEach(func(v int32) { e.base.Inc(v) })
-			fusionCounts[w] += int64(set.Size())
-		}
-		e.baseFresh = true
-	} else {
-		e.baseFresh = false
-	}
-
-	var edges, members []int64
-	var maxJob int64
-	dynamic := e.opt.DynamicBalance
-	if dynamic {
-		// Keep at least ~8 jobs per worker so stealing can balance; cap
-		// at the configured batch for locality on large pools.
-		batch := e.opt.BatchSize
-		if fair := int((to - from) / int64(8*e.opt.Workers)); fair < batch {
-			batch = fair
-		}
-		if batch < 1 {
-			batch = 1
-		}
-		edges, members, maxJob = generateDynamic(e.g, e.p, e.policy, e.opt.Seed, e.opt.Workers, batch, from, to, onSet)
-	} else {
-		edges, members = generateStatic(e.g, e.p, e.policy, e.opt.Seed, e.opt.Workers, from, to)
-		if e.opt.Fusion {
-			// Static schedule with fusion: fold counts in a second
-			// static pass (still set-partitioned, still atomic).
-			count := int(to - from)
-			sched.Static(e.opt.Workers, count, func(w, s0, e0 int) {
-				for i := s0; i < e0; i++ {
-					set := e.p.get(from + int64(i))
-					set.ForEach(func(v int32) { e.base.Inc(v) })
-					fusionCounts[w] += int64(set.Size())
-				}
-			})
-		}
-	}
-	e.bd.SamplingWall += time.Since(start)
-
-	// Modeled cost: edge traversals plus sorting of list sets (bitmap
-	// sets skip the sort — the adaptive-representation win) plus the
-	// fused atomic updates (charged double for the lock prefix).
-	totalSets := to - from
-	sortCost := func(memberCount, setCount int64) int64 {
-		return ModeledSortCost(e.policy, e.p.n, memberCount, setCount)
-	}
-	if dynamic {
-		// Dynamic balancing spreads batch jobs across the simulated
-		// workers; the critical path follows the greedy-scheduling bound
-		// total/p + costliest job, independent of how many physical
-		// cores executed the goroutines.
-		total := sumOf(edges) + sortCost(sumOf(members), totalSets) + 2*sumOf(fusionCounts)
-		e.bd.SamplingModeled += float64(total)/float64(e.opt.Workers) + float64(maxJob)
-	} else {
-		// Static schedule: the slowest worker's chunk gates the phase.
-		setsPer := maxI64(1, totalSets/int64(len(edges)))
-		perWorker := make([]int64, len(edges))
-		for w := range perWorker {
-			perWorker[w] = edges[w] + sortCost(members[w], setsPer) + 2*fusionCounts[w]
-		}
-		e.bd.SamplingModeled += float64(maxOf(perWorker))
-	}
+	e.generateFused(from, to)
 }
 
 // SelectSeeds runs Find_Most_Influential_Set over the sharded pool. The

@@ -13,25 +13,20 @@ import (
 	"repro/internal/sched"
 )
 
-// The fused streaming generation kernel (KernelFused, the default).
-//
-// The materialized kernel is a produce-then-scan pipeline: diffusion's
-// members are copied into a scratch buffer, rrr copies the buffer into a
-// fresh per-set allocation, the pool stores it, and the fusion counter
-// and the inverted index each re-walk what was just written. The fused
-// kernel works on what the traversal already holds:
+// The Efficient engine's generation kernel: sample, count and index in
+// one pass over what the traversal already holds.
 //
 //   - Stage A (sampling): each worker owns a genWorker — a reusable
 //     sampler, an rrr.Arena, and a generator re-seeded per slot. One
 //     traversal (diffusion.Sampler.Traverse) leaves the set's members in
 //     the sampler's own BFS queue and their visited bits set. The fusion
-//     counter is incremented from that list in one loop, and finishSet
-//     ends the set from the same state: a bitmap set takes a copy of the
-//     visited words as its row; any other is sorted in place and carved
-//     out of the worker's arena. No per-member callback, no second copy,
-//     no per-set allocation for lists. Scheduling (work stealing or
-//     static) and slot RNG streams are identical to the materialized
-//     kernel, so pool contents are byte-identical.
+//     counter is incremented from that list in one loop, and the set is
+//     ended from the same state: a bitmap set takes a copy of the visited
+//     words as its row; any other is sorted in place and carved out of
+//     the worker's arena. No per-member callback, no second copy, no
+//     per-set allocation for lists. Slot RNG streams are those of the
+//     copy-out reference generator (GenerateSlots), so pool contents are
+//     byte-identical to it under either schedule.
 //
 //     Under IC the traversal switches its in-segment scan from a plain
 //     loop to a filter-then-draw pair of passes once the set is dense;
@@ -43,17 +38,17 @@ import (
 //     owners spread across NUMA nodes to match the pool's interleaved
 //     placement). Afterwards ensureIndexed is a no-op; selection starts
 //     on a current index. Scan-mode selection never reads the index, so
-//     the stage is skipped and IndexBytes stays zero, like the lazy
-//     materialized path.
+//     the stage is skipped and IndexBytes stays zero.
 //
 // Arenas live exactly as long as the engine (and therefore the pool), so
 // arena-backed sets never outlive their storage; see rrr.Arena and the
 // ListSet.Raw ownership contract for the aliasing rules.
 
-// genWorker is one worker's persistent fused-kernel state.
+// genWorker is one worker's generation state. The engine's workers
+// persist across Generate calls.
 type genWorker struct {
 	smp   *diffusion.Sampler
-	arena *rrr.Arena
+	arena *rrr.Arena     // nil: every set gets fresh backing
 	rng   rng.Xoshiro256 // re-seeded per slot (SeedStream) instead of allocated
 }
 
@@ -67,47 +62,52 @@ func (e *efficientEngine) ensureGenWorkers(workers int) {
 	}
 }
 
-// finishSet builds the set whose members the last traversal left in
-// smp's queue and ends it: a dense set adopts the visited words as its
-// bitmap row, any other is sorted in place and stored per the policy (in
-// arena when non-nil).
-func finishSet(smp *diffusion.Sampler, policy rrr.Policy, n int32, members []int32, arena *rrr.Arena) rrr.Set {
-	if policy.Dense(n, len(members)) {
-		return rrr.AdoptBitmap(n, smp.TakeBitmap(), len(members))
+// sampleSlot is the kernel's per-slot body: draw slot's set from its
+// slot-indexed stream, fold the members into cnt while they are hot (nil
+// skips counting), and end the set from the sampler's own state — a
+// dense set adopts the visited words as its bitmap row, any other is
+// sorted in place and stored per the policy in gw.arena. Returns the set
+// and its member count.
+func (gw *genWorker) sampleSlot(seed uint64, slot int64, policy rrr.Policy, n int32, cnt *counter.Counter) (rrr.Set, int) {
+	gw.rng.SeedStream(seed, int(slot))
+	members := gw.smp.TraverseUniformRoot(&gw.rng)
+	if cnt != nil {
+		for _, v := range members {
+			cnt.Inc(v)
+		}
 	}
-	set := policy.BuildArena(n, members, arena)
-	smp.Release() // after the sort: sorted members clear word-at-a-time
-	return set
+	if policy.Dense(n, len(members)) {
+		return rrr.AdoptBitmap(n, gw.smp.TakeBitmap(), len(members)), len(members)
+	}
+	set := policy.BuildArena(n, members, gw.arena)
+	gw.smp.Release() // after the sort: sorted members clear word-at-a-time
+	return set, len(members)
 }
 
 // fusedRange samples slots [s0, e0) on worker w and returns the job's
-// critical-path cost (edge visits plus build work), matching
-// generateDynamic's per-job accounting.
+// critical-path cost (edge visits plus build work).
 func (e *efficientEngine) fusedRange(w int, s0, e0 int64, members []int64) int64 {
 	gw := e.gen[w]
-	smp := gw.smp
-	edgesBefore := smp.EdgesVisited
+	cnt := e.base
+	if !e.opt.Fusion {
+		cnt = nil
+	}
+	edgesBefore := gw.smp.EdgesVisited
 	var jobMembers int64
 	for i := s0; i < e0; i++ {
-		gw.rng.SeedStream(e.opt.Seed, int(i))
-		set := smp.TraverseUniformRoot(&gw.rng)
-		if e.opt.Fusion {
-			for _, v := range set {
-				e.base.Inc(v)
-			}
-		}
-		jobMembers += int64(len(set))
-		e.p.put(i, finishSet(smp, e.policy, e.p.n, set, gw.arena))
+		set, m := gw.sampleSlot(e.opt.Seed, i, e.policy, e.p.n, cnt)
+		jobMembers += int64(m)
+		e.p.put(i, set)
 	}
 	members[w] += jobMembers
-	return (smp.EdgesVisited - edgesBefore) + 3*jobMembers
+	return (gw.smp.EdgesVisited - edgesBefore) + 3*jobMembers
 }
 
-// generateFused fills pool slots [from, to) with the fused kernel. The
-// modeled cost mirrors the materialized kernel's formulas exactly
-// (greedy critical-path bound under dynamic balancing, slowest chunk
-// under static), plus the Stage-B index-merge critical path that the
-// materialized kernel would otherwise charge lazily via ensureIndexed.
+// generateFused fills pool slots [from, to). Modeled cost: edge
+// traversals plus sorting of list sets (bitmap sets skip the sort — the
+// adaptive-representation win) plus the fused atomic updates (charged
+// double for the lock prefix), plus the Stage-B index-merge critical
+// path that selection would otherwise charge lazily via ensureIndexed.
 func (e *efficientEngine) generateFused(from, to int64) {
 	start := time.Now()
 	workers := e.opt.Workers
@@ -124,9 +124,8 @@ func (e *efficientEngine) generateFused(from, to int64) {
 	var maxJob int64
 	dynamic := e.opt.DynamicBalance
 	if dynamic {
-		// Same job sizing as the materialized kernel: at least ~8 jobs
-		// per worker so stealing can balance, capped at the configured
-		// batch for locality.
+		// Keep at least ~8 jobs per worker so stealing can balance; cap
+		// at the configured batch for locality on large pools.
 		batch := e.opt.BatchSize
 		if fair := int(totalSets / int64(8*workers)); fair < batch {
 			batch = fair
@@ -175,9 +174,14 @@ func (e *efficientEngine) generateFused(from, to int64) {
 		return ModeledSortCost(e.policy, e.p.n, memberCount, setCount)
 	}
 	if dynamic {
+		// Dynamic balancing spreads batch jobs across the simulated
+		// workers; the critical path follows the greedy-scheduling bound
+		// total/p + costliest job, independent of how many physical
+		// cores executed the goroutines.
 		total := sumOf(edges) + sortCost(sumOf(members), totalSets) + 2*sumOf(fusionCounts)
 		e.bd.SamplingModeled += float64(total)/float64(workers) + float64(maxJob)
 	} else {
+		// Static schedule: the slowest worker's chunk gates the phase.
 		setsPer := maxI64(1, totalSets/int64(workers))
 		perWorker := make([]int64, workers)
 		for w := range perWorker {
@@ -228,26 +232,19 @@ func (p *shardedPool) indexNewSets(workers int) int64 {
 }
 
 // GenerateSlotsFused is GenerateSlots' streaming variant, the per-rank
-// half of the fused kernel for distributed front-ends: each set is built
-// from the sampler's own state into arena storage (finishSet) and its
-// members incremented into cnt as it is produced, replacing the rank's
-// post-pass over the finished sets. Set contents are byte-identical to
+// half of the kernel for distributed front-ends: each set is built from
+// the sampler's own state into arena storage and its members incremented
+// into cnt as it is produced (sampleSlot), replacing the rank's post-pass
+// over the finished sets. Set contents are byte-identical to
 // GenerateSlots (slot indexed RNG streams), so gathered rank outputs
 // still match a shared-memory pool. The arena must outlive the returned
 // sets; cnt may be nil to skip counting.
 func GenerateSlotsFused(g *graph.Graph, policy rrr.Policy, seed uint64, lo int64, out []rrr.Set, arena *rrr.Arena, cnt *counter.Counter) (members, edges int64) {
-	smp := diffusion.NewSampler(g)
-	var r rng.Xoshiro256
+	gw := genWorker{smp: diffusion.NewSampler(g), arena: arena}
 	for i := range out {
-		r.SeedStream(seed, int(lo+int64(i)))
-		set := smp.TraverseUniformRoot(&r)
-		if cnt != nil {
-			for _, v := range set {
-				cnt.Inc(v)
-			}
-		}
-		members += int64(len(set))
-		out[i] = finishSet(smp, policy, g.N, set, arena)
+		set, m := gw.sampleSlot(seed, lo+int64(i), policy, g.N, cnt)
+		members += int64(m)
+		out[i] = set
 	}
-	return members, smp.EdgesVisited
+	return members, gw.smp.EdgesVisited
 }

@@ -1,18 +1,24 @@
 package imm
 
 import (
+	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
+	"repro/internal/counter"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/rrr"
 )
 
-// The differential harness for the two generation kernels. The fused
-// streaming kernel (the default) and the retained materialized kernel
-// must be observationally identical: same seeds, same θ trajectory,
-// same pool statistics and footprint, and bit-identical per-shard
-// inverted-index CSR arrays.
+// The differential harness for the generation kernel. The engine's
+// fused pool must be observationally identical to a reference pool built
+// by the copy-out generator (GenerateSlots) over the same slots and
+// indexed lazily: same sets in the same representation, same statistics
+// and footprint, bit-identical per-shard inverted-index CSR arrays, the
+// same occurrence counts, and the seeds the eager scan kernel selects
+// over the reference.
 
 // fuzzGraphs caches the small differential graphs across fuzz
 // executions — graph construction dominates each exec otherwise.
@@ -45,94 +51,116 @@ func runKernel(t testing.TB, g *graph.Graph, opt Options) (*Result, *efficientEn
 	return res, eng
 }
 
-func compareKernels(t *testing.T, model graph.Model, workers int, seed uint64, compressed bool) {
+// referencePool builds slots [0, count) with GenerateSlots into a fresh
+// sharded pool and indexes it in one lazy pass.
+func referencePool(g *graph.Graph, opt Options, count int64) *shardedPool {
+	ref := newShardedPool(g.N)
+	ref.grow(count)
+	out := make([]rrr.Set, count)
+	members, _ := GenerateSlots(g, PolicyFromOptions(opt), opt.Seed, 0, out)
+	for i, set := range out {
+		ref.put(int64(i), set)
+	}
+	ref.addMembers([]int64{members})
+	ref.ensureIndexed(1, make([]int64, 1))
+	return ref
+}
+
+func compareFusedToReference(t *testing.T, model graph.Model, opt Options) {
 	t.Helper()
 	g := diffGraph(t, model)
-	opt := Defaults()
-	opt.K = 8
-	opt.Workers = workers
-	opt.Seed = seed
-	opt.MaxTheta = 3000
-	if compressed {
-		opt.Pool = PoolCompressed
+	res, eng := runKernel(t, g, opt)
+	ref := referencePool(g, opt, eng.p.len())
+	label := fmt.Sprintf("model=%v w=%d fusion=%v dynamic=%v adaptive=%v pool=%v",
+		model, opt.Workers, opt.Fusion, opt.DynamicBalance, opt.AdaptiveRep, opt.Pool)
+
+	recount := counter.New(g.N)
+	var fv, rv []int32
+	for i := int64(0); i < ref.len(); i++ {
+		fs, rs := eng.p.get(i), ref.get(i)
+		if fs.Kind() != rs.Kind() || fs.Bytes() != rs.Bytes() {
+			t.Fatalf("%s: slot %d representation diverged: %s/%dB vs %s/%dB",
+				label, i, fs.Kind(), fs.Bytes(), rs.Kind(), rs.Bytes())
+		}
+		fv, rv = fs.Vertices(fv[:0]), rs.Vertices(rv[:0])
+		if !slices.Equal(fv, rv) {
+			t.Fatalf("%s: slot %d members diverged: %v vs %v", label, i, fv, rv)
+		}
+		for _, v := range rv {
+			recount.Inc(v)
+		}
+	}
+	if got, want := res.SetStats, ref.stats(); got != want {
+		t.Fatalf("%s: pool stats diverged:\nfused:     %+v\nreference: %+v", label, got, want)
+	}
+	if got, want := res.Pool, ref.footprint(); got != want {
+		t.Fatalf("%s: pool footprint diverged: %+v vs %+v", label, got, want)
+	}
+	if eng.baseFresh != opt.Fusion {
+		t.Fatalf("%s: baseFresh = %v", label, eng.baseFresh)
+	}
+	if opt.Fusion && !slices.Equal(eng.base.Raw(), recount.Raw()) {
+		t.Fatalf("%s: fused counter differs from a recount of the reference sets", label)
 	}
 
-	opt.Kernel = KernelFused
-	fused, fe := runKernel(t, g, opt)
-	opt.Kernel = KernelMaterialized
-	mat, me := runKernel(t, g, opt)
-
-	if fused.Theta != mat.Theta || fused.Rounds != mat.Rounds {
-		t.Fatalf("model=%v w=%d: trajectory diverged: fused θ=%d/%d rounds, materialized θ=%d/%d",
-			model, workers, fused.Theta, fused.Rounds, mat.Theta, mat.Rounds)
-	}
-	if len(fused.Seeds) != len(mat.Seeds) {
-		t.Fatalf("model=%v w=%d: seed counts diverged", model, workers)
-	}
-	for i := range fused.Seeds {
-		if fused.Seeds[i] != mat.Seeds[i] {
-			t.Fatalf("model=%v w=%d: seed %d diverged: fused=%v materialized=%v",
-				model, workers, i, fused.Seeds, mat.Seeds)
+	// Inverted-index postings must be bit-identical shard for shard: the
+	// per-round Stage-B merges and the one-shot lazy ensureIndexed build
+	// must arrive at the same CSR arrays.
+	for s := range eng.p.shards {
+		fs, rs := &eng.p.shards[s], &ref.shards[s]
+		if fs.indexed != rs.indexed || fs.postCount != rs.postCount {
+			t.Fatalf("%s shard %d: index extent diverged: %d/%d vs %d/%d",
+				label, s, fs.indexed, fs.postCount, rs.indexed, rs.postCount)
 		}
-	}
-	if fused.Coverage != mat.Coverage {
-		t.Fatalf("model=%v w=%d: coverage diverged: %v vs %v", model, workers, fused.Coverage, mat.Coverage)
-	}
-	if fused.SetStats != mat.SetStats {
-		t.Fatalf("model=%v w=%d: pool stats diverged:\nfused:        %+v\nmaterialized: %+v",
-			model, workers, fused.SetStats, mat.SetStats)
-	}
-	if fused.Pool != mat.Pool {
-		t.Fatalf("model=%v w=%d: pool footprint diverged: %+v vs %+v", model, workers, fused.Pool, mat.Pool)
+		if !slices.Equal(fs.postIdx, rs.postIdx) || !slices.Equal(fs.postData, rs.postData) {
+			t.Fatalf("%s shard %d: CSR arrays diverged", label, s)
+		}
 	}
 
-	// Inverted-index postings must be bit-identical shard for shard:
-	// the fused Stage-B merge and the lazy ensureIndexed build must
-	// arrive at the same CSR arrays.
-	for s := range fe.p.shards {
-		fs, ms := &fe.p.shards[s], &me.p.shards[s]
-		if fs.indexed != ms.indexed || fs.postCount != ms.postCount {
-			t.Fatalf("model=%v w=%d shard %d: index extent diverged: %d/%d vs %d/%d",
-				model, workers, s, fs.indexed, fs.postCount, ms.indexed, ms.postCount)
-		}
-		if len(fs.postIdx) != len(ms.postIdx) || len(fs.postData) != len(ms.postData) {
-			t.Fatalf("model=%v w=%d shard %d: CSR shapes diverged", model, workers, s)
-		}
-		for v := range fs.postIdx {
-			if fs.postIdx[v] != ms.postIdx[v] {
-				t.Fatalf("model=%v w=%d shard %d: postIdx[%d] = %d vs %d",
-					model, workers, s, v, fs.postIdx[v], ms.postIdx[v])
-			}
-		}
-		for i := range fs.postData {
-			if fs.postData[i] != ms.postData[i] {
-				t.Fatalf("model=%v w=%d shard %d: postData[%d] = %d vs %d",
-					model, workers, s, i, fs.postData[i], ms.postData[i])
-			}
-		}
+	seeds, cov, _ := SelectOnSetsScan(g.N, ref.flatten(), ref.totalMembers, nil, opt.Workers, opt.Update, opt.K)
+	if !slices.Equal(res.Seeds, seeds) || res.Coverage != cov {
+		t.Fatalf("%s: selection diverged: fused %v/%v, scan over reference %v/%v",
+			label, res.Seeds, res.Coverage, seeds, cov)
 	}
 }
 
-// FuzzFusedVsMaterialized pins the fused and materialized kernels
-// against each other. The seed corpus covers both models × workers ∈
-// {1,2,4,8} (those cases therefore run on every plain `go test`);
-// fuzzing additionally explores RNG seeds, worker counts, and the
-// compressed pool.
-func FuzzFusedVsMaterialized(f *testing.F) {
+// FuzzFusedVsReference pins the engine's pool against the reference
+// generator. cfg bits switch the compressed pool (1), Fusion off (2),
+// the static schedule (4) and AdaptiveRep off (8). The seed corpus
+// covers both models × workers ∈ {1,2,4,8} on the defaults plus each
+// switch — static schedule with fusion on included — so those cases run
+// on every plain `go test`; fuzzing additionally explores RNG seeds,
+// worker counts and switch combinations.
+func FuzzFusedVsReference(f *testing.F) {
 	for _, model := range []byte{0, 1} {
 		for _, w := range []byte{1, 2, 4, 8} {
-			f.Add(model, w, uint16(7), false)
+			f.Add(model, w, uint16(7), byte(0))
 		}
 	}
-	f.Add(byte(0), byte(3), uint16(99), true)
-	f.Fuzz(func(t *testing.T, modelByte, workerByte byte, seed16 uint16, compressed bool) {
+	f.Add(byte(0), byte(3), uint16(99), byte(1))
+	f.Add(byte(0), byte(4), uint16(7), byte(4))
+	f.Add(byte(1), byte(2), uint16(7), byte(4))
+	f.Add(byte(0), byte(2), uint16(5), byte(2))
+	f.Add(byte(1), byte(8), uint16(5), byte(2|4))
+	f.Add(byte(0), byte(4), uint16(3), byte(8))
+	f.Add(byte(1), byte(1), uint16(3), byte(1|8))
+	f.Fuzz(func(t *testing.T, modelByte, workerByte byte, seed16 uint16, cfg byte) {
 		model := graph.IC
 		if modelByte%2 == 1 {
 			model = graph.LT
 		}
-		workers := int(workerByte%8) + 1
-		seed := uint64(seed16)%64 + 1
-		compareKernels(t, model, workers, seed, compressed)
+		opt := Defaults()
+		opt.K = 8
+		opt.Workers = int((workerByte+7)%8) + 1 // 1..8; corpus bytes are the worker counts
+		opt.Seed = uint64(seed16)%64 + 1
+		opt.MaxTheta = 3000
+		if cfg&1 != 0 {
+			opt.Pool = PoolCompressed
+		}
+		opt.Fusion = cfg&2 == 0
+		opt.DynamicBalance = cfg&4 == 0
+		opt.AdaptiveRep = cfg&8 == 0
+		compareFusedToReference(t, model, opt)
 	})
 }
 
@@ -141,9 +169,8 @@ func FuzzFusedVsMaterialized(f *testing.F) {
 // extending the pool must not allocate per list set — only per call (job
 // scheduling, CSR merge scratch), which vanishes against thousands of
 // sets — and a bitmap set must cost exactly its own storage (the row the
-// sampler hands over plus two headers), nothing per member. The
-// materialized kernel pays 2+ allocations per list set (vertex copy +
-// header), so this is also what the ≥10x allocation reduction rests on.
+// sampler hands over plus two headers), nothing per member. (The
+// copy-out reference generator pays 2+ allocations per list set.)
 func TestFusedSteadyStateAllocs(t *testing.T) {
 	g := diffGraph(t, graph.IC)
 	for _, tc := range []struct {
@@ -185,49 +212,31 @@ func TestFusedSteadyStateAllocs(t *testing.T) {
 }
 
 // TestWarmServedAnswersKernelIdentical pins the warm θ-extension replay:
-// a warm engine generating with the fused kernel serves byte-identical
-// answers to one running the materialized kernel, across worker counts.
+// a warm engine re-entering the generation kernel across queries serves
+// answers byte-identical to a cold Run of each query, across worker
+// counts.
 func TestWarmServedAnswersKernelIdentical(t *testing.T) {
 	g := diffGraph(t, graph.IC)
 	for _, workers := range []int{1, 4} {
-		base := Defaults()
-		base.K = 6
-		base.Workers = workers
-		base.Seed = 7
-		base.MaxTheta = 3000
-
-		answers := make(map[KernelKind][][]int32)
-		for _, kernel := range []KernelKind{KernelFused, KernelMaterialized} {
-			opt := base
-			opt.Kernel = kernel
-			w, err := NewWarmEngine(g, opt)
+		opt := Defaults()
+		opt.K = 6
+		opt.Workers = workers
+		opt.Seed = 7
+		opt.MaxTheta = 3000
+		w, err := NewWarmEngine(g, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Three queries of shrinking sampling requirement exercise
+		// extension, full reuse, and truncated-view replay.
+		for _, eps := range []float64{0.4, 0.5, 0.6} {
+			q := opt
+			q.Epsilon = eps
+			cold, err := Run(g, q)
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Three queries of shrinking sampling requirement exercise
-			// extension, full reuse, and truncated-view replay.
-			for _, eps := range []float64{0.4, 0.5, 0.6} {
-				q := opt
-				q.Epsilon = eps
-				w.BeginQuery()
-				res, err := RunEngine(g, q, w)
-				if err != nil {
-					t.Fatal(err)
-				}
-				answers[kernel] = append(answers[kernel], res.Seeds)
-			}
-		}
-		for qi := range answers[KernelFused] {
-			f, m := answers[KernelFused][qi], answers[KernelMaterialized][qi]
-			if len(f) != len(m) {
-				t.Fatalf("workers=%d query %d: answer lengths diverged", workers, qi)
-			}
-			for i := range f {
-				if f[i] != m[i] {
-					t.Fatalf("workers=%d query %d: served answer diverged: fused=%v materialized=%v",
-						workers, qi, f, m)
-				}
-			}
+			assertWarmEqualsCold(t, fmt.Sprintf("workers=%d eps=%v", workers, eps), runWarm(t, g, w, q), cold)
 		}
 	}
 }

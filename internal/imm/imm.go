@@ -127,43 +127,6 @@ func ParseSelection(s string) (SelectionKind, error) {
 	return 0, fmt.Errorf("imm: unknown selection %q (want celf or scan)", s)
 }
 
-// KernelKind selects the Efficient engine's generation kernel. Both
-// kernels produce byte-identical pools, seeds, and θ trajectories (slot
-// indexed RNG streams and a shared representation dispatch); they differ
-// in how many passes and allocations each produced set costs.
-type KernelKind int
-
-const (
-	// KernelFused is the streaming kernel (fused.go): each set is built
-	// straight from the sampler's member list and visited bitmap into
-	// per-worker arena storage (or a bitmap row), the fusion counter,
-	// and the per-shard inverted index — no intermediate per-set copy
-	// or allocation. The default.
-	KernelFused KernelKind = iota
-	// KernelMaterialized is the legacy produce-then-scan pipeline,
-	// retained as the differential-testing reference.
-	KernelMaterialized
-)
-
-func (k KernelKind) String() string {
-	if k == KernelMaterialized {
-		return "materialized"
-	}
-	return "fused"
-}
-
-// ParseKernel converts a kernel name ("fused" or "materialized") to a
-// KernelKind.
-func ParseKernel(s string) (KernelKind, error) {
-	switch s {
-	case "fused", "streaming":
-		return KernelFused, nil
-	case "materialized", "legacy":
-		return KernelMaterialized, nil
-	}
-	return 0, fmt.Errorf("imm: unknown kernel %q (want fused or materialized)", s)
-}
-
 // Options configures a Run. The zero value is not valid; use Defaults and
 // override.
 type Options struct {
@@ -190,11 +153,6 @@ type Options struct {
 	// Selection selects the Efficient engine's selection kernel
 	// (SelectCELF or SelectScan). Seeds are identical either way.
 	Selection SelectionKind
-	// Kernel selects the Efficient engine's generation kernel
-	// (KernelFused or KernelMaterialized). Pools and seeds are
-	// byte-identical either way; the fused kernel streams each set into
-	// storage, counter, and index in one pass.
-	Kernel KernelKind
 
 	// BatchSize is the generation job granularity in RRR sets.
 	BatchSize int
@@ -227,7 +185,6 @@ func Defaults() Options {
 		DynamicBalance: true,
 		Pool:           PoolSlices,
 		Selection:      SelectCELF,
-		Kernel:         KernelFused,
 		BatchSize:      64,
 	}
 }
@@ -259,9 +216,6 @@ func (o *Options) normalize(g *graph.Graph) error {
 	}
 	if o.Selection != SelectCELF && o.Selection != SelectScan {
 		return fmt.Errorf("imm: unknown selection kind %d", int(o.Selection))
-	}
-	if o.Kernel != KernelFused && o.Kernel != KernelMaterialized {
-		return fmt.Errorf("imm: unknown kernel kind %d", int(o.Kernel))
 	}
 	return nil
 }

@@ -8,17 +8,6 @@ import (
 	"repro/internal/sched"
 )
 
-// poolStore is the write side of an RRR pool: generation fills
-// pre-grown slots by global set id. Two implementations exist — the flat
-// setPool the Ripples baseline and the instrumented traces keep, and the
-// sharded pool (shardpool.go) behind the Efficient engine. Slots are
-// written at most once and by one worker, so put needs no locking.
-type poolStore interface {
-	vertexCount() int32
-	put(i int64, set rrr.Set)
-	addMembers(perWorker []int64)
-}
-
 // setPool holds the RRR sets generated so far. Generation appends;
 // selection never mutates it, so the pool can keep growing across the
 // θ-estimation iterations exactly as Algorithm 1 requires.
@@ -41,16 +30,15 @@ func (p *setPool) grow(target int64) (from, to int64) {
 	return from, target
 }
 
-func (p *setPool) vertexCount() int32       { return p.n }
 func (p *setPool) put(i int64, set rrr.Set) { p.sets[i] = set }
 func (p *setPool) stats() rrr.Stats         { return rrr.Summarize(p.n, p.sets) }
 
-// generateJob is the one slot-sampling loop every materializing
-// generation path goes through: it hands put the set for each global
-// slot in [start, end). RNG streams are derived from the slot index, so
-// pool contents are identical for any worker count, schedule, engine,
-// and rank partitioning — which is what lets the tests compare engines
-// and the distributed runtime seed-for-seed. Representation choice lives
+// generateJob is the reference slot-sampling loop (copy-out sampling,
+// one allocation per set): it hands put the set for each global slot in
+// [start, end). RNG streams are derived from the slot index, so pool
+// contents are identical for any worker count, schedule, engine, and
+// rank partitioning — which is what lets the tests compare engines and
+// the distributed runtime seed-for-seed. Representation choice lives
 // in rrr.Policy.BuildScratch, which sorts only when a list or compressed
 // representation is chosen (the paper's baseline sorts every set;
 // EFFICIENTIMM skips the sort for bitmaps).
@@ -100,13 +88,13 @@ func ModeledSortCost(policy rrr.Policy, n int32, memberCount, setCount int64) in
 	return int64(float64(sortable) * log2f(avg+2))
 }
 
-// generateStatic is the baseline generation schedule: the new range is
-// split into p contiguous chunks, one per worker (OpenMP static). Set
-// sizes vary wildly, so the slowest chunk gates the phase — the
-// imbalance the paper's dynamic balancing removes.
+// generateStatic is the Ripples baseline's generation schedule: the new
+// range is split into p contiguous chunks, one per worker (OpenMP
+// static). Set sizes vary wildly, so the slowest chunk gates the phase —
+// the imbalance the paper's dynamic balancing removes.
 // Returns per-worker edge-visit counts (the sampling work metric) and
 // the per-worker produced member counts.
-func generateStatic(g *graph.Graph, pool poolStore, policy rrr.Policy, seed uint64, workers int, from, to int64) (edges, members []int64) {
+func generateStatic(g *graph.Graph, pool *setPool, policy rrr.Policy, seed uint64, workers int, from, to int64) (edges, members []int64) {
 	count := int(to - from)
 	edges = make([]int64, workers)
 	members = make([]int64, workers)
@@ -115,77 +103,12 @@ func generateStatic(g *graph.Graph, pool poolStore, policy rrr.Policy, seed uint
 	}
 	sched.Static(workers, count, func(w, s0, e0 int) {
 		smp := diffusion.NewSampler(g)
-		m := generateJob(pool.vertexCount(), policy, seed, smp, from+int64(s0), from+int64(e0), pool.put)
+		m := generateJob(pool.n, policy, seed, smp, from+int64(s0), from+int64(e0), pool.put)
 		edges[w] += smp.EdgesVisited
 		members[w] += m
 	})
-	pool.addMembers(members)
+	pool.totalMembers += sumOf(members)
 	return edges, members
-}
-
-// generateDynamic is EFFICIENTIMM's producer/consumer schedule: the new
-// range is cut into batch-sized jobs spread over per-worker deques with
-// stealing. onSet, when non-nil, runs in the producing worker right
-// after each set is built — the kernel-fusion hook that folds the
-// global-counter update into generation.
-//
-// The returned edges/members are per executing worker (wall-clock
-// accounting on the physical machine). maxJob is the costliest single
-// job (edge visits plus build work), which together with the total cost
-// gives the greedy-scheduling critical-path bound total/p + maxJob that
-// the modeled runtime uses — per-executor sums would reflect the number
-// of physical cores the goroutines happened to run on, not the worker
-// count being simulated.
-func generateDynamic(g *graph.Graph, pool poolStore, policy rrr.Policy, seed uint64, workers, batch int, from, to int64, onSet func(worker int, set rrr.Set)) (edges, members []int64, maxJob int64) {
-	count := to - from
-	edges = make([]int64, workers)
-	members = make([]int64, workers)
-	if count <= 0 {
-		return edges, members, 0
-	}
-	if batch < 1 {
-		batch = 1
-	}
-	jobs := (count + int64(batch) - 1) / int64(batch)
-	// samplers[w] and jobMax[w] are only ever touched by worker w, so
-	// lazy initialization needs no lock.
-	samplers := make([]*diffusion.Sampler, workers)
-	jobMax := make([]int64, workers)
-	sched.WorkStealing(workers, jobs, func(w int, job int64) {
-		if samplers[w] == nil {
-			samplers[w] = diffusion.NewSampler(g)
-		}
-		smp := samplers[w]
-		s0 := from + job*int64(batch)
-		e0 := s0 + int64(batch)
-		if e0 > to {
-			e0 = to
-		}
-		edgesBefore := smp.EdgesVisited
-		jobMembers := generateJob(pool.vertexCount(), policy, seed, smp, s0, e0, func(i int64, set rrr.Set) {
-			pool.put(i, set)
-			if onSet != nil {
-				onSet(w, set)
-			}
-		})
-		members[w] += jobMembers
-		if cost := (smp.EdgesVisited - edgesBefore) + 3*jobMembers; cost > jobMax[w] {
-			jobMax[w] = cost
-		}
-	})
-	for w, smp := range samplers {
-		if smp != nil {
-			edges[w] = smp.EdgesVisited
-		}
-	}
-	pool.addMembers(members)
-	return edges, members, maxOf(jobMax)
-}
-
-func (p *setPool) addMembers(perWorker []int64) {
-	for _, m := range perWorker {
-		p.totalMembers += m
-	}
 }
 
 // maxOf returns the maximum element, the critical-path reduction used by

@@ -33,7 +33,7 @@ func (w *WarmEngine) SetRemote(gen SlotGenerator) { w.inner.remote = gen }
 // generator. Pool and counter state are touched only after the whole
 // range arrived intact, so a false return (transport failure, decode
 // failure, a declined range) leaves the engine exactly as it was and the
-// caller falls back to the local kernels.
+// caller falls back to local generation.
 func (e *efficientEngine) generateRemote(from, to int64) bool {
 	start := time.Now()
 	out := make([]rrr.Set, to-from)

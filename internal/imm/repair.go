@@ -7,7 +7,6 @@ import (
 	"repro/internal/counter"
 	"repro/internal/diffusion"
 	"repro/internal/graph"
-	"repro/internal/rng"
 	"repro/internal/rrr"
 	"repro/internal/sched"
 )
@@ -35,7 +34,7 @@ import (
 // After repair the pool is indistinguishable (set contents, index,
 // fused counter, footprint accounting) from a pool generated cold on
 // the post-delta graph to the same physical length, which is what the
-// differential fuzz test pins across models × kernels × workers.
+// differential fuzz test pins across models × selection × workers.
 
 // RepairReport describes one warm-pool repair.
 type RepairReport struct {
@@ -82,7 +81,7 @@ func (e *efficientEngine) repair(ng *graph.Graph, rep *graph.DeltaReport) Repair
 	}
 	// A remote slot generator was constructed against the old graph;
 	// detach it and let the owner re-attach one for the new epoch.
-	// Local kernels are always a correct fallback.
+	// Local generation is always a correct fallback.
 	e.remote = nil
 
 	if grew {
@@ -120,7 +119,7 @@ func (e *efficientEngine) repair(ng *graph.Graph, rep *graph.DeltaReport) Repair
 	}
 
 	// Resample the invalidated slots from their slot-indexed streams on
-	// the new graph, in parallel. Without an arena finishSet allocates
+	// the new graph, in parallel. Without an arena sampleSlot allocates
 	// fresh backing (the old arena storage cannot be reclaimed
 	// piecemeal); the set contents — the byte-identity quantity — are
 	// representation-equal to what cold arena generation builds.
@@ -130,11 +129,9 @@ func (e *efficientEngine) repair(ng *graph.Graph, rep *graph.DeltaReport) Repair
 		workers = len(invalid)
 	}
 	sched.Static(workers, len(invalid), func(w, s0, s1 int) {
-		smp := diffusion.NewSampler(ng)
-		var x rng.Xoshiro256
+		gw := genWorker{smp: diffusion.NewSampler(ng)}
 		for j := s0; j < s1; j++ {
-			x.SeedStream(e.opt.Seed, int(invalid[j]))
-			newSets[j] = finishSet(smp, e.policy, e.p.n, smp.TraverseUniformRoot(&x), nil)
+			newSets[j], _ = gw.sampleSlot(e.opt.Seed, invalid[j], e.policy, e.p.n, nil)
 		}
 	})
 

@@ -3,7 +3,7 @@ package imm
 // Differential tests of warm-pool repair: after graph.ApplyDelta, a
 // repaired pool must be indistinguishable — slot contents, fused
 // counter, and every future answer — from a pool generated cold on the
-// post-delta graph, across models × kernels × selection × workers.
+// post-delta graph, across models × selection × workers.
 
 import (
 	"reflect"
@@ -111,21 +111,18 @@ func checkRepairDifferential(t *testing.T, label string, g *graph.Graph, opt Opt
 // matrix with a mixed add/remove delta.
 func TestRepairMatchesColdAcrossMatrix(t *testing.T) {
 	for _, model := range []graph.Model{graph.IC, graph.LT} {
-		for _, kernel := range []KernelKind{KernelFused, KernelMaterialized} {
-			for _, sel := range []SelectionKind{SelectCELF, SelectScan} {
-				for _, workers := range []int{1, 3} {
-					g := testGraph(t, 7, model)
-					opt := Defaults()
-					opt.K = 8
-					opt.Seed = 11
-					opt.Workers = workers
-					opt.MaxTheta = 4000
-					opt.Kernel = kernel
-					opt.Selection = sel
-					d := randomDelta(g, 99, 6, 4, false)
-					label := model.String() + "/" + kernel.String() + "/" + sel.String() + "/w" + string(rune('0'+workers))
-					checkRepairDifferential(t, label, g, opt, d)
-				}
+		for _, sel := range []SelectionKind{SelectCELF, SelectScan} {
+			for _, workers := range []int{1, 3} {
+				g := testGraph(t, 7, model)
+				opt := Defaults()
+				opt.K = 8
+				opt.Seed = 11
+				opt.Workers = workers
+				opt.MaxTheta = 4000
+				opt.Selection = sel
+				d := randomDelta(g, 99, 6, 4, false)
+				label := model.String() + "/" + sel.String() + "/w" + string(rune('0'+workers))
+				checkRepairDifferential(t, label, g, opt, d)
 			}
 		}
 	}
@@ -255,9 +252,7 @@ func FuzzRepairDifferential(f *testing.F) {
 		opt.Seed = seed | 1
 		opt.MaxTheta = 2000
 		opt.Workers = 1 + int(cfg>>4&3)
-		if cfg&2 != 0 {
-			opt.Kernel = KernelMaterialized
-		}
+		opt.Fusion = cfg&2 == 0
 		if cfg&4 != 0 {
 			opt.Selection = SelectScan
 		}

@@ -205,8 +205,7 @@ func localLimit(s int, limit int64) int {
 	return int((limit-1-int64(s))/poolShards) + 1
 }
 
-func (p *shardedPool) vertexCount() int32 { return p.n }
-func (p *shardedPool) len() int64         { return p.count }
+func (p *shardedPool) len() int64 { return p.count }
 
 // grow pre-sizes every shard for ids up to target and returns the
 // previous and new pool lengths.

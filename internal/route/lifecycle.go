@@ -62,8 +62,8 @@ func writeReply(w http.ResponseWriter, rep nodeReply) {
 
 func graphPath(name string) string { return "/v1/graphs/" + url.PathEscape(name) }
 
-// handleGraphsV1 unions the fleet's registries in the /v1 shape.
-func (rt *Router) handleGraphsV1(w http.ResponseWriter, r *http.Request) {
+// handleGraphs unions the fleet's registries.
+func (rt *Router) handleGraphs(w http.ResponseWriter, r *http.Request) {
 	replies := rt.fanOut("/v1/graphs", func(node, status int, body []byte) any {
 		if status != http.StatusOK {
 			return fmt.Errorf("node %s: HTTP %d", rt.nodes[node], status)

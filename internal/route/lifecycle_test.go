@@ -151,31 +151,15 @@ func TestRouterFindsPostBootGraph(t *testing.T) {
 	}
 }
 
-// TestRouterLegacyDeprecation pins the deprecation headers on the
-// router's own unversioned aliases.
-func TestRouterLegacyDeprecation(t *testing.T) {
+// TestRouterUnprefixedPathsRemoved pins that the router, like the nodes,
+// answers the removed unversioned aliases with the JSON 404 envelope.
+func TestRouterUnprefixedPathsRemoved(t *testing.T) {
 	_, ts, _ := testFleet(t, 1)
-	resp, err := http.Get(ts.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.Header.Get("Deprecation") != serve.LegacyDeprecation ||
-		resp.Header.Get("Successor-Version") != "/v1/healthz" {
-		t.Fatalf("legacy router headers = %q / %q",
-			resp.Header.Get("Deprecation"), resp.Header.Get("Successor-Version"))
-	}
-	// The misspelled "Sucessor-Version" header's one-release migration
-	// window has closed; it must be gone.
-	if got := resp.Header.Get("Sucessor-Version"); got != "" {
-		t.Fatalf("misspelled compat header still emitted: %q", got)
-	}
-	resp, err = http.Get(ts.URL + "/v1/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.Header.Get("Deprecation") != "" {
-		t.Fatal("/v1 router endpoints must not carry deprecation headers")
+	for _, path := range []string{"/query?graph=g&k=5", "/graphs", "/healthz"} {
+		var e serve.ErrorResponse
+		getJSON(t, ts.URL+path, http.StatusNotFound, &e)
+		if e.Error.Code != "not_found" {
+			t.Fatalf("GET %s: code %q, want not_found", path, e.Error.Code)
+		}
 	}
 }

@@ -10,7 +10,7 @@
 // (graph, policy, seed)), so routing is purely a placement decision —
 // the ring optimizes warmth, it can never change an answer.
 //
-// The router serves the same /v1 (and legacy) surface as the nodes:
+// The router serves the same /v1 surface as the nodes:
 // /query and /batch shard by pool key (batch members fan out to their
 // owners and reassemble in order), /jobs route by pool key with the
 // job id carrying a node prefix ("n2-job-7") so polls find their way
@@ -169,41 +169,22 @@ func (rt *Router) owner(graph string, seed uint64) int {
 // surface the nodes serve, with the same envelope fallbacks.
 func (rt *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
-	for _, p := range []string{"/v1", ""} {
-		// The unversioned aliases carry the same deprecation headers the
-		// nodes stamp; new endpoints exist only under /v1.
-		wrap := func(h http.HandlerFunc) http.HandlerFunc { return h }
-		if p == "" {
-			wrap = legacy
-		}
-		mux.HandleFunc("GET "+p+"/healthz", wrap(rt.handleHealth))
-		mux.HandleFunc("GET "+p+"/stats", wrap(rt.handleStats))
-		mux.HandleFunc("GET "+p+"/query", wrap(rt.handleQuery))
-		mux.HandleFunc("POST "+p+"/query", wrap(rt.handleQuery))
-		mux.HandleFunc("POST "+p+"/batch", wrap(rt.handleBatch))
-		mux.HandleFunc("GET "+p+"/jobs", wrap(rt.handleJobsList))
-		mux.HandleFunc("POST "+p+"/jobs", wrap(rt.handleJobSubmit))
-		mux.HandleFunc("GET "+p+"/jobs/{id}", wrap(rt.handleJobByID))
-	}
-	mux.HandleFunc("GET /v1/graphs", rt.handleGraphsV1)
-	mux.HandleFunc("GET /graphs", legacy(rt.handleGraphs))
-	// Graph lifecycle, /v1 only: writes broadcast to the whole fleet so
-	// every node can serve any pool key the ring assigns it.
+	mux.HandleFunc("GET /v1/healthz", rt.handleHealth)
+	mux.HandleFunc("GET /v1/stats", rt.handleStats)
+	mux.HandleFunc("GET /v1/query", rt.handleQuery)
+	mux.HandleFunc("POST /v1/query", rt.handleQuery)
+	mux.HandleFunc("POST /v1/batch", rt.handleBatch)
+	mux.HandleFunc("GET /v1/jobs", rt.handleJobsList)
+	mux.HandleFunc("POST /v1/jobs", rt.handleJobSubmit)
+	mux.HandleFunc("GET /v1/jobs/{id}", rt.handleJobByID)
+	mux.HandleFunc("GET /v1/graphs", rt.handleGraphs)
+	// Graph lifecycle: writes broadcast to the whole fleet so every
+	// node can serve any pool key the ring assigns it.
 	mux.HandleFunc("POST /v1/graphs", rt.handleGraphRegister)
 	mux.HandleFunc("GET /v1/graphs/{name}", rt.handleGraphGet)
 	mux.HandleFunc("DELETE /v1/graphs/{name}", rt.handleGraphDelete)
 	mux.HandleFunc("POST /v1/graphs/{name}/edges", rt.handleGraphEdges)
 	return serve.EnvelopeFallbacks(mux)
-}
-
-// legacy stamps the deprecation headers the serving nodes use on the
-// router's own unversioned aliases.
-func legacy(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", serve.LegacyDeprecation)
-		w.Header().Set("Successor-Version", "/v1"+r.URL.Path)
-		h(w, r)
-	}
 }
 
 // queryIdentity extracts the routing and dedup identity of one query
@@ -528,25 +509,6 @@ func (rt *Router) handleJobsList(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	writeJSON(w, http.StatusOK, out)
-}
-
-func (rt *Router) handleGraphs(w http.ResponseWriter, r *http.Request) {
-	replies := rt.fanOut(r.URL.Path, func(node int, status int, body []byte) any {
-		if status != http.StatusOK {
-			return fmt.Errorf("node %s: HTTP %d", rt.nodes[node], status)
-		}
-		var graphs []serve.GraphInfo
-		if err := json.Unmarshal(body, &graphs); err != nil {
-			return err
-		}
-		return graphs
-	})
-	out, reached := unionGraphs(replies)
-	if reached == 0 {
-		serve.WriteErrorEnvelope(w, http.StatusServiceUnavailable, "node_unavailable", "no node is reachable")
-		return
-	}
 	writeJSON(w, http.StatusOK, out)
 }
 

@@ -289,11 +289,6 @@ func TestRouterSurface(t *testing.T) {
 	if len(graphs.Graphs) != 1 || graphs.Graphs[0].Name != "g" {
 		t.Fatalf("graphs = %+v", graphs)
 	}
-	var legacy []serve.GraphInfo
-	getJSON(t, ts.URL+"/graphs", http.StatusOK, &legacy)
-	if len(legacy) != 1 || legacy[0].Name != "g" {
-		t.Fatalf("legacy graphs = %+v", legacy)
-	}
 
 	var e serve.ErrorResponse
 	getJSON(t, ts.URL+"/v1/nope", http.StatusNotFound, &e)

@@ -186,9 +186,9 @@ func (s *BitmapSet) Words() []uint64 { return s.bits.Words() }
 
 // CompressedSet is a delta-varint-encoded sorted vertex list — the
 // HBMax-style compressed representation at pool granularity (no per-set
-// entropy-coder header, unlike compress.Set). It trades byte-at-a-time
-// decode on iteration for roughly a quarter of the ListSet footprint on
-// social-graph RRR sets, whose deltas are small. Membership probes are
+// entropy-coder header). It trades byte-at-a-time decode on iteration
+// for roughly a quarter of the ListSet footprint on social-graph RRR
+// sets, whose deltas are small. Membership probes are
 // O(|set|) scans; the compressed pool's selection path never issues
 // them (it walks an inverted index instead), so only legacy scan-mode
 // selection pays the decode tax.

@@ -4,9 +4,7 @@ package serve
 // a thin flag-parsing shell around this so the protocol is testable
 // with net/http/httptest.
 //
-// The surface is versioned: every endpoint lives under /v1/, and the
-// original unprefixed paths remain as aliases of the same handlers so
-// existing clients and scripts keep working.
+// The surface is versioned: every endpoint lives under /v1/.
 //
 //	GET  /v1/healthz          liveness + registered graph count
 //	GET  /v1/graphs           the GraphInfo list
@@ -44,71 +42,31 @@ import (
 	"strconv"
 )
 
-// maxBatchQueries bounds one POST /batch body: enough for any sensible
+// maxBatchQueries bounds one POST /v1/batch body: enough for any sensible
 // round-trip amortization, small enough that a single request cannot
 // monopolize the planner.
 const maxBatchQueries = 1024
 
 // Handler returns the HTTP front-end for s: the /v1/ surface (queries,
-// jobs, and the graph-lifecycle endpoints), the deprecated unprefixed
-// aliases of the original surface, and the envelope fallbacks for
-// unknown paths and disallowed methods.
+// jobs, the graph-lifecycle endpoints and pool persistence) and the
+// envelope fallbacks for unknown paths and disallowed methods.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	for _, p := range []string{"/v1", ""} {
-		// The unversioned aliases are deprecated: they answer exactly as
-		// before, but carry Deprecation headers and count in
-		// /v1/stats.legacy_requests. New endpoints exist only under /v1.
-		wrap := func(h http.HandlerFunc) http.HandlerFunc { return h }
-		if p == "" {
-			wrap = s.legacy
-		}
-		mux.HandleFunc("GET "+p+"/healthz", wrap(s.handleHealth))
-		mux.HandleFunc("GET "+p+"/stats", wrap(s.handleStats))
-		mux.HandleFunc("GET "+p+"/query", wrap(s.handleQueryGet))
-		mux.HandleFunc("POST "+p+"/query", wrap(s.handleQueryPost))
-		mux.HandleFunc("POST "+p+"/batch", wrap(s.handleBatch))
-		mux.HandleFunc("GET "+p+"/jobs", wrap(s.handleJobsList))
-		mux.HandleFunc("POST "+p+"/jobs", wrap(s.handleJobSubmit))
-		mux.HandleFunc("GET "+p+"/jobs/{id}", wrap(s.handleJobByID))
-	}
-	// The graph collection: /v1 serves the lifecycle-shaped response
-	// ({"graphs": [...]}); the legacy alias keeps the original bare
-	// array so pre-/v1 clients parse unchanged until removal.
-	mux.HandleFunc("GET /v1/graphs", s.handleGraphsV1)
-	mux.HandleFunc("GET /graphs", s.legacy(s.handleGraphs))
-	// Graph lifecycle, /v1 only.
+	mux.HandleFunc("GET /v1/healthz", s.handleHealth)
+	mux.HandleFunc("GET /v1/stats", s.handleStats)
+	mux.HandleFunc("GET /v1/query", s.handleQueryGet)
+	mux.HandleFunc("POST /v1/query", s.handleQueryPost)
+	mux.HandleFunc("POST /v1/batch", s.handleBatch)
+	mux.HandleFunc("GET /v1/jobs", s.handleJobsList)
+	mux.HandleFunc("POST /v1/jobs", s.handleJobSubmit)
+	mux.HandleFunc("GET /v1/jobs/{id}", s.handleJobByID)
+	mux.HandleFunc("GET /v1/graphs", s.handleGraphs)
 	mux.HandleFunc("POST /v1/graphs", s.handleGraphRegister)
 	mux.HandleFunc("GET /v1/graphs/{name}", s.handleGraphGet)
 	mux.HandleFunc("DELETE /v1/graphs/{name}", s.handleGraphDelete)
 	mux.HandleFunc("POST /v1/graphs/{name}/edges", s.handleGraphEdges)
-	// Pool persistence, /v1 only.
 	mux.HandleFunc("POST /v1/pools/save", s.handlePoolsSave)
 	return EnvelopeFallbacks(mux)
-}
-
-// LegacyDeprecation is the Deprecation header value (RFC 9745
-// @unix-timestamp form) stamped on every unversioned-alias response:
-// the date the aliases were deprecated in favor of /v1. README's
-// "Legacy paths" section records the removal timeline.
-const LegacyDeprecation = "@1786147200" // 2026-08-08T00:00:00Z
-
-// legacy wraps an unversioned-alias handler: the response gains the
-// Deprecation header and a Successor-Version header naming the /v1
-// replacement, and the hit counts in Stats.LegacyRequests.
-//
-// Earlier releases misspelled the header as "Sucessor-Version"; the
-// typo'd form rode alongside the corrected one for exactly one release
-// and is now gone. Scrapers must key on Successor-Version.
-func (s *Server) legacy(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", LegacyDeprecation)
-		w.Header().Set("Successor-Version", "/v1"+r.URL.Path)
-		s.mu.Lock()
-		s.stats.LegacyRequests++
-		s.mu.Unlock()
-		h(w, r)
-	}
 }
 
 // EnvelopeFallbacks wraps mux so its built-in plain-text 404 and 405
@@ -157,7 +115,7 @@ func (p *statusProbe) Write(b []byte) (int, error) {
 	return len(b), nil
 }
 
-// healthResponse is the /healthz payload.
+// healthResponse is the /v1/healthz payload.
 type healthResponse struct {
 	Status string `json:"status"`
 	Graphs int    `json:"graphs"`
@@ -165,10 +123,6 @@ type healthResponse struct {
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, healthResponse{Status: "ok", Graphs: s.GraphCount()})
-}
-
-func (s *Server) handleGraphs(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.Graphs())
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -202,14 +156,14 @@ func (s *Server) serveQuery(w http.ResponseWriter, req QueryRequest) {
 	writeJSON(w, http.StatusOK, res)
 }
 
-// BatchRequest is the POST /batch body. Members take the same defaults
-// as a POST /query body (eps=0.5, seed=1 when absent) and the same
+// BatchRequest is the POST /v1/batch body. Members take the same defaults
+// as a POST /v1/query body (eps=0.5, seed=1 when absent) and the same
 // unknown-field rejection.
 type BatchRequest struct {
 	Queries []json.RawMessage `json:"queries"`
 }
 
-// BatchResponse is the POST /batch answer: one item per query, in
+// BatchResponse is the POST /v1/batch answer: one item per query, in
 // request order. Member failures are reported inline so one bad member
 // does not fail its neighbors; the HTTP status is 200 whenever the
 // batch itself was well-formed.

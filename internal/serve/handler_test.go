@@ -62,26 +62,26 @@ func TestHTTPEndpoints(t *testing.T) {
 	_, ts := testHTTP(t)
 
 	var health healthResponse
-	getJSON(t, ts.URL+"/healthz", http.StatusOK, &health)
+	getJSON(t, ts.URL+"/v1/healthz", http.StatusOK, &health)
 	if health.Status != "ok" || health.Graphs != 1 {
 		t.Fatalf("health = %+v", health)
 	}
 
-	var graphs []GraphInfo
-	getJSON(t, ts.URL+"/graphs", http.StatusOK, &graphs)
-	if len(graphs) != 1 || graphs[0].Name != "g" || graphs[0].Model != "IC" {
+	var graphs GraphsResponse
+	getJSON(t, ts.URL+"/v1/graphs", http.StatusOK, &graphs)
+	if len(graphs.Graphs) != 1 || graphs.Graphs[0].Name != "g" || graphs.Graphs[0].Model != "IC" {
 		t.Fatalf("graphs = %+v", graphs)
 	}
 
 	var cold QueryResult
-	getJSON(t, ts.URL+"/query?graph=g&k=8&eps=0.5&seed=1", http.StatusOK, &cold)
+	getJSON(t, ts.URL+"/v1/query?graph=g&k=8&eps=0.5&seed=1", http.StatusOK, &cold)
 	if len(cold.Seeds) != 8 || cold.Warm {
 		t.Fatalf("cold query = %+v", cold)
 	}
 
 	// POST form of the identical query: warm, same seeds.
 	body, _ := json.Marshal(QueryRequest{Graph: "g", K: 8, Epsilon: 0.5, Seed: 1})
-	resp, err := http.Post(ts.URL+"/query", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(ts.URL+"/v1/query", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,13 +100,13 @@ func TestHTTPEndpoints(t *testing.T) {
 	// A POST body omitting epsilon and seed gets the same defaults as
 	// the GET form (eps=0.5, seed=1): identical query, identical seeds.
 	var defaulted QueryResult
-	postJSON(t, ts.URL+"/query", `{"graph":"g","k":8}`, http.StatusOK, &defaulted)
+	postJSON(t, ts.URL+"/v1/query", `{"graph":"g","k":8}`, http.StatusOK, &defaulted)
 	if defaulted.Epsilon != 0.5 || defaulted.Seed != 1 || !reflect.DeepEqual(defaulted.Seeds, cold.Seeds) {
 		t.Fatalf("POST defaults diverged from GET: %+v", defaulted)
 	}
 
 	var stats Stats
-	getJSON(t, ts.URL+"/stats", http.StatusOK, &stats)
+	getJSON(t, ts.URL+"/v1/stats", http.StatusOK, &stats)
 	if stats.Queries != 3 || stats.WarmHits != 2 || stats.Pools != 1 {
 		t.Fatalf("stats = %+v", stats)
 	}
@@ -126,67 +126,58 @@ func TestHTTPStatusCodes(t *testing.T) {
 		code     string // required machine code of the envelope
 		contains string // required substring of the error message
 	}{
-		{"/query?graph=missing&k=5", http.StatusNotFound, "unknown_graph", "unknown graph"},
-		{"/query?graph=g", http.StatusBadRequest, "invalid_query", "invalid k"},
-		{"/query?graph=g&k=nope", http.StatusBadRequest, "invalid_query", "invalid k"},
-		{"/query?graph=g&k=0", http.StatusBadRequest, "invalid_query", "k must be positive"},
-		{"/query?graph=g&k=-3", http.StatusBadRequest, "invalid_query", "k must be positive"},
-		{"/query?graph=g&k=5&eps=2", http.StatusBadRequest, "invalid_query", "epsilon must lie in (0,1)"},
-		{"/query?graph=g&k=5&eps=NaN", http.StatusBadRequest, "invalid_query", "not a finite number"},
-		{"/query?graph=g&k=5&eps=Inf", http.StatusBadRequest, "invalid_query", "not a finite number"},
-		{"/query?graph=g&k=5&eps=-Inf", http.StatusBadRequest, "invalid_query", "not a finite number"},
-		{"/query?graph=g&k=5&seed=x", http.StatusBadRequest, "invalid_query", "invalid seed"},
-		{"/query?k=5", http.StatusBadRequest, "invalid_query", "missing graph"},
-		{"/query?graph=g&k=5&model=LT", http.StatusBadRequest, "invalid_query", "requested LT"},
+		{"/v1/query?graph=missing&k=5", http.StatusNotFound, "unknown_graph", "unknown graph"},
+		{"/v1/query?graph=g", http.StatusBadRequest, "invalid_query", "invalid k"},
+		{"/v1/query?graph=g&k=nope", http.StatusBadRequest, "invalid_query", "invalid k"},
+		{"/v1/query?graph=g&k=0", http.StatusBadRequest, "invalid_query", "k must be positive"},
+		{"/v1/query?graph=g&k=-3", http.StatusBadRequest, "invalid_query", "k must be positive"},
+		{"/v1/query?graph=g&k=5&eps=2", http.StatusBadRequest, "invalid_query", "epsilon must lie in (0,1)"},
+		{"/v1/query?graph=g&k=5&eps=NaN", http.StatusBadRequest, "invalid_query", "not a finite number"},
+		{"/v1/query?graph=g&k=5&eps=Inf", http.StatusBadRequest, "invalid_query", "not a finite number"},
+		{"/v1/query?graph=g&k=5&eps=-Inf", http.StatusBadRequest, "invalid_query", "not a finite number"},
+		{"/v1/query?graph=g&k=5&seed=x", http.StatusBadRequest, "invalid_query", "invalid seed"},
+		{"/v1/query?k=5", http.StatusBadRequest, "invalid_query", "missing graph"},
+		{"/v1/query?graph=g&k=5&model=LT", http.StatusBadRequest, "invalid_query", "requested LT"},
 		// Misspelled/unknown keys must fail loudly, listing the accepted
 		// ones — not silently run with defaults.
-		{"/query?graph=g&k=5&epsilon=0.3", http.StatusBadRequest, "invalid_query", "graph, model, k, eps, seed"},
-		{"/query?graph=g&k=5&sead=9", http.StatusBadRequest, "invalid_query", "unknown query parameter"},
+		{"/v1/query?graph=g&k=5&epsilon=0.3", http.StatusBadRequest, "invalid_query", "graph, model, k, eps, seed"},
+		{"/v1/query?graph=g&k=5&sead=9", http.StatusBadRequest, "invalid_query", "unknown query parameter"},
 		// Unknown paths get the same envelope from the mux fallback.
 		{"/nope", http.StatusNotFound, "not_found", "/nope"},
 		{"/v1/nope", http.StatusNotFound, "not_found", "/v1/nope"},
 	}
 	for _, c := range cases {
-		for _, prefix := range []string{"", "/v1"} {
-			url := c.url
-			if prefix != "" {
-				if strings.HasPrefix(url, "/v1/") {
-					continue // already versioned
-				}
-				url = prefix + url
-			}
-			var e ErrorResponse
-			getJSON(t, ts.URL+url, c.want, &e)
-			if e.Error.Code != c.code {
-				t.Fatalf("GET %s: code %q, want %q", url, e.Error.Code, c.code)
-			}
-			if !strings.Contains(e.Error.Message, c.contains) {
-				t.Fatalf("GET %s: error %q does not mention %q", url, e.Error.Message, c.contains)
-			}
+		var e ErrorResponse
+		getJSON(t, ts.URL+c.url, c.want, &e)
+		if e.Error.Code != c.code {
+			t.Fatalf("GET %s: code %q, want %q", c.url, e.Error.Code, c.code)
+		}
+		if !strings.Contains(e.Error.Message, c.contains) {
+			t.Fatalf("GET %s: error %q does not mention %q", c.url, e.Error.Message, c.contains)
 		}
 	}
 
 	// The POST form maps through the same sentinels.
 	var e ErrorResponse
-	postJSON(t, ts.URL+"/query", `{"graph":"missing","k":5}`, http.StatusNotFound, &e)
+	postJSON(t, ts.URL+"/v1/query", `{"graph":"missing","k":5}`, http.StatusNotFound, &e)
 	if e.Error.Code != "unknown_graph" || !strings.Contains(e.Error.Message, "unknown graph") {
 		t.Fatalf("POST unknown graph: %+v", e)
 	}
-	postJSON(t, ts.URL+"/query", `{"graph":"g","k":5,"epsilon":7}`, http.StatusBadRequest, nil)
-	postJSON(t, ts.URL+"/query", `not json`, http.StatusBadRequest, nil)
+	postJSON(t, ts.URL+"/v1/query", `{"graph":"g","k":5,"epsilon":7}`, http.StatusBadRequest, nil)
+	postJSON(t, ts.URL+"/v1/query", `not json`, http.StatusBadRequest, nil)
 	// The POST form also rejects misspelled fields instead of silently
 	// running with defaults — the same contract as the GET parser.
 	e = ErrorResponse{}
-	postJSON(t, ts.URL+"/query", `{"graph":"g","k":5,"eps":0.3}`, http.StatusBadRequest, &e)
+	postJSON(t, ts.URL+"/v1/query", `{"graph":"g","k":5,"eps":0.3}`, http.StatusBadRequest, &e)
 	if e.Error.Code != "invalid_query" || !strings.Contains(e.Error.Message, "eps") {
 		t.Fatalf("POST misspelled field: %+v", e)
 	}
-	postJSON(t, ts.URL+"/jobs", `{"graph":"g","k":5,"sead":9}`, http.StatusBadRequest, nil)
-	postJSON(t, ts.URL+"/batch", `{"queries":[{"graph":"g","k":5,"eps":0.3}]}`, http.StatusBadRequest, nil)
-	postJSON(t, ts.URL+"/batch", `{"querys":[{"graph":"g","k":5}]}`, http.StatusBadRequest, nil)
+	postJSON(t, ts.URL+"/v1/jobs", `{"graph":"g","k":5,"sead":9}`, http.StatusBadRequest, nil)
+	postJSON(t, ts.URL+"/v1/batch", `{"queries":[{"graph":"g","k":5,"eps":0.3}]}`, http.StatusBadRequest, nil)
+	postJSON(t, ts.URL+"/v1/batch", `{"querys":[{"graph":"g","k":5}]}`, http.StatusBadRequest, nil)
 
-	// Wrong methods get the envelope too, on both surfaces.
-	for _, target := range []string{"/healthz", "/v1/healthz"} {
+	// Wrong methods get the envelope too.
+	for _, target := range []string{"/v1/healthz"} {
 		resp, err := http.Post(ts.URL+target, "application/json", nil)
 		if err != nil {
 			t.Fatal(err)
@@ -203,7 +194,7 @@ func TestHTTPStatusCodes(t *testing.T) {
 			t.Fatalf("POST %s: missing Allow header", target)
 		}
 	}
-	for _, target := range []string{"/query", "/batch", "/jobs", "/v1/query", "/v1/batch", "/v1/jobs"} {
+	for _, target := range []string{"/v1/query", "/v1/batch", "/v1/jobs"} {
 		req, _ := http.NewRequest(http.MethodDelete, ts.URL+target, nil)
 		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
@@ -220,9 +211,9 @@ func TestHTTPStatusCodes(t *testing.T) {
 	}
 }
 
-// TestV1Aliases pins that the /v1 surface and the legacy unprefixed
-// paths are the same endpoints: identical answers, identical stats
-// accounting, and the full job lifecycle reachable through /v1.
+// TestV1Aliases pins the /v1 surface end to end: query, batch and the
+// full job lifecycle agree on one answer, and repeats land on the warm
+// pool. (The name dates from when /v1 aliased unprefixed paths.)
 func TestV1Aliases(t *testing.T) {
 	_, ts := testHTTP(t)
 
@@ -237,19 +228,19 @@ func TestV1Aliases(t *testing.T) {
 		t.Fatalf("/v1/graphs = %+v", graphs)
 	}
 
-	var legacy, v1 QueryResult
-	getJSON(t, ts.URL+"/query?graph=g&k=8&eps=0.5&seed=1", http.StatusOK, &legacy)
+	var cold, v1 QueryResult
+	getJSON(t, ts.URL+"/v1/query?graph=g&k=8&eps=0.5&seed=1", http.StatusOK, &cold)
 	getJSON(t, ts.URL+"/v1/query?graph=g&k=8&eps=0.5&seed=1", http.StatusOK, &v1)
-	if !reflect.DeepEqual(v1.Seeds, legacy.Seeds) || v1.Theta != legacy.Theta {
-		t.Fatalf("/v1/query diverged from /query: %v vs %v", v1.Seeds, legacy.Seeds)
+	if !reflect.DeepEqual(v1.Seeds, cold.Seeds) || v1.Theta != cold.Theta {
+		t.Fatalf("repeated /v1/query diverged: %v vs %v", v1.Seeds, cold.Seeds)
 	}
-	if !v1.Warm {
-		t.Fatal("/v1/query after /query with the same key should hit the same pool")
+	if cold.Warm || !v1.Warm {
+		t.Fatalf("warm flags = %v then %v, want cold then warm", cold.Warm, v1.Warm)
 	}
 
 	var br BatchResponse
 	postJSON(t, ts.URL+"/v1/batch", `{"queries":[{"graph":"g","k":8,"seed":1}]}`, http.StatusOK, &br)
-	if len(br.Results) != 1 || br.Results[0].Result == nil || !reflect.DeepEqual(br.Results[0].Result.Seeds, legacy.Seeds) {
+	if len(br.Results) != 1 || br.Results[0].Result == nil || !reflect.DeepEqual(br.Results[0].Result.Seeds, cold.Seeds) {
 		t.Fatalf("/v1/batch = %+v", br)
 	}
 
@@ -263,7 +254,7 @@ func TestV1Aliases(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 		getJSON(t, ts.URL+"/v1/jobs/"+job.ID, http.StatusOK, &job)
 	}
-	if job.State != JobDone || !reflect.DeepEqual(job.Result.Seeds, legacy.Seeds) {
+	if job.State != JobDone || !reflect.DeepEqual(job.Result.Seeds, cold.Seeds) {
 		t.Fatalf("/v1 job lifecycle = %+v", job)
 	}
 	var jobs []Job
@@ -275,7 +266,7 @@ func TestV1Aliases(t *testing.T) {
 	var stats Stats
 	getJSON(t, ts.URL+"/v1/stats", http.StatusOK, &stats)
 	if stats.Pools != 1 {
-		t.Fatalf("aliases created distinct pools: %+v", stats)
+		t.Fatalf("query, batch and job created distinct pools: %+v", stats)
 	}
 }
 
@@ -306,14 +297,14 @@ func TestHTTPBatch(t *testing.T) {
 
 	// Reference answers, one query at a time.
 	var ref5, ref8 QueryResult
-	getJSON(t, ts.URL+"/query?graph=g&k=5&eps=0.6&seed=2", http.StatusOK, &ref5)
-	getJSON(t, ts.URL+"/query?graph=g&k=8&eps=0.5&seed=2", http.StatusOK, &ref8)
+	getJSON(t, ts.URL+"/v1/query?graph=g&k=5&eps=0.6&seed=2", http.StatusOK, &ref5)
+	getJSON(t, ts.URL+"/v1/query?graph=g&k=8&eps=0.5&seed=2", http.StatusOK, &ref8)
 
 	// The same two queries in one round-trip, plus a bad member whose
 	// failure must stay inline. Defaults apply per member (the k=8
 	// member omits eps).
 	var br BatchResponse
-	postJSON(t, ts.URL+"/batch",
+	postJSON(t, ts.URL+"/v1/batch",
 		`{"queries":[
 			{"graph":"g","k":5,"epsilon":0.6,"seed":2},
 			{"graph":"g","k":8,"seed":2},
@@ -340,26 +331,26 @@ func TestHTTPBatch(t *testing.T) {
 	}
 
 	// Malformed batches are rejected as a whole.
-	postJSON(t, ts.URL+"/batch", `{"queries":[]}`, http.StatusBadRequest, nil)
-	postJSON(t, ts.URL+"/batch", `{"queries":"nope"}`, http.StatusBadRequest, nil)
-	postJSON(t, ts.URL+"/batch", `garbage`, http.StatusBadRequest, nil)
+	postJSON(t, ts.URL+"/v1/batch", `{"queries":[]}`, http.StatusBadRequest, nil)
+	postJSON(t, ts.URL+"/v1/batch", `{"queries":"nope"}`, http.StatusBadRequest, nil)
+	postJSON(t, ts.URL+"/v1/batch", `garbage`, http.StatusBadRequest, nil)
 }
 
 func TestHTTPJobs(t *testing.T) {
 	_, ts := testHTTP(t)
 
 	var ref QueryResult
-	getJSON(t, ts.URL+"/query?graph=g&k=6&eps=0.5&seed=3", http.StatusOK, &ref)
+	getJSON(t, ts.URL+"/v1/query?graph=g&k=6&eps=0.5&seed=3", http.StatusOK, &ref)
 
 	var job Job
-	postJSON(t, ts.URL+"/jobs", `{"graph":"g","k":6,"epsilon":0.5,"seed":3}`, http.StatusAccepted, &job)
+	postJSON(t, ts.URL+"/v1/jobs", `{"graph":"g","k":6,"epsilon":0.5,"seed":3}`, http.StatusAccepted, &job)
 	if job.ID == "" || (job.State != JobQueued && job.State != JobRunning) {
 		t.Fatalf("submitted job = %+v", job)
 	}
 
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		getJSON(t, ts.URL+"/jobs/"+job.ID, http.StatusOK, &job)
+		getJSON(t, ts.URL+"/v1/jobs/"+job.ID, http.StatusOK, &job)
 		if job.State == JobDone || job.State == JobFailed {
 			break
 		}
@@ -376,14 +367,14 @@ func TestHTTPJobs(t *testing.T) {
 	}
 
 	var jobs []Job
-	getJSON(t, ts.URL+"/jobs", http.StatusOK, &jobs)
+	getJSON(t, ts.URL+"/v1/jobs", http.StatusOK, &jobs)
 	if len(jobs) != 1 || jobs[0].ID != job.ID {
 		t.Fatalf("jobs list = %+v", jobs)
 	}
 
 	// Bad submissions fail at submit time with the mapped status.
-	postJSON(t, ts.URL+"/jobs", `{"graph":"missing","k":3}`, http.StatusNotFound, nil)
-	postJSON(t, ts.URL+"/jobs", `{"graph":"g","k":0}`, http.StatusBadRequest, nil)
+	postJSON(t, ts.URL+"/v1/jobs", `{"graph":"missing","k":3}`, http.StatusNotFound, nil)
+	postJSON(t, ts.URL+"/v1/jobs", `{"graph":"g","k":0}`, http.StatusBadRequest, nil)
 	// Unknown job ids are 404.
-	getJSON(t, ts.URL+"/jobs/job-999", http.StatusNotFound, nil)
+	getJSON(t, ts.URL+"/v1/jobs/job-999", http.StatusNotFound, nil)
 }

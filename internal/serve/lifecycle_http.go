@@ -26,13 +26,12 @@ import (
 // snapshot/.imdelta codecs instead of JSON.
 const maxInlineEdges = 1 << 20
 
-// GraphsResponse is the GET /v1/graphs payload, reshaped around
-// GraphInfo (the legacy /graphs alias still returns the bare array).
+// GraphsResponse is the GET /v1/graphs payload.
 type GraphsResponse struct {
 	Graphs []GraphInfo `json:"graphs"`
 }
 
-func (s *Server) handleGraphsV1(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleGraphs(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, GraphsResponse{Graphs: s.Graphs()})
 }
 

@@ -295,43 +295,25 @@ func TestLifecycleHTTP(t *testing.T) {
 	checkError(t, "GET", ts.URL+"/v1/graphs/tiny", "", http.StatusNotFound, "unknown_graph")
 }
 
-// TestLegacyDeprecationHeaders pins the deprecation contract on the
-// unversioned aliases: RFC 9745 Deprecation plus the successor pointer
-// on every legacy hit, neither on /v1, and the legacy_requests counter.
-func TestLegacyDeprecationHeaders(t *testing.T) {
-	s, ts := testHTTP(t)
-
-	resp, err := http.Get(ts.URL + "/graphs")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if got := resp.Header.Get("Deprecation"); got != LegacyDeprecation {
-		t.Fatalf("legacy Deprecation header = %q, want %q", got, LegacyDeprecation)
-	}
-	if got := resp.Header.Get("Successor-Version"); got != "/v1/graphs" {
-		t.Fatalf("legacy Successor-Version header = %q, want /v1/graphs", got)
-	}
-	// Regression for the header typo: the misspelled "Sucessor-Version"
-	// form shipped for exactly one migration release and must now be gone.
-	if got := resp.Header.Get("Sucessor-Version"); got != "" {
-		t.Fatalf("misspelled compat header still emitted: %q", got)
-	}
-
-	resp, err = http.Get(ts.URL + "/v1/graphs")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.Header.Get("Deprecation") != "" ||
-		resp.Header.Get("Successor-Version") != "" || resp.Header.Get("Sucessor-Version") != "" {
-		t.Fatal("/v1 endpoints must not carry deprecation headers")
-	}
-
-	getJSON(t, ts.URL+"/query?graph=g&k=5&eps=0.5&seed=1", http.StatusOK, nil)
-	getJSON(t, ts.URL+"/v1/query?graph=g&k=5&eps=0.5&seed=1", http.StatusOK, nil)
-	if st := s.Stats(); st.LegacyRequests != 2 {
-		t.Fatalf("legacy_requests = %d, want 2 (one /graphs, one /query)", st.LegacyRequests)
+// TestUnprefixedPathsRemoved pins the end of the sunset: the unversioned
+// aliases of the original surface answer the JSON 404 envelope like any
+// other unknown path, with no deprecation headers left behind.
+func TestUnprefixedPathsRemoved(t *testing.T) {
+	_, ts := testHTTP(t)
+	for _, path := range []string{"/query?graph=g&k=5", "/graphs", "/healthz"} {
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e ErrorResponse
+		err = json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusNotFound || e.Error.Code != "not_found" {
+			t.Fatalf("GET %s: status %d, envelope %+v (%v), want 404 not_found", path, resp.StatusCode, e, err)
+		}
+		if resp.Header.Get("Deprecation") != "" || resp.Header.Get("Successor-Version") != "" {
+			t.Fatalf("GET %s still carries deprecation headers", path)
+		}
 	}
 }
 

@@ -131,7 +131,7 @@ func TestAdmissionBackpressure(t *testing.T) {
 	if _, err := s.Query(QueryRequest{Graph: "g", K: 7, Epsilon: 0.5, Seed: 2}); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("overflow query returned %v, want ErrOverloaded", err)
 	}
-	resp, err := http.Get(ts.URL + "/query?graph=g&k=7&eps=0.5&seed=3")
+	resp, err := http.Get(ts.URL + "/v1/query?graph=g&k=7&eps=0.5&seed=3")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +261,7 @@ func TestShutdownDrains(t *testing.T) {
 	if _, err := s.SubmitJob(QueryRequest{Graph: "g", K: 5, Epsilon: 0.5, Seed: 1}); !errors.Is(err, ErrShuttingDown) {
 		t.Fatalf("post-shutdown job returned %v, want ErrShuttingDown", err)
 	}
-	resp, err := http.Get(ts.URL + "/query?graph=g&k=5&eps=0.5&seed=1")
+	resp, err := http.Get(ts.URL + "/v1/query?graph=g&k=5&eps=0.5&seed=1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +275,7 @@ func TestShutdownDrains(t *testing.T) {
 	if !ok || job.State != JobDone || job.Result == nil {
 		t.Fatalf("finished job unreadable after shutdown: %+v (ok=%v)", job, ok)
 	}
-	resp, err = http.Get(ts.URL + "/jobs/" + done.ID)
+	resp, err = http.Get(ts.URL + "/v1/jobs/" + done.ID)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -281,11 +281,6 @@ type Stats struct {
 	RepairedSets      int64 `json:"repaired_sets"`
 	FullResamples     int64 `json:"full_resamples"`
 
-	// LegacyRequests counts hits on the deprecated unversioned path
-	// aliases (every request outside /v1). See the Deprecation headers
-	// the handler attaches to those responses.
-	LegacyRequests int64 `json:"legacy_requests"`
-
 	// WireBytesSent/WireBytesReceived/WireMessages are the cluster
 	// transport's measured bytes-on-the-wire totals (frame headers
 	// included; all zero on single-node servers). RemoteFailovers counts

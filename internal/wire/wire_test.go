@@ -201,6 +201,11 @@ func TestDecodersRejectTruncation(t *testing.T) {
 	if _, err := DecodeRoundReply(append(append([]byte(nil), full...), 0)); err == nil {
 		t.Fatal("trailing bytes accepted")
 	}
+	// A set whose header claims 2^40 members and carries none: the
+	// decoder must refuse before sizing a buffer from the peer's count.
+	if m, err := DecodeSetMembers([]byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x20}); err == nil {
+		t.Fatalf("impossible member count accepted (%d members)", len(m))
+	}
 }
 
 // FuzzWireFrame exercises both directions of the framing layer: (a)
@@ -211,6 +216,7 @@ func FuzzWireFrame(f *testing.F) {
 	f.Add(uint8(MsgRound), []byte("hello"))
 	f.Add(uint8(MsgError), []byte{})
 	f.Add(uint8(0xff), []byte{0x69, 0x77, 1, 1, 0, 0, 0, 0})
+	f.Add(uint8(MsgRoundReply), []byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x20}) // set payload claiming 2^40 members
 	f.Fuzz(func(t *testing.T, typ uint8, payload []byte) {
 		mc := &memConn{}
 		c := NewConn(mc, 0, nil)
@@ -245,6 +251,9 @@ func FuzzWireFrame(f *testing.F) {
 			for _, s := range rep.Sets {
 				_, _ = DecodeSetMembers(s)
 			}
+		}
+		if members, err := DecodeSetMembers(payload); err == nil && len(members) > len(payload) {
+			t.Fatalf("%d members decoded from %d bytes", len(members), len(payload))
 		}
 		_, _ = DecodeSeeds(payload)
 		_, _, _ = DecodeError(payload)

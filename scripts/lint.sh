@@ -23,6 +23,11 @@ fi
 echo '== go vet'
 go vet ./...
 
+# bench/ is its own module outside ./...; vet and test it so a drift in
+# the internal/imm surface it imports fails here.
+echo '== bench module (vet, test)'
+(cd bench && go vet ./... && go test ./...)
+
 imlint="${TMPDIR:-/tmp}/imlint.$$"
 trap 'rm -f "$imlint"' EXIT
 echo '== build imlint'

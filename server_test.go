@@ -51,7 +51,7 @@ func TestServerMatchesRun(t *testing.T) {
 	// The HTTP front-end serves the same bytes.
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
-	resp, err := http.Get(ts.URL + "/query?graph=g&k=8&eps=0.5&seed=1")
+	resp, err := http.Get(ts.URL + "/v1/query?graph=g&k=8&eps=0.5&seed=1")
 	if err != nil {
 		t.Fatal(err)
 	}
