@@ -410,7 +410,7 @@ func BenchmarkCELFSelect(b *testing.B) {
 
 // BenchmarkIngest measures the parallel edge-list pipeline and the
 // snapshot reload at several worker counts, reporting MB/s and edges/s
-// as custom metrics (the ingest_sweep.csv quantities at bench size).
+// as custom metrics (imbench's ingest.* cells at bench size).
 func BenchmarkIngest(b *testing.B) {
 	g, err := gen.RMAT(gen.DefaultRMAT(13, 8), graph.IC, 1)
 	if err != nil {
@@ -558,8 +558,8 @@ func BenchmarkWarmAnswer(b *testing.B) {
 
 // BenchmarkServeWarm measures the steady-state served query: the pool
 // is warm after the first query, so every iteration is selection-only.
-// Compare against BenchmarkServeCold for the amortization win the
-// serve_sweep.csv rows quantify.
+// Compare against BenchmarkServeCold for the amortization win that
+// imbench's serve-warm workload times end to end.
 func BenchmarkServeWarm(b *testing.B) {
 	g := benchProfile(b, "web-Google", 10, graph.IC)
 	s := serve.NewServer(serve.Options{Workers: 4, MaxTheta: 5000})

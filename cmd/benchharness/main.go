@@ -23,28 +23,31 @@ import (
 	"repro/internal/profiling"
 )
 
-func main() {
+func main() { os.Exit(realMain(os.Args[1:])) }
+
+// realMain returns the exit code instead of calling os.Exit so the
+// deferred profile stop runs on every path: a failing gated run is
+// exactly the one whose -cpuprofile/-trace is wanted.
+func realMain(args []string) int {
+	fs := flag.NewFlagSet("benchharness", flag.ContinueOnError)
 	var (
-		exp        = flag.String("exp", "all", "experiment: table1|fig1|fig2|table2|fig5|table3|fig6|fig7|table4|ablations|dist|mem|ingest|serve|tier|load|churn|ci|all")
-		ingScale   = flag.Int("ingest-scale", 0, "ingest experiment: log2 vertices of the generated graph (0 = 17 for ~1M+ edges, or 13 with -quick)")
-		srvScale   = flag.Int("serve-scale", 0, "serve experiment: log2 vertices of the generated graph (0 = 16, the CI dataset shape, or 12 with -quick)")
-		tierScale  = flag.Int("tier-scale", 0, "tier experiment: log2 vertices of the generated graph (0 = 14, or 11 with -quick)")
-		loadScale  = flag.Int("load-scale", 0, "load experiment: log2 vertices of the generated graph (0 = 13, or 10 with -quick)")
-		churnScale = flag.Int("churn-scale", 0, "churn experiment: log2 vertices of the generated graph (0 = 14, or 11 with -quick)")
-		out        = flag.String("out", "results", "output directory for CSVs and JSON logs")
-		quick      = flag.Bool("quick", false, "small sizes for a fast smoke run")
-		scale      = flag.Int("scale", 0, "clamp profile scale (0 = config default)")
-		dataset    = flag.String("datasets", "", "comma-separated dataset filter")
-		baseline   = flag.String("baseline", "", "BENCH_baseline.json to gate the ci experiment against (fail on >tolerance regressions)")
-		tol        = flag.Float64("tolerance", 0.10, "allowed fractional drift for the ci gate")
+		exp      = fs.String("exp", "all", "experiment: table1|fig1|fig2|table2|fig5|table3|fig6|fig7|table4|ablations|dist|mem|ci|all")
+		out      = fs.String("out", "results", "output directory for CSVs and JSON logs")
+		quick    = fs.Bool("quick", false, "small sizes for a fast smoke run")
+		scale    = fs.Int("scale", 0, "clamp profile scale (0 = config default)")
+		dataset  = fs.String("datasets", "", "comma-separated dataset filter")
+		baseline = fs.String("baseline", "", "BENCH_baseline.json to gate the ci experiment against (fail on >tolerance regressions)")
+		tol      = fs.Float64("tolerance", 0.10, "allowed fractional drift for the ci gate")
 	)
-	prof := profiling.Register(flag.CommandLine)
-	flag.Parse()
+	prof := profiling.Register(fs)
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	stopProf, err := prof.Start()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchharness:", err)
-		os.Exit(1)
+		return 1
 	}
 	defer stopProf()
 
@@ -61,9 +64,9 @@ func main() {
 		cfg.Datasets = strings.Split(*dataset, ",")
 	}
 
-	ran := false
+	ran, failed := false, false
 	run := func(name string, fn func() error) {
-		if *exp != "all" && *exp != name {
+		if failed || (*exp != "all" && *exp != name) {
 			return
 		}
 		ran = true
@@ -71,7 +74,8 @@ func main() {
 		start := time.Now()
 		if err := fn(); err != nil {
 			fmt.Fprintf(os.Stderr, "benchharness: %s: %v\n", name, err)
-			os.Exit(1)
+			failed = true
+			return
 		}
 		fmt.Printf("   done in %.1fs\n\n", time.Since(start).Seconds())
 	}
@@ -208,104 +212,6 @@ func main() {
 		return nil
 	})
 
-	run("ingest", func() error {
-		scale := *ingScale
-		if scale == 0 && *quick {
-			scale = 13
-		}
-		rows, err := harness.IngestSweep(cfg, scale, nil)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("%7s %9s %10s %10s %10s %12s %9s %6s\n",
-			"workers", "nodes", "edges", "wall_ms", "MB/s", "edges/s", "speedup", "ident")
-		for _, r := range rows {
-			fmt.Printf("%7d %9d %10d %10.1f %10.1f %12.0f %8.2fx %6v\n",
-				r.Workers, r.Nodes, r.Edges, r.WallMS, r.MBPerSec, r.EdgesPerSec, r.SpeedupVs1, r.Identical)
-		}
-		if len(rows) > 0 {
-			fmt.Printf("snapshot: %d bytes, reload %.1fms, identical=%v\n",
-				rows[0].SnapshotBytes, rows[0].SnapshotLoadMS, rows[0].SnapshotIdentical)
-		}
-		return nil
-	})
-
-	run("serve", func() error {
-		scale := *srvScale
-		if scale == 0 && *quick {
-			scale = 12
-		}
-		rows, err := harness.ServeSweep(cfg, scale)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("%-14s %4s %5s %10s %8s %10s %10s %12s %9s %6s\n",
-			"phase", "k", "eps", "wall_ms", "theta", "reused", "generated", "reusedB", "speedup", "match")
-		for _, r := range rows {
-			fmt.Printf("%-14s %4d %5.2f %10.1f %8d %10d %10d %12d %8.2fx %6v\n",
-				r.Phase, r.K, r.Epsilon, r.WallMS, r.Theta, r.ReusedSets, r.GeneratedSets,
-				r.ReusedBytes, r.SpeedupVsCold, r.SeedsMatch)
-		}
-		return nil
-	})
-
-	run("tier", func() error {
-		scale := *tierScale
-		if scale == 0 && *quick {
-			scale = 11
-		}
-		rows, err := harness.TierSweep(cfg, scale)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("%-20s %13s %8s %6s %10s %8s %6s %10s %6s\n",
-			"phase", "budget_bytes", "tenants", "held", "wall_ms", "theta", "warm", "generated", "match")
-		for _, r := range rows {
-			fmt.Printf("%-20s %13d %8d %6d %10.1f %8d %6v %10d %6v\n",
-				r.Phase, r.BudgetBytes, r.Tenants, r.TenantsHeld, r.WallMS,
-				r.Theta, r.Warm, r.GeneratedSets, r.SeedsMatch)
-		}
-		return nil
-	})
-
-	run("load", func() error {
-		scale := *loadScale
-		if scale == 0 && *quick {
-			scale = 10
-		}
-		rows, err := harness.LoadSweep(cfg, scale)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("%-8s %7s %5s %10s %8s %8s %9s %8s %8s %11s %10s %6s\n",
-			"config", "queries", "pools", "wall_ms", "qps", "batches", "maxBatch", "shExt", "shSets", "generated", "coalesced", "match")
-		for _, r := range rows {
-			fmt.Printf("%-8s %7d %5d %10.1f %8.1f %8d %9d %8d %8d %11d %10d %6v\n",
-				r.Config, r.Queries, r.Pools, r.WallMS, r.QPS, r.Batches, r.MaxBatchSize,
-				r.SharedExtensions, r.SharedSets, r.GeneratedSets, r.Coalesced, r.SeedsMatch)
-		}
-		return nil
-	})
-
-	run("churn", func() error {
-		scale := *churnScale
-		if scale == 0 && *quick {
-			scale = 11
-		}
-		rows, err := harness.ChurnSweep(cfg, scale)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("%-11s %7s %7s %7s %10s %10s %10s %8s %7s %6s\n",
-			"update_rate", "adds", "removes", "dirty", "resampled", "repair_ms", "cold_ms", "speedup", "wins", "match")
-		for _, r := range rows {
-			fmt.Printf("%-11g %7d %7d %7d %10d %10.1f %10.1f %7.2fx %7v %6v\n",
-				r.UpdateRate, r.AddEdges, r.RemEdges, r.DirtyVertices, r.SetsResampled,
-				r.RepairMS+r.RepairQueryMS, r.ColdMS, r.Speedup, r.RepairWins, r.SeedsMatch)
-		}
-		return nil
-	})
-
 	run("ci", func() error {
 		digest, err := harness.CIBench()
 		if err != nil {
@@ -320,8 +226,8 @@ func main() {
 				m.Key, m.Theta, m.SamplingModeled, m.SelectionModeled, m.PoolSetBytes, m.PoolIndexBytes, m.CompressionRatio)
 		}
 		if in := digest.Ingest; in != nil {
-			fmt.Printf("%-45s theta=%-6d nodes=%d edges=%d snapshotB=%d (%.1f MB/s, not gated)\n",
-				"ingest (text->pipeline->snapshot->run)", in.Theta, in.Nodes, in.Edges, in.SnapshotBytes, in.MBPerSec)
+			fmt.Printf("%-45s theta=%-6d nodes=%d edges=%d snapshotB=%d\n",
+				"ingest (text->pipeline->snapshot->run)", in.Theta, in.Nodes, in.Edges, in.SnapshotBytes)
 		}
 		fmt.Printf("digest written to %s\n", path)
 		if *baseline == "" {
@@ -354,17 +260,21 @@ func main() {
 		return nil
 	})
 
+	if failed {
+		return 1
+	}
 	if !ran {
 		fmt.Fprintf(os.Stderr, "benchharness: unknown experiment %q (see -exp)\n", *exp)
-		os.Exit(2)
+		return 2
 	}
 	if *exp == "all" {
 		if _, err := harness.ExtractResults(cfg.OutDir); err != nil {
 			fmt.Fprintf(os.Stderr, "benchharness: extract: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
 		fmt.Printf("speedup summaries written under %s/results\n", cfg.OutDir)
 	}
+	return 0
 }
 
 // sweepDigest prints the normalized scaling table for one model.

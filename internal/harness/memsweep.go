@@ -150,16 +150,15 @@ type CIMetric struct {
 
 // CIIngest is the ingestion leg of the digest: the pinned graph is
 // written as text, re-ingested through the parallel pipeline, and
-// snapshotted. Edges/Nodes/Theta/Seeds/SnapshotBytes are deterministic
-// and gated; MBPerSec is wall-clock throughput, recorded for the
-// artifact trail but never gated (runner hardware varies).
+// snapshotted. Every field is deterministic and gated; ingest
+// throughput is wall clock and therefore imbench's
+// (ingest.edgelist_mb_s), not the digest's.
 type CIIngest struct {
-	Nodes         int32   `json:"nodes"`
-	Edges         int64   `json:"edges"`
-	SnapshotBytes int64   `json:"snapshot_bytes"`
-	Theta         int64   `json:"theta"`
-	Seeds         string  `json:"seeds"`
-	MBPerSec      float64 `json:"ingest_mb_per_s"`
+	Nodes         int32  `json:"nodes"`
+	Edges         int64  `json:"edges"`
+	SnapshotBytes int64  `json:"snapshot_bytes"`
+	Theta         int64  `json:"theta"`
+	Seeds         string `json:"seeds"`
 }
 
 // CIDigest is the BENCH_ci.json payload: a self-describing config tag
@@ -271,7 +270,6 @@ func CIBench() (CIDigest, error) {
 		SnapshotBytes: snapBytes,
 		Theta:         res.Theta,
 		Seeds:         fmt.Sprint(res.Seeds),
-		MBPerSec:      st.MBPerSec(),
 	}
 	return digest, nil
 }
@@ -323,6 +321,7 @@ func CompareCI(base, cur CIDigest, tol float64) []string {
 			regressions = append(regressions, fmt.Sprintf("%s: metric missing from current run", b.Key))
 			continue
 		}
+		delete(curByKey, b.Key)
 		if c.Theta != b.Theta {
 			regressions = append(regressions, fmt.Sprintf("%s: theta %d != baseline %d", b.Key, c.Theta, b.Theta))
 		}
@@ -350,28 +349,32 @@ func CompareCI(base, cur CIDigest, tol float64) []string {
 				b.Key, c.CompressionRatio, b.CompressionRatio))
 		}
 	}
+	// What is left has no baseline cell and would ship ungated.
+	for _, m := range cur.Metrics {
+		if _, left := curByKey[m.Key]; left {
+			regressions = append(regressions, fmt.Sprintf("%s: not in baseline (regenerate BENCH_baseline.json)", m.Key))
+		}
+	}
 	// Ingestion gate: shape, θ and seeds are deterministic and must
-	// match exactly; the snapshot may grow at most tol. Throughput
-	// (MBPerSec) is hardware-dependent and deliberately not gated.
-	if base.Ingest != nil {
-		b, c := base.Ingest, cur.Ingest
-		switch {
-		case c == nil:
-			regressions = append(regressions, "ingest: leg missing from current run")
-		default:
-			if c.Nodes != b.Nodes || c.Edges != b.Edges {
-				regressions = append(regressions, fmt.Sprintf("ingest: shape %d/%d != baseline %d/%d", c.Nodes, c.Edges, b.Nodes, b.Edges))
-			}
-			if c.Theta != b.Theta {
-				regressions = append(regressions, fmt.Sprintf("ingest: theta %d != baseline %d", c.Theta, b.Theta))
-			}
-			if c.Seeds != b.Seeds {
-				regressions = append(regressions, "ingest: seeds through the ingested graph diverged from baseline")
-			}
-			if grew(float64(c.SnapshotBytes), float64(b.SnapshotBytes)) {
-				regressions = append(regressions, fmt.Sprintf("ingest: snapshot bytes %+.1f%% (%d -> %d)",
-					100*(float64(c.SnapshotBytes)/float64(b.SnapshotBytes)-1), b.SnapshotBytes, c.SnapshotBytes))
-			}
+	// match exactly; the snapshot may grow at most tol.
+	switch b, c := base.Ingest, cur.Ingest; {
+	case b == nil && c != nil:
+		regressions = append(regressions, "ingest: leg not in baseline (regenerate BENCH_baseline.json)")
+	case b != nil && c == nil:
+		regressions = append(regressions, "ingest: leg missing from current run")
+	case b != nil:
+		if c.Nodes != b.Nodes || c.Edges != b.Edges {
+			regressions = append(regressions, fmt.Sprintf("ingest: shape %d/%d != baseline %d/%d", c.Nodes, c.Edges, b.Nodes, b.Edges))
+		}
+		if c.Theta != b.Theta {
+			regressions = append(regressions, fmt.Sprintf("ingest: theta %d != baseline %d", c.Theta, b.Theta))
+		}
+		if c.Seeds != b.Seeds {
+			regressions = append(regressions, "ingest: seeds through the ingested graph diverged from baseline")
+		}
+		if grew(float64(c.SnapshotBytes), float64(b.SnapshotBytes)) {
+			regressions = append(regressions, fmt.Sprintf("ingest: snapshot bytes %+.1f%% (%d -> %d)",
+				100*(float64(c.SnapshotBytes)/float64(b.SnapshotBytes)-1), b.SnapshotBytes, c.SnapshotBytes))
 		}
 	}
 	return regressions

@@ -228,6 +228,20 @@ func TestRepairPartialInvalidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertWarmEqualsCold(t, "partial", res, coldRes)
+
+	// Resamples grow with churn: sixty edges on the same pool
+	// invalidate more slots than the single edge did.
+	ng2, drep2, err := graph.ApplyDelta(ng, randomDelta(ng, 5, 40, 20, false), graph.DeltaOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rr2, err := we.ApplyDelta(ng2, drep2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rr2.Resampled <= rr.Resampled {
+		t.Fatalf("a 60-edge delta resampled %d slots, the single edge %d", rr2.Resampled, rr.Resampled)
+	}
 }
 
 // FuzzRepairDifferential is the fuzz form of the differential check:

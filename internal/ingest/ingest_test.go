@@ -117,8 +117,8 @@ func TestIngestFileMatchesBytes(t *testing.T) {
 	if !graph.Equal(fromFile, fromBytes) {
 		t.Fatal("File and Bytes disagree")
 	}
-	if stFile.Bytes != int64(len(messyEdgeList)) {
-		t.Fatalf("Bytes stat = %d, want %d", stFile.Bytes, len(messyEdgeList))
+	if stFile.Bytes != int64(len(messyEdgeList)) || stFile.MBPerSec() <= 0 {
+		t.Fatalf("Bytes stat = %d, want %d (%.1f MB/s)", stFile.Bytes, len(messyEdgeList), stFile.MBPerSec())
 	}
 }
 

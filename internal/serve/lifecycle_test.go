@@ -68,7 +68,7 @@ func TestApplyDeltaRepairsWarmPools(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !res.Changed || res.Epoch != 1 || res.PoolsRepaired != 1 {
+				if !res.Changed || res.Epoch != 1 || res.PoolsRepaired != 1 || res.SetsResampled+res.FullResamples == 0 {
 					t.Fatalf("delta result = %+v", res)
 				}
 				if res.UpdatedAt.IsZero() {

@@ -183,8 +183,10 @@ func TestQueryBatchExceedsAdmission(t *testing.T) {
 			t.Fatalf("member %d: %v != cold %v", i, item.Result.Seeds, cold.Seeds)
 		}
 	}
-	if st := s.Stats(); st.Rejected != 0 {
-		t.Fatalf("batch members were rejected by admission: %+v", st)
+	// One worker and no gather window is the serial convoy: one query
+	// per drain, no multi-member batch, no shared extension.
+	if st := s.Stats(); st.Rejected != 0 || st.MaxBatchSize != 1 || st.BatchedQueries != 0 || st.SharedExtensions != 0 {
+		t.Fatalf("batch members were rejected by admission or gathered by a serial planner: %+v", st)
 	}
 }
 

@@ -95,8 +95,8 @@ func TestWarmRepeatGeneratesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if first.Warm || first.GeneratedSets == 0 {
-		t.Fatalf("cold query: warm=%v generated=%d", first.Warm, first.GeneratedSets)
+	if first.Warm || first.GeneratedSets == 0 || first.ReusedSets != 0 {
+		t.Fatalf("cold query: warm=%v generated=%d reused=%d", first.Warm, first.GeneratedSets, first.ReusedSets)
 	}
 	second, err := s.Query(req)
 	if err != nil {
@@ -265,8 +265,8 @@ func TestOverBudgetPoolNotSelfEvicted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if third.Warm {
-		t.Fatal("evicted pool reported a warm hit")
+	if third.Warm || third.GeneratedSets == 0 {
+		t.Fatalf("evicted pool did not regenerate: %+v", third)
 	}
 	if !reflect.DeepEqual(third.Seeds, first.Seeds) {
 		t.Fatalf("post-eviction seeds %v != original %v", third.Seeds, first.Seeds)
