@@ -33,12 +33,13 @@ import (
 //     neither shape changes a draw (see diffusion.traverseIC).
 //
 //   - Stage B (index merge): while the new sets are still hot, each pool
-//     shard's CSR inverted index absorbs them on the shard's pinned
-//     owner worker (numa.Topology.PinShards — single writer per shard,
-//     owners spread across NUMA nodes to match the pool's interleaved
-//     placement). Afterwards ensureIndexed is a no-op; selection starts
-//     on a current index. Scan-mode selection never reads the index, so
-//     the stage is skipped and IndexBytes stays zero.
+//     shard's CSR inverted index absorbs them (poolShard.patch) on the
+//     shard's pinned owner worker (numa.Topology.PinShards — single
+//     writer per shard, owners spread across NUMA nodes to match the
+//     pool's interleaved placement). Afterwards ensureIndexed is a
+//     no-op; selection starts on a current index. Scan-mode selection
+//     never reads the index, so the stage is skipped and IndexBytes
+//     stays zero.
 //
 // Arenas live exactly as long as the engine (and therefore the pool), so
 // arena-backed sets never outlive their storage; see rrr.Arena and the
@@ -205,13 +206,26 @@ func (e *efficientEngine) arenaSlackBytes() int64 {
 
 // indexNewSets merges every shard's un-absorbed sets into its CSR
 // inverted index, each shard on its pinned owner worker (single writer
-// per shard), and returns the critical path — the costliest owner's
-// decode-and-append work (2 ops per member), the same charge
-// ensureIndexed bills per shard. Idempotent: a second call (including
-// ensureIndexed during selection) finds nothing new.
+// per shard; inline when one owner holds them all), and returns the
+// critical path — the costliest owner's decode-and-append work (2 ops
+// per member), the same charge ensureIndexed bills per shard.
+// Idempotent: a second call (including ensureIndexed during selection)
+// finds nothing new.
 func (p *shardedPool) indexNewSets(workers int) int64 {
 	pins := numa.PerlmutterLike().PinShards(poolShards, workers)
+	sc := p.indexScratches(len(pins))
 	ops := make([]int64, len(pins))
+	absorb := func(w int) {
+		var o int64
+		for _, s := range pins[w] {
+			o += 2 * p.shards[s].extend(p.n, &sc[w])
+		}
+		ops[w] = o
+	}
+	if len(pins) == 1 {
+		absorb(0)
+		return ops[0]
+	}
 	var wg sync.WaitGroup
 	for w := range pins {
 		if len(pins[w]) == 0 {
@@ -220,11 +234,7 @@ func (p *shardedPool) indexNewSets(workers int) int64 {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			var o int64
-			for _, s := range pins[w] {
-				o += 2 * p.shards[s].extend(p.n)
-			}
-			ops[w] = o
+			absorb(w)
 		}(w)
 	}
 	wg.Wait()

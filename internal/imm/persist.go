@@ -160,7 +160,7 @@ func (w *WarmEngine) Freeze(epoch int64) (*PoolState, error) {
 	for s := range p.shards {
 		sh := &p.shards[s]
 		if sh.indexed > 0 && sh.indexed < len(sh.sets) {
-			sh.extend(p.n)
+			sh.extend(p.n, &p.indexScratches(1)[0])
 		}
 		out := &st.Shards[s]
 		out.Kinds = make([]uint8, len(sh.sets))

@@ -135,27 +135,65 @@ func (e *efficientEngine) repair(ng *graph.Graph, rep *graph.DeltaReport) Repair
 		}
 	})
 
-	var oldMembers, newMembers int64
-	for j, i := range invalid {
-		old := e.p.get(i)
-		oldMembers += int64(old.Size())
-		set := newSets[j]
-		newMembers += int64(set.Size())
-		e.p.put(i, set)
-		if i < int64(len(e.p.flat)) {
-			e.p.flat[i] = set
-		}
-		if maintainBase {
+	e.p.replace(invalid, newSets, e.opt.Workers)
+	if maintainBase {
+		for _, set := range newSets {
 			set.ForEach(func(v int32) { e.base.Inc(v) })
 		}
 	}
-	e.p.totalMembers += newMembers - oldMembers
-	// The prefix summaries are a derived cache; drop them and let them
-	// rebuild lazily over the repaired contents.
-	e.p.prefix = nil
-
-	e.rebuildTouchedIndexes(invalid)
 	return r
+}
+
+// replace swaps sets into the resident slots ids (global, ascending) and
+// brings what the pool derives from its contents in line: the member
+// total, the flat view, the prefix summaries (those below the first
+// replaced slot stay, the rest re-fold lazily) and the inverted index of
+// every shard that has one and holds a replaced slot — one patch each,
+// which also absorbs entries the shard had not indexed yet. Other
+// shards keep their arrays; scan-mode shards (never indexed) stay
+// unindexed so the footprint accounting still reports IndexBytes 0.
+func (p *shardedPool) replace(ids []int64, sets []rrr.Set, workers int) {
+	// Per shard: the replaced entries its index covers, and their old sets.
+	var swaps [poolShards]struct {
+		touched bool
+		ids     []int32
+		old     []rrr.Set
+	}
+	for k, i := range ids {
+		s, j := shardOf(i)
+		sh, sw := &p.shards[s], &swaps[s]
+		old := sh.sets[j]
+		p.totalMembers += int64(sets[k].Size() - old.Size())
+		sh.sets[j] = sets[k]
+		if i < int64(len(p.flat)) {
+			p.flat[i] = sets[k]
+		}
+		sw.touched = true
+		if sw.ids == nil { // ids stripe evenly: size each shard's lists once
+			sw.ids = make([]int32, 0, len(ids)/poolShards+8)
+			sw.old = make([]rrr.Set, 0, len(ids)/poolShards+8)
+		}
+		if j < sh.indexed {
+			sw.ids = append(sw.ids, int32(j))
+			sw.old = append(sw.old, old)
+		}
+	}
+	if keep := ids[0] + 1; int64(len(p.prefix)) > keep {
+		p.prefix = p.prefix[:keep]
+	}
+
+	var shards []int
+	for s := range swaps {
+		if swaps[s].touched && p.shards[s].indexed > 0 {
+			shards = append(shards, s)
+		}
+	}
+	sc := p.indexScratches(workers)
+	sched.Static(workers, len(shards), func(w, k0, k1 int) {
+		for _, s := range shards[k0:k1] {
+			p.shards[s].patch(p.n, &sc[w], swaps[s].ids, swaps[s].old)
+		}
+	})
 }
 
 // invalidSlots returns, in ascending order, the global ids of pool
@@ -191,41 +229,4 @@ func (e *efficientEngine) invalidSlots(dirty []int32) []int64 {
 	ids := make([]int64, 0, marked.Count())
 	marked.ForEach(func(i int) { ids = append(ids, int64(i)) })
 	return ids
-}
-
-// rebuildTouchedIndexes rebuilds the inverted index of every shard that
-// had one and holds a repaired slot. Untouched shards keep their
-// postings; scan-mode shards (never indexed) stay unindexed so the
-// footprint accounting still reports IndexBytes 0.
-func (e *efficientEngine) rebuildTouchedIndexes(invalid []int64) {
-	var touched [poolShards]bool
-	for _, i := range invalid {
-		s, _ := shardOf(i)
-		touched[s] = true
-	}
-	var rebuild []int
-	for s := range touched {
-		if touched[s] && e.p.shards[s].indexed > 0 {
-			rebuild = append(rebuild, s)
-		}
-	}
-	if len(rebuild) == 0 {
-		return
-	}
-	workers := e.opt.Workers
-	if workers > len(rebuild) {
-		workers = len(rebuild)
-	}
-	sched.Static(workers, len(rebuild), func(w, s0, s1 int) {
-		for k := s0; k < s1; k++ {
-			sh := &e.p.shards[rebuild[k]]
-			sh.postIdx, sh.postData = nil, nil
-			sh.postCount = 0
-			sh.indexed = 0
-			sh.covered = nil
-			// extend re-indexes every resident set; selection kept the
-			// pre-repair horizon at len(sets), so coverage is unchanged.
-			sh.extend(e.p.n)
-		}
-	})
 }

@@ -1,6 +1,9 @@
 package imm
 
 import (
+	"math"
+	"slices"
+
 	"repro/internal/bitset"
 	"repro/internal/counter"
 	"repro/internal/rrr"
@@ -15,9 +18,12 @@ import (
 //   - the sets themselves, in whatever representation the policy chose
 //     (plain lists, delta-encoded compressed lists, or bitset rows);
 //   - an inverted index mapping vertex → ids of the shard's sets that
-//     contain it, extended incrementally as the pool grows, so coverage
-//     updates during selection walk compact postings instead of
-//     re-scanning (and, for compressed sets, re-decoding) every set;
+//     contain it, so coverage updates during selection walk compact
+//     postings instead of re-scanning (and, for compressed sets,
+//     re-decoding) every set. It changes only through poolShard.patch,
+//     as the pool grows and when repair replaces resident sets, at the
+//     cost of one streaming pass over the n offsets plus work
+//     proportional to the sets that changed;
 //   - a coverage scratch bitset reused across selection calls.
 //
 // Shards give index extension after generation a natural parallel grain,
@@ -59,12 +65,13 @@ type poolShard struct {
 
 	// Inverted index over sets[:indexed] in CSR layout: the local entry
 	// ids whose set contains v are postData[postIdx[v]:postIdx[v+1]], in
-	// ascending order. One flat payload array per shard replaces the
-	// per-vertex posting slices the pool used to keep, so index growth
-	// costs two allocations per shard per extension instead of one per
-	// touched vertex, and posting walks stream a contiguous array. Once
-	// built, selection works entirely on postings and never touches (or,
-	// for compressed sets, decodes) a set representation again.
+	// ascending order. One flat payload array per shard keeps index
+	// growth at two allocations per shard per patch, and posting walks
+	// stream a contiguous array. Once built, selection works entirely on
+	// postings and never touches (or, for compressed sets, decodes) a set
+	// representation again. The arrays are never written after they are
+	// installed: Freeze hands them out, and a thawed pool's may be a
+	// read-only mapping.
 	postIdx  []int32 // len n+1 once built
 	postData []int32
 	covered  *bitset.Bitset // selection scratch over entries, reset per call
@@ -92,75 +99,141 @@ func setMembers(set rrr.Set, buf []int32) (members, _ []int32) {
 	return buf, buf
 }
 
-// extend indexes entries [indexed, len(sets)) and returns the member
-// count absorbed — the modeled work of the pass (a decode step and a
-// posting append per member). The new postings are merged into the CSR
-// layout by counting sort: one pass counts per-vertex additions, a
-// prefix sum over old+new segment lengths sizes the merged payload, and
-// a copy pass fills it using the offset array as write cursors (shifted
-// back into place afterwards). Entry ids stay ascending within each
-// vertex segment because old postings precede new ones and new entries
-// are absorbed in ascending local id order — the invariant the
-// truncated-view binary search (prefixBelow) relies on.
-func (s *poolShard) extend(n int32) (members int64) {
-	if s.indexed == len(s.sets) {
-		if s.covered == nil {
-			s.covered = bitset.New(s.indexed)
-		}
+// indexScratch is one worker's retained state for poolShard.patch, so a
+// patch allocates only the two arrays it returns.
+type indexScratch struct {
+	// mark is all zero between patches. While one runs, a touched vertex
+	// holds the number of ids it gains, with dropMark set when it also
+	// loses some; the ascending pass turns that into its fill cursor.
+	mark    []int32
+	touched []int32       // the vertices marked, ascending: what to re-zero
+	adds    []int32       // local ids to place, ascending
+	drop    bitset.Bitset // the local ids being dropped, clear between patches
+	buf     []int32       // decode buffer for non-list sets
+}
+
+// dropMark flags, in indexScratch.mark, a vertex that loses postings.
+const dropMark = math.MinInt32
+
+// patch is the one way the inverted index changes. It drops the postings
+// of the entries in ids (ascending local ids below indexed, whose previous
+// sets are old), re-adds those entries from the sets now resident, and
+// absorbs the un-indexed tail [indexed, len(sets)) — Stage B and the lazy
+// build pass no ids, repair passes the slots it resampled. It returns the
+// member count added, the modeled work of the pass (a decode step and a
+// posting append per member).
+//
+// The result is built in fresh arrays; the current ones are only read
+// (Freeze aliases them, and a thawed pool's may be a read-only mapping).
+// Two passes over the changed sets mark the touched vertices. One
+// ascending pass turns a copy of the offset array into the new one —
+// newIdx[v] = oldIdx[v] + shift, a streaming add — and stops only at
+// touched vertices: the run of old postings since the last stop moves
+// with a single copy, a segment that loses ids is filtered against a
+// bitmap of them, and room is left behind the survivors for the vertex's
+// gains. A last pass over the changed sets, ascending by id, inserts each
+// id at its sorted place in that room: an append for a tail id, a shift
+// of the larger ids otherwise. Segments so stay strictly ascending (what
+// prefixBelow's binary search relies on) and the arrays equal a
+// from-scratch build. Cost: one streaming pass over n offsets, plus work
+// proportional to the changed sets' members and the segments losing ids.
+func (s *poolShard) patch(n int32, sc *indexScratch, ids []int32, old []rrr.Set) (members int64) {
+	if s.covered == nil {
+		s.covered = bitset.New(s.indexed)
+	}
+	if len(ids) == 0 && s.indexed == len(s.sets) {
 		return 0
 	}
 	nn := int(n)
-	off := make([]int32, nn+1)
-	var vs, buf []int32
+	if cap(sc.mark) < nn {
+		sc.mark = make([]int32, nn)
+	}
+	mark, buf := sc.mark[:nn], sc.buf
+	var vs []int32
+	if len(ids) > 0 {
+		sc.drop.Grow(s.indexed)
+		sc.drop.SetMany(ids)
+	}
+	var dropped int64
+	for _, set := range old {
+		vs, buf = setMembers(set, buf)
+		for _, v := range vs {
+			mark[v] |= dropMark
+		}
+		dropped += int64(len(vs))
+	}
+	adds := append(sc.adds[:0], ids...)
 	for j := s.indexed; j < len(s.sets); j++ {
+		adds = append(adds, int32(j))
+	}
+	for _, j := range adds {
 		vs, buf = setMembers(s.sets[j], buf)
 		for _, v := range vs {
-			off[v+1]++
+			mark[v]++
 		}
 		members += int64(len(vs))
 	}
-	// Turn counts into merged segment starts: off[v+1] becomes
-	// start(v+1) = start(v) + oldLen(v) + newCount(v).
-	if s.postIdx == nil {
-		for v := 0; v < nn; v++ {
-			off[v+1] += off[v]
-		}
-	} else {
-		for v := 0; v < nn; v++ {
-			off[v+1] += off[v] + (s.postIdx[v+1] - s.postIdx[v])
-		}
+
+	idx := slices.Clone(s.postIdx)
+	if idx == nil {
+		idx = make([]int32, nn+1)
 	}
-	data := make([]int32, off[nn])
-	// Fill, advancing off[v] as the segment-v write cursor: old postings
-	// first, then the new entries in ascending id order.
-	if s.postIdx != nil {
-		for v := 0; v < nn; v++ {
-			seg := s.postData[s.postIdx[v]:s.postIdx[v+1]]
-			copy(data[off[v]:], seg)
-			off[v] += int32(len(seg))
+	data := make([]int32, int64(len(s.postData))+members-dropped)
+	touched := sc.touched[:0]
+	// Old postings [run, lo) are pending: they all move by shift.
+	var run, shift int32
+	for v, c := range mark {
+		lo := idx[v]
+		idx[v] = lo + shift
+		if c == 0 {
+			continue
 		}
+		touched = append(touched, int32(v))
+		hi := idx[v+1] // not yet shifted
+		if c > 0 {
+			lo = hi // nothing dropped here: the segment rides with the run
+		}
+		copy(data[run+shift:], s.postData[run:lo])
+		w := lo + shift
+		for _, id := range s.postData[lo:hi] {
+			if !sc.drop.Test(int(id)) {
+				data[w] = id
+				w++
+			}
+		}
+		mark[v] = w
+		run, shift = hi, w+(c&^dropMark)-hi
 	}
-	for j := s.indexed; j < len(s.sets); j++ {
+	copy(data[run+shift:], s.postData[run:])
+	idx[nn] += shift
+
+	for _, j := range adds {
 		vs, buf = setMembers(s.sets[j], buf)
 		for _, v := range vs {
-			data[off[v]] = int32(j)
-			off[v]++
+			w := mark[v]
+			mark[v] = w + 1
+			for ; w > idx[v] && data[w-1] > j; w-- {
+				data[w] = data[w-1]
+			}
+			data[w] = j
 		}
 	}
-	// Each cursor now sits at its segment's end == the next segment's
-	// start; shift right to recover the CSR index in place.
-	copy(off[1:], off[:nn])
-	off[0] = 0
-	s.postIdx, s.postData = off, data
-	s.postCount += members
-	s.indexed = len(s.sets)
-	if s.covered == nil {
-		s.covered = bitset.New(s.indexed)
-	} else {
-		s.covered.Grow(s.indexed)
+	for _, v := range touched {
+		mark[v] = 0
 	}
+	sc.drop.ClearMany(ids)
+	sc.touched, sc.adds, sc.buf = touched, adds, buf
+
+	s.postIdx, s.postData = idx, data
+	s.postCount = int64(len(data))
+	s.indexed = len(s.sets)
+	s.covered.Grow(s.indexed)
 	return members
 }
+
+// extend absorbs entries [indexed, len(sets)) into the index: patch with
+// nothing replaced.
+func (s *poolShard) extend(n int32, sc *indexScratch) int64 { return s.patch(n, sc, nil, nil) }
 
 // shardedPool is the Efficient engine's pool: grow/put during
 // generation, ensureIndexed + CELF during selection.
@@ -188,6 +261,9 @@ type shardedPool struct {
 	// one-query-at-a-time serialization as selection.
 	heapScratch    []counter.GainItem
 	versionScratch []int32
+	// scratch holds one indexScratch per worker that patches shards,
+	// retained like the selection scratch above.
+	scratch []indexScratch
 }
 
 func newShardedPool(n int32) *shardedPool { return &shardedPool{n: n} }
@@ -263,11 +339,20 @@ func (p *shardedPool) indexCurrent() bool {
 // executing workers. Idempotent; selection skips the fork-join when
 // indexCurrent says there is nothing to do.
 func (p *shardedPool) ensureIndexed(workers int, ops []int64) {
+	sc := p.indexScratches(workers)
 	sched.Static(workers, poolShards, func(w, s0, s1 int) {
 		for s := s0; s < s1; s++ {
-			ops[w] += 2 * p.shards[s].extend(p.n)
+			ops[w] += 2 * p.shards[s].extend(p.n, &sc[w])
 		}
 	})
+}
+
+// indexScratches returns the retained patch scratch, one per worker.
+func (p *shardedPool) indexScratches(workers int) []indexScratch {
+	if len(p.scratch) < workers {
+		p.scratch = append(p.scratch, make([]indexScratch, workers-len(p.scratch))...)
+	}
+	return p.scratch
 }
 
 // prefixEntry is the running rrr.Stats of a pool prefix, in the compact
@@ -305,21 +390,41 @@ func (p *shardedPool) statsUpTo(limit int64) rrr.Stats {
 // prefixUpTo returns the summary of set ids below limit (clamped to the
 // pool), growing the lazy prefix array over any sets it has not folded
 // yet. Amortized O(new sets) across a pool's lifetime, O(1) afterwards.
+// The fold is rrr.Stats.Add's, without its interface calls for lists.
 func (p *shardedPool) prefixUpTo(limit int64) prefixEntry {
 	limit = min(limit, p.count)
 	if p.prefix == nil {
 		p.prefix = []prefixEntry{{}}
 	}
-	for int64(len(p.prefix)) <= limit {
-		e := p.prefix[len(p.prefix)-1]
-		var st rrr.Stats
-		st.Add(p.get(int64(len(p.prefix)) - 1))
-		e.bytes += st.TotalBytes
-		e.members += st.TotalSize
-		e.bitmaps += int32(st.Bitmaps)
-		e.compressed += int32(st.Compressed)
-		e.maxSize = max(e.maxSize, int32(st.MaxSize))
+	next := len(p.prefix) - 1 // first set not yet folded
+	if int64(next) >= limit {
+		return p.prefix[limit]
+	}
+	p.prefix = slices.Grow(p.prefix, int(limit)-next)
+	e := p.prefix[next]
+	s, j := shardOf(int64(next))
+	for range int(limit) - next {
+		set := p.shards[s].sets[j]
+		var size int
+		if ls, ok := set.(*rrr.ListSet); ok {
+			size = ls.Size()
+			e.bytes += ls.Bytes()
+		} else {
+			size = set.Size()
+			e.bytes += set.Bytes()
+			switch set.Kind() {
+			case "bitmap":
+				e.bitmaps++
+			case "compressed":
+				e.compressed++
+			}
+		}
+		e.members += int64(size)
+		e.maxSize = max(e.maxSize, int32(size))
 		p.prefix = append(p.prefix, e)
+		if s++; s == poolShards {
+			s, j = 0, j+1
+		}
 	}
 	return p.prefix[limit]
 }
