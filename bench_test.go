@@ -675,3 +675,67 @@ func BenchmarkIndexExtend(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkTierRotate is imbench's tier-rotate workload without the
+// stack around it: on the serving graph (R-MAT 13, weighted-cascade IC,
+// Workers=2) four tenants' pools are built and saved, a fresh server
+// rehydrates them under a budget of 2.5 pools as they weigh once
+// promoted, and the default query goes round-robin in-process with the
+// gather window off, so every op promotes one pool from its .impool
+// snapshot and demotes another. promotions/op must read 1 (the rotation
+// goes through the disk tier) and demotion_writes/op 0 (every pool's
+// snapshot already holds it); ns/op and allocs/op are then the cost of
+// one clean demotion plus one promotion plus one warm answer.
+func BenchmarkTierRotate(b *testing.B) {
+	const tenants = 4
+	g, err := gen.RMAT(gen.DefaultRMAT(13, 8), graph.IC, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	graph.AssignWC(g)
+	opt := serve.Options{Workers: 2, GatherWindow: -1, PoolDir: b.TempDir()}
+	rotate := func(s *serve.Server, ops int) {
+		for i := 0; i < ops; i++ {
+			res, err := s.Query(serve.QueryRequest{Graph: "g", K: 50, Epsilon: 0.5, Seed: uint64(1 + i%tenants)})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if s.Stats().Rehydrated > 0 && (!res.Warm || res.GeneratedSets != 0) {
+				b.Fatalf("rotation regenerated: %+v", res)
+			}
+		}
+	}
+	boot := func(opt serve.Options) *serve.Server {
+		s := serve.NewServer(opt)
+		if _, err := s.AddGraph("g", g, 1); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := s.LoadPools(); err != nil {
+			b.Fatal(err)
+		}
+		return s
+	}
+
+	build := boot(opt) // nothing to load yet: builds the pools
+	rotate(build, tenants)
+	if saved, err := build.SavePools(""); err != nil || saved != tenants {
+		b.Fatalf("SavePools = %d, %v", saved, err)
+	}
+	sizing := boot(opt) // room for all of them: what the promoted working set weighs
+	rotate(sizing, tenants)
+	opt.PoolBudgetBytes = sizing.Stats().PoolBytes * 5 / (2 * tenants)
+
+	s := boot(opt)
+	rotate(s, tenants) // the LRU settles into its worst-case order
+	before := s.Stats()
+	b.ReportAllocs()
+	b.ResetTimer()
+	rotate(s, b.N)
+	b.StopTimer()
+	after := s.Stats()
+	if after.PromoteFailures != 0 {
+		b.Fatalf("%d promotions failed", after.PromoteFailures)
+	}
+	b.ReportMetric(float64(after.Promotions-before.Promotions)/float64(b.N), "promotions/op")
+	b.ReportMetric(float64(after.DemotionWrites-before.DemotionWrites)/float64(b.N), "demotion_writes/op")
+}

@@ -130,6 +130,7 @@ func (b *Builder) buildTopology() (*Graph, error) {
 // per incoming edge and mirrored to the forward direction so the two CSR
 // views agree edge-for-edge.
 func AssignIC(g *Graph, seed uint64) {
+	g.sumOK.Store(false)
 	g.model = IC
 	g.InProb = make([]float32, g.M)
 	g.OutProb = make([]float32, g.M)
@@ -146,6 +147,7 @@ func AssignIC(g *Graph, seed uint64) {
 // code paths as AssignIC with a different sparsity profile and is used by
 // ablation experiments.
 func AssignWC(g *Graph) {
+	g.sumOK.Store(false)
 	g.model = IC
 	g.InProb = make([]float32, g.M)
 	g.OutProb = make([]float32, g.M)
@@ -170,6 +172,7 @@ func AssignWC(g *Graph) {
 // the paper's "weights are adjusted so that the probabilities of either
 // activating a neighbor or activating none sum to one".
 func AssignLT(g *Graph, seed uint64) {
+	g.sumOK.Store(false)
 	g.model = LT
 	g.InProb = make([]float32, g.M)
 	g.OutProb = make([]float32, g.M)

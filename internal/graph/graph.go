@@ -13,7 +13,9 @@ package graph
 
 import (
 	"fmt"
+	"math"
 	"sort"
+	"sync/atomic"
 )
 
 // Model selects the influence diffusion model.
@@ -78,10 +80,62 @@ type Graph struct {
 	InAccum []float32 // LT only: prefix sums of InProb per segment
 
 	model Model
+
+	// sum memoizes Checksum once sumOK is set. A graph is immutable once
+	// it is handed to an engine; the in-place weight assigners (AssignIC,
+	// AssignWC, AssignLT) clear sumOK.
+	sum   atomic.Uint64
+	sumOK atomic.Bool
 }
 
 // Model returns the diffusion model the edge parameters were built for.
 func (g *Graph) Model() Model { return g.model }
+
+// Checksum fingerprints the graph's full CSR content (shape, model,
+// adjacency, and edge parameters) with FNV-1a over the array elements.
+// Pool snapshots bind to it, so a snapshot whose (N, M, model, epoch)
+// happen to match a different graph is still rejected at thaw. The
+// O(N+M) pass runs once per graph object: every freeze, promotion and
+// thaw of every pool on the graph reads the memo. Safe for concurrent
+// use (racing first callers compute the same value).
+func (g *Graph) Checksum() uint64 {
+	if g.sumOK.Load() {
+		return g.sum.Load()
+	}
+	const prime = 1099511628211
+	h := uint64(14695981039346656037)
+	mix := func(x uint64) {
+		h ^= x
+		h *= prime
+	}
+	mix(uint64(g.N))
+	mix(uint64(g.M))
+	mix(uint64(g.model))
+	for _, x := range g.OutIndex {
+		mix(uint64(x))
+	}
+	for _, v := range g.OutEdges {
+		mix(uint64(uint32(v)))
+	}
+	for _, p := range g.OutProb {
+		mix(uint64(math.Float32bits(p)))
+	}
+	for _, x := range g.InIndex {
+		mix(uint64(x))
+	}
+	for _, v := range g.InEdges {
+		mix(uint64(uint32(v)))
+	}
+	for _, p := range g.InProb {
+		mix(uint64(math.Float32bits(p)))
+	}
+	for _, p := range g.InAccum {
+		mix(uint64(math.Float32bits(p)))
+	}
+	g.sum.Store(h)
+	g.sumOK.Store(true)
+	return h
+}
 
 // OutDegree returns the out-degree of u.
 func (g *Graph) OutDegree(u int32) int64 { return g.OutIndex[u+1] - g.OutIndex[u] }

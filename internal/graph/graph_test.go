@@ -448,3 +448,26 @@ func TestBuilderPanicsOnBadEdge(t *testing.T) {
 	}()
 	NewBuilder(2).AddEdge(0, 5)
 }
+
+// TestChecksumMemo pins the content fingerprint's memo: equal content
+// fingerprints equally across graph objects, a repeat reads the memo,
+// and the in-place weight assigners — the only sanctioned way a built
+// graph changes — invalidate it.
+func TestChecksumMemo(t *testing.T) {
+	a, b := triangle(t, IC), triangle(t, IC)
+	sum := a.Checksum()
+	if sum != b.Checksum() || sum != a.Checksum() {
+		t.Fatal("equal graphs fingerprint differently")
+	}
+	if lt := triangle(t, LT); lt.Checksum() == sum {
+		t.Fatal("LT and IC weights share a fingerprint")
+	}
+	AssignWC(a)
+	if a.Checksum() == sum {
+		t.Fatal("fingerprint survived an in-place reweighting")
+	}
+	AssignIC(a, 1)
+	if a.Checksum() != sum {
+		t.Fatal("the same weights drawn again fingerprint differently")
+	}
+}

@@ -19,7 +19,6 @@ package imm
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"repro/internal/counter"
 	"repro/internal/graph"
@@ -92,43 +91,9 @@ type PoolState struct {
 // over — part of the .impool format contract.
 func (st *PoolState) ShardCount() int { return poolShards }
 
-// GraphChecksum fingerprints a graph's full CSR content (shape, model,
-// adjacency, and edge parameters) with FNV-1a over the array elements.
-// The pool snapshot binds to it so a snapshot whose (N, M, model, epoch)
-// happen to match a different graph is still rejected at thaw.
-func GraphChecksum(g *graph.Graph) uint64 {
-	const prime = 1099511628211
-	h := uint64(14695981039346656037)
-	mix := func(x uint64) {
-		h ^= x
-		h *= prime
-	}
-	mix(uint64(g.N))
-	mix(uint64(g.M))
-	mix(uint64(g.Model()))
-	for _, x := range g.OutIndex {
-		mix(uint64(x))
-	}
-	for _, v := range g.OutEdges {
-		mix(uint64(uint32(v)))
-	}
-	for _, p := range g.OutProb {
-		mix(uint64(math.Float32bits(p)))
-	}
-	for _, x := range g.InIndex {
-		mix(uint64(x))
-	}
-	for _, v := range g.InEdges {
-		mix(uint64(uint32(v)))
-	}
-	for _, p := range g.InProb {
-		mix(uint64(math.Float32bits(p)))
-	}
-	for _, p := range g.InAccum {
-		mix(uint64(math.Float32bits(p)))
-	}
-	return h
-}
+// GraphChecksum is the content fingerprint pool snapshots bind to:
+// graph.Graph.Checksum, computed once per graph object.
+func GraphChecksum(g *graph.Graph) uint64 { return g.Checksum() }
 
 // Freeze flattens the engine's physical pool into a PoolState bound to
 // the given graph delta epoch. Shards with pending (generated but not
@@ -204,9 +169,10 @@ func (w *WarmEngine) Freeze(epoch int64) (*PoolState, error) {
 // is the caller's decision — a serving layer compares st.Epoch against
 // its registry before calling.
 //
-// Under kernel fusion the global occurrence counter is rebuilt from the
-// adopted sets in parallel, so a thawed engine answers exactly like the
-// engine that was frozen — and like a cold Run on the same graph epoch.
+// Under kernel fusion the global occurrence counter is refilled from the
+// adopted index offsets (or, for an unindexed state, from the sets), so
+// a thawed engine answers exactly like the engine that was frozen — and
+// like a cold Run on the same graph epoch.
 func ThawWarmEngine(g *graph.Graph, opt Options, st *PoolState) (*WarmEngine, error) {
 	if err := opt.normalize(g); err != nil {
 		return nil, err
@@ -242,8 +208,20 @@ func ThawWarmEngine(g *graph.Graph, opt Options, st *PoolState) (*WarmEngine, er
 			return nil, fmt.Errorf("%w: shard %d holds %d entries, pool length %d needs %d",
 				ErrPoolIncompatible, s, len(in.Kinds), st.Count, len(sh.sets))
 		}
-		var lc, bc int
-		var cc int
+		var lists, comps, bitmaps int
+		for _, k := range in.Kinds {
+			switch k {
+			case PoolSetList:
+				lists++
+			case PoolSetCompressed:
+				comps++
+			case PoolSetBitmap:
+				bitmaps++
+			}
+		}
+		slab := rrr.NewAdoptSlab(lists, comps, bitmaps)
+		shardStart := members
+		var lc, cc, bc int
 		for j := range sh.sets {
 			size := int(in.Sizes[j])
 			if size < 0 {
@@ -254,20 +232,20 @@ func ThawWarmEngine(g *graph.Graph, opt Options, st *PoolState) (*WarmEngine, er
 				if lc+size > len(in.ListData) {
 					return nil, fmt.Errorf("%w: shard %d list payload overrun", ErrPoolIncompatible, s)
 				}
-				sh.sets[j] = rrr.AdoptSortedList(in.ListData[lc : lc+size : lc+size])
+				sh.sets[j] = slab.SortedList(in.ListData[lc : lc+size : lc+size])
 				lc += size
 			case PoolSetCompressed:
 				cl := int(in.CompLens[j])
 				if cl < 0 || cc+cl > len(in.CompData) {
 					return nil, fmt.Errorf("%w: shard %d compressed payload overrun", ErrPoolIncompatible, s)
 				}
-				sh.sets[j] = rrr.AdoptCompressed(in.CompData[cc:cc+cl:cc+cl], in.Sizes[j])
+				sh.sets[j] = slab.Compressed(in.CompData[cc:cc+cl:cc+cl], in.Sizes[j])
 				cc += cl
 			case PoolSetBitmap:
 				if bc+words > len(in.BitmapData) {
 					return nil, fmt.Errorf("%w: shard %d bitmap payload overrun", ErrPoolIncompatible, s)
 				}
-				sh.sets[j] = rrr.AdoptBitmap(st.N, in.BitmapData[bc:bc+words:bc+words], size)
+				sh.sets[j] = slab.Bitmap(st.N, in.BitmapData[bc:bc+words:bc+words], size)
 				bc += words
 			default:
 				return nil, fmt.Errorf("%w: shard %d entry %d has unknown set kind %d", ErrPoolIncompatible, s, j, in.Kinds[j])
@@ -281,6 +259,11 @@ func ThawWarmEngine(g *graph.Graph, opt Options, st *PoolState) (*WarmEngine, er
 			if len(in.PostIdx) != int(st.N)+1 {
 				return nil, fmt.Errorf("%w: shard %d index has %d offsets, want %d", ErrPoolIncompatible, s, len(in.PostIdx), int(st.N)+1)
 			}
+			// One posting per member: the fused counter is refilled from
+			// these offsets (baseFromIndex), not from the sets.
+			if int64(len(in.PostData)) != members-shardStart || int(in.PostIdx[st.N]) != len(in.PostData) {
+				return nil, fmt.Errorf("%w: shard %d index holds %d postings for %d members", ErrPoolIncompatible, s, len(in.PostData), members-shardStart)
+			}
 			sh.postIdx = in.PostIdx
 			sh.postData = in.PostData
 			sh.postCount = int64(len(in.PostData))
@@ -292,18 +275,49 @@ func ThawWarmEngine(g *graph.Graph, opt Options, st *PoolState) (*WarmEngine, er
 	}
 	p.totalMembers = st.TotalMembers
 
-	// Rebuild the fused occurrence counter from the adopted sets: atomic
-	// increments commute, so the parallel rebuild lands on exactly the
-	// counts incremental fusion would have accumulated.
+	// Refill the fused occurrence counter: from the index offsets when
+	// every shard arrived indexed, else by walking the adopted sets. Both
+	// land on exactly the counts incremental fusion would have accumulated.
 	if opt.Fusion && p.count > 0 {
-		rebuildBase(e.base, p, opt.Workers)
+		if !baseFromIndex(e.base, p, opt.Workers) {
+			rebuildBase(e.base, p, opt.Workers)
+		}
 		e.baseFresh = true
 	}
 	return &WarmEngine{g: g, inner: e}, nil
 }
 
+// baseFromIndex fills a zeroed base from the shards' CSR offsets — a
+// vertex's count is its posting count, Σ over shards of
+// postIdx[v+1]−postIdx[v] — streaming 16 offset arrays instead of
+// visiting every pool member. It reports false, leaving base untouched,
+// unless every shard holding sets is fully indexed. Workers own disjoint
+// vertex ranges, so the adds need no atomics.
+func baseFromIndex(base *counter.Counter, p *shardedPool, workers int) bool {
+	for s := range p.shards {
+		if sh := &p.shards[s]; len(sh.sets) > 0 && (sh.postIdx == nil || sh.indexed != len(sh.sets)) {
+			return false
+		}
+	}
+	counts := base.Raw()
+	sched.Static(workers, int(p.n), func(_, lo, hi int) {
+		for s := range p.shards {
+			idx := p.shards[s].postIdx
+			if idx == nil {
+				continue
+			}
+			prev := idx[lo]
+			for v, next := range idx[lo+1 : hi+1] {
+				counts[lo+v] += int64(next - prev)
+				prev = next
+			}
+		}
+	})
+	return true
+}
+
 // rebuildBase folds every pool member into base in parallel over the
-// global slot range.
+// global slot range; atomic increments commute.
 func rebuildBase(base *counter.Counter, p *shardedPool, workers int) {
 	sched.Static(workers, int(p.count), func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {

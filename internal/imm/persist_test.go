@@ -8,8 +8,10 @@ package imm
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
+	"repro/internal/counter"
 	"repro/internal/graph"
 )
 
@@ -133,5 +135,59 @@ func TestThawRejectsBindingMismatch(t *testing.T) {
 	}
 	if _, err := ThawWarmEngine(g, opt, &st3); !errors.Is(err, ErrPoolIncompatible) {
 		t.Fatalf("truncated payload: got %v, want ErrPoolIncompatible", err)
+	}
+}
+
+// TestThawBaseFromIndexMatchesMemberWalk pins the thaw-side shortcut: a
+// vertex's occurrence count read off the shards' index offsets equals
+// the count from walking every member of every set, and both equal the
+// counter fusion maintained in the engine that was frozen — for both
+// models and both pool kinds. A state frozen without an index (scan-mode
+// selection) must decline the shortcut, and thaw still rebuilds the
+// same counter from the walk.
+func TestThawBaseFromIndexMatchesMemberWalk(t *testing.T) {
+	for _, model := range []graph.Model{graph.IC, graph.LT} {
+		for _, pool := range []PoolKind{PoolSlices, PoolCompressed} {
+			for _, sel := range []SelectionKind{SelectCELF, SelectScan} {
+				label := model.String() + "/" + pool.String() + "/" + sel.String()
+				g := testGraph(t, 8, model)
+				opt := Defaults()
+				opt.Workers, opt.Seed, opt.MaxTheta = 2, 7, 6000
+				opt.Pool, opt.Selection = pool, sel
+				we, err := NewWarmEngine(g, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				qopt := opt
+				qopt.K, qopt.Epsilon = 8, 0.5
+				runWarm(t, g, we, qopt)
+				st, err := we.Freeze(0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				thawed, err := ThawWarmEngine(g, opt, st)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				p := thawed.inner.p
+
+				walk := counter.New(g.N)
+				rebuildBase(walk, p, opt.Workers)
+				fromIndex := counter.New(g.N)
+				if ok := baseFromIndex(fromIndex, p, opt.Workers); ok != (sel == SelectCELF) {
+					t.Fatalf("%s: baseFromIndex took the shortcut = %v", label, ok)
+				} else if ok && !slices.Equal(fromIndex.Raw(), walk.Raw()) {
+					t.Fatalf("%s: counter from index offsets differs from the member walk", label)
+				} else if !ok && slices.IndexFunc(fromIndex.Raw(), func(c int64) bool { return c != 0 }) >= 0 {
+					t.Fatalf("%s: a declined shortcut wrote to the counter", label)
+				}
+				if !slices.Equal(walk.Raw(), we.inner.base.Raw()) {
+					t.Fatalf("%s: member walk differs from the frozen engine's fused counter", label)
+				}
+				if !slices.Equal(thawed.inner.base.Raw(), we.inner.base.Raw()) {
+					t.Fatalf("%s: thawed counter differs from the frozen engine's", label)
+				}
+			}
+		}
 	}
 }

@@ -53,7 +53,7 @@ func fuzzSet(r *rng.Xoshiro256, n int32, shape byte) (rrr.Set, []int32) {
 	vs = slices.Compact(vs)
 	switch r.Uint32n(3) {
 	case 0:
-		return rrr.AdoptSortedList(vs), vs
+		return rrr.NewListSet(vs), vs
 	case 1:
 		return rrr.NewCompressedSorted(vs), vs
 	}

@@ -40,6 +40,8 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 		if !bytes.Equal(buf.Bytes(), data[:len(buf.Bytes())]) {
 			t.Fatal("accepted snapshot does not re-encode to its own bytes")
 		}
+		payloads := snapPayloads(g)
+		checkSectionsAgainstEncoder(t, buf.Bytes(), snapLayout(g.N, g.M, g.Model()), payloads[:])
 		g2, _, err := ReadSnapshot(&buf)
 		if err != nil {
 			t.Fatalf("re-decode failed: %v", err)

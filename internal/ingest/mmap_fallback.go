@@ -4,10 +4,8 @@ package ingest
 
 import "repro/internal/imm"
 
-// MapPoolSnapshotFile on platforms without a usable mmap delegates to
-// the streaming reader; the decoded state owns copies instead of
-// aliasing the file, which is slower to promote but identical in
-// behaviour.
-func MapPoolSnapshotFile(path string) (*imm.PoolState, PoolSnapshotInfo, error) {
-	return ReadPoolSnapshotFile(path)
+// MapPoolSnapshot on platforms without a usable mmap delegates to the
+// streaming reader: slower to promote but identical in behaviour.
+func MapPoolSnapshot(path string) (*imm.PoolState, PoolSnapshotInfo, func(), error) {
+	return readPoolSnapshotOwned(path)
 }

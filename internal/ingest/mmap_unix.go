@@ -12,16 +12,7 @@ import (
 	"repro/internal/imm"
 )
 
-// hostLittleEndian reports whether this machine's byte order matches the
-// on-disk format. On the (rare) big-endian host the zero-copy aliasing
-// below would read garbage, so mapping falls back to the streaming
-// decoder, which byte-swaps explicitly.
-var hostLittleEndian = func() bool {
-	probe := uint16(1)
-	return *(*byte)(unsafe.Pointer(&probe)) == 1
-}()
-
-// MapPoolSnapshotFile memory-maps a .impool file read-only and returns a
+// MapPoolSnapshot memory-maps a .impool file read-only and returns a
 // PoolState whose payload slices alias the mapping — no copy of the set
 // data is made, which is what makes promoting a demoted pool back to the
 // hot tier cheap: the page cache already holds the bytes if the demotion
@@ -34,48 +25,52 @@ var hostLittleEndian = func() bool {
 // discovered mid-query. (The CRC pass also happens to pre-fault the
 // pages sequentially, the fastest way to pull the file in.)
 //
-// The mapping is intentionally never munmapped. Thawed engine sets alias
-// it with no back-reference to a handle, so unmapping would require
-// tracking every derived slice; instead the mapping lives for the
-// process. That costs address space, not memory: the pages are
-// file-backed and clean, so the OS reclaims them under pressure — which
-// is precisely the disk tier's contract.
+// The mapping has one owner: the caller. release unmaps it and must be
+// called exactly once, after the last read through the state or through
+// anything that adopted its slices — a thawed engine's sets and index,
+// and a Freeze of that engine, alias the mapping; answers (seed lists)
+// never do. A read after release is a fault, not stale data. A caller
+// that maps once per promotion and never releases leaks one mapping per
+// promotion until vm.max_map_count turns every later mmap into the
+// copying fallback below.
 //
-// When mapping is not possible (empty file, big-endian host, mmap
-// failure) it falls back to the streaming reader transparently.
-func MapPoolSnapshotFile(path string) (*imm.PoolState, PoolSnapshotInfo, error) {
+// When mapping is not possible (big-endian host, a file larger than the
+// address space, mmap failure) it falls back to the streaming reader
+// transparently; the state then owns heap copies and release does
+// nothing. release is nil only alongside an error.
+func MapPoolSnapshot(path string) (st *imm.PoolState, info PoolSnapshotInfo, release func(), err error) {
 	if !hostLittleEndian {
-		return ReadPoolSnapshotFile(path)
+		return readPoolSnapshotOwned(path)
 	}
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, PoolSnapshotInfo{}, err
+		return nil, PoolSnapshotInfo{}, nil, err
 	}
 	fi, err := f.Stat()
 	if err != nil {
 		f.Close()
-		return nil, PoolSnapshotInfo{}, err
+		return nil, PoolSnapshotInfo{}, nil, err
 	}
 	size := fi.Size()
 	if size < snapHeaderSize+poolTableSize {
 		f.Close()
-		return nil, PoolSnapshotInfo{}, fmt.Errorf("%w: %d-byte file cannot hold a header", ErrPoolSnapshot, size)
+		return nil, PoolSnapshotInfo{}, nil, fmt.Errorf("%w: %d-byte file cannot hold a header", ErrPoolSnapshot, size)
 	}
 	if size > int64(int(^uint(0)>>1)) {
 		f.Close()
-		return ReadPoolSnapshotFile(path)
+		return readPoolSnapshotOwned(path)
 	}
 	data, err := syscall.Mmap(int(f.Fd()), 0, int(size), syscall.PROT_READ, syscall.MAP_SHARED)
 	f.Close() // the mapping outlives the descriptor
 	if err != nil {
-		return ReadPoolSnapshotFile(path)
+		return readPoolSnapshotOwned(path)
 	}
-	st, info, err := poolStateFromMapping(data)
+	st, info, err = poolStateFromMapping(data)
 	if err != nil {
 		syscall.Munmap(data)
-		return nil, info, err
+		return nil, info, nil, err
 	}
-	return st, info, nil
+	return st, info, func() { syscall.Munmap(data) }, nil
 }
 
 // poolStateFromMapping decodes and validates a full .impool image,

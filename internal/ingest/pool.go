@@ -499,6 +499,26 @@ func ReadPoolSnapshotFile(path string) (*imm.PoolState, PoolSnapshotInfo, error)
 	return ReadPoolSnapshot(bufio.NewReaderSize(f, snapChunk))
 }
 
+// readPoolSnapshotOwned is MapPoolSnapshot where there is nothing to
+// map: the streaming reader's state owns heap copies instead of aliasing
+// the file, and the release it returns does nothing.
+func readPoolSnapshotOwned(path string) (*imm.PoolState, PoolSnapshotInfo, func(), error) {
+	st, info, err := ReadPoolSnapshotFile(path)
+	if err != nil {
+		return nil, info, nil, err
+	}
+	return st, info, func() {}, nil
+}
+
+// MapPoolSnapshotFile is MapPoolSnapshot for callers with no moment at
+// which the state dies — one-shot tools and probes: the mapping lives
+// until the process exits. A server, which promotes without bound, must
+// own its mappings through MapPoolSnapshot.
+func MapPoolSnapshotFile(path string) (*imm.PoolState, PoolSnapshotInfo, error) {
+	st, info, _, err := MapPoolSnapshot(path)
+	return st, info, err
+}
+
 // ReadPoolSnapshotInfo reads only the header, section table, and
 // metadata block — enough to decide whether a snapshot is worth
 // thawing — without touching the payload sections.

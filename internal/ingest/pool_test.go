@@ -339,6 +339,65 @@ func TestPoolSnapshotStaleBinding(t *testing.T) {
 	}
 }
 
+// TestPoolWriterMatchesElementEncoder pins the .impool bytes to the
+// element-wise encoder over every shape a section can take: list,
+// compressed and bitmap payloads, indexed and unindexed shards, and
+// shards with no entries at all (a pool shorter than the shard count).
+func TestPoolWriterMatchesElementEncoder(t *testing.T) {
+	cases := []struct {
+		name      string
+		pool      imm.PoolKind
+		adaptive  bool
+		selection imm.SelectionKind
+		maxTheta  int64
+		kind      uint8 // a set kind the state must hold
+		indexed   bool
+	}{
+		{"lists", imm.PoolSlices, false, imm.SelectCELF, 4000, imm.PoolSetList, true},
+		{"compressed", imm.PoolCompressed, false, imm.SelectCELF, 4000, imm.PoolSetCompressed, true},
+		{"bitmaps", imm.PoolSlices, true, imm.SelectCELF, 4000, imm.PoolSetBitmap, true},
+		{"unindexed", imm.PoolSlices, false, imm.SelectScan, 4000, imm.PoolSetList, false},
+		{"empty shards", imm.PoolSlices, false, imm.SelectCELF, 5, imm.PoolSetList, true},
+	}
+	for _, c := range cases {
+		g, err := gen.RMAT(gen.DefaultRMAT(6, 5), graph.IC, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt := imm.Defaults()
+		opt.Workers, opt.Seed, opt.MaxTheta = 2, 11, c.maxTheta
+		opt.Pool, opt.AdaptiveRep, opt.Selection = c.pool, c.adaptive, c.selection
+		we, err := imm.NewWarmEngine(g, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := we.AnswerBatch(opt, []imm.BatchQuery{{K: 4, Epsilon: 0.5}}); err != nil {
+			t.Fatal(err)
+		}
+		st, err := we.Freeze(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hasKind, emptyShard := false, false
+		for s := range st.Shards {
+			sh := &st.Shards[s]
+			hasKind = hasKind || bytes.IndexByte(sh.Kinds, c.kind) >= 0
+			emptyShard = emptyShard || len(sh.Kinds) == 0
+			if len(sh.Kinds) > 0 && (sh.PostIdx != nil) != c.indexed {
+				t.Fatalf("%s: shard %d indexed=%v, want %v", c.name, s, sh.PostIdx != nil, c.indexed)
+			}
+		}
+		if !hasKind || emptyShard != (c.maxTheta < 16) {
+			t.Fatalf("%s: fixture lacks its shape (kind %d present=%v, empty shard=%v)", c.name, c.kind, hasKind, emptyShard)
+		}
+		var buf bytes.Buffer
+		if err := WritePoolSnapshot(&buf, st); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		checkSectionsAgainstEncoder(t, buf.Bytes(), poolLayout(st), poolPayloads(st))
+	}
+}
+
 // FuzzPoolSnapshotRoundTrip feeds arbitrary bytes to the pool-snapshot
 // reader. It must reject garbage with a typed error — never panic or
 // over-allocate — and any accepted input must re-encode to its own
@@ -371,6 +430,7 @@ func FuzzPoolSnapshotRoundTrip(f *testing.F) {
 		if !bytes.Equal(buf.Bytes(), data[:len(buf.Bytes())]) {
 			t.Fatal("accepted snapshot does not re-encode to its own bytes")
 		}
+		checkSectionsAgainstEncoder(t, buf.Bytes(), poolLayout(st), poolPayloads(st))
 		st2, _, err := ReadPoolSnapshot(bytes.NewReader(buf.Bytes()))
 		if err != nil {
 			t.Fatalf("re-decode failed: %v", err)

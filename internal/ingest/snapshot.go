@@ -8,6 +8,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"unsafe"
 
 	"repro/internal/graph"
 )
@@ -190,9 +191,9 @@ func WriteSnapshotFile(path string, g *graph.Graph, seed uint64) error {
 	return f.Close()
 }
 
-// payload adapts one typed array to streaming encode. Each instance
-// populates exactly one field; the u8/u64 variants exist for the
-// .impool pool-snapshot sections.
+// payload is one section's typed array. Each instance populates exactly
+// one field; the u8/u64 variants exist for the .impool pool-snapshot
+// sections.
 type payload struct {
 	i64 []int64
 	f32 []float32
@@ -213,13 +214,68 @@ func snapPayloads(g *graph.Graph) [snapSectionN]payload {
 	}
 }
 
-// writeTo streams the payload's typed slices. Its bytes ARE checksum
-// covered: payload.crc() below re-derives the identical byte stream to
-// compute the section CRC recorded in the table, so the checksum pairs
-// with this write without touching the writer path.
+// hostLittleEndian reports whether this machine's byte order matches the
+// on-disk format. Where it does, a typed array's memory already is its
+// section: the writer checksums and writes it in place (payload.view)
+// and the pool reader aliases a mapping of it. On the (rare) big-endian
+// host both fall back to the element-wise codec, which byte-swaps
+// explicitly.
+var hostLittleEndian = func() bool {
+	probe := uint16(1)
+	return *(*byte)(unsafe.Pointer(&probe)) == 1
+}()
+
+// leView reinterprets a typed array as its bytes in host order.
+func leView[T int32 | int64 | uint64 | float32](s []T) []byte {
+	if len(s) == 0 {
+		return nil
+	}
+	return unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), len(s)*int(unsafe.Sizeof(s[0])))
+}
+
+// view returns the payload's section bytes without encoding anything:
+// the populated slice's own memory. Valid only when hostLittleEndian.
+func (p payload) view() []byte {
+	switch {
+	case len(p.i64) > 0:
+		return leView(p.i64)
+	case len(p.i32) > 0:
+		return leView(p.i32)
+	case len(p.f32) > 0:
+		return leView(p.f32)
+	case len(p.u64) > 0:
+		return leView(p.u64)
+	}
+	return p.u8
+}
+
+// writeTo writes the payload's section bytes. They ARE checksum
+// covered: payload.crc() below runs over the identical bytes to compute
+// the section CRC recorded in the table, so the checksum pairs with
+// this write without touching the writer path.
 //
-//imlint:ignore endian section CRC computed by the parallel payload.crc over the identical byte stream
+//imlint:ignore endian section CRC computed by the sibling payload.crc over the identical bytes
 func (p payload) writeTo(w io.Writer) error {
+	if !hostLittleEndian {
+		return p.encodeTo(w)
+	}
+	_, err := w.Write(p.view())
+	return err
+}
+
+func (p payload) crc() uint32 {
+	if !hostLittleEndian {
+		h := crc32.New(castagnoli)
+		_ = p.encodeTo(h) // a hash.Hash never fails a Write
+		return h.Sum32()
+	}
+	return crc32.Checksum(p.view(), castagnoli)
+}
+
+// encodeTo streams the payload element by element in little-endian
+// order, whatever the host's: the big-endian host's writer and
+// checksummer, and the oracle the tests hold view() against.
+func (p payload) encodeTo(w io.Writer) error {
 	buf := make([]byte, 0, snapChunk)
 	flush := func(force bool) error {
 		if len(buf) >= snapChunk-8 || (force && len(buf) > 0) {
@@ -254,45 +310,19 @@ func (p payload) writeTo(w io.Writer) error {
 			return err
 		}
 	}
+	if err := flush(true); err != nil {
+		return err
+	}
 	if len(p.u8) > 0 {
-		if err := flush(true); err != nil {
-			return err
-		}
 		if _, err := w.Write(p.u8); err != nil {
 			return err
 		}
 	}
-	return flush(true)
+	return nil
 }
 
-func (p payload) crc() uint32 {
-	buf := make([]byte, 0, snapChunk)
-	crc := uint32(0)
-	flush := func() {
-		if len(buf) >= snapChunk-8 {
-			crc = crc32.Update(crc, castagnoli, buf)
-			buf = buf[:0]
-		}
-	}
-	for _, v := range p.i64 {
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
-		flush()
-	}
-	for _, v := range p.i32 {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(v))
-		flush()
-	}
-	for _, v := range p.f32 {
-		buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(v))
-		flush()
-	}
-	for _, v := range p.u64 {
-		buf = binary.LittleEndian.AppendUint64(buf, v)
-		flush()
-	}
-	crc = crc32.Update(crc, castagnoli, buf)
-	return crc32.Update(crc, castagnoli, p.u8)
-}
+// zeroPad is the source of inter-section padding.
+var zeroPad [snapAlign]byte
 
 // writePad emits the zero padding that 64-byte-aligns sections. The
 // pad bytes sit between sections and are deliberately outside every
@@ -301,11 +331,10 @@ func (p payload) crc() uint32 {
 //
 //imlint:ignore endian inter-section alignment padding is outside CRC coverage by format design
 func writePad(w io.Writer, n int64) error {
-	if n < 0 {
-		return fmt.Errorf("ingest: snapshot layout error (negative pad)")
+	if n < 0 || n >= snapAlign {
+		return fmt.Errorf("ingest: snapshot layout error (pad of %d bytes)", n)
 	}
-	pad := make([]byte, n)
-	_, err := w.Write(pad)
+	_, err := w.Write(zeroPad[:n])
 	return err
 }
 

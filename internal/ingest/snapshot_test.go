@@ -2,6 +2,9 @@ package ingest
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
+	"io"
 	"path/filepath"
 	"testing"
 
@@ -130,5 +133,58 @@ func TestSnapshotOfIngestedGraph(t *testing.T) {
 	}
 	if !graph.Equal(g, g2) {
 		t.Fatal("ingest→snapshot→reload changed the graph")
+	}
+}
+
+// checkSectionsAgainstEncoder holds a written snapshot image against
+// the element-wise little-endian encoder, the oracle for the in-place
+// writer: every section's bytes and the CRC its table entry records
+// must be what encoding the payload element by element produces.
+func checkSectionsAgainstEncoder(t testing.TB, image []byte, secs []snapSection, payloads []payload) {
+	t.Helper()
+	if len(secs) != len(payloads) {
+		t.Fatalf("%d sections for %d payloads", len(secs), len(payloads))
+	}
+	for i, sec := range secs {
+		var want bytes.Buffer
+		if err := payloads[i].encodeTo(&want); err != nil {
+			t.Fatal(err)
+		}
+		if got := image[sec.offset : sec.offset+sec.byteLen]; !bytes.Equal(got, want.Bytes()) {
+			t.Fatalf("section %d: written bytes differ from the element-wise encoding (%d vs %d bytes)", i, len(got), want.Len())
+		}
+		entry := image[snapHeaderSize+i*snapEntrySize:]
+		if got, want := binary.LittleEndian.Uint32(entry[24:]), crc32.Checksum(want.Bytes(), castagnoli); got != want {
+			t.Fatalf("section %d: table CRC %#x, element-wise encoding has %#x", i, got, want)
+		}
+	}
+}
+
+// TestSnapshotWriterMatchesElementEncoder pins the .imsnap bytes to the
+// element-wise encoder for both models (LT adds the InAccum section, IC
+// leaves it empty) and gates the writer's allocations: it checksums and
+// writes each array in place, so what it allocates — the header, the
+// layout, one write buffer — does not grow with the graph.
+func TestSnapshotWriterMatchesElementEncoder(t *testing.T) {
+	for _, model := range []graph.Model{graph.IC, graph.LT} {
+		g, err := gen.RMAT(gen.DefaultRMAT(9, 6), model, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := WriteSnapshot(&buf, g, 3); err != nil {
+			t.Fatal(err)
+		}
+		payloads := snapPayloads(g)
+		checkSectionsAgainstEncoder(t, buf.Bytes(), snapLayout(g.N, g.M, model), payloads[:])
+
+		allocs := testing.AllocsPerRun(10, func() {
+			if err := WriteSnapshot(io.Discard, g, 3); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 4 {
+			t.Fatalf("%v: WriteSnapshot allocates %.0f objects per write, want at most 4", model, allocs)
+		}
 	}
 }

@@ -66,13 +66,6 @@ func NewListSet(vertices []int32) *ListSet {
 // used by the sampling hot path, which produces sorted output itself.
 func newListSetSorted(vertices []int32) *ListSet { return &ListSet{verts: vertices} }
 
-// AdoptSortedList adopts an already strictly-sorted unique member slice
-// without copying or validating it. This is the pool-snapshot thaw seam:
-// the caller (the .impool codec) has already validated sortedness and
-// range, and the slice may alias a memory-mapped file. The set never
-// writes to the slice.
-func AdoptSortedList(sorted []int32) *ListSet { return newListSetSorted(sorted) }
-
 // Contains uses binary search, the O(log n) probe the paper charges the
 // baseline for.
 func (s *ListSet) Contains(v int32) bool {
@@ -151,12 +144,10 @@ func NewBitmapSetUnique(n int32, unique []int32) *BitmapSet {
 }
 
 // AdoptBitmap adopts an existing word row as a BitmapSet over n vertices
-// with a pre-counted cardinality, without copying or validating it. Two
-// callers: generation, which hands over the sampler's visited words for
-// a dense set (diffusion.Sampler.TakeBitmap), and the pool-snapshot
-// thaw, whose codec has already checked the word count, the trailing-bit
-// zeros, and the popcount and whose words may alias a memory-mapped
-// file. The set never writes to the words.
+// with a pre-counted cardinality, without copying or validating it:
+// generation hands over the sampler's visited words for a dense set
+// (diffusion.Sampler.TakeBitmap). The set never writes to the words.
+// (The pool-snapshot thaw adopts its rows through AdoptSlab.Bitmap.)
 func AdoptBitmap(n int32, words []uint64, size int) *BitmapSet {
 	return &BitmapSet{bits: bitset.FromWords(words, int(n)), size: size}
 }
@@ -217,14 +208,58 @@ func NewCompressedSorted(sorted []int32) *CompressedSet {
 	return &CompressedSet{data: compress.AppendPlain(nil, sorted), count: int32(len(sorted))}
 }
 
-// AdoptCompressed adopts an already-encoded delta-varint payload (the
-// compress.AppendPlain plain encoding, exactly what Encoded returns)
-// with a pre-decoded member count, without copying or validating it.
-// This is the pool-snapshot thaw seam: the codec has already decoded the
-// payload once to validate count, sortedness, and range; the bytes may
-// alias a memory-mapped file. The set never writes to the payload.
-func AdoptCompressed(data []byte, count int32) *CompressedSet {
-	return &CompressedSet{data: data, count: count}
+// AdoptSlab is the pool-snapshot thaw seam: it adopts payloads the
+// .impool codec has already validated — strictly sorted in-range member
+// lists, delta-varint payloads (compress.AppendPlain's encoding, exactly
+// what Encoded returns) with their pre-decoded member counts, bitmap
+// rows with their popcounts — as sets, without copying or validating
+// anything. The payloads may alias a memory-mapped file; the sets never
+// write to them. Headers come from three pre-sized typed slabs, so
+// thawing costs a handful of allocations per shard instead of one (two,
+// for a bitmap) per set. Asking for more headers of a kind than the slab
+// was sized for panics (an index out of range): the caller counted them.
+type AdoptSlab struct {
+	lists   []ListSet
+	comps   []CompressedSet
+	bitmaps []BitmapSet
+	bits    []bitset.Bitset
+}
+
+// NewAdoptSlab sizes a slab for exactly the given number of sets of each
+// representation.
+func NewAdoptSlab(lists, compressed, bitmaps int) *AdoptSlab {
+	return &AdoptSlab{
+		lists:   make([]ListSet, lists),
+		comps:   make([]CompressedSet, compressed),
+		bitmaps: make([]BitmapSet, bitmaps),
+		bits:    make([]bitset.Bitset, bitmaps),
+	}
+}
+
+// SortedList adopts an already strictly-sorted unique member slice.
+func (a *AdoptSlab) SortedList(sorted []int32) *ListSet {
+	h := &a.lists[0]
+	a.lists = a.lists[1:]
+	h.verts = sorted
+	return h
+}
+
+// Compressed adopts an already-encoded payload holding count members.
+func (a *AdoptSlab) Compressed(data []byte, count int32) *CompressedSet {
+	h := &a.comps[0]
+	a.comps = a.comps[1:]
+	h.data, h.count = data, count
+	return h
+}
+
+// Bitmap is AdoptBitmap into the slab: words holds size set bits over n
+// vertices.
+func (a *AdoptSlab) Bitmap(n int32, words []uint64, size int) *BitmapSet {
+	h, b := &a.bitmaps[0], &a.bits[0]
+	a.bitmaps, a.bits = a.bitmaps[1:], a.bits[1:]
+	b.Adopt(words, int(n))
+	h.bits, h.size = b, size
+	return h
 }
 
 // Encoded exposes the delta-varint payload for serialization. The

@@ -313,3 +313,40 @@ func TestSummarizeCountsCompressed(t *testing.T) {
 		t.Fatalf("TotalSize = %d", st.TotalSize)
 	}
 }
+
+// TestAdoptSlab holds slab-adopted sets against sets built from the
+// same members by the copying constructors: same members, sizes, bytes
+// and kinds — and the slab aliases (does not copy) what it was given.
+func TestAdoptSlab(t *testing.T) {
+	const n = 130
+	members := [][]int32{{0, 5, 129}, {}, {64, 65}}
+	slab := NewAdoptSlab(len(members), len(members), len(members))
+	for _, vs := range members {
+		comp, bitmap := NewCompressedSorted(vs), NewBitmapSetUnique(n, vs)
+		pairs := [][2]Set{
+			{slab.SortedList(vs), NewListSet(vs)},
+			{slab.Compressed(comp.Encoded(), int32(len(vs))), comp},
+			{slab.Bitmap(n, bitmap.Words(), len(vs)), bitmap},
+		}
+		for _, p := range pairs {
+			got, want := p[0], p[1]
+			if got.Kind() != want.Kind() || got.Size() != want.Size() || got.Bytes() != want.Bytes() {
+				t.Fatalf("%s: slab set (%d members, %d bytes) != built (%d, %d)", want.Kind(), got.Size(), got.Bytes(), want.Size(), want.Bytes())
+			}
+			g, w := got.Vertices(nil), want.Vertices(nil)
+			if len(g) != len(w) {
+				t.Fatalf("%s: members %v != %v", want.Kind(), g, w)
+			}
+			for i := range g {
+				if g[i] != w[i] {
+					t.Fatalf("%s: members %v != %v", want.Kind(), g, w)
+				}
+			}
+		}
+		if len(vs) > 0 {
+			if l := pairs[0][0].(*ListSet); &l.Raw()[0] != &vs[0] {
+				t.Fatal("slab list copied its members")
+			}
+		}
+	}
+}

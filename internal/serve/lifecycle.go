@@ -22,6 +22,7 @@ package serve
 
 import (
 	"fmt"
+	"sort"
 	"time"
 
 	"repro/internal/graph"
@@ -64,26 +65,32 @@ type DeltaResult struct {
 // they hold; new queries fail with ErrUnknownGraph.
 func (s *Server) RemoveGraph(name string) (GraphInfo, int, error) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	ge, ok := s.graphs[name]
 	if !ok {
+		s.mu.Unlock()
 		return GraphInfo{}, 0, fmt.Errorf("serve: %w %q", ErrUnknownGraph, name)
 	}
 	delete(s.graphs, name)
 	s.stats.Graphs = len(s.graphs)
-	evicted := 0
+	var removed []*poolEntry
 	for key, pe := range s.pools {
 		if key.graph != name {
 			continue
 		}
 		// Pinned entries are unregistered too: the in-flight queries
-		// keep their engine pointers and finish normally, and execute's
-		// registry check keeps them from re-accounting a removed entry.
+		// finish on the entries they hold, and execute's registry check
+		// keeps them from re-accounting a removed entry.
 		s.removeEntryLocked(pe)
 		s.stats.Evictions++
-		evicted++
+		removed = append(removed, pe)
 	}
-	return ge.info, evicted, nil
+	s.mu.Unlock()
+	// The engines go, in seed order, once any batch mid-drain has
+	// finished; a query that was admitted but not yet drained answers
+	// from a cold rebuild on the graph it was admitted against.
+	sort.Slice(removed, func(i, j int) bool { return removed[i].key.seed < removed[j].key.seed })
+	dropEngines(removed...)
+	return ge.info, len(removed), nil
 }
 
 // GraphByName returns one registered graph's info.
@@ -218,7 +225,7 @@ func (s *Server) repairPool(name string, pe *poolEntry, ng *graph.Graph, rep *gr
 		// Repair cannot legitimately fail here (the model never changes
 		// across a delta); if it somehow does, drop the pool so it
 		// rebuilds cold rather than serve a stale epoch.
-		pe.eng = nil
+		pe.dropEngine()
 		s.mu.Lock()
 		if s.pools[pe.key] == pe {
 			s.removeEntryLocked(pe)

@@ -237,14 +237,17 @@ type Stats struct {
 	GeneratedSets int64 `json:"generated_sets"`
 	ReusedBytes   int64 `json:"reused_bytes"`
 
-	// The disk tier (Options.PoolDir). Demotions counts pools frozen to
-	// disk under budget pressure; Promotions pools mapped back into RAM
-	// on touch; PromoteFailures promotions that fell through to a cold
-	// rebuild (stale epoch, changed graph content, or a corrupt file);
+	// The disk tier (Options.PoolDir). Demotions counts pools moved to
+	// disk under budget pressure and DemotionWrites those of them that
+	// had to write a snapshot (the rest found the one on disk already
+	// holding the pool); Promotions pools mapped back into RAM on touch;
+	// PromoteFailures promotions that fell through to a cold rebuild
+	// (stale epoch, changed graph content, or a corrupt file);
 	// Rehydrated disk pools registered at boot by LoadPools; PoolsSaved
-	// snapshots written by SavePools. DiskPools/DiskBytes gauge the
+	// pools SavePools made durable. DiskPools/DiskBytes gauge the
 	// snapshots currently backing entries.
 	Demotions       int64 `json:"demotions"`
+	DemotionWrites  int64 `json:"demotion_writes"`
 	Promotions      int64 `json:"promotions"`
 	PromoteFailures int64 `json:"promote_failures"`
 	Rehydrated      int64 `json:"rehydrated"`
@@ -335,6 +338,10 @@ type poolEntry struct {
 
 	mu  sync.Mutex // serializes engine use (held by the draining member)
 	eng *imm.WarmEngine
+	// unmap releases the .impool mapping eng was thawed from (nil for an
+	// engine built cold). The entry owns the mapping: eng and unmap are
+	// set together and dropped together, by dropEngine, under mu.
+	unmap func()
 
 	qmu      sync.Mutex
 	waiters  []*batchWaiter
@@ -354,6 +361,17 @@ type poolEntry struct {
 	// guarded by the server mutex.
 	disk     *diskPool
 	demoting bool
+}
+
+// dropEngine releases the entry's engine and, when the engine was
+// thawed from one, the mapping its sets alias. Callers hold pe.mu, so no
+// batch is reading through either.
+func (pe *poolEntry) dropEngine() {
+	pe.eng = nil
+	if pe.unmap != nil {
+		pe.unmap()
+		pe.unmap = nil
+	}
 }
 
 // enqueue appends w to the entry's wait queue and reports whether the
@@ -626,6 +644,7 @@ func (s *Server) execute(ge *graphEntry, req QueryRequest, mode admitMode) (*Que
 	res, err := w.res, w.err
 
 	var demote []*poolEntry
+	dropped := false
 	s.mu.Lock()
 	pe.pinned--
 	if err == nil {
@@ -659,8 +678,12 @@ func (s *Server) execute(ge *graphEntry, req QueryRequest, mode admitMode) (*Que
 		// guards against unregistering a successor entry after
 		// RemoveGraph already dropped this one.)
 		s.removeEntryLocked(pe)
+		dropped = true
 	}
 	s.mu.Unlock()
+	if dropped {
+		dropEngines(pe)
+	}
 	s.demoteEntries(demote)
 	return res, err
 }
@@ -676,12 +699,25 @@ func (s *Server) queryOptions(req QueryRequest) imm.Options {
 }
 
 // removeEntryLocked unregisters a pool entry, returns its bytes to the
-// budget, and discards any disk-tier snapshot backing it.
+// budget, and discards any disk-tier snapshot backing it. The engine is
+// the caller's to drop: under pe.mu if it holds it, else through
+// dropEngines once s.mu is released.
 func (s *Server) removeEntryLocked(pe *poolEntry) {
 	s.lru.Remove(pe.elem)
 	delete(s.pools, pe.key)
 	s.usedBytes -= pe.bytes
 	s.dropDiskLocked(pe)
+}
+
+// dropEngines releases the engines (and mappings) of entries the caller
+// just unregistered. It takes each entry's engine mutex, so a batch
+// mid-drain finishes first, and must be called with s.mu released.
+func dropEngines(removed ...*poolEntry) {
+	for _, pe := range removed {
+		pe.mu.Lock()
+		pe.dropEngine()
+		pe.mu.Unlock()
+	}
 }
 
 // evictLocked reclaims least-recently-used pools until resident bytes

@@ -4,30 +4,57 @@ package serve
 //
 // With Options.PoolDir set the LRU becomes two-tier. When resident
 // bytes exceed PoolBudgetBytes, the eviction scan no longer drops cold
-// pools — it demotes them: the victim's engine is frozen into a
-// versioned .impool snapshot (internal/ingest), the file is installed
-// under PoolDir, and the engine pointer is released so the RAM returns
-// to the budget while the entry stays registered with a disk pointer.
-// The next query on a demoted pool promotes it back: the snapshot is
-// memory-mapped, validated against the graph's current delta epoch and
-// content fingerprint, and thawed into a warm engine whose set payloads
-// alias the mapping — no resampling, no copy, and the answer is
-// byte-identical to both the demoted engine's and a cold run's (the
-// freeze/thaw contract internal/imm/persist.go establishes and
-// TestDemotedPoolAnswersIdentically pins).
+// pools — it demotes them: the victim's engine is released so the RAM
+// returns to the budget while the entry stays registered with a disk
+// pointer to a versioned .impool snapshot (internal/ingest) under
+// PoolDir. The next query on a demoted pool promotes it back: the
+// snapshot is memory-mapped, validated against the graph's current
+// delta epoch and content fingerprint, and thawed into a warm engine
+// whose set payloads alias the mapping — no resampling, no copy, and
+// the answer is byte-identical to both the demoted engine's and a cold
+// run's (the freeze/thaw contract internal/imm/persist.go establishes
+// and TestDemotedPoolAnswersIdentically pins).
+//
+// A tier transition costs what changed. Pool contents are a pure
+// function of (graph epoch, seed, policy, set count) — the argument
+// warm reuse already rests on — so a snapshot that was written from, or
+// thawed into, this engine at the engine's epoch and physical set count
+// already holds the pool, byte for byte what a fresh freeze would hold
+// below that count. Such a demotion is clean: it writes nothing, and
+// one stat confirms the file is still there at its recorded size
+// (diskPool.holds). A pool that is new, was extended to a larger θ, or
+// was repaired by a delta (which drops the pointer), or whose file is
+// gone, is dirty and is frozen and written as before — once per (pool,
+// growth, epoch), after which it is clean again. Stats.Demotions counts
+// both kinds, Stats.DemotionWrites the dirty ones. Nothing on the
+// promotion side depends on which kind the last demotion was: every
+// promotion verifies header, table and every section checksum, the
+// structure, and the binding.
+//
+// A mapping has one owner, the pool entry that thawed an engine from
+// it: tryPromote stores the release function beside the engine and
+// poolEntry.dropEngine — the only way an engine leaves an entry — calls
+// it, under pe.mu, when the entry is demoted, evicted after a failed
+// write, removed with its graph, or dropped by a failed repair. Live
+// .impool mappings are therefore bounded by the resident promoted
+// pools. What aliases a mapping dies with the engine or earlier: the
+// engine's sets and index arrays, and the PoolState a Freeze of it
+// returns (consumed under pe.mu, before the drop). Answers never alias
+// it — seed lists are built by selection.
 //
 // The same snapshot format powers instant-warm restarts: POST
-// /v1/pools/save (or Server.SavePools) freezes every resident pool to
-// disk, and a restarted server with -pool-dir rehydrates the directory
-// at boot — entries appear with only disk pointers and promote lazily
-// on first touch, so a SIGKILLed server answers its next query warm.
+// /v1/pools/save (or Server.SavePools) makes every resident pool
+// durable, and a restarted server with -pool-dir rehydrates the
+// directory at boot — entries appear with only disk pointers and
+// promote lazily on first touch, so a SIGKILLed server answers its next
+// query warm.
 //
 // Lock order everywhere here matches the planner: pe.mu first, then
 // s.mu. Demotion candidates are therefore only *selected* under s.mu
 // (inside evictLocked, which also releases their budget bytes
 // immediately and marks them demoting so one demotion runs per entry);
-// the freeze itself runs after the registry unlocks, taking the
-// engine mutex so an in-flight batch drains before its pool freezes.
+// the demotion itself runs after the registry unlocks, taking the
+// engine mutex so an in-flight batch drains before its pool goes.
 //
 // A demoted snapshot can go stale: a delta advances the graph epoch,
 // or an operator restarts onto different graph content. Promotion
@@ -51,11 +78,27 @@ import (
 )
 
 // diskPool is one pool's disk-tier residue: an .impool snapshot on
-// disk. The pointer (and its fields) are guarded by the server mutex.
+// disk. The pointer is guarded by the server mutex; the value is never
+// modified once installed (a new snapshot installs a new diskPool).
 type diskPool struct {
 	path  string
 	epoch int64 // graph epoch the snapshot was frozen at
+	count int64 // physical pool length (sets) the snapshot holds
 	bytes int64 // file size, reported as Stats.DiskBytes
+}
+
+// holds reports whether the snapshot already holds eng's pool as it
+// stands at epoch, so that freezing and writing it again would produce
+// the same pool: same epoch, same physical set count (contents below a
+// count are a pure function of graph epoch, seed and policy, and d
+// belongs to this pool's key), and the file still on disk at its
+// recorded size.
+func (d *diskPool) holds(eng *imm.WarmEngine, epoch int64) bool {
+	if d == nil || d.epoch != epoch || d.count != eng.PhysicalSets() {
+		return false
+	}
+	fi, err := os.Stat(d.path)
+	return err == nil && fi.Mode().IsRegular() && fi.Size() == d.bytes
 }
 
 // poolFileName maps a pool key to its snapshot file name. The graph
@@ -88,30 +131,36 @@ func parsePoolFileName(name string) (poolKey, bool) {
 	return poolKey{graph: graph, seed: seed}, true
 }
 
-// writePoolFileAtomic writes st to dir/name via a temp file and rename,
-// so a crash mid-write never leaves a half-written snapshot where the
-// rehydration scan would find it, and returns the file size.
-func writePoolFileAtomic(dir, name string, st *imm.PoolState) (int64, error) {
+// writePoolFile freezes eng at epoch and writes the snapshot to
+// dir/name via a temp file and rename, so a crash mid-write never leaves
+// a half-written snapshot where the rehydration scan would find it.
+// Callers hold the entry's engine mutex (the frozen state aliases the
+// live index).
+func writePoolFile(dir, name string, eng *imm.WarmEngine, epoch int64) (*diskPool, error) {
+	st, err := eng.Freeze(epoch)
+	if err != nil {
+		return nil, err
+	}
 	tmp, err := os.CreateTemp(dir, name+".tmp*")
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
 	defer os.Remove(tmp.Name()) // no-op after a successful rename
 	if err := ingest.WritePoolSnapshot(tmp, st); err != nil {
 		tmp.Close()
-		return 0, err
+		return nil, err
 	}
 	if err := tmp.Close(); err != nil {
-		return 0, err
+		return nil, err
 	}
-	size := ingest.PoolSnapshotSize(st)
-	if err := os.Rename(tmp.Name(), filepath.Join(dir, name)); err != nil {
-		return 0, err
+	path := filepath.Join(dir, name)
+	if err := os.Rename(tmp.Name(), path); err != nil {
+		return nil, err
 	}
-	return size, nil
+	return &diskPool{path: path, epoch: epoch, count: st.Count, bytes: ingest.PoolSnapshotSize(st)}, nil
 }
 
-// demoteEntries freezes each marked victim to the disk tier. Callers
+// demoteEntries moves each marked victim to the disk tier. Callers
 // (execute, after evictLocked marked the victims and released s.mu)
 // pass entries whose demoting flag they own.
 func (s *Server) demoteEntries(victims []*poolEntry) {
@@ -120,9 +169,10 @@ func (s *Server) demoteEntries(victims []*poolEntry) {
 	}
 }
 
-// demote freezes one marked victim's engine into PoolDir and releases
-// the engine. On any failure the entry is dropped entirely — the pool
-// regenerates cold on next touch, exactly as a plain eviction.
+// demote releases one marked victim's engine, first writing its pool
+// into PoolDir unless the snapshot there already holds it. On a failed
+// write the entry is dropped entirely — the pool regenerates cold on
+// next touch, exactly as a plain eviction.
 func (s *Server) demote(pe *poolEntry) {
 	pe.mu.Lock()
 	defer pe.mu.Unlock()
@@ -130,6 +180,7 @@ func (s *Server) demote(pe *poolEntry) {
 	s.mu.Lock()
 	eng := pe.eng
 	epoch := pe.epoch
+	disk := pe.disk
 	alive := s.pools[pe.key] == pe
 	s.mu.Unlock()
 	if eng == nil || !alive {
@@ -141,12 +192,12 @@ func (s *Server) demote(pe *poolEntry) {
 		return
 	}
 
-	name := poolFileName(pe.key)
-	st, err := eng.Freeze(epoch)
-	var size int64
-	if err == nil {
-		size, err = writePoolFileAtomic(s.opt.PoolDir, name, st)
+	var err error
+	wrote := !disk.holds(eng, epoch)
+	if wrote {
+		disk, err = writePoolFile(s.opt.PoolDir, poolFileName(pe.key), eng, epoch)
 	}
+	pe.dropEngine()
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -158,13 +209,15 @@ func (s *Server) demote(pe *poolEntry) {
 		}
 		return
 	}
-	pe.eng = nil
 	// A batch that ran while we waited for the engine mutex may have
 	// re-accounted the pool; the RAM is free now either way.
 	s.usedBytes -= pe.bytes
 	pe.bytes = 0
-	pe.disk = &diskPool{path: filepath.Join(s.opt.PoolDir, name), epoch: epoch, bytes: size}
+	pe.disk = disk
 	s.stats.Demotions++
+	if wrote {
+		s.stats.DemotionWrites++
+	}
 }
 
 // tryPromote attempts to thaw pe's disk snapshot into a warm engine.
@@ -183,7 +236,7 @@ func (s *Server) tryPromote(ge *graphEntry, pe *poolEntry, opt imm.Options) bool
 		return false
 	}
 
-	st, _, err := ingest.MapPoolSnapshotFile(disk.path)
+	st, info, unmap, err := ingest.MapPoolSnapshot(disk.path)
 	if err == nil {
 		err = ingest.ValidatePoolGraph(st, g, epoch)
 	}
@@ -192,6 +245,9 @@ func (s *Server) tryPromote(ge *graphEntry, pe *poolEntry, opt imm.Options) bool
 		eng, err = imm.ThawWarmEngine(g, opt, st)
 	}
 	if err != nil {
+		if unmap != nil {
+			unmap() // nothing adopted the mapping
+		}
 		os.Remove(disk.path)
 		s.mu.Lock()
 		if pe.disk == disk {
@@ -204,9 +260,14 @@ func (s *Server) tryPromote(ge *graphEntry, pe *poolEntry, opt imm.Options) bool
 	if s.opt.RemoteGen != nil {
 		eng.SetRemote(s.opt.RemoteGen(ge.info.Name, g, opt))
 	}
-	pe.eng = eng
+	pe.eng, pe.unmap = eng, unmap
 	s.mu.Lock()
 	pe.epoch = epoch
+	if pe.disk == disk {
+		// Record what the file was just verified to hold, so the engine's
+		// next demotion can tell the snapshot still holds the pool.
+		pe.disk = &diskPool{path: disk.path, epoch: epoch, count: st.Count, bytes: info.Bytes}
+	}
 	s.stats.Promotions++
 	s.mu.Unlock()
 	return true
@@ -221,12 +282,14 @@ func (s *Server) dropDiskLocked(pe *poolEntry) {
 	}
 }
 
-// SavePools freezes every resident warm pool into dir as .impool
-// snapshots and returns how many it wrote. With dir empty it defaults
-// to Options.PoolDir. Entries whose engine is not built (placeholders,
-// already-demoted pools) are skipped — their state is either nothing or
-// already on disk. When dir is the server's own PoolDir the written
-// snapshot also becomes the entry's disk-tier copy.
+// SavePools makes every resident warm pool durable as an .impool
+// snapshot in dir and returns how many pools that is. With dir empty it
+// defaults to Options.PoolDir. Entries whose engine is not built
+// (placeholders, already-demoted pools) are skipped — their state is
+// either nothing or already on disk. When dir is the server's own
+// PoolDir the snapshot is also the entry's disk-tier copy, and a pool
+// whose copy there already holds it (diskPool.holds) is not written
+// again; any other directory is always written.
 func (s *Server) SavePools(dir string) (int, error) {
 	if dir == "" {
 		dir = s.opt.PoolDir
@@ -260,26 +323,25 @@ func (s *Server) SavePools(dir string) (int, error) {
 		s.mu.Lock()
 		eng := pe.eng
 		epoch := pe.epoch
+		disk := pe.disk
 		alive := s.pools[pe.key] == pe
 		s.mu.Unlock()
 		if eng == nil || !alive {
 			pe.mu.Unlock()
 			continue
 		}
-		name := poolFileName(pe.key)
-		st, err := eng.Freeze(epoch)
-		var size int64
-		if err == nil {
-			size, err = writePoolFileAtomic(dir, name, st)
-		}
-		if err != nil {
-			pe.mu.Unlock()
-			return saved, fmt.Errorf("serve: save pool %s/%d: %w", pe.key.graph, pe.key.seed, err)
-		}
-		if dir == s.opt.PoolDir && s.opt.PoolDir != "" {
-			s.mu.Lock()
-			pe.disk = &diskPool{path: filepath.Join(dir, name), epoch: epoch, bytes: size}
-			s.mu.Unlock()
+		own := dir == s.opt.PoolDir
+		if !own || !disk.holds(eng, epoch) {
+			written, err := writePoolFile(dir, poolFileName(pe.key), eng, epoch)
+			if err != nil {
+				pe.mu.Unlock()
+				return saved, fmt.Errorf("serve: save pool %s/%d: %w", pe.key.graph, pe.key.seed, err)
+			}
+			if own {
+				s.mu.Lock()
+				pe.disk = written
+				s.mu.Unlock()
+			}
 		}
 		pe.mu.Unlock()
 		saved++
@@ -335,7 +397,7 @@ func (s *Server) LoadPools() (int, error) {
 		}
 		pe := &poolEntry{
 			key:  key,
-			disk: &diskPool{path: path, epoch: info.Epoch, bytes: info.Bytes},
+			disk: &diskPool{path: path, epoch: info.Epoch, count: info.Count, bytes: info.Bytes},
 		}
 		s.pools[key] = pe
 		// Rehydrated entries enter at the LRU cold end: they cost no RAM

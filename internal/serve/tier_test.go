@@ -20,6 +20,7 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/ingest"
 )
 
 func TestPoolFileNameRoundTrip(t *testing.T) {
@@ -430,6 +431,7 @@ func TestConcurrentDemotePromoteRace(t *testing.T) {
 		// entries are never victims); unbounded growth is not.
 		t.Fatalf("budget lost under racing demotion: %+v", st)
 	}
+	checkMappingsBounded(t, s)
 }
 
 // TestRemoveGraphDropsSnapshots pins disk-tier cleanup: unregistering a
@@ -485,4 +487,291 @@ func TestPoolsSaveEndpoint(t *testing.T) {
 
 	// Unknown body fields are rejected like every other endpoint.
 	postJSON(t, ts.URL+"/v1/pools/save", `{"dirr":"x"}`, http.StatusBadRequest, nil)
+}
+
+// rotate asks every tenant's pool once, in seed order, checking each
+// answer against want (the cold imm.Run seeds, by tenant) and, when warm
+// is set, that it was served warm without generating a set.
+func rotate(t *testing.T, s *Server, tenants int, warm bool, want [][]int32) {
+	t.Helper()
+	for i := 0; i < tenants; i++ {
+		r, err := s.Query(QueryRequest{Graph: "g", K: 8, Epsilon: 0.5, Seed: uint64(i + 1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if warm && (!r.Warm || r.GeneratedSets != 0) {
+			t.Fatalf("tenant %d: warm=%v generated=%d, want a warm answer generating nothing", i+1, r.Warm, r.GeneratedSets)
+		}
+		if !reflect.DeepEqual(r.Seeds, want[i]) {
+			t.Fatalf("tenant %d: served %v != cold %v", i+1, r.Seeds, want[i])
+		}
+	}
+}
+
+// rotationBudget returns a byte budget holding 2.5 of the tenants'
+// pools as they weigh once promoted from the disk tier (a promoted
+// pool is accounted smaller than a freshly built one, whose arenas
+// carry slack): build them, save them, and promote them all on a
+// second server with room to spare.
+func rotationBudget(t *testing.T, g *graph.Graph, opt Options, tenants int, want [][]int32) int64 {
+	t.Helper()
+	opt.PoolBudgetBytes = 0
+	opt.PoolDir = t.TempDir()
+	s1 := testServer(t, opt, map[string]*graph.Graph{"g": g})
+	rotate(t, s1, tenants, false, want)
+	if saved, err := s1.SavePools(""); err != nil || saved != tenants {
+		t.Fatalf("SavePools = %d, %v", saved, err)
+	}
+	s2 := testServer(t, opt, map[string]*graph.Graph{"g": g})
+	if loaded, err := s2.LoadPools(); err != nil || loaded != tenants {
+		t.Fatalf("LoadPools = %d, %v", loaded, err)
+	}
+	rotate(t, s2, tenants, true, want)
+	st := s2.Stats()
+	if st.Promotions != int64(tenants) {
+		t.Fatalf("sizing promoted %d of %d pools", st.Promotions, tenants)
+	}
+	if _, _, err := s2.RemoveGraph("g"); err != nil { // releases the mappings
+		t.Fatal(err)
+	}
+	return st.PoolBytes * 5 / (2 * int64(tenants))
+}
+
+// poolFile returns the snapshot path of tenant seed's pool on graph "g".
+func poolFile(dir string, seed uint64) string {
+	return filepath.Join(dir, poolFileName(poolKey{graph: "g", seed: seed}))
+}
+
+// TestCleanDemotionWritesNothing pins the clean half of the tier rule:
+// once every pool of a rotating working set has been through the disk
+// tier, a demotion finds its snapshot already holding the pool and
+// writes nothing — the files keep their inode and mtime and
+// demotion_writes stays flat while demotions and promotions advance by
+// one per query — and every answer is still warm, generates nothing and
+// equals a cold run's.
+func TestCleanDemotionWritesNothing(t *testing.T) {
+	const tenants = 4
+	g := testGraph(t, 8, graph.IC)
+	dir := t.TempDir()
+	opt := Options{Workers: 2, MaxTheta: 4000, PoolDir: dir}
+	want := make([][]int32, tenants)
+	for i := range want {
+		want[i] = coldRun(t, g, opt, QueryRequest{Graph: "g", K: 8, Epsilon: 0.5, Seed: uint64(i + 1)}).Seeds
+	}
+	opt.PoolBudgetBytes = rotationBudget(t, g, opt, tenants, want)
+	s := testServer(t, opt, map[string]*graph.Graph{"g": g})
+
+	rotate(t, s, tenants, false, want) // builds the pools; the overflow is demoted dirty
+	rotate(t, s, tenants, true, want)  // the first rotation: the rest go through the disk tier
+	before := s.Stats()
+	if before.Promotions != tenants {
+		t.Fatalf("first rotation promoted %d of %d pools: the budget holds the working set", before.Promotions, tenants)
+	}
+	if before.DemotionWrites == 0 || before.DemotionWrites > before.Demotions {
+		t.Fatalf("fresh pools were demoted without a write: %+v", before)
+	}
+	files := make([]os.FileInfo, tenants)
+	for i := range files {
+		fi, err := os.Stat(poolFile(dir, uint64(i+1)))
+		if err != nil {
+			t.Fatalf("tenant %d has no snapshot after the first rotation: %v", i+1, err)
+		}
+		files[i] = fi
+	}
+
+	rotate(t, s, tenants, true, want)
+	rotate(t, s, tenants, true, want)
+
+	after := s.Stats()
+	if after.DemotionWrites != before.DemotionWrites {
+		t.Fatalf("clean demotions wrote: demotion_writes %d -> %d", before.DemotionWrites, after.DemotionWrites)
+	}
+	if got := after.Promotions - before.Promotions; got != 2*tenants {
+		t.Fatalf("%d promotions over two rotations, want %d: the rotation left the disk tier", got, 2*tenants)
+	}
+	if got := after.Demotions - before.Demotions; got != 2*tenants {
+		t.Fatalf("%d demotions over two rotations, want %d", got, 2*tenants)
+	}
+	if after.PromoteFailures != 0 || after.Evictions != 0 || after.ColdMisses != tenants {
+		t.Fatalf("rotation fell off the warm path: %+v", after)
+	}
+	for i, was := range files {
+		fi, err := os.Stat(poolFile(dir, uint64(i+1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !os.SameFile(was, fi) || !fi.ModTime().Equal(was.ModTime()) || fi.Size() != was.Size() {
+			t.Fatalf("tenant %d's snapshot was rewritten by a clean demotion", i+1)
+		}
+	}
+}
+
+// TestDirtyDemotionRewrites pins the other half: whatever changes what
+// a fresh freeze would write — a θ-extension, a delta, a vanished file,
+// another directory — takes the write path.
+func TestDirtyDemotionRewrites(t *testing.T) {
+	g := testGraph(t, 8, graph.IC)
+	dir := t.TempDir()
+	// A one-byte budget: each query demotes the other tenant's pool.
+	opt := Options{Workers: 2, MaxTheta: 6000, PoolBudgetBytes: 1, PoolDir: dir}
+	s := testServer(t, opt, map[string]*graph.Graph{"g": g})
+	base1 := QueryRequest{Graph: "g", K: 8, Epsilon: 0.5, Seed: 1}
+	base2 := QueryRequest{Graph: "g", K: 8, Epsilon: 0.5, Seed: 2}
+	tight1 := QueryRequest{Graph: "g", K: 20, Epsilon: 0.4, Seed: 1}
+	ask := func(req QueryRequest) *QueryResult {
+		t.Helper()
+		r, err := s.Query(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	writes := func() int64 { return s.Stats().DemotionWrites }
+	snapshot := func(seed uint64) (os.FileInfo, ingest.PoolSnapshotInfo) {
+		t.Helper()
+		fi, err := os.Stat(poolFile(dir, seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		info, err := ingest.ReadPoolSnapshotInfoFile(poolFile(dir, seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi, info
+	}
+
+	ask(base1)
+	ask(base2) // demotes tenant 1: fresh, written
+	ask(base1) // promotes 1, demotes 2: fresh, written
+	if got := writes(); got != 2 {
+		t.Fatalf("two fresh demotions wrote %d snapshots", got)
+	}
+	smallFile, small := snapshot(1)
+
+	// θ-extension while promoted: the snapshot no longer holds the pool.
+	if r := ask(tight1); !r.Warm || r.GeneratedSets == 0 {
+		t.Fatalf("tighter query did not extend the promoted pool: %+v", r)
+	}
+	ask(base2) // promotes 2, demotes the grown tenant 1
+	if got := writes(); got != 3 {
+		t.Fatalf("demotion_writes = %d after demoting an extended pool, want 3", got)
+	}
+	bigFile, big := snapshot(1)
+	if big.Count <= small.Count || os.SameFile(smallFile, bigFile) {
+		t.Fatalf("extended pool not rewritten: %d sets on disk, was %d", big.Count, small.Count)
+	}
+	r := ask(tight1) // promotes the rewritten snapshot; demotes 2 clean
+	if !r.Warm || r.GeneratedSets != 0 {
+		t.Fatalf("promotion of the rewritten snapshot regenerated: %+v", r)
+	}
+	if cold := coldRun(t, g, opt, tight1); !reflect.DeepEqual(r.Seeds, cold.Seeds) || r.Theta != cold.Theta {
+		t.Fatalf("promoted tight answer %v/θ=%d != cold %v/θ=%d", r.Seeds, r.Theta, cold.Seeds, cold.Theta)
+	}
+	if got := writes(); got != 3 {
+		t.Fatalf("clean demotion of tenant 2 wrote: demotion_writes = %d", got)
+	}
+
+	// The file vanishes under a resident promoted pool: the next
+	// demotion puts it back.
+	if err := os.Remove(poolFile(dir, 1)); err != nil {
+		t.Fatal(err)
+	}
+	ask(base2)
+	if got := writes(); got != 4 {
+		t.Fatalf("demotion_writes = %d after the snapshot was deleted, want 4", got)
+	}
+	if _, info := snapshot(1); info.Count != big.Count {
+		t.Fatalf("restored snapshot holds %d sets, want %d", info.Count, big.Count)
+	}
+
+	// SavePools into the server's own directory skips a pool its
+	// snapshot already holds; any other directory is always written.
+	own, _ := snapshot(2)
+	if saved, err := s.SavePools(""); err != nil || saved != 1 {
+		t.Fatalf("SavePools(own) = %d, %v", saved, err)
+	}
+	if again, _ := snapshot(2); !os.SameFile(own, again) || !again.ModTime().Equal(own.ModTime()) {
+		t.Fatal("SavePools rewrote a snapshot that already held the pool")
+	}
+	other := t.TempDir()
+	var prev os.FileInfo
+	for i := 0; i < 2; i++ {
+		if saved, err := s.SavePools(other); err != nil || saved != 1 {
+			t.Fatalf("SavePools(other) = %d, %v", saved, err)
+		}
+		fi, err := os.Stat(poolFile(other, 2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if prev != nil && os.SameFile(prev, fi) {
+			t.Fatal("SavePools to another directory did not write")
+		}
+		prev = fi
+	}
+
+	// A delta drops the pointer: the repaired pool is dirty again and its
+	// next demotion writes the new epoch.
+	d := graph.Delta{Add: freshEdges(g, 8), Seed: 5}
+	if _, err := s.ApplyDelta("g", d, graph.DeltaOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.DiskPools != 0 {
+		t.Fatalf("delta left %d disk pointers", st.DiskPools)
+	}
+	before := writes()
+	ask(base1) // tenant 1 rebuilds cold on the new epoch, demotes the repaired tenant 2
+	if got := writes(); got != before+1 {
+		t.Fatalf("demotion after a delta wrote %d snapshots, want 1", got-before)
+	}
+	if _, info := snapshot(2); info.Epoch != 1 {
+		t.Fatalf("post-delta snapshot frozen at epoch %d, want 1", info.Epoch)
+	}
+	ng, _, err := graph.ApplyDelta(g, d, graph.DeltaOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r = ask(base2) // promoted at epoch 1
+	if cold := coldRun(t, ng, opt, base2); !r.Warm || r.GeneratedSets != 0 || !reflect.DeepEqual(r.Seeds, cold.Seeds) {
+		t.Fatalf("post-delta promotion: warm=%v generated=%d seeds %v, cold %v", r.Warm, r.GeneratedSets, r.Seeds, cold.Seeds)
+	}
+}
+
+// impoolMappings counts this process's live mappings of .impool files
+// under dir, or reports false where /proc/self/maps does not exist.
+func impoolMappings(dir string) (int, bool) {
+	maps, err := os.ReadFile("/proc/self/maps")
+	if err != nil {
+		return 0, false
+	}
+	live := 0
+	for _, line := range strings.Split(string(maps), "\n") {
+		if strings.Contains(line, dir) && strings.Contains(line, ingest.PoolSnapshotExt) {
+			live++
+		}
+	}
+	return live, true
+}
+
+// checkMappingsBounded fails the test when more mappings of s's pool
+// files are live than s holds resident promoted pools: every mapping
+// has an owner that releases it. Call it with no query in flight.
+func checkMappingsBounded(t *testing.T, s *Server) {
+	t.Helper()
+	live, ok := impoolMappings(s.opt.PoolDir)
+	if !ok {
+		return
+	}
+	// The server is quiescent (every query has returned), so the engine
+	// fields can be read without their entry's mutex.
+	promoted := 0
+	s.mu.Lock()
+	for _, pe := range s.pools {
+		if pe.eng != nil && pe.unmap != nil {
+			promoted++
+		}
+	}
+	s.mu.Unlock()
+	if live > promoted {
+		t.Fatalf("%d .impool mappings live for %d resident promoted pools", live, promoted)
+	}
 }
