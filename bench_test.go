@@ -520,9 +520,14 @@ func BenchmarkServeBatch(b *testing.B) {
 // BenchmarkWarmAnswer measures the engine's share of a warm query — one
 // WarmEngine.AnswerBatch on a pool that already covers it, no planner,
 // no HTTP — on the serving graph imbench uses (R-MAT 13, weighted-cascade
-// IC, Workers=2), one sub-benchmark per serving shape. It is the
-// `go test -bench` counterpart of imbench's imm.warm_answer_ms and
-// imm.warm_answer_allocs.
+// IC, Workers=2), per serving shape. The shape's own sub-benchmark is the
+// miss path: iteration i asks for ε + i%12 thousandths, which moves every
+// θ of the trajectory by a fraction of a percent and so cycles through
+// more distinct selections than the pool's sixteen-entry memo holds —
+// every answer runs the CELF kernel, as every answer did before the memo.
+// /hit repeats one query exactly: every selection is a memo lookup, which
+// is what imbench's imm.warm_answer_ms and imm.warm_answer_allocs time
+// now that they repeat one shape.
 func BenchmarkWarmAnswer(b *testing.B) {
 	g, err := gen.RMAT(gen.DefaultRMAT(13, 8), graph.IC, 1)
 	if err != nil {
@@ -536,20 +541,53 @@ func BenchmarkWarmAnswer(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	const cycle = 12
+	nudged := func(q imm.BatchQuery, i int) imm.BatchQuery {
+		q.Epsilon += 0.001 * float64(i%cycle)
+		return q
+	}
 	shapes := []imm.BatchQuery{{K: 50, Epsilon: 0.5}, {K: 25, Epsilon: 0.7}, {K: 100, Epsilon: 0.4}}
-	if _, err := w.AnswerBatch(opt, shapes); err != nil { // builds the pool past every shape
+	var all []imm.BatchQuery
+	for _, q := range shapes {
+		for i := 0; i < cycle; i++ {
+			all = append(all, nudged(q, i))
+		}
+	}
+	if _, err := w.AnswerBatch(opt, all); err != nil { // builds the pool past every query below
 		b.Fatal(err)
+	}
+	answer := func(b *testing.B, q imm.BatchQuery) imm.BatchAnswer {
+		rep, err := w.AnswerBatch(opt, []imm.BatchQuery{q})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if rep.Extensions != 0 {
+			b.Fatal("warm answer extended the pool")
+		}
+		return rep.Answers[0]
 	}
 	for _, q := range shapes {
 		b.Run(fmt.Sprintf("k=%d/eps=%g", q.K, q.Epsilon), func(b *testing.B) {
+			for i := 0; i < cycle; i++ { // one lap: the memo now holds only the lap's tail
+				answer(b, nudged(q, i))
+			}
 			b.ReportAllocs()
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				rep, err := w.AnswerBatch(opt, []imm.BatchQuery{q})
-				if err != nil {
-					b.Fatal(err)
+				// Only the final selection may hit, when it repeats the
+				// last estimation round's.
+				if a := answer(b, nudged(q, i)); a.MemoHits > 1 {
+					b.Fatalf("%d of %d selections hit the memo, want a miss", a.MemoHits, a.Selections)
 				}
-				if rep.Extensions != 0 {
-					b.Fatal("warm answer extended the pool")
+			}
+		})
+		b.Run(fmt.Sprintf("k=%d/eps=%g/hit", q.K, q.Epsilon), func(b *testing.B) {
+			answer(b, q)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if a := answer(b, q); a.MemoHits != a.Selections {
+					b.Fatalf("%d of %d selections hit the memo, want all", a.MemoHits, a.Selections)
 				}
 			}
 		})

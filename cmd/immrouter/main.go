@@ -65,7 +65,9 @@ func main() {
 	})
 	fatalIf(err)
 
-	httpSrv := &http.Server{Addr: *listen, Handler: rt.Handler()}
+	// ReadHeaderTimeout: a client that never finishes its request
+	// headers must not hold a connection (and its goroutine) forever.
+	httpSrv := &http.Server{Addr: *listen, Handler: rt.Handler(), ReadHeaderTimeout: 10 * time.Second}
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()
 	fmt.Fprintf(os.Stderr, "immrouter: routing %d nodes on %s\n", len(nodes), *listen)

@@ -184,7 +184,9 @@ func main() {
 		}
 	}
 
-	httpSrv := &http.Server{Addr: *listen, Handler: srv.Handler()}
+	// ReadHeaderTimeout: a client that never finishes its request
+	// headers must not hold a connection (and its goroutine) forever.
+	httpSrv := &http.Server{Addr: *listen, Handler: srv.Handler(), ReadHeaderTimeout: 10 * time.Second}
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()
 	fmt.Fprintf(os.Stderr, "immserver: serving on %s\n", *listen)

@@ -1,6 +1,8 @@
 package imm
 
 import (
+	"slices"
+
 	"repro/internal/counter"
 	"repro/internal/rrr"
 	"repro/internal/sched"
@@ -101,6 +103,11 @@ func (p *shardedPool) selectCELF(base *counter.Counter, workers, k int) (seeds [
 // prefixes (equal to the fused counts a cold run would have passed,
 // because fusion merely pre-aggregates occurrence counts of the same
 // sets).
+//
+// It is also the seam the pool's selection memo (selmemo.go) sits at: a
+// (limit, k) this pool has already selected over, with no set below
+// limit replaced since, is answered from the memo with a copy of the
+// seeds and the modeled cost of the selection it stands for.
 func (p *shardedPool) selectCELFLimited(base *counter.Counter, workers, k int, limit int64) (seeds []int32, coverage float64, modeledOps float64) {
 	if limit > p.count {
 		limit = p.count
@@ -115,14 +122,24 @@ func (p *shardedPool) selectCELFLimited(base *counter.Counter, workers, k int, l
 		return nil, 0, 0
 	}
 
+	// A selection this pool has already run is not run again.
+	key := selKey{limit: limit, k: k, workers: w, base: base != nil}
+	if e := p.memo.lookup(key); e != nil {
+		return slices.Clone(e.seeds), e.coverage, e.ops
+	}
+
 	ops := make([]int64, w)
 	var serial int64 // critical-path work of the sequential heap machinery
 
 	// Bring the inverted index up to date with the pool. Only a pool that
 	// grew since the last selection has anything to extend; a warm query
-	// never does.
+	// never does. The extension is billed to this call but kept out of
+	// ops: what the memo stores is the selection's own cost, which is
+	// what running it again on the now-current index would report.
+	var indexOps []int64
 	if !p.indexCurrent() {
-		p.ensureIndexed(w, ops)
+		indexOps = make([]int64, w)
+		p.ensureIndexed(w, indexOps)
 	}
 
 	// Clear the coverage scratch and hoist each shard's view. Shards the
@@ -285,7 +302,12 @@ func (p *shardedPool) selectCELFLimited(base *counter.Counter, workers, k int, l
 	for _, wk := range owner {
 		ops[wk] += walks
 	}
-	return seeds, float64(coveredCount) / float64(nsets), float64(maxOf(ops)) + float64(serial)
+	coverage = float64(coveredCount) / float64(nsets)
+	p.memo.store(key, seeds, coverage, float64(maxOf(ops))+float64(serial), n)
+	for wk, o := range indexOps {
+		ops[wk] += o
+	}
+	return seeds, coverage, float64(maxOf(ops)) + float64(serial)
 }
 
 // Selector is an incremental Find_Most_Influential_Set front-end over

@@ -12,7 +12,7 @@ import (
 // generatePool builds a pool of nsets through the Efficient engine's
 // generation path under opt and returns the engine (its pool fully
 // generated, selection untouched).
-func generatePool(t *testing.T, g *graph.Graph, opt Options, nsets int64) *efficientEngine {
+func generatePool(t testing.TB, g *graph.Graph, opt Options, nsets int64) *efficientEngine {
 	t.Helper()
 	if err := opt.normalize(g); err != nil {
 		t.Fatal(err)

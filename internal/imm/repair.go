@@ -146,12 +146,13 @@ func (e *efficientEngine) repair(ng *graph.Graph, rep *graph.DeltaReport) Repair
 
 // replace swaps sets into the resident slots ids (global, ascending) and
 // brings what the pool derives from its contents in line: the member
-// total, the flat view, the prefix summaries (those below the first
-// replaced slot stay, the rest re-fold lazily) and the inverted index of
-// every shard that has one and holds a replaced slot — one patch each,
-// which also absorbs entries the shard had not indexed yet. Other
-// shards keep their arrays; scan-mode shards (never indexed) stay
-// unindexed so the footprint accounting still reports IndexBytes 0.
+// total, the flat view, the prefix summaries and remembered selections
+// (those below the first replaced slot stay, the rest re-fold or re-run
+// lazily) and the inverted index of every shard that has one and holds a
+// replaced slot — one patch each, which also absorbs entries the shard
+// had not indexed yet. Other shards keep their arrays; scan-mode shards
+// (never indexed) stay unindexed so the footprint accounting still
+// reports IndexBytes 0.
 func (p *shardedPool) replace(ids []int64, sets []rrr.Set, workers int) {
 	// Per shard: the replaced entries its index covers, and their old sets.
 	var swaps [poolShards]struct {
@@ -181,6 +182,7 @@ func (p *shardedPool) replace(ids []int64, sets []rrr.Set, workers int) {
 	if keep := ids[0] + 1; int64(len(p.prefix)) > keep {
 		p.prefix = p.prefix[:keep]
 	}
+	p.memo.dropAbove(ids[0])
 
 	var shards []int
 	for s := range swaps {

@@ -264,6 +264,9 @@ type shardedPool struct {
 	// scratch holds one indexScratch per worker that patches shards,
 	// retained like the selection scratch above.
 	scratch []indexScratch
+	// memo remembers the CELF selections already run over this pool
+	// (selmemo.go). Guarded by the same serialization as selection.
+	memo selMemo
 }
 
 func newShardedPool(n int32) *shardedPool { return &shardedPool{n: n} }

@@ -49,6 +49,10 @@ type WarmEngine struct {
 	// statistics are restricted to the first limit sets even when the
 	// physical pool is larger.
 	limit int64
+	// selections counts SelectSeeds calls over the engine's lifetime;
+	// with the pool memo's hit counter it gives AnswerBatch each
+	// member's share.
+	selections int64
 }
 
 // NewWarmEngine returns a reusable engine for g under opt. Only the
@@ -88,6 +92,7 @@ func (w *WarmEngine) SelectSeeds(k int) ([]int32, float64) {
 	e := w.inner
 	start := time.Now()
 	defer func() { e.bd.SelectionWall += time.Since(start) }()
+	w.selections++
 
 	var base *counter.Counter
 	if w.limit == e.p.len() && e.baseFresh {
@@ -134,11 +139,12 @@ func (w *WarmEngine) PhysicalFootprint() PoolFootprint { return w.inner.p.footpr
 // representation itself: the fused occurrence counter (8 bytes per
 // vertex), the per-shard coverage scratch (one bit per set), and the
 // fused kernel's generation-arena slack (capacity not covered by live
-// sets — live arena bytes are already counted as set bytes). The
+// sets — live arena bytes are already counted as set bytes), and the
+// seeds the selection memo remembers (at most 4 bytes per vertex). The
 // serving layer adds it to the pool footprint so its byte budget bounds
 // what a warm engine actually keeps resident.
 func (w *WarmEngine) OverheadBytes() int64 {
-	return 8*int64(w.g.N) + w.inner.p.len()/8 + w.inner.arenaSlackBytes()
+	return 8*int64(w.g.N) + w.inner.p.len()/8 + w.inner.arenaSlackBytes() + w.inner.p.memo.bytes()
 }
 
 // FootprintUpTo reports the resident bytes of the first n sets — the
@@ -168,6 +174,12 @@ type BatchAnswer struct {
 	SharedSets    int64
 	// ReusedBytes is the resident footprint of the reused prefix.
 	ReusedBytes int64
+	// Selections counts the seed selections the member's trajectory asked
+	// for (one per estimation round plus the final one); MemoHits those
+	// of them the pool had already run and answered from its selection
+	// memo. An exact repeat of an earlier query hits on every one.
+	Selections int64
+	MemoHits   int64
 }
 
 // BatchReport is the outcome of AnswerBatch.
@@ -233,6 +245,7 @@ func (w *WarmEngine) AnswerBatch(base Options, queries []BatchQuery) (*BatchRepo
 		o.K = queries[i].K
 		o.Epsilon = queries[i].Epsilon
 		physBefore := w.PhysicalSets()
+		selBefore, hitsBefore := w.selections, w.inner.p.memo.hits
 		w.BeginQuery()
 		res, err := RunEngine(w.g, o, w)
 		if err != nil {
@@ -255,6 +268,8 @@ func (w *WarmEngine) AnswerBatch(base Options, queries []BatchQuery) (*BatchRepo
 			GeneratedSets: w.PhysicalSets() - physBefore,
 			SharedSets:    shared,
 			ReusedBytes:   w.FootprintUpTo(reused).TotalBytes(),
+			Selections:    w.selections - selBefore,
+			MemoHits:      w.inner.p.memo.hits - hitsBefore,
 		}
 	}
 	rep.PoolBytes = w.PhysicalFootprint().TotalBytes() + w.OverheadBytes()

@@ -328,11 +328,12 @@ func TestWarmStatsMatchRescan(t *testing.T) {
 	}
 }
 
-// TestWarmAnswerAllocs gates the warm path's allocation count: with the
-// pop loop free of fork-joins, a base-shape answer on a pool that already
-// covers it allocates for the round driver, the few remaining parallel
-// regions and the result — not per heap pop (the fork-join kernel spent
-// about 30k allocations here).
+// TestWarmAnswerAllocs gates the warm path's allocation count on a pool
+// that already covers the query. A miss (the memo is emptied before each
+// answer) allocates for the round driver, the few parallel regions of
+// each selection and the result — not per heap pop (the fork-join kernel
+// spent about 30k allocations here). A hit allocates the result and one
+// copy of the seeds per selection.
 func TestWarmAnswerAllocs(t *testing.T) {
 	g := testGraph(t, 10, graph.IC)
 	opt := Defaults()
@@ -346,14 +347,27 @@ func TestWarmAnswerAllocs(t *testing.T) {
 	if _, err := we.AnswerBatch(opt, batch); err != nil { // builds the pool
 		t.Fatal(err)
 	}
-	allocs := testing.AllocsPerRun(5, func() {
-		rep, err := we.AnswerBatch(opt, batch)
-		if err != nil || rep.Extensions != 0 {
-			t.Fatalf("warm answer extended the pool or failed: %v", err)
+	for _, tc := range []struct {
+		name string
+		hit  bool
+		max  float64
+	}{{"miss", false, 100}, {"hit", true, 16}} {
+		allocs := testing.AllocsPerRun(5, func() {
+			if !tc.hit {
+				we.inner.p.memo = selMemo{}
+			}
+			rep, err := we.AnswerBatch(opt, batch)
+			if err != nil || rep.Extensions != 0 {
+				t.Fatalf("warm answer extended the pool or failed: %v", err)
+			}
+			if a := rep.Answers[0]; tc.hit != (a.MemoHits == a.Selections) {
+				t.Fatalf("%s: %d of %d selections hit the memo", tc.name, a.MemoHits, a.Selections)
+			}
+		})
+		if allocs > tc.max {
+			t.Fatalf("warm AnswerBatch (%s) allocates %v times, want <= %v", tc.name, allocs, tc.max)
 		}
-	})
-	if allocs > 500 {
-		t.Fatalf("warm AnswerBatch allocates %v times, want <= 500", allocs)
+		t.Logf("%s: %v allocations", tc.name, allocs)
 	}
 }
 

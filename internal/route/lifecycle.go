@@ -17,6 +17,7 @@ package route
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -295,13 +296,32 @@ func (rt *Router) findHolder(graph string, skip int) (int, bool) {
 	return best, best >= 0
 }
 
-// readBody drains the request body, writing the invalid_query envelope
-// on failure.
+// readBody drains the request body, writing the error envelope on
+// failure: 413 body_too_large when a cap set by the caller
+// (readQueryBody) was hit, 400 invalid_query otherwise.
 func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
 	body, err := io.ReadAll(r.Body)
-	if err != nil {
+	var tooLarge *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooLarge):
+		serve.WriteErrorEnvelope(w, http.StatusRequestEntityTooLarge, "body_too_large",
+			fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit))
+		return nil, err
+	case err != nil:
 		serve.WriteErrorEnvelope(w, http.StatusBadRequest, "invalid_query", "unreadable request body")
 		return nil, err
 	}
 	return body, nil
+}
+
+// maxQueryBody caps the single-query bodies (POST /v1/query, POST
+// /v1/jobs) the router buffers whole before it knows their owner. A
+// query is four fields; graph and delta uploads are legitimately large
+// and are read uncapped.
+const maxQueryBody = 1 << 20
+
+// readQueryBody is readBody under the maxQueryBody cap.
+func readQueryBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	r.Body = http.MaxBytesReader(w, r.Body, maxQueryBody)
+	return readBody(w, r)
 }

@@ -15,13 +15,15 @@
 // owners and reassemble in order), /jobs route by pool key with the
 // job id carrying a node prefix ("n2-job-7") so polls find their way
 // back, /graphs unions the fleet's registries, /stats reports per-node
-// counters, /healthz probes the fleet. Identical concurrent queries
-// dedup single-flight at the router before any connection is opened.
+// counters (and sums the selection-memo ones), /healthz probes the
+// fleet. Identical concurrent queries dedup single-flight at the router
+// before any connection is opened.
 //
 // Failure semantics: a node that cannot be reached yields the unified
 // error envelope with code "node_unavailable" (HTTP 503, Retry-After
 // set) for the requests it owns — batch members inline — while
-// requests owned by healthy nodes keep serving.
+// requests owned by healthy nodes keep serving. A single-query or job
+// body past maxQueryBody is refused with 413 "body_too_large".
 package route
 
 import (
@@ -251,8 +253,7 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var body []byte
 	if r.Method == http.MethodPost {
 		var err error
-		if body, err = io.ReadAll(r.Body); err != nil {
-			serve.WriteErrorEnvelope(w, http.StatusBadRequest, "invalid_query", "unreadable request body")
+		if body, err = readQueryBody(w, r); err != nil {
 			return
 		}
 	}
@@ -436,9 +437,8 @@ func (rt *Router) parseJobID(id string) (node int, local string, ok bool) {
 }
 
 func (rt *Router) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(r.Body)
+	body, err := readQueryBody(w, r)
 	if err != nil {
-		serve.WriteErrorEnvelope(w, http.StatusBadRequest, "invalid_query", "unreadable request body")
 		return
 	}
 	id := parseIdentity(r, body)
@@ -520,9 +520,12 @@ type NodeStats struct {
 }
 
 // StatsResponse is the router's /stats payload: per-node counters, in
-// node order.
+// node order, and the fleet-wide selection-memo totals summed over the
+// nodes that answered.
 type StatsResponse struct {
-	Nodes []NodeStats `json:"nodes"`
+	Nodes               []NodeStats `json:"nodes"`
+	SelectionMemoHits   int64       `json:"selection_memo_hits"`
+	SelectionMemoMisses int64       `json:"selection_memo_misses"`
 }
 
 func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -542,6 +545,8 @@ func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 		switch v := rep.(type) {
 		case *serve.Stats:
 			out.Nodes[i].Stats = v
+			out.SelectionMemoHits += v.SelectionMemoHits
+			out.SelectionMemoMisses += v.SelectionMemoMisses
 		case error:
 			out.Nodes[i].Error = v.Error()
 		}

@@ -108,6 +108,48 @@ func TestRouterShardsQueries(t *testing.T) {
 	if len(owners) < 2 {
 		t.Fatalf("6 seeds all landed on one node; ring is not spreading (owners=%v)", owners)
 	}
+
+	// /v1/stats sums the nodes' selection-memo counters: every routed
+	// repeat above was answered from its pool's memo.
+	var st StatsResponse
+	getJSON(t, ts.URL+"/v1/stats", http.StatusOK, &st)
+	var hits, misses int64
+	for _, n := range st.Nodes {
+		hits += n.Stats.SelectionMemoHits
+		misses += n.Stats.SelectionMemoMisses
+	}
+	if hits == 0 || misses == 0 || st.SelectionMemoHits != hits || st.SelectionMemoMisses != misses {
+		t.Fatalf("router memo totals %d/%d, nodes sum to %d/%d", st.SelectionMemoHits, st.SelectionMemoMisses, hits, misses)
+	}
+}
+
+// TestRouterCapsQueryBodies pins the bound on the bodies the router
+// buffers whole before it knows their owner: a single-query or job body
+// past maxQueryBody is refused with 413 and the body_too_large envelope,
+// and one within it still routes.
+func TestRouterCapsQueryBodies(t *testing.T) {
+	_, ts, _ := testFleet(t, 1)
+	huge := `{"graph":"g","k":4,"pad":"` + strings.Repeat("x", maxQueryBody) + `"}`
+	for _, path := range []string{"/v1/query", "/v1/jobs"} {
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(huge))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e serve.ErrorResponse
+		err = json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusRequestEntityTooLarge || e.Error.Code != "body_too_large" {
+			t.Fatalf("POST %s with a %d-byte body: status %d code %q (decode: %v)", path, len(huge), resp.StatusCode, e.Error.Code, err)
+		}
+	}
+	resp, err := http.Post(ts.URL+"/v1/query", "application/json", strings.NewReader(`{"graph":"g","k":4}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("small POST /v1/query: status %d", resp.StatusCode)
+	}
 }
 
 // TestRouterFailover pins the failure contract: a down node yields the

@@ -230,7 +230,7 @@ func (s *Server) runBatch(ge *graphEntry, pe *poolEntry, batch []*batchWaiter) {
 		return
 	}
 
-	var sharedSets int64
+	var sharedSets, selections, memoHits int64
 	for i, w := range batch {
 		a := rep.Answers[i]
 		w.res = &QueryResult{
@@ -251,14 +251,19 @@ func (s *Server) runBatch(ge *graphEntry, pe *poolEntry, batch []*batchWaiter) {
 			GeneratedSets: a.GeneratedSets,
 			SharedSets:    a.SharedSets,
 			ReusedBytes:   a.ReusedBytes,
+			MemoHits:      a.MemoHits,
 			PoolBytes:     rep.PoolBytes,
 		}
 		sharedSets += a.SharedSets
+		selections += a.Selections
+		memoHits += a.MemoHits
 		close(w.done)
 	}
 
 	s.mu.Lock()
 	s.stats.Batches++
+	s.stats.SelectionMemoHits += memoHits
+	s.stats.SelectionMemoMisses += selections - memoHits
 	if len(batch) > s.stats.MaxBatchSize {
 		s.stats.MaxBatchSize = len(batch)
 	}

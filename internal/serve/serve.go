@@ -203,10 +203,14 @@ type QueryResult struct {
 	GeneratedSets int64 `json:"generated_sets"`
 	SharedSets    int64 `json:"shared_sets"`
 	ReusedBytes   int64 `json:"reused_bytes"`
+	// MemoHits counts the query's seed selections (Rounds+1 of them) that
+	// the pool had already run and answered from its selection memo; an
+	// exact repeat of an earlier query on an unchanged pool hits on all.
+	MemoHits int64 `json:"memo_hits"`
 	// PoolBytes is the pool's full resident footprint after the query —
 	// set payloads, inverted-index postings, and the engine overhead
-	// (fused counter, coverage scratch). This is the quantity the byte
-	// budget accounts.
+	// (fused counter, coverage scratch, selection memo). This is the
+	// quantity the byte budget accounts.
 	PoolBytes int64 `json:"pool_bytes"`
 
 	// WallMS is the query's full service latency: admission wait,
@@ -236,6 +240,11 @@ type Stats struct {
 	ReusedSets    int64 `json:"reused_sets"`
 	GeneratedSets int64 `json:"generated_sets"`
 	ReusedBytes   int64 `json:"reused_bytes"`
+
+	// SelectionMemoHits counts seed selections answered from a pool's
+	// selection memo, SelectionMemoMisses those that ran the kernel.
+	SelectionMemoHits   int64 `json:"selection_memo_hits"`
+	SelectionMemoMisses int64 `json:"selection_memo_misses"`
 
 	// The disk tier (Options.PoolDir). Demotions counts pools moved to
 	// disk under budget pressure and DemotionWrites those of them that

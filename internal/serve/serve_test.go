@@ -109,6 +109,17 @@ func TestWarmRepeatGeneratesNothing(t *testing.T) {
 	if !reflect.DeepEqual(first.Seeds, second.Seeds) {
 		t.Fatalf("warm seeds diverged: %v vs %v", first.Seeds, second.Seeds)
 	}
+	// Nor does the repeat re-run a selection: the cold query met an empty
+	// memo (only its final selection can repeat the last round's), the
+	// repeat finds all rounds + 1 of its selections remembered.
+	selections := int64(second.Rounds) + 1
+	if first.MemoHits > 1 || second.MemoHits != selections {
+		t.Fatalf("memo hits: cold %d, repeat %d of %d selections", first.MemoHits, second.MemoHits, selections)
+	}
+	if st := s.Stats(); st.SelectionMemoHits != first.MemoHits+second.MemoHits || st.SelectionMemoMisses != selections-first.MemoHits {
+		t.Fatalf("stats count %d memo hits, %d misses; results say %d and %d",
+			st.SelectionMemoHits, st.SelectionMemoMisses, first.MemoHits+second.MemoHits, selections-first.MemoHits)
+	}
 }
 
 // TestConcurrentQueries exercises the server under -race: identical
