@@ -22,6 +22,7 @@ import (
 	"repro/internal/imm"
 	"repro/internal/ingest"
 	"repro/internal/numa"
+	"repro/internal/rng"
 	"repro/internal/rrr"
 	"repro/internal/serve"
 )
@@ -409,32 +410,50 @@ func BenchmarkCELFSelect(b *testing.B) {
 }
 
 // BenchmarkIngest measures the parallel edge-list pipeline and the
-// snapshot reload at several worker counts, reporting MB/s and edges/s
-// as custom metrics (imbench's ingest.* cells at bench size).
+// snapshot reload at several worker counts, reporting MB/s, edges/s and
+// the three stage walls (imbench's ingest.* cells). The lt16 regime is
+// cold-lt-sparse's file: R-MAT scale 16, edge factor 8, LT weights.
 func BenchmarkIngest(b *testing.B) {
-	g, err := gen.RMAT(gen.DefaultRMAT(13, 8), graph.IC, 1)
-	if err != nil {
-		b.Fatal(err)
+	edgeList := func(scale int, edgeFactor float64) []byte {
+		g, err := gen.RMAT(gen.DefaultRMAT(scale, edgeFactor), graph.IC, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		var text bytes.Buffer
+		if err := graph.WriteEdgeList(&text, g); err != nil {
+			b.Fatal(err)
+		}
+		return text.Bytes()
 	}
-	var text bytes.Buffer
-	if err := graph.WriteEdgeList(&text, g); err != nil {
-		b.Fatal(err)
-	}
-	data := text.Bytes()
-	for _, w := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("edgelist/workers=%d", w), func(b *testing.B) {
-			b.SetBytes(int64(len(data)))
-			var st ingest.Stats
-			for i := 0; i < b.N; i++ {
-				_, s, err := ingest.Bytes(data, ingest.Options{Workers: w, Model: graph.IC, Seed: 1})
-				if err != nil {
-					b.Fatal(err)
+	data := edgeList(13, 8)
+	for _, regime := range []struct {
+		name    string
+		data    []byte
+		model   graph.Model
+		workers []int
+	}{
+		{"edgelist", data, graph.IC, []int{1, 2, 4, 8}},
+		{"lt16", edgeList(16, 8), graph.LT, []int{1, 2}},
+	} {
+		for _, w := range regime.workers {
+			b.Run(fmt.Sprintf("%s/workers=%d", regime.name, w), func(b *testing.B) {
+				b.SetBytes(int64(len(regime.data)))
+				b.ReportAllocs()
+				var st ingest.Stats
+				for i := 0; i < b.N; i++ {
+					_, s, err := ingest.Bytes(regime.data, ingest.Options{Workers: w, Model: regime.model, Seed: 1})
+					if err != nil {
+						b.Fatal(err)
+					}
+					st = s
 				}
-				st = s
-			}
-			b.ReportMetric(st.MBPerSec(), "MB/s")
-			b.ReportMetric(st.EdgesPerSec(), "edges/s")
-		})
+				b.ReportMetric(st.MBPerSec(), "MB/s")
+				b.ReportMetric(st.EdgesPerSec(), "edges/s")
+				b.ReportMetric(float64(st.ParseWall.Microseconds())/1e3, "parse-ms")
+				b.ReportMetric(float64(st.BuildWall.Microseconds())/1e3, "build-ms")
+				b.ReportMetric(float64(st.AssignWall.Microseconds())/1e3, "assign-ms")
+			})
+		}
 	}
 	ingested, _, err := ingest.Bytes(data, ingest.Options{Workers: 4, Model: graph.IC, Seed: 1})
 	if err != nil {
@@ -452,6 +471,40 @@ func BenchmarkIngest(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkApplyDelta measures one graph epoch: graph.ApplyDelta on the
+// serving graph (R-MAT 13, weighted cascade) over a fixed seeded stream
+// of 3-add/3-remove deltas, every one applied to the same base epoch —
+// the reproducible stand-in for imbench's graph.apply_delta_ms.
+func BenchmarkApplyDelta(b *testing.B) {
+	g, err := gen.RMAT(gen.DefaultRMAT(13, 8), graph.IC, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	graph.AssignWC(g)
+	r := rng.New(7)
+	deltas := make([]graph.Delta, 64)
+	for i := range deltas {
+		d := graph.Delta{Seed: uint64(i)}
+		for j := 0; j < 3; j++ {
+			u := int32(r.Intn(int(g.N)))
+			for g.OutDegree(u) == 0 {
+				u = int32(r.Intn(int(g.N)))
+			}
+			out := g.OutNeighbors(u)
+			d.Remove = append(d.Remove, graph.Edge{Src: u, Dst: out[r.Intn(len(out))]})
+			d.Add = append(d.Add, graph.Edge{Src: int32(r.Intn(int(g.N))), Dst: int32(r.Intn(int(g.N)))})
+		}
+		deltas[i] = d
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := graph.ApplyDelta(g, deltas[i%len(deltas)], graph.DeltaOptions{}); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // BenchmarkServeCold measures the per-query cost when every query pays

@@ -2,7 +2,7 @@ package graph
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/rng"
 )
@@ -52,10 +52,8 @@ func (b *Builder) EdgeCount() int { return len(b.edges) }
 // model using the given seed. See AssignIC and AssignLT for the weighting
 // schemes.
 func (b *Builder) Build(model Model, seed uint64) (*Graph, error) {
-	g, err := b.buildTopology()
-	if err != nil {
-		return nil, err
-	}
+	// BuildTopology consumes its input; the builder keeps its edges.
+	g, _, _ := BuildTopology(b.n, slices.Clone(b.edges), 1)
 	switch model {
 	case IC:
 		AssignIC(g, seed)
@@ -63,62 +61,6 @@ func (b *Builder) Build(model Model, seed uint64) (*Graph, error) {
 		AssignLT(g, seed)
 	default:
 		return nil, fmt.Errorf("graph: unknown model %v", model)
-	}
-	return g, nil
-}
-
-// buildTopology sorts, dedups and lays out both CSR directions.
-func (b *Builder) buildTopology() (*Graph, error) {
-	edges := b.edges
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].Src != edges[j].Src {
-			return edges[i].Src < edges[j].Src
-		}
-		return edges[i].Dst < edges[j].Dst
-	})
-	// Dedup and drop self-loops in place.
-	kept := edges[:0]
-	for i, e := range edges {
-		if e.Src == e.Dst {
-			continue
-		}
-		if i > 0 && e == edges[i-1] {
-			continue
-		}
-		kept = append(kept, e)
-	}
-	edges = kept
-	m := int64(len(edges))
-
-	g := &Graph{
-		N:        b.n,
-		M:        m,
-		OutIndex: make([]int64, b.n+1),
-		OutEdges: make([]int32, m),
-		InIndex:  make([]int64, b.n+1),
-		InEdges:  make([]int32, m),
-	}
-	for _, e := range edges {
-		g.OutIndex[e.Src+1]++
-		g.InIndex[e.Dst+1]++
-	}
-	for i := int32(0); i < b.n; i++ {
-		g.OutIndex[i+1] += g.OutIndex[i]
-		g.InIndex[i+1] += g.InIndex[i]
-	}
-	// Out-edges: already sorted by (src, dst), so a single pass fills
-	// segments in sorted order.
-	for i, e := range edges {
-		g.OutEdges[i] = e.Dst
-		_ = i
-	}
-	// In-edges: counting sort by dst preserves src order within a
-	// segment because the edge list is sorted by src first.
-	cursor := make([]int64, b.n)
-	copy(cursor, g.InIndex[:b.n])
-	for _, e := range edges {
-		g.InEdges[cursor[e.Dst]] = e.Src
-		cursor[e.Dst]++
 	}
 	return g, nil
 }
@@ -179,43 +121,51 @@ func AssignLT(g *Graph, seed uint64) {
 	g.InAccum = make([]float32, g.M)
 	r := rng.New(seed)
 	for v := int32(0); v < g.N; v++ {
-		lo, hi := g.InIndex[v], g.InIndex[v+1]
-		if hi == lo {
-			continue
-		}
-		var sum float64
-		for k := lo; k < hi; k++ {
-			w := r.Float64()
-			g.InProb[k] = float32(w)
-			sum += w
-		}
-		// Scale so total incoming weight lands uniformly in (0, 1]: the
-		// normalizer is sum / target where target = r in (0,1].
-		target := r.Float64()
-		if target == 0 {
-			target = 1
-		}
-		scale := float32(target / sum)
-		var acc float32
-		for k := lo; k < hi; k++ {
-			g.InProb[k] *= scale
-			acc += g.InProb[k]
-			g.InAccum[k] = acc
-		}
+		drawLTSegment(g, v, r)
 	}
 	mirrorInToOut(g)
 }
 
+// drawLTSegment draws v's incoming LT weights and their prefix sums
+// from r. ApplyDelta re-derives a dirty segment with it, from a stream
+// of that vertex's own.
+func drawLTSegment(g *Graph, v int32, r *rng.Xoshiro256) {
+	lo, hi := g.InIndex[v], g.InIndex[v+1]
+	if hi == lo {
+		return
+	}
+	var sum float64
+	for k := lo; k < hi; k++ {
+		w := r.Float64()
+		g.InProb[k] = float32(w)
+		sum += w
+	}
+	// Scale so total incoming weight lands uniformly in (0, 1]: the
+	// normalizer is sum / target where target = r in (0,1].
+	target := r.Float64()
+	if target == 0 {
+		target = 1
+	}
+	scale := float32(target / sum)
+	var acc float32
+	for k := lo; k < hi; k++ {
+		g.InProb[k] *= scale
+		acc += g.InProb[k]
+		g.InAccum[k] = acc
+	}
+}
+
 // mirrorInToOut copies per-in-edge parameters onto the corresponding
-// forward edges, using binary search over the sorted out-segments.
+// forward edges. Both directions are sorted, so visiting destinations in
+// ascending order meets every source's out-edges in segment order: one
+// cursor per source, no search.
 func mirrorInToOut(g *Graph) {
+	cur := slices.Clone(g.OutIndex[:g.N])
 	for v := int32(0); v < g.N; v++ {
 		for k := g.InIndex[v]; k < g.InIndex[v+1]; k++ {
 			u := g.InEdges[k]
-			seg := g.OutNeighbors(u)
-			base := g.OutIndex[u]
-			i := sort.Search(len(seg), func(i int) bool { return seg[i] >= v })
-			g.OutProb[base+int64(i)] = g.InProb[k]
+			g.OutProb[cur[u]] = g.InProb[k]
+			cur[u]++
 		}
 	}
 }

@@ -1,8 +1,10 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/rng"
@@ -73,11 +75,16 @@ func (r *DeltaReport) Changed() bool {
 	return r.Added > 0 || r.Removed > 0 || r.NewN != r.OldN
 }
 
-// addEdge pairs an addition with its optional explicit probability.
-type addEdge struct {
-	e       Edge
-	prob    float32
-	hasProb bool
+// deltaEdge is one normalized change as one CSR direction sees it: key
+// is the vertex whose segment it lands in (dst for the in-direction,
+// src for the out-direction), other the entry within that segment.
+type deltaEdge struct {
+	key, other int32
+	prob       float32 // in-direction additions under IC: explicit, else derived
+}
+
+func compareDeltaEdges(a, b deltaEdge) int {
+	return cmp.Or(cmp.Compare(a.key, b.key), cmp.Compare(a.other, b.other))
 }
 
 // ApplyDelta applies d to g and returns the post-delta graph and a
@@ -94,7 +101,7 @@ func ApplyDelta(g *Graph, d Delta, opt DeltaOptions) (*Graph, *DeltaReport, erro
 
 	// Normalize additions: reject malformed input, drop (or reject)
 	// self-loops, attach explicit probabilities, compute vertex growth.
-	adds := make([]addEdge, 0, len(d.Add))
+	adds := make([]deltaEdge, 0, len(d.Add))
 	for i, e := range d.Add {
 		if e.Src < 0 || e.Dst < 0 {
 			return nil, nil, fmt.Errorf("graph: delta add (%d,%d) has a negative endpoint", e.Src, e.Dst)
@@ -106,33 +113,27 @@ func ApplyDelta(g *Graph, d Delta, opt DeltaOptions) (*Graph, *DeltaReport, erro
 			rep.DroppedSelfLoops++
 			continue
 		}
-		ae := addEdge{e: e}
+		// Without an explicit probability the edge gets the one derived
+		// from its identity, here and now: nothing downstream has to tell
+		// "derive me" from a value.
+		ae := deltaEdge{key: e.Dst, other: e.Src, prob: derivedProb(d.Seed, e.Src, e.Dst)}
 		if len(d.AddProb) != 0 {
-			p := d.AddProb[i]
-			if p < 0 || p > 1 {
-				return nil, nil, fmt.Errorf("graph: delta add (%d,%d) probability %g outside [0,1]", e.Src, e.Dst, p)
+			// Written so that NaN, which compares false both ways, fails.
+			if ae.prob = d.AddProb[i]; !(ae.prob >= 0 && ae.prob <= 1) {
+				return nil, nil, fmt.Errorf("graph: delta add (%d,%d) probability %g outside [0,1]", e.Src, e.Dst, ae.prob)
 			}
-			ae.prob, ae.hasProb = p, true
 		}
 		adds = append(adds, ae)
-		if e.Src >= rep.NewN {
-			rep.NewN = e.Src + 1
-		}
-		if e.Dst >= rep.NewN {
-			rep.NewN = e.Dst + 1
-		}
+		rep.NewN = max(rep.NewN, e.Src+1, e.Dst+1)
 	}
 
-	// Normalize removals into a membership set of edges that actually
+	// Normalize removals into the sorted set of edges that actually
 	// exist. Duplicated removals of one edge collapse silently — the
 	// net effect is identical.
-	removes := make(map[Edge]struct{}, len(d.Remove))
+	removes := make([]deltaEdge, 0, len(d.Remove))
 	for _, e := range d.Remove {
 		if e.Src < 0 || e.Dst < 0 {
 			return nil, nil, fmt.Errorf("graph: delta remove (%d,%d) has a negative endpoint", e.Src, e.Dst)
-		}
-		if _, ok := removes[e]; ok {
-			continue
 		}
 		if e.Src >= g.N || e.Dst >= g.N || !g.HasEdge(e.Src, e.Dst) {
 			if opt.Strict {
@@ -141,29 +142,25 @@ func ApplyDelta(g *Graph, d Delta, opt DeltaOptions) (*Graph, *DeltaReport, erro
 			rep.MissingRemovals++
 			continue
 		}
-		removes[e] = struct{}{}
+		removes = append(removes, deltaEdge{key: e.Dst, other: e.Src})
 	}
+	slices.SortFunc(removes, compareDeltaEdges)
+	removes = slices.Compact(removes)
 
 	// Dedup additions against each other and against surviving graph
 	// edges: an edge both removed and re-added in one delta is a
 	// reweight, not a duplicate.
-	sort.Slice(adds, func(i, j int) bool {
-		if adds[i].e.Dst != adds[j].e.Dst {
-			return adds[i].e.Dst < adds[j].e.Dst
-		}
-		return adds[i].e.Src < adds[j].e.Src
-	})
+	sort.Slice(adds, func(i, j int) bool { return compareDeltaEdges(adds[i], adds[j]) < 0 })
 	kept := adds[:0]
 	for i, ae := range adds {
-		dup := i > 0 && ae.e == adds[i-1].e
-		if !dup && ae.e.Src < g.N && ae.e.Dst < g.N && g.HasEdge(ae.e.Src, ae.e.Dst) {
-			if _, removed := removes[ae.e]; !removed {
-				dup = true
-			}
+		dup := i > 0 && compareDeltaEdges(ae, adds[i-1]) == 0
+		if !dup && ae.other < g.N && ae.key < g.N && g.HasEdge(ae.other, ae.key) {
+			_, removed := slices.BinarySearchFunc(removes, ae, compareDeltaEdges)
+			dup = !removed
 		}
 		if dup {
 			if opt.Strict {
-				return nil, nil, fmt.Errorf("graph: delta adds duplicate edge (%d,%d)", ae.e.Src, ae.e.Dst)
+				return nil, nil, fmt.Errorf("graph: delta adds duplicate edge (%d,%d)", ae.other, ae.key)
 			}
 			rep.DroppedDuplicates++
 			continue
@@ -176,194 +173,140 @@ func ApplyDelta(g *Graph, d Delta, opt DeltaOptions) (*Graph, *DeltaReport, erro
 	rep.NewM = g.M - rep.Removed + rep.Added
 
 	if rep.Added == 0 && rep.Removed == 0 && rep.NewN == g.N {
-		rep.NewM = g.M
 		return g, rep, nil
 	}
 
-	ng, err := rebuildCSR(g, adds, removes, rep)
+	ng, err := nextEpoch(g, adds, removes, d.Seed, rep)
 	if err != nil {
 		return nil, nil, err
 	}
-	reweight(g, ng, d.Seed, rep)
-	mirrorInToOut(ng)
-	ng.model = g.model
 	if err := ng.Validate(); err != nil {
 		return nil, nil, fmt.Errorf("graph: post-delta graph invalid: %w", err)
 	}
 	return ng, rep, nil
 }
 
-// rebuildCSR assembles the post-delta topology. Kept in-edges carry
-// their old InProb values (LT dirty segments are re-derived afterwards
-// by reweight); added edges get a placeholder filled in by reweight.
-// It also records the dirty vertices — those whose in-segment changed.
-func rebuildCSR(g *Graph, adds []addEdge, removes map[Edge]struct{}, rep *DeltaReport) (*Graph, error) {
+// nextEpoch assembles the post-delta graph by run copy (csrSide.patch)
+// and records the dirty vertices — those whose in-segment changed. An
+// untouched segment keeps its parameters bit for bit in both
+// directions. A dirty in-segment gets the additions' probabilities
+// under IC and is re-derived whole under LT, AssignLT-style from a
+// stream keyed by (seed, v) — deterministic whatever else the delta
+// touched; only those segments are then mirrored onto OutProb, one
+// search per edge of a dirty segment.
+func nextEpoch(g *Graph, adds, removes []deltaEdge, seed uint64, rep *DeltaReport) (*Graph, error) {
 	n, m := rep.NewN, rep.NewM
 	ng := &Graph{
-		N:        n,
-		M:        m,
-		OutIndex: make([]int64, n+1),
-		OutEdges: make([]int32, m),
-		OutProb:  make([]float32, m),
-		InIndex:  make([]int64, n+1),
-		InEdges:  make([]int32, m),
-		InProb:   make([]float32, m),
+		N: n, M: m, model: g.model,
+		OutIndex: make([]int64, n+1), OutEdges: make([]int32, m), OutProb: make([]float32, m),
+		InIndex: make([]int64, n+1), InEdges: make([]int32, m), InProb: make([]float32, m),
 	}
-	if g.Model() == LT {
+	if g.model == LT {
 		ng.InAccum = make([]float32, m)
 	}
-
-	// In-direction: merge each old segment (minus removals) with the
-	// dst-grouped additions, preserving strictly ascending src order.
-	ai := 0 // cursor into adds, sorted by (dst, src)
-	pos := int64(0)
-	for v := int32(0); v < n; v++ {
-		segChanged := false
-		var lo, hi int64
-		if v < g.N {
-			lo, hi = g.InIndex[v], g.InIndex[v+1]
+	flip := func(es []deltaEdge) []deltaEdge {
+		out := make([]deltaEdge, len(es))
+		for i, e := range es {
+			out[i] = deltaEdge{key: e.other, other: e.key}
 		}
-		k := lo
-		for k < hi || (ai < len(adds) && adds[ai].e.Dst == v) {
-			takeAdd := ai < len(adds) && adds[ai].e.Dst == v &&
-				(k >= hi || adds[ai].e.Src < g.InEdges[k])
-			if takeAdd {
-				ng.InEdges[pos] = adds[ai].e.Src
-				// NaN marks "derive me"; reweight resolves it. An
-				// explicit probability (including 0) is kept as-is.
-				p := float32(math.NaN())
-				if adds[ai].hasProb {
-					p = adds[ai].prob
-				}
-				ng.InProb[pos] = p
-				pos++
-				ai++
-				segChanged = true
-				continue
-			}
-			src := g.InEdges[k]
-			if _, gone := removes[Edge{src, v}]; gone {
-				k++
-				segChanged = true
-				continue
-			}
-			ng.InEdges[pos] = src
-			ng.InProb[pos] = g.InProb[k]
-			pos++
-			k++
-		}
-		ng.InIndex[v+1] = pos
-		if segChanged {
-			rep.Dirty = append(rep.Dirty, v)
-		}
+		slices.SortFunc(out, compareDeltaEdges)
+		return out
 	}
-	if pos != m {
-		return nil, fmt.Errorf("graph: delta in-edge accounting mismatch: %d != %d", pos, m)
+	in := csrSide{ng.InIndex, ng.InEdges, ng.InProb, ng.InAccum}
+	out := csrSide{ng.OutIndex, ng.OutEdges, ng.OutProb, nil}
+	var inM, outM int64
+	rep.Dirty, inM = in.patch(csrSide{g.InIndex, g.InEdges, g.InProb, g.InAccum}, adds, removes)
+	_, outM = out.patch(csrSide{g.OutIndex, g.OutEdges, g.OutProb, nil}, flip(adds), flip(removes))
+	if inM != m || outM != m {
+		return nil, fmt.Errorf("graph: delta edge accounting mismatch: in %d, out %d, want %d", inM, outM, m)
 	}
-
-	// Out-direction: same merge grouped by src. Probabilities are
-	// mirrored from the in-direction afterwards.
-	bySrc := make([]Edge, len(adds))
-	for i, ae := range adds {
-		bySrc[i] = ae.e
-	}
-	sort.Slice(bySrc, func(i, j int) bool {
-		if bySrc[i].Src != bySrc[j].Src {
-			return bySrc[i].Src < bySrc[j].Src
+	for _, v := range rep.Dirty {
+		if g.model == LT {
+			drawLTSegment(ng, v, rng.NewStream(seed, int(v)))
 		}
-		return bySrc[i].Dst < bySrc[j].Dst
-	})
-	ai = 0
-	pos = 0
-	for v := int32(0); v < n; v++ {
-		var lo, hi int64
-		if v < g.N {
-			lo, hi = g.OutIndex[v], g.OutIndex[v+1]
+		for k := ng.InIndex[v]; k < ng.InIndex[v+1]; k++ {
+			u := ng.InEdges[k]
+			i, _ := slices.BinarySearch(ng.OutNeighbors(u), v)
+			ng.OutProb[ng.OutIndex[u]+int64(i)] = ng.InProb[k]
 		}
-		k := lo
-		for k < hi || (ai < len(bySrc) && bySrc[ai].Src == v) {
-			takeAdd := ai < len(bySrc) && bySrc[ai].Src == v &&
-				(k >= hi || bySrc[ai].Dst < g.OutEdges[k])
-			if takeAdd {
-				ng.OutEdges[pos] = bySrc[ai].Dst
-				pos++
-				ai++
-				continue
-			}
-			dst := g.OutEdges[k]
-			if _, gone := removes[Edge{v, dst}]; gone {
-				k++
-				continue
-			}
-			ng.OutEdges[pos] = dst
-			pos++
-			k++
-		}
-		ng.OutIndex[v+1] = pos
-	}
-	if pos != m {
-		return nil, fmt.Errorf("graph: delta out-edge accounting mismatch: %d != %d", pos, m)
 	}
 	return ng, nil
 }
 
-// reweight finalizes per-edge parameters on the post-delta graph:
-// derived IC probabilities for added edges without explicit ones, and
-// full per-segment LT re-derivation (weights + prefix sums) for dirty
-// vertices. Untouched LT segments copy their old prefix sums verbatim
-// so carried-over weights stay bit-identical.
-func reweight(g, ng *Graph, seed uint64, rep *DeltaReport) {
-	switch g.Model() {
-	case IC:
-		// Only added edges carry the NaN placeholder, and added edges
-		// only appear in dirty segments.
-		for _, v := range rep.Dirty {
-			for k := ng.InIndex[v]; k < ng.InIndex[v+1]; k++ {
-				if math.IsNaN(float64(ng.InProb[k])) {
-					ng.InProb[k] = derivedProb(seed, ng.InEdges[k], v)
-				}
+// csrSide is one direction of a CSR with its per-edge parameters.
+type csrSide struct {
+	index       []int64
+	edges       []int32
+	prob, accum []float32 // accum: LT in-direction only
+}
+
+// patch fills s, whose index is sized for the post-delta vertex count,
+// with old under the changes adds and rems, both sorted by (key,
+// other), every removal present in old. Runs of untouched vertices move
+// with one copy per array and an index shift; only a touched vertex's
+// segment is merged entry by entry, removals matched against rems in
+// step. It returns the touched vertices, ascending, and the edge count.
+func (s csrSide) patch(old csrSide, adds, rems []deltaEdge) (touched []int32, pos int64) {
+	oldN, n := int32(len(old.index)-1), int32(len(s.index)-1)
+	next := int32(0) // first vertex not yet written
+	carry := func(upto int32) {
+		if hi := min(upto, oldN); next < hi {
+			lo, end := old.index[next], old.index[hi]
+			copy(s.edges[pos:], old.edges[lo:end])
+			copy(s.prob[pos:], old.prob[lo:end])
+			if s.accum != nil {
+				copy(s.accum[pos:], old.accum[lo:end])
 			}
+			for shift := pos - lo; next < hi; next++ {
+				s.index[next] = old.index[next] + shift
+			}
+			pos += end - lo
 		}
-	case LT:
-		di := 0
-		dirty := rep.Dirty
-		for v := int32(0); v < ng.N; v++ {
-			lo, hi := ng.InIndex[v], ng.InIndex[v+1]
-			if di < len(dirty) && dirty[di] == v {
-				di++
-				if hi == lo {
-					continue
-				}
-				// Re-derive the whole segment, AssignLT-style, from a
-				// stream keyed by (seed, v) — deterministic regardless
-				// of what else the delta touched.
-				r := rng.NewStream(seed, int(v))
-				var sum float64
-				for k := lo; k < hi; k++ {
-					w := r.Float64()
-					ng.InProb[k] = float32(w)
-					sum += w
-				}
-				target := r.Float64()
-				if target == 0 {
-					target = 1
-				}
-				scale := float32(target / sum)
-				var acc float32
-				for k := lo; k < hi; k++ {
-					ng.InProb[k] *= scale
-					acc += ng.InProb[k]
-					ng.InAccum[k] = acc
-				}
-				continue
-			}
-			// Untouched segment: weights were carried over by
-			// rebuildCSR; copy the prefix sums bit-for-bit too.
-			if v < g.N {
-				copy(ng.InAccum[lo:hi], g.InAccum[g.InIndex[v]:g.InIndex[v+1]])
-			}
+		for ; next < upto; next++ { // vertices the delta grew
+			s.index[next] = pos
 		}
 	}
+	for len(adds) > 0 || len(rems) > 0 {
+		v := int32(math.MaxInt32)
+		if len(adds) > 0 {
+			v = adds[0].key
+		}
+		if len(rems) > 0 {
+			v = min(v, rems[0].key)
+		}
+		carry(v)
+		s.index[v] = pos
+		var k, hi int64
+		if v < oldN {
+			k, hi = old.index[v], old.index[v+1]
+		}
+		for {
+			if len(adds) > 0 && adds[0].key == v && (k == hi || adds[0].other < old.edges[k]) {
+				s.edges[pos], s.prob[pos] = adds[0].other, adds[0].prob
+				pos++
+				adds = adds[1:]
+			} else if k == hi {
+				break
+			} else if len(rems) > 0 && rems[0].key == v && rems[0].other == old.edges[k] {
+				rems = rems[1:]
+				k++
+			} else {
+				s.edges[pos], s.prob[pos] = old.edges[k], old.prob[k]
+				pos++
+				k++
+			}
+		}
+		// A removal old does not hold (the two directions of g disagree)
+		// must not stall the walk; the caller's edge count catches it.
+		for len(rems) > 0 && rems[0].key == v {
+			rems = rems[1:]
+		}
+		touched = append(touched, v)
+		next = v + 1
+	}
+	carry(n)
+	s.index[n] = pos
+	return touched, pos
 }
 
 // derivedProb maps (seed, src, dst) to a uniform [0,1) probability the

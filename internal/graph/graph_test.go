@@ -1,6 +1,8 @@
 package graph
 
 import (
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -470,4 +472,120 @@ func TestChecksumMemo(t *testing.T) {
 	if a.Checksum() != sum {
 		t.Fatal("the same weights drawn again fingerprint differently")
 	}
+}
+
+func TestBuildTopologyMatchesReference(t *testing.T) {
+	r := rng.New(5)
+	for trial := 0; trial < 60; trial++ {
+		// From one vertex to more than 256 (the bucket fan-out), sparse
+		// to dense, with self-loops and duplicates throughout.
+		n := int32(1 + r.Intn(1<<(1+trial%11)))
+		edges := make([]Edge, r.Intn(6*int(n)+2))
+		for i := range edges {
+			u := int32(r.Intn(int(n)))
+			edges[i] = Edge{u, int32(r.Intn(int(n)))}
+			if r.Intn(3) == 0 { // skew: a hub's out-segment spans buckets
+				edges[i].Src = 0
+			}
+		}
+		want, err := referenceTopology(n, slices.Clone(edges))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wantLoops int64
+		for _, e := range edges {
+			if e.Src == e.Dst {
+				wantLoops++
+			}
+		}
+		for _, w := range []int{1, 2, 3, 8, 64, 128} {
+			got, loops, dups := BuildTopology(n, slices.Clone(edges), w)
+			if !Equal(want, got) {
+				t.Fatalf("trial %d n=%d m=%d workers=%d: topology differs from reference", trial, n, len(edges), w)
+			}
+			if loops != wantLoops || dups != int64(len(edges))-wantLoops-want.M {
+				t.Fatalf("trial %d workers=%d: loops=%d dups=%d, want %d, %d", trial, w, loops, dups, wantLoops, int64(len(edges))-wantLoops-want.M)
+			}
+			if err := got.Validate(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+func TestMirrorMatchesSearch(t *testing.T) {
+	// The cursor-walk mirror against the per-edge binary search it
+	// replaced (oracleMirror, delta_test.go).
+	r := rng.New(9)
+	b := NewBuilder(300)
+	for i := 0; i < 2400; i++ {
+		b.AddEdge(int32(r.Intn(300)), int32(r.Intn(300)))
+	}
+	g, err := b.Build(LT, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := slices.Clone(g.OutProb)
+	clear(g.OutProb)
+	oracleMirror(g)
+	if !slices.Equal(want, g.OutProb) {
+		t.Fatal("cursor-walk mirror differs from binary-search mirror")
+	}
+}
+
+// referenceTopology is Builder.buildTopology as it stood before
+// BuildTopology — a comparison sort over the edge list, then one
+// scatter — kept verbatim as the oracle (receiver fields aside).
+func referenceTopology(n int32, edges []Edge) (*Graph, error) {
+	sort.Slice(edges, func(i, j int) bool {
+		if edges[i].Src != edges[j].Src {
+			return edges[i].Src < edges[j].Src
+		}
+		return edges[i].Dst < edges[j].Dst
+	})
+	// Dedup and drop self-loops in place.
+	kept := edges[:0]
+	for i, e := range edges {
+		if e.Src == e.Dst {
+			continue
+		}
+		if i > 0 && e == edges[i-1] {
+			continue
+		}
+		kept = append(kept, e)
+	}
+	edges = kept
+	m := int64(len(edges))
+
+	g := &Graph{
+		N:        n,
+		M:        m,
+		OutIndex: make([]int64, n+1),
+		OutEdges: make([]int32, m),
+		InIndex:  make([]int64, n+1),
+		InEdges:  make([]int32, m),
+	}
+	for _, e := range edges {
+		g.OutIndex[e.Src+1]++
+		g.InIndex[e.Dst+1]++
+	}
+	for i := int32(0); i < n; i++ {
+		g.OutIndex[i+1] += g.OutIndex[i]
+		g.InIndex[i+1] += g.InIndex[i]
+	}
+	// Out-edges: already sorted by (src, dst), so a single pass fills
+	// segments in sorted order.
+	for i, e := range edges {
+		g.OutEdges[i] = e.Dst
+		_ = i
+	}
+	// In-edges: counting sort by dst preserves src order within a
+	// segment because the edge list is sorted by src first.
+	cursor := make([]int64, n)
+	copy(cursor, g.InIndex[:n])
+	for _, e := range edges {
+		g.InEdges[cursor[e.Dst]] = e.Src
+		cursor[e.Dst]++
+	}
+	return g, nil
 }

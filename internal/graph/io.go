@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
+	"slices"
 )
 
 // MaxLineLen is the longest accepted edge-list line: 1 MiB, the scanner
@@ -24,7 +24,7 @@ const MaxLineLen = 1 << 20
 //     in particular the "rows cols nnz" size line that follows a
 //     MatrixMarket banner is an error, not the edge (rows, cols).
 //   - Vertex ids are arbitrary non-negative int64s, densified to
-//     [0, N) by ascending raw id (sort-based ranking). The ranking
+//     [0, N) by ascending raw id. The ranking
 //     depends only on the set of ids, never on the order lines are
 //     read, which is what keeps parallel ingestion worker-count
 //     invariant.
@@ -89,13 +89,13 @@ func parseID(line []byte, i int, role string) (int64, int, error) {
 	}
 	start := i
 	var v int64
-	for i < len(line) && line[i] >= '0' && line[i] <= '9' {
+	for ; i < len(line) && line[i]-'0' <= 9; i++ {
 		d := int64(line[i] - '0')
-		if v > (1<<63-1-d)/10 {
+		// Eighteen digits cannot overflow; only a longer field pays for the check.
+		if i-start >= 18 && v > (1<<63-1-d)/10 {
 			return 0, i, fmt.Errorf("bad %s id: %q overflows int64", role, string(line))
 		}
 		v = v*10 + d
-		i++
 	}
 	if i == start || (i < len(line) && !isSpace(line[i])) {
 		return 0, i, fmt.Errorf("bad %s id in %q", role, string(line))
@@ -108,27 +108,22 @@ func parseID(line []byte, i int, role string) (int64, int, error) {
 
 // DensifyIDs ranks the raw ids appearing in edges: the returned slice
 // is sorted and duplicate-free, so an id's dense vertex number is its
-// RankID index. Sort-based ranking makes the mapping a pure function
-// of the id set — the property that lets the parallel pipeline in
-// internal/ingest densify chunks independently and still produce
+// RankID index. Ranking by ascending raw id makes the mapping a pure
+// function of the id set — the property that lets the parallel pipeline
+// in internal/ingest rank chunks independently and still produce
 // identical graphs at every worker count.
 func DensifyIDs(ids []int64) []int64 {
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	out := ids[:0]
-	for i, v := range ids {
-		if i == 0 || v != ids[i-1] {
-			out = append(out, v)
-		}
-	}
-	return out
+	slices.Sort(ids)
+	return slices.Compact(ids)
 }
 
 // RankID returns id's dense vertex number under a DensifyIDs ranking.
-// It is the single definition of the densification mapping — the
-// sequential loader and the parallel pipeline both call it, so the
-// byte-identity pin between them cannot drift.
+// Together they define the densification mapping; the pipeline in
+// internal/ingest computes the same ranks by radix sort and merge, and
+// is pinned byte-identical to this definition by its tests.
 func RankID(ids []int64, id int64) int32 {
-	return int32(sort.Search(len(ids), func(i int) bool { return ids[i] >= id }))
+	r, _ := slices.BinarySearch(ids, id)
+	return int32(r)
 }
 
 // LoadEdgeList reads a SNAP-style whitespace-separated edge list from r:

@@ -2,10 +2,12 @@ package ingest
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/rng"
 )
 
 // FuzzSnapshotRoundTrip feeds arbitrary bytes to the snapshot reader.
@@ -48,6 +50,71 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 		}
 		if !graph.Equal(g, g2) {
 			t.Fatal("round trip changed the graph")
+		}
+	})
+}
+
+// randomEdgeList draws hostile edge-list text: ids from a small pool
+// (so duplicates and self-loops are common) that mixes tiny, medium and
+// 2^62-sized values, both comment styles, blank lines, tabs, CRLF
+// endings and sometimes no final newline.
+func randomEdgeList(seed uint64) []byte {
+	r := rng.New(seed)
+	pool := make([]int64, 1+r.Intn(30))
+	for i := range pool {
+		switch r.Intn(3) {
+		case 0:
+			pool[i] = int64(r.Intn(50))
+		case 1:
+			pool[i] = int64(r.Intn(1 << 20))
+		default:
+			pool[i] = int64(r.Uint64() >> 2)
+		}
+	}
+	var buf bytes.Buffer
+	for i := r.Intn(80); i > 0; i-- {
+		switch r.Intn(12) {
+		case 0:
+			buf.WriteString("# comment 1 2")
+		case 1:
+			buf.WriteString("%%MatrixMarket banner")
+		case 2:
+		default:
+			sep := []string{" ", "\t", "   "}[r.Intn(3)]
+			fmt.Fprintf(&buf, "%d%s%d", pool[r.Intn(len(pool))], sep, pool[r.Intn(len(pool))])
+		}
+		if i > 1 || r.Intn(2) == 0 {
+			buf.WriteString([]string{"\n", "\r\n"}[r.Intn(2)])
+		}
+	}
+	return buf.Bytes()
+}
+
+// FuzzIngestMatchesReference pins the pipeline — radix ranking, heap
+// merge, counting-sort build — to the sequential reference loader on
+// arbitrary text at chunk counts that exceed the line count: both must
+// reject the same inputs, and accept into byte-identical graphs.
+func FuzzIngestMatchesReference(f *testing.F) {
+	f.Add([]byte(messyEdgeList), true, false)
+	f.Add([]byte("4611686018427387903 0\n0 4611686018427387903\n"), false, true)
+	f.Add([]byte("1 2\n3\n"), false, false)
+	for seed := uint64(0); seed < 64; seed++ {
+		f.Add(randomEdgeList(seed), seed%2 == 0, seed%4 < 2)
+	}
+	f.Fuzz(func(t *testing.T, data []byte, undirected, lt bool) {
+		model := graph.IC
+		if lt {
+			model = graph.LT
+		}
+		want, wantErr := graph.LoadEdgeList(bytes.NewReader(data), undirected, model, 7)
+		for _, w := range []int{1, 2, 3, 8} {
+			got, _, err := pipeline(data, Options{Undirected: undirected, Model: model, Seed: 7}, w)
+			if (err == nil) != (wantErr == nil) {
+				t.Fatalf("workers=%d: err=%v, reference err=%v", w, err, wantErr)
+			}
+			if err == nil && !graph.Equal(want, got) {
+				t.Fatalf("workers=%d: graph differs from sequential reference", w)
+			}
 		}
 	})
 }

@@ -4,27 +4,30 @@
 // reloaded in milliseconds thereafter.
 //
 // The pipeline splits the input into byte ranges aligned to line
-// boundaries, parses chunks concurrently into per-worker edge blocks
-// with local max-id tallies, then runs a deterministic two-pass CSR
-// construction: a parallel degree histogram, prefix-summed offsets, and
-// a parallel scatter fill with per-chunk write cursors (no atomics).
-// Vertex ids are densified by ascending raw id (graph.DensifyIDs), a
-// pure function of the id set, so the resulting *graph.Graph — CSR
-// arrays and diffusion weights alike — is byte-identical at every
-// worker count and to the sequential graph.LoadEdgeList reference
-// loader. The tests pin exactly that.
+// boundaries and parses the chunks concurrently; ranks every raw id
+// among all ids (vertex ids are densified by ascending raw id, a pure
+// function of the id set) with a per-chunk byte-radix sort and one heap
+// merge; and hands the dense edges to graph.BuildTopology, which lays
+// out both CSR directions by counting-sort scatters. No stage runs a
+// comparison sort over edges or a search per edge, and none keeps a
+// per-worker table of length n. The resulting *graph.Graph — CSR arrays
+// and diffusion weights alike — is byte-identical at every worker count
+// and to the sequential graph.LoadEdgeList reference loader, whose
+// graph.DensifyIDs/RankID are the ranking's definition. The tests pin
+// exactly that.
 package ingest
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"os"
 	"runtime"
-	"sort"
 	"sync"
 	"time"
 
 	"repro/internal/graph"
+	"repro/internal/sched"
 )
 
 // Dedupe selects the self-loop/duplicate-edge policy.
@@ -71,8 +74,8 @@ type Stats struct {
 	Duplicates int64 // directed duplicate records dropped (or found, under strict)
 	Workers    int
 
-	ParseWall  time.Duration // chunked parse (+ id densification)
-	BuildWall  time.Duration // two-pass CSR construction
+	ParseWall  time.Duration // chunked parse and id ranking
+	BuildWall  time.Duration // remap to dense ids, CSR construction, validation
 	AssignWall time.Duration // diffusion-parameter assignment
 	TotalWall  time.Duration
 }
@@ -149,77 +152,65 @@ func Reader(r io.Reader, opt Options) (*graph.Graph, Stats, error) {
 
 // Bytes runs the full pipeline over an in-memory edge list.
 func Bytes(data []byte, opt Options) (*graph.Graph, Stats, error) {
+	return pipeline(data, opt, clampWorkers(opt.Workers, int64(len(data))))
+}
+
+// pipeline is Bytes with the chunk count given: rank, build, weigh.
+func pipeline(data []byte, opt Options, workers int) (*graph.Graph, Stats, error) {
 	start := time.Now()
-	workers := clampWorkers(opt.Workers, int64(len(data)))
 	st := Stats{Bytes: int64(len(data)), Workers: workers}
 
-	// ---- stage 1: chunked parallel parse -------------------------------
+	// ---- stage 1: chunked parallel parse and per-chunk id ranking ------
 	bounds := chunkBounds(data, workers)
-	blocks := make([]parseBlock, len(bounds)-1)
-	var wg sync.WaitGroup
-	for c := range blocks {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			blocks[c] = parseChunk(data, bounds[c], bounds[c+1])
-		}(c)
+	blocks := make([]parseBlock, workers)
+	eachChunk := func(fn func(c int)) {
+		sched.Static(workers, workers, func(_, lo, hi int) {
+			for c := lo; c < hi; c++ {
+				fn(c)
+			}
+		})
 	}
-	wg.Wait()
+	eachChunk(func(c int) { blocks[c] = parseChunk(data, bounds[c], bounds[c+1]) })
 	// Deterministic error reporting: the earliest offending byte wins,
 	// regardless of which worker hit it first.
 	for _, b := range blocks {
 		if b.err != nil {
-			line := 1 + countNewlines(data[:b.errOff])
+			line := 1 + bytes.Count(data[:b.errOff], []byte{'\n'})
 			return nil, st, fmt.Errorf("ingest: line %d: %v", line, b.err)
 		}
 	}
 
-	// ---- stage 2: sort-based id densification --------------------------
-	// Each chunk's ids arrive sorted and unique (parseChunk); a k-way
-	// merge yields the global ranking. The result depends only on the id
-	// set, so it is invariant under the chunking.
-	ids := mergeSortedUnique(blocks)
-	if int64(len(ids)) > int64(1)<<31-1 {
-		return nil, st, fmt.Errorf("ingest: %d distinct vertex ids exceed int32 range", len(ids))
+	// ---- stage 2: global ranking ---------------------------------------
+	// A vertex's dense number is the rank of its raw id among all ids, a
+	// function of the id set alone, so it is invariant under the chunking.
+	ids := mergeRanks(blocks)
+	if ids > 1<<31-1 {
+		return nil, st, fmt.Errorf("ingest: %d distinct vertex ids exceed int32 range", ids)
 	}
-	n := int32(len(ids))
 	st.ParseWall = time.Since(start)
 
-	// ---- stage 3: remap raw ids, expand undirected, drop self-loops ----
+	// ---- stage 3: remap endpoints to dense ids, expand undirected ------
 	buildStart := time.Now()
-	dense := make([][]graph.Edge, len(blocks))
-	loops := make([]int64, len(blocks))
-	for c := range blocks {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			dense[c], loops[c] = remapBlock(blocks[c].edges, ids, opt.Undirected)
-		}(c)
-	}
-	wg.Wait()
-	for c := range blocks {
-		st.SelfLoops += loops[c]
-		st.RawEdges += int64(len(blocks[c].edges))
-		blocks[c].edges = nil
-	}
+	expand := 1
 	if opt.Undirected {
-		st.RawEdges *= 2
+		expand = 2
 	}
+	offs := make([]int, workers+1)
+	for c, b := range blocks {
+		offs[c+1] = offs[c] + len(b.edges)*expand
+	}
+	edges := make([]graph.Edge, offs[workers])
+	eachChunk(func(c int) { blocks[c].remap(edges[offs[c]:offs[c+1]], opt.Undirected) })
+	st.RawEdges = int64(len(edges))
 
-	// ---- stage 4: two-pass CSR construction ----------------------------
-	outIndex, outEdges, dups, err := buildOutCSR(n, dense, workers)
-	if err != nil {
-		return nil, st, err
-	}
-	st.Duplicates = dups
-	st.Edges = outIndex[n]
-	st.Nodes = n
+	// ---- stage 4: linear-time CSR construction -------------------------
+	g, loops, dups := graph.BuildTopology(int32(ids), edges, workers)
+	st.SelfLoops, st.Duplicates = loops, dups
+	st.Edges, st.Nodes = g.M, g.N
 	if opt.Dedupe == DedupeStrict && (st.SelfLoops > 0 || st.Duplicates > 0) {
 		return nil, st, fmt.Errorf("ingest: strict dedupe: input contains %d self-loop(s) and %d duplicate edge(s)", st.SelfLoops, st.Duplicates)
 	}
-	inIndex, inEdges := buildInCSR(n, outIndex, outEdges, workers)
-	g, err := graph.FromCSRTopology(n, outIndex[n], outIndex, outEdges, inIndex, inEdges)
-	if err != nil {
+	if err := g.Validate(); err != nil {
 		return nil, st, fmt.Errorf("ingest: %w", err)
 	}
 	st.BuildWall = time.Since(buildStart)
@@ -244,13 +235,7 @@ func clampWorkers(w int, size int64) int {
 		w = runtime.NumCPU()
 	}
 	// No point splitting tiny inputs into empty chunks.
-	if max := int(size/1024) + 1; w > max {
-		w = max
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
+	return max(1, min(w, int(size/1024)+1))
 }
 
 // chunkBounds splits data into (roughly) equal byte ranges whose
@@ -260,39 +245,46 @@ func chunkBounds(data []byte, workers int) []int {
 	bounds := make([]int, workers+1)
 	bounds[workers] = len(data)
 	for i := 1; i < workers; i++ {
-		p := len(data) * i / workers
-		if p < bounds[i-1] {
-			p = bounds[i-1]
-		}
-		for p < len(data) && data[p] != '\n' {
-			p++
-		}
-		if p < len(data) {
-			p++ // one past the newline
+		p := max(len(data)*i/workers, bounds[i-1])
+		if nl := bytes.IndexByte(data[p:], '\n'); nl >= 0 {
+			p += nl + 1 // one past the newline
+		} else {
+			p = len(data)
 		}
 		bounds[i] = p
 	}
 	return bounds
 }
 
-type rawEdge struct{ src, dst int64 }
+// rawEdge is one parsed edge, source then target. Ranking a side
+// replaces that endpoint by its index into the side's id list.
+type rawEdge [2]int64
+
+// idList is the distinct raw ids one side (sources or targets) of one
+// chunk mentions, ascending, and — once mergeRanks has run — the global
+// rank of each.
+type idList struct {
+	ids  []int64
+	rank []int32
+}
 
 type parseBlock struct {
-	edges  []rawEdge
-	ids    []int64 // sorted unique raw ids of this chunk
+	edges  []rawEdge // endpoints as indices into side[0] and side[1]
+	side   [2]idList
 	err    error
 	errOff int // absolute byte offset of the offending line
 }
 
 // parseChunk parses data[lo:hi) line by line under the shared policy
-// (graph.ParseEdgeLine) and pre-sorts the chunk's ids for the merge.
+// (graph.ParseEdgeLine) and ranks the chunk's ids for the merge.
 func parseChunk(data []byte, lo, hi int) parseBlock {
 	var b parseBlock
-	i := lo
-	for i < hi {
-		j := i
-		for j < hi && data[j] != '\n' {
-			j++
+	edges := make([]rawEdge, 0, bytes.Count(data[lo:hi], []byte{'\n'})+1)
+	var differ rawEdge // per side, the bits in which some id differs from the first
+	for i := lo; i < hi; {
+		j := hi
+		if nl := bytes.IndexByte(data[i:hi], '\n'); nl >= 0 {
+			j = i + nl
 		}
 		line := data[i:j]
 		if len(line) > graph.MaxLineLen {
@@ -307,261 +299,127 @@ func parseChunk(data []byte, lo, hi int) parseBlock {
 			return b
 		}
 		if !skip {
-			b.edges = append(b.edges, rawEdge{src, dst})
+			edges = append(edges, rawEdge{src, dst})
+			differ[0] |= src ^ edges[0][0]
+			differ[1] |= dst ^ edges[0][1]
 		}
 		i = j + 1
 	}
-	b.ids = make([]int64, 0, 2*len(b.edges))
-	for _, e := range b.edges {
-		b.ids = append(b.ids, e.src, e.dst)
+	tmp := make([]rawEdge, len(edges))
+	for side := range b.side {
+		edges, tmp = b.rankSide(side, edges, tmp, differ[side])
 	}
-	b.ids = graph.DensifyIDs(b.ids)
+	b.edges = edges
 	return b
 }
 
-func countNewlines(data []byte) int {
-	n := 0
-	for _, c := range data {
-		if c == '\n' {
-			n++
-		}
-	}
-	return n
-}
-
-// mergeSortedUnique merges the per-chunk sorted unique id lists into the
-// global sorted unique id ranking.
-func mergeSortedUnique(blocks []parseBlock) []int64 {
-	total := 0
-	for _, b := range blocks {
-		total += len(b.ids)
-	}
-	out := make([]int64, 0, total)
-	cursors := make([]int, len(blocks))
-	for {
-		best := int64(0)
-		found := false
-		for c, b := range blocks {
-			if cursors[c] < len(b.ids) {
-				if v := b.ids[cursors[c]]; !found || v < best {
-					best, found = v, true
-				}
-			}
-		}
-		if !found {
-			return out
-		}
-		out = append(out, best)
-		for c, b := range blocks {
-			if cursors[c] < len(b.ids) && b.ids[cursors[c]] == best {
-				cursors[c]++
-			}
-		}
-	}
-}
-
-// remapBlock converts raw ids to dense ranks by binary search over the
-// global ranking, expands undirected edges, and drops self-loops
-// (counting them).
-func remapBlock(edges []rawEdge, ids []int64, undirected bool) ([]graph.Edge, int64) {
-	out := make([]graph.Edge, 0, len(edges)*expand(undirected))
-	var loops int64
-	for _, e := range edges {
-		if e.src == e.dst {
-			loops += int64(expand(undirected))
+// rankSide sorts edges by one endpoint, with tmp as the second buffer,
+// and replaces that endpoint by its rank among the side's distinct ids.
+// The sort is an LSD byte radix that skips the bytes every id shares:
+// no comparison, and a small dense id space costs two passes, not
+// eight. Ids are non-negative, so byte order is id order. The edges
+// move as a whole, so an endpoint ranked earlier stays with its edge.
+func (b *parseBlock) rankSide(side int, edges, tmp []rawEdge, differ int64) (sorted, spare []rawEdge) {
+	for shift := 0; differ>>shift != 0; shift += 8 {
+		if differ>>shift&0xff == 0 {
 			continue
 		}
-		s, d := graph.RankID(ids, e.src), graph.RankID(ids, e.dst)
-		out = append(out, graph.Edge{Src: s, Dst: d})
+		var cur [256]int
+		for _, e := range edges {
+			cur[e[side]>>shift&0xff]++
+		}
+		for d, at := 0, 0; d < 256; d++ {
+			cur[d], at = at, at+cur[d]
+		}
+		for _, e := range edges {
+			d := e[side] >> shift & 0xff
+			tmp[cur[d]] = e
+			cur[d]++
+		}
+		edges, tmp = tmp, edges
+	}
+	distinct := 0
+	for i := range edges {
+		if i == 0 || edges[i][side] != edges[i-1][side] {
+			distinct++
+		}
+	}
+	ids := make([]int64, 0, distinct)
+	for i := range edges {
+		if id := edges[i][side]; i == 0 || id != ids[len(ids)-1] {
+			ids = append(ids, id)
+		}
+		edges[i][side] = int64(len(ids) - 1)
+	}
+	b.side[side] = idList{ids, make([]int32, distinct)}
+	return edges, tmp
+}
+
+// mergeRanks fills every id list's local→global rank table by a k-way
+// heap merge of the lists — two per chunk — and returns the number of
+// distinct ids. It is the pipeline's one serial stage: each list entry
+// is popped once, O(log chunks) apiece, and the lists together hold at
+// most two ids per parsed edge, whatever the chunk count.
+func mergeRanks(blocks []parseBlock) (distinct int64) {
+	type cursor struct {
+		*idList
+		at int
+	}
+	heap := make([]cursor, 0, 2*len(blocks)) // lists with ids left, min-heap on the next of them
+	for c := range blocks {
+		for s := range blocks[c].side {
+			if l := &blocks[c].side[s]; len(l.ids) > 0 {
+				heap = append(heap, cursor{l, 0})
+			}
+		}
+	}
+	next := func(i int) int64 { return heap[i].ids[heap[i].at] }
+	down := func(i int) {
+		for {
+			l := 2*i + 1
+			if l >= len(heap) {
+				return
+			}
+			if r := l + 1; r < len(heap) && next(r) < next(l) {
+				l = r
+			}
+			if next(i) <= next(l) {
+				return
+			}
+			heap[i], heap[l] = heap[l], heap[i]
+			i = l
+		}
+	}
+	for i := len(heap)/2 - 1; i >= 0; i-- {
+		down(i)
+	}
+	last := int64(-1) // raw ids are non-negative
+	for len(heap) > 0 {
+		if id := next(0); id != last {
+			last = id
+			distinct++
+		}
+		top := &heap[0]
+		top.rank[top.at] = int32(distinct - 1)
+		if top.at++; top.at == len(top.ids) {
+			heap[0] = heap[len(heap)-1]
+			heap = heap[:len(heap)-1]
+		}
+		down(0)
+	}
+	return distinct
+}
+
+// remap writes the chunk's edges as dense vertex pairs into out, each
+// followed by its reverse when undirected.
+func (b *parseBlock) remap(out []graph.Edge, undirected bool) {
+	src, dst := b.side[0].rank, b.side[1].rank
+	for i, e := range b.edges {
+		d := graph.Edge{Src: src[e[0]], Dst: dst[e[1]]}
 		if undirected {
-			out = append(out, graph.Edge{Src: d, Dst: s})
+			out[2*i], out[2*i+1] = d, graph.Edge{Src: d.Dst, Dst: d.Src}
+		} else {
+			out[i] = d
 		}
 	}
-	return out, loops
-}
-
-func expand(undirected bool) int {
-	if undirected {
-		return 2
-	}
-	return 1
-}
-
-// buildOutCSR lays out the forward CSR in two passes: a parallel
-// per-chunk degree histogram whose prefix sums give every chunk a
-// private write cursor per vertex (scatter without atomics), then a
-// parallel per-segment sort + dedupe + compaction. The result is the
-// sorted, duplicate-free CSR — a pure function of the edge set,
-// independent of chunking.
-func buildOutCSR(n int32, blocks [][]graph.Edge, workers int) (index []int64, edges []int32, dups int64, err error) {
-	// Pass 1a: per-chunk out-degree histograms.
-	counts := make([][]int32, len(blocks))
-	var wg sync.WaitGroup
-	for c := range blocks {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			cnt := make([]int32, n)
-			for _, e := range blocks[c] {
-				cnt[e.Src]++
-			}
-			counts[c] = cnt
-		}(c)
-	}
-	wg.Wait()
-
-	// Pass 1b: global offsets and per-chunk cursors.
-	dupIndex := make([]int64, n+1)
-	cursors := make([][]int64, len(blocks))
-	for c := range cursors {
-		cursors[c] = make([]int64, n)
-	}
-	var total int64
-	for u := int32(0); u < n; u++ {
-		dupIndex[u] = total
-		for c := range blocks {
-			cursors[c][u] = total
-			total += int64(counts[c][u])
-		}
-	}
-	dupIndex[n] = total
-
-	// Pass 1c: parallel scatter — each chunk owns disjoint cursor ranges.
-	scattered := make([]int32, total)
-	for c := range blocks {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			cur := cursors[c]
-			for _, e := range blocks[c] {
-				scattered[cur[e.Src]] = e.Dst
-				cur[e.Src]++
-			}
-		}(c)
-	}
-	wg.Wait()
-
-	// Pass 2a: parallel per-segment sort + unique count over contiguous
-	// vertex ranges.
-	uniq := make([]int64, n)
-	parallelRanges(int(n), workers, func(lo, hi int) {
-		for u := lo; u < hi; u++ {
-			seg := scattered[dupIndex[u]:dupIndex[u+1]]
-			sort.Slice(seg, func(i, j int) bool { return seg[i] < seg[j] })
-			var k int64
-			for i, v := range seg {
-				if i == 0 || v != seg[i-1] {
-					k++
-				}
-			}
-			uniq[u] = k
-		}
-	})
-
-	// Pass 2b: final offsets and parallel compaction.
-	index = make([]int64, n+1)
-	var m int64
-	for u := int32(0); u < n; u++ {
-		index[u] = m
-		m += uniq[u]
-	}
-	index[n] = m
-	edges = make([]int32, m)
-	parallelRanges(int(n), workers, func(lo, hi int) {
-		for u := lo; u < hi; u++ {
-			seg := scattered[dupIndex[u]:dupIndex[u+1]]
-			w := index[u]
-			for i, v := range seg {
-				if i == 0 || v != seg[i-1] {
-					edges[w] = v
-					w++
-				}
-			}
-		}
-	})
-	return index, edges, total - m, nil
-}
-
-// buildInCSR derives the transpose CSR from the final forward CSR with
-// the same histogram/prefix/scatter discipline: contiguous source
-// ranges per worker, per-range cursor bases, so in-segments come out
-// sorted by source without any post-sort.
-func buildInCSR(n int32, outIndex []int64, outEdges []int32, workers int) ([]int64, []int32) {
-	parts := workers
-	if parts > int(n) && n > 0 {
-		parts = int(n)
-	}
-	if parts < 1 {
-		parts = 1
-	}
-	counts := make([][]int32, parts)
-	var wg sync.WaitGroup
-	for p := 0; p < parts; p++ {
-		lo, hi := int32(int(n)*p/parts), int32(int(n)*(p+1)/parts)
-		wg.Add(1)
-		go func(p int, lo, hi int32) {
-			defer wg.Done()
-			cnt := make([]int32, n)
-			for k := outIndex[lo]; k < outIndex[hi]; k++ {
-				cnt[outEdges[k]]++
-			}
-			counts[p] = cnt
-		}(p, lo, hi)
-	}
-	wg.Wait()
-
-	inIndex := make([]int64, n+1)
-	cursors := make([][]int64, parts)
-	for p := range cursors {
-		cursors[p] = make([]int64, n)
-	}
-	var total int64
-	for v := int32(0); v < n; v++ {
-		inIndex[v] = total
-		for p := 0; p < parts; p++ {
-			cursors[p][v] = total
-			total += int64(counts[p][v])
-		}
-	}
-	inIndex[n] = total
-
-	inEdges := make([]int32, total)
-	for p := 0; p < parts; p++ {
-		lo, hi := int32(int(n)*p/parts), int32(int(n)*(p+1)/parts)
-		wg.Add(1)
-		go func(p int, lo, hi int32) {
-			defer wg.Done()
-			cur := cursors[p]
-			for u := lo; u < hi; u++ {
-				for k := outIndex[u]; k < outIndex[u+1]; k++ {
-					v := outEdges[k]
-					inEdges[cur[v]] = u
-					cur[v]++
-				}
-			}
-		}(p, lo, hi)
-	}
-	wg.Wait()
-	return inIndex, inEdges
-}
-
-// parallelRanges runs fn over contiguous [lo, hi) partitions of [0, n).
-func parallelRanges(n, workers int, fn func(lo, hi int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		fn(0, n)
-		return
-	}
-	var wg sync.WaitGroup
-	for p := 0; p < workers; p++ {
-		lo, hi := n*p/workers, n*(p+1)/workers
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
 }

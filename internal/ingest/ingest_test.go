@@ -1,9 +1,11 @@
 package ingest
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -192,5 +194,123 @@ func TestIngestTooManyVertices(t *testing.T) {
 	}
 	if g.N != 2 {
 		t.Fatalf("N=%d, want 2", g.N)
+	}
+}
+
+// rmatEdgeList is the text of an R-MAT graph with every vertex id v
+// rewritten to spread(v), so tests choose the id space.
+func rmatEdgeList(t testing.TB, scale int, edgeFactor float64, spread func(v int32) int64) []byte {
+	t.Helper()
+	g, err := gen.RMAT(gen.DefaultRMAT(scale, edgeFactor), graph.IC, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	for u := int32(0); u < g.N; u++ {
+		for _, v := range g.OutNeighbors(u) {
+			fmt.Fprintf(&buf, "%d\t%d\n", spread(u), spread(v))
+		}
+	}
+	return buf.Bytes()
+}
+
+func denseIDs(v int32) int64 { return int64(v) }
+
+// sparseIDs scatters ids over [0, 2^62) in an order unrelated to v's.
+func sparseIDs(v int32) int64 { return int64(uint64(v+1) * 0x9E3779B97F4A7C15 >> 2) }
+
+func TestIngestChunksBeyondCoresAndLines(t *testing.T) {
+	workers := []int{1, 2, 3, 8, 64, 128}
+	check := func(name string, data []byte, ingest func(Options) (*graph.Graph, Stats, error)) {
+		t.Helper()
+		for _, model := range []graph.Model{graph.IC, graph.LT} {
+			for _, undirected := range []bool{false, true} {
+				want, err := graph.LoadEdgeList(bytes.NewReader(data), undirected, model, 7)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, w := range workers {
+					got, st, err := ingest(Options{Workers: w, Undirected: undirected, Model: model, Seed: 7})
+					if err != nil {
+						t.Fatalf("%s model=%v undirected=%v workers=%d: %v", name, model, undirected, w, err)
+					}
+					if !graph.Equal(want, got) {
+						t.Fatalf("%s model=%v undirected=%v workers=%d: graph differs from sequential reference", name, model, undirected, w)
+					}
+					if st.RawEdges-st.SelfLoops-st.Duplicates != got.M {
+						t.Fatalf("%s workers=%d: dedupe counters do not add up: %+v", name, w, st)
+					}
+				}
+			}
+		}
+	}
+	// Big enough that Bytes does not clamp 128 workers away.
+	for name, spread := range map[string]func(int32) int64{"dense": denseIDs, "sparse": sparseIDs} {
+		data := rmatEdgeList(t, 12, 8, spread)
+		if clampWorkers(128, int64(len(data))) != 128 {
+			t.Fatalf("%s fixture of %d bytes is clamped below 128 workers", name, len(data))
+		}
+		check(name, data, func(opt Options) (*graph.Graph, Stats, error) { return Bytes(data, opt) })
+		// The generated list is clean, so strict dedupe must agree too.
+		strict, _, err := Bytes(data, Options{Workers: 64, Dedupe: DedupeStrict, Seed: 7})
+		loose, _, _ := Bytes(data, Options{Workers: 1, Seed: 7})
+		if err != nil || !graph.Equal(strict, loose) {
+			t.Fatalf("%s: strict dedupe on a clean list: err=%v", name, err)
+		}
+	}
+	// The small fixture through the pipeline itself: far more chunks
+	// than lines, most of them empty.
+	data := []byte(messyEdgeList)
+	check("messy", data, func(opt Options) (*graph.Graph, Stats, error) { return pipeline(data, opt, opt.Workers) })
+}
+
+func TestIngestAllocs(t *testing.T) {
+	// Allocations per ingest are a small constant per worker (chunk
+	// buffers, fork/join closures, one cursor table per sort) — not one
+	// per vertex segment, line or edge. The same bound holds for a graph
+	// 60 times larger.
+	small, big := rmatEdgeList(t, 8, 4, denseIDs), rmatEdgeList(t, 12, 16, sparseIDs)
+	for _, w := range []int{1, 4, 16} {
+		bound := float64(64 + 48*w)
+		for _, data := range [][]byte{small, big} {
+			allocs := testing.AllocsPerRun(3, func() {
+				if _, _, err := pipeline(data, Options{Model: graph.LT, Seed: 1}, w); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs > bound {
+				t.Errorf("workers=%d, %d input bytes: %.0f allocs per ingest, want <= %.0f", w, len(data), allocs, bound)
+			}
+		}
+	}
+}
+
+func TestIngestFootprintIndependentOfWorkers(t *testing.T) {
+	// A ring: as many vertices as edges, so any per-worker table of
+	// length n dominates what the pipeline allocates. Everything it
+	// allocates — transient and final — must stay within c·(n+m) bytes at
+	// 64 chunks as at one.
+	const n = 50000
+	var buf bytes.Buffer
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&buf, "%d %d\n", i, (i+1)%n)
+	}
+	data := buf.Bytes()
+	allocated := func(w int) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		g, _, err := pipeline(data, Options{Seed: 1}, w)
+		if err != nil || g.N != n || g.M != n {
+			t.Fatalf("workers=%d: err=%v", w, err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	one, many := allocated(1), allocated(64)
+	if bound := uint64(160 * (n + n)); one > bound || many > bound {
+		t.Fatalf("ingest allocated %d bytes at 1 worker, %d at 64; want <= %d (160 B per vertex and edge)", one, many, bound)
+	}
+	if many > one+one/2 {
+		t.Fatalf("ingest allocated %d bytes at 64 workers against %d at one: footprint grows with the worker count", many, one)
 	}
 }

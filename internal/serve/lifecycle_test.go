@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"errors"
+	"math"
 	"net/http"
 	"path/filepath"
 	"reflect"
@@ -193,7 +194,7 @@ func TestRemoveGraph(t *testing.T) {
 // register (inline and from snapshot), inspect, stream a delta, and
 // delete — including the error envelope for the failure cases.
 func TestLifecycleHTTP(t *testing.T) {
-	_, ts := testHTTP(t)
+	s, ts := testHTTP(t)
 
 	// Register a small inline graph.
 	var info GraphInfo
@@ -273,6 +274,21 @@ func TestLifecycleHTTP(t *testing.T) {
 	}
 	checkError(t, "POST", ts.URL+"/v1/graphs/tiny/edges", `{"file":"no/such.imdelta"}`,
 		http.StatusBadRequest, "invalid_delta")
+	// JSON cannot spell NaN but an .imdelta can: it is an invalid
+	// probability, not a request to derive one, strict or not.
+	nan := graph.Delta{Add: []graph.Edge{{Src: 1, Dst: 0}}, AddProb: []float32{float32(math.NaN())}}
+	if err := ingest.WriteDeltaFile(dpath, nan); err != nil {
+		t.Fatal(err)
+	}
+	checkError(t, "POST", ts.URL+"/v1/graphs/tiny/edges", `{"file":`+quoteJSON(dpath)+`}`,
+		http.StatusBadRequest, "invalid_delta")
+	if _, err := s.ApplyDelta("tiny", nan, graph.DeltaOptions{}); !errors.Is(err, ErrInvalidDelta) {
+		t.Fatalf("NaN probability through ApplyDelta: err = %v, want ErrInvalidDelta", err)
+	}
+	getJSON(t, ts.URL+"/v1/graphs/tiny", http.StatusOK, &info)
+	if info.Epoch != 2 {
+		t.Fatalf("rejected deltas moved the epoch: %+v", info)
+	}
 	checkError(t, "POST", ts.URL+"/v1/graphs/nope/edges", `{"add":[[0,1]]}`,
 		http.StatusNotFound, "unknown_graph")
 
