@@ -483,8 +483,22 @@ func BenchmarkApplyDelta(b *testing.B) {
 		b.Fatal(err)
 	}
 	graph.AssignWC(g)
+	deltas := servingDeltas(g, 64)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := graph.ApplyDelta(g, deltas[i%len(deltas)], graph.DeltaOptions{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// servingDeltas draws count 3-add/3-remove deltas against g from one
+// fixed seeded stream: removals of edges g has, additions between random
+// endpoints.
+func servingDeltas(g *graph.Graph, count int) []graph.Delta {
 	r := rng.New(7)
-	deltas := make([]graph.Delta, 64)
+	deltas := make([]graph.Delta, count)
 	for i := range deltas {
 		d := graph.Delta{Seed: uint64(i)}
 		for j := 0; j < 3; j++ {
@@ -498,13 +512,7 @@ func BenchmarkApplyDelta(b *testing.B) {
 		}
 		deltas[i] = d
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := graph.ApplyDelta(g, deltas[i%len(deltas)], graph.DeltaOptions{}); err != nil {
-			b.Fatal(err)
-		}
-	}
+	return deltas
 }
 
 // BenchmarkServeCold measures the per-query cost when every query pays
@@ -580,7 +588,10 @@ func BenchmarkServeBatch(b *testing.B) {
 // every answer runs the CELF kernel, as every answer did before the memo.
 // /hit repeats one query exactly: every selection is a memo lookup, which
 // is what imbench's imm.warm_answer_ms and imm.warm_answer_allocs time
-// now that they repeat one shape.
+// now that they repeat one shape. /thawed is the first answer of a pool
+// just thawed from its frozen state — memo empty, selection scratch not
+// yet allocated, the thaw itself off the clock: imbench's tier-rotate op
+// without the stack around it.
 func BenchmarkWarmAnswer(b *testing.B) {
 	g, err := gen.RMAT(gen.DefaultRMAT(13, 8), graph.IC, 1)
 	if err != nil {
@@ -609,7 +620,7 @@ func BenchmarkWarmAnswer(b *testing.B) {
 	if _, err := w.AnswerBatch(opt, all); err != nil { // builds the pool past every query below
 		b.Fatal(err)
 	}
-	answer := func(b *testing.B, q imm.BatchQuery) imm.BatchAnswer {
+	answerOn := func(b *testing.B, w *imm.WarmEngine, q imm.BatchQuery) imm.BatchAnswer {
 		rep, err := w.AnswerBatch(opt, []imm.BatchQuery{q})
 		if err != nil {
 			b.Fatal(err)
@@ -618,6 +629,11 @@ func BenchmarkWarmAnswer(b *testing.B) {
 			b.Fatal("warm answer extended the pool")
 		}
 		return rep.Answers[0]
+	}
+	answer := func(b *testing.B, q imm.BatchQuery) imm.BatchAnswer { return answerOn(b, w, q) }
+	frozen, err := w.Freeze(0) // aliases w's index: valid while w's pool is not extended, as here
+	if err != nil {
+		b.Fatal(err)
 	}
 	for _, q := range shapes {
 		b.Run(fmt.Sprintf("k=%d/eps=%g", q.K, q.Epsilon), func(b *testing.B) {
@@ -644,7 +660,72 @@ func BenchmarkWarmAnswer(b *testing.B) {
 				}
 			}
 		})
+		b.Run(fmt.Sprintf("k=%d/eps=%g/thawed", q.K, q.Epsilon), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				tw, err := imm.ThawWarmEngine(g, opt, frozen)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				if a := answerOn(b, tw, q); a.MemoHits > 1 {
+					b.Fatalf("%d of %d selections hit the memo of a pool just thawed", a.MemoHits, a.Selections)
+				}
+			}
+		})
 	}
+}
+
+// BenchmarkRepair measures one warm-pool repair on the serving graph
+// (R-MAT 13, weighted cascade, Workers=2, the default query's pool): the
+// seeded 3-add/3-remove deltas of BenchmarkApplyDelta, each applied to the
+// same base epoch and repaired on a pool thawed at that epoch, with only
+// WarmEngine.ApplyDelta on the clock — invalidation through the index,
+// resampling, the index patch and the counter. Every op does the work its
+// delta dictates whatever ran before it, which makes it the repeatable
+// stand-in for imbench's imm.repair_ms; sets/op is the resampled share.
+func BenchmarkRepair(b *testing.B) {
+	g, err := gen.RMAT(gen.DefaultRMAT(13, 8), graph.IC, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	graph.AssignWC(g)
+	opt := imm.Defaults()
+	opt.Workers = 2
+	opt.Seed = 1
+	w, err := imm.NewWarmEngine(g, opt)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := w.AnswerBatch(opt, []imm.BatchQuery{{K: opt.K, Epsilon: opt.Epsilon}}); err != nil {
+		b.Fatal(err)
+	}
+	frozen, err := w.Freeze(0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	deltas := servingDeltas(g, 200)
+	var resampled int64
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		ng, rep, err := graph.ApplyDelta(g, deltas[i%len(deltas)], graph.DeltaOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		tw, err := imm.ThawWarmEngine(g, opt, frozen)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		rr, err := tw.ApplyDelta(ng, rep)
+		if err != nil || rr.FullResample {
+			b.Fatalf("repair: %+v, %v", rr, err)
+		}
+		resampled += rr.Resampled
+	}
+	b.ReportMetric(float64(resampled)/float64(b.N), "sets/op")
 }
 
 // BenchmarkServeWarm measures the steady-state served query: the pool
@@ -724,15 +805,17 @@ func BenchmarkColdRun(b *testing.B) {
 	}
 }
 
-// BenchmarkIndexExtend measures Stage B, the per-shard inverted-index
-// patch, in both regimes through the public Selector: sparse (scale-16
-// LT, ~2-member sets scattered over 65 536 vertices, where the cost is
-// the pass over the offsets) and dense (scale-9 uniform IC, bitmap sets
-// that touch most of 512 vertices, where it is the postings). Each op
-// absorbs the same pre-generated sets in five doubling rounds, closing
-// each with a one-seed Select — the call that brings the index up to
-// date, and small beside it. ns/posting divides the op by the postings
-// indexed; allocs/op should stay near two arrays per shard per round.
+// BenchmarkIndexExtend measures Stage B, the inverted-index patch, in
+// both regimes through the public Selector: sparse (scale-16 LT,
+// ~2-member sets scattered over 65 536 vertices, where the cost is the
+// pass over the offsets) and dense (scale-9 uniform IC, bitmap sets that
+// touch most of 512 vertices, where it is the postings). Each op absorbs
+// the same pre-generated sets in five doubling rounds, closing each with a
+// one-seed Select — the call that brings the index up to date, and small
+// beside it in time (its heap slab and gain versions, 20 bytes a vertex,
+// are a fifth of the sparse regime's B/op). ns/posting divides the op by
+// the postings indexed; B/op is two result arrays per round — 8 bytes a
+// vertex, 4 a posting — plus the set slots and that slab.
 func BenchmarkIndexExtend(b *testing.B) {
 	regimes := []struct {
 		name       string

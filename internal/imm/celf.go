@@ -8,8 +8,8 @@ import (
 	"repro/internal/sched"
 )
 
-// prefixBelow returns how many of post's ascending local entry ids lie
-// below lim — a vertex's occurrence count within a truncated pool view.
+// prefixBelow returns how many of post's ascending set ids lie below
+// lim — a vertex's occurrence count within a truncated pool view.
 // Only a segment that straddles the horizon is searched; the common
 // cases (empty, wholly below, wholly beyond) cost one or two compares.
 func prefixBelow(post []int32, lim int32) int {
@@ -31,22 +31,12 @@ func prefixBelow(post []int32, lim int32) int {
 	return lo
 }
 
-// shardView is one shard as a selection sees it: the CSR postings, the
-// coverage words, and the view's horizon, hoisted out of the pool so the
-// pop loop touches no pointers it does not need.
-type shardView struct {
-	idx, data []int32
-	covered   []uint64
-	lim       int32 // entries below lim belong to the view
-	whole     bool  // lim covers every indexed entry: initial gains are segment lengths
-	owner     int   // worker sched.Static(workers, poolShards, ·) gives this shard
-}
-
 // shardOwners returns, for every shard, the worker that
 // sched.Static(workers, poolShards, ·) would run it on. The pop loop
 // walks postings inline on the calling goroutine but still bills each
-// shard's work to that worker, so the modeled per-worker critical path
-// is the one a shard-parallel walk would have produced.
+// posting to the worker owning the shard its set lives in, so the modeled
+// per-worker critical path is the one a shard-parallel walk would have
+// produced.
 func shardOwners(workers int) (owner [poolShards]int) {
 	p := min(workers, poolShards)
 	for wk := 0; wk < p; wk++ {
@@ -72,12 +62,13 @@ func shardOwners(workers int) (owner [poolShards]int) {
 // Parallel regions open only for the passes whose work scales with the
 // vertex count or with pool growth: index extension (when the pool grew),
 // initial gains, and heap construction. The pop loop opens none: a stale
-// re-evaluation or a seed retirement walks a few dozen postings per
-// shard, far less than a fork-join costs, so both run inline, shard by
-// shard. Their work is still charged to the worker that owns each shard
-// under the static shard partition (shardOwners), which keeps the modeled
-// cost — the per-worker critical path plus the serial heap machinery —
-// independent of how the walks are actually executed.
+// re-evaluation or a seed retirement walks one contiguous segment of a few
+// dozen postings, far less than a fork-join costs, so both run inline.
+// Their work is still charged, posting by posting, to the worker that
+// owns the set's shard under the static shard partition (shardOwners),
+// which keeps the modeled cost — the per-worker critical path plus the
+// serial heap machinery — independent of how the walks are actually
+// executed.
 //
 // Determinism: the heap order and the cross-heap reduction both use
 // (gain desc, vertex asc) — counter.GainLess — which is exactly the
@@ -95,10 +86,10 @@ func (p *shardedPool) selectCELF(base *counter.Counter, workers, k int) (seeds [
 // pool view of global set ids below limit — the warm-serving seam. A
 // pool physically grown to θ_max answers a query whose own trajectory
 // stopped at θ = limit ≤ θ_max with exactly the seeds a cold pool of
-// limit sets would have returned: postings are appended in ascending
-// local-id order, so each shard's view is the prefix below
-// localLimit(s, limit), and every gain computation, stale recompute,
-// and coverage retirement stops at that horizon. base is only consulted
+// limit sets would have returned: a vertex's postings ascend by set id,
+// so its view is the prefix below limit, and every gain computation,
+// stale recompute, and coverage retirement stops at that horizon. base is
+// only consulted
 // for the full view; a truncated view derives its gains from posting
 // prefixes (equal to the fused counts a cold run would have passed,
 // because fusion merely pre-aggregates occurrence counts of the same
@@ -142,30 +133,21 @@ func (p *shardedPool) selectCELFLimited(base *counter.Counter, workers, k int, l
 		p.ensureIndexed(w, indexOps)
 	}
 
-	// Clear the coverage scratch and hoist each shard's view. Shards the
-	// view leaves empty (fewer sets than shards) are dropped here; they
-	// still draw the fixed per-walk charge at the end.
+	// Clear the coverage scratch and hoist the view. Each shard's share of
+	// the reset is its owner's.
 	owner := shardOwners(w)
-	var viewBuf [poolShards]shardView
-	views := viewBuf[:0]
+	p.covered.Reset()
 	for s := range p.shards {
-		sh := &p.shards[s]
-		sh.covered.Reset()
-		ops[owner[s]] += int64(sh.indexed)/64 + 1
-		if lim := localLimit(s, limit); lim > 0 {
-			views = append(views, shardView{
-				idx: sh.postIdx, data: sh.postData, covered: sh.covered.Words(),
-				lim: int32(lim), whole: lim == sh.indexed, owner: owner[s],
-			})
-		}
+		ops[owner[s]] += int64(localLimit(s, p.indexed))/64 + 1
 	}
+	idx, data, covered := p.postIdx, p.postData, p.covered.Words()
+	lim, whole := int32(limit), limit == p.indexed
 
 	// Initial gains, written straight into the heap slab (slot v holds
 	// vertex v until the heaps are built): the fused base counter when it
 	// is fresh (a streaming copy), else each vertex's occurrence count
-	// within the view. The counts are taken shard-major — every worker
-	// streams each shard's offset array once over its vertex range, and
-	// only a segment that straddles the horizon is searched.
+	// within the view — an offset difference, or for a truncated view a
+	// search of only the segments that straddle the horizon.
 	if cap(p.heapScratch) < n {
 		p.heapScratch = make([]counter.GainItem, n)
 	}
@@ -180,21 +162,15 @@ func (p *shardedPool) selectCELFLimited(base *counter.Counter, workers, k int, l
 		})
 	} else {
 		sched.Static(w, n, func(wk, lo, hi int) {
+			a := idx[lo]
 			for v := lo; v < hi; v++ {
-				items[v] = counter.GainItem{Vertex: int32(v)}
-			}
-			for i := range views {
-				sv := &views[i]
-				a := sv.idx[lo]
-				for v := lo; v < hi; v++ {
-					b := sv.idx[v+1]
-					if sv.whole {
-						items[v].Gain += int64(b - a)
-					} else if a < b {
-						items[v].Gain += int64(prefixBelow(sv.data[a:b], sv.lim))
-					}
-					a = b
+				b := idx[v+1]
+				g := b - a
+				if !whole && a < b {
+					g = int64(prefixBelow(data[a:b], lim))
 				}
+				items[v] = counter.GainItem{Gain: g, Vertex: int32(v)}
+				a = b
 			}
 			ops[wk] += int64(hi - lo)
 		})
@@ -223,6 +199,7 @@ func (p *shardedPool) selectCELFLimited(base *counter.Counter, workers, k int, l
 	clear(version)
 	seeds = make([]int32, 0, k)
 	var coveredCount, walks int64
+	var walked [poolShards]int64 // postings walked, by the shard of their set
 
 	for len(seeds) < k && len(seeds) < n {
 		round := int32(len(seeds))
@@ -254,17 +231,12 @@ func (p *shardedPool) selectCELFLimited(base *counter.Counter, workers, k int, l
 			// uncovered postings inside the view.
 			v := best.Vertex
 			var g int64
-			for i := range views {
-				sv := &views[i]
-				walked := 0
-				for _, j := range sv.data[sv.idx[v]:sv.idx[v+1]] {
-					if j >= sv.lim {
-						break // beyond the view's horizon
-					}
-					walked++
-					g += int64(^sv.covered[uint32(j)>>6] >> (uint32(j) & 63) & 1)
+			for _, j := range data[idx[v]:idx[v+1]] {
+				if j >= lim {
+					break // beyond the view's horizon
 				}
-				ops[sv.owner] += int64(walked)
+				walked[j&(poolShards-1)]++
+				g += int64(^covered[uint32(j)>>6] >> (uint32(j) & 63) & 1)
 			}
 			walks++
 			version[v] = round
@@ -276,31 +248,26 @@ func (p *shardedPool) selectCELFLimited(base *counter.Counter, workers, k int, l
 		}
 		seeds = append(seeds, chosen)
 
-		// Retire the seed's coverage: walk its postings per shard and
-		// mark the newly covered entries. This is the whole counter
-		// maintenance — no decrement/rebuild pass over set members.
-		for i := range views {
-			sv := &views[i]
-			walked := 0
-			for _, j := range sv.data[sv.idx[chosen]:sv.idx[chosen+1]] {
-				if j >= sv.lim {
-					break // beyond the view's horizon
-				}
-				walked++
-				word, bit := &sv.covered[uint32(j)>>6], uint64(1)<<(uint32(j)&63)
-				if *word&bit == 0 {
-					*word |= bit
-					coveredCount++
-				}
+		// Retire the seed's coverage: walk its postings and mark the newly
+		// covered sets. This is the whole counter maintenance — no
+		// decrement/rebuild pass over set members.
+		for _, j := range data[idx[chosen]:idx[chosen+1]] {
+			if j >= lim {
+				break // beyond the view's horizon
 			}
-			ops[sv.owner] += int64(walked)
+			walked[j&(poolShards-1)]++
+			word, bit := &covered[uint32(j)>>6], uint64(1)<<(uint32(j)&63)
+			if *word&bit == 0 {
+				*word |= bit
+				coveredCount++
+			}
 		}
 		walks++
 	}
-	// Every walk visits every shard; the fixed unit per shard visit goes
-	// to the shard's owner, like the postings it walked.
-	for _, wk := range owner {
-		ops[wk] += walks
+	// A walk is modeled as a visit to every shard: each shard's owner
+	// takes the postings walked there plus one fixed unit per walk.
+	for s, wk := range owner {
+		ops[wk] += walked[s] + walks
 	}
 	coverage = float64(coveredCount) / float64(nsets)
 	p.memo.store(key, seeds, coverage, float64(maxOf(ops))+float64(serial), n)
@@ -333,8 +300,10 @@ func NewSelector(n int32) *Selector { return &Selector{p: newShardedPool(n)} }
 // pass rrr.ListSet.Detach()ed copies instead — see the ownership
 // contract on rrr.ListSet.Raw.
 func (s *Selector) Extend(sets []rrr.Set, workers int) {
-	from := s.p.count
-	s.p.grow(from + int64(len(sets)))
+	from, _, err := s.p.grow(s.p.count + int64(len(sets)))
+	if err != nil {
+		panic(err) // RunEngine refuses a θ past the bound before any front-end gathers it
+	}
 	w := workers
 	if w < 1 {
 		w = 1

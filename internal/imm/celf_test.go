@@ -184,6 +184,29 @@ func TestCELFAccountingGolden(t *testing.T) {
 	}
 }
 
+// TestSelectViewMatchesColdPool pins the truncated view against the pool
+// it stands for: over one physical pool, every limit in a sweep selects
+// what a pool of exactly limit sets selects — seeds, coverage and modeled
+// cost — at every worker count. The pools stay under 64 sets a shard,
+// where the coverage reset, billed by the physical pool, costs a view
+// what it costs the cold pool.
+func TestSelectViewMatchesColdPool(t *testing.T) {
+	g := testGraph(t, 8, graph.LT)
+	const theta, k = 1000, 8
+	for _, w := range []int{1, 2, 3, 8} {
+		warm := generatePool(t, g, testOpts(Efficient, w), theta).p
+		for _, limit := range []int64{1, 2, 15, 16, 17, 100, 333, 512, 999, 1000} {
+			cold := generatePool(t, g, testOpts(Efficient, w), limit).p
+			seeds, cov, ops := warm.selectCELFLimited(nil, w, k, limit)
+			wantSeeds, wantCov, wantOps := cold.selectCELF(nil, w, k)
+			if fmt.Sprint(seeds) != fmt.Sprint(wantSeeds) || cov != wantCov || ops != wantOps {
+				t.Errorf("workers=%d limit=%d: view selects %v/%v at %v ops, a pool of %d sets %v/%v at %v",
+					w, limit, seeds, cov, ops, limit, wantSeeds, wantCov, wantOps)
+			}
+		}
+	}
+}
+
 // TestPrefixBelow checks the horizon search against a linear count on
 // every horizon around a segment with gaps and at its ends.
 func TestPrefixBelow(t *testing.T) {

@@ -83,7 +83,10 @@ func (e *efficientEngine) Breakdown() Breakdown         { return e.bd }
 func (e *efficientEngine) PoolFootprint() PoolFootprint { return e.p.footprint() }
 
 func (e *efficientEngine) Generate(target int64) {
-	from, to := e.p.grow(target)
+	from, to, err := e.p.grow(target)
+	if err != nil {
+		panic(err) // RunEngine refuses a θ past the bound before it gets here
+	}
 	if from == to {
 		return
 	}

@@ -1,7 +1,6 @@
 package imm
 
 import (
-	"sync"
 	"time"
 
 	"repro/internal/counter"
@@ -32,11 +31,9 @@ import (
 //     loop to a filter-then-draw pair of passes once the set is dense;
 //     neither shape changes a draw (see diffusion.traverseIC).
 //
-//   - Stage B (index merge): while the new sets are still hot, each pool
-//     shard's CSR inverted index absorbs them (poolShard.patch) on the
-//     shard's pinned owner worker (numa.Topology.PinShards — single
-//     writer per shard, owners spread across NUMA nodes to match the
-//     pool's interleaved placement). Afterwards ensureIndexed is a
+//   - Stage B (index merge): while the new sets are still hot, the
+//     pool's CSR inverted index absorbs them (shardedPool.patch), one
+//     writer per contiguous vertex range. Afterwards ensureIndexed is a
 //     no-op; selection starts on a current index. Scan-mode selection
 //     never reads the index, so the stage is skipped and IndexBytes
 //     stays zero.
@@ -204,41 +201,22 @@ func (e *efficientEngine) arenaSlackBytes() int64 {
 	return b
 }
 
-// indexNewSets merges every shard's un-absorbed sets into its CSR
-// inverted index, each shard on its pinned owner worker (single writer
-// per shard; inline when one owner holds them all), and returns the
-// critical path — the costliest owner's decode-and-append work (2 ops
-// per member), the same charge ensureIndexed bills per shard.
-// Idempotent: a second call (including ensureIndexed during selection)
-// finds nothing new.
+// indexNewSets merges the un-absorbed sets into the inverted index and
+// returns the modeled critical path: each shard's sets are charged to its
+// pinned owner worker (numa.Topology.PinShards, owners spread across NUMA
+// nodes like the pool's interleaved placement) at ensureIndexed's 2 ops
+// per member, and the costliest owner gates the stage. Idempotent.
 func (p *shardedPool) indexNewSets(workers int) int64 {
-	pins := numa.PerlmutterLike().PinShards(poolShards, workers)
-	sc := p.indexScratches(len(pins))
-	ops := make([]int64, len(pins))
-	absorb := func(w int) {
+	members := p.patch(workers, nil, nil)
+	var critical int64
+	for _, shards := range numa.PerlmutterLike().PinShards(poolShards, workers) {
 		var o int64
-		for _, s := range pins[w] {
-			o += 2 * p.shards[s].extend(p.n, &sc[w])
+		for _, s := range shards {
+			o += 2 * members[s]
 		}
-		ops[w] = o
+		critical = max(critical, o)
 	}
-	if len(pins) == 1 {
-		absorb(0)
-		return ops[0]
-	}
-	var wg sync.WaitGroup
-	for w := range pins {
-		if len(pins[w]) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			absorb(w)
-		}(w)
-	}
-	wg.Wait()
-	return maxOf(ops)
+	return critical
 }
 
 // GenerateSlotsFused is GenerateSlots' streaming variant, the per-rank

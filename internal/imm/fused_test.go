@@ -103,18 +103,14 @@ func compareFusedToReference(t *testing.T, model graph.Model, opt Options) {
 		t.Fatalf("%s: fused counter differs from a recount of the reference sets", label)
 	}
 
-	// Inverted-index postings must be bit-identical shard for shard: the
-	// per-round Stage-B merges and the one-shot lazy ensureIndexed build
-	// must arrive at the same CSR arrays.
-	for s := range eng.p.shards {
-		fs, rs := &eng.p.shards[s], &ref.shards[s]
-		if fs.indexed != rs.indexed || fs.postCount != rs.postCount {
-			t.Fatalf("%s shard %d: index extent diverged: %d/%d vs %d/%d",
-				label, s, fs.indexed, fs.postCount, rs.indexed, rs.postCount)
-		}
-		if !slices.Equal(fs.postIdx, rs.postIdx) || !slices.Equal(fs.postData, rs.postData) {
-			t.Fatalf("%s shard %d: CSR arrays diverged", label, s)
-		}
+	// The inverted index must be bit-identical: the per-round Stage-B
+	// merges and the one-shot lazy ensureIndexed build must arrive at the
+	// same CSR arrays.
+	if eng.p.indexed != ref.indexed {
+		t.Fatalf("%s: index extent diverged: %d vs %d", label, eng.p.indexed, ref.indexed)
+	}
+	if !slices.Equal(eng.p.postIdx, ref.postIdx) || !slices.Equal(eng.p.postData, ref.postData) {
+		t.Fatalf("%s: CSR arrays diverged", label)
 	}
 
 	seeds, cov, _ := SelectOnSetsScan(g.N, ref.flatten(), ref.totalMembers, nil, opt.Workers, opt.Update, opt.K)

@@ -370,6 +370,16 @@ func RunEngine(g *graph.Graph, opt Options, eng Engine) (*Result, error) {
 		return nil, err
 	}
 	t0 := time.Now()
+	// generate extends eng's pool to theta sets, refusing a theta past what
+	// shardedPool's 32-bit set ids can name — the pool behind every engine
+	// but the Ripples baseline.
+	generate := func(theta int64) error {
+		if _, unbounded := eng.(*ripplesEngine); theta > maxPoolSets && !unbounded {
+			return fmt.Errorf("imm: θ = %d exceeds the %d-set pool bound; cap it with MaxTheta or loosen ε", theta, int64(maxPoolSets))
+		}
+		eng.Generate(theta)
+		return nil
+	}
 
 	tp := newThetaParams(g.N, opt.K, opt.Ell, opt.Epsilon)
 	n := tp.n
@@ -390,7 +400,9 @@ func RunEngine(g *graph.Graph, opt Options, eng Engine) (*Result, error) {
 				thetaI = opt.MaxTheta
 				capped = true
 			}
-			eng.Generate(thetaI)
+			if err := generate(thetaI); err != nil {
+				return nil, err
+			}
 			rounds++
 			seeds, cov := eng.SelectSeeds(k)
 			if opt.TargetCoverage > 0 && cov >= opt.TargetCoverage {
@@ -425,7 +437,9 @@ func RunEngine(g *graph.Graph, opt Options, eng Engine) (*Result, error) {
 	if opt.MaxTheta > 0 && theta > opt.MaxTheta {
 		theta = opt.MaxTheta
 	}
-	eng.Generate(theta)
+	if err := generate(theta); err != nil {
+		return nil, err
+	}
 
 	// Selection phase.
 	seeds, cov := eng.SelectSeeds(k)

@@ -333,6 +333,33 @@ func TestMaxThetaCap(t *testing.T) {
 	}
 }
 
+// countingEngine records the largest pool it was asked for and samples
+// nothing.
+type countingEngine struct {
+	Engine
+	asked int64
+}
+
+func (e *countingEngine) Generate(target int64) { e.asked = max(e.asked, target) }
+
+func (e *countingEngine) SelectSeeds(int) ([]int32, float64) { return nil, 0 }
+
+// TestPoolSetBound pins the 2^31-set bound where it is enforced: grow
+// refuses and leaves the pool as it was, and RunEngine turns a θ past it
+// into an error before any engine is asked to generate it.
+func TestPoolSetBound(t *testing.T) {
+	p := newShardedPool(4)
+	if from, to, err := p.grow(maxPoolSets + 1); err == nil || from != 0 || to != 0 || p.len() != 0 {
+		t.Fatalf("grow past the bound: [%d, %d) len %d, err %v", from, to, p.len(), err)
+	}
+	opt := testOpts(Efficient, 1)
+	opt.Epsilon, opt.MaxTheta = 1e-5, 0
+	eng := new(countingEngine)
+	if _, err := RunEngine(testGraph(t, 6, graph.IC), opt, eng); err == nil || eng.asked > maxPoolSets {
+		t.Fatalf("RunEngine with θ past the bound: asked for %d sets, err %v", eng.asked, err)
+	}
+}
+
 func TestParseEngine(t *testing.T) {
 	if k, err := ParseEngine("ripples"); err != nil || k != Ripples {
 		t.Fatal("ParseEngine(ripples)")

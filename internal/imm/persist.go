@@ -4,7 +4,7 @@ package imm
 // snapshot format (internal/ingest) and the serving layer's disk tier
 // (internal/serve). Freeze flattens a WarmEngine's sharded pool into a
 // PoolState — per-shard set payloads in their resident representations,
-// the inverted-index postings, and the (seed, slot-count) RNG metadata
+// the pool's inverted index, and the (seed, slot-count) RNG metadata
 // that makes the pool reproducible — bound to the graph it was built on
 // by shape, model, delta epoch, and a content fingerprint. Thaw rebuilds
 // a WarmEngine around those payloads without resampling anything.
@@ -54,11 +54,6 @@ type PoolShardState struct {
 	ListData   []int32  // concatenated sorted member lists
 	CompData   []byte   // concatenated delta-varint payloads
 	BitmapData []uint64 // concatenated word rows, (N+63)/64 words each
-
-	// PostIdx/PostData are the shard's CSR inverted index over all
-	// entries, or nil when the shard was never indexed (scan-mode pools).
-	PostIdx  []int32 // len N+1 when present
-	PostData []int32
 }
 
 // PoolState is a frozen warm pool plus everything needed to decide
@@ -85,6 +80,13 @@ type PoolState struct {
 	TotalMembers int64 // Σ|R| over all Count sets
 
 	Shards [poolShards]PoolShardState
+
+	// PostIdx/PostData are the pool's CSR inverted index over all Count
+	// sets — vertex v's postings are the global set ids
+	// PostData[PostIdx[v]:PostIdx[v+1]], ascending — or nil when the pool
+	// was never indexed (scan-mode pools).
+	PostIdx  []int64 // len N+1 when present
+	PostData []int32
 }
 
 // ShardCount returns the fixed pool shard count the state is striped
@@ -96,9 +98,9 @@ func (st *PoolState) ShardCount() int { return poolShards }
 func GraphChecksum(g *graph.Graph) uint64 { return g.Checksum() }
 
 // Freeze flattens the engine's physical pool into a PoolState bound to
-// the given graph delta epoch. Shards with pending (generated but not
-// yet indexed) entries are indexed first, so the frozen index always
-// covers the whole shard — the same invariant selection maintains.
+// the given graph delta epoch. Pending (generated but not yet indexed)
+// sets are indexed first, so a frozen index always covers the whole pool
+// — the same invariant selection maintains.
 //
 // The returned state's ListData/CompData/BitmapData blobs are freshly
 // owned copies (list sets may alias arena blocks that die with the
@@ -122,16 +124,16 @@ func (w *WarmEngine) Freeze(epoch int64) (*PoolState, error) {
 		Count:        p.count,
 		TotalMembers: p.totalMembers,
 	}
-	for s := range p.shards {
-		sh := &p.shards[s]
-		if sh.indexed > 0 && sh.indexed < len(sh.sets) {
-			sh.extend(p.n, &p.indexScratches(1)[0])
-		}
+	if p.indexed > 0 {
+		p.patch(e.opt.Workers, nil, nil)
+		st.PostIdx, st.PostData = p.postIdx, p.postData
+	}
+	for s, sets := range p.shards {
 		out := &st.Shards[s]
-		out.Kinds = make([]uint8, len(sh.sets))
-		out.Sizes = make([]int32, len(sh.sets))
-		out.CompLens = make([]int32, len(sh.sets))
-		for j, set := range sh.sets {
+		out.Kinds = make([]uint8, len(sets))
+		out.Sizes = make([]int32, len(sets))
+		out.CompLens = make([]int32, len(sets))
+		for j, set := range sets {
 			switch v := set.(type) {
 			case *rrr.ListSet:
 				out.Kinds[j] = PoolSetList
@@ -150,10 +152,6 @@ func (w *WarmEngine) Freeze(epoch int64) (*PoolState, error) {
 			default:
 				return nil, fmt.Errorf("imm: freeze: shard %d entry %d has unknown set representation %T", s, j, set)
 			}
-		}
-		if sh.indexed == len(sh.sets) && sh.postIdx != nil {
-			out.PostIdx = sh.postIdx
-			out.PostData = sh.postData
 		}
 	}
 	return st, nil
@@ -198,15 +196,17 @@ func ThawWarmEngine(g *graph.Graph, opt Options, st *PoolState) (*WarmEngine, er
 
 	e := newEfficientEngine(g, opt)
 	p := e.p
-	p.grow(st.Count)
+	if _, _, err := p.grow(st.Count); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrPoolIncompatible, err)
+	}
 	words := (int(st.N) + 63) / 64
 	var members int64
 	for s := range st.Shards {
 		in := &st.Shards[s]
-		sh := &p.shards[s]
-		if len(in.Kinds) != len(sh.sets) || len(in.Sizes) != len(sh.sets) || len(in.CompLens) != len(sh.sets) {
+		sets := p.shards[s]
+		if len(in.Kinds) != len(sets) || len(in.Sizes) != len(sets) || len(in.CompLens) != len(sets) {
 			return nil, fmt.Errorf("%w: shard %d holds %d entries, pool length %d needs %d",
-				ErrPoolIncompatible, s, len(in.Kinds), st.Count, len(sh.sets))
+				ErrPoolIncompatible, s, len(in.Kinds), st.Count, len(sets))
 		}
 		var lists, comps, bitmaps int
 		for _, k := range in.Kinds {
@@ -220,9 +220,8 @@ func ThawWarmEngine(g *graph.Graph, opt Options, st *PoolState) (*WarmEngine, er
 			}
 		}
 		slab := rrr.NewAdoptSlab(lists, comps, bitmaps)
-		shardStart := members
 		var lc, cc, bc int
-		for j := range sh.sets {
+		for j := range sets {
 			size := int(in.Sizes[j])
 			if size < 0 {
 				return nil, fmt.Errorf("%w: shard %d entry %d has negative size", ErrPoolIncompatible, s, j)
@@ -232,20 +231,20 @@ func ThawWarmEngine(g *graph.Graph, opt Options, st *PoolState) (*WarmEngine, er
 				if lc+size > len(in.ListData) {
 					return nil, fmt.Errorf("%w: shard %d list payload overrun", ErrPoolIncompatible, s)
 				}
-				sh.sets[j] = slab.SortedList(in.ListData[lc : lc+size : lc+size])
+				sets[j] = slab.SortedList(in.ListData[lc : lc+size : lc+size])
 				lc += size
 			case PoolSetCompressed:
 				cl := int(in.CompLens[j])
 				if cl < 0 || cc+cl > len(in.CompData) {
 					return nil, fmt.Errorf("%w: shard %d compressed payload overrun", ErrPoolIncompatible, s)
 				}
-				sh.sets[j] = slab.Compressed(in.CompData[cc:cc+cl:cc+cl], in.Sizes[j])
+				sets[j] = slab.Compressed(in.CompData[cc:cc+cl:cc+cl], in.Sizes[j])
 				cc += cl
 			case PoolSetBitmap:
 				if bc+words > len(in.BitmapData) {
 					return nil, fmt.Errorf("%w: shard %d bitmap payload overrun", ErrPoolIncompatible, s)
 				}
-				sh.sets[j] = slab.Bitmap(st.N, in.BitmapData[bc:bc+words:bc+words], size)
+				sets[j] = slab.Bitmap(st.N, in.BitmapData[bc:bc+words:bc+words], size)
 				bc += words
 			default:
 				return nil, fmt.Errorf("%w: shard %d entry %d has unknown set kind %d", ErrPoolIncompatible, s, j, in.Kinds[j])
@@ -255,28 +254,23 @@ func ThawWarmEngine(g *graph.Graph, opt Options, st *PoolState) (*WarmEngine, er
 		if lc != len(in.ListData) || cc != len(in.CompData) || bc != len(in.BitmapData) {
 			return nil, fmt.Errorf("%w: shard %d payload blobs larger than entries consume", ErrPoolIncompatible, s)
 		}
-		if in.PostIdx != nil {
-			if len(in.PostIdx) != int(st.N)+1 {
-				return nil, fmt.Errorf("%w: shard %d index has %d offsets, want %d", ErrPoolIncompatible, s, len(in.PostIdx), int(st.N)+1)
-			}
-			// One posting per member: the fused counter is refilled from
-			// these offsets (baseFromIndex), not from the sets.
-			if int64(len(in.PostData)) != members-shardStart || int(in.PostIdx[st.N]) != len(in.PostData) {
-				return nil, fmt.Errorf("%w: shard %d index holds %d postings for %d members", ErrPoolIncompatible, s, len(in.PostData), members-shardStart)
-			}
-			sh.postIdx = in.PostIdx
-			sh.postData = in.PostData
-			sh.postCount = int64(len(in.PostData))
-			sh.indexed = len(sh.sets)
-		}
 	}
 	if members != st.TotalMembers {
 		return nil, fmt.Errorf("%w: member sum %d vs frozen total %d", ErrPoolIncompatible, members, st.TotalMembers)
 	}
 	p.totalMembers = st.TotalMembers
+	if st.PostIdx != nil {
+		// One posting per member: the fused counter is refilled from
+		// these offsets (baseFromIndex), not from the sets.
+		if len(st.PostIdx) != int(st.N)+1 || int64(len(st.PostData)) != members || st.PostIdx[st.N] != members {
+			return nil, fmt.Errorf("%w: index holds %d offsets and %d postings for %d vertices and %d members",
+				ErrPoolIncompatible, len(st.PostIdx), len(st.PostData), st.N, members)
+		}
+		p.postIdx, p.postData, p.indexed = st.PostIdx, st.PostData, p.count
+	}
 
 	// Refill the fused occurrence counter: from the index offsets when
-	// every shard arrived indexed, else by walking the adopted sets. Both
+	// the pool arrived indexed, else by walking the adopted sets. Both
 	// land on exactly the counts incremental fusion would have accumulated.
 	if opt.Fusion && p.count > 0 {
 		if !baseFromIndex(e.base, p, opt.Workers) {
@@ -287,30 +281,19 @@ func ThawWarmEngine(g *graph.Graph, opt Options, st *PoolState) (*WarmEngine, er
 	return &WarmEngine{g: g, inner: e}, nil
 }
 
-// baseFromIndex fills a zeroed base from the shards' CSR offsets — a
-// vertex's count is its posting count, Σ over shards of
-// postIdx[v+1]−postIdx[v] — streaming 16 offset arrays instead of
-// visiting every pool member. It reports false, leaving base untouched,
-// unless every shard holding sets is fully indexed. Workers own disjoint
-// vertex ranges, so the adds need no atomics.
+// baseFromIndex fills a zeroed base from the index's CSR offsets — a
+// vertex's count is its posting count, postIdx[v+1]−postIdx[v] —
+// streaming one offset array instead of visiting every pool member. It
+// reports false, leaving base untouched, unless the index covers the
+// whole pool. Workers own disjoint vertex ranges.
 func baseFromIndex(base *counter.Counter, p *shardedPool, workers int) bool {
-	for s := range p.shards {
-		if sh := &p.shards[s]; len(sh.sets) > 0 && (sh.postIdx == nil || sh.indexed != len(sh.sets)) {
-			return false
-		}
+	if p.postIdx == nil || p.indexed != p.count {
+		return false
 	}
-	counts := base.Raw()
+	counts, idx := base.Raw(), p.postIdx
 	sched.Static(workers, int(p.n), func(_, lo, hi int) {
-		for s := range p.shards {
-			idx := p.shards[s].postIdx
-			if idx == nil {
-				continue
-			}
-			prev := idx[lo]
-			for v, next := range idx[lo+1 : hi+1] {
-				counts[lo+v] += int64(next - prev)
-				prev = next
-			}
+		for v := lo; v < hi; v++ {
+			counts[v] = idx[v+1] - idx[v]
 		}
 	})
 	return true

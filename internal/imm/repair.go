@@ -23,7 +23,7 @@ import (
 // from the delta's dirty-vertex set D (vertices whose in-segment
 // changed) consumes identical RNG draws on the post-delta graph and
 // replays bit-identically; only sets intersecting D must be resampled.
-// The per-shard inverted vertex→set index lists the intersecting slots
+// The pool's inverted vertex→set index lists the intersecting slots
 // directly — one posting walk per dirty vertex instead of a pool scan.
 //
 // The one global dependency is the root draw, Uint32n(N): if the delta
@@ -113,23 +113,22 @@ func (e *efficientEngine) repair(ng *graph.Graph, rep *graph.DeltaReport) Repair
 	// the counter exactly what cold fusion on ng would have produced.
 	maintainBase := e.opt.Fusion && e.baseFresh
 	if maintainBase {
+		dec := func(v int32) { e.base.Dec(v) }
 		for _, i := range invalid {
-			e.p.get(i).ForEach(func(v int32) { e.base.Dec(v) })
+			e.p.get(i).ForEach(dec)
 		}
 	}
 
 	// Resample the invalidated slots from their slot-indexed streams on
-	// the new graph, in parallel. Without an arena sampleSlot allocates
-	// fresh backing (the old arena storage cannot be reclaimed
-	// piecemeal); the set contents — the byte-identity quantity — are
-	// representation-equal to what cold arena generation builds.
+	// the new graph, in parallel, on the engine's own re-bound samplers.
+	// The arena is left out, so sampleSlot allocates fresh backing (the
+	// old arena storage cannot be reclaimed piecemeal); the set contents —
+	// the byte-identity quantity — are representation-equal to what cold
+	// arena generation builds.
 	newSets := make([]rrr.Set, len(invalid))
-	workers := e.opt.Workers
-	if workers > len(invalid) {
-		workers = len(invalid)
-	}
-	sched.Static(workers, len(invalid), func(w, s0, s1 int) {
-		gw := genWorker{smp: diffusion.NewSampler(ng)}
+	e.ensureGenWorkers(e.opt.Workers) // any it adds are bound to ng already
+	sched.Static(e.opt.Workers, len(invalid), func(w, s0, s1 int) {
+		gw := genWorker{smp: e.gen[w].smp}
 		for j := s0; j < s1; j++ {
 			newSets[j], _ = gw.sampleSlot(e.opt.Seed, invalid[j], e.policy, e.p.n, nil)
 		}
@@ -137,8 +136,9 @@ func (e *efficientEngine) repair(ng *graph.Graph, rep *graph.DeltaReport) Repair
 
 	e.p.replace(invalid, newSets, e.opt.Workers)
 	if maintainBase {
+		inc := func(v int32) { e.base.Inc(v) }
 		for _, set := range newSets {
-			set.ForEach(func(v int32) { e.base.Inc(v) })
+			set.ForEach(inc)
 		}
 	}
 	return r
@@ -148,83 +148,49 @@ func (e *efficientEngine) repair(ng *graph.Graph, rep *graph.DeltaReport) Repair
 // brings what the pool derives from its contents in line: the member
 // total, the flat view, the prefix summaries and remembered selections
 // (those below the first replaced slot stay, the rest re-fold or re-run
-// lazily) and the inverted index of every shard that has one and holds a
-// replaced slot — one patch each, which also absorbs entries the shard
-// had not indexed yet. Other shards keep their arrays; scan-mode shards
-// (never indexed) stay unindexed so the footprint accounting still
-// reports IndexBytes 0.
+// lazily) and the inverted index, when there is one — one patch, which
+// also absorbs any sets not indexed yet. A scan-mode pool (never indexed)
+// stays unindexed so the footprint accounting still reports IndexBytes 0.
 func (p *shardedPool) replace(ids []int64, sets []rrr.Set, workers int) {
-	// Per shard: the replaced entries its index covers, and their old sets.
-	var swaps [poolShards]struct {
-		touched bool
-		ids     []int32
-		old     []rrr.Set
-	}
+	old := make([]rrr.Set, 0, len(ids)) // the replaced sets the index covers: a prefix of ids
 	for k, i := range ids {
-		s, j := shardOf(i)
-		sh, sw := &p.shards[s], &swaps[s]
-		old := sh.sets[j]
-		p.totalMembers += int64(sets[k].Size() - old.Size())
-		sh.sets[j] = sets[k]
+		was := p.get(i)
+		p.totalMembers += int64(sets[k].Size() - was.Size())
+		p.put(i, sets[k])
 		if i < int64(len(p.flat)) {
 			p.flat[i] = sets[k]
 		}
-		sw.touched = true
-		if sw.ids == nil { // ids stripe evenly: size each shard's lists once
-			sw.ids = make([]int32, 0, len(ids)/poolShards+8)
-			sw.old = make([]rrr.Set, 0, len(ids)/poolShards+8)
-		}
-		if j < sh.indexed {
-			sw.ids = append(sw.ids, int32(j))
-			sw.old = append(sw.old, old)
+		if i < p.indexed {
+			old = append(old, was)
 		}
 	}
 	if keep := ids[0] + 1; int64(len(p.prefix)) > keep {
 		p.prefix = p.prefix[:keep]
 	}
 	p.memo.dropAbove(ids[0])
-
-	var shards []int
-	for s := range swaps {
-		if swaps[s].touched && p.shards[s].indexed > 0 {
-			shards = append(shards, s)
-		}
+	if p.indexed > 0 {
+		p.patch(workers, ids[:len(old)], old)
 	}
-	sc := p.indexScratches(workers)
-	sched.Static(workers, len(shards), func(w, k0, k1 int) {
-		for _, s := range shards[k0:k1] {
-			p.shards[s].patch(p.n, &sc[w], swaps[s].ids, swaps[s].old)
-		}
-	})
 }
 
 // invalidSlots returns, in ascending order, the global ids of pool
-// slots whose sets intersect the dirty vertices. Indexed entries are
-// found by walking the inverted index's postings; the un-indexed tail
+// slots whose sets intersect the dirty vertices. Indexed sets are found
+// by walking each dirty vertex's postings; the un-indexed tail
 // (scan-mode pools never index) falls back to membership probes.
 func (e *efficientEngine) invalidSlots(dirty []int32) []int64 {
 	p := e.p
 	marked := bitset.New(int(p.count))
-	for s := range p.shards {
-		sh := &p.shards[s]
-		if sh.postIdx != nil {
-			for _, v := range dirty {
-				for _, j := range sh.postings(v) {
-					marked.Set(int(j)*poolShards + s)
-				}
-			}
+	if p.postIdx != nil {
+		for _, v := range dirty {
+			marked.SetMany(p.postData[p.postIdx[v]:p.postIdx[v+1]])
 		}
-		for j := sh.indexed; j < len(sh.sets); j++ {
-			gid := j*poolShards + s
-			if int64(gid) >= p.count {
+	}
+	for i := p.indexed; i < p.count; i++ {
+		set := p.get(i)
+		for _, v := range dirty {
+			if set.Contains(v) {
+				marked.Set(int(i))
 				break
-			}
-			set := sh.sets[j]
-			for _, v := range dirty {
-				if set.Contains(v) {
-					marked.Set(gid)
-					break
-				}
 			}
 		}
 	}

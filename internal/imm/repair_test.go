@@ -278,3 +278,49 @@ func FuzzRepairDifferential(f *testing.F) {
 		checkRepairDifferential(t, "fuzz", g, opt, d)
 	})
 }
+
+// TestRepairAllocs pins what a small repair allocates beyond the sets it
+// resamples: one sampler re-bound per worker (not a second one for the
+// resampling), the slot lists, and the index patch.
+func TestRepairAllocs(t *testing.T) {
+	g := testGraph(t, 10, graph.LT)
+	opt := Defaults()
+	opt.K = 6
+	opt.Seed = 5
+	opt.Workers = 1 // AllocsPerRun needs a single-goroutine path
+	opt.MaxTheta = 3000
+	ng, drep, err := graph.ApplyDelta(g, randomDelta(g, 23, 3, 3, false), graph.DeltaOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// AllocsPerRun calls its function twice; each call repairs its own
+	// engine, warmed identically, so both do the same work.
+	var engines []*WarmEngine
+	for range 2 {
+		we, err := NewWarmEngine(g, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runWarm(t, g, we, opt)
+		engines = append(engines, we)
+	}
+	var rr RepairReport
+	we0 := engines[0]
+	allocs := testing.AllocsPerRun(1, func() {
+		we := engines[0]
+		engines = engines[1:]
+		if rr, err = we.ApplyDelta(ng, drep); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if rr.Resampled == 0 || rr.FullResample {
+		t.Fatalf("delta should repair some slots in place, got %+v", rr)
+	}
+	// A resampled list set is its header and its backing.
+	if fixed := allocs - 2*float64(rr.Resampled); fixed > 18 { // 16 today; a second sampler is at least three more
+		t.Fatalf("repair of %d slots allocated %.0f times: %.0f beyond the sets", rr.Resampled, allocs, fixed)
+	}
+	if smp := we0.inner.gen[0].smp; smp.EdgesVisited == 0 {
+		t.Fatal("the resample did not run on the engine's re-bound sampler")
+	}
+}

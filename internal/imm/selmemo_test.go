@@ -155,6 +155,8 @@ func TestSelectionMemoBounded(t *testing.T) {
 	const theta = 600
 	we := &WarmEngine{g: g, inner: generatePool(t, g, opt, theta)}
 	p := we.inner.p
+	p.selectCELFLimited(nil, 2, 1, theta) // the kernel's scratch is resident from here on
+	p.memo = selMemo{}
 	bare := we.OverheadBytes()
 	check := func(label string) {
 		t.Helper()

@@ -1,8 +1,11 @@
 package imm
 
 import (
+	"fmt"
 	"math"
+	"math/bits"
 	"slices"
+	"sort"
 
 	"repro/internal/bitset"
 	"repro/internal/counter"
@@ -10,30 +13,28 @@ import (
 	"repro/internal/sched"
 )
 
-// The sharded RRR pool behind the Efficient engine. Set ids are struck
-// round-robin across a fixed number of shards (fixed so that nothing
-// about the pool layout — and therefore nothing about selection —
-// depends on the worker count). Each shard owns:
-//
-//   - the sets themselves, in whatever representation the policy chose
-//     (plain lists, delta-encoded compressed lists, or bitset rows);
-//   - an inverted index mapping vertex → ids of the shard's sets that
-//     contain it, so coverage updates during selection walk compact
-//     postings instead of re-scanning (and, for compressed sets,
-//     re-decoding) every set. It changes only through poolShard.patch,
-//     as the pool grows and when repair replaces resident sets, at the
-//     cost of one streaming pass over the n offsets plus work
-//     proportional to the sets that changed;
-//   - a coverage scratch bitset reused across selection calls.
-//
-// Shards give index extension after generation a natural parallel grain,
-// and the posting walks of selection a fixed unit of modeled per-worker
-// attribution, both independent of the simulated worker count.
+// The sharded RRR pool behind the Efficient engine. Two things are
+// striped over a fixed number of shards (fixed so that nothing about the
+// pool layout — and therefore nothing about selection — depends on the
+// worker count): set storage, ids struck round-robin, in whatever
+// representation the policy chose (plain lists, delta-encoded compressed
+// lists, or bitset rows); and the modeled attribution of index and
+// selection work, which bills every posting to the owner of the shard its
+// set lives in. The inverted index is not striped: one CSR maps a vertex
+// to the global ids of the sets containing it, so selection walks one
+// contiguous run of postings per vertex instead of re-scanning (and, for
+// compressed sets, re-decoding) every set, and the index is sized by the
+// postings plus one offset array. It changes only through
+// shardedPool.patch.
 
 // poolShards is the fixed shard count. A power of two keeps the id
-// mapping a mask/shift; 16 shards keep per-shard postings balanced (ids
-// are striped) while giving up to 16 workers independent work.
+// mapping a mask/shift; 16 shards keep the per-shard set payloads
+// balanced (ids are striped) and give the modeled per-worker attribution
+// a grain up to 16 workers share evenly.
 const poolShards = 16
+
+// maxPoolSets bounds the pool length: postings hold set ids as int32.
+const maxPoolSets = math.MaxInt32
 
 // PoolFootprint reports where an engine's RRR pool memory went.
 // SetBytes is the resident representation (the paper's Table III
@@ -58,190 +59,27 @@ func (f PoolFootprint) CompressionRatio() float64 {
 	return float64(f.RawBytes) / float64(f.SetBytes)
 }
 
-// poolShard is one stripe of the pool. Entry j holds global set id
-// j*poolShards + (shard index).
-type poolShard struct {
-	sets []rrr.Set
-
-	// Inverted index over sets[:indexed] in CSR layout: the local entry
-	// ids whose set contains v are postData[postIdx[v]:postIdx[v+1]], in
-	// ascending order. One flat payload array per shard keeps index
-	// growth at two allocations per shard per patch, and posting walks
-	// stream a contiguous array. Once built, selection works entirely on
-	// postings and never touches (or, for compressed sets, decodes) a set
-	// representation again. The arrays are never written after they are
-	// installed: Freeze hands them out, and a thawed pool's may be a
-	// read-only mapping.
-	postIdx  []int32 // len n+1 once built
-	postData []int32
-	covered  *bitset.Bitset // selection scratch over entries, reset per call
-	indexed  int
-
-	postCount int64 // total postings (one per member)
-}
-
-// postings returns the local entry ids of sets[:indexed] containing v,
-// ascending. Nil until the index is first built.
-func (s *poolShard) postings(v int32) []int32 {
-	if s.postIdx == nil {
-		return nil
-	}
-	return s.postData[s.postIdx[v]:s.postIdx[v+1]]
-}
-
-// setMembers returns set's members, ascending, as a read-only slice: a
-// list's own storage, anything else decoded into buf (returned grown).
-func setMembers(set rrr.Set, buf []int32) (members, _ []int32) {
-	if ls, ok := set.(*rrr.ListSet); ok {
-		return ls.Raw(), buf
-	}
-	buf = set.Vertices(buf[:0])
-	return buf, buf
-}
-
-// indexScratch is one worker's retained state for poolShard.patch, so a
-// patch allocates only the two arrays it returns.
-type indexScratch struct {
-	// mark is all zero between patches. While one runs, a touched vertex
-	// holds the number of ids it gains, with dropMark set when it also
-	// loses some; the ascending pass turns that into its fill cursor.
-	mark    []int32
-	touched []int32       // the vertices marked, ascending: what to re-zero
-	adds    []int32       // local ids to place, ascending
-	drop    bitset.Bitset // the local ids being dropped, clear between patches
-	buf     []int32       // decode buffer for non-list sets
-}
-
-// dropMark flags, in indexScratch.mark, a vertex that loses postings.
-const dropMark = math.MinInt32
-
-// patch is the one way the inverted index changes. It drops the postings
-// of the entries in ids (ascending local ids below indexed, whose previous
-// sets are old), re-adds those entries from the sets now resident, and
-// absorbs the un-indexed tail [indexed, len(sets)) — Stage B and the lazy
-// build pass no ids, repair passes the slots it resampled. It returns the
-// member count added, the modeled work of the pass (a decode step and a
-// posting append per member).
-//
-// The result is built in fresh arrays; the current ones are only read
-// (Freeze aliases them, and a thawed pool's may be a read-only mapping).
-// Two passes over the changed sets mark the touched vertices. One
-// ascending pass turns a copy of the offset array into the new one —
-// newIdx[v] = oldIdx[v] + shift, a streaming add — and stops only at
-// touched vertices: the run of old postings since the last stop moves
-// with a single copy, a segment that loses ids is filtered against a
-// bitmap of them, and room is left behind the survivors for the vertex's
-// gains. A last pass over the changed sets, ascending by id, inserts each
-// id at its sorted place in that room: an append for a tail id, a shift
-// of the larger ids otherwise. Segments so stay strictly ascending (what
-// prefixBelow's binary search relies on) and the arrays equal a
-// from-scratch build. Cost: one streaming pass over n offsets, plus work
-// proportional to the changed sets' members and the segments losing ids.
-func (s *poolShard) patch(n int32, sc *indexScratch, ids []int32, old []rrr.Set) (members int64) {
-	if s.covered == nil {
-		s.covered = bitset.New(s.indexed)
-	}
-	if len(ids) == 0 && s.indexed == len(s.sets) {
-		return 0
-	}
-	nn := int(n)
-	if cap(sc.mark) < nn {
-		sc.mark = make([]int32, nn)
-	}
-	mark, buf := sc.mark[:nn], sc.buf
-	var vs []int32
-	if len(ids) > 0 {
-		sc.drop.Grow(s.indexed)
-		sc.drop.SetMany(ids)
-	}
-	var dropped int64
-	for _, set := range old {
-		vs, buf = setMembers(set, buf)
-		for _, v := range vs {
-			mark[v] |= dropMark
-		}
-		dropped += int64(len(vs))
-	}
-	adds := append(sc.adds[:0], ids...)
-	for j := s.indexed; j < len(s.sets); j++ {
-		adds = append(adds, int32(j))
-	}
-	for _, j := range adds {
-		vs, buf = setMembers(s.sets[j], buf)
-		for _, v := range vs {
-			mark[v]++
-		}
-		members += int64(len(vs))
-	}
-
-	idx := slices.Clone(s.postIdx)
-	if idx == nil {
-		idx = make([]int32, nn+1)
-	}
-	data := make([]int32, int64(len(s.postData))+members-dropped)
-	touched := sc.touched[:0]
-	// Old postings [run, lo) are pending: they all move by shift.
-	var run, shift int32
-	for v, c := range mark {
-		lo := idx[v]
-		idx[v] = lo + shift
-		if c == 0 {
-			continue
-		}
-		touched = append(touched, int32(v))
-		hi := idx[v+1] // not yet shifted
-		if c > 0 {
-			lo = hi // nothing dropped here: the segment rides with the run
-		}
-		copy(data[run+shift:], s.postData[run:lo])
-		w := lo + shift
-		for _, id := range s.postData[lo:hi] {
-			if !sc.drop.Test(int(id)) {
-				data[w] = id
-				w++
-			}
-		}
-		mark[v] = w
-		run, shift = hi, w+(c&^dropMark)-hi
-	}
-	copy(data[run+shift:], s.postData[run:])
-	idx[nn] += shift
-
-	for _, j := range adds {
-		vs, buf = setMembers(s.sets[j], buf)
-		for _, v := range vs {
-			w := mark[v]
-			mark[v] = w + 1
-			for ; w > idx[v] && data[w-1] > j; w-- {
-				data[w] = data[w-1]
-			}
-			data[w] = j
-		}
-	}
-	for _, v := range touched {
-		mark[v] = 0
-	}
-	sc.drop.ClearMany(ids)
-	sc.touched, sc.adds, sc.buf = touched, adds, buf
-
-	s.postIdx, s.postData = idx, data
-	s.postCount = int64(len(data))
-	s.indexed = len(s.sets)
-	s.covered.Grow(s.indexed)
-	return members
-}
-
-// extend absorbs entries [indexed, len(sets)) into the index: patch with
-// nothing replaced.
-func (s *poolShard) extend(n int32, sc *indexScratch) int64 { return s.patch(n, sc, nil, nil) }
-
 // shardedPool is the Efficient engine's pool: grow/put during
 // generation, ensureIndexed + CELF during selection.
 type shardedPool struct {
 	n            int32
 	count        int64
 	totalMembers int64
-	shards       [poolShards]poolShard
+	// shards[s][j] holds global set id j*poolShards + s.
+	shards [poolShards][]rrr.Set
+
+	// Inverted index over the sets below indexed, in CSR layout: the ids
+	// of the sets containing v are postData[postIdx[v]:postIdx[v+1]],
+	// strictly ascending (what prefixBelow's binary search and a truncated
+	// view's early exit rely on). The arrays are never written after they
+	// are installed: Freeze hands them out, and a thawed pool's may be a
+	// read-only mapping. Offsets are 64-bit: only maxPoolSets × n bounds
+	// the posting total.
+	postIdx  []int64 // len n+1 once built
+	postData []int32
+	covered  *bitset.Bitset // selection scratch over set ids, reset per call
+	indexed  int64
+
 	// flat caches the id-ordered view for scan-mode selection. Slots
 	// are write-once, so the cache only ever extends — never
 	// invalidates.
@@ -261,9 +99,8 @@ type shardedPool struct {
 	// one-query-at-a-time serialization as selection.
 	heapScratch    []counter.GainItem
 	versionScratch []int32
-	// scratch holds one indexScratch per worker that patches shards,
-	// retained like the selection scratch above.
-	scratch []indexScratch
+	// scratch is the index patch's, retained like the selection scratch.
+	scratch patchScratch
 	// memo remembers the CELF selections already run over this pool
 	// (selmemo.go). Guarded by the same serialization as selection.
 	memo selMemo
@@ -275,8 +112,8 @@ func newShardedPool(n int32) *shardedPool { return &shardedPool{n: n} }
 func shardOf(i int64) (int, int) { return int(i % poolShards), int(i / poolShards) }
 
 // localLimit returns how many of shard s's entries hold global ids below
-// limit — the per-shard horizon of a logically truncated pool view. Ids
-// are striped round-robin, so shard s holds ids s, s+poolShards, ...
+// limit — the shard's share of a logically truncated pool view. Ids are
+// striped round-robin, so shard s holds ids s, s+poolShards, ...
 func localLimit(s int, limit int64) int {
 	if int64(s) >= limit {
 		return 0
@@ -287,75 +124,300 @@ func localLimit(s int, limit int64) int {
 func (p *shardedPool) len() int64 { return p.count }
 
 // grow pre-sizes every shard for ids up to target and returns the
-// previous and new pool lengths.
-func (p *shardedPool) grow(target int64) (from, to int64) {
+// previous and new pool lengths. A target past maxPoolSets is refused.
+func (p *shardedPool) grow(target int64) (from, to int64, err error) {
 	from = p.count
 	if target <= from {
-		return from, from
+		return from, from, nil
+	}
+	if target > maxPoolSets {
+		return from, from, fmt.Errorf("imm: a pool of %d sets exceeds the %d the index's 32-bit set ids can name", target, int64(maxPoolSets))
 	}
 	for s := range p.shards {
-		// Entries shard s must hold for ids < target.
-		need := int((target - int64(s) + poolShards - 1) / poolShards)
-		sh := &p.shards[s]
-		if need > len(sh.sets) {
-			sh.sets = append(sh.sets, make([]rrr.Set, need-len(sh.sets))...)
+		if need := localLimit(s, target); need > len(p.shards[s]) {
+			p.shards[s] = append(p.shards[s], make([]rrr.Set, need-len(p.shards[s]))...)
 		}
 	}
 	p.count = target
-	return from, target
+	return from, target, nil
 }
 
 // put stores the set for global id i. Distinct ids map to distinct
 // slots, so concurrent generation workers need no locking.
 func (p *shardedPool) put(i int64, set rrr.Set) {
 	s, j := shardOf(i)
-	p.shards[s].sets[j] = set
+	p.shards[s][j] = set
 }
 
 // get returns the set for global id i.
 func (p *shardedPool) get(i int64) rrr.Set {
 	s, j := shardOf(i)
-	return p.shards[s].sets[j]
+	return p.shards[s][j]
 }
 
-func (p *shardedPool) addMembers(perWorker []int64) {
-	for _, m := range perWorker {
-		p.totalMembers += m
+func (p *shardedPool) addMembers(perWorker []int64) { p.totalMembers += sumOf(perWorker) }
+
+// patchScratch is what shardedPool.patch keeps between calls, so that a
+// patch allocates only the arrays it installs.
+type patchScratch struct {
+	// mark is all zero between patches. While one runs, a touched vertex
+	// holds the number of ids it gains, with dropMark set when it also loses
+	// some; laying out turns that into how many its new segment holds so far.
+	mark   []int32
+	drop   bitset.Bitset       // the ids being dropped, clear between patches
+	bufs   [poolShards][]int32 // a decode buffer per range writer, for non-list sets
+	ranges [poolShards]patchRange
+}
+
+// patchRange is one vertex range's share of a patch.
+type patchRange struct {
+	dropped int64             // old postings the range loses
+	gained  [poolShards]int64 // postings it gains, by the shard of their set
+}
+
+// bytes is what the scratch keeps resident.
+func (sc *patchScratch) bytes() int64 {
+	b := 4*int64(cap(sc.mark)) + 8*int64(len(sc.drop.Words()))
+	for _, buf := range sc.bufs {
+		b += 4 * int64(cap(buf))
 	}
+	return b
 }
 
-// indexCurrent reports whether every shard's inverted index and
-// coverage scratch already cover the whole pool — true on every warm
-// query, and after fused generation, which indexes as it goes.
-func (p *shardedPool) indexCurrent() bool {
-	for s := range p.shards {
-		if sh := &p.shards[s]; sh.indexed != len(sh.sets) || sh.covered == nil {
-			return false
+// dropMark flags, in patchScratch.mark, a vertex that loses postings.
+const dropMark = math.MinInt32
+
+// membersIn returns set's members in [lo, hi), ascending, as a read-only
+// slice, and how many members lie below lo: a window of a list's own
+// storage, the words of a bitmap that cover the range decoded into buf (lo
+// must be a multiple of 64, and hi one or the vertex count), anything else
+// decoded whole into buf and cut. buf is returned grown.
+func membersIn(set rrr.Set, lo, hi int32, buf []int32) (part []int32, below int, _ []int32) {
+	var vs []int32
+	switch s := set.(type) {
+	case *rrr.ListSet:
+		vs = s.Raw()
+	case *rrr.BitmapSet:
+		buf = buf[:0]
+		words := s.Words()
+		for _, w := range words[:lo>>6] {
+			below += bits.OnesCount64(w)
+		}
+		for wi := int(lo >> 6); wi < min(len(words), (int(hi)+63)>>6); wi++ {
+			for w := words[wi]; w != 0; w &= w - 1 {
+				buf = append(buf, int32(wi<<6+bits.TrailingZeros64(w)))
+			}
+		}
+		return buf, below, buf
+	default:
+		buf = set.Vertices(buf[:0])
+		vs = buf
+	}
+	if len(vs) > 0 && vs[0] < lo {
+		below, _ = slices.BinarySearch(vs, lo)
+		vs = vs[below:]
+	}
+	if len(vs) > 0 && vs[len(vs)-1] >= hi {
+		cut, _ := slices.BinarySearch(vs, hi)
+		vs = vs[:cut]
+	}
+	return vs, below, buf
+}
+
+// patch is the one way the inverted index changes. It drops the postings
+// of the sets ids (ascending, below indexed, whose previous contents are
+// old), re-adds those ids from the sets now resident, and absorbs the
+// un-indexed tail [indexed, count) — Stage B and the lazy build pass no
+// ids, repair passes the slots it resampled. It returns, per shard, the
+// member count added: the modeled work of the pass is a decode step and a
+// posting append per member, billed to the shard's owner.
+//
+// The result is built in fresh, exactly sized arrays; the current ones
+// are only read. The work is split over contiguous vertex ranges, one
+// writer each in a single fork-join, so the arrays are the same at any
+// worker count — they equal a from-scratch build. A writer reads every
+// changed set but only the members in its range (membersIn), twice. The
+// first pass counts what each vertex gains and what the ranges before gain,
+// which is where the range starts in the new array. Then one ascending
+// sweep takes the old offsets to the new — the run of old postings since
+// the last touched vertex moves with a single copy, a segment that loses
+// ids is filtered against a bitmap of them, and room is left behind the
+// survivors for the vertex's gains — and the second pass inserts each
+// changed set's id, ascending, at its sorted place in that room: an append
+// for a tail id, a shift of the larger ids otherwise. Cost: one streaming
+// pass over the n offsets, plus work proportional to the changed sets'
+// members and the segments losing ids, plus a constant per changed set and
+// range.
+func (p *shardedPool) patch(workers int, ids []int64, old []rrr.Set) (members [poolShards]int64) {
+	if p.covered == nil {
+		p.covered = bitset.New(int(p.indexed))
+	}
+	firstTail := p.indexed
+	changed := len(ids) + int(p.count-firstTail) // ids, then the tail: ascending
+	if changed == 0 {
+		return members
+	}
+	n := int(p.n)
+	sc := &p.scratch
+	if cap(sc.mark) < n {
+		sc.mark = make([]int32, n)
+	}
+	mark := sc.mark[:n]
+	// Every member of every set gets its posting.
+	idx, data := make([]int64, n+1), make([]int32, p.totalMembers)
+	idx[n] = p.totalMembers
+	oldIdx, oldData := p.postIdx, p.postData
+	if oldIdx == nil {
+		oldIdx = make([]int64, n+1) // the pool's first build
+	}
+	// Vertex range r is [bounds[r], bounds[r+1]). A writer passes over every
+	// changed set for the members in its range: with more ranges than a set
+	// has members, most of those visits would find nothing.
+	gain := p.totalMembers - int64(len(oldData))
+	for _, set := range old {
+		gain += int64(set.Size())
+	}
+	nr := max(1, min(workers, poolShards, int(gain/int64(changed))))
+	bounds := splitRanges(nr, oldIdx, int64(len(oldData)))
+	ranges := sc.ranges[:nr]
+	clear(ranges)
+
+	// The replaced sets, a sliver of the pool: mark their ids and vertices.
+	var vs []int32
+	if len(old) > 0 {
+		sc.drop.Grow(int(p.indexed))
+	}
+	for k, set := range old {
+		sc.drop.Set(int(ids[k]))
+		vs, _, sc.bufs[0] = membersIn(set, 0, p.n, sc.bufs[0])
+		r := 0
+		for _, v := range vs {
+			mark[v] |= dropMark
+			for v >= bounds[r+1] {
+				r++
+			}
+			ranges[r].dropped++
 		}
 	}
-	return true
-}
 
-// ensureIndexed extends every shard's inverted index over the entries
-// generated since the last selection, in parallel across shards, and
-// charges the decode-and-append work (2 ops per member) to the
-// executing workers. Idempotent; selection skips the fork-join when
-// indexCurrent says there is nothing to do.
-func (p *shardedPool) ensureIndexed(workers int, ops []int64) {
-	sc := p.indexScratches(workers)
-	sched.Static(workers, poolShards, func(w, s0, s1 int) {
-		for s := s0; s < s1; s++ {
-			ops[w] += 2 * p.shards[s].extend(p.n, &sc[w])
+	sched.Static(nr, nr, func(_, r0, r1 int) {
+		for r := r0; r < r1; r++ {
+			// Count the gains, here and in the ranges before.
+			var gained [poolShards]int64 // summed here: ranges[r]'s neighbours are being written too
+			var vs []int32
+			var before int
+			buf := sc.bufs[r]
+			var shift int64 // how far the range's first old posting moves
+			for k := range changed {
+				id := firstTail + int64(k-len(ids))
+				if k < len(ids) {
+					id = ids[k]
+				}
+				vs, before, buf = membersIn(p.get(id), bounds[r], bounds[r+1], buf)
+				for _, v := range vs {
+					mark[v]++
+				}
+				gained[id%poolShards] += int64(len(vs))
+				shift += int64(before)
+			}
+			ranges[r].gained = gained
+			for q := range r {
+				shift -= ranges[q].dropped
+			}
+
+			// Lay out: offsets, survivors, and room for the gains. Old
+			// postings [run, lo) are pending: they all move by shift.
+			lo := oldIdx[bounds[r]]
+			run := lo
+			for v := int(bounds[r]); v < int(bounds[r+1]); v++ {
+				hi := oldIdx[v+1]
+				idx[v] = lo + shift
+				if c := mark[v]; c != 0 {
+					from := hi // nothing dropped here: the segment rides with the run
+					if c < 0 {
+						from = lo
+					}
+					copy(data[run+shift:], oldData[run:from])
+					at := from + shift
+					for _, id := range oldData[from:hi] {
+						if !sc.drop.Test(int(id)) {
+							data[at] = id
+							at++
+						}
+					}
+					mark[v] = int32(at - idx[v])
+					run, shift = hi, at+int64(c&^dropMark)-hi
+				}
+				lo = hi
+			}
+			copy(data[run+shift:], oldData[run:lo])
+
+			// Insert, then leave the marks zero.
+			for k := range changed {
+				id := firstTail + int64(k-len(ids))
+				if k < len(ids) {
+					id = ids[k]
+				}
+				vs, _, buf = membersIn(p.get(id), bounds[r], bounds[r+1], buf)
+				for _, v := range vs {
+					at := idx[v] + int64(mark[v])
+					mark[v]++
+					if k < len(ids) { // a tail id is larger than any in place
+						for ; at > idx[v] && int64(data[at-1]) > id; at-- {
+							data[at] = data[at-1]
+						}
+					}
+					data[at] = int32(id)
+				}
+			}
+			sc.bufs[r] = buf
+			clear(mark[bounds[r]:bounds[r+1]])
 		}
 	})
+	for r := range ranges {
+		for s, m := range ranges[r].gained {
+			members[s] += m
+		}
+	}
+	for k := range old {
+		sc.drop.Clear(int(ids[k]))
+	}
+
+	p.postIdx, p.postData = idx, data
+	p.indexed = p.count
+	p.covered.Grow(int(p.indexed))
+	return members
 }
 
-// indexScratches returns the retained patch scratch, one per worker.
-func (p *shardedPool) indexScratches(workers int) []indexScratch {
-	if len(p.scratch) < workers {
-		p.scratch = append(p.scratch, make([]indexScratch, workers-len(p.scratch))...)
+// splitRanges cuts the vertices into nr contiguous ranges and returns
+// their bounds, multiples of 64 (so that a bitmap set's words fall whole
+// into one range) up to the last. Weighing a vertex by its postings plus
+// one balances the copy and the offset stream together, and splits a pool
+// with no index yet by vertices alone.
+func splitRanges(nr int, idx []int64, postings int64) (bounds [poolShards + 1]int32) {
+	n := len(idx) - 1
+	for r := 1; r < nr; r++ {
+		target := (postings + int64(n)) * int64(r) / int64(nr)
+		bounds[r] = int32(sort.Search(n, func(v int) bool { return idx[v]+int64(v) >= target })) &^ 63
 	}
-	return p.scratch
+	bounds[nr] = int32(n)
+	return bounds
+}
+
+// indexCurrent reports whether the inverted index and coverage scratch
+// already cover the whole pool — true on every warm query, and after
+// fused generation, which indexes as it goes.
+func (p *shardedPool) indexCurrent() bool { return p.indexed == p.count && p.covered != nil }
+
+// ensureIndexed extends the inverted index over the sets generated since
+// the last selection and charges the decode-and-append work (2 ops per
+// member) to the owners of the sets' shards. Idempotent; selection skips
+// it when indexCurrent says there is nothing to do.
+func (p *shardedPool) ensureIndexed(workers int, ops []int64) {
+	owner := shardOwners(workers)
+	for s, m := range p.patch(workers, nil, nil) {
+		ops[owner[s]] += 2 * m
+	}
 }
 
 // prefixEntry is the running rrr.Stats of a pool prefix, in the compact
@@ -405,9 +467,8 @@ func (p *shardedPool) prefixUpTo(limit int64) prefixEntry {
 	}
 	p.prefix = slices.Grow(p.prefix, int(limit)-next)
 	e := p.prefix[next]
-	s, j := shardOf(int64(next))
-	for range int(limit) - next {
-		set := p.shards[s].sets[j]
+	for i := int64(next); i < limit; i++ {
+		set := p.get(i)
 		var size int
 		if ls, ok := set.(*rrr.ListSet); ok {
 			size = ls.Size()
@@ -425,9 +486,6 @@ func (p *shardedPool) prefixUpTo(limit int64) prefixEntry {
 		e.members += int64(size)
 		e.maxSize = max(e.maxSize, int32(size))
 		p.prefix = append(p.prefix, e)
-		if s++; s == poolShards {
-			s, j = 0, j+1
-		}
 	}
 	return p.prefix[limit]
 }
@@ -449,16 +507,14 @@ func (p *shardedPool) bytesUpTo(limit int64) int64 { return p.prefixUpTo(limit).
 // inverted view — which is the memory/selection-speed trade-off the
 // harness sweep measures.
 func (p *shardedPool) footprint() PoolFootprint {
-	f := PoolFootprint{SetBytes: p.bytesUpTo(p.count)}
-	for s := range p.shards {
-		// Postings payload: 4 bytes per member. The index really is CSR
-		// now (postIdx/postData); the n+1 offset array is a fixed
-		// per-shard overhead excluded here so the figure stays
-		// comparable across pool sizes.
-		f.IndexBytes += 4 * p.shards[s].postCount
+	// Postings payload: 4 bytes per member. The n+1 offset array is a
+	// fixed overhead excluded here so the figure stays comparable across
+	// pool sizes (WarmEngine.OverheadBytes counts it).
+	return PoolFootprint{
+		SetBytes:   p.bytesUpTo(p.count),
+		IndexBytes: 4 * int64(len(p.postData)),
+		RawBytes:   4 * p.totalMembers,
 	}
-	f.RawBytes = 4 * p.totalMembers
-	return f
 }
 
 // footprintUpTo reports the footprint of the truncated view over global
@@ -468,18 +524,14 @@ func (p *shardedPool) footprintUpTo(limit int64) PoolFootprint {
 	if limit >= p.count {
 		return p.footprint()
 	}
-	f := PoolFootprint{SetBytes: p.bytesUpTo(limit)}
 	members := p.membersUpTo(limit)
+	f := PoolFootprint{SetBytes: p.bytesUpTo(limit), RawBytes: 4 * members}
 	// Charge index bytes only when selection actually built the inverted
 	// view (a scan-mode pool never does and reports IndexBytes 0, the
 	// same trade-off the full footprint reports).
-	for s := range p.shards {
-		if p.shards[s].indexed > 0 {
-			f.IndexBytes = 4 * members
-			break
-		}
+	if p.indexed > 0 {
+		f.IndexBytes = 4 * members
 	}
-	f.RawBytes = 4 * members
 	return f
 }
 

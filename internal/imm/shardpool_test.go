@@ -4,14 +4,201 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/bitset"
 	"repro/internal/graph"
 	"repro/internal/rng"
 	"repro/internal/rrr"
 )
 
 // Tests of the CSR patch under index extension and repair: after any
-// interleaving of extension rounds and slot replacements, every shard's
-// index must equal a naive from-scratch build over its resident sets.
+// interleaving of extension rounds and slot replacements, the pool's
+// index must equal a naive from-scratch build over its resident sets, and
+// the merge of the sixteen per-shard indexes the patch's predecessor
+// maintains over the same sets.
+
+// oracleShard is one stripe of the striped index the pool had before it
+// kept a single one, kept as the differential oracle: entry j of shard s
+// is global set id j*poolShards + s, and postData holds local entry ids.
+type oracleShard struct {
+	sets      []rrr.Set
+	postIdx   []int32
+	postData  []int32
+	indexed   int
+	postCount int64
+}
+
+type oracleScratch struct {
+	mark    []int32
+	touched []int32
+	adds    []int32
+	drop    bitset.Bitset
+	buf     []int32
+}
+
+// setMembers returns set's members, ascending, as a read-only slice: a
+// list's own storage, anything else decoded into buf (returned grown).
+func setMembers(set rrr.Set, buf []int32) (members, _ []int32) {
+	if ls, ok := set.(*rrr.ListSet); ok {
+		return ls.Raw(), buf
+	}
+	buf = set.Vertices(buf[:0])
+	return buf, buf
+}
+
+// patch is the per-shard patch, verbatim but for the coverage scratch it
+// no longer sizes.
+func (s *oracleShard) patch(n int32, sc *oracleScratch, ids []int32, old []rrr.Set) (members int64) {
+	if len(ids) == 0 && s.indexed == len(s.sets) {
+		return 0
+	}
+	nn := int(n)
+	if cap(sc.mark) < nn {
+		sc.mark = make([]int32, nn)
+	}
+	mark, buf := sc.mark[:nn], sc.buf
+	var vs []int32
+	if len(ids) > 0 {
+		sc.drop.Grow(s.indexed)
+		sc.drop.SetMany(ids)
+	}
+	var dropped int64
+	for _, set := range old {
+		vs, buf = setMembers(set, buf)
+		for _, v := range vs {
+			mark[v] |= dropMark
+		}
+		dropped += int64(len(vs))
+	}
+	adds := append(sc.adds[:0], ids...)
+	for j := s.indexed; j < len(s.sets); j++ {
+		adds = append(adds, int32(j))
+	}
+	for _, j := range adds {
+		vs, buf = setMembers(s.sets[j], buf)
+		for _, v := range vs {
+			mark[v]++
+		}
+		members += int64(len(vs))
+	}
+
+	idx := slices.Clone(s.postIdx)
+	if idx == nil {
+		idx = make([]int32, nn+1)
+	}
+	data := make([]int32, int64(len(s.postData))+members-dropped)
+	touched := sc.touched[:0]
+	// Old postings [run, lo) are pending: they all move by shift.
+	var run, shift int32
+	for v, c := range mark {
+		lo := idx[v]
+		idx[v] = lo + shift
+		if c == 0 {
+			continue
+		}
+		touched = append(touched, int32(v))
+		hi := idx[v+1] // not yet shifted
+		if c > 0 {
+			lo = hi // nothing dropped here: the segment rides with the run
+		}
+		copy(data[run+shift:], s.postData[run:lo])
+		w := lo + shift
+		for _, id := range s.postData[lo:hi] {
+			if !sc.drop.Test(int(id)) {
+				data[w] = id
+				w++
+			}
+		}
+		mark[v] = w
+		run, shift = hi, w+(c&^dropMark)-hi
+	}
+	copy(data[run+shift:], s.postData[run:])
+	idx[nn] += shift
+
+	for _, j := range adds {
+		vs, buf = setMembers(s.sets[j], buf)
+		for _, v := range vs {
+			w := mark[v]
+			mark[v] = w + 1
+			for ; w > idx[v] && data[w-1] > j; w-- {
+				data[w] = data[w-1]
+			}
+			data[w] = j
+		}
+	}
+	for _, v := range touched {
+		mark[v] = 0
+	}
+	sc.drop.ClearMany(ids)
+	sc.touched, sc.adds, sc.buf = touched, adds, buf
+
+	s.postIdx, s.postData = idx, data
+	s.postCount = int64(len(data))
+	s.indexed = len(s.sets)
+	return members
+}
+
+// oracleIndex is the striped index over a pool's sets, driven beside the
+// pool: grow and put mirror the pool's, extend and replace patch every
+// shard the way the pool patches its one index.
+type oracleIndex struct {
+	n      int32
+	shards [poolShards]oracleShard
+	sc     oracleScratch
+}
+
+func (o *oracleIndex) put(i int64, set rrr.Set) {
+	s, j := shardOf(i)
+	sh := &o.shards[s]
+	for len(sh.sets) <= j {
+		sh.sets = append(sh.sets, nil)
+	}
+	sh.sets[j] = set
+}
+
+func (o *oracleIndex) extend() {
+	for s := range o.shards {
+		o.shards[s].patch(o.n, &o.sc, nil, nil)
+	}
+}
+
+// replace swaps sets into the global slots ids (ascending) and patches
+// every shard: the replaced entries its index covers, and its tail.
+func (o *oracleIndex) replace(ids []int64, sets []rrr.Set) {
+	var local [poolShards][]int32
+	var old [poolShards][]rrr.Set
+	for k, i := range ids {
+		s, j := shardOf(i)
+		sh := &o.shards[s]
+		if j < sh.indexed {
+			local[s] = append(local[s], int32(j))
+			old[s] = append(old[s], sh.sets[j])
+		}
+		sh.sets[j] = sets[k]
+	}
+	for s := range o.shards {
+		o.shards[s].patch(o.n, &o.sc, local[s], old[s])
+	}
+}
+
+// merged returns the sixteen indexes as one CSR over global ids.
+func (o *oracleIndex) merged() (idx []int64, data []int32) {
+	idx = make([]int64, o.n+1)
+	for v := int32(0); v < o.n; v++ {
+		from := len(data)
+		for s := range o.shards {
+			sh := &o.shards[s]
+			if sh.postIdx == nil {
+				continue
+			}
+			for _, j := range sh.postData[sh.postIdx[v]:sh.postIdx[v+1]] {
+				data = append(data, j*poolShards+int32(s))
+			}
+		}
+		slices.Sort(data[from:])
+		idx[v+1] = int64(len(data))
+	}
+	return idx, data
+}
 
 // Set shapes a fuzz step can ask for.
 const (
@@ -60,10 +247,10 @@ func fuzzSet(r *rng.Xoshiro256, n int32, shape byte) (rrr.Set, []int32) {
 	return rrr.NewBitmapSetUnique(n, vs), vs
 }
 
-// checkShardsAgainstNaive compares every shard with a map-based build
-// over model (members by global id). wantIndexed is how many entries
-// each shard's index must cover.
-func checkShardsAgainstNaive(t *testing.T, step int, p *shardedPool, model [][]int32, wantIndexed *[poolShards]int) {
+// checkIndexAgainstNaive compares the pool's index with a map-based build
+// over model (members by global id) and with the oracle's merged
+// indexes. wantIndexed is how many sets the index must cover.
+func checkIndexAgainstNaive(t *testing.T, step int, p *shardedPool, model [][]int32, oracle *oracleIndex, wantIndexed int64) {
 	t.Helper()
 	var total int64
 	for i, want := range model {
@@ -78,44 +265,44 @@ func checkShardsAgainstNaive(t *testing.T, step int, p *shardedPool, model [][]i
 	if got, want := p.stats(), rrr.Summarize(p.n, p.flatten()); got != want {
 		t.Fatalf("step %d: prefix stats %+v, want %+v", step, got, want)
 	}
-	for s := range p.shards {
-		sh := &p.shards[s]
-		if sh.indexed != wantIndexed[s] {
-			t.Fatalf("step %d shard %d: indexed %d, want %d", step, s, sh.indexed, wantIndexed[s])
+	if p.indexed != wantIndexed {
+		t.Fatalf("step %d: indexed %d, want %d", step, p.indexed, wantIndexed)
+	}
+	if p.covered != nil && int64(p.covered.Len()) != p.indexed {
+		t.Fatalf("step %d: coverage scratch holds %d bits over %d sets", step, p.covered.Len(), p.indexed)
+	}
+	if p.indexed == 0 {
+		if p.postIdx != nil || p.postData != nil {
+			t.Fatalf("step %d: index present over no sets", step)
 		}
-		if sh.covered != nil && sh.covered.Len() != sh.indexed {
-			t.Fatalf("step %d shard %d: coverage scratch holds %d bits over %d entries", step, s, sh.covered.Len(), sh.indexed)
+		return
+	}
+	byVertex := map[int32][]int32{}
+	for i := int64(0); i < p.indexed; i++ {
+		for _, v := range model[i] {
+			byVertex[v] = append(byVertex[v], int32(i))
 		}
-		if sh.indexed == 0 {
-			if sh.postIdx != nil || sh.postData != nil || sh.postCount != 0 {
-				t.Fatalf("step %d shard %d: index present over no entries", step, s)
-			}
-			continue
-		}
-		byVertex := map[int32][]int32{}
-		for j := 0; j < sh.indexed; j++ {
-			for _, v := range model[j*poolShards+s] {
-				byVertex[v] = append(byVertex[v], int32(j))
-			}
-		}
-		idx, data := make([]int32, p.n+1), []int32{}
-		for v := int32(0); v < p.n; v++ {
-			data = append(data, byVertex[v]...) // entries were visited ascending
-			idx[v+1] = int32(len(data))
-		}
-		if !slices.Equal(sh.postIdx, idx) || !slices.Equal(sh.postData, data) {
-			t.Fatalf("step %d shard %d: CSR diverged from the naive build\nidx  %v\nwant %v\ndata %v\nwant %v",
-				step, s, sh.postIdx, idx, sh.postData, data)
-		}
-		if sh.postCount != int64(len(data)) {
-			t.Fatalf("step %d shard %d: postCount %d over %d postings", step, s, sh.postCount, len(data))
-		}
-		for v := int32(0); v < p.n; v++ {
-			seg := sh.postings(v)
-			for k := 1; k < len(seg); k++ {
-				if seg[k-1] >= seg[k] {
-					t.Fatalf("step %d shard %d: segment of vertex %d not strictly ascending: %v", step, s, v, seg)
-				}
+	}
+	idx, data := make([]int64, p.n+1), []int32{}
+	for v := int32(0); v < p.n; v++ {
+		data = append(data, byVertex[v]...) // sets were visited ascending
+		idx[v+1] = int64(len(data))
+	}
+	if !slices.Equal(p.postIdx, idx) || !slices.Equal(p.postData, data) {
+		t.Fatalf("step %d: CSR diverged from the naive build\nidx  %v\nwant %v\ndata %v\nwant %v",
+			step, p.postIdx, idx, p.postData, data)
+	}
+	if p.indexed == p.count && int64(len(p.postData)) != p.totalMembers {
+		t.Fatalf("step %d: %d postings over %d members", step, len(p.postData), p.totalMembers)
+	}
+	if oidx, odata := oracle.merged(); !slices.Equal(p.postIdx, oidx) || !slices.Equal(p.postData, odata) {
+		t.Fatalf("step %d: CSR diverged from the merged per-shard oracle", step)
+	}
+	for v := int32(0); v < p.n; v++ {
+		seg := p.postData[p.postIdx[v]:p.postIdx[v+1]]
+		for k := 1; k < len(seg); k++ {
+			if seg[k-1] >= seg[k] {
+				t.Fatalf("step %d: segment of vertex %d not strictly ascending: %v", step, v, seg)
 			}
 		}
 	}
@@ -125,30 +312,37 @@ func checkShardsAgainstNaive(t *testing.T, step int, p *shardedPool, model [][]i
 // (op, count, shape): grow by count sets and index them through
 // ensureIndexed (op 0) or indexNewSets (op 1), grow without indexing as
 // a remote generator does (op 2), or replace count random resident
-// slots with fresh sets (op 3), checking every shard against the naive
-// build after each.
+// slots with fresh sets (op 3), checking the index against the naive
+// build and the per-shard oracle after each.
 func FuzzShardIndexPatch(f *testing.F) {
-	f.Add(uint64(1), uint16(299), byte(1), []byte{0, 40, shapeFew})                                        // first build
-	f.Add(uint64(2), uint16(7), byte(2), []byte{1, 60, shapeDense, 1, 60, shapeDense, 3, 9, shapeDense})   // every vertex touched
-	f.Add(uint64(3), uint16(4000), byte(2), []byte{0, 50, shapeFew, 0, 1, shapeSingle, 3, 1, shapeSingle}) // one vertex touched, n ≫ sets
-	f.Add(uint64(4), uint16(63), byte(3), []byte{0, 0, 0, 1, 5, shapeFew, 0, 0, 0, 1, 3, shapeEnds, 3, 4, shapeEnds, 0, 90, shapeSingle})
-	f.Add(uint64(5), uint16(500), byte(4), []byte{3, 3, 0, 2, 30, shapeFew, 3, 5, shapeDense, 0, 20, shapeFew, 2, 40, shapeEnds, 3, 30, shapeFew, 1, 0, 0})
-	f.Add(uint64(6), uint16(0), byte(1), []byte{0, 20, shapeSingle, 3, 20, shapeSingle})
+	f.Add(uint64(1), uint16(299), byte(0), []byte{0, 40, shapeFew})                                        // first build
+	f.Add(uint64(2), uint16(7), byte(1), []byte{1, 60, shapeDense, 1, 60, shapeDense, 3, 9, shapeDense})   // every vertex touched
+	f.Add(uint64(3), uint16(4000), byte(1), []byte{0, 50, shapeFew, 0, 1, shapeSingle, 3, 1, shapeSingle}) // one vertex touched, n ≫ sets
+	f.Add(uint64(4), uint16(63), byte(2), []byte{0, 0, 0, 1, 5, shapeFew, 0, 0, 0, 1, 3, shapeEnds, 3, 4, shapeEnds, 0, 90, shapeSingle})
+	f.Add(uint64(5), uint16(500), byte(3), []byte{3, 3, 0, 2, 30, shapeFew, 3, 5, shapeDense, 0, 20, shapeFew, 2, 40, shapeEnds, 3, 30, shapeFew, 1, 0, 0})
+	f.Add(uint64(6), uint16(0), byte(0), []byte{0, 20, shapeSingle, 3, 20, shapeSingle})
+	f.Add(uint64(7), uint16(2), byte(3), []byte{1, 70, shapeEnds, 3, 40, shapeEnds, 2, 9, shapeFew, 3, 40, shapeSingle}) // more ranges than vertices
+	f.Add(uint64(8), uint16(1200), byte(3), []byte{0, 200, shapeFew, 1, 200, shapeDense, 3, 40, shapeFew, 0, 255, shapeEnds})
 	f.Fuzz(func(t *testing.T, seed uint64, nRaw uint16, workersRaw byte, script []byte) {
 		n := 1 + int32(nRaw%4099)
-		workers := 1 + int(workersRaw%4)
+		workers := []int{1, 2, 3, 8}[workersRaw%4]
 		r := rng.New(seed)
 		p := newShardedPool(n)
+		oracle := &oracleIndex{n: n}
 		var model [][]int32
-		var wantIndexed [poolShards]int
 		for step := 0; 3*step+2 < len(script) && step < 24; step++ {
 			op, count, shape := script[3*step]%4, int(script[3*step+1]), script[3*step+2]
+			wantIndexed := p.indexed
 			if op < 3 {
-				from, to := p.grow(p.count + int64(count))
+				from, to, err := p.grow(p.count + int64(count))
+				if err != nil {
+					t.Fatal(err)
+				}
 				members := make([]int64, 1)
 				for i := from; i < to; i++ {
 					set, vs := fuzzSet(r, n, shape)
 					p.put(i, set)
+					oracle.put(i, set)
 					model = append(model, vs)
 					members[0] += int64(len(vs))
 				}
@@ -160,9 +354,8 @@ func FuzzShardIndexPatch(f *testing.F) {
 					p.indexNewSets(workers)
 				}
 				if op < 2 {
-					for s := range wantIndexed {
-						wantIndexed[s] = len(p.shards[s].sets)
-					}
+					oracle.extend()
+					wantIndexed = p.count
 				}
 			} else if p.count > 0 && count > 0 {
 				picked := map[int64]bool{}
@@ -177,47 +370,58 @@ func FuzzShardIndexPatch(f *testing.F) {
 				sets := make([]rrr.Set, len(ids))
 				for k, i := range ids {
 					sets[k], model[i] = fuzzSet(r, n, shape)
-					if s, _ := shardOf(i); wantIndexed[s] > 0 {
-						wantIndexed[s] = len(p.shards[s].sets)
+				}
+				if p.indexed > 0 {
+					oracle.replace(ids, sets)
+					wantIndexed = p.count
+				} else {
+					for k, i := range ids {
+						oracle.put(i, sets[k])
 					}
 				}
 				p.replace(ids, sets, workers)
 			}
-			checkShardsAgainstNaive(t, step, p, model, &wantIndexed)
+			checkIndexAgainstNaive(t, step, p, model, oracle, wantIndexed)
 		}
 	})
 }
 
 // TestExtendAllocs pins the retained scratch: a steady-state extension
-// round allocates the shard's two result arrays and nothing else.
+// round allocates the index's two result arrays and the closure of the
+// patch's fork-join, and nothing else.
 func TestExtendAllocs(t *testing.T) {
 	const n = 4096
+	const first, rounds, per = 65, 6, 4
 	r := rng.New(9)
-	sh := &poolShard{sets: make([]rrr.Set, 0, 256)}
-	var sc indexScratch
-	round := func(count int) {
-		for range count {
-			set, _ := fuzzSet(r, n, shapeFew)
-			sh.sets = append(sh.sets, set)
-		}
-		sh.extend(n, &sc)
-	}
-	// 65 entries put the coverage scratch at two words, where the measured
-	// rounds (4 entries each) leave it; the set draws themselves allocate,
-	// so they are made up front.
-	round(65)
-	var next []rrr.Set
-	for range 6 * 4 {
+	// The set draws themselves allocate, so they are made up front.
+	var sets []rrr.Set
+	for range first + rounds*per {
 		set, _ := fuzzSet(r, n, shapeFew)
-		next = append(next, set)
+		sets = append(sets, set)
 	}
-	allocs := testing.AllocsPerRun(5, func() {
-		sh.sets = append(sh.sets, next[:4]...)
-		next = next[4:]
-		sh.extend(n, &sc)
-	})
-	if allocs > 2 {
-		t.Fatalf("extension round allocated %.0f times, want the two result arrays", allocs)
+	p := newShardedPool(n)
+	extend := func(count int64) {
+		from, to, err := p.grow(p.count + count)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := from; i < to; i++ {
+			p.put(i, sets[i])
+			p.totalMembers += int64(sets[i].Size())
+		}
+		p.patch(1, nil, nil)
+	}
+	// The shards are sized for every round up front, so growing is free; 65
+	// sets put the coverage scratch at two words, where the measured rounds
+	// (4 sets each) leave it.
+	if _, _, err := p.grow(int64(len(sets))); err != nil {
+		t.Fatal(err)
+	}
+	p.count = 0
+	extend(first)
+	allocs := testing.AllocsPerRun(rounds-1, func() { extend(per) })
+	if allocs > 3 {
+		t.Fatalf("extension round allocated %.0f times, want the two result arrays and the fork-join's closure", allocs)
 	}
 }
 
@@ -245,19 +449,14 @@ func TestExtendDoesNotWriteFrozenIndex(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var idx, data [poolShards][]int32
-		for s := range st.Shards {
-			if st.Shards[s].PostIdx == nil {
-				t.Fatalf("shard %d froze without an index", s)
-			}
-			idx[s], data[s] = slices.Clone(st.Shards[s].PostIdx), slices.Clone(st.Shards[s].PostData)
+		if st.PostIdx == nil {
+			t.Fatal("pool froze without an index")
 		}
+		idx, data := slices.Clone(st.PostIdx), slices.Clone(st.PostData)
 		return func(after string) {
 			t.Helper()
-			for s := range st.Shards {
-				if !slices.Equal(st.Shards[s].PostIdx, idx[s]) || !slices.Equal(st.Shards[s].PostData, data[s]) {
-					t.Fatalf("shard %d: frozen index changed after %s", s, after)
-				}
+			if !slices.Equal(st.PostIdx, idx) || !slices.Equal(st.PostData, data) {
+				t.Fatalf("frozen index changed after %s", after)
 			}
 		}
 	}

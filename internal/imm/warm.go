@@ -137,14 +137,18 @@ func (w *WarmEngine) PhysicalFootprint() PoolFootprint { return w.inner.p.footpr
 
 // OverheadBytes reports the engine-resident memory outside the pool
 // representation itself: the fused occurrence counter (8 bytes per
-// vertex), the per-shard coverage scratch (one bit per set), and the
-// fused kernel's generation-arena slack (capacity not covered by live
-// sets — live arena bytes are already counted as set bytes), and the
-// seeds the selection memo remembers (at most 4 bytes per vertex). The
-// serving layer adds it to the pool footprint so its byte budget bounds
-// what a warm engine actually keeps resident.
+// vertex), the coverage scratch (one bit per set), the generation arenas'
+// slack (live arena bytes are already counted as set bytes), the seeds the
+// selection memo remembers (at most 4 bytes per vertex), and what indexing
+// and selecting leave beside the postings: the offset array (8 bytes per
+// vertex), the CELF heap slab and gain versions (16 + 4) and the index
+// patch's marks and decode buffers (4, plus a set's members per writer).
+// The serving layer adds it to the pool footprint so its byte budget
+// bounds what a warm engine actually keeps resident.
 func (w *WarmEngine) OverheadBytes() int64 {
-	return 8*int64(w.g.N) + w.inner.p.len()/8 + w.inner.arenaSlackBytes() + w.inner.p.memo.bytes()
+	p := w.inner.p
+	return 8*int64(w.g.N) + p.len()/8 + w.inner.arenaSlackBytes() + p.memo.bytes() +
+		8*int64(len(p.postIdx)) + 16*int64(cap(p.heapScratch)) + 4*int64(cap(p.versionScratch)) + p.scratch.bytes()
 }
 
 // FootprintUpTo reports the resident bytes of the first n sets — the

@@ -9,7 +9,9 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+	"unsafe"
 
+	"repro/internal/counter"
 	"repro/internal/graph"
 	"repro/internal/rng"
 	"repro/internal/rrr"
@@ -379,5 +381,37 @@ func TestNewWarmEngineRejectsRipples(t *testing.T) {
 	opt.Engine = Ripples
 	if _, err := NewWarmEngine(g, opt); err == nil {
 		t.Fatal("NewWarmEngine accepted the Ripples engine")
+	}
+}
+
+// TestOverheadBytesCoversScratch pins OverheadBytes against what a warm
+// engine actually holds beside its sets and postings, summed from the
+// arrays themselves: once the pool is indexed and selected over, the
+// offset array, the heap slab, the gain versions, the remembered seeds and
+// the patch's marks and decode buffers. The footprint — what BENCH_baseline.json records — counts none
+// of it.
+func TestOverheadBytesCoversScratch(t *testing.T) {
+	g := testGraph(t, 9, graph.IC)
+	opt := testOpts(Efficient, 2)
+	opt.Selection = SelectScan // so that generation leaves the pool unindexed
+	we := &WarmEngine{g: g, inner: generatePool(t, g, opt, 500)}
+	p := we.inner.p
+	bare, foot := we.OverheadBytes(), we.PhysicalFootprint()
+	if want := 8*int64(g.N) + p.len()/8 + we.inner.arenaSlackBytes(); bare != want || foot.IndexBytes != 0 {
+		t.Fatalf("before any selection: OverheadBytes %d, want %d; footprint %+v", bare, want, foot)
+	}
+	seeds, _, _ := p.selectCELFLimited(nil, 2, 5, p.len())
+	held := 8*int64(cap(p.postIdx)) + int64(unsafe.Sizeof(counter.GainItem{}))*int64(cap(p.heapScratch)) +
+		4*int64(cap(p.versionScratch)) + 4*int64(len(seeds)) + 4*int64(cap(p.scratch.mark)) + 8*int64(len(p.scratch.drop.Words()))
+	var bufs int64
+	for _, buf := range p.scratch.bufs {
+		bufs += 4 * int64(cap(buf))
+	}
+	if grown := we.OverheadBytes() - bare; grown != held+bufs || held != int64(8*(int(g.N)+1)+24*int(g.N)+4*len(seeds)) || bufs == 0 {
+		t.Fatalf("indexing and selecting grew OverheadBytes by %d; the arrays hold %d", grown, held)
+	}
+	after := we.PhysicalFootprint()
+	if after.SetBytes != foot.SetBytes || after.RawBytes != foot.RawBytes || after.IndexBytes != 4*p.totalMembers {
+		t.Fatalf("footprint moved with the scratch: %+v -> %+v", foot, after)
 	}
 }

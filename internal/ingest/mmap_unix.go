@@ -89,60 +89,39 @@ func poolStateFromMapping(data []byte) (*imm.PoolState, PoolSnapshotInfo, error)
 			return nil, info, fmt.Errorf("%w: section %d checksum mismatch", ErrPoolSnapshot, i)
 		}
 	}
-	meta := aliasI64(data, secs[0])
+	var meta []int64
+	st := new(imm.PoolState)
+	for i, target := range poolSections(st, &meta) {
+		target.alias(data, secs[i])
+	}
 	if err := applyPoolMeta(meta, &info); err != nil {
 		return nil, info, err
 	}
-	st := poolStateShell(info)
-	for s := range st.Shards {
-		sh := &st.Shards[s]
-		base := 1 + s*poolSecPerShard
-		sh.Kinds = aliasU8(data, secs[base+poolSecKinds])
-		sh.Sizes = aliasI32(data, secs[base+poolSecSizes])
-		sh.CompLens = aliasI32(data, secs[base+poolSecCompLens])
-		sh.ListData = aliasI32(data, secs[base+poolSecListData])
-		sh.CompData = aliasU8(data, secs[base+poolSecCompData])
-		sh.BitmapData = aliasU64(data, secs[base+poolSecBitmapData])
-		if secs[base+poolSecPostIdx].byteLen > 0 {
-			sh.PostIdx = aliasI32(data, secs[base+poolSecPostIdx])
-			sh.PostData = aliasI32(data, secs[base+poolSecPostData])
-		}
-	}
+	info.bind(st)
 	if err := validatePoolState(st); err != nil {
 		return nil, info, err
 	}
 	return st, info, nil
 }
 
-// The alias helpers reinterpret a section of the mapping in place.
-// parsePoolHeader has already proven byteLen is an element multiple and
-// the offset 64-byte aligned (for non-empty sections), which satisfies
-// every element type's alignment.
-
-func aliasU8(data []byte, sec snapSection) []byte {
+// alias points the section's array at its bytes in the mapping, in
+// place. parsePoolHeader has already proven byteLen is an element
+// multiple and the offset 64-byte aligned (for non-empty sections), which
+// satisfies every element type's alignment. An empty section leaves its
+// array nil.
+func (s poolSection) alias(data []byte, sec snapSection) {
 	if sec.byteLen == 0 {
-		return nil
+		return
 	}
-	return data[sec.offset : sec.offset+sec.byteLen : sec.offset+sec.byteLen]
-}
-
-func aliasI32(data []byte, sec snapSection) []int32 {
-	if sec.byteLen == 0 {
-		return nil
+	at := unsafe.Pointer(&data[sec.offset])
+	switch {
+	case s.i64 != nil:
+		*s.i64 = unsafe.Slice((*int64)(at), sec.byteLen/8)
+	case s.i32 != nil:
+		*s.i32 = unsafe.Slice((*int32)(at), sec.byteLen/4)
+	case s.u8 != nil:
+		*s.u8 = data[sec.offset : sec.offset+sec.byteLen : sec.offset+sec.byteLen]
+	default:
+		*s.u64 = unsafe.Slice((*uint64)(at), sec.byteLen/8)
 	}
-	return unsafe.Slice((*int32)(unsafe.Pointer(&data[sec.offset])), sec.byteLen/4)
-}
-
-func aliasI64(data []byte, sec snapSection) []int64 {
-	if sec.byteLen == 0 {
-		return nil
-	}
-	return unsafe.Slice((*int64)(unsafe.Pointer(&data[sec.offset])), sec.byteLen/8)
-}
-
-func aliasU64(data []byte, sec snapSection) []uint64 {
-	if sec.byteLen == 0 {
-		return nil
-	}
-	return unsafe.Slice((*uint64)(unsafe.Pointer(&data[sec.offset])), sec.byteLen/8)
 }

@@ -16,7 +16,7 @@ import (
 	"repro/internal/imm"
 )
 
-// The .impool binary pool-snapshot format, version 1 — the warm-pool
+// The .impool binary pool-snapshot format, version 2 — the warm-pool
 // persistence companion to .imsnap/.imdelta. All integers are
 // little-endian. Like its siblings it is a fixed header, a section
 // table, and raw payloads at 64-byte-aligned offsets, CRC32-C-checked
@@ -25,28 +25,33 @@ import (
 //
 //	offset  size  field
 //	0       8     magic "IMPOOL\x1a\x00"
-//	8       4     format version (1)
+//	8       4     format version (2)
 //	12      4     flags (bit 0: compressed pool kind, bit 1: adaptive representation)
 //	16      8     pool RNG seed
 //	24      8     N (vertices of the bound graph)
 //	32      8     pool length (slots generated)
-//	40      4     section count (129)
+//	40      4     section count (99)
 //	44      4     CRC32-C of bytes [0,44) + the section table
-//	48      129×32 section table (same entry shape as .imsnap)
+//	48      99×32 section table (same entry shape as .imsnap)
 //	…             payloads, 64-byte aligned, zero-padded between
 //
 // Section 0 is the metadata block: 7 little-endian int64 words — graph
 // edge count M, graph delta epoch, total pool members Σ|R|, the
 // GraphChecksum content fingerprint, the representation density
 // threshold (float64 bits), the diffusion model, and the shard count
-// (fixed at 16 in version 1; anything else is rejected). Then 8
-// sections per shard, in shard order: Kinds (u8 per entry), Sizes
-// (i32), CompLens (i32), ListData (i32), CompData (u8), BitmapData
-// (u64), PostIdx (i32, N+1 offsets or empty when the shard is
-// unindexed), PostData (i32). Together with the header's (seed, N,
-// count) these reconstruct an imm.PoolState exactly; the encoding is
-// canonical — the same state always produces identical bytes, which
+// (fixed at 16; anything else is rejected). Then 6 sections per shard —
+// the shard's stripe of the set storage — in shard order: Kinds (u8 per
+// entry), Sizes (i32), CompLens (i32), ListData (i32), CompData (u8),
+// BitmapData (u64). Then the pool's one inverted index: PostIdx (i64, N+1
+// offsets, or empty when the pool is unindexed) and PostData (i32,
+// global set ids). Together with the header's (seed, N, count) these
+// reconstruct an imm.PoolState exactly; the encoding is canonical — the
+// same state always produces identical bytes, which
 // FuzzPoolSnapshotRoundTrip pins.
+//
+// A file of any other version is refused as unsupported — to a serving
+// layer, a pool that is not on disk: it rebuilds cold and overwrites the
+// file at the next demotion.
 //
 // Every structural defect — bad magic or version, a checksum mismatch,
 // a non-canonical section table, payload extents that disagree with the
@@ -59,7 +64,7 @@ import (
 // regeneration instead of treating the file as corrupt.
 
 // PoolSnapshotVersion is the current .impool format version.
-const PoolSnapshotVersion = 1
+const PoolSnapshotVersion = 2
 
 // PoolSnapshotExt is the conventional file extension.
 const PoolSnapshotExt = ".impool"
@@ -78,30 +83,17 @@ var ErrPoolSnapshot = errors.New("ingest: invalid pool snapshot")
 var ErrPoolStale = errors.New("ingest: pool snapshot stale")
 
 const (
-	poolShardsV1       = 16
-	poolSecPerShard    = 8
-	poolSectionN       = 1 + poolShardsV1*poolSecPerShard
+	poolShardCount     = 16
+	poolSecPerShard    = 6
+	poolSecPostIdx     = 1 + poolShardCount*poolSecPerShard
+	poolSecPostData    = poolSecPostIdx + 1
+	poolSectionN       = poolSecPostData + 1
 	poolMetaWords      = 7
 	poolFlagCompressed = 1 << 0
 	poolFlagAdaptive   = 1 << 1
 	poolTableSize      = poolSectionN * snapEntrySize
 	poolPayloadBase    = (snapHeaderSize + poolTableSize + snapAlign - 1) / snapAlign * snapAlign
 )
-
-// Per-shard section kinds, in file order.
-const (
-	poolSecKinds = iota
-	poolSecSizes
-	poolSecCompLens
-	poolSecListData
-	poolSecCompData
-	poolSecBitmapData
-	poolSecPostIdx
-	poolSecPostData
-)
-
-// poolElemSizes maps a per-shard section kind to its element size.
-var poolElemSizes = [poolSecPerShard]uint32{1, 4, 4, 4, 1, 8, 4, 4}
 
 // PoolSnapshotInfo describes a pool snapshot's header and metadata
 // block — everything needed to decide whether to thaw it, without
@@ -128,44 +120,84 @@ func shardEntries(s int, count int64) int {
 	if int64(s) >= count {
 		return 0
 	}
-	return int((count-1-int64(s))/poolShardsV1) + 1
+	return int((count-1-int64(s))/poolShardCount) + 1
 }
 
-// poolLayout computes the canonical section table for a state's
-// payload lengths.
-func poolLayout(st *imm.PoolState) []snapSection {
-	secs := make([]snapSection, 0, poolSectionN)
-	secs = append(secs, snapSection{id: 0, elemSize: 8, byteLen: 8 * poolMetaWords})
+// poolSection names the array of a state that one section holds; exactly
+// one field is set. The list poolSections returns is the format's one
+// enumeration: the writer reads through it, both readers fill it.
+type poolSection struct {
+	i64 *[]int64
+	i32 *[]int32
+	u8  *[]byte
+	u64 *[]uint64
+}
+
+// poolSections lists where st's sections live, in file order; meta is
+// where the metadata block goes.
+func poolSections(st *imm.PoolState, meta *[]int64) []poolSection {
+	secs := make([]poolSection, 0, poolSectionN)
+	secs = append(secs, poolSection{i64: meta})
 	for s := range st.Shards {
 		sh := &st.Shards[s]
-		lens := [poolSecPerShard]int64{
-			int64(len(sh.Kinds)),
-			4 * int64(len(sh.Sizes)),
-			4 * int64(len(sh.CompLens)),
-			4 * int64(len(sh.ListData)),
-			int64(len(sh.CompData)),
-			8 * int64(len(sh.BitmapData)),
-			4 * int64(len(sh.PostIdx)),
-			4 * int64(len(sh.PostData)),
-		}
-		for k := 0; k < poolSecPerShard; k++ {
-			secs = append(secs, snapSection{
-				id:       uint32(1 + s*poolSecPerShard + k),
-				elemSize: poolElemSizes[k],
-				byteLen:  lens[k],
-			})
-		}
+		secs = append(secs,
+			poolSection{u8: &sh.Kinds},
+			poolSection{i32: &sh.Sizes},
+			poolSection{i32: &sh.CompLens},
+			poolSection{i32: &sh.ListData},
+			poolSection{u8: &sh.CompData},
+			poolSection{u64: &sh.BitmapData},
+		)
 	}
-	off := int64(poolPayloadBase)
-	for i := range secs {
-		if secs[i].byteLen > 0 {
-			off = alignUp(off)
-		}
-		secs[i].offset = off
-		off += secs[i].byteLen
-	}
-	return secs
+	return append(secs, poolSection{i64: &st.PostIdx}, poolSection{i32: &st.PostData})
 }
+
+func (s poolSection) elemSize() uint32 {
+	switch {
+	case s.u8 != nil:
+		return 1
+	case s.i32 != nil:
+		return 4
+	}
+	return 8
+}
+
+func (s poolSection) payload() payload {
+	switch {
+	case s.i64 != nil:
+		return payload{i64: *s.i64}
+	case s.i32 != nil:
+		return payload{i32: *s.i32}
+	case s.u8 != nil:
+		return payload{u8: *s.u8}
+	}
+	return payload{u64: *s.u64}
+}
+
+// read fills the section from a stream, returning the CRC of what it
+// read. An empty section leaves its array nil.
+func (s poolSection) read(r io.Reader, byteLen int64) (crc uint32, err error) {
+	switch {
+	case byteLen == 0:
+	case s.i64 != nil:
+		*s.i64, crc, err = readI64Section(r, byteLen)
+	case s.i32 != nil:
+		*s.i32, crc, err = readI32Section(r, byteLen)
+	case s.u8 != nil:
+		*s.u8, crc, err = readU8Section(r, byteLen)
+	default:
+		*s.u64, crc, err = readU64Section(r, byteLen)
+	}
+	return crc, err
+}
+
+// poolElemSizes is the element size of every table slot.
+var poolElemSizes = func() (sizes [poolSectionN]uint32) {
+	for i, s := range poolSections(new(imm.PoolState), new([]int64)) {
+		sizes[i] = s.elemSize()
+	}
+	return sizes
+}()
 
 func poolMeta(st *imm.PoolState) []int64 {
 	return []int64{
@@ -179,47 +211,55 @@ func poolMeta(st *imm.PoolState) []int64 {
 	}
 }
 
+// poolPayloads returns st's sections as the writer's payloads.
 func poolPayloads(st *imm.PoolState) []payload {
+	meta := poolMeta(st)
 	out := make([]payload, 0, poolSectionN)
-	out = append(out, payload{i64: poolMeta(st)})
-	for s := range st.Shards {
-		sh := &st.Shards[s]
-		out = append(out,
-			payload{u8: sh.Kinds},
-			payload{i32: sh.Sizes},
-			payload{i32: sh.CompLens},
-			payload{i32: sh.ListData},
-			payload{u8: sh.CompData},
-			payload{u64: sh.BitmapData},
-			payload{i32: sh.PostIdx},
-			payload{i32: sh.PostData},
-		)
+	for _, s := range poolSections(st, &meta) {
+		out = append(out, s.payload())
 	}
 	return out
+}
+
+// poolLayout computes the canonical section table for the payloads'
+// lengths.
+func poolLayout(payloads []payload) []snapSection {
+	secs := make([]snapSection, len(payloads))
+	off := int64(poolPayloadBase)
+	for i, p := range payloads {
+		sec := &secs[i]
+		sec.id, sec.elemSize, sec.byteLen = uint32(i), poolElemSizes[i], p.byteLen()
+		if sec.byteLen > 0 {
+			off = alignUp(off)
+		}
+		sec.offset = off
+		off += sec.byteLen
+	}
+	return secs
 }
 
 // PoolSnapshotSize returns the exact .impool size for st without
 // writing it.
 func PoolSnapshotSize(st *imm.PoolState) int64 {
-	secs := poolLayout(st)
+	secs := poolLayout(poolPayloads(st))
 	last := secs[len(secs)-1]
 	return last.offset + last.byteLen
 }
 
-// WritePoolSnapshot writes st as a version-1 .impool stream. The output
+// WritePoolSnapshot writes st as a version-2 .impool stream. The output
 // is canonical — the same state always produces identical bytes.
 func WritePoolSnapshot(w io.Writer, st *imm.PoolState) error {
 	if st == nil {
 		return fmt.Errorf("%w: nil pool state", ErrPoolSnapshot)
 	}
-	if st.ShardCount() != poolShardsV1 {
-		return fmt.Errorf("%w: %d shards, format holds %d", ErrPoolSnapshot, st.ShardCount(), poolShardsV1)
+	if st.ShardCount() != poolShardCount {
+		return fmt.Errorf("%w: %d shards, format holds %d", ErrPoolSnapshot, st.ShardCount(), poolShardCount)
 	}
 	if st.Count < 0 || st.N < 0 {
 		return fmt.Errorf("%w: negative shape (n=%d count=%d)", ErrPoolSnapshot, st.N, st.Count)
 	}
-	secs := poolLayout(st)
 	payloads := poolPayloads(st)
+	secs := poolLayout(payloads)
 	for i := range secs {
 		secs[i].crc = payloads[i].crc()
 	}
@@ -305,7 +345,7 @@ func parsePoolHeader(header []byte) ([]snapSection, PoolSnapshotInfo, error) {
 	info.Seed = le.Uint64(header[16:])
 	n := int64(le.Uint64(header[24:]))
 	count := int64(le.Uint64(header[32:]))
-	if n < 0 || n > math.MaxInt32 || count < 0 || count > math.MaxInt64/16 {
+	if n < 0 || n > math.MaxInt32 || count < 0 || count > math.MaxInt32 { // postings name sets in 32 bits
 		return nil, info, fmt.Errorf("%w: invalid shape n=%d count=%d", ErrPoolSnapshot, n, count)
 	}
 	info.N, info.Count = int32(n), count
@@ -336,10 +376,7 @@ func parsePoolHeader(header []byte) ([]snapSection, PoolSnapshotInfo, error) {
 			crc:      le.Uint32(e[24:]),
 		}
 		sec := &secs[i]
-		wantElem := uint32(8)
-		if i > 0 {
-			wantElem = poolElemSizes[(i-1)%poolSecPerShard]
-		}
+		wantElem := poolElemSizes[i]
 		if sec.id != uint32(i) || sec.elemSize != wantElem {
 			return nil, info, fmt.Errorf("%w: section %d table entry mismatch", ErrPoolSnapshot, i)
 		}
@@ -357,20 +394,18 @@ func parsePoolHeader(header []byte) ([]snapSection, PoolSnapshotInfo, error) {
 	if secs[0].byteLen != 8*poolMetaWords {
 		return nil, info, fmt.Errorf("%w: metadata section holds %d bytes, want %d", ErrPoolSnapshot, secs[0].byteLen, 8*poolMetaWords)
 	}
-	for s := 0; s < poolShardsV1; s++ {
+	for s := 0; s < poolShardCount; s++ {
 		entries := int64(shardEntries(s, count))
-		base := 1 + s*poolSecPerShard
-		if secs[base+poolSecKinds].byteLen != entries ||
-			secs[base+poolSecSizes].byteLen != 4*entries ||
-			secs[base+poolSecCompLens].byteLen != 4*entries {
+		meta := secs[1+s*poolSecPerShard:] // Kinds, Sizes, CompLens: one element per entry
+		if meta[0].byteLen != entries || meta[1].byteLen != 4*entries || meta[2].byteLen != 4*entries {
 			return nil, info, fmt.Errorf("%w: shard %d metadata sections disagree with pool length %d", ErrPoolSnapshot, s, count)
 		}
-		if pl := secs[base+poolSecPostIdx].byteLen; pl != 0 && pl != 4*(n+1) {
-			return nil, info, fmt.Errorf("%w: shard %d index holds %d offset bytes, want 0 or %d", ErrPoolSnapshot, s, pl, 4*(n+1))
-		}
-		if secs[base+poolSecPostIdx].byteLen == 0 && secs[base+poolSecPostData].byteLen != 0 {
-			return nil, info, fmt.Errorf("%w: shard %d has postings without an offset table", ErrPoolSnapshot, s)
-		}
+	}
+	if pl := secs[poolSecPostIdx].byteLen; pl != 0 && pl != 8*(n+1) {
+		return nil, info, fmt.Errorf("%w: index holds %d offset bytes, want 0 or %d", ErrPoolSnapshot, pl, 8*(n+1))
+	}
+	if secs[poolSecPostIdx].byteLen == 0 && secs[poolSecPostData].byteLen != 0 {
+		return nil, info, fmt.Errorf("%w: postings without an offset table", ErrPoolSnapshot)
 	}
 	info.Bytes = off
 	return secs, info, nil
@@ -397,37 +432,34 @@ func applyPoolMeta(meta []int64, info *PoolSnapshotInfo) error {
 		return fmt.Errorf("%w: unknown model %d", ErrPoolSnapshot, meta[5])
 	}
 	info.Model = graph.Model(meta[5])
-	if meta[6] != poolShardsV1 {
-		return fmt.Errorf("%w: %d shards, want %d", ErrPoolSnapshot, meta[6], poolShardsV1)
+	if meta[6] != poolShardCount {
+		return fmt.Errorf("%w: %d shards, want %d", ErrPoolSnapshot, meta[6], poolShardCount)
 	}
 	return nil
 }
 
-func poolStateShell(info PoolSnapshotInfo) *imm.PoolState {
-	st := &imm.PoolState{
-		N:            info.N,
-		M:            info.M,
-		Model:        info.Model,
-		Epoch:        info.Epoch,
-		GraphSum:     info.GraphSum,
-		Seed:         info.Seed,
-		Pool:         imm.PoolSlices,
-		AdaptiveRep:  info.Adaptive,
-		RepThreshold: info.RepThreshold,
-		Count:        info.Count,
-		TotalMembers: info.TotalMembers,
-	}
+// bind sets st's graph binding and pool identity from a header's info;
+// the payload arrays are the section readers' to fill.
+func (info PoolSnapshotInfo) bind(st *imm.PoolState) {
+	st.N = info.N
+	st.M = info.M
+	st.Model = info.Model
+	st.Epoch = info.Epoch
+	st.GraphSum = info.GraphSum
+	st.Seed = info.Seed
+	st.AdaptiveRep = info.Adaptive
+	st.RepThreshold = info.RepThreshold
+	st.Count = info.Count
+	st.TotalMembers = info.TotalMembers
+	st.Pool = imm.PoolSlices
 	if info.Compressed {
 		st.Pool = imm.PoolCompressed
 	}
-	return st
 }
 
-// ReadPoolSnapshot reads a version-1 .impool stream, verifying magic,
-// version, header checksum, canonical section layout, every section
-// checksum, and the full structural validity of the pool payloads.
-// Allocation is bounded by the bytes actually read.
-func ReadPoolSnapshot(r io.Reader) (*imm.PoolState, PoolSnapshotInfo, error) {
+// readPoolInfo reads and validates the header, the section table and the
+// metadata block, leaving r just past the metadata.
+func readPoolInfo(r io.Reader) ([]snapSection, PoolSnapshotInfo, error) {
 	header := make([]byte, snapHeaderSize+poolTableSize)
 	if _, err := io.ReadFull(r, header); err != nil {
 		return nil, PoolSnapshotInfo{}, fmt.Errorf("%w: truncated header: %v", ErrPoolSnapshot, err)
@@ -436,52 +468,43 @@ func ReadPoolSnapshot(r io.Reader) (*imm.PoolState, PoolSnapshotInfo, error) {
 	if err != nil {
 		return nil, info, err
 	}
+	if err := discard(r, secs[0].offset-int64(len(header))); err != nil {
+		return nil, info, fmt.Errorf("%w: truncated before metadata: %v", ErrPoolSnapshot, err)
+	}
+	meta, crc, err := readI64Section(r, secs[0].byteLen)
+	if err != nil {
+		return nil, info, fmt.Errorf("%w: truncated metadata: %v", ErrPoolSnapshot, err)
+	}
+	if crc != secs[0].crc {
+		return nil, info, fmt.Errorf("%w: metadata checksum mismatch", ErrPoolSnapshot)
+	}
+	return secs, info, applyPoolMeta(meta, &info)
+}
 
-	var meta []int64
-	var st *imm.PoolState
-	pos := int64(len(header))
-	for i, sec := range secs {
-		if err := discard(r, sec.offset-pos); err != nil {
+// ReadPoolSnapshot reads a version-2 .impool stream, verifying magic,
+// version, header checksum, canonical section layout, every section
+// checksum, and the full structural validity of the pool payloads.
+// Allocation is bounded by the bytes actually read.
+func ReadPoolSnapshot(r io.Reader) (*imm.PoolState, PoolSnapshotInfo, error) {
+	secs, info, err := readPoolInfo(r)
+	if err != nil {
+		return nil, info, err
+	}
+	st := new(imm.PoolState)
+	info.bind(st)
+	targets := poolSections(st, new([]int64)) // the metadata block is already in info
+	for i := 1; i < len(secs); i++ {
+		sec, prev := secs[i], secs[i-1]
+		if err := discard(r, sec.offset-prev.offset-prev.byteLen); err != nil {
 			return nil, info, fmt.Errorf("%w: truncated before section %d: %v", ErrPoolSnapshot, i, err)
 		}
-		var crc uint32
-		var err error
-		if i == 0 {
-			meta, crc, err = readI64Section(r, sec.byteLen)
-			if err == nil {
-				if merr := applyPoolMeta(meta, &info); merr != nil {
-					return nil, info, merr
-				}
-				st = poolStateShell(info)
-			}
-		} else {
-			sh := &st.Shards[(i-1)/poolSecPerShard]
-			switch (i - 1) % poolSecPerShard {
-			case poolSecKinds:
-				sh.Kinds, crc, err = readU8Section(r, sec.byteLen)
-			case poolSecSizes:
-				sh.Sizes, crc, err = readI32Section(r, sec.byteLen)
-			case poolSecCompLens:
-				sh.CompLens, crc, err = readI32Section(r, sec.byteLen)
-			case poolSecListData:
-				sh.ListData, crc, err = readI32Section(r, sec.byteLen)
-			case poolSecCompData:
-				sh.CompData, crc, err = readU8Section(r, sec.byteLen)
-			case poolSecBitmapData:
-				sh.BitmapData, crc, err = readU64Section(r, sec.byteLen)
-			case poolSecPostIdx:
-				sh.PostIdx, crc, err = readI32Section(r, sec.byteLen)
-			case poolSecPostData:
-				sh.PostData, crc, err = readI32Section(r, sec.byteLen)
-			}
-		}
+		crc, err := targets[i].read(r, sec.byteLen)
 		if err != nil {
 			return nil, info, fmt.Errorf("%w: truncated section %d: %v", ErrPoolSnapshot, i, err)
 		}
 		if crc != sec.crc {
 			return nil, info, fmt.Errorf("%w: section %d checksum mismatch", ErrPoolSnapshot, i)
 		}
-		pos = sec.offset + sec.byteLen
 	}
 	if err := validatePoolState(st); err != nil {
 		return nil, info, err
@@ -523,28 +546,8 @@ func MapPoolSnapshotFile(path string) (*imm.PoolState, PoolSnapshotInfo, error) 
 // metadata block — enough to decide whether a snapshot is worth
 // thawing — without touching the payload sections.
 func ReadPoolSnapshotInfo(r io.Reader) (PoolSnapshotInfo, error) {
-	header := make([]byte, snapHeaderSize+poolTableSize)
-	if _, err := io.ReadFull(r, header); err != nil {
-		return PoolSnapshotInfo{}, fmt.Errorf("%w: truncated header: %v", ErrPoolSnapshot, err)
-	}
-	secs, info, err := parsePoolHeader(header)
-	if err != nil {
-		return info, err
-	}
-	if err := discard(r, secs[0].offset-int64(len(header))); err != nil {
-		return info, fmt.Errorf("%w: truncated before metadata: %v", ErrPoolSnapshot, err)
-	}
-	meta, crc, err := readI64Section(r, secs[0].byteLen)
-	if err != nil {
-		return info, fmt.Errorf("%w: truncated metadata: %v", ErrPoolSnapshot, err)
-	}
-	if crc != secs[0].crc {
-		return info, fmt.Errorf("%w: metadata checksum mismatch", ErrPoolSnapshot)
-	}
-	if err := applyPoolMeta(meta, &info); err != nil {
-		return info, err
-	}
-	return info, nil
+	_, info, err := readPoolInfo(r)
+	return info, err
 }
 
 // ReadPoolSnapshotInfoFile opens path and delegates to
@@ -582,7 +585,9 @@ func ValidatePoolGraph(st *imm.PoolState, g *graph.Graph, epoch int64) error {
 // list sorted and in range, bitmap rows exactly (N+63)/64 words with
 // clear tail bits and a popcount matching the cached size, every
 // representation the one the frozen policy dictates, and the inverted
-// index a well-formed CSR over the shard. Nothing downstream (thaw,
+// index a well-formed CSR over the pool: offsets monotone from 0 to the
+// posting total, that total the member total, every segment's ids
+// strictly ascending and below the pool length. Nothing downstream (thaw,
 // selection) re-validates, so everything that could panic or silently
 // corrupt an answer is rejected here.
 func validatePoolState(st *imm.PoolState) error {
@@ -676,32 +681,37 @@ func validatePoolState(st *imm.PoolState) error {
 		if lc != len(sh.ListData) || cc != len(sh.CompData) || bc != len(sh.BitmapData) {
 			return fmt.Errorf("%w: shard %d payload blobs larger than its entries consume", ErrPoolSnapshot, s)
 		}
-		if sh.PostIdx != nil {
-			if len(sh.PostIdx) != int(n)+1 {
-				return fmt.Errorf("%w: shard %d index holds %d offsets, want %d", ErrPoolSnapshot, s, len(sh.PostIdx), int(n)+1)
-			}
-			if sh.PostIdx[0] != 0 || int(sh.PostIdx[n]) != len(sh.PostData) {
-				return fmt.Errorf("%w: shard %d index bounds do not cover its postings", ErrPoolSnapshot, s)
-			}
-			for v := int32(0); v < n; v++ {
-				lo, hi := sh.PostIdx[v], sh.PostIdx[v+1]
-				if lo > hi {
-					return fmt.Errorf("%w: shard %d index offsets decrease at vertex %d", ErrPoolSnapshot, s, v)
-				}
-				prev := int32(-1)
-				for _, id := range sh.PostData[lo:hi] {
-					if id <= prev || int(id) >= entries {
-						return fmt.Errorf("%w: shard %d posting %d at vertex %d unsorted or out of range", ErrPoolSnapshot, s, id, v)
-					}
-					prev = id
-				}
-			}
-		} else if len(sh.PostData) != 0 {
-			return fmt.Errorf("%w: shard %d has postings without an offset table", ErrPoolSnapshot, s)
-		}
 	}
 	if members != st.TotalMembers {
 		return fmt.Errorf("%w: member sum %d != recorded total %d", ErrPoolSnapshot, members, st.TotalMembers)
+	}
+	if st.PostIdx == nil {
+		if len(st.PostData) != 0 {
+			return fmt.Errorf("%w: postings without an offset table", ErrPoolSnapshot)
+		}
+		return nil
+	}
+	if len(st.PostIdx) != int(n)+1 {
+		return fmt.Errorf("%w: index holds %d offsets, want %d", ErrPoolSnapshot, len(st.PostIdx), int(n)+1)
+	}
+	if int64(len(st.PostData)) != members {
+		return fmt.Errorf("%w: index holds %d postings for %d members", ErrPoolSnapshot, len(st.PostData), members)
+	}
+	if st.PostIdx[0] != 0 || st.PostIdx[n] != members {
+		return fmt.Errorf("%w: index offsets do not span its postings", ErrPoolSnapshot)
+	}
+	for v := int32(0); v < n; v++ {
+		lo, hi := st.PostIdx[v], st.PostIdx[v+1]
+		if lo > hi || hi > members {
+			return fmt.Errorf("%w: index offsets decrease or overrun at vertex %d", ErrPoolSnapshot, v)
+		}
+		prev := int32(-1)
+		for _, id := range st.PostData[lo:hi] {
+			if id <= prev || int64(id) >= st.Count {
+				return fmt.Errorf("%w: posting %d at vertex %d unsorted, duplicated or out of range", ErrPoolSnapshot, id, v)
+			}
+			prev = id
+		}
 	}
 	return nil
 }

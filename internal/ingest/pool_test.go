@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/gen"
@@ -18,6 +19,12 @@ import (
 // returning the graph it is bound to alongside the state.
 func poolFixture(t testing.TB, pool imm.PoolKind, adaptive bool, epoch int64) (*graph.Graph, imm.Options, *imm.PoolState) {
 	t.Helper()
+	return poolFixtureWith(t, epoch, func(opt *imm.Options) { opt.Pool, opt.AdaptiveRep = pool, adaptive })
+}
+
+// poolFixtureWith is poolFixture under options shape adjusts.
+func poolFixtureWith(t testing.TB, epoch int64, shape func(*imm.Options)) (*graph.Graph, imm.Options, *imm.PoolState) {
+	t.Helper()
 	g, err := gen.RMAT(gen.DefaultRMAT(6, 5), graph.IC, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -26,8 +33,7 @@ func poolFixture(t testing.TB, pool imm.PoolKind, adaptive bool, epoch int64) (*
 	opt.Workers = 2
 	opt.Seed = 11
 	opt.MaxTheta = 4000
-	opt.Pool = pool
-	opt.AdaptiveRep = adaptive
+	shape(&opt)
 	we, err := imm.NewWarmEngine(g, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -66,12 +72,14 @@ func equalPoolState(a, b *imm.PoolState) bool {
 		a.Count != b.Count || a.TotalMembers != b.TotalMembers {
 		return false
 	}
+	if !slices.Equal(a.PostIdx, b.PostIdx) || !i32eq(a.PostData, b.PostData) {
+		return false
+	}
 	for s := range a.Shards {
 		x, y := &a.Shards[s], &b.Shards[s]
 		if !bytes.Equal(x.Kinds, y.Kinds) || !i32eq(x.Sizes, y.Sizes) ||
 			!i32eq(x.CompLens, y.CompLens) || !i32eq(x.ListData, y.ListData) ||
-			!bytes.Equal(x.CompData, y.CompData) ||
-			!i32eq(x.PostIdx, y.PostIdx) || !i32eq(x.PostData, y.PostData) {
+			!bytes.Equal(x.CompData, y.CompData) {
 			return false
 		}
 		if len(x.BitmapData) != len(y.BitmapData) {
@@ -258,6 +266,7 @@ func TestPoolSnapshotCorruption(t *testing.T) {
 		{"truncated payload", valid[:len(valid)-32], "truncated"},
 		{"bad magic", mutate(func(d []byte) { d[0] ^= 0xff }), "bad magic"},
 		{"wrong version", mutate(func(d []byte) { binary.LittleEndian.PutUint32(d[8:], 9) }), "version"},
+		{"version 1", mutate(func(d []byte) { binary.LittleEndian.PutUint32(d[8:], 1) }), "unsupported version 1"},
 		{"unknown flags", mutate(func(d []byte) {
 			d[12] |= 0x04
 			rewriteHeaderCRC(d)
@@ -296,6 +305,83 @@ func TestPoolSnapshotCorruption(t *testing.T) {
 			c.name != "payload bit flip" && c.name != "member sum mismatch" &&
 			c.name != "truncated payload" && c.name != "non-canonical offset" {
 			t.Errorf("%s: info reader accepted corrupt header", c.name)
+		}
+	}
+}
+
+// TestPoolSnapshotIndexValidation pins the audit of the pool's one
+// inverted index: a state whose bytes are intact (every checksum holds)
+// but whose index is not a well-formed CSR over the pool is refused by
+// both readers.
+func TestPoolSnapshotIndexValidation(t *testing.T) {
+	_, _, st := poolFixture(t, imm.PoolSlices, false, 0)
+	n := int(st.N)
+	// A vertex with at least two postings, and the last one with any.
+	two, last := -1, -1
+	for v := 0; v < n; v++ {
+		if st.PostIdx[v+1]-st.PostIdx[v] >= 2 && two < 0 {
+			two = v
+		}
+		if st.PostIdx[v+1] > st.PostIdx[v] {
+			last = v
+		}
+	}
+	if two < 0 {
+		t.Fatal("fixture has no vertex in two sets")
+	}
+	cases := []struct {
+		name   string
+		mutate func(idx []int64, data []int32) ([]int64, []int32)
+		want   string
+	}{
+		{"offsets start past zero", func(idx []int64, data []int32) ([]int64, []int32) { idx[0] = 1; return idx, data }, "span"},
+		{"offsets decrease", func(idx []int64, data []int32) ([]int64, []int32) {
+			idx[two+1] = idx[two] - 1
+			return idx, data
+		}, "decrease"},
+		{"offset past the postings", func(idx []int64, data []int32) ([]int64, []int32) {
+			idx[last] = int64(len(data)) + 1
+			return idx, data
+		}, "overrun"},
+		{"offsets stop short", func(idx []int64, data []int32) ([]int64, []int32) { idx[n]--; return idx, data }, "span"},
+		{"id beyond the pool", func(idx []int64, data []int32) ([]int64, []int32) {
+			data[idx[last+1]-1] = int32(st.Count)
+			return idx, data
+		}, "out of range"},
+		{"negative id", func(idx []int64, data []int32) ([]int64, []int32) { data[idx[two]] = -1; return idx, data }, "out of range"},
+		{"unsorted segment", func(idx []int64, data []int32) ([]int64, []int32) {
+			lo := idx[two]
+			data[lo], data[lo+1] = data[lo+1], data[lo]
+			return idx, data
+		}, "unsorted"},
+		{"duplicated id", func(idx []int64, data []int32) ([]int64, []int32) {
+			data[idx[two]+1] = data[idx[two]]
+			return idx, data
+		}, "duplicated"},
+		{"a posting short of the members", func(idx []int64, data []int32) ([]int64, []int32) {
+			for v := last + 1; v <= n; v++ {
+				idx[v]--
+			}
+			return idx, data[:len(data)-1]
+		}, "postings for"},
+		{"offsets without postings", func(idx []int64, data []int32) ([]int64, []int32) { return make([]int64, n+1), nil }, "postings for"},
+		{"postings without offsets", func(idx []int64, data []int32) ([]int64, []int32) { return nil, data }, "without an offset table"},
+		{"offset table of the wrong length", func(idx []int64, data []int32) ([]int64, []int32) { return idx[:n], data }, "offset bytes"},
+	}
+	dir := t.TempDir()
+	for _, c := range cases {
+		bad := *st
+		bad.PostIdx, bad.PostData = c.mutate(slices.Clone(st.PostIdx), slices.Clone(st.PostData))
+		path := filepath.Join(dir, "bad"+PoolSnapshotExt)
+		if err := WritePoolSnapshotFile(path, &bad); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		_, _, err := ReadPoolSnapshotFile(path)
+		_, _, mapErr := MapPoolSnapshotFile(path)
+		for _, err := range []error{err, mapErr} {
+			if !errors.Is(err, ErrPoolSnapshot) || !bytes.Contains([]byte(err.Error()), []byte(c.want)) {
+				t.Errorf("%s: got %v, want ErrPoolSnapshot mentioning %q", c.name, err, c.want)
+			}
 		}
 	}
 }
@@ -383,9 +469,9 @@ func TestPoolWriterMatchesElementEncoder(t *testing.T) {
 			sh := &st.Shards[s]
 			hasKind = hasKind || bytes.IndexByte(sh.Kinds, c.kind) >= 0
 			emptyShard = emptyShard || len(sh.Kinds) == 0
-			if len(sh.Kinds) > 0 && (sh.PostIdx != nil) != c.indexed {
-				t.Fatalf("%s: shard %d indexed=%v, want %v", c.name, s, sh.PostIdx != nil, c.indexed)
-			}
+		}
+		if (st.PostIdx != nil) != c.indexed {
+			t.Fatalf("%s: indexed=%v, want %v", c.name, st.PostIdx != nil, c.indexed)
 		}
 		if !hasKind || emptyShard != (c.maxTheta < 16) {
 			t.Fatalf("%s: fixture lacks its shape (kind %d present=%v, empty shard=%v)", c.name, c.kind, hasKind, emptyShard)
@@ -394,7 +480,7 @@ func TestPoolWriterMatchesElementEncoder(t *testing.T) {
 		if err := WritePoolSnapshot(&buf, st); err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		checkSectionsAgainstEncoder(t, buf.Bytes(), poolLayout(st), poolPayloads(st))
+		checkSectionsAgainstEncoder(t, buf.Bytes(), poolLayout(poolPayloads(st)), poolPayloads(st))
 	}
 }
 
@@ -414,6 +500,19 @@ func FuzzPoolSnapshotRoundTrip(f *testing.F) {
 	}
 	f.Add([]byte("IMPOOL\x1a\x00 not a real pool snapshot"))
 	f.Add([]byte{})
+	for _, shape := range []func(*imm.Options){
+		func(opt *imm.Options) { opt.Selection = imm.SelectScan },                   // never indexed
+		func(opt *imm.Options) { opt.MaxTheta = 5 },                                 // shards without a set
+		func(opt *imm.Options) { opt.AdaptiveRep, opt.K = true, 12 },                // bitmap rows
+		func(opt *imm.Options) { opt.Pool = imm.PoolCompressed; opt.MaxTheta = 17 }, // one shard with two
+	} {
+		_, _, st := poolFixtureWith(f, 1, shape)
+		var buf bytes.Buffer
+		if err := WritePoolSnapshot(&buf, st); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		st, _, err := ReadPoolSnapshot(bytes.NewReader(data))
@@ -430,7 +529,7 @@ func FuzzPoolSnapshotRoundTrip(f *testing.F) {
 		if !bytes.Equal(buf.Bytes(), data[:len(buf.Bytes())]) {
 			t.Fatal("accepted snapshot does not re-encode to its own bytes")
 		}
-		checkSectionsAgainstEncoder(t, buf.Bytes(), poolLayout(st), poolPayloads(st))
+		checkSectionsAgainstEncoder(t, buf.Bytes(), poolLayout(poolPayloads(st)), poolPayloads(st))
 		st2, _, err := ReadPoolSnapshot(bytes.NewReader(buf.Bytes()))
 		if err != nil {
 			t.Fatalf("re-decode failed: %v", err)

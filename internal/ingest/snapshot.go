@@ -233,6 +233,11 @@ func leView[T int32 | int64 | uint64 | float32](s []T) []byte {
 	return unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), len(s)*int(unsafe.Sizeof(s[0])))
 }
 
+// byteLen is the size of the payload's section.
+func (p payload) byteLen() int64 {
+	return 8*int64(len(p.i64)+len(p.u64)) + 4*int64(len(p.i32)+len(p.f32)) + int64(len(p.u8))
+}
+
 // view returns the payload's section bytes without encoding anything:
 // the populated slice's own memory. Valid only when hostLittleEndian.
 func (p payload) view() []byte {

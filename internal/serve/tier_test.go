@@ -9,7 +9,9 @@ package serve
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -773,5 +775,63 @@ func checkMappingsBounded(t *testing.T, s *Server) {
 	s.mu.Unlock()
 	if live > promoted {
 		t.Fatalf("%d .impool mappings live for %d resident promoted pools", live, promoted)
+	}
+}
+
+// TestOldFormatPoolFileRebuildsCold walks the refusal path of a pool
+// directory written before .impool version 2: the file is refused as a
+// structural error at the header, LoadPools skips it, the query answers
+// cold and byte-identically without a failed promotion, and the pool's
+// next demotion replaces the file with a current one.
+func TestOldFormatPoolFileRebuildsCold(t *testing.T) {
+	g := testGraph(t, 8, graph.IC)
+	onePool := tierProbe(t, g)
+	dir := t.TempDir()
+	// A version-1 file as far as any reader gets: its magic, its version,
+	// and the length of its header and 129-entry section table.
+	v1 := make([]byte, 48+129*32+64)
+	copy(v1, "IMPOOL\x1a\x00")
+	binary.LittleEndian.PutUint32(v1[8:], 1)
+	path := poolFile(dir, 1)
+	if err := os.WriteFile(path, v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ingest.ReadPoolSnapshotInfoFile(path); !errors.Is(err, ingest.ErrPoolSnapshot) || !strings.Contains(err.Error(), "unsupported version 1") {
+		t.Fatalf("version-1 header: got %v, want ErrPoolSnapshot naming the version", err)
+	}
+	if _, _, release, err := ingest.MapPoolSnapshot(path); !errors.Is(err, ingest.ErrPoolSnapshot) || release != nil {
+		t.Fatalf("version-1 file mapped: %v", err)
+	}
+
+	opt := Options{Workers: 2, MaxTheta: 4000, PoolBudgetBytes: onePool + onePool/2, PoolDir: dir}
+	s := testServer(t, opt, map[string]*graph.Graph{"g": g})
+	if loaded, err := s.LoadPools(); err != nil || loaded != 0 {
+		t.Fatalf("LoadPools = %d, %v; want the old file skipped", loaded, err)
+	}
+	req := QueryRequest{Graph: "g", K: 8, Epsilon: 0.5, Seed: 1}
+	r, err := s.Query(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cold := coldRun(t, g, opt, req); r.Warm || !reflect.DeepEqual(r.Seeds, cold.Seeds) || r.Theta != cold.Theta {
+		t.Fatalf("answer beside an old pool file: warm=%v %v/θ=%d, cold run %v/θ=%d", r.Warm, r.Seeds, r.Theta, cold.Seeds, cold.Theta)
+	}
+	if _, err := s.Query(QueryRequest{Graph: "g", K: 8, Epsilon: 0.5, Seed: 2}); err != nil { // pushes tenant 1 out
+		t.Fatal(err)
+	}
+	st := s.Stats()
+	if st.PromoteFailures != 0 || st.Promotions != 0 || st.Demotions != 1 || st.DemotionWrites != 1 {
+		t.Fatalf("old file should cost a cold build and one written demotion, nothing else: %+v", st)
+	}
+	info, err := ingest.ReadPoolSnapshotInfoFile(path)
+	if err != nil || info.Version != ingest.PoolSnapshotVersion || info.Seed != 1 {
+		t.Fatalf("demotion did not replace the old file: %+v, %v", info, err)
+	}
+	again, err := s.Query(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !again.Warm || again.GeneratedSets != 0 || !reflect.DeepEqual(again.Seeds, r.Seeds) {
+		t.Fatalf("promotion from the rewritten file: warm=%v generated=%d seeds %v vs %v", again.Warm, again.GeneratedSets, again.Seeds, r.Seeds)
 	}
 }
