@@ -21,7 +21,7 @@
 //     an io.Writer, and actually calling Write — must reference a
 //     CRC32 operation or table, so a new section writer cannot land
 //     without checksum coverage. Writers whose checksums are computed
-//     by a sibling (payload.writeTo / payload.crc) or that emit
+//     by a sibling (the container's section writeTo / crc) or that emit
 //     padding outside CRC coverage carry an //imlint:ignore endian
 //     suppression explaining exactly that.
 package endian

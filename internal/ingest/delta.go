@@ -1,36 +1,22 @@
 package ingest
 
 import (
-	"bufio"
-	"encoding/binary"
+	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
-	"os"
 
 	"repro/internal/graph"
 )
 
 // The .imdelta binary edge-delta format, version 1 — the batch mutation
-// companion to .imsnap. All integers are little-endian. Like the
-// snapshot format it is a fixed header, a section table, and raw
-// payloads at 64-byte-aligned offsets, CRC32-C-checked per section and
-// over the header.
+// companion to .imsnap: a container (container.go) holding one delta.
 //
-//	offset  size  field
-//	0       8     magic "IMDELTA\x1a"
-//	8       4     format version (1)
-//	12      4     flags (bit 0: explicit add probabilities present)
-//	16      8     weight-derivation seed
-//	24      8     add count
-//	32      8     remove count
-//	40      4     section count (3)
-//	44      4     CRC32-C of bytes [0,44) + the section table
-//	48      3×32  section table (same entry shape as .imsnap)
-//	…             payloads, 64-byte aligned, zero-padded between
+//	magic    "IMDELTA\x1a"
+//	word     flags (bit 0: explicit add probabilities present)
+//	words    weight-derivation seed, add count, remove count
 //
-// Sections, in id order: Add (int32 src,dst pairs ×addCount), AddProb
+// Three sections, in order: Add (int32 src,dst pairs ×addCount), AddProb
 // (float32 ×addCount when flag bit 0 is set, empty otherwise), Remove
 // (int32 src,dst pairs ×removeCount). The encoding is canonical for a
 // given Delta value — write→read round-trips every field exactly,
@@ -42,17 +28,13 @@ const DeltaVersion = 1
 // DeltaExt is the conventional file extension.
 const DeltaExt = ".imdelta"
 
-var deltaMagic = [8]byte{'I', 'M', 'D', 'E', 'L', 'T', 'A', 0x1a}
+const deltaFlagProbs = 1 << 0
 
-const (
-	deltaSectionN    = 3
-	deltaFlagProbs   = 1 << 0
-	deltaSecAdd      = 0
-	deltaSecAddProb  = 1
-	deltaSecRemove   = 2
-	deltaTableSize   = deltaSectionN * snapEntrySize
-	deltaPayloadBase = (snapHeaderSize + deltaTableSize + snapAlign - 1) / snapAlign * snapAlign
-)
+var deltaSchema = schema{
+	magic:   [8]byte{'I', 'M', 'D', 'E', 'L', 'T', 'A', 0x1a},
+	version: DeltaVersion,
+	err:     errors.New("ingest: delta"),
+}
 
 // DeltaInfo describes a delta stream's header.
 type DeltaInfo struct {
@@ -71,26 +53,9 @@ func (d Dedupe) DeltaOptions() graph.DeltaOptions {
 	return graph.DeltaOptions{Strict: d == DedupeStrict}
 }
 
-// deltaLayout computes the canonical section table for a delta shape.
-func deltaLayout(adds, removes int64, explicit bool) []snapSection {
-	probLen := int64(0)
-	if explicit {
-		probLen = 4 * adds
-	}
-	secs := []snapSection{
-		{id: deltaSecAdd, elemSize: 4, byteLen: 8 * adds},
-		{id: deltaSecAddProb, elemSize: 4, byteLen: probLen},
-		{id: deltaSecRemove, elemSize: 4, byteLen: 8 * removes},
-	}
-	off := int64(deltaPayloadBase)
-	for i := range secs {
-		if secs[i].byteLen > 0 {
-			off = alignUp(off)
-		}
-		secs[i].offset = off
-		off += secs[i].byteLen
-	}
-	return secs
+// deltaSections lists a delta's arrays in file order.
+func deltaSections(add *[]int32, prob *[]float32, remove *[]int32) []section {
+	return []section{sec(add), sec(prob), sec(remove)}
 }
 
 // flattenEdges lays out edges as interleaved (src, dst) int32 pairs.
@@ -102,181 +67,6 @@ func flattenEdges(edges []graph.Edge) []int32 {
 	return out
 }
 
-// WriteDelta writes d as a version-1 .imdelta stream. The delta is
-// written verbatim — no dedup or validation happens here; that is
-// ApplyDelta's job at application time, under the applier's policy.
-func WriteDelta(w io.Writer, d graph.Delta) error {
-	if len(d.AddProb) != 0 && len(d.AddProb) != len(d.Add) {
-		return fmt.Errorf("ingest: delta AddProb length %d does not match Add length %d", len(d.AddProb), len(d.Add))
-	}
-	explicit := len(d.AddProb) != 0
-	secs := deltaLayout(int64(len(d.Add)), int64(len(d.Remove)), explicit)
-	payloads := [deltaSectionN]payload{
-		{i32: flattenEdges(d.Add)},
-		{f32: d.AddProb},
-		{i32: flattenEdges(d.Remove)},
-	}
-	for i := range secs {
-		secs[i].crc = payloads[i].crc()
-	}
-
-	header := make([]byte, snapHeaderSize+deltaTableSize)
-	copy(header[0:8], deltaMagic[:])
-	le := binary.LittleEndian
-	le.PutUint32(header[8:], DeltaVersion)
-	flags := uint32(0)
-	if explicit {
-		flags |= deltaFlagProbs
-	}
-	le.PutUint32(header[12:], flags)
-	le.PutUint64(header[16:], d.Seed)
-	le.PutUint64(header[24:], uint64(len(d.Add)))
-	le.PutUint64(header[32:], uint64(len(d.Remove)))
-	le.PutUint32(header[40:], deltaSectionN)
-	for i, s := range secs {
-		e := header[snapHeaderSize+i*snapEntrySize:]
-		le.PutUint32(e[0:], s.id)
-		le.PutUint32(e[4:], s.elemSize)
-		le.PutUint64(e[8:], uint64(s.offset))
-		le.PutUint64(e[16:], uint64(s.byteLen))
-		le.PutUint32(e[24:], s.crc)
-		le.PutUint32(e[28:], 0)
-	}
-	hcrc := crc32.Checksum(header[:44], castagnoli)
-	hcrc = crc32.Update(hcrc, castagnoli, header[snapHeaderSize:])
-	le.PutUint32(header[44:], hcrc)
-
-	bw := bufio.NewWriterSize(w, snapChunk)
-	if _, err := bw.Write(header); err != nil {
-		return err
-	}
-	pos := int64(len(header))
-	for i, s := range secs {
-		if err := writePad(bw, s.offset-pos); err != nil {
-			return err
-		}
-		if err := payloads[i].writeTo(bw); err != nil {
-			return err
-		}
-		pos = s.offset + s.byteLen
-	}
-	return bw.Flush()
-}
-
-// WriteDeltaFile creates path and writes the delta.
-func WriteDeltaFile(path string, d graph.Delta) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := WriteDelta(f, d); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// ReadDelta reads a version-1 .imdelta stream, verifying magic,
-// version, header checksum, canonical section layout, and every
-// section checksum. Allocation is bounded by the bytes actually read.
-func ReadDelta(r io.Reader) (graph.Delta, DeltaInfo, error) {
-	var d graph.Delta
-	var info DeltaInfo
-	header := make([]byte, snapHeaderSize+deltaTableSize)
-	if _, err := io.ReadFull(r, header); err != nil {
-		return d, info, fmt.Errorf("ingest: delta: truncated header: %w", err)
-	}
-	if [8]byte(header[0:8]) != deltaMagic {
-		return d, info, fmt.Errorf("ingest: delta: bad magic %q", header[0:8])
-	}
-	le := binary.LittleEndian
-	info.Version = le.Uint32(header[8:])
-	if info.Version != DeltaVersion {
-		return d, info, fmt.Errorf("ingest: delta: unsupported version %d (want %d)", info.Version, DeltaVersion)
-	}
-	flags := le.Uint32(header[12:])
-	if flags&^uint32(deltaFlagProbs) != 0 {
-		return d, info, fmt.Errorf("ingest: delta: unknown flags %#x", flags)
-	}
-	info.Explicit = flags&deltaFlagProbs != 0
-	info.Seed = le.Uint64(header[16:])
-	adds := int64(le.Uint64(header[24:]))
-	removes := int64(le.Uint64(header[32:]))
-	if adds < 0 || removes < 0 || adds > math.MaxInt64/16 || removes > math.MaxInt64/16 {
-		return d, info, fmt.Errorf("ingest: delta: invalid shape adds=%d removes=%d", adds, removes)
-	}
-	info.Adds, info.Removes = adds, removes
-	if count := le.Uint32(header[40:]); count != deltaSectionN {
-		return d, info, fmt.Errorf("ingest: delta: %d sections, want %d", count, deltaSectionN)
-	}
-	wantCRC := le.Uint32(header[44:])
-	gotCRC := crc32.Checksum(header[:44], castagnoli)
-	gotCRC = crc32.Update(gotCRC, castagnoli, header[snapHeaderSize:])
-	if gotCRC != wantCRC {
-		return d, info, fmt.Errorf("ingest: delta: header checksum mismatch")
-	}
-
-	want := deltaLayout(adds, removes, info.Explicit)
-	secs := make([]snapSection, deltaSectionN)
-	for i := range secs {
-		e := header[snapHeaderSize+i*snapEntrySize:]
-		secs[i] = snapSection{
-			id:       le.Uint32(e[0:]),
-			elemSize: le.Uint32(e[4:]),
-			offset:   int64(le.Uint64(e[8:])),
-			byteLen:  int64(le.Uint64(e[16:])),
-			crc:      le.Uint32(e[24:]),
-		}
-		w := want[i]
-		if secs[i].id != w.id || secs[i].elemSize != w.elemSize || secs[i].offset != w.offset || secs[i].byteLen != w.byteLen {
-			return d, info, fmt.Errorf("ingest: delta: section %d layout mismatch (corrupt table)", i)
-		}
-	}
-	info.Bytes = secs[deltaSectionN-1].offset + secs[deltaSectionN-1].byteLen
-
-	pos := int64(len(header))
-	var addFlat, removeFlat []int32
-	var addProb []float32
-	for i, s := range secs {
-		if err := discard(r, s.offset-pos); err != nil {
-			return d, info, fmt.Errorf("ingest: delta: truncated before section %d: %w", i, err)
-		}
-		var crc uint32
-		var err error
-		switch s.id {
-		case deltaSecAdd:
-			addFlat, crc, err = readI32Section(r, s.byteLen)
-		case deltaSecAddProb:
-			addProb, crc, err = readF32Section(r, s.byteLen)
-		case deltaSecRemove:
-			removeFlat, crc, err = readI32Section(r, s.byteLen)
-		}
-		if err != nil {
-			return d, info, fmt.Errorf("ingest: delta: truncated section %d: %w", i, err)
-		}
-		if crc != s.crc {
-			return d, info, fmt.Errorf("ingest: delta: section %d checksum mismatch", i)
-		}
-		pos = s.offset + s.byteLen
-	}
-
-	d.Seed = info.Seed
-	d.Add = unflattenEdges(addFlat)
-	d.AddProb = addProb
-	d.Remove = unflattenEdges(removeFlat)
-	return d, info, nil
-}
-
-// ReadDeltaFile opens path and delegates to ReadDelta.
-func ReadDeltaFile(path string) (graph.Delta, DeltaInfo, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return graph.Delta{}, DeltaInfo{}, err
-	}
-	defer f.Close()
-	return ReadDelta(bufio.NewReaderSize(f, snapChunk))
-}
-
 func unflattenEdges(flat []int32) []graph.Edge {
 	if len(flat) == 0 {
 		return nil
@@ -286,4 +76,74 @@ func unflattenEdges(flat []int32) []graph.Edge {
 		out[i] = graph.Edge{Src: flat[2*i], Dst: flat[2*i+1]}
 	}
 	return out
+}
+
+// WriteDelta writes d as a version-1 .imdelta stream. The delta is
+// written verbatim — no dedup or validation happens here; that is
+// ApplyDelta's job at application time, under the applier's policy.
+func WriteDelta(w io.Writer, d graph.Delta) error {
+	if len(d.AddProb) != 0 && len(d.AddProb) != len(d.Add) {
+		return fmt.Errorf("ingest: delta AddProb length %d does not match Add length %d", len(d.AddProb), len(d.Add))
+	}
+	h := header{words: [3]uint64{d.Seed, uint64(len(d.Add)), uint64(len(d.Remove))}}
+	if len(d.AddProb) != 0 {
+		h.word = deltaFlagProbs
+	}
+	add, remove := flattenEdges(d.Add), flattenEdges(d.Remove)
+	return deltaSchema.write(w, h, deltaSections(&add, &d.AddProb, &remove))
+}
+
+// WriteDeltaFile creates path and writes the delta.
+func WriteDeltaFile(path string, d graph.Delta) error {
+	return createFile(path, func(w io.Writer) error { return WriteDelta(w, d) })
+}
+
+// deltaInfo maps a delta header's words and checks the table's lengths
+// against them.
+func deltaInfo(h header, ents []entry) (DeltaInfo, error) {
+	info := DeltaInfo{Version: DeltaVersion, Seed: h.words[0], Explicit: h.word&deltaFlagProbs != 0}
+	if h.word&^uint32(deltaFlagProbs) != 0 {
+		return info, deltaSchema.errorf("unknown flags %#x", h.word)
+	}
+	adds, removes := int64(h.words[1]), int64(h.words[2])
+	if adds < 0 || removes < 0 || adds > math.MaxInt64/16 || removes > math.MaxInt64/16 {
+		return info, deltaSchema.errorf("invalid shape adds=%d removes=%d", adds, removes)
+	}
+	info.Adds = adds
+	info.Removes = removes
+	info.Bytes = ents[len(ents)-1].end()
+	probs := int64(0)
+	if info.Explicit {
+		probs = 4 * adds
+	}
+	return info, deltaSchema.implied(ents, 8*adds, probs, 8*removes)
+}
+
+// ReadDelta reads a version-1 .imdelta stream, verifying the header, the
+// canonical table and every section checksum.
+func ReadDelta(r io.Reader) (graph.Delta, DeltaInfo, error) {
+	var add, remove []int32
+	var prob []float32
+	secs := deltaSections(&add, &prob, &remove)
+	h, ents, err := deltaSchema.readHeader(r, secs)
+	if err != nil {
+		return graph.Delta{}, DeltaInfo{}, err
+	}
+	info, err := deltaInfo(h, ents)
+	if err != nil {
+		return graph.Delta{}, info, err
+	}
+	if err := deltaSchema.readSections(r, tableEnd(len(secs)), secs, ents); err != nil {
+		return graph.Delta{}, info, err
+	}
+	return graph.Delta{Add: unflattenEdges(add), AddProb: prob, Remove: unflattenEdges(remove), Seed: info.Seed}, info, nil
+}
+
+// ReadDeltaFile opens path and delegates to ReadDelta.
+func ReadDeltaFile(path string) (d graph.Delta, info DeltaInfo, err error) {
+	err = openFile(path, chunk, func(r io.Reader) error {
+		d, info, err = ReadDelta(r)
+		return err
+	})
+	return d, info, err
 }

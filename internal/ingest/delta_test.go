@@ -152,6 +152,7 @@ func FuzzDeltaRoundTrip(f *testing.F) {
 	f.Add(seedBuf.Bytes())
 	f.Add([]byte("IMDELTA\x1a"))
 	f.Add([]byte{})
+	seedOtherFormats(f, "imdelta")
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d, _, err := ReadDelta(bytes.NewReader(data))
 		if err == nil {

@@ -29,6 +29,7 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 	}
 	f.Add([]byte("IMSNAP\x1a\x00 not a real snapshot"))
 	f.Add([]byte{})
+	seedOtherFormats(f, "imsnap")
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, info, err := ReadSnapshot(bytes.NewReader(data))
@@ -42,8 +43,7 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 		if !bytes.Equal(buf.Bytes(), data[:len(buf.Bytes())]) {
 			t.Fatal("accepted snapshot does not re-encode to its own bytes")
 		}
-		payloads := snapPayloads(g)
-		checkSectionsAgainstEncoder(t, buf.Bytes(), snapLayout(g.N, g.M, g.Model()), payloads[:])
+		checkSectionsAgainstEncoder(t, buf.Bytes(), snapSections(g))
 		g2, _, err := ReadSnapshot(&buf)
 		if err != nil {
 			t.Fatalf("re-decode failed: %v", err)

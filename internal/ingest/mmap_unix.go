@@ -3,11 +3,8 @@
 package ingest
 
 import (
-	"fmt"
-	"hash/crc32"
 	"os"
 	"syscall"
-	"unsafe"
 
 	"repro/internal/imm"
 )
@@ -34,10 +31,10 @@ import (
 // promotion until vm.max_map_count turns every later mmap into the
 // copying fallback below.
 //
-// When mapping is not possible (big-endian host, a file larger than the
-// address space, mmap failure) it falls back to the streaming reader
-// transparently; the state then owns heap copies and release does
-// nothing. release is nil only alongside an error.
+// When mapping is not possible (big-endian host, an empty file or one
+// larger than the address space, mmap failure) it falls back to the
+// streaming reader transparently; the state then owns heap copies and
+// release does nothing. release is nil only alongside an error.
 func MapPoolSnapshot(path string) (st *imm.PoolState, info PoolSnapshotInfo, release func(), err error) {
 	if !hostLittleEndian {
 		return readPoolSnapshotOwned(path)
@@ -52,10 +49,6 @@ func MapPoolSnapshot(path string) (st *imm.PoolState, info PoolSnapshotInfo, rel
 		return nil, PoolSnapshotInfo{}, nil, err
 	}
 	size := fi.Size()
-	if size < snapHeaderSize+poolTableSize {
-		f.Close()
-		return nil, PoolSnapshotInfo{}, nil, fmt.Errorf("%w: %d-byte file cannot hold a header", ErrPoolSnapshot, size)
-	}
 	if size > int64(int(^uint(0)>>1)) {
 		f.Close()
 		return readPoolSnapshotOwned(path)
@@ -65,7 +58,7 @@ func MapPoolSnapshot(path string) (st *imm.PoolState, info PoolSnapshotInfo, rel
 	if err != nil {
 		return readPoolSnapshotOwned(path)
 	}
-	st, info, err = poolStateFromMapping(data)
+	st, info, err = poolFromImage(data)
 	if err != nil {
 		syscall.Munmap(data)
 		return nil, info, nil, err
@@ -73,26 +66,21 @@ func MapPoolSnapshot(path string) (st *imm.PoolState, info PoolSnapshotInfo, rel
 	return st, info, func() { syscall.Munmap(data) }, nil
 }
 
-// poolStateFromMapping decodes and validates a full .impool image,
-// aliasing payload sections in place.
-func poolStateFromMapping(data []byte) (*imm.PoolState, PoolSnapshotInfo, error) {
-	secs, info, err := parsePoolHeader(data[:snapHeaderSize+poolTableSize])
+// poolFromImage decodes and validates a whole .impool image, aliasing
+// its sections in place. Little-endian hosts only.
+func poolFromImage(image []byte) (*imm.PoolState, PoolSnapshotInfo, error) {
+	h, ents, err := poolSchema.parse(image, poolShape)
+	if err != nil {
+		return nil, PoolSnapshotInfo{}, err
+	}
+	info, err := poolInfo(h, ents)
 	if err != nil {
 		return nil, info, err
 	}
-	if info.Bytes > int64(len(data)) {
-		return nil, info, fmt.Errorf("%w: sections need %d bytes, file holds %d", ErrPoolSnapshot, info.Bytes, len(data))
-	}
-	for i, sec := range secs {
-		got := crc32.Checksum(data[sec.offset:sec.offset+sec.byteLen], castagnoli)
-		if got != sec.crc {
-			return nil, info, fmt.Errorf("%w: section %d checksum mismatch", ErrPoolSnapshot, i)
-		}
-	}
 	var meta []int64
 	st := new(imm.PoolState)
-	for i, target := range poolSections(st, &meta) {
-		target.alias(data, secs[i])
+	if err := poolSchema.mapSections(image, poolSections(st, &meta), ents); err != nil {
+		return nil, info, err
 	}
 	if err := applyPoolMeta(meta, &info); err != nil {
 		return nil, info, err
@@ -102,26 +90,4 @@ func poolStateFromMapping(data []byte) (*imm.PoolState, PoolSnapshotInfo, error)
 		return nil, info, err
 	}
 	return st, info, nil
-}
-
-// alias points the section's array at its bytes in the mapping, in
-// place. parsePoolHeader has already proven byteLen is an element
-// multiple and the offset 64-byte aligned (for non-empty sections), which
-// satisfies every element type's alignment. An empty section leaves its
-// array nil.
-func (s poolSection) alias(data []byte, sec snapSection) {
-	if sec.byteLen == 0 {
-		return
-	}
-	at := unsafe.Pointer(&data[sec.offset])
-	switch {
-	case s.i64 != nil:
-		*s.i64 = unsafe.Slice((*int64)(at), sec.byteLen/8)
-	case s.i32 != nil:
-		*s.i32 = unsafe.Slice((*int32)(at), sec.byteLen/4)
-	case s.u8 != nil:
-		*s.u8 = data[sec.offset : sec.offset+sec.byteLen : sec.offset+sec.byteLen]
-	default:
-		*s.u64 = unsafe.Slice((*uint64)(at), sec.byteLen/8)
-	}
 }

@@ -1,15 +1,11 @@
 package ingest
 
 import (
-	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
 	"math/bits"
-	"os"
 
 	"repro/internal/compress"
 	"repro/internal/graph"
@@ -17,37 +13,28 @@ import (
 )
 
 // The .impool binary pool-snapshot format, version 2 — the warm-pool
-// persistence companion to .imsnap/.imdelta. All integers are
-// little-endian. Like its siblings it is a fixed header, a section
-// table, and raw payloads at 64-byte-aligned offsets, CRC32-C-checked
-// per section and over the header, so a reader can either stream-decode
-// or mmap the file and alias every section in place.
+// persistence companion to .imsnap/.imdelta: a container (container.go)
+// holding one frozen pool, which a reader either stream-decodes or maps
+// and aliases in place.
 //
-//	offset  size  field
-//	0       8     magic "IMPOOL\x1a\x00"
-//	8       4     format version (2)
-//	12      4     flags (bit 0: compressed pool kind, bit 1: adaptive representation)
-//	16      8     pool RNG seed
-//	24      8     N (vertices of the bound graph)
-//	32      8     pool length (slots generated)
-//	40      4     section count (99)
-//	44      4     CRC32-C of bytes [0,44) + the section table
-//	48      99×32 section table (same entry shape as .imsnap)
-//	…             payloads, 64-byte aligned, zero-padded between
+//	magic    "IMPOOL\x1a\x00"
+//	word     flags (bit 0: compressed pool kind, bit 1: adaptive representation)
+//	words    pool RNG seed, N (vertices of the bound graph), pool length (slots generated)
 //
-// Section 0 is the metadata block: 7 little-endian int64 words — graph
-// edge count M, graph delta epoch, total pool members Σ|R|, the
-// GraphChecksum content fingerprint, the representation density
+// 99 sections. Section 0 is the metadata block: 7 little-endian int64
+// words — graph edge count M, graph delta epoch, total pool members Σ|R|,
+// the GraphChecksum content fingerprint, the representation density
 // threshold (float64 bits), the diffusion model, and the shard count
 // (fixed at 16; anything else is rejected). Then 6 sections per shard —
 // the shard's stripe of the set storage — in shard order: Kinds (u8 per
 // entry), Sizes (i32), CompLens (i32), ListData (i32), CompData (u8),
 // BitmapData (u64). Then the pool's one inverted index: PostIdx (i64, N+1
 // offsets, or empty when the pool is unindexed) and PostData (i32,
-// global set ids). Together with the header's (seed, N, count) these
-// reconstruct an imm.PoolState exactly; the encoding is canonical — the
-// same state always produces identical bytes, which
-// FuzzPoolSnapshotRoundTrip pins.
+// global set ids). The header implies the metadata, Kinds, Sizes and
+// CompLens lengths and PostIdx's; the blobs' are data-dependent. Together
+// with the header words these reconstruct an imm.PoolState exactly; the
+// encoding is canonical — the same state always produces identical
+// bytes, which FuzzPoolSnapshotRoundTrip pins.
 //
 // A file of any other version is refused as unsupported — to a serving
 // layer, a pool that is not on disk: it rebuilds cold and overwrites the
@@ -69,8 +56,6 @@ const PoolSnapshotVersion = 2
 // PoolSnapshotExt is the conventional file extension.
 const PoolSnapshotExt = ".impool"
 
-var poolMagic = [8]byte{'I', 'M', 'P', 'O', 'O', 'L', 0x1a, 0x00}
-
 // ErrPoolSnapshot is wrapped by every structural .impool failure:
 // corruption, truncation, checksum mismatches, and invalid pool
 // payloads.
@@ -91,9 +76,14 @@ const (
 	poolMetaWords      = 7
 	poolFlagCompressed = 1 << 0
 	poolFlagAdaptive   = 1 << 1
-	poolTableSize      = poolSectionN * snapEntrySize
-	poolPayloadBase    = (snapHeaderSize + poolTableSize + snapAlign - 1) / snapAlign * snapAlign
 )
+
+var poolSchema = schema{
+	magic:   [8]byte{'I', 'M', 'P', 'O', 'O', 'L', 0x1a, 0x00},
+	version: PoolSnapshotVersion,
+	err:     ErrPoolSnapshot,
+	note:    " (16-shard pools only)",
+}
 
 // PoolSnapshotInfo describes a pool snapshot's header and metadata
 // block — everything needed to decide whether to thaw it, without
@@ -123,84 +113,27 @@ func shardEntries(s int, count int64) int {
 	return int((count-1-int64(s))/poolShardCount) + 1
 }
 
-// poolSection names the array of a state that one section holds; exactly
-// one field is set. The list poolSections returns is the format's one
-// enumeration: the writer reads through it, both readers fill it.
-type poolSection struct {
-	i64 *[]int64
-	i32 *[]int32
-	u8  *[]byte
-	u64 *[]uint64
-}
-
 // poolSections lists where st's sections live, in file order; meta is
-// where the metadata block goes.
-func poolSections(st *imm.PoolState, meta *[]int64) []poolSection {
-	secs := make([]poolSection, 0, poolSectionN)
-	secs = append(secs, poolSection{i64: meta})
+// where the metadata block goes. It is the format's one enumeration: the
+// writer reads through it, both readers fill it.
+func poolSections(st *imm.PoolState, meta *[]int64) []section {
+	secs := make([]section, 0, poolSectionN)
+	secs = append(secs, sec(meta))
 	for s := range st.Shards {
 		sh := &st.Shards[s]
-		secs = append(secs,
-			poolSection{u8: &sh.Kinds},
-			poolSection{i32: &sh.Sizes},
-			poolSection{i32: &sh.CompLens},
-			poolSection{i32: &sh.ListData},
-			poolSection{u8: &sh.CompData},
-			poolSection{u64: &sh.BitmapData},
-		)
+		secs = append(secs, sec(&sh.Kinds), sec(&sh.Sizes), sec(&sh.CompLens),
+			sec(&sh.ListData), sec(&sh.CompData), sec(&sh.BitmapData))
 	}
-	return append(secs, poolSection{i64: &st.PostIdx}, poolSection{i32: &st.PostData})
+	return append(secs, sec(&st.PostIdx), sec(&st.PostData))
 }
 
-func (s poolSection) elemSize() uint32 {
-	switch {
-	case s.u8 != nil:
-		return 1
-	case s.i32 != nil:
-		return 4
-	}
-	return 8
-}
+// poolShape is the sections' shapes, to validate a table against before
+// there is a state to read into.
+var poolShape = poolSections(new(imm.PoolState), new([]int64))
 
-func (s poolSection) payload() payload {
-	switch {
-	case s.i64 != nil:
-		return payload{i64: *s.i64}
-	case s.i32 != nil:
-		return payload{i32: *s.i32}
-	case s.u8 != nil:
-		return payload{u8: *s.u8}
-	}
-	return payload{u64: *s.u64}
-}
-
-// read fills the section from a stream, returning the CRC of what it
-// read. An empty section leaves its array nil.
-func (s poolSection) read(r io.Reader, byteLen int64) (crc uint32, err error) {
-	switch {
-	case byteLen == 0:
-	case s.i64 != nil:
-		*s.i64, crc, err = readI64Section(r, byteLen)
-	case s.i32 != nil:
-		*s.i32, crc, err = readI32Section(r, byteLen)
-	case s.u8 != nil:
-		*s.u8, crc, err = readU8Section(r, byteLen)
-	default:
-		*s.u64, crc, err = readU64Section(r, byteLen)
-	}
-	return crc, err
-}
-
-// poolElemSizes is the element size of every table slot.
-var poolElemSizes = func() (sizes [poolSectionN]uint32) {
-	for i, s := range poolSections(new(imm.PoolState), new([]int64)) {
-		sizes[i] = s.elemSize()
-	}
-	return sizes
-}()
-
-func poolMeta(st *imm.PoolState) []int64 {
-	return []int64{
+// poolPayloads returns st's sections as the writer's payloads.
+func poolPayloads(st *imm.PoolState) []section {
+	meta := []int64{
 		st.M,
 		st.Epoch,
 		st.TotalMembers,
@@ -209,42 +142,12 @@ func poolMeta(st *imm.PoolState) []int64 {
 		int64(st.Model),
 		int64(st.ShardCount()),
 	}
-}
-
-// poolPayloads returns st's sections as the writer's payloads.
-func poolPayloads(st *imm.PoolState) []payload {
-	meta := poolMeta(st)
-	out := make([]payload, 0, poolSectionN)
-	for _, s := range poolSections(st, &meta) {
-		out = append(out, s.payload())
-	}
-	return out
-}
-
-// poolLayout computes the canonical section table for the payloads'
-// lengths.
-func poolLayout(payloads []payload) []snapSection {
-	secs := make([]snapSection, len(payloads))
-	off := int64(poolPayloadBase)
-	for i, p := range payloads {
-		sec := &secs[i]
-		sec.id, sec.elemSize, sec.byteLen = uint32(i), poolElemSizes[i], p.byteLen()
-		if sec.byteLen > 0 {
-			off = alignUp(off)
-		}
-		sec.offset = off
-		off += sec.byteLen
-	}
-	return secs
+	return poolSections(st, &meta)
 }
 
 // PoolSnapshotSize returns the exact .impool size for st without
 // writing it.
-func PoolSnapshotSize(st *imm.PoolState) int64 {
-	secs := poolLayout(poolPayloads(st))
-	last := secs[len(secs)-1]
-	return last.offset + last.byteLen
-}
+func PoolSnapshotSize(st *imm.PoolState) int64 { return containerSize(poolPayloads(st)) }
 
 // WritePoolSnapshot writes st as a version-2 .impool stream. The output
 // is canonical — the same state always produces identical bytes.
@@ -258,165 +161,62 @@ func WritePoolSnapshot(w io.Writer, st *imm.PoolState) error {
 	if st.Count < 0 || st.N < 0 {
 		return fmt.Errorf("%w: negative shape (n=%d count=%d)", ErrPoolSnapshot, st.N, st.Count)
 	}
-	payloads := poolPayloads(st)
-	secs := poolLayout(payloads)
-	for i := range secs {
-		secs[i].crc = payloads[i].crc()
-	}
-
-	header := make([]byte, snapHeaderSize+poolTableSize)
-	copy(header[0:8], poolMagic[:])
-	le := binary.LittleEndian
-	le.PutUint32(header[8:], PoolSnapshotVersion)
-	flags := uint32(0)
+	h := header{words: [3]uint64{st.Seed, uint64(st.N), uint64(st.Count)}}
 	if st.Pool == imm.PoolCompressed {
-		flags |= poolFlagCompressed
+		h.word |= poolFlagCompressed
 	}
 	if st.AdaptiveRep {
-		flags |= poolFlagAdaptive
+		h.word |= poolFlagAdaptive
 	}
-	le.PutUint32(header[12:], flags)
-	le.PutUint64(header[16:], st.Seed)
-	le.PutUint64(header[24:], uint64(st.N))
-	le.PutUint64(header[32:], uint64(st.Count))
-	le.PutUint32(header[40:], poolSectionN)
-	for i, s := range secs {
-		e := header[snapHeaderSize+i*snapEntrySize:]
-		le.PutUint32(e[0:], s.id)
-		le.PutUint32(e[4:], s.elemSize)
-		le.PutUint64(e[8:], uint64(s.offset))
-		le.PutUint64(e[16:], uint64(s.byteLen))
-		le.PutUint32(e[24:], s.crc)
-		le.PutUint32(e[28:], 0)
-	}
-	hcrc := crc32.Checksum(header[:44], castagnoli)
-	hcrc = crc32.Update(hcrc, castagnoli, header[snapHeaderSize:])
-	le.PutUint32(header[44:], hcrc)
-
-	bw := bufio.NewWriterSize(w, snapChunk)
-	if _, err := bw.Write(header); err != nil {
-		return err
-	}
-	pos := int64(len(header))
-	for i, s := range secs {
-		if err := writePad(bw, s.offset-pos); err != nil {
-			return err
-		}
-		if err := payloads[i].writeTo(bw); err != nil {
-			return err
-		}
-		pos = s.offset + s.byteLen
-	}
-	return bw.Flush()
+	return poolSchema.write(w, h, poolPayloads(st))
 }
 
 // WritePoolSnapshotFile creates path and writes the snapshot.
 func WritePoolSnapshotFile(path string, st *imm.PoolState) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := WritePoolSnapshot(f, st); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return createFile(path, func(w io.Writer) error { return WritePoolSnapshot(w, st) })
 }
 
-// parsePoolHeader validates the fixed header plus section table and
-// returns the canonical section list with the header-derived info
-// fields filled in. header must hold snapHeaderSize+poolTableSize bytes.
-func parsePoolHeader(header []byte) ([]snapSection, PoolSnapshotInfo, error) {
-	var info PoolSnapshotInfo
-	if [8]byte(header[0:8]) != poolMagic {
-		return nil, info, fmt.Errorf("%w: bad magic %q", ErrPoolSnapshot, header[0:8])
+// poolInfo maps a pool header's words and checks the table's lengths
+// against what they imply.
+func poolInfo(h header, ents []entry) (PoolSnapshotInfo, error) {
+	info := PoolSnapshotInfo{
+		Version:    PoolSnapshotVersion,
+		Seed:       h.words[0],
+		Compressed: h.word&poolFlagCompressed != 0,
+		Adaptive:   h.word&poolFlagAdaptive != 0,
 	}
-	le := binary.LittleEndian
-	info.Version = le.Uint32(header[8:])
-	if info.Version != PoolSnapshotVersion {
-		return nil, info, fmt.Errorf("%w: unsupported version %d (want %d)", ErrPoolSnapshot, info.Version, PoolSnapshotVersion)
+	if h.word&^uint32(poolFlagCompressed|poolFlagAdaptive) != 0 {
+		return info, poolSchema.errorf("unknown flags %#x", h.word)
 	}
-	flags := le.Uint32(header[12:])
-	if flags&^uint32(poolFlagCompressed|poolFlagAdaptive) != 0 {
-		return nil, info, fmt.Errorf("%w: unknown flags %#x", ErrPoolSnapshot, flags)
-	}
-	info.Compressed = flags&poolFlagCompressed != 0
-	info.Adaptive = flags&poolFlagAdaptive != 0
-	info.Seed = le.Uint64(header[16:])
-	n := int64(le.Uint64(header[24:]))
-	count := int64(le.Uint64(header[32:]))
+	n, count := int64(h.words[1]), int64(h.words[2])
 	if n < 0 || n > math.MaxInt32 || count < 0 || count > math.MaxInt32 { // postings name sets in 32 bits
-		return nil, info, fmt.Errorf("%w: invalid shape n=%d count=%d", ErrPoolSnapshot, n, count)
+		return info, poolSchema.errorf("invalid shape n=%d count=%d", n, count)
 	}
-	info.N, info.Count = int32(n), count
-	if secCount := le.Uint32(header[40:]); secCount != poolSectionN {
-		return nil, info, fmt.Errorf("%w: %d sections, want %d (16-shard pools only)", ErrPoolSnapshot, secCount, poolSectionN)
-	}
-	wantCRC := le.Uint32(header[44:])
-	gotCRC := crc32.Checksum(header[:44], castagnoli)
-	gotCRC = crc32.Update(gotCRC, castagnoli, header[snapHeaderSize:])
-	if gotCRC != wantCRC {
-		return nil, info, fmt.Errorf("%w: header checksum mismatch", ErrPoolSnapshot)
-	}
-
-	// The table's byteLens are data-dependent (unlike .imsnap, whose
-	// layout is implied by the graph shape), so canonicality means: ids
-	// ordinal, element sizes fixed per slot, lengths that are element
-	// multiples and agree with the header's entry counts, and offsets
-	// that re-derive exactly from the lengths.
-	secs := make([]snapSection, poolSectionN)
-	off := int64(poolPayloadBase)
-	for i := range secs {
-		e := header[snapHeaderSize+i*snapEntrySize:]
-		secs[i] = snapSection{
-			id:       le.Uint32(e[0:]),
-			elemSize: le.Uint32(e[4:]),
-			offset:   int64(le.Uint64(e[8:])),
-			byteLen:  int64(le.Uint64(e[16:])),
-			crc:      le.Uint32(e[24:]),
-		}
-		sec := &secs[i]
-		wantElem := poolElemSizes[i]
-		if sec.id != uint32(i) || sec.elemSize != wantElem {
-			return nil, info, fmt.Errorf("%w: section %d table entry mismatch", ErrPoolSnapshot, i)
-		}
-		if sec.byteLen < 0 || sec.byteLen%int64(wantElem) != 0 {
-			return nil, info, fmt.Errorf("%w: section %d byte length %d not a multiple of %d", ErrPoolSnapshot, i, sec.byteLen, wantElem)
-		}
-		if sec.byteLen > 0 {
-			off = alignUp(off)
-		}
-		if sec.offset != off {
-			return nil, info, fmt.Errorf("%w: section %d offset %d breaks canonical layout (want %d)", ErrPoolSnapshot, i, sec.offset, off)
-		}
-		off += sec.byteLen
-	}
-	if secs[0].byteLen != 8*poolMetaWords {
-		return nil, info, fmt.Errorf("%w: metadata section holds %d bytes, want %d", ErrPoolSnapshot, secs[0].byteLen, 8*poolMetaWords)
+	info.N = int32(n)
+	info.Count = count
+	info.Bytes = ents[len(ents)-1].end()
+	if ents[0].byteLen != 8*poolMetaWords {
+		return info, poolSchema.errorf("metadata section holds %d bytes, want %d", ents[0].byteLen, 8*poolMetaWords)
 	}
 	for s := 0; s < poolShardCount; s++ {
 		entries := int64(shardEntries(s, count))
-		meta := secs[1+s*poolSecPerShard:] // Kinds, Sizes, CompLens: one element per entry
+		meta := ents[1+s*poolSecPerShard:] // Kinds, Sizes, CompLens: one element per entry
 		if meta[0].byteLen != entries || meta[1].byteLen != 4*entries || meta[2].byteLen != 4*entries {
-			return nil, info, fmt.Errorf("%w: shard %d metadata sections disagree with pool length %d", ErrPoolSnapshot, s, count)
+			return info, poolSchema.errorf("shard %d metadata sections disagree with pool length %d", s, count)
 		}
 	}
-	if pl := secs[poolSecPostIdx].byteLen; pl != 0 && pl != 8*(n+1) {
-		return nil, info, fmt.Errorf("%w: index holds %d offset bytes, want 0 or %d", ErrPoolSnapshot, pl, 8*(n+1))
+	if pl := ents[poolSecPostIdx].byteLen; pl != 0 && pl != 8*(n+1) {
+		return info, poolSchema.errorf("index holds %d offset bytes, want 0 or %d", pl, 8*(n+1))
 	}
-	if secs[poolSecPostIdx].byteLen == 0 && secs[poolSecPostData].byteLen != 0 {
-		return nil, info, fmt.Errorf("%w: postings without an offset table", ErrPoolSnapshot)
+	if ents[poolSecPostIdx].byteLen == 0 && ents[poolSecPostData].byteLen != 0 {
+		return info, poolSchema.errorf("postings without an offset table")
 	}
-	info.Bytes = off
-	return secs, info, nil
+	return info, nil
 }
 
 // applyPoolMeta folds the decoded metadata section into info and
 // validates it.
 func applyPoolMeta(meta []int64, info *PoolSnapshotInfo) error {
-	if len(meta) != poolMetaWords {
-		return fmt.Errorf("%w: metadata section holds %d words, want %d", ErrPoolSnapshot, len(meta), poolMetaWords)
-	}
 	info.M = meta[0]
 	info.Epoch = meta[1]
 	info.TotalMembers = meta[2]
@@ -459,52 +259,35 @@ func (info PoolSnapshotInfo) bind(st *imm.PoolState) {
 
 // readPoolInfo reads and validates the header, the section table and the
 // metadata block, leaving r just past the metadata.
-func readPoolInfo(r io.Reader) ([]snapSection, PoolSnapshotInfo, error) {
-	header := make([]byte, snapHeaderSize+poolTableSize)
-	if _, err := io.ReadFull(r, header); err != nil {
-		return nil, PoolSnapshotInfo{}, fmt.Errorf("%w: truncated header: %v", ErrPoolSnapshot, err)
+func readPoolInfo(r io.Reader) ([]entry, PoolSnapshotInfo, error) {
+	h, ents, err := poolSchema.readHeader(r, poolShape)
+	if err != nil {
+		return nil, PoolSnapshotInfo{}, err
 	}
-	secs, info, err := parsePoolHeader(header)
+	info, err := poolInfo(h, ents)
 	if err != nil {
 		return nil, info, err
 	}
-	if err := discard(r, secs[0].offset-int64(len(header))); err != nil {
-		return nil, info, fmt.Errorf("%w: truncated before metadata: %v", ErrPoolSnapshot, err)
+	var meta []int64
+	if err := poolSchema.readSections(r, tableEnd(poolSectionN), []section{sec(&meta)}, ents[:1]); err != nil {
+		return nil, info, err
 	}
-	meta, crc, err := readI64Section(r, secs[0].byteLen)
-	if err != nil {
-		return nil, info, fmt.Errorf("%w: truncated metadata: %v", ErrPoolSnapshot, err)
-	}
-	if crc != secs[0].crc {
-		return nil, info, fmt.Errorf("%w: metadata checksum mismatch", ErrPoolSnapshot)
-	}
-	return secs, info, applyPoolMeta(meta, &info)
+	return ents, info, applyPoolMeta(meta, &info)
 }
 
-// ReadPoolSnapshot reads a version-2 .impool stream, verifying magic,
-// version, header checksum, canonical section layout, every section
-// checksum, and the full structural validity of the pool payloads.
-// Allocation is bounded by the bytes actually read.
+// ReadPoolSnapshot reads a version-2 .impool stream, verifying the
+// header, the canonical table, every section checksum, and the full
+// structural validity of the pool payloads.
 func ReadPoolSnapshot(r io.Reader) (*imm.PoolState, PoolSnapshotInfo, error) {
-	secs, info, err := readPoolInfo(r)
+	ents, info, err := readPoolInfo(r)
 	if err != nil {
 		return nil, info, err
 	}
 	st := new(imm.PoolState)
 	info.bind(st)
-	targets := poolSections(st, new([]int64)) // the metadata block is already in info
-	for i := 1; i < len(secs); i++ {
-		sec, prev := secs[i], secs[i-1]
-		if err := discard(r, sec.offset-prev.offset-prev.byteLen); err != nil {
-			return nil, info, fmt.Errorf("%w: truncated before section %d: %v", ErrPoolSnapshot, i, err)
-		}
-		crc, err := targets[i].read(r, sec.byteLen)
-		if err != nil {
-			return nil, info, fmt.Errorf("%w: truncated section %d: %v", ErrPoolSnapshot, i, err)
-		}
-		if crc != sec.crc {
-			return nil, info, fmt.Errorf("%w: section %d checksum mismatch", ErrPoolSnapshot, i)
-		}
+	secs := poolSections(st, new([]int64)) // the metadata block is already in info
+	if err := poolSchema.readSections(r, ents[0].end(), secs[1:], ents[1:]); err != nil {
+		return nil, info, err
 	}
 	if err := validatePoolState(st); err != nil {
 		return nil, info, err
@@ -513,13 +296,12 @@ func ReadPoolSnapshot(r io.Reader) (*imm.PoolState, PoolSnapshotInfo, error) {
 }
 
 // ReadPoolSnapshotFile opens path and delegates to ReadPoolSnapshot.
-func ReadPoolSnapshotFile(path string) (*imm.PoolState, PoolSnapshotInfo, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, PoolSnapshotInfo{}, err
-	}
-	defer f.Close()
-	return ReadPoolSnapshot(bufio.NewReaderSize(f, snapChunk))
+func ReadPoolSnapshotFile(path string) (st *imm.PoolState, info PoolSnapshotInfo, err error) {
+	err = openFile(path, chunk, func(r io.Reader) error {
+		st, info, err = ReadPoolSnapshot(r)
+		return err
+	})
+	return st, info, err
 }
 
 // readPoolSnapshotOwned is MapPoolSnapshot where there is nothing to
@@ -551,14 +333,13 @@ func ReadPoolSnapshotInfo(r io.Reader) (PoolSnapshotInfo, error) {
 }
 
 // ReadPoolSnapshotInfoFile opens path and delegates to
-// ReadPoolSnapshotInfo.
-func ReadPoolSnapshotInfoFile(path string) (PoolSnapshotInfo, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return PoolSnapshotInfo{}, err
-	}
-	defer f.Close()
-	return ReadPoolSnapshotInfo(bufio.NewReaderSize(f, snapChunk))
+// ReadPoolSnapshotInfo, buffering just the header, table and metadata.
+func ReadPoolSnapshotInfoFile(path string) (info PoolSnapshotInfo, err error) {
+	err = openFile(path, int(alignUp(tableEnd(poolSectionN))+8*poolMetaWords), func(r io.Reader) error {
+		info, err = ReadPoolSnapshotInfo(r)
+		return err
+	})
+	return info, err
 }
 
 // ValidatePoolGraph checks a decoded pool state against the graph (and

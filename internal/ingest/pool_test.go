@@ -223,11 +223,12 @@ func TestPoolSnapshotMmapRejectsCorruption(t *testing.T) {
 	}
 }
 
-// rewriteHeaderCRC recomputes the header+table checksum in place so a
-// test can alter header fields and still reach the deeper checks.
-func rewriteHeaderCRC(data []byte) {
+// rewriteHeaderCRC recomputes the checksum of a header and its table of
+// sections entries in place, so a test can alter header fields and
+// still reach the deeper checks.
+func rewriteHeaderCRC(data []byte, sections int) {
 	crc := crc32.Checksum(data[:44], castagnoli)
-	crc = crc32.Update(crc, castagnoli, data[snapHeaderSize:snapHeaderSize+poolTableSize])
+	crc = crc32.Update(crc, castagnoli, data[headerSize:tableEnd(sections)])
 	binary.LittleEndian.PutUint32(data[44:], crc)
 }
 
@@ -235,13 +236,16 @@ func rewriteHeaderCRC(data []byte) {
 // the section CRC in its table entry plus the header CRC, so only the
 // semantic metadata check can reject the result.
 func rewriteMetaWord(data []byte, word int, v int64) {
-	off := int64(binary.LittleEndian.Uint64(data[snapHeaderSize+8:]))
+	off := int64(binary.LittleEndian.Uint64(data[headerSize+8:]))
 	binary.LittleEndian.PutUint64(data[off+int64(8*word):], uint64(v))
 	crc := crc32.Checksum(data[off:off+8*poolMetaWords], castagnoli)
-	binary.LittleEndian.PutUint32(data[snapHeaderSize+24:], crc)
-	rewriteHeaderCRC(data)
+	binary.LittleEndian.PutUint32(data[headerSize+24:], crc)
+	rewriteHeaderCRC(data, poolSectionN)
 }
 
+// TestPoolSnapshotCorruption covers the header words and metadata the
+// pool schema refuses; the container's own cases (truncation, magic,
+// version, bit flips, table layout) are TestContainerCorruption's.
 func TestPoolSnapshotCorruption(t *testing.T) {
 	_, _, st := poolFixture(t, imm.PoolSlices, true, 3)
 	var buf bytes.Buffer
@@ -260,35 +264,19 @@ func TestPoolSnapshotCorruption(t *testing.T) {
 		data []byte
 		want string
 	}{
-		{"empty", nil, "truncated"},
-		{"truncated header", valid[:20], "truncated"},
-		{"truncated table", valid[:snapHeaderSize+poolTableSize/2], "truncated"},
-		{"truncated payload", valid[:len(valid)-32], "truncated"},
-		{"bad magic", mutate(func(d []byte) { d[0] ^= 0xff }), "bad magic"},
-		{"wrong version", mutate(func(d []byte) { binary.LittleEndian.PutUint32(d[8:], 9) }), "version"},
 		{"version 1", mutate(func(d []byte) { binary.LittleEndian.PutUint32(d[8:], 1) }), "unsupported version 1"},
 		{"unknown flags", mutate(func(d []byte) {
 			d[12] |= 0x04
-			rewriteHeaderCRC(d)
+			rewriteHeaderCRC(d, poolSectionN)
 		}), "unknown flags"},
-		{"header bit flip", mutate(func(d []byte) { d[17] ^= 0x01 }), "checksum"},
-		{"table bit flip", mutate(func(d []byte) { d[snapHeaderSize+40] ^= 0x01 }), "checksum"},
-		{"payload bit flip", mutate(func(d []byte) { d[len(d)-1] ^= 0x40 }), "checksum"},
 		{"shard count mismatch (header)", mutate(func(d []byte) {
 			binary.LittleEndian.PutUint32(d[40:], 130)
-			rewriteHeaderCRC(d)
+			rewriteHeaderCRC(d, poolSectionN)
 		}), "16-shard"},
 		{"shard count mismatch (meta)", mutate(func(d []byte) { rewriteMetaWord(d, 6, 8) }), "shards"},
 		{"unknown model", mutate(func(d []byte) { rewriteMetaWord(d, 5, 42) }), "model"},
 		{"negative members", mutate(func(d []byte) { rewriteMetaWord(d, 2, -1) }), "negative"},
 		{"member sum mismatch", mutate(func(d []byte) { rewriteMetaWord(d, 2, st.TotalMembers+1) }), "member sum"},
-		{"non-canonical offset", mutate(func(d []byte) {
-			// Shift the last section's recorded offset: layout check fires.
-			e := snapHeaderSize + (poolSectionN-1)*snapEntrySize
-			off := binary.LittleEndian.Uint64(d[e+8:])
-			binary.LittleEndian.PutUint64(d[e+8:], off+64)
-			rewriteHeaderCRC(d)
-		}), "canonical"},
 	}
 	for _, c := range cases {
 		_, _, err := ReadPoolSnapshot(bytes.NewReader(c.data))
@@ -300,10 +288,8 @@ func TestPoolSnapshotCorruption(t *testing.T) {
 			t.Errorf("%s: error %q does not mention %q", c.name, err, c.want)
 		}
 		// The header-only info reader must reject header/meta damage the
-		// same way (payload damage is beyond what it reads).
-		if _, err := ReadPoolSnapshotInfo(bytes.NewReader(c.data)); err == nil &&
-			c.name != "payload bit flip" && c.name != "member sum mismatch" &&
-			c.name != "truncated payload" && c.name != "non-canonical offset" {
+		// same way (member sums are checked against payloads it never reads).
+		if _, err := ReadPoolSnapshotInfo(bytes.NewReader(c.data)); err == nil && c.name != "member sum mismatch" {
 			t.Errorf("%s: info reader accepted corrupt header", c.name)
 		}
 	}
@@ -425,45 +411,39 @@ func TestPoolSnapshotStaleBinding(t *testing.T) {
 	}
 }
 
+// poolShapes are the shapes a pool's sections take: list, compressed
+// and bitmap payloads, indexed and unindexed pools, and shards with no
+// entries at all (a pool shorter than the shard count).
+var poolShapes = []struct {
+	name      string
+	pool      imm.PoolKind
+	adaptive  bool
+	selection imm.SelectionKind
+	maxTheta  int64
+	kind      uint8 // a set kind the state must hold
+	indexed   bool
+}{
+	{"lists", imm.PoolSlices, false, imm.SelectCELF, 4000, imm.PoolSetList, true},
+	{"compressed", imm.PoolCompressed, false, imm.SelectCELF, 4000, imm.PoolSetCompressed, true},
+	{"bitmaps", imm.PoolSlices, true, imm.SelectCELF, 4000, imm.PoolSetBitmap, true},
+	{"unindexed", imm.PoolSlices, false, imm.SelectScan, 4000, imm.PoolSetList, false},
+	{"empty shards", imm.PoolSlices, false, imm.SelectCELF, 5, imm.PoolSetList, true},
+}
+
+// poolShapeState freezes the pool of poolShapes[i] at epoch 2.
+func poolShapeState(t testing.TB, i int) *imm.PoolState {
+	c := poolShapes[i]
+	_, _, st := poolFixtureWith(t, 2, func(opt *imm.Options) {
+		opt.MaxTheta, opt.Pool, opt.AdaptiveRep, opt.Selection = c.maxTheta, c.pool, c.adaptive, c.selection
+	})
+	return st
+}
+
 // TestPoolWriterMatchesElementEncoder pins the .impool bytes to the
-// element-wise encoder over every shape a section can take: list,
-// compressed and bitmap payloads, indexed and unindexed shards, and
-// shards with no entries at all (a pool shorter than the shard count).
+// element-wise encoder over every shape in poolShapes.
 func TestPoolWriterMatchesElementEncoder(t *testing.T) {
-	cases := []struct {
-		name      string
-		pool      imm.PoolKind
-		adaptive  bool
-		selection imm.SelectionKind
-		maxTheta  int64
-		kind      uint8 // a set kind the state must hold
-		indexed   bool
-	}{
-		{"lists", imm.PoolSlices, false, imm.SelectCELF, 4000, imm.PoolSetList, true},
-		{"compressed", imm.PoolCompressed, false, imm.SelectCELF, 4000, imm.PoolSetCompressed, true},
-		{"bitmaps", imm.PoolSlices, true, imm.SelectCELF, 4000, imm.PoolSetBitmap, true},
-		{"unindexed", imm.PoolSlices, false, imm.SelectScan, 4000, imm.PoolSetList, false},
-		{"empty shards", imm.PoolSlices, false, imm.SelectCELF, 5, imm.PoolSetList, true},
-	}
-	for _, c := range cases {
-		g, err := gen.RMAT(gen.DefaultRMAT(6, 5), graph.IC, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		opt := imm.Defaults()
-		opt.Workers, opt.Seed, opt.MaxTheta = 2, 11, c.maxTheta
-		opt.Pool, opt.AdaptiveRep, opt.Selection = c.pool, c.adaptive, c.selection
-		we, err := imm.NewWarmEngine(g, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := we.AnswerBatch(opt, []imm.BatchQuery{{K: 4, Epsilon: 0.5}}); err != nil {
-			t.Fatal(err)
-		}
-		st, err := we.Freeze(2)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for i, c := range poolShapes {
+		st := poolShapeState(t, i)
 		hasKind, emptyShard := false, false
 		for s := range st.Shards {
 			sh := &st.Shards[s]
@@ -480,7 +460,7 @@ func TestPoolWriterMatchesElementEncoder(t *testing.T) {
 		if err := WritePoolSnapshot(&buf, st); err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		checkSectionsAgainstEncoder(t, buf.Bytes(), poolLayout(poolPayloads(st)), poolPayloads(st))
+		checkSectionsAgainstEncoder(t, buf.Bytes(), poolPayloads(st))
 	}
 }
 
@@ -513,6 +493,7 @@ func FuzzPoolSnapshotRoundTrip(f *testing.F) {
 		}
 		f.Add(buf.Bytes())
 	}
+	seedOtherFormats(f, "impool")
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		st, _, err := ReadPoolSnapshot(bytes.NewReader(data))
@@ -529,7 +510,7 @@ func FuzzPoolSnapshotRoundTrip(f *testing.F) {
 		if !bytes.Equal(buf.Bytes(), data[:len(buf.Bytes())]) {
 			t.Fatal("accepted snapshot does not re-encode to its own bytes")
 		}
-		checkSectionsAgainstEncoder(t, buf.Bytes(), poolLayout(poolPayloads(st)), poolPayloads(st))
+		checkSectionsAgainstEncoder(t, buf.Bytes(), poolPayloads(st))
 		st2, _, err := ReadPoolSnapshot(bytes.NewReader(buf.Bytes()))
 		if err != nil {
 			t.Fatalf("re-decode failed: %v", err)

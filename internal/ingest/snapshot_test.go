@@ -12,7 +12,7 @@ import (
 	"repro/internal/graph"
 )
 
-func snapshotFixture(t *testing.T, model graph.Model) *graph.Graph {
+func snapshotFixture(t testing.TB, model graph.Model) *graph.Graph {
 	t.Helper()
 	g, err := gen.RMAT(gen.DefaultRMAT(8, 6), model, 5)
 	if err != nil {
@@ -83,6 +83,7 @@ func TestSnapshotCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	valid := buf.Bytes()
+	payloadBase := int(alignUp(tableEnd(len(snapSections(g)))))
 
 	corrupt := func(off int, flip byte) []byte {
 		c := append([]byte(nil), valid...)
@@ -97,8 +98,8 @@ func TestSnapshotCorruption(t *testing.T) {
 		{"bad magic", corrupt(0, 0xff), "bad magic"},
 		{"wrong version", corrupt(8, 0x02), "version"},
 		{"header bit flip", corrupt(24, 0x01), "checksum"}, // n changed → header crc fails first
-		{"table bit flip", corrupt(snapHeaderSize+8, 0x01), "checksum"},
-		{"payload bit flip", corrupt(snapPayloadBase+3, 0x40), "section 0 checksum"},
+		{"table bit flip", corrupt(headerSize+8, 0x01), "checksum"},
+		{"payload bit flip", corrupt(payloadBase+3, 0x40), "section 0 checksum"},
 		{"last payload bit flip", corrupt(len(valid)-1, 0x40), "checksum"},
 		{"truncated header", valid[:20], "truncated"},
 		{"truncated payload", valid[:len(valid)-100], "truncated"},
@@ -136,24 +137,24 @@ func TestSnapshotOfIngestedGraph(t *testing.T) {
 	}
 }
 
-// checkSectionsAgainstEncoder holds a written snapshot image against
+// checkSectionsAgainstEncoder holds a written container image against
 // the element-wise little-endian encoder, the oracle for the in-place
 // writer: every section's bytes and the CRC its table entry records
-// must be what encoding the payload element by element produces.
-func checkSectionsAgainstEncoder(t testing.TB, image []byte, secs []snapSection, payloads []payload) {
+// must be what encoding the section element by element produces.
+func checkSectionsAgainstEncoder(t testing.TB, image []byte, secs []section) {
 	t.Helper()
-	if len(secs) != len(payloads) {
-		t.Fatalf("%d sections for %d payloads", len(secs), len(payloads))
-	}
+	end := alignUp(tableEnd(len(secs)))
 	for i, sec := range secs {
 		var want bytes.Buffer
-		if err := payloads[i].encodeTo(&want); err != nil {
+		if err := sec.encodeTo(&want); err != nil {
 			t.Fatal(err)
 		}
-		if got := image[sec.offset : sec.offset+sec.byteLen]; !bytes.Equal(got, want.Bytes()) {
+		off := place(end, sec.byteLen())
+		end = off + sec.byteLen()
+		if got := image[off:end]; !bytes.Equal(got, want.Bytes()) {
 			t.Fatalf("section %d: written bytes differ from the element-wise encoding (%d vs %d bytes)", i, len(got), want.Len())
 		}
-		entry := image[snapHeaderSize+i*snapEntrySize:]
+		entry := image[headerSize+i*entrySize:]
 		if got, want := binary.LittleEndian.Uint32(entry[24:]), crc32.Checksum(want.Bytes(), castagnoli); got != want {
 			t.Fatalf("section %d: table CRC %#x, element-wise encoding has %#x", i, got, want)
 		}
@@ -175,8 +176,7 @@ func TestSnapshotWriterMatchesElementEncoder(t *testing.T) {
 		if err := WriteSnapshot(&buf, g, 3); err != nil {
 			t.Fatal(err)
 		}
-		payloads := snapPayloads(g)
-		checkSectionsAgainstEncoder(t, buf.Bytes(), snapLayout(g.N, g.M, model), payloads[:])
+		checkSectionsAgainstEncoder(t, buf.Bytes(), snapSections(g))
 
 		allocs := testing.AllocsPerRun(10, func() {
 			if err := WriteSnapshot(io.Discard, g, 3); err != nil {
