@@ -589,9 +589,11 @@ func BenchmarkServeBatch(b *testing.B) {
 // /hit repeats one query exactly: every selection is a memo lookup, which
 // is what imbench's imm.warm_answer_ms and imm.warm_answer_allocs time
 // now that they repeat one shape. /thawed is the first answer of a pool
-// just thawed from its frozen state — memo empty, selection scratch not
-// yet allocated, the thaw itself off the clock: imbench's tier-rotate op
-// without the stack around it.
+// just thawed from a state frozen after a lap of the shape's nudged
+// neighbours — so its memo does not hold the shape and every answer runs
+// the kernel — with the selection scratch not yet allocated and the thaw
+// itself off the clock: the miss a promotion meets on a shape its
+// snapshot never answered.
 func BenchmarkWarmAnswer(b *testing.B) {
 	g, err := gen.RMAT(gen.DefaultRMAT(13, 8), graph.IC, 1)
 	if err != nil {
@@ -631,10 +633,6 @@ func BenchmarkWarmAnswer(b *testing.B) {
 		return rep.Answers[0]
 	}
 	answer := func(b *testing.B, q imm.BatchQuery) imm.BatchAnswer { return answerOn(b, w, q) }
-	frozen, err := w.Freeze(0) // aliases w's index: valid while w's pool is not extended, as here
-	if err != nil {
-		b.Fatal(err)
-	}
 	for _, q := range shapes {
 		b.Run(fmt.Sprintf("k=%d/eps=%g", q.K, q.Epsilon), func(b *testing.B) {
 			for i := 0; i < cycle; i++ { // one lap: the memo now holds only the lap's tail
@@ -661,7 +659,15 @@ func BenchmarkWarmAnswer(b *testing.B) {
 			}
 		})
 		b.Run(fmt.Sprintf("k=%d/eps=%g/thawed", q.K, q.Epsilon), func(b *testing.B) {
+			for i := 1; i < cycle; i++ { // one lap of neighbours pushes the shape out of the memo
+				answer(b, nudged(q, i))
+			}
+			frozen, err := w.Freeze(0) // aliases w's index: valid while w's pool is not extended, as here
+			if err != nil {
+				b.Fatal(err)
+			}
 			b.ReportAllocs()
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				tw, err := imm.ThawWarmEngine(g, opt, frozen)
@@ -857,9 +863,11 @@ func BenchmarkIndexExtend(b *testing.B) {
 // promoted, and the default query goes round-robin in-process with the
 // gather window off, so every op promotes one pool from its .impool
 // snapshot and demotes another. promotions/op must read 1 (the rotation
-// goes through the disk tier) and demotion_writes/op 0 (every pool's
-// snapshot already holds it); ns/op and allocs/op are then the cost of
-// one clean demotion plus one promotion plus one warm answer.
+// goes through the disk tier), demotion_writes/op 0 (every pool's
+// snapshot already holds it) and memo_hits/op the default query's
+// Rounds+1 (the snapshot carries the memo of the query that built the
+// pool, so no selection runs); ns/op and allocs/op are then the cost of
+// one clean demotion plus one promotion plus one memo-hit answer.
 func BenchmarkTierRotate(b *testing.B) {
 	const tenants = 4
 	g, err := gen.RMAT(gen.DefaultRMAT(13, 8), graph.IC, 1)
@@ -874,8 +882,8 @@ func BenchmarkTierRotate(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if s.Stats().Rehydrated > 0 && (!res.Warm || res.GeneratedSets != 0) {
-				b.Fatalf("rotation regenerated: %+v", res)
+			if s.Stats().Rehydrated > 0 && (!res.Warm || res.GeneratedSets != 0 || res.MemoHits != int64(res.Rounds)+1) {
+				b.Fatalf("rotation regenerated or reselected: %+v", res)
 			}
 		}
 	}
@@ -912,4 +920,5 @@ func BenchmarkTierRotate(b *testing.B) {
 	}
 	b.ReportMetric(float64(after.Promotions-before.Promotions)/float64(b.N), "promotions/op")
 	b.ReportMetric(float64(after.DemotionWrites-before.DemotionWrites)/float64(b.N), "demotion_writes/op")
+	b.ReportMetric(float64(after.SelectionMemoHits-before.SelectionMemoHits)/float64(b.N), "memo_hits/op")
 }

@@ -116,7 +116,7 @@ func (p *shardedPool) selectCELFLimited(base *counter.Counter, workers, k int, l
 	// A selection this pool has already run is not run again.
 	key := selKey{limit: limit, k: k, workers: w, base: base != nil}
 	if e := p.memo.lookup(key); e != nil {
-		return slices.Clone(e.seeds), e.coverage, e.ops
+		return slices.Clone(e.Seeds), e.Coverage, e.Ops
 	}
 
 	ops := make([]int64, w)

@@ -4,10 +4,12 @@ package imm
 // snapshot format (internal/ingest) and the serving layer's disk tier
 // (internal/serve). Freeze flattens a WarmEngine's sharded pool into a
 // PoolState — per-shard set payloads in their resident representations,
-// the pool's inverted index, and the (seed, slot-count) RNG metadata
-// that makes the pool reproducible — bound to the graph it was built on
-// by shape, model, delta epoch, and a content fingerprint. Thaw rebuilds
-// a WarmEngine around those payloads without resampling anything.
+// the pool's inverted index, its selection memo, and the (seed,
+// slot-count) RNG metadata that makes the pool reproducible — bound to
+// the graph it was built on by shape, model, delta epoch, and a content
+// fingerprint. Thaw rebuilds a WarmEngine around those payloads without
+// resampling anything, and without re-running a selection the memo
+// remembers.
 //
 // Correctness rests on the same slot determinism the warm seam relies
 // on: pool slot i is a pure function of (graph, policy, seed, i), so a
@@ -19,6 +21,7 @@ package imm
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/counter"
 	"repro/internal/graph"
@@ -87,6 +90,10 @@ type PoolState struct {
 	// was never indexed (scan-mode pools).
 	PostIdx  []int64 // len N+1 when present
 	PostData []int32
+
+	// Memo is the pool's selection memo (selmemo.go) at the freeze, oldest
+	// entry first: the CELF selections already run over this pool.
+	Memo []PoolMemoEntry
 }
 
 // ShardCount returns the fixed pool shard count the state is striped
@@ -107,7 +114,8 @@ func GraphChecksum(g *graph.Graph) uint64 { return g.Checksum() }
 // engine), but PostIdx/PostData alias the live index arrays: the state
 // is valid only until the engine serves again. Callers that persist the
 // state (the .impool writer) consume it before releasing the engine's
-// query lock.
+// query lock. Memo is a copy of the memo's entries; their seed slices,
+// which nothing writes, are shared.
 func (w *WarmEngine) Freeze(epoch int64) (*PoolState, error) {
 	e := w.inner
 	p := e.p
@@ -123,6 +131,9 @@ func (w *WarmEngine) Freeze(epoch int64) (*PoolState, error) {
 		RepThreshold: e.opt.RepThreshold,
 		Count:        p.count,
 		TotalMembers: p.totalMembers,
+	}
+	if p.memo.n > 0 {
+		st.Memo = slices.Clone(p.memo.slots[:p.memo.n])
 	}
 	if p.indexed > 0 {
 		p.patch(e.opt.Workers, nil, nil)
@@ -162,10 +173,13 @@ func (w *WarmEngine) Freeze(epoch int64) (*PoolState, error) {
 // may alias a memory-mapped snapshot; the engine never writes to them).
 // The state must have been structurally validated by its producer (the
 // .impool reader validates sortedness, ranges, blob extents, and index
-// shape); ThawWarmEngine checks only the binding: graph shape, model,
-// and content fingerprint, plus the pool-shaping options. Epoch policy
-// is the caller's decision — a serving layer compares st.Epoch against
-// its registry before calling.
+// shape); ThawWarmEngine checks the binding — graph shape, model, and
+// content fingerprint, plus the pool-shaping options — and audits the
+// memo (ValidateMemo), whose entries it installs with no hits counted:
+// the thawed pool answers the selections the frozen one had run from
+// the memo, with copies of their seeds and the modeled cost they billed.
+// Epoch policy is the caller's decision — a serving layer compares
+// st.Epoch against its registry before calling.
 //
 // Under kernel fusion the global occurrence counter is refilled from the
 // adopted index offsets (or, for an unindexed state, from the sets), so
@@ -192,6 +206,9 @@ func ThawWarmEngine(g *graph.Graph, opt Options, st *PoolState) (*WarmEngine, er
 	}
 	if st.Count < 0 {
 		return nil, fmt.Errorf("%w: negative pool length %d", ErrPoolIncompatible, st.Count)
+	}
+	if err := st.ValidateMemo(); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrPoolIncompatible, err)
 	}
 
 	e := newEfficientEngine(g, opt)
@@ -268,6 +285,7 @@ func ThawWarmEngine(g *graph.Graph, opt Options, st *PoolState) (*WarmEngine, er
 		}
 		p.postIdx, p.postData, p.indexed = st.PostIdx, st.PostData, p.count
 	}
+	p.memo.install(st.Memo)
 
 	// Refill the fused occurrence counter: from the index offsets when
 	// the pool arrived indexed, else by walking the adopted sets. Both

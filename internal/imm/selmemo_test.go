@@ -8,6 +8,7 @@ package imm
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
@@ -100,8 +101,8 @@ func TestSelectionMemoLifecycle(t *testing.T) {
 					t.Fatalf("%s: repair of slot %d dropped none of %d remembered selections", label, invalid[0], remembered)
 				}
 				for _, e := range memo.slots[:memo.n] {
-					if e.key.limit > invalid[0] {
-						t.Fatalf("%s: selection over [0,%d) survived the repair of slot %d", label, e.key.limit, invalid[0])
+					if e.Limit > invalid[0] {
+						t.Fatalf("%s: selection over [0,%d) survived the repair of slot %d", label, e.Limit, invalid[0])
 					}
 				}
 				if a := answerOne(t, label+" repaired", we, ng, opt, first); a.MemoHits == a.Selections {
@@ -109,7 +110,8 @@ func TestSelectionMemoLifecycle(t *testing.T) {
 				}
 				assertAllHits(t, label+" repaired repeat", answerOne(t, label+" repaired repeat", we, ng, opt, first))
 
-				// A thawed pool is a new pool: it remembers nothing.
+				// A thawed pool remembers what the frozen one had run, and
+				// its remembered answers are still a cold Run's.
 				st, err := we.Freeze(1)
 				if err != nil {
 					t.Fatal(err)
@@ -118,7 +120,7 @@ func TestSelectionMemoLifecycle(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				assertFreshPool(t, label+" thawed", answerOne(t, label+" thawed", thawed, ng, opt, first))
+				assertAllHits(t, label+" thawed", answerOne(t, label+" thawed", thawed, ng, opt, first))
 				assertAllHits(t, label+" thawed repeat", answerOne(t, label+" thawed repeat", thawed, ng, opt, first))
 			}
 		}
@@ -144,6 +146,49 @@ func TestSelectionMemoNotPoisonable(t *testing.T) {
 			a.Res.Seeds[i] = -1
 		}
 	}
+}
+
+// TestThawedMemoBillsTheSelection pins what a thawed pool's memo hands
+// out: the seeds and coverage of the selection it stands for, in a copy
+// the caller owns, at the modeled cost that selection billed — a repeat
+// on the thawed pool costs what the same repeat costs on the frozen one.
+func TestThawedMemoBillsTheSelection(t *testing.T) {
+	g := testGraph(t, 8, graph.IC)
+	opt := Defaults()
+	opt.Seed = 5
+	opt.Workers = 2
+	we, err := NewWarmEngine(g, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := BatchQuery{K: 6, Epsilon: 0.6}
+	answerOne(t, "cold", we, g, opt, q)
+	before := we.Breakdown().SelectionModeled
+	repeat := answerOne(t, "repeat", we, g, opt, q)
+	billed := we.Breakdown().SelectionModeled - before
+	st, err := we.Freeze(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(st.Memo) < int(repeat.Selections) {
+		t.Fatalf("froze %d memo entries, the query ran %d selections", len(st.Memo), repeat.Selections)
+	}
+	thawed, err := ThawWarmEngine(g, opt, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := answerOne(t, "thawed", thawed, g, opt, q)
+	assertAllHits(t, "thawed", a)
+	if got := thawed.Breakdown().SelectionModeled; billed <= 0 || math.Abs(got-billed) > 1e-9*billed {
+		t.Fatalf("thawed hits billed %v modeled ops, the frozen pool's repeat %v", got, billed)
+	}
+	if a.Res.Coverage != repeat.Res.Coverage {
+		t.Fatalf("thawed coverage %v, frozen %v", a.Res.Coverage, repeat.Res.Coverage)
+	}
+	for i := range a.Res.Seeds {
+		a.Res.Seeds[i] = -1
+	}
+	assertAllHits(t, "thawed after scribbling", answerOne(t, "thawed after scribbling", thawed, g, opt, q))
 }
 
 // TestSelectionMemoBounded pins both bounds: sixteen entries, oldest

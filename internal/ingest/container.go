@@ -365,14 +365,18 @@ func (s *schema) readHeader(r io.Reader, secs []section) (header, []entry, error
 }
 
 // readSections streams the payloads of the parsed entries ents into
-// secs, checking each against its CRC. r is at byte pos of the file.
-// Allocation is bounded by the bytes actually read, so corrupt headers
-// claiming absurd sizes fail cleanly instead of exhausting memory.
+// secs, checking each against its CRC and the padding before it for
+// zeros. r is at byte pos of the file. Allocation is bounded by the bytes
+// actually read, so corrupt headers claiming absurd sizes fail cleanly
+// instead of exhausting memory.
 func (s *schema) readSections(r io.Reader, pos int64, secs []section, ents []entry) error {
 	var pad [align]byte
 	for i, e := range ents {
 		if _, err := io.ReadFull(r, pad[:e.offset-pos]); err != nil {
 			return s.errorf("truncated before section %d: %w", e.id, err)
+		}
+		if !zeros(pad[:e.offset-pos]) {
+			return s.errorf("nonzero padding before section %d", e.id)
 		}
 		crc, err := secs[i].read(r, e.byteLen)
 		if err != nil {
@@ -387,21 +391,37 @@ func (s *schema) readSections(r io.Reader, pos int64, secs []section, ents []ent
 }
 
 // mapSections checks every section of a whole-file image against its
-// CRC and only then points secs at their bytes in place. Little-endian
-// hosts only.
+// CRC, and the padding before it for zeros, and only then points secs at
+// their bytes in place. Little-endian hosts only.
 func (s *schema) mapSections(image []byte, secs []section, ents []entry) error {
 	if end := ents[len(ents)-1].end(); end > int64(len(image)) {
 		return s.errorf("truncated: sections need %d bytes, file holds %d", end, len(image))
 	}
+	pos := tableEnd(len(ents))
 	for _, e := range ents {
+		if !zeros(image[pos:e.offset]) {
+			return s.errorf("nonzero padding before section %d", e.id)
+		}
 		if crc32.Checksum(image[e.offset:e.end()], castagnoli) != e.crc {
 			return s.errorf("section %d checksum mismatch", e.id)
 		}
+		pos = e.end()
 	}
 	for i, e := range ents {
 		secs[i].alias(image[e.offset:e.end():e.end()])
 	}
 	return nil
+}
+
+// zeros reports whether b holds only zero bytes: the padding a canonical
+// file has between sections, outside every CRC.
+func zeros(b []byte) bool {
+	for _, c := range b {
+		if c != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // createFile creates path and writes it through write.

@@ -70,8 +70,9 @@ func seedOtherFormats(f *testing.F, own string) {
 
 // TestContainerGoldenBytes pins the on-disk bytes of all three formats
 // to sha256 digests recorded before the formats shared a container
-// codec: a codec change that moves a single byte of any image fails
-// here, where the canonicality tests (same build, same bytes) cannot.
+// codec (the .impool ones re-recorded at format version 3): a codec
+// change that moves a single byte of any image fails here, where the
+// canonicality tests (same build, same bytes) cannot.
 func TestContainerGoldenBytes(t *testing.T) {
 	want := map[string]string{
 		"imsnap/IC":           "6792fa55bfc9c99240fc7490ae4beeb4284ac2b64f7e67032c378f6d767b7044",
@@ -79,11 +80,11 @@ func TestContainerGoldenBytes(t *testing.T) {
 		"imdelta/implicit":    "a73ee1d1c207eac37bc3c81d7cc9c5999e82dfed2518e72842caca25f5193715",
 		"imdelta/explicit":    "94b92b122165eef48bafa42eab9f692e8d9bdc27d64f9cb2b89ed04e1bfc54cc",
 		"imdelta/empty":       "3074790baa5a2d9c770555fce4581752fdcefb1c4faf62b62e00484d3652085c",
-		"impool/lists":        "96988c3ae587c480977d5a2229169d7ac890eae3c547eb6ee86294032c398c4b",
-		"impool/compressed":   "370f1a6b9d9614ffc03d0402e297b8b1f5d21b3c4630fdcad182f18601c64c84",
-		"impool/bitmaps":      "debb28ee368e3531391a98faec81f032f1e1d2446c6ad4d3d9ad230098015bfc",
-		"impool/unindexed":    "3be1b7b9fa073c17c633e55a0b411759c789868d34b9a9c806f1365a8d94f314",
-		"impool/empty shards": "7e98ab38a4dca69bf7cba77e972e8791494aa52978cf8b51e807179c55cf4b0f",
+		"impool/lists":        "1a211878e7b04702d72e349e0630c61fa6799207d9a37ad51d8d1a809dc5892b",
+		"impool/compressed":   "8eaff719301ce1a7c1d6faa68e174be3ea02518d57dfff1cd3ba46ecb37a5f44",
+		"impool/bitmaps":      "82f54622ca1a68f71aae7064c48529d420104e3a917c128d578078d1c9888674",
+		"impool/unindexed":    "8bdbaa4ac42c8fce965ab60371ebda73e6723b544cf0fb2864b36bb3292d17d9",
+		"impool/empty shards": "3af680ad137af68df3b52c9f346883d07025501b6211be00998803389f716a76",
 	}
 	images := containerImages(t)
 	if len(images) != len(want) {
@@ -93,6 +94,47 @@ func TestContainerGoldenBytes(t *testing.T) {
 		sum := sha256.Sum256(im.data)
 		if h := hex.EncodeToString(sum[:]); h != want[im.name] {
 			t.Errorf("%s: sha256 %s, golden %s", im.name, h, want[im.name])
+		}
+	}
+}
+
+// TestPoolVersion3AppendsMemo pins how .impool version 3 grew out of
+// version 2: the memo's two sections were appended, and every section
+// version 2 had keeps its element size, byte length and payload CRC.
+// The digests cover those three table columns of the first 99 sections
+// and were recorded from the version-2 images of the same fixtures. Only
+// the table's length, and so every offset, moved.
+func TestPoolVersion3AppendsMemo(t *testing.T) {
+	want := map[string]string{
+		"impool/lists":        "8253848fb6d9dc0c232f9691b852f998548f4a8beabd51ef514542a542354dd9",
+		"impool/compressed":   "5ee5b80c252cd91d69908468593b093bfa12a2c3dd4f230a143fbc37aefab7b8",
+		"impool/bitmaps":      "cab5285a7d8d0e322bb55963e8bc3fe54df8bbda54323b7b0ee7c40e56421ccd",
+		"impool/unindexed":    "b13da3ec97ce81d1fc8bfda8329db891137cdc975055a6782f3cbdb9ad4b7dc7",
+		"impool/empty shards": "0b6934a3e26597eee1491bd8683a1c188c077caf331c5edbbd5c1652a2ebc2fd",
+	}
+	le := binary.LittleEndian
+	for _, im := range containerImages(t) {
+		golden, ok := want[im.name]
+		if !ok {
+			continue
+		}
+		entry := func(i int) []byte { return im.data[headerSize+i*entrySize:] }
+		h := sha256.New()
+		for i := 0; i < poolSecMemo; i++ {
+			e := entry(i)
+			var cols [16]byte
+			le.PutUint32(cols[0:], le.Uint32(e[4:]))   // element size
+			le.PutUint64(cols[4:], le.Uint64(e[16:]))  // byte length
+			le.PutUint32(cols[12:], le.Uint32(e[24:])) // payload CRC
+			h.Write(cols[:])
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != golden {
+			t.Errorf("%s: version-2 sections digest %s, recorded %s", im.name, got, golden)
+		}
+		// Every fixture but the scan-selected one ran CELF, so remembers.
+		table, seeds := le.Uint64(entry(poolSecMemo)[16:]), le.Uint64(entry(poolSecMemoSeeds)[16:])
+		if remembers := im.name != "impool/unindexed"; (table > 0 && seeds > 0) != remembers {
+			t.Errorf("%s: memo sections of %d and %d bytes", im.name, table, seeds)
 		}
 	}
 }
@@ -175,6 +217,7 @@ func TestContainerCorruption(t *testing.T) {
 		{"table bit flip", func(b []byte, n int) []byte { b[at(0, 8)] ^= 0x01; return b }, "header checksum mismatch", false},
 		{"first payload bit flip", func(b []byte, n int) []byte { b[alignUp(tableEnd(n))] ^= 0x40; return b }, "section 0 checksum mismatch", false},
 		{"last payload bit flip", func(b []byte, _ int) []byte { b[len(b)-1] ^= 0x40; return b }, "checksum mismatch", true},
+		{"nonzero padding", func(b []byte, n int) []byte { b[tableEnd(n)] = 1; return b }, "nonzero padding before section 0", false},
 		{"non-canonical offset", func(b []byte, n int) []byte {
 			off := at(n-1, 8)
 			binary.LittleEndian.PutUint64(b[off:], binary.LittleEndian.Uint64(b[off:])+64)

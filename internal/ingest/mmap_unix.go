@@ -24,12 +24,13 @@ import (
 //
 // The mapping has one owner: the caller. release unmaps it and must be
 // called exactly once, after the last read through the state or through
-// anything that adopted its slices — a thawed engine's sets and index,
-// and a Freeze of that engine, alias the mapping; answers (seed lists)
-// never do. A read after release is a fault, not stale data. A caller
-// that maps once per promotion and never releases leaks one mapping per
-// promotion until vm.max_map_count turns every later mmap into the
-// copying fallback below.
+// anything that adopted its slices — a thawed engine's sets, index and
+// memo seeds, and a Freeze of that engine, alias the mapping; answers
+// (seed lists) never do, as memo hits hand out copies. A read after
+// release is a fault, not stale data. A caller that maps once per
+// promotion and never releases leaks one mapping per promotion until
+// vm.max_map_count turns every later mmap into the copying fallback
+// below.
 //
 // When mapping is not possible (big-endian host, an empty file or one
 // larger than the address space, mmap failure) it falls back to the
@@ -77,15 +78,18 @@ func poolFromImage(image []byte) (*imm.PoolState, PoolSnapshotInfo, error) {
 	if err != nil {
 		return nil, info, err
 	}
-	var meta []int64
+	var f poolFlat
 	st := new(imm.PoolState)
-	if err := poolSchema.mapSections(image, poolSections(st, &meta), ents); err != nil {
+	if err := poolSchema.mapSections(image, poolSections(st, &f), ents); err != nil {
 		return nil, info, err
 	}
-	if err := applyPoolMeta(meta, &info); err != nil {
+	if err := applyPoolMeta(f.meta, &info); err != nil {
 		return nil, info, err
 	}
 	info.bind(st)
+	if err := f.unflattenMemo(st); err != nil {
+		return nil, info, err
+	}
 	if err := validatePoolState(st); err != nil {
 		return nil, info, err
 	}

@@ -12,7 +12,7 @@ import (
 	"repro/internal/imm"
 )
 
-// The .impool binary pool-snapshot format, version 2 — the warm-pool
+// The .impool binary pool-snapshot format, version 3 — the warm-pool
 // persistence companion to .imsnap/.imdelta: a container (container.go)
 // holding one frozen pool, which a reader either stream-decodes or maps
 // and aliases in place.
@@ -21,7 +21,7 @@ import (
 //	word     flags (bit 0: compressed pool kind, bit 1: adaptive representation)
 //	words    pool RNG seed, N (vertices of the bound graph), pool length (slots generated)
 //
-// 99 sections. Section 0 is the metadata block: 7 little-endian int64
+// 101 sections. Section 0 is the metadata block: 7 little-endian int64
 // words — graph edge count M, graph delta epoch, total pool members Σ|R|,
 // the GraphChecksum content fingerprint, the representation density
 // threshold (float64 bits), the diffusion model, and the shard count
@@ -30,20 +30,26 @@ import (
 // entry), Sizes (i32), CompLens (i32), ListData (i32), CompData (u8),
 // BitmapData (u64). Then the pool's one inverted index: PostIdx (i64, N+1
 // offsets, or empty when the pool is unindexed) and PostData (i32,
-// global set ids). The header implies the metadata, Kinds, Sizes and
-// CompLens lengths and PostIdx's; the blobs' are data-dependent. Together
-// with the header words these reconstruct an imm.PoolState exactly; the
-// encoding is canonical — the same state always produces identical
-// bytes, which FuzzPoolSnapshotRoundTrip pins.
+// global set ids). Then the pool's selection memo as it stood when the
+// file was written: MemoTable (i64, 6 words per entry, oldest first —
+// view limit, k, workers, base flag 0/1, coverage and modeled ops as
+// float64 bits) and MemoSeeds (i32, every entry's min(k, N) seeds
+// concatenated in entry order). The header implies the metadata, Kinds,
+// Sizes and CompLens lengths and PostIdx's; the blobs' and the memo's are
+// data-dependent. Together with the header words these reconstruct an
+// imm.PoolState exactly; the encoding is canonical — the same state
+// always produces identical bytes, which FuzzPoolSnapshotRoundTrip pins.
 //
-// A file of any other version is refused as unsupported — to a serving
-// layer, a pool that is not on disk: it rebuilds cold and overwrites the
-// file at the next demotion.
+// Version 3 appended the two memo sections to version 2's 99, which are
+// unchanged. A file of any other version is refused as unsupported — to
+// a serving layer, a pool that is not on disk: it rebuilds cold and
+// overwrites the file at the next demotion.
 //
 // Every structural defect — bad magic or version, a checksum mismatch,
 // a non-canonical section table, payload extents that disagree with the
 // per-entry metadata, unsorted or out-of-range members, a representation
-// that contradicts the frozen policy — surfaces as an error wrapping
+// that contradicts the frozen policy, a memo entry that is not a
+// selection this pool could have run — surfaces as an error wrapping
 // ErrPoolSnapshot, never a panic and never a silently-wrong pool.
 // Binding staleness (a snapshot frozen at an older graph epoch or
 // against different graph content) is a separate condition, reported by
@@ -51,7 +57,7 @@ import (
 // regeneration instead of treating the file as corrupt.
 
 // PoolSnapshotVersion is the current .impool format version.
-const PoolSnapshotVersion = 2
+const PoolSnapshotVersion = 3
 
 // PoolSnapshotExt is the conventional file extension.
 const PoolSnapshotExt = ".impool"
@@ -72,8 +78,11 @@ const (
 	poolSecPerShard    = 6
 	poolSecPostIdx     = 1 + poolShardCount*poolSecPerShard
 	poolSecPostData    = poolSecPostIdx + 1
-	poolSectionN       = poolSecPostData + 1
+	poolSecMemo        = poolSecPostData + 1
+	poolSecMemoSeeds   = poolSecMemo + 1
+	poolSectionN       = poolSecMemoSeeds + 1
 	poolMetaWords      = 7
+	poolMemoWords      = 6 // per memo entry: limit, k, workers, base, coverage bits, ops bits
 	poolFlagCompressed = 1 << 0
 	poolFlagAdaptive   = 1 << 1
 )
@@ -113,27 +122,35 @@ func shardEntries(s int, count int64) int {
 	return int((count-1-int64(s))/poolShardCount) + 1
 }
 
-// poolSections lists where st's sections live, in file order; meta is
-// where the metadata block goes. It is the format's one enumeration: the
+// poolFlat holds what a pool file stores beside the state's own arrays:
+// the metadata block and the memo, flattened into its two sections.
+type poolFlat struct {
+	meta  []int64
+	memo  []int64 // poolMemoWords per entry
+	seeds []int32 // the entries' seeds, concatenated in entry order
+}
+
+// poolSections lists where st's sections live, in file order: in f, the
+// ones the state does not hold itself. It is the format's one enumeration: the
 // writer reads through it, both readers fill it.
-func poolSections(st *imm.PoolState, meta *[]int64) []section {
+func poolSections(st *imm.PoolState, f *poolFlat) []section {
 	secs := make([]section, 0, poolSectionN)
-	secs = append(secs, sec(meta))
+	secs = append(secs, sec(&f.meta))
 	for s := range st.Shards {
 		sh := &st.Shards[s]
 		secs = append(secs, sec(&sh.Kinds), sec(&sh.Sizes), sec(&sh.CompLens),
 			sec(&sh.ListData), sec(&sh.CompData), sec(&sh.BitmapData))
 	}
-	return append(secs, sec(&st.PostIdx), sec(&st.PostData))
+	return append(secs, sec(&st.PostIdx), sec(&st.PostData), sec(&f.memo), sec(&f.seeds))
 }
 
 // poolShape is the sections' shapes, to validate a table against before
 // there is a state to read into.
-var poolShape = poolSections(new(imm.PoolState), new([]int64))
+var poolShape = poolSections(new(imm.PoolState), new(poolFlat))
 
 // poolPayloads returns st's sections as the writer's payloads.
 func poolPayloads(st *imm.PoolState) []section {
-	meta := []int64{
+	f := poolFlat{meta: []int64{
 		st.M,
 		st.Epoch,
 		st.TotalMembers,
@@ -141,15 +158,71 @@ func poolPayloads(st *imm.PoolState) []section {
 		int64(math.Float64bits(st.RepThreshold)),
 		int64(st.Model),
 		int64(st.ShardCount()),
+	}}
+	for _, e := range st.Memo {
+		base := int64(0)
+		if e.Base {
+			base = 1
+		}
+		f.memo = append(f.memo, e.Limit, int64(e.K), int64(e.Workers), base,
+			int64(math.Float64bits(e.Coverage)), int64(math.Float64bits(e.Ops)))
+		f.seeds = append(f.seeds, e.Seeds...)
 	}
-	return poolSections(st, &meta)
+	return poolSections(st, &f)
+}
+
+// memoInt narrows a stored k or worker count; one no int32 holds becomes
+// -1, which the memo audit refuses.
+func memoInt(v int64) int {
+	if v < math.MinInt32 || v > math.MaxInt32 {
+		return -1
+	}
+	return int(v)
+}
+
+// unflattenMemo rebuilds st.Memo from the two memo sections: entry i owns
+// the next min(k, N) seeds, and the seed section must hold exactly what
+// the entries claim. The seeds alias f.seeds. What the entries hold is
+// validatePoolState's to audit.
+func (f *poolFlat) unflattenMemo(st *imm.PoolState) error {
+	n := len(f.memo) / poolMemoWords
+	if n == 0 && len(f.seeds) == 0 {
+		return nil
+	}
+	st.Memo = make([]imm.PoolMemoEntry, n)
+	next := 0
+	for i := range st.Memo {
+		w := f.memo[i*poolMemoWords : (i+1)*poolMemoWords]
+		if w[3] != 0 && w[3] != 1 {
+			return poolSchema.errorf("memo entry %d base flag %d, want 0 or 1", i, w[3])
+		}
+		e := imm.PoolMemoEntry{
+			Limit:    w[0],
+			K:        memoInt(w[1]),
+			Workers:  memoInt(w[2]),
+			Base:     w[3] == 1,
+			Coverage: math.Float64frombits(uint64(w[4])),
+			Ops:      math.Float64frombits(uint64(w[5])),
+		}
+		take := min(max(e.K, 0), int(st.N))
+		if take > len(f.seeds)-next {
+			return poolSchema.errorf("memo seed count: entry %d needs %d seeds, the section holds %d more", i, take, len(f.seeds)-next)
+		}
+		e.Seeds = f.seeds[next : next+take : next+take]
+		next += take
+		st.Memo[i] = e
+	}
+	if next != len(f.seeds) {
+		return poolSchema.errorf("memo seed count: entries hold %d seeds, the section %d", next, len(f.seeds))
+	}
+	return nil
 }
 
 // PoolSnapshotSize returns the exact .impool size for st without
 // writing it.
 func PoolSnapshotSize(st *imm.PoolState) int64 { return containerSize(poolPayloads(st)) }
 
-// WritePoolSnapshot writes st as a version-2 .impool stream. The output
+// WritePoolSnapshot writes st as a version-3 .impool stream. The output
 // is canonical — the same state always produces identical bytes.
 func WritePoolSnapshot(w io.Writer, st *imm.PoolState) error {
 	if st == nil {
@@ -210,6 +283,9 @@ func poolInfo(h header, ents []entry) (PoolSnapshotInfo, error) {
 	}
 	if ents[poolSecPostIdx].byteLen == 0 && ents[poolSecPostData].byteLen != 0 {
 		return info, poolSchema.errorf("postings without an offset table")
+	}
+	if ml := ents[poolSecMemo].byteLen; ml%(8*poolMemoWords) != 0 {
+		return info, poolSchema.errorf("memo table holds %d bytes, not whole %d-byte entries", ml, 8*poolMemoWords)
 	}
 	return info, nil
 }
@@ -275,9 +351,9 @@ func readPoolInfo(r io.Reader) ([]entry, PoolSnapshotInfo, error) {
 	return ents, info, applyPoolMeta(meta, &info)
 }
 
-// ReadPoolSnapshot reads a version-2 .impool stream, verifying the
+// ReadPoolSnapshot reads a version-3 .impool stream, verifying the
 // header, the canonical table, every section checksum, and the full
-// structural validity of the pool payloads.
+// structural validity of the pool payloads and memo.
 func ReadPoolSnapshot(r io.Reader) (*imm.PoolState, PoolSnapshotInfo, error) {
 	ents, info, err := readPoolInfo(r)
 	if err != nil {
@@ -285,8 +361,12 @@ func ReadPoolSnapshot(r io.Reader) (*imm.PoolState, PoolSnapshotInfo, error) {
 	}
 	st := new(imm.PoolState)
 	info.bind(st)
-	secs := poolSections(st, new([]int64)) // the metadata block is already in info
+	var f poolFlat
+	secs := poolSections(st, &f) // the metadata block is already in info
 	if err := poolSchema.readSections(r, ents[0].end(), secs[1:], ents[1:]); err != nil {
+		return nil, info, err
+	}
+	if err := f.unflattenMemo(st); err != nil {
 		return nil, info, err
 	}
 	if err := validatePoolState(st); err != nil {
@@ -368,10 +448,14 @@ func ValidatePoolGraph(st *imm.PoolState, g *graph.Graph, epoch int64) error {
 // representation the one the frozen policy dictates, and the inverted
 // index a well-formed CSR over the pool: offsets monotone from 0 to the
 // posting total, that total the member total, every segment's ids
-// strictly ascending and below the pool length. Nothing downstream (thaw,
-// selection) re-validates, so everything that could panic or silently
-// corrupt an answer is rejected here.
+// strictly ascending and below the pool length; and the memo what
+// imm.PoolState.ValidateMemo accepts. Nothing downstream (thaw,
+// selection) re-validates the payloads, so everything that could panic
+// or silently corrupt an answer is rejected here.
 func validatePoolState(st *imm.PoolState) error {
+	if err := st.ValidateMemo(); err != nil {
+		return poolSchema.errorf("%v", err)
+	}
 	policy := imm.PolicyFromOptions(imm.Options{
 		Pool:         st.Pool,
 		AdaptiveRep:  st.AdaptiveRep,

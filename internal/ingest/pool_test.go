@@ -5,9 +5,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/gen"
@@ -25,6 +27,16 @@ func poolFixture(t testing.TB, pool imm.PoolKind, adaptive bool, epoch int64) (*
 // poolFixtureWith is poolFixture under options shape adjusts.
 func poolFixtureWith(t testing.TB, epoch int64, shape func(*imm.Options)) (*graph.Graph, imm.Options, *imm.PoolState) {
 	t.Helper()
+	return poolFixtureAsking(t, epoch, shape, imm.BatchQuery{K: 4, Epsilon: 0.5})
+}
+
+// memoQueries are three distinct shapes: a pool that answered them all
+// remembers about a dozen selections.
+var memoQueries = []imm.BatchQuery{{K: 4, Epsilon: 0.5}, {K: 9, Epsilon: 0.4}, {K: 2, Epsilon: 0.7}}
+
+// poolFixtureAsking is poolFixtureWith after queries, in order.
+func poolFixtureAsking(t testing.TB, epoch int64, shape func(*imm.Options), queries ...imm.BatchQuery) (*graph.Graph, imm.Options, *imm.PoolState) {
+	t.Helper()
 	g, err := gen.RMAT(gen.DefaultRMAT(6, 5), graph.IC, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -38,8 +50,10 @@ func poolFixtureWith(t testing.TB, epoch int64, shape func(*imm.Options)) (*grap
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := we.AnswerBatch(opt, []imm.BatchQuery{{K: 4, Epsilon: 0.5}}); err != nil {
-		t.Fatal(err)
+	for _, q := range queries {
+		if _, err := we.AnswerBatch(opt, []imm.BatchQuery{q}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	st, err := we.Freeze(epoch)
 	if err != nil {
@@ -73,6 +87,12 @@ func equalPoolState(a, b *imm.PoolState) bool {
 		return false
 	}
 	if !slices.Equal(a.PostIdx, b.PostIdx) || !i32eq(a.PostData, b.PostData) {
+		return false
+	}
+	if !slices.EqualFunc(a.Memo, b.Memo, func(x, y imm.PoolMemoEntry) bool {
+		return x.Limit == y.Limit && x.K == y.K && x.Workers == y.Workers && x.Base == y.Base &&
+			slices.Equal(x.Seeds, y.Seeds) && x.Coverage == y.Coverage && x.Ops == y.Ops
+	}) {
 		return false
 	}
 	for s := range a.Shards {
@@ -235,11 +255,15 @@ func rewriteHeaderCRC(data []byte, sections int) {
 // rewriteMetaWord alters one int64 of the metadata section and repairs
 // the section CRC in its table entry plus the header CRC, so only the
 // semantic metadata check can reject the result.
-func rewriteMetaWord(data []byte, word int, v int64) {
-	off := int64(binary.LittleEndian.Uint64(data[headerSize+8:]))
-	binary.LittleEndian.PutUint64(data[off+int64(8*word):], uint64(v))
-	crc := crc32.Checksum(data[off:off+8*poolMetaWords], castagnoli)
-	binary.LittleEndian.PutUint32(data[headerSize+24:], crc)
+func rewriteMetaWord(data []byte, word int, v int64) { rewriteSectionWord(data, 0, word, v) }
+
+// rewriteSectionWord is rewriteMetaWord for any int64 section.
+func rewriteSectionWord(data []byte, sec, word int, v int64) {
+	le := binary.LittleEndian
+	e := data[headerSize+sec*entrySize:]
+	off, n := int64(le.Uint64(e[8:])), int64(le.Uint64(e[16:]))
+	le.PutUint64(data[off+int64(8*word):], uint64(v))
+	le.PutUint32(e[24:], crc32.Checksum(data[off:off+n], castagnoli))
 	rewriteHeaderCRC(data, poolSectionN)
 }
 
@@ -372,6 +396,97 @@ func TestPoolSnapshotIndexValidation(t *testing.T) {
 	}
 }
 
+// TestPoolSnapshotMemoValidation pins the audit of the frozen selection
+// memo: a memo whose bytes are intact (every checksum holds) but which is
+// not a set of selections this pool could have run is refused by both
+// readers with ErrPoolSnapshot, and by ThawWarmEngine — handed the same
+// state in memory — with imm.ErrPoolIncompatible, each naming the defect.
+func TestPoolSnapshotMemoValidation(t *testing.T) {
+	g, opt, st := poolFixtureAsking(t, 0, func(*imm.Options) {}, memoQueries...)
+	n := int(st.N)
+	if len(st.Memo) < 2 || st.Memo[0].K < 2 {
+		t.Fatalf("fixture memo: %d entries", len(st.Memo))
+	}
+	// A k=40 selection of vertices 0..39: valid alone, two exceed N=64.
+	wide := imm.PoolMemoEntry{Limit: 1, K: 40, Workers: 1, Coverage: 1, Ops: 1}
+	for v := int32(0); v < 40; v++ {
+		wide.Seeds = append(wide.Seeds, v)
+	}
+	if 2*len(wide.Seeds) <= n {
+		t.Fatalf("n=%d: two 40-seed entries fit", n)
+	}
+	entry := func(fn func(e *imm.PoolMemoEntry)) func([]imm.PoolMemoEntry) []imm.PoolMemoEntry {
+		return func(m []imm.PoolMemoEntry) []imm.PoolMemoEntry { fn(&m[0]); return m }
+	}
+	cases := []struct {
+		name   string
+		mutate func([]imm.PoolMemoEntry) []imm.PoolMemoEntry
+		want   string
+	}{
+		{"seed beyond the graph", entry(func(e *imm.PoolMemoEntry) { e.Seeds[0] = int32(n) }), "out of range"},
+		{"negative seed", entry(func(e *imm.PoolMemoEntry) { e.Seeds[0] = -1 }), "out of range"},
+		{"duplicate seed", entry(func(e *imm.PoolMemoEntry) { e.Seeds[1] = e.Seeds[0] }), "duplicate seed"},
+		{"a seed short of k", entry(func(e *imm.PoolMemoEntry) { e.Seeds = e.Seeds[:len(e.Seeds)-1] }), "seed count"},
+		{"a seed past k", entry(func(e *imm.PoolMemoEntry) { e.K-- }), "seed count"},
+		{"limit 0", entry(func(e *imm.PoolMemoEntry) { e.Limit = 0 }), "view limit"},
+		{"limit past the pool", entry(func(e *imm.PoolMemoEntry) { e.Limit = st.Count + 1 }), "view limit"},
+		{"k 0", entry(func(e *imm.PoolMemoEntry) { e.K, e.Seeds = 0, nil }), "k 0"},
+		{"workers 0", entry(func(e *imm.PoolMemoEntry) { e.Workers = 0 }), "workers 0"},
+		{"17 entries", func(m []imm.PoolMemoEntry) []imm.PoolMemoEntry {
+			for len(m) < 17 {
+				m = append(m, m[0])
+			}
+			return m
+		}, "17 entries"},
+		{"more seeds than vertices", func([]imm.PoolMemoEntry) []imm.PoolMemoEntry {
+			return []imm.PoolMemoEntry{wide, wide}
+		}, "more than 64 seeds"},
+		{"NaN coverage", entry(func(e *imm.PoolMemoEntry) { e.Coverage = math.NaN() }), "coverage"},
+		{"negative coverage", entry(func(e *imm.PoolMemoEntry) { e.Coverage = -0.25 }), "coverage"},
+		{"coverage past 1", entry(func(e *imm.PoolMemoEntry) { e.Coverage = 1.5 }), "coverage"},
+		{"NaN ops", entry(func(e *imm.PoolMemoEntry) { e.Ops = math.NaN() }), "modeled ops"},
+		{"negative ops", entry(func(e *imm.PoolMemoEntry) { e.Ops = -1 }), "modeled ops"},
+		{"infinite ops", entry(func(e *imm.PoolMemoEntry) { e.Ops = math.Inf(1) }), "modeled ops"},
+	}
+	dir := t.TempDir()
+	for _, c := range cases {
+		bad := *st
+		bad.Memo = slices.Clone(st.Memo)
+		for i := range bad.Memo {
+			bad.Memo[i].Seeds = slices.Clone(bad.Memo[i].Seeds)
+		}
+		bad.Memo = c.mutate(bad.Memo)
+		path := filepath.Join(dir, "bad"+PoolSnapshotExt)
+		if err := WritePoolSnapshotFile(path, &bad); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		_, _, readErr := ReadPoolSnapshotFile(path)
+		_, _, release, mapErr := MapPoolSnapshot(path)
+		if mapErr == nil {
+			release()
+		}
+		for _, err := range []error{readErr, mapErr} {
+			if !errors.Is(err, ErrPoolSnapshot) || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("%s: got %v, want ErrPoolSnapshot mentioning %q", c.name, err, c.want)
+			}
+		}
+		if _, err := imm.ThawWarmEngine(g, opt, &bad); !errors.Is(err, imm.ErrPoolIncompatible) || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: thaw got %v, want ErrPoolIncompatible mentioning %q", c.name, err, c.want)
+		}
+	}
+
+	// The one defect no state can express: a base flag other than 0 or 1.
+	var buf bytes.Buffer
+	if err := WritePoolSnapshot(&buf, st); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	rewriteSectionWord(data, poolSecMemo, 3, 2)
+	if _, _, err := ReadPoolSnapshot(bytes.NewReader(data)); !errors.Is(err, ErrPoolSnapshot) || !strings.Contains(err.Error(), "base flag 2") {
+		t.Errorf("base flag 2: got %v", err)
+	}
+}
+
 func TestPoolSnapshotStaleBinding(t *testing.T) {
 	g, _, st := poolFixture(t, imm.PoolSlices, false, 0)
 	var buf bytes.Buffer
@@ -487,6 +602,15 @@ func FuzzPoolSnapshotRoundTrip(f *testing.F) {
 		func(opt *imm.Options) { opt.Pool = imm.PoolCompressed; opt.MaxTheta = 17 }, // one shard with two
 	} {
 		_, _, st := poolFixtureWith(f, 1, shape)
+		var buf bytes.Buffer
+		if err := WritePoolSnapshot(&buf, st); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	if _, _, st := poolFixtureAsking(f, 1, func(*imm.Options) {}, memoQueries...); len(st.Memo) < 4 {
+		f.Fatalf("memo fixture remembers %d selections", len(st.Memo))
+	} else {
 		var buf bytes.Buffer
 		if err := WritePoolSnapshot(&buf, st); err != nil {
 			f.Fatal(err)

@@ -298,7 +298,7 @@ func (rt *Router) findHolder(graph string, skip int) (int, bool) {
 
 // readBody drains the request body, writing the error envelope on
 // failure: 413 body_too_large when a cap set by the caller
-// (readQueryBody) was hit, 400 invalid_query otherwise.
+// (readControlBody) was hit, 400 invalid_query otherwise.
 func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
 	body, err := io.ReadAll(r.Body)
 	var tooLarge *http.MaxBytesError
@@ -314,14 +314,11 @@ func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
 	return body, nil
 }
 
-// maxQueryBody caps the single-query bodies (POST /v1/query, POST
-// /v1/jobs) the router buffers whole before it knows their owner. A
-// query is four fields; graph and delta uploads are legitimately large
-// and are read uncapped.
-const maxQueryBody = 1 << 20
-
-// readQueryBody is readBody under the maxQueryBody cap.
-func readQueryBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
-	r.Body = http.MaxBytesReader(w, r.Body, maxQueryBody)
+// readControlBody is readBody under the nodes' cap on JSON control
+// bodies, serve.MaxBodyBytes: the query, job and batch bodies the router
+// buffers whole before it knows their owners. Graph and delta uploads
+// are legitimately large and are read uncapped.
+func readControlBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	r.Body = http.MaxBytesReader(w, r.Body, serve.MaxBodyBytes)
 	return readBody(w, r)
 }

@@ -22,8 +22,8 @@
 // Failure semantics: a node that cannot be reached yields the unified
 // error envelope with code "node_unavailable" (HTTP 503, Retry-After
 // set) for the requests it owns — batch members inline — while
-// requests owned by healthy nodes keep serving. A single-query or job
-// body past maxQueryBody is refused with 413 "body_too_large".
+// requests owned by healthy nodes keep serving. A query, job or batch
+// body past serve.MaxBodyBytes is refused with 413 "body_too_large".
 package route
 
 import (
@@ -253,7 +253,7 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var body []byte
 	if r.Method == http.MethodPost {
 		var err error
-		if body, err = readQueryBody(w, r); err != nil {
+		if body, err = readControlBody(w, r); err != nil {
 			return
 		}
 	}
@@ -349,7 +349,11 @@ func envelope(code, message string) []byte {
 // unreachable node fail inline with code node_unavailable; members on
 // healthy nodes still serve.
 func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
-	dec := json.NewDecoder(r.Body)
+	body, err := readControlBody(w, r)
+	if err != nil {
+		return
+	}
+	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	var batch serve.BatchRequest
 	if err := dec.Decode(&batch); err != nil {
@@ -437,7 +441,7 @@ func (rt *Router) parseJobID(id string) (node int, local string, ok bool) {
 }
 
 func (rt *Router) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
-	body, err := readQueryBody(w, r)
+	body, err := readControlBody(w, r)
 	if err != nil {
 		return
 	}

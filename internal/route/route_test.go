@@ -125,11 +125,11 @@ func TestRouterShardsQueries(t *testing.T) {
 
 // TestRouterCapsQueryBodies pins the bound on the bodies the router
 // buffers whole before it knows their owner: a single-query or job body
-// past maxQueryBody is refused with 413 and the body_too_large envelope,
+// past serve.MaxBodyBytes is refused with 413 and the body_too_large envelope,
 // and one within it still routes.
 func TestRouterCapsQueryBodies(t *testing.T) {
 	_, ts, _ := testFleet(t, 1)
-	huge := `{"graph":"g","k":4,"pad":"` + strings.Repeat("x", maxQueryBody) + `"}`
+	huge := `{"graph":"g","k":4,"pad":"` + strings.Repeat("x", serve.MaxBodyBytes) + `"}`
 	for _, path := range []string{"/v1/query", "/v1/jobs"} {
 		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(huge))
 		if err != nil {
@@ -149,6 +149,35 @@ func TestRouterCapsQueryBodies(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("small POST /v1/query: status %d", resp.StatusCode)
+	}
+}
+
+// TestRouterCapsBatchBodies pins the same bound on the batch body the
+// router decodes before fanning it out: MaxBodyBytes+1 bytes is refused
+// with 413 body_too_large, and exactly MaxBodyBytes is read through — and
+// then refused as invalid_query for its unknown field.
+func TestRouterCapsBatchBodies(t *testing.T) {
+	_, ts, _ := testFleet(t, 1)
+	for _, c := range []struct {
+		size   int
+		status int
+		code   string
+	}{
+		{serve.MaxBodyBytes + 1, http.StatusRequestEntityTooLarge, "body_too_large"},
+		{serve.MaxBodyBytes, http.StatusBadRequest, "invalid_query"},
+	} {
+		body := `{"pad":"` + strings.Repeat("x", c.size-10) + `"}`
+		resp, err := http.Post(ts.URL+"/v1/batch", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e serve.ErrorResponse
+		err = json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != c.status || e.Error.Code != c.code {
+			t.Fatalf("POST /v1/batch with %d bytes: status %d code %q (decode: %v), want %d %q",
+				len(body), resp.StatusCode, e.Error.Code, err, c.status, c.code)
+		}
 	}
 }
 

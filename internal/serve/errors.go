@@ -33,4 +33,7 @@ var (
 	// violations (self-loops, duplicates, absent removals), out-of-range
 	// endpoints, or a mismatched probability vector (HTTP 400).
 	ErrInvalidDelta = errors.New("invalid delta")
+	// ErrBodyTooLarge marks a JSON control body — a query, job, batch or
+	// pools/save request — longer than MaxBodyBytes (HTTP 413).
+	ErrBodyTooLarge = errors.New("request body too large")
 )

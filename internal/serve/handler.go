@@ -29,7 +29,8 @@ package serve
 // (unknown_graph/unknown_job), validation 400 (invalid_query),
 // admission overflow 429 (overloaded, with Retry-After), shutdown 503
 // (shutting_down) — and only a genuine engine failure reports 500
-// (internal). The mux-level fallbacks use not_found and
+// (internal). A JSON control body past MaxBodyBytes is refused with 413
+// (body_too_large). The mux-level fallbacks use not_found and
 // method_not_allowed.
 
 import (
@@ -46,6 +47,12 @@ import (
 // round-trip amortization, small enough that a single request cannot
 // monopolize the planner.
 const maxBatchQueries = 1024
+
+// MaxBodyBytes caps the JSON control bodies — POST /v1/query, /v1/jobs,
+// /v1/batch and /v1/pools/save — on a node and on the router in front of
+// it. A full batch fits with room to spare; graph and delta uploads are
+// legitimately large and are not capped by it.
+const MaxBodyBytes = 1 << 20
 
 // Handler returns the HTTP front-end for s: the /v1/ surface (queries,
 // jobs, the graph-lifecycle endpoints and pool persistence) and the
@@ -139,7 +146,7 @@ func (s *Server) handleQueryGet(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleQueryPost(w http.ResponseWriter, r *http.Request) {
-	req, err := decodeQueryBody(r)
+	req, err := decodeQueryBody(w, r)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -172,11 +179,9 @@ type BatchResponse struct {
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
 	var body BatchRequest
-	if err := dec.Decode(&body); err != nil {
-		writeError(w, fmt.Errorf("serve: %w: invalid JSON body: %v", ErrInvalidQuery, err))
+	if err := decodeBody(w, r, &body); err != nil {
+		writeError(w, err)
 		return
 	}
 	if len(body.Queries) == 0 {
@@ -216,10 +221,8 @@ type PoolsSaveResponse struct {
 func (s *Server) handlePoolsSave(w http.ResponseWriter, r *http.Request) {
 	var body PoolsSaveRequest
 	if r.ContentLength != 0 {
-		dec := json.NewDecoder(r.Body)
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&body); err != nil {
-			writeError(w, fmt.Errorf("serve: %w: invalid JSON body: %v", ErrInvalidQuery, err))
+		if err := decodeBody(w, r, &body); err != nil {
+			writeError(w, err)
 			return
 		}
 	}
@@ -240,7 +243,7 @@ func (s *Server) handleJobsList(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
-	req, err := decodeQueryBody(r)
+	req, err := decodeQueryBody(w, r)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -276,14 +279,25 @@ func defaultQueryRequest() QueryRequest {
 // same reason the GET parser rejects unknown parameters — a misspelled
 // "eps" for "epsilon" must fail loudly, not silently run with the
 // default.
-func decodeQueryBody(r *http.Request) (QueryRequest, error) {
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
+func decodeQueryBody(w http.ResponseWriter, r *http.Request) (QueryRequest, error) {
 	req := defaultQueryRequest()
-	if err := dec.Decode(&req); err != nil {
-		return req, fmt.Errorf("serve: %w: invalid JSON body: %v", ErrInvalidQuery, err)
+	return req, decodeBody(w, r, &req)
+}
+
+// decodeBody decodes a JSON control body into v, rejecting unknown
+// fields, and reads at most MaxBodyBytes of it: a longer body fails with
+// ErrBodyTooLarge, any other failure with ErrInvalidQuery.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			return fmt.Errorf("serve: %w: exceeds %d bytes", ErrBodyTooLarge, tooLarge.Limit)
+		}
+		return fmt.Errorf("serve: %w: invalid JSON body: %v", ErrInvalidQuery, err)
 	}
-	return req, nil
+	return nil
 }
 
 // queryFromURL parses the GET form of a query. k is required; epsilon
@@ -337,6 +351,8 @@ func statusForError(err error) int {
 		return http.StatusBadRequest
 	case errors.Is(err, ErrGraphExists):
 		return http.StatusConflict
+	case errors.Is(err, ErrBodyTooLarge):
+		return http.StatusRequestEntityTooLarge
 	case errors.Is(err, ErrOverloaded):
 		return http.StatusTooManyRequests
 	case errors.Is(err, ErrShuttingDown):
@@ -360,6 +376,8 @@ func codeForError(err error) string {
 		return "invalid_delta"
 	case errors.Is(err, ErrGraphExists):
 		return "graph_exists"
+	case errors.Is(err, ErrBodyTooLarge):
+		return "body_too_large"
 	case errors.Is(err, ErrOverloaded):
 		return "overloaded"
 	case errors.Is(err, ErrShuttingDown):

@@ -378,3 +378,30 @@ func TestHTTPJobs(t *testing.T) {
 	// Unknown job ids are 404.
 	getJSON(t, ts.URL+"/v1/jobs/job-999", http.StatusNotFound, nil)
 }
+
+// paddedBody is a JSON object of exactly n bytes: one unknown field.
+func paddedBody(n int) string { return `{"pad":"` + strings.Repeat("x", n-10) + `"}` }
+
+// TestControlBodiesCapped pins the cap on every JSON control body a node
+// decodes: MaxBodyBytes+1 bytes is refused with 413 and the
+// body_too_large envelope, and a body of exactly MaxBodyBytes is read
+// through — and then refused as invalid_query for its unknown field.
+func TestControlBodiesCapped(t *testing.T) {
+	_, ts := testHTTP(t)
+	for _, path := range []string{"/v1/query", "/v1/jobs", "/v1/batch", "/v1/pools/save"} {
+		for _, c := range []struct {
+			size   int
+			status int
+			code   string
+		}{
+			{MaxBodyBytes + 1, http.StatusRequestEntityTooLarge, "body_too_large"},
+			{MaxBodyBytes, http.StatusBadRequest, "invalid_query"},
+		} {
+			var e ErrorResponse
+			postJSON(t, ts.URL+path, paddedBody(c.size), c.status, &e)
+			if e.Error.Code != c.code {
+				t.Fatalf("POST %s with %d bytes: code %q, want %q", path, c.size, e.Error.Code, c.code)
+			}
+		}
+	}
+}

@@ -38,9 +38,16 @@ package serve
 // write, removed with its graph, or dropped by a failed repair. Live
 // .impool mappings are therefore bounded by the resident promoted
 // pools. What aliases a mapping dies with the engine or earlier: the
-// engine's sets and index arrays, and the PoolState a Freeze of it
-// returns (consumed under pe.mu, before the drop). Answers never alias
-// it — seed lists are built by selection.
+// engine's sets, index arrays and memo seeds, and the PoolState a Freeze
+// of it returns (consumed under pe.mu, before the drop). Answers never
+// alias it — seed lists are built by selection or copied out of the
+// memo.
+//
+// A snapshot carries the pool's selection memo as it stood when the file
+// was written, so a promotion answers the shapes the pool had answered
+// by then without running CELF. Memo growth alone does not make a pool
+// dirty: a shape first asked after a promotion is remembered until the
+// next clean demotion, and then forgotten with the RAM copy.
 //
 // The same snapshot format powers instant-warm restarts: POST
 // /v1/pools/save (or Server.SavePools) makes every resident pool

@@ -12,16 +12,19 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/imm"
 	"repro/internal/ingest"
 )
 
@@ -779,59 +782,218 @@ func checkMappingsBounded(t *testing.T, s *Server) {
 }
 
 // TestOldFormatPoolFileRebuildsCold walks the refusal path of a pool
-// directory written before .impool version 2: the file is refused as a
-// structural error at the header, LoadPools skips it, the query answers
-// cold and byte-identically without a failed promotion, and the pool's
-// next demotion replaces the file with a current one.
+// directory written before the current .impool version: the file is
+// refused as a structural error at the header, LoadPools skips it, the
+// query answers cold and byte-identically without a failed promotion,
+// and the pool's next demotion replaces the file with a current one.
 func TestOldFormatPoolFileRebuildsCold(t *testing.T) {
-	g := testGraph(t, 8, graph.IC)
-	onePool := tierProbe(t, g)
-	dir := t.TempDir()
-	// A version-1 file as far as any reader gets: its magic, its version,
-	// and the length of its header and 129-entry section table.
-	v1 := make([]byte, 48+129*32+64)
-	copy(v1, "IMPOOL\x1a\x00")
-	binary.LittleEndian.PutUint32(v1[8:], 1)
-	path := poolFile(dir, 1)
-	if err := os.WriteFile(path, v1, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ingest.ReadPoolSnapshotInfoFile(path); !errors.Is(err, ingest.ErrPoolSnapshot) || !strings.Contains(err.Error(), "unsupported version 1") {
-		t.Fatalf("version-1 header: got %v, want ErrPoolSnapshot naming the version", err)
-	}
-	if _, _, release, err := ingest.MapPoolSnapshot(path); !errors.Is(err, ingest.ErrPoolSnapshot) || release != nil {
-		t.Fatalf("version-1 file mapped: %v", err)
-	}
+	for _, old := range []struct {
+		version  uint32
+		sections int
+	}{{1, 129}, {2, 99}} {
+		t.Run(fmt.Sprintf("v%d", old.version), func(t *testing.T) {
+			g := testGraph(t, 8, graph.IC)
+			onePool := tierProbe(t, g)
+			dir := t.TempDir()
+			// An old file as far as any reader gets: its magic, its version,
+			// and the length of its header and section table.
+			image := make([]byte, 48+old.sections*32+64)
+			copy(image, "IMPOOL\x1a\x00")
+			binary.LittleEndian.PutUint32(image[8:], old.version)
+			path := poolFile(dir, 1)
+			if err := os.WriteFile(path, image, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			unsupported := fmt.Sprintf("unsupported version %d", old.version)
+			if _, err := ingest.ReadPoolSnapshotInfoFile(path); !errors.Is(err, ingest.ErrPoolSnapshot) || !strings.Contains(err.Error(), unsupported) {
+				t.Fatalf("version-%d header: got %v, want ErrPoolSnapshot naming the version", old.version, err)
+			}
+			if _, _, release, err := ingest.MapPoolSnapshot(path); !errors.Is(err, ingest.ErrPoolSnapshot) || release != nil {
+				t.Fatalf("version-%d file mapped: %v", old.version, err)
+			}
 
-	opt := Options{Workers: 2, MaxTheta: 4000, PoolBudgetBytes: onePool + onePool/2, PoolDir: dir}
-	s := testServer(t, opt, map[string]*graph.Graph{"g": g})
-	if loaded, err := s.LoadPools(); err != nil || loaded != 0 {
-		t.Fatalf("LoadPools = %d, %v; want the old file skipped", loaded, err)
+			opt := Options{Workers: 2, MaxTheta: 4000, PoolBudgetBytes: onePool + onePool/2, PoolDir: dir}
+			s := testServer(t, opt, map[string]*graph.Graph{"g": g})
+			if loaded, err := s.LoadPools(); err != nil || loaded != 0 {
+				t.Fatalf("LoadPools = %d, %v; want the old file skipped", loaded, err)
+			}
+			req := QueryRequest{Graph: "g", K: 8, Epsilon: 0.5, Seed: 1}
+			r, err := s.Query(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cold := coldRun(t, g, opt, req); r.Warm || !reflect.DeepEqual(r.Seeds, cold.Seeds) || r.Theta != cold.Theta {
+				t.Fatalf("answer beside an old pool file: warm=%v %v/θ=%d, cold run %v/θ=%d", r.Warm, r.Seeds, r.Theta, cold.Seeds, cold.Theta)
+			}
+			if _, err := s.Query(QueryRequest{Graph: "g", K: 8, Epsilon: 0.5, Seed: 2}); err != nil { // pushes tenant 1 out
+				t.Fatal(err)
+			}
+			st := s.Stats()
+			if st.PromoteFailures != 0 || st.Promotions != 0 || st.Demotions != 1 || st.DemotionWrites != 1 {
+				t.Fatalf("old file should cost a cold build and one written demotion, nothing else: %+v", st)
+			}
+			info, err := ingest.ReadPoolSnapshotInfoFile(path)
+			if err != nil || info.Version != ingest.PoolSnapshotVersion || info.Seed != 1 {
+				t.Fatalf("demotion did not replace the old file: %+v, %v", info, err)
+			}
+			again, err := s.Query(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !again.Warm || again.GeneratedSets != 0 || !reflect.DeepEqual(again.Seeds, r.Seeds) {
+				t.Fatalf("promotion from the rewritten file: warm=%v generated=%d seeds %v vs %v", again.Warm, again.GeneratedSets, again.Seeds, r.Seeds)
+			}
+		})
 	}
-	req := QueryRequest{Graph: "g", K: 8, Epsilon: 0.5, Seed: 1}
+}
+
+// askCold serves req on s and requires the answer a cold imm.Run on g
+// gives, served warm without generating a set when warm is set.
+func askCold(t *testing.T, s *Server, g *graph.Graph, req QueryRequest, warm bool) *QueryResult {
+	t.Helper()
 	r, err := s.Query(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cold := coldRun(t, g, opt, req); r.Warm || !reflect.DeepEqual(r.Seeds, cold.Seeds) || r.Theta != cold.Theta {
-		t.Fatalf("answer beside an old pool file: warm=%v %v/θ=%d, cold run %v/θ=%d", r.Warm, r.Seeds, r.Theta, cold.Seeds, cold.Theta)
+	if cold := coldRun(t, g, s.opt, req); !reflect.DeepEqual(r.Seeds, cold.Seeds) || r.Theta != cold.Theta {
+		t.Fatalf("k=%d eps=%v seed=%d: served %v/θ=%d, cold %v/θ=%d", req.K, req.Epsilon, req.Seed, r.Seeds, r.Theta, cold.Seeds, cold.Theta)
 	}
-	if _, err := s.Query(QueryRequest{Graph: "g", K: 8, Epsilon: 0.5, Seed: 2}); err != nil { // pushes tenant 1 out
+	if warm && (!r.Warm || r.GeneratedSets != 0) {
+		t.Fatalf("k=%d eps=%v seed=%d: warm=%v generated=%d, want a warm answer generating nothing", req.K, req.Epsilon, req.Seed, r.Warm, r.GeneratedSets)
+	}
+	return r
+}
+
+// TestPromotedPoolAnswersFromMemo pins the selection memo across the
+// disk tier: a file carries the memo as it stood when it was written, so
+// a promoted pool answers a shape it had answered before from the memo;
+// a shape first asked after the promotion grows only the RAM memo — the
+// next demotion stays clean — and so the pool promoted again runs that
+// shape's selections anew. Every answer is a cold run's.
+func TestPromotedPoolAnswersFromMemo(t *testing.T) {
+	g := testGraph(t, 8, graph.IC)
+	// A one-byte budget: each query demotes the other tenant's pool.
+	s := testServer(t, Options{Workers: 2, MaxTheta: 4000, PoolBudgetBytes: 1, PoolDir: t.TempDir()},
+		map[string]*graph.Graph{"g": g})
+	base1 := QueryRequest{Graph: "g", K: 8, Epsilon: 0.5, Seed: 1}
+	base2 := QueryRequest{Graph: "g", K: 8, Epsilon: 0.5, Seed: 2}
+	later1 := QueryRequest{Graph: "g", K: 4, Epsilon: 0.7, Seed: 1} // a smaller θ: no extension
+
+	askCold(t, s, g, base1, false)
+	askCold(t, s, g, base2, false) // demotes tenant 1, memo and all
+	if r := askCold(t, s, g, base1, true); r.MemoHits != int64(r.Rounds)+1 {
+		t.Fatalf("promoted pool: %d memo hits for %d selections", r.MemoHits, r.Rounds+1)
+	}
+
+	if r := askCold(t, s, g, later1, true); r.MemoHits > 1 {
+		t.Fatalf("a shape new to the pool hit the memo on %d selections", r.MemoHits)
+	}
+	writes := s.Stats().DemotionWrites
+	askCold(t, s, g, base2, true) // demotes tenant 1 again: its file still holds the pool
+	if got := s.Stats().DemotionWrites; got != writes {
+		t.Fatalf("memo growth made a demotion dirty: demotion_writes %d -> %d", writes, got)
+	}
+	if r := askCold(t, s, g, later1, true); r.MemoHits > 1 {
+		t.Fatalf("the file remembered a shape asked after it was written: %d memo hits", r.MemoHits)
+	}
+	if st := s.Stats(); st.PromoteFailures != 0 {
+		t.Fatalf("%d promotions failed", st.PromoteFailures)
+	}
+}
+
+// TestRestartAnswersFromMemo pins the restart leg: SavePools, a new
+// Server on the same directory, LoadPools — and the first answer runs no
+// selection at all.
+func TestRestartAnswersFromMemo(t *testing.T) {
+	g := testGraph(t, 8, graph.IC)
+	opt := Options{Workers: 2, MaxTheta: 4000, PoolDir: t.TempDir()}
+	req := QueryRequest{Graph: "g", K: 8, Epsilon: 0.5, Seed: 1}
+	s1 := testServer(t, opt, map[string]*graph.Graph{"g": g})
+	askCold(t, s1, g, req, false)
+	if saved, err := s1.SavePools(""); err != nil || saved != 1 {
+		t.Fatalf("SavePools = %d, %v", saved, err)
+	}
+	if err := s1.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	st := s.Stats()
-	if st.PromoteFailures != 0 || st.Promotions != 0 || st.Demotions != 1 || st.DemotionWrites != 1 {
-		t.Fatalf("old file should cost a cold build and one written demotion, nothing else: %+v", st)
+
+	s2 := testServer(t, opt, map[string]*graph.Graph{"g": g})
+	if loaded, err := s2.LoadPools(); err != nil || loaded != 1 {
+		t.Fatalf("LoadPools = %d, %v", loaded, err)
 	}
-	info, err := ingest.ReadPoolSnapshotInfoFile(path)
-	if err != nil || info.Version != ingest.PoolSnapshotVersion || info.Seed != 1 {
-		t.Fatalf("demotion did not replace the old file: %+v, %v", info, err)
+	if r := askCold(t, s2, g, req, true); r.MemoHits != int64(r.Rounds)+1 {
+		t.Fatalf("first answer after a restart: %d memo hits for %d selections", r.MemoHits, r.Rounds+1)
 	}
-	again, err := s.Query(req)
+	if st := s2.Stats(); st.SelectionMemoMisses != 0 || st.Promotions != 1 {
+		t.Fatalf("restart ran %d selections over %d promotions", st.SelectionMemoMisses, st.Promotions)
+	}
+}
+
+// TestRepairedPoolFileCarriesSurvivingMemo pins what a delta leaves of
+// the memo on disk: the repaired pool's next file carries exactly the
+// entries whose view ends at or below the first replaced slot, in order.
+func TestRepairedPoolFileCarriesSurvivingMemo(t *testing.T) {
+	g := testGraph(t, 8, graph.IC)
+	dir := t.TempDir()
+	s := testServer(t, Options{Workers: 2, MaxTheta: 6000, PoolDir: dir}, map[string]*graph.Graph{"g": g})
+	reqs := []QueryRequest{
+		{Graph: "g", K: 8, Epsilon: 0.5, Seed: 1},
+		{Graph: "g", K: 20, Epsilon: 0.4, Seed: 1},
+		{Graph: "g", K: 4, Epsilon: 0.7, Seed: 1},
+	}
+	for _, req := range reqs {
+		askCold(t, s, g, req, false)
+	}
+	before := t.TempDir()
+	if saved, err := s.SavePools(before); err != nil || saved != 1 {
+		t.Fatalf("SavePools = %d, %v", saved, err)
+	}
+	pre, _, err := ingest.ReadPoolSnapshotFile(poolFile(before, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !again.Warm || again.GeneratedSets != 0 || !reflect.DeepEqual(again.Seeds, r.Seeds) {
-		t.Fatalf("promotion from the rewritten file: warm=%v generated=%d seeds %v vs %v", again.Warm, again.GeneratedSets, again.Seeds, r.Seeds)
+
+	// An edge into the vertex whose first set comes latest: the delta
+	// dirties it alone, so repair replaces from that set on.
+	target, first := int32(-1), int64(-1)
+	for v := int32(0); v < pre.N; v++ {
+		if lo := pre.PostIdx[v]; lo < pre.PostIdx[v+1] && int64(pre.PostData[lo]) > first {
+			target, first = v, int64(pre.PostData[lo])
+		}
+	}
+	var d graph.Delta
+	for u := int32(0); u < g.N && d.Add == nil; u++ {
+		if u != target && !slices.Contains(g.OutEdges[g.OutIndex[u]:g.OutIndex[u+1]], target) {
+			d = graph.Delta{Add: []graph.Edge{{Src: u, Dst: target}}, Seed: 5}
+		}
+	}
+	if _, err := s.ApplyDelta("g", d, graph.DeltaOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if saved, err := s.SavePools(""); err != nil || saved != 1 {
+		t.Fatalf("SavePools = %d, %v", saved, err)
+	}
+	post, _, err := ingest.ReadPoolSnapshotFile(poolFile(dir, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []imm.PoolMemoEntry
+	for _, e := range pre.Memo {
+		if e.Limit <= first {
+			want = append(want, e)
+		}
+	}
+	if len(want) == 0 || len(want) == len(pre.Memo) {
+		t.Fatalf("first replaced slot %d keeps %d of %d entries: the delta does not split the memo", first, len(want), len(pre.Memo))
+	}
+	if !reflect.DeepEqual(post.Memo, want) {
+		t.Fatalf("repaired pool's file remembers %+v, want the %d entries at or below slot %d", post.Memo, len(want), first)
+	}
+	ng, _, err := graph.ApplyDelta(g, d, graph.DeltaOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, req := range reqs {
+		askCold(t, s, ng, req, true)
 	}
 }
