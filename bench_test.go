@@ -811,51 +811,6 @@ func BenchmarkColdRun(b *testing.B) {
 	}
 }
 
-// BenchmarkIndexExtend measures Stage B, the inverted-index patch, in
-// both regimes through the public Selector: sparse (scale-16 LT,
-// ~2-member sets scattered over 65 536 vertices, where the cost is the
-// pass over the offsets) and dense (scale-9 uniform IC, bitmap sets that
-// touch most of 512 vertices, where it is the postings). Each op absorbs
-// the same pre-generated sets in five doubling rounds, closing each with a
-// one-seed Select — the call that brings the index up to date, and small
-// beside it in time (its heap slab and gain versions, 20 bytes a vertex,
-// are a fifth of the sparse regime's B/op). ns/posting divides the op by
-// the postings indexed; B/op is two result arrays per round — 8 bytes a
-// vertex, 4 a posting — plus the set slots and that slab.
-func BenchmarkIndexExtend(b *testing.B) {
-	regimes := []struct {
-		name       string
-		scale      int
-		edgeFactor float64
-		model      graph.Model
-		sets       int
-	}{
-		{"sparse", 16, 8, graph.LT, 1 << 15},
-		{"dense", 9, 16, graph.IC, 1 << 10},
-	}
-	for _, rg := range regimes {
-		b.Run(rg.name, func(b *testing.B) {
-			g, err := gen.RMAT(gen.DefaultRMAT(rg.scale, rg.edgeFactor), rg.model, 1)
-			if err != nil {
-				b.Fatal(err)
-			}
-			opt := imm.Defaults()
-			sets := make([]rrr.Set, rg.sets)
-			postings, _ := imm.GenerateSlotsFused(g, imm.PolicyFromOptions(opt), opt.Seed, 0, sets, rrr.NewArena(), nil)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sel := imm.NewSelector(g.N)
-				for lo, hi := 0, rg.sets>>4; lo < rg.sets; lo, hi = hi, min(2*hi, rg.sets) {
-					sel.Extend(sets[lo:hi], 1)
-					sel.Select(nil, 1, 1)
-				}
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(postings), "ns/posting")
-		})
-	}
-}
-
 // BenchmarkTierRotate is imbench's tier-rotate workload without the
 // stack around it: on the serving graph (R-MAT 13, weighted-cascade IC,
 // Workers=2) four tenants' pools are built and saved, a fresh server

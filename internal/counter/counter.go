@@ -4,10 +4,9 @@
 // `lock incq` discipline — one quadword locked per update, no wider
 // locking), and the two-step parallel argmax reduction (per-worker
 // regional maxima, then a reduction over the regions). Key types:
-// Counter (the array plus ArgMax/AddFrom for the distributed
-// allreduce), UpdateStrategy with ChooseRebuild (the adaptive
-// decrement-vs-rebuild retirement of §IV.C), and GainHeap/GainLess (the
-// max-heaps behind CELF's lazy selection). The argmax and heap order
+// Counter (the array plus its ArgMax), UpdateStrategy with
+// ChooseRebuild (the adaptive decrement-vs-rebuild retirement of §IV.C),
+// and GainHeap/GainLess (the max-heaps behind CELF's lazy selection). The argmax and heap order
 // share one tie-break — gain descending, vertex id ascending — which is
 // the invariant that keeps every selection kernel byte-identical.
 package counter
@@ -51,19 +50,6 @@ func (c *Counter) Reset() {
 // generation for the cache simulator). Do not mutate concurrently with
 // atomic updates through the Counter API.
 func (c *Counter) Raw() []int64 { return c.counts }
-
-// AddFrom accumulates other's counts into c — the reduction step an
-// allreduce of per-rank occurrence counters performs at the root rank.
-// The receiver must be quiesced; other is read atomically. Panics if the
-// two counters cover different vertex counts.
-func (c *Counter) AddFrom(other *Counter) {
-	if len(other.counts) != len(c.counts) {
-		panic("counter: AddFrom length mismatch")
-	}
-	for i := range c.counts {
-		c.counts[i] += atomic.LoadInt64(&other.counts[i])
-	}
-}
 
 // Snapshot copies the current counts into dst (allocating if nil) and
 // returns it.

@@ -178,27 +178,6 @@ func BenchmarkArgMax(b *testing.B) {
 	}
 }
 
-func TestAddFrom(t *testing.T) {
-	a, b := New(5), New(5)
-	a.Inc(0)
-	a.Inc(3)
-	b.Inc(3)
-	b.Inc(4)
-	a.AddFrom(b)
-	want := []int64{1, 0, 0, 2, 1}
-	for v, w := range want {
-		if got := a.Get(int32(v)); got != w {
-			t.Fatalf("vertex %d: got %d want %d", v, got, w)
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("length mismatch not detected")
-		}
-	}()
-	a.AddFrom(New(4))
-}
-
 func TestGainHeapOrdering(t *testing.T) {
 	h := NewGainHeap([]GainItem{{3, 5}, {9, 2}, {3, 1}, {9, 7}, {0, 0}})
 	h.Init()

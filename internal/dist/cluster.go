@@ -122,8 +122,9 @@ type Cluster struct {
 	meter wire.Meter
 	peers []*peerConn // index 1..Ranks-1; peers[0] is nil (the root itself)
 
-	// failovers counts remote chunks the serving-path pool generator
-	// redid locally (the driver path accounts its own in Comm.Failovers).
+	// failovers counts remote chunks the cluster's slot generators redid
+	// locally — serving pools and RunCluster runs alike (a run also counts
+	// its own in Comm.Failovers).
 	failovers atomic.Int64
 
 	mu     sync.Mutex
@@ -172,8 +173,8 @@ func (c *Cluster) MeterTotals() (bytesSent, bytesReceived, messages int64) {
 	return c.meter.Totals()
 }
 
-// Failovers returns how many remote chunks the pool generator has redone
-// locally after worker failures.
+// Failovers returns how many remote chunks the cluster's slot generators
+// have redone locally after worker failures.
 func (c *Cluster) Failovers() int64 { return c.failovers.Load() }
 
 // Close closes every peer connection.
@@ -306,9 +307,9 @@ func isRemote(err error) bool {
 
 // Round asks a worker rank to generate slots [lo, lo+count) of g with
 // the given sampling seed and return its chunk; wantCounter additionally
-// requests the rank's dense occurrence counter (the allreduce
-// contribution — the driver path wants it, the serving path folds
-// counts locally and skips the n×8-byte payload).
+// requests the rank's dense occurrence counter. The rank generator never
+// asks for it — the root folds the gathered sets into its own counter —
+// so only bench/probes.go's wire probe passes the parameter.
 func (c *Cluster) Round(rank int, g *graph.Graph, hint string, seed uint64, lo, count int64, wantCounter bool) (wire.RoundReply, error) {
 	sg, err := c.share(g, hint, seed)
 	if err != nil {

@@ -1,6 +1,8 @@
 package dist
 
 import (
+	"bytes"
+	"math"
 	"net"
 	"slices"
 	"strings"
@@ -8,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/imm"
+	"repro/internal/ingest"
 	"repro/internal/rrr"
 	"repro/internal/wire"
 )
@@ -19,15 +22,22 @@ func startWorkers(t *testing.T, n int) ClusterConfig {
 	t.Helper()
 	cfg := ClusterConfig{Rank: 0, Peers: []string{"root.invalid:0"}}
 	for i := 0; i < n; i++ {
-		rs, err := ListenRank("127.0.0.1:0", ClusterOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		go rs.Serve()
-		t.Cleanup(func() { rs.Close() })
-		cfg.Peers = append(cfg.Peers, rs.Addr())
+		cfg.Peers = append(cfg.Peers, startRank(t).Addr())
 	}
 	return cfg
+}
+
+// startRank boots one worker rank server on a loopback listener; cleanup
+// stops it.
+func startRank(t *testing.T) *RankServer {
+	t.Helper()
+	rs, err := ListenRank("127.0.0.1:0", ClusterOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	go rs.Serve()
+	t.Cleanup(func() { rs.Close() })
+	return rs
 }
 
 func testClusterOptions() ClusterOptions {
@@ -292,5 +302,126 @@ func TestClusterConfigValidate(t *testing.T) {
 func TestConnectRejectsWorkerRank(t *testing.T) {
 	if _, err := Connect(ClusterConfig{Rank: 1, Peers: []string{"a:1", "b:2"}}, ClusterOptions{}); err == nil {
 		t.Fatal("Connect accepted a non-root rank")
+	}
+}
+
+// TestClusterGenBillsEmptyChunks asks a 4-rank generator for two slots, so
+// ranks 0 and 2 get empty chunks: no Round frame may reach rank 2, yet the
+// bill charges every non-root rank its gather and counter reduction, as
+// the simulated runtime always has.
+func TestClusterGenBillsEmptyChunks(t *testing.T) {
+	g := testGraph(t)
+	rank2 := startRank(t)
+	cfg := ClusterConfig{Peers: []string{"root.invalid:0", startRank(t).Addr(), rank2.Addr(), startRank(t).Addr()}}
+	cl, err := Connect(cfg, testClusterOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	opt := testOptions(4)
+	policy := imm.PolicyFromOptions(opt.Options)
+	gen := cl.PoolGenerator("g", g, policy, opt.Seed).(*clusterGen)
+	// A first call ships the graph to every rank.
+	if _, _, err := gen.GenerateSlots(0, make([]rrr.Set, 64)); err != nil {
+		t.Fatal(err)
+	}
+	before := gen.comm
+	_, _, frames := rank2.MeterTotals()
+	got, want := make([]rrr.Set, 2), make([]rrr.Set, 2)
+	if _, _, err := gen.GenerateSlots(64, got); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, after := rank2.MeterTotals(); after != frames {
+		t.Fatalf("rank 2 exchanged %d frames for an empty chunk", after-frames)
+	}
+	imm.GenerateSlots(g, policy, opt.Seed, 64, want)
+	gather := ph(32+want[0].Bytes()+want[1].Bytes(), 3)
+	counter := ph(3*8*int64(g.N), 3)
+	if d := phaseDelta(gen.comm.SetGather, before.SetGather); d != gather {
+		t.Errorf("set gather billed %+v, want %+v", d, gather)
+	}
+	if d := phaseDelta(gen.comm.CounterReduce, before.CounterReduce); d != counter {
+		t.Errorf("counter reduce billed %+v, want %+v", d, counter)
+	}
+	for i := range want {
+		if !slices.Equal(got[i].Vertices(nil), want[i].Vertices(nil)) {
+			t.Fatalf("slot %d differs from local generation", 64+i)
+		}
+	}
+}
+
+func phaseDelta(after, before PhaseComm) PhaseComm {
+	return PhaseComm{after.BytesSent - before.BytesSent, after.BytesReceived - before.BytesReceived, after.Messages - before.Messages}
+}
+
+// TestClusterFailoverCountedOnce pins where a failover shows: a malformed
+// remote chunk moves the run's Comm.Failovers and the cluster's
+// Failovers() by exactly one each.
+func TestClusterFailoverCountedOnce(t *testing.T) {
+	g := testGraph(t)
+	cl, err := Connect(ClusterConfig{Peers: []string{"root.invalid:0", startLyingRank(t)}}, testClusterOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	opt := testOptions(2)
+	gen := cl.PoolGenerator("g", g, imm.PolicyFromOptions(opt.Options), opt.Seed).(*clusterGen)
+	if _, _, err := gen.GenerateSlots(100, make([]rrr.Set, 64)); err != nil {
+		t.Fatal(err)
+	}
+	if gen.comm.Failovers != 1 || cl.Failovers() != 1 {
+		t.Fatalf("failovers: comm %d, cluster %d, want 1 and 1", gen.comm.Failovers, cl.Failovers())
+	}
+	res, err := RunCluster(g, opt, cl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Comm.Failovers == 0 || cl.Failovers() != 1+res.Comm.Failovers {
+		t.Fatalf("run counted %d failovers, cluster %d more", res.Comm.Failovers, cl.Failovers()-1)
+	}
+}
+
+// TestRankServerRefusesImpossibleRound sends rounds whose slot range no
+// pool can hold on a raw connection: the worker must answer bad_request
+// without sizing anything from the peer's count, and keep serving the
+// connection.
+func TestRankServerRefusesImpossibleRound(t *testing.T) {
+	g := testGraph(t)
+	nc, err := net.Dial("tcp", startRank(t).Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn := wire.NewConn(nc, 30*time.Second, nil)
+	defer conn.Close()
+	if _, err := conn.Call(wire.MsgHello, wire.EncodeHello(wire.Hello{Tag: "test"}), wire.MsgHelloAck); err != nil {
+		t.Fatal(err)
+	}
+	var snap bytes.Buffer
+	if err := ingest.WriteSnapshot(&snap, g, 7); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Call(wire.MsgGraph, wire.EncodeGraph("g", snap.Bytes()), wire.MsgGraphAck); err != nil {
+		t.Fatal(err)
+	}
+	round := func(lo, count int64) ([]byte, error) {
+		return conn.Call(wire.MsgRound, wire.EncodeRound(wire.Round{Graph: "g", Seed: 7, Lo: lo, Count: count}), wire.MsgRoundReply)
+	}
+	for _, bad := range []struct{ lo, count int64 }{
+		{0, 1 << 40},
+		{1, math.MaxInt32},
+		{math.MaxInt32, 1},
+		{math.MaxInt64, math.MaxInt64},
+	} {
+		_, err := round(bad.lo, bad.count)
+		if re, ok := err.(*wire.RemoteError); !ok || re.Code != "bad_request" {
+			t.Fatalf("round [%d, +%d): err = %v, want a bad_request reply", bad.lo, bad.count, err)
+		}
+	}
+	body, err := round(math.MaxInt32-8, 8)
+	if err != nil {
+		t.Fatalf("valid round after refusals: %v", err)
+	}
+	if rep, err := wire.DecodeRoundReply(body); err != nil || len(rep.Sets) != 8 {
+		t.Fatalf("valid round: %d sets, %v", len(rep.Sets), err)
 	}
 }

@@ -39,7 +39,10 @@ type Comm struct {
 	// their round totals (pool size, member count).
 	ThetaExchange PhaseComm
 	// CounterReduce covers the reduction of per-rank occurrence counters
-	// to the root — a dense n×8-byte vector per rank per round.
+	// to the root — a dense n×8-byte vector per non-root rank per round.
+	// It prices the MPI allreduce a real deployment would run; the wire
+	// carries no counter (the root folds the gathered sets into its own),
+	// so the measured columns have no share of it.
 	CounterReduce PhaseComm
 	// SetGather covers the gather of serialized RRR sets to the root for
 	// Find_Most_Influential_Set. This is the data-dependent term: its

@@ -1,15 +1,12 @@
-// Package dist extends the shared-memory IMM engines across simulated
-// message-passing ranks — the MPI extension the paper (Wu et al., SC
-// 2024) lists as future work. Each logical rank owns a deterministic
-// slice of the θ sample budget, generates its RRR sets from the
-// slot-indexed RNG streams of internal/rng, and participates in
-// allreduce/gather-style exchanges whose volume is metered into a Comm
-// report. Because the slot-indexed streams make pool contents
-// independent of who generates which slot, and the selection kernel is
-// deterministic over a given pool, Run returns seeds byte-identical to
-// the shared-memory imm.Run at the same Seed and MaxTheta — the property
-// the tests pin — while reporting what the distribution would cost on a
-// real interconnect.
+// Package dist extends the IMM engine across message-passing ranks — the
+// MPI extension the paper (Wu et al., SC 2024) lists as future work. Its
+// one rank runtime is a slot generator that splits each pool extension
+// into one chunk per rank (worker processes over the wire, or goroutines
+// in a simulated run) and meters the exchanges into a Comm report. It
+// feeds the serving engine (imm.WarmEngine), and ranks draw from the
+// slot-indexed RNG streams, so Run returns imm.Run's answer at the same
+// Seed and MaxTheta — the property the tests pin — plus what the
+// distribution would cost on a real interconnect.
 package dist
 
 import (
@@ -22,8 +19,9 @@ import (
 
 // Options configures a distributed run. The embedded imm.Options carry
 // the algorithmic parameters (K, Epsilon, Seed, MaxTheta, the
-// representation and update switches); Workers is the thread count of
-// each simulated rank, used by the rank-0 selection kernel.
+// representation, fusion and selection switches), which the root's engine
+// honours exactly as imm.Run does; Workers is the root's thread count,
+// used by its index and selection kernels.
 type Options struct {
 	imm.Options
 
@@ -31,11 +29,10 @@ type Options struct {
 	// to a communication-free run equivalent to imm.Run.
 	//
 	// The embedded Engine field is ignored: the distributed runtime
-	// always runs the EfficientIMM kernels (rank-partitioned generation,
-	// counter allreduce, set-partitioned selection), and Run normalizes
-	// the field so results are labeled accordingly. Seeds are unaffected
-	// either way — both shared-memory engines select identical seeds on
-	// the same pool.
+	// always runs the EfficientIMM engine (rank-partitioned generation,
+	// root-side selection), and Run normalizes the field so results are
+	// labeled accordingly. Seeds are unaffected either way — both
+	// shared-memory engines select identical seeds on the same pool.
 	Ranks int
 }
 
@@ -58,38 +55,22 @@ type Result struct {
 // estimation follows exactly the shared-memory driver (imm.RunEngine),
 // so the sampling trajectory, final θ, and selected seeds match imm.Run
 // at the same Seed and MaxTheta.
-func Run(g *graph.Graph, opt Options) (*Result, error) {
-	if opt.Ranks < 1 {
-		return nil, fmt.Errorf("dist: Ranks must be at least 1, got %d", opt.Ranks)
-	}
-	if g == nil || g.N == 0 {
-		return nil, fmt.Errorf("dist: empty graph")
-	}
-	// The distributed runtime is the EfficientIMM kernel family; label
-	// the result as such even if the caller passed Ripples.
-	opt.Engine = imm.Efficient
-	eng := newEngine(g, opt)
-	res, err := imm.RunEngine(g, opt.Options, eng)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Result: *res, Ranks: opt.Ranks, Comm: eng.comm}, nil
-}
+func Run(g *graph.Graph, opt Options) (*Result, error) { return run(g, opt, nil) }
 
 // RunCluster executes IMM with the non-root ranks' generation running on
 // real worker processes over the framed TCP transport: rank chunks go
-// out as Round requests, sets and counters come back and are merged at
-// the gather/allreduce boundaries the simulated engine already has, and
-// seed selections are broadcast back out. cl is the root's connected
+// out as Round requests, their sets come back and join the root's pool,
+// and seed selections are broadcast back out. cl is the root's connected
 // Cluster; opt.Ranks, when zero, defaults to the cluster size and must
 // otherwise match it. Seeds are byte-identical to Run and to the
 // shared-memory imm.Run at the same Seed and MaxTheta — workers generate
 // from the same slot-indexed streams, and any unreachable worker's chunk
-// is regenerated locally (counted in Comm.Failovers).
+// is regenerated locally (counted in Comm.Failovers and cl.Failovers).
 //
 // The returned Comm carries both accounts: the modeled figures (same as
-// a simulated run at this rank count) and the measured bytes-on-the-wire
-// this run actually moved, taken as the delta of cl's meter.
+// a simulated run at this rank count, plus the graph broadcast) and the
+// measured bytes-on-the-wire this run actually moved, taken as the delta
+// of cl's meter.
 func RunCluster(g *graph.Graph, opt Options, cl *Cluster) (*Result, error) {
 	if cl == nil {
 		return Run(g, opt)
@@ -100,32 +81,83 @@ func RunCluster(g *graph.Graph, opt Options, cl *Cluster) (*Result, error) {
 	if opt.Ranks != cl.Ranks() {
 		return nil, fmt.Errorf("dist: Ranks=%d does not match the %d-rank cluster", opt.Ranks, cl.Ranks())
 	}
-	if g == nil || g.N == 0 {
-		return nil, fmt.Errorf("dist: empty graph")
-	}
-	opt.Engine = imm.Efficient
-	eng := newEngine(g, opt)
-	eng.cluster = cl
-	eng.hint = "run"
-
-	sentBefore, recvBefore, msgsBefore := cl.MeterTotals()
-	res, err := imm.RunEngine(g, opt.Options, eng)
+	sent, recv, msgs := cl.MeterTotals()
+	res, err := run(g, opt, cl)
 	if err != nil {
 		return nil, err
 	}
+	// Model the graph broadcast at the snapshot wire size per non-root
+	// rank — the same convention as RunSnapshot — so the modeled and
+	// measured columns price the same set of exchanges.
 	if ranks := int64(opt.Ranks); ranks > 1 {
-		// Model the graph broadcast at the snapshot wire size per non-root
-		// rank — the same convention as RunSnapshot — so the modeled and
-		// measured columns price the same set of exchanges.
-		if sg, serr := cl.share(g, eng.hint, opt.Seed); serr == nil {
-			eng.comm.record(&eng.comm.GraphBroadcast, ranks-1, (ranks-1)*int64(len(sg.snap)))
+		if sg, err := cl.share(g, runHint, opt.Seed); err == nil {
+			res.Comm.record(&res.Comm.GraphBroadcast, ranks-1, (ranks-1)*int64(len(sg.snap)))
 		}
 	}
-	sent, recv, msgs := cl.MeterTotals()
-	eng.comm.MeasuredBytesSent = sent - sentBefore
-	eng.comm.MeasuredBytesReceived = recv - recvBefore
-	eng.comm.MeasuredMessages = msgs - msgsBefore
-	return &Result{Result: *res, Ranks: opt.Ranks, Comm: eng.comm}, nil
+	s, r, m := cl.MeterTotals()
+	res.Comm.MeasuredBytesSent, res.Comm.MeasuredBytesReceived, res.Comm.MeasuredMessages = s-sent, r-recv, m-msgs
+	return res, nil
+}
+
+// runHint names a run's graph in the cluster's broadcast messages.
+const runHint = "run"
+
+// run is the one body under Run and RunCluster: the warm engine (its
+// sharded pool, index and CELF) with every pool extension sourced through
+// the rank generator; cl == nil generates every chunk locally.
+func run(g *graph.Graph, opt Options, cl *Cluster) (*Result, error) {
+	if opt.Ranks < 1 {
+		return nil, fmt.Errorf("dist: Ranks must be at least 1, got %d", opt.Ranks)
+	}
+	if g == nil || g.N == 0 {
+		return nil, fmt.Errorf("dist: empty graph")
+	}
+	// The distributed runtime is the EfficientIMM kernel family; label
+	// the result as such even if the caller passed Ripples.
+	opt.Engine = imm.Efficient
+	w, err := imm.NewWarmEngine(g, opt.Options)
+	if err != nil {
+		return nil, err
+	}
+	gen := &clusterGen{c: cl, ranks: int64(opt.Ranks), g: g, hint: runHint, policy: imm.PolicyFromOptions(opt.Options), seed: opt.Seed}
+	w.SetRemote(gen)
+	res, err := imm.RunEngine(g, opt.Options, &rankEngine{WarmEngine: w, gen: gen})
+	if err != nil {
+		return nil, err
+	}
+	return &Result{Result: *res, Ranks: opt.Ranks, Comm: gen.comm}, nil
+}
+
+// rankEngine is the warm engine as the driver sees it in a distributed
+// run: the root's selections are broadcast to the other ranks, and the
+// sampling phase costs what the slowest rank's chunks cost.
+type rankEngine struct {
+	*imm.WarmEngine
+	gen *clusterGen
+}
+
+// SelectSeeds selects at the root, then books the SeedBroadcast (seed ids
+// plus the coverage, to every non-root rank) and, on a cluster, sends it
+// — best-effort: the selection is already decided, the broadcast only
+// lets workers observe the stopping rule.
+func (e *rankEngine) SelectSeeds(k int) ([]int32, float64) {
+	seeds, cov := e.WarmEngine.SelectSeeds(k)
+	if ranks := e.gen.ranks; ranks > 1 {
+		payload := int64(len(seeds))*4 + 8
+		e.gen.comm.record(&e.gen.comm.SeedBroadcast, ranks-1, (ranks-1)*payload)
+	}
+	if e.gen.c != nil {
+		e.gen.c.BroadcastSeeds(seeds, cov)
+	}
+	return seeds, cov
+}
+
+// Breakdown reports the rank generator's critical path as the sampling
+// phase's modeled cost.
+func (e *rankEngine) Breakdown() imm.Breakdown {
+	bd := e.WarmEngine.Breakdown()
+	bd.SamplingModeled = float64(e.gen.sampling)
+	return bd
 }
 
 // RunSnapshot executes a distributed run whose input graph rank 0 loads

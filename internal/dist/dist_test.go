@@ -2,12 +2,14 @@ package dist
 
 import (
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/imm"
 	"repro/internal/ingest"
+	"repro/internal/rrr"
 )
 
 func testGraph(t *testing.T) *graph.Graph {
@@ -277,5 +279,51 @@ func TestRunSnapshot(t *testing.T) {
 	}
 	if _, err := RunSnapshot(filepath.Join(t.TempDir(), "missing.imsnap"), testOptions(2)); err == nil {
 		t.Fatal("missing snapshot not surfaced")
+	}
+}
+
+// TestAnswersAreRunAnswers pins that a distributed answer is the
+// shared-memory answer: at every rank count, for both pool kinds, simulated
+// and networked, the seeds, coverage, θ trajectory, lower bound, set
+// statistics and pool footprint equal imm.Run's on the same options.
+func TestAnswersAreRunAnswers(t *testing.T) {
+	g := testGraph(t)
+	workers := startWorkers(t, 7)
+	type answer struct {
+		Seeds    []int32
+		Coverage float64
+		Theta    int64
+		Rounds   int
+		LB       float64
+		SetStats rrr.Stats
+		Pool     imm.PoolFootprint
+	}
+	answerOf := func(r imm.Result) answer {
+		return answer{r.Seeds, r.Coverage, r.Theta, r.Rounds, r.LB, r.SetStats, r.Pool}
+	}
+	for _, pool := range []imm.PoolKind{imm.PoolSlices, imm.PoolCompressed} {
+		for _, ranks := range []int{1, 2, 3, 4, 8} {
+			opt := testOptions(ranks)
+			opt.Pool = pool
+			want := answerOf(*sharedRun(t, g, opt))
+			sim, err := Run(g, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cl, err := Connect(ClusterConfig{Peers: workers.Peers[:ranks]}, testClusterOptions())
+			if err != nil {
+				t.Fatal(err)
+			}
+			net, err := RunCluster(g, opt, cl)
+			cl.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for name, res := range map[string]*Result{"Run": sim, "RunCluster": net} {
+				if got := answerOf(res.Result); !reflect.DeepEqual(got, want) {
+					t.Errorf("%v pool, %d ranks: %s answered\n%+v\nimm.Run answered\n%+v", pool, ranks, name, got, want)
+				}
+			}
+		}
 	}
 }

@@ -9,21 +9,26 @@ import (
 	"repro/internal/wire"
 )
 
-// clusterGen adapts a Cluster to imm.SlotGenerator: each requested slot
-// range is split into one contiguous chunk per rank with the same
-// partition formula as the driver engine, the root's own chunk is
-// generated locally, the rest go out as Round requests in parallel, and
-// every shipped member list is rebuilt under the engine's representation
-// policy. A failed exchange falls back to local generation for that
-// chunk only (slot determinism makes the fallback byte-identical), so
-// GenerateSlots never fails — it only gets slower and bumps the
-// cluster's failover counter.
+// clusterGen is the rank runtime, an imm.SlotGenerator: each requested
+// slot range is split into one contiguous chunk per rank; the root
+// generates its own chunk, the others go out as Round requests in
+// parallel, and each shipped member list is rebuilt under the engine's
+// representation policy. Ranks draw from the slot-indexed RNG streams, so
+// the chunks together are exactly the range a local engine would have
+// generated, and a failed exchange is regenerated locally with the same
+// result: GenerateSlots never fails, it only gets slower and counts a
+// failover. With no cluster (c == nil) every chunk is generated locally —
+// a simulated run, billed as a networked one would be.
 type clusterGen struct {
 	c      *Cluster
+	ranks  int64
 	g      *graph.Graph
 	hint   string
 	policy rrr.Policy
 	seed   uint64
+
+	comm     Comm  // the modeled bill of every call so far
+	sampling int64 // Σ over calls of the slowest rank's modeled work
 }
 
 // PoolGenerator returns a slot generator that sources pool extensions
@@ -37,7 +42,7 @@ func (c *Cluster) PoolGenerator(hint string, g *graph.Graph, policy rrr.Policy, 
 	if c == nil || c.Ranks() < 2 {
 		return nil
 	}
-	return &clusterGen{c: c, g: g, hint: hint, policy: policy, seed: seed}
+	return &clusterGen{c: c, ranks: int64(c.Ranks()), g: g, hint: hint, policy: policy, seed: seed}
 }
 
 func (cg *clusterGen) GenerateSlots(lo int64, out []rrr.Set) (members, edges int64, err error) {
@@ -45,52 +50,78 @@ func (cg *clusterGen) GenerateSlots(lo int64, out []rrr.Set) (members, edges int
 	if count == 0 {
 		return 0, 0, nil
 	}
-	ranks := int64(cg.c.Ranks())
-	type chunk struct{ members, edges int64 }
-	results := make([]chunk, ranks)
+	// What each rank's chunk produced; failover marks a remote chunk the
+	// root regenerated after the exchange failed.
+	chunks := make([]struct {
+		members, edges int64
+		failover       bool
+	}, cg.ranks)
 	var wg sync.WaitGroup
-	for r := int64(0); r < ranks; r++ {
-		clo := lo + r*count/ranks
-		chi := lo + (r+1)*count/ranks
-		if clo == chi {
-			continue
+	for r := range cg.ranks {
+		clo := r * count / cg.ranks
+		seg := out[clo : (r+1)*count/cg.ranks]
+		if len(seg) == 0 {
+			continue // billed, but no frame is sent
 		}
 		wg.Add(1)
-		go func(r, clo, chi int64) {
+		go func() {
 			defer wg.Done()
-			seg := out[clo-lo : chi-lo]
-			if r != 0 {
-				if rep, err := cg.c.Round(int(r), cg.g, cg.hint, cg.seed, clo, chi-clo, false); err == nil {
-					if m, e, ok := cg.decodeChunk(rep, seg); ok {
-						results[r] = chunk{m, e}
-						return
-					}
+			if r != 0 && cg.c != nil {
+				rep, err := cg.c.Round(int(r), cg.g, cg.hint, cg.seed, lo+clo, int64(len(seg)), false)
+				if err == nil && cg.decodeChunk(rep, seg) {
+					chunks[r].members, chunks[r].edges = rep.Members, rep.Edges
+					return
 				}
-				cg.c.failovers.Add(1)
+				chunks[r].failover = true
 			}
-			m, e := imm.GenerateSlots(cg.g, cg.policy, cg.seed, clo, seg)
-			results[r] = chunk{m, e}
-		}(r, clo, chi)
+			chunks[r].members, chunks[r].edges = imm.GenerateSlots(cg.g, cg.policy, cg.seed, lo+clo, seg)
+		}()
 	}
 	wg.Wait()
-	for _, res := range results {
-		members += res.members
-		edges += res.edges
+
+	// The bill: a θ announce to each non-root rank; each non-root rank,
+	// empty chunk or not, gathers its sets (16 header bytes plus payload
+	// each) and reduces its n×8-byte counter; a round allreduce of pool
+	// size and member total. The slowest rank's edges, list sorting and
+	// fused counter updates (2 per member, for the lock prefix) — the
+	// shared-memory SamplingModeled terms — are the call's critical path.
+	cg.comm.record(&cg.comm.ThetaExchange, cg.ranks-1, (cg.ranks-1)*8)
+	var critical int64
+	for r, ch := range chunks {
+		seg := out[int64(r)*count/cg.ranks : int64(r+1)*count/cg.ranks]
+		if ch.failover {
+			cg.comm.Failovers++
+			cg.c.failovers.Add(1)
+		}
+		if r != 0 {
+			var setBytes int64
+			for _, s := range seg {
+				setBytes += 16 + s.Bytes()
+			}
+			cg.comm.record(&cg.comm.SetGather, 1, setBytes)
+			cg.comm.record(&cg.comm.CounterReduce, 1, int64(cg.g.N)*8)
+		}
+		critical = max(critical, ch.edges+imm.ModeledSortCost(cg.policy, cg.g.N, ch.members, int64(len(seg)))+2*ch.members)
+		members += ch.members
+		edges += ch.edges
 	}
+	cg.comm.record(&cg.comm.ThetaExchange, 2*(cg.ranks-1), 2*(cg.ranks-1)*16)
+	cg.sampling += critical
 	return members, edges, nil
 }
 
-// decodeChunk rebuilds one remote chunk's sets under the engine policy.
-func (cg *clusterGen) decodeChunk(rep wire.RoundReply, seg []rrr.Set) (members, edges int64, ok bool) {
+// decodeChunk rebuilds one remote chunk's sets under the engine policy,
+// reporting whether the reply held a well-formed set for every slot.
+func (cg *clusterGen) decodeChunk(rep wire.RoundReply, seg []rrr.Set) bool {
 	if len(rep.Sets) != len(seg) {
-		return 0, 0, false
+		return false
 	}
 	for i, plain := range rep.Sets {
 		verts, err := wire.DecodeSetMembers(plain)
 		if err != nil {
-			return 0, 0, false
+			return false
 		}
 		seg[i] = cg.policy.Build(cg.g.N, verts)
 	}
-	return rep.Members, rep.Edges, true
+	return true
 }

@@ -3,6 +3,7 @@ package dist
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"net"
 	"sync"
 
@@ -166,7 +167,8 @@ func (s *RankServer) handle(conn *wire.Conn, t wire.MsgType, payload []byte) err
 		if g == nil {
 			return fail("unknown_graph", fmt.Errorf("graph %q not broadcast to this rank", rd.Graph))
 		}
-		if rd.Count < 0 || rd.Lo < 0 {
+		// No pool names a set past math.MaxInt32; Lo+Count is never formed.
+		if rd.Count < 0 || rd.Lo < 0 || rd.Count > math.MaxInt32-rd.Lo {
 			return fail("bad_request", fmt.Errorf("invalid slot range [%d, %d+%d)", rd.Lo, rd.Lo, rd.Count))
 		}
 		rep, err := generateRound(g, rd)

@@ -4,7 +4,6 @@ import (
 	"slices"
 
 	"repro/internal/counter"
-	"repro/internal/rrr"
 	"repro/internal/sched"
 )
 
@@ -275,79 +274,4 @@ func (p *shardedPool) selectCELFLimited(base *counter.Counter, workers, k int, l
 		ops[wk] += o
 	}
 	return seeds, coverage, float64(maxOf(ops)) + float64(serial)
-}
-
-// Selector is an incremental Find_Most_Influential_Set front-end over
-// an externally owned, append-only set collection: Extend absorbs new
-// sets into the sharded inverted index, Select runs the CELF
-// kernel over everything absorbed so far. Front-ends whose pool grows
-// across θ-estimation rounds (the distributed runtime's gathered rank-0
-// pool) index each set exactly once instead of rebuilding per round,
-// matching the shared-memory engine's incremental accounting.
-type Selector struct {
-	p *shardedPool
-}
-
-// NewSelector returns an empty Selector over an n-vertex graph.
-func NewSelector(n int32) *Selector { return &Selector{p: newShardedPool(n)} }
-
-// Extend appends sets to the selector's pool. Sets already absorbed
-// must not be passed again; callers feed each θ round's new slice.
-//
-// The sets are retained by reference, not copied: arena-backed sets
-// (rrr.Policy.BuildArena) must come from an arena that outlives the
-// selector. A caller that resets or reuses its arena between rounds must
-// pass rrr.ListSet.Detach()ed copies instead — see the ownership
-// contract on rrr.ListSet.Raw.
-func (s *Selector) Extend(sets []rrr.Set, workers int) {
-	from, _, err := s.p.grow(s.p.count + int64(len(sets)))
-	if err != nil {
-		panic(err) // RunEngine refuses a θ past the bound before any front-end gathers it
-	}
-	w := workers
-	if w < 1 {
-		w = 1
-	}
-	members := make([]int64, w)
-	sched.Static(w, len(sets), func(wk, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			s.p.put(from+int64(i), sets[i])
-			members[wk] += int64(sets[i].Size())
-		}
-	})
-	s.p.addMembers(members)
-}
-
-// Select runs the CELF kernel over every set absorbed so far. Semantics
-// and determinism match SelectOnSets.
-func (s *Selector) Select(base *counter.Counter, workers, k int) (seeds []int32, coverage float64, modeledOps float64) {
-	return s.p.selectCELF(base, workers, k)
-}
-
-// SelectOnSets is the Find_Most_Influential_Set kernel over an explicit
-// pool: it builds a transient sharded inverted index over sets and runs
-// the CELF selection, so front-ends that gather flat set slices
-// inherit the lazy-greedy path unchanged (growing pools should hold a
-// Selector instead and pay the indexing once). base, when non-nil, must
-// already hold the occurrence counts of every member of sets (the fused
-// counter; in the distributed runtime, the allreduced per-rank
-// counters); when nil the gains are read off the index. totalMembers is
-// Σ|R| over sets.
-//
-// The update strategy is accepted for signature compatibility with the
-// eager kernel but is not consulted: CELF retires coverage by walking
-// postings, making the decrement/rebuild trade-off moot. Callers that
-// specifically want the adaptive-update kernel (the Figure 5 ablation)
-// use SelectOnSetsScan.
-//
-// The kernel is deterministic for a given pool regardless of workers, so
-// any front-end selecting over the same sets returns the same seeds —
-// the property the distributed runtime's bit-identical guarantee rests
-// on.
-func SelectOnSets(n32 int32, sets []rrr.Set, totalMembers int64, base *counter.Counter, workers int, update counter.UpdateStrategy, k int) (result []int32, coverage float64, modeledOps float64) {
-	_ = update
-	_ = totalMembers // recomputed by Extend from the sets themselves
-	s := NewSelector(n32)
-	s.Extend(sets, workers)
-	return s.Select(base, workers, k)
 }

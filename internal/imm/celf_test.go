@@ -102,28 +102,6 @@ func TestCELFMatchesScanAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestSelectOnSetsIsCELF pins the exported kernel over an explicit flat
-// slice — the distributed runtime's call shape — against the eager scan.
-func TestSelectOnSetsIsCELF(t *testing.T) {
-	g := testGraph(t, 9, graph.IC)
-	opt := testOpts(Efficient, 2)
-	e := generatePool(t, g, opt, 800)
-	sets := e.p.flatten()
-	refSeeds, refCov, _ := SelectOnSetsScan(g.N, sets, e.p.totalMembers, nil, 1, counter.AdaptiveUpdate, 12)
-	for _, w := range []int{1, 3, 8} {
-		seeds, cov, ops := SelectOnSets(g.N, sets, e.p.totalMembers, nil, w, counter.AdaptiveUpdate, 12)
-		if fmt.Sprint(seeds) != fmt.Sprint(refSeeds) {
-			t.Fatalf("workers=%d: %v != %v", w, seeds, refSeeds)
-		}
-		if cov != refCov {
-			t.Fatalf("workers=%d: coverage %v != %v", w, cov, refCov)
-		}
-		if ops <= 0 {
-			t.Fatalf("workers=%d: no modeled ops", w)
-		}
-	}
-}
-
 // TestCELFAccountingGolden pins the kernel's accounting contract: how
 // the posting walks are executed (inline, on the caller) must not show in
 // the modeled cost, which bills each shard's work to the worker the

@@ -48,10 +48,11 @@ type efficientEngine struct {
 }
 
 // PolicyFromOptions derives the RRR representation policy the Efficient
-// engine uses for opt. Exported so internal/dist can build rank-local
-// pools that are byte-identical to what Run would have produced. The
-// compressed pool kind switches sub-threshold sets to delta-encoded
-// lists; AdaptiveRep independently governs the dense→bitset-row switch.
+// engine uses for opt. Exported so a SlotGenerator (internal/dist's rank
+// runtime) rebuilds the sets it gathers under the policy of the engine it
+// feeds, byte-identical to what Run would have produced. The compressed
+// pool kind switches sub-threshold sets to delta-encoded lists;
+// AdaptiveRep independently governs the dense→bitset-row switch.
 func PolicyFromOptions(opt Options) rrr.Policy {
 	policy := rrr.ListOnlyPolicy()
 	if opt.AdaptiveRep {
@@ -127,12 +128,11 @@ func (e *efficientEngine) SelectSeeds(k int) ([]int32, float64) {
 // explicit pool: set-partitioned containment probes, the global
 // occurrence counter, and the adaptive decrement/rebuild update. base,
 // when non-nil, must already hold the occurrence counts of every member
-// of sets (the fused counter — in the distributed runtime, the allreduced
-// per-rank counters); when nil the counter is rebuilt from the sets.
-// totalMembers is Σ|R| over sets. The returned modeledOps is the
+// of sets (the fused counter); when nil the counter is rebuilt from the
+// sets. totalMembers is Σ|R| over sets. The returned modeledOps is the
 // critical-path cost the Breakdown accounts under SelectionModeled.
 //
-// This is the reference selection the CELF path (SelectOnSets) is pinned
+// This is the reference selection the CELF path (selectCELF) is pinned
 // against, and the kernel the counter-update ablations exercise; it is
 // deterministic for a given pool regardless of workers: argmax ties
 // break toward the lower vertex id and counter updates commute.

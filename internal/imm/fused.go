@@ -219,14 +219,16 @@ func (p *shardedPool) indexNewSets(workers int) int64 {
 	return critical
 }
 
-// GenerateSlotsFused is GenerateSlots' streaming variant, the per-rank
-// half of the kernel for distributed front-ends: each set is built from
-// the sampler's own state into arena storage and its members incremented
-// into cnt as it is produced (sampleSlot), replacing the rank's post-pass
-// over the finished sets. Set contents are byte-identical to
-// GenerateSlots (slot indexed RNG streams), so gathered rank outputs
-// still match a shared-memory pool. The arena must outlive the returned
-// sets; cnt may be nil to skip counting.
+// GenerateSlotsFused is GenerateSlots' streaming variant over an explicit
+// slot range: each set is built from the sampler's own state into arena
+// storage and its members incremented into cnt as it is produced
+// (sampleSlot), replacing a post-pass over the finished sets. No
+// production path calls it — the rank runtime uses GenerateSlots, whose
+// sets carry no arena slack a serving pool's byte budget cannot see; it is
+// kept for bench/probes.go and the root benchmarks, which time the fused
+// kernel against the materialized one. Set contents are byte-identical to
+// GenerateSlots (slot indexed RNG streams). The arena must outlive the
+// returned sets; cnt may be nil to skip counting.
 func GenerateSlotsFused(g *graph.Graph, policy rrr.Policy, seed uint64, lo int64, out []rrr.Set, arena *rrr.Arena, cnt *counter.Counter) (members, edges int64) {
 	gw := genWorker{smp: diffusion.NewSampler(g), arena: arena}
 	for i := range out {

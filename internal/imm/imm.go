@@ -266,11 +266,12 @@ type Result struct {
 }
 
 // Engine is the contract the θ-estimation driver programs against. It is
-// exported so alternative front-ends — in particular the simulated
-// distributed-memory runtime in internal/dist — can drive their own pool
-// management through exactly the same martingale loop as Run, which is
-// what guarantees their θ trajectory (rounds, lower bound, final θ)
-// matches the shared-memory engines sample for sample.
+// exported so front-ends can wrap an engine and drive it through exactly
+// the same martingale loop as Run, which is what guarantees their θ
+// trajectory (rounds, lower bound, final θ) matches the shared-memory
+// engines sample for sample. internal/dist wraps a WarmEngine whose pool
+// extensions come from its rank generator, adding the seed broadcast to
+// SelectSeeds and the ranks' critical path to Breakdown.
 type Engine interface {
 	// Generate extends the pool to at least target sets.
 	Generate(target int64)
@@ -363,8 +364,9 @@ func samplingRequirement(g *graph.Graph, k int, ell, eps float64) float64 {
 
 // RunEngine executes the IMM driver — iterative-doubling θ estimation
 // followed by the final λ*-sized sampling and selection — against a
-// caller-supplied Engine. Run delegates here; internal/dist supplies its
-// rank-partitioned engine to inherit the identical sampling trajectory.
+// caller-supplied Engine. Run delegates here; so do the serving layer
+// (a WarmEngine per query) and internal/dist (a WarmEngine fed by its rank
+// generator), which is how both inherit the identical sampling trajectory.
 func RunEngine(g *graph.Graph, opt Options, eng Engine) (*Result, error) {
 	if err := opt.normalize(g); err != nil {
 		return nil, err

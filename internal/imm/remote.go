@@ -8,9 +8,10 @@ import (
 
 // SlotGenerator supplies the RRR sets for a contiguous slot range from
 // somewhere other than the local sampler — the seam that lets a warm
-// serving engine source its pool extensions from a networked cluster
+// engine source its pool extensions from message-passing ranks
 // (internal/dist fans the range across worker ranks and gathers the
-// chunks over the wire).
+// chunks over the wire; its distributed runs and cluster-backed serving
+// pools both attach it here).
 //
 // The contract is the slot-determinism contract of the pool itself:
 // out[i] must be exactly the set a local generation would have placed in
@@ -51,8 +52,12 @@ func (e *efficientEngine) generateRemote(from, to int64) bool {
 	}
 	var fused int64
 	if e.opt.Fusion {
+		// Only this goroutine writes the counter here, so the fold needs
+		// no atomic adds.
+		counts := e.base.Raw()
+		inc := func(v int32) { counts[v]++ }
 		for _, s := range out {
-			s.ForEach(func(v int32) { e.base.Inc(v) })
+			s.ForEach(inc)
 		}
 		fused = members
 		e.baseFresh = true

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/bitset"
+	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/rng"
 	"repro/internal/rrr"
@@ -478,4 +479,55 @@ func TestExtendDoesNotWriteFrozenIndex(t *testing.T) {
 		t.Fatalf("delta should repair some slots in place, got %+v", rr)
 	}
 	check("repair")
+}
+
+// BenchmarkIndexExtend measures Stage B, the inverted-index patch, in
+// both regimes: sparse (scale-16 LT, ~2-member sets scattered over 65 536
+// vertices, where the cost is the pass over the offsets) and dense
+// (scale-9 uniform IC, bitmap sets that touch most of 512 vertices, where
+// it is the postings). Each op absorbs the same pre-generated sets into a
+// fresh pool in five doubling rounds, closing each with a one-seed CELF
+// selection — the call that brings the index up to date, and small beside
+// it in time (its heap slab and gain versions, 20 bytes a vertex, are a
+// fifth of the sparse regime's B/op). ns/posting divides the op by the
+// postings indexed; B/op is two result arrays per round — 8 bytes a
+// vertex, 4 a posting — plus the set slots and that slab.
+func BenchmarkIndexExtend(b *testing.B) {
+	regimes := []struct {
+		name       string
+		scale      int
+		edgeFactor float64
+		model      graph.Model
+		sets       int
+	}{
+		{"sparse", 16, 8, graph.LT, 1 << 15},
+		{"dense", 9, 16, graph.IC, 1 << 10},
+	}
+	for _, rg := range regimes {
+		b.Run(rg.name, func(b *testing.B) {
+			g, err := gen.RMAT(gen.DefaultRMAT(rg.scale, rg.edgeFactor), rg.model, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			opt := Defaults()
+			sets := make([]rrr.Set, rg.sets)
+			postings, _ := GenerateSlots(g, PolicyFromOptions(opt), opt.Seed, 0, sets)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				p := newShardedPool(g.N)
+				for lo, hi := 0, rg.sets>>4; lo < rg.sets; lo, hi = hi, min(2*hi, rg.sets) {
+					if _, _, err := p.grow(int64(hi)); err != nil {
+						b.Fatal(err)
+					}
+					for j := lo; j < hi; j++ {
+						p.put(int64(j), sets[j])
+						p.totalMembers += int64(sets[j].Size())
+					}
+					p.selectCELF(nil, 1, 1)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(postings), "ns/posting")
+		})
+	}
 }

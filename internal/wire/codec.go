@@ -24,8 +24,8 @@ type Hello struct {
 
 // Round asks a rank to generate the RRR sets for slots [Lo, Lo+Count) of
 // the named graph under the given sampling seed. WantCounter additionally
-// requests the rank's dense occurrence counter over its chunk — the
-// allreduce contribution.
+// requests the rank's dense occurrence counter over its chunk (the root's
+// rank runtime folds the shipped sets itself and never sets it).
 //
 // No representation policy crosses the wire: the member sequence of a
 // slot is representation-independent (the sorted unique vertex list), so
@@ -251,6 +251,10 @@ func DecodeRoundReply(b []byte) (RoundReply, error) {
 	flag := r.bytes(1, "reply counter flag")
 	if r.err == nil && flag[0]&1 != 0 {
 		n := r.uvarint("reply counter length")
+		if r.err == nil && n > uint64(len(r.b))/8 {
+			// Checked before 8*n, which a length of 2^61 or more would wrap.
+			return rep, fmt.Errorf("wire: reply claims a %d-entry counter in %d bytes", n, len(r.b))
+		}
 		raw := r.bytes(8*n, "reply counter payload")
 		if r.err == nil {
 			rep.Counts = make([]int64, n)

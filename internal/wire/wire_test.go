@@ -201,12 +201,22 @@ func TestDecodersRejectTruncation(t *testing.T) {
 	if _, err := DecodeRoundReply(append(append([]byte(nil), full...), 0)); err == nil {
 		t.Fatal("trailing bytes accepted")
 	}
+	// A counter length of 2^61: 8·n wraps to 0, so the decoder must refuse
+	// the length before multiplying, not size the counter from it.
+	if _, err := DecodeRoundReply(hugeCounterReply); err == nil {
+		t.Fatal("impossible counter length accepted")
+	}
 	// A set whose header claims 2^40 members and carries none: the
 	// decoder must refuse before sizing a buffer from the peer's count.
 	if m, err := DecodeSetMembers([]byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x20}); err == nil {
 		t.Fatalf("impossible member count accepted (%d members)", len(m))
 	}
 }
+
+// hugeCounterReply is a round reply with no sets whose counter claims
+// 2^61 entries: members 0, edges 0, set count 0, counter flag 1, then the
+// uvarint length.
+var hugeCounterReply = binary.AppendUvarint([]byte{0, 0, 0, 1}, 1<<61)
 
 // FuzzWireFrame exercises both directions of the framing layer: (a)
 // every (type, payload) writes and reads back identically, and (b)
@@ -217,6 +227,7 @@ func FuzzWireFrame(f *testing.F) {
 	f.Add(uint8(MsgError), []byte{})
 	f.Add(uint8(0xff), []byte{0x69, 0x77, 1, 1, 0, 0, 0, 0})
 	f.Add(uint8(MsgRoundReply), []byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x20}) // set payload claiming 2^40 members
+	f.Add(uint8(MsgRoundReply), hugeCounterReply)
 	f.Fuzz(func(t *testing.T, typ uint8, payload []byte) {
 		mc := &memConn{}
 		c := NewConn(mc, 0, nil)
