@@ -358,33 +358,6 @@ func BenchmarkGenerationKernel(b *testing.B) {
 	})
 }
 
-// BenchmarkCompressedPool measures the PR-2 compressed pool: resident
-// set bytes of each representation on the same workload, with the
-// compression ratio against the raw []int32-slice pool as the metric
-// the CI bench gate tracks.
-func BenchmarkCompressedPool(b *testing.B) {
-	for _, model := range []graph.Model{graph.IC, graph.LT} {
-		g := benchProfile(b, "web-Google", 10, model)
-		for _, pool := range []imm.PoolKind{imm.PoolSlices, imm.PoolCompressed} {
-			b.Run(fmt.Sprintf("%s/%s", model, pool), func(b *testing.B) {
-				var fp imm.PoolFootprint
-				for i := 0; i < b.N; i++ {
-					opt := benchOpts(imm.Efficient, model, 4)
-					opt.Pool = pool
-					res, err := imm.Run(g, opt)
-					if err != nil {
-						b.Fatal(err)
-					}
-					fp = res.Pool
-				}
-				b.ReportMetric(float64(fp.SetBytes), "poolBytes")
-				b.ReportMetric(float64(fp.IndexBytes), "indexBytes")
-				b.ReportMetric(fp.CompressionRatio(), "ratioVsSlices")
-			})
-		}
-	}
-}
-
 // BenchmarkCELFSelect compares the two selection kernels at a high
 // simulated worker count: modeled selection ops (the scaling quantity)
 // and real wall-clock per full run.

@@ -40,7 +40,6 @@ func main() {
 		undirected = flag.Bool("undirected", false, "treat the edge list as undirected")
 		modelName  = flag.String("model", "IC", "diffusion model: IC or LT")
 		engineName = flag.String("engine", "efficientimm", "engine: efficientimm or ripples")
-		poolName   = flag.String("pool", "slices", "RRR pool representation: slices or compressed")
 		selName    = flag.String("selection", "celf", "selection kernel: celf or scan")
 		k          = flag.Int("k", 50, "seed set size")
 		eps        = flag.Float64("eps", 0.5, "approximation parameter epsilon")
@@ -73,8 +72,6 @@ func main() {
 	fatalIf(err)
 	engine, err := efficientimm.ParseEngine(*engineName)
 	fatalIf(err)
-	pool, err := efficientimm.ParsePool(*poolName)
-	fatalIf(err)
 	selection, err := efficientimm.ParseSelection(*selName)
 	fatalIf(err)
 
@@ -95,14 +92,13 @@ func main() {
 	}
 	peerList := parsePeers(*peers)
 	fatalIf(validateFlags(cliFlags{
-		dataset:       *dataset,
-		graphFile:     *graphFile,
-		format:        fmtName,
-		saveSnap:      *saveSnap,
-		ranks:         *ranks,
-		peers:         peerList,
-		selectionScan: selection == efficientimm.SelectScan,
-		set:           setFlags,
+		dataset:   *dataset,
+		graphFile: *graphFile,
+		format:    fmtName,
+		saveSnap:  *saveSnap,
+		ranks:     *ranks,
+		peers:     peerList,
+		set:       setFlags,
 	}))
 
 	var g *efficientimm.Graph
@@ -178,7 +174,6 @@ func main() {
 
 	opt := efficientimm.Defaults()
 	opt.Engine = engine
-	opt.Pool = pool
 	opt.Selection = selection
 	opt.K = *k
 	opt.Epsilon = *eps
@@ -190,10 +185,6 @@ func main() {
 	var res *efficientimm.Result
 	var comm *efficientimm.DistResult
 	if *ranks > 0 {
-		// The distributed runtime selects through the CELF kernel only;
-		// an explicit -selection scan was already rejected by
-		// validateFlags, so the flag can only hold the default here.
-		selection = efficientimm.SelectCELF
 		dopt := efficientimm.DefaultDistOptions()
 		dopt.Options = opt
 		dopt.Ranks = *ranks
@@ -236,8 +227,6 @@ func main() {
 		"rrr_bytes":         res.SetStats.TotalBytes,
 		"rrr_bitmaps":       res.SetStats.Bitmaps,
 		"rrr_lists":         res.SetStats.Lists,
-		"rrr_compressed":    res.SetStats.Compressed,
-		"pool":              pool.String(),
 		"selection":         selection.String(),
 		// Peak pool footprint: resident set bytes, the inverted-index
 		// bytes CELF selection adds, and the raw []int32-slice cost the

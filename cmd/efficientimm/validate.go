@@ -18,8 +18,6 @@ type cliFlags struct {
 	saveSnap  string
 	ranks     int
 	peers     []string
-	// selectionScan reports that -selection resolved to the scan kernel.
-	selectionScan bool
 
 	// explicitly set flags, by name
 	set map[string]bool
@@ -77,9 +75,6 @@ func validateFlags(v cliFlags) error {
 
 	if v.ranks < 0 {
 		return fmt.Errorf("-ranks must be >= 0, got %d", v.ranks)
-	}
-	if v.ranks > 0 && v.set["selection"] && v.selectionScan {
-		return fmt.Errorf("-selection scan is incompatible with -ranks: the distributed runtime selects through the CELF kernel only")
 	}
 	if v.set["peers"] {
 		if v.ranks == 0 {

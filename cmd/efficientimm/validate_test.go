@@ -114,9 +114,8 @@ func TestValidateFlags(t *testing.T) {
 			v:    cliFlags{dataset: "web-Google", set: setOf("dataset", "scale")},
 		},
 		{
-			name:    "explicit scan selection with ranks",
-			v:       cliFlags{dataset: "web-Google", ranks: 4, selectionScan: true, set: setOf("dataset", "ranks", "selection")},
-			wantErr: "CELF kernel only",
+			name: "explicit scan selection with ranks",
+			v:    cliFlags{dataset: "web-Google", ranks: 4, set: setOf("dataset", "ranks", "selection")},
 		},
 		{
 			name: "default selection with ranks",
@@ -124,11 +123,11 @@ func TestValidateFlags(t *testing.T) {
 		},
 		{
 			name: "explicit celf selection with ranks",
-			v:    cliFlags{dataset: "web-Google", ranks: 4, selectionScan: false, set: setOf("dataset", "ranks", "selection")},
+			v:    cliFlags{dataset: "web-Google", ranks: 4, set: setOf("dataset", "ranks", "selection")},
 		},
 		{
 			name: "scan selection without ranks",
-			v:    cliFlags{dataset: "web-Google", selectionScan: true, set: setOf("dataset", "selection")},
+			v:    cliFlags{dataset: "web-Google", set: setOf("dataset", "selection")},
 		},
 		{
 			name:    "negative ranks",

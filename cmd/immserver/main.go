@@ -99,7 +99,6 @@ func main() {
 		listen       = flag.String("listen", ":8377", "address to serve HTTP on")
 		modelName    = flag.String("model", "IC", "diffusion model for edge-list loads (snapshots carry their own)")
 		workers      = flag.Int("workers", runtime.NumCPU(), "parallel workers per query")
-		poolName     = flag.String("pool", "slices", "RRR pool representation: slices or compressed")
 		selName      = flag.String("selection", "celf", "selection kernel: celf or scan")
 		maxTheta     = flag.Int64("max-theta", 0, "cap on RRR sets per query (0 = per-theory)")
 		budgetMB     = flag.Int64("pool-budget-mb", 1024, "resident warm-pool byte budget across graphs, in MiB")
@@ -135,14 +134,11 @@ func main() {
 
 	model, err := efficientimm.ParseModel(*modelName)
 	fatalIf(err)
-	pool, err := efficientimm.ParsePool(*poolName)
-	fatalIf(err)
 	selection, err := efficientimm.ParseSelection(*selName)
 	fatalIf(err)
 
 	opt := efficientimm.ServeOptions{
 		Workers:         *workers,
-		Pool:            pool,
 		Selection:       selection,
 		MaxTheta:        *maxTheta,
 		PoolBudgetBytes: *budgetMB << 20,

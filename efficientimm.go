@@ -53,9 +53,6 @@ type (
 	EngineKind = imm.EngineKind
 	// Breakdown is the per-phase cost report inside Result.
 	Breakdown = imm.Breakdown
-	// PoolKind selects the RRR pool representation (slices or
-	// compressed).
-	PoolKind = imm.PoolKind
 	// SelectionKind selects the seed-selection kernel (CELF or scan).
 	SelectionKind = imm.SelectionKind
 	// PoolFootprint reports resident pool bytes inside Result.
@@ -81,13 +78,8 @@ const (
 	EngineEfficient = imm.Efficient
 )
 
-// Pool representations and selection kernels.
+// Selection kernels.
 const (
-	// PoolSlices stores sparse sets as plain sorted []int32 lists.
-	PoolSlices = imm.PoolSlices
-	// PoolCompressed stores sparse sets as delta-encoded member lists
-	// (dense sets become bitset rows under the adaptive policy).
-	PoolCompressed = imm.PoolCompressed
 	// SelectCELF is the lazy-greedy selection (default).
 	SelectCELF = imm.SelectCELF
 	// SelectScan is the eager argmax-and-update selection.
@@ -106,9 +98,6 @@ func ParseModel(s string) (Model, error) { return graph.ParseModel(s) }
 
 // ParseEngine converts "ripples"/"efficientimm" to an EngineKind.
 func ParseEngine(s string) (EngineKind, error) { return imm.ParseEngine(s) }
-
-// ParsePool converts "slices"/"compressed" to a PoolKind.
-func ParsePool(s string) (PoolKind, error) { return imm.ParsePool(s) }
 
 // ParseSelection converts "celf"/"scan" to a SelectionKind.
 func ParseSelection(s string) (SelectionKind, error) { return imm.ParseSelection(s) }

@@ -1,21 +1,19 @@
 // Package compress implements the plain delta-varint coding of sorted
-// vertex lists that the compressed pool, the wire set codec and the
-// .impool snapshot share:
+// vertex lists that the wire set codec uses for RRR sets crossing ranks:
 //
 //	varint(count) | varint(first) | varint(delta-1)...
 //
 // Successive members are strictly increasing, so every delta is at least
 // one and the -1 bias keeps single-step runs in one byte. Decoding is a
-// single forward scan with no tables, cheap enough to sit on the
-// selection hot path.
+// single forward scan with no tables.
 package compress
 
 import "fmt"
 
 // AppendPlain appends the delta-varint encoding of sorted to dst and
 // returns the extended slice. sorted must be strictly increasing and
-// non-negative; AppendPlain does not validate (the pool sorts and
-// dedups before encoding).
+// non-negative; AppendPlain does not validate (sets are sorted and
+// deduplicated before they are encoded).
 func AppendPlain(dst []byte, sorted []int32) []byte {
 	dst = appendUvarint(dst, uint64(len(sorted)))
 	prev := int64(-1)
@@ -43,52 +41,22 @@ func PlainCount(data []byte) (int, error) {
 
 // DecodePlain reverses AppendPlain, appending the vertices to dst.
 func DecodePlain(data []byte, dst []int32) ([]int32, error) {
-	err := ForEachPlain(data, func(v int32) { dst = append(dst, v) })
-	return dst, err
-}
-
-// ForEachPlain visits the members of a plain encoding in ascending order
-// without materializing the list.
-func ForEachPlain(data []byte, fn func(v int32)) error {
 	count, n := readUvarint(data)
 	if n <= 0 {
-		return fmt.Errorf("compress: truncated plain count")
+		return dst, fmt.Errorf("compress: truncated plain count")
 	}
 	data = data[n:]
 	prev := int64(-1)
 	for i := uint64(0); i < count; i++ {
 		delta, n := readUvarint(data)
 		if n <= 0 {
-			return fmt.Errorf("compress: truncated plain delta %d", i)
+			return dst, fmt.Errorf("compress: truncated plain delta %d", i)
 		}
 		data = data[n:]
 		prev += int64(delta) + 1
-		fn(int32(prev))
+		dst = append(dst, int32(prev))
 	}
-	return nil
-}
-
-// PlainContains reports membership by scanning the deltas, stopping as
-// soon as the running value reaches v. No allocation.
-func PlainContains(data []byte, v int32) bool {
-	count, n := readUvarint(data)
-	if n <= 0 {
-		return false
-	}
-	data = data[n:]
-	prev := int64(-1)
-	for i := uint64(0); i < count; i++ {
-		delta, n := readUvarint(data)
-		if n <= 0 {
-			return false
-		}
-		data = data[n:]
-		prev += int64(delta) + 1
-		if prev >= int64(v) {
-			return prev == int64(v)
-		}
-	}
-	return false
+	return dst, nil
 }
 
 func appendUvarint(dst []byte, v uint64) []byte {

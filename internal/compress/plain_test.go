@@ -67,21 +67,6 @@ func TestPlainBeatsSliceOnClusteredIDs(t *testing.T) {
 	}
 }
 
-func TestPlainContains(t *testing.T) {
-	verts := []int32{2, 7, 9, 500, 501}
-	data := AppendPlain(nil, verts)
-	for _, v := range verts {
-		if !PlainContains(data, v) {
-			t.Fatalf("missing member %d", v)
-		}
-	}
-	for _, v := range []int32{0, 3, 8, 499, 502, 1 << 20} {
-		if PlainContains(data, v) {
-			t.Fatalf("phantom member %d", v)
-		}
-	}
-}
-
 func TestPlainTruncation(t *testing.T) {
 	data := AppendPlain(nil, []int32{3, 900, 40000})
 	if _, err := DecodePlain(nil, nil); err == nil {
@@ -90,27 +75,6 @@ func TestPlainTruncation(t *testing.T) {
 	for cut := 1; cut < len(data); cut++ {
 		if _, err := DecodePlain(data[:cut], nil); err == nil {
 			t.Fatalf("truncation at %d not detected", cut)
-		}
-	}
-}
-
-func TestForEachPlainMatchesDecode(t *testing.T) {
-	verts := []int32{1, 4, 6, 10000}
-	data := AppendPlain(nil, verts)
-	var walked []int32
-	if err := ForEachPlain(data, func(v int32) { walked = append(walked, v) }); err != nil {
-		t.Fatal(err)
-	}
-	decoded, err := DecodePlain(data, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(walked) != len(decoded) {
-		t.Fatalf("walked %v != decoded %v", walked, decoded)
-	}
-	for i := range walked {
-		if walked[i] != decoded[i] {
-			t.Fatalf("walked %v != decoded %v", walked, decoded)
 		}
 	}
 }

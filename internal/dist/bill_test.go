@@ -3,8 +3,6 @@ package dist
 import (
 	"reflect"
 	"testing"
-
-	"repro/internal/imm"
 )
 
 // bill is the part of a distributed result the cost model fixes: every
@@ -75,8 +73,6 @@ func TestModeledBillPinned(t *testing.T) {
 			Sampling: 90979, Selection: 265374, Theta: 961, Rounds: 2, Seeds: seeds}},
 		{"ranks=8/maxtheta=5", run(8, func(o *Options) { o.MaxTheta = 5 }), bill{Total: ph(15192, 49), ThetaX: ph(280, 21), Counter: ph(14336, 7), Gather: ph(128, 7), SeedB: ph(448, 14),
 			Sampling: 1257, Selection: 11168, Theta: 5, Rounds: 1, Seeds: []int32{50, 150, 155, 226, 0, 1}}},
-		{"ranks=3/compressed", run(3, func(o *Options) { o.Pool = imm.PoolCompressed }), bill{Total: ph(33633, 36), ThetaX: ph(240, 18), Counter: ph(12288, 6), Gather: ph(20913, 6), SeedB: ph(192, 6),
-			Sampling: 220269, Selection: 265374, Theta: 961, Rounds: 2, Seeds: seeds}},
 		{"cluster/ranks=3", func(t *testing.T) *Result {
 			cl, err := Connect(startWorkers(t, 2), testClusterOptions())
 			if err != nil {

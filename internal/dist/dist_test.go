@@ -202,51 +202,6 @@ func TestEngineLabelNormalized(t *testing.T) {
 	assertSameSeeds(t, sharedRun(t, g, opt).Seeds, res.Seeds)
 }
 
-// TestCompressedPoolAcrossRanks pins the compressed-pool guarantee at
-// Ranks>1: ranks generate delta-encoded sets under the same policy as
-// the shared-memory compressed run, the gather ships the compressed
-// payloads (strictly fewer bytes than the slice-pool gather), and rank-0
-// CELF selection over the gathered pool returns seeds byte-identical to
-// both the shared-memory compressed run and the slice-pool run.
-func TestCompressedPoolAcrossRanks(t *testing.T) {
-	g := testGraph(t)
-	slices := testOptions(1)
-	slices.Pool = imm.PoolSlices
-	refSlices := sharedRun(t, g, slices)
-
-	compressed := testOptions(1)
-	compressed.Pool = imm.PoolCompressed
-	refCompressed := sharedRun(t, g, compressed)
-	assertSameSeeds(t, refSlices.Seeds, refCompressed.Seeds)
-
-	for _, ranks := range []int{2, 3, 4} {
-		optC := testOptions(ranks)
-		optC.Pool = imm.PoolCompressed
-		resC, err := Run(g, optC)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertSameSeeds(t, refCompressed.Seeds, resC.Seeds)
-		if resC.Theta != refCompressed.Theta {
-			t.Fatalf("ranks=%d: theta %d vs %d", ranks, resC.Theta, refCompressed.Theta)
-		}
-		optS := testOptions(ranks)
-		optS.Pool = imm.PoolSlices
-		resS, err := Run(g, optS)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resC.Comm.SetGather.BytesSent >= resS.Comm.SetGather.BytesSent {
-			t.Fatalf("ranks=%d: compressed gather %dB not below slices gather %dB",
-				ranks, resC.Comm.SetGather.BytesSent, resS.Comm.SetGather.BytesSent)
-		}
-		if resC.Pool.SetBytes >= resS.Pool.SetBytes {
-			t.Fatalf("ranks=%d: compressed pool %dB not below slices pool %dB",
-				ranks, resC.Pool.SetBytes, resS.Pool.SetBytes)
-		}
-	}
-}
-
 // TestRunSnapshot pins the snapshot-fed distributed path: rank 0 loads
 // the graph from a .imsnap file, seeds match the in-memory run exactly,
 // and the graph broadcast is metered at the snapshot's wire size per
@@ -283,9 +238,10 @@ func TestRunSnapshot(t *testing.T) {
 }
 
 // TestAnswersAreRunAnswers pins that a distributed answer is the
-// shared-memory answer: at every rank count, for both pool kinds, simulated
-// and networked, the seeds, coverage, θ trajectory, lower bound, set
-// statistics and pool footprint equal imm.Run's on the same options.
+// shared-memory answer: at every rank count, under both selection kernels,
+// simulated and networked, the seeds, coverage, θ trajectory, lower bound,
+// set statistics and pool footprint equal imm.Run's on the same options —
+// and both kernels select the same seeds.
 func TestAnswersAreRunAnswers(t *testing.T) {
 	g := testGraph(t)
 	workers := startWorkers(t, 7)
@@ -301,11 +257,16 @@ func TestAnswersAreRunAnswers(t *testing.T) {
 	answerOf := func(r imm.Result) answer {
 		return answer{r.Seeds, r.Coverage, r.Theta, r.Rounds, r.LB, r.SetStats, r.Pool}
 	}
-	for _, pool := range []imm.PoolKind{imm.PoolSlices, imm.PoolCompressed} {
+	var celf []int32
+	for _, sel := range []imm.SelectionKind{imm.SelectCELF, imm.SelectScan} {
 		for _, ranks := range []int{1, 2, 3, 4, 8} {
 			opt := testOptions(ranks)
-			opt.Pool = pool
+			opt.Selection = sel
 			want := answerOf(*sharedRun(t, g, opt))
+			if celf == nil {
+				celf = want.Seeds
+			}
+			assertSameSeeds(t, celf, want.Seeds)
 			sim, err := Run(g, opt)
 			if err != nil {
 				t.Fatal(err)
@@ -321,7 +282,7 @@ func TestAnswersAreRunAnswers(t *testing.T) {
 			}
 			for name, res := range map[string]*Result{"Run": sim, "RunCluster": net} {
 				if got := answerOf(res.Result); !reflect.DeepEqual(got, want) {
-					t.Errorf("%v pool, %d ranks: %s answered\n%+v\nimm.Run answered\n%+v", pool, ranks, name, got, want)
+					t.Errorf("%v selection, %d ranks: %s answered\n%+v\nimm.Run answered\n%+v", sel, ranks, name, got, want)
 				}
 			}
 		}

@@ -625,7 +625,6 @@ func Ablations(cfg Config) ([]AblationRow, error) {
 		{"full", func(*imm.Options) {}},
 		{"no-fusion", func(o *imm.Options) { o.Fusion = false }},
 		{"no-adaptive-rep", func(o *imm.Options) { o.AdaptiveRep = false }},
-		{"compressed-pool", func(o *imm.Options) { o.Pool = imm.PoolCompressed }},
 		{"scan-selection", func(o *imm.Options) { o.Selection = imm.SelectScan }},
 		{"scan-decrement", func(o *imm.Options) { o.Selection = imm.SelectScan; o.Update = counter.Decrement }},
 		{"scan-rebuild", func(o *imm.Options) { o.Selection = imm.SelectScan; o.Update = counter.Rebuild }},

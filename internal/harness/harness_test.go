@@ -226,8 +226,8 @@ func TestAblations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 9 {
-		t.Fatalf("%d ablation rows, want 9", len(rows))
+	if len(rows) != 8 {
+		t.Fatalf("%d ablation rows, want 8", len(rows))
 	}
 	if rows[0].Variant != "full" || rows[0].Penalty != 1 {
 		t.Fatalf("first row must be the full configuration: %+v", rows[0])
@@ -297,9 +297,9 @@ func TestMemorySweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 1 dataset x 2 models x 3 variants.
-	if len(rows) != 6 {
-		t.Fatalf("%d rows, want 6", len(rows))
+	// 1 dataset x 2 models x 2 variants.
+	if len(rows) != 4 {
+		t.Fatalf("%d rows, want 4", len(rows))
 	}
 	byKey := map[string]MemoryRow{}
 	for _, r := range rows {
@@ -313,22 +313,17 @@ func TestMemorySweep(t *testing.T) {
 	}
 	for _, model := range []string{"IC", "LT"} {
 		raw := byKey[model+"/slice-list"]
-		comp := byKey[model+"/compressed"]
 		adaptive := byKey[model+"/slice-adaptive"]
-		if comp.SetBytes > adaptive.SetBytes {
-			t.Fatalf("%s: compressed %dB above adaptive slices %dB", model, comp.SetBytes, adaptive.SetBytes)
-		}
-		if comp.CompressionRatio <= 1 {
-			t.Fatalf("%s: no compression vs slice pool: %.2f", model, comp.CompressionRatio)
+		if adaptive.SetBytes > raw.SetBytes {
+			t.Fatalf("%s: adaptive %dB above the list-only pool's %dB", model, adaptive.SetBytes, raw.SetBytes)
 		}
 		if raw.SetBytes != raw.RawBytes {
 			t.Fatalf("%s: slice-list pool must cost exactly 4B/member: %d vs %d", model, raw.SetBytes, raw.RawBytes)
 		}
 	}
-	// The acceptance pin: >= 2x reduction vs the []int32-slice pool on
-	// the default harness clone under IC (the memory-pressure model).
-	if r := byKey["IC/compressed"]; r.CompressionRatio < 2 {
-		t.Fatalf("IC compressed ratio %.2f, want >= 2", r.CompressionRatio)
+	// Under IC the dense sets become bitmap rows, which beat lists.
+	if r := byKey["IC/slice-adaptive"]; r.CompressionRatio <= 1 {
+		t.Fatalf("IC adaptive ratio %.2f, want > 1", r.CompressionRatio)
 	}
 	if _, err := os.Stat(filepath.Join(cfg.OutDir, "memory_selection_sweep.csv")); err != nil {
 		t.Fatalf("csv not written: %v", err)
@@ -344,8 +339,8 @@ func TestCIBenchDeterministicAndComparable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(a.Metrics) != 6 { // 2 models x (ripples + efficient x 2 pools)
-		t.Fatalf("%d metrics, want 6", len(a.Metrics))
+	if len(a.Metrics) != 4 { // 2 models x (ripples + efficient)
+		t.Fatalf("%d metrics, want 4", len(a.Metrics))
 	}
 	if a.Ingest == nil || a.Ingest.Edges == 0 || a.Ingest.SnapshotBytes == 0 || a.Ingest.Seeds == "" {
 		t.Fatalf("ingest leg missing or empty: %+v", a.Ingest)

@@ -14,18 +14,19 @@ import (
 )
 
 // ---------------------------------------------------------------------
-// Memory/selection sweep — the compressed-pool and CELF trade-offs.
+// Memory/selection sweep — the adaptive-representation and CELF
+// trade-offs.
 // ---------------------------------------------------------------------
 
 // MemoryRow measures one (dataset, model, pool variant) cell: resident
 // pool bytes under that representation plus the modeled selection cost
 // of both kernels over it. SeedsMatch confirms the variant selected the
-// same seeds as the slice-pool baseline (representation and kernel are
+// same seeds as the list-only baseline (representation and kernel are
 // semantics-preserving).
 type MemoryRow struct {
 	Dataset string
 	Model   string
-	Variant string // slice-list | slice-adaptive | compressed
+	Variant string // slice-list | slice-adaptive
 	Theta   int64
 
 	SetBytes         int64
@@ -38,16 +39,14 @@ type MemoryRow struct {
 	SeedsMatch    bool
 }
 
-// memoryVariants are the three pool configurations the sweep compares:
-// the []int32-slice pool the compressed pool replaces, the adaptive
-// list/bitmap pool, and the compressed pool.
+// memoryVariants are the two pool configurations the sweep compares:
+// every set a sorted list, and the adaptive list/bitmap pool.
 var memoryVariants = []struct {
 	name   string
 	mutate func(*imm.Options)
 }{
-	{"slice-list", func(o *imm.Options) { o.Pool = imm.PoolSlices; o.AdaptiveRep = false }},
-	{"slice-adaptive", func(o *imm.Options) { o.Pool = imm.PoolSlices }},
-	{"compressed", func(o *imm.Options) { o.Pool = imm.PoolCompressed }},
+	{"slice-list", func(o *imm.Options) { o.AdaptiveRep = false }},
+	{"slice-adaptive", func(*imm.Options) {}},
 }
 
 // MemorySweep runs the Efficient engine across the pool variants on the
@@ -138,7 +137,7 @@ func sameSeeds(a, b []int32) bool {
 // comparison needs no statistical smoothing, only a drift tolerance for
 // intentional cost-model tweaks.
 type CIMetric struct {
-	Key              string  `json:"key"` // dataset/model/engine/pool
+	Key              string  `json:"key"` // dataset/model/engine/slices
 	Theta            int64   `json:"theta"`
 	SamplingModeled  float64 `json:"sampling_modeled"`
 	SelectionModeled float64 `json:"selection_modeled"`
@@ -176,8 +175,10 @@ const ciConfigTag = "web-Google@9 k=25 w=4 seed=1 thetaIC=4000 thetaLT=8000 v4+i
 
 // CIBench runs the fixed small configuration the bench-regression CI
 // job gates on: the web-Google clone at scale 9, both models, the
-// Ripples baseline plus the Efficient engine over both pools. Roughly
-// two seconds of work, fully deterministic.
+// Ripples baseline and the Efficient engine. Roughly two seconds of
+// work, fully deterministic. Keys end in "/slices", the pool segment
+// they carried when there were two pool kinds, so baselines compare
+// across that change.
 func CIBench() (CIDigest, error) {
 	digest := CIDigest{Config: ciConfigTag}
 	prof, err := gen.ProfileByName("web-Google")
@@ -190,18 +191,9 @@ func CIBench() (CIDigest, error) {
 		if err != nil {
 			return digest, err
 		}
-		type cell struct {
-			engine imm.EngineKind
-			pool   imm.PoolKind
-		}
-		for _, c := range []cell{
-			{imm.Ripples, imm.PoolSlices},
-			{imm.Efficient, imm.PoolSlices},
-			{imm.Efficient, imm.PoolCompressed},
-		} {
+		for _, engine := range []imm.EngineKind{imm.Ripples, imm.Efficient} {
 			opt := imm.Defaults()
-			opt.Engine = c.engine
-			opt.Pool = c.pool
+			opt.Engine = engine
 			opt.Workers = 4
 			opt.K = 25
 			opt.Seed = 1
@@ -215,7 +207,7 @@ func CIBench() (CIDigest, error) {
 				return digest, err
 			}
 			digest.Metrics = append(digest.Metrics, CIMetric{
-				Key:              fmt.Sprintf("web-Google/%s/%s/%s", model, c.engine, c.pool),
+				Key:              fmt.Sprintf("web-Google/%s/%s/slices", model, engine),
 				Theta:            res.Theta,
 				SamplingModeled:  res.Breakdown.SamplingModeled,
 				SelectionModeled: res.Breakdown.SelectionModeled,

@@ -25,77 +25,34 @@ func generatePool(t testing.TB, g *graph.Graph, opt Options, nsets int64) *effic
 	return e
 }
 
-// TestCompressedPoolRoundTrip pins that the compressed pool holds
-// exactly the same sets as the slice pool: every slot decodes to the
-// identical member list, only the representation (and its byte cost)
-// differs.
-func TestCompressedPoolRoundTrip(t *testing.T) {
-	for _, model := range []graph.Model{graph.IC, graph.LT} {
-		g := testGraph(t, 9, model)
-		const nsets = 600
-		optS := testOpts(Efficient, 3)
-		optS.Pool = PoolSlices
-		optC := optS
-		optC.Pool = PoolCompressed
-		slices := generatePool(t, g, optS, nsets).p.flatten()
-		compressed := generatePool(t, g, optC, nsets).p.flatten()
-		var sawCompressed bool
-		for i := range slices {
-			a := slices[i].Vertices(nil)
-			b := compressed[i].Vertices(nil)
-			if len(a) != len(b) {
-				t.Fatalf("%v set %d: size %d vs %d", model, i, len(a), len(b))
-			}
-			for j := range a {
-				if a[j] != b[j] {
-					t.Fatalf("%v set %d member %d: %d vs %d", model, i, j, a[j], b[j])
-				}
-			}
-			if compressed[i].Size() != len(a) {
-				t.Fatalf("%v set %d: Size %d != %d", model, i, compressed[i].Size(), len(a))
-			}
-			if compressed[i].Kind() == "compressed" {
-				sawCompressed = true
-			}
-		}
-		if !sawCompressed {
-			t.Fatalf("%v: compressed pool built no compressed sets", model)
-		}
-	}
-}
-
 // TestCELFMatchesScanAcrossWorkers is the selection-equivalence pin: the
 // lazy-greedy kernel must return byte-identical seeds to the eager scan
-// at every worker count, on both pool representations, with and without
-// a fused base counter.
+// at every worker count, with and without a fused base counter.
 func TestCELFMatchesScanAcrossWorkers(t *testing.T) {
 	for _, model := range []graph.Model{graph.IC, graph.LT} {
 		g := testGraph(t, 9, model)
-		for _, pool := range []PoolKind{PoolSlices, PoolCompressed} {
-			for _, fusion := range []bool{true, false} {
-				opt := testOpts(Efficient, 2)
-				opt.Pool = pool
-				opt.Fusion = fusion
-				opt.Selection = SelectScan
-				ref, err := Run(g, opt)
+		for _, fusion := range []bool{true, false} {
+			opt := testOpts(Efficient, 2)
+			opt.Fusion = fusion
+			opt.Selection = SelectScan
+			ref, err := Run(g, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, w := range []int{1, 2, 4, 8} {
+				o := opt
+				o.Workers = w
+				o.Selection = SelectCELF
+				res, err := Run(g, o)
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, w := range []int{1, 2, 4, 8} {
-					o := opt
-					o.Workers = w
-					o.Selection = SelectCELF
-					res, err := Run(g, o)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if fmt.Sprint(res.Seeds) != fmt.Sprint(ref.Seeds) {
-						t.Fatalf("%v pool=%v fusion=%v workers=%d: CELF %v != scan %v",
-							model, pool, fusion, w, res.Seeds, ref.Seeds)
-					}
-					if res.Coverage != ref.Coverage {
-						t.Fatalf("%v pool=%v workers=%d: coverage %v != %v", model, pool, w, res.Coverage, ref.Coverage)
-					}
+				if fmt.Sprint(res.Seeds) != fmt.Sprint(ref.Seeds) {
+					t.Fatalf("%v fusion=%v workers=%d: CELF %v != scan %v",
+						model, fusion, w, res.Seeds, ref.Seeds)
+				}
+				if res.Coverage != ref.Coverage {
+					t.Fatalf("%v fusion=%v workers=%d: coverage %v != %v", model, fusion, w, res.Coverage, ref.Coverage)
 				}
 			}
 		}
@@ -219,37 +176,6 @@ func TestShardOwnersMatchStatic(t *testing.T) {
 	}
 }
 
-// TestCompressedPoolShrinksResidentBytes is the acceptance pin: against
-// the []int32-slice pool the tentpole replaces (list representation for
-// every set), the compressed pool's resident set bytes must shrink at
-// least 2x on the default harness clone. CompressionRatio measures
-// exactly that quotient.
-func TestCompressedPoolShrinksResidentBytes(t *testing.T) {
-	g := testGraph(t, 10, graph.IC)
-	opt := testOpts(Efficient, 2)
-	opt.Pool = PoolCompressed
-	res, err := Run(g, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Pool.SetBytes <= 0 || res.Pool.RawBytes <= 0 {
-		t.Fatalf("footprint not reported: %+v", res.Pool)
-	}
-	if ratio := res.Pool.CompressionRatio(); ratio < 2 {
-		t.Fatalf("compression ratio %.2f vs the slice pool, want >= 2", ratio)
-	}
-	// And it must not be worse than the adaptive slices pool either.
-	optS := opt
-	optS.Pool = PoolSlices
-	resS, err := Run(g, optS)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Pool.SetBytes > resS.Pool.SetBytes {
-		t.Fatalf("compressed set bytes %d above slices %d", res.Pool.SetBytes, resS.Pool.SetBytes)
-	}
-}
-
 // TestScanModeSkipsIndex pins the memory trade-off: scan-mode selection
 // never builds the inverted index, CELF does.
 func TestScanModeSkipsIndex(t *testing.T) {
@@ -276,17 +202,8 @@ func TestScanModeSkipsIndex(t *testing.T) {
 	}
 }
 
-// TestParsePoolAndSelection covers the new option parsers.
-func TestParsePoolAndSelection(t *testing.T) {
-	if p, err := ParsePool("slices"); err != nil || p != PoolSlices {
-		t.Fatal("ParsePool(slices)")
-	}
-	if p, err := ParsePool("compressed"); err != nil || p != PoolCompressed {
-		t.Fatal("ParsePool(compressed)")
-	}
-	if _, err := ParsePool("x"); err == nil {
-		t.Fatal("bad pool accepted")
-	}
+// TestParseSelection covers the selection-kernel parser.
+func TestParseSelection(t *testing.T) {
 	if s, err := ParseSelection("celf"); err != nil || s != SelectCELF {
 		t.Fatal("ParseSelection(celf)")
 	}
@@ -295,9 +212,6 @@ func TestParsePoolAndSelection(t *testing.T) {
 	}
 	if _, err := ParseSelection("x"); err == nil {
 		t.Fatal("bad selection accepted")
-	}
-	if PoolCompressed.String() != "compressed" || PoolSlices.String() != "slices" {
-		t.Fatal("PoolKind.String")
 	}
 	if SelectCELF.String() != "celf" || SelectScan.String() != "scan" {
 		t.Fatal("SelectionKind.String")

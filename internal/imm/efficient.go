@@ -50,9 +50,8 @@ type efficientEngine struct {
 // PolicyFromOptions derives the RRR representation policy the Efficient
 // engine uses for opt. Exported so a SlotGenerator (internal/dist's rank
 // runtime) rebuilds the sets it gathers under the policy of the engine it
-// feeds, byte-identical to what Run would have produced. The compressed
-// pool kind switches sub-threshold sets to delta-encoded lists;
-// AdaptiveRep independently governs the dense→bitset-row switch.
+// feeds, byte-identical to what Run would have produced. AdaptiveRep
+// governs the dense→bitset-row switch.
 func PolicyFromOptions(opt Options) rrr.Policy {
 	policy := rrr.ListOnlyPolicy()
 	if opt.AdaptiveRep {
@@ -60,9 +59,6 @@ func PolicyFromOptions(opt Options) rrr.Policy {
 		if opt.RepThreshold > 0 {
 			policy.DensityThreshold = opt.RepThreshold
 		}
-	}
-	if opt.Pool == PoolCompressed {
-		policy.Compress = true
 	}
 	return policy
 }

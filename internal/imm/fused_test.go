@@ -71,8 +71,8 @@ func compareFusedToReference(t *testing.T, model graph.Model, opt Options) {
 	g := diffGraph(t, model)
 	res, eng := runKernel(t, g, opt)
 	ref := referencePool(g, opt, eng.p.len())
-	label := fmt.Sprintf("model=%v w=%d fusion=%v dynamic=%v adaptive=%v pool=%v",
-		model, opt.Workers, opt.Fusion, opt.DynamicBalance, opt.AdaptiveRep, opt.Pool)
+	label := fmt.Sprintf("model=%v w=%d fusion=%v dynamic=%v adaptive=%v",
+		model, opt.Workers, opt.Fusion, opt.DynamicBalance, opt.AdaptiveRep)
 
 	recount := counter.New(g.N)
 	var fv, rv []int32
@@ -121,8 +121,8 @@ func compareFusedToReference(t *testing.T, model graph.Model, opt Options) {
 }
 
 // FuzzFusedVsReference pins the engine's pool against the reference
-// generator. cfg bits switch the compressed pool (1), Fusion off (2),
-// the static schedule (4) and AdaptiveRep off (8). The seed corpus
+// generator. cfg bits switch Fusion off (2), the static schedule (4) and
+// AdaptiveRep off (8). The seed corpus
 // covers both models × workers ∈ {1,2,4,8} on the defaults plus each
 // switch — static schedule with fusion on included — so those cases run
 // on every plain `go test`; fuzzing additionally explores RNG seeds,
@@ -133,13 +133,13 @@ func FuzzFusedVsReference(f *testing.F) {
 			f.Add(model, w, uint16(7), byte(0))
 		}
 	}
-	f.Add(byte(0), byte(3), uint16(99), byte(1))
+	f.Add(byte(0), byte(3), uint16(99), byte(0))
 	f.Add(byte(0), byte(4), uint16(7), byte(4))
 	f.Add(byte(1), byte(2), uint16(7), byte(4))
 	f.Add(byte(0), byte(2), uint16(5), byte(2))
 	f.Add(byte(1), byte(8), uint16(5), byte(2|4))
 	f.Add(byte(0), byte(4), uint16(3), byte(8))
-	f.Add(byte(1), byte(1), uint16(3), byte(1|8))
+	f.Add(byte(1), byte(1), uint16(3), byte(8))
 	f.Fuzz(func(t *testing.T, modelByte, workerByte byte, seed16 uint16, cfg byte) {
 		model := graph.IC
 		if modelByte%2 == 1 {
@@ -150,9 +150,6 @@ func FuzzFusedVsReference(f *testing.F) {
 		opt.Workers = int((workerByte+7)%8) + 1 // 1..8; corpus bytes are the worker counts
 		opt.Seed = uint64(seed16)%64 + 1
 		opt.MaxTheta = 3000
-		if cfg&1 != 0 {
-			opt.Pool = PoolCompressed
-		}
 		opt.Fusion = cfg&2 == 0
 		opt.DynamicBalance = cfg&4 == 0
 		opt.AdaptiveRep = cfg&8 == 0

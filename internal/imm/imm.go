@@ -60,40 +60,6 @@ func ParseEngine(s string) (EngineKind, error) {
 	return 0, fmt.Errorf("imm: unknown engine %q (want ripples or efficientimm)", s)
 }
 
-// PoolKind selects the RRR pool representation of the Efficient engine
-// (and the distributed runtime, which builds its rank pools under the
-// same policy).
-type PoolKind int
-
-const (
-	// PoolSlices stores sub-threshold sets as plain sorted []int32
-	// lists — the original representation.
-	PoolSlices PoolKind = iota
-	// PoolCompressed stores sub-threshold sets as delta-varint-encoded
-	// member lists; dense sets still become bitset rows under
-	// AdaptiveRep. Set contents are identical, so seeds are unaffected.
-	PoolCompressed
-)
-
-func (p PoolKind) String() string {
-	if p == PoolCompressed {
-		return "compressed"
-	}
-	return "slices"
-}
-
-// ParsePool converts a pool name ("slices" or "compressed") to a
-// PoolKind.
-func ParsePool(s string) (PoolKind, error) {
-	switch s {
-	case "slices", "slice", "lists":
-		return PoolSlices, nil
-	case "compressed", "compress", "delta":
-		return PoolCompressed, nil
-	}
-	return 0, fmt.Errorf("imm: unknown pool %q (want slices or compressed)", s)
-}
-
 // SelectionKind selects the Efficient engine's seed-selection kernel.
 // Both kernels return byte-identical seed sequences; they differ only in
 // how much work they do to find each argmax.
@@ -146,10 +112,6 @@ type Options struct {
 	DynamicBalance bool                   // work-stealing generation
 	RepThreshold   float64                // density threshold for AdaptiveRep (0 = default)
 
-	// Pool selects the RRR storage representation (PoolSlices or
-	// PoolCompressed). Ignored by Ripples, which always stores plain
-	// lists.
-	Pool PoolKind
 	// Selection selects the Efficient engine's selection kernel
 	// (SelectCELF or SelectScan). Seeds are identical either way.
 	Selection SelectionKind
@@ -183,7 +145,6 @@ func Defaults() Options {
 		AdaptiveRep:    true,
 		Update:         counter.AdaptiveUpdate,
 		DynamicBalance: true,
-		Pool:           PoolSlices,
 		Selection:      SelectCELF,
 		BatchSize:      64,
 	}
@@ -210,9 +171,6 @@ func (o *Options) normalize(g *graph.Graph) error {
 	}
 	if o.BatchSize < 1 {
 		o.BatchSize = 64
-	}
-	if o.Pool != PoolSlices && o.Pool != PoolCompressed {
-		return fmt.Errorf("imm: unknown pool kind %d", int(o.Pool))
 	}
 	if o.Selection != SelectCELF && o.Selection != SelectScan {
 		return fmt.Errorf("imm: unknown selection kind %d", int(o.Selection))

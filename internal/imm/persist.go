@@ -35,27 +35,18 @@ import (
 // corruption.
 var ErrPoolIncompatible = errors.New("imm: pool state incompatible with thaw target")
 
-// Set-kind tags used by PoolShardState.Kinds. They are part of the
-// .impool wire format and must not be renumbered.
-const (
-	PoolSetList       = 0 // rrr.ListSet: Sizes[j] members in ListData
-	PoolSetCompressed = 1 // rrr.CompressedSet: CompLens[j] bytes in CompData
-	PoolSetBitmap     = 2 // rrr.BitmapSet: (n+63)/64 words in BitmapData
-)
-
-// PoolShardState is one shard's flattened payload. Per-set metadata
-// lives in three parallel arrays (Kinds/Sizes/CompLens); the members
+// PoolShardState is one shard's flattened payload. Sizes holds each
+// local entry's member count, which also names its representation: the
+// pool's policy stores a set of that size as a bitmap row when
+// rrr.Policy.Dense says so and as a sorted list otherwise. The members
 // themselves are concatenated into one blob per representation, so each
 // blob keeps a fixed element size and can be aliased straight out of a
 // 64-byte-aligned snapshot section (or an mmap of one) without decoding.
-// Entry j's payload starts where entries 0..j-1 of the same kind end.
+// Entry j's payload starts where entries 0..j-1 of the same
+// representation end.
 type PoolShardState struct {
-	Kinds    []uint8 // PoolSetList/PoolSetCompressed/PoolSetBitmap per local entry
-	Sizes    []int32 // member count per entry
-	CompLens []int32 // encoded byte length per entry (0 unless compressed)
-
+	Sizes      []int32  // member count per entry
 	ListData   []int32  // concatenated sorted member lists
-	CompData   []byte   // concatenated delta-varint payloads
 	BitmapData []uint64 // concatenated word rows, (N+63)/64 words each
 }
 
@@ -75,7 +66,6 @@ type PoolState struct {
 	// from the seed-indexed stream (graph, policy, Seed, i), so Seed plus
 	// Count fully determine the θ-trajectory contents below Count.
 	Seed         uint64
-	Pool         PoolKind
 	AdaptiveRep  bool
 	RepThreshold float64
 
@@ -109,7 +99,7 @@ func GraphChecksum(g *graph.Graph) uint64 { return g.Checksum() }
 // sets are indexed first, so a frozen index always covers the whole pool
 // — the same invariant selection maintains.
 //
-// The returned state's ListData/CompData/BitmapData blobs are freshly
+// The returned state's ListData/BitmapData blobs are freshly
 // owned copies (list sets may alias arena blocks that die with the
 // engine), but PostIdx/PostData alias the live index arrays: the state
 // is valid only until the engine serves again. Callers that persist the
@@ -126,7 +116,6 @@ func (w *WarmEngine) Freeze(epoch int64) (*PoolState, error) {
 		Epoch:        epoch,
 		GraphSum:     GraphChecksum(w.g),
 		Seed:         e.opt.Seed,
-		Pool:         e.opt.Pool,
 		AdaptiveRep:  e.opt.AdaptiveRep,
 		RepThreshold: e.opt.RepThreshold,
 		Count:        p.count,
@@ -141,24 +130,13 @@ func (w *WarmEngine) Freeze(epoch int64) (*PoolState, error) {
 	}
 	for s, sets := range p.shards {
 		out := &st.Shards[s]
-		out.Kinds = make([]uint8, len(sets))
 		out.Sizes = make([]int32, len(sets))
-		out.CompLens = make([]int32, len(sets))
 		for j, set := range sets {
+			out.Sizes[j] = int32(set.Size())
 			switch v := set.(type) {
 			case *rrr.ListSet:
-				out.Kinds[j] = PoolSetList
-				out.Sizes[j] = int32(v.Size())
 				out.ListData = append(out.ListData, v.Raw()...)
-			case *rrr.CompressedSet:
-				out.Kinds[j] = PoolSetCompressed
-				out.Sizes[j] = int32(v.Size())
-				enc := v.Encoded()
-				out.CompLens[j] = int32(len(enc))
-				out.CompData = append(out.CompData, enc...)
 			case *rrr.BitmapSet:
-				out.Kinds[j] = PoolSetBitmap
-				out.Sizes[j] = int32(v.Size())
 				out.BitmapData = append(out.BitmapData, v.Words()...)
 			default:
 				return nil, fmt.Errorf("imm: freeze: shard %d entry %d has unknown set representation %T", s, j, set)
@@ -178,8 +156,10 @@ func (w *WarmEngine) Freeze(epoch int64) (*PoolState, error) {
 // memo (ValidateMemo), whose entries it installs with no hits counted:
 // the thawed pool answers the selections the frozen one had run from
 // the memo, with copies of their seeds and the modeled cost they billed.
-// Epoch policy is the caller's decision — a serving layer compares
-// st.Epoch against its registry before calling.
+// Each entry's representation is the one opt's policy gives its size
+// (rrr.Policy.Dense), so a size that disagrees with the payloads surfaces
+// as a blob overrun or surplus. Epoch policy is the caller's decision —
+// a serving layer compares st.Epoch against its registry before calling.
 //
 // Under kernel fusion the global occurrence counter is refilled from the
 // adopted index offsets (or, for an unindexed state, from the sets), so
@@ -199,10 +179,10 @@ func ThawWarmEngine(g *graph.Graph, opt Options, st *PoolState) (*WarmEngine, er
 	if sum := GraphChecksum(g); sum != st.GraphSum {
 		return nil, fmt.Errorf("%w: graph content fingerprint %#x vs frozen %#x", ErrPoolIncompatible, sum, st.GraphSum)
 	}
-	if opt.Seed != st.Seed || opt.Pool != st.Pool || opt.AdaptiveRep != st.AdaptiveRep || opt.RepThreshold != st.RepThreshold {
-		return nil, fmt.Errorf("%w: pool options (seed %d, pool %d, adaptive %v, threshold %v) vs frozen (%d, %d, %v, %v)",
-			ErrPoolIncompatible, opt.Seed, int(opt.Pool), opt.AdaptiveRep, opt.RepThreshold,
-			st.Seed, int(st.Pool), st.AdaptiveRep, st.RepThreshold)
+	if opt.Seed != st.Seed || opt.AdaptiveRep != st.AdaptiveRep || opt.RepThreshold != st.RepThreshold {
+		return nil, fmt.Errorf("%w: pool options (seed %d, adaptive %v, threshold %v) vs frozen (%d, %v, %v)",
+			ErrPoolIncompatible, opt.Seed, opt.AdaptiveRep, opt.RepThreshold,
+			st.Seed, st.AdaptiveRep, st.RepThreshold)
 	}
 	if st.Count < 0 {
 		return nil, fmt.Errorf("%w: negative pool length %d", ErrPoolIncompatible, st.Count)
@@ -221,54 +201,39 @@ func ThawWarmEngine(g *graph.Graph, opt Options, st *PoolState) (*WarmEngine, er
 	for s := range st.Shards {
 		in := &st.Shards[s]
 		sets := p.shards[s]
-		if len(in.Kinds) != len(sets) || len(in.Sizes) != len(sets) || len(in.CompLens) != len(sets) {
+		if len(in.Sizes) != len(sets) {
 			return nil, fmt.Errorf("%w: shard %d holds %d entries, pool length %d needs %d",
-				ErrPoolIncompatible, s, len(in.Kinds), st.Count, len(sets))
+				ErrPoolIncompatible, s, len(in.Sizes), st.Count, len(sets))
 		}
-		var lists, comps, bitmaps int
-		for _, k := range in.Kinds {
-			switch k {
-			case PoolSetList:
-				lists++
-			case PoolSetCompressed:
-				comps++
-			case PoolSetBitmap:
+		bitmaps := 0
+		for _, size := range in.Sizes {
+			if e.policy.Dense(st.N, int(size)) {
 				bitmaps++
 			}
 		}
-		slab := rrr.NewAdoptSlab(lists, comps, bitmaps)
-		var lc, cc, bc int
+		slab := rrr.NewAdoptSlab(len(sets)-bitmaps, bitmaps)
+		var lc, bc int
 		for j := range sets {
 			size := int(in.Sizes[j])
 			if size < 0 {
 				return nil, fmt.Errorf("%w: shard %d entry %d has negative size", ErrPoolIncompatible, s, j)
 			}
-			switch in.Kinds[j] {
-			case PoolSetList:
-				if lc+size > len(in.ListData) {
-					return nil, fmt.Errorf("%w: shard %d list payload overrun", ErrPoolIncompatible, s)
-				}
-				sets[j] = slab.SortedList(in.ListData[lc : lc+size : lc+size])
-				lc += size
-			case PoolSetCompressed:
-				cl := int(in.CompLens[j])
-				if cl < 0 || cc+cl > len(in.CompData) {
-					return nil, fmt.Errorf("%w: shard %d compressed payload overrun", ErrPoolIncompatible, s)
-				}
-				sets[j] = slab.Compressed(in.CompData[cc:cc+cl:cc+cl], in.Sizes[j])
-				cc += cl
-			case PoolSetBitmap:
+			if e.policy.Dense(st.N, size) {
 				if bc+words > len(in.BitmapData) {
 					return nil, fmt.Errorf("%w: shard %d bitmap payload overrun", ErrPoolIncompatible, s)
 				}
 				sets[j] = slab.Bitmap(st.N, in.BitmapData[bc:bc+words:bc+words], size)
 				bc += words
-			default:
-				return nil, fmt.Errorf("%w: shard %d entry %d has unknown set kind %d", ErrPoolIncompatible, s, j, in.Kinds[j])
+			} else {
+				if lc+size > len(in.ListData) {
+					return nil, fmt.Errorf("%w: shard %d list payload overrun", ErrPoolIncompatible, s)
+				}
+				sets[j] = slab.SortedList(in.ListData[lc : lc+size : lc+size])
+				lc += size
 			}
 			members += int64(size)
 		}
-		if lc != len(in.ListData) || cc != len(in.CompData) || bc != len(in.BitmapData) {
+		if lc != len(in.ListData) || bc != len(in.BitmapData) {
 			return nil, fmt.Errorf("%w: shard %d payload blobs larger than entries consume", ErrPoolIncompatible, s)
 		}
 	}

@@ -2,7 +2,7 @@ package imm
 
 // Tests of the freeze/thaw seam: a thawed engine must answer
 // byte-identically to both the engine that was frozen and a cold Run on
-// the same graph, across pool representations and selection kernels —
+// the same graph, across selection kernels —
 // and thaw must reject any binding mismatch with ErrPoolIncompatible
 // rather than serve a silently-wrong pool.
 
@@ -16,62 +16,59 @@ import (
 )
 
 func TestFreezeThawMatchesColdRun(t *testing.T) {
-	for _, pool := range []PoolKind{PoolSlices, PoolCompressed} {
-		for _, sel := range []SelectionKind{SelectCELF, SelectScan} {
-			label := pool.String() + "/" + sel.String()
-			g := testGraph(t, 8, graph.IC)
-			opt := Defaults()
-			opt.Workers = 2
-			opt.Seed = 7
-			opt.MaxTheta = 8000
-			opt.Pool = pool
-			opt.Selection = sel
+	for _, sel := range []SelectionKind{SelectCELF, SelectScan} {
+		label := sel.String()
+		g := testGraph(t, 8, graph.IC)
+		opt := Defaults()
+		opt.Workers = 2
+		opt.Seed = 7
+		opt.MaxTheta = 8000
+		opt.Selection = sel
 
-			we, err := NewWarmEngine(g, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			qopt := opt
-			qopt.K = 8
-			qopt.Epsilon = 0.5
-			before := runWarm(t, g, we, qopt)
-
-			st, err := we.Freeze(5)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if st.Epoch != 5 || st.Seed != 7 || st.Count != we.PhysicalSets() {
-				t.Fatalf("%s: frozen metadata %+v does not match engine", label, st)
-			}
-
-			thawed, err := ThawWarmEngine(g, opt, st)
-			if err != nil {
-				t.Fatalf("%s: thaw: %v", label, err)
-			}
-			if thawed.PhysicalSets() != we.PhysicalSets() {
-				t.Fatalf("%s: thawed pool holds %d sets, frozen held %d", label, thawed.PhysicalSets(), we.PhysicalSets())
-			}
-			after := runWarm(t, g, thawed, qopt)
-			assertWarmEqualsCold(t, label+" (thawed repeat)", after, before)
-
-			cold, err := Run(g, qopt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertWarmEqualsCold(t, label+" (thawed vs cold)", after, cold)
-
-			// A larger query on the thawed engine must extend the adopted
-			// pool and still match a cold run exactly.
-			bigOpt := opt
-			bigOpt.K = 16
-			bigOpt.Epsilon = 0.4
-			bigWarm := runWarm(t, g, thawed, bigOpt)
-			bigCold, err := Run(g, bigOpt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertWarmEqualsCold(t, label+" (thawed extension)", bigWarm, bigCold)
+		we, err := NewWarmEngine(g, opt)
+		if err != nil {
+			t.Fatal(err)
 		}
+		qopt := opt
+		qopt.K = 8
+		qopt.Epsilon = 0.5
+		before := runWarm(t, g, we, qopt)
+
+		st, err := we.Freeze(5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Epoch != 5 || st.Seed != 7 || st.Count != we.PhysicalSets() {
+			t.Fatalf("%s: frozen metadata %+v does not match engine", label, st)
+		}
+
+		thawed, err := ThawWarmEngine(g, opt, st)
+		if err != nil {
+			t.Fatalf("%s: thaw: %v", label, err)
+		}
+		if thawed.PhysicalSets() != we.PhysicalSets() {
+			t.Fatalf("%s: thawed pool holds %d sets, frozen held %d", label, thawed.PhysicalSets(), we.PhysicalSets())
+		}
+		after := runWarm(t, g, thawed, qopt)
+		assertWarmEqualsCold(t, label+" (thawed repeat)", after, before)
+
+		cold, err := Run(g, qopt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertWarmEqualsCold(t, label+" (thawed vs cold)", after, cold)
+
+		// A larger query on the thawed engine must extend the adopted
+		// pool and still match a cold run exactly.
+		bigOpt := opt
+		bigOpt.K = 16
+		bigOpt.Epsilon = 0.4
+		bigWarm := runWarm(t, g, thawed, bigOpt)
+		bigCold, err := Run(g, bigOpt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertWarmEqualsCold(t, label+" (thawed extension)", bigWarm, bigCold)
 	}
 }
 
@@ -100,7 +97,7 @@ func TestThawRejectsBindingMismatch(t *testing.T) {
 		opt  Options
 	}{
 		{"wrong seed", g, func() Options { o := opt; o.Seed = 8; return o }()},
-		{"wrong pool kind", g, func() Options { o := opt; o.Pool = PoolCompressed; return o }()},
+		{"wrong density threshold", g, func() Options { o := opt; o.RepThreshold = 1.0 / 8; return o }()},
 		{"wrong adaptive flag", g, func() Options { o := opt; o.AdaptiveRep = !o.AdaptiveRep; return o }()},
 		{"different graph", testGraph(t, 7, graph.IC), opt},
 		{"different model", testGraph(t, 8, graph.LT), opt},
@@ -142,51 +139,49 @@ func TestThawRejectsBindingMismatch(t *testing.T) {
 // vertex's occurrence count read off the shards' index offsets equals
 // the count from walking every member of every set, and both equal the
 // counter fusion maintained in the engine that was frozen — for both
-// models and both pool kinds. A state frozen without an index (scan-mode
-// selection) must decline the shortcut, and thaw still rebuilds the
-// same counter from the walk.
+// models. A state frozen without an index (scan-mode selection) must
+// decline the shortcut, and thaw still rebuilds the same counter from
+// the walk.
 func TestThawBaseFromIndexMatchesMemberWalk(t *testing.T) {
 	for _, model := range []graph.Model{graph.IC, graph.LT} {
-		for _, pool := range []PoolKind{PoolSlices, PoolCompressed} {
-			for _, sel := range []SelectionKind{SelectCELF, SelectScan} {
-				label := model.String() + "/" + pool.String() + "/" + sel.String()
-				g := testGraph(t, 8, model)
-				opt := Defaults()
-				opt.Workers, opt.Seed, opt.MaxTheta = 2, 7, 6000
-				opt.Pool, opt.Selection = pool, sel
-				we, err := NewWarmEngine(g, opt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				qopt := opt
-				qopt.K, qopt.Epsilon = 8, 0.5
-				runWarm(t, g, we, qopt)
-				st, err := we.Freeze(0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				thawed, err := ThawWarmEngine(g, opt, st)
-				if err != nil {
-					t.Fatalf("%s: %v", label, err)
-				}
-				p := thawed.inner.p
+		for _, sel := range []SelectionKind{SelectCELF, SelectScan} {
+			label := model.String() + "/" + sel.String()
+			g := testGraph(t, 8, model)
+			opt := Defaults()
+			opt.Workers, opt.Seed, opt.MaxTheta = 2, 7, 6000
+			opt.Selection = sel
+			we, err := NewWarmEngine(g, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			qopt := opt
+			qopt.K, qopt.Epsilon = 8, 0.5
+			runWarm(t, g, we, qopt)
+			st, err := we.Freeze(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			thawed, err := ThawWarmEngine(g, opt, st)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			p := thawed.inner.p
 
-				walk := counter.New(g.N)
-				rebuildBase(walk, p, opt.Workers)
-				fromIndex := counter.New(g.N)
-				if ok := baseFromIndex(fromIndex, p, opt.Workers); ok != (sel == SelectCELF) {
-					t.Fatalf("%s: baseFromIndex took the shortcut = %v", label, ok)
-				} else if ok && !slices.Equal(fromIndex.Raw(), walk.Raw()) {
-					t.Fatalf("%s: counter from index offsets differs from the member walk", label)
-				} else if !ok && slices.IndexFunc(fromIndex.Raw(), func(c int64) bool { return c != 0 }) >= 0 {
-					t.Fatalf("%s: a declined shortcut wrote to the counter", label)
-				}
-				if !slices.Equal(walk.Raw(), we.inner.base.Raw()) {
-					t.Fatalf("%s: member walk differs from the frozen engine's fused counter", label)
-				}
-				if !slices.Equal(thawed.inner.base.Raw(), we.inner.base.Raw()) {
-					t.Fatalf("%s: thawed counter differs from the frozen engine's", label)
-				}
+			walk := counter.New(g.N)
+			rebuildBase(walk, p, opt.Workers)
+			fromIndex := counter.New(g.N)
+			if ok := baseFromIndex(fromIndex, p, opt.Workers); ok != (sel == SelectCELF) {
+				t.Fatalf("%s: baseFromIndex took the shortcut = %v", label, ok)
+			} else if ok && !slices.Equal(fromIndex.Raw(), walk.Raw()) {
+				t.Fatalf("%s: counter from index offsets differs from the member walk", label)
+			} else if !ok && slices.IndexFunc(fromIndex.Raw(), func(c int64) bool { return c != 0 }) >= 0 {
+				t.Fatalf("%s: a declined shortcut wrote to the counter", label)
+			}
+			if !slices.Equal(walk.Raw(), we.inner.base.Raw()) {
+				t.Fatalf("%s: member walk differs from the frozen engine's fused counter", label)
+			}
+			if !slices.Equal(thawed.inner.base.Raw(), we.inner.base.Raw()) {
+				t.Fatalf("%s: thawed counter differs from the frozen engine's", label)
 			}
 		}
 	}

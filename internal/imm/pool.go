@@ -39,7 +39,7 @@ func (p *setPool) stats() rrr.Stats         { return rrr.Summarize(p.n, p.sets) 
 // contents are identical for any worker count, schedule, engine, and
 // rank partitioning — which is what lets the tests compare engines and
 // the distributed runtime seed-for-seed. Representation choice lives
-// in rrr.Policy.BuildScratch, which sorts only when a list or compressed
+// in rrr.Policy.BuildScratch, which sorts only when the list
 // representation is chosen (the paper's baseline sorts every set;
 // EFFICIENTIMM skips the sort for bitmaps).
 func generateJob(n int32, policy rrr.Policy, seed uint64, s *diffusion.Sampler, start, end int64, put func(i int64, set rrr.Set)) (members int64) {

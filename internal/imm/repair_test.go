@@ -141,19 +141,6 @@ func TestRepairVertexGrowth(t *testing.T) {
 	checkRepairDifferential(t, "grow", g, opt, randomDelta(g, 17, 3, 2, true))
 }
 
-// TestRepairCompressedPool exercises the delta-varint representation
-// through a repair.
-func TestRepairCompressedPool(t *testing.T) {
-	g := testGraph(t, 7, graph.LT)
-	opt := Defaults()
-	opt.K = 6
-	opt.Seed = 13
-	opt.MaxTheta = 3000
-	opt.Workers = 2
-	opt.Pool = PoolCompressed
-	checkRepairDifferential(t, "compressed", g, opt, randomDelta(g, 23, 5, 3, false))
-}
-
 // TestRepairScanModeKeepsIndexUnbuilt pins that repairing a scan-mode
 // pool does not build an inverted index as a side effect: the
 // footprint must keep reporting IndexBytes 0, like a cold scan pool.
@@ -269,9 +256,6 @@ func FuzzRepairDifferential(f *testing.F) {
 		opt.Fusion = cfg&2 == 0
 		if cfg&4 != 0 {
 			opt.Selection = SelectScan
-		}
-		if cfg&8 != 0 {
-			opt.Pool = PoolCompressed
 		}
 		g := testGraph(t, 6, model)
 		d := randomDelta(g, seed, int(nAdd), int(nRemove), cfg&64 != 0)

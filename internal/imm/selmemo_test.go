@@ -61,68 +61,65 @@ func TestSelectionMemoLifecycle(t *testing.T) {
 	first := BatchQuery{K: 6, Epsilon: 0.6}
 	wider := BatchQuery{K: 12, Epsilon: 0.4}
 	for _, model := range []graph.Model{graph.IC, graph.LT} {
-		for _, pool := range []PoolKind{PoolSlices, PoolCompressed} {
-			for _, workers := range []int{1, 2, 4} {
-				label := fmt.Sprintf("%v/%v/w%d", model, pool, workers)
-				g := testGraph(t, 8, model)
-				opt := Defaults()
-				opt.Seed = 5
-				opt.Workers = workers
-				opt.Pool = pool
-				we, err := NewWarmEngine(g, opt)
-				if err != nil {
-					t.Fatal(err)
-				}
-
-				assertFreshPool(t, label+" cold", answerOne(t, label+" cold", we, g, opt, first))
-				assertAllHits(t, label+" repeat", answerOne(t, label+" repeat", we, g, opt, first))
-
-				// θ-extension adds sets above every remembered limit.
-				if a := answerOne(t, label+" wider", we, g, opt, wider); a.GeneratedSets == 0 {
-					t.Fatalf("%s: the wider query did not extend the pool", label)
-				}
-				assertAllHits(t, label+" after extension", answerOne(t, label+" after extension", we, g, opt, first))
-
-				// Repair forgets exactly the prefixes that reach a replaced set.
-				ng, drep, err := graph.ApplyDelta(g, randomDelta(g, 99, 6, 4, false), graph.DeltaOptions{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				invalid := we.inner.invalidSlots(drep.Dirty)
-				if len(invalid) == 0 {
-					t.Fatalf("%s: the delta dirtied no resident set", label)
-				}
-				remembered := we.inner.p.memo.n
-				if _, err := we.ApplyDelta(ng, drep); err != nil {
-					t.Fatal(err)
-				}
-				memo := &we.inner.p.memo
-				if memo.n >= remembered {
-					t.Fatalf("%s: repair of slot %d dropped none of %d remembered selections", label, invalid[0], remembered)
-				}
-				for _, e := range memo.slots[:memo.n] {
-					if e.Limit > invalid[0] {
-						t.Fatalf("%s: selection over [0,%d) survived the repair of slot %d", label, e.Limit, invalid[0])
-					}
-				}
-				if a := answerOne(t, label+" repaired", we, ng, opt, first); a.MemoHits == a.Selections {
-					t.Fatalf("%s: every selection hit across a repair", label)
-				}
-				assertAllHits(t, label+" repaired repeat", answerOne(t, label+" repaired repeat", we, ng, opt, first))
-
-				// A thawed pool remembers what the frozen one had run, and
-				// its remembered answers are still a cold Run's.
-				st, err := we.Freeze(1)
-				if err != nil {
-					t.Fatal(err)
-				}
-				thawed, err := ThawWarmEngine(ng, opt, st)
-				if err != nil {
-					t.Fatal(err)
-				}
-				assertAllHits(t, label+" thawed", answerOne(t, label+" thawed", thawed, ng, opt, first))
-				assertAllHits(t, label+" thawed repeat", answerOne(t, label+" thawed repeat", thawed, ng, opt, first))
+		for _, workers := range []int{1, 2, 4} {
+			label := fmt.Sprintf("%v/w%d", model, workers)
+			g := testGraph(t, 8, model)
+			opt := Defaults()
+			opt.Seed = 5
+			opt.Workers = workers
+			we, err := NewWarmEngine(g, opt)
+			if err != nil {
+				t.Fatal(err)
 			}
+
+			assertFreshPool(t, label+" cold", answerOne(t, label+" cold", we, g, opt, first))
+			assertAllHits(t, label+" repeat", answerOne(t, label+" repeat", we, g, opt, first))
+
+			// θ-extension adds sets above every remembered limit.
+			if a := answerOne(t, label+" wider", we, g, opt, wider); a.GeneratedSets == 0 {
+				t.Fatalf("%s: the wider query did not extend the pool", label)
+			}
+			assertAllHits(t, label+" after extension", answerOne(t, label+" after extension", we, g, opt, first))
+
+			// Repair forgets exactly the prefixes that reach a replaced set.
+			ng, drep, err := graph.ApplyDelta(g, randomDelta(g, 99, 6, 4, false), graph.DeltaOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			invalid := we.inner.invalidSlots(drep.Dirty)
+			if len(invalid) == 0 {
+				t.Fatalf("%s: the delta dirtied no resident set", label)
+			}
+			remembered := we.inner.p.memo.n
+			if _, err := we.ApplyDelta(ng, drep); err != nil {
+				t.Fatal(err)
+			}
+			memo := &we.inner.p.memo
+			if memo.n >= remembered {
+				t.Fatalf("%s: repair of slot %d dropped none of %d remembered selections", label, invalid[0], remembered)
+			}
+			for _, e := range memo.slots[:memo.n] {
+				if e.Limit > invalid[0] {
+					t.Fatalf("%s: selection over [0,%d) survived the repair of slot %d", label, e.Limit, invalid[0])
+				}
+			}
+			if a := answerOne(t, label+" repaired", we, ng, opt, first); a.MemoHits == a.Selections {
+				t.Fatalf("%s: every selection hit across a repair", label)
+			}
+			assertAllHits(t, label+" repaired repeat", answerOne(t, label+" repaired repeat", we, ng, opt, first))
+
+			// A thawed pool remembers what the frozen one had run, and
+			// its remembered answers are still a cold Run's.
+			st, err := we.Freeze(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			thawed, err := ThawWarmEngine(ng, opt, st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertAllHits(t, label+" thawed", answerOne(t, label+" thawed", thawed, ng, opt, first))
+			assertAllHits(t, label+" thawed repeat", answerOne(t, label+" thawed repeat", thawed, ng, opt, first))
 		}
 	}
 }

@@ -17,13 +17,12 @@ import (
 // striped over a fixed number of shards (fixed so that nothing about the
 // pool layout — and therefore nothing about selection — depends on the
 // worker count): set storage, ids struck round-robin, in whatever
-// representation the policy chose (plain lists, delta-encoded compressed
-// lists, or bitset rows); and the modeled attribution of index and
-// selection work, which bills every posting to the owner of the shard its
-// set lives in. The inverted index is not striped: one CSR maps a vertex
-// to the global ids of the sets containing it, so selection walks one
-// contiguous run of postings per vertex instead of re-scanning (and, for
-// compressed sets, re-decoding) every set, and the index is sized by the
+// representation the policy chose (sorted lists or bitset rows); and the
+// modeled attribution of index and selection work, which bills every
+// posting to the owner of the shard its set lives in. The inverted index
+// is not striped: one CSR maps a vertex to the global ids of the sets
+// containing it, so selection walks one contiguous run of postings per
+// vertex instead of re-scanning every set, and the index is sized by the
 // postings plus one offset array. It changes only through
 // shardedPool.patch.
 
@@ -424,9 +423,8 @@ func (p *shardedPool) ensureIndexed(workers int, ops []int64) {
 // form the lazy prefix array stores per set (lists are the remainder of
 // the count).
 type prefixEntry struct {
-	bytes, members      int64
-	bitmaps, compressed int32
-	maxSize             int32
+	bytes, members   int64
+	bitmaps, maxSize int32
 }
 
 // stats summarizes the whole pool.
@@ -445,8 +443,7 @@ func (p *shardedPool) statsUpTo(limit int64) rrr.Stats {
 		MaxSize:    int(e.maxSize),
 		TotalBytes: e.bytes,
 		Bitmaps:    int(e.bitmaps),
-		Compressed: int(e.compressed),
-		Lists:      count - int(e.bitmaps) - int(e.compressed),
+		Lists:      count - int(e.bitmaps),
 	}
 	st.Finalize(p.n)
 	return st
@@ -476,12 +473,7 @@ func (p *shardedPool) prefixUpTo(limit int64) prefixEntry {
 		} else {
 			size = set.Size()
 			e.bytes += set.Bytes()
-			switch set.Kind() {
-			case "bitmap":
-				e.bitmaps++
-			case "compressed":
-				e.compressed++
-			}
+			e.bitmaps++
 		}
 		e.members += int64(size)
 		e.maxSize = max(e.maxSize, int32(size))

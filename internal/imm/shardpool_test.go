@@ -239,11 +239,8 @@ func fuzzSet(r *rng.Xoshiro256, n int32, shape byte) (rrr.Set, []int32) {
 	}
 	slices.Sort(vs)
 	vs = slices.Compact(vs)
-	switch r.Uint32n(3) {
-	case 0:
+	if r.Uint32n(2) == 0 {
 		return rrr.NewListSet(vs), vs
-	case 1:
-		return rrr.NewCompressedSorted(vs), vs
 	}
 	return rrr.NewBitmapSetUnique(n, vs), vs
 }

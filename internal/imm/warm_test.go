@@ -57,9 +57,8 @@ type queryShape struct {
 }
 
 // TestWarmEngineMatchesColdRun drives a warm engine through query
-// sequences that shrink, grow, and revisit θ, across both models, both
-// pool representations, and both selection kernels, pinning every
-// answer against a cold Run.
+// sequences that shrink, grow, and revisit θ, across both models and
+// both selection kernels, pinning every answer against a cold Run.
 func TestWarmEngineMatchesColdRun(t *testing.T) {
 	shapes := []queryShape{
 		{k: 10, eps: 0.5}, // cold
@@ -69,31 +68,28 @@ func TestWarmEngineMatchesColdRun(t *testing.T) {
 		{k: 10, eps: 0.5}, // back to the original: still identical
 	}
 	for _, model := range []graph.Model{graph.IC, graph.LT} {
-		for _, pool := range []PoolKind{PoolSlices, PoolCompressed} {
-			for _, sel := range []SelectionKind{SelectCELF, SelectScan} {
-				g := testGraph(t, 8, model)
-				opt := Defaults()
-				opt.Workers = 2
-				opt.Seed = 7
-				opt.MaxTheta = 8000
-				opt.Pool = pool
-				opt.Selection = sel
-				we, err := NewWarmEngine(g, opt)
+		for _, sel := range []SelectionKind{SelectCELF, SelectScan} {
+			g := testGraph(t, 8, model)
+			opt := Defaults()
+			opt.Workers = 2
+			opt.Seed = 7
+			opt.MaxTheta = 8000
+			opt.Selection = sel
+			we, err := NewWarmEngine(g, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, q := range shapes {
+				o := opt
+				o.K = q.k
+				o.Epsilon = q.eps
+				warm := runWarm(t, g, we, o)
+				cold, err := Run(g, o)
 				if err != nil {
 					t.Fatal(err)
 				}
-				for i, q := range shapes {
-					o := opt
-					o.K = q.k
-					o.Epsilon = q.eps
-					warm := runWarm(t, g, we, o)
-					cold, err := Run(g, o)
-					if err != nil {
-						t.Fatal(err)
-					}
-					label := string(rune('0'+i)) + "/" + model.String() + "/" + pool.String() + "/" + sel.String()
-					assertWarmEqualsCold(t, label, warm, cold)
-				}
+				label := string(rune('0'+i)) + "/" + model.String() + "/" + sel.String()
+				assertWarmEqualsCold(t, label, warm, cold)
 			}
 		}
 	}
@@ -178,9 +174,9 @@ func TestWarmEngineReusesPool(t *testing.T) {
 
 // TestAnswerBatchMatchesColdRun pins the batched multi-answer seam:
 // every member of a mixed-(k, ε) batch must be byte-identical to a cold
-// Run with the same options — across models, pool representations,
-// selection kernels, and worker counts, and regardless of what an
-// earlier batch left in the pool.
+// Run with the same options — across models, selection kernels, and
+// worker counts, and regardless of what an earlier batch left in the
+// pool.
 func TestAnswerBatchMatchesColdRun(t *testing.T) {
 	batch := []BatchQuery{
 		{K: 10, Epsilon: 0.5},
@@ -189,49 +185,46 @@ func TestAnswerBatchMatchesColdRun(t *testing.T) {
 		{K: 7, Epsilon: 0.6},
 	}
 	for _, model := range []graph.Model{graph.IC, graph.LT} {
-		for _, pool := range []PoolKind{PoolSlices, PoolCompressed} {
-			for _, sel := range []SelectionKind{SelectCELF, SelectScan} {
-				for _, workers := range []int{1, 4} {
-					g := testGraph(t, 8, model)
-					opt := Defaults()
-					opt.Workers = workers
-					opt.Seed = 7
-					opt.MaxTheta = 8000
-					opt.Pool = pool
-					opt.Selection = sel
-					we, err := NewWarmEngine(g, opt)
+		for _, sel := range []SelectionKind{SelectCELF, SelectScan} {
+			for _, workers := range []int{1, 4} {
+				g := testGraph(t, 8, model)
+				opt := Defaults()
+				opt.Workers = workers
+				opt.Seed = 7
+				opt.MaxTheta = 8000
+				opt.Selection = sel
+				we, err := NewWarmEngine(g, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				label := model.String() + "/" + sel.String()
+				// Round 1 runs on a cold pool, round 2 on the pool
+				// round 1 left behind: both must match cold runs.
+				for round := 0; round < 2; round++ {
+					rep, err := we.AnswerBatch(opt, batch)
 					if err != nil {
 						t.Fatal(err)
 					}
-					label := model.String() + "/" + pool.String() + "/" + sel.String()
-					// Round 1 runs on a cold pool, round 2 on the pool
-					// round 1 left behind: both must match cold runs.
-					for round := 0; round < 2; round++ {
-						rep, err := we.AnswerBatch(opt, batch)
+					if len(rep.Answers) != len(batch) {
+						t.Fatalf("%s: %d answers for %d queries", label, len(rep.Answers), len(batch))
+					}
+					var generated int64
+					for i, q := range batch {
+						o := opt
+						o.K = q.K
+						o.Epsilon = q.Epsilon
+						cold, err := Run(g, o)
 						if err != nil {
 							t.Fatal(err)
 						}
-						if len(rep.Answers) != len(batch) {
-							t.Fatalf("%s: %d answers for %d queries", label, len(rep.Answers), len(batch))
-						}
-						var generated int64
-						for i, q := range batch {
-							o := opt
-							o.K = q.K
-							o.Epsilon = q.Epsilon
-							cold, err := Run(g, o)
-							if err != nil {
-								t.Fatal(err)
-							}
-							assertWarmEqualsCold(t, fmt.Sprintf("%s round %d member %d w%d", label, round, i, workers), rep.Answers[i].Res, cold)
-							generated += rep.Answers[i].GeneratedSets
-						}
-						if round == 0 && (rep.Extensions == 0 || generated == 0) {
-							t.Fatalf("%s: cold batch performed no extension (%d ext, %d generated)", label, rep.Extensions, generated)
-						}
-						if round == 1 && (rep.Extensions != 0 || generated != 0) {
-							t.Fatalf("%s: repeat batch re-extended the pool (%d ext, %d generated)", label, rep.Extensions, generated)
-						}
+						assertWarmEqualsCold(t, fmt.Sprintf("%s round %d member %d w%d", label, round, i, workers), rep.Answers[i].Res, cold)
+						generated += rep.Answers[i].GeneratedSets
+					}
+					if round == 0 && (rep.Extensions == 0 || generated == 0) {
+						t.Fatalf("%s: cold batch performed no extension (%d ext, %d generated)", label, rep.Extensions, generated)
+					}
+					if round == 1 && (rep.Extensions != 0 || generated != 0) {
+						t.Fatalf("%s: repeat batch re-extended the pool (%d ext, %d generated)", label, rep.Extensions, generated)
 					}
 				}
 			}
@@ -308,23 +301,20 @@ func TestAnswerBatchSharedExtension(t *testing.T) {
 // it has folded), across the set representations a pool can hold.
 func TestWarmStatsMatchRescan(t *testing.T) {
 	for _, model := range []graph.Model{graph.IC, graph.LT} {
-		for _, pool := range []PoolKind{PoolSlices, PoolCompressed} {
-			g := testGraph(t, 8, model)
-			opt := testOpts(Efficient, 2)
-			opt.Pool = pool
-			const nsets = 700
-			we := &WarmEngine{g: g, inner: generatePool(t, g, opt, nsets)}
-			sets := we.inner.p.flatten()
-			if all := rrr.Summarize(g.N, sets); pool == PoolCompressed && all.Compressed == 0 || model == graph.IC && all.Bitmaps == 0 {
-				t.Fatalf("%v/%v: pool does not exercise the per-kind counts: %+v", model, pool, all)
-			}
-			r := rng.NewStream(5, 0)
-			for trial := 0; trial < 60; trial++ {
-				we.limit = int64(r.Uint64() % (nsets + 1))
-				want := rrr.Summarize(g.N, sets[:we.limit])
-				if got := we.Stats(); got != want {
-					t.Fatalf("%v/%v limit %d: Stats() %+v, rescan %+v", model, pool, we.limit, got, want)
-				}
+		g := testGraph(t, 8, model)
+		opt := testOpts(Efficient, 2)
+		const nsets = 700
+		we := &WarmEngine{g: g, inner: generatePool(t, g, opt, nsets)}
+		sets := we.inner.p.flatten()
+		if all := rrr.Summarize(g.N, sets); model == graph.IC && all.Bitmaps == 0 {
+			t.Fatalf("%v: pool does not exercise the per-kind counts: %+v", model, all)
+		}
+		r := rng.NewStream(5, 0)
+		for trial := 0; trial < 60; trial++ {
+			we.limit = int64(r.Uint64() % (nsets + 1))
+			want := rrr.Summarize(g.N, sets[:we.limit])
+			if got := we.Stats(); got != want {
+				t.Fatalf("%v limit %d: Stats() %+v, rescan %+v", model, we.limit, got, want)
 			}
 		}
 	}

@@ -103,7 +103,7 @@ type section interface {
 }
 
 type elem interface {
-	int32 | int64 | uint64 | float32 | byte
+	int32 | int64 | uint64 | float32
 }
 
 type typed[T elem] struct{ p *[]T }
@@ -163,8 +163,6 @@ func (s typed[T]) encodeTo(w io.Writer) error {
 			buf = le.AppendUint64(buf, uint64(v))
 		case uint64:
 			buf = le.AppendUint64(buf, v)
-		case byte:
-			buf = append(buf, v)
 		}
 		if len(buf) > chunk-8 || i == len(*s.p)-1 {
 			if _, err := w.Write(buf); err != nil {

@@ -13,7 +13,6 @@ import (
 	"testing"
 
 	"repro/internal/graph"
-	"repro/internal/imm"
 )
 
 // goldenDeltas are the .imdelta images TestContainerGoldenBytes pins.
@@ -70,7 +69,7 @@ func seedOtherFormats(f *testing.F, own string) {
 
 // TestContainerGoldenBytes pins the on-disk bytes of all three formats
 // to sha256 digests recorded before the formats shared a container
-// codec (the .impool ones re-recorded at format version 3): a codec
+// codec (the .impool ones re-recorded at format version 4): a codec
 // change that moves a single byte of any image fails here, where the
 // canonicality tests (same build, same bytes) cannot.
 func TestContainerGoldenBytes(t *testing.T) {
@@ -80,11 +79,10 @@ func TestContainerGoldenBytes(t *testing.T) {
 		"imdelta/implicit":    "a73ee1d1c207eac37bc3c81d7cc9c5999e82dfed2518e72842caca25f5193715",
 		"imdelta/explicit":    "94b92b122165eef48bafa42eab9f692e8d9bdc27d64f9cb2b89ed04e1bfc54cc",
 		"imdelta/empty":       "3074790baa5a2d9c770555fce4581752fdcefb1c4faf62b62e00484d3652085c",
-		"impool/lists":        "1a211878e7b04702d72e349e0630c61fa6799207d9a37ad51d8d1a809dc5892b",
-		"impool/compressed":   "8eaff719301ce1a7c1d6faa68e174be3ea02518d57dfff1cd3ba46ecb37a5f44",
-		"impool/bitmaps":      "82f54622ca1a68f71aae7064c48529d420104e3a917c128d578078d1c9888674",
-		"impool/unindexed":    "8bdbaa4ac42c8fce965ab60371ebda73e6723b544cf0fb2864b36bb3292d17d9",
-		"impool/empty shards": "3af680ad137af68df3b52c9f346883d07025501b6211be00998803389f716a76",
+		"impool/lists":        "7e14d016f805d4df9cc622cd0b5080c42daad031cd5b5bbe96afdd6a7dc490e3",
+		"impool/bitmaps":      "ba68a45e089970b76356722a5d0b0bfa73ded715817928bf79832be2ef8d42ce",
+		"impool/unindexed":    "fe8403362db64a3165659665d41a8537e0f8d066abe670916a092bdab657c99d",
+		"impool/empty shards": "b1d2c9ca94a7c24355478c0631dfa7f686777d6ec549bc2236b0c70f832ea680",
 	}
 	images := containerImages(t)
 	if len(images) != len(want) {
@@ -98,29 +96,35 @@ func TestContainerGoldenBytes(t *testing.T) {
 	}
 }
 
-// TestPoolVersion3AppendsMemo pins how .impool version 3 grew out of
-// version 2: the memo's two sections were appended, and every section
-// version 2 had keeps its element size, byte length and payload CRC.
-// The digests cover those three table columns of the first 99 sections
-// and were recorded from the version-2 images of the same fixtures. Only
-// the table's length, and so every offset, moved.
-func TestPoolVersion3AppendsMemo(t *testing.T) {
+// TestPoolVersion4RetainsSections pins how .impool version 4 grew out
+// of version 3: the per-entry kind and compressed-payload sections were
+// dropped, and every section version 3 kept — the metadata block, each
+// shard's Sizes, ListData and BitmapData, the index and the memo — keeps
+// its element size, byte length and payload CRC. The digests cover those
+// three table columns of all 53 sections and were recorded from the
+// version-3 images of the same fixtures, over the sections version 4
+// retains. Only the table's length, and so every offset, moved.
+func TestPoolVersion4RetainsSections(t *testing.T) {
 	want := map[string]string{
-		"impool/lists":        "8253848fb6d9dc0c232f9691b852f998548f4a8beabd51ef514542a542354dd9",
-		"impool/compressed":   "5ee5b80c252cd91d69908468593b093bfa12a2c3dd4f230a143fbc37aefab7b8",
-		"impool/bitmaps":      "cab5285a7d8d0e322bb55963e8bc3fe54df8bbda54323b7b0ee7c40e56421ccd",
-		"impool/unindexed":    "b13da3ec97ce81d1fc8bfda8329db891137cdc975055a6782f3cbdb9ad4b7dc7",
-		"impool/empty shards": "0b6934a3e26597eee1491bd8683a1c188c077caf331c5edbbd5c1652a2ebc2fd",
+		"impool/lists":        "075ee393979bd4c41b665a2a52529df8bc9cda0dd6825f73b4b263559836f936",
+		"impool/bitmaps":      "a7b67058c075354b99812fba14b50d0ed4a6f03bc5e6b74bf91ae1b27a10667f",
+		"impool/unindexed":    "5e970da01a3f7190272465ebe6790144f3dda0f05c0eb3238d9aae46870f7cf3",
+		"impool/empty shards": "ce22003215c0730241759e822e06d2ea4a2b13c56f6b22d7da17a27c9769fba8",
 	}
 	le := binary.LittleEndian
+	seen := 0
 	for _, im := range containerImages(t) {
 		golden, ok := want[im.name]
 		if !ok {
 			continue
 		}
+		seen++
+		if n := le.Uint32(im.data[40:]); n != 53 {
+			t.Fatalf("%s: %d sections, version 4 has 53", im.name, n)
+		}
 		entry := func(i int) []byte { return im.data[headerSize+i*entrySize:] }
 		h := sha256.New()
-		for i := 0; i < poolSecMemo; i++ {
+		for i := 0; i < poolSectionN; i++ {
 			e := entry(i)
 			var cols [16]byte
 			le.PutUint32(cols[0:], le.Uint32(e[4:]))   // element size
@@ -129,13 +133,11 @@ func TestPoolVersion3AppendsMemo(t *testing.T) {
 			h.Write(cols[:])
 		}
 		if got := hex.EncodeToString(h.Sum(nil)); got != golden {
-			t.Errorf("%s: version-2 sections digest %s, recorded %s", im.name, got, golden)
+			t.Errorf("%s: retained sections digest %s, recorded %s", im.name, got, golden)
 		}
-		// Every fixture but the scan-selected one ran CELF, so remembers.
-		table, seeds := le.Uint64(entry(poolSecMemo)[16:]), le.Uint64(entry(poolSecMemoSeeds)[16:])
-		if remembers := im.name != "impool/unindexed"; (table > 0 && seeds > 0) != remembers {
-			t.Errorf("%s: memo sections of %d and %d bytes", im.name, table, seeds)
-		}
+	}
+	if seen != len(want) {
+		t.Fatalf("%d of %d fixtures present", seen, len(want))
 	}
 }
 
@@ -150,7 +152,7 @@ type containerReader struct {
 // every public reader of all three formats: each must refuse it with the
 // format's error and a message naming what is wrong.
 func TestContainerCorruption(t *testing.T) {
-	_, _, pool := poolFixture(t, imm.PoolSlices, true, 3)
+	_, _, pool := poolFixture(t, true, 3)
 	var snap, delta, pl bytes.Buffer
 	if err := WriteSnapshot(&snap, snapshotFixture(t, graph.IC), 5); err != nil {
 		t.Fatal(err)
@@ -274,7 +276,7 @@ func allocatedBytes(runs int, f func()) float64 {
 // TestStreamReaderAllocs gates what the stream readers allocate besides
 // the arrays they return: the header, the table and a few small values,
 // never a buffer per section (a reader that took one chunk per section
-// would spend 64 KiB on each of a pool's 98 payloads).
+// would spend 64 KiB on each of a pool's 52 payloads).
 func TestStreamReaderAllocs(t *testing.T) {
 	g := snapshotFixture(t, graph.LT)
 	var snap bytes.Buffer
@@ -285,7 +287,7 @@ func TestStreamReaderAllocs(t *testing.T) {
 	for _, s := range snapSections(g) {
 		arrays += s.byteLen()
 	}
-	_, _, st := poolFixture(t, imm.PoolSlices, true, 0)
+	_, _, st := poolFixture(t, true, 0)
 	var pool bytes.Buffer
 	if err := WritePoolSnapshot(&pool, st); err != nil {
 		t.Fatal(err)

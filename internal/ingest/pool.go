@@ -7,57 +7,59 @@ import (
 	"math"
 	"math/bits"
 
-	"repro/internal/compress"
 	"repro/internal/graph"
 	"repro/internal/imm"
 )
 
-// The .impool binary pool-snapshot format, version 3 — the warm-pool
+// The .impool binary pool-snapshot format, version 4 — the warm-pool
 // persistence companion to .imsnap/.imdelta: a container (container.go)
 // holding one frozen pool, which a reader either stream-decodes or maps
 // and aliases in place.
 //
 //	magic    "IMPOOL\x1a\x00"
-//	word     flags (bit 0: compressed pool kind, bit 1: adaptive representation)
+//	word     flags (bit 1: adaptive representation; every other bit must be clear)
 //	words    pool RNG seed, N (vertices of the bound graph), pool length (slots generated)
 //
-// 101 sections. Section 0 is the metadata block: 7 little-endian int64
+// 53 sections. Section 0 is the metadata block: 7 little-endian int64
 // words — graph edge count M, graph delta epoch, total pool members Σ|R|,
 // the GraphChecksum content fingerprint, the representation density
 // threshold (float64 bits), the diffusion model, and the shard count
-// (fixed at 16; anything else is rejected). Then 6 sections per shard —
-// the shard's stripe of the set storage — in shard order: Kinds (u8 per
-// entry), Sizes (i32), CompLens (i32), ListData (i32), CompData (u8),
-// BitmapData (u64). Then the pool's one inverted index: PostIdx (i64, N+1
-// offsets, or empty when the pool is unindexed) and PostData (i32,
-// global set ids). Then the pool's selection memo as it stood when the
-// file was written: MemoTable (i64, 6 words per entry, oldest first —
-// view limit, k, workers, base flag 0/1, coverage and modeled ops as
-// float64 bits) and MemoSeeds (i32, every entry's min(k, N) seeds
-// concatenated in entry order). The header implies the metadata, Kinds,
-// Sizes and CompLens lengths and PostIdx's; the blobs' and the memo's are
-// data-dependent. Together with the header words these reconstruct an
-// imm.PoolState exactly; the encoding is canonical — the same state
+// (fixed at 16; anything else is rejected). Then 3 sections per shard —
+// the shard's stripe of the set storage — in shard order: Sizes (i32
+// per entry), ListData (i32), BitmapData (u64). An entry's size decides
+// its representation: the adaptive flag and the density threshold give
+// the policy, and rrr.Policy.Dense of the size says bitmap row or sorted
+// list, so the file records no kind. Then the pool's one inverted index:
+// PostIdx (i64, N+1 offsets, or empty when the pool is unindexed) and
+// PostData (i32, global set ids). Then the pool's selection memo as it
+// stood when the file was written: MemoTable (i64, 6 words per entry,
+// oldest first — view limit, k, workers, base flag 0/1, coverage and
+// modeled ops as float64 bits) and MemoSeeds (i32, every entry's
+// min(k, N) seeds concatenated in entry order). The header implies the
+// metadata and Sizes lengths and PostIdx's; the blobs' and the memo's
+// are data-dependent. Together with the header words these reconstruct
+// an imm.PoolState exactly; the encoding is canonical — the same state
 // always produces identical bytes, which FuzzPoolSnapshotRoundTrip pins.
 //
-// Version 3 appended the two memo sections to version 2's 99, which are
-// unchanged. A file of any other version is refused as unsupported — to
-// a serving layer, a pool that is not on disk: it rebuilds cold and
-// overwrites the file at the next demotion.
+// Version 4 dropped version 3's per-entry kind and compressed-payload
+// sections; every section it kept is unchanged. A file of any other
+// version is refused as unsupported — to a serving layer, a pool that is
+// not on disk: it rebuilds cold and overwrites the file at the next
+// demotion.
 //
 // Every structural defect — bad magic or version, a checksum mismatch,
 // a non-canonical section table, payload extents that disagree with the
-// per-entry metadata, unsorted or out-of-range members, a representation
-// that contradicts the frozen policy, a memo entry that is not a
-// selection this pool could have run — surfaces as an error wrapping
-// ErrPoolSnapshot, never a panic and never a silently-wrong pool.
+// sizes under the frozen policy, unsorted or out-of-range members, a
+// memo entry that is not a selection this pool could have run —
+// surfaces as an error wrapping ErrPoolSnapshot, never a panic and never
+// a silently-wrong pool.
 // Binding staleness (a snapshot frozen at an older graph epoch or
 // against different graph content) is a separate condition, reported by
 // ValidatePoolGraph as ErrPoolStale so callers can fall back to cold
 // regeneration instead of treating the file as corrupt.
 
 // PoolSnapshotVersion is the current .impool format version.
-const PoolSnapshotVersion = 3
+const PoolSnapshotVersion = 4
 
 // PoolSnapshotExt is the conventional file extension.
 const PoolSnapshotExt = ".impool"
@@ -74,17 +76,16 @@ var ErrPoolSnapshot = errors.New("ingest: invalid pool snapshot")
 var ErrPoolStale = errors.New("ingest: pool snapshot stale")
 
 const (
-	poolShardCount     = 16
-	poolSecPerShard    = 6
-	poolSecPostIdx     = 1 + poolShardCount*poolSecPerShard
-	poolSecPostData    = poolSecPostIdx + 1
-	poolSecMemo        = poolSecPostData + 1
-	poolSecMemoSeeds   = poolSecMemo + 1
-	poolSectionN       = poolSecMemoSeeds + 1
-	poolMetaWords      = 7
-	poolMemoWords      = 6 // per memo entry: limit, k, workers, base, coverage bits, ops bits
-	poolFlagCompressed = 1 << 0
-	poolFlagAdaptive   = 1 << 1
+	poolShardCount   = 16
+	poolSecPerShard  = 3
+	poolSecPostIdx   = 1 + poolShardCount*poolSecPerShard
+	poolSecPostData  = poolSecPostIdx + 1
+	poolSecMemo      = poolSecPostData + 1
+	poolSecMemoSeeds = poolSecMemo + 1
+	poolSectionN     = poolSecMemoSeeds + 1
+	poolMetaWords    = 7
+	poolMemoWords    = 6 // per memo entry: limit, k, workers, base, coverage bits, ops bits
+	poolFlagAdaptive = 1 << 1
 )
 
 var poolSchema = schema{
@@ -107,7 +108,6 @@ type PoolSnapshotInfo struct {
 	Count        int64
 	TotalMembers int64
 	GraphSum     uint64
-	Compressed   bool
 	Adaptive     bool
 	RepThreshold float64
 	Bytes        int64 // total snapshot size
@@ -138,8 +138,7 @@ func poolSections(st *imm.PoolState, f *poolFlat) []section {
 	secs = append(secs, sec(&f.meta))
 	for s := range st.Shards {
 		sh := &st.Shards[s]
-		secs = append(secs, sec(&sh.Kinds), sec(&sh.Sizes), sec(&sh.CompLens),
-			sec(&sh.ListData), sec(&sh.CompData), sec(&sh.BitmapData))
+		secs = append(secs, sec(&sh.Sizes), sec(&sh.ListData), sec(&sh.BitmapData))
 	}
 	return append(secs, sec(&st.PostIdx), sec(&st.PostData), sec(&f.memo), sec(&f.seeds))
 }
@@ -222,7 +221,7 @@ func (f *poolFlat) unflattenMemo(st *imm.PoolState) error {
 // writing it.
 func PoolSnapshotSize(st *imm.PoolState) int64 { return containerSize(poolPayloads(st)) }
 
-// WritePoolSnapshot writes st as a version-3 .impool stream. The output
+// WritePoolSnapshot writes st as a version-4 .impool stream. The output
 // is canonical — the same state always produces identical bytes.
 func WritePoolSnapshot(w io.Writer, st *imm.PoolState) error {
 	if st == nil {
@@ -235,9 +234,6 @@ func WritePoolSnapshot(w io.Writer, st *imm.PoolState) error {
 		return fmt.Errorf("%w: negative shape (n=%d count=%d)", ErrPoolSnapshot, st.N, st.Count)
 	}
 	h := header{words: [3]uint64{st.Seed, uint64(st.N), uint64(st.Count)}}
-	if st.Pool == imm.PoolCompressed {
-		h.word |= poolFlagCompressed
-	}
 	if st.AdaptiveRep {
 		h.word |= poolFlagAdaptive
 	}
@@ -253,12 +249,11 @@ func WritePoolSnapshotFile(path string, st *imm.PoolState) error {
 // against what they imply.
 func poolInfo(h header, ents []entry) (PoolSnapshotInfo, error) {
 	info := PoolSnapshotInfo{
-		Version:    PoolSnapshotVersion,
-		Seed:       h.words[0],
-		Compressed: h.word&poolFlagCompressed != 0,
-		Adaptive:   h.word&poolFlagAdaptive != 0,
+		Version:  PoolSnapshotVersion,
+		Seed:     h.words[0],
+		Adaptive: h.word&poolFlagAdaptive != 0,
 	}
-	if h.word&^uint32(poolFlagCompressed|poolFlagAdaptive) != 0 {
+	if h.word&^uint32(poolFlagAdaptive) != 0 {
 		return info, poolSchema.errorf("unknown flags %#x", h.word)
 	}
 	n, count := int64(h.words[1]), int64(h.words[2])
@@ -272,10 +267,8 @@ func poolInfo(h header, ents []entry) (PoolSnapshotInfo, error) {
 		return info, poolSchema.errorf("metadata section holds %d bytes, want %d", ents[0].byteLen, 8*poolMetaWords)
 	}
 	for s := 0; s < poolShardCount; s++ {
-		entries := int64(shardEntries(s, count))
-		meta := ents[1+s*poolSecPerShard:] // Kinds, Sizes, CompLens: one element per entry
-		if meta[0].byteLen != entries || meta[1].byteLen != 4*entries || meta[2].byteLen != 4*entries {
-			return info, poolSchema.errorf("shard %d metadata sections disagree with pool length %d", s, count)
+		if sizes := ents[1+s*poolSecPerShard]; sizes.byteLen != 4*int64(shardEntries(s, count)) {
+			return info, poolSchema.errorf("shard %d sizes section disagrees with pool length %d", s, count)
 		}
 	}
 	if pl := ents[poolSecPostIdx].byteLen; pl != 0 && pl != 8*(n+1) {
@@ -327,10 +320,6 @@ func (info PoolSnapshotInfo) bind(st *imm.PoolState) {
 	st.RepThreshold = info.RepThreshold
 	st.Count = info.Count
 	st.TotalMembers = info.TotalMembers
-	st.Pool = imm.PoolSlices
-	if info.Compressed {
-		st.Pool = imm.PoolCompressed
-	}
 }
 
 // readPoolInfo reads and validates the header, the section table and the
@@ -351,7 +340,7 @@ func readPoolInfo(r io.Reader) ([]entry, PoolSnapshotInfo, error) {
 	return ents, info, applyPoolMeta(meta, &info)
 }
 
-// ReadPoolSnapshot reads a version-3 .impool stream, verifying the
+// ReadPoolSnapshot reads a version-4 .impool stream, verifying the
 // header, the canonical table, every section checksum, and the full
 // structural validity of the pool payloads and memo.
 func ReadPoolSnapshot(r io.Reader) (*imm.PoolState, PoolSnapshotInfo, error) {
@@ -442,13 +431,13 @@ func ValidatePoolGraph(st *imm.PoolState, g *graph.Graph, epoch int64) error {
 }
 
 // validatePoolState performs the full structural audit of a decoded
-// state: per-entry metadata consistent with the blobs, every member
-// list sorted and in range, bitmap rows exactly (N+63)/64 words with
-// clear tail bits and a popcount matching the cached size, every
-// representation the one the frozen policy dictates, and the inverted
-// index a well-formed CSR over the pool: offsets monotone from 0 to the
-// posting total, that total the member total, every segment's ids
-// strictly ascending and below the pool length; and the memo what
+// state: each entry's payload in the blob its size selects under the
+// frozen policy (rrr.Policy.Dense), the blobs consumed exactly, every
+// member list sorted and in range, bitmap rows exactly (N+63)/64 words
+// with clear tail bits and a popcount matching the size, and the
+// inverted index a well-formed CSR over the pool: offsets monotone from
+// 0 to the posting total, that total the member total, every segment's
+// ids strictly ascending and below the pool length; and the memo what
 // imm.PoolState.ValidateMemo accepts. Nothing downstream (thaw,
 // selection) re-validates the payloads, so everything that could panic
 // or silently corrupt an answer is rejected here.
@@ -457,7 +446,6 @@ func validatePoolState(st *imm.PoolState) error {
 		return poolSchema.errorf("%v", err)
 	}
 	policy := imm.PolicyFromOptions(imm.Options{
-		Pool:         st.Pool,
 		AdaptiveRep:  st.AdaptiveRep,
 		RepThreshold: st.RepThreshold,
 	})
@@ -467,62 +455,16 @@ func validatePoolState(st *imm.PoolState) error {
 	for s := range st.Shards {
 		sh := &st.Shards[s]
 		entries := shardEntries(s, st.Count)
-		if len(sh.Kinds) != entries || len(sh.Sizes) != entries || len(sh.CompLens) != entries {
-			return fmt.Errorf("%w: shard %d holds %d entries, pool length %d needs %d", ErrPoolSnapshot, s, len(sh.Kinds), st.Count, entries)
+		if len(sh.Sizes) != entries {
+			return fmt.Errorf("%w: shard %d holds %d entries, pool length %d needs %d", ErrPoolSnapshot, s, len(sh.Sizes), st.Count, entries)
 		}
-		var lc, cc, bc int
-		for j := 0; j < entries; j++ {
-			size := int(sh.Sizes[j])
+		var lc, bc int
+		for j, size32 := range sh.Sizes {
+			size := int(size32)
 			if size < 0 || size > int(n) {
 				return fmt.Errorf("%w: shard %d entry %d size %d out of range [0, %d]", ErrPoolSnapshot, s, j, size, n)
 			}
-			wantBitmap := policy.Adaptive && n > 0 && float64(size) >= policy.DensityThreshold*float64(n)
-			wantKind := uint8(imm.PoolSetList)
-			switch {
-			case wantBitmap:
-				wantKind = imm.PoolSetBitmap
-			case policy.Compress:
-				wantKind = imm.PoolSetCompressed
-			}
-			if sh.Kinds[j] != wantKind {
-				return fmt.Errorf("%w: shard %d entry %d stored as kind %d, policy dictates %d", ErrPoolSnapshot, s, j, sh.Kinds[j], wantKind)
-			}
-			if sh.Kinds[j] != imm.PoolSetCompressed && sh.CompLens[j] != 0 {
-				return fmt.Errorf("%w: shard %d entry %d carries a compressed length but is not compressed", ErrPoolSnapshot, s, j)
-			}
-			switch sh.Kinds[j] {
-			case imm.PoolSetList:
-				if lc+size > len(sh.ListData) {
-					return fmt.Errorf("%w: shard %d list payload overrun at entry %d", ErrPoolSnapshot, s, j)
-				}
-				prev := int32(-1)
-				for _, v := range sh.ListData[lc : lc+size] {
-					if v <= prev || v >= n {
-						return fmt.Errorf("%w: shard %d entry %d member %d unsorted or out of range", ErrPoolSnapshot, s, j, v)
-					}
-					prev = v
-				}
-				lc += size
-			case imm.PoolSetCompressed:
-				cl := int(sh.CompLens[j])
-				if cl < 0 || cc+cl > len(sh.CompData) {
-					return fmt.Errorf("%w: shard %d compressed payload overrun at entry %d", ErrPoolSnapshot, s, j)
-				}
-				data := sh.CompData[cc : cc+cl]
-				got := 0
-				prev := int32(-1)
-				bad := false
-				if err := compress.ForEachPlain(data, func(v int32) {
-					if v <= prev || v >= n {
-						bad = true
-					}
-					prev = v
-					got++
-				}); err != nil || bad || got != size {
-					return fmt.Errorf("%w: shard %d entry %d compressed payload invalid", ErrPoolSnapshot, s, j)
-				}
-				cc += cl
-			case imm.PoolSetBitmap:
+			if policy.Dense(n, size) {
 				if bc+words > len(sh.BitmapData) {
 					return fmt.Errorf("%w: shard %d bitmap payload overrun at entry %d", ErrPoolSnapshot, s, j)
 				}
@@ -538,12 +480,22 @@ func validatePoolState(st *imm.PoolState) error {
 					return fmt.Errorf("%w: shard %d entry %d bitmap popcount %d != size %d", ErrPoolSnapshot, s, j, pop, size)
 				}
 				bc += words
-			default:
-				return fmt.Errorf("%w: shard %d entry %d has unknown set kind %d", ErrPoolSnapshot, s, j, sh.Kinds[j])
+			} else {
+				if lc+size > len(sh.ListData) {
+					return fmt.Errorf("%w: shard %d list payload overrun at entry %d", ErrPoolSnapshot, s, j)
+				}
+				prev := int32(-1)
+				for _, v := range sh.ListData[lc : lc+size] {
+					if v <= prev || v >= n {
+						return fmt.Errorf("%w: shard %d entry %d member %d unsorted or out of range", ErrPoolSnapshot, s, j, v)
+					}
+					prev = v
+				}
+				lc += size
 			}
 			members += int64(size)
 		}
-		if lc != len(sh.ListData) || cc != len(sh.CompData) || bc != len(sh.BitmapData) {
+		if lc != len(sh.ListData) || bc != len(sh.BitmapData) {
 			return fmt.Errorf("%w: shard %d payload blobs larger than its entries consume", ErrPoolSnapshot, s)
 		}
 	}

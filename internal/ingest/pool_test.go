@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"math"
 	"os"
@@ -19,9 +20,9 @@ import (
 
 // poolFixture runs a small warm query and freezes the resulting pool,
 // returning the graph it is bound to alongside the state.
-func poolFixture(t testing.TB, pool imm.PoolKind, adaptive bool, epoch int64) (*graph.Graph, imm.Options, *imm.PoolState) {
+func poolFixture(t testing.TB, adaptive bool, epoch int64) (*graph.Graph, imm.Options, *imm.PoolState) {
 	t.Helper()
-	return poolFixtureWith(t, epoch, func(opt *imm.Options) { opt.Pool, opt.AdaptiveRep = pool, adaptive })
+	return poolFixtureWith(t, epoch, func(opt *imm.Options) { opt.AdaptiveRep = adaptive })
 }
 
 // poolFixtureWith is poolFixture under options shape adjusts.
@@ -81,9 +82,8 @@ func i32eq(a, b []int32) bool {
 // empty slices as equal (the reader yields nil for empty sections).
 func equalPoolState(a, b *imm.PoolState) bool {
 	if a.N != b.N || a.M != b.M || a.Model != b.Model || a.Epoch != b.Epoch ||
-		a.GraphSum != b.GraphSum || a.Seed != b.Seed || a.Pool != b.Pool ||
-		a.AdaptiveRep != b.AdaptiveRep || a.RepThreshold != b.RepThreshold ||
-		a.Count != b.Count || a.TotalMembers != b.TotalMembers {
+		a.GraphSum != b.GraphSum || a.Seed != b.Seed || a.AdaptiveRep != b.AdaptiveRep ||
+		a.RepThreshold != b.RepThreshold || a.Count != b.Count || a.TotalMembers != b.TotalMembers {
 		return false
 	}
 	if !slices.Equal(a.PostIdx, b.PostIdx) || !i32eq(a.PostData, b.PostData) {
@@ -97,18 +97,8 @@ func equalPoolState(a, b *imm.PoolState) bool {
 	}
 	for s := range a.Shards {
 		x, y := &a.Shards[s], &b.Shards[s]
-		if !bytes.Equal(x.Kinds, y.Kinds) || !i32eq(x.Sizes, y.Sizes) ||
-			!i32eq(x.CompLens, y.CompLens) || !i32eq(x.ListData, y.ListData) ||
-			!bytes.Equal(x.CompData, y.CompData) {
+		if !i32eq(x.Sizes, y.Sizes) || !i32eq(x.ListData, y.ListData) || !slices.Equal(x.BitmapData, y.BitmapData) {
 			return false
-		}
-		if len(x.BitmapData) != len(y.BitmapData) {
-			return false
-		}
-		for i := range x.BitmapData {
-			if x.BitmapData[i] != y.BitmapData[i] {
-				return false
-			}
 		}
 	}
 	return true
@@ -117,15 +107,13 @@ func equalPoolState(a, b *imm.PoolState) bool {
 func TestPoolSnapshotRoundTrip(t *testing.T) {
 	cases := []struct {
 		name     string
-		pool     imm.PoolKind
 		adaptive bool
 	}{
-		{"lists", imm.PoolSlices, false},
-		{"compressed", imm.PoolCompressed, false},
-		{"adaptive", imm.PoolSlices, true},
+		{"lists", false},
+		{"adaptive", true},
 	}
 	for _, c := range cases {
-		g, opt, st := poolFixture(t, c.pool, c.adaptive, 4)
+		g, opt, st := poolFixture(t, c.adaptive, 4)
 		var buf bytes.Buffer
 		if err := WritePoolSnapshot(&buf, st); err != nil {
 			t.Fatalf("%s: write: %v", c.name, err)
@@ -146,7 +134,7 @@ func TestPoolSnapshotRoundTrip(t *testing.T) {
 			info.Bytes != int64(buf.Len()) {
 			t.Fatalf("%s: info %+v does not match state", c.name, info)
 		}
-		if info.Compressed != (c.pool == imm.PoolCompressed) || info.Adaptive != c.adaptive {
+		if info.Adaptive != c.adaptive {
 			t.Fatalf("%s: info flags %+v wrong", c.name, info)
 		}
 
@@ -170,7 +158,7 @@ func TestPoolSnapshotRoundTrip(t *testing.T) {
 }
 
 func TestPoolSnapshotFileAndInfo(t *testing.T) {
-	_, _, st := poolFixture(t, imm.PoolCompressed, true, 2)
+	_, _, st := poolFixture(t, true, 2)
 	path := filepath.Join(t.TempDir(), "p"+PoolSnapshotExt)
 	if err := WritePoolSnapshotFile(path, st); err != nil {
 		t.Fatal(err)
@@ -187,38 +175,36 @@ func TestPoolSnapshotFileAndInfo(t *testing.T) {
 		t.Fatal(err)
 	}
 	if info.Epoch != 2 || info.Count != st.Count || info.Seed != st.Seed ||
-		!info.Compressed || !info.Adaptive || info.Bytes != PoolSnapshotSize(st) {
+		!info.Adaptive || info.Bytes != PoolSnapshotSize(st) {
 		t.Fatalf("header-only info %+v does not match state", info)
 	}
 }
 
 func TestPoolSnapshotMmap(t *testing.T) {
-	for _, pool := range []imm.PoolKind{imm.PoolSlices, imm.PoolCompressed} {
-		g, opt, st := poolFixture(t, pool, true, 0)
-		path := filepath.Join(t.TempDir(), "p"+PoolSnapshotExt)
-		if err := WritePoolSnapshotFile(path, st); err != nil {
-			t.Fatal(err)
-		}
-		mapped, info, err := MapPoolSnapshotFile(path)
-		if err != nil {
-			t.Fatalf("%v: map: %v", pool, err)
-		}
-		if !equalPoolState(st, mapped) {
-			t.Fatalf("%v: mapped state differs from frozen state", pool)
-		}
-		if info.Count != st.Count {
-			t.Fatalf("%v: mapped info %+v wrong", pool, info)
-		}
-		// The mapped (possibly aliased, read-only) state must thaw into a
-		// working engine: this is the promotion path.
-		if _, err := imm.ThawWarmEngine(g, opt, mapped); err != nil {
-			t.Fatalf("%v: mapped state failed to thaw: %v", pool, err)
-		}
+	g, opt, st := poolFixture(t, true, 0)
+	path := filepath.Join(t.TempDir(), "p"+PoolSnapshotExt)
+	if err := WritePoolSnapshotFile(path, st); err != nil {
+		t.Fatal(err)
+	}
+	mapped, info, err := MapPoolSnapshotFile(path)
+	if err != nil {
+		t.Fatalf("map: %v", err)
+	}
+	if !equalPoolState(st, mapped) {
+		t.Fatal("mapped state differs from frozen state")
+	}
+	if info.Count != st.Count {
+		t.Fatalf("mapped info %+v wrong", info)
+	}
+	// The mapped (possibly aliased, read-only) state must thaw into a
+	// working engine: this is the promotion path.
+	if _, err := imm.ThawWarmEngine(g, opt, mapped); err != nil {
+		t.Fatalf("mapped state failed to thaw: %v", err)
 	}
 }
 
 func TestPoolSnapshotMmapRejectsCorruption(t *testing.T) {
-	_, _, st := poolFixture(t, imm.PoolSlices, false, 0)
+	_, _, st := poolFixture(t, false, 0)
 	var buf bytes.Buffer
 	if err := WritePoolSnapshot(&buf, st); err != nil {
 		t.Fatal(err)
@@ -271,7 +257,7 @@ func rewriteSectionWord(data []byte, sec, word int, v int64) {
 // pool schema refuses; the container's own cases (truncation, magic,
 // version, bit flips, table layout) are TestContainerCorruption's.
 func TestPoolSnapshotCorruption(t *testing.T) {
-	_, _, st := poolFixture(t, imm.PoolSlices, true, 3)
+	_, _, st := poolFixture(t, true, 3)
 	var buf bytes.Buffer
 	if err := WritePoolSnapshot(&buf, st); err != nil {
 		t.Fatal(err)
@@ -293,6 +279,10 @@ func TestPoolSnapshotCorruption(t *testing.T) {
 			d[12] |= 0x04
 			rewriteHeaderCRC(d, poolSectionN)
 		}), "unknown flags"},
+		{"version 3's compressed-kind flag", mutate(func(d []byte) {
+			d[12] |= 0x01
+			rewriteHeaderCRC(d, poolSectionN)
+		}), "unknown flags 0x3"},
 		{"shard count mismatch (header)", mutate(func(d []byte) {
 			binary.LittleEndian.PutUint32(d[40:], 130)
 			rewriteHeaderCRC(d, poolSectionN)
@@ -324,7 +314,7 @@ func TestPoolSnapshotCorruption(t *testing.T) {
 // but whose index is not a well-formed CSR over the pool is refused by
 // both readers.
 func TestPoolSnapshotIndexValidation(t *testing.T) {
-	_, _, st := poolFixture(t, imm.PoolSlices, false, 0)
+	_, _, st := poolFixture(t, false, 0)
 	n := int(st.N)
 	// A vertex with at least two postings, and the last one with any.
 	two, last := -1, -1
@@ -392,6 +382,65 @@ func TestPoolSnapshotIndexValidation(t *testing.T) {
 			if !errors.Is(err, ErrPoolSnapshot) || !bytes.Contains([]byte(err.Error()), []byte(c.want)) {
 				t.Errorf("%s: got %v, want ErrPoolSnapshot mentioning %q", c.name, err, c.want)
 			}
+		}
+	}
+}
+
+// TestPoolSnapshotSizeAcrossThreshold pins that an entry's size names
+// its representation: a Sizes entry moved across the density threshold
+// — every checksum intact, the member total adjusted to match — reads
+// its payload from the other blob, which both readers refuse with
+// ErrPoolSnapshot and ThawWarmEngine, handed the same state in memory,
+// with imm.ErrPoolIncompatible, each naming the shard.
+func TestPoolSnapshotSizeAcrossThreshold(t *testing.T) {
+	g, opt, st := poolFixture(t, true, 0)
+	policy := imm.PolicyFromOptions(opt)
+	dense := int32(math.Ceil(policy.DensityThreshold * float64(st.N))) // the smallest bitmap row
+	if !policy.Dense(st.N, int(dense)) || policy.Dense(st.N, int(dense-1)) {
+		t.Fatalf("threshold size %d is not where the policy switches", dense)
+	}
+	cases := []struct {
+		name    string
+		isDense bool  // the representation of the entry moved
+		to      int32 // its new size
+	}{
+		{"list moved up", false, dense},
+		{"bitmap moved down", true, dense - 1},
+	}
+	dir := t.TempDir()
+	for _, c := range cases {
+		s, j := -1, -1
+		for si := range st.Shards {
+			if k := slices.IndexFunc(st.Shards[si].Sizes, func(size int32) bool { return policy.Dense(st.N, int(size)) == c.isDense }); k >= 0 {
+				s, j = si, k
+				break
+			}
+		}
+		if s < 0 {
+			t.Fatalf("%s: fixture holds no such entry", c.name)
+		}
+		bad := *st
+		sizes := slices.Clone(st.Shards[s].Sizes)
+		bad.TotalMembers += int64(c.to - sizes[j])
+		sizes[j] = c.to
+		bad.Shards[s].Sizes = sizes
+		path := filepath.Join(dir, "bad"+PoolSnapshotExt)
+		if err := WritePoolSnapshotFile(path, &bad); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		want := fmt.Sprintf("shard %d ", s)
+		_, _, readErr := ReadPoolSnapshotFile(path)
+		_, _, release, mapErr := MapPoolSnapshot(path)
+		if mapErr == nil {
+			release()
+		}
+		for _, err := range []error{readErr, mapErr} {
+			if !errors.Is(err, ErrPoolSnapshot) || !strings.Contains(err.Error(), want) {
+				t.Errorf("%s: got %v, want ErrPoolSnapshot mentioning %q", c.name, err, want)
+			}
+		}
+		if _, err := imm.ThawWarmEngine(g, opt, &bad); !errors.Is(err, imm.ErrPoolIncompatible) || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: thaw got %v, want ErrPoolIncompatible mentioning %q", c.name, err, want)
 		}
 	}
 }
@@ -488,7 +537,7 @@ func TestPoolSnapshotMemoValidation(t *testing.T) {
 }
 
 func TestPoolSnapshotStaleBinding(t *testing.T) {
-	g, _, st := poolFixture(t, imm.PoolSlices, false, 0)
+	g, _, st := poolFixture(t, false, 0)
 	var buf bytes.Buffer
 	if err := WritePoolSnapshot(&buf, st); err != nil {
 		t.Fatal(err)
@@ -526,30 +575,27 @@ func TestPoolSnapshotStaleBinding(t *testing.T) {
 	}
 }
 
-// poolShapes are the shapes a pool's sections take: list, compressed
-// and bitmap payloads, indexed and unindexed pools, and shards with no
-// entries at all (a pool shorter than the shard count).
+// poolShapes are the shapes a pool's sections take: list and bitmap
+// payloads, indexed and unindexed pools, and shards with no entries at
+// all (a pool shorter than the shard count).
 var poolShapes = []struct {
 	name      string
-	pool      imm.PoolKind
-	adaptive  bool
+	adaptive  bool // the state must hold bitmap rows
 	selection imm.SelectionKind
 	maxTheta  int64
-	kind      uint8 // a set kind the state must hold
 	indexed   bool
 }{
-	{"lists", imm.PoolSlices, false, imm.SelectCELF, 4000, imm.PoolSetList, true},
-	{"compressed", imm.PoolCompressed, false, imm.SelectCELF, 4000, imm.PoolSetCompressed, true},
-	{"bitmaps", imm.PoolSlices, true, imm.SelectCELF, 4000, imm.PoolSetBitmap, true},
-	{"unindexed", imm.PoolSlices, false, imm.SelectScan, 4000, imm.PoolSetList, false},
-	{"empty shards", imm.PoolSlices, false, imm.SelectCELF, 5, imm.PoolSetList, true},
+	{"lists", false, imm.SelectCELF, 4000, true},
+	{"bitmaps", true, imm.SelectCELF, 4000, true},
+	{"unindexed", false, imm.SelectScan, 4000, false},
+	{"empty shards", false, imm.SelectCELF, 5, true},
 }
 
 // poolShapeState freezes the pool of poolShapes[i] at epoch 2.
 func poolShapeState(t testing.TB, i int) *imm.PoolState {
 	c := poolShapes[i]
 	_, _, st := poolFixtureWith(t, 2, func(opt *imm.Options) {
-		opt.MaxTheta, opt.Pool, opt.AdaptiveRep, opt.Selection = c.maxTheta, c.pool, c.adaptive, c.selection
+		opt.MaxTheta, opt.AdaptiveRep, opt.Selection = c.maxTheta, c.adaptive, c.selection
 	})
 	return st
 }
@@ -559,17 +605,17 @@ func poolShapeState(t testing.TB, i int) *imm.PoolState {
 func TestPoolWriterMatchesElementEncoder(t *testing.T) {
 	for i, c := range poolShapes {
 		st := poolShapeState(t, i)
-		hasKind, emptyShard := false, false
+		bitmaps, emptyShard := false, false
 		for s := range st.Shards {
 			sh := &st.Shards[s]
-			hasKind = hasKind || bytes.IndexByte(sh.Kinds, c.kind) >= 0
-			emptyShard = emptyShard || len(sh.Kinds) == 0
+			bitmaps = bitmaps || len(sh.BitmapData) > 0
+			emptyShard = emptyShard || len(sh.Sizes) == 0
 		}
 		if (st.PostIdx != nil) != c.indexed {
 			t.Fatalf("%s: indexed=%v, want %v", c.name, st.PostIdx != nil, c.indexed)
 		}
-		if !hasKind || emptyShard != (c.maxTheta < 16) {
-			t.Fatalf("%s: fixture lacks its shape (kind %d present=%v, empty shard=%v)", c.name, c.kind, hasKind, emptyShard)
+		if bitmaps != c.adaptive || emptyShard != (c.maxTheta < 16) {
+			t.Fatalf("%s: fixture lacks its shape (bitmap rows=%v, empty shard=%v)", c.name, bitmaps, emptyShard)
 		}
 		var buf bytes.Buffer
 		if err := WritePoolSnapshot(&buf, st); err != nil {
@@ -584,8 +630,8 @@ func TestPoolWriterMatchesElementEncoder(t *testing.T) {
 // over-allocate — and any accepted input must re-encode to its own
 // bytes and re-decode to the same state.
 func FuzzPoolSnapshotRoundTrip(f *testing.F) {
-	for _, pool := range []imm.PoolKind{imm.PoolSlices, imm.PoolCompressed} {
-		_, _, st := poolFixture(f, pool, pool == imm.PoolCompressed, 1)
+	for _, adaptive := range []bool{false, true} {
+		_, _, st := poolFixture(f, adaptive, 1)
 		var buf bytes.Buffer
 		if err := WritePoolSnapshot(&buf, st); err != nil {
 			f.Fatal(err)
@@ -596,10 +642,10 @@ func FuzzPoolSnapshotRoundTrip(f *testing.F) {
 	f.Add([]byte("IMPOOL\x1a\x00 not a real pool snapshot"))
 	f.Add([]byte{})
 	for _, shape := range []func(*imm.Options){
-		func(opt *imm.Options) { opt.Selection = imm.SelectScan },                   // never indexed
-		func(opt *imm.Options) { opt.MaxTheta = 5 },                                 // shards without a set
-		func(opt *imm.Options) { opt.AdaptiveRep, opt.K = true, 12 },                // bitmap rows
-		func(opt *imm.Options) { opt.Pool = imm.PoolCompressed; opt.MaxTheta = 17 }, // one shard with two
+		func(opt *imm.Options) { opt.Selection = imm.SelectScan },    // never indexed
+		func(opt *imm.Options) { opt.MaxTheta = 5 },                  // shards without a set
+		func(opt *imm.Options) { opt.AdaptiveRep, opt.K = true, 12 }, // bitmap rows
+		func(opt *imm.Options) { opt.MaxTheta = 17 },                 // one shard with two
 	} {
 		_, _, st := poolFixtureWith(f, 1, shape)
 		var buf bytes.Buffer

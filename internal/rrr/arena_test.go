@@ -65,10 +65,9 @@ func TestBuildArenaMatchesBuildScratch(t *testing.T) {
 	policies := []Policy{
 		{Adaptive: false},
 		DefaultPolicy(),
-		{Adaptive: true, DensityThreshold: 1.0 / 16, Compress: true},
 	}
 	inputs := [][]int32{
-		{3, 1, 2},                          // sparse: list (or compressed)
+		{3, 1, 2},                          // sparse: list
 		{9, 8, 7, 6, 5, 4, 3, 2, 1, 0, 10}, // dense enough for adaptive bitmap
 	}
 	for pi, p := range policies {

@@ -7,8 +7,7 @@
 // treatment while the long tail of small sets stays compact.
 //
 // Key types: Set (the representation-agnostic interface: Size, Contains,
-// ForEach, Bytes), ListSet, BitmapSet, and CompressedSet (delta-varint
-// member lists for the compressed pool), with Policy/BuildScratch as the
+// ForEach, Bytes), ListSet and BitmapSet, with Policy/BuildScratch as the
 // single representation-choice dispatch every generation path shares.
 // Whatever the representation, a Set's member sequence is the sorted
 // unique vertex list — the invariant that makes pools interchangeable
@@ -21,7 +20,6 @@ import (
 	"sort"
 
 	"repro/internal/bitset"
-	"repro/internal/compress"
 )
 
 // Set is one random reverse-reachable set over a graph with a fixed
@@ -175,62 +173,25 @@ func (s *BitmapSet) Kind() string { return "bitmap" }
 // Words exposes the backing words for trace-driven cache simulation.
 func (s *BitmapSet) Words() []uint64 { return s.bits.Words() }
 
-// CompressedSet is a delta-varint-encoded sorted vertex list — the
-// HBMax-style compressed representation at pool granularity (no per-set
-// entropy-coder header). It trades byte-at-a-time decode on iteration
-// for roughly a quarter of the ListSet footprint on social-graph RRR
-// sets, whose deltas are small. Membership probes are
-// O(|set|) scans; the compressed pool's selection path never issues
-// them (it walks an inverted index instead), so only legacy scan-mode
-// selection pays the decode tax.
-type CompressedSet struct {
-	data  []byte
-	count int32
-}
-
-// NewCompressedSet builds a CompressedSet from vertices, sorting and
-// deduplicating a scratch copy before encoding.
-func NewCompressedSet(vertices []int32) *CompressedSet {
-	vs := append([]int32(nil), vertices...)
-	sort.Slice(vs, func(i, j int) bool { return vs[i] < vs[j] })
-	out := vs[:0]
-	for i, v := range vs {
-		if i == 0 || v != vs[i-1] {
-			out = append(out, v)
-		}
-	}
-	return NewCompressedSorted(out)
-}
-
-// NewCompressedSorted encodes an already strictly-sorted unique member
-// slice. The slice is not retained.
-func NewCompressedSorted(sorted []int32) *CompressedSet {
-	return &CompressedSet{data: compress.AppendPlain(nil, sorted), count: int32(len(sorted))}
-}
-
 // AdoptSlab is the pool-snapshot thaw seam: it adopts payloads the
 // .impool codec has already validated — strictly sorted in-range member
-// lists, delta-varint payloads (compress.AppendPlain's encoding, exactly
-// what Encoded returns) with their pre-decoded member counts, bitmap
-// rows with their popcounts — as sets, without copying or validating
-// anything. The payloads may alias a memory-mapped file; the sets never
-// write to them. Headers come from three pre-sized typed slabs, so
+// lists, bitmap rows with their popcounts — as sets, without copying or
+// validating anything. The payloads may alias a memory-mapped file; the
+// sets never write to them. Headers come from pre-sized typed slabs, so
 // thawing costs a handful of allocations per shard instead of one (two,
 // for a bitmap) per set. Asking for more headers of a kind than the slab
 // was sized for panics (an index out of range): the caller counted them.
 type AdoptSlab struct {
 	lists   []ListSet
-	comps   []CompressedSet
 	bitmaps []BitmapSet
 	bits    []bitset.Bitset
 }
 
 // NewAdoptSlab sizes a slab for exactly the given number of sets of each
 // representation.
-func NewAdoptSlab(lists, compressed, bitmaps int) *AdoptSlab {
+func NewAdoptSlab(lists, bitmaps int) *AdoptSlab {
 	return &AdoptSlab{
 		lists:   make([]ListSet, lists),
-		comps:   make([]CompressedSet, compressed),
 		bitmaps: make([]BitmapSet, bitmaps),
 		bits:    make([]bitset.Bitset, bitmaps),
 	}
@@ -244,14 +205,6 @@ func (a *AdoptSlab) SortedList(sorted []int32) *ListSet {
 	return h
 }
 
-// Compressed adopts an already-encoded payload holding count members.
-func (a *AdoptSlab) Compressed(data []byte, count int32) *CompressedSet {
-	h := &a.comps[0]
-	a.comps = a.comps[1:]
-	h.data, h.count = data, count
-	return h
-}
-
 // Bitmap is AdoptBitmap into the slab: words holds size set bits over n
 // vertices.
 func (a *AdoptSlab) Bitmap(n int32, words []uint64, size int) *BitmapSet {
@@ -261,36 +214,6 @@ func (a *AdoptSlab) Bitmap(n int32, words []uint64, size int) *BitmapSet {
 	h.bits, h.size = b, size
 	return h
 }
-
-// Encoded exposes the delta-varint payload for serialization. The
-// returned slice aliases the set's backing storage and must not be
-// mutated.
-func (s *CompressedSet) Encoded() []byte { return s.data }
-
-// Contains scans the delta stream, stopping at the first member >= v.
-func (s *CompressedSet) Contains(v int32) bool { return compress.PlainContains(s.data, v) }
-
-// Size returns the member count without decoding.
-func (s *CompressedSet) Size() int { return int(s.count) }
-
-// ForEach decodes and visits members in ascending order without
-// materializing the list.
-func (s *CompressedSet) ForEach(fn func(v int32)) { _ = compress.ForEachPlain(s.data, fn) }
-
-// Vertices appends the decoded members to dst.
-func (s *CompressedSet) Vertices(dst []int32) []int32 {
-	out, err := compress.DecodePlain(s.data, dst)
-	if err != nil {
-		return dst
-	}
-	return out
-}
-
-// Bytes is the encoded payload size.
-func (s *CompressedSet) Bytes() int64 { return int64(len(s.data)) }
-
-// Kind returns "compressed".
-func (s *CompressedSet) Kind() string { return "compressed" }
 
 // Policy decides representations for new sets.
 type Policy struct {
@@ -303,10 +226,6 @@ type Policy struct {
 	// parity is at density 1/32 ≈ 3%. The default of 1/16 biases toward
 	// lists, accounting for the bitmap's lost sort-free iteration.
 	DensityThreshold float64
-	// Compress switches sub-threshold sets from plain sorted lists to
-	// delta-varint CompressedSets (the compressed-pool representation).
-	// Dense sets still become bitset rows when Adaptive is on.
-	Compress bool
 }
 
 // DefaultPolicy returns the adaptive policy with the 1/16 threshold.
@@ -314,15 +233,6 @@ func DefaultPolicy() Policy { return Policy{Adaptive: true, DensityThreshold: 1.
 
 // ListOnlyPolicy returns the Ripples-style fixed representation.
 func ListOnlyPolicy() Policy { return Policy{Adaptive: false} }
-
-// CompressedPolicy returns the compressed-pool policy: delta-encoded
-// member lists below the adaptive density threshold, bitset rows above
-// it.
-func CompressedPolicy() Policy {
-	p := DefaultPolicy()
-	p.Compress = true
-	return p
-}
 
 // Dense reports whether a set of size members over n vertices is stored
 // as a bitmap under the policy. Every path that picks a representation
@@ -338,9 +248,6 @@ func (p Policy) Build(n int32, sortedVerts []int32) Set {
 	if p.Dense(n, len(sortedVerts)) {
 		return NewBitmapSet(n, sortedVerts)
 	}
-	if p.Compress {
-		return NewCompressedSorted(sortedVerts)
-	}
 	return newListSetSorted(sortedVerts)
 }
 
@@ -348,8 +255,8 @@ func (p Policy) Build(n int32, sortedVerts []int32) Set {
 // buffer — the sampler's reusable output — choosing the representation
 // per the policy. The buffer may be reordered in place but is never
 // retained, so callers reuse it across sets; only the list
-// representation pays a copy (bitmaps and compressed sets re-encode
-// into their own storage). This is the single representation dispatch
+// representation pays a copy (a bitmap sets bits in its own storage).
+// This is the single representation dispatch
 // both generation paths go through, so engine pools and Build-made sets
 // can never disagree on the policy semantics.
 func (p Policy) BuildScratch(n int32, buf []int32) Set {
@@ -357,9 +264,6 @@ func (p Policy) BuildScratch(n int32, buf []int32) Set {
 		return NewBitmapSetUnique(n, buf) // needs no order
 	}
 	slices.Sort(buf)
-	if p.Compress {
-		return NewCompressedSorted(buf)
-	}
 	return newListSetSorted(append([]int32(nil), buf...))
 }
 
@@ -367,8 +271,8 @@ func (p Policy) BuildScratch(n int32, buf []int32) Set {
 // kernel's per-worker representation dispatch. List sets — the common
 // case — are copied into a's bump-allocated blocks with their headers
 // carved from the same arena, eliminating both per-set allocations.
-// Bitmap and compressed sets still build private storage (they are the
-// rare dense/compressed tail and their encoders own their buffers).
+// Bitmap sets still build private storage (they are the rare dense
+// tail).
 // The buffer may be reordered in place but is never retained. A nil
 // arena degrades to BuildScratch. Representation choice is identical to
 // BuildScratch, so fused and materialized pools agree set-for-set.
@@ -380,9 +284,6 @@ func (p Policy) BuildArena(n int32, buf []int32, a *Arena) Set {
 		return NewBitmapSetUnique(n, buf) // needs no order
 	}
 	slices.Sort(buf)
-	if p.Compress {
-		return NewCompressedSorted(buf)
-	}
 	return a.NewSortedList(buf)
 }
 
@@ -395,7 +296,6 @@ type Stats struct {
 	TotalBytes  int64
 	Bitmaps     int
 	Lists       int
-	Compressed  int
 	AvgCoverage float64 // mean |set|/n
 	MaxCoverage float64 // max |set|/n
 }
@@ -411,12 +311,9 @@ func (st *Stats) Add(s Set) {
 		st.MaxSize = sz
 	}
 	st.TotalBytes += s.Bytes()
-	switch s.Kind() {
-	case "bitmap":
+	if s.Kind() == "bitmap" {
 		st.Bitmaps++
-	case "compressed":
-		st.Compressed++
-	default:
+	} else {
 		st.Lists++
 	}
 }
@@ -459,9 +356,9 @@ func (p Policy) FootprintBytes(n int32, count int64, meanSize float64) int64 {
 
 // String renders the stats for logs.
 func (st Stats) String() string {
-	return fmt.Sprintf("sets=%d avg|R|=%.1f max|R|=%d avgCov=%.1f%% maxCov=%.1f%% bytes=%d (lists=%d bitmaps=%d compressed=%d)",
+	return fmt.Sprintf("sets=%d avg|R|=%.1f max|R|=%d avgCov=%.1f%% maxCov=%.1f%% bytes=%d (lists=%d bitmaps=%d)",
 		st.Count, float64(st.TotalSize)/float64(max(st.Count, 1)), st.MaxSize,
-		st.AvgCoverage*100, st.MaxCoverage*100, st.TotalBytes, st.Lists, st.Bitmaps, st.Compressed)
+		st.AvgCoverage*100, st.MaxCoverage*100, st.TotalBytes, st.Lists, st.Bitmaps)
 }
 
 func max(a, b int) int {

@@ -215,117 +215,17 @@ func TestLargeRandomSetsConsistency(t *testing.T) {
 	}
 }
 
-func TestCompressedSetBasics(t *testing.T) {
-	var _ Set = (*CompressedSet)(nil)
-	s := NewCompressedSet([]int32{9, 2, 7, 2})
-	if s.Size() != 3 {
-		t.Fatalf("Size = %d", s.Size())
-	}
-	if !s.Contains(7) || s.Contains(5) {
-		t.Fatal("membership wrong")
-	}
-	var got []int32
-	s.ForEach(func(v int32) { got = append(got, v) })
-	if len(got) != 3 || got[0] != 2 || got[1] != 7 || got[2] != 9 {
-		t.Fatalf("ForEach = %v", got)
-	}
-	if s.Kind() != "compressed" {
-		t.Fatalf("Kind = %q", s.Kind())
-	}
-	vs := s.Vertices([]int32{1})
-	if len(vs) != 4 || vs[0] != 1 || vs[1] != 2 {
-		t.Fatalf("Vertices = %v", vs)
-	}
-	if s.Bytes() <= 0 || s.Bytes() >= 12 {
-		t.Fatalf("Bytes = %d, want in (0, 12)", s.Bytes())
-	}
-}
-
-func TestCompressedSetAgreesWithList(t *testing.T) {
-	r := rng.NewStream(5, 1)
-	const n = 4096
-	for trial := 0; trial < 30; trial++ {
-		var verts []int32
-		seen := map[int32]bool{}
-		count := int(r.Uint64()%200) + 1
-		for len(verts) < count {
-			v := int32(r.Uint64() % n)
-			if !seen[v] {
-				seen[v] = true
-				verts = append(verts, v)
-			}
-		}
-		list := NewListSet(verts)
-		cs := NewCompressedSet(verts)
-		if list.Size() != cs.Size() {
-			t.Fatalf("sizes diverge: %d vs %d", list.Size(), cs.Size())
-		}
-		for v := int32(0); v < n; v += 7 {
-			if list.Contains(v) != cs.Contains(v) {
-				t.Fatalf("membership of %d diverges", v)
-			}
-		}
-		lv, cv := list.Vertices(nil), cs.Vertices(nil)
-		for i := range lv {
-			if lv[i] != cv[i] {
-				t.Fatalf("iteration diverges at %d", i)
-			}
-		}
-		if cs.Bytes() > list.Bytes() {
-			t.Fatalf("compressed %dB above list %dB for %d members", cs.Bytes(), list.Bytes(), list.Size())
-		}
-	}
-}
-
-func TestCompressedPolicyBuild(t *testing.T) {
-	p := CompressedPolicy()
-	n := int32(1024)
-	sparse := p.Build(n, []int32{1, 5, 9})
-	if sparse.Kind() != "compressed" {
-		t.Fatalf("sparse kind = %q", sparse.Kind())
-	}
-	dense := make([]int32, 200)
-	for i := range dense {
-		dense[i] = int32(i)
-	}
-	if got := p.Build(n, dense); got.Kind() != "bitmap" {
-		t.Fatalf("dense kind = %q, want bitmap under adaptive threshold", got.Kind())
-	}
-	// Compression without the adaptive switch: everything compressed.
-	flat := Policy{Compress: true}
-	if got := flat.Build(n, dense); got.Kind() != "compressed" {
-		t.Fatalf("non-adaptive compress kind = %q", got.Kind())
-	}
-}
-
-func TestSummarizeCountsCompressed(t *testing.T) {
-	n := int32(256)
-	sets := []Set{
-		NewListSet([]int32{1, 2}),
-		NewCompressedSet([]int32{3, 4, 5}),
-		NewBitmapSet(n, []int32{0, 64, 128}),
-	}
-	st := Summarize(n, sets)
-	if st.Lists != 1 || st.Compressed != 1 || st.Bitmaps != 1 {
-		t.Fatalf("kind counts wrong: %+v", st)
-	}
-	if st.TotalSize != 8 {
-		t.Fatalf("TotalSize = %d", st.TotalSize)
-	}
-}
-
 // TestAdoptSlab holds slab-adopted sets against sets built from the
 // same members by the copying constructors: same members, sizes, bytes
 // and kinds — and the slab aliases (does not copy) what it was given.
 func TestAdoptSlab(t *testing.T) {
 	const n = 130
 	members := [][]int32{{0, 5, 129}, {}, {64, 65}}
-	slab := NewAdoptSlab(len(members), len(members), len(members))
+	slab := NewAdoptSlab(len(members), len(members))
 	for _, vs := range members {
-		comp, bitmap := NewCompressedSorted(vs), NewBitmapSetUnique(n, vs)
+		bitmap := NewBitmapSetUnique(n, vs)
 		pairs := [][2]Set{
 			{slab.SortedList(vs), NewListSet(vs)},
-			{slab.Compressed(comp.Encoded(), int32(len(vs))), comp},
 			{slab.Bitmap(n, bitmap.Words(), len(vs)), bitmap},
 		}
 		for _, p := range pairs {

@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"repro/internal/graph"
-	"repro/internal/imm"
 	"repro/internal/ingest"
 )
 
@@ -48,65 +47,63 @@ func freshEdges(g *graph.Graph, k int) []graph.Edge {
 }
 
 // TestApplyDeltaRepairsWarmPools pins the serving-layer repair
-// contract across models and pool kinds: after a delta, a query on the
+// contract across models: after a delta, a query on the
 // surviving warm pool answers exactly what a cold server loaded with
 // the post-delta graph answers, and the pool itself is retained (warm
 // hit), not regenerated.
 func TestApplyDeltaRepairsWarmPools(t *testing.T) {
 	for _, model := range []graph.Model{graph.IC, graph.LT} {
-		for _, pool := range []imm.PoolKind{imm.PoolSlices, imm.PoolCompressed} {
-			t.Run(model.String()+"/"+pool.String(), func(t *testing.T) {
-				g := testGraph(t, 8, model)
-				opt := Options{Workers: 2, MaxTheta: 4000, Pool: pool}
-				s := testServer(t, opt, map[string]*graph.Graph{"g": g})
-				req := QueryRequest{Graph: "g", K: 10, Epsilon: 0.5, Seed: 7}
-				if _, err := s.Query(req); err != nil {
-					t.Fatal(err)
-				}
+		t.Run(model.String(), func(t *testing.T) {
+			g := testGraph(t, 8, model)
+			opt := Options{Workers: 2, MaxTheta: 4000}
+			s := testServer(t, opt, map[string]*graph.Graph{"g": g})
+			req := QueryRequest{Graph: "g", K: 10, Epsilon: 0.5, Seed: 7}
+			if _, err := s.Query(req); err != nil {
+				t.Fatal(err)
+			}
 
-				d := graph.Delta{Add: freshEdges(g, 12), Remove: firstEdges(g, 9), Seed: 99}
-				res, err := s.ApplyDelta("g", d, graph.DeltaOptions{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !res.Changed || res.Epoch != 1 || res.PoolsRepaired != 1 || res.SetsResampled+res.FullResamples == 0 {
-					t.Fatalf("delta result = %+v", res)
-				}
-				if res.UpdatedAt.IsZero() {
-					t.Fatal("delta result has zero updated_at")
-				}
-				if info, err := s.GraphByName("g"); err != nil || info.Epoch != 1 || info.Edges != res.Edges {
-					t.Fatalf("GraphByName after delta = %+v, %v", info, err)
-				}
+			d := graph.Delta{Add: freshEdges(g, 12), Remove: firstEdges(g, 9), Seed: 99}
+			res, err := s.ApplyDelta("g", d, graph.DeltaOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Changed || res.Epoch != 1 || res.PoolsRepaired != 1 || res.SetsResampled+res.FullResamples == 0 {
+				t.Fatalf("delta result = %+v", res)
+			}
+			if res.UpdatedAt.IsZero() {
+				t.Fatal("delta result has zero updated_at")
+			}
+			if info, err := s.GraphByName("g"); err != nil || info.Epoch != 1 || info.Edges != res.Edges {
+				t.Fatalf("GraphByName after delta = %+v, %v", info, err)
+			}
 
-				warm, err := s.Query(req)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !warm.Warm {
-					t.Fatal("query after repair should hit the retained (repaired) pool")
-				}
+			warm, err := s.Query(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !warm.Warm {
+				t.Fatal("query after repair should hit the retained (repaired) pool")
+			}
 
-				ng, _, err := graph.ApplyDelta(g, d, graph.DeltaOptions{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				cold := testServer(t, opt, map[string]*graph.Graph{"g": ng})
-				want, err := cold.Query(req)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(warm.Seeds, want.Seeds) || warm.Theta != want.Theta {
-					t.Fatalf("repaired pool diverged from cold post-delta pool:\nrepaired: seeds=%v theta=%d\ncold:     seeds=%v theta=%d",
-						warm.Seeds, warm.Theta, want.Seeds, want.Theta)
-				}
+			ng, _, err := graph.ApplyDelta(g, d, graph.DeltaOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cold := testServer(t, opt, map[string]*graph.Graph{"g": ng})
+			want, err := cold.Query(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(warm.Seeds, want.Seeds) || warm.Theta != want.Theta {
+				t.Fatalf("repaired pool diverged from cold post-delta pool:\nrepaired: seeds=%v theta=%d\ncold:     seeds=%v theta=%d",
+					warm.Seeds, warm.Theta, want.Seeds, want.Theta)
+			}
 
-				st := s.Stats()
-				if st.Deltas != 1 || st.RepairedPools != 1 {
-					t.Fatalf("stats after delta = %+v", st)
-				}
-			})
-		}
+			st := s.Stats()
+			if st.Deltas != 1 || st.RepairedPools != 1 {
+				t.Fatalf("stats after delta = %+v", st)
+			}
+		})
 	}
 }
 

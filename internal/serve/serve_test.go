@@ -189,18 +189,8 @@ func TestConcurrentQueries(t *testing.T) {
 // re-querying them is a cold miss again, and answers stay identical.
 func TestEvictionUnderBytePressure(t *testing.T) {
 	g := testGraph(t, 8, graph.IC)
-	probe := testServer(t, Options{Workers: 2, MaxTheta: 4000}, map[string]*graph.Graph{"g": g})
-	res, err := probe.Query(QueryRequest{Graph: "g", K: 8, Epsilon: 0.5, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	onePool := res.PoolBytes
-	if onePool == 0 {
-		t.Fatal("probe pool has no resident bytes")
-	}
-
-	// Budget for two pools; query three seeds round-robin.
-	s := testServer(t, Options{Workers: 2, MaxTheta: 4000, PoolBudgetBytes: 2*onePool + onePool/2},
+	// Query three seeds round-robin under a pressureBudget.
+	s := testServer(t, Options{Workers: 1, MaxTheta: 4000, PoolBudgetBytes: pressureBudget(t, g)},
 		map[string]*graph.Graph{"g": g})
 	var first []*QueryResult
 	for _, seed := range []uint64{1, 2, 3} {

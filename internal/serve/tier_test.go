@@ -63,11 +63,11 @@ func TestPoolFileNameRoundTrip(t *testing.T) {
 	}
 }
 
-// tierProbe measures one pool's resident footprint so tier tests can
-// size budgets that force demotion deterministically.
-func tierProbe(t *testing.T, g *graph.Graph) int64 {
+// tierProbe measures the resident footprint of one pool built by the
+// given number of workers, so tier tests can size budgets against it.
+func tierProbe(t *testing.T, g *graph.Graph, workers int) int64 {
 	t.Helper()
-	probe := testServer(t, Options{Workers: 2, MaxTheta: 4000}, map[string]*graph.Graph{"g": g})
+	probe := testServer(t, Options{Workers: workers, MaxTheta: 4000}, map[string]*graph.Graph{"g": g})
 	res, err := probe.Query(QueryRequest{Graph: "g", K: 8, Epsilon: 0.5, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -78,6 +78,19 @@ func tierProbe(t *testing.T, g *graph.Graph) int64 {
 	return res.PoolBytes
 }
 
+// pressureBudget is the byte budget for tests that query three tenants
+// on g with one worker and need the third to push one out: one and a
+// half pools. A pool's PoolBytes includes arena slack. With two workers
+// the dynamic schedule decides whether one arena or two end partly
+// filled, which moves PoolBytes by half between runs, too far for a
+// budget sized from one probe to both hold any single pool and overflow
+// under any three. One worker fills one arena in slot order, so every
+// pool lands within a percent of the probe.
+func pressureBudget(t *testing.T, g *graph.Graph) int64 {
+	onePool := tierProbe(t, g, 1)
+	return onePool + onePool/2
+}
+
 // TestDemotedPoolAnswersIdentically pins the tentpole contract: under
 // byte pressure with a pool directory, cold pools demote to .impool
 // snapshots instead of being dropped, and the next query on a demoted
@@ -85,9 +98,8 @@ func tierProbe(t *testing.T, g *graph.Graph) int64 {
 // byte-identical to both the original answer and a cold run.
 func TestDemotedPoolAnswersIdentically(t *testing.T) {
 	g := testGraph(t, 8, graph.IC)
-	onePool := tierProbe(t, g)
 	dir := t.TempDir()
-	opt := Options{Workers: 2, MaxTheta: 4000, PoolBudgetBytes: 2*onePool + onePool/2, PoolDir: dir}
+	opt := Options{Workers: 1, MaxTheta: 4000, PoolBudgetBytes: pressureBudget(t, g), PoolDir: dir}
 	s := testServer(t, opt, map[string]*graph.Graph{"g": g})
 
 	var first []*QueryResult
@@ -240,9 +252,8 @@ func TestSaveAndRehydrateAcrossServers(t *testing.T) {
 // explicit save) must rehydrate and answer warm in the next process.
 func TestDemotedPoolSurvivesShutdownReload(t *testing.T) {
 	g := testGraph(t, 8, graph.IC)
-	onePool := tierProbe(t, g)
 	dir := t.TempDir()
-	opt := Options{Workers: 2, MaxTheta: 4000, PoolBudgetBytes: 2*onePool + onePool/2, PoolDir: dir}
+	opt := Options{Workers: 1, MaxTheta: 4000, PoolBudgetBytes: pressureBudget(t, g), PoolDir: dir}
 
 	s1 := testServer(t, opt, map[string]*graph.Graph{"g": g})
 	var first []*QueryResult
@@ -390,7 +401,7 @@ func TestStaleSnapshotRejected(t *testing.T) {
 // seed must be identical, however its pool was served.
 func TestConcurrentDemotePromoteRace(t *testing.T) {
 	g := testGraph(t, 8, graph.IC)
-	onePool := tierProbe(t, g)
+	onePool := tierProbe(t, g, 2)
 	s := testServer(t,
 		Options{Workers: 2, MaxTheta: 4000, PoolBudgetBytes: onePool + onePool/2, PoolDir: t.TempDir()},
 		map[string]*graph.Graph{"g": g})
@@ -790,10 +801,9 @@ func TestOldFormatPoolFileRebuildsCold(t *testing.T) {
 	for _, old := range []struct {
 		version  uint32
 		sections int
-	}{{1, 129}, {2, 99}} {
+	}{{1, 129}, {2, 99}, {3, 101}} {
 		t.Run(fmt.Sprintf("v%d", old.version), func(t *testing.T) {
 			g := testGraph(t, 8, graph.IC)
-			onePool := tierProbe(t, g)
 			dir := t.TempDir()
 			// An old file as far as any reader gets: its magic, its version,
 			// and the length of its header and section table.
@@ -812,7 +822,8 @@ func TestOldFormatPoolFileRebuildsCold(t *testing.T) {
 				t.Fatalf("version-%d file mapped: %v", old.version, err)
 			}
 
-			opt := Options{Workers: 2, MaxTheta: 4000, PoolBudgetBytes: onePool + onePool/2, PoolDir: dir}
+			// A one-byte budget: each query demotes the other tenant's pool.
+			opt := Options{Workers: 2, MaxTheta: 4000, PoolBudgetBytes: 1, PoolDir: dir}
 			s := testServer(t, opt, map[string]*graph.Graph{"g": g})
 			if loaded, err := s.LoadPools(); err != nil || loaded != 0 {
 				t.Fatalf("LoadPools = %d, %v; want the old file skipped", loaded, err)
