@@ -99,7 +99,6 @@ func main() {
 		listen       = flag.String("listen", ":8377", "address to serve HTTP on")
 		modelName    = flag.String("model", "IC", "diffusion model for edge-list loads (snapshots carry their own)")
 		workers      = flag.Int("workers", runtime.NumCPU(), "parallel workers per query")
-		selName      = flag.String("selection", "celf", "selection kernel: celf or scan")
 		maxTheta     = flag.Int64("max-theta", 0, "cap on RRR sets per query (0 = per-theory)")
 		budgetMB     = flag.Int64("pool-budget-mb", 1024, "resident warm-pool byte budget across graphs, in MiB")
 		poolDir      = flag.String("pool-dir", "", "directory for .impool pool snapshots: enables disk demotion under budget pressure, POST /v1/pools/save, and instant-warm rehydration at boot")
@@ -134,12 +133,9 @@ func main() {
 
 	model, err := efficientimm.ParseModel(*modelName)
 	fatalIf(err)
-	selection, err := efficientimm.ParseSelection(*selName)
-	fatalIf(err)
 
 	opt := efficientimm.ServeOptions{
 		Workers:         *workers,
-		Selection:       selection,
 		MaxTheta:        *maxTheta,
 		PoolBudgetBytes: *budgetMB << 20,
 		PoolDir:         *poolDir,

@@ -25,7 +25,7 @@ type clusterFlags struct {
 // on a worker rank, which serves generation rounds over the wire and
 // receives its graphs by broadcast from the root.
 var servingFlags = []string{
-	"listen", "model", "workers", "selection", "max-theta",
+	"listen", "model", "workers", "max-theta",
 	"pool-budget-mb", "ingest-seed", "query-workers", "queue-depth",
 	"gather-window", "drain-timeout",
 }

@@ -77,28 +77,23 @@ func shardOwners(workers int) (owner [poolShards]int) {
 // seed sequence is byte-identical to SelectOnSetsScan at any worker
 // count. The tests pin this across worker counts and both pool
 // representations.
-func (p *shardedPool) selectCELF(base *counter.Counter, workers, k int) (seeds []int32, coverage float64, modeledOps float64) {
-	return p.selectCELFLimited(base, workers, k, p.count)
-}
-
-// selectCELFLimited is selectCELF restricted to the logically truncated
-// pool view of global set ids below limit — the warm-serving seam. A
-// pool physically grown to θ_max answers a query whose own trajectory
-// stopped at θ = limit ≤ θ_max with exactly the seeds a cold pool of
-// limit sets would have returned: a vertex's postings ascend by set id,
-// so its view is the prefix below limit, and every gain computation,
-// stale recompute, and coverage retirement stops at that horizon. base is
-// only consulted
-// for the full view; a truncated view derives its gains from posting
-// prefixes (equal to the fused counts a cold run would have passed,
-// because fusion merely pre-aggregates occurrence counts of the same
-// sets).
+//
+// Selection is restricted to the logically truncated pool view of global
+// set ids below limit — the warm-serving seam. A pool physically grown to
+// θ_max answers a query whose own trajectory stopped at θ = limit ≤ θ_max
+// with exactly the seeds a cold pool of limit sets would have returned: a
+// vertex's postings ascend by set id, so its view is the prefix below
+// limit, and every gain computation, stale recompute, and coverage
+// retirement stops at that horizon. base is only consulted for the full
+// view; a truncated view derives its gains from posting prefixes (equal
+// to the fused counts a cold run would have passed, because fusion merely
+// pre-aggregates occurrence counts of the same sets).
 //
 // It is also the seam the pool's selection memo (selmemo.go) sits at: a
 // (limit, k) this pool has already selected over, with no set below
 // limit replaced since, is answered from the memo with a copy of the
 // seeds and the modeled cost of the selection it stands for.
-func (p *shardedPool) selectCELFLimited(base *counter.Counter, workers, k int, limit int64) (seeds []int32, coverage float64, modeledOps float64) {
+func (p *shardedPool) selectCELF(base *counter.Counter, workers, k int, limit int64) (seeds []int32, coverage float64, modeledOps float64) {
 	if limit > p.count {
 		limit = p.count
 	}

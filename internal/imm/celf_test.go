@@ -12,12 +12,12 @@ import (
 // generatePool builds a pool of nsets through the Efficient engine's
 // generation path under opt and returns the engine (its pool fully
 // generated, selection untouched).
-func generatePool(t testing.TB, g *graph.Graph, opt Options, nsets int64) *efficientEngine {
+func generatePool(t testing.TB, g *graph.Graph, opt Options, nsets int64) *WarmEngine {
 	t.Helper()
-	if err := opt.normalize(g); err != nil {
+	e, err := NewWarmEngine(g, opt)
+	if err != nil {
 		t.Fatal(err)
 	}
-	e := newEfficientEngine(g, opt)
 	e.Generate(nsets)
 	if e.SetCount() != nsets {
 		t.Fatalf("generated %d sets, want %d", e.SetCount(), nsets)
@@ -97,7 +97,7 @@ func TestCELFAccountingGolden(t *testing.T) {
 		}
 		sets := e.p.flatten()
 		for i, lim := range limits {
-			seeds, cov, got := e.p.selectCELFLimited(nil, w, k, lim)
+			seeds, cov, got := e.p.selectCELF(nil, w, k, lim)
 			if fmt.Sprint(seeds) != golden[i].seeds || cov != golden[i].coverage {
 				t.Fatalf("workers=%d limit=%d: seeds %v coverage %v, want %s %v", w, lim, seeds, cov, golden[i].seeds, golden[i].coverage)
 			}
@@ -109,7 +109,7 @@ func TestCELFAccountingGolden(t *testing.T) {
 				t.Fatalf("workers=%d limit=%d: CELF %v/%v != scan %v/%v", w, lim, seeds, cov, scanSeeds, scanCov)
 			}
 		}
-		seeds, cov, got := e.p.selectCELFLimited(e.base, w, k, theta)
+		seeds, cov, got := e.p.selectCELF(e.base, w, k, theta)
 		if fmt.Sprint(seeds) != golden[3].seeds || cov != golden[3].coverage {
 			t.Fatalf("workers=%d fused: seeds %v coverage %v", w, seeds, cov)
 		}
@@ -132,8 +132,8 @@ func TestSelectViewMatchesColdPool(t *testing.T) {
 		warm := generatePool(t, g, testOpts(Efficient, w), theta).p
 		for _, limit := range []int64{1, 2, 15, 16, 17, 100, 333, 512, 999, 1000} {
 			cold := generatePool(t, g, testOpts(Efficient, w), limit).p
-			seeds, cov, ops := warm.selectCELFLimited(nil, w, k, limit)
-			wantSeeds, wantCov, wantOps := cold.selectCELF(nil, w, k)
+			seeds, cov, ops := warm.selectCELF(nil, w, k, limit)
+			wantSeeds, wantCov, wantOps := cold.selectCELF(nil, w, k, cold.count)
 			if fmt.Sprint(seeds) != fmt.Sprint(wantSeeds) || cov != wantCov || ops != wantOps {
 				t.Errorf("workers=%d limit=%d: view selects %v/%v at %v ops, a pool of %d sets %v/%v at %v",
 					w, limit, seeds, cov, ops, limit, wantSeeds, wantCov, wantOps)

@@ -1,51 +1,10 @@
 package imm
 
 import (
-	"time"
-
 	"repro/internal/counter"
-	"repro/internal/graph"
 	"repro/internal/rrr"
 	"repro/internal/sched"
 )
-
-// efficientEngine implements EFFICIENTIMM (§IV of the paper):
-//
-//   - RRRsets partitioning: selection work is split over the sets, not
-//     the vertices, so per-worker selection cost is Σ|R|/p and shrinks
-//     with the worker count (Algorithm 2).
-//   - Concurrent global counter: occurrence counts live in one shared
-//     array updated with 64-bit atomic adds; the argmax is the two-step
-//     regional/global parallel reduction.
-//   - Kernel fusion: each set increments the global counter immediately
-//     after generation while it is still hot (Algorithm 3 lines 14-16).
-//   - Adaptive representation: dense sets become bitmaps, sparse sets
-//     stay sorted lists.
-//   - Adaptive counter update: seed retirement either decrements covered
-//     sets or rebuilds from survivors, whichever touches less data.
-//   - Dynamic job balancing: generation jobs are spread over
-//     work-stealing deques.
-type efficientEngine struct {
-	g   *graph.Graph
-	opt Options
-	p   *shardedPool
-	bd  Breakdown
-
-	policy rrr.Policy
-	// base holds occurrence counts over the whole pool, maintained
-	// incrementally by kernel fusion (or rebuilt per selection when
-	// fusion is disabled).
-	base *counter.Counter
-	// baseMembers tracks how many members base has absorbed, to detect
-	// staleness when fusion is off.
-	baseFresh bool
-	// gen holds the generation kernel's per-worker samplers, arenas, and
-	// generators (fused.go), persistent across Generate calls.
-	gen []*genWorker
-	// remote, when non-nil, sources pool extensions from a distributed
-	// slot generator (remote.go); local generation is the fallback.
-	remote SlotGenerator
-}
 
 // PolicyFromOptions derives the RRR representation policy the Efficient
 // engine uses for opt. Exported so a SlotGenerator (internal/dist's rank
@@ -61,63 +20,6 @@ func PolicyFromOptions(opt Options) rrr.Policy {
 		}
 	}
 	return policy
-}
-
-func newEfficientEngine(g *graph.Graph, opt Options) *efficientEngine {
-	policy := PolicyFromOptions(opt)
-	return &efficientEngine{
-		g:      g,
-		opt:    opt,
-		p:      newShardedPool(g.N),
-		policy: policy,
-		base:   counter.New(g.N),
-	}
-}
-
-func (e *efficientEngine) SetCount() int64              { return e.p.len() }
-func (e *efficientEngine) Stats() rrr.Stats             { return e.p.stats() }
-func (e *efficientEngine) Breakdown() Breakdown         { return e.bd }
-func (e *efficientEngine) PoolFootprint() PoolFootprint { return e.p.footprint() }
-
-func (e *efficientEngine) Generate(target int64) {
-	from, to, err := e.p.grow(target)
-	if err != nil {
-		panic(err) // RunEngine refuses a θ past the bound before it gets here
-	}
-	if from == to {
-		return
-	}
-	if e.remote != nil && e.generateRemote(from, to) {
-		return
-	}
-	e.generateFused(from, to)
-}
-
-// SelectSeeds runs Find_Most_Influential_Set over the sharded pool. The
-// default path is the lazy-greedy selection over the inverted
-// index (selectCELF); SelectScan falls back to the eager
-// argmax-and-update kernel with the Figure 5 counter strategies. Both
-// are non-destructive — coverage marks live in per-call scratch and the
-// base counter is only read — so the pool can keep growing across
-// θ-estimation rounds, and both return byte-identical seed sequences.
-func (e *efficientEngine) SelectSeeds(k int) ([]int32, float64) {
-	start := time.Now()
-	defer func() { e.bd.SelectionWall += time.Since(start) }()
-
-	var base *counter.Counter
-	if e.baseFresh {
-		base = e.base
-	}
-	var seeds []int32
-	var cov float64
-	var ops float64
-	if e.opt.Selection == SelectScan {
-		seeds, cov, ops = SelectOnSetsScan(e.g.N, e.p.flatten(), e.p.totalMembers, base, e.opt.Workers, e.opt.Update, k)
-	} else {
-		seeds, cov, ops = e.p.selectCELF(base, e.opt.Workers, k)
-	}
-	e.bd.SelectionModeled += ops
-	return seeds, cov
 }
 
 // SelectOnSetsScan is the eager Find_Most_Influential_Set kernel over an

@@ -54,9 +54,9 @@ type genWorker struct {
 // workers. Worker state persists across Generate calls, so warm
 // θ-extension rounds re-enter the kernel without re-allocating samplers
 // or arenas.
-func (e *efficientEngine) ensureGenWorkers(workers int) {
-	for len(e.gen) < workers {
-		e.gen = append(e.gen, &genWorker{smp: diffusion.NewSampler(e.g), arena: rrr.NewArena()})
+func (w *WarmEngine) ensureGenWorkers(workers int) {
+	for len(w.gen) < workers {
+		w.gen = append(w.gen, &genWorker{smp: diffusion.NewSampler(w.g), arena: rrr.NewArena()})
 	}
 }
 
@@ -82,22 +82,22 @@ func (gw *genWorker) sampleSlot(seed uint64, slot int64, policy rrr.Policy, n in
 	return set, len(members)
 }
 
-// fusedRange samples slots [s0, e0) on worker w and returns the job's
+// fusedRange samples slots [s0, e0) on worker wk and returns the job's
 // critical-path cost (edge visits plus build work).
-func (e *efficientEngine) fusedRange(w int, s0, e0 int64, members []int64) int64 {
-	gw := e.gen[w]
-	cnt := e.base
-	if !e.opt.Fusion {
+func (w *WarmEngine) fusedRange(wk int, s0, e0 int64, members []int64) int64 {
+	gw := w.gen[wk]
+	cnt := w.base
+	if !w.opt.Fusion {
 		cnt = nil
 	}
 	edgesBefore := gw.smp.EdgesVisited
 	var jobMembers int64
 	for i := s0; i < e0; i++ {
-		set, m := gw.sampleSlot(e.opt.Seed, i, e.policy, e.p.n, cnt)
+		set, m := gw.sampleSlot(w.opt.Seed, i, w.policy, w.p.n, cnt)
 		jobMembers += int64(m)
-		e.p.put(i, set)
+		w.p.put(i, set)
 	}
-	members[w] += jobMembers
+	members[wk] += jobMembers
 	return (gw.smp.EdgesVisited - edgesBefore) + 3*jobMembers
 }
 
@@ -106,25 +106,25 @@ func (e *efficientEngine) fusedRange(w int, s0, e0 int64, members []int64) int64
 // adaptive-representation win) plus the fused atomic updates (charged
 // double for the lock prefix), plus the Stage-B index-merge critical
 // path that selection would otherwise charge lazily via ensureIndexed.
-func (e *efficientEngine) generateFused(from, to int64) {
+func (w *WarmEngine) generateFused(from, to int64) {
 	start := time.Now()
-	workers := e.opt.Workers
-	e.ensureGenWorkers(workers)
-	e.baseFresh = e.opt.Fusion
+	workers := w.opt.Workers
+	w.ensureGenWorkers(workers)
+	w.baseFresh = w.opt.Fusion
 
 	members := make([]int64, workers)
 	edgeStart := make([]int64, workers)
-	for w := 0; w < workers; w++ {
-		edgeStart[w] = e.gen[w].smp.EdgesVisited
+	for wk := 0; wk < workers; wk++ {
+		edgeStart[wk] = w.gen[wk].smp.EdgesVisited
 	}
 
 	totalSets := to - from
 	var maxJob int64
-	dynamic := e.opt.DynamicBalance
+	dynamic := w.opt.DynamicBalance
 	if dynamic {
 		// Keep at least ~8 jobs per worker so stealing can balance; cap
 		// at the configured batch for locality on large pools.
-		batch := e.opt.BatchSize
+		batch := w.opt.BatchSize
 		if fair := int(totalSets / int64(8*workers)); fair < batch {
 			batch = fair
 		}
@@ -134,42 +134,42 @@ func (e *efficientEngine) generateFused(from, to int64) {
 		b := int64(batch)
 		jobs := (totalSets + b - 1) / b
 		jobMax := make([]int64, workers)
-		sched.WorkStealing(workers, jobs, func(w int, job int64) {
+		sched.WorkStealing(workers, jobs, func(wk int, job int64) {
 			s0 := from + job*b
 			e0 := s0 + b
 			if e0 > to {
 				e0 = to
 			}
-			if cost := e.fusedRange(w, s0, e0, members); cost > jobMax[w] {
-				jobMax[w] = cost
+			if cost := w.fusedRange(wk, s0, e0, members); cost > jobMax[wk] {
+				jobMax[wk] = cost
 			}
 		})
 		maxJob = maxOf(jobMax)
 	} else {
-		sched.Static(workers, int(totalSets), func(w, s0, e0 int) {
-			e.fusedRange(w, from+int64(s0), from+int64(e0), members)
+		sched.Static(workers, int(totalSets), func(wk, s0, e0 int) {
+			w.fusedRange(wk, from+int64(s0), from+int64(e0), members)
 		})
 	}
-	e.p.addMembers(members)
+	w.p.addMembers(members)
 
 	// Stage B. Skipped for scan-mode selection, which never walks the
 	// index (and whose footprint reporting pins IndexBytes at zero).
 	var indexCritical int64
-	if e.opt.Selection == SelectCELF {
-		indexCritical = e.p.indexNewSets(workers)
+	if w.opt.Selection == SelectCELF {
+		indexCritical = w.p.indexNewSets(workers)
 	}
-	e.bd.SamplingWall += time.Since(start)
+	w.bd.SamplingWall += time.Since(start)
 
 	edges := make([]int64, workers)
 	fusionCounts := make([]int64, workers)
-	for w := 0; w < workers; w++ {
-		edges[w] = e.gen[w].smp.EdgesVisited - edgeStart[w]
-		if e.opt.Fusion {
-			fusionCounts[w] = members[w]
+	for wk := 0; wk < workers; wk++ {
+		edges[wk] = w.gen[wk].smp.EdgesVisited - edgeStart[wk]
+		if w.opt.Fusion {
+			fusionCounts[wk] = members[wk]
 		}
 	}
 	sortCost := func(memberCount, setCount int64) int64 {
-		return ModeledSortCost(e.policy, e.p.n, memberCount, setCount)
+		return ModeledSortCost(w.policy, w.p.n, memberCount, setCount)
 	}
 	if dynamic {
 		// Dynamic balancing spreads batch jobs across the simulated
@@ -177,25 +177,25 @@ func (e *efficientEngine) generateFused(from, to int64) {
 		// total/p + costliest job, independent of how many physical
 		// cores executed the goroutines.
 		total := sumOf(edges) + sortCost(sumOf(members), totalSets) + 2*sumOf(fusionCounts)
-		e.bd.SamplingModeled += float64(total)/float64(workers) + float64(maxJob)
+		w.bd.SamplingModeled += float64(total)/float64(workers) + float64(maxJob)
 	} else {
 		// Static schedule: the slowest worker's chunk gates the phase.
 		setsPer := maxI64(1, totalSets/int64(workers))
 		perWorker := make([]int64, workers)
-		for w := range perWorker {
-			perWorker[w] = edges[w] + sortCost(members[w], setsPer) + 2*fusionCounts[w]
+		for wk := range perWorker {
+			perWorker[wk] = edges[wk] + sortCost(members[wk], setsPer) + 2*fusionCounts[wk]
 		}
-		e.bd.SamplingModeled += float64(maxOf(perWorker))
+		w.bd.SamplingModeled += float64(maxOf(perWorker))
 	}
-	e.bd.SamplingModeled += float64(indexCritical)
+	w.bd.SamplingModeled += float64(indexCritical)
 }
 
 // arenaSlackBytes is the generation arenas' unused capacity — the fused
 // kernel's contribution to a warm engine's memory overhead beyond what
 // the resident sets account for.
-func (e *efficientEngine) arenaSlackBytes() int64 {
+func (w *WarmEngine) arenaSlackBytes() int64 {
 	var b int64
-	for _, gw := range e.gen {
+	for _, gw := range w.gen {
 		b += gw.arena.SlackBytes()
 	}
 	return b

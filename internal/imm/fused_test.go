@@ -38,12 +38,12 @@ func diffGraph(t testing.TB, model graph.Model) *graph.Graph {
 
 // runKernel runs a full martingale trajectory on its own engine and
 // returns the result plus the engine for index inspection.
-func runKernel(t testing.TB, g *graph.Graph, opt Options) (*Result, *efficientEngine) {
+func runKernel(t testing.TB, g *graph.Graph, opt Options) (*Result, *WarmEngine) {
 	t.Helper()
-	if err := opt.normalize(g); err != nil {
+	eng, err := NewWarmEngine(g, opt)
+	if err != nil {
 		t.Fatal(err)
 	}
-	eng := newEfficientEngine(g, opt)
 	res, err := RunEngine(g, opt, eng)
 	if err != nil {
 		t.Fatal(err)
@@ -90,7 +90,7 @@ func compareFusedToReference(t *testing.T, model graph.Model, opt Options) {
 			recount.Inc(v)
 		}
 	}
-	if got, want := res.SetStats, ref.stats(); got != want {
+	if got, want := res.SetStats, ref.statsUpTo(ref.count); got != want {
 		t.Fatalf("%s: pool stats diverged:\nfused:     %+v\nreference: %+v", label, got, want)
 	}
 	if got, want := res.Pool, ref.footprint(); got != want {
@@ -179,10 +179,10 @@ func TestFusedSteadyStateAllocs(t *testing.T) {
 			opt.Workers = 1 // AllocsPerRun requires a deterministic single-goroutine hot path
 			opt.AdaptiveRep = tc.adaptive
 			opt.Seed = 7
-			if err := opt.normalize(g); err != nil {
+			eng, err := NewWarmEngine(g, opt)
+			if err != nil {
 				t.Fatal(err)
 			}
-			eng := newEfficientEngine(g, opt)
 
 			const step = 2048
 			target := int64(step) // warm-up: allocate samplers, arenas, first index

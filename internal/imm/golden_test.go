@@ -49,7 +49,7 @@ func goldenGraph(t *testing.T, name string) *graph.Graph {
 	return g
 }
 
-func goldenHash(res *Result, eng *efficientEngine) uint64 {
+func goldenHash(res *Result, eng *WarmEngine) uint64 {
 	h := fnv.New64a()
 	var b [8]byte
 	put := func(v uint64) {

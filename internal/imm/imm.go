@@ -247,28 +247,23 @@ type Engine interface {
 	Breakdown() Breakdown
 }
 
-// NewEngine constructs the shared-memory engine selected by opt.Engine.
-func NewEngine(g *graph.Graph, opt Options) (Engine, error) {
-	switch opt.Engine {
-	case Ripples:
-		return newRipplesEngine(g, opt), nil
-	case Efficient:
-		return newEfficientEngine(g, opt), nil
-	default:
-		return nil, fmt.Errorf("imm: unknown engine %v", opt.Engine)
-	}
-}
-
-// Run executes IMM on g and returns the selected seeds.
+// Run executes IMM on g and returns the selected seeds: the Ripples
+// baseline on its own engine, the Efficient engine on a fresh WarmEngine.
 func Run(g *graph.Graph, opt Options) (*Result, error) {
 	if err := opt.normalize(g); err != nil {
 		return nil, err
 	}
-	eng, err := NewEngine(g, opt)
-	if err != nil {
-		return nil, err
+	switch opt.Engine {
+	case Ripples:
+		return RunEngine(g, opt, newRipplesEngine(g, opt))
+	case Efficient:
+		w, err := NewWarmEngine(g, opt)
+		if err != nil {
+			return nil, err
+		}
+		return RunEngine(g, opt, w)
 	}
-	return RunEngine(g, opt, eng)
+	return nil, fmt.Errorf("imm: unknown engine %v", opt.Engine)
 }
 
 // thetaParams bundles the (n, k, ε, ℓ)-derived constants of the

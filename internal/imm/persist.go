@@ -107,17 +107,16 @@ func GraphChecksum(g *graph.Graph) uint64 { return g.Checksum() }
 // query lock. Memo is a copy of the memo's entries; their seed slices,
 // which nothing writes, are shared.
 func (w *WarmEngine) Freeze(epoch int64) (*PoolState, error) {
-	e := w.inner
-	p := e.p
+	p := w.p
 	st := &PoolState{
 		N:            p.n,
 		M:            w.g.M,
 		Model:        w.g.Model(),
 		Epoch:        epoch,
 		GraphSum:     GraphChecksum(w.g),
-		Seed:         e.opt.Seed,
-		AdaptiveRep:  e.opt.AdaptiveRep,
-		RepThreshold: e.opt.RepThreshold,
+		Seed:         w.opt.Seed,
+		AdaptiveRep:  w.opt.AdaptiveRep,
+		RepThreshold: w.opt.RepThreshold,
 		Count:        p.count,
 		TotalMembers: p.totalMembers,
 	}
@@ -125,7 +124,7 @@ func (w *WarmEngine) Freeze(epoch int64) (*PoolState, error) {
 		st.Memo = slices.Clone(p.memo.slots[:p.memo.n])
 	}
 	if p.indexed > 0 {
-		p.patch(e.opt.Workers, nil, nil)
+		p.patch(w.opt.Workers, nil, nil)
 		st.PostIdx, st.PostData = p.postIdx, p.postData
 	}
 	for s, sets := range p.shards {
@@ -166,12 +165,11 @@ func (w *WarmEngine) Freeze(epoch int64) (*PoolState, error) {
 // a thawed engine answers exactly like the engine that was frozen — and
 // like a cold Run on the same graph epoch.
 func ThawWarmEngine(g *graph.Graph, opt Options, st *PoolState) (*WarmEngine, error) {
-	if err := opt.normalize(g); err != nil {
+	w, err := NewWarmEngine(g, opt)
+	if err != nil {
 		return nil, err
 	}
-	if opt.Engine != Efficient {
-		return nil, fmt.Errorf("imm: warm reuse requires the Efficient engine, got %v", opt.Engine)
-	}
+	opt = w.opt
 	if g.N != st.N || g.M != st.M || g.Model() != st.Model {
 		return nil, fmt.Errorf("%w: graph shape/model (%d, %d, %v) vs frozen (%d, %d, %v)",
 			ErrPoolIncompatible, g.N, g.M, g.Model(), st.N, st.M, st.Model)
@@ -191,8 +189,7 @@ func ThawWarmEngine(g *graph.Graph, opt Options, st *PoolState) (*WarmEngine, er
 		return nil, fmt.Errorf("%w: %v", ErrPoolIncompatible, err)
 	}
 
-	e := newEfficientEngine(g, opt)
-	p := e.p
+	p := w.p
 	if _, _, err := p.grow(st.Count); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrPoolIncompatible, err)
 	}
@@ -207,7 +204,7 @@ func ThawWarmEngine(g *graph.Graph, opt Options, st *PoolState) (*WarmEngine, er
 		}
 		bitmaps := 0
 		for _, size := range in.Sizes {
-			if e.policy.Dense(st.N, int(size)) {
+			if w.policy.Dense(st.N, int(size)) {
 				bitmaps++
 			}
 		}
@@ -218,7 +215,7 @@ func ThawWarmEngine(g *graph.Graph, opt Options, st *PoolState) (*WarmEngine, er
 			if size < 0 {
 				return nil, fmt.Errorf("%w: shard %d entry %d has negative size", ErrPoolIncompatible, s, j)
 			}
-			if e.policy.Dense(st.N, size) {
+			if w.policy.Dense(st.N, size) {
 				if bc+words > len(in.BitmapData) {
 					return nil, fmt.Errorf("%w: shard %d bitmap payload overrun", ErrPoolIncompatible, s)
 				}
@@ -256,12 +253,12 @@ func ThawWarmEngine(g *graph.Graph, opt Options, st *PoolState) (*WarmEngine, er
 	// the pool arrived indexed, else by walking the adopted sets. Both
 	// land on exactly the counts incremental fusion would have accumulated.
 	if opt.Fusion && p.count > 0 {
-		if !baseFromIndex(e.base, p, opt.Workers) {
-			rebuildBase(e.base, p, opt.Workers)
+		if !baseFromIndex(w.base, p, opt.Workers) {
+			rebuildBase(w.base, p, opt.Workers)
 		}
-		e.baseFresh = true
+		w.baseFresh = true
 	}
-	return &WarmEngine{g: g, inner: e}, nil
+	return w, nil
 }
 
 // baseFromIndex fills a zeroed base from the index's CSR offsets — a

@@ -165,7 +165,7 @@ func TestThawBaseFromIndexMatchesMemberWalk(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
-			p := thawed.inner.p
+			p := thawed.p
 
 			walk := counter.New(g.N)
 			rebuildBase(walk, p, opt.Workers)
@@ -177,10 +177,10 @@ func TestThawBaseFromIndexMatchesMemberWalk(t *testing.T) {
 			} else if !ok && slices.IndexFunc(fromIndex.Raw(), func(c int64) bool { return c != 0 }) >= 0 {
 				t.Fatalf("%s: a declined shortcut wrote to the counter", label)
 			}
-			if !slices.Equal(walk.Raw(), we.inner.base.Raw()) {
+			if !slices.Equal(walk.Raw(), we.base.Raw()) {
 				t.Fatalf("%s: member walk differs from the frozen engine's fused counter", label)
 			}
-			if !slices.Equal(thawed.inner.base.Raw(), we.inner.base.Raw()) {
+			if !slices.Equal(thawed.base.Raw(), we.base.Raw()) {
 				t.Fatalf("%s: thawed counter differs from the frozen engine's", label)
 			}
 		}

@@ -28,17 +28,17 @@ type SlotGenerator interface {
 // generator to the warm engine. Calls must not overlap the engine's
 // queries — set it right after NewWarmEngine, or between batches under
 // the caller's engine lock (internal/serve holds its pool mutex).
-func (w *WarmEngine) SetRemote(gen SlotGenerator) { w.inner.remote = gen }
+func (w *WarmEngine) SetRemote(gen SlotGenerator) { w.remote = gen }
 
 // generateRemote fills slots [from, to) through the attached remote
 // generator. Pool and counter state are touched only after the whole
 // range arrived intact, so a false return (transport failure, decode
 // failure, a declined range) leaves the engine exactly as it was and the
 // caller falls back to local generation.
-func (e *efficientEngine) generateRemote(from, to int64) bool {
+func (w *WarmEngine) generateRemote(from, to int64) bool {
 	start := time.Now()
 	out := make([]rrr.Set, to-from)
-	members, edges, err := e.remote.GenerateSlots(from, out)
+	members, edges, err := w.remote.GenerateSlots(from, out)
 	if err != nil {
 		return false
 	}
@@ -48,24 +48,24 @@ func (e *efficientEngine) generateRemote(from, to int64) bool {
 		}
 	}
 	for i, s := range out {
-		e.p.put(from+int64(i), s)
+		w.p.put(from+int64(i), s)
 	}
 	var fused int64
-	if e.opt.Fusion {
+	if w.opt.Fusion {
 		// Only this goroutine writes the counter here, so the fold needs
 		// no atomic adds.
-		counts := e.base.Raw()
+		counts := w.base.Raw()
 		inc := func(v int32) { counts[v]++ }
 		for _, s := range out {
 			s.ForEach(inc)
 		}
 		fused = members
-		e.baseFresh = true
+		w.baseFresh = true
 	} else {
-		e.baseFresh = false
+		w.baseFresh = false
 	}
-	e.p.addMembers([]int64{members})
-	e.bd.SamplingWall += time.Since(start)
-	e.bd.SamplingModeled += float64(edges + ModeledSortCost(e.policy, e.p.n, members, to-from) + 2*fused)
+	w.p.addMembers([]int64{members})
+	w.bd.SamplingWall += time.Since(start)
+	w.bd.SamplingModeled += float64(edges + ModeledSortCost(w.policy, w.p.n, members, to-from) + 2*fused)
 	return true
 }

@@ -61,40 +61,39 @@ func (w *WarmEngine) ApplyDelta(ng *graph.Graph, rep *graph.DeltaReport) (Repair
 	if ng.Model() != w.g.Model() {
 		return RepairReport{}, fmt.Errorf("imm: repair cannot change the diffusion model (%v -> %v)", w.g.Model(), ng.Model())
 	}
-	r := w.inner.repair(ng, rep)
-	w.g = ng
+	r := w.repair(ng, rep)
 	w.limit = 0
 	return r, nil
 }
 
 // repair swaps the engine onto ng and patches the pool in place.
-func (e *efficientEngine) repair(ng *graph.Graph, rep *graph.DeltaReport) RepairReport {
-	count := e.p.len()
+func (w *WarmEngine) repair(ng *graph.Graph, rep *graph.DeltaReport) RepairReport {
+	count := w.p.len()
 	r := RepairReport{Slots: count}
-	grew := ng.N != e.g.N
-	e.g = ng
+	grew := ng.N != w.g.N
+	w.g = ng
 	// The per-worker samplers hold visited bitmaps sized to the old
 	// graph; rebind them (arenas survive — they do not reference the
 	// graph).
-	for _, gw := range e.gen {
+	for _, gw := range w.gen {
 		gw.smp = diffusion.NewSampler(ng)
 	}
 	// A remote slot generator was constructed against the old graph;
 	// detach it and let the owner re-attach one for the new epoch.
 	// Local generation is always a correct fallback.
-	e.remote = nil
+	w.remote = nil
 
 	if grew {
 		// Root draws changed everywhere: drop the pool and regenerate
 		// its full length cold on the new graph. The fused counter is
 		// resized along the way.
-		e.p = newShardedPool(ng.N)
-		e.base = counter.New(ng.N)
-		e.baseFresh = false
+		w.p = newShardedPool(ng.N)
+		w.base = counter.New(ng.N)
+		w.baseFresh = false
 		if count > 0 {
 			r.Resampled = count
 			r.FullResample = true
-			e.Generate(count)
+			w.Generate(count)
 		}
 		return r
 	}
@@ -102,7 +101,7 @@ func (e *efficientEngine) repair(ng *graph.Graph, rep *graph.DeltaReport) Repair
 		return r
 	}
 
-	invalid := e.invalidSlots(rep.Dirty)
+	invalid := w.invalidSlots(rep.Dirty)
 	r.Resampled = int64(len(invalid))
 	if len(invalid) == 0 {
 		return r
@@ -111,11 +110,11 @@ func (e *efficientEngine) repair(ng *graph.Graph, rep *graph.DeltaReport) Repair
 	// Retire the invalidated sets from the fused occurrence counter
 	// before their contents are replaced; the re-increment below makes
 	// the counter exactly what cold fusion on ng would have produced.
-	maintainBase := e.opt.Fusion && e.baseFresh
+	maintainBase := w.opt.Fusion && w.baseFresh
 	if maintainBase {
-		dec := func(v int32) { e.base.Dec(v) }
+		dec := func(v int32) { w.base.Dec(v) }
 		for _, i := range invalid {
-			e.p.get(i).ForEach(dec)
+			w.p.get(i).ForEach(dec)
 		}
 	}
 
@@ -126,17 +125,17 @@ func (e *efficientEngine) repair(ng *graph.Graph, rep *graph.DeltaReport) Repair
 	// the byte-identity quantity — are representation-equal to what cold
 	// arena generation builds.
 	newSets := make([]rrr.Set, len(invalid))
-	e.ensureGenWorkers(e.opt.Workers) // any it adds are bound to ng already
-	sched.Static(e.opt.Workers, len(invalid), func(w, s0, s1 int) {
-		gw := genWorker{smp: e.gen[w].smp}
+	w.ensureGenWorkers(w.opt.Workers) // any it adds are bound to ng already
+	sched.Static(w.opt.Workers, len(invalid), func(wk, s0, s1 int) {
+		gw := genWorker{smp: w.gen[wk].smp}
 		for j := s0; j < s1; j++ {
-			newSets[j], _ = gw.sampleSlot(e.opt.Seed, invalid[j], e.policy, e.p.n, nil)
+			newSets[j], _ = gw.sampleSlot(w.opt.Seed, invalid[j], w.policy, w.p.n, nil)
 		}
 	})
 
-	e.p.replace(invalid, newSets, e.opt.Workers)
+	w.p.replace(invalid, newSets, w.opt.Workers)
 	if maintainBase {
-		inc := func(v int32) { e.base.Inc(v) }
+		inc := func(v int32) { w.base.Inc(v) }
 		for _, set := range newSets {
 			set.ForEach(inc)
 		}
@@ -177,8 +176,8 @@ func (p *shardedPool) replace(ids []int64, sets []rrr.Set, workers int) {
 // slots whose sets intersect the dirty vertices. Indexed sets are found
 // by walking each dirty vertex's postings; the un-indexed tail
 // (scan-mode pools never index) falls back to membership probes.
-func (e *efficientEngine) invalidSlots(dirty []int32) []int64 {
-	p := e.p
+func (w *WarmEngine) invalidSlots(dirty []int32) []int64 {
+	p := w.p
 	marked := bitset.New(int(p.count))
 	if p.postIdx != nil {
 		for _, v := range dirty {

@@ -38,7 +38,7 @@ func randomDelta(g *graph.Graph, seed uint64, nAdd, nRemove int, grow bool) grap
 }
 
 // slotMembers collects slot i's members in representation order.
-func slotMembers(e *efficientEngine, i int64) []int32 {
+func slotMembers(e *WarmEngine, i int64) []int32 {
 	out := []int32{}
 	e.p.get(i).ForEach(func(v int32) { out = append(out, v) })
 	return out
@@ -46,7 +46,7 @@ func slotMembers(e *efficientEngine, i int64) []int32 {
 
 // assertPoolsEqual pins per-slot content and representation equality
 // over the first count slots of both engines.
-func assertPoolsEqual(t *testing.T, label string, warm, cold *efficientEngine, count int64) {
+func assertPoolsEqual(t *testing.T, label string, warm, cold *WarmEngine, count int64) {
 	t.Helper()
 	for i := int64(0); i < count; i++ {
 		ws, cs := warm.p.get(i), cold.p.get(i)
@@ -92,9 +92,9 @@ func checkRepairDifferential(t *testing.T, label string, g *graph.Graph, opt Opt
 	}
 	cold.BeginQuery()
 	cold.Generate(we.PhysicalSets())
-	assertPoolsEqual(t, label, we.inner, cold.inner, we.PhysicalSets())
-	if we.inner.baseFresh && cold.inner.baseFresh {
-		if !reflect.DeepEqual(we.inner.base.Raw(), cold.inner.base.Raw()) {
+	assertPoolsEqual(t, label, we, cold, we.PhysicalSets())
+	if we.baseFresh && cold.baseFresh {
+		if !reflect.DeepEqual(we.base.Raw(), cold.base.Raw()) {
 			t.Fatalf("%s: fused counter diverges after repair", label)
 		}
 	}
@@ -304,7 +304,7 @@ func TestRepairAllocs(t *testing.T) {
 	if fixed := allocs - 2*float64(rr.Resampled); fixed > 18 { // 16 today; a second sampler is at least three more
 		t.Fatalf("repair of %d slots allocated %.0f times: %.0f beyond the sets", rr.Resampled, allocs, fixed)
 	}
-	if smp := we0.inner.gen[0].smp; smp.EdgesVisited == 0 {
+	if smp := we0.gen[0].smp; smp.EdgesVisited == 0 {
 		t.Fatal("the resample did not run on the engine's re-bound sampler")
 	}
 }

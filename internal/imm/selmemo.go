@@ -7,10 +7,10 @@ import (
 )
 
 // The selection memo: what the pool remembers of the CELF selections it
-// has already run, consulted at the top of selectCELFLimited and filled
-// at its end. A selection is a pure function of (the contents of the
-// θ-prefix it ranges over, k), and the pool knows exactly when a
-// prefix's contents change, so a remembered answer is the answer:
+// has already run, consulted at the top of selectCELF and filled at its
+// end. A selection is a pure function of (the contents of the θ-prefix
+// it ranges over, k), and the pool knows exactly when a prefix's
+// contents change, so a remembered answer is the answer:
 //
 //   - growing the pool never invalidates — new sets take ids at or above
 //     every remembered limit;

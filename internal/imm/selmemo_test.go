@@ -86,15 +86,15 @@ func TestSelectionMemoLifecycle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			invalid := we.inner.invalidSlots(drep.Dirty)
+			invalid := we.invalidSlots(drep.Dirty)
 			if len(invalid) == 0 {
 				t.Fatalf("%s: the delta dirtied no resident set", label)
 			}
-			remembered := we.inner.p.memo.n
+			remembered := we.p.memo.n
 			if _, err := we.ApplyDelta(ng, drep); err != nil {
 				t.Fatal(err)
 			}
-			memo := &we.inner.p.memo
+			memo := &we.p.memo
 			if memo.n >= remembered {
 				t.Fatalf("%s: repair of slot %d dropped none of %d remembered selections", label, invalid[0], remembered)
 			}
@@ -195,9 +195,9 @@ func TestSelectionMemoBounded(t *testing.T) {
 	g := testGraph(t, 8, graph.IC) // n = 256 ≥ 1+2+…+17: only the ring bound binds at first
 	opt := testOpts(Efficient, 2)
 	const theta = 600
-	we := &WarmEngine{g: g, inner: generatePool(t, g, opt, theta)}
-	p := we.inner.p
-	p.selectCELFLimited(nil, 2, 1, theta) // the kernel's scratch is resident from here on
+	we := generatePool(t, g, opt, theta)
+	p := we.p
+	p.selectCELF(nil, 2, 1, theta) // the kernel's scratch is resident from here on
 	p.memo = selMemo{}
 	bare := we.OverheadBytes()
 	check := func(label string) {
@@ -213,16 +213,16 @@ func TestSelectionMemoBounded(t *testing.T) {
 	// Seventeen distinct k: the first is the one evicted.
 	want := make([][]int32, selMemoSlots+2)
 	for k := 1; k <= selMemoSlots+1; k++ {
-		want[k], _, _ = p.selectCELFLimited(nil, 2, k, theta)
+		want[k], _, _ = p.selectCELF(nil, 2, k, theta)
 		check(fmt.Sprintf("k=%d", k))
 	}
 	if p.memo.n != selMemoSlots || p.memo.hits != 0 {
 		t.Fatalf("after %d distinct selections: %d entries, %d hits", selMemoSlots+1, p.memo.n, p.memo.hits)
 	}
-	if got, _, _ := p.selectCELFLimited(nil, 2, selMemoSlots+1, theta); p.memo.hits != 1 || !reflect.DeepEqual(got, want[selMemoSlots+1]) {
+	if got, _, _ := p.selectCELF(nil, 2, selMemoSlots+1, theta); p.memo.hits != 1 || !reflect.DeepEqual(got, want[selMemoSlots+1]) {
 		t.Fatalf("the newest selection was not remembered (hits %d)", p.memo.hits)
 	}
-	if got, _, _ := p.selectCELFLimited(nil, 2, 1, theta); p.memo.hits != 1 || !reflect.DeepEqual(got, want[1]) {
+	if got, _, _ := p.selectCELF(nil, 2, 1, theta); p.memo.hits != 1 || !reflect.DeepEqual(got, want[1]) {
 		t.Fatalf("the evicted selection was not recomputed (hits %d), or changed: %v vs %v", p.memo.hits, got, want[1])
 	}
 	check("after eviction")
@@ -230,14 +230,14 @@ func TestSelectionMemoBounded(t *testing.T) {
 	// Selections of n/3 seeds: the byte bound evicts long before the
 	// ring fills.
 	for k := int(g.N) / 3; k < int(g.N)/3+6; k++ {
-		p.selectCELFLimited(nil, 2, k, theta)
+		p.selectCELF(nil, 2, k, theta)
 		check(fmt.Sprintf("k=%d", k))
 	}
 	if p.memo.n > 3 {
 		t.Fatalf("%d entries of ~n/3 seeds each fit under a bound of n", p.memo.n)
 	}
 	// A selection of every vertex fits alone; the memo is never skipped.
-	all, _, _ := p.selectCELFLimited(nil, 2, int(g.N), theta)
+	all, _, _ := p.selectCELF(nil, 2, int(g.N), theta)
 	check("k=n")
 	if p.memo.n != 1 || p.memo.seedLen != len(all) {
 		t.Fatalf("k=n: memo holds %d entries, %d seeds, want the %d-seed selection alone", p.memo.n, p.memo.seedLen, len(all))
@@ -258,7 +258,7 @@ func BenchmarkSelectMiss(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				e.p.memo = selMemo{}
-				if seeds, _, _ := e.p.selectCELFLimited(nil, opt.Workers, k, limit); len(seeds) != k {
+				if seeds, _, _ := e.p.selectCELF(nil, opt.Workers, k, limit); len(seeds) != k {
 					b.Fatalf("selected %d seeds, want %d", len(seeds), k)
 				}
 			}

@@ -427,9 +427,6 @@ type prefixEntry struct {
 	bitmaps, maxSize int32
 }
 
-// stats summarizes the whole pool.
-func (p *shardedPool) stats() rrr.Stats { return p.statsUpTo(p.count) }
-
 // statsUpTo summarizes the logically truncated view holding only global
 // set ids below limit — what a pool that had stopped growing at θ=limit
 // would report. The warm-serving engine uses it so a reused pool's

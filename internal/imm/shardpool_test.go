@@ -260,7 +260,7 @@ func checkIndexAgainstNaive(t *testing.T, step int, p *shardedPool, model [][]in
 	if p.totalMembers != total {
 		t.Fatalf("step %d: totalMembers %d, want %d", step, p.totalMembers, total)
 	}
-	if got, want := p.stats(), rrr.Summarize(p.n, p.flatten()); got != want {
+	if got, want := p.statsUpTo(p.count), rrr.Summarize(p.n, p.flatten()); got != want {
 		t.Fatalf("step %d: prefix stats %+v, want %+v", step, got, want)
 	}
 	if p.indexed != wantIndexed {
@@ -521,7 +521,7 @@ func BenchmarkIndexExtend(b *testing.B) {
 						p.put(int64(j), sets[j])
 						p.totalMembers += int64(sets[j].Size())
 					}
-					p.selectCELF(nil, 1, 1)
+					p.selectCELF(nil, 1, 1, p.count)
 				}
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(postings), "ns/posting")

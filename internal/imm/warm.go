@@ -11,23 +11,39 @@ import (
 	"repro/internal/rrr"
 )
 
-// WarmEngine is the pool-reuse seam around RunEngine that the serving
-// layer (internal/serve) is built on. It wraps the Efficient engine and
-// keeps its sharded RRR pool — and, under kernel fusion, the global
-// occurrence counter — alive across queries, so a query only pays for
-// the sets its θ trajectory needs beyond what earlier queries already
-// generated.
+// WarmEngine is the Efficient engine, the paper's EFFICIENTIMM (§IV):
 //
-// Correctness rests on two properties of the underlying engine:
+//   - RRRsets partitioning: selection work is split over the sets, not
+//     the vertices, so per-worker selection cost is Σ|R|/p and shrinks
+//     with the worker count (Algorithm 2).
+//   - Concurrent global counter: occurrence counts live in one shared
+//     array updated with 64-bit atomic adds; the argmax is the two-step
+//     regional/global parallel reduction.
+//   - Kernel fusion: each set increments the global counter immediately
+//     after generation while it is still hot (Algorithm 3 lines 14-16).
+//   - Adaptive representation: dense sets become bitmaps, sparse sets
+//     stay sorted lists.
+//   - Adaptive counter update: seed retirement either decrements covered
+//     sets or rebuilds from survivors, whichever touches less data.
+//   - Dynamic job balancing: generation jobs are spread over
+//     work-stealing deques.
+//
+// Run drives a fresh one through one query. The serving layer
+// (internal/serve), internal/dist, thaw and repair keep one alive across
+// queries: its sharded RRR pool — and, under kernel fusion, the global
+// occurrence counter — is retained, so a query only pays for the sets
+// its θ trajectory needs beyond what earlier queries already generated.
+//
+// Correctness of that reuse rests on two properties of the engine:
 //
 //   - Pool contents are a pure function of (graph, policy, seed, slot):
 //     set i is drawn from the slot-indexed RNG stream rng.NewStream(seed,
 //     i), so "the first θ sets" are identical whether they were generated
-//     by this query, a previous one, or a cold Run.
+//     by this query, a previous one, or a fresh engine.
 //
 //   - Selection is non-destructive and, through the limited-view seam
-//     (selectCELFLimited / the flattened prefix for the scan kernel),
-//     can be restricted to exactly the first θ sets, ignoring any sets a
+//     (selectCELF / the flattened prefix for the scan kernel), can be
+//     restricted to exactly the first θ sets, ignoring any sets a
 //     previous larger query left behind.
 //
 // Together these make a warm answer byte-identical to a cold Run with
@@ -42,12 +58,30 @@ import (
 // serve concurrent queries must serialize access (internal/serve holds
 // one mutex per warm engine).
 type WarmEngine struct {
-	g     *graph.Graph
-	inner *efficientEngine
+	g   *graph.Graph
+	opt Options
+	p   *shardedPool
+	bd  Breakdown
+
+	policy rrr.Policy
+	// base holds occurrence counts over the whole pool, maintained
+	// incrementally by kernel fusion; baseFresh reports that it covers
+	// every pool member (false when fusion is off, so selection rebuilds
+	// its counts from the sets).
+	base      *counter.Counter
+	baseFresh bool
+	// gen holds the generation kernel's per-worker samplers, arenas, and
+	// generators (fused.go), persistent across Generate calls.
+	gen []*genWorker
+	// remote, when non-nil, sources pool extensions from a distributed
+	// slot generator (remote.go); local generation is the fallback.
+	remote SlotGenerator
+
 	// limit is the in-flight query's logical pool length: the largest
 	// Generate target seen since BeginQuery. Selection and all result
 	// statistics are restricted to the first limit sets even when the
-	// physical pool is larger.
+	// physical pool is larger. In a fresh engine it equals the pool
+	// length, so a single query reports exactly what the pool holds.
 	limit int64
 	// selections counts SelectSeeds calls over the engine's lifetime;
 	// with the pool memo's hit counter it gives AnswerBatch each
@@ -55,12 +89,13 @@ type WarmEngine struct {
 	selections int64
 }
 
-// NewWarmEngine returns a reusable engine for g under opt. Only the
-// Efficient engine supports warm reuse (the Ripples baseline keeps no
-// incremental index); opt's per-query fields (K, Epsilon) are ignored —
-// each query's RunEngine call carries its own. The fields that shape
-// pool bytes (Pool, AdaptiveRep, RepThreshold) and the RNG seed must
-// stay fixed for the engine's lifetime: they define which pool this is.
+// NewWarmEngine returns an engine with an empty pool for g under opt —
+// the one constructor behind Run, the serving layer and ThawWarmEngine.
+// Only the Efficient engine supports warm reuse (the Ripples baseline
+// keeps no incremental index); opt's per-query fields (K, Epsilon) are
+// ignored — each query's RunEngine call carries its own. The fields that
+// shape pool bytes (AdaptiveRep, RepThreshold) and the RNG seed must stay
+// fixed for the engine's lifetime: they define which pool this is.
 func NewWarmEngine(g *graph.Graph, opt Options) (*WarmEngine, error) {
 	if err := opt.normalize(g); err != nil {
 		return nil, err
@@ -68,7 +103,13 @@ func NewWarmEngine(g *graph.Graph, opt Options) (*WarmEngine, error) {
 	if opt.Engine != Efficient {
 		return nil, fmt.Errorf("imm: warm reuse requires the Efficient engine, got %v", opt.Engine)
 	}
-	return &WarmEngine{g: g, inner: newEfficientEngine(g, opt)}, nil
+	return &WarmEngine{
+		g:      g,
+		opt:    opt,
+		p:      newShardedPool(g.N),
+		policy: PolicyFromOptions(opt),
+		base:   counter.New(g.N),
+	}, nil
 }
 
 // BeginQuery resets the logical pool view for a new query. The physical
@@ -81,33 +122,48 @@ func (w *WarmEngine) Generate(target int64) {
 	if target > w.limit {
 		w.limit = target
 	}
-	w.inner.Generate(target) // no-op when target ≤ physical size
+	from, to, err := w.p.grow(target)
+	if err != nil {
+		panic(err) // RunEngine refuses a θ past the bound before it gets here
+	}
+	if from == to {
+		return // target ≤ physical size
+	}
+	if w.remote != nil && w.generateRemote(from, to) {
+		return
+	}
+	w.generateFused(from, to)
 }
 
-// SelectSeeds selects k seeds over the logical view only. When the view
-// covers the whole physical pool and fusion kept the base counter
-// current, the fused counts seed the gains exactly as in a cold run;
-// a truncated view derives the same counts from posting prefixes.
+// SelectSeeds runs Find_Most_Influential_Set over the logical view. The
+// default path is the lazy-greedy selection over the inverted index
+// (selectCELF); SelectScan falls back to the eager argmax-and-update
+// kernel with the Figure 5 counter strategies. Both are non-destructive
+// — coverage marks live in per-call scratch and the base counter is only
+// read — so the pool can keep growing across θ-estimation rounds, and
+// both return byte-identical seed sequences. When the view covers the
+// whole physical pool and fusion kept the base counter current, the
+// fused counts seed the gains; a truncated view derives the same counts
+// from posting prefixes.
 func (w *WarmEngine) SelectSeeds(k int) ([]int32, float64) {
-	e := w.inner
 	start := time.Now()
-	defer func() { e.bd.SelectionWall += time.Since(start) }()
+	defer func() { w.bd.SelectionWall += time.Since(start) }()
 	w.selections++
 
 	var base *counter.Counter
-	if w.limit == e.p.len() && e.baseFresh {
-		base = e.base
+	if w.limit == w.p.len() && w.baseFresh {
+		base = w.base
 	}
 	var seeds []int32
 	var cov float64
 	var ops float64
-	if e.opt.Selection == SelectScan {
-		sets := e.p.flatten()[:w.limit]
-		seeds, cov, ops = SelectOnSetsScan(e.g.N, sets, e.p.membersUpTo(w.limit), base, e.opt.Workers, e.opt.Update, k)
+	if w.opt.Selection == SelectScan {
+		sets := w.p.flatten()[:w.limit]
+		seeds, cov, ops = SelectOnSetsScan(w.g.N, sets, w.p.membersUpTo(w.limit), base, w.opt.Workers, w.opt.Update, k)
 	} else {
-		seeds, cov, ops = e.p.selectCELFLimited(base, e.opt.Workers, k, w.limit)
+		seeds, cov, ops = w.p.selectCELF(base, w.opt.Workers, k, w.limit)
 	}
-	e.bd.SelectionModeled += ops
+	w.bd.SelectionModeled += ops
 	return seeds, cov
 }
 
@@ -116,24 +172,25 @@ func (w *WarmEngine) SelectSeeds(k int) ([]int32, float64) {
 func (w *WarmEngine) SetCount() int64 { return w.limit }
 
 // Stats summarizes the set representations of the logical view.
-func (w *WarmEngine) Stats() rrr.Stats { return w.inner.p.statsUpTo(w.limit) }
+func (w *WarmEngine) Stats() rrr.Stats { return w.p.statsUpTo(w.limit) }
 
 // PoolFootprint reports the resident bytes of the logical view, matching
 // what a cold run of the same query would report.
-func (w *WarmEngine) PoolFootprint() PoolFootprint { return w.inner.p.footprintUpTo(w.limit) }
+func (w *WarmEngine) PoolFootprint() PoolFootprint { return w.p.footprintUpTo(w.limit) }
 
 // Breakdown returns the accumulated phase costs. Unlike seeds, θ, and
-// coverage, the breakdown is not byte-identical to a cold run's: a warm
-// query charges only the generation it actually performed.
-func (w *WarmEngine) Breakdown() Breakdown { return w.inner.bd }
+// coverage, the breakdown of a reused engine is not byte-identical to a
+// cold run's: a warm query charges only the generation it actually
+// performed.
+func (w *WarmEngine) Breakdown() Breakdown { return w.bd }
 
 // PhysicalSets returns the number of sets resident in the underlying
 // pool, across all queries served so far.
-func (w *WarmEngine) PhysicalSets() int64 { return w.inner.p.len() }
+func (w *WarmEngine) PhysicalSets() int64 { return w.p.len() }
 
 // PhysicalFootprint reports the resident bytes of the whole physical
 // pool — the quantity the serving layer's LRU byte budget accounts.
-func (w *WarmEngine) PhysicalFootprint() PoolFootprint { return w.inner.p.footprint() }
+func (w *WarmEngine) PhysicalFootprint() PoolFootprint { return w.p.footprint() }
 
 // OverheadBytes reports the engine-resident memory outside the pool
 // representation itself: the fused occurrence counter (8 bytes per
@@ -146,14 +203,14 @@ func (w *WarmEngine) PhysicalFootprint() PoolFootprint { return w.inner.p.footpr
 // The serving layer adds it to the pool footprint so its byte budget
 // bounds what a warm engine actually keeps resident.
 func (w *WarmEngine) OverheadBytes() int64 {
-	p := w.inner.p
-	return 8*int64(w.g.N) + p.len()/8 + w.inner.arenaSlackBytes() + p.memo.bytes() +
+	p := w.p
+	return 8*int64(w.g.N) + p.len()/8 + w.arenaSlackBytes() + p.memo.bytes() +
 		8*int64(len(p.postIdx)) + 16*int64(cap(p.heapScratch)) + 4*int64(cap(p.versionScratch)) + p.scratch.bytes()
 }
 
 // FootprintUpTo reports the resident bytes of the first n sets — the
 // serving layer uses it to meter how many pool bytes a query reused.
-func (w *WarmEngine) FootprintUpTo(n int64) PoolFootprint { return w.inner.p.footprintUpTo(n) }
+func (w *WarmEngine) FootprintUpTo(n int64) PoolFootprint { return w.p.footprintUpTo(n) }
 
 // BatchQuery is one member of a shared-extension batch: the per-query
 // parameters that vary across members. Everything else — graph, RNG
@@ -249,7 +306,7 @@ func (w *WarmEngine) AnswerBatch(base Options, queries []BatchQuery) (*BatchRepo
 		o.K = queries[i].K
 		o.Epsilon = queries[i].Epsilon
 		physBefore := w.PhysicalSets()
-		selBefore, hitsBefore := w.selections, w.inner.p.memo.hits
+		selBefore, hitsBefore := w.selections, w.p.memo.hits
 		w.BeginQuery()
 		res, err := RunEngine(w.g, o, w)
 		if err != nil {
@@ -273,7 +330,7 @@ func (w *WarmEngine) AnswerBatch(base Options, queries []BatchQuery) (*BatchRepo
 			SharedSets:    shared,
 			ReusedBytes:   w.FootprintUpTo(reused).TotalBytes(),
 			Selections:    w.selections - selBefore,
-			MemoHits:      w.inner.p.memo.hits - hitsBefore,
+			MemoHits:      w.p.memo.hits - hitsBefore,
 		}
 	}
 	rep.PoolBytes = w.PhysicalFootprint().TotalBytes() + w.OverheadBytes()

@@ -304,8 +304,8 @@ func TestWarmStatsMatchRescan(t *testing.T) {
 		g := testGraph(t, 8, model)
 		opt := testOpts(Efficient, 2)
 		const nsets = 700
-		we := &WarmEngine{g: g, inner: generatePool(t, g, opt, nsets)}
-		sets := we.inner.p.flatten()
+		we := generatePool(t, g, opt, nsets)
+		sets := we.p.flatten()
 		if all := rrr.Summarize(g.N, sets); model == graph.IC && all.Bitmaps == 0 {
 			t.Fatalf("%v: pool does not exercise the per-kind counts: %+v", model, all)
 		}
@@ -346,7 +346,7 @@ func TestWarmAnswerAllocs(t *testing.T) {
 	}{{"miss", false, 100}, {"hit", true, 16}} {
 		allocs := testing.AllocsPerRun(5, func() {
 			if !tc.hit {
-				we.inner.p.memo = selMemo{}
+				we.p.memo = selMemo{}
 			}
 			rep, err := we.AnswerBatch(opt, batch)
 			if err != nil || rep.Extensions != 0 {
@@ -384,13 +384,13 @@ func TestOverheadBytesCoversScratch(t *testing.T) {
 	g := testGraph(t, 9, graph.IC)
 	opt := testOpts(Efficient, 2)
 	opt.Selection = SelectScan // so that generation leaves the pool unindexed
-	we := &WarmEngine{g: g, inner: generatePool(t, g, opt, 500)}
-	p := we.inner.p
+	we := generatePool(t, g, opt, 500)
+	p := we.p
 	bare, foot := we.OverheadBytes(), we.PhysicalFootprint()
-	if want := 8*int64(g.N) + p.len()/8 + we.inner.arenaSlackBytes(); bare != want || foot.IndexBytes != 0 {
+	if want := 8*int64(g.N) + p.len()/8 + we.arenaSlackBytes(); bare != want || foot.IndexBytes != 0 {
 		t.Fatalf("before any selection: OverheadBytes %d, want %d; footprint %+v", bare, want, foot)
 	}
-	seeds, _, _ := p.selectCELFLimited(nil, 2, 5, p.len())
+	seeds, _, _ := p.selectCELF(nil, 2, 5, p.len())
 	held := 8*int64(cap(p.postIdx)) + int64(unsafe.Sizeof(counter.GainItem{}))*int64(cap(p.heapScratch)) +
 		4*int64(cap(p.versionScratch)) + 4*int64(len(seeds)) + 4*int64(cap(p.scratch.mark)) + 8*int64(len(p.scratch.drop.Words()))
 	var bufs int64

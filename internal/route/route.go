@@ -33,7 +33,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
-	"math"
 	"net/http"
 	"sort"
 	"strconv"
@@ -189,9 +188,9 @@ func (rt *Router) Handler() http.Handler {
 	return serve.EnvelopeFallbacks(mux)
 }
 
-// queryIdentity extracts the routing and dedup identity of one query
-// request without fully validating it — validation is the owner node's
-// job; the router only needs the pool key and a canonical dedup key.
+// queryIdentity extracts the routing identity of one query request
+// without fully validating it — validation is the owner node's job; the
+// router only needs the pool key.
 type queryIdentity struct {
 	req QueryRequestView
 	ok  bool
@@ -238,17 +237,13 @@ func parseIdentity(r *http.Request, body []byte) queryIdentity {
 	return queryIdentity{req: v, ok: v.Graph != ""}
 }
 
-// dedupKey is the single-flight identity: exact pool key plus the query
-// parameters, epsilon by its IEEE-754 bits (the same exactness contract
-// as the backend's coalescing).
-func (id queryIdentity) dedupKey() string {
-	return fmt.Sprintf("%s\x00%s\x00%d\x00%x\x00%d", id.req.Graph, id.req.Model, id.req.K,
-		math.Float64bits(id.req.Epsilon), id.req.Seed)
-}
-
 // handleQuery routes one query to its pool owner, deduplicating
 // identical concurrent requests single-flight: one leader forwards,
 // followers replay its captured response without opening a connection.
+// The flight is keyed on the raw request — method, query string and
+// body bytes — not on the parsed identity, which ignores unknown
+// parameters and fields: two requests share an answer only if the node
+// could not tell them apart.
 func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var body []byte
 	if r.Method == http.MethodPost {
@@ -259,7 +254,7 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	id := parseIdentity(r, body)
 	node := rt.owner(id.req.Graph, id.req.Seed)
-	key := r.Method + "\x00" + id.dedupKey()
+	key := r.Method + "\x00" + r.URL.RawQuery + "\x00" + string(body)
 
 	rt.mu.Lock()
 	if fl, inFlight := rt.flight[key]; inFlight && id.ok {

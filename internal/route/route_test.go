@@ -3,6 +3,7 @@ package route
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -296,6 +297,84 @@ func TestRouterSingleFlight(t *testing.T) {
 	wg.Wait()
 	if got := hits.Load(); got != 1 {
 		t.Fatalf("backend saw %d requests for one identical concurrent query, want 1", got)
+	}
+}
+
+// TestRouterSingleFlightKeysRawRequest pins that the flight is keyed on
+// the request as sent, not on the identity the router parses from it: a
+// GET with a misspelled parameter and a POST with an unknown field, sent
+// while a leader with the same parsed identity is held at the node, each
+// reach the node themselves and get its refusal, not the leader's answer.
+func TestRouterSingleFlightKeysRawRequest(t *testing.T) {
+	const leaderQuery, leaderBody = "graph=g&k=8&seed=1", `{"graph":"g","k":8,"seed":1}`
+	var hits atomic.Int64
+	release := make(chan struct{})
+	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		hits.Add(1)
+		body, _ := io.ReadAll(r.Body)
+		if r.URL.RawQuery != leaderQuery && string(body) != leaderBody {
+			serve.WriteErrorEnvelope(w, http.StatusBadRequest, "invalid_query", "unknown parameter")
+			return
+		}
+		<-release
+		w.Header().Set("Content-Type", "application/json")
+		fmt.Fprintln(w, `{"seeds":[1,2,3]}`)
+	}))
+	t.Cleanup(backend.Close)
+	rt, err := New(Options{Nodes: []string{backend.URL}, Timeout: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(rt.Handler())
+	t.Cleanup(ts.Close)
+
+	send := func(method, query, body string) <-chan int {
+		status := make(chan int, 1)
+		go func() {
+			req, err := http.NewRequest(method, ts.URL+"/v1/query?"+query, strings.NewReader(body))
+			if err != nil {
+				t.Error(err)
+				status <- 0
+				return
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Error(err)
+				status <- 0
+				return
+			}
+			resp.Body.Close()
+			status <- resp.StatusCode
+		}()
+		return status
+	}
+	waitHits := func(n int64) {
+		deadline := time.Now().Add(2 * time.Second)
+		for hits.Load() < n && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+	}
+
+	leaders := []<-chan int{send(http.MethodGet, leaderQuery, ""), send(http.MethodPost, "", leaderBody)}
+	waitHits(2)
+	misspelled := []<-chan int{
+		send(http.MethodGet, leaderQuery+"&epsilon=0.3", ""),
+		send(http.MethodPost, "", `{"graph":"g","k":8,"seed":1,"eps":0.3}`),
+	}
+	waitHits(4)
+	close(release)
+	for i, st := range misspelled {
+		if got := <-st; got != http.StatusBadRequest {
+			t.Errorf("misspelled request %d: status %d, want the node's 400", i, got)
+		}
+	}
+	for i, st := range leaders {
+		if got := <-st; got != http.StatusOK {
+			t.Errorf("leader %d: status %d, want 200", i, got)
+		}
+	}
+	if got := hits.Load(); got != 4 {
+		t.Fatalf("node saw %d requests, want 4: two leaders and two distinct misspelled requests", got)
 	}
 }
 

@@ -17,7 +17,8 @@ var (
 	// (HTTP 400).
 	ErrInvalidQuery = errors.New("invalid query")
 	// ErrOverloaded marks an admission rejection: every query worker is
-	// busy and the wait queue is full (HTTP 429 with Retry-After).
+	// busy and the wait queue is full, or the jobs table is full of
+	// unfinished jobs (HTTP 429 with Retry-After).
 	ErrOverloaded = errors.New("server overloaded")
 	// ErrShuttingDown marks work rejected because Shutdown has begun
 	// (HTTP 503). In-flight and already-queued work still completes.

@@ -348,8 +348,8 @@ type jobEntry struct {
 }
 
 // maxRetainedJobs bounds the jobs table: when a submission would exceed
-// it, the oldest finished job is pruned (running jobs are never
-// dropped).
+// it, the oldest finished job is pruned; when none has finished, the
+// submission is refused (queued and running jobs are never dropped).
 const maxRetainedJobs = 4096
 
 // SubmitJob validates req, registers an async job for it, and starts
@@ -358,7 +358,9 @@ const maxRetainedJobs = 4096
 // which is what makes it the right front door for long cold queries
 // during bursts; a job accepted here runs to completion even if
 // Shutdown begins while it is still waiting for a slot (Shutdown's
-// drain covers it). Poll the returned id with Job.
+// drain covers it). Poll the returned id with Job. A table holding
+// maxRetainedJobs unfinished jobs refuses the submission with
+// ErrOverloaded.
 func (s *Server) SubmitJob(req QueryRequest) (Job, error) {
 	s.mu.Lock()
 	if s.closed {
@@ -369,11 +371,15 @@ func (s *Server) SubmitJob(req QueryRequest) (Job, error) {
 		s.mu.Unlock()
 		return Job{}, err
 	}
+	if !s.pruneJobsLocked() {
+		s.stats.Rejected++
+		s.mu.Unlock()
+		return Job{}, fmt.Errorf("serve: %w: %d jobs queued or running", ErrOverloaded, len(s.jobs))
+	}
 	s.jobSeq++
 	id := fmt.Sprintf("job-%d", s.jobSeq)
 	je := &jobEntry{seq: s.jobSeq, job: Job{ID: id, State: JobQueued, Request: req}}
 	s.jobs[id] = je
-	s.pruneJobsLocked()
 	s.stats.JobsSubmitted++
 	s.wg.Add(1)         // the job goroutine is accepted work: Shutdown waits for it
 	submitted := je.job // copy before unlocking: the goroutine mutates je.job
@@ -427,11 +433,12 @@ func (s *Server) Jobs() []Job {
 	return jobs
 }
 
-// pruneJobsLocked evicts the oldest finished job when the table is
-// over its retention cap.
-func (s *Server) pruneJobsLocked() {
-	if len(s.jobs) <= maxRetainedJobs {
-		return
+// pruneJobsLocked makes room for one more job: when the table is at its
+// retention cap it evicts the oldest finished job, and reports false if
+// there is none.
+func (s *Server) pruneJobsLocked() bool {
+	if len(s.jobs) < maxRetainedJobs {
+		return true
 	}
 	var victim *jobEntry
 	for _, je := range s.jobs {
@@ -442,7 +449,9 @@ func (s *Server) pruneJobsLocked() {
 			victim = je
 		}
 	}
-	if victim != nil {
-		delete(s.jobs, victim.job.ID)
+	if victim == nil {
+		return false
 	}
+	delete(s.jobs, victim.job.ID)
+	return true
 }

@@ -7,9 +7,11 @@ package serve
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -330,6 +332,58 @@ func TestJobLifecycle(t *testing.T) {
 	st := s.Stats()
 	if st.JobsSubmitted != 1 || st.JobsDone != 1 || st.JobsFailed != 0 {
 		t.Fatalf("job stats = %+v", st)
+	}
+}
+
+// TestJobsTableBounded pins the jobs table's bound: with maxRetainedJobs
+// unfinished jobs retained, a submission is refused as overloaded (429
+// with Retry-After over HTTP) and adds no entry; once one of them
+// finishes, the next submission evicts it and is accepted.
+func TestJobsTableBounded(t *testing.T) {
+	g := testGraph(t, 8, graph.IC)
+	s := testServer(t, Options{Workers: 2, MaxTheta: 4000}, map[string]*graph.Graph{"g": g})
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	req := QueryRequest{Graph: "g", K: 4, Epsilon: 0.6, Seed: 2}
+
+	s.mu.Lock()
+	for i := 1; i <= maxRetainedJobs; i++ {
+		id := fmt.Sprintf("held-%d", i)
+		s.jobs[id] = &jobEntry{seq: int64(-maxRetainedJobs + i), job: Job{ID: id, State: JobRunning, Request: req}}
+	}
+	s.mu.Unlock()
+
+	if _, err := s.SubmitJob(req); !errors.Is(err, ErrOverloaded) {
+		t.Fatalf("submission into a full table returned %v, want ErrOverloaded", err)
+	}
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(`{"graph":"g","k":4,"epsilon":0.6,"seed":2}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusTooManyRequests || resp.Header.Get("Retry-After") == "" {
+		t.Fatalf("POST /v1/jobs into a full table: status %d, Retry-After %q; want 429 with Retry-After",
+			resp.StatusCode, resp.Header.Get("Retry-After"))
+	}
+	if n := len(s.Jobs()); n != maxRetainedJobs {
+		t.Fatalf("refused submissions left %d jobs, want %d", n, maxRetainedJobs)
+	}
+
+	s.mu.Lock()
+	s.jobs["held-7"].job.State = JobDone
+	s.mu.Unlock()
+	job, err := s.SubmitJob(req)
+	if err != nil {
+		t.Fatalf("submission after a job finished: %v", err)
+	}
+	if job = waitJob(t, s, job.ID); job.State != JobDone {
+		t.Fatalf("accepted job = %+v", job)
+	}
+	if _, ok := s.Job("held-7"); ok {
+		t.Fatal("the finished job was not evicted to make room")
+	}
+	if n := len(s.Jobs()); n != maxRetainedJobs {
+		t.Fatalf("table holds %d jobs, want %d", n, maxRetainedJobs)
 	}
 }
 

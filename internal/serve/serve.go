@@ -67,8 +67,6 @@ type Options struct {
 	// Workers is the per-query parallelism. <= 0 means 1 (matching
 	// imm.Options normalization).
 	Workers int
-	// Selection selects the seed-selection kernel.
-	Selection imm.SelectionKind
 	// MaxTheta caps sampling per query (0 = per-theory). It participates
 	// in the cold-equivalence contract: a cold run must use the same cap.
 	MaxTheta int64
@@ -132,7 +130,6 @@ func (o Options) EngineOptions() imm.Options {
 	b := imm.Defaults()
 	b.Engine = imm.Efficient // warm reuse requires the Efficient engine
 	b.Workers = o.Workers
-	b.Selection = o.Selection
 	b.MaxTheta = o.MaxTheta
 	return b
 }
