@@ -551,6 +551,40 @@ func BenchmarkServeBatch(b *testing.B) {
 	b.ReportMetric(float64(st.MaxBatchSize), "maxBatch")
 }
 
+// BenchmarkServeSequential measures one in-process client repeating a
+// warm memo-hit query at the default gather window: the planner's fixed
+// cost on a sequential stream. A leader that comes straight back to a
+// pool whose last drain answered it alone skips the window, so an op is
+// the warm answer plus the planner's bookkeeping rather than a window
+// waiting for a second query that never comes. maxBatch stays 1.
+func BenchmarkServeSequential(b *testing.B) {
+	g := benchProfile(b, "web-Google", 10, graph.IC)
+	s := serve.NewServer(serve.Options{Workers: 4, MaxTheta: 5000})
+	if _, err := s.AddGraph("g", g, 1); err != nil {
+		b.Fatal(err)
+	}
+	req := serve.QueryRequest{Graph: "g", K: 25, Epsilon: 0.5, Seed: 1}
+	// Build the pool, then answer once from it so the memo holds req.
+	for i := 0; i < 2; i++ {
+		if _, err := s.Query(req); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := s.Query(req)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.GeneratedSets != 0 {
+			b.Fatalf("warm repeat regenerated %d sets", res.GeneratedSets)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(s.Stats().MaxBatchSize), "maxBatch")
+}
+
 // BenchmarkWarmAnswer measures the engine's share of a warm query — one
 // WarmEngine.AnswerBatch on a pool that already covers it, no planner,
 // no HTTP — on the serving graph imbench uses (R-MAT 13, weighted-cascade

@@ -89,7 +89,7 @@ func (rt *Router) handleGraphs(w http.ResponseWriter, r *http.Request) {
 // call succeeds when every node holds the graph and at least one
 // registered it now; it is a conflict only when no node was missing it.
 func (rt *Router) handleGraphRegister(w http.ResponseWriter, r *http.Request) {
-	body, err := readBody(w, r)
+	body, err := readBody(w, r, serve.MaxUploadBytes)
 	if err != nil {
 		return
 	}
@@ -196,7 +196,7 @@ func (rt *Router) handleGraphDelete(w http.ResponseWriter, r *http.Request) {
 // re-applies, or re-registers the graph to reconverge) rather than
 // silently reporting success.
 func (rt *Router) handleGraphEdges(w http.ResponseWriter, r *http.Request) {
-	body, err := readBody(w, r)
+	body, err := readBody(w, r, serve.MaxUploadBytes)
 	if err != nil {
 		return
 	}
@@ -296,11 +296,14 @@ func (rt *Router) findHolder(graph string, skip int) (int, bool) {
 	return best, best >= 0
 }
 
-// readBody drains the request body, writing the error envelope on
-// failure: 413 body_too_large when a cap set by the caller
-// (readControlBody) was hit, 400 invalid_query otherwise.
-func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
-	body, err := io.ReadAll(r.Body)
+// readBody drains at most limit bytes of the request body, writing the
+// error envelope on failure: 413 body_too_large past the limit, 400
+// invalid_query otherwise. The router buffers every body whole before
+// forwarding it, so it caps each at the bound its nodes apply:
+// serve.MaxBodyBytes for query, job and batch bodies (readControlBody),
+// serve.MaxUploadBytes for graph and delta uploads.
+func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
 	var tooLarge *http.MaxBytesError
 	switch {
 	case errors.As(err, &tooLarge):
@@ -315,10 +318,8 @@ func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
 }
 
 // readControlBody is readBody under the nodes' cap on JSON control
-// bodies, serve.MaxBodyBytes: the query, job and batch bodies the router
-// buffers whole before it knows their owners. Graph and delta uploads
-// are legitimately large and are read uncapped.
+// bodies: the query, job and batch bodies the router buffers whole
+// before it knows their owners.
 func readControlBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
-	r.Body = http.MaxBytesReader(w, r.Body, serve.MaxBodyBytes)
-	return readBody(w, r)
+	return readBody(w, r, serve.MaxBodyBytes)
 }

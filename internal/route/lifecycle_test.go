@@ -2,6 +2,7 @@ package route
 
 import (
 	"encoding/json"
+	"io"
 	"net/http"
 	"strings"
 	"testing"
@@ -162,4 +163,49 @@ func TestRouterUnprefixedPathsRemoved(t *testing.T) {
 			t.Fatalf("GET %s: code %q, want not_found", path, e.Error.Code)
 		}
 	}
+}
+
+// TestRouterCapsUploads pins the bound on the graph and delta uploads
+// the router buffers whole before broadcasting them: serve.MaxUploadBytes+1
+// bytes is refused with 413 body_too_large, and a whitespace-padded
+// upload of exactly serve.MaxUploadBytes is read through and applied on
+// the fleet.
+func TestRouterCapsUploads(t *testing.T) {
+	_, ts, _ := testFleet(t, 1)
+	post := func(path, open string, n int) (int, string) {
+		pad := io.LimitReader(spaces{}, int64(n-len(open)-1))
+		body := io.MultiReader(strings.NewReader(open), pad, strings.NewReader("}"))
+		resp, err := http.Post(ts.URL+path, "application/json", body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var e serve.ErrorResponse
+		json.NewDecoder(resp.Body).Decode(&e)
+		return resp.StatusCode, e.Error.Code
+	}
+	for _, c := range []struct {
+		path, open string
+		status     int
+	}{
+		{"/v1/graphs", `{"name":"t","model":"IC","edges":[[0,1],[1,2]]`, http.StatusCreated},
+		{"/v1/graphs/g/edges", `{"add":[[2,0]],"seed":7`, http.StatusOK},
+	} {
+		if status, code := post(c.path, c.open, serve.MaxUploadBytes+1); status != http.StatusRequestEntityTooLarge || code != "body_too_large" {
+			t.Fatalf("POST %s with %d bytes: %d %q, want 413 body_too_large", c.path, serve.MaxUploadBytes+1, status, code)
+		}
+		if status, code := post(c.path, c.open, serve.MaxUploadBytes); status != c.status {
+			t.Fatalf("POST %s with %d bytes: %d %q, want %d", c.path, serve.MaxUploadBytes, status, code, c.status)
+		}
+	}
+}
+
+// spaces is an endless stream of ' '.
+type spaces struct{}
+
+func (spaces) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = ' '
+	}
+	return len(p), nil
 }

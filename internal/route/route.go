@@ -23,7 +23,8 @@
 // error envelope with code "node_unavailable" (HTTP 503, Retry-After
 // set) for the requests it owns — batch members inline — while
 // requests owned by healthy nodes keep serving. A query, job or batch
-// body past serve.MaxBodyBytes is refused with 413 "body_too_large".
+// body past serve.MaxBodyBytes, or a graph or delta upload past
+// serve.MaxUploadBytes, is refused with 413 "body_too_large".
 package route
 
 import (

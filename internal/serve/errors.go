@@ -35,6 +35,7 @@ var (
 	// endpoints, or a mismatched probability vector (HTTP 400).
 	ErrInvalidDelta = errors.New("invalid delta")
 	// ErrBodyTooLarge marks a JSON control body — a query, job, batch or
-	// pools/save request — longer than MaxBodyBytes (HTTP 413).
+	// pools/save request — longer than MaxBodyBytes, or an inline graph
+	// or delta upload longer than MaxUploadBytes (HTTP 413).
 	ErrBodyTooLarge = errors.New("request body too large")
 )

@@ -29,9 +29,9 @@ package serve
 // (unknown_graph/unknown_job), validation 400 (invalid_query),
 // admission overflow 429 (overloaded, with Retry-After), shutdown 503
 // (shutting_down) — and only a genuine engine failure reports 500
-// (internal). A JSON control body past MaxBodyBytes is refused with 413
-// (body_too_large). The mux-level fallbacks use not_found and
-// method_not_allowed.
+// (internal). A JSON control body past MaxBodyBytes, or a graph or delta
+// upload past MaxUploadBytes, is refused with 413 (body_too_large). The
+// mux-level fallbacks use not_found and method_not_allowed.
 
 import (
 	"bytes"
@@ -51,7 +51,7 @@ const maxBatchQueries = 1024
 // MaxBodyBytes caps the JSON control bodies — POST /v1/query, /v1/jobs,
 // /v1/batch and /v1/pools/save — on a node and on the router in front of
 // it. A full batch fits with room to spare; graph and delta uploads are
-// legitimately large and are not capped by it.
+// legitimately larger and are capped by MaxUploadBytes instead.
 const MaxBodyBytes = 1 << 20
 
 // Handler returns the HTTP front-end for s: the /v1/ surface (queries,
@@ -180,7 +180,7 @@ type BatchResponse struct {
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var body BatchRequest
-	if err := decodeBody(w, r, &body); err != nil {
+	if err := decodeBody(w, r, &body, MaxBodyBytes); err != nil {
 		writeError(w, err)
 		return
 	}
@@ -221,7 +221,7 @@ type PoolsSaveResponse struct {
 func (s *Server) handlePoolsSave(w http.ResponseWriter, r *http.Request) {
 	var body PoolsSaveRequest
 	if r.ContentLength != 0 {
-		if err := decodeBody(w, r, &body); err != nil {
+		if err := decodeBody(w, r, &body, MaxBodyBytes); err != nil {
 			writeError(w, err)
 			return
 		}
@@ -281,14 +281,15 @@ func defaultQueryRequest() QueryRequest {
 // default.
 func decodeQueryBody(w http.ResponseWriter, r *http.Request) (QueryRequest, error) {
 	req := defaultQueryRequest()
-	return req, decodeBody(w, r, &req)
+	return req, decodeBody(w, r, &req, MaxBodyBytes)
 }
 
-// decodeBody decodes a JSON control body into v, rejecting unknown
-// fields, and reads at most MaxBodyBytes of it: a longer body fails with
+// decodeBody decodes a JSON body into v, rejecting unknown fields, and
+// reads at most limit bytes of it (MaxBodyBytes for a control body,
+// MaxUploadBytes for an upload): a longer body fails with
 // ErrBodyTooLarge, any other failure with ErrInvalidQuery.
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
+func decodeBody(w http.ResponseWriter, r *http.Request, v any, limit int64) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		var tooLarge *http.MaxBytesError

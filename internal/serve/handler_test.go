@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -402,6 +403,55 @@ func TestControlBodiesCapped(t *testing.T) {
 			if e.Error.Code != c.code {
 				t.Fatalf("POST %s with %d bytes: code %q, want %q", path, c.size, e.Error.Code, c.code)
 			}
+		}
+	}
+}
+
+// spaces is an endless stream of ' '.
+type spaces struct{}
+
+func (spaces) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = ' '
+	}
+	return len(p), nil
+}
+
+// postUpload posts the JSON object open+"}" padded to exactly n bytes
+// with whitespace before its closing brace, so a decoder reads all of
+// it, and returns the status and the reply envelope's error code.
+func postUpload(t *testing.T, url, open string, n int) (int, string) {
+	t.Helper()
+	pad := io.LimitReader(spaces{}, int64(n-len(open)-1))
+	body := io.MultiReader(strings.NewReader(open), pad, strings.NewReader("}"))
+	resp, err := http.Post(url, "application/json", body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var e ErrorResponse
+	json.NewDecoder(resp.Body).Decode(&e)
+	return resp.StatusCode, e.Error.Code
+}
+
+// TestUploadBodiesCapped pins the cap on the inline graph and delta
+// uploads a node decodes: MaxUploadBytes+1 bytes is refused with 413 and
+// the body_too_large envelope, and a whitespace-padded upload of exactly
+// MaxUploadBytes is read through and applied.
+func TestUploadBodiesCapped(t *testing.T) {
+	_, ts := testHTTP(t)
+	for _, c := range []struct {
+		path, open string
+		status     int
+	}{
+		{"/v1/graphs", `{"name":"t","model":"IC","edges":[[0,1],[1,2]]`, http.StatusCreated},
+		{"/v1/graphs/g/edges", `{"add":[[2,0]],"seed":7`, http.StatusOK},
+	} {
+		if status, code := postUpload(t, ts.URL+c.path, c.open, MaxUploadBytes+1); status != http.StatusRequestEntityTooLarge || code != "body_too_large" {
+			t.Fatalf("POST %s with %d bytes: %d %q, want 413 body_too_large", c.path, MaxUploadBytes+1, status, code)
+		}
+		if status, code := postUpload(t, ts.URL+c.path, c.open, MaxUploadBytes); status != c.status {
+			t.Fatalf("POST %s with %d bytes: %d %q, want %d", c.path, MaxUploadBytes, status, code, c.status)
 		}
 	}
 }

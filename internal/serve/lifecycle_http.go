@@ -10,10 +10,10 @@ package serve
 //
 // Failures ride the unified envelope: unknown names 404, malformed
 // bodies and rejected deltas 400 (invalid_query / invalid_delta),
-// duplicate registrations 409 (graph_exists).
+// duplicate registrations 409 (graph_exists), bodies past
+// MaxUploadBytes 413 (body_too_large).
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 
@@ -25,6 +25,14 @@ import (
 // for interactive updates, small enough that bulk loads go through the
 // snapshot/.imdelta codecs instead of JSON.
 const maxInlineEdges = 1 << 20
+
+// MaxUploadBytes caps an inline graph registration or delta body — POST
+// /v1/graphs and /v1/graphs/{name}/edges — on a node and on the router
+// in front of it, so an oversized upload is refused before it is decoded
+// whole. It allows 32 bytes for each of maxInlineEdges edges: an edge at
+// full int32 width, "[2147483647,2147483647],", is 24, and a delta edge
+// between 7-digit ids with its float32 add probability about 29.
+const MaxUploadBytes = 32 * maxInlineEdges
 
 // GraphsResponse is the GET /v1/graphs payload.
 type GraphsResponse struct {
@@ -52,11 +60,9 @@ type RegisterGraphRequest struct {
 }
 
 func (s *Server) handleGraphRegister(w http.ResponseWriter, r *http.Request) {
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
 	req := RegisterGraphRequest{WeightSeed: 1}
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, fmt.Errorf("serve: %w: invalid JSON body: %v", ErrInvalidQuery, err))
+	if err := decodeBody(w, r, &req, MaxUploadBytes); err != nil {
+		writeError(w, err)
 		return
 	}
 	if req.Name == "" {
@@ -164,11 +170,9 @@ type DeltaRequest struct {
 
 func (s *Server) handleGraphEdges(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
 	var req DeltaRequest
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, fmt.Errorf("serve: %w: invalid JSON body: %v", ErrInvalidQuery, err))
+	if err := decodeBody(w, r, &req, MaxUploadBytes); err != nil {
+		writeError(w, err)
 		return
 	}
 	var d graph.Delta

@@ -11,7 +11,11 @@ package serve
 // waiting queue". Each batch is answered by imm.WarmEngine.AnswerBatch:
 // one shared θ-extension sized by the largest member, every member read
 // from its own θ-prefix, so a mixed-k/mixed-ε burst pays one generation
-// pass instead of a serialized convoy of incremental extensions.
+// pass instead of a serialized convoy of incremental extensions. The
+// window is skipped only where no query can join it: when the pool's
+// previous drain was one plain warm answer that ended less than a
+// window ago, the leader is a sequential client coming straight back
+// and drains at once (see drainPool for the rule).
 //
 // Async execution rides the same path: SubmitJob validates up front,
 // records a job, and runs the query on its own goroutine with unbounded
@@ -158,38 +162,58 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // drainPool is the batch leader's loop: wait out the gather window,
 // then answer the pool's whole wait queue batch by batch until it is
 // empty. The leader is itself a member of the first batch.
+//
+// The leader skips the window only when the pool's previous drain
+// answered exactly one query from the resident pool, grew nothing, and
+// ended less than one window ago (poolEntry.soloDone): that is a
+// sequential client coming straight back, and the window would wait for
+// a second query that is not coming. Every other leader waits — on a new
+// or dropped pool, after a drain that built, promoted, extended, failed
+// or answered two or more queries, and after an idle gap longer than
+// the window — so a burst still gathers into one shared extension.
 func (s *Server) drainPool(ge *graphEntry, pe *poolEntry) {
-	if w := s.opt.GatherWindow; w > 0 {
+	if w := s.opt.GatherWindow; w > 0 && !pe.cameBack(w) {
 		time.Sleep(w)
 	}
 	pe.mu.Lock()
 	defer pe.mu.Unlock()
+	answered, plain := 0, true
 	for {
 		pe.qmu.Lock()
 		batch := pe.waiters
 		if len(batch) == 0 {
 			pe.draining = false
+			pe.soloDone = time.Time{}
+			if answered == 1 && plain {
+				pe.soloDone = time.Now()
+			}
 			pe.qmu.Unlock()
 			return
 		}
 		pe.waiters = nil
 		pe.qmu.Unlock()
-		s.runBatch(ge, pe, batch)
+		answered += len(batch)
+		if !s.runBatch(ge, pe, batch) {
+			plain = false
+		}
 	}
 }
 
-// runBatch answers one drained batch on the pool's engine. Callers hold
-// pe.mu. Per-member validation already happened at query entry, so an
-// engine error here is a genuine server-side failure shared by every
-// member.
-func (s *Server) runBatch(ge *graphEntry, pe *poolEntry, batch []*batchWaiter) {
-	fail := func(err error) {
+// runBatch answers one drained batch on the pool's engine and reports
+// whether the answer was plain: the pool was resident and nothing was
+// extended or failed. Callers hold pe.mu. Per-member validation already
+// happened at query entry, so an engine error here is a genuine
+// server-side failure shared by every member.
+func (s *Server) runBatch(ge *graphEntry, pe *poolEntry, batch []*batchWaiter) (plain bool) {
+	fail := func(err error) bool {
 		for _, w := range batch {
 			w.err = err
 			close(w.done)
 		}
+		return false
 	}
 	warm := pe.eng != nil
+	resident := warm
 	if !warm {
 		// Disk tier first: a demoted or rehydrated pool promotes via
 		// mmap instead of regenerating — still warm, zero generated
@@ -208,8 +232,7 @@ func (s *Server) runBatch(ge *graphEntry, pe *poolEntry, batch []*batchWaiter) {
 		s.mu.Unlock()
 		eng, err := imm.NewWarmEngine(g, opt)
 		if err != nil {
-			fail(err)
-			return
+			return fail(err)
 		}
 		if s.opt.RemoteGen != nil {
 			// Cluster mode: let worker ranks generate this pool's slot
@@ -226,8 +249,7 @@ func (s *Server) runBatch(ge *graphEntry, pe *poolEntry, batch []*batchWaiter) {
 	}
 	rep, err := pe.eng.AnswerBatch(s.queryOptions(batch[0].req), queries)
 	if err != nil {
-		fail(err)
-		return
+		return fail(err)
 	}
 
 	var sharedSets, selections, memoHits int64
@@ -273,6 +295,7 @@ func (s *Server) runBatch(ge *graphEntry, pe *poolEntry, batch []*batchWaiter) {
 		s.stats.SharedSets += sharedSets
 	}
 	s.mu.Unlock()
+	return resident && rep.Extensions == 0
 }
 
 // BatchItem is one member's outcome in a QueryBatch answer: exactly one

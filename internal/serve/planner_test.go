@@ -105,6 +105,89 @@ func TestBatchSharedExtension(t *testing.T) {
 	}
 }
 
+// TestGatherWindowSkipsSequentialRepeat pins where the gather window
+// waits: a query that comes straight back to a pool whose last drain
+// answered it alone, from the resident pool and without growing it,
+// drains at once; a leader gathers after a drain that built the pool,
+// after an idle gap longer than the window, after a multi-member drain
+// and after the pool's engine is dropped. Every answer still matches a
+// cold run.
+func TestGatherWindowSkipsSequentialRepeat(t *testing.T) {
+	const window = 300 * time.Millisecond
+	g := testGraph(t, 8, graph.IC)
+	opt := Options{Workers: 2, MaxTheta: 4000, QueryWorkers: 4, GatherWindow: window}
+	s := testServer(t, opt, map[string]*graph.Graph{"g": g})
+	req := QueryRequest{Graph: "g", K: 5, Epsilon: 0.5, Seed: 1}
+
+	check := func(step string, req QueryRequest, res *QueryResult, gathered bool) {
+		t.Helper()
+		cold := coldRun(t, g, opt, req)
+		if !reflect.DeepEqual(res.Seeds, cold.Seeds) || res.Theta != cold.Theta {
+			t.Fatalf("%s: served %v/θ=%d != cold %v/θ=%d", step, res.Seeds, res.Theta, cold.Seeds, cold.Theta)
+		}
+		waited := res.WallMS >= float64(window/time.Millisecond)
+		if gathered && !waited {
+			t.Fatalf("%s: answered in %.1f ms, want a full %v gather window", step, res.WallMS, window)
+		}
+		if !gathered && (res.WallMS >= float64(window/time.Millisecond)/2 || res.BatchSize != 1) {
+			t.Fatalf("%s: answered in %.1f ms in a batch of %d, want the window skipped", step, res.WallMS, res.BatchSize)
+		}
+	}
+	query := func(step string, req QueryRequest, gathered bool) *QueryResult {
+		t.Helper()
+		res, err := s.Query(req)
+		if err != nil {
+			t.Fatalf("%s: %v", step, err)
+		}
+		check(step, req, res, gathered)
+		return res
+	}
+
+	query("q1 builds the pool", req, true)
+	if res := query("q2 follows a growing drain", req, true); !res.Warm || res.GeneratedSets != 0 {
+		t.Fatalf("q2 not a plain warm answer: %+v", res)
+	}
+	query("q3 comes straight back", req, false)
+	time.Sleep(window + 100*time.Millisecond)
+	query("q4 follows an idle gap", req, true)
+
+	// A two-member drain: after another idle gap both members reach the
+	// leader's window, and neither grows the pool.
+	time.Sleep(window + 100*time.Millisecond)
+	pair := []QueryRequest{{Graph: "g", K: 4, Epsilon: 0.5, Seed: 1}, {Graph: "g", K: 3, Epsilon: 0.5, Seed: 1}}
+	var wg sync.WaitGroup
+	for _, r := range pair {
+		wg.Add(1)
+		go func(r QueryRequest) {
+			defer wg.Done()
+			res, err := s.Query(r)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if res.BatchSize != 2 || res.GeneratedSets != 0 {
+				t.Errorf("pair member k=%d: batch of %d, %d generated sets; want 2 and 0", r.K, res.BatchSize, res.GeneratedSets)
+			}
+		}(r)
+	}
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
+	}
+	query("q5 follows a two-member drain", req, true)
+	query("q6 comes straight back", req, false)
+
+	s.mu.Lock()
+	pe := s.pools[poolKey{graph: "g", seed: 1}]
+	s.mu.Unlock()
+	pe.mu.Lock()
+	pe.dropEngine()
+	pe.mu.Unlock()
+	if res := query("q7 follows a dropped engine", req, true); res.Warm {
+		t.Fatalf("q7 answered warm from a dropped engine: %+v", res)
+	}
+}
+
 // TestAdmissionBackpressure pins the 429 path: with one worker, no wait
 // queue, and a slow in-flight query, the overflow query is rejected
 // with ErrOverloaded — and over HTTP that is a 429 with Retry-After.

@@ -58,7 +58,9 @@ const DefaultQueueDepth = 256
 // DefaultGatherWindow is the batch gather window applied when
 // Options.GatherWindow is zero: long enough for a concurrent burst to
 // coalesce into one shared extension, short enough to be noise against
-// any real query's selection cost.
+// a cold or extending query's cost. A warm repeat costs microseconds,
+// which is why a sequential client's repeat skips the window (see
+// Options.GatherWindow).
 const DefaultGatherWindow = 2 * time.Millisecond
 
 // Options configures a Server. The engine-shaping fields apply to every
@@ -98,9 +100,13 @@ type Options struct {
 	QueueDepth int
 	// GatherWindow is how long the first query to reach an idle pool
 	// waits for concurrent queries on the same pool to join its batch
-	// before draining. 0 means DefaultGatherWindow; negative disables
-	// gathering (the leader drains immediately, batching only what
-	// arrived while a previous drain held the pool).
+	// before draining. The wait is skipped when the pool's previous
+	// drain answered exactly one query from the resident pool without
+	// growing it and ended less than one GatherWindow ago: the same
+	// client came straight back, and no burst is forming. 0 means
+	// DefaultGatherWindow; negative disables gathering (the leader
+	// drains immediately, batching only what arrived while a previous
+	// drain held the pool).
 	GatherWindow time.Duration
 
 	// RemoteGen, when non-nil, supplies a distributed slot generator for
@@ -349,6 +355,12 @@ type poolEntry struct {
 	qmu      sync.Mutex
 	waiters  []*batchWaiter
 	draining bool
+	// soloDone is when the pool's last drain ended, set only if that
+	// drain answered exactly one query from the resident pool without
+	// growing it (zero otherwise): a leader arriving within one gather
+	// window of it is that query's client coming straight back, and
+	// skips the window (see drainPool).
+	soloDone time.Time
 
 	bytes  int64         // footprint last accounted into Server.usedBytes
 	elem   *list.Element // position in the LRU list
@@ -368,13 +380,17 @@ type poolEntry struct {
 
 // dropEngine releases the entry's engine and, when the engine was
 // thawed from one, the mapping its sets alias. Callers hold pe.mu, so no
-// batch is reading through either.
+// batch is reading through either. It clears soloDone: the next drain
+// rebuilds or promotes the pool, so its leader gathers.
 func (pe *poolEntry) dropEngine() {
 	pe.eng = nil
 	if pe.unmap != nil {
 		pe.unmap()
 		pe.unmap = nil
 	}
+	pe.qmu.Lock()
+	pe.soloDone = time.Time{}
+	pe.qmu.Unlock()
 }
 
 // enqueue appends w to the entry's wait queue and reports whether the
@@ -389,6 +405,14 @@ func (pe *poolEntry) enqueue(w *batchWaiter) (leader bool) {
 		return true
 	}
 	return false
+}
+
+// cameBack reports whether the pool's last drain was a plain solo answer
+// that ended less than window ago.
+func (pe *poolEntry) cameBack(window time.Duration) bool {
+	pe.qmu.Lock()
+	defer pe.qmu.Unlock()
+	return !pe.soloDone.IsZero() && time.Since(pe.soloDone) < window
 }
 
 // graphEntry is one registered graph. The graph pointer and info are

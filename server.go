@@ -27,7 +27,8 @@ type (
 	// ServeOptions configures NewServer; per-query parameters travel in
 	// QueryRequest. QueryWorkers/QueueDepth bound concurrent execution
 	// (overflow is rejected with ErrServerOverloaded), GatherWindow
-	// tunes how long concurrent queries wait to share one θ-extension.
+	// tunes how long concurrent queries wait to share one θ-extension
+	// (a client coming straight back to its warm pool skips the wait).
 	ServeOptions = serve.Options
 	// QueryRequest identifies one (graph, model, k, epsilon, rngSeed)
 	// seed-set query.
