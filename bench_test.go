@@ -830,14 +830,25 @@ func BenchmarkColdRun(b *testing.B) {
 // Rounds+1 (the snapshot carries the memo of the query that built the
 // pool, so no selection runs); ns/op and allocs/op are then the cost of
 // one clean demotion plus one promotion plus one memo-hit answer.
-func BenchmarkTierRotate(b *testing.B) {
+func BenchmarkTierRotate(b *testing.B) { benchTierRotate(b, -1) }
+
+// BenchmarkTierRotateDefaultWindow is the same rotation at the serving
+// default gather window (DefaultGatherWindow), the planner the tier-rotate
+// workload runs. A leader whose pool sits in the disk tier promotes it
+// without waiting out the window, so ns/op should read close to
+// BenchmarkTierRotate's rather than a window above it.
+func BenchmarkTierRotateDefaultWindow(b *testing.B) { benchTierRotate(b, 0) }
+
+// benchTierRotate runs the tier rotation with the given
+// serve.Options.GatherWindow and reports its tier metrics.
+func benchTierRotate(b *testing.B, window time.Duration) {
 	const tenants = 4
 	g, err := gen.RMAT(gen.DefaultRMAT(13, 8), graph.IC, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
 	graph.AssignWC(g)
-	opt := serve.Options{Workers: 2, GatherWindow: -1, PoolDir: b.TempDir()}
+	opt := serve.Options{Workers: 2, GatherWindow: window, PoolDir: b.TempDir()}
 	rotate := func(s *serve.Server, ops int) {
 		for i := 0; i < ops; i++ {
 			res, err := s.Query(serve.QueryRequest{Graph: "g", K: 50, Epsilon: 0.5, Seed: uint64(1 + i%tenants)})

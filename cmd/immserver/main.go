@@ -105,7 +105,7 @@ func main() {
 		seed         = flag.Uint64("ingest-seed", 1, "weight-assignment seed for edge-list loads")
 		queryWorkers = flag.Int("query-workers", 0, "max concurrently executing queries (0 = 4x GOMAXPROCS)")
 		queueDepth   = flag.Int("queue-depth", 0, "max queries waiting for a worker before 429 (0 = default 256, negative = reject immediately)")
-		gatherWindow = flag.Duration("gather-window", 0, "how long a query waits to batch with concurrent queries on its pool; skipped when the pool's last drain was one plain warm answer less than a window ago (0 = default 2ms, negative = off)")
+		gatherWindow = flag.Duration("gather-window", 0, "how long a query waits to batch with concurrent queries on its pool; skipped when the pool's last drain was one plain warm answer less than a window ago, and when the query promotes its pool from -pool-dir (0 = default 2ms, negative = off)")
 		drainTimeout = flag.Duration("drain-timeout", 15*time.Second, "how long shutdown waits for in-flight and queued work")
 		rank         = flag.Int("rank", 0, "cluster rank: 0 serves HTTP as the root, >0 runs a wire-protocol generation worker (requires -peers)")
 		peers        = flag.String("peers", "", "comma-separated wire addresses of the cluster; entry 0 names the root, entry i is rank i's worker listen address")

@@ -55,6 +55,14 @@ const DefaultVirtualNodes = 128
 // isolation.
 const DefaultTimeout = 10 * time.Minute
 
+// idleConnsPerNode is how many idle keep-alive connections the default
+// forwarding client keeps open to each node. http.DefaultTransport keeps
+// two: with more concurrent forwards to one node than that, most
+// forwards dial a new connection and leave a TIME_WAIT behind. A cap
+// above any realistic per-node concurrency lets each forward reuse a
+// connection once the fleet is warm.
+const idleConnsPerNode = 64
+
 // Options configures a Router.
 type Options struct {
 	// Nodes are the backend base URLs (e.g. "http://127.0.0.1:7601"),
@@ -67,7 +75,8 @@ type Options struct {
 	// Timeout bounds one forwarded request; 0 means DefaultTimeout.
 	Timeout time.Duration
 	// Client overrides the forwarding HTTP client (tests); when nil a
-	// client with Timeout is used.
+	// client with Timeout is used, on a transport that keeps
+	// idleConnsPerNode idle connections to each node.
 	Client *http.Client
 }
 
@@ -125,7 +134,10 @@ func New(opt Options) (*Router, error) {
 	}
 	client := opt.Client
 	if client == nil {
-		client = &http.Client{Timeout: timeout}
+		tr := http.DefaultTransport.(*http.Transport).Clone()
+		tr.MaxIdleConns = 0 // no fleet-wide cap: the per-node one bounds it
+		tr.MaxIdleConnsPerHost = idleConnsPerNode
+		client = &http.Client{Timeout: timeout, Transport: tr}
 	}
 	rt := &Router{
 		nodes:  append([]string(nil), opt.Nodes...),

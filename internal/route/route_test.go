@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -297,6 +298,61 @@ func TestRouterSingleFlight(t *testing.T) {
 	wg.Wait()
 	if got := hits.Load(); got != 1 {
 		t.Fatalf("backend saw %d requests for one identical concurrent query, want 1", got)
+	}
+}
+
+// TestRouterReusesNodeConnections pins the forwarding client's
+// keep-alive pool: concurrent distinct queries through the router reuse
+// its connections to a node instead of dialing one for most forwards.
+func TestRouterReusesNodeConnections(t *testing.T) {
+	const clients, perClient = 8, 50
+	var dials atomic.Int64
+	node := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		time.Sleep(time.Millisecond) // keep the forwards overlapping
+		w.Header().Set("Content-Type", "application/json")
+		fmt.Fprintln(w, `{"seeds":[1]}`)
+	}))
+	node.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+		if st == http.StateNew {
+			dials.Add(1)
+		}
+	}
+	node.Start()
+	t.Cleanup(node.Close)
+	rt, err := New(Options{Nodes: []string{node.URL}, Timeout: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(rt.Handler())
+	t.Cleanup(ts.Close)
+
+	tr := &http.Transport{MaxIdleConnsPerHost: clients}
+	t.Cleanup(tr.CloseIdleConnections)
+	client := &http.Client{Transport: tr}
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := 0; i < perClient; i++ {
+				// A distinct k per request: no single-flight sharing.
+				resp, err := client.Get(fmt.Sprintf("%s/v1/query?graph=g&k=%d&seed=1", ts.URL, 1+c*perClient+i))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					t.Errorf("client %d query %d: status %d", c, i, resp.StatusCode)
+					return
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	if got := dials.Load(); got > 2*clients {
+		t.Fatalf("the router opened %d connections to the node for %d concurrent clients", got, clients)
 	}
 }
 

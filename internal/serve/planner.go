@@ -12,10 +12,12 @@ package serve
 // one shared θ-extension sized by the largest member, every member read
 // from its own θ-prefix, so a mixed-k/mixed-ε burst pays one generation
 // pass instead of a serialized convoy of incremental extensions. The
-// window is skipped only where no query can join it: when the pool's
+// window is skipped only where it buys nothing: when the pool's
 // previous drain was one plain warm answer that ended less than a
-// window ago, the leader is a sequential client coming straight back
-// and drains at once (see drainPool for the rule).
+// window ago, the leader is a sequential client coming straight back;
+// when the pool sits in the disk tier, the leader promotes it, and a
+// promotion generates nothing a joiner could share. Both drain at once
+// (see drainPool for the rule).
 //
 // Async execution rides the same path: SubmitJob validates up front,
 // records a job, and runs the query on its own goroutine with unbounded
@@ -163,16 +165,22 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // then answer the pool's whole wait queue batch by batch until it is
 // empty. The leader is itself a member of the first batch.
 //
-// The leader skips the window only when the pool's previous drain
-// answered exactly one query from the resident pool, grew nothing, and
-// ended less than one window ago (poolEntry.soloDone): that is a
+// The leader skips the window in two cases. When the pool's previous
+// drain answered exactly one query from the resident pool, grew nothing,
+// and ended less than one window ago (poolEntry.soloDone), it is a
 // sequential client coming straight back, and the window would wait for
-// a second query that is not coming. Every other leader waits — on a new
-// or dropped pool, after a drain that built, promoted, extended, failed
-// or answered two or more queries, and after an idle gap longer than
-// the window — so a burst still gathers into one shared extension.
+// a second query that is not coming. When the pool's engine is not in
+// RAM but an .impool snapshot backs the entry (demoted, or rehydrated by
+// LoadPools), the leader promotes it: a promotion generates nothing, so
+// there is no build for a joiner to share, and a query that arrives
+// meanwhile is answered by this drain's next sweep. Should that
+// promotion fail, the cold rebuild it falls through to runs without the
+// window too. Every other leader waits — on a new or dropped pool with
+// no snapshot, after a drain that built, promoted, extended, failed or
+// answered two or more queries, and after an idle gap longer than the
+// window — so a burst still gathers into one shared extension.
 func (s *Server) drainPool(ge *graphEntry, pe *poolEntry) {
-	if w := s.opt.GatherWindow; w > 0 && !pe.cameBack(w) {
+	if w := s.opt.GatherWindow; w > 0 && !pe.cameBack(w) && !s.onDisk(pe) {
 		time.Sleep(w)
 	}
 	pe.mu.Lock()
@@ -197,6 +205,20 @@ func (s *Server) drainPool(ge *graphEntry, pe *poolEntry) {
 			plain = false
 		}
 	}
+}
+
+// onDisk reports whether pe's next drain promotes it: no engine in RAM,
+// and a disk-tier snapshot behind the entry. It reads pe.eng under pe.mu
+// and pe.disk under s.mu, in the planner's lock order.
+func (s *Server) onDisk(pe *poolEntry) bool {
+	pe.mu.Lock()
+	defer pe.mu.Unlock()
+	if pe.eng != nil {
+		return false
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return pe.disk != nil
 }
 
 // runBatch answers one drained batch on the pool's engine and reports

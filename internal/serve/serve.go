@@ -58,9 +58,10 @@ const DefaultQueueDepth = 256
 // DefaultGatherWindow is the batch gather window applied when
 // Options.GatherWindow is zero: long enough for a concurrent burst to
 // coalesce into one shared extension, short enough to be noise against
-// a cold or extending query's cost. A warm repeat costs microseconds,
-// which is why a sequential client's repeat skips the window (see
-// Options.GatherWindow).
+// a cold or extending query's cost. A warm repeat costs microseconds and
+// a promotion from the disk tier a fraction of a millisecond, which is
+// why a sequential client's repeat and a promoting leader skip the
+// window (see Options.GatherWindow).
 const DefaultGatherWindow = 2 * time.Millisecond
 
 // Options configures a Server. The engine-shaping fields apply to every
@@ -103,7 +104,9 @@ type Options struct {
 	// before draining. The wait is skipped when the pool's previous
 	// drain answered exactly one query from the resident pool without
 	// growing it and ended less than one GatherWindow ago: the same
-	// client came straight back, and no burst is forming. 0 means
+	// client came straight back, and no burst is forming. It is also
+	// skipped when the pool sits in the disk tier: the leader promotes
+	// it, which generates nothing a joiner could share. 0 means
 	// DefaultGatherWindow; negative disables gathering (the leader
 	// drains immediately, batching only what arrived while a previous
 	// drain held the pool).

@@ -21,6 +21,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/gen"
 	"repro/internal/graph"
@@ -1007,4 +1008,102 @@ func TestRepairedPoolFileCarriesSurvivingMemo(t *testing.T) {
 	for _, req := range reqs {
 		askCold(t, s, ng, req, true)
 	}
+}
+
+// TestPromotionSkipsGatherWindow pins the disk-tier half of the gather
+// window rule: a leader whose pool is demoted or rehydrated promotes it
+// at once, since a promotion generates nothing a joiner could share,
+// while a leader that builds — a new pool, or a dropped engine with no
+// snapshot behind it — still waits out the window. Every answer is a
+// cold run's.
+func TestPromotionSkipsGatherWindow(t *testing.T) {
+	const window = 300 * time.Millisecond
+	g := testGraph(t, 8, graph.IC)
+	dir := t.TempDir()
+	// A one-byte budget: each query demotes the other tenant's pool.
+	opt := Options{Workers: 2, MaxTheta: 4000, QueryWorkers: 4, GatherWindow: window, PoolBudgetBytes: 1, PoolDir: dir}
+	s := testServer(t, opt, map[string]*graph.Graph{"g": g})
+	base1 := QueryRequest{Graph: "g", K: 8, Epsilon: 0.5, Seed: 1}
+	base2 := QueryRequest{Graph: "g", K: 8, Epsilon: 0.5, Seed: 2}
+	later2 := QueryRequest{Graph: "g", K: 4, Epsilon: 0.7, Seed: 2} // a smaller θ: no extension
+
+	waited := func(step string, r *QueryResult) {
+		t.Helper()
+		if r.WallMS < float64(window/time.Millisecond) || r.Warm {
+			t.Fatalf("%s: answered in %.1f ms (warm=%v), want a cold build after a full %v window", step, r.WallMS, r.Warm, window)
+		}
+	}
+	promptly := func(step string, r *QueryResult) {
+		t.Helper()
+		if r.WallMS >= float64(window/time.Millisecond)/2 || r.BatchSize != 1 || !r.Warm || r.GeneratedSets != 0 {
+			t.Fatalf("%s: answered in %.1f ms, batch of %d, warm=%v, %d generated; want a prompt warm promotion", step, r.WallMS, r.BatchSize, r.Warm, r.GeneratedSets)
+		}
+	}
+
+	waited("q1 builds tenant 1", askCold(t, s, g, base1, false))
+	waited("q2 builds tenant 2", askCold(t, s, g, base2, false)) // demotes tenant 1
+	promptly("q3 promotes tenant 1", askCold(t, s, g, base1, true))
+	if st := s.Stats(); st.Promotions != 1 || st.Demotions != 2 {
+		t.Fatalf("after the promotion: %d promotions, %d demotions; want 1 and 2", st.Promotions, st.Demotions)
+	}
+
+	// Two concurrent queries on demoted tenant 2: one promotion answers
+	// both, whichever drain each lands in.
+	before := s.Stats()
+	pair := []QueryRequest{base2, later2}
+	results := make([]*QueryResult, len(pair))
+	var wg sync.WaitGroup
+	for i, req := range pair {
+		wg.Add(1)
+		go func(i int, req QueryRequest) {
+			defer wg.Done()
+			r, err := s.Query(req)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			results[i] = r
+		}(i, req)
+	}
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
+	}
+	for i, r := range results {
+		cold := coldRun(t, g, opt, pair[i])
+		if !reflect.DeepEqual(r.Seeds, cold.Seeds) || r.Theta != cold.Theta || !r.Warm || r.GeneratedSets != 0 {
+			t.Fatalf("pair member k=%d: served %v/θ=%d warm=%v generated=%d, cold %v/θ=%d", pair[i].K, r.Seeds, r.Theta, r.Warm, r.GeneratedSets, cold.Seeds, cold.Theta)
+		}
+	}
+	after := s.Stats()
+	if got := after.Promotions - before.Promotions; got != 1 {
+		t.Fatalf("the pair promoted %d times, want 1", got)
+	}
+	if after.GeneratedSets != before.GeneratedSets || after.PromoteFailures != 0 {
+		t.Fatalf("the pair generated %d sets with %d failed promotions", after.GeneratedSets-before.GeneratedSets, after.PromoteFailures)
+	}
+	if err := s.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	// A fresh server rehydrates the directory and promotes at once.
+	opt.PoolBudgetBytes = 0
+	s2 := testServer(t, opt, map[string]*graph.Graph{"g": g})
+	if loaded, err := s2.LoadPools(); err != nil || loaded != 2 {
+		t.Fatalf("LoadPools = %d, %v", loaded, err)
+	}
+	promptly("q4 promotes a rehydrated pool", askCold(t, s2, g, base1, true))
+
+	// With its engine dropped and no snapshot behind it, the pool is
+	// rebuilt, and the build gathers.
+	s2.mu.Lock()
+	pe := s2.pools[poolKey{graph: "g", seed: 1}]
+	s2.mu.Unlock()
+	pe.mu.Lock()
+	pe.dropEngine()
+	s2.mu.Lock()
+	s2.dropDiskLocked(pe)
+	s2.mu.Unlock()
+	pe.mu.Unlock()
+	waited("q5 rebuilds a dropped engine", askCold(t, s2, g, base1, false))
 }

@@ -28,7 +28,8 @@ type (
 	// QueryRequest. QueryWorkers/QueueDepth bound concurrent execution
 	// (overflow is rejected with ErrServerOverloaded), GatherWindow
 	// tunes how long concurrent queries wait to share one θ-extension
-	// (a client coming straight back to its warm pool skips the wait).
+	// (a client coming straight back to its warm pool, and a query that
+	// promotes its pool from the disk tier, skip the wait).
 	ServeOptions = serve.Options
 	// QueryRequest identifies one (graph, model, k, epsilon, rngSeed)
 	// seed-set query.
