@@ -386,6 +386,9 @@ func BenchmarkCELFSelect(b *testing.B) {
 // snapshot reload at several worker counts, reporting MB/s, edges/s and
 // the three stage walls (imbench's ingest.* cells). The lt16 regime is
 // cold-lt-sparse's file: R-MAT scale 16, edge factor 8, LT weights.
+// lt16-undirected is the same file read undirected, whose edge list
+// reaches graph.BuildTopology unsorted and so pays for both sorting
+// passes and the sortedness check before them.
 func BenchmarkIngest(b *testing.B) {
 	edgeList := func(scale int, edgeFactor float64) []byte {
 		g, err := gen.RMAT(gen.DefaultRMAT(scale, edgeFactor), graph.IC, 1)
@@ -398,15 +401,17 @@ func BenchmarkIngest(b *testing.B) {
 		}
 		return text.Bytes()
 	}
-	data := edgeList(13, 8)
+	data, lt16 := edgeList(13, 8), edgeList(16, 8)
 	for _, regime := range []struct {
-		name    string
-		data    []byte
-		model   graph.Model
-		workers []int
+		name       string
+		data       []byte
+		model      graph.Model
+		undirected bool
+		workers    []int
 	}{
-		{"edgelist", data, graph.IC, []int{1, 2, 4, 8}},
-		{"lt16", edgeList(16, 8), graph.LT, []int{1, 2}},
+		{"edgelist", data, graph.IC, false, []int{1, 2, 4, 8}},
+		{"lt16", lt16, graph.LT, false, []int{1, 2}},
+		{"lt16-undirected", lt16, graph.LT, true, []int{1, 2}},
 	} {
 		for _, w := range regime.workers {
 			b.Run(fmt.Sprintf("%s/workers=%d", regime.name, w), func(b *testing.B) {
@@ -414,7 +419,7 @@ func BenchmarkIngest(b *testing.B) {
 				b.ReportAllocs()
 				var st ingest.Stats
 				for i := 0; i < b.N; i++ {
-					_, s, err := ingest.Bytes(regime.data, ingest.Options{Workers: w, Model: regime.model, Seed: 1})
+					_, s, err := ingest.Bytes(regime.data, ingest.Options{Workers: w, Undirected: regime.undirected, Model: regime.model, Seed: 1})
 					if err != nil {
 						b.Fatal(err)
 					}

@@ -3,6 +3,7 @@ package graph
 import (
 	"fmt"
 	"math/bits"
+	"sync/atomic"
 
 	"repro/internal/sched"
 )
@@ -15,16 +16,20 @@ import (
 //
 // It runs counting-sort scatters only. Reversing the list twice, each
 // time stably sorted by the new source (reverseSorted), leaves it
-// sorted by (src, dst), where duplicates are adjacent; reversing the
-// compacted list once more sorts it by (dst, src), which is the
-// transpose. Every array of the result is allocated once, at its exact
-// size. edges is consumed as scratch; endpoints must lie in [0, n).
-// The result is a pure function of the edge set, whatever workers is.
+// sorted by (src, dst), where duplicates are adjacent; a list that
+// arrives in that order (the ingest pipeline's merge writes it so)
+// skips both passes. Reversing the compacted list once more sorts it by
+// (dst, src), which is the transpose. Every array of the result is
+// allocated once, at its exact size. edges is consumed as scratch, in
+// any order; endpoints must lie in [0, n). The result is a pure
+// function of the edge set, whatever workers is.
 func BuildTopology(n int32, edges []Edge, workers int) (g *Graph, selfLoops, duplicates int64) {
 	workers = max(workers, 1)
 	a, b := edges, make([]Edge, len(edges))
-	reverseSorted(n, a, b, workers)
-	reverseSorted(n, a, b, workers)
+	if !sortedBySrcDst(a, workers) {
+		reverseSorted(n, a, b, workers)
+		reverseSorted(n, a, b, workers)
+	}
 
 	// Compact a into b. A record's fate depends only on its sorted
 	// predecessor, so ranges count, then write, independently.
@@ -61,6 +66,22 @@ func BuildTopology(n int32, edges []Edge, workers int) (g *Graph, selfLoops, dup
 	reverseSorted(n, b[:m], a[:m], workers)
 	g.InIndex, g.InEdges = layout(n, b[:m], workers)
 	return g, selfLoops, int64(len(edges)) - selfLoops - m
+}
+
+// sortedBySrcDst reports whether edges are in (src, dst) order. Each
+// worker reads its range, and the edge before it, up to the first
+// descent, so an unsorted list costs a few reads per worker.
+func sortedBySrcDst(edges []Edge, workers int) bool {
+	var unsorted atomic.Bool
+	sched.Static(workers, len(edges), func(_, lo, hi int) {
+		for i := max(lo, 1); i < hi; i++ {
+			if p, e := edges[i-1], edges[i]; e.Src < p.Src || e.Src == p.Src && e.Dst < p.Dst {
+				unsorted.Store(true)
+				return
+			}
+		}
+	})
+	return !unsorted.Load()
 }
 
 // reverseSorted reverses every edge of a and sorts the result stably by

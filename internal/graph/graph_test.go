@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"cmp"
 	"slices"
 	"sort"
 	"strings"
@@ -508,6 +509,68 @@ func TestBuildTopologyMatchesReference(t *testing.T) {
 			}
 			if err := got.Validate(); err != nil {
 				t.Fatal(err)
+			}
+		}
+	}
+}
+
+func TestBuildTopologySortedInput(t *testing.T) {
+	// A (src, dst)-sorted list skips the sorting passes; it must build
+	// what a shuffled copy of it builds, drop counts included.
+	r := rng.New(8)
+	for _, n := range []int32{0, 1, 2, 3, 17, 256, 257, 1000} {
+		for _, m := range []int{0, 1, 2, 5 * int(n)} {
+			if n == 0 && m > 0 {
+				continue
+			}
+			edges := make([]Edge, m)
+			for i := range edges {
+				edges[i] = Edge{int32(r.Intn(int(n))), int32(r.Intn(int(n)))}
+				if i > 0 && r.Intn(4) == 0 { // duplicates, and self-loops on tiny n
+					edges[i] = edges[i-1]
+				}
+			}
+			if m > 0 {
+				edges[0] = Edge{int32(n) - 1, int32(n) - 1} // one self-loop at least
+			}
+			shuffled := slices.Clone(edges)
+			for i := len(shuffled) - 1; i > 0; i-- {
+				j := r.Intn(i + 1)
+				shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
+			}
+			slices.SortFunc(edges, func(a, b Edge) int {
+				return cmp.Or(cmp.Compare(a.Src, b.Src), cmp.Compare(a.Dst, b.Dst))
+			})
+			for _, w := range []int{1, 2, 3, 8, 64, 128} {
+				if !sortedBySrcDst(edges, w) {
+					t.Fatalf("n=%d m=%d workers=%d: sorted list not recognised", n, m, w)
+				}
+				want, wantLoops, wantDups := BuildTopology(n, slices.Clone(shuffled), w)
+				got, loops, dups := BuildTopology(n, slices.Clone(edges), w)
+				if !Equal(want, got) || loops != wantLoops || dups != wantDups {
+					t.Fatalf("n=%d m=%d workers=%d: sorted input built (%d, %d), shuffled (%d, %d) or a different graph", n, m, w, loops, dups, wantLoops, wantDups)
+				}
+				if m > 0 && loops == 0 {
+					t.Fatalf("n=%d m=%d: the self-loop was not counted", n, m)
+				}
+			}
+		}
+	}
+}
+
+func TestSortedBySrcDstFindsEveryDescent(t *testing.T) {
+	// One descent anywhere, a worker's range boundary included, makes
+	// the list unsorted.
+	sorted := make([]Edge, 40)
+	for i := range sorted {
+		sorted[i] = Edge{int32(i / 3), int32(i % 3)}
+	}
+	for at := 1; at < len(sorted); at++ {
+		edges := slices.Clone(sorted)
+		edges[at-1], edges[at] = edges[at], edges[at-1]
+		for _, w := range []int{1, 2, 3, 8, 64} {
+			if sortedBySrcDst(edges, w) {
+				t.Fatalf("descent at %d, workers=%d: reported sorted", at, w)
 			}
 		}
 	}

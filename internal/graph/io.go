@@ -2,27 +2,52 @@ package graph
 
 import (
 	"bufio"
+	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"os"
 	"slices"
 )
 
-// MaxLineLen is the longest accepted edge-list line: 1 MiB, the scanner
-// buffer this loader has always used. The parallel pipeline in
-// internal/ingest enforces the same cap so both paths agree on which
+// MaxLineLen is the longest accepted edge-list line: 1 MiB. A line's
+// length counts every byte before its '\n', or before the end of the
+// input — the '\r' of a CRLF ending included, since the parser reads it
+// as trailing whitespace. This loader and the parallel pipeline in
+// internal/ingest count and cap it the same way, so both agree on which
 // inputs are valid.
 const MaxLineLen = 1 << 20
+
+// errLongLine is the verdict on a line longer than MaxLineLen.
+var errLongLine = fmt.Errorf("line exceeds %d bytes", MaxLineLen)
+
+// scanEdgeLines is bufio.ScanLines with the '\r' of a CRLF kept (the
+// parser skips it) and MaxLineLen enforced on the line itself, so the
+// cap does not depend on the scanner's buffer or on how the reader
+// splits its reads.
+func scanEdgeLines(data []byte, atEOF bool) (advance int, token []byte, err error) {
+	if i := bytes.IndexByte(data, '\n'); i >= 0 && i <= MaxLineLen {
+		return i + 1, data[:i], nil
+	}
+	if len(data) > MaxLineLen {
+		return 0, nil, errLongLine
+	}
+	if atEOF && len(data) > 0 {
+		return len(data), data, nil
+	}
+	return 0, nil, nil
+}
 
 // Edge-list policy (shared by this sequential loader and the parallel
 // pipeline in internal/ingest, which calls ParseEdgeLine):
 //
 //   - '#' and '%' lines are comments; blank lines are skipped. The '%'
 //     form covers MatrixMarket-style "%%MatrixMarket" banners.
-//   - A data line must hold EXACTLY two non-negative integers. Lines
-//     with three or more fields are rejected rather than misparsed —
-//     in particular the "rows cols nnz" size line that follows a
-//     MatrixMarket banner is an error, not the edge (rows, cols).
+//   - A data line must hold EXACTLY two non-negative integers (a
+//     leading '+' is accepted; see parseID). Lines with three or more
+//     fields are rejected rather than misparsed — in particular the
+//     "rows cols nnz" size line that follows a MatrixMarket banner is
+//     an error, not the edge (rows, cols).
 //   - Vertex ids are arbitrary non-negative int64s, densified to
 //     [0, N) by ascending raw id. The ranking
 //     depends only on the set of ids, never on the order lines are
@@ -75,9 +100,10 @@ func ParseEdgeLine(line []byte) (src, dst int64, skip bool, err error) {
 
 func isSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\r' || c == '\v' || c == '\f' }
 
-// parseID parses a non-negative decimal field starting at line[i]. A
-// leading '-' is parsed (so the caller can report "negative vertex id"
-// rather than a generic syntax error) but any other non-digit fails.
+// parseID parses a decimal field starting at line[i]. One leading sign
+// is accepted: '+' is dropped, so "+7" is vertex id 7 in both loaders,
+// and '-' is parsed so the caller can report "negative vertex id"
+// rather than a generic syntax error. Any other non-digit fails.
 func parseID(line []byte, i int, role string) (int64, int, error) {
 	if i >= len(line) {
 		return 0, i, fmt.Errorf("want exactly 2 fields, got %q", string(line))
@@ -135,12 +161,14 @@ func RankID(ids []int64, id int64) int32 {
 // the same semantics as a chunked parallel pipeline and is pinned
 // byte-identical to this function at every worker count; the public
 // efficientimm.LoadEdgeList delegates there. Lines longer than
-// MaxLineLen fail (the scanner buffer is capped).
+// MaxLineLen fail.
 func LoadEdgeList(r io.Reader, undirected bool, model Model, seed uint64) (*Graph, error) {
 	type rawEdge struct{ src, dst int64 }
 	var raw []rawEdge
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64<<10), MaxLineLen)
+	// One byte past the cap: a line of MaxLineLen bytes and its '\n' fit.
+	sc.Buffer(make([]byte, 64<<10), MaxLineLen+1)
+	sc.Split(scanEdgeLines)
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
@@ -153,7 +181,9 @@ func LoadEdgeList(r io.Reader, undirected bool, model Model, seed uint64) (*Grap
 		}
 		raw = append(raw, rawEdge{src, dst})
 	}
-	if err := sc.Err(); err != nil {
+	if err := sc.Err(); errors.Is(err, errLongLine) {
+		return nil, fmt.Errorf("graph: line %d: %v", lineNo+1, err)
+	} else if err != nil {
 		return nil, fmt.Errorf("graph: reading edge list: %w", err)
 	}
 

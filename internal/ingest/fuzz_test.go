@@ -98,6 +98,16 @@ func FuzzIngestMatchesReference(f *testing.F) {
 	f.Add([]byte(messyEdgeList), true, false)
 	f.Add([]byte("4611686018427387903 0\n0 4611686018427387903\n"), false, true)
 	f.Add([]byte("1 2\n3\n"), false, false)
+	// The fused scanner's edges: ids of 7, 8 and 19 digits (inside one
+	// word, filling one, past its 16-digit limit), int64 overflow, a '+' sign,
+	// blank runs and CRLF, no final newline, and lines whose newline is
+	// the last byte of a chunk (2 chunks split "…5678\n" at byte 18).
+	f.Add([]byte("1234567 7654321\n12345678 87654321\n1234567890123456789 9\n"), false, false)
+	f.Add([]byte("9223372036854775807 1\n9223372036854775808 1\n"), false, false)
+	f.Add([]byte("+5 +6\n+7\t8\n"), true, false)
+	f.Add([]byte("1 \t \t2\n3\t\t4\r\n5  6\r\n"), false, true)
+	f.Add([]byte("12345678 87654321\n12345678 8765432"), false, false)
+	f.Add([]byte("1 2\n3 4\n5 6\n7 8\n"), true, true)
 	for seed := uint64(0); seed < 64; seed++ {
 		f.Add(randomEdgeList(seed), seed%2 == 0, seed%4 < 2)
 	}

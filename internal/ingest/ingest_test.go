@@ -6,8 +6,10 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"repro/internal/gen"
 	"repro/internal/graph"
@@ -312,5 +314,109 @@ func TestIngestFootprintIndependentOfWorkers(t *testing.T) {
 	}
 	if many > one+one/2 {
 		t.Fatalf("ingest allocated %d bytes at 64 workers against %d at one: footprint grows with the worker count", many, one)
+	}
+}
+
+func TestScanEdgeAgreesWithParseEdgeLine(t *testing.T) {
+	// Every line scanEdge accepts, however the chunk end cuts it, it
+	// reads as the shared policy does; the common shapes it must accept.
+	lines := []string{
+		"1 2\n", "0\t0\n", "1234567 7654321\n", "12345678 87654321\n",
+		"123456789012345 1\n", "1234567890123456 2\n", "12345678901234567 3\n",
+		"9223372036854775807 1\n", "99999999999999999999 1\n", "007 \t 08\n",
+		"+1 2\n", "1 -2\n", "1 2\r\n", " 1 2\n", "1 2 \n", "1 2 3\n", "1\n",
+		"1 2", "# 1 2\n", "1 x\n", "1,2\n",
+	}
+	common := func(line string) bool {
+		src, dst, ok := strings.Cut(strings.TrimSuffix(line, "\n"), " ")
+		return ok && len(src) <= 16 && len(dst) <= 16 && strings.Trim(src+dst, "0123456789") == "" &&
+			strings.HasSuffix(line, "\n") && src != "" && dst != ""
+	}
+	for _, line := range lines {
+		// Pad so a word load past hi would read digits, not a bound.
+		data := []byte(line + "99999999")
+		for hi := 0; hi <= len(line); hi++ {
+			src, dst, next, ok := scanEdge(data, 0, hi)
+			if !ok {
+				if hi == len(line) && common(line) {
+					t.Errorf("%q: common line not taken by the fast path", line)
+				}
+				continue
+			}
+			if next > hi || data[next-1] != '\n' {
+				t.Fatalf("%q hi=%d: next=%d is not one past a newline inside the chunk", line, hi, next)
+			}
+			wantSrc, wantDst, skip, err := graph.ParseEdgeLine(data[:next-1])
+			if err != nil || skip || src != wantSrc || dst != wantDst {
+				t.Fatalf("%q: fast path read (%d, %d), policy (%d, %d, skip=%v, err=%v)", line, src, dst, wantSrc, wantDst, skip, err)
+			}
+		}
+	}
+}
+
+func TestLineCapAgreesWithReference(t *testing.T) {
+	// A line's length is every byte before its '\n' (a CRLF's '\r'
+	// included) or before the end of input; both loaders accept lengths
+	// up to MaxLineLen and reject longer ones.
+	endings := map[string]string{"LF": "\n", "CRLF": "\r\n", "EOF": ""}
+	for _, length := range []int{graph.MaxLineLen - 1, graph.MaxLineLen, graph.MaxLineLen + 1} {
+		for name, end := range endings {
+			pad := length - len("1 2") - strings.Count(end, "\r")
+			// Padding between the fields is the fast path's shape;
+			// trailing padding is the general parser's.
+			for _, line := range []string{"1" + strings.Repeat(" ", pad+1) + "2", "1 2" + strings.Repeat("\t", pad)} {
+				data := []byte("3 4\n" + line + end)
+				want, wantErr := graph.LoadEdgeList(bytes.NewReader(data), false, graph.IC, 1)
+				if (wantErr == nil) != (length <= graph.MaxLineLen) {
+					t.Fatalf("length %d %s: reference loader err=%v", length, name, wantErr)
+				}
+				if _, err := graph.LoadEdgeList(iotest.DataErrReader(bytes.NewReader(data)), false, graph.IC, 1); (err == nil) != (wantErr == nil) {
+					t.Fatalf("length %d %s: verdict depends on how the reader splits its reads: %v", length, name, err)
+				}
+				for _, w := range []int{1, 2} {
+					got, _, err := pipeline(data, Options{Seed: 1}, w)
+					if (err == nil) != (wantErr == nil) {
+						t.Fatalf("length %d %s workers=%d: err=%v, reference err=%v", length, name, w, err, wantErr)
+					}
+					if err == nil && !graph.Equal(want, got) {
+						t.Fatalf("length %d %s workers=%d: graph differs from reference", length, name, w)
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestIngestDuplicatesAcrossChunks(t *testing.T) {
+	// A clean list concatenated with itself: every edge has exactly one
+	// duplicate, in the other copy, so duplicates meet in the run merge
+	// rather than inside one chunk's sort.
+	for _, ids := range []struct {
+		name   string
+		spread func(int32) int64
+	}{{"dense", denseIDs}, {"sparse", sparseIDs}} {
+		name, half := ids.name, rmatEdgeList(t, 9, 8, ids.spread)
+		data := append(slices.Clone(half), half...)
+		want, err := graph.LoadEdgeList(bytes.NewReader(data), false, graph.LT, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range []int{2, 3, 8, 64} {
+			opt := Options{Model: graph.LT, Seed: 3}
+			got, st, err := pipeline(data, opt, w)
+			if err != nil {
+				t.Fatalf("%s chunks=%d: %v", name, w, err)
+			}
+			if !graph.Equal(want, got) {
+				t.Fatalf("%s chunks=%d: graph differs from sequential reference", name, w)
+			}
+			if st.SelfLoops != 0 || 2*st.Duplicates != st.RawEdges {
+				t.Fatalf("%s chunks=%d: %d self-loops, %d duplicates of %d raw edges; want 0, half", name, w, st.SelfLoops, st.Duplicates, st.RawEdges)
+			}
+			opt.Dedupe = DedupeStrict
+			if _, _, err := pipeline(data, opt, w); err == nil || !strings.Contains(err.Error(), "duplicate") {
+				t.Fatalf("%s chunks=%d: strict dedupe err=%v", name, w, err)
+			}
+		}
 	}
 }
