@@ -6,9 +6,10 @@
 // regional maxima, then a reduction over the regions). Key types:
 // Counter (the array plus its ArgMax), UpdateStrategy with
 // ChooseRebuild (the adaptive decrement-vs-rebuild retirement of §IV.C),
-// and GainHeap/GainLess (the max-heaps behind CELF's lazy selection). The argmax and heap order
-// share one tie-break — gain descending, vertex id ascending — which is
-// the invariant that keeps every selection kernel byte-identical.
+// and GainHeap (the max-heap behind CELF's lazy selection). The argmax
+// and heap order share one tie-break — gain descending, vertex id
+// ascending — which is the invariant that keeps every selection kernel
+// byte-identical.
 package counter
 
 import (
@@ -134,34 +135,29 @@ type GainItem struct {
 	Vertex int32
 }
 
-// GainLess is the CELF priority order: higher gain first, ties toward
+// gainLess is the CELF priority order: higher gain first, ties toward
 // the lower vertex id. The tie-break matches ArgMax, which is what makes
 // lazy selection return byte-identical seeds to the eager argmax scan at
-// any worker count. Exported so the selection kernel reduces per-shard
-// heap tops under exactly the heap's own order.
-func GainLess(a, b GainItem) bool {
+// any worker count.
+func gainLess(a, b GainItem) bool {
 	return a.Gain > b.Gain || (a.Gain == b.Gain && a.Vertex < b.Vertex)
 }
 
-// GainHeap is a deterministic binary max-heap of GainItems used as the
-// per-region priority queue of the CELF selection. It supports
-// exactly the operations that selection needs — bulk build, peek, pop,
-// and re-keying the current top — so there is no position index to
-// maintain.
+// GainHeap is a deterministic binary max-heap of GainItems, the one
+// priority queue of the CELF selection. It supports exactly the
+// operations that selection needs — bulk build, peek, pop, and re-keying
+// the current top — so there is no position index to maintain.
 type GainHeap struct {
 	items []GainItem
 }
 
 // NewGainHeap returns a heap that adopts items, in any order, as its
 // storage and contents; call Init before the first Top. The selection
-// kernel builds all its region heaps over stretches of one slab this
-// way, so a selection allocates no per-heap storage.
+// kernel builds its heap over a vertex slab it keeps across selections
+// this way, so a selection allocates no heap storage.
 func NewGainHeap(items []GainItem) GainHeap {
 	return GainHeap{items: items}
 }
-
-// Len returns the number of queued candidates.
-func (h *GainHeap) Len() int { return len(h.items) }
 
 // Init establishes the heap invariant over the adopted items in O(n).
 func (h *GainHeap) Init() {
@@ -209,10 +205,10 @@ func (h *GainHeap) siftDown(i int) {
 			return
 		}
 		best := l
-		if r := l + 1; r < n && GainLess(h.items[r], h.items[l]) {
+		if r := l + 1; r < n && gainLess(h.items[r], h.items[l]) {
 			best = r
 		}
-		if !GainLess(h.items[best], h.items[i]) {
+		if !gainLess(h.items[best], h.items[i]) {
 			return
 		}
 		h.items[i], h.items[best] = h.items[best], h.items[i]

@@ -103,7 +103,7 @@ func RunCluster(g *graph.Graph, opt Options, cl *Cluster) (*Result, error) {
 const runHint = "run"
 
 // run is the one body under Run and RunCluster: the warm engine (its
-// sharded pool, index and CELF) with every pool extension sourced through
+// pool, index and CELF) with every pool extension sourced through
 // the rank generator; cl == nil generates every chunk locally.
 func run(g *graph.Graph, opt Options, cl *Cluster) (*Result, error) {
 	if opt.Ranks < 1 {

@@ -30,12 +30,12 @@ func prefixBelow(post []int32, lim int32) int {
 	return lo
 }
 
-// shardOwners returns, for every shard, the worker that
+// shardOwners returns, for every billing shard, the worker that
 // sched.Static(workers, poolShards, ·) would run it on. The pop loop
 // walks postings inline on the calling goroutine but still bills each
-// posting to the worker owning the shard its set lives in, so the modeled
-// per-worker critical path is the one a shard-parallel walk would have
-// produced.
+// posting to the worker owning its set's shard (id mod poolShards), so
+// the modeled per-worker critical path is the one a shard-parallel walk
+// would have produced.
 func shardOwners(workers int) (owner [poolShards]int) {
 	p := min(workers, poolShards)
 	for wk := 0; wk < p; wk++ {
@@ -46,37 +46,43 @@ func shardOwners(workers int) (owner [poolShards]int) {
 	return owner
 }
 
-// Lazy-greedy (CELF) seed selection over the sharded pool's inverted
-// index.
+// localLimit returns how many ids below limit fall in billing shard s
+// (ids s, s+poolShards, ...) — the shard's share of a pool view.
+func localLimit(s int, limit int64) int {
+	if int64(s) >= limit {
+		return 0
+	}
+	return int((limit-1-int64(s))/poolShards) + 1
+}
+
+// Lazy-greedy (CELF) seed selection over the pool's inverted index.
 //
 // The eager kernel (SelectOnSetsScan) re-establishes the exact marginal
 // gain of every vertex after every seed; CELF exploits submodularity —
 // marginal coverage gain never increases as coverage grows — to keep
-// cached gains as upper bounds in per-region max heaps and recompute only
-// the candidates that actually surface. A candidate is selected the
-// moment its cached gain is known to be current, because every other
-// cached gain is an upper bound that the heap order already places below
-// it.
+// cached gains as upper bounds in one max heap and recompute only the
+// candidates that actually surface. A candidate is selected the moment
+// its cached gain is known to be current, because every other cached
+// gain is an upper bound that the heap order already places below it.
 //
-// Parallel regions open only for the passes whose work scales with the
-// vertex count or with pool growth: index extension (when the pool grew),
-// initial gains, and heap construction. The pop loop opens none: a stale
+// Fork-joins open only for the passes whose work scales with the vertex
+// count or with pool growth: index extension (when the pool grew) and
+// initial gains. The heap is built and popped inline: a stale
 // re-evaluation or a seed retirement walks one contiguous segment of a few
-// dozen postings, far less than a fork-join costs, so both run inline.
-// Their work is still charged, posting by posting, to the worker that
-// owns the set's shard under the static shard partition (shardOwners),
-// which keeps the modeled cost — the per-worker critical path plus the
-// serial heap machinery — independent of how the walks are actually
-// executed.
+// dozen postings, far less than a fork-join costs. The modeled cost — the
+// per-worker critical path plus the serial heap machinery — is that of
+// the shard- and region-parallel kernel, computed as arithmetic: each
+// posting is charged to the worker that owns its set's shard under the
+// static shard partition (shardOwners); the heap build to the workers a
+// static split of min(poolShards, n) contiguous vertex regions gives it;
+// and every heap probe to a reduction over one top per region, plus
+// log2 of the region's size per pop or re-key.
 //
-// Determinism: the heap order and the cross-heap reduction both use
-// (gain desc, vertex asc) — counter.GainLess — which is exactly the
-// tie-break of the eager argmax. Gains are integers, shard layout is
-// fixed (poolShards does not depend on the worker count), and the
-// parallel passes only partition read-only postings, so the selected
-// seed sequence is byte-identical to SelectOnSetsScan at any worker
-// count. The tests pin this across worker counts and both pool
-// representations.
+// Determinism: the heap orders by (gain desc, vertex asc), exactly the
+// tie-break of the eager argmax. Gains are integers and the parallel
+// passes only partition read-only postings, so the selected seed sequence
+// is byte-identical to SelectOnSetsScan at any worker count. The tests
+// pin this across worker counts and both set representations.
 //
 // Selection is restricted to the logically truncated pool view of global
 // set ids below limit — the warm-serving seam. A pool physically grown to
@@ -131,14 +137,14 @@ func (p *shardedPool) selectCELF(base *counter.Counter, workers, k int, limit in
 	// the reset is its owner's.
 	owner := shardOwners(w)
 	p.covered.Reset()
-	for s := range p.shards {
+	for s := range poolShards {
 		ops[owner[s]] += int64(localLimit(s, p.indexed))/64 + 1
 	}
 	idx, data, covered := p.postIdx, p.postData, p.covered.Words()
 	lim, whole := int32(limit), limit == p.indexed
 
 	// Initial gains, written straight into the heap slab (slot v holds
-	// vertex v until the heaps are built): the fused base counter when it
+	// vertex v until the heap is built): the fused base counter when it
 	// is fresh (a streaming copy), else each vertex's occurrence count
 	// within the view — an offset difference, or for a truncated view a
 	// search of only the segments that straddle the horizon.
@@ -170,18 +176,22 @@ func (p *shardedPool) selectCELF(base *counter.Counter, workers, k int, limit in
 		})
 	}
 
-	// Per-region max-gain heaps over fixed contiguous vertex ranges, each
-	// heapified in place over its stretch of the slab.
+	// One max-gain heap, heapified in place over the slab. Its bill is
+	// that of min(poolShards, n) region heaps over contiguous vertex
+	// ranges [r·n/regions, (r+1)·n/regions), built by sched.Static's
+	// workers: a worker's regions are contiguous, so it pays for the
+	// vertices from its first region's start to its last one's end.
+	heap := counter.NewGainHeap(items)
+	heap.Init()
 	regions := min(poolShards, n)
-	heaps := make([]counter.GainHeap, regions)
-	sched.Static(w, regions, func(wk, r0, r1 int) {
-		for r := r0; r < r1; r++ {
-			lo, hi := r*n/regions, (r+1)*n/regions
-			heaps[r] = counter.NewGainHeap(items[lo:hi])
-			heaps[r].Init()
-			ops[wk] += int64(hi - lo)
-		}
-	})
+	var regionLen [poolShards]int
+	for r := range regions {
+		regionLen[r] = (r+1)*n/regions - r*n/regions
+	}
+	pw := min(w, regions)
+	for wk := range pw {
+		ops[wk] += int64((wk+1)*regions/pw*n/regions - wk*regions/pw*n/regions)
+	}
 
 	// version[v] is the selection round v's cached gain was computed at;
 	// a cached gain is exact iff nothing has been covered since. Round 0
@@ -199,25 +209,20 @@ func (p *shardedPool) selectCELF(base *counter.Counter, workers, k int, limit in
 		round := int32(len(seeds))
 		chosen := int32(-1)
 		for {
-			// Reduce the per-region heap tops under the heap's own order.
-			bestR := -1
-			var best counter.GainItem
-			for r := range heaps {
-				if top, ok := heaps[r].Top(); ok {
-					if bestR < 0 || counter.GainLess(top, best) {
-						bestR, best = r, top
-					}
-				}
-			}
-			serial += int64(len(heaps))
-			if bestR < 0 {
+			// A probe is billed as the reduction over every region's top.
+			best, ok := heap.Top()
+			serial += int64(regions)
+			if !ok {
 				break // every vertex already selected
 			}
+			// Its region: the r with r·n/regions ≤ v < (r+1)·n/regions.
+			r := ((int(best.Vertex)+1)*regions - 1) / n
 			if version[best.Vertex] == round {
 				// Exact gain on top: it dominates every cached upper
 				// bound under (gain desc, id asc), so it is the argmax.
-				heaps[bestR].Pop()
-				serial += int64(log2i(heaps[bestR].Len() + 1))
+				heap.Pop()
+				regionLen[r]--
+				serial += int64(log2i(regionLen[r] + 1))
 				chosen = best.Vertex
 				break
 			}
@@ -234,8 +239,8 @@ func (p *shardedPool) selectCELF(base *counter.Counter, workers, k int, limit in
 			}
 			walks++
 			version[v] = round
-			heaps[bestR].UpdateTop(g)
-			serial += int64(log2i(heaps[bestR].Len() + 1))
+			heap.UpdateTop(g)
+			serial += int64(log2i(regionLen[r] + 1))
 		}
 		if chosen < 0 {
 			break

@@ -95,7 +95,7 @@ func (w *WarmEngine) fusedRange(wk int, s0, e0 int64, members []int64) int64 {
 	for i := s0; i < e0; i++ {
 		set, m := gw.sampleSlot(w.opt.Seed, i, w.policy, w.p.n, cnt)
 		jobMembers += int64(m)
-		w.p.put(i, set)
+		w.p.sets[i] = set
 	}
 	members[wk] += jobMembers
 	return (gw.smp.EdgesVisited - edgesBefore) + 3*jobMembers

@@ -52,7 +52,7 @@ func runKernel(t testing.TB, g *graph.Graph, opt Options) (*Result, *WarmEngine)
 }
 
 // referencePool builds slots [0, count) with GenerateSlots into a fresh
-// sharded pool and indexes it in one lazy pass.
+// pool and indexes it in one lazy pass.
 func referencePool(g *graph.Graph, opt Options, count int64) *shardedPool {
 	ref := newShardedPool(g.N)
 	ref.grow(count)

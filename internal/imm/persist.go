@@ -2,9 +2,9 @@ package imm
 
 // Warm-pool freeze/thaw: the serialization seam behind the .impool
 // snapshot format (internal/ingest) and the serving layer's disk tier
-// (internal/serve). Freeze flattens a WarmEngine's sharded pool into a
-// PoolState — per-shard set payloads in their resident representations,
-// the pool's inverted index, its selection memo, and the (seed,
+// (internal/serve). Freeze flattens a WarmEngine's pool into a
+// PoolState — the set payloads in their resident representations, in set
+// id order, the pool's inverted index, its selection memo, and the (seed,
 // slot-count) RNG metadata that makes the pool reproducible — bound to
 // the graph it was built on by shape, model, delta epoch, and a content
 // fingerprint. Thaw rebuilds a WarmEngine around those payloads without
@@ -35,21 +35,6 @@ import (
 // corruption.
 var ErrPoolIncompatible = errors.New("imm: pool state incompatible with thaw target")
 
-// PoolShardState is one shard's flattened payload. Sizes holds each
-// local entry's member count, which also names its representation: the
-// pool's policy stores a set of that size as a bitmap row when
-// rrr.Policy.Dense says so and as a sorted list otherwise. The members
-// themselves are concatenated into one blob per representation, so each
-// blob keeps a fixed element size and can be aliased straight out of a
-// 64-byte-aligned snapshot section (or an mmap of one) without decoding.
-// Entry j's payload starts where entries 0..j-1 of the same
-// representation end.
-type PoolShardState struct {
-	Sizes      []int32  // member count per entry
-	ListData   []int32  // concatenated sorted member lists
-	BitmapData []uint64 // concatenated word rows, (N+63)/64 words each
-}
-
 // PoolState is a frozen warm pool plus everything needed to decide
 // whether a thaw target may adopt it: the graph binding (shape, model,
 // delta epoch, content fingerprint) and the pool-shaping options (RNG
@@ -72,7 +57,17 @@ type PoolState struct {
 	Count        int64 // physical pool length (slots generated)
 	TotalMembers int64 // Σ|R| over all Count sets
 
-	Shards [poolShards]PoolShardState
+	// The sets, in id order. Sizes holds each set's member count, which
+	// also names its representation: the pool's policy stores a set of
+	// that size as a bitmap row when rrr.Policy.Dense says so and as a
+	// sorted list otherwise. The members themselves are concatenated into
+	// one blob per representation, so each blob keeps a fixed element
+	// size and can be aliased straight out of a 64-byte-aligned snapshot
+	// section (or an mmap of one) without decoding. Set i's payload starts
+	// where sets 0..i-1 of the same representation end.
+	Sizes      []int32  // member count per set, len Count
+	ListData   []int32  // concatenated sorted member lists
+	BitmapData []uint64 // concatenated word rows, (N+63)/64 words each
 
 	// PostIdx/PostData are the pool's CSR inverted index over all Count
 	// sets — vertex v's postings are the global set ids
@@ -85,10 +80,6 @@ type PoolState struct {
 	// entry first: the CELF selections already run over this pool.
 	Memo []PoolMemoEntry
 }
-
-// ShardCount returns the fixed pool shard count the state is striped
-// over — part of the .impool format contract.
-func (st *PoolState) ShardCount() int { return poolShards }
 
 // GraphChecksum is the content fingerprint pool snapshots bind to:
 // graph.Graph.Checksum, computed once per graph object.
@@ -127,19 +118,16 @@ func (w *WarmEngine) Freeze(epoch int64) (*PoolState, error) {
 		p.patch(w.opt.Workers, nil, nil)
 		st.PostIdx, st.PostData = p.postIdx, p.postData
 	}
-	for s, sets := range p.shards {
-		out := &st.Shards[s]
-		out.Sizes = make([]int32, len(sets))
-		for j, set := range sets {
-			out.Sizes[j] = int32(set.Size())
-			switch v := set.(type) {
-			case *rrr.ListSet:
-				out.ListData = append(out.ListData, v.Raw()...)
-			case *rrr.BitmapSet:
-				out.BitmapData = append(out.BitmapData, v.Words()...)
-			default:
-				return nil, fmt.Errorf("imm: freeze: shard %d entry %d has unknown set representation %T", s, j, set)
-			}
+	st.Sizes = make([]int32, p.count)
+	for i, set := range p.sets[:p.count] {
+		st.Sizes[i] = int32(set.Size())
+		switch v := set.(type) {
+		case *rrr.ListSet:
+			st.ListData = append(st.ListData, v.Raw()...)
+		case *rrr.BitmapSet:
+			st.BitmapData = append(st.BitmapData, v.Words()...)
+		default:
+			return nil, fmt.Errorf("imm: freeze: set %d has unknown representation %T", i, set)
 		}
 	}
 	return st, nil
@@ -185,6 +173,9 @@ func ThawWarmEngine(g *graph.Graph, opt Options, st *PoolState) (*WarmEngine, er
 	if st.Count < 0 {
 		return nil, fmt.Errorf("%w: negative pool length %d", ErrPoolIncompatible, st.Count)
 	}
+	if int64(len(st.Sizes)) != st.Count {
+		return nil, fmt.Errorf("%w: %d set sizes for a pool of %d sets", ErrPoolIncompatible, len(st.Sizes), st.Count)
+	}
 	if err := st.ValidateMemo(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrPoolIncompatible, err)
 	}
@@ -194,45 +185,37 @@ func ThawWarmEngine(g *graph.Graph, opt Options, st *PoolState) (*WarmEngine, er
 		return nil, fmt.Errorf("%w: %v", ErrPoolIncompatible, err)
 	}
 	words := (int(st.N) + 63) / 64
+	bitmaps := 0
+	for _, size := range st.Sizes {
+		if w.policy.Dense(st.N, int(size)) {
+			bitmaps++
+		}
+	}
+	slab := rrr.NewAdoptSlab(len(st.Sizes)-bitmaps, bitmaps)
 	var members int64
-	for s := range st.Shards {
-		in := &st.Shards[s]
-		sets := p.shards[s]
-		if len(in.Sizes) != len(sets) {
-			return nil, fmt.Errorf("%w: shard %d holds %d entries, pool length %d needs %d",
-				ErrPoolIncompatible, s, len(in.Sizes), st.Count, len(sets))
+	var lc, bc int
+	for i, size32 := range st.Sizes {
+		size := int(size32)
+		if size < 0 {
+			return nil, fmt.Errorf("%w: set %d has negative size", ErrPoolIncompatible, i)
 		}
-		bitmaps := 0
-		for _, size := range in.Sizes {
-			if w.policy.Dense(st.N, int(size)) {
-				bitmaps++
+		if w.policy.Dense(st.N, size) {
+			if bc+words > len(st.BitmapData) {
+				return nil, fmt.Errorf("%w: set %d bitmap payload overrun", ErrPoolIncompatible, i)
 			}
-		}
-		slab := rrr.NewAdoptSlab(len(sets)-bitmaps, bitmaps)
-		var lc, bc int
-		for j := range sets {
-			size := int(in.Sizes[j])
-			if size < 0 {
-				return nil, fmt.Errorf("%w: shard %d entry %d has negative size", ErrPoolIncompatible, s, j)
+			p.sets[i] = slab.Bitmap(st.N, st.BitmapData[bc:bc+words:bc+words], size)
+			bc += words
+		} else {
+			if lc+size > len(st.ListData) {
+				return nil, fmt.Errorf("%w: set %d list payload overrun", ErrPoolIncompatible, i)
 			}
-			if w.policy.Dense(st.N, size) {
-				if bc+words > len(in.BitmapData) {
-					return nil, fmt.Errorf("%w: shard %d bitmap payload overrun", ErrPoolIncompatible, s)
-				}
-				sets[j] = slab.Bitmap(st.N, in.BitmapData[bc:bc+words:bc+words], size)
-				bc += words
-			} else {
-				if lc+size > len(in.ListData) {
-					return nil, fmt.Errorf("%w: shard %d list payload overrun", ErrPoolIncompatible, s)
-				}
-				sets[j] = slab.SortedList(in.ListData[lc : lc+size : lc+size])
-				lc += size
-			}
-			members += int64(size)
+			p.sets[i] = slab.SortedList(st.ListData[lc : lc+size : lc+size])
+			lc += size
 		}
-		if lc != len(in.ListData) || bc != len(in.BitmapData) {
-			return nil, fmt.Errorf("%w: shard %d payload blobs larger than entries consume", ErrPoolIncompatible, s)
-		}
+		members += int64(size)
+	}
+	if lc != len(st.ListData) || bc != len(st.BitmapData) {
+		return nil, fmt.Errorf("%w: payload blobs larger than the sets consume", ErrPoolIncompatible)
 	}
 	if members != st.TotalMembers {
 		return nil, fmt.Errorf("%w: member sum %d vs frozen total %d", ErrPoolIncompatible, members, st.TotalMembers)
@@ -284,7 +267,7 @@ func baseFromIndex(base *counter.Counter, p *shardedPool, workers int) bool {
 func rebuildBase(base *counter.Counter, p *shardedPool, workers int) {
 	sched.Static(workers, int(p.count), func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
-			p.get(int64(i)).ForEach(func(v int32) { base.Inc(v) })
+			p.sets[i].ForEach(func(v int32) { base.Inc(v) })
 		}
 	})
 }

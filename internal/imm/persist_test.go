@@ -121,22 +121,20 @@ func TestThawRejectsBindingMismatch(t *testing.T) {
 		t.Fatalf("fingerprint mismatch: got %v, want ErrPoolIncompatible", err)
 	}
 
-	// Truncated shard payload: structural damage surfaces as a typed
+	// Truncated list payload: structural damage surfaces as a typed
 	// error, never a panic.
 	st3 := *st
-	for s := range st3.Shards {
-		if len(st3.Shards[s].ListData) > 0 {
-			st3.Shards[s].ListData = st3.Shards[s].ListData[:len(st3.Shards[s].ListData)-1]
-			break
-		}
+	if len(st3.ListData) == 0 {
+		t.Fatal("fixture froze no list payload")
 	}
+	st3.ListData = st3.ListData[:len(st3.ListData)-1]
 	if _, err := ThawWarmEngine(g, opt, &st3); !errors.Is(err, ErrPoolIncompatible) {
 		t.Fatalf("truncated payload: got %v, want ErrPoolIncompatible", err)
 	}
 }
 
 // TestThawBaseFromIndexMatchesMemberWalk pins the thaw-side shortcut: a
-// vertex's occurrence count read off the shards' index offsets equals
+// vertex's occurrence count read off the index offsets equals
 // the count from walking every member of every set, and both equal the
 // counter fusion maintained in the engine that was frozen — for both
 // models. A state frozen without an index (scan-mode selection) must

@@ -48,7 +48,7 @@ func (w *WarmEngine) generateRemote(from, to int64) bool {
 		}
 	}
 	for i, s := range out {
-		w.p.put(from+int64(i), s)
+		w.p.sets[from+int64(i)] = s
 	}
 	var fused int64
 	if w.opt.Fusion {

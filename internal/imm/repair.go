@@ -114,7 +114,7 @@ func (w *WarmEngine) repair(ng *graph.Graph, rep *graph.DeltaReport) RepairRepor
 	if maintainBase {
 		dec := func(v int32) { w.base.Dec(v) }
 		for _, i := range invalid {
-			w.p.get(i).ForEach(dec)
+			w.p.sets[i].ForEach(dec)
 		}
 	}
 
@@ -145,7 +145,7 @@ func (w *WarmEngine) repair(ng *graph.Graph, rep *graph.DeltaReport) RepairRepor
 
 // replace swaps sets into the resident slots ids (global, ascending) and
 // brings what the pool derives from its contents in line: the member
-// total, the flat view, the prefix summaries and remembered selections
+// total, the prefix summaries and remembered selections
 // (those below the first replaced slot stay, the rest re-fold or re-run
 // lazily) and the inverted index, when there is one — one patch, which
 // also absorbs any sets not indexed yet. A scan-mode pool (never indexed)
@@ -153,12 +153,9 @@ func (w *WarmEngine) repair(ng *graph.Graph, rep *graph.DeltaReport) RepairRepor
 func (p *shardedPool) replace(ids []int64, sets []rrr.Set, workers int) {
 	old := make([]rrr.Set, 0, len(ids)) // the replaced sets the index covers: a prefix of ids
 	for k, i := range ids {
-		was := p.get(i)
+		was := p.sets[i]
 		p.totalMembers += int64(sets[k].Size() - was.Size())
-		p.put(i, sets[k])
-		if i < int64(len(p.flat)) {
-			p.flat[i] = sets[k]
-		}
+		p.sets[i] = sets[k]
 		if i < p.indexed {
 			old = append(old, was)
 		}
@@ -185,7 +182,7 @@ func (w *WarmEngine) invalidSlots(dirty []int32) []int64 {
 		}
 	}
 	for i := p.indexed; i < p.count; i++ {
-		set := p.get(i)
+		set := p.sets[i]
 		for _, v := range dirty {
 			if set.Contains(v) {
 				marked.Set(int(i))

@@ -13,23 +13,23 @@ import (
 	"repro/internal/sched"
 )
 
-// The sharded RRR pool behind the Efficient engine. Two things are
-// striped over a fixed number of shards (fixed so that nothing about the
-// pool layout — and therefore nothing about selection — depends on the
-// worker count): set storage, ids struck round-robin, in whatever
-// representation the policy chose (sorted lists or bitset rows); and the
-// modeled attribution of index and selection work, which bills every
-// posting to the owner of the shard its set lives in. The inverted index
-// is not striped: one CSR maps a vertex to the global ids of the sets
-// containing it, so selection walks one contiguous run of postings per
-// vertex instead of re-scanning every set, and the index is sized by the
-// postings plus one offset array. It changes only through
-// shardedPool.patch.
+// The RRR pool behind the Efficient engine: one slot array indexed by
+// global set id, each set in whatever representation the policy chose
+// (sorted list or bitset row), and one inverted index — a CSR mapping a
+// vertex to the ids of the sets containing it, so selection walks one
+// contiguous run of postings per vertex instead of re-scanning every set.
+// The index is sized by the postings plus one offset array and changes
+// only through shardedPool.patch.
+//
+// Shards survive only in the modeled cost: index and selection work is
+// billed, posting by posting, to the owner of the shard id mod poolShards
+// of the set it touches (shardOwners), as if set storage were striped
+// round-robin over a fixed number of shards. The count is fixed so that
+// the stripe does not depend on the worker count.
 
-// poolShards is the fixed shard count. A power of two keeps the id
-// mapping a mask/shift; 16 shards keep the per-shard set payloads
-// balanced (ids are striped) and give the modeled per-worker attribution
-// a grain up to 16 workers share evenly.
+// poolShards is the fixed billing shard count: 16 shards give the
+// modeled per-worker attribution a grain up to 16 workers share evenly,
+// and a power of two keeps a set's shard a mask.
 const poolShards = 16
 
 // maxPoolSets bounds the pool length: postings hold set ids as int32.
@@ -58,14 +58,15 @@ func (f PoolFootprint) CompressionRatio() float64 {
 	return float64(f.RawBytes) / float64(f.SetBytes)
 }
 
-// shardedPool is the Efficient engine's pool: grow/put during
-// generation, ensureIndexed + CELF during selection.
+// shardedPool is the Efficient engine's pool: grow and slot writes
+// during generation, ensureIndexed + CELF during selection.
 type shardedPool struct {
 	n            int32
 	count        int64
 	totalMembers int64
-	// shards[s][j] holds global set id j*poolShards + s.
-	shards [poolShards][]rrr.Set
+	// sets[i] holds global set id i; the first count slots are the pool.
+	// Generation workers write distinct slots, so they need no locking.
+	sets []rrr.Set
 
 	// Inverted index over the sets below indexed, in CSR layout: the ids
 	// of the sets containing v are postData[postIdx[v]:postIdx[v+1]],
@@ -79,19 +80,15 @@ type shardedPool struct {
 	covered  *bitset.Bitset // selection scratch over set ids, reset per call
 	indexed  int64
 
-	// flat caches the id-ordered view for scan-mode selection. Slots
-	// are write-once, so the cache only ever extends — never
-	// invalidates.
-	flat []rrr.Set
 	// prefix[i] summarizes sets [0, i): summed Bytes()/Size(), per-kind
-	// counts and the running max size, extended lazily like flat. It
-	// makes the footprint, statistics and truncated-view accounting O(1)
-	// per query instead of an O(pool) rescan — the warm-serving hot path
-	// asks for all three on every request. Guarded by the same
-	// serialization as selection (the engine runs one query at a time).
+	// counts and the running max size, extended lazily. It makes the
+	// footprint, statistics and truncated-view accounting O(1) per query
+	// instead of an O(pool) rescan — the warm-serving hot path asks for
+	// all three on every request. Guarded by the same serialization as
+	// selection (the engine runs one query at a time).
 	prefix []prefixEntry
 	// heapScratch/versionScratch are the CELF kernel's per-call vertex
-	// arrays (the slab its region heaps live in, and the gain versions),
+	// arrays (the slab its heap lives in, and the gain versions),
 	// retained across selections so a batch of prefix answers on a warm
 	// pool (many selections per round trip) does not re-allocate 20
 	// bytes per vertex per estimation round. Guarded by the same
@@ -107,22 +104,9 @@ type shardedPool struct {
 
 func newShardedPool(n int32) *shardedPool { return &shardedPool{n: n} }
 
-// shardOf maps a global set id to (shard, local entry id).
-func shardOf(i int64) (int, int) { return int(i % poolShards), int(i / poolShards) }
-
-// localLimit returns how many of shard s's entries hold global ids below
-// limit — the shard's share of a logically truncated pool view. Ids are
-// striped round-robin, so shard s holds ids s, s+poolShards, ...
-func localLimit(s int, limit int64) int {
-	if int64(s) >= limit {
-		return 0
-	}
-	return int((limit-1-int64(s))/poolShards) + 1
-}
-
 func (p *shardedPool) len() int64 { return p.count }
 
-// grow pre-sizes every shard for ids up to target and returns the
+// grow pre-sizes the slot array for ids up to target and returns the
 // previous and new pool lengths. A target past maxPoolSets is refused.
 func (p *shardedPool) grow(target int64) (from, to int64, err error) {
 	from = p.count
@@ -132,26 +116,11 @@ func (p *shardedPool) grow(target int64) (from, to int64, err error) {
 	if target > maxPoolSets {
 		return from, from, fmt.Errorf("imm: a pool of %d sets exceeds the %d the index's 32-bit set ids can name", target, int64(maxPoolSets))
 	}
-	for s := range p.shards {
-		if need := localLimit(s, target); need > len(p.shards[s]) {
-			p.shards[s] = append(p.shards[s], make([]rrr.Set, need-len(p.shards[s]))...)
-		}
+	if need := target - int64(len(p.sets)); need > 0 {
+		p.sets = append(p.sets, make([]rrr.Set, need)...)
 	}
 	p.count = target
 	return from, target, nil
-}
-
-// put stores the set for global id i. Distinct ids map to distinct
-// slots, so concurrent generation workers need no locking.
-func (p *shardedPool) put(i int64, set rrr.Set) {
-	s, j := shardOf(i)
-	p.shards[s][j] = set
-}
-
-// get returns the set for global id i.
-func (p *shardedPool) get(i int64) rrr.Set {
-	s, j := shardOf(i)
-	return p.shards[s][j]
 }
 
 func (p *shardedPool) addMembers(perWorker []int64) { p.totalMembers += sumOf(perWorker) }
@@ -312,7 +281,7 @@ func (p *shardedPool) patch(workers int, ids []int64, old []rrr.Set) (members [p
 				if k < len(ids) {
 					id = ids[k]
 				}
-				vs, before, buf = membersIn(p.get(id), bounds[r], bounds[r+1], buf)
+				vs, before, buf = membersIn(p.sets[id], bounds[r], bounds[r+1], buf)
 				for _, v := range vs {
 					mark[v]++
 				}
@@ -357,7 +326,7 @@ func (p *shardedPool) patch(workers int, ids []int64, old []rrr.Set) (members [p
 				if k < len(ids) {
 					id = ids[k]
 				}
-				vs, _, buf = membersIn(p.get(id), bounds[r], bounds[r+1], buf)
+				vs, _, buf = membersIn(p.sets[id], bounds[r], bounds[r+1], buf)
 				for _, v := range vs {
 					at := idx[v] + int64(mark[v])
 					mark[v]++
@@ -462,7 +431,7 @@ func (p *shardedPool) prefixUpTo(limit int64) prefixEntry {
 	p.prefix = slices.Grow(p.prefix, int(limit)-next)
 	e := p.prefix[next]
 	for i := int64(next); i < limit; i++ {
-		set := p.get(i)
+		set := p.sets[i]
 		var size int
 		if ls, ok := set.(*rrr.ListSet); ok {
 			size = ls.Size()
@@ -522,14 +491,4 @@ func (p *shardedPool) footprintUpTo(limit int64) PoolFootprint {
 		f.IndexBytes = 4 * members
 	}
 	return f
-}
-
-// flatten returns the id-ordered []rrr.Set view the scan-mode selection
-// and the round-trip tests consume, extending the cached view over any
-// sets generated since the last call. Callers must not mutate it.
-func (p *shardedPool) flatten() []rrr.Set {
-	for i := int64(len(p.flat)); i < p.count; i++ {
-		p.flat = append(p.flat, p.get(i))
-	}
-	return p.flat
 }

@@ -17,6 +17,15 @@ import (
 // the merge of the sixteen per-shard indexes the patch's predecessor
 // maintains over the same sets.
 
+// Accessors the tests read and write the pool's slots through.
+func (p *shardedPool) get(i int64) rrr.Set      { return p.sets[i] }
+func (p *shardedPool) put(i int64, set rrr.Set) { p.sets[i] = set }
+func (p *shardedPool) flatten() []rrr.Set       { return p.sets[:p.count] }
+
+// shardOf maps a global set id to its stripe of the oracle below: (shard,
+// local entry id).
+func shardOf(i int64) (int, int) { return int(i % poolShards), int(i / poolShards) }
+
 // oracleShard is one stripe of the striped index the pool had before it
 // kept a single one, kept as the differential oracle: entry j of shard s
 // is global set id j*poolShards + s, and postData holds local entry ids.
@@ -409,7 +418,7 @@ func TestExtendAllocs(t *testing.T) {
 		}
 		p.patch(1, nil, nil)
 	}
-	// The shards are sized for every round up front, so growing is free; 65
+	// The slots are sized for every round up front, so growing is free; 65
 	// sets put the coverage scratch at two words, where the measured rounds
 	// (4 sets each) leave it.
 	if _, _, err := p.grow(int64(len(sets))); err != nil {

@@ -30,7 +30,7 @@ import (
 //
 // Run drives a fresh one through one query. The serving layer
 // (internal/serve), internal/dist, thaw and repair keep one alive across
-// queries: its sharded RRR pool — and, under kernel fusion, the global
+// queries: its RRR pool — and, under kernel fusion, the global
 // occurrence counter — is retained, so a query only pays for the sets
 // its θ trajectory needs beyond what earlier queries already generated.
 //
@@ -42,7 +42,7 @@ import (
 //     by this query, a previous one, or a fresh engine.
 //
 //   - Selection is non-destructive and, through the limited-view seam
-//     (selectCELF / the flattened prefix for the scan kernel), can be
+//     (selectCELF / the slot prefix for the scan kernel), can be
 //     restricted to exactly the first θ sets, ignoring any sets a
 //     previous larger query left behind.
 //
@@ -158,7 +158,7 @@ func (w *WarmEngine) SelectSeeds(k int) ([]int32, float64) {
 	var cov float64
 	var ops float64
 	if w.opt.Selection == SelectScan {
-		sets := w.p.flatten()[:w.limit]
+		sets := w.p.sets[:w.limit]
 		seeds, cov, ops = SelectOnSetsScan(w.g.N, sets, w.p.membersUpTo(w.limit), base, w.opt.Workers, w.opt.Update, k)
 	} else {
 		seeds, cov, ops = w.p.selectCELF(base, w.opt.Workers, k, w.limit)

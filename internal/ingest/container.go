@@ -82,8 +82,7 @@ func (e entry) end() int64 { return e.offset + e.byteLen }
 type schema struct {
 	magic   [8]byte
 	version uint32
-	err     error  // wrapped by every error, which reads "<err>: <detail>"
-	note    string // appended to a section-count mismatch
+	err     error // wrapped by every error, which reads "<err>: <detail>"
 }
 
 func (s *schema) errorf(format string, args ...any) error {
@@ -307,7 +306,7 @@ func (s *schema) parse(b []byte, secs []section) (header, []entry, error) {
 		return h, nil, s.errorf("unsupported version %d (want %d)", v, s.version)
 	}
 	if n := le.Uint32(b[40:]); n != uint32(len(secs)) {
-		return h, nil, s.errorf("%d sections, want %d%s", n, len(secs), s.note)
+		return h, nil, s.errorf("%d sections, want %d", n, len(secs))
 	}
 	if le.Uint32(b[44:]) != crc32.Update(crc32.Checksum(b[:44], castagnoli), castagnoli, b[headerSize:size]) {
 		return h, nil, s.errorf("header checksum mismatch")

@@ -69,7 +69,7 @@ func seedOtherFormats(f *testing.F, own string) {
 
 // TestContainerGoldenBytes pins the on-disk bytes of all three formats
 // to sha256 digests recorded before the formats shared a container
-// codec (the .impool ones re-recorded at format version 4): a codec
+// codec (the .impool ones re-recorded at format version 5): a codec
 // change that moves a single byte of any image fails here, where the
 // canonicality tests (same build, same bytes) cannot.
 func TestContainerGoldenBytes(t *testing.T) {
@@ -79,10 +79,10 @@ func TestContainerGoldenBytes(t *testing.T) {
 		"imdelta/implicit":    "a73ee1d1c207eac37bc3c81d7cc9c5999e82dfed2518e72842caca25f5193715",
 		"imdelta/explicit":    "94b92b122165eef48bafa42eab9f692e8d9bdc27d64f9cb2b89ed04e1bfc54cc",
 		"imdelta/empty":       "3074790baa5a2d9c770555fce4581752fdcefb1c4faf62b62e00484d3652085c",
-		"impool/lists":        "7e14d016f805d4df9cc622cd0b5080c42daad031cd5b5bbe96afdd6a7dc490e3",
-		"impool/bitmaps":      "ba68a45e089970b76356722a5d0b0bfa73ded715817928bf79832be2ef8d42ce",
-		"impool/unindexed":    "fe8403362db64a3165659665d41a8537e0f8d066abe670916a092bdab657c99d",
-		"impool/empty shards": "b1d2c9ca94a7c24355478c0631dfa7f686777d6ec549bc2236b0c70f832ea680",
+		"impool/lists":        "8841dddc4845ae8f2c75416ba23a9541492af84222ea7a03041f9f1a85fc7b42",
+		"impool/bitmaps":      "dee6d3e8af5dd0d40c36cea085b76b888544e333bfb76fb42a8670a017e39551",
+		"impool/unindexed":    "631840203a52a0a83e73a980461cd16dc308534370fcc8fd0075bd6923fad73b",
+		"impool/empty shards": "6680f59c2e4273b35879724b5779b45d9c396703816eb218b7783a7da96020b3",
 	}
 	images := containerImages(t)
 	if len(images) != len(want) {
@@ -96,20 +96,56 @@ func TestContainerGoldenBytes(t *testing.T) {
 	}
 }
 
-// TestPoolVersion4RetainsSections pins how .impool version 4 grew out
-// of version 3: the per-entry kind and compressed-payload sections were
-// dropped, and every section version 3 kept — the metadata block, each
-// shard's Sizes, ListData and BitmapData, the index and the memo — keeps
-// its element size, byte length and payload CRC. The digests cover those
-// three table columns of all 53 sections and were recorded from the
-// version-3 images of the same fixtures, over the sections version 4
-// retains. Only the table's length, and so every offset, moved.
-func TestPoolVersion4RetainsSections(t *testing.T) {
-	want := map[string]string{
-		"impool/lists":        "075ee393979bd4c41b665a2a52529df8bc9cda0dd6825f73b4b263559836f936",
-		"impool/bitmaps":      "a7b67058c075354b99812fba14b50d0ed4a6f03bc5e6b74bf91ae1b27a10667f",
-		"impool/unindexed":    "5e970da01a3f7190272465ebe6790144f3dda0f05c0eb3238d9aae46870f7cf3",
-		"impool/empty shards": "ce22003215c0730241759e822e06d2ea4a2b13c56f6b22d7da17a27c9769fba8",
+// TestPoolVersion5RetainsContent pins how .impool version 5 grew out of
+// version 4: the 16 shards' Sizes, ListData and BitmapData sections became
+// one of each in set-id order, the metadata block lost its shard-count
+// word, and nothing else moved. want holds the sha256 of each of the 8
+// section payloads, in file order, recorded from the version-4 images of
+// the same fixtures: the metadata block's first 6 words, the three set
+// sections de-striped into id order, and the index and memo sections as
+// version 4 stored them.
+func TestPoolVersion5RetainsContent(t *testing.T) {
+	want := map[string][poolSectionN]string{
+		"impool/lists": {
+			"397592d99815fd51c9e622713ceceec8a51eee20889834f5eedb8193304cd1ee",
+			"e1cee89055067d13209073831eb937437ddbc7f97e7a77b077ffda26fecefaf7",
+			"8d13d556af2f17d6b369cb5f37924e016fad452a5427b67433850fa17bcf186e",
+			"e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+			"41124916b0e7db13bde9ab497fe4953bf821266a7614cd6a8b376782d5361cf3",
+			"b90e9b0a40b96a3a94ca51d96143a6b170b41983f63af445605ce7a3ecc99844",
+			"f5c7bd9149b53e9b25d64fbf49c4f23e20ecd0c1211b1e3a09700e56d648b90f",
+			"69d0990549f2f14c9ecb1a7c76d4b7a16302db9057d7db1afac57d5f57dbaad4",
+		},
+		"impool/bitmaps": {
+			"397592d99815fd51c9e622713ceceec8a51eee20889834f5eedb8193304cd1ee",
+			"e1cee89055067d13209073831eb937437ddbc7f97e7a77b077ffda26fecefaf7",
+			"a731de31dc5b0e0325e220f797ba34d225aca05cb12d8b4406a400e5359c5750",
+			"17c4453241c76f6f86298a5b15b9594a83d2d2dc136293572375e60ce4b2060c",
+			"41124916b0e7db13bde9ab497fe4953bf821266a7614cd6a8b376782d5361cf3",
+			"b90e9b0a40b96a3a94ca51d96143a6b170b41983f63af445605ce7a3ecc99844",
+			"f5c7bd9149b53e9b25d64fbf49c4f23e20ecd0c1211b1e3a09700e56d648b90f",
+			"69d0990549f2f14c9ecb1a7c76d4b7a16302db9057d7db1afac57d5f57dbaad4",
+		},
+		"impool/unindexed": {
+			"397592d99815fd51c9e622713ceceec8a51eee20889834f5eedb8193304cd1ee",
+			"e1cee89055067d13209073831eb937437ddbc7f97e7a77b077ffda26fecefaf7",
+			"8d13d556af2f17d6b369cb5f37924e016fad452a5427b67433850fa17bcf186e",
+			"e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+			"e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+			"e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+			"e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+			"e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+		},
+		"impool/empty shards": {
+			"349ddee1b4b32f27419be8be451769aa8a57a7377cb5ea62a47e0d184907bdfc",
+			"694be54e022aaadd2f039689bbaf74648d94dec95150a5bb968900e22fd3b768",
+			"0a91ad7044998ad53e2dce6c0bb8bc6907bef2472817c0c6c6a4fc585377dc66",
+			"e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+			"c1e7ef5f24ca97bfcea5ad3443f410852fa860ebb206e0f3cb3c85ce419d6674",
+			"70b1138e3b193343678910605df545cc26c5366ff3e032732b3863bb6cd2cea4",
+			"38b016981b12725a5b2d265f31800aebeaf48aafef69b1b3d99eb4a7943d218a",
+			"29fb729aa4c43733a224ff0f5a96c040255d506fa3719813f21009ff994312f0",
+		},
 	}
 	le := binary.LittleEndian
 	seen := 0
@@ -119,21 +155,16 @@ func TestPoolVersion4RetainsSections(t *testing.T) {
 			continue
 		}
 		seen++
-		if n := le.Uint32(im.data[40:]); n != 53 {
-			t.Fatalf("%s: %d sections, version 4 has 53", im.name, n)
+		if n := le.Uint32(im.data[40:]); n != poolSectionN {
+			t.Fatalf("%s: %d sections, version 5 has %d", im.name, n, poolSectionN)
 		}
-		entry := func(i int) []byte { return im.data[headerSize+i*entrySize:] }
-		h := sha256.New()
-		for i := 0; i < poolSectionN; i++ {
-			e := entry(i)
-			var cols [16]byte
-			le.PutUint32(cols[0:], le.Uint32(e[4:]))   // element size
-			le.PutUint64(cols[4:], le.Uint64(e[16:]))  // byte length
-			le.PutUint32(cols[12:], le.Uint32(e[24:])) // payload CRC
-			h.Write(cols[:])
-		}
-		if got := hex.EncodeToString(h.Sum(nil)); got != golden {
-			t.Errorf("%s: retained sections digest %s, recorded %s", im.name, got, golden)
+		for i := range poolSectionN {
+			e := im.data[headerSize+i*entrySize:]
+			off, n := int64(le.Uint64(e[8:])), int64(le.Uint64(e[16:]))
+			sum := sha256.Sum256(im.data[off : off+n])
+			if got := hex.EncodeToString(sum[:]); got != golden[i] {
+				t.Errorf("%s: section %d payload sha256 %s, recorded %s", im.name, i, got, golden[i])
+			}
 		}
 	}
 	if seen != len(want) {

@@ -11,7 +11,7 @@ import (
 	"repro/internal/imm"
 )
 
-// The .impool binary pool-snapshot format, version 4 — the warm-pool
+// The .impool binary pool-snapshot format, version 5 — the warm-pool
 // persistence companion to .imsnap/.imdelta: a container (container.go)
 // holding one frozen pool, which a reader either stream-decodes or maps
 // and aliases in place.
@@ -20,32 +20,29 @@ import (
 //	word     flags (bit 1: adaptive representation; every other bit must be clear)
 //	words    pool RNG seed, N (vertices of the bound graph), pool length (slots generated)
 //
-// 53 sections. Section 0 is the metadata block: 7 little-endian int64
+// 8 sections. Section 0 is the metadata block: 6 little-endian int64
 // words — graph edge count M, graph delta epoch, total pool members Σ|R|,
 // the GraphChecksum content fingerprint, the representation density
-// threshold (float64 bits), the diffusion model, and the shard count
-// (fixed at 16; anything else is rejected). Then 3 sections per shard —
-// the shard's stripe of the set storage — in shard order: Sizes (i32
-// per entry), ListData (i32), BitmapData (u64). An entry's size decides
-// its representation: the adaptive flag and the density threshold give
-// the policy, and rrr.Policy.Dense of the size says bitmap row or sorted
-// list, so the file records no kind. Then the pool's one inverted index:
-// PostIdx (i64, N+1 offsets, or empty when the pool is unindexed) and
-// PostData (i32, global set ids). Then the pool's selection memo as it
-// stood when the file was written: MemoTable (i64, 6 words per entry,
-// oldest first — view limit, k, workers, base flag 0/1, coverage and
-// modeled ops as float64 bits) and MemoSeeds (i32, every entry's
-// min(k, N) seeds concatenated in entry order). The header implies the
-// metadata and Sizes lengths and PostIdx's; the blobs' and the memo's
-// are data-dependent. Together with the header words these reconstruct
-// an imm.PoolState exactly; the encoding is canonical — the same state
-// always produces identical bytes, which FuzzPoolSnapshotRoundTrip pins.
+// threshold (float64 bits) and the diffusion model. Then the set storage
+// in set-id order: Sizes (i32 per set), ListData (i32), BitmapData (u64).
+// A set's size decides its representation: the adaptive flag and the
+// density threshold give the policy, and rrr.Policy.Dense of the size
+// says bitmap row or sorted list, so the file records no kind. Then the
+// pool's one inverted index: PostIdx (i64, N+1 offsets, or empty when
+// the pool is unindexed) and PostData (i32, global set ids). Then the
+// pool's selection memo as it stood when the file was written: MemoTable
+// (i64, 6 words per entry, oldest first — view limit, k, workers, base
+// flag 0/1, coverage and modeled ops as float64 bits) and MemoSeeds (i32,
+// every entry's min(k, N) seeds concatenated in entry order). The header
+// implies the metadata and Sizes lengths and PostIdx's; the blobs' and
+// the memo's are data-dependent. Together with the header words these
+// reconstruct an imm.PoolState exactly; the encoding is canonical — the
+// same state always produces identical bytes, which
+// FuzzPoolSnapshotRoundTrip pins.
 //
-// Version 4 dropped version 3's per-entry kind and compressed-payload
-// sections; every section it kept is unchanged. A file of any other
-// version is refused as unsupported — to a serving layer, a pool that is
-// not on disk: it rebuilds cold and overwrites the file at the next
-// demotion.
+// A file of any other version is refused as unsupported — to a serving
+// layer, a pool that is not on disk: it rebuilds cold and overwrites the
+// file at the next demotion.
 //
 // Every structural defect — bad magic or version, a checksum mismatch,
 // a non-canonical section table, payload extents that disagree with the
@@ -59,7 +56,7 @@ import (
 // regeneration instead of treating the file as corrupt.
 
 // PoolSnapshotVersion is the current .impool format version.
-const PoolSnapshotVersion = 4
+const PoolSnapshotVersion = 5
 
 // PoolSnapshotExt is the conventional file extension.
 const PoolSnapshotExt = ".impool"
@@ -75,15 +72,21 @@ var ErrPoolSnapshot = errors.New("ingest: invalid pool snapshot")
 // safe to discard and regenerate, not corrupt.
 var ErrPoolStale = errors.New("ingest: pool snapshot stale")
 
+// Section ids, in file order.
 const (
-	poolShardCount   = 16
-	poolSecPerShard  = 3
-	poolSecPostIdx   = 1 + poolShardCount*poolSecPerShard
-	poolSecPostData  = poolSecPostIdx + 1
-	poolSecMemo      = poolSecPostData + 1
-	poolSecMemoSeeds = poolSecMemo + 1
-	poolSectionN     = poolSecMemoSeeds + 1
-	poolMetaWords    = 7
+	poolSecMeta = iota
+	poolSecSizes
+	poolSecListData
+	poolSecBitmapData
+	poolSecPostIdx
+	poolSecPostData
+	poolSecMemo
+	poolSecMemoSeeds
+	poolSectionN
+)
+
+const (
+	poolMetaWords    = 6
 	poolMemoWords    = 6 // per memo entry: limit, k, workers, base, coverage bits, ops bits
 	poolFlagAdaptive = 1 << 1
 )
@@ -92,7 +95,6 @@ var poolSchema = schema{
 	magic:   [8]byte{'I', 'M', 'P', 'O', 'O', 'L', 0x1a, 0x00},
 	version: PoolSnapshotVersion,
 	err:     ErrPoolSnapshot,
-	note:    " (16-shard pools only)",
 }
 
 // PoolSnapshotInfo describes a pool snapshot's header and metadata
@@ -113,15 +115,6 @@ type PoolSnapshotInfo struct {
 	Bytes        int64 // total snapshot size
 }
 
-// shardEntries returns how many pool slots shard s holds when the pool
-// is count slots long (ids are striped round-robin).
-func shardEntries(s int, count int64) int {
-	if int64(s) >= count {
-		return 0
-	}
-	return int((count-1-int64(s))/poolShardCount) + 1
-}
-
 // poolFlat holds what a pool file stores beside the state's own arrays:
 // the metadata block and the memo, flattened into its two sections.
 type poolFlat struct {
@@ -134,13 +127,10 @@ type poolFlat struct {
 // ones the state does not hold itself. It is the format's one enumeration: the
 // writer reads through it, both readers fill it.
 func poolSections(st *imm.PoolState, f *poolFlat) []section {
-	secs := make([]section, 0, poolSectionN)
-	secs = append(secs, sec(&f.meta))
-	for s := range st.Shards {
-		sh := &st.Shards[s]
-		secs = append(secs, sec(&sh.Sizes), sec(&sh.ListData), sec(&sh.BitmapData))
+	return []section{
+		sec(&f.meta), sec(&st.Sizes), sec(&st.ListData), sec(&st.BitmapData),
+		sec(&st.PostIdx), sec(&st.PostData), sec(&f.memo), sec(&f.seeds),
 	}
-	return append(secs, sec(&st.PostIdx), sec(&st.PostData), sec(&f.memo), sec(&f.seeds))
 }
 
 // poolShape is the sections' shapes, to validate a table against before
@@ -156,7 +146,6 @@ func poolPayloads(st *imm.PoolState) []section {
 		int64(st.GraphSum),
 		int64(math.Float64bits(st.RepThreshold)),
 		int64(st.Model),
-		int64(st.ShardCount()),
 	}}
 	for _, e := range st.Memo {
 		base := int64(0)
@@ -221,14 +210,11 @@ func (f *poolFlat) unflattenMemo(st *imm.PoolState) error {
 // writing it.
 func PoolSnapshotSize(st *imm.PoolState) int64 { return containerSize(poolPayloads(st)) }
 
-// WritePoolSnapshot writes st as a version-4 .impool stream. The output
+// WritePoolSnapshot writes st as a version-5 .impool stream. The output
 // is canonical — the same state always produces identical bytes.
 func WritePoolSnapshot(w io.Writer, st *imm.PoolState) error {
 	if st == nil {
 		return fmt.Errorf("%w: nil pool state", ErrPoolSnapshot)
-	}
-	if st.ShardCount() != poolShardCount {
-		return fmt.Errorf("%w: %d shards, format holds %d", ErrPoolSnapshot, st.ShardCount(), poolShardCount)
 	}
 	if st.Count < 0 || st.N < 0 {
 		return fmt.Errorf("%w: negative shape (n=%d count=%d)", ErrPoolSnapshot, st.N, st.Count)
@@ -263,13 +249,11 @@ func poolInfo(h header, ents []entry) (PoolSnapshotInfo, error) {
 	info.N = int32(n)
 	info.Count = count
 	info.Bytes = ents[len(ents)-1].end()
-	if ents[0].byteLen != 8*poolMetaWords {
-		return info, poolSchema.errorf("metadata section holds %d bytes, want %d", ents[0].byteLen, 8*poolMetaWords)
+	if ents[poolSecMeta].byteLen != 8*poolMetaWords {
+		return info, poolSchema.errorf("metadata section holds %d bytes, want %d", ents[poolSecMeta].byteLen, 8*poolMetaWords)
 	}
-	for s := 0; s < poolShardCount; s++ {
-		if sizes := ents[1+s*poolSecPerShard]; sizes.byteLen != 4*int64(shardEntries(s, count)) {
-			return info, poolSchema.errorf("shard %d sizes section disagrees with pool length %d", s, count)
-		}
+	if ents[poolSecSizes].byteLen != 4*count {
+		return info, poolSchema.errorf("sizes section disagrees with pool length %d", count)
 	}
 	if pl := ents[poolSecPostIdx].byteLen; pl != 0 && pl != 8*(n+1) {
 		return info, poolSchema.errorf("index holds %d offset bytes, want 0 or %d", pl, 8*(n+1))
@@ -301,9 +285,6 @@ func applyPoolMeta(meta []int64, info *PoolSnapshotInfo) error {
 		return fmt.Errorf("%w: unknown model %d", ErrPoolSnapshot, meta[5])
 	}
 	info.Model = graph.Model(meta[5])
-	if meta[6] != poolShardCount {
-		return fmt.Errorf("%w: %d shards, want %d", ErrPoolSnapshot, meta[6], poolShardCount)
-	}
 	return nil
 }
 
@@ -340,7 +321,7 @@ func readPoolInfo(r io.Reader) ([]entry, PoolSnapshotInfo, error) {
 	return ents, info, applyPoolMeta(meta, &info)
 }
 
-// ReadPoolSnapshot reads a version-4 .impool stream, verifying the
+// ReadPoolSnapshot reads a version-5 .impool stream, verifying the
 // header, the canonical table, every section checksum, and the full
 // structural validity of the pool payloads and memo.
 func ReadPoolSnapshot(r io.Reader) (*imm.PoolState, PoolSnapshotInfo, error) {
@@ -431,16 +412,17 @@ func ValidatePoolGraph(st *imm.PoolState, g *graph.Graph, epoch int64) error {
 }
 
 // validatePoolState performs the full structural audit of a decoded
-// state: each entry's payload in the blob its size selects under the
-// frozen policy (rrr.Policy.Dense), the blobs consumed exactly, every
-// member list sorted and in range, bitmap rows exactly (N+63)/64 words
-// with clear tail bits and a popcount matching the size, and the
-// inverted index a well-formed CSR over the pool: offsets monotone from
-// 0 to the posting total, that total the member total, every segment's
-// ids strictly ascending and below the pool length; and the memo what
-// imm.PoolState.ValidateMemo accepts. Nothing downstream (thaw,
-// selection) re-validates the payloads, so everything that could panic
-// or silently corrupt an answer is rejected here.
+// state: a size for every set, each set's payload in the blob its size
+// selects under the frozen policy (rrr.Policy.Dense), the blobs consumed
+// exactly, every member list sorted and in range, bitmap rows exactly
+// (N+63)/64 words with clear tail bits and a popcount matching the size;
+// the inverted index absent from an empty pool (the writer's only
+// encoding of one) and otherwise a well-formed CSR over the pool: offsets
+// monotone from 0 to the posting total, that total the member total,
+// every segment's ids strictly ascending and below the pool length; and
+// the memo what imm.PoolState.ValidateMemo accepts. Nothing downstream
+// (thaw, selection) re-validates the payloads, so everything that could
+// panic or silently corrupt an answer is rejected here.
 func validatePoolState(st *imm.PoolState) error {
 	if err := st.ValidateMemo(); err != nil {
 		return poolSchema.errorf("%v", err)
@@ -451,53 +433,49 @@ func validatePoolState(st *imm.PoolState) error {
 	})
 	n := st.N
 	words := (int(n) + 63) / 64
+	if int64(len(st.Sizes)) != st.Count {
+		return fmt.Errorf("%w: %d set sizes for a pool of %d sets", ErrPoolSnapshot, len(st.Sizes), st.Count)
+	}
 	var members int64
-	for s := range st.Shards {
-		sh := &st.Shards[s]
-		entries := shardEntries(s, st.Count)
-		if len(sh.Sizes) != entries {
-			return fmt.Errorf("%w: shard %d holds %d entries, pool length %d needs %d", ErrPoolSnapshot, s, len(sh.Sizes), st.Count, entries)
+	var lc, bc int
+	for i, size32 := range st.Sizes {
+		size := int(size32)
+		if size < 0 || size > int(n) {
+			return fmt.Errorf("%w: set %d size %d out of range [0, %d]", ErrPoolSnapshot, i, size, n)
 		}
-		var lc, bc int
-		for j, size32 := range sh.Sizes {
-			size := int(size32)
-			if size < 0 || size > int(n) {
-				return fmt.Errorf("%w: shard %d entry %d size %d out of range [0, %d]", ErrPoolSnapshot, s, j, size, n)
+		if policy.Dense(n, size) {
+			if bc+words > len(st.BitmapData) {
+				return fmt.Errorf("%w: set %d bitmap payload overrun", ErrPoolSnapshot, i)
 			}
-			if policy.Dense(n, size) {
-				if bc+words > len(sh.BitmapData) {
-					return fmt.Errorf("%w: shard %d bitmap payload overrun at entry %d", ErrPoolSnapshot, s, j)
-				}
-				row := sh.BitmapData[bc : bc+words]
-				pop := 0
-				for _, w := range row {
-					pop += bits.OnesCount64(w)
-				}
-				if tail := int(n) % 64; tail != 0 && words > 0 && row[words-1]>>uint(tail) != 0 {
-					return fmt.Errorf("%w: shard %d entry %d bitmap has bits beyond vertex %d", ErrPoolSnapshot, s, j, n)
-				}
-				if pop != size {
-					return fmt.Errorf("%w: shard %d entry %d bitmap popcount %d != size %d", ErrPoolSnapshot, s, j, pop, size)
-				}
-				bc += words
-			} else {
-				if lc+size > len(sh.ListData) {
-					return fmt.Errorf("%w: shard %d list payload overrun at entry %d", ErrPoolSnapshot, s, j)
-				}
-				prev := int32(-1)
-				for _, v := range sh.ListData[lc : lc+size] {
-					if v <= prev || v >= n {
-						return fmt.Errorf("%w: shard %d entry %d member %d unsorted or out of range", ErrPoolSnapshot, s, j, v)
-					}
-					prev = v
-				}
-				lc += size
+			row := st.BitmapData[bc : bc+words]
+			pop := 0
+			for _, w := range row {
+				pop += bits.OnesCount64(w)
 			}
-			members += int64(size)
+			if tail := int(n) % 64; tail != 0 && words > 0 && row[words-1]>>uint(tail) != 0 {
+				return fmt.Errorf("%w: set %d bitmap has bits beyond vertex %d", ErrPoolSnapshot, i, n)
+			}
+			if pop != size {
+				return fmt.Errorf("%w: set %d bitmap popcount %d != size %d", ErrPoolSnapshot, i, pop, size)
+			}
+			bc += words
+		} else {
+			if lc+size > len(st.ListData) {
+				return fmt.Errorf("%w: set %d list payload overrun", ErrPoolSnapshot, i)
+			}
+			prev := int32(-1)
+			for _, v := range st.ListData[lc : lc+size] {
+				if v <= prev || v >= n {
+					return fmt.Errorf("%w: set %d member %d unsorted or out of range", ErrPoolSnapshot, i, v)
+				}
+				prev = v
+			}
+			lc += size
 		}
-		if lc != len(sh.ListData) || bc != len(sh.BitmapData) {
-			return fmt.Errorf("%w: shard %d payload blobs larger than its entries consume", ErrPoolSnapshot, s)
-		}
+		members += int64(size)
+	}
+	if lc != len(st.ListData) || bc != len(st.BitmapData) {
+		return fmt.Errorf("%w: payload blobs larger than the sets consume", ErrPoolSnapshot)
 	}
 	if members != st.TotalMembers {
 		return fmt.Errorf("%w: member sum %d != recorded total %d", ErrPoolSnapshot, members, st.TotalMembers)
@@ -507,6 +485,9 @@ func validatePoolState(st *imm.PoolState) error {
 			return fmt.Errorf("%w: postings without an offset table", ErrPoolSnapshot)
 		}
 		return nil
+	}
+	if st.Count == 0 { // a pool is indexed only once it holds a set
+		return fmt.Errorf("%w: index over an empty pool", ErrPoolSnapshot)
 	}
 	if len(st.PostIdx) != int(n)+1 {
 		return fmt.Errorf("%w: index holds %d offsets, want %d", ErrPoolSnapshot, len(st.PostIdx), int(n)+1)

@@ -4,12 +4,13 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
+	"regexp"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -95,13 +96,7 @@ func equalPoolState(a, b *imm.PoolState) bool {
 	}) {
 		return false
 	}
-	for s := range a.Shards {
-		x, y := &a.Shards[s], &b.Shards[s]
-		if !i32eq(x.Sizes, y.Sizes) || !i32eq(x.ListData, y.ListData) || !slices.Equal(x.BitmapData, y.BitmapData) {
-			return false
-		}
-	}
-	return true
+	return i32eq(a.Sizes, b.Sizes) && i32eq(a.ListData, b.ListData) && slices.Equal(a.BitmapData, b.BitmapData)
 }
 
 func TestPoolSnapshotRoundTrip(t *testing.T) {
@@ -283,11 +278,10 @@ func TestPoolSnapshotCorruption(t *testing.T) {
 			d[12] |= 0x01
 			rewriteHeaderCRC(d, poolSectionN)
 		}), "unknown flags 0x3"},
-		{"shard count mismatch (header)", mutate(func(d []byte) {
-			binary.LittleEndian.PutUint32(d[40:], 130)
+		{"section count mismatch", mutate(func(d []byte) {
+			binary.LittleEndian.PutUint32(d[40:], 53)
 			rewriteHeaderCRC(d, poolSectionN)
-		}), "16-shard"},
-		{"shard count mismatch (meta)", mutate(func(d []byte) { rewriteMetaWord(d, 6, 8) }), "shards"},
+		}), "53 sections, want 8"},
 		{"unknown model", mutate(func(d []byte) { rewriteMetaWord(d, 5, 42) }), "model"},
 		{"negative members", mutate(func(d []byte) { rewriteMetaWord(d, 2, -1) }), "negative"},
 		{"member sum mismatch", mutate(func(d []byte) { rewriteMetaWord(d, 2, st.TotalMembers+1) }), "member sum"},
@@ -384,14 +378,29 @@ func TestPoolSnapshotIndexValidation(t *testing.T) {
 			}
 		}
 	}
+
+	// A pool of no sets freezes without an index; one with an (empty)
+	// index would thaw and freeze back to different bytes.
+	empty := *st
+	empty.Count, empty.TotalMembers, empty.Memo = 0, 0, nil
+	empty.Sizes, empty.ListData, empty.BitmapData = nil, nil, nil
+	empty.PostIdx, empty.PostData = make([]int64, n+1), nil
+	var buf bytes.Buffer
+	if err := WritePoolSnapshot(&buf, &empty); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := ReadPoolSnapshot(&buf); !errors.Is(err, ErrPoolSnapshot) || !strings.Contains(err.Error(), "empty pool") {
+		t.Errorf("index over an empty pool: got %v, want ErrPoolSnapshot", err)
+	}
 }
 
-// TestPoolSnapshotSizeAcrossThreshold pins that an entry's size names
-// its representation: a Sizes entry moved across the density threshold
-// — every checksum intact, the member total adjusted to match — reads
-// its payload from the other blob, which both readers refuse with
+// TestPoolSnapshotSizeAcrossThreshold pins that a set's size names its
+// representation: a Sizes entry moved across the density threshold —
+// every checksum intact, the member total adjusted to match — reads its
+// payload from the other blob, which both readers refuse with
 // ErrPoolSnapshot and ThawWarmEngine, handed the same state in memory,
-// with imm.ErrPoolIncompatible, each naming the shard.
+// with imm.ErrPoolIncompatible, each naming a set at or after the moved
+// one (every set before it reads what it did).
 func TestPoolSnapshotSizeAcrossThreshold(t *testing.T) {
 	g, opt, st := poolFixture(t, true, 0)
 	policy := imm.PolicyFromOptions(opt)
@@ -408,39 +417,41 @@ func TestPoolSnapshotSizeAcrossThreshold(t *testing.T) {
 		{"bitmap moved down", true, dense - 1},
 	}
 	dir := t.TempDir()
+	setID := regexp.MustCompile(`\bset (\d+) `)
 	for _, c := range cases {
-		s, j := -1, -1
-		for si := range st.Shards {
-			if k := slices.IndexFunc(st.Shards[si].Sizes, func(size int32) bool { return policy.Dense(st.N, int(size)) == c.isDense }); k >= 0 {
-				s, j = si, k
-				break
-			}
-		}
-		if s < 0 {
-			t.Fatalf("%s: fixture holds no such entry", c.name)
+		i := slices.IndexFunc(st.Sizes, func(size int32) bool { return policy.Dense(st.N, int(size)) == c.isDense })
+		if i < 0 {
+			t.Fatalf("%s: fixture holds no such set", c.name)
 		}
 		bad := *st
-		sizes := slices.Clone(st.Shards[s].Sizes)
-		bad.TotalMembers += int64(c.to - sizes[j])
-		sizes[j] = c.to
-		bad.Shards[s].Sizes = sizes
+		sizes := slices.Clone(st.Sizes)
+		bad.TotalMembers += int64(c.to - sizes[i])
+		sizes[i] = c.to
+		bad.Sizes = sizes
 		path := filepath.Join(dir, "bad"+PoolSnapshotExt)
 		if err := WritePoolSnapshotFile(path, &bad); err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		want := fmt.Sprintf("shard %d ", s)
+		names := func(err error) bool {
+			m := setID.FindStringSubmatch(err.Error())
+			if m == nil {
+				return false
+			}
+			id, _ := strconv.ParseInt(m[1], 10, 64)
+			return id >= int64(i) && id < st.Count
+		}
 		_, _, readErr := ReadPoolSnapshotFile(path)
 		_, _, release, mapErr := MapPoolSnapshot(path)
 		if mapErr == nil {
 			release()
 		}
 		for _, err := range []error{readErr, mapErr} {
-			if !errors.Is(err, ErrPoolSnapshot) || !strings.Contains(err.Error(), want) {
-				t.Errorf("%s: got %v, want ErrPoolSnapshot mentioning %q", c.name, err, want)
+			if !errors.Is(err, ErrPoolSnapshot) || !names(err) {
+				t.Errorf("%s: got %v, want ErrPoolSnapshot naming a set from %d on", c.name, err, i)
 			}
 		}
-		if _, err := imm.ThawWarmEngine(g, opt, &bad); !errors.Is(err, imm.ErrPoolIncompatible) || !strings.Contains(err.Error(), want) {
-			t.Errorf("%s: thaw got %v, want ErrPoolIncompatible mentioning %q", c.name, err, want)
+		if _, err := imm.ThawWarmEngine(g, opt, &bad); !errors.Is(err, imm.ErrPoolIncompatible) || !names(err) {
+			t.Errorf("%s: thaw got %v, want ErrPoolIncompatible naming a set from %d on", c.name, err, i)
 		}
 	}
 }
@@ -576,8 +587,9 @@ func TestPoolSnapshotStaleBinding(t *testing.T) {
 }
 
 // poolShapes are the shapes a pool's sections take: list and bitmap
-// payloads, indexed and unindexed pools, and shards with no entries at
-// all (a pool shorter than the shard count).
+// payloads, indexed and unindexed pools, and a pool of five sets (named
+// for format version 4, which striped sets over 16 shards and so left
+// most of this pool's shards empty).
 var poolShapes = []struct {
 	name      string
 	adaptive  bool // the state must hold bitmap rows
@@ -605,17 +617,12 @@ func poolShapeState(t testing.TB, i int) *imm.PoolState {
 func TestPoolWriterMatchesElementEncoder(t *testing.T) {
 	for i, c := range poolShapes {
 		st := poolShapeState(t, i)
-		bitmaps, emptyShard := false, false
-		for s := range st.Shards {
-			sh := &st.Shards[s]
-			bitmaps = bitmaps || len(sh.BitmapData) > 0
-			emptyShard = emptyShard || len(sh.Sizes) == 0
-		}
+		bitmaps, short := len(st.BitmapData) > 0, st.Count < 16
 		if (st.PostIdx != nil) != c.indexed {
 			t.Fatalf("%s: indexed=%v, want %v", c.name, st.PostIdx != nil, c.indexed)
 		}
-		if bitmaps != c.adaptive || emptyShard != (c.maxTheta < 16) {
-			t.Fatalf("%s: fixture lacks its shape (bitmap rows=%v, empty shard=%v)", c.name, bitmaps, emptyShard)
+		if bitmaps != c.adaptive || short != (c.maxTheta < 16) {
+			t.Fatalf("%s: fixture lacks its shape (bitmap rows=%v, %d sets)", c.name, bitmaps, st.Count)
 		}
 		var buf bytes.Buffer
 		if err := WritePoolSnapshot(&buf, st); err != nil {
@@ -628,10 +635,16 @@ func TestPoolWriterMatchesElementEncoder(t *testing.T) {
 // FuzzPoolSnapshotRoundTrip feeds arbitrary bytes to the pool-snapshot
 // reader. It must reject garbage with a typed error — never panic or
 // over-allocate — and any accepted input must re-encode to its own
-// bytes and re-decode to the same state.
+// bytes and re-decode to the same state. Every accepted input is also
+// thawed on the fixtures' graph (all of them share one) under the state's
+// own pool options: the thaw must never panic, may refuse only with
+// imm.ErrPoolIncompatible, and an engine it builds must freeze and write
+// back to the input's bytes.
 func FuzzPoolSnapshotRoundTrip(f *testing.F) {
+	var g *graph.Graph
 	for _, adaptive := range []bool{false, true} {
-		_, _, st := poolFixture(f, adaptive, 1)
+		fg, _, st := poolFixture(f, adaptive, 1)
+		g = fg
 		var buf bytes.Buffer
 		if err := WritePoolSnapshot(&buf, st); err != nil {
 			f.Fatal(err)
@@ -687,6 +700,28 @@ func FuzzPoolSnapshotRoundTrip(f *testing.F) {
 		}
 		if !equalPoolState(st, st2) {
 			t.Fatal("round trip changed the pool state")
+		}
+
+		opt := imm.Defaults()
+		opt.Workers = 2
+		opt.Seed, opt.AdaptiveRep, opt.RepThreshold = st.Seed, st.AdaptiveRep, st.RepThreshold
+		we, err := imm.ThawWarmEngine(g, opt, st)
+		if err != nil {
+			if !errors.Is(err, imm.ErrPoolIncompatible) {
+				t.Fatalf("thaw refusal is not typed: %v", err)
+			}
+			return
+		}
+		frozen, err := we.Freeze(st.Epoch)
+		if err != nil {
+			t.Fatalf("freeze of a thawed pool failed: %v", err)
+		}
+		var again bytes.Buffer
+		if err := WritePoolSnapshot(&again, frozen); err != nil {
+			t.Fatalf("write of a thawed pool failed: %v", err)
+		}
+		if !bytes.Equal(again.Bytes(), buf.Bytes()) {
+			t.Fatal("thawed pool does not freeze back to the input's bytes")
 		}
 	})
 }

@@ -178,8 +178,8 @@ func (s *BitmapSet) Words() []uint64 { return s.bits.Words() }
 // lists, bitmap rows with their popcounts — as sets, without copying or
 // validating anything. The payloads may alias a memory-mapped file; the
 // sets never write to them. Headers come from pre-sized typed slabs, so
-// thawing costs a handful of allocations per shard instead of one (two,
-// for a bitmap) per set. Asking for more headers of a kind than the slab
+// thawing a pool costs a handful of allocations instead of one (two, for
+// a bitmap) per set. Asking for more headers of a kind than the slab
 // was sized for panics (an index out of range): the caller counted them.
 type AdoptSlab struct {
 	lists   []ListSet
@@ -300,9 +300,8 @@ type Stats struct {
 	MaxCoverage float64 // max |set|/n
 }
 
-// Add folds one set into the running totals. Callers that do not hold
-// their sets in a flat slice (the sharded pool) accumulate through Add
-// and then call Finalize; Summarize composes the two for slices.
+// Add folds one set into the running totals; Finalize then derives the
+// averages. Summarize composes the two for a slice of sets.
 func (st *Stats) Add(s Set) {
 	sz := s.Size()
 	st.Count++

@@ -1,6 +1,6 @@
 // Package serve is the warm-pool query service: a long-running engine
 // that holds a registry of ingested graphs and answers (graph, k, ε,
-// seed) seed-set queries by reusing per-graph sharded RRR pools across
+// seed) seed-set queries by reusing per-graph RRR pools across
 // queries instead of sampling from scratch per invocation.
 //
 // Key types: Server (the registry plus the warm-pool cache), Options

@@ -802,7 +802,7 @@ func TestOldFormatPoolFileRebuildsCold(t *testing.T) {
 	for _, old := range []struct {
 		version  uint32
 		sections int
-	}{{1, 129}, {2, 99}, {3, 101}} {
+	}{{1, 129}, {2, 99}, {3, 101}, {4, 53}} {
 		t.Run(fmt.Sprintf("v%d", old.version), func(t *testing.T) {
 			g := testGraph(t, 8, graph.IC)
 			dir := t.TempDir()
