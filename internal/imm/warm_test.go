@@ -8,10 +8,12 @@ package imm
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 	"unsafe"
 
 	"repro/internal/counter"
+	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/rng"
 	"repro/internal/rrr"
@@ -403,5 +405,73 @@ func TestOverheadBytesCoversScratch(t *testing.T) {
 	after := we.PhysicalFootprint()
 	if after.SetBytes != foot.SetBytes || after.RawBytes != foot.RawBytes || after.IndexBytes != 4*p.totalMembers {
 		t.Fatalf("footprint moved with the scratch: %+v -> %+v", foot, after)
+	}
+}
+
+// liveHeap returns the heap bytes live after a full collection.
+func liveHeap() int64 {
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
+}
+
+// TestPoolBytesMatchLiveHeap holds the serving tier's byte budget to what
+// a warm engine really keeps: after a cold answer at two workers, the
+// budgeted bytes (PhysicalFootprint plus OverheadBytes) must be within 10%
+// of the live-heap growth the engine caused, on an LT pool (many tiny
+// sets, where per-set metadata would show) and an IC pool (dense rows,
+// where the index dominates). Two fresh runs of one seed must also report
+// the same PoolBytes: what the budget sees may not depend on the schedule.
+func TestPoolBytesMatchLiveHeap(t *testing.T) {
+	prof, err := gen.ProfileByName("web-Google")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The LT clone is the web-Google profile's full 2^14 vertices, where
+	// two schedules used to leave different slack behind; IC's pool at
+	// that size is 150 MB of postings, so it runs at 2^12.
+	for _, c := range []struct {
+		model graph.Model
+		scale int
+	}{{graph.LT, 14}, {graph.IC, 12}} {
+		model := c.model
+		prof.Scale = c.scale
+		g, err := prof.Generate(model, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt := Defaults()
+		opt.Workers = 2
+		opt.Seed = 5
+		var poolBytes [2]int64
+		for run := range poolBytes {
+			before := liveHeap()
+			we, err := NewWarmEngine(g, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := we.AnswerBatch(opt, []BatchQuery{{K: opt.K, Epsilon: opt.Epsilon}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep.Answers = nil
+			live := liveHeap() - before
+			budget := we.PhysicalFootprint().TotalBytes() + we.OverheadBytes()
+			runtime.KeepAlive(we)
+			t.Logf("%v run %d: %d sets, budget %d B, live heap %d B (%.2f×), %.1f live B/set",
+				model, run, we.PhysicalSets(), budget, live, float64(live)/float64(budget), float64(live)/float64(we.PhysicalSets()))
+			if budget != rep.PoolBytes {
+				t.Fatalf("%v: PoolBytes %d, budget %d", model, rep.PoolBytes, budget)
+			}
+			if d := float64(live-budget) / float64(live); d > 0.1 || d < -0.1 {
+				t.Errorf("%v run %d: budget %d B is %.0f%% off the %d B the engine holds", model, run, budget, 100*d, live)
+			}
+			poolBytes[run] = rep.PoolBytes
+		}
+		if poolBytes[0] != poolBytes[1] {
+			t.Errorf("%v: two runs of one seed report PoolBytes %d and %d", model, poolBytes[0], poolBytes[1])
+		}
 	}
 }
