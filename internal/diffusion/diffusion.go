@@ -111,16 +111,15 @@ func (s *Sampler) Release() {
 	s.held = 0
 }
 
-// TakeBitmap ends the current set by returning a copy of the visited
-// words — the set's bitmap row over the graph's vertices — and clearing
-// the visited bitmap by word.
-func (s *Sampler) TakeBitmap() []uint64 {
+// TakeBitmap ends the current set by appending a copy of the visited
+// words — the set's bitmap row over the graph's vertices — to dst, and
+// clearing the visited bitmap by word.
+func (s *Sampler) TakeBitmap(dst []uint64) []uint64 {
 	vis := s.visited.Words()
-	row := make([]uint64, len(vis))
-	copy(row, vis)
+	dst = append(dst, vis...)
 	clear(vis)
 	s.held = 0
-	return row
+	return dst
 }
 
 // room returns the queue with space for need members, contents kept.

@@ -103,7 +103,7 @@ func matchProbed(t *testing.T, g *graph.Graph, seed uint64, samples int) (maxSiz
 		if i%2 == 0 {
 			fast.Release()
 		} else {
-			row, size := fast.TakeBitmap(), 0
+			row, size := fast.TakeBitmap(nil), 0
 			for _, w := range row {
 				size += bits.OnesCount64(w)
 			}

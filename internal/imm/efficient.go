@@ -22,31 +22,48 @@ func PolicyFromOptions(opt Options) rrr.Policy {
 	return policy
 }
 
-// SelectOnSetsScan is the eager Find_Most_Influential_Set kernel over an
-// explicit pool: set-partitioned containment probes, the global
+// selectScan is the eager Find_Most_Influential_Set kernel over the
+// store's first nsets sets: set-partitioned containment probes, the global
 // occurrence counter, and the adaptive decrement/rebuild update. base,
 // when non-nil, must already hold the occurrence counts of every member
-// of sets (the fused counter); when nil the counter is rebuilt from the
-// sets. totalMembers is Σ|R| over sets. The returned modeledOps is the
+// of those sets (the fused counter); when nil the counter is rebuilt from
+// the sets. totalMembers is Σ|R| over them. The returned modeledOps is the
 // critical-path cost the Breakdown accounts under SelectionModeled.
 //
 // This is the reference selection the CELF path (selectCELF) is pinned
 // against, and the kernel the counter-update ablations exercise; it is
 // deterministic for a given pool regardless of workers: argmax ties
 // break toward the lower vertex id and counter updates commute.
-func SelectOnSetsScan(n32 int32, sets []rrr.Set, totalMembers int64, base *counter.Counter, workers int, update counter.UpdateStrategy, k int) (result []int32, coverage float64, modeledOps float64) {
-	nsets := len(sets)
-	n := int(n32)
-	p := workers
-	if p < 1 {
-		p = 1
-	}
+func selectScan(sets *setStore, nsets int, totalMembers int64, base *counter.Counter, workers int, update counter.UpdateStrategy, k int) (result []int32, coverage float64, modeledOps float64) {
+	n := int(sets.n)
+	p := max(workers, 1)
 	if nsets == 0 || k == 0 {
 		return nil, 0, 0
 	}
 
-	work := counter.New(n32)
+	work := counter.New(sets.n)
 	ops := make([]int64, p)
+	covered := make([]bool, nsets)
+	// count folds the uncovered sets into the counter, partitioned across
+	// workers, each member broadcast atomically (Figure 3's pattern).
+	count := func(extra int64) {
+		sched.Static(p, nsets, func(w, s0, e0 int) {
+			var c cursor
+			var vs, buf []int32
+			var o int64
+			for si := s0; si < e0; si++ {
+				if covered[si] {
+					continue
+				}
+				vs, buf = sets.members(&c, int64(si), buf)
+				for _, u := range vs {
+					work.Inc(u)
+				}
+				o += 2 * int64(len(vs))
+			}
+			ops[w] += o + extra
+		})
+	}
 	if base != nil {
 		// Copy the fused base counts; a streaming O(n/p) pass.
 		src := base.Raw()
@@ -56,21 +73,9 @@ func SelectOnSetsScan(n32 int32, sets []rrr.Set, totalMembers int64, base *count
 			ops[w] += int64(hi-lo) / 8
 		})
 	} else {
-		// No fusion: build the counter now by partitioning the sets
-		// across workers and broadcasting members into the global
-		// counter atomically (Figure 3's pattern).
-		sched.Static(p, nsets, func(w, s0, e0 int) {
-			var o int64
-			for si := s0; si < e0; si++ {
-				set := sets[si]
-				set.ForEach(func(v int32) { work.Inc(v) })
-				o += 2 * int64(set.Size())
-			}
-			ops[w] += o
-		})
+		count(0) // no fusion: build the counter now
 	}
 
-	covered := make([]bool, nsets)
 	coveredCount := 0
 	surviving := totalMembers
 	seeds := make([]int32, 0, k)
@@ -99,19 +104,20 @@ func SelectOnSetsScan(n32 int32, sets []rrr.Set, totalMembers int64, base *count
 			newlyMembers[w] = 0
 		}
 		sched.Static(p, nsets, func(w, s0, e0 int) {
+			var c cursor
 			var o int64
 			for si := s0; si < e0; si++ {
 				if covered[si] {
 					continue
 				}
-				set := sets[si]
+				list, row := sets.set(&c, int64(si))
 				o++ // membership probe: O(1) bitmap or O(log) list
-				if _, isList := set.(*rrr.ListSet); isList {
-					o += int64(log2i(set.Size()))
+				if row == nil {
+					o += int64(log2i(len(list)))
 				}
-				if set.Contains(v) {
+				if has(list, row, v) {
 					newly[w] = append(newly[w], int32(si))
-					newlyMembers[w] += int64(set.Size())
+					newlyMembers[w] += int64(sets.sizes[si])
 				}
 			}
 			ops[w] += o
@@ -137,11 +143,14 @@ func SelectOnSetsScan(n32 int32, sets []rrr.Set, totalMembers int64, base *count
 		switch strategy {
 		case counter.Decrement:
 			sched.Static(p, p, func(w, s0, e0 int) {
+				var vs, buf []int32
 				var o int64
 				for slot := s0; slot < e0; slot++ {
+					var c cursor
 					for _, si := range newly[slot] {
 						covered[si] = true
-						sets[si].ForEach(func(u int32) {
+						vs, buf = sets.members(&c, int64(si), buf)
+						for _, u := range vs {
 							// Atomic read: retired sentinels (-1) are
 							// stable during the phase, live counts may
 							// be decremented concurrently but never
@@ -150,8 +159,8 @@ func SelectOnSetsScan(n32 int32, sets []rrr.Set, totalMembers int64, base *count
 							if work.Get(u) >= 0 {
 								work.Dec(u)
 							}
-						})
-						o += 2 * int64(sets[si].Size())
+						}
+						o += 2 * int64(len(vs))
 					}
 				}
 				ops[w] += o
@@ -163,17 +172,7 @@ func SelectOnSetsScan(n32 int32, sets []rrr.Set, totalMembers int64, base *count
 				}
 			}
 			work.Reset()
-			sched.Static(p, nsets, func(w, s0, e0 int) {
-				var o int64
-				for si := s0; si < e0; si++ {
-					if covered[si] {
-						continue
-					}
-					sets[si].ForEach(func(u int32) { work.Inc(u) })
-					o += 2 * int64(sets[si].Size())
-				}
-				ops[w] += o + int64(n/p)/8
-			})
+			count(int64(n/p) / 8)
 			// Restore retirement sentinels lost in the reset.
 			for _, s := range seeds {
 				raw[s] = -1

@@ -1,6 +1,7 @@
 package imm
 
 import (
+	"slices"
 	"time"
 
 	"repro/internal/counter"
@@ -16,16 +17,17 @@ import (
 // one pass over what the traversal already holds.
 //
 //   - Stage A (sampling): each worker owns a genWorker — a reusable
-//     sampler, an rrr.Arena, and a generator re-seeded per slot. One
+//     sampler and a generator re-seeded per slot. One
 //     traversal (diffusion.Sampler.Traverse) leaves the set's members in
-//     the sampler's own BFS queue and their visited bits set. The fusion
-//     counter is incremented from that list in one loop, and the set is
-//     ended from the same state: a bitmap set takes a copy of the visited
-//     words as its row; any other is sorted in place and carved out of
-//     the worker's arena. No per-member callback, no second copy, no
-//     per-set allocation for lists. Slot RNG streams are those of the
-//     copy-out reference generator (GenerateSlots), so pool contents are
-//     byte-identical to it under either schedule.
+//     the sampler's BFS queue and their visited bits set. The fusion
+//     counter is incremented from that list, and the set is ended from the
+//     same state: a bitmap set appends the visited words to its worker's
+//     row buffer, any other is sorted in place and appended to its list
+//     buffer — no per-set allocation or header. Jobs are contiguous slot
+//     ranges, so their stretches of the buffers, in job order, are the new
+//     sets in set-id order, appended to the pool's (setStore.extend). Slot RNG streams
+//     are those of the copy-out reference generator (GenerateSlots), so
+//     pool contents are byte-identical to it under either schedule.
 //
 //     Under IC the traversal switches its in-segment scan from a plain
 //     loop to a filter-then-draw pair of passes once the set is dense;
@@ -37,36 +39,32 @@ import (
 //     no-op; selection starts on a current index. Scan-mode selection
 //     never reads the index, so the stage is skipped and IndexBytes
 //     stays zero.
-//
-// Arenas live exactly as long as the engine (and therefore the pool), so
-// arena-backed sets never outlive their storage; see rrr.Arena and the
-// ListSet.Raw ownership contract for the aliasing rules.
 
-// genWorker is one worker's generation state. The engine's workers
-// persist across Generate calls.
+// genWorker is one worker's generation state, kept across Generate calls.
 type genWorker struct {
-	smp   *diffusion.Sampler
-	arena *rrr.Arena     // nil: every set gets fresh backing
-	rng   rng.Xoshiro256 // re-seeded per slot (SeedStream) instead of allocated
+	smp *diffusion.Sampler
+	rng rng.Xoshiro256 // re-seeded per slot (SeedStream) instead of allocated
+}
+
+// run is the payloads of a stretch of consecutive sets: the lists' members
+// and the rows, each in set-id order.
+type run struct {
+	lists []int32
+	rows  []uint64
 }
 
 // ensureGenWorkers grows the engine's per-worker kernel state to cover
-// workers. Worker state persists across Generate calls, so warm
-// θ-extension rounds re-enter the kernel without re-allocating samplers
-// or arenas.
+// workers.
 func (w *WarmEngine) ensureGenWorkers(workers int) {
 	for len(w.gen) < workers {
-		w.gen = append(w.gen, &genWorker{smp: diffusion.NewSampler(w.g), arena: rrr.NewArena()})
+		w.gen = append(w.gen, &genWorker{smp: diffusion.NewSampler(w.g)})
 	}
 }
 
-// sampleSlot is the kernel's per-slot body: draw slot's set from its
-// slot-indexed stream, fold the members into cnt while they are hot (nil
-// skips counting), and end the set from the sampler's own state — a
-// dense set adopts the visited words as its bitmap row, any other is
-// sorted in place and stored per the policy in gw.arena. Returns the set
-// and its member count.
-func (gw *genWorker) sampleSlot(seed uint64, slot int64, policy rrr.Policy, n int32, cnt *counter.Counter) (rrr.Set, int) {
+// draw samples slot's set from its slot-indexed stream and folds the
+// members into cnt while they are hot (nil skips counting). It returns the
+// sampler's queue, the members' visited bits still set.
+func (gw *genWorker) draw(seed uint64, slot int64, cnt *counter.Counter) []int32 {
 	gw.rng.SeedStream(seed, int(slot))
 	members := gw.smp.TraverseUniformRoot(&gw.rng)
 	if cnt != nil {
@@ -74,31 +72,34 @@ func (gw *genWorker) sampleSlot(seed uint64, slot int64, policy rrr.Policy, n in
 			cnt.Inc(v)
 		}
 	}
-	if policy.Dense(n, len(members)) {
-		return rrr.AdoptBitmap(n, gw.smp.TakeBitmap(), len(members)), len(members)
-	}
-	set := policy.BuildArena(n, members, gw.arena)
-	gw.smp.Release() // after the sort: sorted members clear word-at-a-time
-	return set, len(members)
+	return members
 }
 
-// fusedRange samples slots [s0, e0) on worker wk and returns the job's
-// critical-path cost (edge visits plus build work).
-func (w *WarmEngine) fusedRange(wk int, s0, e0 int64, members []int64) int64 {
+// sampleJob is the kernel's job body: on worker wk, it draws the sets of
+// slots lo..hi-1 (given ids, of slots ids[lo:hi]), appends their payloads
+// to buf — a dense set's visited words, any other's members sorted in
+// place — and writes set j's size to sizes[j]. It returns the payloads it
+// appended, the members drawn and the edges visited.
+func (w *WarmEngine) sampleJob(wk int, lo, hi int64, ids []int64, sizes []int32, cnt *counter.Counter, buf *run) (job run, members, edges int64) {
 	gw := w.gen[wk]
-	cnt := w.base
-	if !w.opt.Fusion {
-		cnt = nil
+	l0, r0, e0 := len(buf.lists), len(buf.rows), gw.smp.EdgesVisited
+	for j := lo; j < hi; j++ {
+		slot := j
+		if ids != nil {
+			slot = ids[j]
+		}
+		vs := gw.draw(w.opt.Seed, slot, cnt)
+		if w.policy.Dense(w.p.n, len(vs)) {
+			buf.rows = gw.smp.TakeBitmap(buf.rows)
+		} else {
+			slices.Sort(vs)
+			buf.lists = append(buf.lists, vs...)
+			gw.smp.Release() // after the sort: sorted members clear word-at-a-time
+		}
+		sizes[j] = int32(len(vs))
+		members += int64(len(vs))
 	}
-	edgesBefore := gw.smp.EdgesVisited
-	var jobMembers int64
-	for i := s0; i < e0; i++ {
-		set, m := gw.sampleSlot(w.opt.Seed, i, w.policy, w.p.n, cnt)
-		jobMembers += int64(m)
-		w.p.sets[i] = set
-	}
-	members[wk] += jobMembers
-	return (gw.smp.EdgesVisited - edgesBefore) + 3*jobMembers
+	return run{buf.lists[l0:], buf.rows[r0:]}, members, gw.smp.EdgesVisited - e0
 }
 
 // generateFused fills pool slots [from, to). Modeled cost: edge
@@ -111,14 +112,25 @@ func (w *WarmEngine) generateFused(from, to int64) {
 	workers := w.opt.Workers
 	w.ensureGenWorkers(workers)
 	w.baseFresh = w.opt.Fusion
-
-	members := make([]int64, workers)
-	edgeStart := make([]int64, workers)
-	for wk := 0; wk < workers; wk++ {
-		edgeStart[wk] = w.gen[wk].smp.EdgesVisited
+	cnt := w.base
+	if !w.opt.Fusion {
+		cnt = nil
 	}
 
 	totalSets := to - from
+	sizes := slices.Grow(w.p.sets.sizes, int(totalSets))[:to]
+	members, edges := make([]int64, workers), make([]int64, workers)
+	bufs := make([]run, workers) // the round's payloads, by worker
+	// job samples slots [s0, e0) on worker wk and returns the job's
+	// critical-path cost (edge visits plus build work).
+	job := func(wk int, s0, e0 int64, out *run) int64 {
+		var m, e int64
+		*out, m, e = w.sampleJob(wk, s0, e0, nil, sizes, cnt, &bufs[wk])
+		members[wk] += m
+		edges[wk] += e
+		return e + 3*m
+	}
+	var runs []run // one per job, in slot order
 	var maxJob int64
 	dynamic := w.opt.DynamicBalance
 	if dynamic {
@@ -132,24 +144,24 @@ func (w *WarmEngine) generateFused(from, to int64) {
 			batch = 1
 		}
 		b := int64(batch)
-		jobs := (totalSets + b - 1) / b
 		jobMax := make([]int64, workers)
-		sched.WorkStealing(workers, jobs, func(wk int, job int64) {
-			s0 := from + job*b
+		runs = make([]run, (totalSets+b-1)/b)
+		sched.WorkStealing(workers, int64(len(runs)), func(wk int, j int64) {
+			s0 := from + j*b
 			e0 := s0 + b
 			if e0 > to {
 				e0 = to
 			}
-			if cost := w.fusedRange(wk, s0, e0, members); cost > jobMax[wk] {
-				jobMax[wk] = cost
-			}
+			jobMax[wk] = max(jobMax[wk], job(wk, s0, e0, &runs[j]))
 		})
 		maxJob = maxOf(jobMax)
 	} else {
+		runs = make([]run, workers)
 		sched.Static(workers, int(totalSets), func(wk, s0, e0 int) {
-			w.fusedRange(wk, from+int64(s0), from+int64(e0), members)
+			job(wk, from+int64(s0), from+int64(e0), &runs[wk])
 		})
 	}
+	w.p.extend(sizes, runs)
 	w.p.addMembers(members)
 
 	// Stage B. Skipped for scan-mode selection, which never walks the
@@ -160,13 +172,9 @@ func (w *WarmEngine) generateFused(from, to int64) {
 	}
 	w.bd.SamplingWall += time.Since(start)
 
-	edges := make([]int64, workers)
-	fusionCounts := make([]int64, workers)
-	for wk := 0; wk < workers; wk++ {
-		edges[wk] = w.gen[wk].smp.EdgesVisited - edgeStart[wk]
-		if w.opt.Fusion {
-			fusionCounts[wk] = members[wk]
-		}
+	var fusedOps int64 // per member
+	if w.opt.Fusion {
+		fusedOps = 2
 	}
 	sortCost := func(memberCount, setCount int64) int64 {
 		return ModeledSortCost(w.policy, w.p.n, memberCount, setCount)
@@ -176,29 +184,18 @@ func (w *WarmEngine) generateFused(from, to int64) {
 		// workers; the critical path follows the greedy-scheduling bound
 		// total/p + costliest job, independent of how many physical
 		// cores executed the goroutines.
-		total := sumOf(edges) + sortCost(sumOf(members), totalSets) + 2*sumOf(fusionCounts)
+		total := sumOf(edges) + sortCost(sumOf(members), totalSets) + fusedOps*sumOf(members)
 		w.bd.SamplingModeled += float64(total)/float64(workers) + float64(maxJob)
 	} else {
 		// Static schedule: the slowest worker's chunk gates the phase.
-		setsPer := maxI64(1, totalSets/int64(workers))
+		setsPer := max(1, totalSets/int64(workers))
 		perWorker := make([]int64, workers)
 		for wk := range perWorker {
-			perWorker[wk] = edges[wk] + sortCost(members[wk], setsPer) + 2*fusionCounts[wk]
+			perWorker[wk] = edges[wk] + sortCost(members[wk], setsPer) + fusedOps*members[wk]
 		}
 		w.bd.SamplingModeled += float64(maxOf(perWorker))
 	}
 	w.bd.SamplingModeled += float64(indexCritical)
-}
-
-// arenaSlackBytes is the generation arenas' unused capacity — the fused
-// kernel's contribution to a warm engine's memory overhead beyond what
-// the resident sets account for.
-func (w *WarmEngine) arenaSlackBytes() int64 {
-	var b int64
-	for _, gw := range w.gen {
-		b += gw.arena.SlackBytes()
-	}
-	return b
 }
 
 // indexNewSets merges the un-absorbed sets into the inverted index and
@@ -220,21 +217,20 @@ func (p *shardedPool) indexNewSets(workers int) int64 {
 }
 
 // GenerateSlotsFused is GenerateSlots' streaming variant over an explicit
-// slot range: each set is built from the sampler's own state into arena
-// storage and its members incremented into cnt as it is produced
-// (sampleSlot), replacing a post-pass over the finished sets. No
-// production path calls it — the rank runtime uses GenerateSlots, whose
-// sets carry no arena slack a serving pool's byte budget cannot see; it is
-// kept for bench/probes.go and the root benchmarks, which time the fused
-// kernel against the materialized one. Set contents are byte-identical to
-// GenerateSlots (slot indexed RNG streams). The arena must outlive the
-// returned sets; cnt may be nil to skip counting.
+// slot range: it shares the pool kernel's traversal and counting (draw) —
+// each set's members are incremented into cnt as it is produced — but
+// builds rrr.Sets, list storage carved out of arena. No production path
+// calls it; it is kept for bench/probes.go and the root benchmarks, which
+// time the fused kernel against the materialized one. Set contents are
+// byte-identical to GenerateSlots (slot indexed RNG streams). The arena
+// must outlive the returned sets; cnt may be nil to skip counting.
 func GenerateSlotsFused(g *graph.Graph, policy rrr.Policy, seed uint64, lo int64, out []rrr.Set, arena *rrr.Arena, cnt *counter.Counter) (members, edges int64) {
-	gw := genWorker{smp: diffusion.NewSampler(g), arena: arena}
+	gw := genWorker{smp: diffusion.NewSampler(g)}
 	for i := range out {
-		set, m := gw.sampleSlot(seed, lo+int64(i), policy, g.N, cnt)
-		members += int64(m)
-		out[i] = set
+		vs := gw.draw(seed, lo+int64(i), cnt)
+		members += int64(len(vs))
+		out[i] = policy.BuildArena(g.N, vs, arena)
+		gw.smp.Release()
 	}
 	return members, gw.smp.EdgesVisited
 }

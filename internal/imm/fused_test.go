@@ -54,13 +54,10 @@ func runKernel(t testing.TB, g *graph.Graph, opt Options) (*Result, *WarmEngine)
 // referencePool builds slots [0, count) with GenerateSlots into a fresh
 // pool and indexes it in one lazy pass.
 func referencePool(g *graph.Graph, opt Options, count int64) *shardedPool {
-	ref := newShardedPool(g.N)
-	ref.grow(count)
+	ref := newShardedPool(g.N, PolicyFromOptions(opt))
 	out := make([]rrr.Set, count)
 	members, _ := GenerateSlots(g, PolicyFromOptions(opt), opt.Seed, 0, out)
-	for i, set := range out {
-		ref.put(int64(i), set)
-	}
+	ref.putAll(out)
 	ref.addMembers([]int64{members})
 	ref.ensureIndexed(1, make([]int64, 1))
 	return ref

@@ -121,14 +121,6 @@ type Options struct {
 	// MaxTheta caps the number of RRR sets, guarding pathological LT
 	// runs on tiny lower bounds. 0 means uncapped.
 	MaxTheta int64
-	// TargetCoverage, when in (0,1], enables OPIM-style early
-	// termination (Tang et al., SIGMOD'18, discussed in the paper's
-	// related work): sampling stops as soon as an estimation round's
-	// seed set already covers the requested fraction of the sampled RRR
-	// sets. The (1-1/e-ε) guarantee is then waived in exchange for a
-	// much smaller θ — the resource-constrained trade the OPIM line of
-	// work targets.
-	TargetCoverage float64
 }
 
 // Defaults returns the options used throughout the paper's evaluation:
@@ -359,19 +351,7 @@ func RunEngine(g *graph.Graph, opt Options, eng Engine) (*Result, error) {
 				return nil, err
 			}
 			rounds++
-			seeds, cov := eng.SelectSeeds(k)
-			if opt.TargetCoverage > 0 && cov >= opt.TargetCoverage {
-				// OPIM-style early exit: the sample already certifies
-				// the requested coverage.
-				bd := eng.Breakdown()
-				bd.TotalWall = time.Since(t0)
-				return &Result{
-					Seeds: seeds, Coverage: cov, Theta: eng.SetCount(),
-					Rounds: rounds, LB: n * cov / (1 + epsPrime),
-					Breakdown: bd, SetStats: eng.Stats(), Pool: eng.PoolFootprint(),
-					Engine: opt.Engine, Workers: opt.Workers,
-				}, nil
-			}
+			_, cov := eng.SelectSeeds(k)
 			if n*cov >= (1+epsPrime)*x {
 				lb = n * cov / (1 + epsPrime)
 				break

@@ -25,7 +25,6 @@ import (
 
 	"repro/internal/counter"
 	"repro/internal/graph"
-	"repro/internal/rrr"
 	"repro/internal/sched"
 )
 
@@ -90,9 +89,9 @@ func GraphChecksum(g *graph.Graph) uint64 { return g.Checksum() }
 // sets are indexed first, so a frozen index always covers the whole pool
 // — the same invariant selection maintains.
 //
-// The returned state's ListData/BitmapData blobs are freshly
-// owned copies (list sets may alias arena blocks that die with the
-// engine), but PostIdx/PostData alias the live index arrays: the state
+// The returned state's Sizes/ListData/BitmapData and PostIdx/PostData are
+// the pool's own arrays, which the engine never writes once installed but
+// may alias a mapping whose owner releases it with the engine: the state
 // is valid only until the engine serves again. Callers that persist the
 // state (the .impool writer) consume it before releasing the engine's
 // query lock. Memo is a copy of the memo's entries; their seed slices,
@@ -118,24 +117,14 @@ func (w *WarmEngine) Freeze(epoch int64) (*PoolState, error) {
 		p.patch(w.opt.Workers, nil, nil)
 		st.PostIdx, st.PostData = p.postIdx, p.postData
 	}
-	st.Sizes = make([]int32, p.count)
-	for i, set := range p.sets[:p.count] {
-		st.Sizes[i] = int32(set.Size())
-		switch v := set.(type) {
-		case *rrr.ListSet:
-			st.ListData = append(st.ListData, v.Raw()...)
-		case *rrr.BitmapSet:
-			st.BitmapData = append(st.BitmapData, v.Words()...)
-		default:
-			return nil, fmt.Errorf("imm: freeze: set %d has unknown representation %T", i, set)
-		}
-	}
+	st.Sizes, st.ListData, st.BitmapData = p.sets.sizes, p.sets.lists, p.sets.rows
 	return st, nil
 }
 
 // ThawWarmEngine rebuilds a WarmEngine for g under opt from a frozen
-// pool state, adopting the state's payload slices without copying (they
-// may alias a memory-mapped snapshot; the engine never writes to them).
+// pool state, adopting the state's arrays without copying (they may alias
+// a memory-mapped snapshot; the engine never writes to them, and adopts
+// them with their capacity clipped, so that growing one copies it).
 // The state must have been structurally validated by its producer (the
 // .impool reader validates sortedness, ranges, blob extents, and index
 // shape); ThawWarmEngine checks the binding — graph shape, model, and
@@ -143,7 +132,7 @@ func (w *WarmEngine) Freeze(epoch int64) (*PoolState, error) {
 // memo (ValidateMemo), whose entries it installs with no hits counted:
 // the thawed pool answers the selections the frozen one had run from
 // the memo, with copies of their seeds and the modeled cost they billed.
-// Each entry's representation is the one opt's policy gives its size
+// Each set's representation is the one opt's policy gives its size
 // (rrr.Policy.Dense), so a size that disagrees with the payloads surfaces
 // as a blob overrun or surplus. Epoch policy is the caller's decision —
 // a serving layer compares st.Epoch against its registry before calling.
@@ -185,34 +174,17 @@ func ThawWarmEngine(g *graph.Graph, opt Options, st *PoolState) (*WarmEngine, er
 		return nil, fmt.Errorf("%w: %v", ErrPoolIncompatible, err)
 	}
 	words := (int(st.N) + 63) / 64
-	bitmaps := 0
-	for _, size := range st.Sizes {
-		if w.policy.Dense(st.N, int(size)) {
-			bitmaps++
-		}
-	}
-	slab := rrr.NewAdoptSlab(len(st.Sizes)-bitmaps, bitmaps)
 	var members int64
 	var lc, bc int
-	for i, size32 := range st.Sizes {
-		size := int(size32)
-		if size < 0 {
-			return nil, fmt.Errorf("%w: set %d has negative size", ErrPoolIncompatible, i)
-		}
-		if w.policy.Dense(st.N, size) {
-			if bc+words > len(st.BitmapData) {
-				return nil, fmt.Errorf("%w: set %d bitmap payload overrun", ErrPoolIncompatible, i)
-			}
-			p.sets[i] = slab.Bitmap(st.N, st.BitmapData[bc:bc+words:bc+words], size)
+	for i, size := range st.Sizes {
+		if w.policy.Dense(st.N, int(size)) {
 			bc += words
 		} else {
-			if lc+size > len(st.ListData) {
-				return nil, fmt.Errorf("%w: set %d list payload overrun", ErrPoolIncompatible, i)
-			}
-			p.sets[i] = slab.SortedList(st.ListData[lc : lc+size : lc+size])
-			lc += size
+			lc += int(size)
 		}
-		members += int64(size)
+		if members += int64(size); size < 0 || lc > len(st.ListData) || bc > len(st.BitmapData) {
+			return nil, fmt.Errorf("%w: set %d of size %d is negative or overruns its payload blob", ErrPoolIncompatible, i, size)
+		}
 	}
 	if lc != len(st.ListData) || bc != len(st.BitmapData) {
 		return nil, fmt.Errorf("%w: payload blobs larger than the sets consume", ErrPoolIncompatible)
@@ -220,7 +192,9 @@ func ThawWarmEngine(g *graph.Graph, opt Options, st *PoolState) (*WarmEngine, er
 	if members != st.TotalMembers {
 		return nil, fmt.Errorf("%w: member sum %d vs frozen total %d", ErrPoolIncompatible, members, st.TotalMembers)
 	}
-	p.totalMembers = st.TotalMembers
+	p.sets.sizes, p.sets.lists, p.sets.rows = clip(st.Sizes), clip(st.ListData), clip(st.BitmapData)
+	p.sets.summarize(0)
+	p.count, p.totalMembers = st.Count, st.TotalMembers
 	if st.PostIdx != nil {
 		// One posting per member: the fused counter is refilled from
 		// these offsets (baseFromIndex), not from the sets.
@@ -228,7 +202,7 @@ func ThawWarmEngine(g *graph.Graph, opt Options, st *PoolState) (*WarmEngine, er
 			return nil, fmt.Errorf("%w: index holds %d offsets and %d postings for %d vertices and %d members",
 				ErrPoolIncompatible, len(st.PostIdx), len(st.PostData), st.N, members)
 		}
-		p.postIdx, p.postData, p.indexed = st.PostIdx, st.PostData, p.count
+		p.postIdx, p.postData, p.indexed = clip(st.PostIdx), clip(st.PostData), p.count
 	}
 	p.memo.install(st.Memo)
 
@@ -266,8 +240,16 @@ func baseFromIndex(base *counter.Counter, p *shardedPool, workers int) bool {
 // global slot range; atomic increments commute.
 func rebuildBase(base *counter.Counter, p *shardedPool, workers int) {
 	sched.Static(workers, int(p.count), func(_, lo, hi int) {
+		var c cursor
+		var vs, buf []int32
 		for i := lo; i < hi; i++ {
-			p.sets[i].ForEach(func(v int32) { base.Inc(v) })
+			vs, buf = p.sets.members(&c, int64(i), buf)
+			for _, v := range vs {
+				base.Inc(v)
+			}
 		}
 	})
 }
+
+// clip returns s with its capacity cut to its length.
+func clip[S ~[]E, E any](s S) S { return s[:len(s):len(s)] }

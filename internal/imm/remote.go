@@ -1,6 +1,7 @@
 package imm
 
 import (
+	"slices"
 	"time"
 
 	"repro/internal/rrr"
@@ -31,10 +32,10 @@ type SlotGenerator interface {
 func (w *WarmEngine) SetRemote(gen SlotGenerator) { w.remote = gen }
 
 // generateRemote fills slots [from, to) through the attached remote
-// generator. Pool and counter state are touched only after the whole
-// range arrived intact, so a false return (transport failure, decode
-// failure, a declined range) leaves the engine exactly as it was and the
-// caller falls back to local generation.
+// generator, copying the sets it returns into the pool — the one place an
+// rrr.Set enters it. Pool and counter state are touched only after the
+// whole range arrived intact, so a false return (transport failure, a
+// declined range) leaves the engine as it was, to generate locally.
 func (w *WarmEngine) generateRemote(from, to int64) bool {
 	start := time.Now()
 	out := make([]rrr.Set, to-from)
@@ -47,23 +48,37 @@ func (w *WarmEngine) generateRemote(from, to int64) bool {
 			return false
 		}
 	}
-	for i, s := range out {
-		w.p.sets[from+int64(i)] = s
+	sizes := slices.Grow(w.p.sets.sizes, int(to-from))[:to]
+	var counts []int64 // only this goroutine writes the counter here: no atomic adds
+	if w.opt.Fusion {
+		counts = w.base.Raw()
 	}
+	var vs []int32
+	var r run
+	for i, s := range out {
+		vs = s.Vertices(vs[:0])
+		sizes[from+int64(i)] = int32(len(vs))
+		if counts != nil {
+			for _, v := range vs {
+				counts[v]++
+			}
+		}
+		if !w.policy.Dense(w.p.n, len(vs)) {
+			r.lists = append(r.lists, vs...)
+			continue
+		}
+		row := len(r.rows)
+		r.rows = append(r.rows, make([]uint64, w.p.sets.words)...)
+		for _, v := range vs {
+			r.rows[row+int(v>>6)] |= 1 << (v & 63)
+		}
+	}
+	w.p.extend(sizes, []run{r})
 	var fused int64
 	if w.opt.Fusion {
-		// Only this goroutine writes the counter here, so the fold needs
-		// no atomic adds.
-		counts := w.base.Raw()
-		inc := func(v int32) { counts[v]++ }
-		for _, s := range out {
-			s.ForEach(inc)
-		}
 		fused = members
-		w.baseFresh = true
-	} else {
-		w.baseFresh = false
 	}
+	w.baseFresh = w.opt.Fusion
 	w.p.addMembers([]int64{members})
 	w.bd.SamplingWall += time.Since(start)
 	w.bd.SamplingModeled += float64(edges + ModeledSortCost(w.policy, w.p.n, members, to-from) + 2*fused)

@@ -2,12 +2,12 @@ package imm
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/bitset"
 	"repro/internal/counter"
 	"repro/internal/diffusion"
 	"repro/internal/graph"
-	"repro/internal/rrr"
 	"repro/internal/sched"
 )
 
@@ -50,8 +50,8 @@ type RepairReport struct {
 // ApplyDelta repairs the warm pool for the post-delta graph ng,
 // described by rep (the report graph.ApplyDelta produced alongside
 // ng). Only slots whose sets intersect the dirty-vertex set are
-// resampled; everything else — sets, index postings, fused counts,
-// arenas — is retained. The engine serves the new graph afterwards,
+// resampled; everything else — sets, index postings, fused counts — is
+// retained. The engine serves the new graph afterwards,
 // and every future answer is byte-identical to a cold engine built on
 // ng. Like all WarmEngine methods, callers must serialize.
 func (w *WarmEngine) ApplyDelta(ng *graph.Graph, rep *graph.DeltaReport) (RepairReport, error) {
@@ -73,8 +73,7 @@ func (w *WarmEngine) repair(ng *graph.Graph, rep *graph.DeltaReport) RepairRepor
 	grew := ng.N != w.g.N
 	w.g = ng
 	// The per-worker samplers hold visited bitmaps sized to the old
-	// graph; rebind them (arenas survive — they do not reference the
-	// graph).
+	// graph; rebind them.
 	for _, gw := range w.gen {
 		gw.smp = diffusion.NewSampler(ng)
 	}
@@ -87,7 +86,7 @@ func (w *WarmEngine) repair(ng *graph.Graph, rep *graph.DeltaReport) RepairRepor
 		// Root draws changed everywhere: drop the pool and regenerate
 		// its full length cold on the new graph. The fused counter is
 		// resized along the way.
-		w.p = newShardedPool(ng.N)
+		w.p = newShardedPool(ng.N, w.policy)
 		w.base = counter.New(ng.N)
 		w.baseFresh = false
 		if count > 0 {
@@ -112,60 +111,49 @@ func (w *WarmEngine) repair(ng *graph.Graph, rep *graph.DeltaReport) RepairRepor
 	// the counter exactly what cold fusion on ng would have produced.
 	maintainBase := w.opt.Fusion && w.baseFresh
 	if maintainBase {
-		dec := func(v int32) { w.base.Dec(v) }
-		for _, i := range invalid {
-			w.p.sets[i].ForEach(dec)
-		}
+		w.p.sets.fold(invalid, w.base.Dec)
 	}
 
 	// Resample the invalidated slots from their slot-indexed streams on
-	// the new graph, in parallel, on the engine's own re-bound samplers.
-	// The arena is left out, so sampleSlot allocates fresh backing (the
-	// old arena storage cannot be reclaimed piecemeal); the set contents —
-	// the byte-identity quantity — are representation-equal to what cold
-	// arena generation builds.
-	newSets := make([]rrr.Set, len(invalid))
+	// the new graph, in parallel, on the engine's own re-bound samplers,
+	// and replace them in one relayout.
 	w.ensureGenWorkers(w.opt.Workers) // any it adds are bound to ng already
+	sizes := make([]int32, len(invalid))
+	runs := make([]run, w.opt.Workers)
 	sched.Static(w.opt.Workers, len(invalid), func(wk, s0, s1 int) {
-		gw := genWorker{smp: w.gen[wk].smp}
-		for j := s0; j < s1; j++ {
-			newSets[j], _ = gw.sampleSlot(w.opt.Seed, invalid[j], w.policy, w.p.n, nil)
-		}
+		w.sampleJob(wk, int64(s0), int64(s1), invalid, sizes, nil, &runs[wk]) // one job a worker: its buffer is its run
 	})
-
-	w.p.replace(invalid, newSets, w.opt.Workers)
+	var next run
+	for _, r := range runs {
+		next.lists, next.rows = append(next.lists, r.lists...), append(next.rows, r.rows...)
+	}
+	w.p.replace(invalid, sizes, next, w.opt.Workers)
 	if maintainBase {
-		inc := func(v int32) { w.base.Inc(v) }
-		for _, set := range newSets {
-			set.ForEach(inc)
-		}
+		w.p.sets.fold(invalid, w.base.Inc)
 	}
 	return r
 }
 
-// replace swaps sets into the resident slots ids (global, ascending) and
+// replace swaps sets of sizes[k] members, whose payloads next holds in id
+// order, into the resident slots ids (global, ascending), and
 // brings what the pool derives from its contents in line: the member
-// total, the prefix summaries and remembered selections
-// (those below the first replaced slot stay, the rest re-fold or re-run
-// lazily) and the inverted index, when there is one — one patch, which
-// also absorbs any sets not indexed yet. A scan-mode pool (never indexed)
-// stays unindexed so the footprint accounting still reports IndexBytes 0.
-func (p *shardedPool) replace(ids []int64, sets []rrr.Set, workers int) {
-	old := make([]rrr.Set, 0, len(ids)) // the replaced sets the index covers: a prefix of ids
-	for k, i := range ids {
-		was := p.sets[i]
-		p.totalMembers += int64(sets[k].Size() - was.Size())
-		p.sets[i] = sets[k]
-		if i < p.indexed {
-			old = append(old, was)
-		}
-	}
-	if keep := ids[0] + 1; int64(len(p.prefix)) > keep {
-		p.prefix = p.prefix[:keep]
+// total, the block summaries, the remembered selections (those below the
+// first replaced slot stay, the rest re-run lazily) and the inverted
+// index, when there is one — one patch, which also absorbs any sets not
+// indexed yet. The store is rebuilt in fresh arrays, so the old one still
+// holds the replaced sets for the patch to drop. A scan-mode pool (never
+// indexed) stays unindexed so the footprint accounting still reports
+// IndexBytes 0.
+func (p *shardedPool) replace(ids []int64, sizes []int32, next run, workers int) {
+	old := p.sets
+	p.sets = old.replaced(ids, sizes, next)
+	for k, id := range ids {
+		p.totalMembers += int64(sizes[k]) - int64(old.sizes[id])
 	}
 	p.memo.dropAbove(ids[0])
 	if p.indexed > 0 {
-		p.patch(workers, ids[:len(old)], old)
+		indexed, _ := slices.BinarySearch(ids, p.indexed) // the replaced sets the index covers
+		p.patch(workers, ids[:indexed], &old)
 	}
 }
 
@@ -181,10 +169,11 @@ func (w *WarmEngine) invalidSlots(dirty []int32) []int64 {
 			marked.SetMany(p.postData[p.postIdx[v]:p.postIdx[v+1]])
 		}
 	}
+	var c cursor
 	for i := p.indexed; i < p.count; i++ {
-		set := p.sets[i]
+		list, row := p.sets.set(&c, i)
 		for _, v := range dirty {
-			if set.Contains(v) {
+			if has(list, row, v) {
 				marked.Set(int(i))
 				break
 			}

@@ -59,7 +59,7 @@ func (e *ripplesEngine) Generate(target int64) {
 	// Modeled cost: edge traversals plus the per-set sort, charged at
 	// |R|·log2|R| comparisons against the worker's average set size. The
 	// static schedule's critical path is the slowest worker.
-	setsPer := maxI64(1, (to-from)/int64(len(edges)))
+	setsPer := max(1, (to-from)/int64(len(edges)))
 	perWorker := make([]int64, len(edges))
 	for w := range perWorker {
 		avg := float64(members[w]) / float64(setsPer)
@@ -225,13 +225,6 @@ func log2f(x float64) float64 {
 	for x >= 2 {
 		x /= 2
 		b++
-	}
-	return b
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
 	}
 	return b
 }

@@ -13,9 +13,9 @@ import (
 	"repro/internal/sched"
 )
 
-// The RRR pool behind the Efficient engine: one slot array indexed by
-// global set id, each set in whatever representation the policy chose
-// (sorted list or bitset row), and one inverted index — a CSR mapping a
+// The RRR pool behind the Efficient engine: the sets in set-id order, each
+// a sorted list or a bitset row as the policy chose for its size (setStore,
+// store.go), and one inverted index — a CSR mapping a
 // vertex to the ids of the sets containing it, so selection walks one
 // contiguous run of postings per vertex instead of re-scanning every set.
 // The index is sized by the postings plus one offset array and changes
@@ -58,15 +58,14 @@ func (f PoolFootprint) CompressionRatio() float64 {
 	return float64(f.RawBytes) / float64(f.SetBytes)
 }
 
-// shardedPool is the Efficient engine's pool: grow and slot writes
-// during generation, ensureIndexed + CELF during selection.
+// shardedPool is the Efficient engine's pool: extension during
+// generation, ensureIndexed + CELF during selection.
 type shardedPool struct {
 	n            int32
 	count        int64
 	totalMembers int64
-	// sets[i] holds global set id i; the first count slots are the pool.
-	// Generation workers write distinct slots, so they need no locking.
-	sets []rrr.Set
+	// sets holds the pool, set id i at position i.
+	sets setStore
 
 	// Inverted index over the sets below indexed, in CSR layout: the ids
 	// of the sets containing v are postData[postIdx[v]:postIdx[v+1]],
@@ -80,13 +79,6 @@ type shardedPool struct {
 	covered  *bitset.Bitset // selection scratch over set ids, reset per call
 	indexed  int64
 
-	// prefix[i] summarizes sets [0, i): summed Bytes()/Size(), per-kind
-	// counts and the running max size, extended lazily. It makes the
-	// footprint, statistics and truncated-view accounting O(1) per query
-	// instead of an O(pool) rescan — the warm-serving hot path asks for
-	// all three on every request. Guarded by the same serialization as
-	// selection (the engine runs one query at a time).
-	prefix []prefixEntry
 	// heapScratch/versionScratch are the CELF kernel's per-call vertex
 	// arrays (the slab its heap lives in, and the gain versions),
 	// retained across selections so a batch of prefix answers on a warm
@@ -102,12 +94,14 @@ type shardedPool struct {
 	memo selMemo
 }
 
-func newShardedPool(n int32) *shardedPool { return &shardedPool{n: n} }
+func newShardedPool(n int32, policy rrr.Policy) *shardedPool {
+	return &shardedPool{n: n, sets: setStore{n: n, words: (int64(n) + 63) / 64, policy: policy, blocks: []blockSum{{}}}}
+}
 
 func (p *shardedPool) len() int64 { return p.count }
 
-// grow pre-sizes the slot array for ids up to target and returns the
-// previous and new pool lengths. A target past maxPoolSets is refused.
+// grow checks that the pool may hold target sets and returns the slots
+// reaching it adds, [from, to). A target past maxPoolSets is refused.
 func (p *shardedPool) grow(target int64) (from, to int64, err error) {
 	from = p.count
 	if target <= from {
@@ -116,11 +110,14 @@ func (p *shardedPool) grow(target int64) (from, to int64, err error) {
 	if target > maxPoolSets {
 		return from, from, fmt.Errorf("imm: a pool of %d sets exceeds the %d the index's 32-bit set ids can name", target, int64(maxPoolSets))
 	}
-	if need := target - int64(len(p.sets)); need > 0 {
-		p.sets = append(p.sets, make([]rrr.Set, need)...)
-	}
-	p.count = target
 	return from, target, nil
+}
+
+// extend installs the sets [count, len(sizes)): sizes begins with the
+// pool's own, and runs hold the new sets' payloads in set-id order.
+func (p *shardedPool) extend(sizes []int32, runs []run) {
+	p.sets.extend(sizes, runs)
+	p.count = int64(len(sizes))
 }
 
 func (p *shardedPool) addMembers(perWorker []int64) { p.totalMembers += sumOf(perWorker) }
@@ -155,32 +152,20 @@ func (sc *patchScratch) bytes() int64 {
 // dropMark flags, in patchScratch.mark, a vertex that loses postings.
 const dropMark = math.MinInt32
 
-// membersIn returns set's members in [lo, hi), ascending, as a read-only
-// slice, and how many members lie below lo: a window of a list's own
-// storage, the words of a bitmap that cover the range decoded into buf (lo
-// must be a multiple of 64, and hi one or the vertex count), anything else
-// decoded whole into buf and cut. buf is returned grown.
-func membersIn(set rrr.Set, lo, hi int32, buf []int32) (part []int32, below int, _ []int32) {
-	var vs []int32
-	switch s := set.(type) {
-	case *rrr.ListSet:
-		vs = s.Raw()
-	case *rrr.BitmapSet:
-		buf = buf[:0]
-		words := s.Words()
-		for _, w := range words[:lo>>6] {
+// membersIn returns the members in [lo, hi) of the set whose payload is
+// list or row, ascending, as a read-only slice, and how many members lie
+// below lo: a window of the list, or the row's words that cover the range
+// decoded into buf (lo must be a multiple of 64, and hi one or the vertex
+// count). buf is returned grown.
+func membersIn(list []int32, row []uint64, lo, hi int32, buf []int32) (part []int32, below int, _ []int32) {
+	if row != nil {
+		for _, w := range row[:lo>>6] {
 			below += bits.OnesCount64(w)
 		}
-		for wi := int(lo >> 6); wi < min(len(words), (int(hi)+63)>>6); wi++ {
-			for w := words[wi]; w != 0; w &= w - 1 {
-				buf = append(buf, int32(wi<<6+bits.TrailingZeros64(w)))
-			}
-		}
+		buf = appendRow(buf[:0], row[lo>>6:min(len(row), (int(hi)+63)>>6)], int(lo>>6))
 		return buf, below, buf
-	default:
-		buf = set.Vertices(buf[:0])
-		vs = buf
 	}
+	vs := list
 	if len(vs) > 0 && vs[0] < lo {
 		below, _ = slices.BinarySearch(vs, lo)
 		vs = vs[below:]
@@ -193,8 +178,8 @@ func membersIn(set rrr.Set, lo, hi int32, buf []int32) (part []int32, below int,
 }
 
 // patch is the one way the inverted index changes. It drops the postings
-// of the sets ids (ascending, below indexed, whose previous contents are
-// old), re-adds those ids from the sets now resident, and absorbs the
+// of the sets ids (ascending, below indexed, whose previous contents old
+// holds), re-adds those ids from the sets now resident, and absorbs the
 // un-indexed tail [indexed, count) — Stage B and the lazy build pass no
 // ids, repair passes the slots it resampled. It returns, per shard, the
 // member count added: the modeled work of the pass is a decode step and a
@@ -216,7 +201,7 @@ func membersIn(set rrr.Set, lo, hi int32, buf []int32) (part []int32, below int,
 // pass over the n offsets, plus work proportional to the changed sets'
 // members and the segments losing ids, plus a constant per changed set and
 // range.
-func (p *shardedPool) patch(workers int, ids []int64, old []rrr.Set) (members [poolShards]int64) {
+func (p *shardedPool) patch(workers int, ids []int64, old *setStore) (members [poolShards]int64) {
 	if p.covered == nil {
 		p.covered = bitset.New(int(p.indexed))
 	}
@@ -242,8 +227,8 @@ func (p *shardedPool) patch(workers int, ids []int64, old []rrr.Set) (members [p
 	// changed set for the members in its range: with more ranges than a set
 	// has members, most of those visits would find nothing.
 	gain := p.totalMembers - int64(len(oldData))
-	for _, set := range old {
-		gain += int64(set.Size())
+	for _, id := range ids {
+		gain += int64(old.sizes[id])
 	}
 	nr := max(1, min(workers, poolShards, int(gain/int64(changed))))
 	bounds := splitRanges(nr, oldIdx, int64(len(oldData)))
@@ -252,12 +237,13 @@ func (p *shardedPool) patch(workers int, ids []int64, old []rrr.Set) (members [p
 
 	// The replaced sets, a sliver of the pool: mark their ids and vertices.
 	var vs []int32
-	if len(old) > 0 {
+	if len(ids) > 0 {
 		sc.drop.Grow(int(p.indexed))
 	}
-	for k, set := range old {
-		sc.drop.Set(int(ids[k]))
-		vs, _, sc.bufs[0] = membersIn(set, 0, p.n, sc.bufs[0])
+	var oc cursor
+	for _, id := range ids {
+		sc.drop.Set(int(id))
+		vs, sc.bufs[0] = old.members(&oc, id, sc.bufs[0])
 		r := 0
 		for _, v := range vs {
 			mark[v] |= dropMark
@@ -276,12 +262,14 @@ func (p *shardedPool) patch(workers int, ids []int64, old []rrr.Set) (members [p
 			var before int
 			buf := sc.bufs[r]
 			var shift int64 // how far the range's first old posting moves
+			var c cursor
 			for k := range changed {
 				id := firstTail + int64(k-len(ids))
 				if k < len(ids) {
 					id = ids[k]
 				}
-				vs, before, buf = membersIn(p.sets[id], bounds[r], bounds[r+1], buf)
+				list, row := p.sets.set(&c, id)
+				vs, before, buf = membersIn(list, row, bounds[r], bounds[r+1], buf)
 				for _, v := range vs {
 					mark[v]++
 				}
@@ -321,12 +309,14 @@ func (p *shardedPool) patch(workers int, ids []int64, old []rrr.Set) (members [p
 			copy(data[run+shift:], oldData[run:lo])
 
 			// Insert, then leave the marks zero.
+			c = cursor{}
 			for k := range changed {
 				id := firstTail + int64(k-len(ids))
 				if k < len(ids) {
 					id = ids[k]
 				}
-				vs, _, buf = membersIn(p.sets[id], bounds[r], bounds[r+1], buf)
+				list, row := p.sets.set(&c, id)
+				vs, _, buf = membersIn(list, row, bounds[r], bounds[r+1], buf)
 				for _, v := range vs {
 					at := idx[v] + int64(mark[v])
 					mark[v]++
@@ -347,8 +337,8 @@ func (p *shardedPool) patch(workers int, ids []int64, old []rrr.Set) (members [p
 			members[s] += m
 		}
 	}
-	for k := range old {
-		sc.drop.Clear(int(ids[k]))
+	for _, id := range ids {
+		sc.drop.Clear(int(id))
 	}
 
 	p.postIdx, p.postData = idx, data
@@ -388,64 +378,23 @@ func (p *shardedPool) ensureIndexed(workers int, ops []int64) {
 	}
 }
 
-// prefixEntry is the running rrr.Stats of a pool prefix, in the compact
-// form the lazy prefix array stores per set (lists are the remainder of
-// the count).
-type prefixEntry struct {
-	bytes, members   int64
-	bitmaps, maxSize int32
-}
-
 // statsUpTo summarizes the logically truncated view holding only global
 // set ids below limit — what a pool that had stopped growing at θ=limit
 // would report. The warm-serving engine uses it so a reused pool's
 // result statistics match a cold run's exactly.
 func (p *shardedPool) statsUpTo(limit int64) rrr.Stats {
-	count := int(min(limit, p.count))
-	e := p.prefixUpTo(limit)
+	count := min(limit, p.count)
+	e := p.sets.upTo(count)
 	st := rrr.Stats{
-		Count:      count,
+		Count:      int(count),
 		TotalSize:  e.members,
 		MaxSize:    int(e.maxSize),
-		TotalBytes: e.bytes,
+		TotalBytes: p.sets.bytes(e),
 		Bitmaps:    int(e.bitmaps),
-		Lists:      count - int(e.bitmaps),
+		Lists:      int(count) - int(e.bitmaps),
 	}
 	st.Finalize(p.n)
 	return st
-}
-
-// prefixUpTo returns the summary of set ids below limit (clamped to the
-// pool), growing the lazy prefix array over any sets it has not folded
-// yet. Amortized O(new sets) across a pool's lifetime, O(1) afterwards.
-// The fold is rrr.Stats.Add's, without its interface calls for lists.
-func (p *shardedPool) prefixUpTo(limit int64) prefixEntry {
-	limit = min(limit, p.count)
-	if p.prefix == nil {
-		p.prefix = []prefixEntry{{}}
-	}
-	next := len(p.prefix) - 1 // first set not yet folded
-	if int64(next) >= limit {
-		return p.prefix[limit]
-	}
-	p.prefix = slices.Grow(p.prefix, int(limit)-next)
-	e := p.prefix[next]
-	for i := int64(next); i < limit; i++ {
-		set := p.sets[i]
-		var size int
-		if ls, ok := set.(*rrr.ListSet); ok {
-			size = ls.Size()
-			e.bytes += ls.Bytes()
-		} else {
-			size = set.Size()
-			e.bytes += set.Bytes()
-			e.bitmaps++
-		}
-		e.members += int64(size)
-		e.maxSize = max(e.maxSize, int32(size))
-		p.prefix = append(p.prefix, e)
-	}
-	return p.prefix[limit]
 }
 
 // membersUpTo returns Σ|R| over global set ids below limit.
@@ -453,11 +402,8 @@ func (p *shardedPool) membersUpTo(limit int64) int64 {
 	if limit >= p.count {
 		return p.totalMembers
 	}
-	return p.prefixUpTo(limit).members
+	return p.sets.upTo(limit).members
 }
-
-// bytesUpTo returns the summed set representation bytes below limit.
-func (p *shardedPool) bytesUpTo(limit int64) int64 { return p.prefixUpTo(limit).bytes }
 
 // footprint reports resident pool bytes as they stand: set payloads for
 // the whole pool, index bytes only for what selection actually indexed.
@@ -469,7 +415,7 @@ func (p *shardedPool) footprint() PoolFootprint {
 	// fixed overhead excluded here so the figure stays comparable across
 	// pool sizes (WarmEngine.OverheadBytes counts it).
 	return PoolFootprint{
-		SetBytes:   p.bytesUpTo(p.count),
+		SetBytes:   p.sets.bytes(p.sets.upTo(p.count)),
 		IndexBytes: 4 * int64(len(p.postData)),
 		RawBytes:   4 * p.totalMembers,
 	}
@@ -482,13 +428,13 @@ func (p *shardedPool) footprintUpTo(limit int64) PoolFootprint {
 	if limit >= p.count {
 		return p.footprint()
 	}
-	members := p.membersUpTo(limit)
-	f := PoolFootprint{SetBytes: p.bytesUpTo(limit), RawBytes: 4 * members}
+	e := p.sets.upTo(limit)
+	f := PoolFootprint{SetBytes: p.sets.bytes(e), RawBytes: 4 * e.members}
 	// Charge index bytes only when selection actually built the inverted
 	// view (a scan-mode pool never does and reports IndexBytes 0, the
 	// same trade-off the full footprint reports).
 	if p.indexed > 0 {
-		f.IndexBytes = 4 * members
+		f.IndexBytes = 4 * e.members
 	}
 	return f
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/bitset"
+	"repro/internal/counter"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/rng"
@@ -17,10 +18,61 @@ import (
 // the merge of the sixteen per-shard indexes the patch's predecessor
 // maintains over the same sets.
 
-// Accessors the tests read and write the pool's slots through.
-func (p *shardedPool) get(i int64) rrr.Set      { return p.sets[i] }
-func (p *shardedPool) put(i int64, set rrr.Set) { p.sets[i] = set }
-func (p *shardedPool) flatten() []rrr.Set       { return p.sets[:p.count] }
+// Accessors the tests read and build the pool's sets through.
+
+// get returns set i as an rrr.Set of the representation the store holds
+// it in.
+func (p *shardedPool) get(i int64) rrr.Set {
+	var c cursor
+	list, row := p.sets.set(&c, i)
+	if row == nil {
+		return rrr.NewListSet(list)
+	}
+	return rrr.NewBitmapSetUnique(p.n, appendRow(nil, row, 0))
+}
+
+// flatten returns the whole pool as rrr.Sets.
+func (p *shardedPool) flatten() []rrr.Set {
+	sets := make([]rrr.Set, p.count)
+	for i := range sets {
+		sets[i] = p.get(int64(i))
+	}
+	return sets
+}
+
+// payload lays sets out as the store does under the pool's policy: their
+// sizes, and their payloads in order.
+func (p *shardedPool) payload(sets []rrr.Set) (sizes []int32, r run) {
+	for _, set := range sets {
+		vs := set.Vertices(nil)
+		sizes = append(sizes, int32(len(vs)))
+		if !p.sets.dense(int32(len(vs))) {
+			r.lists = append(r.lists, vs...)
+			continue
+		}
+		row := bitset.New(int(p.n))
+		row.SetMany(vs)
+		r.rows = append(r.rows, row.Words()...)
+	}
+	return sizes, r
+}
+
+// putAll appends sets to the pool as ids count onward, without counting
+// their members.
+func (p *shardedPool) putAll(sets []rrr.Set) {
+	sizes, r := p.payload(sets)
+	p.extend(append(slices.Clone(p.sets.sizes), sizes...), []run{r})
+}
+
+// SelectOnSetsScan is the scan kernel over explicit sets, for the tests
+// that hold a pool as rrr.Sets. It stores them as lists: the seeds and
+// coverage do not depend on the representation, and the modeled ops price
+// every probe as a list's.
+func SelectOnSetsScan(n int32, sets []rrr.Set, totalMembers int64, base *counter.Counter, workers int, update counter.UpdateStrategy, k int) ([]int32, float64, float64) {
+	p := newShardedPool(n, rrr.ListOnlyPolicy())
+	p.putAll(sets)
+	return selectScan(&p.sets, len(sets), totalMembers, base, workers, update, k)
+}
 
 // shardOf maps a global set id to its stripe of the oracle below: (shard,
 // local entry id).
@@ -219,9 +271,10 @@ const (
 	shapes
 )
 
-// fuzzSet draws one set of the given shape over n vertices, in a random
-// representation, and returns it with its sorted members.
-func fuzzSet(r *rng.Xoshiro256, n int32, shape byte) (rrr.Set, []int32) {
+// fuzzSet draws one set of the given shape over n vertices, in the
+// representation policy gives its size, and returns it with its sorted
+// members.
+func fuzzSet(r *rng.Xoshiro256, n int32, shape byte, policy rrr.Policy) (rrr.Set, []int32) {
 	var vs []int32
 	pick := func() int32 { return int32(r.Uint32n(uint32(n))) }
 	switch shape % shapes {
@@ -248,10 +301,16 @@ func fuzzSet(r *rng.Xoshiro256, n int32, shape byte) (rrr.Set, []int32) {
 	}
 	slices.Sort(vs)
 	vs = slices.Compact(vs)
-	if r.Uint32n(2) == 0 {
-		return rrr.NewListSet(vs), vs
+	return policy.Build(n, slices.Clone(vs)), vs
+}
+
+// fuzzPolicy is the representation policy a fuzzed byte names: lists only
+// at 0, else bitmaps from a density of raw/256 up.
+func fuzzPolicy(raw byte) rrr.Policy {
+	if raw == 0 {
+		return rrr.ListOnlyPolicy()
 	}
-	return rrr.NewBitmapSetUnique(n, vs), vs
+	return rrr.Policy{Adaptive: true, DensityThreshold: float64(raw) / 256}
 }
 
 // checkIndexAgainstNaive compares the pool's index with a map-based build
@@ -320,21 +379,23 @@ func checkIndexAgainstNaive(t *testing.T, step int, p *shardedPool, model [][]in
 // ensureIndexed (op 0) or indexNewSets (op 1), grow without indexing as
 // a remote generator does (op 2), or replace count random resident
 // slots with fresh sets (op 3), checking the index against the naive
-// build and the per-shard oracle after each.
+// build and the per-shard oracle after each. The pool stores a set as the
+// density threshold policyRaw names (fuzzPolicy) says for its size.
 func FuzzShardIndexPatch(f *testing.F) {
-	f.Add(uint64(1), uint16(299), byte(0), []byte{0, 40, shapeFew})                                        // first build
-	f.Add(uint64(2), uint16(7), byte(1), []byte{1, 60, shapeDense, 1, 60, shapeDense, 3, 9, shapeDense})   // every vertex touched
-	f.Add(uint64(3), uint16(4000), byte(1), []byte{0, 50, shapeFew, 0, 1, shapeSingle, 3, 1, shapeSingle}) // one vertex touched, n ≫ sets
-	f.Add(uint64(4), uint16(63), byte(2), []byte{0, 0, 0, 1, 5, shapeFew, 0, 0, 0, 1, 3, shapeEnds, 3, 4, shapeEnds, 0, 90, shapeSingle})
-	f.Add(uint64(5), uint16(500), byte(3), []byte{3, 3, 0, 2, 30, shapeFew, 3, 5, shapeDense, 0, 20, shapeFew, 2, 40, shapeEnds, 3, 30, shapeFew, 1, 0, 0})
-	f.Add(uint64(6), uint16(0), byte(0), []byte{0, 20, shapeSingle, 3, 20, shapeSingle})
-	f.Add(uint64(7), uint16(2), byte(3), []byte{1, 70, shapeEnds, 3, 40, shapeEnds, 2, 9, shapeFew, 3, 40, shapeSingle}) // more ranges than vertices
-	f.Add(uint64(8), uint16(1200), byte(3), []byte{0, 200, shapeFew, 1, 200, shapeDense, 3, 40, shapeFew, 0, 255, shapeEnds})
-	f.Fuzz(func(t *testing.T, seed uint64, nRaw uint16, workersRaw byte, script []byte) {
+	f.Add(uint64(1), uint16(299), byte(0), byte(16), []byte{0, 40, shapeFew})                                       // first build
+	f.Add(uint64(2), uint16(7), byte(1), byte(128), []byte{1, 60, shapeDense, 1, 60, shapeDense, 3, 9, shapeDense}) // every vertex touched
+	f.Add(uint64(3), uint16(4000), byte(1), byte(0), []byte{0, 50, shapeFew, 0, 1, shapeSingle, 3, 1, shapeSingle}) // one vertex touched, n ≫ sets
+	f.Add(uint64(4), uint16(63), byte(2), byte(2), []byte{0, 0, 0, 1, 5, shapeFew, 0, 0, 0, 1, 3, shapeEnds, 3, 4, shapeEnds, 0, 90, shapeSingle})
+	f.Add(uint64(5), uint16(500), byte(3), byte(64), []byte{3, 3, 0, 2, 30, shapeFew, 3, 5, shapeDense, 0, 20, shapeFew, 2, 40, shapeEnds, 3, 30, shapeFew, 1, 0, 0})
+	f.Add(uint64(6), uint16(0), byte(0), byte(255), []byte{0, 20, shapeSingle, 3, 20, shapeSingle})
+	f.Add(uint64(7), uint16(2), byte(3), byte(100), []byte{1, 70, shapeEnds, 3, 40, shapeEnds, 2, 9, shapeFew, 3, 40, shapeSingle}) // more ranges than vertices
+	f.Add(uint64(8), uint16(1200), byte(3), byte(1), []byte{0, 200, shapeFew, 1, 200, shapeDense, 3, 40, shapeFew, 0, 255, shapeEnds})
+	f.Fuzz(func(t *testing.T, seed uint64, nRaw uint16, workersRaw, policyRaw byte, script []byte) {
 		n := 1 + int32(nRaw%4099)
 		workers := []int{1, 2, 3, 8}[workersRaw%4]
 		r := rng.New(seed)
-		p := newShardedPool(n)
+		policy := fuzzPolicy(policyRaw)
+		p := newShardedPool(n, policy)
 		oracle := &oracleIndex{n: n}
 		var model [][]int32
 		for step := 0; 3*step+2 < len(script) && step < 24; step++ {
@@ -346,13 +407,15 @@ func FuzzShardIndexPatch(f *testing.F) {
 					t.Fatal(err)
 				}
 				members := make([]int64, 1)
+				var sets []rrr.Set
 				for i := from; i < to; i++ {
-					set, vs := fuzzSet(r, n, shape)
-					p.put(i, set)
+					set, vs := fuzzSet(r, n, shape, policy)
+					sets = append(sets, set)
 					oracle.put(i, set)
 					model = append(model, vs)
 					members[0] += int64(len(vs))
 				}
+				p.putAll(sets)
 				p.addMembers(members)
 				switch op {
 				case 0:
@@ -376,7 +439,7 @@ func FuzzShardIndexPatch(f *testing.F) {
 				slices.Sort(ids)
 				sets := make([]rrr.Set, len(ids))
 				for k, i := range ids {
-					sets[k], model[i] = fuzzSet(r, n, shape)
+					sets[k], model[i] = fuzzSet(r, n, shape, policy)
 				}
 				if p.indexed > 0 {
 					oracle.replace(ids, sets)
@@ -386,7 +449,8 @@ func FuzzShardIndexPatch(f *testing.F) {
 						oracle.put(i, sets[k])
 					}
 				}
-				p.replace(ids, sets, workers)
+				sizes, r := p.payload(sets)
+				p.replace(ids, sizes, r, workers)
 			}
 			checkIndexAgainstNaive(t, step, p, model, oracle, wantIndexed)
 		}
@@ -400,31 +464,26 @@ func TestExtendAllocs(t *testing.T) {
 	const n = 4096
 	const first, rounds, per = 65, 6, 4
 	r := rng.New(9)
-	// The set draws themselves allocate, so they are made up front.
+	policy := rrr.DefaultPolicy()
 	var sets []rrr.Set
 	for range first + rounds*per {
-		set, _ := fuzzSet(r, n, shapeFew)
+		set, _ := fuzzSet(r, n, shapeFew, policy)
 		sets = append(sets, set)
 	}
-	p := newShardedPool(n)
+	// The store takes every round's sets up front, and a round only widens
+	// the pool over them, so that what is measured is the patch alone. 65
+	// sets put the coverage scratch at two words, where the measured
+	// rounds (4 sets each) leave it.
+	p := newShardedPool(n, policy)
+	p.putAll(sets)
+	p.count = 0
 	extend := func(count int64) {
-		from, to, err := p.grow(p.count + count)
-		if err != nil {
-			t.Fatal(err)
+		for i := p.count; i < p.count+count; i++ {
+			p.totalMembers += int64(p.sets.sizes[i])
 		}
-		for i := from; i < to; i++ {
-			p.put(i, sets[i])
-			p.totalMembers += int64(sets[i].Size())
-		}
+		p.count += count
 		p.patch(1, nil, nil)
 	}
-	// The slots are sized for every round up front, so growing is free; 65
-	// sets put the coverage scratch at two words, where the measured rounds
-	// (4 sets each) leave it.
-	if _, _, err := p.grow(int64(len(sets))); err != nil {
-		t.Fatal(err)
-	}
-	p.count = 0
 	extend(first)
 	allocs := testing.AllocsPerRun(rounds-1, func() { extend(per) })
 	if allocs > 3 {
@@ -497,7 +556,7 @@ func TestExtendDoesNotWriteFrozenIndex(t *testing.T) {
 // it in time (its heap slab and gain versions, 20 bytes a vertex, are a
 // fifth of the sparse regime's B/op). ns/posting divides the op by the
 // postings indexed; B/op is two result arrays per round — 8 bytes a
-// vertex, 4 a posting — plus the set slots and that slab.
+// vertex, 4 a posting — plus the set store's arrays and that slab.
 func BenchmarkIndexExtend(b *testing.B) {
 	regimes := []struct {
 		name       string
@@ -516,20 +575,20 @@ func BenchmarkIndexExtend(b *testing.B) {
 				b.Fatal(err)
 			}
 			opt := Defaults()
+			policy := PolicyFromOptions(opt)
 			sets := make([]rrr.Set, rg.sets)
-			postings, _ := GenerateSlots(g, PolicyFromOptions(opt), opt.Seed, 0, sets)
+			postings, _ := GenerateSlots(g, policy, opt.Seed, 0, sets)
+			all := newShardedPool(g.N, policy)
+			all.putAll(sets)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				p := newShardedPool(g.N)
-				for lo, hi := 0, rg.sets>>4; lo < rg.sets; lo, hi = hi, min(2*hi, rg.sets) {
-					if _, _, err := p.grow(int64(hi)); err != nil {
-						b.Fatal(err)
-					}
-					for j := lo; j < hi; j++ {
-						p.put(int64(j), sets[j])
-						p.totalMembers += int64(sets[j].Size())
-					}
+				p := newShardedPool(g.N, policy)
+				for lo, hi := int64(0), int64(rg.sets>>4); lo < int64(rg.sets); lo, hi = hi, min(2*hi, int64(rg.sets)) {
+					a, z := all.sets.upTo(lo), all.sets.upTo(hi)
+					p.extend(all.sets.sizes[:hi:hi], []run{{all.sets.lists[a.lists:z.lists],
+						all.sets.rows[int64(a.bitmaps)*all.sets.words : int64(z.bitmaps)*all.sets.words]}})
+					p.totalMembers += z.members - a.members
 					p.selectCELF(nil, 1, 1, p.count)
 				}
 			}

@@ -70,8 +70,8 @@ type WarmEngine struct {
 	// its counts from the sets).
 	base      *counter.Counter
 	baseFresh bool
-	// gen holds the generation kernel's per-worker samplers, arenas, and
-	// generators (fused.go), persistent across Generate calls.
+	// gen holds the generation kernel's per-worker samplers, generators
+	// and job buffers (fused.go), persistent across Generate calls.
 	gen []*genWorker
 	// remote, when non-nil, sources pool extensions from a distributed
 	// slot generator (remote.go); local generation is the fallback.
@@ -103,11 +103,12 @@ func NewWarmEngine(g *graph.Graph, opt Options) (*WarmEngine, error) {
 	if opt.Engine != Efficient {
 		return nil, fmt.Errorf("imm: warm reuse requires the Efficient engine, got %v", opt.Engine)
 	}
+	policy := PolicyFromOptions(opt)
 	return &WarmEngine{
 		g:      g,
 		opt:    opt,
-		p:      newShardedPool(g.N),
-		policy: PolicyFromOptions(opt),
+		p:      newShardedPool(g.N, policy),
+		policy: policy,
 		base:   counter.New(g.N),
 	}, nil
 }
@@ -158,8 +159,7 @@ func (w *WarmEngine) SelectSeeds(k int) ([]int32, float64) {
 	var cov float64
 	var ops float64
 	if w.opt.Selection == SelectScan {
-		sets := w.p.sets[:w.limit]
-		seeds, cov, ops = SelectOnSetsScan(w.g.N, sets, w.p.membersUpTo(w.limit), base, w.opt.Workers, w.opt.Update, k)
+		seeds, cov, ops = selectScan(&w.p.sets, int(w.limit), w.p.membersUpTo(w.limit), base, w.opt.Workers, w.opt.Update, k)
 	} else {
 		seeds, cov, ops = w.p.selectCELF(base, w.opt.Workers, k, w.limit)
 	}
@@ -193,19 +193,21 @@ func (w *WarmEngine) PhysicalSets() int64 { return w.p.len() }
 func (w *WarmEngine) PhysicalFootprint() PoolFootprint { return w.p.footprint() }
 
 // OverheadBytes reports the engine-resident memory outside the pool
-// representation itself: the fused occurrence counter (8 bytes per
-// vertex), the coverage scratch (one bit per set), the generation arenas'
-// slack (live arena bytes are already counted as set bytes), the seeds the
-// selection memo remembers (at most 4 bytes per vertex), and what indexing
-// and selecting leave beside the postings: the offset array (8 bytes per
-// vertex), the CELF heap slab and gain versions (16 + 4) and the index
-// patch's marks and decode buffers (4, plus a set's members per writer).
-// The serving layer adds it to the pool footprint so its byte budget
-// bounds what a warm engine actually keeps resident.
+// representation itself, arrays by capacity: the fused occurrence counter
+// (8 bytes per vertex), the coverage scratch (one bit per set), the set
+// sizes and block summaries (4 bytes a set, 24 per 64) and the store's
+// spare capacity, the seeds the selection memo remembers (at most 4 bytes
+// per vertex), and what indexing and selecting leave beside the postings:
+// the offset array (8 bytes per vertex), the CELF heap slab and gain
+// versions (16 + 4) and the index patch's marks and decode buffers (4,
+// plus a set's members per writer). The serving layer adds it to the pool
+// footprint so its byte budget bounds what a warm engine keeps resident.
 func (w *WarmEngine) OverheadBytes() int64 {
-	p := w.p
-	return 8*int64(w.g.N) + p.len()/8 + w.arenaSlackBytes() + p.memo.bytes() +
-		8*int64(len(p.postIdx)) + 16*int64(cap(p.heapScratch)) + 4*int64(cap(p.versionScratch)) + p.scratch.bytes()
+	p, st := w.p, &w.p.sets
+	return 8*int64(w.g.N) + p.len()/8 + 4*int64(cap(st.sizes)) + 24*int64(cap(st.blocks)) +
+		4*int64(cap(st.lists)-len(st.lists)) + 8*int64(cap(st.rows)-len(st.rows)) + p.memo.bytes() +
+		8*int64(cap(p.postIdx)) + 4*int64(cap(p.postData)-len(p.postData)) +
+		16*int64(cap(p.heapScratch)) + 4*int64(cap(p.versionScratch)) + p.scratch.bytes()
 }
 
 // FootprintUpTo reports the resident bytes of the first n sets — the

@@ -378,10 +378,11 @@ func TestNewWarmEngineRejectsRipples(t *testing.T) {
 
 // TestOverheadBytesCoversScratch pins OverheadBytes against what a warm
 // engine actually holds beside its sets and postings, summed from the
-// arrays themselves: once the pool is indexed and selected over, the
-// offset array, the heap slab, the gain versions, the remembered seeds and
-// the patch's marks and decode buffers. The footprint — what BENCH_baseline.json records — counts none
-// of it.
+// arrays themselves: the set store's sizes and block summaries and its
+// arrays' spare capacity, and once the pool is indexed and selected over,
+// the offset array, the heap slab, the gain versions, the remembered seeds
+// and the patch's marks and decode buffers. The footprint — what
+// BENCH_baseline.json records — counts none of it.
 func TestOverheadBytesCoversScratch(t *testing.T) {
 	g := testGraph(t, 9, graph.IC)
 	opt := testOpts(Efficient, 2)
@@ -389,7 +390,9 @@ func TestOverheadBytesCoversScratch(t *testing.T) {
 	we := generatePool(t, g, opt, 500)
 	p := we.p
 	bare, foot := we.OverheadBytes(), we.PhysicalFootprint()
-	if want := 8*int64(g.N) + p.len()/8 + we.arenaSlackBytes(); bare != want || foot.IndexBytes != 0 {
+	store := 4*int64(cap(p.sets.sizes)) + int64(unsafe.Sizeof(blockSum{}))*int64(cap(p.sets.blocks)) +
+		4*int64(cap(p.sets.lists)-len(p.sets.lists)) + 8*int64(cap(p.sets.rows)-len(p.sets.rows))
+	if want := 8*int64(g.N) + p.len()/8 + store; bare != want || foot.IndexBytes != 0 {
 		t.Fatalf("before any selection: OverheadBytes %d, want %d; footprint %+v", bare, want, foot)
 	}
 	seeds, _, _ := p.selectCELF(nil, 2, 5, p.len())

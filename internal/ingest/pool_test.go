@@ -5,10 +5,12 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
 	"regexp"
+	"runtime/debug"
 	"slices"
 	"strconv"
 	"strings"
@@ -195,6 +197,80 @@ func TestPoolSnapshotMmap(t *testing.T) {
 	// working engine: this is the promotion path.
 	if _, err := imm.ThawWarmEngine(g, opt, mapped); err != nil {
 		t.Fatalf("mapped state failed to thaw: %v", err)
+	}
+}
+
+// TestMappedPoolNeverWritten holds the engine to the mapping's PROT_READ:
+// pools thawed from a mapped .impool are extended past the file's Count,
+// repaired after a delta — once after the extension, once straight over
+// the mapped arrays — and frozen and written again, with memory faults
+// turned into panics, and every answer on the way equals a cold Run's.
+func TestMappedPoolNeverWritten(t *testing.T) {
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+	g, opt, st := poolFixture(t, true, 0)
+	path := filepath.Join(t.TempDir(), "p"+PoolSnapshotExt)
+	if err := WritePoolSnapshotFile(path, st); err != nil {
+		t.Fatal(err)
+	}
+	mapped, _, release, err := MapPoolSnapshot(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer release()
+	d := graph.Delta{Add: []graph.Edge{{Src: 1, Dst: 2}, {Src: 3, Dst: 4}}, Seed: 7}
+	for v := int32(0); v < g.N && len(d.Remove) < 3; v++ {
+		if g.OutIndex[v] < g.OutIndex[v+1] {
+			d.Remove = append(d.Remove, graph.Edge{Src: v, Dst: g.OutEdges[g.OutIndex[v]]})
+		}
+	}
+	ng, drep, err := graph.ApplyDelta(g, d, graph.DeltaOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	big := imm.BatchQuery{K: 12, Epsilon: 0.3}
+	for _, extend := range []bool{true, false} {
+		eng, err := imm.ThawWarmEngine(g, opt, mapped)
+		if err != nil {
+			t.Fatal(err)
+		}
+		answer := func(label string, g *graph.Graph, q imm.BatchQuery) {
+			t.Helper()
+			o := opt
+			o.K, o.Epsilon = q.K, q.Epsilon
+			rep, err := eng.AnswerBatch(o, []imm.BatchQuery{q})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cold, err := imm.Run(g, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := rep.Answers[0].Res; !slices.Equal(got.Seeds, cold.Seeds) || got.Theta != cold.Theta ||
+				got.Coverage != cold.Coverage || got.SetStats != cold.SetStats || got.Pool != cold.Pool {
+				t.Fatalf("extend=%v, %s: answered %v (θ %d), cold %v (θ %d)", extend, label, got.Seeds, got.Theta, cold.Seeds, cold.Theta)
+			}
+		}
+		if extend {
+			answer("past the file's sets", g, big)
+			if eng.PhysicalSets() <= st.Count {
+				t.Fatalf("the query did not extend the pool past its %d sets", st.Count)
+			}
+		}
+		rr, err := eng.ApplyDelta(ng, drep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rr.Resampled == 0 || rr.FullResample {
+			t.Fatalf("extend=%v: the delta should resample some sets in place, got %+v", extend, rr)
+		}
+		answer("after the delta", ng, big)
+		frozen, err := eng.Freeze(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := WritePoolSnapshot(io.Discard, frozen); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

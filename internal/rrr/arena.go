@@ -2,19 +2,15 @@ package rrr
 
 // Arena is a bump allocator for RRR set storage: vertex payloads and
 // ListSet headers are carved out of large blocks instead of being
-// allocated per set. The fused generation kernel gives each worker one
-// arena, turning the two allocations the materializing path pays per
-// list set (the vertex copy and the header) into amortized block
-// allocations — the dominant term in the ≥10x allocation reduction on
-// the generation path.
+// allocated per set, turning the two allocations the materializing path
+// pays per list set (the vertex copy and the header) into amortized block
+// allocations. Its one generator is imm.GenerateSlotsFused; the engines'
+// pools store their sets in flat arrays and use no arena.
 //
 // Lifetime: sets built from an arena alias its blocks, so the arena must
-// outlive every set carved from it. In the engines the arenas hang off
-// the generation workers, which live exactly as long as the pool — the
-// sets and their storage die together. Reset rewinds the arena for
-// reuse (transient pools, tests); after Reset, previously returned sets
-// observe overwritten storage, which is the aliasing hazard documented
-// on ListSet.Raw and defended against by ListSet.Detach.
+// outlive every set carved from it. Reset rewinds the arena for reuse;
+// after Reset, previously returned sets observe overwritten storage (copy
+// one out with Vertices to keep it).
 //
 // An Arena is single-owner: no method is safe for concurrent use.
 type Arena struct {
@@ -29,9 +25,6 @@ type Arena struct {
 	hdrs [][]ListSet
 	hbi  int
 	hoff int
-
-	vertsLive int64 // vertices handed out since construction/Reset
-	hdrsLive  int64 // headers handed out since construction/Reset
 }
 
 const (
@@ -61,7 +54,6 @@ func (a *Arena) alloc(n int) []int32 {
 		copy(a.blocks[a.bi+1:], a.blocks[a.bi:])
 		a.blocks[a.bi] = blk
 		a.bi++
-		a.vertsLive += int64(n)
 		return blk
 	}
 	for {
@@ -70,7 +62,6 @@ func (a *Arena) alloc(n int) []int32 {
 			if a.off+n <= len(blk) {
 				s := blk[a.off : a.off+n : a.off+n]
 				a.off += n
-				a.vertsLive += int64(n)
 				return s
 			}
 			a.bi++
@@ -93,7 +84,6 @@ func (a *Arena) newHeader() *ListSet {
 		a.hbi++
 		a.hoff = 0
 	}
-	a.hdrsLive++
 	return h
 }
 
@@ -114,7 +104,6 @@ func (a *Arena) NewSortedList(sorted []int32) *ListSet {
 func (a *Arena) Reset() {
 	a.bi, a.off = 0, 0
 	a.hbi, a.hoff = 0, 0
-	a.vertsLive, a.hdrsLive = 0, 0
 }
 
 // Bytes returns the total capacity the arena holds, live or not.
@@ -125,11 +114,4 @@ func (a *Arena) Bytes() int64 {
 	}
 	b += int64(len(a.hdrs)) * arenaHdrCount * listSetHeaderBytes
 	return b
-}
-
-// SlackBytes returns capacity not covered by live sets — the arena's
-// contribution to a warm engine's memory overhead beyond what the sets
-// themselves account for.
-func (a *Arena) SlackBytes() int64 {
-	return a.Bytes() - a.vertsLive*4 - a.hdrsLive*listSetHeaderBytes
 }

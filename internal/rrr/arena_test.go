@@ -20,7 +20,6 @@ func TestArenaNewSortedListCopies(t *testing.T) {
 func TestArenaResetReusesStorage(t *testing.T) {
 	a := NewArena()
 	first := a.NewSortedList([]int32{10, 20, 30})
-	detached := first.Detach()
 	grown := a.Bytes()
 
 	a.Reset()
@@ -31,9 +30,6 @@ func TestArenaResetReusesStorage(t *testing.T) {
 	}
 	if raw := first.Raw(); raw[0] != 7 {
 		t.Fatalf("expected first set's storage to be overwritten after Reset, got %v", raw)
-	}
-	if d := detached.Raw(); d[0] != 10 || d[1] != 20 || d[2] != 30 {
-		t.Fatalf("Detach()ed copy did not survive arena reuse: %v", d)
 	}
 	if second.Raw()[2] != 9 {
 		t.Fatal("post-reset set corrupt")
@@ -55,8 +51,8 @@ func TestArenaLargeAllocation(t *testing.T) {
 	if before.Raw()[0] != 1 || after.Raw()[0] != 5 {
 		t.Fatal("dedicated-block insertion disturbed bump allocation")
 	}
-	if a.SlackBytes() < 0 || a.Bytes() < int64(4*len(big)) {
-		t.Fatalf("accounting wrong: bytes=%d slack=%d", a.Bytes(), a.SlackBytes())
+	if a.Bytes() < int64(4*len(big)) {
+		t.Fatalf("accounting wrong: bytes=%d", a.Bytes())
 	}
 }
 
@@ -92,14 +88,5 @@ func TestBuildArenaMatchesBuildScratch(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-func TestDetachBreaksAliasing(t *testing.T) {
-	s := newListSetSorted([]int32{1, 2, 3})
-	d := s.Detach()
-	s.verts[0] = 42
-	if d.Raw()[0] != 1 {
-		t.Fatal("Detach shares backing storage")
 	}
 }

@@ -92,25 +92,10 @@ func (s *ListSet) Bytes() int64 { return int64(len(s.verts)) * 4 }
 // Kind returns "list".
 func (s *ListSet) Kind() string { return "list" }
 
-// Raw exposes the sorted member slice for streaming kernels (the
-// set-partitioned counter update iterates it directly).
-//
-// Ownership contract: the returned slice aliases the set's backing
-// storage, which the set does not own exclusively — arena-built sets
-// (Arena.NewSortedList, Policy.BuildArena) share bump-allocated blocks
-// whose contents are overwritten when the arena is Reset. Callers may
-// read the slice only while the set itself is valid and must never
-// write to or retain it past the producing arena's lifetime; use
-// Detach (or Vertices) for a copy that survives arena reuse.
+// Raw exposes the sorted member slice for streaming kernels. It aliases
+// the set's backing storage: read it only while the set is valid, and
+// never write to it.
 func (s *ListSet) Raw() []int32 { return s.verts }
-
-// Detach returns a ListSet backed by freshly owned storage, breaking any
-// aliasing with arena blocks. Pools that retain sets beyond the
-// lifetime of the arena that produced them store Detach()ed copies;
-// sets already backed by private storage are simply deep-copied.
-func (s *ListSet) Detach() *ListSet {
-	return &ListSet{verts: append([]int32(nil), s.verts...)}
-}
 
 // BitmapSet is a dense bitmap over the vertex space with a cached
 // cardinality, EFFICIENTIMM's choice above the density threshold.
@@ -141,15 +126,6 @@ func NewBitmapSetUnique(n int32, unique []int32) *BitmapSet {
 	return &BitmapSet{bits: b, size: len(unique)}
 }
 
-// AdoptBitmap adopts an existing word row as a BitmapSet over n vertices
-// with a pre-counted cardinality, without copying or validating it:
-// generation hands over the sampler's visited words for a dense set
-// (diffusion.Sampler.TakeBitmap). The set never writes to the words.
-// (The pool-snapshot thaw adopts its rows through AdoptSlab.Bitmap.)
-func AdoptBitmap(n int32, words []uint64, size int) *BitmapSet {
-	return &BitmapSet{bits: bitset.FromWords(words, int(n)), size: size}
-}
-
 // Contains is a single bit probe.
 func (s *BitmapSet) Contains(v int32) bool { return s.bits.Test(int(v)) }
 
@@ -172,48 +148,6 @@ func (s *BitmapSet) Kind() string { return "bitmap" }
 
 // Words exposes the backing words for trace-driven cache simulation.
 func (s *BitmapSet) Words() []uint64 { return s.bits.Words() }
-
-// AdoptSlab is the pool-snapshot thaw seam: it adopts payloads the
-// .impool codec has already validated — strictly sorted in-range member
-// lists, bitmap rows with their popcounts — as sets, without copying or
-// validating anything. The payloads may alias a memory-mapped file; the
-// sets never write to them. Headers come from pre-sized typed slabs, so
-// thawing a pool costs a handful of allocations instead of one (two, for
-// a bitmap) per set. Asking for more headers of a kind than the slab
-// was sized for panics (an index out of range): the caller counted them.
-type AdoptSlab struct {
-	lists   []ListSet
-	bitmaps []BitmapSet
-	bits    []bitset.Bitset
-}
-
-// NewAdoptSlab sizes a slab for exactly the given number of sets of each
-// representation.
-func NewAdoptSlab(lists, bitmaps int) *AdoptSlab {
-	return &AdoptSlab{
-		lists:   make([]ListSet, lists),
-		bitmaps: make([]BitmapSet, bitmaps),
-		bits:    make([]bitset.Bitset, bitmaps),
-	}
-}
-
-// SortedList adopts an already strictly-sorted unique member slice.
-func (a *AdoptSlab) SortedList(sorted []int32) *ListSet {
-	h := &a.lists[0]
-	a.lists = a.lists[1:]
-	h.verts = sorted
-	return h
-}
-
-// Bitmap is AdoptBitmap into the slab: words holds size set bits over n
-// vertices.
-func (a *AdoptSlab) Bitmap(n int32, words []uint64, size int) *BitmapSet {
-	h, b := &a.bitmaps[0], &a.bits[0]
-	a.bitmaps, a.bits = a.bitmaps[1:], a.bits[1:]
-	b.Adopt(words, int(n))
-	h.bits, h.size = b, size
-	return h
-}
 
 // Policy decides representations for new sets.
 type Policy struct {
@@ -358,11 +292,4 @@ func (st Stats) String() string {
 	return fmt.Sprintf("sets=%d avg|R|=%.1f max|R|=%d avgCov=%.1f%% maxCov=%.1f%% bytes=%d (lists=%d bitmaps=%d)",
 		st.Count, float64(st.TotalSize)/float64(max(st.Count, 1)), st.MaxSize,
 		st.AvgCoverage*100, st.MaxCoverage*100, st.TotalBytes, st.Lists, st.Bitmaps)
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
