@@ -30,29 +30,6 @@ func New(n int) *Bitset {
 	return &Bitset{words: make([]uint64, (n+wordBits-1)/wordBits), n: n}
 }
 
-// FromWords adopts an existing word slice as a Bitset holding n bits,
-// without copying. The slice must hold exactly (n+63)/64 words; bits at
-// positions >= n must be clear. The pool-snapshot thaw path uses this to
-// alias bitmap rows straight out of a memory-mapped file, so callers
-// adopting shared storage must treat the set as read-only.
-func FromWords(words []uint64, n int) *Bitset {
-	b := new(Bitset)
-	b.Adopt(words, n)
-	return b
-}
-
-// Adopt is FromWords into an existing Bitset (one the caller carved out
-// of a slab), replacing whatever it held.
-func (b *Bitset) Adopt(words []uint64, n int) {
-	if n < 0 {
-		panic("bitset: negative size")
-	}
-	if len(words) != (n+wordBits-1)/wordBits {
-		panic("bitset: FromWords word count mismatch")
-	}
-	b.words, b.n = words, n
-}
-
 // Len returns the number of bits the set can hold.
 func (b *Bitset) Len() int { return b.n }
 

@@ -57,7 +57,7 @@ func localLimit(s int, limit int64) int {
 
 // Lazy-greedy (CELF) seed selection over the pool's inverted index.
 //
-// The eager kernel (SelectOnSetsScan) re-establishes the exact marginal
+// The eager kernel (selectScan) re-establishes the exact marginal
 // gain of every vertex after every seed; CELF exploits submodularity —
 // marginal coverage gain never increases as coverage grows — to keep
 // cached gains as upper bounds in one max heap and recompute only the
@@ -81,7 +81,7 @@ func localLimit(s int, limit int64) int {
 // Determinism: the heap orders by (gain desc, vertex asc), exactly the
 // tie-break of the eager argmax. Gains are integers and the parallel
 // passes only partition read-only postings, so the selected seed sequence
-// is byte-identical to SelectOnSetsScan at any worker count. The tests
+// is byte-identical to selectScan at any worker count. The tests
 // pin this across worker counts and both set representations.
 //
 // Selection is restricted to the logically truncated pool view of global

@@ -17,17 +17,17 @@ import (
 // one pass over what the traversal already holds.
 //
 //   - Stage A (sampling): each worker owns a genWorker — a reusable
-//     sampler and a generator re-seeded per slot. One
-//     traversal (diffusion.Sampler.Traverse) leaves the set's members in
-//     the sampler's BFS queue and their visited bits set. The fusion
-//     counter is incremented from that list, and the set is ended from the
-//     same state: a bitmap set appends the visited words to its worker's
-//     row buffer, any other is sorted in place and appended to its list
+//     sampler and a generator re-seeded per slot. One traversal
+//     (diffusion.Sampler.Traverse) leaves the set's members in the
+//     sampler's BFS queue and their visited bits set. The fusion counter
+//     is incremented from that list, and the set is ended from the same
+//     state: a bitmap set appends the visited words to its worker's row
+//     buffer, any other is sorted in place and appended to its list
 //     buffer — no per-set allocation or header. Jobs are contiguous slot
 //     ranges, so their stretches of the buffers, in job order, are the new
-//     sets in set-id order, appended to the pool's (setStore.extend). Slot RNG streams
-//     are those of the copy-out reference generator (GenerateSlots), so
-//     pool contents are byte-identical to it under either schedule.
+//     sets in set-id order, appended to the pool's (setStore.extend). Slot
+//     RNG streams are those of the copy-out reference generator
+//     (GenerateSlots), so pool contents are byte-identical to it.
 //
 //     Under IC the traversal switches its in-segment scan from a plain
 //     loop to a filter-then-draw pair of passes once the set is dense;

@@ -155,12 +155,11 @@ func FuzzFusedVsReference(f *testing.F) {
 }
 
 // TestFusedSteadyStateAllocs caps the fused path's per-set allocation
-// rate: once the engine's samplers, arenas, and index are warm,
-// extending the pool must not allocate per list set — only per call (job
-// scheduling, CSR merge scratch), which vanishes against thousands of
-// sets — and a bitmap set must cost exactly its own storage (the row the
-// sampler hands over plus two headers), nothing per member. (The
-// copy-out reference generator pays 2+ allocations per list set.)
+// rate: once the engine's samplers and index are warm, extending the
+// pool must not allocate per set — only per call (job scheduling, the
+// round buffers growing by doubling, the store's appends, CSR merge
+// scratch), which vanishes against thousands of sets. (The copy-out
+// reference generator pays 2+ allocations per list set.)
 func TestFusedSteadyStateAllocs(t *testing.T) {
 	g := diffGraph(t, graph.IC)
 	for _, tc := range []struct {
@@ -182,7 +181,7 @@ func TestFusedSteadyStateAllocs(t *testing.T) {
 			}
 
 			const step = 2048
-			target := int64(step) // warm-up: allocate samplers, arenas, first index
+			target := int64(step) // warm-up: allocate samplers, first index
 			eng.Generate(target)
 			eng.p.indexNewSets(opt.Workers)
 			if st := eng.Stats(); tc.adaptive && st.Bitmaps < st.Count/2 {

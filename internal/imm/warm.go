@@ -42,7 +42,7 @@ import (
 //     by this query, a previous one, or a fresh engine.
 //
 //   - Selection is non-destructive and, through the limited-view seam
-//     (selectCELF / the slot prefix for the scan kernel), can be
+//     (selectCELF / the store's first θ sets for the scan kernel), can be
 //     restricted to exactly the first θ sets, ignoring any sets a
 //     previous larger query left behind.
 //
@@ -70,8 +70,8 @@ type WarmEngine struct {
 	// its counts from the sets).
 	base      *counter.Counter
 	baseFresh bool
-	// gen holds the generation kernel's per-worker samplers, generators
-	// and job buffers (fused.go), persistent across Generate calls.
+	// gen holds the generation kernel's per-worker samplers and
+	// generators (fused.go), persistent across Generate calls.
 	gen []*genWorker
 	// remote, when non-nil, sources pool extensions from a distributed
 	// slot generator (remote.go); local generation is the fallback.

@@ -201,15 +201,15 @@ func (p Policy) BuildScratch(n int32, buf []int32) Set {
 	return newListSetSorted(append([]int32(nil), buf...))
 }
 
-// BuildArena is BuildScratch with arena-resident list storage: the fused
-// kernel's per-worker representation dispatch. List sets — the common
+// BuildArena is BuildScratch with arena-resident list storage:
+// imm.GenerateSlotsFused's representation dispatch. List sets — the common
 // case — are copied into a's bump-allocated blocks with their headers
 // carved from the same arena, eliminating both per-set allocations.
 // Bitmap sets still build private storage (they are the rare dense
 // tail).
 // The buffer may be reordered in place but is never retained. A nil
 // arena degrades to BuildScratch. Representation choice is identical to
-// BuildScratch, so fused and materialized pools agree set-for-set.
+// BuildScratch, so fused and materialized sets agree.
 func (p Policy) BuildArena(n int32, buf []int32, a *Arena) Set {
 	if a == nil {
 		return p.BuildScratch(n, buf)

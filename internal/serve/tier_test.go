@@ -81,12 +81,9 @@ func tierProbe(t *testing.T, g *graph.Graph, workers int) int64 {
 
 // pressureBudget is the byte budget for tests that query three tenants
 // on g with one worker and need the third to push one out: one and a
-// half pools. A pool's PoolBytes includes arena slack. With two workers
-// the dynamic schedule decides whether one arena or two end partly
-// filled, which moves PoolBytes by half between runs, too far for a
-// budget sized from one probe to both hold any single pool and overflow
-// under any three. One worker fills one arena in slot order, so every
-// pool lands within a percent of the probe.
+// half pools. A pool's PoolBytes depends on what it holds, not on the
+// schedule that built it, and every tenant's pool lands within a percent
+// of the probe.
 func pressureBudget(t *testing.T, g *graph.Graph) int64 {
 	onePool := tierProbe(t, g, 1)
 	return onePool + onePool/2
@@ -527,9 +524,9 @@ func rotate(t *testing.T, s *Server, tenants int, warm bool, want [][]int32) {
 
 // rotationBudget returns a byte budget holding 2.5 of the tenants'
 // pools as they weigh once promoted from the disk tier (a promoted
-// pool is accounted smaller than a freshly built one, whose arenas
-// carry slack): build them, save them, and promote them all on a
-// second server with room to spare.
+// pool is accounted smaller than a freshly built one, whose grown arrays
+// carry spare capacity): build them, save them, and promote them all on
+// a second server with room to spare.
 func rotationBudget(t *testing.T, g *graph.Graph, opt Options, tenants int, want [][]int32) int64 {
 	t.Helper()
 	opt.PoolBudgetBytes = 0
