@@ -1,6 +1,7 @@
 package imm
 
 import (
+	"math/bits"
 	"slices"
 
 	"repro/internal/counter"
@@ -28,6 +29,29 @@ func prefixBelow(post []int32, lim int32) int {
 		}
 	}
 	return lo
+}
+
+// rowBelow returns how many of row's set ids lie below lim: a popcount
+// of the words below the horizon.
+func rowBelow(row []uint64, lim int32) (c int) {
+	full := int(lim >> 6)
+	for _, w := range row[:full] {
+		c += bits.OnesCount64(w)
+	}
+	if tail := lim & 63; tail != 0 {
+		c += bits.OnesCount64(row[full] & (1<<tail - 1))
+	}
+	return c
+}
+
+// ownerMasks returns, for each of the first min(workers, poolShards)
+// owners under shardOwners, the bits of a 64-set word whose set ids lie in
+// the owner's shards: bit b is set j = 64·i + b, of shard b mod poolShards.
+func ownerMasks(workers int) (masks [poolShards]uint64) {
+	for s, wk := range shardOwners(workers) {
+		masks[wk] |= 0x0001_0001_0001_0001 << s
+	}
+	return masks
 }
 
 // shardOwners returns, for every billing shard, the worker that
@@ -89,23 +113,29 @@ func localLimit(s int, limit int64) int {
 // θ_max answers a query whose own trajectory stopped at θ = limit ≤ θ_max
 // with exactly the seeds a cold pool of limit sets would have returned: a
 // vertex's postings ascend by set id, so its view is the prefix below
-// limit, and every gain computation, stale recompute, and coverage
-// retirement stops at that horizon. base is only consulted for the full
-// view; a truncated view derives its gains from posting prefixes (equal
-// to the fused counts a cold run would have passed, because fusion merely
-// pre-aggregates occurrence counts of the same sets).
+// limit (for a row, the words below it), and every gain computation,
+// stale recompute, and coverage retirement stops at that horizon.
+//
+// A vertex that keeps a row is re-evaluated as popcount(row &^ covered)
+// word by word, and retired by OR-ing the row into the coverage words; the
+// bill still counts each of its postings in the view, per owner, as a
+// masked popcount (ownerMasks). fused says the full view's initial gains
+// are the occurrence counts kernel fusion folded into the index as it
+// built it, a streaming copy billed like one; otherwise — fusion off, or
+// a truncated view — they are billed as counted per vertex. It only
+// shapes the bill and the memo key: the gains are the same counts.
 //
 // It is also the seam the pool's selection memo (selmemo.go) sits at: a
 // (limit, k) this pool has already selected over, with no set below
 // limit replaced since, is answered from the memo with a copy of the
 // seeds and the modeled cost of the selection it stands for.
-func (p *shardedPool) selectCELF(base *counter.Counter, workers, k int, limit int64) (seeds []int32, coverage float64, modeledOps float64) {
+func (p *shardedPool) selectCELF(fused bool, workers, k int, limit int64) (seeds []int32, coverage float64, modeledOps float64) {
 	if limit > p.count {
 		limit = p.count
 	}
 	nsets := limit
 	if limit < p.count {
-		base = nil
+		fused = false
 	}
 	n := int(p.n)
 	w := max(workers, 1)
@@ -114,7 +144,7 @@ func (p *shardedPool) selectCELF(base *counter.Counter, workers, k int, limit in
 	}
 
 	// A selection this pool has already run is not run again.
-	key := selKey{limit: limit, k: k, workers: w, base: base != nil}
+	key := selKey{limit: limit, k: k, workers: w, base: fused}
 	if e := p.memo.lookup(key); e != nil {
 		return slices.Clone(e.Seeds), e.Coverage, e.Ops
 	}
@@ -140,41 +170,37 @@ func (p *shardedPool) selectCELF(base *counter.Counter, workers, k int, limit in
 	for s := range poolShards {
 		ops[owner[s]] += int64(localLimit(s, p.indexed))/64 + 1
 	}
-	idx, data, covered := p.postIdx, p.postData, p.covered.Words()
+	ix, covered := &p.post, p.covered.Words()
 	lim, whole := int32(limit), limit == p.indexed
+	// The view's whole coverage words, and the bits of the word it ends in.
+	full, tail := int(lim>>6), uint64(1)<<(lim&63)-1
 
 	// Initial gains, written straight into the heap slab (slot v holds
-	// vertex v until the heap is built): the fused base counter when it
-	// is fresh (a streaming copy), else each vertex's occurrence count
+	// vertex v until the heap is built): each vertex's occurrence count
 	// within the view — an offset difference, or for a truncated view a
-	// search of only the segments that straddle the horizon.
+	// count of only the postings below the horizon.
 	if cap(p.heapScratch) < n {
 		p.heapScratch = make([]counter.GainItem, n)
 	}
 	items := p.heapScratch[:n]
-	if base != nil {
-		src := base.Raw()
-		sched.Static(w, n, func(wk, lo, hi int) {
-			for v := lo; v < hi; v++ {
-				items[v] = counter.GainItem{Gain: src[v], Vertex: int32(v)}
-			}
-			ops[wk] += int64(hi-lo)/8 + 1
-		})
-	} else {
-		sched.Static(w, n, func(wk, lo, hi int) {
-			a := idx[lo]
-			for v := lo; v < hi; v++ {
-				b := idx[v+1]
-				g := b - a
-				if !whole && a < b {
-					g = int64(prefixBelow(data[a:b], lim))
+	sched.Static(w, n, func(wk, lo, hi int) {
+		for v := int32(lo); v < int32(hi); v++ {
+			g := ix.count(v)
+			if !whole && g > 0 {
+				if list, row := ix.at(v); row != nil {
+					g = int64(rowBelow(row, lim))
+				} else {
+					g = int64(prefixBelow(list, lim))
 				}
-				items[v] = counter.GainItem{Gain: g, Vertex: int32(v)}
-				a = b
 			}
+			items[v] = counter.GainItem{Gain: g, Vertex: v}
+		}
+		if fused {
+			ops[wk] += int64(hi-lo)/8 + 1
+		} else {
 			ops[wk] += int64(hi - lo)
-		})
-	}
+		}
+	})
 
 	// One max-gain heap, heapified in place over the slab. Its bill is
 	// that of min(poolShards, n) region heaps over contiguous vertex
@@ -203,7 +229,15 @@ func (p *shardedPool) selectCELF(base *counter.Counter, workers, k int, limit in
 	clear(version)
 	seeds = make([]int32, 0, k)
 	var coveredCount, walks int64
-	var walked [poolShards]int64 // postings walked, by the shard of their set
+	var walked [poolShards]int64    // list postings walked, by the shard of their set
+	var rowWalked [poolShards]int64 // row postings walked, by owner
+	masks, owners := ownerMasks(w), min(w, poolShards)
+	// walkRow bills a walk of row's postings in the view to their owners.
+	walkRow := func(x uint64) {
+		for o, m := range masks[:owners] {
+			rowWalked[o] += int64(bits.OnesCount64(x & m))
+		}
+	}
 
 	for len(seeds) < k && len(seeds) < n {
 		round := int32(len(seeds))
@@ -230,12 +264,24 @@ func (p *shardedPool) selectCELF(base *counter.Counter, workers, k int, limit in
 			// uncovered postings inside the view.
 			v := best.Vertex
 			var g int64
-			for _, j := range data[idx[v]:idx[v+1]] {
-				if j >= lim {
-					break // beyond the view's horizon
+			if list, row := ix.at(v); row != nil {
+				for wi, x := range row[:full] {
+					g += int64(bits.OnesCount64(x &^ covered[wi]))
+					walkRow(x)
 				}
-				walked[j&(poolShards-1)]++
-				g += int64(^covered[uint32(j)>>6] >> (uint32(j) & 63) & 1)
+				if tail != 0 {
+					x := row[full] & tail
+					g += int64(bits.OnesCount64(x &^ covered[full]))
+					walkRow(x)
+				}
+			} else {
+				for _, j := range list {
+					if j >= lim {
+						break // beyond the view's horizon
+					}
+					walked[j&(poolShards-1)]++
+					g += int64(^covered[uint32(j)>>6] >> (uint32(j) & 63) & 1)
+				}
 			}
 			walks++
 			version[v] = round
@@ -247,18 +293,32 @@ func (p *shardedPool) selectCELF(base *counter.Counter, workers, k int, limit in
 		}
 		seeds = append(seeds, chosen)
 
-		// Retire the seed's coverage: walk its postings and mark the newly
-		// covered sets. This is the whole counter maintenance — no
+		// Retire the seed's coverage: mark the sets its postings name as
+		// covered. This is the whole counter maintenance — no
 		// decrement/rebuild pass over set members.
-		for _, j := range data[idx[chosen]:idx[chosen+1]] {
-			if j >= lim {
-				break // beyond the view's horizon
+		if list, row := ix.at(chosen); row != nil {
+			for wi, x := range row[:full] {
+				coveredCount += int64(bits.OnesCount64(x &^ covered[wi]))
+				covered[wi] |= x
+				walkRow(x)
 			}
-			walked[j&(poolShards-1)]++
-			word, bit := &covered[uint32(j)>>6], uint64(1)<<(uint32(j)&63)
-			if *word&bit == 0 {
-				*word |= bit
-				coveredCount++
+			if tail != 0 {
+				x := row[full] & tail
+				coveredCount += int64(bits.OnesCount64(x &^ covered[full]))
+				covered[full] |= x
+				walkRow(x)
+			}
+		} else {
+			for _, j := range list {
+				if j >= lim {
+					break // beyond the view's horizon
+				}
+				walked[j&(poolShards-1)]++
+				word, bit := &covered[uint32(j)>>6], uint64(1)<<(uint32(j)&63)
+				if *word&bit == 0 {
+					*word |= bit
+					coveredCount++
+				}
 			}
 		}
 		walks++
@@ -267,6 +327,9 @@ func (p *shardedPool) selectCELF(base *counter.Counter, workers, k int, limit in
 	// takes the postings walked there plus one fixed unit per walk.
 	for s, wk := range owner {
 		ops[wk] += walked[s] + walks
+	}
+	for o, c := range rowWalked[:owners] {
+		ops[o] += c
 	}
 	coverage = float64(coveredCount) / float64(nsets)
 	p.memo.store(key, seeds, coverage, float64(maxOf(ops))+float64(serial), n)

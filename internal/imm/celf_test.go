@@ -92,12 +92,12 @@ func TestCELFAccountingGolden(t *testing.T) {
 	}
 	for _, w := range []int{1, 2, 3, 4, 8, 32} {
 		e := generatePool(t, g, testOpts(Efficient, w), theta)
-		if !e.baseFresh {
-			t.Fatal("fused base counter not maintained")
+		if !e.p.indexCurrent() {
+			t.Fatal("fused index counts not maintained")
 		}
 		sets := e.p.flatten()
 		for i, lim := range limits {
-			seeds, cov, got := e.p.selectCELF(nil, w, k, lim)
+			seeds, cov, got := e.p.selectCELF(false, w, k, lim)
 			if fmt.Sprint(seeds) != golden[i].seeds || cov != golden[i].coverage {
 				t.Fatalf("workers=%d limit=%d: seeds %v coverage %v, want %s %v", w, lim, seeds, cov, golden[i].seeds, golden[i].coverage)
 			}
@@ -109,7 +109,7 @@ func TestCELFAccountingGolden(t *testing.T) {
 				t.Fatalf("workers=%d limit=%d: CELF %v/%v != scan %v/%v", w, lim, seeds, cov, scanSeeds, scanCov)
 			}
 		}
-		seeds, cov, got := e.p.selectCELF(e.base, w, k, theta)
+		seeds, cov, got := e.p.selectCELF(true, w, k, theta)
 		if fmt.Sprint(seeds) != golden[3].seeds || cov != golden[3].coverage {
 			t.Fatalf("workers=%d fused: seeds %v coverage %v", w, seeds, cov)
 		}
@@ -187,11 +187,7 @@ func runCELFSmall(t *testing.T, g *graph.Graph) []celfSmallWant {
 	for wi, w := range celfSmallWorkers {
 		e := generatePool(t, g, testOpts(Efficient, w), celfSmallTheta)
 		for i, c := range cases {
-			var base *counter.Counter
-			if c.base {
-				base = e.base
-			}
-			seeds, cov, ops := e.p.selectCELF(base, w, c.k, c.limit)
+			seeds, cov, ops := e.p.selectCELF(c.base, w, c.k, c.limit)
 			if wi == 0 {
 				got[i].seeds, got[i].coverage = fmt.Sprint(seeds), cov
 			} else if fmt.Sprint(seeds) != got[i].seeds || cov != got[i].coverage {
@@ -353,8 +349,8 @@ func TestSelectViewMatchesColdPool(t *testing.T) {
 		warm := generatePool(t, g, testOpts(Efficient, w), theta).p
 		for _, limit := range []int64{1, 2, 15, 16, 17, 100, 333, 512, 999, 1000} {
 			cold := generatePool(t, g, testOpts(Efficient, w), limit).p
-			seeds, cov, ops := warm.selectCELF(nil, w, k, limit)
-			wantSeeds, wantCov, wantOps := cold.selectCELF(nil, w, k, cold.count)
+			seeds, cov, ops := warm.selectCELF(false, w, k, limit)
+			wantSeeds, wantCov, wantOps := cold.selectCELF(false, w, k, cold.count)
 			if fmt.Sprint(seeds) != fmt.Sprint(wantSeeds) || cov != wantCov || ops != wantOps {
 				t.Errorf("workers=%d limit=%d: view selects %v/%v at %v ops, a pool of %d sets %v/%v at %v",
 					w, limit, seeds, cov, ops, limit, wantSeeds, wantCov, wantOps)

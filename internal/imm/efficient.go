@@ -10,16 +10,13 @@ import (
 // engine uses for opt. Exported so a SlotGenerator (internal/dist's rank
 // runtime) rebuilds the sets it gathers under the policy of the engine it
 // feeds, byte-identical to what Run would have produced. AdaptiveRep
-// governs the dense→bitset-row switch.
+// governs the dense→bitset-row switch, at rrr.DefaultPolicy's density
+// threshold.
 func PolicyFromOptions(opt Options) rrr.Policy {
-	policy := rrr.ListOnlyPolicy()
 	if opt.AdaptiveRep {
-		policy = rrr.DefaultPolicy()
-		if opt.RepThreshold > 0 {
-			policy.DensityThreshold = opt.RepThreshold
-		}
+		return rrr.DefaultPolicy()
 	}
-	return policy
+	return rrr.ListOnlyPolicy()
 }
 
 // selectScan is the eager Find_Most_Influential_Set kernel over the

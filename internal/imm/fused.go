@@ -19,9 +19,9 @@ import (
 //   - Stage A (sampling): each worker owns a genWorker — a reusable
 //     sampler and a generator re-seeded per slot. One traversal
 //     (diffusion.Sampler.Traverse) leaves the set's members in the
-//     sampler's BFS queue and their visited bits set. The fusion counter
-//     is incremented from that list, and the set is ended from the same
-//     state: a bitmap set appends the visited words to its worker's row
+//     sampler's BFS queue and their visited bits set. A scan engine's
+//     fusion counter is incremented from that list, and the set is ended
+//     from the same state: a bitmap set appends the visited words to its worker's row
 //     buffer, any other is sorted in place and appended to its list
 //     buffer — no per-set allocation or header. Jobs are contiguous slot
 //     ranges, so their stretches of the buffers, in job order, are the new
@@ -34,11 +34,12 @@ import (
 //     neither shape changes a draw (see diffusion.traverseIC).
 //
 //   - Stage B (index merge): while the new sets are still hot, the
-//     pool's CSR inverted index absorbs them (shardedPool.patch), one
-//     writer per contiguous vertex range. Afterwards ensureIndexed is a
-//     no-op; selection starts on a current index. Scan-mode selection
-//     never reads the index, so the stage is skipped and IndexBytes
-//     stays zero.
+//     pool's inverted index absorbs them (shardedPool.patch), one writer
+//     per contiguous vertex range: a bit in a row, or an id appended to a
+//     list. Its counts are CELF's fused counter. Afterwards ensureIndexed
+//     is a no-op; selection starts on a current index. Scan-mode
+//     selection never reads the index, so the stage is skipped and
+//     IndexBytes stays zero.
 
 // genWorker is one worker's generation state, kept across Generate calls.
 type genWorker struct {
@@ -104,17 +105,16 @@ func (w *WarmEngine) sampleJob(wk int, lo, hi int64, ids []int64, sizes []int32,
 
 // generateFused fills pool slots [from, to). Modeled cost: edge
 // traversals plus sorting of list sets (bitmap sets skip the sort — the
-// adaptive-representation win) plus the fused atomic updates (charged
-// double for the lock prefix), plus the Stage-B index-merge critical
-// path that selection would otherwise charge lazily via ensureIndexed.
+// adaptive-representation win) plus the fused count updates (charged
+// double, as atomic adds), plus the Stage-B index-merge critical path
+// that selection would otherwise charge lazily via ensureIndexed.
 func (w *WarmEngine) generateFused(from, to int64) {
 	start := time.Now()
 	workers := w.opt.Workers
 	w.ensureGenWorkers(workers)
-	w.baseFresh = w.opt.Fusion
-	cnt := w.base
-	if !w.opt.Fusion {
-		cnt = nil
+	var cnt *counter.Counter // only a scan engine keeps one
+	if w.opt.Fusion {
+		cnt = w.base
 	}
 
 	totalSets := to - from

@@ -90,24 +90,25 @@ func compareFusedToReference(t *testing.T, model graph.Model, opt Options) {
 	if got, want := res.SetStats, ref.statsUpTo(ref.count); got != want {
 		t.Fatalf("%s: pool stats diverged:\nfused:     %+v\nreference: %+v", label, got, want)
 	}
-	if got, want := res.Pool, ref.footprint(); got != want {
+	if got, want := res.Pool, ref.footprintUpTo(ref.count); got != want {
 		t.Fatalf("%s: pool footprint diverged: %+v vs %+v", label, got, want)
 	}
-	if eng.baseFresh != opt.Fusion {
-		t.Fatalf("%s: baseFresh = %v", label, eng.baseFresh)
+	if got, want := eng.PhysicalFootprint(), ref.footprint(); got != want {
+		t.Fatalf("%s: resident footprint diverged: %+v vs %+v", label, got, want)
 	}
-	if opt.Fusion && !slices.Equal(eng.base.Raw(), recount.Raw()) {
-		t.Fatalf("%s: fused counter differs from a recount of the reference sets", label)
+	// CELF's occurrence counts are the index's, with or without fusion.
+	if !slices.Equal(eng.p.counts(), recount.Raw()) {
+		t.Fatalf("%s: index counts differ from a recount of the reference sets", label)
 	}
 
 	// The inverted index must be bit-identical: the per-round Stage-B
 	// merges and the one-shot lazy ensureIndexed build must arrive at the
-	// same CSR arrays.
+	// same arrays.
 	if eng.p.indexed != ref.indexed {
 		t.Fatalf("%s: index extent diverged: %d vs %d", label, eng.p.indexed, ref.indexed)
 	}
-	if !slices.Equal(eng.p.postIdx, ref.postIdx) || !slices.Equal(eng.p.postData, ref.postData) {
-		t.Fatalf("%s: CSR arrays diverged", label)
+	if !sameIndex(&eng.p.post, &ref.post) {
+		t.Fatalf("%s: index arrays diverged", label)
 	}
 
 	seeds, cov, _ := SelectOnSetsScan(g.N, ref.flatten(), ref.totalMembers, nil, opt.Workers, opt.Update, opt.K)

@@ -110,7 +110,6 @@ type Options struct {
 	AdaptiveRep    bool                   // bitmap representation for dense sets
 	Update         counter.UpdateStrategy // seed-retirement counter maintenance
 	DynamicBalance bool                   // work-stealing generation
-	RepThreshold   float64                // density threshold for AdaptiveRep (0 = default)
 
 	// Selection selects the Efficient engine's selection kernel
 	// (SelectCELF or SelectScan). Seeds are identical either way.

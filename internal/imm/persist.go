@@ -49,9 +49,8 @@ type PoolState struct {
 	// Pool identity: the RNG-slot metadata. Slot i of the pool is drawn
 	// from the seed-indexed stream (graph, policy, Seed, i), so Seed plus
 	// Count fully determine the θ-trajectory contents below Count.
-	Seed         uint64
-	AdaptiveRep  bool
-	RepThreshold float64
+	Seed        uint64
+	AdaptiveRep bool
 
 	Count        int64 // physical pool length (slots generated)
 	TotalMembers int64 // Σ|R| over all Count sets
@@ -59,7 +58,8 @@ type PoolState struct {
 	// The sets, in id order. Sizes holds each set's member count, which
 	// also names its representation: the pool's policy stores a set of
 	// that size as a bitmap row when rrr.Policy.Dense says so and as a
-	// sorted list otherwise. The members themselves are concatenated into
+	// sorted list otherwise (rrr.DefaultPolicy's threshold when AdaptiveRep
+	// is set). The members themselves are concatenated into
 	// one blob per representation, so each blob keeps a fixed element
 	// size and can be aliased straight out of a 64-byte-aligned snapshot
 	// section (or an mmap of one) without decoding. Set i's payload starts
@@ -68,12 +68,16 @@ type PoolState struct {
 	ListData   []int32  // concatenated sorted member lists
 	BitmapData []uint64 // concatenated word rows, (N+63)/64 words each
 
-	// PostIdx/PostData are the pool's CSR inverted index over all Count
-	// sets — vertex v's postings are the global set ids
-	// PostData[PostIdx[v]:PostIdx[v+1]], ascending — or nil when the pool
-	// was never indexed (scan-mode pools).
+	// PostIdx/PostData/PostRows are the pool's inverted index over all
+	// Count sets, or nil when the pool was never indexed (scan-mode pools).
+	// PostIdx is a CSR offset array over occurrence counts: vertex v is in
+	// PostIdx[v+1]−PostIdx[v] sets. The policy's Dense(Count, that count)
+	// names how its postings are stored, as for a set: a row of
+	// (Count+63)/64 words over set ids in PostRows, or its ascending ids in
+	// PostData, each blob in vertex order.
 	PostIdx  []int64 // len N+1 when present
 	PostData []int32
+	PostRows []uint64
 
 	// Memo is the pool's selection memo (selmemo.go) at the freeze, oldest
 	// entry first: the CELF selections already run over this pool.
@@ -89,7 +93,8 @@ func GraphChecksum(g *graph.Graph) uint64 { return g.Checksum() }
 // sets are indexed first, so a frozen index always covers the whole pool
 // — the same invariant selection maintains.
 //
-// The returned state's Sizes/ListData/BitmapData and PostIdx/PostData are
+// The returned state's Sizes/ListData/BitmapData and PostIdx/PostData/
+// PostRows are
 // the pool's own arrays, which the engine never writes once installed but
 // may alias a mapping whose owner releases it with the engine: the state
 // is valid only until the engine serves again. Callers that persist the
@@ -106,7 +111,6 @@ func (w *WarmEngine) Freeze(epoch int64) (*PoolState, error) {
 		GraphSum:     GraphChecksum(w.g),
 		Seed:         w.opt.Seed,
 		AdaptiveRep:  w.opt.AdaptiveRep,
-		RepThreshold: w.opt.RepThreshold,
 		Count:        p.count,
 		TotalMembers: p.totalMembers,
 	}
@@ -115,7 +119,7 @@ func (w *WarmEngine) Freeze(epoch int64) (*PoolState, error) {
 	}
 	if p.indexed > 0 {
 		p.patch(w.opt.Workers, nil, nil)
-		st.PostIdx, st.PostData = p.postIdx, p.postData
+		st.PostIdx, st.PostData, st.PostRows = p.post.idx, p.post.data, p.post.rows
 	}
 	st.Sizes, st.ListData, st.BitmapData = p.sets.sizes, p.sets.lists, p.sets.rows
 	return st, nil
@@ -132,15 +136,16 @@ func (w *WarmEngine) Freeze(epoch int64) (*PoolState, error) {
 // memo (ValidateMemo), whose entries it installs with no hits counted:
 // the thawed pool answers the selections the frozen one had run from
 // the memo, with copies of their seeds and the modeled cost they billed.
-// Each set's representation is the one opt's policy gives its size
-// (rrr.Policy.Dense), so a size that disagrees with the payloads surfaces
-// as a blob overrun or surplus. Epoch policy is the caller's decision —
-// a serving layer compares st.Epoch against its registry before calling.
+// Each set's representation, and each vertex's postings', is the one opt's
+// policy gives its size (rrr.Policy.Dense), so a size or count that
+// disagrees with the payloads surfaces as a blob overrun or surplus. Epoch
+// policy is the caller's decision — a serving layer compares st.Epoch
+// against its registry before calling.
 //
-// Under kernel fusion the global occurrence counter is refilled from the
-// adopted index offsets (or, for an unindexed state, from the sets), so
-// a thawed engine answers exactly like the engine that was frozen — and
-// like a cold Run on the same graph epoch.
+// The index is the pool's occurrence count, so a CELF engine needs nothing
+// rebuilt. A scan-selection engine under kernel fusion refills its
+// counter from the sets, so a thawed engine answers exactly like the
+// engine that was frozen — and like a cold Run on the same graph epoch.
 func ThawWarmEngine(g *graph.Graph, opt Options, st *PoolState) (*WarmEngine, error) {
 	w, err := NewWarmEngine(g, opt)
 	if err != nil {
@@ -154,10 +159,9 @@ func ThawWarmEngine(g *graph.Graph, opt Options, st *PoolState) (*WarmEngine, er
 	if sum := GraphChecksum(g); sum != st.GraphSum {
 		return nil, fmt.Errorf("%w: graph content fingerprint %#x vs frozen %#x", ErrPoolIncompatible, sum, st.GraphSum)
 	}
-	if opt.Seed != st.Seed || opt.AdaptiveRep != st.AdaptiveRep || opt.RepThreshold != st.RepThreshold {
-		return nil, fmt.Errorf("%w: pool options (seed %d, adaptive %v, threshold %v) vs frozen (%d, %v, %v)",
-			ErrPoolIncompatible, opt.Seed, opt.AdaptiveRep, opt.RepThreshold,
-			st.Seed, st.AdaptiveRep, st.RepThreshold)
+	if opt.Seed != st.Seed || opt.AdaptiveRep != st.AdaptiveRep {
+		return nil, fmt.Errorf("%w: pool options (seed %d, adaptive %v) vs frozen (%d, %v)",
+			ErrPoolIncompatible, opt.Seed, opt.AdaptiveRep, st.Seed, st.AdaptiveRep)
 	}
 	if st.Count < 0 {
 		return nil, fmt.Errorf("%w: negative pool length %d", ErrPoolIncompatible, st.Count)
@@ -196,44 +200,31 @@ func ThawWarmEngine(g *graph.Graph, opt Options, st *PoolState) (*WarmEngine, er
 	p.sets.summarize(0)
 	p.count, p.totalMembers = st.Count, st.TotalMembers
 	if st.PostIdx != nil {
-		// One posting per member: the fused counter is refilled from
-		// these offsets (baseFromIndex), not from the sets.
-		if len(st.PostIdx) != int(st.N)+1 || int64(len(st.PostData)) != members || st.PostIdx[st.N] != members {
-			return nil, fmt.Errorf("%w: index holds %d offsets and %d postings for %d vertices and %d members",
-				ErrPoolIncompatible, len(st.PostIdx), len(st.PostData), st.N, members)
+		// One posting per member, laid out as the counts' kinds say.
+		if len(st.PostIdx) != int(st.N)+1 || st.PostIdx[0] != 0 || st.PostIdx[st.N] != members {
+			return nil, fmt.Errorf("%w: index offsets (%d of them) do not span the postings of %d vertices and %d members",
+				ErrPoolIncompatible, len(st.PostIdx), st.N, members)
 		}
-		p.postIdx, p.postData, p.indexed = clip(st.PostIdx), clip(st.PostData), p.count
+		ix := postings{idx: clip(st.PostIdx)}
+		for v := range st.N {
+			if ix.count(v) < 0 {
+				return nil, fmt.Errorf("%w: index offsets decrease at vertex %d", ErrPoolIncompatible, v)
+			}
+		}
+		if lists, words := ix.layOut(w.policy, st.Count); lists != int64(len(st.PostData)) || words != int64(len(st.PostRows)) {
+			return nil, fmt.Errorf("%w: index holds %d list postings and %d row words, its counts call for %d and %d",
+				ErrPoolIncompatible, len(st.PostData), len(st.PostRows), lists, words)
+		}
+		ix.data, ix.rows = clip(st.PostData), clip(st.PostRows)
+		p.post, p.indexed = ix, p.count
 	}
 	p.memo.install(st.Memo)
 
-	// Refill the fused occurrence counter: from the index offsets when
-	// the pool arrived indexed, else by walking the adopted sets. Both
-	// land on exactly the counts incremental fusion would have accumulated.
-	if opt.Fusion && p.count > 0 {
-		if !baseFromIndex(w.base, p, opt.Workers) {
-			rebuildBase(w.base, p, opt.Workers)
-		}
-		w.baseFresh = true
+	// A scan engine's fused counter is the one thing the state does not hold.
+	if w.base != nil && opt.Fusion {
+		rebuildBase(w.base, p, opt.Workers)
 	}
 	return w, nil
-}
-
-// baseFromIndex fills a zeroed base from the index's CSR offsets — a
-// vertex's count is its posting count, postIdx[v+1]−postIdx[v] —
-// streaming one offset array instead of visiting every pool member. It
-// reports false, leaving base untouched, unless the index covers the
-// whole pool. Workers own disjoint vertex ranges.
-func baseFromIndex(base *counter.Counter, p *shardedPool, workers int) bool {
-	if p.postIdx == nil || p.indexed != p.count {
-		return false
-	}
-	counts, idx := base.Raw(), p.postIdx
-	sched.Static(workers, int(p.n), func(_, lo, hi int) {
-		for v := lo; v < hi; v++ {
-			counts[v] = idx[v+1] - idx[v]
-		}
-	})
-	return true
 }
 
 // rebuildBase folds every pool member into base in parallel over the

@@ -49,8 +49,8 @@ func (w *WarmEngine) generateRemote(from, to int64) bool {
 		}
 	}
 	sizes := slices.Grow(w.p.sets.sizes, int(to-from))[:to]
-	var counts []int64 // only this goroutine writes the counter here: no atomic adds
-	if w.opt.Fusion {
+	var counts []int64 // a scan engine's; only this goroutine writes it here: no atomic adds
+	if w.opt.Fusion && w.base != nil {
 		counts = w.base.Raw()
 	}
 	var vs []int32
@@ -78,7 +78,6 @@ func (w *WarmEngine) generateRemote(from, to int64) bool {
 	if w.opt.Fusion {
 		fused = members
 	}
-	w.baseFresh = w.opt.Fusion
 	w.p.addMembers([]int64{members})
 	w.bd.SamplingWall += time.Since(start)
 	w.bd.SamplingModeled += float64(edges + ModeledSortCost(w.policy, w.p.n, members, to-from) + 2*fused)

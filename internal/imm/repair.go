@@ -31,8 +31,9 @@ import (
 // to a whole-pool resample — still byte-identical to cold, just not
 // cheaper.
 //
-// After repair the pool is indistinguishable (set contents, index,
-// fused counter, footprint accounting) from a pool generated cold on
+// After repair the pool is indistinguishable (set contents, index — the
+// occurrence counts — and, for scan selection, the fused counter,
+// footprint accounting) from a pool generated cold on
 // the post-delta graph to the same physical length, which is what the
 // differential fuzz test pins across models × selection × workers.
 
@@ -84,11 +85,12 @@ func (w *WarmEngine) repair(ng *graph.Graph, rep *graph.DeltaReport) RepairRepor
 
 	if grew {
 		// Root draws changed everywhere: drop the pool and regenerate
-		// its full length cold on the new graph. The fused counter is
-		// resized along the way.
+		// its full length cold on the new graph. A scan engine's fused
+		// counter is resized along the way.
 		w.p = newShardedPool(ng.N, w.policy)
-		w.base = counter.New(ng.N)
-		w.baseFresh = false
+		if w.base != nil {
+			w.base = counter.New(ng.N)
+		}
 		if count > 0 {
 			r.Resampled = count
 			r.FullResample = true
@@ -106,10 +108,11 @@ func (w *WarmEngine) repair(ng *graph.Graph, rep *graph.DeltaReport) RepairRepor
 		return r
 	}
 
-	// Retire the invalidated sets from the fused occurrence counter
-	// before their contents are replaced; the re-increment below makes
-	// the counter exactly what cold fusion on ng would have produced.
-	maintainBase := w.opt.Fusion && w.baseFresh
+	// Retire the invalidated sets from a scan engine's fused occurrence
+	// counter before their contents are replaced; the re-increment below
+	// makes the counter exactly what cold fusion on ng would have produced.
+	// The index patch keeps the counts CELF reads.
+	maintainBase := w.opt.Fusion && w.base != nil
 	if maintainBase {
 		w.p.sets.fold(invalid, w.base.Dec)
 	}
@@ -164,9 +167,14 @@ func (p *shardedPool) replace(ids []int64, sizes []int32, next run, workers int)
 func (w *WarmEngine) invalidSlots(dirty []int32) []int64 {
 	p := w.p
 	marked := bitset.New(int(p.count))
-	if p.postIdx != nil {
+	if p.post.idx != nil {
+		words := marked.Words()
 		for _, v := range dirty {
-			marked.SetMany(p.postData[p.postIdx[v]:p.postIdx[v+1]])
+			list, row := p.post.at(v)
+			for wi, x := range row {
+				words[wi] |= x
+			}
+			marked.SetMany(list)
 		}
 	}
 	var c cursor

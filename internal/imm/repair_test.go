@@ -1,15 +1,17 @@
 package imm
 
 // Differential tests of warm-pool repair: after graph.ApplyDelta, a
-// repaired pool must be indistinguishable — slot contents, fused
-// counter, and every future answer — from a pool generated cold on the
-// post-delta graph, across models × selection × workers.
+// repaired pool must be indistinguishable — slot contents, the index and
+// its occurrence counts (a scan engine's fused counter), and every future
+// answer — from a pool generated cold on the post-delta graph, across
+// models × selection × workers.
 
 import (
 	"reflect"
 	"sort"
 	"testing"
 
+	"repro/internal/counter"
 	"repro/internal/graph"
 	"repro/internal/rng"
 )
@@ -64,8 +66,8 @@ func assertPoolsEqual(t *testing.T, label string, warm, cold *WarmEngine, count 
 
 // checkRepairDifferential is the shared scenario: warm a pool with one
 // query, apply a delta with repair, and require byte-identity with a
-// cold engine on the post-delta graph — pool slots, fused counter, and
-// the served answer.
+// cold engine on the post-delta graph — pool slots, index and occurrence
+// counts (under scan, the fused counter), and the served answer.
 func checkRepairDifferential(t *testing.T, label string, g *graph.Graph, opt Options, d graph.Delta) {
 	t.Helper()
 	we, err := NewWarmEngine(g, opt)
@@ -93,10 +95,14 @@ func checkRepairDifferential(t *testing.T, label string, g *graph.Graph, opt Opt
 	cold.BeginQuery()
 	cold.Generate(we.PhysicalSets())
 	assertPoolsEqual(t, label, we, cold, we.PhysicalSets())
-	if we.baseFresh && cold.baseFresh {
-		if !reflect.DeepEqual(we.base.Raw(), cold.base.Raw()) {
+	if opt.Selection == SelectScan {
+		if opt.Fusion && !reflect.DeepEqual(we.base.Raw(), cold.base.Raw()) {
 			t.Fatalf("%s: fused counter diverges after repair", label)
 		}
+	} else if !reflect.DeepEqual(we.p.counts(), recount(we)) || !reflect.DeepEqual(cold.p.counts(), recount(cold)) {
+		t.Fatalf("%s: index counts differ from a recount of the sets after repair", label)
+	} else if !sameIndex(&we.p.post, &cold.p.post) {
+		t.Fatalf("%s: repaired index differs from a cold pool's", label)
 	}
 
 	warmRes := runWarm(t, ng, we, opt)
@@ -105,6 +111,13 @@ func checkRepairDifferential(t *testing.T, label string, g *graph.Graph, opt Opt
 		t.Fatal(err)
 	}
 	assertWarmEqualsCold(t, label, warmRes, coldRes)
+}
+
+// recount counts every vertex's occurrences by walking e's sets.
+func recount(e *WarmEngine) []int64 {
+	c := counter.New(e.p.n)
+	rebuildBase(c, e.p, 1)
+	return c.Raw()
 }
 
 // TestRepairMatchesColdAcrossMatrix sweeps the full configuration

@@ -25,12 +25,12 @@ import (
 //     thawed one, which is what lets the entries travel.
 //
 // The key also carries the two inputs that shape only the modeled cost
-// (worker count, and whether the fused base counter supplied the initial
+// (worker count, and whether kernel fusion's counts supplied the initial
 // gains), and a hit bills the selection-only cost of the selection it
 // stands for — what running it again on the now-current index reports.
-// One relaxation: a truncated view (no base counter) also accepts the
-// entry its prefix left behind when it was the whole pool and the
-// counter seeded it. The counts are equal, so the seeds are; and that
+// One relaxation: a truncated view (never fused) also accepts the entry
+// its prefix left behind when it was the whole pool and fused counts
+// seeded it. The counts are equal, so the seeds are; and that
 // is the selection a cold run of the query performs at this θ, so its
 // cost is the one a warm replay of that run should bill. Without it the
 // first repeat of the query that built a pool would re-run every round.
@@ -47,7 +47,8 @@ import (
 const selMemoSlots = 16
 
 // selKey identifies a selection: the clamped view limit and k decide the
-// seeds; workers and base only decide the modeled operation count.
+// seeds; workers and base (fused counts) only decide the modeled
+// operation count.
 type selKey struct {
 	limit   int64
 	k       int
@@ -64,7 +65,7 @@ type PoolMemoEntry struct {
 	Limit    int64 // the clamped view limit: the selection ranged over set ids below it
 	K        int
 	Workers  int
-	Base     bool // the fused base counter supplied the initial gains
+	Base     bool // kernel fusion's counts supplied the initial gains
 	Seeds    []int32
 	Coverage float64
 	Ops      float64 // selection-only modeled cost, index extension excluded
@@ -84,7 +85,7 @@ type selMemo struct {
 }
 
 // lookup returns the remembered selection for key, or nil. A key
-// without the base counter also matches the entry that used it.
+// without fused counts also matches the entry that used them.
 func (m *selMemo) lookup(key selKey) *PoolMemoEntry {
 	alt := key
 	alt.base = true

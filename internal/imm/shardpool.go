@@ -15,11 +15,11 @@ import (
 
 // The RRR pool behind the Efficient engine: the sets in set-id order, each
 // a sorted list or a bitset row as the policy chose for its size (setStore,
-// store.go), and one inverted index — a CSR mapping a
-// vertex to the ids of the sets containing it, so selection walks one
-// contiguous run of postings per vertex instead of re-scanning every set.
-// The index is sized by the postings plus one offset array and changes
-// only through shardedPool.patch.
+// store.go), and one inverted index mapping a vertex to the sets that
+// contain it (postings), so selection reads one vertex's postings instead
+// of re-scanning every set. The index is also the pool's occurrence count:
+// a vertex's posting count is the gain CELF starts it at. It changes only
+// through shardedPool.patch.
 //
 // Shards survive only in the modeled cost: index and selection work is
 // billed, posting by posting, to the owner of the shard id mod poolShards
@@ -58,6 +58,106 @@ func (f PoolFootprint) CompressionRatio() float64 {
 	return float64(f.RawBytes) / float64(f.SetBytes)
 }
 
+// postings is the inverted index over the sets below the pool's indexed
+// count. idx is a CSR offset array over occurrence counts: vertex v is in
+// idx[v+1]−idx[v] sets. Its postings are stored as the set policy would
+// store a set of that size over indexed ids (rrr.Policy.Dense): a row of
+// words bits over set ids in rows, or its ids, strictly ascending, in
+// data. Each run is in vertex order. rowAt[v] counts the row vertices
+// before v (nil when no vertex keeps a row) and rowBase[k] the postings
+// that rows before row k hold, so a list starts at idx[v]−rowBase[rowAt[v]].
+// The arrays are never written after they are installed: Freeze hands idx,
+// data and rows out, and a thawed pool's may be a read-only mapping.
+// Offsets are 64-bit: only maxPoolSets × n bounds the posting total.
+type postings struct {
+	idx     []int64 // len n+1 once built
+	rowAt   []int32 // len n+1, or nil
+	rowBase []int64 // len rows+1 with rowAt
+	data    []int32
+	rows    []uint64
+	words   int64 // per row
+}
+
+// count is v's occurrence count over the indexed sets.
+func (ix *postings) count(v int32) int64 { return ix.idx[v+1] - ix.idx[v] }
+
+// isRow reports whether v keeps a row.
+func (ix *postings) isRow(v int32) bool { return ix.rowAt != nil && ix.rowAt[v+1] > ix.rowAt[v] }
+
+// listStart is where v's list starts, or would.
+func (ix *postings) listStart(v int32) int64 {
+	if ix.rowAt == nil {
+		return ix.idx[v]
+	}
+	return ix.idx[v] - ix.rowBase[ix.rowAt[v]]
+}
+
+// at returns v's postings, read-only: its row, or its list.
+func (ix *postings) at(v int32) (list []int32, row []uint64) {
+	if ix.isRow(v) {
+		k := int64(ix.rowAt[v])
+		return nil, ix.rows[k*ix.words : (k+1)*ix.words]
+	}
+	lo := ix.listStart(v)
+	return ix.data[lo : lo+ix.count(v)], nil
+}
+
+// patched is v's count once a patch has run, given its mark d
+// (patchScratch.mark), and whether it loses postings: the ids it gains
+// less the ids in drop it holds.
+func (ix *postings) patched(v int32, d int32, drop *bitset.Bitset) (int64, bool) {
+	c := ix.count(v) + int64(d&^dropMark)
+	if d >= 0 {
+		return c, false
+	}
+	list, row := ix.at(v)
+	if row != nil {
+		for wi, w := range drop.Words() {
+			c -= int64(bits.OnesCount64(w & row[wi]))
+		}
+	}
+	for _, id := range list {
+		if drop.Test(int(id)) {
+			c--
+		}
+	}
+	return c, true
+}
+
+// bytes is what the rows and lists hold.
+func (ix *postings) bytes() int64 { return 4*int64(len(ix.data)) + 8*int64(len(ix.rows)) }
+
+// layOut derives rowAt and rowBase from idx for an index over indexed
+// sets under policy, and returns how many list postings and row words the
+// vertices' kinds call for.
+func (ix *postings) layOut(policy rrr.Policy, indexed int64) (lists, words int64) {
+	n := int32(len(ix.idx) - 1)
+	ix.words = (indexed + 63) / 64
+	var rows int64
+	for v := range n {
+		if c := ix.count(v); policy.Dense(int32(indexed), int(c)) {
+			rows++
+		} else {
+			lists += c
+		}
+	}
+	ix.rowAt, ix.rowBase = nil, nil
+	if rows == 0 {
+		return lists, 0
+	}
+	ix.rowAt, ix.rowBase = make([]int32, n+1), make([]int64, 1, rows+1)
+	var k int32
+	for v := range n {
+		ix.rowAt[v] = k
+		if c := ix.count(v); policy.Dense(int32(indexed), int(c)) {
+			ix.rowBase = append(ix.rowBase, ix.rowBase[k]+c)
+			k++
+		}
+	}
+	ix.rowAt[n] = k
+	return lists, rows * ix.words
+}
+
 // shardedPool is the Efficient engine's pool: extension during
 // generation, ensureIndexed + CELF during selection.
 type shardedPool struct {
@@ -67,17 +167,9 @@ type shardedPool struct {
 	// sets holds the pool, set id i at position i.
 	sets setStore
 
-	// Inverted index over the sets below indexed, in CSR layout: the ids
-	// of the sets containing v are postData[postIdx[v]:postIdx[v+1]],
-	// strictly ascending (what prefixBelow's binary search and a truncated
-	// view's early exit rely on). The arrays are never written after they
-	// are installed: Freeze hands them out, and a thawed pool's may be a
-	// read-only mapping. Offsets are 64-bit: only maxPoolSets × n bounds
-	// the posting total.
-	postIdx  []int64 // len n+1 once built
-	postData []int32
-	covered  *bitset.Bitset // selection scratch over set ids, reset per call
-	indexed  int64
+	post    postings       // over the sets below indexed
+	covered *bitset.Bitset // selection scratch over set ids, reset per call
+	indexed int64
 
 	// heapScratch/versionScratch are the CELF kernel's per-call vertex
 	// arrays (the slab its heap lives in, and the gain versions),
@@ -126,8 +218,9 @@ func (p *shardedPool) addMembers(perWorker []int64) { p.totalMembers += sumOf(pe
 // patch allocates only the arrays it installs.
 type patchScratch struct {
 	// mark is all zero between patches. While one runs, a touched vertex
-	// holds the number of ids it gains, with dropMark set when it also loses
-	// some; laying out turns that into how many its new segment holds so far.
+	// holds the number of ids it gains, with dropMark set when it also
+	// loses some; laying out turns that into how many its new list holds
+	// so far, or rowMark.
 	mark   []int32
 	drop   bitset.Bitset       // the ids being dropped, clear between patches
 	bufs   [poolShards][]int32 // a decode buffer per range writer, for non-list sets
@@ -136,8 +229,9 @@ type patchScratch struct {
 
 // patchRange is one vertex range's share of a patch.
 type patchRange struct {
-	dropped int64             // old postings the range loses
-	gained  [poolShards]int64 // postings it gains, by the shard of their set
+	// Its postings, list postings and rows under the new kinds; once laid
+	// out, those of the ranges before it.
+	postings, lists, rows int64
 }
 
 // bytes is what the scratch keeps resident.
@@ -149,32 +243,29 @@ func (sc *patchScratch) bytes() int64 {
 	return b
 }
 
-// dropMark flags, in patchScratch.mark, a vertex that loses postings.
-const dropMark = math.MinInt32
+// In patchScratch.mark, dropMark flags a vertex that loses postings, and
+// rowMark, once laid out, one whose new postings are a row.
+const dropMark, rowMark = math.MinInt32, math.MinInt32
 
 // membersIn returns the members in [lo, hi) of the set whose payload is
-// list or row, ascending, as a read-only slice, and how many members lie
-// below lo: a window of the list, or the row's words that cover the range
-// decoded into buf (lo must be a multiple of 64, and hi one or the vertex
-// count). buf is returned grown.
-func membersIn(list []int32, row []uint64, lo, hi int32, buf []int32) (part []int32, below int, _ []int32) {
+// list or row, ascending, as a read-only slice: a window of the list, or
+// the row's words that cover the range decoded into buf (lo must be a
+// multiple of 64, and hi one or the vertex count). buf is returned grown.
+func membersIn(list []int32, row []uint64, lo, hi int32, buf []int32) (part, _ []int32) {
 	if row != nil {
-		for _, w := range row[:lo>>6] {
-			below += bits.OnesCount64(w)
-		}
 		buf = appendRow(buf[:0], row[lo>>6:min(len(row), (int(hi)+63)>>6)], int(lo>>6))
-		return buf, below, buf
+		return buf, buf
 	}
 	vs := list
 	if len(vs) > 0 && vs[0] < lo {
-		below, _ = slices.BinarySearch(vs, lo)
-		vs = vs[below:]
+		cut, _ := slices.BinarySearch(vs, lo)
+		vs = vs[cut:]
 	}
 	if len(vs) > 0 && vs[len(vs)-1] >= hi {
 		cut, _ := slices.BinarySearch(vs, hi)
 		vs = vs[:cut]
 	}
-	return vs, below, buf
+	return vs, buf
 }
 
 // patch is the one way the inverted index changes. It drops the postings
@@ -187,20 +278,22 @@ func membersIn(list []int32, row []uint64, lo, hi int32, buf []int32) (part []in
 //
 // The result is built in fresh, exactly sized arrays; the current ones
 // are only read. The work is split over contiguous vertex ranges, one
-// writer each in a single fork-join, so the arrays are the same at any
-// worker count — they equal a from-scratch build. A writer reads every
-// changed set but only the members in its range (membersIn), twice. The
-// first pass counts what each vertex gains and what the ranges before gain,
-// which is where the range starts in the new array. Then one ascending
-// sweep takes the old offsets to the new — the run of old postings since
-// the last touched vertex moves with a single copy, a segment that loses
-// ids is filtered against a bitmap of them, and room is left behind the
-// survivors for the vertex's gains — and the second pass inserts each
-// changed set's id, ascending, at its sorted place in that room: an append
-// for a tail id, a shift of the larger ids otherwise. Cost: one streaming
-// pass over the n offsets, plus work proportional to the changed sets'
-// members and the segments losing ids, plus a constant per changed set and
-// range.
+// writer each, so the arrays are the same at any worker count — they
+// equal a from-scratch build. A writer reads every changed set but only
+// the members in its range (membersIn), twice; a tail of dense sets it
+// reads 64 set ids at a time, transposed (bitBlock), so that a vertex's
+// word of the block is its postings among them. The first fork-join counts
+// each vertex's new occurrence count, which picks its kind for the new
+// indexed count: either kind may become the other. The ranges' totals
+// place each range in the new arrays. The second lays the range out in
+// one ascending sweep — a run of list vertices that keep their postings
+// moves with a single copy; a vertex that changes copies, widens, filters
+// or converts its old postings, leaving room for its gains — and then
+// inserts each changed set's id: a bit in a row, or at its sorted place
+// in a list (an append for a tail id, a shift of the larger ids
+// otherwise). Cost: a pass over the n offsets and the old rows, plus work
+// proportional to the changed sets' members and the lists losing ids,
+// plus a constant per changed set and range.
 func (p *shardedPool) patch(workers int, ids []int64, old *setStore) (members [poolShards]int64) {
 	if p.covered == nil {
 		p.covered = bitset.New(int(p.indexed))
@@ -216,135 +309,317 @@ func (p *shardedPool) patch(workers int, ids []int64, old *setStore) (members [p
 		sc.mark = make([]int32, n)
 	}
 	mark := sc.mark[:n]
-	// Every member of every set gets its posting.
-	idx, data := make([]int64, n+1), make([]int32, p.totalMembers)
-	idx[n] = p.totalMembers
-	oldIdx, oldData := p.postIdx, p.postData
-	if oldIdx == nil {
-		oldIdx = make([]int64, n+1) // the pool's first build
+	from := &p.post
+	if from.idx == nil {
+		from = &postings{idx: make([]int64, n+1)} // the pool's first build
 	}
 	// Vertex range r is [bounds[r], bounds[r+1]). A writer passes over every
 	// changed set for the members in its range: with more ranges than a set
 	// has members, most of those visits would find nothing.
-	gain := p.totalMembers - int64(len(oldData))
+	gain := p.totalMembers - from.idx[n]
 	for _, id := range ids {
 		gain += int64(old.sizes[id])
 	}
 	nr := max(1, min(workers, poolShards, int(gain/int64(changed))))
-	bounds := splitRanges(nr, oldIdx, int64(len(oldData)))
+	bounds := splitRanges(nr, from.idx)
 	ranges := sc.ranges[:nr]
 	clear(ranges)
 
 	// The replaced sets, a sliver of the pool: mark their ids and vertices.
-	var vs []int32
 	if len(ids) > 0 {
 		sc.drop.Grow(int(p.indexed))
 	}
 	var oc cursor
+	var vs []int32
 	for _, id := range ids {
 		sc.drop.Set(int(id))
 		vs, sc.bufs[0] = old.members(&oc, id, sc.bufs[0])
-		r := 0
 		for _, v := range vs {
 			mark[v] |= dropMark
-			for v >= bounds[r+1] {
-				r++
-			}
-			ranges[r].dropped++
 		}
+	}
+	dropped := sc.drop.Words()
+
+	policy, indexed := p.sets.policy, int32(p.count)
+	// The member count each changed set adds, billed by its shard.
+	for k := range changed {
+		id := changedID(ids, firstTail, k)
+		members[id%poolShards] += int64(p.sets.sizes[id])
+	}
+	// A tail whose sets hold at least 1/32 of the vertices on average is
+	// walked in transposed blocks: that many bits a word repay a transpose.
+	tail := p.count - firstTail
+	blocked := tail > 0 && 32*(p.sets.upTo(p.count).members-p.sets.upTo(firstTail).members) >= tail*int64(n)
+	perSet := changed
+	if blocked {
+		perSet = len(ids)
+	}
+	sched.Static(nr, nr, func(_, r0, r1 int) {
+		for r := r0; r < r1; r++ {
+			lo, hi := bounds[r], bounds[r+1]
+			var vs []int32
+			buf := sc.bufs[r]
+			var c cursor
+			for k := range perSet {
+				list, row := p.sets.set(&c, changedID(ids, firstTail, k))
+				vs, buf = membersIn(list, row, lo, hi, buf)
+				for _, v := range vs {
+					mark[v]++
+				}
+			}
+			if blocked {
+				var b bitBlock
+				c = cursor{}
+				for j0 := firstTail &^ 63; j0 < p.count; j0 += 64 {
+					b.load(&p.sets, &c, j0, firstTail, lo)
+					for wi := lo >> 6; wi < (hi+63)>>6; wi++ {
+						for i, x := range b.transposed(wi) {
+							if x != 0 { // past the vertex count, always
+								mark[wi<<6+int32(i)] += int32(bits.OnesCount64(x))
+							}
+						}
+					}
+				}
+			}
+			var pr patchRange
+			for v := lo; v < hi; v++ {
+				c, _ := from.patched(v, mark[v], &sc.drop)
+				pr.postings += c
+				if policy.Dense(indexed, int(c)) {
+					pr.rows++
+				} else {
+					pr.lists += c
+				}
+			}
+			ranges[r] = pr
+			sc.bufs[r] = buf
+		}
+	})
+	next := postings{words: (p.count + 63) / 64}
+	var total, lists, rows int64
+	for r := range ranges {
+		pr := &ranges[r]
+		pr.postings, total = total, total+pr.postings
+		pr.lists, lists = lists, lists+pr.lists
+		pr.rows, rows = rows, rows+pr.rows
+	}
+	next.idx, next.data = make([]int64, n+1), make([]int32, lists)
+	next.idx[n] = total
+	if rows > 0 {
+		next.rowAt, next.rowBase, next.rows = make([]int32, n+1), make([]int64, rows+1), make([]uint64, rows*next.words)
+		next.rowAt[n] = int32(rows)
 	}
 
 	sched.Static(nr, nr, func(_, r0, r1 int) {
 		for r := r0; r < r1; r++ {
-			// Count the gains, here and in the ranges before.
-			var gained [poolShards]int64 // summed here: ranges[r]'s neighbours are being written too
-			var vs []int32
-			var before int
-			buf := sc.bufs[r]
-			var shift int64 // how far the range's first old posting moves
-			var c cursor
-			for k := range changed {
-				id := firstTail + int64(k-len(ids))
-				if k < len(ids) {
-					id = ids[k]
+			lo, hi := bounds[r], bounds[r+1]
+			pr := ranges[r]
+			at, la, k := pr.postings, pr.lists, pr.rows // new offset, list position, row
+			k0, rb0 := int32(k), at-la                  // the range's first row, and the row postings before it
+			rb := rb0
+			ol := from.listStart(lo) // old list position
+			run, shift := ol, la-ol  // old list postings [run, ol) are pending: they all move by shift
+			for v := lo; v < hi; v++ {
+				next.idx[v] = at
+				if next.rowAt != nil {
+					next.rowAt[v] = int32(k)
 				}
-				list, row := p.sets.set(&c, id)
-				vs, before, buf = membersIn(list, row, bounds[r], bounds[r+1], buf)
-				for _, v := range vs {
-					mark[v]++
+				c, d := from.count(v), mark[v]
+				nc, lost := from.patched(v, d, &sc.drop)
+				at += nc
+				oldRow, newRow := from.isRow(v), policy.Dense(indexed, int(nc))
+				if d == 0 && !lost && !oldRow && !newRow { // the list rides with the run
+					ol, la = ol+c, la+c
+					continue
 				}
-				gained[id%poolShards] += int64(len(vs))
-				shift += int64(before)
-			}
-			ranges[r].gained = gained
-			for q := range r {
-				shift -= ranges[q].dropped
-			}
-
-			// Lay out: offsets, survivors, and room for the gains. Old
-			// postings [run, lo) are pending: they all move by shift.
-			lo := oldIdx[bounds[r]]
-			run := lo
-			for v := int(bounds[r]); v < int(bounds[r+1]); v++ {
-				hi := oldIdx[v+1]
-				idx[v] = lo + shift
-				if c := mark[v]; c != 0 {
-					from := hi // nothing dropped here: the segment rides with the run
-					if c < 0 {
-						from = lo
-					}
-					copy(data[run+shift:], oldData[run:from])
-					at := from + shift
-					for _, id := range oldData[from:hi] {
-						if !sc.drop.Test(int(id)) {
-							data[at] = id
-							at++
+				copy(next.data[run+shift:], from.data[run:ol])
+				olist, orow := from.at(v)
+				ol += int64(len(olist))
+				if newRow {
+					row := next.rows[k*next.words : (k+1)*next.words]
+					copy(row, orow)
+					if lost && orow != nil {
+						for wi, w := range dropped {
+							row[wi] &^= w
 						}
 					}
-					mark[v] = int32(at - idx[v])
-					run, shift = hi, at+int64(c&^dropMark)-hi
+					for _, id := range olist {
+						if !lost || !sc.drop.Test(int(id)) {
+							row[id>>6] |= 1 << (id & 63)
+						}
+					}
+					rb += nc
+					k++
+					next.rowBase[k] = rb
+					mark[v] = rowMark
+				} else {
+					seg := next.data[la : la+nc]
+					fill := 0
+					for wi, w := range orow {
+						if lost && wi < len(dropped) {
+							w &^= dropped[wi]
+						}
+						for ; w != 0; w &= w - 1 {
+							seg[fill] = int32(wi<<6 + bits.TrailingZeros64(w))
+							fill++
+						}
+					}
+					if !lost {
+						fill += copy(seg, olist)
+					} else {
+						for _, id := range olist {
+							if !sc.drop.Test(int(id)) {
+								seg[fill] = id
+								fill++
+							}
+						}
+					}
+					mark[v] = int32(fill)
+					la += nc
 				}
-				lo = hi
+				run, shift = ol, la-ol
 			}
-			copy(data[run+shift:], oldData[run:lo])
+			copy(next.data[run+shift:], from.data[run:ol])
 
 			// Insert, then leave the marks zero.
-			c = cursor{}
-			for k := range changed {
-				id := firstTail + int64(k-len(ids))
-				if k < len(ids) {
-					id = ids[k]
+			listStart := func(v int32) int64 {
+				if next.rowAt == nil {
+					return next.idx[v]
 				}
+				if kv := next.rowAt[v]; kv != k0 {
+					return next.idx[v] - next.rowBase[kv]
+				}
+				return next.idx[v] - rb0
+			}
+			buf := sc.bufs[r]
+			var vs []int32
+			var c cursor
+			for kk := range perSet {
+				id := changedID(ids, firstTail, kk)
 				list, row := p.sets.set(&c, id)
-				vs, _, buf = membersIn(list, row, bounds[r], bounds[r+1], buf)
+				vs, buf = membersIn(list, row, lo, hi, buf)
 				for _, v := range vs {
-					at := idx[v] + int64(mark[v])
+					if mark[v] == rowMark {
+						next.rows[int64(next.rowAt[v])*next.words+id>>6] |= 1 << (id & 63)
+						continue
+					}
+					start := listStart(v)
+					at := start + int64(mark[v])
 					mark[v]++
-					if k < len(ids) { // a tail id is larger than any in place
-						for ; at > idx[v] && int64(data[at-1]) > id; at-- {
-							data[at] = data[at-1]
+					if kk < len(ids) { // a tail id is larger than any in place
+						for ; at > start && int64(next.data[at-1]) > id; at-- {
+							next.data[at] = next.data[at-1]
 						}
 					}
-					data[at] = int32(id)
+					next.data[at] = int32(id)
+				}
+			}
+			if blocked {
+				var b bitBlock
+				c = cursor{}
+				for j0 := firstTail &^ 63; j0 < p.count; j0 += 64 {
+					b.load(&p.sets, &c, j0, firstTail, lo)
+					for wi := lo >> 6; wi < (hi+63)>>6; wi++ {
+						for i, x := range b.transposed(wi) {
+							if x == 0 {
+								continue
+							}
+							v := wi<<6 + int32(i)
+							if mark[v] == rowMark {
+								next.rows[int64(next.rowAt[v])*next.words+j0>>6] |= x
+								continue
+							}
+							at := listStart(v) + int64(mark[v])
+							mark[v] += int32(bits.OnesCount64(x))
+							for ; x != 0; x &= x - 1 {
+								next.data[at] = int32(j0) + int32(bits.TrailingZeros64(x))
+								at++
+							}
+						}
+					}
 				}
 			}
 			sc.bufs[r] = buf
-			clear(mark[bounds[r]:bounds[r+1]])
+			clear(mark[lo:hi])
 		}
 	})
-	for r := range ranges {
-		for s, m := range ranges[r].gained {
-			members[s] += m
-		}
-	}
 	for _, id := range ids {
 		sc.drop.Clear(int(id))
 	}
 
-	p.postIdx, p.postData = idx, data
+	p.post = next
 	p.indexed = p.count
 	p.covered.Grow(int(p.indexed))
 	return members
+}
+
+// bitBlock walks the tail sets among the 64 set ids [j0, j0+64) over one
+// vertex range, a 64-vertex word at a time, ascending.
+type bitBlock struct {
+	lists [64][]int32  // a list set's members not yet walked
+	rows  [64][]uint64 // a row set's row
+	words [64]uint64
+	j0    int64
+}
+
+// load fills b with block j0's sets at or past from, up to the pool's
+// length, for a range starting at vertex lo; c walks the store.
+func (b *bitBlock) load(st *setStore, c *cursor, j0, from int64, lo int32) {
+	*b = bitBlock{j0: j0}
+	for i := max(j0, from) - j0; i < 64 && j0+i < int64(len(st.sizes)); i++ {
+		list, row := st.set(c, j0+i)
+		if len(list) > 0 && list[0] < lo {
+			cut, _ := slices.BinarySearch(list, lo)
+			list = list[cut:]
+		}
+		b.lists[i], b.rows[i] = list, row
+	}
+}
+
+// transposed returns, for each vertex 64·wi+b of word wi, the block's sets
+// that hold it: bit i is set j0+i. Words must be asked for ascending.
+func (b *bitBlock) transposed(wi int32) *[64]uint64 {
+	end := (wi + 1) << 6
+	for i := range b.words {
+		var x uint64
+		if row := b.rows[i]; row != nil {
+			x = row[wi]
+		} else {
+			list := b.lists[i]
+			for len(list) > 0 && list[0] < end {
+				x |= 1 << (list[0] & 63)
+				list = list[1:]
+			}
+			b.lists[i] = list
+		}
+		b.words[i] = x
+	}
+	transpose64(&b.words)
+	return &b.words
+}
+
+// transpose64 transposes a 64×64 bit matrix in place: bit j of a[i]
+// becomes bit i of a[j]. Each round swaps the off-diagonal blocks of
+// every 2j×2j block.
+func transpose64(a *[64]uint64) {
+	m := uint64(0x0000_0000_ffff_ffff)
+	for j := 32; j != 0; j >>= 1 {
+		for k := 0; k < 64; k = (k + j + 1) &^ j {
+			t := (a[k]>>j ^ a[k+j]) & m
+			a[k+j] ^= t
+			a[k] ^= t << j
+		}
+		m ^= m << (j >> 1)
+	}
+}
+
+// changedID is the id of a patch's k-th changed set: ids, then the tail
+// from firstTail on.
+func changedID(ids []int64, firstTail int64, k int) int64 {
+	if k < len(ids) {
+		return ids[k]
+	}
+	return firstTail + int64(k-len(ids))
 }
 
 // splitRanges cuts the vertices into nr contiguous ranges and returns
@@ -352,10 +627,10 @@ func (p *shardedPool) patch(workers int, ids []int64, old *setStore) (members [p
 // into one range) up to the last. Weighing a vertex by its postings plus
 // one balances the copy and the offset stream together, and splits a pool
 // with no index yet by vertices alone.
-func splitRanges(nr int, idx []int64, postings int64) (bounds [poolShards + 1]int32) {
+func splitRanges(nr int, idx []int64) (bounds [poolShards + 1]int32) {
 	n := len(idx) - 1
 	for r := 1; r < nr; r++ {
-		target := (postings + int64(n)) * int64(r) / int64(nr)
+		target := (idx[n] + int64(n)) * int64(r) / int64(nr)
 		bounds[r] = int32(sort.Search(n, func(v int) bool { return idx[v]+int64(v) >= target })) &^ 63
 	}
 	bounds[nr] = int32(n)
@@ -405,34 +680,37 @@ func (p *shardedPool) membersUpTo(limit int64) int64 {
 	return p.sets.upTo(limit).members
 }
 
-// footprint reports resident pool bytes as they stand: set payloads for
-// the whole pool, index bytes only for what selection actually indexed.
-// A scan-mode run therefore reports IndexBytes 0 — it never builds the
-// inverted view — which is the memory/selection-speed trade-off the
-// harness sweep measures.
+// footprint reports the resident pool bytes as they stand: set payloads
+// for the whole pool, and the index's rows and lists as stored — only
+// for what selection actually indexed. A scan-mode run therefore reports
+// IndexBytes 0 — it never builds the inverted view. The n+1 offsets are
+// a fixed overhead WarmEngine.OverheadBytes counts.
 func (p *shardedPool) footprint() PoolFootprint {
-	// Postings payload: 4 bytes per member. The n+1 offset array is a
-	// fixed overhead excluded here so the figure stays comparable across
-	// pool sizes (WarmEngine.OverheadBytes counts it).
 	return PoolFootprint{
 		SetBytes:   p.sets.bytes(p.sets.upTo(p.count)),
-		IndexBytes: 4 * int64(len(p.postData)),
+		IndexBytes: p.post.bytes(),
 		RawBytes:   4 * p.totalMembers,
 	}
 }
 
-// footprintUpTo reports the footprint of the truncated view over global
-// set ids below limit, as a cold pool of that size would have reported
-// it after a CELF selection (index fully built over the view).
+// footprintUpTo reports the footprint of the view over global set ids
+// below limit as a cold pool of that size reports it after a CELF
+// selection: index bytes at 4 a posting — like RawBytes, the plain-slice
+// measure, so that the figure does not depend on the vertices' kinds —
+// and only when selection built the inverted view (a scan-mode pool never
+// does and reports IndexBytes 0, the memory/selection-speed trade-off the
+// harness sweep measures).
 func (p *shardedPool) footprintUpTo(limit int64) PoolFootprint {
 	if limit >= p.count {
-		return p.footprint()
+		f := p.footprint()
+		f.IndexBytes = 0
+		if p.post.idx != nil {
+			f.IndexBytes = 4 * p.post.idx[p.n]
+		}
+		return f
 	}
 	e := p.sets.upTo(limit)
 	f := PoolFootprint{SetBytes: p.sets.bytes(e), RawBytes: 4 * e.members}
-	// Charge index bytes only when selection actually built the inverted
-	// view (a scan-mode pool never does and reports IndexBytes 0, the
-	// same trade-off the full footprint reports).
 	if p.indexed > 0 {
 		f.IndexBytes = 4 * e.members
 	}

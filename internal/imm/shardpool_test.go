@@ -74,6 +74,46 @@ func SelectOnSetsScan(n int32, sets []rrr.Set, totalMembers int64, base *counter
 	return selectScan(&p.sets, len(sets), totalMembers, base, workers, update, k)
 }
 
+// counts returns every vertex's occurrence count as the index holds it.
+func (p *shardedPool) counts() []int64 {
+	c := make([]int64, p.n)
+	if p.post.idx != nil {
+		for v := range c {
+			c[v] = p.post.count(int32(v))
+		}
+	}
+	return c
+}
+
+// decoded returns the index as a plain CSR: each vertex's set ids,
+// ascending, whatever its kind.
+func (p *shardedPool) decoded() (idx []int64, data []int32) {
+	idx = make([]int64, p.n+1)
+	for v := int32(0); v < p.n; v++ {
+		list, row := p.post.at(v)
+		data = appendRow(append(data, list...), row, 0)
+		idx[v+1] = int64(len(data))
+	}
+	return idx, data
+}
+
+// sameIndex reports whether two indexes hold the same arrays.
+func sameIndex(a, b *postings) bool {
+	return a.words == b.words && slices.Equal(a.idx, b.idx) && slices.Equal(a.rowAt, b.rowAt) &&
+		slices.Equal(a.rowBase, b.rowBase) && slices.Equal(a.data, b.data) && slices.Equal(a.rows, b.rows)
+}
+
+// rebuilt returns the index a fresh pool builds over p's first indexed
+// sets in one patch.
+func (p *shardedPool) rebuilt() postings {
+	q := newShardedPool(p.n, p.sets.policy)
+	st, e := &p.sets, p.sets.upTo(p.indexed)
+	q.extend(st.sizes[:p.indexed:p.indexed], []run{{st.lists[:e.lists], st.rows[:int64(e.bitmaps)*st.words]}})
+	q.totalMembers = e.members
+	q.patch(1, nil, nil)
+	return q.post
+}
+
 // shardOf maps a global set id to its stripe of the oracle below: (shard,
 // local entry id).
 func shardOf(i int64) (int, int) { return int(i % poolShards), int(i / poolShards) }
@@ -314,9 +354,11 @@ func fuzzPolicy(raw byte) rrr.Policy {
 }
 
 // checkIndexAgainstNaive compares the pool's index with a map-based build
-// over model (members by global id) and with the oracle's merged
-// indexes. wantIndexed is how many sets the index must cover.
-func checkIndexAgainstNaive(t *testing.T, step int, p *shardedPool, model [][]int32, oracle *oracleIndex, wantIndexed int64) {
+// over model (members by global id), with the oracle's merged indexes and
+// with a from-scratch build, and checks each vertex's kind against its
+// count. wantIndexed is how many sets the index must cover. It returns
+// whether each vertex keeps a row.
+func checkIndexAgainstNaive(t *testing.T, step int, p *shardedPool, model [][]int32, oracle *oracleIndex, wantIndexed int64) []bool {
 	t.Helper()
 	var total int64
 	for i, want := range model {
@@ -337,11 +379,12 @@ func checkIndexAgainstNaive(t *testing.T, step int, p *shardedPool, model [][]in
 	if p.covered != nil && int64(p.covered.Len()) != p.indexed {
 		t.Fatalf("step %d: coverage scratch holds %d bits over %d sets", step, p.covered.Len(), p.indexed)
 	}
+	rows := make([]bool, p.n)
 	if p.indexed == 0 {
-		if p.postIdx != nil || p.postData != nil {
+		if p.post.idx != nil || p.post.data != nil || p.post.rows != nil {
 			t.Fatalf("step %d: index present over no sets", step)
 		}
-		return
+		return rows
 	}
 	byVertex := map[int32][]int32{}
 	for i := int64(0); i < p.indexed; i++ {
@@ -354,112 +397,196 @@ func checkIndexAgainstNaive(t *testing.T, step int, p *shardedPool, model [][]in
 		data = append(data, byVertex[v]...) // sets were visited ascending
 		idx[v+1] = int64(len(data))
 	}
-	if !slices.Equal(p.postIdx, idx) || !slices.Equal(p.postData, data) {
-		t.Fatalf("step %d: CSR diverged from the naive build\nidx  %v\nwant %v\ndata %v\nwant %v",
-			step, p.postIdx, idx, p.postData, data)
+	gotIdx, gotData := p.decoded()
+	if !slices.Equal(p.post.idx, idx) || !slices.Equal(gotData, data) || !slices.Equal(gotIdx, idx) {
+		t.Fatalf("step %d: index diverged from the naive build\nidx  %v\nwant %v\ndata %v\nwant %v",
+			step, p.post.idx, idx, gotData, data)
 	}
-	if p.indexed == p.count && int64(len(p.postData)) != p.totalMembers {
-		t.Fatalf("step %d: %d postings over %d members", step, len(p.postData), p.totalMembers)
+	if p.indexed == p.count && p.post.idx[p.n] != p.totalMembers {
+		t.Fatalf("step %d: %d postings over %d members", step, p.post.idx[p.n], p.totalMembers)
 	}
-	if oidx, odata := oracle.merged(); !slices.Equal(p.postIdx, oidx) || !slices.Equal(p.postData, odata) {
-		t.Fatalf("step %d: CSR diverged from the merged per-shard oracle", step)
+	if oidx, odata := oracle.merged(); !slices.Equal(gotIdx, oidx) || !slices.Equal(gotData, odata) {
+		t.Fatalf("step %d: index diverged from the merged per-shard oracle", step)
+	}
+	if want := p.rebuilt(); !sameIndex(&p.post, &want) {
+		t.Fatalf("step %d: patched index differs from a from-scratch build", step)
+	}
+	if p.post.words != (p.indexed+63)/64 {
+		t.Fatalf("step %d: rows of %d words over %d sets", step, p.post.words, p.indexed)
 	}
 	for v := int32(0); v < p.n; v++ {
-		seg := p.postData[p.postIdx[v]:p.postIdx[v+1]]
-		for k := 1; k < len(seg); k++ {
-			if seg[k-1] >= seg[k] {
-				t.Fatalf("step %d: segment of vertex %d not strictly ascending: %v", step, v, seg)
-			}
+		rows[v] = p.post.isRow(v)
+		if want := p.sets.policy.Dense(int32(p.indexed), int(p.post.count(v))); rows[v] != want {
+			t.Fatalf("step %d: vertex %d in %d of %d sets keeps a row = %v", step, v, p.post.count(v), p.indexed, rows[v])
 		}
 	}
+	return rows
 }
 
-// FuzzShardIndexPatch drives a pool through a script of three-byte steps
-// (op, count, shape): grow by count sets and index them through
-// ensureIndexed (op 0) or indexNewSets (op 1), grow without indexing as
-// a remote generator does (op 2), or replace count random resident
-// slots with fresh sets (op 3), checking the index against the naive
-// build and the per-shard oracle after each. The pool stores a set as the
-// density threshold policyRaw names (fuzzPolicy) says for its size.
-func FuzzShardIndexPatch(f *testing.F) {
-	f.Add(uint64(1), uint16(299), byte(0), byte(16), []byte{0, 40, shapeFew})                                       // first build
-	f.Add(uint64(2), uint16(7), byte(1), byte(128), []byte{1, 60, shapeDense, 1, 60, shapeDense, 3, 9, shapeDense}) // every vertex touched
-	f.Add(uint64(3), uint16(4000), byte(1), byte(0), []byte{0, 50, shapeFew, 0, 1, shapeSingle, 3, 1, shapeSingle}) // one vertex touched, n ≫ sets
-	f.Add(uint64(4), uint16(63), byte(2), byte(2), []byte{0, 0, 0, 1, 5, shapeFew, 0, 0, 0, 1, 3, shapeEnds, 3, 4, shapeEnds, 0, 90, shapeSingle})
-	f.Add(uint64(5), uint16(500), byte(3), byte(64), []byte{3, 3, 0, 2, 30, shapeFew, 3, 5, shapeDense, 0, 20, shapeFew, 2, 40, shapeEnds, 3, 30, shapeFew, 1, 0, 0})
-	f.Add(uint64(6), uint16(0), byte(0), byte(255), []byte{0, 20, shapeSingle, 3, 20, shapeSingle})
-	f.Add(uint64(7), uint16(2), byte(3), byte(100), []byte{1, 70, shapeEnds, 3, 40, shapeEnds, 2, 9, shapeFew, 3, 40, shapeSingle}) // more ranges than vertices
-	f.Add(uint64(8), uint16(1200), byte(3), byte(1), []byte{0, 200, shapeFew, 1, 200, shapeDense, 3, 40, shapeFew, 0, 255, shapeEnds})
-	f.Fuzz(func(t *testing.T, seed uint64, nRaw uint16, workersRaw, policyRaw byte, script []byte) {
-		n := 1 + int32(nRaw%4099)
-		workers := []int{1, 2, 3, 8}[workersRaw%4]
-		r := rng.New(seed)
-		policy := fuzzPolicy(policyRaw)
-		p := newShardedPool(n, policy)
-		oracle := &oracleIndex{n: n}
-		var model [][]int32
-		for step := 0; 3*step+2 < len(script) && step < 24; step++ {
-			op, count, shape := script[3*step]%4, int(script[3*step+1]), script[3*step+2]
-			wantIndexed := p.indexed
-			if op < 3 {
-				from, to, err := p.grow(p.count + int64(count))
-				if err != nil {
-					t.Fatal(err)
-				}
-				members := make([]int64, 1)
-				var sets []rrr.Set
-				for i := from; i < to; i++ {
-					set, vs := fuzzSet(r, n, shape, policy)
-					sets = append(sets, set)
-					oracle.put(i, set)
-					model = append(model, vs)
-					members[0] += int64(len(vs))
-				}
-				p.putAll(sets)
-				p.addMembers(members)
-				switch op {
-				case 0:
-					p.ensureIndexed(workers, make([]int64, workers))
-				case 1:
-					p.indexNewSets(workers)
-				}
-				if op < 2 {
-					oracle.extend()
-					wantIndexed = p.count
-				}
-			} else if p.count > 0 && count > 0 {
-				picked := map[int64]bool{}
-				for range min(count, 40) {
-					picked[int64(r.Uint32n(uint32(p.count)))] = true
-				}
-				var ids []int64
-				for i := range picked {
-					ids = append(ids, i)
-				}
-				slices.Sort(ids)
-				sets := make([]rrr.Set, len(ids))
-				for k, i := range ids {
-					sets[k], model[i] = fuzzSet(r, n, shape, policy)
-				}
-				if p.indexed > 0 {
-					oracle.replace(ids, sets)
-					wantIndexed = p.count
-				} else {
-					for k, i := range ids {
-						oracle.put(i, sets[k])
-					}
-				}
-				sizes, r := p.payload(sets)
-				p.replace(ids, sizes, r, workers)
+// patchFlips counts the vertices that changed kind across patches, by the
+// operation that patched: flips[op][0] a list becoming a row, [1] a row
+// becoming a list (op 0 extension, 1 repair).
+type patchFlips [2][2]int
+
+// runPatchScript drives a pool through a script of three-byte steps (op,
+// count, shape): grow by count sets and index them through ensureIndexed
+// (op 0) or indexNewSets (op 1), grow without indexing as a remote
+// generator does (op 2), or replace count random resident slots with
+// fresh sets (op 3), checking the index after each. The pool stores a set
+// as the density threshold policyRaw names (fuzzPolicy) says for its size,
+// and a vertex's postings likewise for its count.
+func runPatchScript(t *testing.T, seed uint64, nRaw uint16, workersRaw, policyRaw byte, script []byte) (flips patchFlips) {
+	n := 1 + int32(nRaw%4099)
+	workers := []int{1, 2, 3, 8}[workersRaw%4]
+	r := rng.New(seed)
+	policy := fuzzPolicy(policyRaw)
+	p := newShardedPool(n, policy)
+	oracle := &oracleIndex{n: n}
+	var model [][]int32
+	rows := make([]bool, n)
+	for step := 0; 3*step+2 < len(script) && step < 24; step++ {
+		op, count, shape := script[3*step]%4, int(script[3*step+1]), script[3*step+2]
+		wantIndexed := p.indexed
+		if op < 3 {
+			from, to, err := p.grow(p.count + int64(count))
+			if err != nil {
+				t.Fatal(err)
 			}
-			checkIndexAgainstNaive(t, step, p, model, oracle, wantIndexed)
+			members := make([]int64, 1)
+			var sets []rrr.Set
+			for i := from; i < to; i++ {
+				set, vs := fuzzSet(r, n, shape, policy)
+				sets = append(sets, set)
+				oracle.put(i, set)
+				model = append(model, vs)
+				members[0] += int64(len(vs))
+			}
+			p.putAll(sets)
+			p.addMembers(members)
+			switch op {
+			case 0:
+				p.ensureIndexed(workers, make([]int64, workers))
+			case 1:
+				p.indexNewSets(workers)
+			}
+			if op < 2 {
+				oracle.extend()
+				wantIndexed = p.count
+			}
+		} else if p.count > 0 && count > 0 {
+			picked := map[int64]bool{}
+			for range min(count, 40) {
+				picked[int64(r.Uint32n(uint32(p.count)))] = true
+			}
+			var ids []int64
+			for i := range picked {
+				ids = append(ids, i)
+			}
+			slices.Sort(ids)
+			sets := make([]rrr.Set, len(ids))
+			for k, i := range ids {
+				sets[k], model[i] = fuzzSet(r, n, shape, policy)
+			}
+			if p.indexed > 0 {
+				oracle.replace(ids, sets)
+				wantIndexed = p.count
+			} else {
+				for k, i := range ids {
+					oracle.put(i, sets[k])
+				}
+			}
+			sizes, r := p.payload(sets)
+			p.replace(ids, sizes, r, workers)
 		}
+		now := checkIndexAgainstNaive(t, step, p, model, oracle, wantIndexed)
+		for v, row := range now {
+			if row != rows[v] {
+				flips[op/3][map[bool]int{true: 0, false: 1}[row]]++
+			}
+		}
+		rows = now
+	}
+	return flips
+}
+
+// FuzzShardIndexPatch runs fuzzed scripts through runPatchScript. The
+// seeds drive vertices across the row threshold both ways, under
+// extension and repair (TestPatchFlipsKinds pins which do).
+func FuzzShardIndexPatch(f *testing.F) {
+	for _, c := range patchScripts {
+		f.Add(c.seed, c.nRaw, c.workersRaw, c.policyRaw, c.script)
+	}
+	f.Fuzz(func(t *testing.T, seed uint64, nRaw uint16, workersRaw, policyRaw byte, script []byte) {
+		runPatchScript(t, seed, nRaw, workersRaw, policyRaw, script)
 	})
 }
 
+// patchScripts are FuzzShardIndexPatch's seeds.
+var patchScripts = []struct {
+	seed                  uint64
+	nRaw                  uint16
+	workersRaw, policyRaw byte
+	script                []byte
+}{
+	{1, 299, 0, 16, []byte{0, 40, shapeFew}},                                       // first build
+	{2, 7, 1, 128, []byte{1, 60, shapeDense, 1, 60, shapeDense, 3, 9, shapeDense}}, // every vertex touched
+	{3, 4000, 1, 0, []byte{0, 50, shapeFew, 0, 1, shapeSingle, 3, 1, shapeSingle}}, // one vertex touched, n ≫ sets
+	{4, 63, 2, 2, []byte{0, 0, 0, 1, 5, shapeFew, 0, 0, 0, 1, 3, shapeEnds, 3, 4, shapeEnds, 0, 90, shapeSingle}},
+	{5, 500, 3, 64, []byte{3, 3, 0, 2, 30, shapeFew, 3, 5, shapeDense, 0, 20, shapeFew, 2, 40, shapeEnds, 3, 30, shapeFew, 1, 0, 0}},
+	{6, 0, 0, 255, []byte{0, 20, shapeSingle, 3, 20, shapeSingle}},
+	{7, 2, 3, 100, []byte{1, 70, shapeEnds, 3, 40, shapeEnds, 2, 9, shapeFew, 3, 40, shapeSingle}}, // more ranges than vertices
+	{8, 1200, 3, 1, []byte{0, 200, shapeFew, 1, 200, shapeDense, 3, 40, shapeFew, 0, 255, shapeEnds}},
+	// Rows come and go: dense sets push vertices over the threshold, a
+	// sparse extension raises it past them, dense sets push them back, and
+	// replacing dense sets with sparse ones drops them under it.
+	{9, 200, 1, 16, []byte{0, 40, shapeDense, 0, 255, shapeSingle, 1, 120, shapeDense, 3, 40, shapeSingle, 3, 40, shapeDense, 3, 40, shapeFew}},
+	{10, 130, 3, 64, []byte{1, 90, shapeDense, 3, 40, shapeFew, 3, 40, shapeFew, 0, 200, shapeEnds, 2, 30, shapeDense, 3, 20, shapeDense, 0, 1, 0}},
+}
+
+// TestPatchFlipsKinds pins that the fuzz seeds move vertices across the
+// row threshold in both directions under both extension and repair.
+func TestPatchFlipsKinds(t *testing.T) {
+	var all patchFlips
+	for _, c := range patchScripts {
+		flips := runPatchScript(t, c.seed, c.nRaw, c.workersRaw, c.policyRaw, c.script)
+		for op := range flips {
+			for dir := range flips[op] {
+				all[op][dir] += flips[op][dir]
+			}
+		}
+	}
+	for op, name := range []string{"extension", "repair"} {
+		for dir, what := range []string{"a list became a row", "a row became a list"} {
+			if all[op][dir] == 0 {
+				t.Errorf("no seed's %s: %s", name, what)
+			}
+		}
+	}
+	t.Logf("kind flips (extension, repair) × (to row, to list): %v", all)
+}
+
+// TestTranspose64 checks the block transpose against the definition.
+func TestTranspose64(t *testing.T) {
+	r := rng.New(3)
+	var a [64]uint64
+	for i := range a {
+		a[i] = r.Uint64() & r.Uint64() // sparse enough that a misplaced bit shows
+	}
+	want := a
+	transpose64(&a)
+	for i := range 64 {
+		for j := range 64 {
+			if a[i]>>j&1 != want[j]>>i&1 {
+				t.Fatalf("bit %d of word %d is %d, bit %d of word %d was %d", j, i, a[i]>>j&1, i, j, want[j]>>i&1)
+			}
+		}
+	}
+}
+
 // TestExtendAllocs pins the retained scratch: a steady-state extension
-// round allocates the index's two result arrays and the closure of the
-// patch's fork-join, and nothing else.
+// round over a pool whose vertices all keep lists allocates the index's
+// two result arrays and the closures of the patch's two fork-joins, and
+// nothing else.
 func TestExtendAllocs(t *testing.T) {
 	const n = 4096
 	const first, rounds, per = 65, 6, 4
@@ -486,8 +613,11 @@ func TestExtendAllocs(t *testing.T) {
 	}
 	extend(first)
 	allocs := testing.AllocsPerRun(rounds-1, func() { extend(per) })
-	if allocs > 3 {
-		t.Fatalf("extension round allocated %.0f times, want the two result arrays and the fork-join's closure", allocs)
+	if p.post.rowAt != nil {
+		t.Fatal("fixture's index has rows")
+	}
+	if allocs > 4 {
+		t.Fatalf("extension round allocated %.0f times, want the two result arrays and the fork-joins' closures", allocs)
 	}
 }
 
@@ -518,10 +648,10 @@ func TestExtendDoesNotWriteFrozenIndex(t *testing.T) {
 		if st.PostIdx == nil {
 			t.Fatal("pool froze without an index")
 		}
-		idx, data := slices.Clone(st.PostIdx), slices.Clone(st.PostData)
+		idx, data, rows := slices.Clone(st.PostIdx), slices.Clone(st.PostData), slices.Clone(st.PostRows)
 		return func(after string) {
 			t.Helper()
-			if !slices.Equal(st.PostIdx, idx) || !slices.Equal(st.PostData, data) {
+			if !slices.Equal(st.PostIdx, idx) || !slices.Equal(st.PostData, data) || !slices.Equal(st.PostRows, rows) {
 				t.Fatalf("frozen index changed after %s", after)
 			}
 		}
@@ -589,7 +719,7 @@ func BenchmarkIndexExtend(b *testing.B) {
 					p.extend(all.sets.sizes[:hi:hi], []run{{all.sets.lists[a.lists:z.lists],
 						all.sets.rows[int64(a.bitmaps)*all.sets.words : int64(z.bitmaps)*all.sets.words]}})
 					p.totalMembers += z.members - a.members
-					p.selectCELF(nil, 1, 1, p.count)
+					p.selectCELF(false, 1, 1, p.count)
 				}
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(postings), "ns/posting")

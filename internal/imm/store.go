@@ -7,7 +7,7 @@ import (
 	"repro/internal/rrr"
 )
 
-// setStore holds a pool's sets in set-id order, as .impool v5 lays them
+// setStore holds a pool's sets in set-id order, as .impool v6 lays them
 // out: sizes[i] is set i's member count, and the policy's Dense(n, size)
 // names its representation — a run of sorted members in lists, or a row
 // of (n+63)/64 words in rows. A set's payload starts where those of its

@@ -16,13 +16,16 @@ import (
 //   - RRRsets partitioning: selection work is split over the sets, not
 //     the vertices, so per-worker selection cost is Σ|R|/p and shrinks
 //     with the worker count (Algorithm 2).
-//   - Concurrent global counter: occurrence counts live in one shared
-//     array updated with 64-bit atomic adds; the argmax is the two-step
-//     regional/global parallel reduction.
-//   - Kernel fusion: each set increments the global counter immediately
-//     after generation while it is still hot (Algorithm 3 lines 14-16).
+//   - Concurrent global counter: the scan kernel's occurrence counts live
+//     in one shared array updated with 64-bit atomic adds; the argmax is
+//     the two-step regional/global parallel reduction. CELF reads the
+//     counts off its inverted index instead.
+//   - Kernel fusion: each round's sets are counted while still hot
+//     (Algorithm 3 lines 14-16) — folded into the index by Stage B, or
+//     into the scan kernel's counter as each is drawn.
 //   - Adaptive representation: dense sets become bitmaps, sparse sets
-//     stay sorted lists.
+//     stay sorted lists; so do the index's postings of a vertex that is
+//     in many sets, or in few.
 //   - Adaptive counter update: seed retirement either decrements covered
 //     sets or rebuilds from survivors, whichever touches less data.
 //   - Dynamic job balancing: generation jobs are spread over
@@ -30,9 +33,9 @@ import (
 //
 // Run drives a fresh one through one query. The serving layer
 // (internal/serve), internal/dist, thaw and repair keep one alive across
-// queries: its RRR pool — and, under kernel fusion, the global
-// occurrence counter — is retained, so a query only pays for the sets
-// its θ trajectory needs beyond what earlier queries already generated.
+// queries: its RRR pool — whose inverted index holds the occurrence
+// counts — is retained, so a query only pays for the sets its θ
+// trajectory needs beyond what earlier queries already generated.
 //
 // Correctness of that reuse rests on two properties of the engine:
 //
@@ -64,12 +67,11 @@ type WarmEngine struct {
 	bd  Breakdown
 
 	policy rrr.Policy
-	// base holds occurrence counts over the whole pool, maintained
-	// incrementally by kernel fusion; baseFresh reports that it covers
-	// every pool member (false when fusion is off, so selection rebuilds
-	// its counts from the sets).
-	base      *counter.Counter
-	baseFresh bool
+	// base holds occurrence counts over the whole pool for the scan
+	// kernel, maintained incrementally by kernel fusion (without it, scan
+	// selection rebuilds its counts from the sets). Nil under CELF, whose
+	// counts are the index's.
+	base *counter.Counter
 	// gen holds the generation kernel's per-worker samplers and
 	// generators (fused.go), persistent across Generate calls.
 	gen []*genWorker
@@ -93,9 +95,9 @@ type WarmEngine struct {
 // the one constructor behind Run, the serving layer and ThawWarmEngine.
 // Only the Efficient engine supports warm reuse (the Ripples baseline
 // keeps no incremental index); opt's per-query fields (K, Epsilon) are
-// ignored — each query's RunEngine call carries its own. The fields that
-// shape pool bytes (AdaptiveRep, RepThreshold) and the RNG seed must stay
-// fixed for the engine's lifetime: they define which pool this is.
+// ignored — each query's RunEngine call carries its own. The field that
+// shapes pool bytes (AdaptiveRep) and the RNG seed must stay fixed for the
+// engine's lifetime: they define which pool this is.
 func NewWarmEngine(g *graph.Graph, opt Options) (*WarmEngine, error) {
 	if err := opt.normalize(g); err != nil {
 		return nil, err
@@ -104,17 +106,21 @@ func NewWarmEngine(g *graph.Graph, opt Options) (*WarmEngine, error) {
 		return nil, fmt.Errorf("imm: warm reuse requires the Efficient engine, got %v", opt.Engine)
 	}
 	policy := PolicyFromOptions(opt)
-	return &WarmEngine{
+	w := &WarmEngine{
 		g:      g,
 		opt:    opt,
 		p:      newShardedPool(g.N, policy),
 		policy: policy,
-		base:   counter.New(g.N),
-	}, nil
+	}
+	if opt.Selection == SelectScan {
+		w.base = counter.New(g.N)
+	}
+	return w, nil
 }
 
 // BeginQuery resets the logical pool view for a new query. The physical
-// pool (and the fused counter) are retained — that is the reuse.
+// pool (and a scan engine's fused counter) are retained — that is the
+// reuse.
 func (w *WarmEngine) BeginQuery() { w.limit = 0 }
 
 // Generate extends the logical view to target sets, physically
@@ -143,25 +149,26 @@ func (w *WarmEngine) Generate(target int64) {
 // — coverage marks live in per-call scratch and the base counter is only
 // read — so the pool can keep growing across θ-estimation rounds, and
 // both return byte-identical seed sequences. When the view covers the
-// whole physical pool and fusion kept the base counter current, the
-// fused counts seed the gains; a truncated view derives the same counts
-// from posting prefixes.
+// whole physical pool under fusion, the fused counts seed the gains (the
+// scan kernel's counter, CELF's index counts); a truncated view derives
+// the same counts from the sets or posting prefixes.
 func (w *WarmEngine) SelectSeeds(k int) ([]int32, float64) {
 	start := time.Now()
 	defer func() { w.bd.SelectionWall += time.Since(start) }()
 	w.selections++
 
-	var base *counter.Counter
-	if w.limit == w.p.len() && w.baseFresh {
-		base = w.base
-	}
+	fused := w.opt.Fusion && w.limit == w.p.len()
 	var seeds []int32
 	var cov float64
 	var ops float64
 	if w.opt.Selection == SelectScan {
+		var base *counter.Counter
+		if fused {
+			base = w.base
+		}
 		seeds, cov, ops = selectScan(&w.p.sets, int(w.limit), w.p.membersUpTo(w.limit), base, w.opt.Workers, w.opt.Update, k)
 	} else {
-		seeds, cov, ops = w.p.selectCELF(base, w.opt.Workers, k, w.limit)
+		seeds, cov, ops = w.p.selectCELF(fused, w.opt.Workers, k, w.limit)
 	}
 	w.bd.SelectionModeled += ops
 	return seeds, cov
@@ -193,20 +200,27 @@ func (w *WarmEngine) PhysicalSets() int64 { return w.p.len() }
 func (w *WarmEngine) PhysicalFootprint() PoolFootprint { return w.p.footprint() }
 
 // OverheadBytes reports the engine-resident memory outside the pool
-// representation itself, arrays by capacity: the fused occurrence counter
-// (8 bytes per vertex), the coverage scratch (one bit per set), the set
-// sizes and block summaries (4 bytes a set, 24 per 64) and the store's
-// spare capacity, the seeds the selection memo remembers (at most 4 bytes
-// per vertex), and what indexing and selecting leave beside the postings:
-// the offset array (8 bytes per vertex), the CELF heap slab and gain
-// versions (16 + 4) and the index patch's marks and decode buffers (4,
-// plus a set's members per writer). The serving layer adds it to the pool
-// footprint so its byte budget bounds what a warm engine keeps resident.
+// representation itself, arrays by capacity: a scan engine's fused
+// occurrence counter (8 bytes per vertex), the coverage scratch (one bit
+// per set), the set sizes and block summaries (4 bytes a set, 24 per 64)
+// and the store's spare capacity, the seeds the selection memo remembers
+// (at most 4 bytes per vertex), and what indexing and selecting leave
+// beside the rows and lists: the offsets (8 bytes per vertex, 4 more and
+// 8 per row once a vertex keeps a row) and the index's spare capacity, the
+// CELF heap slab and gain versions (16 + 4) and the index patch's marks,
+// vertex and id bits and decode buffers (4 and 1/8, plus a set's members
+// per writer). The serving layer adds it to the pool footprint so its
+// byte budget bounds what a warm engine keeps resident.
 func (w *WarmEngine) OverheadBytes() int64 {
-	p, st := w.p, &w.p.sets
-	return 8*int64(w.g.N) + p.len()/8 + 4*int64(cap(st.sizes)) + 24*int64(cap(st.blocks)) +
+	p, st, ix := w.p, &w.p.sets, &w.p.post
+	var base int64
+	if w.base != nil {
+		base = 8 * int64(w.g.N)
+	}
+	return base + p.len()/8 + 4*int64(cap(st.sizes)) + 24*int64(cap(st.blocks)) +
 		4*int64(cap(st.lists)-len(st.lists)) + 8*int64(cap(st.rows)-len(st.rows)) + p.memo.bytes() +
-		8*int64(cap(p.postIdx)) + 4*int64(cap(p.postData)-len(p.postData)) +
+		8*int64(cap(ix.idx)) + 4*int64(cap(ix.rowAt)) + 8*int64(cap(ix.rowBase)) +
+		4*int64(cap(ix.data)-len(ix.data)) + 8*int64(cap(ix.rows)-len(ix.rows)) +
 		16*int64(cap(p.heapScratch)) + 4*int64(cap(p.versionScratch)) + p.scratch.bytes()
 }
 

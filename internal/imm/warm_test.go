@@ -380,9 +380,11 @@ func TestNewWarmEngineRejectsRipples(t *testing.T) {
 // engine actually holds beside its sets and postings, summed from the
 // arrays themselves: the set store's sizes and block summaries and its
 // arrays' spare capacity, and once the pool is indexed and selected over,
-// the offset array, the heap slab, the gain versions, the remembered seeds
-// and the patch's marks and decode buffers. The footprint — what
-// BENCH_baseline.json records — counts none of it.
+// the offsets (with the row vertices' ranks and bases: this IC pool has
+// rows), the heap slab, the gain versions, the remembered seeds and the
+// patch's marks, bits and decode buffers. The view's footprint — what
+// BENCH_baseline.json records — counts none of it, and prices postings at
+// 4 bytes; the physical footprint holds the rows and lists as stored.
 func TestOverheadBytesCoversScratch(t *testing.T) {
 	g := testGraph(t, 9, graph.IC)
 	opt := testOpts(Efficient, 2)
@@ -395,19 +397,30 @@ func TestOverheadBytesCoversScratch(t *testing.T) {
 	if want := 8*int64(g.N) + p.len()/8 + store; bare != want || foot.IndexBytes != 0 {
 		t.Fatalf("before any selection: OverheadBytes %d, want %d; footprint %+v", bare, want, foot)
 	}
-	seeds, _, _ := p.selectCELF(nil, 2, 5, p.len())
-	held := 8*int64(cap(p.postIdx)) + int64(unsafe.Sizeof(counter.GainItem{}))*int64(cap(p.heapScratch)) +
-		4*int64(cap(p.versionScratch)) + 4*int64(len(seeds)) + 4*int64(cap(p.scratch.mark)) + 8*int64(len(p.scratch.drop.Words()))
+	seeds, _, _ := p.selectCELF(false, 2, 5, p.len())
+	ix := &p.post
+	if ix.rowAt == nil || len(ix.data) == 0 {
+		t.Fatal("fixture's index has no rows or no lists")
+	}
+	offsets := 8*int64(cap(ix.idx)) + 4*int64(cap(ix.rowAt)) + 8*int64(cap(ix.rowBase))
+	held := offsets + int64(unsafe.Sizeof(counter.GainItem{}))*int64(cap(p.heapScratch)) +
+		4*int64(cap(p.versionScratch)) + 4*int64(len(seeds)) + 4*int64(cap(p.scratch.mark)) +
+		8*int64(len(p.scratch.drop.Words()))
 	var bufs int64
 	for _, buf := range p.scratch.bufs {
 		bufs += 4 * int64(cap(buf))
 	}
-	if grown := we.OverheadBytes() - bare; grown != held+bufs || held != int64(8*(int(g.N)+1)+24*int(g.N)+4*len(seeds)) || bufs == 0 {
+	rows := int64(len(ix.rowBase) - 1)
+	if grown := we.OverheadBytes() - bare; grown != held+bufs || offsets != 12*(int64(g.N)+1)+8*(rows+1) ||
+		held != offsets+24*int64(g.N)+4*int64(len(seeds)) {
 		t.Fatalf("indexing and selecting grew OverheadBytes by %d; the arrays hold %d", grown, held)
 	}
 	after := we.PhysicalFootprint()
-	if after.SetBytes != foot.SetBytes || after.RawBytes != foot.RawBytes || after.IndexBytes != 4*p.totalMembers {
+	if after.SetBytes != foot.SetBytes || after.RawBytes != foot.RawBytes || after.IndexBytes != 4*int64(len(ix.data))+8*int64(len(ix.rows)) {
 		t.Fatalf("footprint moved with the scratch: %+v -> %+v", foot, after)
+	}
+	if view := we.FootprintUpTo(p.len()); view.IndexBytes != 4*p.totalMembers {
+		t.Fatalf("view footprint prices %d postings at %d bytes", p.totalMembers, view.IndexBytes)
 	}
 }
 

@@ -6,13 +6,16 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
+	"math/bits"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/imm"
 )
 
 // goldenDeltas are the .imdelta images TestContainerGoldenBytes pins.
@@ -69,7 +72,7 @@ func seedOtherFormats(f *testing.F, own string) {
 
 // TestContainerGoldenBytes pins the on-disk bytes of all three formats
 // to sha256 digests recorded before the formats shared a container
-// codec (the .impool ones re-recorded at format version 5): a codec
+// codec (the .impool ones re-recorded at format version 6): a codec
 // change that moves a single byte of any image fails here, where the
 // canonicality tests (same build, same bytes) cannot.
 func TestContainerGoldenBytes(t *testing.T) {
@@ -79,10 +82,10 @@ func TestContainerGoldenBytes(t *testing.T) {
 		"imdelta/implicit":    "a73ee1d1c207eac37bc3c81d7cc9c5999e82dfed2518e72842caca25f5193715",
 		"imdelta/explicit":    "94b92b122165eef48bafa42eab9f692e8d9bdc27d64f9cb2b89ed04e1bfc54cc",
 		"imdelta/empty":       "3074790baa5a2d9c770555fce4581752fdcefb1c4faf62b62e00484d3652085c",
-		"impool/lists":        "8841dddc4845ae8f2c75416ba23a9541492af84222ea7a03041f9f1a85fc7b42",
-		"impool/bitmaps":      "dee6d3e8af5dd0d40c36cea085b76b888544e333bfb76fb42a8670a017e39551",
-		"impool/unindexed":    "631840203a52a0a83e73a980461cd16dc308534370fcc8fd0075bd6923fad73b",
-		"impool/empty shards": "6680f59c2e4273b35879724b5779b45d9c396703816eb218b7783a7da96020b3",
+		"impool/lists":        "fcc351538512aae203de0b0da7ff94a50e84a8cd6bda6276f78f6da5a4e39fb5",
+		"impool/bitmaps":      "fb85677cd4f855a6e985d44f43d81e62be600a2904aa19c9ac37950bdd805ee0",
+		"impool/unindexed":    "e0638647bcfcb31756b4a9f323df5583d7abdfd5298e8daf4e3298fa916d7fb9",
+		"impool/empty shards": "94f064f94fb82a4ae87d8fc6addc1015347810d5b7b1a15829bd1770ecd782e2",
 	}
 	images := containerImages(t)
 	if len(images) != len(want) {
@@ -96,16 +99,17 @@ func TestContainerGoldenBytes(t *testing.T) {
 	}
 }
 
-// TestPoolVersion5RetainsContent pins how .impool version 5 grew out of
-// version 4: the 16 shards' Sizes, ListData and BitmapData sections became
-// one of each in set-id order, the metadata block lost its shard-count
-// word, and nothing else moved. want holds the sha256 of each of the 8
-// section payloads, in file order, recorded from the version-4 images of
-// the same fixtures: the metadata block's first 6 words, the three set
-// sections de-striped into id order, and the index and memo sections as
-// version 4 stored them.
-func TestPoolVersion5RetainsContent(t *testing.T) {
-	want := map[string][poolSectionN]string{
+// TestPoolVersion6RetainsContent pins how .impool version 6 grew out of
+// version 5: the metadata block lost its density-threshold word, the
+// index's one run of postings split into PostData (the vertices that keep
+// lists) and PostRows (those that keep rows), and nothing else moved.
+// want holds the sha256 of each of version 5's 8 section payloads, in
+// file order, recorded from the version-5 images of the same fixtures.
+// Each is rebuilt from the version-6 image: the metadata block with its
+// zero threshold word put back, the postings decoded into one ascending
+// run of set ids per vertex, and every other section as stored.
+func TestPoolVersion6RetainsContent(t *testing.T) {
+	want := map[string][8]string{
 		"impool/lists": {
 			"397592d99815fd51c9e622713ceceec8a51eee20889834f5eedb8193304cd1ee",
 			"e1cee89055067d13209073831eb937437ddbc7f97e7a77b077ffda26fecefaf7",
@@ -156,14 +160,49 @@ func TestPoolVersion5RetainsContent(t *testing.T) {
 		}
 		seen++
 		if n := le.Uint32(im.data[40:]); n != poolSectionN {
-			t.Fatalf("%s: %d sections, version 5 has %d", im.name, n, poolSectionN)
+			t.Fatalf("%s: %d sections, version 6 has %d", im.name, n, poolSectionN)
 		}
-		for i := range poolSectionN {
+		payload := func(i int) []byte {
 			e := im.data[headerSize+i*entrySize:]
 			off, n := int64(le.Uint64(e[8:])), int64(le.Uint64(e[16:]))
-			sum := sha256.Sum256(im.data[off : off+n])
+			return im.data[off : off+n]
+		}
+		st, _, err := ReadPoolSnapshot(bytes.NewReader(im.data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		meta := payload(poolSecMeta)
+		var postings []byte
+		if st.PostIdx != nil {
+			policy := imm.PolicyFromOptions(imm.Options{AdaptiveRep: st.AdaptiveRep})
+			words := (st.Count + 63) / 64
+			var list, rows int64
+			for v := range st.N {
+				c := st.PostIdx[v+1] - st.PostIdx[v]
+				if !policy.Dense(int32(st.Count), int(c)) {
+					for _, id := range st.PostData[list : list+c] {
+						postings = le.AppendUint32(postings, uint32(id))
+					}
+					list += c
+					continue
+				}
+				for wi, w := range st.PostRows[rows : rows+words] {
+					for ; w != 0; w &= w - 1 {
+						postings = le.AppendUint32(postings, uint32(wi<<6+bits.TrailingZeros64(w)))
+					}
+				}
+				rows += words
+			}
+		}
+		v5 := [8][]byte{
+			slices.Concat(meta[:32], make([]byte, 8), meta[32:]),
+			payload(poolSecSizes), payload(poolSecListData), payload(poolSecBitmapData),
+			payload(poolSecPostIdx), postings, payload(poolSecMemo), payload(poolSecMemoSeeds),
+		}
+		for i, data := range v5 {
+			sum := sha256.Sum256(data)
 			if got := hex.EncodeToString(sum[:]); got != golden[i] {
-				t.Errorf("%s: section %d payload sha256 %s, recorded %s", im.name, i, got, golden[i])
+				t.Errorf("%s: version-5 section %d payload sha256 %s, recorded %s", im.name, i, got, golden[i])
 			}
 		}
 	}

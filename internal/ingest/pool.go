@@ -11,7 +11,7 @@ import (
 	"repro/internal/imm"
 )
 
-// The .impool binary pool-snapshot format, version 5 — the warm-pool
+// The .impool binary pool-snapshot format, version 6 — the warm-pool
 // persistence companion to .imsnap/.imdelta: a container (container.go)
 // holding one frozen pool, which a reader either stream-decodes or maps
 // and aliases in place.
@@ -20,16 +20,19 @@ import (
 //	word     flags (bit 1: adaptive representation; every other bit must be clear)
 //	words    pool RNG seed, N (vertices of the bound graph), pool length (slots generated)
 //
-// 8 sections. Section 0 is the metadata block: 6 little-endian int64
+// 9 sections. Section 0 is the metadata block: 5 little-endian int64
 // words — graph edge count M, graph delta epoch, total pool members Σ|R|,
-// the GraphChecksum content fingerprint, the representation density
-// threshold (float64 bits) and the diffusion model. Then the set storage
-// in set-id order: Sizes (i32 per set), ListData (i32), BitmapData (u64).
-// A set's size decides its representation: the adaptive flag and the
-// density threshold give the policy, and rrr.Policy.Dense of the size
-// says bitmap row or sorted list, so the file records no kind. Then the
-// pool's one inverted index: PostIdx (i64, N+1 offsets, or empty when
-// the pool is unindexed) and PostData (i32, global set ids). Then the
+// the GraphChecksum content fingerprint and the diffusion model. Then the
+// set storage in set-id order: Sizes (i32 per set), ListData (i32),
+// BitmapData (u64). A set's size decides its representation: the adaptive
+// flag gives the policy (imm.PolicyFromOptions), and rrr.Policy.Dense of
+// the size says bitmap row or sorted list, so the file records no kind.
+// Then the pool's one inverted index: PostIdx (i64, N+1 offsets over the
+// vertices' occurrence counts, or empty when the pool is unindexed),
+// PostData (i32, the ascending set ids of the vertices whose count the
+// policy calls sparse over the pool length) and PostRows (u64, a row of
+// (length+63)/64 words over set ids for each other vertex), both in vertex
+// order: like a set's, a vertex's kind follows from its count. Then the
 // pool's selection memo as it stood when the file was written: MemoTable
 // (i64, 6 words per entry, oldest first — view limit, k, workers, base
 // flag 0/1, coverage and modeled ops as float64 bits) and MemoSeeds (i32,
@@ -56,7 +59,7 @@ import (
 // regeneration instead of treating the file as corrupt.
 
 // PoolSnapshotVersion is the current .impool format version.
-const PoolSnapshotVersion = 5
+const PoolSnapshotVersion = 6
 
 // PoolSnapshotExt is the conventional file extension.
 const PoolSnapshotExt = ".impool"
@@ -80,13 +83,14 @@ const (
 	poolSecBitmapData
 	poolSecPostIdx
 	poolSecPostData
+	poolSecPostRows
 	poolSecMemo
 	poolSecMemoSeeds
 	poolSectionN
 )
 
 const (
-	poolMetaWords    = 6
+	poolMetaWords    = 5
 	poolMemoWords    = 6 // per memo entry: limit, k, workers, base, coverage bits, ops bits
 	poolFlagAdaptive = 1 << 1
 )
@@ -111,7 +115,6 @@ type PoolSnapshotInfo struct {
 	TotalMembers int64
 	GraphSum     uint64
 	Adaptive     bool
-	RepThreshold float64
 	Bytes        int64 // total snapshot size
 }
 
@@ -129,7 +132,7 @@ type poolFlat struct {
 func poolSections(st *imm.PoolState, f *poolFlat) []section {
 	return []section{
 		sec(&f.meta), sec(&st.Sizes), sec(&st.ListData), sec(&st.BitmapData),
-		sec(&st.PostIdx), sec(&st.PostData), sec(&f.memo), sec(&f.seeds),
+		sec(&st.PostIdx), sec(&st.PostData), sec(&st.PostRows), sec(&f.memo), sec(&f.seeds),
 	}
 }
 
@@ -144,7 +147,6 @@ func poolPayloads(st *imm.PoolState) []section {
 		st.Epoch,
 		st.TotalMembers,
 		int64(st.GraphSum),
-		int64(math.Float64bits(st.RepThreshold)),
 		int64(st.Model),
 	}}
 	for _, e := range st.Memo {
@@ -210,7 +212,7 @@ func (f *poolFlat) unflattenMemo(st *imm.PoolState) error {
 // writing it.
 func PoolSnapshotSize(st *imm.PoolState) int64 { return containerSize(poolPayloads(st)) }
 
-// WritePoolSnapshot writes st as a version-5 .impool stream. The output
+// WritePoolSnapshot writes st as a version-6 .impool stream. The output
 // is canonical — the same state always produces identical bytes.
 func WritePoolSnapshot(w io.Writer, st *imm.PoolState) error {
 	if st == nil {
@@ -258,7 +260,7 @@ func poolInfo(h header, ents []entry) (PoolSnapshotInfo, error) {
 	if pl := ents[poolSecPostIdx].byteLen; pl != 0 && pl != 8*(n+1) {
 		return info, poolSchema.errorf("index holds %d offset bytes, want 0 or %d", pl, 8*(n+1))
 	}
-	if ents[poolSecPostIdx].byteLen == 0 && ents[poolSecPostData].byteLen != 0 {
+	if ents[poolSecPostIdx].byteLen == 0 && ents[poolSecPostData].byteLen+ents[poolSecPostRows].byteLen != 0 {
 		return info, poolSchema.errorf("postings without an offset table")
 	}
 	if ml := ents[poolSecMemo].byteLen; ml%(8*poolMemoWords) != 0 {
@@ -274,17 +276,13 @@ func applyPoolMeta(meta []int64, info *PoolSnapshotInfo) error {
 	info.Epoch = meta[1]
 	info.TotalMembers = meta[2]
 	info.GraphSum = uint64(meta[3])
-	info.RepThreshold = math.Float64frombits(uint64(meta[4]))
 	if info.M < 0 || info.Epoch < 0 || info.TotalMembers < 0 {
 		return fmt.Errorf("%w: negative metadata (m=%d epoch=%d members=%d)", ErrPoolSnapshot, info.M, info.Epoch, info.TotalMembers)
 	}
-	if math.IsNaN(info.RepThreshold) || math.IsInf(info.RepThreshold, 0) || info.RepThreshold < 0 {
-		return fmt.Errorf("%w: invalid density threshold %v", ErrPoolSnapshot, info.RepThreshold)
+	if meta[4] != int64(graph.IC) && meta[4] != int64(graph.LT) {
+		return fmt.Errorf("%w: unknown model %d", ErrPoolSnapshot, meta[4])
 	}
-	if meta[5] != int64(graph.IC) && meta[5] != int64(graph.LT) {
-		return fmt.Errorf("%w: unknown model %d", ErrPoolSnapshot, meta[5])
-	}
-	info.Model = graph.Model(meta[5])
+	info.Model = graph.Model(meta[4])
 	return nil
 }
 
@@ -298,7 +296,6 @@ func (info PoolSnapshotInfo) bind(st *imm.PoolState) {
 	st.GraphSum = info.GraphSum
 	st.Seed = info.Seed
 	st.AdaptiveRep = info.Adaptive
-	st.RepThreshold = info.RepThreshold
 	st.Count = info.Count
 	st.TotalMembers = info.TotalMembers
 }
@@ -321,7 +318,7 @@ func readPoolInfo(r io.Reader) ([]entry, PoolSnapshotInfo, error) {
 	return ents, info, applyPoolMeta(meta, &info)
 }
 
-// ReadPoolSnapshot reads a version-5 .impool stream, verifying the
+// ReadPoolSnapshot reads a version-6 .impool stream, verifying the
 // header, the canonical table, every section checksum, and the full
 // structural validity of the pool payloads and memo.
 func ReadPoolSnapshot(r io.Reader) (*imm.PoolState, PoolSnapshotInfo, error) {
@@ -417,20 +414,20 @@ func ValidatePoolGraph(st *imm.PoolState, g *graph.Graph, epoch int64) error {
 // exactly, every member list sorted and in range, bitmap rows exactly
 // (N+63)/64 words with clear tail bits and a popcount matching the size;
 // the inverted index absent from an empty pool (the writer's only
-// encoding of one) and otherwise a well-formed CSR over the pool: offsets
-// monotone from 0 to the posting total, that total the member total,
-// every segment's ids strictly ascending and below the pool length; and
-// the memo what imm.PoolState.ValidateMemo accepts. Nothing downstream
-// (thaw, selection) re-validates the payloads, so everything that could
-// panic or silently corrupt an answer is rejected here.
+// encoding of one) and otherwise a well-formed index over the pool:
+// offsets monotone from 0 to the posting total, that total the member
+// total, each vertex's postings in the blob its count selects over the
+// pool length, the blobs consumed exactly, every list strictly ascending
+// and below the pool length, every row with no bit at or past it and a
+// popcount matching the count; and the memo what
+// imm.PoolState.ValidateMemo accepts. Nothing downstream (thaw,
+// selection) re-validates the payloads, so everything that could panic or
+// silently corrupt an answer is rejected here.
 func validatePoolState(st *imm.PoolState) error {
 	if err := st.ValidateMemo(); err != nil {
 		return poolSchema.errorf("%v", err)
 	}
-	policy := imm.PolicyFromOptions(imm.Options{
-		AdaptiveRep:  st.AdaptiveRep,
-		RepThreshold: st.RepThreshold,
-	})
+	policy := imm.PolicyFromOptions(imm.Options{AdaptiveRep: st.AdaptiveRep})
 	n := st.N
 	words := (int(n) + 63) / 64
 	if int64(len(st.Sizes)) != st.Count {
@@ -447,28 +444,16 @@ func validatePoolState(st *imm.PoolState) error {
 			if bc+words > len(st.BitmapData) {
 				return fmt.Errorf("%w: set %d bitmap payload overrun", ErrPoolSnapshot, i)
 			}
-			row := st.BitmapData[bc : bc+words]
-			pop := 0
-			for _, w := range row {
-				pop += bits.OnesCount64(w)
-			}
-			if tail := int(n) % 64; tail != 0 && words > 0 && row[words-1]>>uint(tail) != 0 {
-				return fmt.Errorf("%w: set %d bitmap has bits beyond vertex %d", ErrPoolSnapshot, i, n)
-			}
-			if pop != size {
-				return fmt.Errorf("%w: set %d bitmap popcount %d != size %d", ErrPoolSnapshot, i, pop, size)
+			if err := checkRow(st.BitmapData[bc:bc+words], int64(n), int64(size)); err != nil {
+				return fmt.Errorf("%w: set %d bitmap %v", ErrPoolSnapshot, i, err)
 			}
 			bc += words
 		} else {
 			if lc+size > len(st.ListData) {
 				return fmt.Errorf("%w: set %d list payload overrun", ErrPoolSnapshot, i)
 			}
-			prev := int32(-1)
-			for _, v := range st.ListData[lc : lc+size] {
-				if v <= prev || v >= n {
-					return fmt.Errorf("%w: set %d member %d unsorted or out of range", ErrPoolSnapshot, i, v)
-				}
-				prev = v
+			if err := checkList(st.ListData[lc:lc+size], n); err != nil {
+				return fmt.Errorf("%w: set %d member %v", ErrPoolSnapshot, i, err)
 			}
 			lc += size
 		}
@@ -481,7 +466,7 @@ func validatePoolState(st *imm.PoolState) error {
 		return fmt.Errorf("%w: member sum %d != recorded total %d", ErrPoolSnapshot, members, st.TotalMembers)
 	}
 	if st.PostIdx == nil {
-		if len(st.PostData) != 0 {
+		if len(st.PostData) != 0 || len(st.PostRows) != 0 {
 			return fmt.Errorf("%w: postings without an offset table", ErrPoolSnapshot)
 		}
 		return nil
@@ -492,24 +477,65 @@ func validatePoolState(st *imm.PoolState) error {
 	if len(st.PostIdx) != int(n)+1 {
 		return fmt.Errorf("%w: index holds %d offsets, want %d", ErrPoolSnapshot, len(st.PostIdx), int(n)+1)
 	}
-	if int64(len(st.PostData)) != members {
-		return fmt.Errorf("%w: index holds %d postings for %d members", ErrPoolSnapshot, len(st.PostData), members)
-	}
 	if st.PostIdx[0] != 0 || st.PostIdx[n] != members {
-		return fmt.Errorf("%w: index offsets do not span its postings", ErrPoolSnapshot)
+		return fmt.Errorf("%w: index offsets do not span its %d postings", ErrPoolSnapshot, members)
 	}
+	count := int32(st.Count)
+	rowWords := (st.Count + 63) / 64
+	var dc, rc int64
 	for v := int32(0); v < n; v++ {
-		lo, hi := st.PostIdx[v], st.PostIdx[v+1]
-		if lo > hi || hi > members {
+		c := st.PostIdx[v+1] - st.PostIdx[v]
+		if c < 0 || st.PostIdx[v+1] > members {
 			return fmt.Errorf("%w: index offsets decrease or overrun at vertex %d", ErrPoolSnapshot, v)
 		}
-		prev := int32(-1)
-		for _, id := range st.PostData[lo:hi] {
-			if id <= prev || int64(id) >= st.Count {
-				return fmt.Errorf("%w: posting %d at vertex %d unsorted, duplicated or out of range", ErrPoolSnapshot, id, v)
+		if policy.Dense(count, int(c)) {
+			if rc+rowWords > int64(len(st.PostRows)) {
+				return fmt.Errorf("%w: vertex %d posting row overrun", ErrPoolSnapshot, v)
 			}
-			prev = id
+			if err := checkRow(st.PostRows[rc:rc+rowWords], st.Count, c); err != nil {
+				return fmt.Errorf("%w: vertex %d posting row %v", ErrPoolSnapshot, v, err)
+			}
+			rc += rowWords
+		} else {
+			if dc+c > int64(len(st.PostData)) {
+				return fmt.Errorf("%w: vertex %d posting list overrun", ErrPoolSnapshot, v)
+			}
+			if err := checkList(st.PostData[dc:dc+c], count); err != nil {
+				return fmt.Errorf("%w: vertex %d posting %v", ErrPoolSnapshot, v, err)
+			}
+			dc += c
 		}
+	}
+	if dc != int64(len(st.PostData)) || rc != int64(len(st.PostRows)) {
+		return fmt.Errorf("%w: posting blobs larger than the counts consume", ErrPoolSnapshot)
+	}
+	return nil
+}
+
+// checkRow audits a row over [0, bound): no bit at or past bound, and want
+// bits set.
+func checkRow(row []uint64, bound, want int64) error {
+	var pop int64
+	for _, w := range row {
+		pop += int64(bits.OnesCount64(w))
+	}
+	if tail := bound % 64; tail != 0 && len(row) > 0 && row[len(row)-1]>>uint(tail) != 0 {
+		return fmt.Errorf("has bits at or past %d", bound)
+	}
+	if pop != want {
+		return fmt.Errorf("popcount %d != %d", pop, want)
+	}
+	return nil
+}
+
+// checkList audits a list: strictly ascending, within [0, bound).
+func checkList(list []int32, bound int32) error {
+	prev := int32(-1)
+	for _, v := range list {
+		if v <= prev || v >= bound {
+			return fmt.Errorf("%d unsorted, duplicated or out of range", v)
+		}
+		prev = v
 	}
 	return nil
 }

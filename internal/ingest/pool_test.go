@@ -86,10 +86,10 @@ func i32eq(a, b []int32) bool {
 func equalPoolState(a, b *imm.PoolState) bool {
 	if a.N != b.N || a.M != b.M || a.Model != b.Model || a.Epoch != b.Epoch ||
 		a.GraphSum != b.GraphSum || a.Seed != b.Seed || a.AdaptiveRep != b.AdaptiveRep ||
-		a.RepThreshold != b.RepThreshold || a.Count != b.Count || a.TotalMembers != b.TotalMembers {
+		a.Count != b.Count || a.TotalMembers != b.TotalMembers {
 		return false
 	}
-	if !slices.Equal(a.PostIdx, b.PostIdx) || !i32eq(a.PostData, b.PostData) {
+	if !slices.Equal(a.PostIdx, b.PostIdx) || !i32eq(a.PostData, b.PostData) || !slices.Equal(a.PostRows, b.PostRows) {
 		return false
 	}
 	if !slices.EqualFunc(a.Memo, b.Memo, func(x, y imm.PoolMemoEntry) bool {
@@ -357,8 +357,8 @@ func TestPoolSnapshotCorruption(t *testing.T) {
 		{"section count mismatch", mutate(func(d []byte) {
 			binary.LittleEndian.PutUint32(d[40:], 53)
 			rewriteHeaderCRC(d, poolSectionN)
-		}), "53 sections, want 8"},
-		{"unknown model", mutate(func(d []byte) { rewriteMetaWord(d, 5, 42) }), "model"},
+		}), "53 sections, want 9"},
+		{"unknown model", mutate(func(d []byte) { rewriteMetaWord(d, 4, 42) }), "model"},
 		{"negative members", mutate(func(d []byte) { rewriteMetaWord(d, 2, -1) }), "negative"},
 		{"member sum mismatch", mutate(func(d []byte) { rewriteMetaWord(d, 2, st.TotalMembers+1) }), "member sum"},
 	}
@@ -433,8 +433,8 @@ func TestPoolSnapshotIndexValidation(t *testing.T) {
 				idx[v]--
 			}
 			return idx, data[:len(data)-1]
-		}, "postings for"},
-		{"offsets without postings", func(idx []int64, data []int32) ([]int64, []int32) { return make([]int64, n+1), nil }, "postings for"},
+		}, "span"},
+		{"offsets without postings", func(idx []int64, data []int32) ([]int64, []int32) { return make([]int64, n+1), nil }, "span"},
 		{"postings without offsets", func(idx []int64, data []int32) ([]int64, []int32) { return nil, data }, "without an offset table"},
 		{"offset table of the wrong length", func(idx []int64, data []int32) ([]int64, []int32) { return idx[:n], data }, "offset bytes"},
 	}
@@ -467,6 +467,52 @@ func TestPoolSnapshotIndexValidation(t *testing.T) {
 	}
 	if _, _, err := ReadPoolSnapshot(&buf); !errors.Is(err, ErrPoolSnapshot) || !strings.Contains(err.Error(), "empty pool") {
 		t.Errorf("index over an empty pool: got %v, want ErrPoolSnapshot", err)
+	}
+}
+
+// TestPoolSnapshotRowValidation pins the audit of the index's posting
+// rows: a row whose popcount is not its vertex's count, one with a bit at
+// or past the pool length, and row words the counts do not call for are
+// refused by both readers, every checksum intact.
+func TestPoolSnapshotRowValidation(t *testing.T) {
+	_, _, st := poolFixtureWith(t, 0, func(opt *imm.Options) { opt.MaxTheta = 300 })
+	words := (st.Count + 63) / 64
+	if len(st.PostRows) == 0 || st.Count%64 == 0 {
+		t.Fatalf("fixture holds %d row words over %d sets", len(st.PostRows), st.Count)
+	}
+	last := int(words - 1) // the first row's last word, which ends at the pool length
+	top := uint64(1)<<(st.Count%64) - 1
+	if st.PostRows[last]&top == 0 {
+		t.Fatal("fixture's first row has no set in its last word")
+	}
+	cases := []struct {
+		name   string
+		mutate func(rows []uint64) []uint64
+		want   string
+	}{
+		{"a bit short of the count", func(rows []uint64) []uint64 { rows[last] &= rows[last] - 1; return rows }, "popcount"},
+		{"a bit past the pool", func(rows []uint64) []uint64 {
+			rows[last] = rows[last]&(rows[last]-1) | (top + 1)
+			return rows
+		}, "past"},
+		{"a row too many", func(rows []uint64) []uint64 { return append(rows, rows[:words]...) }, "larger than the counts"},
+		{"a row too few", func(rows []uint64) []uint64 { return rows[:len(rows)-int(words)] }, "overrun"},
+	}
+	dir := t.TempDir()
+	for _, c := range cases {
+		bad := *st
+		bad.PostRows = c.mutate(slices.Clone(st.PostRows))
+		path := filepath.Join(dir, "bad"+PoolSnapshotExt)
+		if err := WritePoolSnapshotFile(path, &bad); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		_, _, err := ReadPoolSnapshotFile(path)
+		_, _, mapErr := MapPoolSnapshotFile(path)
+		for _, err := range []error{err, mapErr} {
+			if !errors.Is(err, ErrPoolSnapshot) || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("%s: got %v, want ErrPoolSnapshot mentioning %q", c.name, err, c.want)
+			}
+		}
 	}
 }
 
@@ -743,6 +789,16 @@ func FuzzPoolSnapshotRoundTrip(f *testing.F) {
 		}
 		f.Add(buf.Bytes())
 	}
+	// Vertices in many sets keep rows of postings, the others lists.
+	if _, _, st := poolFixtureWith(f, 1, func(opt *imm.Options) { opt.MaxTheta = 300 }); len(st.PostRows) == 0 || len(st.PostData) == 0 {
+		f.Fatalf("posting-row fixture holds %d row words and %d list postings", len(st.PostRows), len(st.PostData))
+	} else {
+		var buf bytes.Buffer
+		if err := WritePoolSnapshot(&buf, st); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
 	if _, _, st := poolFixtureAsking(f, 1, func(*imm.Options) {}, memoQueries...); len(st.Memo) < 4 {
 		f.Fatalf("memo fixture remembers %d selections", len(st.Memo))
 	} else {
@@ -780,7 +836,7 @@ func FuzzPoolSnapshotRoundTrip(f *testing.F) {
 
 		opt := imm.Defaults()
 		opt.Workers = 2
-		opt.Seed, opt.AdaptiveRep, opt.RepThreshold = st.Seed, st.AdaptiveRep, st.RepThreshold
+		opt.Seed, opt.AdaptiveRep = st.Seed, st.AdaptiveRep
 		we, err := imm.ThawWarmEngine(g, opt, st)
 		if err != nil {
 			if !errors.Is(err, imm.ErrPoolIncompatible) {

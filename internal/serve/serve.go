@@ -211,8 +211,8 @@ type QueryResult struct {
 	// exact repeat of an earlier query on an unchanged pool hits on all.
 	MemoHits int64 `json:"memo_hits"`
 	// PoolBytes is the pool's full resident footprint after the query —
-	// set payloads, inverted-index postings, and the engine overhead
-	// (fused counter, coverage scratch, selection memo). This is the
+	// set payloads, inverted-index rows and lists, and the engine overhead
+	// (index offsets, coverage scratch, selection memo). This is the
 	// quantity the byte budget accounts.
 	PoolBytes int64 `json:"pool_bytes"`
 
@@ -651,8 +651,8 @@ func (s *Server) execute(ge *graphEntry, req QueryRequest, mode admitMode) (*Que
 	pe, ok := s.pools[pkey]
 	if !ok {
 		// Register a placeholder only; the engine itself is built by the
-		// draining member under the entry's own mutex — construction
-		// allocates O(N) (the fused counter), which must not stall the
+		// draining member under the entry's own mutex — building and
+		// thawing allocate O(N) (the index offsets), which must not stall the
 		// registry. Warm/cold is decided there too: every member of the
 		// batch that builds the engine is cold.
 		pe = &poolEntry{key: pkey}

@@ -221,6 +221,29 @@ func TestEvictionUnderBytePressure(t *testing.T) {
 	}
 }
 
+// TestDenseICPoolsShareOneBudget pins what posting rows buy the byte
+// budget: a dense-IC pool's index keeps a row over set ids for each vertex
+// in many sets, not a 4-byte id per posting. When every posting was an id,
+// these three pools' PoolBytes were 349,808, 349,030 and 352,871 (format
+// version 5), so this budget held one of them; it must now hold all three
+// at once, with a pool to spare.
+func TestDenseICPoolsShareOneBudget(t *testing.T) {
+	g := testGraph(t, 8, graph.IC)
+	const budget = 360_000
+	s := testServer(t, Options{Workers: 2, MaxTheta: 4000, PoolBudgetBytes: budget}, map[string]*graph.Graph{"g": g})
+	var held int64
+	for _, seed := range []uint64{1, 2, 3} {
+		r, err := s.Query(QueryRequest{Graph: "g", K: 8, Epsilon: 0.5, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		held += r.PoolBytes
+	}
+	if st := s.Stats(); st.Pools != 3 || st.Evictions != 0 || 4*held/3 > budget {
+		t.Fatalf("three pools of %d bytes under a %d-byte budget: %+v", held, budget, st)
+	}
+}
+
 // TestOverBudgetPoolNotSelfEvicted is the regression test for the
 // eviction defect: a pool whose footprint alone exceeds the byte budget
 // must not be evicted by the very query that just populated it (the

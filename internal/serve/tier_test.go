@@ -13,6 +13,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math/bits"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -799,7 +800,7 @@ func TestOldFormatPoolFileRebuildsCold(t *testing.T) {
 	for _, old := range []struct {
 		version  uint32
 		sections int
-	}{{1, 129}, {2, 99}, {3, 101}, {4, 53}} {
+	}{{1, 129}, {2, 99}, {3, 101}, {4, 53}, {5, 8}} {
 		t.Run(fmt.Sprintf("v%d", old.version), func(t *testing.T) {
 			g := testGraph(t, 8, graph.IC)
 			dir := t.TempDir()
@@ -964,10 +965,29 @@ func TestRepairedPoolFileCarriesSurvivingMemo(t *testing.T) {
 
 	// An edge into the vertex whose first set comes latest: the delta
 	// dirties it alone, so repair replaces from that set on.
+	// A vertex's postings are a row or a list, as its count says.
 	target, first := int32(-1), int64(-1)
+	policy := imm.PolicyFromOptions(imm.Options{AdaptiveRep: pre.AdaptiveRep})
+	words := (pre.Count + 63) / 64
+	var list, row int64
 	for v := int32(0); v < pre.N; v++ {
-		if lo := pre.PostIdx[v]; lo < pre.PostIdx[v+1] && int64(pre.PostData[lo]) > first {
-			target, first = v, int64(pre.PostData[lo])
+		c, at := pre.PostIdx[v+1]-pre.PostIdx[v], int64(-1) // v's first set
+		if policy.Dense(int32(pre.Count), int(c)) {
+			for wi, w := range pre.PostRows[row : row+words] {
+				if w != 0 {
+					at = int64(wi<<6 + bits.TrailingZeros64(w))
+					break
+				}
+			}
+			row += words
+		} else {
+			if c > 0 {
+				at = int64(pre.PostData[list])
+			}
+			list += c
+		}
+		if at > first {
+			target, first = v, at
 		}
 	}
 	var d graph.Delta
