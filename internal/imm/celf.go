@@ -184,9 +184,11 @@ func (p *shardedPool) selectCELF(fused bool, workers, k int, limit int64) (seeds
 	}
 	items := p.heapScratch[:n]
 	sched.Static(w, n, func(wk, lo, hi int) {
+		a := ix.idx[lo]
 		for v := int32(lo); v < int32(hi); v++ {
-			g := ix.count(v)
-			if !whole && g > 0 {
+			b := ix.idx[v+1]
+			g := b - a
+			if !whole && a < b {
 				if list, row := ix.at(v); row != nil {
 					g = int64(rowBelow(row, lim))
 				} else {
@@ -194,6 +196,7 @@ func (p *shardedPool) selectCELF(fused bool, workers, k int, limit int64) (seeds
 				}
 			}
 			items[v] = counter.GainItem{Gain: g, Vertex: v}
+			a = b
 		}
 		if fused {
 			ops[wk] += int64(hi-lo)/8 + 1

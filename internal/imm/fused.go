@@ -21,9 +21,9 @@ import (
 //     (diffusion.Sampler.Traverse) leaves the set's members in the
 //     sampler's BFS queue and their visited bits set. A scan engine's
 //     fusion counter is incremented from that list, and the set is ended
-//     from the same state: a bitmap set appends the visited words to its worker's row
-//     buffer, any other is sorted in place and appended to its list
-//     buffer — no per-set allocation or header. Jobs are contiguous slot
+//     from the same state: a bitmap set appends the visited words to its
+//     worker's row buffer, any other is sorted in place and appended to
+//     its list buffer — no per-set allocation or header. Jobs are contiguous slot
 //     ranges, so their stretches of the buffers, in job order, are the new
 //     sets in set-id order, appended to the pool's (setStore.extend). Slot
 //     RNG streams are those of the copy-out reference generator

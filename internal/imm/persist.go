@@ -59,11 +59,11 @@ type PoolState struct {
 	// also names its representation: the pool's policy stores a set of
 	// that size as a bitmap row when rrr.Policy.Dense says so and as a
 	// sorted list otherwise (rrr.DefaultPolicy's threshold when AdaptiveRep
-	// is set). The members themselves are concatenated into
-	// one blob per representation, so each blob keeps a fixed element
-	// size and can be aliased straight out of a 64-byte-aligned snapshot
-	// section (or an mmap of one) without decoding. Set i's payload starts
-	// where sets 0..i-1 of the same representation end.
+	// is set). The members themselves are concatenated into one blob per
+	// representation, so each blob keeps a fixed element size and can be
+	// aliased straight out of a 64-byte-aligned snapshot section (or an
+	// mmap of one) without decoding. Set i's payload starts where sets
+	// 0..i-1 of the same representation end.
 	Sizes      []int32  // member count per set, len Count
 	ListData   []int32  // concatenated sorted member lists
 	BitmapData []uint64 // concatenated word rows, (N+63)/64 words each
@@ -93,13 +93,12 @@ func GraphChecksum(g *graph.Graph) uint64 { return g.Checksum() }
 // sets are indexed first, so a frozen index always covers the whole pool
 // — the same invariant selection maintains.
 //
-// The returned state's Sizes/ListData/BitmapData and PostIdx/PostData/
-// PostRows are
-// the pool's own arrays, which the engine never writes once installed but
-// may alias a mapping whose owner releases it with the engine: the state
-// is valid only until the engine serves again. Callers that persist the
-// state (the .impool writer) consume it before releasing the engine's
-// query lock. Memo is a copy of the memo's entries; their seed slices,
+// The returned state's Sizes/ListData/BitmapData and
+// PostIdx/PostData/PostRows are the pool's own arrays, which the engine
+// never writes once installed but may alias a mapping whose owner
+// releases it with the engine: the state is valid only until the engine
+// serves again. Callers that persist the state (the .impool writer)
+// consume it before releasing the engine's query lock. Memo is a copy of the memo's entries; their seed slices,
 // which nothing writes, are shared.
 func (w *WarmEngine) Freeze(epoch int64) (*PoolState, error) {
 	p := w.p

@@ -105,8 +105,8 @@ func (ix *postings) at(v int32) (list []int32, row []uint64) {
 // patched is v's count once a patch has run, given its mark d
 // (patchScratch.mark), and whether it loses postings: the ids it gains
 // less the ids in drop it holds.
-func (ix *postings) patched(v int32, d int32, drop *bitset.Bitset) (int64, bool) {
-	c := ix.count(v) + int64(d&^dropMark)
+func (ix *postings) patched(v int32, d int64, drop *bitset.Bitset) (int64, bool) {
+	c := ix.count(v) + d&^dropMark
 	if d >= 0 {
 		return c, false
 	}
@@ -219,9 +219,9 @@ func (p *shardedPool) addMembers(perWorker []int64) { p.totalMembers += sumOf(pe
 type patchScratch struct {
 	// mark is all zero between patches. While one runs, a touched vertex
 	// holds the number of ids it gains, with dropMark set when it also
-	// loses some; laying out turns that into how many its new list holds
-	// so far, or rowMark.
-	mark   []int32
+	// loses some; laying out turns that into where its next id goes in
+	// the new lists, or for a new row ^ its offset in the new rows.
+	mark   []int64
 	drop   bitset.Bitset       // the ids being dropped, clear between patches
 	bufs   [poolShards][]int32 // a decode buffer per range writer, for non-list sets
 	ranges [poolShards]patchRange
@@ -236,16 +236,15 @@ type patchRange struct {
 
 // bytes is what the scratch keeps resident.
 func (sc *patchScratch) bytes() int64 {
-	b := 4*int64(cap(sc.mark)) + 8*int64(len(sc.drop.Words()))
+	b := 8*int64(cap(sc.mark)) + 8*int64(len(sc.drop.Words()))
 	for _, buf := range sc.bufs {
 		b += 4 * int64(cap(buf))
 	}
 	return b
 }
 
-// In patchScratch.mark, dropMark flags a vertex that loses postings, and
-// rowMark, once laid out, one whose new postings are a row.
-const dropMark, rowMark = math.MinInt32, math.MinInt32
+// dropMark flags, in patchScratch.mark, a vertex that loses postings.
+const dropMark = math.MinInt64
 
 // membersIn returns the members in [lo, hi) of the set whose payload is
 // list or row, ascending, as a read-only slice: a window of the list, or
@@ -306,7 +305,7 @@ func (p *shardedPool) patch(workers int, ids []int64, old *setStore) (members [p
 	n := int(p.n)
 	sc := &p.scratch
 	if cap(sc.mark) < n {
-		sc.mark = make([]int32, n)
+		sc.mark = make([]int64, n)
 	}
 	mark := sc.mark[:n]
 	from := &p.post
@@ -340,7 +339,7 @@ func (p *shardedPool) patch(workers int, ids []int64, old *setStore) (members [p
 	}
 	dropped := sc.drop.Words()
 
-	policy, indexed := p.sets.policy, int32(p.count)
+	minRow := rowMin(p.sets.policy, p.count)
 	// The member count each changed set adds, billed by its shard.
 	for k := range changed {
 		id := changedID(ids, firstTail, k)
@@ -375,20 +374,28 @@ func (p *shardedPool) patch(workers int, ids []int64, old *setStore) (members [p
 					for wi := lo >> 6; wi < (hi+63)>>6; wi++ {
 						for i, x := range b.transposed(wi) {
 							if x != 0 { // past the vertex count, always
-								mark[wi<<6+int32(i)] += int32(bits.OnesCount64(x))
+								mark[wi<<6+int32(i)] += int64(bits.OnesCount64(x))
 							}
 						}
 					}
 				}
 			}
-			var pr patchRange
+			// An untouched list stays one: the row threshold only rises.
+			pr := patchRange{postings: from.idx[hi] - from.idx[lo]}
+			pr.lists = pr.postings
 			for v := lo; v < hi; v++ {
-				c, _ := from.patched(v, mark[v], &sc.drop)
-				pr.postings += c
-				if policy.Dense(indexed, int(c)) {
+				d := mark[v]
+				if d == 0 && minRow > 0 && !from.isRow(v) {
+					continue
+				}
+				c := from.count(v)
+				nc, _ := from.patched(v, d, &sc.drop)
+				pr.postings += nc - c
+				if nc >= minRow {
 					pr.rows++
+					pr.lists -= c
 				} else {
-					pr.lists += c
+					pr.lists += nc - c
 				}
 			}
 			ranges[r] = pr
@@ -417,6 +424,7 @@ func (p *shardedPool) patch(workers int, ids []int64, old *setStore) (members [p
 			at, la, k := pr.postings, pr.lists, pr.rows // new offset, list position, row
 			k0, rb0 := int32(k), at-la                  // the range's first row, and the row postings before it
 			rb := rb0
+
 			ol := from.listStart(lo) // old list position
 			run, shift := ol, la-ol  // old list postings [run, ol) are pending: they all move by shift
 			for v := lo; v < hi; v++ {
@@ -425,13 +433,17 @@ func (p *shardedPool) patch(workers int, ids []int64, old *setStore) (members [p
 					next.rowAt[v] = int32(k)
 				}
 				c, d := from.count(v), mark[v]
-				nc, lost := from.patched(v, d, &sc.drop)
-				at += nc
-				oldRow, newRow := from.isRow(v), policy.Dense(indexed, int(nc))
-				if d == 0 && !lost && !oldRow && !newRow { // the list rides with the run
-					ol, la = ol+c, la+c
+				oldRow := from.isRow(v)
+				if d == 0 && !oldRow && c < minRow { // the list rides with the run
+					at, ol, la = at+c, ol+c, la+c
 					continue
 				}
+				nc, lost := c+d, false
+				if d < 0 {
+					nc, lost = from.patched(v, d, &sc.drop)
+				}
+				at += nc
+				newRow := nc >= minRow
 				copy(next.data[run+shift:], from.data[run:ol])
 				olist, orow := from.at(v)
 				ol += int64(len(olist))
@@ -448,10 +460,10 @@ func (p *shardedPool) patch(workers int, ids []int64, old *setStore) (members [p
 							row[id>>6] |= 1 << (id & 63)
 						}
 					}
+					mark[v] = ^(k * next.words)
 					rb += nc
 					k++
 					next.rowBase[k] = rb
-					mark[v] = rowMark
 				} else {
 					seg := next.data[la : la+nc]
 					fill := 0
@@ -474,7 +486,7 @@ func (p *shardedPool) patch(workers int, ids []int64, old *setStore) (members [p
 							}
 						}
 					}
-					mark[v] = int32(fill)
+					mark[v] = la + int64(fill)
 					la += nc
 				}
 				run, shift = ol, la-ol
@@ -482,15 +494,6 @@ func (p *shardedPool) patch(workers int, ids []int64, old *setStore) (members [p
 			copy(next.data[run+shift:], from.data[run:ol])
 
 			// Insert, then leave the marks zero.
-			listStart := func(v int32) int64 {
-				if next.rowAt == nil {
-					return next.idx[v]
-				}
-				if kv := next.rowAt[v]; kv != k0 {
-					return next.idx[v] - next.rowBase[kv]
-				}
-				return next.idx[v] - rb0
-			}
 			buf := sc.bufs[r]
 			var vs []int32
 			var c cursor
@@ -499,14 +502,21 @@ func (p *shardedPool) patch(workers int, ids []int64, old *setStore) (members [p
 				list, row := p.sets.set(&c, id)
 				vs, buf = membersIn(list, row, lo, hi, buf)
 				for _, v := range vs {
-					if mark[v] == rowMark {
-						next.rows[int64(next.rowAt[v])*next.words+id>>6] |= 1 << (id & 63)
+					at := mark[v]
+					if at < 0 {
+						next.rows[^at+id>>6] |= 1 << (id & 63)
 						continue
 					}
-					start := listStart(v)
-					at := start + int64(mark[v])
 					mark[v]++
 					if kk < len(ids) { // a tail id is larger than any in place
+						start := next.idx[v] // where v's list starts: rowBase[k0] is another range's to write
+						if next.rowAt != nil {
+							if kv := next.rowAt[v]; kv == k0 {
+								start -= rb0
+							} else {
+								start -= next.rowBase[kv]
+							}
+						}
 						for ; at > start && int64(next.data[at-1]) > id; at-- {
 							next.data[at] = next.data[at-1]
 						}
@@ -525,12 +535,12 @@ func (p *shardedPool) patch(workers int, ids []int64, old *setStore) (members [p
 								continue
 							}
 							v := wi<<6 + int32(i)
-							if mark[v] == rowMark {
-								next.rows[int64(next.rowAt[v])*next.words+j0>>6] |= x
+							at := mark[v]
+							if at < 0 {
+								next.rows[^at+j0>>6] |= x
 								continue
 							}
-							at := listStart(v) + int64(mark[v])
-							mark[v] += int32(bits.OnesCount64(x))
+							mark[v] += int64(bits.OnesCount64(x))
 							for ; x != 0; x &= x - 1 {
 								next.data[at] = int32(j0) + int32(bits.TrailingZeros64(x))
 								at++
@@ -611,6 +621,23 @@ func transpose64(a *[64]uint64) {
 		}
 		m ^= m << (j >> 1)
 	}
+}
+
+// rowMin is the least count a vertex keeps a row at over indexed sets —
+// policy.Dense(indexed, count) holds exactly from it on — or MaxInt64.
+func rowMin(policy rrr.Policy, indexed int64) int64 {
+	dense := func(c int64) bool { return policy.Dense(int32(indexed), int(c)) }
+	if !dense(indexed) {
+		return math.MaxInt64
+	}
+	c := int64(math.Ceil(policy.DensityThreshold * float64(indexed)))
+	for c > 0 && dense(c-1) {
+		c--
+	}
+	for !dense(c) {
+		c++
+	}
+	return c
 }
 
 // changedID is the id of a patch's k-th changed set: ids, then the tail

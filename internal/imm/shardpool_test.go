@@ -1,6 +1,7 @@
 package imm
 
 import (
+	"math"
 	"slices"
 	"testing"
 
@@ -147,8 +148,11 @@ func setMembers(set rrr.Set, buf []int32) (members, _ []int32) {
 	return buf, buf
 }
 
+// oracleDrop flags, in oracleScratch.mark, a vertex that loses postings.
+const oracleDrop = math.MinInt32
+
 // patch is the per-shard patch, verbatim but for the coverage scratch it
-// no longer sizes.
+// no longer sizes and the name of its drop flag.
 func (s *oracleShard) patch(n int32, sc *oracleScratch, ids []int32, old []rrr.Set) (members int64) {
 	if len(ids) == 0 && s.indexed == len(s.sets) {
 		return 0
@@ -167,7 +171,7 @@ func (s *oracleShard) patch(n int32, sc *oracleScratch, ids []int32, old []rrr.S
 	for _, set := range old {
 		vs, buf = setMembers(set, buf)
 		for _, v := range vs {
-			mark[v] |= dropMark
+			mark[v] |= oracleDrop
 		}
 		dropped += int64(len(vs))
 	}
@@ -211,7 +215,7 @@ func (s *oracleShard) patch(n int32, sc *oracleScratch, ids []int32, old []rrr.S
 			}
 		}
 		mark[v] = w
-		run, shift = hi, w+(c&^dropMark)-hi
+		run, shift = hi, w+(c&^oracleDrop)-hi
 	}
 	copy(data[run+shift:], s.postData[run:])
 	idx[nn] += shift

@@ -207,9 +207,8 @@ func (w *WarmEngine) PhysicalFootprint() PoolFootprint { return w.p.footprint() 
 // (at most 4 bytes per vertex), and what indexing and selecting leave
 // beside the rows and lists: the offsets (8 bytes per vertex, 4 more and
 // 8 per row once a vertex keeps a row) and the index's spare capacity, the
-// CELF heap slab and gain versions (16 + 4) and the index patch's marks,
-// vertex and id bits and decode buffers (4 and 1/8, plus a set's members
-// per writer). The serving layer adds it to the pool footprint so its
+// CELF heap slab and gain versions (16 + 4) and the index patch's marks
+// (8), dropped-id bits and decode buffers (a set's members per writer). The serving layer adds it to the pool footprint so its
 // byte budget bounds what a warm engine keeps resident.
 func (w *WarmEngine) OverheadBytes() int64 {
 	p, st, ix := w.p, &w.p.sets, &w.p.post

@@ -404,7 +404,7 @@ func TestOverheadBytesCoversScratch(t *testing.T) {
 	}
 	offsets := 8*int64(cap(ix.idx)) + 4*int64(cap(ix.rowAt)) + 8*int64(cap(ix.rowBase))
 	held := offsets + int64(unsafe.Sizeof(counter.GainItem{}))*int64(cap(p.heapScratch)) +
-		4*int64(cap(p.versionScratch)) + 4*int64(len(seeds)) + 4*int64(cap(p.scratch.mark)) +
+		4*int64(cap(p.versionScratch)) + 4*int64(len(seeds)) + 8*int64(cap(p.scratch.mark)) +
 		8*int64(len(p.scratch.drop.Words()))
 	var bufs int64
 	for _, buf := range p.scratch.bufs {
@@ -412,7 +412,7 @@ func TestOverheadBytesCoversScratch(t *testing.T) {
 	}
 	rows := int64(len(ix.rowBase) - 1)
 	if grown := we.OverheadBytes() - bare; grown != held+bufs || offsets != 12*(int64(g.N)+1)+8*(rows+1) ||
-		held != offsets+24*int64(g.N)+4*int64(len(seeds)) {
+		held != offsets+28*int64(g.N)+4*int64(len(seeds)) {
 		t.Fatalf("indexing and selecting grew OverheadBytes by %d; the arrays hold %d", grown, held)
 	}
 	after := we.PhysicalFootprint()
