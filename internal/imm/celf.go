@@ -172,8 +172,6 @@ func (p *shardedPool) selectCELF(fused bool, workers, k int, limit int64) (seeds
 	}
 	ix, covered := &p.post, p.covered.Words()
 	lim, whole := int32(limit), limit == p.indexed
-	// The view's whole coverage words, and the bits of the word it ends in.
-	full, tail := int(lim>>6), uint64(1)<<(lim&63)-1
 
 	// Initial gains, written straight into the heap slab (slot v holds
 	// vertex v until the heap is built): each vertex's occurrence count
@@ -235,11 +233,39 @@ func (p *shardedPool) selectCELF(fused bool, workers, k int, limit int64) (seeds
 	var walked [poolShards]int64    // list postings walked, by the shard of their set
 	var rowWalked [poolShards]int64 // row postings walked, by owner
 	masks, owners := ownerMasks(w), min(w, poolShards)
-	// walkRow bills a walk of row's postings in the view to their owners.
-	walkRow := func(x uint64) {
-		for o, m := range masks[:owners] {
-			rowWalked[o] += int64(bits.OnesCount64(x & m))
+	words := int(lim+63) >> 6 // the view's coverage words; the last ends at lim
+	// walk counts v's uncovered postings inside the view, marks them
+	// covered when retire is set, and bills them: a list's posting by
+	// posting up to the view's horizon, a row's word by word.
+	walk := func(v int32, retire bool) (g int64) {
+		walks++
+		list, row := ix.at(v)
+		for wi, x := range row[:min(len(row), words)] {
+			if wi == words-1 && lim&63 != 0 {
+				x &= 1<<(lim&63) - 1
+			}
+			g += int64(bits.OnesCount64(x &^ covered[wi]))
+			if retire {
+				covered[wi] |= x
+			}
+			for o, m := range masks[:owners] {
+				rowWalked[o] += int64(bits.OnesCount64(x & m))
+			}
 		}
+		for _, j := range list {
+			if j >= lim {
+				break // beyond the view's horizon
+			}
+			walked[j&(poolShards-1)]++
+			word, bit := &covered[uint32(j)>>6], uint64(1)<<(uint32(j)&63)
+			if *word&bit == 0 {
+				g++
+				if retire {
+					*word |= bit
+				}
+			}
+		}
+		return g
 	}
 
 	for len(seeds) < k && len(seeds) < n {
@@ -265,30 +291,8 @@ func (p *shardedPool) selectCELF(fused bool, workers, k int, limit int64) (seeds
 			}
 			// Stale: recompute the true gain by counting the vertex's
 			// uncovered postings inside the view.
-			v := best.Vertex
-			var g int64
-			if list, row := ix.at(v); row != nil {
-				for wi, x := range row[:full] {
-					g += int64(bits.OnesCount64(x &^ covered[wi]))
-					walkRow(x)
-				}
-				if tail != 0 {
-					x := row[full] & tail
-					g += int64(bits.OnesCount64(x &^ covered[full]))
-					walkRow(x)
-				}
-			} else {
-				for _, j := range list {
-					if j >= lim {
-						break // beyond the view's horizon
-					}
-					walked[j&(poolShards-1)]++
-					g += int64(^covered[uint32(j)>>6] >> (uint32(j) & 63) & 1)
-				}
-			}
-			walks++
-			version[v] = round
-			heap.UpdateTop(g)
+			version[best.Vertex] = round
+			heap.UpdateTop(walk(best.Vertex, false))
 			serial += int64(log2i(regionLen[r] + 1))
 		}
 		if chosen < 0 {
@@ -299,32 +303,7 @@ func (p *shardedPool) selectCELF(fused bool, workers, k int, limit int64) (seeds
 		// Retire the seed's coverage: mark the sets its postings name as
 		// covered. This is the whole counter maintenance — no
 		// decrement/rebuild pass over set members.
-		if list, row := ix.at(chosen); row != nil {
-			for wi, x := range row[:full] {
-				coveredCount += int64(bits.OnesCount64(x &^ covered[wi]))
-				covered[wi] |= x
-				walkRow(x)
-			}
-			if tail != 0 {
-				x := row[full] & tail
-				coveredCount += int64(bits.OnesCount64(x &^ covered[full]))
-				covered[full] |= x
-				walkRow(x)
-			}
-		} else {
-			for _, j := range list {
-				if j >= lim {
-					break // beyond the view's horizon
-				}
-				walked[j&(poolShards-1)]++
-				word, bit := &covered[uint32(j)>>6], uint64(1)<<(uint32(j)&63)
-				if *word&bit == 0 {
-					*word |= bit
-					coveredCount++
-				}
-			}
-		}
-		walks++
+		coveredCount += walk(chosen, true)
 	}
 	// A walk is modeled as a visit to every shard: each shard's owner
 	// takes the postings walked there plus one fixed unit per walk.

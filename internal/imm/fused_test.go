@@ -16,9 +16,9 @@ import (
 // fused pool must be observationally identical to a reference pool built
 // by the copy-out generator (GenerateSlots) over the same slots and
 // indexed lazily: same sets in the same representation, same statistics
-// and footprint, bit-identical per-shard inverted-index CSR arrays, the
-// same occurrence counts, and the seeds the eager scan kernel selects
-// over the reference.
+// and footprints, bit-identical inverted-index arrays whose occurrence
+// counts equal a recount of the sets, and the seeds the eager scan kernel
+// selects over the reference.
 
 // fuzzGraphs caches the small differential graphs across fuzz
 // executions — graph construction dominates each exec otherwise.

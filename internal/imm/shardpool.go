@@ -133,9 +133,10 @@ func (ix *postings) bytes() int64 { return 4*int64(len(ix.data)) + 8*int64(len(i
 func (ix *postings) layOut(policy rrr.Policy, indexed int64) (lists, words int64) {
 	n := int32(len(ix.idx) - 1)
 	ix.words = (indexed + 63) / 64
+	minRow := rowMin(policy, indexed)
 	var rows int64
 	for v := range n {
-		if c := ix.count(v); policy.Dense(int32(indexed), int(c)) {
+		if c := ix.count(v); c >= minRow {
 			rows++
 		} else {
 			lists += c
@@ -149,7 +150,7 @@ func (ix *postings) layOut(policy rrr.Policy, indexed int64) (lists, words int64
 	var k int32
 	for v := range n {
 		ix.rowAt[v] = k
-		if c := ix.count(v); policy.Dense(int32(indexed), int(c)) {
+		if c := ix.count(v); c >= minRow {
 			ix.rowBase = append(ix.rowBase, ix.rowBase[k]+c)
 			k++
 		}
@@ -509,13 +510,16 @@ func (p *shardedPool) patch(workers int, ids []int64, old *setStore) (members [p
 					}
 					mark[v]++
 					if kk < len(ids) { // a tail id is larger than any in place
-						start := next.idx[v] // where v's list starts: rowBase[k0] is another range's to write
+						// v's list starts past the postings of the rows before
+						// it; rowBase holds those before the range's first row
+						// only once its writer is done, so rb0 stands in.
+						start := next.idx[v]
 						if next.rowAt != nil {
-							if kv := next.rowAt[v]; kv == k0 {
-								start -= rb0
-							} else {
-								start -= next.rowBase[kv]
+							rbv := rb0
+							if kv := next.rowAt[v]; kv != k0 {
+								rbv = next.rowBase[kv]
 							}
+							start -= rbv
 						}
 						for ; at > start && int64(next.data[at-1]) > id; at-- {
 							next.data[at] = next.data[at-1]
