@@ -205,12 +205,11 @@ func ThawWarmEngine(g *graph.Graph, opt Options, st *PoolState) (*WarmEngine, er
 				ErrPoolIncompatible, len(st.PostIdx), st.N, members)
 		}
 		ix := postings{idx: clip(st.PostIdx)}
-		for v := range st.N {
-			if ix.count(v) < 0 {
-				return nil, fmt.Errorf("%w: index offsets decrease at vertex %d", ErrPoolIncompatible, v)
-			}
+		lists, words, ok := ix.layOut(w.policy, st.Count)
+		if !ok {
+			return nil, fmt.Errorf("%w: index offsets decrease", ErrPoolIncompatible)
 		}
-		if lists, words := ix.layOut(w.policy, st.Count); lists != int64(len(st.PostData)) || words != int64(len(st.PostRows)) {
+		if lists != int64(len(st.PostData)) || words != int64(len(st.PostRows)) {
 			return nil, fmt.Errorf("%w: index holds %d list postings and %d row words, its counts call for %d and %d",
 				ErrPoolIncompatible, len(st.PostData), len(st.PostRows), lists, words)
 		}

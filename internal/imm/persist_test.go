@@ -173,6 +173,9 @@ func TestThawBaseFromIndexMatchesMemberWalk(t *testing.T) {
 				if !slices.Equal(we.p.counts(), walk.Raw()) {
 					t.Fatalf("%s: member walk differs from the frozen engine's index counts", label)
 				}
+				if !sameIndex(&thawed.p.post, &we.p.post) {
+					t.Fatalf("%s: the thawed index lays its postings out unlike the frozen engine's", label)
+				}
 				continue
 			}
 			if !slices.Equal(walk.Raw(), we.base.Raw()) {

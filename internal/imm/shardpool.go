@@ -129,34 +129,37 @@ func (ix *postings) bytes() int64 { return 4*int64(len(ix.data)) + 8*int64(len(i
 
 // layOut derives rowAt and rowBase from idx for an index over indexed
 // sets under policy, and returns how many list postings and row words the
-// vertices' kinds call for.
-func (ix *postings) layOut(policy rrr.Policy, indexed int64) (lists, words int64) {
+// vertices' kinds call for; ok is false, and the index unusable, when the
+// offsets decrease.
+func (ix *postings) layOut(policy rrr.Policy, indexed int64) (lists, words int64, ok bool) {
 	n := int32(len(ix.idx) - 1)
 	ix.words = (indexed + 63) / 64
-	minRow := rowMin(policy, indexed)
-	var rows int64
-	for v := range n {
-		if c := ix.count(v); c >= minRow {
-			rows++
+	minRow := policy.MinDense(int32(indexed))
+	ix.rowAt, ix.rowBase = nil, []int64{0}
+	for v, prev := int32(0), ix.idx[0]; v < n; v++ {
+		next := ix.idx[v+1]
+		c := next - prev
+		if c < 0 {
+			return 0, 0, false
+		}
+		if c >= minRow {
+			if ix.rowAt == nil { // the first row: the vertices before keep lists
+				ix.rowAt = make([]int32, n+1)
+			}
+			ix.rowBase = append(ix.rowBase, ix.rowBase[len(ix.rowBase)-1]+c)
 		} else {
 			lists += c
 		}
-	}
-	ix.rowAt, ix.rowBase = nil, nil
-	if rows == 0 {
-		return lists, 0
-	}
-	ix.rowAt, ix.rowBase = make([]int32, n+1), make([]int64, 1, rows+1)
-	var k int32
-	for v := range n {
-		ix.rowAt[v] = k
-		if c := ix.count(v); c >= minRow {
-			ix.rowBase = append(ix.rowBase, ix.rowBase[k]+c)
-			k++
+		if ix.rowAt != nil {
+			ix.rowAt[v+1] = int32(len(ix.rowBase) - 1)
 		}
+		prev = next
 	}
-	ix.rowAt[n] = k
-	return lists, rows * ix.words
+	rows := int64(len(ix.rowBase) - 1)
+	if rows == 0 {
+		ix.rowBase = nil
+	}
+	return lists, rows * ix.words, true
 }
 
 // shardedPool is the Efficient engine's pool: extension during
@@ -230,6 +233,7 @@ type patchScratch struct {
 
 // patchRange is one vertex range's share of a patch.
 type patchRange struct {
+	dropped int64 // old postings the range loses
 	// Its postings, list postings and rows under the new kinds; once laid
 	// out, those of the ranges before it.
 	postings, lists, rows int64
@@ -334,13 +338,27 @@ func (p *shardedPool) patch(workers int, ids []int64, old *setStore) (members [p
 	for _, id := range ids {
 		sc.drop.Set(int(id))
 		vs, sc.bufs[0] = old.members(&oc, id, sc.bufs[0])
+		r := 0
 		for _, v := range vs {
 			mark[v] |= dropMark
+			for v >= bounds[r+1] {
+				r++
+			}
+			ranges[r].dropped++
 		}
 	}
 	dropped := sc.drop.Words()
 
-	minRow := rowMin(p.sets.policy, p.count)
+	minRow := p.sets.policy.MinDense(int32(p.count))
+	// reach is what a vertex must gain to turn a list into a row: an old
+	// list holds fewer than the old threshold's postings.
+	reach := int64(math.MaxInt64)
+	if minRow != math.MaxInt64 {
+		reach = minRow
+		if p.post.idx != nil {
+			reach -= p.sets.policy.MinDense(int32(firstTail)) - 1
+		}
+	}
 	// The member count each changed set adds, billed by its shard.
 	for k := range changed {
 		id := changedID(ids, firstTail, k)
@@ -360,12 +378,15 @@ func (p *shardedPool) patch(workers int, ids []int64, old *setStore) (members [p
 			var vs []int32
 			buf := sc.bufs[r]
 			var c cursor
+			var gained, top int64 // the postings gained, and the most one vertex gains
 			for k := range perSet {
 				list, row := p.sets.set(&c, changedID(ids, firstTail, k))
 				vs, buf = membersIn(list, row, lo, hi, buf)
 				for _, v := range vs {
 					mark[v]++
+					top = max(top, mark[v]&^dropMark)
 				}
+				gained += int64(len(vs))
 			}
 			if blocked {
 				var b bitBlock
@@ -376,27 +397,26 @@ func (p *shardedPool) patch(workers int, ids []int64, old *setStore) (members [p
 						for i, x := range b.transposed(wi) {
 							if x != 0 { // past the vertex count, always
 								mark[wi<<6+int32(i)] += int64(bits.OnesCount64(x))
+								gained += int64(bits.OnesCount64(x))
 							}
 						}
 					}
 				}
 			}
-			// An untouched list stays one: the row threshold only rises.
-			pr := patchRange{postings: from.idx[hi] - from.idx[lo]}
+			// Every vertex keeps a list unless one kept a row or gains
+			// enough to reach the threshold; an untouched list stays one,
+			// as the threshold only rises.
+			pr := patchRange{postings: from.idx[hi] - from.idx[lo] + gained - ranges[r].dropped}
 			pr.lists = pr.postings
-			for v := lo; v < hi; v++ {
+			sweep := blocked || from.rowAt != nil && from.rowAt[hi] > from.rowAt[lo] || top >= reach
+			for v := lo; sweep && v < hi; v++ {
 				d := mark[v]
 				if d == 0 && minRow > 0 && !from.isRow(v) {
 					continue
 				}
-				c := from.count(v)
-				nc, _ := from.patched(v, d, &sc.drop)
-				pr.postings += nc - c
-				if nc >= minRow {
+				if nc, _ := from.patched(v, d, &sc.drop); nc >= minRow {
 					pr.rows++
-					pr.lists -= c
-				} else {
-					pr.lists += nc - c
+					pr.lists -= nc
 				}
 			}
 			ranges[r] = pr
@@ -428,12 +448,15 @@ func (p *shardedPool) patch(workers int, ids []int64, old *setStore) (members [p
 
 			ol := from.listStart(lo) // old list position
 			run, shift := ol, la-ol  // old list postings [run, ol) are pending: they all move by shift
+			end := from.idx[lo]      // where v's old postings end, in count
 			for v := lo; v < hi; v++ {
 				next.idx[v] = at
 				if next.rowAt != nil {
 					next.rowAt[v] = int32(k)
 				}
-				c, d := from.count(v), mark[v]
+				c, d := -end, mark[v]
+				end = from.idx[v+1]
+				c += end
 				oldRow := from.isRow(v)
 				if d == 0 && !oldRow && c < minRow { // the list rides with the run
 					at, ol, la = at+c, ol+c, la+c
@@ -445,6 +468,14 @@ func (p *shardedPool) patch(workers int, ids []int64, old *setStore) (members [p
 				}
 				at += nc
 				newRow := nc >= minRow
+				if !lost && !oldRow && !newRow { // the list rides with the run, room for its gains behind it
+					ol += c
+					copy(next.data[run+shift:], from.data[run:ol])
+					mark[v] = la + c
+					la += nc
+					run, shift = ol, la-ol
+					continue
+				}
 				copy(next.data[run+shift:], from.data[run:ol])
 				olist, orow := from.at(v)
 				ol += int64(len(olist))
@@ -625,23 +656,6 @@ func transpose64(a *[64]uint64) {
 		}
 		m ^= m << (j >> 1)
 	}
-}
-
-// rowMin is the least count a vertex keeps a row at over indexed sets —
-// policy.Dense(indexed, count) holds exactly from it on — or MaxInt64.
-func rowMin(policy rrr.Policy, indexed int64) int64 {
-	dense := func(c int64) bool { return policy.Dense(int32(indexed), int(c)) }
-	if !dense(indexed) {
-		return math.MaxInt64
-	}
-	c := int64(math.Ceil(policy.DensityThreshold * float64(indexed)))
-	for c > 0 && dense(c-1) {
-		c--
-	}
-	for !dense(c) {
-		c++
-	}
-	return c
 }
 
 // changedID is the id of a patch's k-th changed set: ids, then the tail

@@ -430,6 +430,7 @@ func validatePoolState(st *imm.PoolState) error {
 	policy := imm.PolicyFromOptions(imm.Options{AdaptiveRep: st.AdaptiveRep})
 	n := st.N
 	words := (int(n) + 63) / 64
+	denseSet := policy.MinDense(n)
 	if int64(len(st.Sizes)) != st.Count {
 		return fmt.Errorf("%w: %d set sizes for a pool of %d sets", ErrPoolSnapshot, len(st.Sizes), st.Count)
 	}
@@ -440,20 +441,32 @@ func validatePoolState(st *imm.PoolState) error {
 		if size < 0 || size > int(n) {
 			return fmt.Errorf("%w: set %d size %d out of range [0, %d]", ErrPoolSnapshot, i, size, n)
 		}
-		if policy.Dense(n, size) {
+		if int64(size) >= denseSet {
 			if bc+words > len(st.BitmapData) {
 				return fmt.Errorf("%w: set %d bitmap payload overrun", ErrPoolSnapshot, i)
 			}
-			if err := checkRow(st.BitmapData[bc:bc+words], int64(n), int64(size)); err != nil {
-				return fmt.Errorf("%w: set %d bitmap %v", ErrPoolSnapshot, i, err)
+			row := st.BitmapData[bc : bc+words]
+			pop := 0
+			for _, w := range row {
+				pop += bits.OnesCount64(w)
+			}
+			if tail := int(n) % 64; tail != 0 && words > 0 && row[words-1]>>uint(tail) != 0 {
+				return fmt.Errorf("%w: set %d bitmap has bits beyond vertex %d", ErrPoolSnapshot, i, n)
+			}
+			if pop != size {
+				return fmt.Errorf("%w: set %d bitmap popcount %d != size %d", ErrPoolSnapshot, i, pop, size)
 			}
 			bc += words
 		} else {
 			if lc+size > len(st.ListData) {
 				return fmt.Errorf("%w: set %d list payload overrun", ErrPoolSnapshot, i)
 			}
-			if err := checkList(st.ListData[lc:lc+size], n); err != nil {
-				return fmt.Errorf("%w: set %d member %v", ErrPoolSnapshot, i, err)
+			prev := int32(-1)
+			for _, v := range st.ListData[lc : lc+size] {
+				if v <= prev || v >= n {
+					return fmt.Errorf("%w: set %d member %d unsorted or out of range", ErrPoolSnapshot, i, v)
+				}
+				prev = v
 			}
 			lc += size
 		}
@@ -482,60 +495,45 @@ func validatePoolState(st *imm.PoolState) error {
 	}
 	count := int32(st.Count)
 	rowWords := (st.Count + 63) / 64
+	denseRow := policy.MinDense(count)
 	var dc, rc int64
 	for v := int32(0); v < n; v++ {
 		c := st.PostIdx[v+1] - st.PostIdx[v]
 		if c < 0 || st.PostIdx[v+1] > members {
 			return fmt.Errorf("%w: index offsets decrease or overrun at vertex %d", ErrPoolSnapshot, v)
 		}
-		if policy.Dense(count, int(c)) {
+		if c >= denseRow {
 			if rc+rowWords > int64(len(st.PostRows)) {
 				return fmt.Errorf("%w: vertex %d posting row overrun", ErrPoolSnapshot, v)
 			}
-			if err := checkRow(st.PostRows[rc:rc+rowWords], st.Count, c); err != nil {
-				return fmt.Errorf("%w: vertex %d posting row %v", ErrPoolSnapshot, v, err)
+			row := st.PostRows[rc : rc+rowWords]
+			var pop int64
+			for _, w := range row {
+				pop += int64(bits.OnesCount64(w))
+			}
+			if tail := st.Count % 64; tail != 0 && row[rowWords-1]>>uint(tail) != 0 {
+				return fmt.Errorf("%w: vertex %d posting row has bits at or past set %d", ErrPoolSnapshot, v, st.Count)
+			}
+			if pop != c {
+				return fmt.Errorf("%w: vertex %d posting row popcount %d != count %d", ErrPoolSnapshot, v, pop, c)
 			}
 			rc += rowWords
 		} else {
 			if dc+c > int64(len(st.PostData)) {
 				return fmt.Errorf("%w: vertex %d posting list overrun", ErrPoolSnapshot, v)
 			}
-			if err := checkList(st.PostData[dc:dc+c], count); err != nil {
-				return fmt.Errorf("%w: vertex %d posting %v", ErrPoolSnapshot, v, err)
+			prev := int32(-1)
+			for _, id := range st.PostData[dc : dc+c] {
+				if id <= prev || id >= count {
+					return fmt.Errorf("%w: posting %d at vertex %d unsorted, duplicated or out of range", ErrPoolSnapshot, id, v)
+				}
+				prev = id
 			}
 			dc += c
 		}
 	}
 	if dc != int64(len(st.PostData)) || rc != int64(len(st.PostRows)) {
 		return fmt.Errorf("%w: posting blobs larger than the counts consume", ErrPoolSnapshot)
-	}
-	return nil
-}
-
-// checkRow audits a row over [0, bound): no bit at or past bound, and want
-// bits set.
-func checkRow(row []uint64, bound, want int64) error {
-	var pop int64
-	for _, w := range row {
-		pop += int64(bits.OnesCount64(w))
-	}
-	if tail := bound % 64; tail != 0 && len(row) > 0 && row[len(row)-1]>>uint(tail) != 0 {
-		return fmt.Errorf("has bits at or past %d", bound)
-	}
-	if pop != want {
-		return fmt.Errorf("popcount %d != %d", pop, want)
-	}
-	return nil
-}
-
-// checkList audits a list: strictly ascending, within [0, bound).
-func checkList(list []int32, bound int32) error {
-	prev := int32(-1)
-	for _, v := range list {
-		if v <= prev || v >= bound {
-			return fmt.Errorf("%d unsorted, duplicated or out of range", v)
-		}
-		prev = v
 	}
 	return nil
 }

@@ -16,6 +16,7 @@ package rrr
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 
@@ -173,6 +174,23 @@ func ListOnlyPolicy() Policy { return Policy{Adaptive: false} }
 // asks here, so pools built by different kernels agree set-for-set.
 func (p Policy) Dense(n int32, size int) bool {
 	return p.Adaptive && n > 0 && float64(size) >= p.DensityThreshold*float64(n)
+}
+
+// MinDense returns the least size Dense(n, size) holds for — it holds for
+// every size from it on — or math.MaxInt64 when it holds for no size up to
+// n. A loop over many sizes compares against it instead of asking Dense.
+func (p Policy) MinDense(n int32) int64 {
+	if !p.Dense(n, int(n)) {
+		return math.MaxInt64
+	}
+	size := int64(math.Ceil(p.DensityThreshold * float64(n)))
+	for size > 0 && p.Dense(n, int(size-1)) {
+		size--
+	}
+	for !p.Dense(n, int(size)) {
+		size++
+	}
+	return size
 }
 
 // Build materializes a set from a sorted, unique member slice, choosing

@@ -214,3 +214,18 @@ func TestLargeRandomSetsConsistency(t *testing.T) {
 		}
 	}
 }
+
+// TestMinDense holds MinDense to Dense: below it no size is dense, from it
+// on every size is.
+func TestMinDense(t *testing.T) {
+	for _, p := range []Policy{DefaultPolicy(), ListOnlyPolicy(), {Adaptive: true, DensityThreshold: 1.0 / 3}, {Adaptive: true, DensityThreshold: 1.5}, {Adaptive: true}} {
+		for _, n := range []int32{0, 1, 2, 3, 15, 16, 17, 63, 64, 100, 1000, 4099} {
+			m := p.MinDense(n)
+			for size := 0; size <= int(n); size++ {
+				if got, want := p.Dense(n, size), int64(size) >= m; got != want {
+					t.Fatalf("%+v n=%d: Dense(%d) = %v, MinDense %d", p, n, size, got, m)
+				}
+			}
+		}
+	}
+}
