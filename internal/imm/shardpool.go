@@ -445,7 +445,6 @@ func (p *shardedPool) patch(workers int, ids []int64, old *setStore) (members [p
 			at, la, k := pr.postings, pr.lists, pr.rows // new offset, list position, row
 			k0, rb0 := int32(k), at-la                  // the range's first row, and the row postings before it
 			rb := rb0
-
 			ol := from.listStart(lo) // old list position
 			run, shift := ol, la-ol  // old list postings [run, ol) are pending: they all move by shift
 			end := from.idx[lo]      // where v's old postings end, in count
