@@ -13,11 +13,12 @@ import (
 	"repro/internal/rrr"
 )
 
-// Tests of the CSR patch under index extension and repair: after any
+// Tests of the index patch under index extension and repair: after any
 // interleaving of extension rounds and slot replacements, the pool's
-// index must equal a naive from-scratch build over its resident sets, and
-// the merge of the sixteen per-shard indexes the patch's predecessor
-// maintains over the same sets.
+// index — each vertex's postings a row or a list as its count says — must
+// equal a naive from-scratch build over its resident sets, a one-patch
+// build, and the merge of the sixteen per-shard indexes the patch's
+// predecessor maintained over the same sets.
 
 // Accessors the tests read and build the pool's sets through.
 
