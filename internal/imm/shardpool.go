@@ -76,6 +76,7 @@ type postings struct {
 	data    []int32
 	rows    []uint64
 	words   int64 // per row
+	top     int64 // the largest count
 }
 
 // count is v's occurrence count over the indexed sets.
@@ -127,7 +128,7 @@ func (ix *postings) patched(v int32, d int64, drop *bitset.Bitset) (int64, bool)
 // bytes is what the rows and lists hold.
 func (ix *postings) bytes() int64 { return 4*int64(len(ix.data)) + 8*int64(len(ix.rows)) }
 
-// layOut derives rowAt and rowBase from idx for an index over indexed
+// layOut derives rowAt, rowBase and top from idx for an index over indexed
 // sets under policy, and returns how many list postings and row words the
 // vertices' kinds call for; ok is false, and the index unusable, when the
 // offsets decrease.
@@ -142,6 +143,7 @@ func (ix *postings) layOut(policy rrr.Policy, indexed int64) (lists, words int64
 		if c < 0 {
 			return 0, 0, false
 		}
+		ix.top = max(ix.top, c)
 		if c >= minRow {
 			if ix.rowAt == nil { // the first row: the vertices before keep lists
 				ix.rowAt = make([]int32, n+1)
@@ -229,6 +231,10 @@ type patchScratch struct {
 	drop   bitset.Bitset       // the ids being dropped, clear between patches
 	bufs   [poolShards][]int32 // a decode buffer per range writer, for non-list sets
 	ranges [poolShards]patchRange
+	// next is the index being built. The one closure a patch forks reads
+	// counted: false while it counts the ranges, true once they are placed.
+	next    postings
+	counted bool
 }
 
 // patchRange is one vertex range's share of a patch.
@@ -237,6 +243,7 @@ type patchRange struct {
 	// Its postings, list postings and rows under the new kinds; once laid
 	// out, those of the ranges before it.
 	postings, lists, rows int64
+	top                   int64 // its largest new count
 }
 
 // bytes is what the scratch keeps resident.
@@ -272,6 +279,20 @@ func membersIn(list []int32, row []uint64, lo, hi int32, buf []int32) (part, _ [
 	return vs, buf
 }
 
+// membersBelow counts the members under lo of the set whose payload is
+// list or row (lo a multiple of 64).
+func membersBelow(list []int32, row []uint64, lo int32) int64 {
+	if row == nil {
+		i, _ := slices.BinarySearch(list, lo)
+		return int64(i)
+	}
+	c := 0
+	for _, w := range row[:lo>>6] {
+		c += bits.OnesCount64(w)
+	}
+	return int64(c)
+}
+
 // patch is the one way the inverted index changes. It drops the postings
 // of the sets ids (ascending, below indexed, whose previous contents old
 // holds), re-adds those ids from the sets now resident, and absorbs the
@@ -284,18 +305,19 @@ func membersIn(list []int32, row []uint64, lo, hi int32, buf []int32) (part, _ [
 // are only read. The work is split over contiguous vertex ranges, one
 // writer each, so the arrays are the same at any worker count — they
 // equal a from-scratch build. A writer reads every changed set but only
-// the members in its range (membersIn), twice; a tail of dense sets it
-// reads 64 set ids at a time, transposed (bitBlock), so that a vertex's
-// word of the block is its postings among them. The first fork-join counts
-// each vertex's new occurrence count, which picks its kind for the new
-// indexed count: either kind may become the other. The ranges' totals
-// place each range in the new arrays. The second lays the range out in
-// one ascending sweep — a run of list vertices that keep their postings
-// moves with a single copy; a vertex that changes copies, widens, filters
-// or converts its old postings, leaving room for its gains — and then
-// inserts each changed set's id: a bit in a row, or at its sorted place
-// in a list (an append for a tail id, a shift of the larger ids
-// otherwise). Cost: a pass over the n offsets and the old rows, plus work
+// the members in its range (membersIn), twice. A writer first counts each
+// vertex's new occurrence count, which picks its kind for the new indexed
+// count: either kind may become the other. The ranges' totals place each
+// range in the new arrays, and the writers, forked again through the same
+// closure, lay their ranges out. When the old index keeps no row and no
+// vertex can gain enough to reach one, the new index is lists alone and a
+// range's place follows from the members below it, so one fork-join counts
+// and lays out. A writer lays its range out in one ascending sweep — a run
+// of list vertices that keep their postings moves with a single copy; a
+// vertex that changes copies, widens, filters or converts its old
+// postings, leaving room for its gains — and then inserts each changed
+// set's id: a bit in a row, or at its sorted place in a list (an append
+// for a tail id, a shift of the larger ids otherwise). Cost: a pass over the n offsets and the old rows, plus work
 // proportional to the changed sets' members and the lists losing ids,
 // plus a constant per changed set and range.
 func (p *shardedPool) patch(workers int, ids []int64, old *setStore) (members [poolShards]int64) {
@@ -350,101 +372,74 @@ func (p *shardedPool) patch(workers int, ids []int64, old *setStore) (members [p
 	dropped := sc.drop.Words()
 
 	minRow := p.sets.policy.MinDense(int32(p.count))
-	// reach is what a vertex must gain to turn a list into a row: an old
-	// list holds fewer than the old threshold's postings.
-	reach := int64(math.MaxInt64)
-	if minRow != math.MaxInt64 {
-		reach = minRow
-		if p.post.idx != nil {
-			reach -= p.sets.policy.MinDense(int32(firstTail)) - 1
-		}
-	}
 	// The member count each changed set adds, billed by its shard.
 	for k := range changed {
 		id := changedID(ids, firstTail, k)
 		members[id%poolShards] += int64(p.sets.sizes[id])
 	}
-	// A tail whose sets hold at least 1/32 of the vertices on average is
-	// walked in transposed blocks: that many bits a word repay a transpose.
-	tail := p.count - firstTail
-	blocked := tail > 0 && 32*(p.sets.upTo(p.count).members-p.sets.upTo(firstTail).members) >= tail*int64(n)
-	perSet := changed
-	if blocked {
-		perSet = len(ids)
+	next := &sc.next
+	*next = postings{words: (p.count + 63) / 64}
+	single := from.top+int64(changed) < minRow // a vertex gains at most one posting a changed set
+	if single {
+		next.idx, next.data = make([]int64, n+1), make([]int32, p.totalMembers)
+		next.idx[n] = p.totalMembers
+		var lost int64 // the postings the ranges before drop
+		for r := range ranges {
+			ranges[r].postings, lost = from.idx[bounds[r]]-lost, lost+ranges[r].dropped
+		}
 	}
-	sched.Static(nr, nr, func(_, r0, r1 int) {
+	sc.counted = false
+	pass := func(_, r0, r1 int) {
 		for r := r0; r < r1; r++ {
 			lo, hi := bounds[r], bounds[r+1]
-			var vs []int32
-			buf := sc.bufs[r]
-			var c cursor
-			var gained, top int64 // the postings gained, and the most one vertex gains
-			for k := range perSet {
-				list, row := p.sets.set(&c, changedID(ids, firstTail, k))
-				vs, buf = membersIn(list, row, lo, hi, buf)
-				for _, v := range vs {
-					mark[v]++
-					top = max(top, mark[v]&^dropMark)
-				}
-				gained += int64(len(vs))
-			}
-			if blocked {
-				var b bitBlock
-				c = cursor{}
-				for j0 := firstTail &^ 63; j0 < p.count; j0 += 64 {
-					b.load(&p.sets, &c, j0, firstTail, lo)
-					for wi := lo >> 6; wi < (hi+63)>>6; wi++ {
-						for i, x := range b.transposed(wi) {
-							if x != 0 { // past the vertex count, always
-								mark[wi<<6+int32(i)] += int64(bits.OnesCount64(x))
-								gained += int64(bits.OnesCount64(x))
-							}
-						}
+			if !sc.counted {
+				var vs []int32
+				buf := sc.bufs[r]
+				var c cursor
+				var gained, top, below int64 // the postings gained, the most one vertex gains, and the members below the range
+				for k := range changed {
+					list, row := p.sets.set(&c, changedID(ids, firstTail, k))
+					vs, buf = membersIn(list, row, lo, hi, buf)
+					for _, v := range vs {
+						mark[v]++
+						top = max(top, mark[v]&^dropMark)
+					}
+					gained += int64(len(vs))
+					if single {
+						below += membersBelow(list, row, lo)
 					}
 				}
-			}
-			// Every vertex keeps a list unless one kept a row or gains
-			// enough to reach the threshold; an untouched list stays one,
-			// as the threshold only rises.
-			pr := patchRange{postings: from.idx[hi] - from.idx[lo] + gained - ranges[r].dropped}
-			pr.lists = pr.postings
-			sweep := blocked || from.rowAt != nil && from.rowAt[hi] > from.rowAt[lo] || top >= reach
-			for v := lo; sweep && v < hi; v++ {
-				d := mark[v]
-				if d == 0 && minRow > 0 && !from.isRow(v) {
+				sc.bufs[r] = buf
+				if single { // lists alone: the range starts where its postings do
+					at := ranges[r].postings + below
+					ranges[r] = patchRange{postings: at, lists: at}
+				} else {
+					// Every vertex keeps a list unless one can reach the
+					// threshold; an untouched list stays one, as the
+					// threshold only rises.
+					pr := patchRange{postings: from.idx[hi] - from.idx[lo] + gained - ranges[r].dropped}
+					pr.lists = pr.postings
+					sweep := from.top+top >= minRow
+					for v := lo; sweep && v < hi; v++ {
+						d := mark[v]
+						if d == 0 && minRow > 0 && !from.isRow(v) {
+							continue
+						}
+						if nc, _ := from.patched(v, d, &sc.drop); nc >= minRow {
+							pr.rows++
+							pr.lists -= nc
+						}
+					}
+					ranges[r] = pr
 					continue
 				}
-				if nc, _ := from.patched(v, d, &sc.drop); nc >= minRow {
-					pr.rows++
-					pr.lists -= nc
-				}
 			}
-			ranges[r] = pr
-			sc.bufs[r] = buf
-		}
-	})
-	next := postings{words: (p.count + 63) / 64}
-	var total, lists, rows int64
-	for r := range ranges {
-		pr := &ranges[r]
-		pr.postings, total = total, total+pr.postings
-		pr.lists, lists = lists, lists+pr.lists
-		pr.rows, rows = rows, rows+pr.rows
-	}
-	next.idx, next.data = make([]int64, n+1), make([]int32, lists)
-	next.idx[n] = total
-	if rows > 0 {
-		next.rowAt, next.rowBase, next.rows = make([]int32, n+1), make([]int64, rows+1), make([]uint64, rows*next.words)
-		next.rowAt[n] = int32(rows)
-	}
 
-	sched.Static(nr, nr, func(_, r0, r1 int) {
-		for r := r0; r < r1; r++ {
-			lo, hi := bounds[r], bounds[r+1]
 			pr := ranges[r]
 			at, la, k := pr.postings, pr.lists, pr.rows // new offset, list position, row
 			k0, rb0 := int32(k), at-la                  // the range's first row, and the row postings before it
 			rb := rb0
+			var top int64            // the range's largest count
 			ol := from.listStart(lo) // old list position
 			run, shift := ol, la-ol  // old list postings [run, ol) are pending: they all move by shift
 			end := from.idx[lo]      // where v's old postings end, in count
@@ -459,6 +454,7 @@ func (p *shardedPool) patch(workers int, ids []int64, old *setStore) (members [p
 				oldRow := from.isRow(v)
 				if d == 0 && !oldRow && c < minRow { // the list rides with the run
 					at, ol, la = at+c, ol+c, la+c
+					top = max(top, c)
 					continue
 				}
 				nc, lost := c+d, false
@@ -466,6 +462,7 @@ func (p *shardedPool) patch(workers int, ids []int64, old *setStore) (members [p
 					nc, lost = from.patched(v, d, &sc.drop)
 				}
 				at += nc
+				top = max(top, nc)
 				newRow := nc >= minRow
 				if !lost && !oldRow && !newRow { // the list rides with the run, room for its gains behind it
 					ol += c
@@ -528,7 +525,7 @@ func (p *shardedPool) patch(workers int, ids []int64, old *setStore) (members [p
 			buf := sc.bufs[r]
 			var vs []int32
 			var c cursor
-			for kk := range perSet {
+			for kk := range changed {
 				id := changedID(ids, firstTail, kk)
 				list, row := p.sets.set(&c, id)
 				vs, buf = membersIn(list, row, lo, hi, buf)
@@ -558,103 +555,40 @@ func (p *shardedPool) patch(workers int, ids []int64, old *setStore) (members [p
 					next.data[at] = int32(id)
 				}
 			}
-			if blocked {
-				var b bitBlock
-				c = cursor{}
-				for j0 := firstTail &^ 63; j0 < p.count; j0 += 64 {
-					b.load(&p.sets, &c, j0, firstTail, lo)
-					for wi := lo >> 6; wi < (hi+63)>>6; wi++ {
-						for i, x := range b.transposed(wi) {
-							if x == 0 {
-								continue
-							}
-							v := wi<<6 + int32(i)
-							at := mark[v]
-							if at < 0 {
-								next.rows[^at+j0>>6] |= x
-								continue
-							}
-							mark[v] += int64(bits.OnesCount64(x))
-							for ; x != 0; x &= x - 1 {
-								next.data[at] = int32(j0) + int32(bits.TrailingZeros64(x))
-								at++
-							}
-						}
-					}
-				}
-			}
 			sc.bufs[r] = buf
 			clear(mark[lo:hi])
+			ranges[r].top = top
 		}
-	})
+	}
+	sched.Static(nr, nr, pass)
+	if !single {
+		var total, lists, rows int64
+		for r := range ranges {
+			pr := &ranges[r]
+			pr.postings, total = total, total+pr.postings
+			pr.lists, lists = lists, lists+pr.lists
+			pr.rows, rows = rows, rows+pr.rows
+		}
+		next.idx, next.data = make([]int64, n+1), make([]int32, lists)
+		next.idx[n] = total
+		if rows > 0 {
+			next.rowAt, next.rowBase, next.rows = make([]int32, n+1), make([]int64, rows+1), make([]uint64, rows*next.words)
+			next.rowAt[n] = int32(rows)
+		}
+		sc.counted = true
+		sched.Static(nr, nr, pass)
+	}
 	for _, id := range ids {
 		sc.drop.Clear(int(id))
 	}
+	for _, pr := range ranges {
+		next.top = max(next.top, pr.top)
+	}
 
-	p.post = next
+	p.post, *next = *next, postings{}
 	p.indexed = p.count
 	p.covered.Grow(int(p.indexed))
 	return members
-}
-
-// bitBlock walks the tail sets among the 64 set ids [j0, j0+64) over one
-// vertex range, a 64-vertex word at a time, ascending.
-type bitBlock struct {
-	lists [64][]int32  // a list set's members not yet walked
-	rows  [64][]uint64 // a row set's row
-	words [64]uint64
-	j0    int64
-}
-
-// load fills b with block j0's sets at or past from, up to the pool's
-// length, for a range starting at vertex lo; c walks the store.
-func (b *bitBlock) load(st *setStore, c *cursor, j0, from int64, lo int32) {
-	*b = bitBlock{j0: j0}
-	for i := max(j0, from) - j0; i < 64 && j0+i < int64(len(st.sizes)); i++ {
-		list, row := st.set(c, j0+i)
-		if len(list) > 0 && list[0] < lo {
-			cut, _ := slices.BinarySearch(list, lo)
-			list = list[cut:]
-		}
-		b.lists[i], b.rows[i] = list, row
-	}
-}
-
-// transposed returns, for each vertex 64·wi+b of word wi, the block's sets
-// that hold it: bit i is set j0+i. Words must be asked for ascending.
-func (b *bitBlock) transposed(wi int32) *[64]uint64 {
-	end := (wi + 1) << 6
-	for i := range b.words {
-		var x uint64
-		if row := b.rows[i]; row != nil {
-			x = row[wi]
-		} else {
-			list := b.lists[i]
-			for len(list) > 0 && list[0] < end {
-				x |= 1 << (list[0] & 63)
-				list = list[1:]
-			}
-			b.lists[i] = list
-		}
-		b.words[i] = x
-	}
-	transpose64(&b.words)
-	return &b.words
-}
-
-// transpose64 transposes a 64×64 bit matrix in place: bit j of a[i]
-// becomes bit i of a[j]. Each round swaps the off-diagonal blocks of
-// every 2j×2j block.
-func transpose64(a *[64]uint64) {
-	m := uint64(0x0000_0000_ffff_ffff)
-	for j := 32; j != 0; j >>= 1 {
-		for k := 0; k < 64; k = (k + j + 1) &^ j {
-			t := (a[k]>>j ^ a[k+j]) & m
-			a[k+j] ^= t
-			a[k] ^= t << j
-		}
-		m ^= m << (j >> 1)
-	}
 }
 
 // changedID is the id of a patch's k-th changed set: ids, then the tail
