@@ -305,21 +305,25 @@ func membersBelow(list []int32, row []uint64, lo int32) int64 {
 // are only read. The work is split over contiguous vertex ranges, one
 // writer each, so the arrays are the same at any worker count — they
 // equal a from-scratch build. A writer reads every changed set but only
-// the members in its range (membersIn), twice. A writer first counts each
-// vertex's new occurrence count, which picks its kind for the new indexed
-// count: either kind may become the other. The ranges' totals place each
-// range in the new arrays, and the writers, forked again through the same
-// closure, lay their ranges out. When the old index keeps no row and no
-// vertex can gain enough to reach one, the new index is lists alone and a
-// range's place follows from the members below it, so one fork-join counts
-// and lays out. A writer lays its range out in one ascending sweep — a run
-// of list vertices that keep their postings moves with a single copy; a
-// vertex that changes copies, widens, filters or converts its old
+// the members in its range (membersIn), twice; a tail of mostly bitmap
+// sets it reads 64 set ids at a time, transposed (bitBlock), so that a
+// vertex's word of the block is its postings among them. A writer first
+// counts each vertex's new occurrence count, which picks its kind for the
+// new indexed count: either kind may become the other. The ranges' totals
+// place each range in the new arrays, and the writers, forked again
+// through the same closure, lay their ranges out. When no vertex can
+// reach the row threshold — the old index's largest count plus the
+// changed sets stays under it — the new index is lists alone and a
+// range's place follows from the members below it, so one fork-join
+// counts and lays out. A writer lays its range out in one ascending sweep
+// — a run of list vertices that keep their postings moves with a single
+// copy; a vertex that changes copies, widens, filters or converts its old
 // postings, leaving room for its gains — and then inserts each changed
 // set's id: a bit in a row, or at its sorted place in a list (an append
-// for a tail id, a shift of the larger ids otherwise). Cost: a pass over the n offsets and the old rows, plus work
-// proportional to the changed sets' members and the lists losing ids,
-// plus a constant per changed set and range.
+// for a tail id, a shift of the larger ids otherwise). Cost: a pass over
+// the n offsets and the old rows, plus work proportional to the changed
+// sets' members and the lists losing ids, plus a constant per changed set
+// and range.
 func (p *shardedPool) patch(workers int, ids []int64, old *setStore) (members [poolShards]int64) {
 	if p.covered == nil {
 		p.covered = bitset.New(int(p.indexed))
@@ -388,6 +392,15 @@ func (p *shardedPool) patch(workers int, ids []int64, old *setStore) (members [p
 			ranges[r].postings, lost = from.idx[bounds[r]]-lost, lost+ranges[r].dropped
 		}
 	}
+	// A tail whose sets are mostly bitmaps is walked in transposed blocks:
+	// a row's words go into a block whole, where the set-by-set walk
+	// decodes them member by member. Over list sets the blocks do not pay.
+	tail := p.count - firstTail
+	blocked := !single && tail > 0 && 2*int64(p.sets.upTo(p.count).bitmaps-p.sets.upTo(firstTail).bitmaps) >= tail
+	perSet := changed
+	if blocked {
+		perSet = len(ids)
+	}
 	sc.counted = false
 	pass := func(_, r0, r1 int) {
 		for r := r0; r < r1; r++ {
@@ -396,17 +409,36 @@ func (p *shardedPool) patch(workers int, ids []int64, old *setStore) (members [p
 				var vs []int32
 				buf := sc.bufs[r]
 				var c cursor
-				var gained, top, below int64 // the postings gained, the most one vertex gains, and the members below the range
-				for k := range changed {
+				// The postings gained, the most one vertex gains, and the
+				// changed sets' members below the range.
+				var gained, most, below int64
+				for k := range perSet {
 					list, row := p.sets.set(&c, changedID(ids, firstTail, k))
 					vs, buf = membersIn(list, row, lo, hi, buf)
 					for _, v := range vs {
 						mark[v]++
-						top = max(top, mark[v]&^dropMark)
+						most = max(most, mark[v]&^dropMark)
 					}
 					gained += int64(len(vs))
 					if single {
 						below += membersBelow(list, row, lo)
+					}
+				}
+				if blocked {
+					var b bitBlock
+					c = cursor{}
+					for j0 := firstTail &^ 63; j0 < p.count; j0 += 64 {
+						b.load(&p.sets, &c, j0, firstTail, lo)
+						for wi := lo >> 6; wi < (hi+63)>>6; wi++ {
+							for i, x := range b.transposed(wi) {
+								if x != 0 { // past the vertex count, always
+									v := wi<<6 + int32(i)
+									mark[v] += int64(bits.OnesCount64(x))
+									most = max(most, mark[v]&^dropMark)
+									gained += int64(bits.OnesCount64(x))
+								}
+							}
+						}
 					}
 				}
 				sc.bufs[r] = buf
@@ -419,7 +451,7 @@ func (p *shardedPool) patch(workers int, ids []int64, old *setStore) (members [p
 					// threshold only rises.
 					pr := patchRange{postings: from.idx[hi] - from.idx[lo] + gained - ranges[r].dropped}
 					pr.lists = pr.postings
-					sweep := from.top+top >= minRow
+					sweep := from.top+most >= minRow
 					for v := lo; sweep && v < hi; v++ {
 						d := mark[v]
 						if d == 0 && minRow > 0 && !from.isRow(v) {
@@ -525,7 +557,7 @@ func (p *shardedPool) patch(workers int, ids []int64, old *setStore) (members [p
 			buf := sc.bufs[r]
 			var vs []int32
 			var c cursor
-			for kk := range changed {
+			for kk := range perSet {
 				id := changedID(ids, firstTail, kk)
 				list, row := p.sets.set(&c, id)
 				vs, buf = membersIn(list, row, lo, hi, buf)
@@ -553,6 +585,31 @@ func (p *shardedPool) patch(workers int, ids []int64, old *setStore) (members [p
 						}
 					}
 					next.data[at] = int32(id)
+				}
+			}
+			if blocked {
+				var b bitBlock
+				c = cursor{}
+				for j0 := firstTail &^ 63; j0 < p.count; j0 += 64 {
+					b.load(&p.sets, &c, j0, firstTail, lo)
+					for wi := lo >> 6; wi < (hi+63)>>6; wi++ {
+						for i, x := range b.transposed(wi) {
+							if x == 0 {
+								continue
+							}
+							v := wi<<6 + int32(i)
+							at := mark[v]
+							if at < 0 {
+								next.rows[^at+j0>>6] |= x
+								continue
+							}
+							mark[v] += int64(bits.OnesCount64(x))
+							for ; x != 0; x &= x - 1 {
+								next.data[at] = int32(j0) + int32(bits.TrailingZeros64(x))
+								at++
+							}
+						}
+					}
 				}
 			}
 			sc.bufs[r] = buf
@@ -589,6 +646,66 @@ func (p *shardedPool) patch(workers int, ids []int64, old *setStore) (members [p
 	p.indexed = p.count
 	p.covered.Grow(int(p.indexed))
 	return members
+}
+
+// bitBlock walks the tail sets among the 64 set ids [j0, j0+64) over one
+// vertex range, a 64-vertex word at a time, ascending.
+type bitBlock struct {
+	lists [64][]int32  // a list set's members not yet walked
+	rows  [64][]uint64 // a row set's row
+	words [64]uint64
+	j0    int64
+}
+
+// load fills b with block j0's sets at or past from, up to the pool's
+// length, for a range starting at vertex lo; c walks the store.
+func (b *bitBlock) load(st *setStore, c *cursor, j0, from int64, lo int32) {
+	*b = bitBlock{j0: j0}
+	for i := max(j0, from) - j0; i < 64 && j0+i < int64(len(st.sizes)); i++ {
+		list, row := st.set(c, j0+i)
+		if len(list) > 0 && list[0] < lo {
+			cut, _ := slices.BinarySearch(list, lo)
+			list = list[cut:]
+		}
+		b.lists[i], b.rows[i] = list, row
+	}
+}
+
+// transposed returns, for each vertex 64·wi+b of word wi, the block's sets
+// that hold it: bit i is set j0+i. Words must be asked for ascending.
+func (b *bitBlock) transposed(wi int32) *[64]uint64 {
+	end := (wi + 1) << 6
+	for i := range b.words {
+		var x uint64
+		if row := b.rows[i]; row != nil {
+			x = row[wi]
+		} else {
+			list := b.lists[i]
+			for len(list) > 0 && list[0] < end {
+				x |= 1 << (list[0] & 63)
+				list = list[1:]
+			}
+			b.lists[i] = list
+		}
+		b.words[i] = x
+	}
+	transpose64(&b.words)
+	return &b.words
+}
+
+// transpose64 transposes a 64×64 bit matrix in place: bit j of a[i]
+// becomes bit i of a[j]. Each round swaps the off-diagonal blocks of
+// every 2j×2j block.
+func transpose64(a *[64]uint64) {
+	m := uint64(0x0000_0000_ffff_ffff)
+	for j := 32; j != 0; j >>= 1 {
+		for k := 0; k < 64; k = (k + j + 1) &^ j {
+			t := (a[k]>>j ^ a[k+j]) & m
+			a[k+j] ^= t
+			a[k] ^= t << j
+		}
+		m ^= m << (j >> 1)
+	}
 }
 
 // changedID is the id of a patch's k-th changed set: ids, then the tail

@@ -573,6 +573,24 @@ func TestPatchFlipsKinds(t *testing.T) {
 	t.Logf("kind flips (extension, repair) × (to row, to list): %v", all)
 }
 
+// TestTranspose64 checks the block transpose against the definition.
+func TestTranspose64(t *testing.T) {
+	r := rng.New(3)
+	var a [64]uint64
+	for i := range a {
+		a[i] = r.Uint64() & r.Uint64() // sparse enough that a misplaced bit shows
+	}
+	want := a
+	transpose64(&a)
+	for i := range 64 {
+		for j := range 64 {
+			if a[i]>>j&1 != want[j]>>i&1 {
+				t.Fatalf("bit %d of word %d is %d, bit %d of word %d was %d", j, i, a[i]>>j&1, i, j, want[j]>>i&1)
+			}
+		}
+	}
+}
+
 // TestExtendAllocs pins the retained scratch: a steady-state extension
 // round over a pool whose vertices all keep lists allocates the index's
 // two result arrays and the closure of the patch's fork-join, and nothing
