@@ -76,7 +76,6 @@ type postings struct {
 	data    []int32
 	rows    []uint64
 	words   int64 // per row
-	top     int64 // the largest count
 }
 
 // count is v's occurrence count over the indexed sets.
@@ -128,7 +127,7 @@ func (ix *postings) patched(v int32, d int64, drop *bitset.Bitset) (int64, bool)
 // bytes is what the rows and lists hold.
 func (ix *postings) bytes() int64 { return 4*int64(len(ix.data)) + 8*int64(len(ix.rows)) }
 
-// layOut derives rowAt, rowBase and top from idx for an index over indexed
+// layOut derives rowAt and rowBase from idx for an index over indexed
 // sets under policy, and returns how many list postings and row words the
 // vertices' kinds call for; ok is false, and the index unusable, when the
 // offsets decrease.
@@ -143,7 +142,6 @@ func (ix *postings) layOut(policy rrr.Policy, indexed int64) (lists, words int64
 		if c < 0 {
 			return 0, 0, false
 		}
-		ix.top = max(ix.top, c)
 		if c >= minRow {
 			if ix.rowAt == nil { // the first row: the vertices before keep lists
 				ix.rowAt = make([]int32, n+1)
@@ -243,7 +241,6 @@ type patchRange struct {
 	// Its postings, list postings and rows under the new kinds; once laid
 	// out, those of the ranges before it.
 	postings, lists, rows int64
-	top                   int64 // its largest new count
 }
 
 // bytes is what the scratch keeps resident.
@@ -279,20 +276,6 @@ func membersIn(list []int32, row []uint64, lo, hi int32, buf []int32) (part, _ [
 	return vs, buf
 }
 
-// membersBelow counts the members under lo of the set whose payload is
-// list or row (lo a multiple of 64).
-func membersBelow(list []int32, row []uint64, lo int32) int64 {
-	if row == nil {
-		i, _ := slices.BinarySearch(list, lo)
-		return int64(i)
-	}
-	c := 0
-	for _, w := range row[:lo>>6] {
-		c += bits.OnesCount64(w)
-	}
-	return int64(c)
-}
-
 // patch is the one way the inverted index changes. It drops the postings
 // of the sets ids (ascending, below indexed, whose previous contents old
 // holds), re-adds those ids from the sets now resident, and absorbs the
@@ -311,11 +294,7 @@ func membersBelow(list []int32, row []uint64, lo int32) int64 {
 // counts each vertex's new occurrence count, which picks its kind for the
 // new indexed count: either kind may become the other. The ranges' totals
 // place each range in the new arrays, and the writers, forked again
-// through the same closure, lay their ranges out. When no vertex can
-// reach the row threshold — the old index's largest count plus the
-// changed sets stays under it — the new index is lists alone and a
-// range's place follows from the members below it, so one fork-join
-// counts and lays out. A writer lays its range out in one ascending sweep
+// through the same closure, lay their ranges out in one ascending sweep
 // — a run of list vertices that keep their postings moves with a single
 // copy; a vertex that changes copies, widens, filters or converts its old
 // postings, leaving room for its gains — and then inserts each changed
@@ -376,31 +355,30 @@ func (p *shardedPool) patch(workers int, ids []int64, old *setStore) (members [p
 	dropped := sc.drop.Words()
 
 	minRow := p.sets.policy.MinDense(int32(p.count))
+	// reach is what a vertex must gain to turn a list into a row: an old
+	// list holds fewer than the old threshold's postings.
+	reach := int64(math.MaxInt64)
+	if minRow != math.MaxInt64 {
+		reach = minRow
+		if p.post.idx != nil {
+			reach -= p.sets.policy.MinDense(int32(firstTail)) - 1
+		}
+	}
 	// The member count each changed set adds, billed by its shard.
 	for k := range changed {
 		id := changedID(ids, firstTail, k)
 		members[id%poolShards] += int64(p.sets.sizes[id])
 	}
-	next := &sc.next
-	*next = postings{words: (p.count + 63) / 64}
-	single := from.top+int64(changed) < minRow // a vertex gains at most one posting a changed set
-	if single {
-		next.idx, next.data = make([]int64, n+1), make([]int32, p.totalMembers)
-		next.idx[n] = p.totalMembers
-		var lost int64 // the postings the ranges before drop
-		for r := range ranges {
-			ranges[r].postings, lost = from.idx[bounds[r]]-lost, lost+ranges[r].dropped
-		}
-	}
 	// A tail whose sets are mostly bitmaps is walked in transposed blocks:
 	// a row's words go into a block whole, where the set-by-set walk
 	// decodes them member by member. Over list sets the blocks do not pay.
 	tail := p.count - firstTail
-	blocked := !single && tail > 0 && 2*int64(p.sets.upTo(p.count).bitmaps-p.sets.upTo(firstTail).bitmaps) >= tail
+	blocked := tail > 0 && 2*int64(p.sets.upTo(p.count).bitmaps-p.sets.upTo(firstTail).bitmaps) >= tail
 	perSet := changed
 	if blocked {
 		perSet = len(ids)
 	}
+	next := &sc.next
 	sc.counted = false
 	pass := func(_, r0, r1 int) {
 		for r := r0; r < r1; r++ {
@@ -409,9 +387,7 @@ func (p *shardedPool) patch(workers int, ids []int64, old *setStore) (members [p
 				var vs []int32
 				buf := sc.bufs[r]
 				var c cursor
-				// The postings gained, the most one vertex gains, and the
-				// changed sets' members below the range.
-				var gained, most, below int64
+				var gained, most int64 // the postings gained, and the most one vertex gains
 				for k := range perSet {
 					list, row := p.sets.set(&c, changedID(ids, firstTail, k))
 					vs, buf = membersIn(list, row, lo, hi, buf)
@@ -420,9 +396,6 @@ func (p *shardedPool) patch(workers int, ids []int64, old *setStore) (members [p
 						most = max(most, mark[v]&^dropMark)
 					}
 					gained += int64(len(vs))
-					if single {
-						below += membersBelow(list, row, lo)
-					}
 				}
 				if blocked {
 					var b bitBlock
@@ -441,37 +414,31 @@ func (p *shardedPool) patch(workers int, ids []int64, old *setStore) (members [p
 						}
 					}
 				}
-				sc.bufs[r] = buf
-				if single { // lists alone: the range starts where its postings do
-					at := ranges[r].postings + below
-					ranges[r] = patchRange{postings: at, lists: at}
-				} else {
-					// Every vertex keeps a list unless one can reach the
-					// threshold; an untouched list stays one, as the
-					// threshold only rises.
-					pr := patchRange{postings: from.idx[hi] - from.idx[lo] + gained - ranges[r].dropped}
-					pr.lists = pr.postings
-					sweep := from.top+most >= minRow
-					for v := lo; sweep && v < hi; v++ {
-						d := mark[v]
-						if d == 0 && minRow > 0 && !from.isRow(v) {
-							continue
-						}
-						if nc, _ := from.patched(v, d, &sc.drop); nc >= minRow {
-							pr.rows++
-							pr.lists -= nc
-						}
+				// Every vertex keeps a list unless one kept a row or gains
+				// enough to reach the threshold; an untouched list stays
+				// one, as the threshold only rises.
+				pr := patchRange{postings: from.idx[hi] - from.idx[lo] + gained - ranges[r].dropped}
+				pr.lists = pr.postings
+				sweep := from.rowAt != nil && from.rowAt[hi] > from.rowAt[lo] || most >= reach
+				for v := lo; sweep && v < hi; v++ {
+					d := mark[v]
+					if d == 0 && minRow > 0 && !from.isRow(v) {
+						continue
 					}
-					ranges[r] = pr
-					continue
+					if nc, _ := from.patched(v, d, &sc.drop); nc >= minRow {
+						pr.rows++
+						pr.lists -= nc
+					}
 				}
+				ranges[r] = pr
+				sc.bufs[r] = buf
+				continue
 			}
 
 			pr := ranges[r]
 			at, la, k := pr.postings, pr.lists, pr.rows // new offset, list position, row
 			k0, rb0 := int32(k), at-la                  // the range's first row, and the row postings before it
 			rb := rb0
-			var top int64            // the range's largest count
 			ol := from.listStart(lo) // old list position
 			run, shift := ol, la-ol  // old list postings [run, ol) are pending: they all move by shift
 			end := from.idx[lo]      // where v's old postings end, in count
@@ -486,7 +453,6 @@ func (p *shardedPool) patch(workers int, ids []int64, old *setStore) (members [p
 				oldRow := from.isRow(v)
 				if d == 0 && !oldRow && c < minRow { // the list rides with the run
 					at, ol, la = at+c, ol+c, la+c
-					top = max(top, c)
 					continue
 				}
 				nc, lost := c+d, false
@@ -494,7 +460,6 @@ func (p *shardedPool) patch(workers int, ids []int64, old *setStore) (members [p
 					nc, lost = from.patched(v, d, &sc.drop)
 				}
 				at += nc
-				top = max(top, nc)
 				newRow := nc >= minRow
 				if !lost && !oldRow && !newRow { // the list rides with the run, room for its gains behind it
 					ol += c
@@ -614,32 +579,27 @@ func (p *shardedPool) patch(workers int, ids []int64, old *setStore) (members [p
 			}
 			sc.bufs[r] = buf
 			clear(mark[lo:hi])
-			ranges[r].top = top
 		}
 	}
 	sched.Static(nr, nr, pass)
-	if !single {
-		var total, lists, rows int64
-		for r := range ranges {
-			pr := &ranges[r]
-			pr.postings, total = total, total+pr.postings
-			pr.lists, lists = lists, lists+pr.lists
-			pr.rows, rows = rows, rows+pr.rows
-		}
-		next.idx, next.data = make([]int64, n+1), make([]int32, lists)
-		next.idx[n] = total
-		if rows > 0 {
-			next.rowAt, next.rowBase, next.rows = make([]int32, n+1), make([]int64, rows+1), make([]uint64, rows*next.words)
-			next.rowAt[n] = int32(rows)
-		}
-		sc.counted = true
-		sched.Static(nr, nr, pass)
+	*next = postings{words: (p.count + 63) / 64}
+	var total, lists, rows int64
+	for r := range ranges {
+		pr := &ranges[r]
+		pr.postings, total = total, total+pr.postings
+		pr.lists, lists = lists, lists+pr.lists
+		pr.rows, rows = rows, rows+pr.rows
 	}
+	next.idx, next.data = make([]int64, n+1), make([]int32, lists)
+	next.idx[n] = total
+	if rows > 0 {
+		next.rowAt, next.rowBase, next.rows = make([]int32, n+1), make([]int64, rows+1), make([]uint64, rows*next.words)
+		next.rowAt[n] = int32(rows)
+	}
+	sc.counted = true
+	sched.Static(nr, nr, pass)
 	for _, id := range ids {
 		sc.drop.Clear(int(id))
-	}
-	for _, pr := range ranges {
-		next.top = max(next.top, pr.top)
 	}
 
 	p.post, *next = *next, postings{}

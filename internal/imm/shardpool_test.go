@@ -101,7 +101,7 @@ func (p *shardedPool) decoded() (idx []int64, data []int32) {
 
 // sameIndex reports whether two indexes hold the same arrays.
 func sameIndex(a, b *postings) bool {
-	return a.words == b.words && a.top == b.top && slices.Equal(a.idx, b.idx) && slices.Equal(a.rowAt, b.rowAt) &&
+	return a.words == b.words && slices.Equal(a.idx, b.idx) && slices.Equal(a.rowAt, b.rowAt) &&
 		slices.Equal(a.rowBase, b.rowBase) && slices.Equal(a.data, b.data) && slices.Equal(a.rows, b.rows)
 }
 
@@ -546,9 +546,6 @@ var patchScripts = []struct {
 	// replacing dense sets with sparse ones drops them under it.
 	{9, 200, 1, 16, []byte{0, 40, shapeDense, 0, 255, shapeSingle, 1, 120, shapeDense, 3, 40, shapeSingle, 3, 40, shapeDense, 3, 40, shapeFew}},
 	{10, 130, 3, 64, []byte{1, 90, shapeDense, 3, 40, shapeFew, 3, 40, shapeFew, 0, 200, shapeEnds, 2, 30, shapeDense, 3, 20, shapeDense, 0, 1, 0}},
-	// Bitmap sets over an index in which no vertex can reach a row: the
-	// patch counts and lays out in one fork-join.
-	{11, 4000, 3, 8, []byte{0, 250, shapeSingle, 3, 1, shapeDense, 0, 1, shapeDense, 3, 2, shapeDense}},
 }
 
 // TestPatchFlipsKinds pins that the fuzz seeds move vertices across the
