@@ -8,7 +8,10 @@
 // single forward scan with no tables.
 package compress
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // AppendPlain appends the delta-varint encoding of sorted to dst and
 // returns the extended slice. sorted must be strictly increasing and
@@ -24,22 +27,11 @@ func AppendPlain(dst []byte, sorted []int32) []byte {
 	return dst
 }
 
-// PlainCount returns the member count of a plain encoding without
-// decoding the payload, or an error if the payload cannot hold it.
-func PlainCount(data []byte) (int, error) {
-	count, n := readUvarint(data)
-	if n <= 0 {
-		return 0, fmt.Errorf("compress: truncated plain count")
-	}
-	// Every member costs at least one byte, so a larger count is
-	// malformed; callers size buffers from it, and data may be a peer's.
-	if count > uint64(len(data)-n) {
-		return 0, fmt.Errorf("compress: plain count %d exceeds the %d payload bytes", count, len(data)-n)
-	}
-	return int(count), nil
-}
-
-// DecodePlain reverses AppendPlain, appending the vertices to dst.
+// DecodePlain reverses AppendPlain, appending the vertices to dst. The
+// coding makes them strictly ascending from zero; a delta that would carry
+// one past math.MaxInt32, which no int32 list encodes, is an error. A
+// count is never trusted to size dst: the bytes may be a peer's, and a
+// count the payload cannot hold fails as a truncation.
 func DecodePlain(data []byte, dst []int32) ([]int32, error) {
 	count, n := readUvarint(data)
 	if n <= 0 {
@@ -51,6 +43,9 @@ func DecodePlain(data []byte, dst []int32) ([]int32, error) {
 		delta, n := readUvarint(data)
 		if n <= 0 {
 			return dst, fmt.Errorf("compress: truncated plain delta %d", i)
+		}
+		if delta >= uint64(math.MaxInt32-prev) {
+			return dst, fmt.Errorf("compress: plain member %d past the int32 range", i)
 		}
 		data = data[n:]
 		prev += int64(delta) + 1

@@ -1,6 +1,8 @@
 package compress
 
 import (
+	"encoding/binary"
+	"math"
 	"sort"
 	"testing"
 
@@ -21,9 +23,6 @@ func plainRoundTrip(t *testing.T, verts []int32) {
 		if got[i] != verts[i] {
 			t.Fatalf("round trip mismatch at %d: %d != %d", i, got[i], verts[i])
 		}
-	}
-	if c, err := PlainCount(data); err != nil || c != len(verts) {
-		t.Fatalf("PlainCount = %d, %v; want %d", c, err, len(verts))
 	}
 }
 
@@ -79,10 +78,23 @@ func TestPlainTruncation(t *testing.T) {
 	}
 }
 
-// TestPlainCountRejectsImpossibleCounts pins that a count no payload of
-// this length could hold is an error: callers size buffers from it, and
+// TestPlainRejectsMembersPastInt32 pins that a delta carrying a member
+// past math.MaxInt32 is an error, not a wrapped int32: whether the cast
+// would land negative or on a plausible vertex id.
+func TestPlainRejectsMembersPastInt32(t *testing.T) {
+	for _, delta := range []uint64{1 << 31, 1<<32 + 1, 1<<64 - 1} {
+		data := binary.AppendUvarint([]byte{2, 3}, delta) // members 3 and 3+delta+1
+		if got, err := DecodePlain(data, nil); err == nil {
+			t.Errorf("delta %d: decoded %v, want an error", delta, got)
+		}
+	}
+	plainRoundTrip(t, []int32{3, math.MaxInt32})
+}
+
+// TestPlainRejectsImpossibleCounts pins that a count no payload of this
+// length could hold is an error, and decodes nothing it was not given:
 // the bytes may come from a peer (every member costs at least a byte).
-func TestPlainCountRejectsImpossibleCounts(t *testing.T) {
+func TestPlainRejectsImpossibleCounts(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		data []byte
@@ -92,11 +104,11 @@ func TestPlainCountRejectsImpossibleCounts(t *testing.T) {
 		{"one member, no payload", []byte{1}},
 		{"three members, two bytes", []byte{3, 0, 0}},
 	} {
-		if c, err := PlainCount(tc.data); err == nil {
-			t.Errorf("%s: PlainCount = %d, want an error", tc.name, c)
+		if got, err := DecodePlain(tc.data, nil); err == nil || len(got) >= len(tc.data) {
+			t.Errorf("%s: DecodePlain = %d members, %v; want an error", tc.name, len(got), err)
 		}
 	}
-	if c, err := PlainCount([]byte{2, 0, 0}); err != nil || c != 2 {
-		t.Errorf("exact fit: PlainCount = %d, %v; want 2", c, err)
+	if got, err := DecodePlain([]byte{2, 0, 0}, nil); err != nil || len(got) != 2 {
+		t.Errorf("exact fit: DecodePlain = %v, %v; want 2 members", got, err)
 	}
 }

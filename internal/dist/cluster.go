@@ -308,8 +308,9 @@ func isRemote(err error) bool {
 // Round asks a worker rank to generate slots [lo, lo+count) of g with
 // the given sampling seed and return its chunk; wantCounter additionally
 // requests the rank's dense occurrence counter. The rank generator never
-// asks for it — the root folds the gathered sets into its own counter —
-// so only bench/probes.go's wire probe passes the parameter.
+// asks for it — the pool it extends counts its own sets, in its index (or
+// a scan engine's counter) — so only bench/probes.go's wire probe passes
+// the parameter.
 func (c *Cluster) Round(rank int, g *graph.Graph, hint string, seed uint64, lo, count int64, wantCounter bool) (wire.RoundReply, error) {
 	sg, err := c.share(g, hint, seed)
 	if err != nil {
@@ -323,9 +324,6 @@ func (c *Cluster) Round(rank int, g *graph.Graph, hint string, seed uint64, lo, 
 	rep, err := wire.DecodeRoundReply(body)
 	if err != nil {
 		return wire.RoundReply{}, err
-	}
-	if int64(len(rep.Sets)) != count {
-		return wire.RoundReply{}, fmt.Errorf("dist: rank %d returned %d sets, want %d", rank, len(rep.Sets), count)
 	}
 	if rep.Counts != nil && int32(len(rep.Counts)) != g.N {
 		return wire.RoundReply{}, fmt.Errorf("dist: rank %d counter has %d entries, want %d", rank, len(rep.Counts), g.N)

@@ -2,13 +2,18 @@ package dist
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"net"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/compress"
+	"repro/internal/gen"
+	"repro/internal/graph"
 	"repro/internal/imm"
 	"repro/internal/ingest"
 	"repro/internal/rrr"
@@ -172,17 +177,17 @@ func TestClusterWorkerLossFailsOver(t *testing.T) {
 	}
 }
 
-// startLyingRank serves the worker side of the wire protocol, but
-// answers every Round with sets whose plain header claims 2^40 members
-// and carries none. Returns its address.
-func startLyingRank(t *testing.T) string {
+// startLyingRank serves the worker side of the wire protocol over g, but
+// passes every Round reply through lie before sending it. It returns its
+// address and the number of Round replies it has sent.
+func startLyingRank(t *testing.T, g *graph.Graph, lie func(rep *wire.RoundReply)) (string, *atomic.Int64) {
 	t.Helper()
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { lis.Close() })
-	hugeCount := []byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x20}
+	rounds := new(atomic.Int64)
 	serve := func(nc net.Conn) {
 		conn := wire.NewConn(nc, 30*time.Second, nil)
 		conn.SetReadTimeout(0)
@@ -199,10 +204,9 @@ func startLyingRank(t *testing.T) string {
 				err = conn.WriteFrame(wire.MsgGraphAck, nil)
 			case wire.MsgRound:
 				rd, _ := wire.DecodeRound(payload)
-				rep := wire.RoundReply{Sets: make([][]byte, rd.Count)}
-				for i := range rep.Sets {
-					rep.Sets[i] = hugeCount
-				}
+				rep := generateRound(g, rd)
+				lie(&rep)
+				rounds.Add(1)
 				err = conn.WriteFrame(wire.MsgRoundReply, wire.EncodeRoundReply(rep))
 			case wire.MsgSeeds:
 				err = conn.WriteFrame(wire.MsgSeedsAck, nil)
@@ -221,18 +225,49 @@ func startLyingRank(t *testing.T) string {
 			go serve(nc)
 		}
 	}()
-	return lis.Addr().String()
+	return lis.Addr().String(), rounds
+}
+
+// hugeCount is a plain set header that claims 2^40 members and carries
+// none.
+func hugeCount(rep *wire.RoundReply) {
+	for i := range rep.Sets {
+		rep.Sets[i] = []byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x20}
+	}
+}
+
+// sampleChunk is the oracle for a slot generator's output: the sizes and
+// one chunk of slots [lo, lo+count) sampled at the root.
+func sampleChunk(g *graph.Graph, policy rrr.Policy, seed uint64, lo, count int64) ([]int32, imm.Chunk) {
+	sizes := make([]int32, count)
+	c, _, _ := imm.SampleSlots(g, policy, seed, lo, sizes)
+	return sizes, c
+}
+
+// assertChunks checks a slot generator's sizes and chunks, byte for byte,
+// against the oracle's.
+func assertChunks(t *testing.T, sizes []int32, chunks []imm.Chunk, wantSizes []int32, want imm.Chunk) {
+	t.Helper()
+	var got imm.Chunk
+	for _, c := range chunks {
+		got.Lists, got.Rows = append(got.Lists, c.Lists...), append(got.Rows, c.Rows...)
+	}
+	if !slices.Equal(sizes, wantSizes) || !slices.Equal(got.Lists, want.Lists) || !slices.Equal(got.Rows, want.Rows) {
+		t.Fatalf("generated chunk differs from local sampling: sizes %v, %d list members and %d row words; want %v, %d and %d",
+			sizes, len(got.Lists), len(got.Rows), wantSizes, len(want.Lists), len(want.Rows))
+	}
 }
 
 // TestClusterMalformedSetCountFailsOver feeds the root a rank reply whose
-// set payloads claim more members than they have bytes: both consumers of
-// wire.DecodeSetMembers must treat it as a failed exchange — regenerate
-// the chunk locally, count the failover, and return what a healthy
-// cluster would have — instead of sizing a buffer from the peer's count.
+// set payloads claim more members than they have bytes: the chunk decoder
+// must treat it as a failed exchange — resample the chunk at the root,
+// count the failover, and return what a healthy cluster would have —
+// instead of sizing a buffer from the peer's count.
 func TestClusterMalformedSetCountFailsOver(t *testing.T) {
 	g := testGraph(t)
 	shared := sharedRun(t, g, testOptions(1))
-	cfg := ClusterConfig{Rank: 0, Peers: []string{"root.invalid:0", startLyingRank(t)}}
+	liar, _ := startLyingRank(t, g, hugeCount)
+	cfg := ClusterConfig{Rank: 0, Peers: []string{"root.invalid:0", liar}}
 	cl, err := Connect(cfg, testClusterOptions())
 	if err != nil {
 		t.Fatal(err)
@@ -251,20 +286,133 @@ func TestClusterMalformedSetCountFailsOver(t *testing.T) {
 	// The serving path's pool generator: one remote chunk per call.
 	opt := testOptions(2)
 	policy := imm.PolicyFromOptions(opt.Options)
-	got, want := make([]rrr.Set, 64), make([]rrr.Set, 64)
+	sizes := make([]int32, 64)
 	before := cl.Failovers()
-	members, _, err := cl.PoolGenerator("g", g, policy, opt.Seed).GenerateSlots(100, got)
+	chunks, _, err := cl.PoolGenerator("g", g, policy, opt.Seed).GenerateSlots(100, sizes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantMembers, _ := imm.GenerateSlots(g, policy, opt.Seed, 100, want)
-	if cl.Failovers() != before+1 || members != wantMembers {
-		t.Fatalf("failovers %d -> %d (want +1), members %d (want %d)", before, cl.Failovers(), members, wantMembers)
+	if cl.Failovers() != before+1 {
+		t.Fatalf("failovers %d -> %d, want +1", before, cl.Failovers())
 	}
-	for i := range want {
-		if got[i].Kind() != want[i].Kind() || !slices.Equal(got[i].Vertices(nil), want[i].Vertices(nil)) {
-			t.Fatalf("slot %d differs from local generation", 100+i)
+	wantSizes, want := sampleChunk(g, policy, opt.Seed, 100, 64)
+	assertChunks(t, sizes, chunks, wantSizes, want)
+}
+
+// TestClusterLyingRank feeds the root rank replies that are well framed
+// but lie: a set with a member past the graph, as a list or as a bitmap
+// row; a plain delta that carries a member past 2^31, which an int32
+// cast would wrap negative; and honest sets under an inflated member
+// word. Each run must equal the shared-memory run in seeds, θ and pool
+// footprint. A reply with a bad set is refused whole, one failover per
+// chunk; the member word is never read, so the honest sets are kept.
+func TestClusterLyingRank(t *testing.T) {
+	g := testGraph(t)
+	opt := testOptions(2)
+	shared := sharedRun(t, g, opt)
+	plainWrap := binary.AppendUvarint([]byte{2, 3}, 1<<31) // members 3 and 3+2^31+1
+	dense := make([]int32, 17)                             // 16 members is g's bitmap threshold
+	for i := range dense {
+		dense[i] = int32(i)
+	}
+	dense[16] = 1 << 20
+	for _, tc := range []struct {
+		name    string
+		lie     func(rep *wire.RoundReply)
+		refused bool
+	}{
+		{"sparse-member-past-n", func(rep *wire.RoundReply) { rep.Sets[0] = compress.AppendPlain(nil, []int32{1 << 20}) }, true},
+		{"dense-member-past-n", func(rep *wire.RoundReply) { rep.Sets[0] = compress.AppendPlain(nil, dense) }, true},
+		{"delta-past-int32", func(rep *wire.RoundReply) { rep.Sets[0] = plainWrap }, true},
+		{"members-word-high", func(rep *wire.RoundReply) { rep.Members += 1000 }, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			liar, rounds := startLyingRank(t, g, tc.lie)
+			cl, err := Connect(ClusterConfig{Peers: []string{"root.invalid:0", liar}}, testClusterOptions())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cl.Close()
+			res, err := RunCluster(g, opt, cl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertSameSeeds(t, shared.Seeds, res.Seeds)
+			if res.Theta != shared.Theta || res.Pool != shared.Pool {
+				t.Fatalf("theta %d, pool %+v; want %d, %+v", res.Theta, res.Pool, shared.Theta, shared.Pool)
+			}
+			want := int64(0)
+			if tc.refused {
+				want = rounds.Load()
+			}
+			if rounds.Load() == 0 || res.Comm.Failovers != want || cl.Failovers() != want {
+				t.Fatalf("%d rounds: failovers %d (cluster %d), want %d", rounds.Load(), res.Comm.Failovers, cl.Failovers(), want)
+			}
+		})
+	}
+}
+
+// TestClusterPoolMatchesLocal is the remote path's byte-level oracle. On
+// uniform IC, where most sets are bitmap rows, a warm engine extended in
+// two θ rounds over two wire ranks — and over a cluster whose second
+// worker died, so its chunks fail over — freezes to the sets and index a
+// local engine builds.
+func TestClusterPoolMatchesLocal(t *testing.T) {
+	g, err := gen.RMAT(gen.DefaultRMAT(8, 16), graph.IC, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := testOptions(3).Options
+	freeze := func(gen imm.SlotGenerator) *imm.PoolState {
+		w, err := imm.NewWarmEngine(g, opt)
+		if err != nil {
+			t.Fatal(err)
 		}
+		w.SetRemote(gen)
+		for _, theta := range []int64{300, 700} { // two θ rounds, each closed by a selection
+			w.Generate(theta)
+			w.SelectSeeds(opt.K)
+		}
+		st, err := w.Freeze(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	want := freeze(nil)
+	if len(want.BitmapData) == 0 || len(want.ListData) == 0 {
+		t.Fatalf("want both kinds of set: %d list members, %d row words", len(want.ListData), len(want.BitmapData))
+	}
+	dead := startRank(t)
+	for _, tc := range []struct {
+		name      string
+		peers     []string
+		failovers int64
+	}{
+		{"two-ranks", []string{startRank(t).Addr(), startRank(t).Addr()}, 0},
+		{"dead-rank", []string{startRank(t).Addr(), dead.Addr()}, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cl, err := Connect(ClusterConfig{Peers: append([]string{"root.invalid:0"}, tc.peers...)}, testClusterOptions())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cl.Close()
+			if tc.failovers > 0 {
+				dead.Close() // after the handshake: its chunks fail over
+			}
+			got := freeze(cl.PoolGenerator("g", g, imm.PolicyFromOptions(opt), opt.Seed))
+			if cl.Failovers() != tc.failovers {
+				t.Fatalf("failovers %d, want %d", cl.Failovers(), tc.failovers)
+			}
+			if got.TotalMembers != want.TotalMembers || !slices.Equal(got.Sizes, want.Sizes) ||
+				!slices.Equal(got.ListData, want.ListData) || !slices.Equal(got.BitmapData, want.BitmapData) {
+				t.Fatal("frozen sets differ from the local engine's")
+			}
+			if !slices.Equal(got.PostIdx, want.PostIdx) || !slices.Equal(got.PostData, want.PostData) || !slices.Equal(got.PostRows, want.PostRows) {
+				t.Fatal("frozen index differs from the local engine's")
+			}
+		})
 	}
 }
 
@@ -322,31 +470,30 @@ func TestClusterGenBillsEmptyChunks(t *testing.T) {
 	policy := imm.PolicyFromOptions(opt.Options)
 	gen := cl.PoolGenerator("g", g, policy, opt.Seed).(*clusterGen)
 	// A first call ships the graph to every rank.
-	if _, _, err := gen.GenerateSlots(0, make([]rrr.Set, 64)); err != nil {
+	if _, _, err := gen.GenerateSlots(0, make([]int32, 64)); err != nil {
 		t.Fatal(err)
 	}
 	before := gen.comm
 	_, _, frames := rank2.MeterTotals()
-	got, want := make([]rrr.Set, 2), make([]rrr.Set, 2)
-	if _, _, err := gen.GenerateSlots(64, got); err != nil {
+	sizes := make([]int32, 2)
+	chunks, _, err := gen.GenerateSlots(64, sizes)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if _, _, after := rank2.MeterTotals(); after != frames {
 		t.Fatalf("rank 2 exchanged %d frames for an empty chunk", after-frames)
 	}
-	imm.GenerateSlots(g, policy, opt.Seed, 64, want)
-	gather := ph(32+want[0].Bytes()+want[1].Bytes(), 3)
+	wantSizes, want := sampleChunk(g, policy, opt.Seed, 64, 2)
+	assertChunks(t, sizes, chunks, wantSizes, want)
+	ref := make([]rrr.Set, 2)
+	imm.GenerateSlots(g, policy, opt.Seed, 64, ref)
+	gather := ph(32+ref[0].Bytes()+ref[1].Bytes(), 3)
 	counter := ph(3*8*int64(g.N), 3)
 	if d := phaseDelta(gen.comm.SetGather, before.SetGather); d != gather {
 		t.Errorf("set gather billed %+v, want %+v", d, gather)
 	}
 	if d := phaseDelta(gen.comm.CounterReduce, before.CounterReduce); d != counter {
 		t.Errorf("counter reduce billed %+v, want %+v", d, counter)
-	}
-	for i := range want {
-		if !slices.Equal(got[i].Vertices(nil), want[i].Vertices(nil)) {
-			t.Fatalf("slot %d differs from local generation", 64+i)
-		}
 	}
 }
 
@@ -359,14 +506,15 @@ func phaseDelta(after, before PhaseComm) PhaseComm {
 // Failovers() by exactly one each.
 func TestClusterFailoverCountedOnce(t *testing.T) {
 	g := testGraph(t)
-	cl, err := Connect(ClusterConfig{Peers: []string{"root.invalid:0", startLyingRank(t)}}, testClusterOptions())
+	liar, _ := startLyingRank(t, g, hugeCount)
+	cl, err := Connect(ClusterConfig{Peers: []string{"root.invalid:0", liar}}, testClusterOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
 	opt := testOptions(2)
 	gen := cl.PoolGenerator("g", g, imm.PolicyFromOptions(opt.Options), opt.Seed).(*clusterGen)
-	if _, _, err := gen.GenerateSlots(100, make([]rrr.Set, 64)); err != nil {
+	if _, _, err := gen.GenerateSlots(100, make([]int32, 64)); err != nil {
 		t.Fatal(err)
 	}
 	if gen.comm.Failovers != 1 || cl.Failovers() != 1 {

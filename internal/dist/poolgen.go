@@ -6,19 +6,20 @@ import (
 	"repro/internal/graph"
 	"repro/internal/imm"
 	"repro/internal/rrr"
-	"repro/internal/wire"
 )
 
 // clusterGen is the rank runtime, an imm.SlotGenerator: each requested
-// slot range is split into one contiguous chunk per rank; the root
-// generates its own chunk, the others go out as Round requests in
-// parallel, and each shipped member list is rebuilt under the engine's
-// representation policy. Ranks draw from the slot-indexed RNG streams, so
-// the chunks together are exactly the range a local engine would have
-// generated, and a failed exchange is regenerated locally with the same
-// result: GenerateSlots never fails, it only gets slower and counts a
-// failover. With no cluster (c == nil) every chunk is generated locally —
-// a simulated run, billed as a networked one would be.
+// slot range is split into one contiguous chunk per rank; the root samples
+// its own chunk with imm.SampleSlots, the others go out as Round requests
+// in parallel, and each reply decodes straight into a chunk of the pool's
+// layout under the engine's policy (imm.DecodeChunk), checked as a pool
+// file's sets are. Ranks draw from the slot-indexed RNG streams, so the
+// chunks together are exactly the range a local engine would have
+// generated, and a failed exchange or a refused reply is resampled at the
+// root with the same result: GenerateSlots never fails, it only gets
+// slower and counts a failover. With no cluster (c == nil) every chunk is
+// sampled at the root — a simulated run, billed as a networked one would
+// be.
 type clusterGen struct {
 	c      *Cluster
 	ranks  int64
@@ -45,83 +46,69 @@ func (c *Cluster) PoolGenerator(hint string, g *graph.Graph, policy rrr.Policy, 
 	return &clusterGen{c: c, ranks: int64(c.Ranks()), g: g, hint: hint, policy: policy, seed: seed}
 }
 
-func (cg *clusterGen) GenerateSlots(lo int64, out []rrr.Set) (members, edges int64, err error) {
-	count := int64(len(out))
+func (cg *clusterGen) GenerateSlots(lo int64, sizes []int32) ([]imm.Chunk, int64, error) {
+	count := int64(len(sizes))
 	if count == 0 {
-		return 0, 0, nil
+		return nil, 0, nil
 	}
 	// What each rank's chunk produced; failover marks a remote chunk the
-	// root regenerated after the exchange failed.
+	// root regenerated after the exchange failed or its reply was refused.
 	chunks := make([]struct {
+		imm.Chunk
 		members, edges int64
 		failover       bool
 	}, cg.ranks)
 	var wg sync.WaitGroup
 	for r := range cg.ranks {
 		clo := r * count / cg.ranks
-		seg := out[clo : (r+1)*count/cg.ranks]
+		seg := sizes[clo : (r+1)*count/cg.ranks]
 		if len(seg) == 0 {
 			continue // billed, but no frame is sent
 		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			ch := &chunks[r]
 			if r != 0 && cg.c != nil {
 				rep, err := cg.c.Round(int(r), cg.g, cg.hint, cg.seed, lo+clo, int64(len(seg)), false)
-				if err == nil && cg.decodeChunk(rep, seg) {
-					chunks[r].members, chunks[r].edges = rep.Members, rep.Edges
-					return
+				if err == nil {
+					if ch.Chunk, ch.members, err = imm.DecodeChunk(cg.g.N, cg.policy, rep.Sets, seg); err == nil {
+						ch.edges = rep.Edges
+						return
+					}
 				}
-				chunks[r].failover = true
+				ch.failover = true
 			}
-			chunks[r].members, chunks[r].edges = imm.GenerateSlots(cg.g, cg.policy, cg.seed, lo+clo, seg)
+			ch.Chunk, ch.members, ch.edges = imm.SampleSlots(cg.g, cg.policy, cg.seed, lo+clo, seg)
 		}()
 	}
 	wg.Wait()
 
 	// The bill: a θ announce to each non-root rank; each non-root rank,
-	// empty chunk or not, gathers its sets (16 header bytes plus payload
-	// each) and reduces its n×8-byte counter; a round allreduce of pool
-	// size and member total. The slowest rank's edges, list sorting and
-	// fused counter updates (2 per member, for the lock prefix) — the
-	// shared-memory SamplingModeled terms — are the call's critical path.
+	// empty chunk or not, gathers its sets (16 header bytes each, plus 4 a
+	// list member or 8 a row word) and reduces its n×8-byte counter; a round
+	// allreduce of pool size and member total. The slowest rank's edges,
+	// list sorting and fused counter updates (2 per member, for the lock
+	// prefix) — the shared-memory SamplingModeled terms — are the call's
+	// critical path.
 	cg.comm.record(&cg.comm.ThetaExchange, cg.ranks-1, (cg.ranks-1)*8)
-	var critical int64
+	var critical, edges int64
+	out := make([]imm.Chunk, cg.ranks)
 	for r, ch := range chunks {
-		seg := out[int64(r)*count/cg.ranks : int64(r+1)*count/cg.ranks]
+		seg := sizes[int64(r)*count/cg.ranks : int64(r+1)*count/cg.ranks]
 		if ch.failover {
 			cg.comm.Failovers++
 			cg.c.failovers.Add(1)
 		}
 		if r != 0 {
-			var setBytes int64
-			for _, s := range seg {
-				setBytes += 16 + s.Bytes()
-			}
-			cg.comm.record(&cg.comm.SetGather, 1, setBytes)
+			cg.comm.record(&cg.comm.SetGather, 1, 16*int64(len(seg))+4*int64(len(ch.Lists))+8*int64(len(ch.Rows)))
 			cg.comm.record(&cg.comm.CounterReduce, 1, int64(cg.g.N)*8)
 		}
 		critical = max(critical, ch.edges+imm.ModeledSortCost(cg.policy, cg.g.N, ch.members, int64(len(seg)))+2*ch.members)
-		members += ch.members
 		edges += ch.edges
+		out[r] = ch.Chunk
 	}
 	cg.comm.record(&cg.comm.ThetaExchange, 2*(cg.ranks-1), 2*(cg.ranks-1)*16)
 	cg.sampling += critical
-	return members, edges, nil
-}
-
-// decodeChunk rebuilds one remote chunk's sets under the engine policy,
-// reporting whether the reply held a well-formed set for every slot.
-func (cg *clusterGen) decodeChunk(rep wire.RoundReply, seg []rrr.Set) bool {
-	if len(rep.Sets) != len(seg) {
-		return false
-	}
-	for i, plain := range rep.Sets {
-		verts, err := wire.DecodeSetMembers(plain)
-		if err != nil {
-			return false
-		}
-		seg[i] = cg.policy.Build(cg.g.N, verts)
-	}
-	return true
+	return out, edges, nil
 }

@@ -17,10 +17,10 @@ import (
 
 // RankServer is a worker rank's wire endpoint: it accepts root
 // connections, caches broadcast graphs, and serves generation rounds.
-// The generation itself is the exact slot-indexed path a shared-memory
-// run uses (imm.GenerateSlots), so the member lists it ships are the
-// member lists the root would have produced locally — the determinism
-// contract that keeps seeds byte-identical at any rank count.
+// A round runs the engine's own generation kernel (imm.SampleSlots) on
+// the slot-indexed streams, so the member lists it ships are the member
+// lists the root would have produced locally — the determinism contract
+// that keeps seeds byte-identical at any rank count.
 //
 // One RankServer handles any number of concurrent roots (one goroutine
 // per connection); the graph cache is shared across them, keyed by the
@@ -171,11 +171,7 @@ func (s *RankServer) handle(conn *wire.Conn, t wire.MsgType, payload []byte) err
 		if rd.Count < 0 || rd.Lo < 0 || rd.Count > math.MaxInt32-rd.Lo {
 			return fail("bad_request", fmt.Errorf("invalid slot range [%d, %d+%d)", rd.Lo, rd.Lo, rd.Count))
 		}
-		rep, err := generateRound(g, rd)
-		if err != nil {
-			return fail("internal", err)
-		}
-		return conn.WriteFrame(wire.MsgRoundReply, wire.EncodeRoundReply(rep))
+		return conn.WriteFrame(wire.MsgRoundReply, wire.EncodeRoundReply(generateRound(g, rd)))
 
 	case wire.MsgSeeds:
 		if _, err := wire.DecodeSeeds(payload); err != nil {
@@ -192,33 +188,28 @@ func (s *RankServer) handle(conn *wire.Conn, t wire.MsgType, payload []byte) err
 }
 
 // generateRound runs one generation round on the worker: sample the slot
-// range with the slot-indexed streams and encode the sorted member lists
-// plus the dense occurrence counter. The worker always samples with the
-// list-only representation — the member sequence is representation-
-// independent, and the root rebuilds each set under its own policy.
-func generateRound(g *graph.Graph, rd wire.Round) (wire.RoundReply, error) {
-	out := make([]rrr.Set, rd.Count)
-	members, edges := imm.GenerateSlots(g, rrr.ListOnlyPolicy(), rd.Seed, rd.Lo, out)
+// range with the slot-indexed streams and plain-code each set's sorted
+// members, plus the dense occurrence counter when asked. The worker always
+// samples under the list-only policy — the member sequence is
+// representation-independent, and the root lays each set out under its
+// own policy as it decodes it.
+func generateRound(g *graph.Graph, rd wire.Round) wire.RoundReply {
+	sizes := make([]int32, rd.Count)
+	c, members, edges := imm.SampleSlots(g, rrr.ListOnlyPolicy(), rd.Seed, rd.Lo, sizes)
 	rep := wire.RoundReply{
 		Members: members,
 		Edges:   edges,
-		Sets:    make([][]byte, len(out)),
+		Sets:    make([][]byte, len(sizes)),
 	}
 	if rd.WantCounter {
 		rep.Counts = make([]int64, g.N)
-	}
-	for i, set := range out {
-		ls, ok := set.(*rrr.ListSet)
-		if !ok {
-			return wire.RoundReply{}, fmt.Errorf("dist: unexpected %s set from list-only generation", set.Kind())
+		for _, v := range c.Lists {
+			rep.Counts[v]++
 		}
-		raw := ls.Raw()
-		if rep.Counts != nil {
-			for _, v := range raw {
-				rep.Counts[v]++
-			}
-		}
-		rep.Sets[i] = compress.AppendPlain(make([]byte, 0, len(raw)+4), raw)
 	}
-	return rep, nil
+	for i, size := range sizes {
+		rep.Sets[i] = compress.AppendPlain(make([]byte, 0, size+4), c.Lists[:size])
+		c.Lists = c.Lists[size:]
+	}
+	return rep
 }

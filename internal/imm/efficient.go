@@ -8,10 +8,10 @@ import (
 
 // PolicyFromOptions derives the RRR representation policy the Efficient
 // engine uses for opt. Exported so a SlotGenerator (internal/dist's rank
-// runtime) rebuilds the sets it gathers under the policy of the engine it
-// feeds, byte-identical to what Run would have produced. AdaptiveRep
-// governs the dense→bitset-row switch, at rrr.DefaultPolicy's density
-// threshold.
+// runtime) lays out the chunks it samples or decodes under the policy of
+// the engine it feeds, byte-identical to what Run would have produced.
+// AdaptiveRep governs the dense→bitset-row switch, at rrr.DefaultPolicy's
+// density threshold.
 func PolicyFromOptions(opt Options) rrr.Policy {
 	if opt.AdaptiveRep {
 		return rrr.DefaultPolicy()

@@ -47,11 +47,13 @@ type genWorker struct {
 	rng rng.Xoshiro256 // re-seeded per slot (SeedStream) instead of allocated
 }
 
-// run is the payloads of a stretch of consecutive sets: the lists' members
-// and the rows, each in set-id order.
-type run struct {
-	lists []int32
-	rows  []uint64
+// Chunk is the payloads of a stretch of consecutive sets in the pool's own
+// layout (setStore): the list sets' sorted members and the bitmap sets'
+// rows, each in slot order. The sets' sizes, kept beside it, name which
+// set is which under the pool's policy.
+type Chunk struct {
+	Lists []int32
+	Rows  []uint64
 }
 
 // ensureGenWorkers grows the engine's per-worker kernel state to cover
@@ -76,31 +78,41 @@ func (gw *genWorker) draw(seed uint64, slot int64, cnt *counter.Counter) []int32
 	return members
 }
 
-// sampleJob is the kernel's job body: on worker wk, it draws the sets of
-// slots lo..hi-1 (given ids, of slots ids[lo:hi]), appends their payloads
-// to buf — a dense set's visited words, any other's members sorted in
-// place — and writes set j's size to sizes[j]. It returns the payloads it
-// appended, the members drawn and the edges visited.
-func (w *WarmEngine) sampleJob(wk int, lo, hi int64, ids []int64, sizes []int32, cnt *counter.Counter, buf *run) (job run, members, edges int64) {
-	gw := w.gen[wk]
-	l0, r0, e0 := len(buf.lists), len(buf.rows), gw.smp.EdgesVisited
-	for j := lo; j < hi; j++ {
-		slot := j
+// sample draws the set of each slot ids holds — with ids nil, of slots lo,
+// lo+1, … — one per element of sizes, writes its size there and appends
+// its payload under policy to buf: a dense set's visited words, any
+// other's members sorted in place. It returns the payloads it appended,
+// the members drawn and the edges visited.
+func (gw *genWorker) sample(policy rrr.Policy, seed uint64, lo int64, ids []int64, sizes []int32, cnt *counter.Counter, buf *Chunk) (job Chunk, members, edges int64) {
+	l0, r0, e0 := len(buf.Lists), len(buf.Rows), gw.smp.EdgesVisited
+	for j := range sizes {
+		slot := lo + int64(j)
 		if ids != nil {
 			slot = ids[j]
 		}
-		vs := gw.draw(w.opt.Seed, slot, cnt)
-		if w.policy.Dense(w.p.n, len(vs)) {
-			buf.rows = gw.smp.TakeBitmap(buf.rows)
+		vs := gw.draw(seed, slot, cnt)
+		if policy.Dense(gw.smp.G.N, len(vs)) {
+			buf.Rows = gw.smp.TakeBitmap(buf.Rows)
 		} else {
 			slices.Sort(vs)
-			buf.lists = append(buf.lists, vs...)
+			buf.Lists = append(buf.Lists, vs...)
 			gw.smp.Release() // after the sort: sorted members clear word-at-a-time
 		}
 		sizes[j] = int32(len(vs))
 		members += int64(len(vs))
 	}
-	return run{buf.lists[l0:], buf.rows[r0:]}, members, gw.smp.EdgesVisited - e0
+	return Chunk{buf.Lists[l0:], buf.Rows[r0:]}, members, gw.smp.EdgesVisited - e0
+}
+
+// SampleSlots draws the sets of slots [lo, lo+len(sizes)) of g from
+// seed's slot-indexed streams with the engine's own kernel, writing set
+// i's size to sizes[i]; it returns their payloads under policy, the
+// members drawn and the edges visited. It is how a rank generates its
+// share of a distributed pool extension (internal/dist): at the root, on
+// a worker, or after a failed exchange.
+func SampleSlots(g *graph.Graph, policy rrr.Policy, seed uint64, lo int64, sizes []int32) (c Chunk, members, edges int64) {
+	gw := genWorker{smp: diffusion.NewSampler(g)}
+	return gw.sample(policy, seed, lo, nil, sizes, nil, new(Chunk))
 }
 
 // generateFused fills pool slots [from, to). Modeled cost: edge
@@ -120,17 +132,17 @@ func (w *WarmEngine) generateFused(from, to int64) {
 	totalSets := to - from
 	sizes := slices.Grow(w.p.sets.sizes, int(totalSets))[:to]
 	members, edges := make([]int64, workers), make([]int64, workers)
-	bufs := make([]run, workers) // the round's payloads, by worker
+	bufs := make([]Chunk, workers) // the round's payloads, by worker
 	// job samples slots [s0, e0) on worker wk and returns the job's
 	// critical-path cost (edge visits plus build work).
-	job := func(wk int, s0, e0 int64, out *run) int64 {
+	job := func(wk int, s0, e0 int64, out *Chunk) int64 {
 		var m, e int64
-		*out, m, e = w.sampleJob(wk, s0, e0, nil, sizes, cnt, &bufs[wk])
+		*out, m, e = w.gen[wk].sample(w.policy, w.opt.Seed, s0, nil, sizes[s0:e0], cnt, &bufs[wk])
 		members[wk] += m
 		edges[wk] += e
 		return e + 3*m
 	}
-	var runs []run // one per job, in slot order
+	var runs []Chunk // one per job, in slot order
 	var maxJob int64
 	dynamic := w.opt.DynamicBalance
 	if dynamic {
@@ -145,7 +157,7 @@ func (w *WarmEngine) generateFused(from, to int64) {
 		}
 		b := int64(batch)
 		jobMax := make([]int64, workers)
-		runs = make([]run, (totalSets+b-1)/b)
+		runs = make([]Chunk, (totalSets+b-1)/b)
 		sched.WorkStealing(workers, int64(len(runs)), func(wk int, j int64) {
 			s0 := from + j*b
 			e0 := s0 + b
@@ -156,7 +168,7 @@ func (w *WarmEngine) generateFused(from, to int64) {
 		})
 		maxJob = maxOf(jobMax)
 	} else {
-		runs = make([]run, workers)
+		runs = make([]Chunk, workers)
 		sched.Static(workers, int(totalSets), func(wk, s0, e0 int) {
 			job(wk, from+int64(s0), from+int64(e0), &runs[wk])
 		})

@@ -57,10 +57,10 @@ func generateJob(n int32, policy rrr.Policy, seed uint64, s *diffusion.Sampler, 
 // GenerateSlots fills out[i] with the RRR set for global slot lo+int64(i),
 // drawing each set from the slot-indexed RNG stream that makes pool
 // contents identical across worker counts, schedules, and engines. It is
-// the generation hook for distributed front-ends (internal/dist): a rank
-// owning slots [lo, lo+len(out)) produces exactly the sets a
-// shared-memory Run would have placed there. Returns the produced member
-// count and the edges visited (the sampling work metric).
+// the copy-out reference the generation kernel is tested against
+// (FuzzFusedVsReference) and what bench/probes.go times; no production
+// path calls it. Returns the produced member count and the edges visited
+// (the sampling work metric).
 func GenerateSlots(g *graph.Graph, policy rrr.Policy, seed uint64, lo int64, out []rrr.Set) (members, edges int64) {
 	smp := diffusion.NewSampler(g)
 	members = generateJob(g.N, policy, seed, smp, lo, lo+int64(len(out)), func(i int64, set rrr.Set) { out[i-lo] = set })

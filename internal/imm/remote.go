@@ -1,28 +1,26 @@
 package imm
 
 import (
+	"fmt"
 	"slices"
 	"time"
 
+	"repro/internal/compress"
 	"repro/internal/rrr"
 )
 
-// SlotGenerator supplies the RRR sets for a contiguous slot range from
-// somewhere other than the local sampler — the seam that lets a warm
-// engine source its pool extensions from message-passing ranks
-// (internal/dist fans the range across worker ranks and gathers the
-// chunks over the wire; its distributed runs and cluster-backed serving
-// pools both attach it here).
+// SlotGenerator supplies the sets of a contiguous slot range from
+// somewhere other than the engine's workers: internal/dist's rank runtime,
+// which distributed runs and cluster-backed serving pools attach.
 //
-// The contract is the slot-determinism contract of the pool itself:
-// out[i] must be exactly the set a local generation would have placed in
-// slot lo+int64(i) — same member sequence, built under the engine's own
-// representation policy — so attaching or detaching a generator can
-// never change a served answer. Implementations return an error (or
-// leave slots nil) to decline; the engine then regenerates the whole
-// range locally.
+// GenerateSlots writes slot lo+i's set size to sizes[i] and returns the
+// payloads as chunks in slot order under the engine's policy
+// (PolicyFromOptions), with the edges their sampling visited. The sets
+// must be those local generation would place there (SampleSlots and
+// DecodeChunk build them so), so attaching a generator never changes an
+// answer. An error declines the range, which the engine then generates.
 type SlotGenerator interface {
-	GenerateSlots(lo int64, out []rrr.Set) (members, edges int64, err error)
+	GenerateSlots(lo int64, sizes []int32) (chunks []Chunk, edges int64, err error)
 }
 
 // SetRemote attaches (or, with nil, detaches) a distributed slot
@@ -31,55 +29,73 @@ type SlotGenerator interface {
 // the caller's engine lock (internal/serve holds its pool mutex).
 func (w *WarmEngine) SetRemote(gen SlotGenerator) { w.remote = gen }
 
-// generateRemote fills slots [from, to) through the attached remote
-// generator, copying the sets it returns into the pool — the one place an
-// rrr.Set enters it. Pool and counter state are touched only after the
-// whole range arrived intact, so a false return (transport failure, a
-// declined range) leaves the engine as it was, to generate locally.
+// generateRemote fills slots [from, to) from the attached generator,
+// appending its chunks to the pool; the member total is their sizes'. The
+// engine is touched only once the whole range arrived, so a false return
+// (a declined range) leaves it as it was, to generate locally.
 func (w *WarmEngine) generateRemote(from, to int64) bool {
 	start := time.Now()
-	out := make([]rrr.Set, to-from)
-	members, edges, err := w.remote.GenerateSlots(from, out)
+	sizes := slices.Grow(w.p.sets.sizes, int(to-from))[:to]
+	chunks, edges, err := w.remote.GenerateSlots(from, sizes[from:])
 	if err != nil {
 		return false
 	}
-	for _, s := range out {
-		if s == nil {
-			return false
-		}
-	}
-	sizes := slices.Grow(w.p.sets.sizes, int(to-from))[:to]
-	var counts []int64 // a scan engine's; only this goroutine writes it here: no atomic adds
-	if w.opt.Fusion && w.base != nil {
-		counts = w.base.Raw()
-	}
-	var vs []int32
-	var r run
-	for i, s := range out {
-		vs = s.Vertices(vs[:0])
-		sizes[from+int64(i)] = int32(len(vs))
-		if counts != nil {
-			for _, v := range vs {
-				counts[v]++
-			}
-		}
-		if !w.policy.Dense(w.p.n, len(vs)) {
-			r.lists = append(r.lists, vs...)
-			continue
-		}
-		row := len(r.rows)
-		r.rows = append(r.rows, make([]uint64, w.p.sets.words)...)
-		for _, v := range vs {
-			r.rows[row+int(v>>6)] |= 1 << (v & 63)
-		}
-	}
-	w.p.extend(sizes, []run{r})
+	w.p.extend(sizes, chunks)
+	members := w.p.sets.upTo(to).members - w.p.sets.upTo(from).members
+	w.p.addMembers([]int64{members})
 	var fused int64
 	if w.opt.Fusion {
 		fused = members
+		if w.base != nil { // a scan engine's counts; only this goroutine writes them here: no atomic adds
+			counts := w.base.Raw()
+			var c cursor
+			var vs, buf []int32
+			for i := from; i < to; i++ {
+				vs, buf = w.p.sets.members(&c, i, buf)
+				for _, v := range vs {
+					counts[v]++
+				}
+			}
+		}
 	}
-	w.p.addMembers([]int64{members})
 	w.bd.SamplingWall += time.Since(start)
 	w.bd.SamplingModeled += float64(edges + ModeledSortCost(w.policy, w.p.n, members, to-from) + 2*fused)
 	return true
+}
+
+// DecodeChunk decodes a rank's sets, plain-coded (compress.AppendPlain)
+// in slot order, into one chunk under policy over n vertices, writing set
+// i's size to sizes[i], and returns it with its member total. It refuses
+// the chunk on any defect the pool-file audit refuses a set for: the
+// coding yields members strictly ascending from zero, and one past n (or
+// the int32 range) fails it, which also bounds a size by n. A set count
+// other than len(sizes) fails it too.
+func DecodeChunk(n int32, policy rrr.Policy, plains [][]byte, sizes []int32) (c Chunk, members int64, err error) {
+	if len(plains) != len(sizes) {
+		return Chunk{}, 0, fmt.Errorf("imm: %d sets for %d slots", len(plains), len(sizes))
+	}
+	words := (int(n) + 63) / 64
+	for i, plain := range plains {
+		l0 := len(c.Lists)
+		if c.Lists, err = compress.DecodePlain(plain, c.Lists); err != nil {
+			return Chunk{}, 0, fmt.Errorf("imm: set %d: %w", i, err)
+		}
+		vs := c.Lists[l0:]
+		if len(vs) > 0 && vs[len(vs)-1] >= n {
+			return Chunk{}, 0, fmt.Errorf("imm: set %d member %d out of range [0, %d)", i, vs[len(vs)-1], n)
+		}
+		sizes[i] = int32(len(vs))
+		members += int64(len(vs))
+		if policy.Dense(n, len(vs)) {
+			r0 := len(c.Rows)
+			c.Rows = slices.Grow(c.Rows, words)[:r0+words]
+			row := c.Rows[r0:]
+			clear(row)
+			for _, v := range vs {
+				row[v>>6] |= 1 << (v & 63)
+			}
+			c.Lists = c.Lists[:l0]
+		}
+	}
+	return c, members, nil
 }

@@ -122,13 +122,13 @@ func (w *WarmEngine) repair(ng *graph.Graph, rep *graph.DeltaReport) RepairRepor
 	// and replace them in one relayout.
 	w.ensureGenWorkers(w.opt.Workers) // any it adds are bound to ng already
 	sizes := make([]int32, len(invalid))
-	runs := make([]run, w.opt.Workers)
+	runs := make([]Chunk, w.opt.Workers)
 	sched.Static(w.opt.Workers, len(invalid), func(wk, s0, s1 int) {
-		w.sampleJob(wk, int64(s0), int64(s1), invalid, sizes, nil, &runs[wk]) // one job a worker: its buffer is its run
+		w.gen[wk].sample(w.policy, w.opt.Seed, 0, invalid[s0:s1], sizes[s0:s1], nil, &runs[wk]) // one job a worker: its buffer is its chunk
 	})
-	var next run
+	var next Chunk
 	for _, r := range runs {
-		next.lists, next.rows = append(next.lists, r.lists...), append(next.rows, r.rows...)
+		next.Lists, next.Rows = append(next.Lists, r.Lists...), append(next.Rows, r.Rows...)
 	}
 	w.p.replace(invalid, sizes, next, w.opt.Workers)
 	if maintainBase {
@@ -147,7 +147,7 @@ func (w *WarmEngine) repair(ng *graph.Graph, rep *graph.DeltaReport) RepairRepor
 // holds the replaced sets for the patch to drop. A scan-mode pool (never
 // indexed) stays unindexed so the footprint accounting still reports
 // IndexBytes 0.
-func (p *shardedPool) replace(ids []int64, sizes []int32, next run, workers int) {
+func (p *shardedPool) replace(ids []int64, sizes []int32, next Chunk, workers int) {
 	old := p.sets
 	p.sets = old.replaced(ids, sizes, next)
 	for k, id := range ids {

@@ -211,7 +211,7 @@ func (p *shardedPool) grow(target int64) (from, to int64, err error) {
 
 // extend installs the sets [count, len(sizes)): sizes begins with the
 // pool's own, and runs hold the new sets' payloads in set-id order.
-func (p *shardedPool) extend(sizes []int32, runs []run) {
+func (p *shardedPool) extend(sizes []int32, runs []Chunk) {
 	p.sets.extend(sizes, runs)
 	p.count = int64(len(sizes))
 }

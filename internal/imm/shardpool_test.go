@@ -44,17 +44,17 @@ func (p *shardedPool) flatten() []rrr.Set {
 
 // payload lays sets out as the store does under the pool's policy: their
 // sizes, and their payloads in order.
-func (p *shardedPool) payload(sets []rrr.Set) (sizes []int32, r run) {
+func (p *shardedPool) payload(sets []rrr.Set) (sizes []int32, r Chunk) {
 	for _, set := range sets {
 		vs := set.Vertices(nil)
 		sizes = append(sizes, int32(len(vs)))
 		if !p.sets.dense(int32(len(vs))) {
-			r.lists = append(r.lists, vs...)
+			r.Lists = append(r.Lists, vs...)
 			continue
 		}
 		row := bitset.New(int(p.n))
 		row.SetMany(vs)
-		r.rows = append(r.rows, row.Words()...)
+		r.Rows = append(r.Rows, row.Words()...)
 	}
 	return sizes, r
 }
@@ -63,7 +63,7 @@ func (p *shardedPool) payload(sets []rrr.Set) (sizes []int32, r run) {
 // their members.
 func (p *shardedPool) putAll(sets []rrr.Set) {
 	sizes, r := p.payload(sets)
-	p.extend(append(slices.Clone(p.sets.sizes), sizes...), []run{r})
+	p.extend(append(slices.Clone(p.sets.sizes), sizes...), []Chunk{r})
 }
 
 // SelectOnSetsScan is the scan kernel over explicit sets, for the tests
@@ -110,7 +110,7 @@ func sameIndex(a, b *postings) bool {
 func (p *shardedPool) rebuilt() postings {
 	q := newShardedPool(p.n, p.sets.policy)
 	st, e := &p.sets, p.sets.upTo(p.indexed)
-	q.extend(st.sizes[:p.indexed:p.indexed], []run{{st.lists[:e.lists], st.rows[:int64(e.bitmaps)*st.words]}})
+	q.extend(st.sizes[:p.indexed:p.indexed], []Chunk{{st.lists[:e.lists], st.rows[:int64(e.bitmaps)*st.words]}})
 	q.totalMembers = e.members
 	q.patch(1, nil, nil)
 	return q.post
@@ -346,7 +346,7 @@ func fuzzSet(r *rng.Xoshiro256, n int32, shape byte, policy rrr.Policy) (rrr.Set
 	}
 	slices.Sort(vs)
 	vs = slices.Compact(vs)
-	return policy.Build(n, slices.Clone(vs)), vs
+	return policy.BuildScratch(n, slices.Clone(vs)), vs
 }
 
 // fuzzPolicy is the representation policy a fuzzed byte names: lists only
@@ -721,7 +721,7 @@ func BenchmarkIndexExtend(b *testing.B) {
 				p := newShardedPool(g.N, policy)
 				for lo, hi := int64(0), int64(rg.sets>>4); lo < int64(rg.sets); lo, hi = hi, min(2*hi, int64(rg.sets)) {
 					a, z := all.sets.upTo(lo), all.sets.upTo(hi)
-					p.extend(all.sets.sizes[:hi:hi], []run{{all.sets.lists[a.lists:z.lists],
+					p.extend(all.sets.sizes[:hi:hi], []Chunk{{all.sets.lists[a.lists:z.lists],
 						all.sets.rows[int64(a.bitmaps)*all.sets.words : int64(z.bitmaps)*all.sets.words]}})
 					p.totalMembers += z.members - a.members
 					p.selectCELF(false, 1, 1, p.count)

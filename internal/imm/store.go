@@ -78,11 +78,11 @@ func (st *setStore) summarize(from int64) {
 }
 
 // extend installs the sets sizes holds after the store's own, their
-// payloads arriving as runs in set-id order.
-func (st *setStore) extend(sizes []int32, runs []run) {
+// payloads arriving as chunks in set-id order.
+func (st *setStore) extend(sizes []int32, runs []Chunk) {
 	from := int64(len(st.sizes))
 	for _, r := range runs {
-		st.lists, st.rows = append(st.lists, r.lists...), append(st.rows, r.rows...)
+		st.lists, st.rows = append(st.lists, r.Lists...), append(st.rows, r.Rows...)
 	}
 	st.sizes = sizes
 	st.summarize(from)
@@ -91,7 +91,7 @@ func (st *setStore) extend(sizes []int32, runs []run) {
 // replaced returns the store with the sets ids (ascending) replaced by
 // sets of sizes[k] members, whose payloads next holds in id order. st is
 // only read, so it still holds the replaced sets.
-func (st *setStore) replaced(ids []int64, sizes []int32, next run) setStore {
+func (st *setStore) replaced(ids []int64, sizes []int32, next Chunk) setStore {
 	out := *st
 	out.sizes = slices.Clone(st.sizes)
 	var lr [][]int32 // runs: the old payloads between replaced sets, and the new ones
@@ -104,9 +104,9 @@ func (st *setStore) replaced(ids []int64, sizes []int32, next run) setStore {
 		rr = append(rr, st.rows[or:c.row*st.words-int64(len(row))])
 		ol, or = c.list, c.row*st.words
 		if size := int64(sizes[k]); st.dense(sizes[k]) {
-			rr, ir = append(rr, next.rows[ir:ir+st.words]), ir+st.words
+			rr, ir = append(rr, next.Rows[ir:ir+st.words]), ir+st.words
 		} else {
-			lr, il = append(lr, next.lists[il:il+size]), il+size
+			lr, il = append(lr, next.Lists[il:il+size]), il+size
 		}
 		out.sizes[id] = sizes[k]
 	}

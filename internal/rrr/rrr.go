@@ -193,24 +193,12 @@ func (p Policy) MinDense(n int32) int64 {
 	return size
 }
 
-// Build materializes a set from a sorted, unique member slice, choosing
-// the representation per the policy. The slice is adopted when a list is
-// chosen, so callers must not reuse it.
-func (p Policy) Build(n int32, sortedVerts []int32) Set {
-	if p.Dense(n, len(sortedVerts)) {
-		return NewBitmapSet(n, sortedVerts)
-	}
-	return newListSetSorted(sortedVerts)
-}
-
 // BuildScratch materializes a set from an unsorted, unique scratch
 // buffer — the sampler's reusable output — choosing the representation
 // per the policy. The buffer may be reordered in place but is never
 // retained, so callers reuse it across sets; only the list
 // representation pays a copy (a bitmap sets bits in its own storage).
-// This is the single representation dispatch
-// both generation paths go through, so engine pools and Build-made sets
-// can never disagree on the policy semantics.
+// It is the copy-out generators' one representation dispatch.
 func (p Policy) BuildScratch(n int32, buf []int32) Set {
 	if p.Dense(n, len(buf)) {
 		return NewBitmapSetUnique(n, buf) // needs no order

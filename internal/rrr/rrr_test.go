@@ -101,10 +101,10 @@ func TestPolicySwitching(t *testing.T) {
 	for i := range dense {
 		dense[i] = int32(i)
 	}
-	if got := p.Build(n, small); got.Kind() != "list" {
+	if got := p.BuildScratch(n, small); got.Kind() != "list" {
 		t.Fatalf("small set stored as %s", got.Kind())
 	}
-	if got := p.Build(n, dense); got.Kind() != "bitmap" {
+	if got := p.BuildScratch(n, dense); got.Kind() != "bitmap" {
 		t.Fatalf("dense set stored as %s", got.Kind())
 	}
 }
@@ -115,17 +115,8 @@ func TestListOnlyPolicyNeverBitmaps(t *testing.T) {
 	for i := range all {
 		all[i] = int32(i)
 	}
-	if got := p.Build(1000, all); got.Kind() != "list" {
+	if got := p.BuildScratch(1000, all); got.Kind() != "list" {
 		t.Fatalf("list-only policy produced %s", got.Kind())
-	}
-}
-
-func TestPolicyBuildAdoptsSortedSlice(t *testing.T) {
-	p := ListOnlyPolicy()
-	verts := []int32{1, 5, 9}
-	s := p.Build(100, verts)
-	if !s.Contains(5) || s.Size() != 3 {
-		t.Fatal("adopted slice semantics wrong")
 	}
 }
 

@@ -4,8 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-
-	"repro/internal/compress"
 )
 
 // Payload codecs. Every message body is a flat little-endian byte layout
@@ -25,13 +23,13 @@ type Hello struct {
 // Round asks a rank to generate the RRR sets for slots [Lo, Lo+Count) of
 // the named graph under the given sampling seed. WantCounter additionally
 // requests the rank's dense occurrence counter over its chunk (the root's
-// rank runtime folds the shipped sets itself and never sets it).
+// rank runtime never sets it: the pool it extends counts its own sets).
 //
 // No representation policy crosses the wire: the member sequence of a
 // slot is representation-independent (the sorted unique vertex list), so
-// the worker samples with the cheapest representation and the root
-// rebuilds each set under its own policy, byte-identical to local
-// generation.
+// the worker samples with the cheapest representation and the root lays
+// each set out under its own policy as it decodes it, byte-identical to
+// local generation.
 type Round struct {
 	Graph       string
 	Seed        uint64
@@ -44,6 +42,8 @@ type Round struct {
 // per-slot member lists in slot order (plain delta-varint payloads),
 // the sampling work metric, and optionally the dense counter.
 type RoundReply struct {
+	// Members is the rank's member total. The root takes its own from the
+	// sets it decodes.
 	Members int64
 	Edges   int64
 	// Sets[i] is the plain coding (compress.AppendPlain) of slot Lo+i's
@@ -264,16 +264,6 @@ func DecodeRoundReply(b []byte) (RoundReply, error) {
 		}
 	}
 	return rep, r.done("round reply")
-}
-
-// DecodeSetMembers decodes one plain-coded set payload from a RoundReply
-// into a freshly sized member slice.
-func DecodeSetMembers(plain []byte) ([]int32, error) {
-	count, err := compress.PlainCount(plain)
-	if err != nil {
-		return nil, err
-	}
-	return compress.DecodePlain(plain, make([]int32, 0, count))
 }
 
 // EncodeSeeds encodes a seed broadcast.

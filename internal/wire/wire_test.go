@@ -10,6 +10,9 @@ import (
 	"time"
 
 	"repro/internal/compress"
+	"repro/internal/imm"
+	"repro/internal/ingest"
+	"repro/internal/rrr"
 )
 
 // memConn is an in-memory net.Conn over a byte buffer: whatever is
@@ -156,7 +159,7 @@ func TestCodecRoundTrips(t *testing.T) {
 		t.Fatalf("round reply fields: %+v", dec)
 	}
 	for i, s := range sets {
-		members, err := DecodeSetMembers(dec.Sets[i])
+		members, err := compress.DecodePlain(dec.Sets[i], nil)
 		if err != nil {
 			t.Fatalf("set %d: %v", i, err)
 		}
@@ -207,9 +210,9 @@ func TestDecodersRejectTruncation(t *testing.T) {
 		t.Fatal("impossible counter length accepted")
 	}
 	// A set whose header claims 2^40 members and carries none: the
-	// decoder must refuse before sizing a buffer from the peer's count.
-	if m, err := DecodeSetMembers([]byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x20}); err == nil {
-		t.Fatalf("impossible member count accepted (%d members)", len(m))
+	// chunk decoder must refuse it without sizing a buffer from the count.
+	if c, _, err := imm.DecodeChunk(256, rrr.DefaultPolicy(), [][]byte{{0x80, 0x80, 0x80, 0x80, 0x80, 0x20}}, make([]int32, 1)); err == nil {
+		t.Fatalf("impossible member count accepted (%d members)", len(c.Lists))
 	}
 }
 
@@ -218,16 +221,57 @@ func TestDecodersRejectTruncation(t *testing.T) {
 // uvarint length.
 var hugeCounterReply = binary.AppendUvarint([]byte{0, 0, 0, 1}, 1<<61)
 
+// auditChunk freezes sizes and c as a pool over fuzzN vertices and reads
+// it back through the .impool reader, whose structural audit refuses any
+// set a pool must not hold.
+func auditChunk(t *testing.T, sizes []int32, c imm.Chunk) {
+	t.Helper()
+	st := &imm.PoolState{N: fuzzN, AdaptiveRep: true, Count: int64(len(sizes)), Sizes: sizes, ListData: c.Lists, BitmapData: c.Rows}
+	for _, size := range sizes {
+		st.TotalMembers += int64(size)
+	}
+	var buf bytes.Buffer
+	if err := ingest.WritePoolSnapshot(&buf, st); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := ingest.ReadPoolSnapshot(&buf); err != nil {
+		t.Fatalf("decoded chunk fails the pool audit: %v", err)
+	}
+}
+
+// fuzzN is the vertex count the fuzzed replies' sets decode over: under
+// the default policy a set of 16 or more members is a bitmap row.
+const fuzzN = 256
+
+// decodeAudited decodes plains as a rank's chunk and audits what it
+// yields; a refusal is fine, a panic or an unauditable chunk is not.
+func decodeAudited(t *testing.T, plains [][]byte) {
+	t.Helper()
+	sizes := make([]int32, len(plains))
+	if c, _, err := imm.DecodeChunk(fuzzN, rrr.DefaultPolicy(), plains, sizes); err == nil {
+		auditChunk(t, sizes, c)
+	}
+}
+
 // FuzzWireFrame exercises both directions of the framing layer: (a)
 // every (type, payload) writes and reads back identically, and (b)
 // arbitrary byte streams never panic the reader and never yield a frame
-// that a fresh write wouldn't have produced.
+// that a fresh write wouldn't have produced. A round reply's sets, and the
+// payload taken as one set, either are refused by the root's chunk decoder
+// or decode to sets the pool audit accepts.
 func FuzzWireFrame(f *testing.F) {
 	f.Add(uint8(MsgRound), []byte("hello"))
 	f.Add(uint8(MsgError), []byte{})
 	f.Add(uint8(0xff), []byte{0x69, 0x77, 1, 1, 0, 0, 0, 0})
 	f.Add(uint8(MsgRoundReply), []byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x20}) // set payload claiming 2^40 members
 	f.Add(uint8(MsgRoundReply), hugeCounterReply)
+	dense := make([]int32, 20)
+	for i := range dense {
+		dense[i] = int32(3 * i)
+	}
+	sets := [][]byte{compress.AppendPlain(nil, []int32{4, 9}), compress.AppendPlain(nil, dense)} // a list and a row
+	f.Add(uint8(MsgRoundReply), EncodeRoundReply(RoundReply{Sets: sets}))
+	f.Add(uint8(MsgRoundReply), EncodeRoundReply(RoundReply{Sets: append(sets, compress.AppendPlain(nil, []int32{fuzzN}))}))
 	f.Fuzz(func(t *testing.T, typ uint8, payload []byte) {
 		mc := &memConn{}
 		c := NewConn(mc, 0, nil)
@@ -259,13 +303,9 @@ func FuzzWireFrame(f *testing.F) {
 		_, _, _ = DecodeGraph(payload)
 		_, _ = DecodeRound(payload)
 		if rep, err := DecodeRoundReply(payload); err == nil {
-			for _, s := range rep.Sets {
-				_, _ = DecodeSetMembers(s)
-			}
+			decodeAudited(t, rep.Sets)
 		}
-		if members, err := DecodeSetMembers(payload); err == nil && len(members) > len(payload) {
-			t.Fatalf("%d members decoded from %d bytes", len(members), len(payload))
-		}
+		decodeAudited(t, [][]byte{payload})
 		_, _ = DecodeSeeds(payload)
 		_, _, _ = DecodeError(payload)
 	})
