@@ -31,7 +31,8 @@ func AppendPlain(dst []byte, sorted []int32) []byte {
 // coding makes them strictly ascending from zero; a delta that would carry
 // one past math.MaxInt32, which no int32 list encodes, is an error. A
 // count is never trusted to size dst: the bytes may be a peer's, and a
-// count the payload cannot hold fails as a truncation.
+// count the payload cannot hold fails as a truncation. data must be one
+// set exactly: bytes after its last member are an error.
 func DecodePlain(data []byte, dst []int32) ([]int32, error) {
 	count, n := readUvarint(data)
 	if n <= 0 {
@@ -50,6 +51,9 @@ func DecodePlain(data []byte, dst []int32) ([]int32, error) {
 		data = data[n:]
 		prev += int64(delta) + 1
 		dst = append(dst, int32(prev))
+	}
+	if len(data) != 0 {
+		return dst, fmt.Errorf("compress: %d bytes after the plain set's last member", len(data))
 	}
 	return dst, nil
 }

@@ -3,6 +3,7 @@ package compress
 import (
 	"encoding/binary"
 	"math"
+	"slices"
 	"sort"
 	"testing"
 
@@ -110,5 +111,20 @@ func TestPlainRejectsImpossibleCounts(t *testing.T) {
 	}
 	if got, err := DecodePlain([]byte{2, 0, 0}, nil); err != nil || len(got) != 2 {
 		t.Errorf("exact fit: DecodePlain = %v, %v; want 2 members", got, err)
+	}
+}
+
+// TestPlainRejectsTrailingBytes pins that a payload is one set exactly:
+// bytes after the count-th member are an error, whether they would
+// decode as more members or not.
+func TestPlainRejectsTrailingBytes(t *testing.T) {
+	for _, set := range [][]int32{{}, {3, 5}, {0, 1, 1 << 30}} {
+		data := AppendPlain(nil, set)
+		plainRoundTrip(t, set)
+		for _, pad := range [][]byte{{0}, {0xff, 0x01}, data} {
+			if got, err := DecodePlain(append(slices.Clip(data), pad...), nil); err == nil {
+				t.Errorf("%v padded with %x: decoded %v, want an error", set, pad, got)
+			}
+		}
 	}
 }

@@ -141,8 +141,8 @@ const denseFillShift = 4
 // lives in locals for the length of the set.
 //
 // One in-segment is scanned in one of two shapes. While the set is
-// sparse nearly every in-neighbour is unvisited and the plain loop's
-// visited branch is predictable. Once it is dense that branch is a coin
+// sparse nearly every in-neighbour is unvisited and icScan's visited
+// branch is predictable. Once it is dense that branch is a coin
 // flip, so a branch-free filter first compacts the offsets of the
 // in-neighbours whose visited bit is clear, then only those survivors
 // are drawn for and committed without a data-dependent branch. Either
@@ -168,21 +168,11 @@ func (s *Sampler) traverseIC(r *rng.Xoshiro256, root int32) int {
 		if qlen+int(hi-lo) > len(q) {
 			q = s.room(qlen + int(hi-lo))
 		}
+		seg, prob := inEdges[lo:hi], inProb[lo:hi]
 		if qlen < dense {
-			for k := lo; k < hi; k++ {
-				u := inEdges[k]
-				if vis[u>>6]>>uint(u&63)&1 != 0 {
-					continue
-				}
-				if x.Float32() < inProb[k] {
-					vis[u>>6] |= 1 << uint(u&63)
-					q[qlen] = u
-					qlen++
-				}
-			}
+			x, qlen = icScan(x, seg, prob, vis, q, qlen)
 			continue
 		}
-		seg, prob := inEdges[lo:hi], inProb[lo:hi]
 		if len(seg) > len(s.surv) {
 			s.surv = make([]int32, 2*len(seg))
 		}
@@ -206,6 +196,37 @@ func (s *Sampler) traverseIC(r *rng.Xoshiro256, root int32) int {
 	*r = x
 	s.EdgesVisited += edges
 	return qlen
+}
+
+// icScan is the sparse shape's scan of one segment, the loop that builds
+// every weighted-cascade set and forward IC cascade: an edge whose source
+// u is unvisited at its turn draws once and admits u with probability
+// prob[k]; a visited source draws nothing. Admitted vertices are marked
+// in vis and appended to q after qlen; q must have room for len(seg) of
+// them. It returns the generator and the new queue length.
+//
+// The generator goes in and comes back by value, and the step is
+// rng.Xoshiro256.Next, so its four words stay in registers for the whole
+// segment. Kept out of line: in the caller, whose generator the pointer
+// methods address, every draw loads and stores the state through the
+// stack and the slice headers are reloaded per edge.
+//
+//go:noinline
+func icScan(x rng.Xoshiro256, seg []int32, prob []float32, vis []uint64, q []int32, qlen int) (rng.Xoshiro256, int) {
+	prob = prob[:len(seg)]
+	for k, u := range seg {
+		if vis[u>>6]>>uint(u&63)&1 != 0 {
+			continue
+		}
+		var v uint64
+		v, x = x.Next()
+		if float32(v>>40)/(1<<24) < prob[k] { // Float32's conversion
+			vis[u>>6] |= 1 << uint(u&63)
+			q[qlen] = u
+			qlen++
+		}
+	}
+	return x, qlen
 }
 
 // unvisited compacts into surv the offsets within seg of the vertices

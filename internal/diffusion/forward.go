@@ -1,6 +1,7 @@
 package diffusion
 
 import (
+	"slices"
 	"sync"
 
 	"repro/internal/bitset"
@@ -9,51 +10,43 @@ import (
 )
 
 // simulateIC runs one forward IC cascade from seeds and returns the
-// number of activated vertices. Scratch structures are provided by the
-// caller for reuse.
-func simulateIC(g *graph.Graph, seeds []int32, r *rng.Xoshiro256, active *bitset.Bitset, frontier, touched []int32) (int, []int32, []int32) {
-	count := 0
+// activated vertices in activation order, in frontier's storage. Each
+// activated vertex's out-segment goes through icScan, the coin-flip
+// kernel of reverse sampling: an out-edge draws iff its target is
+// inactive at its turn. Scratch structures are provided by the caller
+// for reuse.
+func simulateIC(g *graph.Graph, seeds []int32, r *rng.Xoshiro256, active *bitset.Bitset, frontier []int32) []int32 {
 	frontier = frontier[:0]
-	touched = touched[:0]
 	for _, s := range seeds {
 		if !active.TestAndSet(int(s)) {
 			frontier = append(frontier, s)
-			touched = append(touched, s)
-			count++
 		}
 	}
-	for qi := 0; qi < len(frontier); qi++ {
+	vis, x, count := active.Words(), *r, len(frontier)
+	for qi := 0; qi < count; qi++ {
 		u := frontier[qi]
 		lo, hi := g.OutIndex[u], g.OutIndex[u+1]
-		for k := lo; k < hi; k++ {
-			v := g.OutEdges[k]
-			if active.Test(int(v)) {
-				continue
-			}
-			if r.Float32() < g.OutProb[k] {
-				active.Set(int(v))
-				frontier = append(frontier, v)
-				touched = append(touched, v)
-				count++
-			}
+		if count+int(hi-lo) > len(frontier) {
+			frontier = slices.Grow(frontier[:count], int(hi-lo))
+			frontier = frontier[:cap(frontier)]
 		}
+		x, count = icScan(x, g.OutEdges[lo:hi], g.OutProb[lo:hi], vis, frontier, count)
 	}
-	active.ClearList(touched)
-	return count, frontier, touched
+	*r = x
+	frontier = frontier[:count]
+	active.ClearList(frontier)
+	return frontier
 }
 
-// simulateLT runs one forward LT cascade. Thresholds are drawn uniformly
-// per vertex per run; a vertex activates when the cumulative weight of
-// its active in-neighbors reaches its threshold.
-func simulateLT(g *graph.Graph, seeds []int32, r *rng.Xoshiro256, active *bitset.Bitset, frontier, touched []int32, thresh, acc []float32) (int, []int32, []int32) {
-	count := 0
+// simulateLT runs one forward LT cascade and returns the activated
+// vertices, in frontier's storage. Thresholds are drawn uniformly per
+// vertex per run; a vertex activates when the cumulative weight of its
+// active in-neighbors reaches its threshold.
+func simulateLT(g *graph.Graph, seeds []int32, r *rng.Xoshiro256, active *bitset.Bitset, frontier []int32, thresh, acc []float32) []int32 {
 	frontier = frontier[:0]
-	touched = touched[:0]
 	for _, s := range seeds {
 		if !active.TestAndSet(int(s)) {
 			frontier = append(frontier, s)
-			touched = append(touched, s)
-			count++
 		}
 	}
 	for qi := 0; qi < len(frontier); qi++ {
@@ -76,22 +69,20 @@ func simulateLT(g *graph.Graph, seeds []int32, r *rng.Xoshiro256, active *bitset
 			if acc[v] >= thresh[v] {
 				active.Set(int(v))
 				frontier = append(frontier, v)
-				touched = append(touched, v)
-				count++
 			}
 		}
 	}
 	// Reset lazy per-run state only where touched: thresholds and
 	// accumulators of every vertex examined. Conservatively reset via
 	// out-neighbors of activated vertices.
-	for _, u := range touched {
+	for _, u := range frontier {
 		for _, v := range g.OutNeighbors(u) {
 			thresh[v] = -1
 			acc[v] = 0
 		}
 	}
-	active.ClearList(touched)
-	return count, frontier, touched
+	active.ClearList(frontier)
+	return frontier
 }
 
 // EstimateSpread estimates σ(seeds) with runs forward Monte-Carlo
@@ -112,7 +103,7 @@ func EstimateSpread(g *graph.Graph, seeds []int32, runs, workers int, seed uint6
 			defer wg.Done()
 			r := rng.NewStream(seed, w)
 			active := bitset.New(int(g.N))
-			var frontier, touched []int32
+			var frontier []int32
 			var thresh, acc []float32
 			if g.Model() == graph.LT {
 				thresh = make([]float32, g.N)
@@ -123,13 +114,12 @@ func EstimateSpread(g *graph.Graph, seeds []int32, runs, workers int, seed uint6
 			}
 			var local int64
 			for i := w; i < runs; i += workers {
-				var c int
 				if g.Model() == graph.LT {
-					c, frontier, touched = simulateLT(g, seeds, r, active, frontier, touched, thresh, acc)
+					frontier = simulateLT(g, seeds, r, active, frontier, thresh, acc)
 				} else {
-					c, frontier, touched = simulateIC(g, seeds, r, active, frontier, touched)
+					frontier = simulateIC(g, seeds, r, active, frontier)
 				}
-				local += int64(c)
+				local += int64(len(frontier))
 			}
 			totals[w] = local
 		}(w)

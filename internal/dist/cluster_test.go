@@ -302,14 +302,29 @@ func TestClusterMalformedSetCountFailsOver(t *testing.T) {
 // TestClusterLyingRank feeds the root rank replies that are well framed
 // but lie: a set with a member past the graph, as a list or as a bitmap
 // row; a plain delta that carries a member past 2^31, which an int32
-// cast would wrap negative; and honest sets under an inflated member
-// word. Each run must equal the shared-memory run in seeds, θ and pool
-// footprint. A reply with a bad set is refused whole, one failover per
-// chunk; the member word is never read, so the honest sets are kept.
+// cast would wrap negative; a set padded with bytes after its last
+// member; honest sets under an inflated member word; and honest sets
+// under an edge count 2^40 past what they can have visited. Each run must
+// equal the shared-memory run in seeds, θ and pool footprint, and an
+// honest 2-rank run in its modeled sampling cost. A reply with a bad set
+// or an impossible edge count is refused whole, one failover per chunk;
+// the member word is never read, so the honest sets are kept.
 func TestClusterLyingRank(t *testing.T) {
 	g := testGraph(t)
 	opt := testOptions(2)
 	shared := sharedRun(t, g, opt)
+	honest := func() *Result {
+		cl, err := Connect(ClusterConfig{Peers: []string{"root.invalid:0", startRank(t).Addr()}}, testClusterOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cl.Close()
+		res, err := RunCluster(g, opt, cl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}()
 	plainWrap := binary.AppendUvarint([]byte{2, 3}, 1<<31) // members 3 and 3+2^31+1
 	dense := make([]int32, 17)                             // 16 members is g's bitmap threshold
 	for i := range dense {
@@ -324,7 +339,9 @@ func TestClusterLyingRank(t *testing.T) {
 		{"sparse-member-past-n", func(rep *wire.RoundReply) { rep.Sets[0] = compress.AppendPlain(nil, []int32{1 << 20}) }, true},
 		{"dense-member-past-n", func(rep *wire.RoundReply) { rep.Sets[0] = compress.AppendPlain(nil, dense) }, true},
 		{"delta-past-int32", func(rep *wire.RoundReply) { rep.Sets[0] = plainWrap }, true},
+		{"padded-set", func(rep *wire.RoundReply) { rep.Sets[0] = append(slices.Clip(rep.Sets[0]), 0xff, 0x01) }, true},
 		{"members-word-high", func(rep *wire.RoundReply) { rep.Members += 1000 }, false},
+		{"edges-inflated", func(rep *wire.RoundReply) { rep.Edges += 1 << 40 }, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			liar, rounds := startLyingRank(t, g, tc.lie)
@@ -347,6 +364,9 @@ func TestClusterLyingRank(t *testing.T) {
 			}
 			if rounds.Load() == 0 || res.Comm.Failovers != want || cl.Failovers() != want {
 				t.Fatalf("%d rounds: failovers %d (cluster %d), want %d", rounds.Load(), res.Comm.Failovers, cl.Failovers(), want)
+			}
+			if res.Breakdown.SamplingModeled != honest.Breakdown.SamplingModeled {
+				t.Fatalf("modeled sampling %v, honest 2-rank run %v", res.Breakdown.SamplingModeled, honest.Breakdown.SamplingModeled)
 			}
 		})
 	}

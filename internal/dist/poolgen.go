@@ -13,13 +13,14 @@ import (
 // its own chunk with imm.SampleSlots, the others go out as Round requests
 // in parallel, and each reply decodes straight into a chunk of the pool's
 // layout under the engine's policy (imm.DecodeChunk), checked as a pool
-// file's sets are. Ranks draw from the slot-indexed RNG streams, so the
-// chunks together are exactly the range a local engine would have
-// generated, and a failed exchange or a refused reply is resampled at the
-// root with the same result: GenerateSlots never fails, it only gets
-// slower and counts a failover. With no cluster (c == nil) every chunk is
-// sampled at the root — a simulated run, billed as a networked one would
-// be.
+// file's sets are; its edge count, which the modeled bill takes, must lie
+// within its sets' in-degree sum. Ranks draw from the slot-indexed RNG
+// streams, so the chunks together are exactly the range a local engine
+// would have generated, and a failed exchange or a refused reply is
+// resampled at the root with the same result: GenerateSlots never fails,
+// it only gets slower and counts a failover. With no cluster (c == nil)
+// every chunk is sampled at the root — a simulated run, billed as a
+// networked one would be.
 type clusterGen struct {
 	c      *Cluster
 	ranks  int64
@@ -72,7 +73,9 @@ func (cg *clusterGen) GenerateSlots(lo int64, sizes []int32) ([]imm.Chunk, int64
 			if r != 0 && cg.c != nil {
 				rep, err := cg.c.Round(int(r), cg.g, cg.hint, cg.seed, lo+clo, int64(len(seg)), false)
 				if err == nil {
-					if ch.Chunk, ch.members, err = imm.DecodeChunk(cg.g.N, cg.policy, rep.Sets, seg); err == nil {
+					var bound int64
+					ch.Chunk, ch.members, bound, err = imm.DecodeChunk(cg.g, cg.policy, rep.Sets, seg)
+					if err == nil && rep.Edges >= 0 && rep.Edges <= bound {
 						ch.edges = rep.Edges
 						return
 					}

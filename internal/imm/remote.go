@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/compress"
+	"repro/internal/graph"
 	"repro/internal/rrr"
 )
 
@@ -64,28 +65,35 @@ func (w *WarmEngine) generateRemote(from, to int64) bool {
 }
 
 // DecodeChunk decodes a rank's sets, plain-coded (compress.AppendPlain)
-// in slot order, into one chunk under policy over n vertices, writing set
-// i's size to sizes[i], and returns it with its member total. It refuses
-// the chunk on any defect the pool-file audit refuses a set for: the
-// coding yields members strictly ascending from zero, and one past n (or
-// the int32 range) fails it, which also bounds a size by n. A set count
-// other than len(sizes) fails it too.
-func DecodeChunk(n int32, policy rrr.Policy, plains [][]byte, sizes []int32) (c Chunk, members int64, err error) {
+// in slot order, into one chunk under policy over g's vertices, writing
+// set i's size to sizes[i], and returns it with its member total and the
+// sum of its members' in-degrees, the most in-edges sampling the sets can
+// have visited (a set's traversal reads each member's in-segment at most
+// once; under IC exactly once). It refuses the chunk on any defect the
+// pool-file audit refuses a set for: the coding yields members strictly
+// ascending from zero, and one past n (or the int32 range) fails it,
+// which also bounds a size by n. A set count other than len(sizes) fails
+// it too.
+func DecodeChunk(g *graph.Graph, policy rrr.Policy, plains [][]byte, sizes []int32) (c Chunk, members, inDegrees int64, err error) {
 	if len(plains) != len(sizes) {
-		return Chunk{}, 0, fmt.Errorf("imm: %d sets for %d slots", len(plains), len(sizes))
+		return Chunk{}, 0, 0, fmt.Errorf("imm: %d sets for %d slots", len(plains), len(sizes))
 	}
+	n := g.N
 	words := (int(n) + 63) / 64
 	for i, plain := range plains {
 		l0 := len(c.Lists)
 		if c.Lists, err = compress.DecodePlain(plain, c.Lists); err != nil {
-			return Chunk{}, 0, fmt.Errorf("imm: set %d: %w", i, err)
+			return Chunk{}, 0, 0, fmt.Errorf("imm: set %d: %w", i, err)
 		}
 		vs := c.Lists[l0:]
 		if len(vs) > 0 && vs[len(vs)-1] >= n {
-			return Chunk{}, 0, fmt.Errorf("imm: set %d member %d out of range [0, %d)", i, vs[len(vs)-1], n)
+			return Chunk{}, 0, 0, fmt.Errorf("imm: set %d member %d out of range [0, %d)", i, vs[len(vs)-1], n)
 		}
 		sizes[i] = int32(len(vs))
 		members += int64(len(vs))
+		for _, v := range vs {
+			inDegrees += g.InIndex[v+1] - g.InIndex[v]
+		}
 		if policy.Dense(n, len(vs)) {
 			r0 := len(c.Rows)
 			c.Rows = slices.Grow(c.Rows, words)[:r0+words]
@@ -97,5 +105,5 @@ func DecodeChunk(n int32, policy rrr.Policy, plains [][]byte, sizes []int32) (c 
 			c.Lists = c.Lists[:l0]
 		}
 	}
-	return c, members, nil
+	return c, members, inDegrees, nil
 }

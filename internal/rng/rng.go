@@ -40,9 +40,9 @@ func (s *SplitMix64) Next() uint64 {
 // Vigna. It has a 2^256-1 period and passes BigCrush; the zero value is
 // invalid and must be seeded through New or Seed.
 //
-// The state is four scalar words rather than an array so that Uint64
-// inlines and a by-value copy is four plain locals: the samplers draw
-// from a local copy for the length of one RRR set and store it back
+// The state is four scalar words rather than an array so that Next and
+// Uint64 inline and a by-value copy is four plain locals: the samplers
+// draw from a local copy for the length of one RRR set and store it back
 // once.
 type Xoshiro256 struct {
 	s0, s1, s2, s3 uint64
@@ -83,17 +83,28 @@ func (x *Xoshiro256) Seed(seed uint64) {
 	}
 }
 
-// Uint64 returns the next 64 random bits.
-func (x *Xoshiro256) Uint64() uint64 {
-	s0, s1, s2, s3 := x.s0, x.s1, x.s2, x.s3
-	result := bits.RotateLeft64(s1*5, 7) * 9
-	t := s1 << 17
-	s2 ^= s0
-	s3 ^= s1
-	s1 ^= s2
-	s0 ^= s3
-	x.s0, x.s1, x.s2, x.s3 = s0, s1, s2^t, bits.RotateLeft64(s3, 45)
-	return result
+// Next is the xoshiro256** step: it returns the next 64 random bits and
+// the state after them. It is the one spelling of the step. A kernel
+// that passes the generator by value and takes it back keeps the four
+// words in registers for the length of its loop, where the pointer
+// methods would load and store them through memory on every draw.
+func (x Xoshiro256) Next() (uint64, Xoshiro256) {
+	result := bits.RotateLeft64(x.s1*5, 7) * 9
+	t := x.s1 << 17
+	x.s2 ^= x.s0
+	x.s3 ^= x.s1
+	x.s1 ^= x.s2
+	x.s0 ^= x.s3
+	x.s2 ^= t
+	x.s3 = bits.RotateLeft64(x.s3, 45)
+	return result, x
+}
+
+// Uint64 returns the next 64 random bits. (The named result keeps it,
+// and so Float32 and Float64, within the compiler's inlining budget.)
+func (x *Xoshiro256) Uint64() (v uint64) {
+	v, *x = x.Next()
+	return v
 }
 
 // Float64 returns a uniform value in [0, 1) with 53 random bits,

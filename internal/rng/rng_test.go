@@ -220,3 +220,28 @@ func TestSeedStreamMatchesNewStream(t *testing.T) {
 		}
 	}
 }
+
+// TestNextMatchesUint64 holds the value step to the reference
+// xoshiro256** sequence from state {1, 2, 3, 4} (the C implementation's
+// first outputs) and to Uint64's sequence from a seeded state: same
+// outputs, and the state Next returns is the one Uint64 leaves behind.
+func TestNextMatchesUint64(t *testing.T) {
+	x := Xoshiro256{1, 2, 3, 4}
+	for i, want := range []uint64{0x2d00, 0, 0x5a007080, 0x10e0000000009d80, 0x10e0b61ce1009d80, 0x870021ce143ad00} {
+		var got uint64
+		if got, x = x.Next(); got != want {
+			t.Fatalf("reference step %d: Next = %#x, want %#x", i, got, want)
+		}
+	}
+	if want := (Xoshiro256{0xc060100412050281, 0x706014140a0305, 0xc07030000a040007, 0x60306800100183c1}); x != want {
+		t.Fatalf("state after 6 steps %+v, want %+v", x, want)
+	}
+	ptr, val := NewStream(99, 3), *NewStream(99, 3)
+	for i := 0; i < 1000; i++ {
+		var got uint64
+		got, val = val.Next()
+		if want := ptr.Uint64(); got != want || val != *ptr {
+			t.Fatalf("step %d: Next = %#x with state %+v; Uint64 = %#x with %+v", i, got, val, want, *ptr)
+		}
+	}
+}

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/compress"
+	"repro/internal/graph"
 	"repro/internal/imm"
 	"repro/internal/ingest"
 	"repro/internal/rrr"
@@ -211,7 +212,7 @@ func TestDecodersRejectTruncation(t *testing.T) {
 	}
 	// A set whose header claims 2^40 members and carries none: the
 	// chunk decoder must refuse it without sizing a buffer from the count.
-	if c, _, err := imm.DecodeChunk(256, rrr.DefaultPolicy(), [][]byte{{0x80, 0x80, 0x80, 0x80, 0x80, 0x20}}, make([]int32, 1)); err == nil {
+	if c, _, _, err := imm.DecodeChunk(fuzzGraph, rrr.DefaultPolicy(), [][]byte{{0x80, 0x80, 0x80, 0x80, 0x80, 0x20}}, make([]int32, 1)); err == nil {
 		t.Fatalf("impossible member count accepted (%d members)", len(c.Lists))
 	}
 }
@@ -243,12 +244,22 @@ func auditChunk(t *testing.T, sizes []int32, c imm.Chunk) {
 // the default policy a set of 16 or more members is a bitmap row.
 const fuzzN = 256
 
+// fuzzGraph is an edgeless graph of fuzzN vertices, the graph the chunk
+// decoder reads the sets' in-degrees from.
+var fuzzGraph = func() *graph.Graph {
+	g, err := graph.FromEdges(fuzzN, nil, graph.IC, 1)
+	if err != nil {
+		panic(err)
+	}
+	return g
+}()
+
 // decodeAudited decodes plains as a rank's chunk and audits what it
 // yields; a refusal is fine, a panic or an unauditable chunk is not.
 func decodeAudited(t *testing.T, plains [][]byte) {
 	t.Helper()
 	sizes := make([]int32, len(plains))
-	if c, _, err := imm.DecodeChunk(fuzzN, rrr.DefaultPolicy(), plains, sizes); err == nil {
+	if c, _, _, err := imm.DecodeChunk(fuzzGraph, rrr.DefaultPolicy(), plains, sizes); err == nil {
 		auditChunk(t, sizes, c)
 	}
 }
