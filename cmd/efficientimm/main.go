@@ -40,7 +40,7 @@ func main() {
 		undirected = flag.Bool("undirected", false, "treat the edge list as undirected")
 		modelName  = flag.String("model", "IC", "diffusion model: IC or LT")
 		engineName = flag.String("engine", "efficientimm", "engine: efficientimm or ripples")
-		selName    = flag.String("selection", "celf", "selection kernel: celf or scan")
+		selName    = flag.String("selection", "celf", "selection kernel: celf or scan (scan is the shared-memory kernel Figure 5 and the ablations price; -ranks refuses it)")
 		k          = flag.Int("k", 50, "seed set size")
 		eps        = flag.Float64("eps", 0.5, "approximation parameter epsilon")
 		workers    = flag.Int("workers", runtime.NumCPU(), "parallel workers")

@@ -388,7 +388,9 @@ func TestClusterPoolMatchesLocal(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		w.SetRemote(gen)
+		if err := w.SetRemote(gen); err != nil {
+			t.Fatal(err)
+		}
 		for _, theta := range []int64{300, 700} { // two θ rounds, each closed by a selection
 			w.Generate(theta)
 			w.SelectSeeds(opt.K)

@@ -18,10 +18,12 @@ import (
 )
 
 // Options configures a distributed run. The embedded imm.Options carry
-// the algorithmic parameters (K, Epsilon, Seed, MaxTheta, the
-// representation, fusion and selection switches), which the root's engine
-// honours exactly as imm.Run does; Workers is the root's thread count,
-// used by its index and selection kernels.
+// the algorithmic parameters (K, Epsilon, Seed, MaxTheta), which the
+// root's engine honours exactly as imm.Run does; Workers is the root's
+// thread count, used by its index and selection kernels. The §IV switches
+// must keep their defaults: the root is a warm engine with a rank
+// generator attached, and a run that sets one is refused with
+// imm.ErrWarmOptions before any round is sent.
 type Options struct {
 	imm.Options
 
@@ -120,7 +122,9 @@ func run(g *graph.Graph, opt Options, cl *Cluster) (*Result, error) {
 		return nil, err
 	}
 	gen := &clusterGen{c: cl, ranks: int64(opt.Ranks), g: g, hint: runHint, policy: imm.PolicyFromOptions(opt.Options), seed: opt.Seed}
-	w.SetRemote(gen)
+	if err := w.SetRemote(gen); err != nil {
+		return nil, err
+	}
 	res, err := imm.RunEngine(g, opt.Options, &rankEngine{WarmEngine: w, gen: gen})
 	if err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"errors"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -238,10 +239,11 @@ func TestRunSnapshot(t *testing.T) {
 }
 
 // TestAnswersAreRunAnswers pins that a distributed answer is the
-// shared-memory answer: at every rank count, under both selection kernels,
-// simulated and networked, the seeds, coverage, θ trajectory, lower bound,
-// set statistics and pool footprint equal imm.Run's on the same options —
-// and both kernels select the same seeds.
+// shared-memory answer: at every rank count, simulated and networked, the
+// seeds, coverage, θ trajectory, lower bound, set statistics and pool
+// footprint equal imm.Run's on the same options. The scan kernel is a
+// shared-memory toggle: every distributed entry point refuses it with
+// imm.ErrWarmOptions, and the networked one sends nothing.
 func TestAnswersAreRunAnswers(t *testing.T) {
 	g := testGraph(t)
 	workers := startWorkers(t, 7)
@@ -257,34 +259,51 @@ func TestAnswersAreRunAnswers(t *testing.T) {
 	answerOf := func(r imm.Result) answer {
 		return answer{r.Seeds, r.Coverage, r.Theta, r.Rounds, r.LB, r.SetStats, r.Pool}
 	}
-	var celf []int32
-	for _, sel := range []imm.SelectionKind{imm.SelectCELF, imm.SelectScan} {
-		for _, ranks := range []int{1, 2, 3, 4, 8} {
-			opt := testOptions(ranks)
-			opt.Selection = sel
-			want := answerOf(*sharedRun(t, g, opt))
-			if celf == nil {
-				celf = want.Seeds
-			}
-			assertSameSeeds(t, celf, want.Seeds)
-			sim, err := Run(g, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cl, err := Connect(ClusterConfig{Peers: workers.Peers[:ranks]}, testClusterOptions())
-			if err != nil {
-				t.Fatal(err)
-			}
-			net, err := RunCluster(g, opt, cl)
-			cl.Close()
-			if err != nil {
-				t.Fatal(err)
-			}
-			for name, res := range map[string]*Result{"Run": sim, "RunCluster": net} {
-				if got := answerOf(res.Result); !reflect.DeepEqual(got, want) {
-					t.Errorf("%v selection, %d ranks: %s answered\n%+v\nimm.Run answered\n%+v", sel, ranks, name, got, want)
-				}
+	for _, ranks := range []int{1, 2, 3, 4, 8} {
+		opt := testOptions(ranks)
+		want := answerOf(*sharedRun(t, g, opt))
+		sim, err := Run(g, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cl, err := Connect(ClusterConfig{Peers: workers.Peers[:ranks]}, testClusterOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		net, err := RunCluster(g, opt, cl)
+		cl.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, res := range map[string]*Result{"Run": sim, "RunCluster": net} {
+			if got := answerOf(res.Result); !reflect.DeepEqual(got, want) {
+				t.Errorf("%d ranks: %s answered\n%+v\nimm.Run answered\n%+v", ranks, name, got, want)
 			}
 		}
+	}
+
+	scan := testOptions(3)
+	scan.Selection = imm.SelectScan
+	if _, err := Run(g, scan); !errors.Is(err, imm.ErrWarmOptions) {
+		t.Errorf("Run with scan selection: got %v, want ErrWarmOptions", err)
+	}
+	path := filepath.Join(t.TempDir(), "g.imsnap")
+	if err := ingest.WriteSnapshotFile(path, g, 7); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RunSnapshot(path, scan); !errors.Is(err, imm.ErrWarmOptions) {
+		t.Errorf("RunSnapshot with scan selection: got %v, want ErrWarmOptions", err)
+	}
+	cl, err := Connect(ClusterConfig{Peers: workers.Peers[:3]}, testClusterOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	sent, _, msgs := cl.MeterTotals()
+	if _, err := RunCluster(g, scan, cl); !errors.Is(err, imm.ErrWarmOptions) {
+		t.Errorf("RunCluster with scan selection: got %v, want ErrWarmOptions", err)
+	}
+	if s, _, m := cl.MeterTotals(); s != sent || m != msgs {
+		t.Errorf("a refused RunCluster sent %d bytes in %d messages", s-sent, m-msgs)
 	}
 }

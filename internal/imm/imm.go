@@ -103,16 +103,30 @@ type Options struct {
 	Seed    uint64  // base RNG seed; runs are reproducible per seed
 	Engine  EngineKind
 
-	// EngineEfficient optimization switches (ignored by Ripples). All
-	// default to enabled via Defaults; ablation benches disable one at a
-	// time.
-	Fusion         bool                   // fold counter build into generation
-	AdaptiveRep    bool                   // bitmap representation for dense sets
-	Update         counter.UpdateStrategy // seed-retirement counter maintenance
-	DynamicBalance bool                   // work-stealing generation
+	// EngineEfficient optimization switches (ignored by Ripples), the
+	// paper's §IV. Each is a cold-Run toggle: the experiments below set it
+	// for one cold Run, and the warm lifecycle — Freeze, ThawWarmEngine,
+	// ApplyDelta, SetRemote, internal/dist — refuses any but the default
+	// (ErrWarmOptions). Seeds are identical either way.
 
-	// Selection selects the Efficient engine's selection kernel
-	// (SelectCELF or SelectScan). Seeds are identical either way.
+	// Fusion folds the counter build into generation; off in the
+	// ablations' no-fusion row (ablations.csv).
+	Fusion bool
+	// AdaptiveRep stores dense sets as bitmap rows; off in the ablations'
+	// no-adaptive-rep row and the memory sweep's slice-list pools
+	// (memory_selection_sweep.csv).
+	AdaptiveRep bool
+	// Update is the scan kernel's seed-retirement counter maintenance:
+	// Figure 5 prices Decrement against AdaptiveUpdate
+	// (fig5_adaptive_update.csv), the ablations' scan-decrement and
+	// scan-rebuild rows the two fixed strategies.
+	Update counter.UpdateStrategy
+	// DynamicBalance spreads generation over work-stealing deques; off in
+	// the ablations' static-schedule row.
+	DynamicBalance bool
+	// Selection is the Efficient engine's selection kernel: SelectCELF,
+	// or SelectScan in Figure 5, the ablations' scan-* rows and the
+	// memory sweep's scan-cost column.
 	Selection SelectionKind
 
 	// BatchSize is the generation job granularity in RRR sets.

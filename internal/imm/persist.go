@@ -23,9 +23,7 @@ import (
 	"fmt"
 	"slices"
 
-	"repro/internal/counter"
 	"repro/internal/graph"
-	"repro/internal/sched"
 )
 
 // ErrPoolIncompatible reports a freeze/thaw binding mismatch: the pool
@@ -36,8 +34,9 @@ var ErrPoolIncompatible = errors.New("imm: pool state incompatible with thaw tar
 
 // PoolState is a frozen warm pool plus everything needed to decide
 // whether a thaw target may adopt it: the graph binding (shape, model,
-// delta epoch, content fingerprint) and the pool-shaping options (RNG
-// seed, representation policy) that define which pool this is.
+// delta epoch, content fingerprint) and the RNG seed that defines which
+// pool this is. The representation policy is the defaults' (the warm
+// lifecycle runs no other; ErrWarmOptions).
 type PoolState struct {
 	// Graph binding.
 	N        int32
@@ -49,8 +48,7 @@ type PoolState struct {
 	// Pool identity: the RNG-slot metadata. Slot i of the pool is drawn
 	// from the seed-indexed stream (graph, policy, Seed, i), so Seed plus
 	// Count fully determine the θ-trajectory contents below Count.
-	Seed        uint64
-	AdaptiveRep bool
+	Seed uint64
 
 	Count        int64 // physical pool length (slots generated)
 	TotalMembers int64 // Σ|R| over all Count sets
@@ -58,18 +56,18 @@ type PoolState struct {
 	// The sets, in id order. Sizes holds each set's member count, which
 	// also names its representation: the pool's policy stores a set of
 	// that size as a bitmap row when rrr.Policy.Dense says so and as a
-	// sorted list otherwise (rrr.DefaultPolicy's threshold when AdaptiveRep
-	// is set). The members themselves are concatenated into one blob per
-	// representation, so each blob keeps a fixed element size and can be
-	// aliased straight out of a 64-byte-aligned snapshot section (or an
-	// mmap of one) without decoding. Set i's payload starts where sets
-	// 0..i-1 of the same representation end.
+	// sorted list otherwise (rrr.DefaultPolicy's threshold). The members
+	// themselves are concatenated into one blob per representation, so
+	// each blob keeps a fixed element size and can be aliased straight
+	// out of a 64-byte-aligned snapshot section (or an mmap of one)
+	// without decoding. Set i's payload starts where sets 0..i-1 of the
+	// same representation end.
 	Sizes      []int32  // member count per set, len Count
 	ListData   []int32  // concatenated sorted member lists
 	BitmapData []uint64 // concatenated word rows, (N+63)/64 words each
 
 	// PostIdx/PostData/PostRows are the pool's inverted index over all
-	// Count sets, or nil when the pool was never indexed (scan-mode pools).
+	// Count sets, nil exactly when the pool holds none.
 	// PostIdx is a CSR offset array over occurrence counts: vertex v is in
 	// PostIdx[v+1]−PostIdx[v] sets. The policy's Dense(Count, that count)
 	// names how its postings are stored, as for a set: a row of
@@ -91,7 +89,9 @@ func GraphChecksum(g *graph.Graph) uint64 { return g.Checksum() }
 // Freeze flattens the engine's physical pool into a PoolState bound to
 // the given graph delta epoch. Pending (generated but not yet indexed)
 // sets are indexed first, so a frozen index always covers the whole pool
-// — the same invariant selection maintains.
+// — the same invariant selection maintains — and every non-empty pool
+// has one. An engine off the default toggles is refused
+// (ErrWarmOptions).
 //
 // The returned state's Sizes/ListData/BitmapData and
 // PostIdx/PostData/PostRows are the pool's own arrays, which the engine
@@ -101,6 +101,9 @@ func GraphChecksum(g *graph.Graph) uint64 { return g.Checksum() }
 // consume it before releasing the engine's query lock. Memo is a copy of the memo's entries; their seed slices,
 // which nothing writes, are shared.
 func (w *WarmEngine) Freeze(epoch int64) (*PoolState, error) {
+	if err := warmOptions(w.opt); err != nil {
+		return nil, err
+	}
 	p := w.p
 	st := &PoolState{
 		N:            p.n,
@@ -109,14 +112,13 @@ func (w *WarmEngine) Freeze(epoch int64) (*PoolState, error) {
 		Epoch:        epoch,
 		GraphSum:     GraphChecksum(w.g),
 		Seed:         w.opt.Seed,
-		AdaptiveRep:  w.opt.AdaptiveRep,
 		Count:        p.count,
 		TotalMembers: p.totalMembers,
 	}
 	if p.memo.n > 0 {
 		st.Memo = slices.Clone(p.memo.slots[:p.memo.n])
 	}
-	if p.indexed > 0 {
+	if p.count > 0 {
 		p.patch(w.opt.Workers, nil, nil)
 		st.PostIdx, st.PostData, st.PostRows = p.post.idx, p.post.data, p.post.rows
 	}
@@ -131,21 +133,24 @@ func (w *WarmEngine) Freeze(epoch int64) (*PoolState, error) {
 // The state must have been structurally validated by its producer (the
 // .impool reader validates sortedness, ranges, blob extents, and index
 // shape); ThawWarmEngine checks the binding — graph shape, model, and
-// content fingerprint, plus the pool-shaping options — and audits the
+// content fingerprint, plus the RNG seed — and audits the
 // memo (ValidateMemo), whose entries it installs with no hits counted:
 // the thawed pool answers the selections the frozen one had run from
 // the memo, with copies of their seeds and the modeled cost they billed.
-// Each set's representation, and each vertex's postings', is the one opt's
-// policy gives its size (rrr.Policy.Dense), so a size or count that
-// disagrees with the payloads surfaces as a blob overrun or surplus. Epoch
-// policy is the caller's decision — a serving layer compares st.Epoch
-// against its registry before calling.
+// Each set's representation, and each vertex's postings', is the one the
+// default policy gives its size (rrr.Policy.Dense), so a size or count that
+// disagrees with the payloads surfaces as a blob overrun or surplus. A
+// non-empty pool must bring its index. Epoch policy is the caller's
+// decision — a serving layer compares st.Epoch against its registry
+// before calling. opt off the default toggles is refused (ErrWarmOptions).
 //
-// The index is the pool's occurrence count, so a CELF engine needs nothing
-// rebuilt. A scan-selection engine under kernel fusion refills its
-// counter from the sets, so a thawed engine answers exactly like the
-// engine that was frozen — and like a cold Run on the same graph epoch.
+// The index is the pool's occurrence count, so nothing is rebuilt: a
+// thawed engine answers exactly like the engine that was frozen — and
+// like a cold Run on the same graph epoch.
 func ThawWarmEngine(g *graph.Graph, opt Options, st *PoolState) (*WarmEngine, error) {
+	if err := warmOptions(opt); err != nil {
+		return nil, err
+	}
 	w, err := NewWarmEngine(g, opt)
 	if err != nil {
 		return nil, err
@@ -158,9 +163,8 @@ func ThawWarmEngine(g *graph.Graph, opt Options, st *PoolState) (*WarmEngine, er
 	if sum := GraphChecksum(g); sum != st.GraphSum {
 		return nil, fmt.Errorf("%w: graph content fingerprint %#x vs frozen %#x", ErrPoolIncompatible, sum, st.GraphSum)
 	}
-	if opt.Seed != st.Seed || opt.AdaptiveRep != st.AdaptiveRep {
-		return nil, fmt.Errorf("%w: pool options (seed %d, adaptive %v) vs frozen (%d, %v)",
-			ErrPoolIncompatible, opt.Seed, opt.AdaptiveRep, st.Seed, st.AdaptiveRep)
+	if opt.Seed != st.Seed {
+		return nil, fmt.Errorf("%w: pool seed %d vs frozen %d", ErrPoolIncompatible, opt.Seed, st.Seed)
 	}
 	if st.Count < 0 {
 		return nil, fmt.Errorf("%w: negative pool length %d", ErrPoolIncompatible, st.Count)
@@ -198,7 +202,7 @@ func ThawWarmEngine(g *graph.Graph, opt Options, st *PoolState) (*WarmEngine, er
 	p.sets.sizes, p.sets.lists, p.sets.rows = clip(st.Sizes), clip(st.ListData), clip(st.BitmapData)
 	p.sets.summarize(0)
 	p.count, p.totalMembers = st.Count, st.TotalMembers
-	if st.PostIdx != nil {
+	if st.Count > 0 || st.PostIdx != nil {
 		// One posting per member, laid out as the counts' kinds say.
 		if len(st.PostIdx) != int(st.N)+1 || st.PostIdx[0] != 0 || st.PostIdx[st.N] != members {
 			return nil, fmt.Errorf("%w: index offsets (%d of them) do not span the postings of %d vertices and %d members",
@@ -217,27 +221,7 @@ func ThawWarmEngine(g *graph.Graph, opt Options, st *PoolState) (*WarmEngine, er
 		p.post, p.indexed = ix, p.count
 	}
 	p.memo.install(st.Memo)
-
-	// A scan engine's fused counter is the one thing the state does not hold.
-	if w.base != nil && opt.Fusion {
-		rebuildBase(w.base, p, opt.Workers)
-	}
 	return w, nil
-}
-
-// rebuildBase folds every pool member into base in parallel over the
-// global slot range; atomic increments commute.
-func rebuildBase(base *counter.Counter, p *shardedPool, workers int) {
-	sched.Static(workers, int(p.count), func(_, lo, hi int) {
-		var c cursor
-		var vs, buf []int32
-		for i := lo; i < hi; i++ {
-			vs, buf = p.sets.members(&c, int64(i), buf)
-			for _, v := range vs {
-				base.Inc(v)
-			}
-		}
-	})
 }
 
 // clip returns s with its capacity cut to its length.

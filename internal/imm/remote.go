@@ -27,13 +27,23 @@ type SlotGenerator interface {
 // SetRemote attaches (or, with nil, detaches) a distributed slot
 // generator to the warm engine. Calls must not overlap the engine's
 // queries — set it right after NewWarmEngine, or between batches under
-// the caller's engine lock (internal/serve holds its pool mutex).
-func (w *WarmEngine) SetRemote(gen SlotGenerator) { w.remote = gen }
+// the caller's engine lock (internal/serve holds its pool mutex). An
+// engine off the default toggles is refused (ErrWarmOptions) and keeps
+// the generator it had.
+func (w *WarmEngine) SetRemote(gen SlotGenerator) error {
+	if err := warmOptions(w.opt); err != nil {
+		return err
+	}
+	w.remote = gen
+	return nil
+}
 
 // generateRemote fills slots [from, to) from the attached generator,
 // appending its chunks to the pool; the member total is their sizes'. The
 // engine is touched only once the whole range arrived, so a false return
-// (a declined range) leaves it as it was, to generate locally.
+// (a declined range) leaves it as it was, to generate locally. It bills
+// the edges, the list sorts and the fused count updates (charged double,
+// as atomic adds); the index merge is the next selection's to charge.
 func (w *WarmEngine) generateRemote(from, to int64) bool {
 	start := time.Now()
 	sizes := slices.Grow(w.p.sets.sizes, int(to-from))[:to]
@@ -44,23 +54,8 @@ func (w *WarmEngine) generateRemote(from, to int64) bool {
 	w.p.extend(sizes, chunks)
 	members := w.p.sets.upTo(to).members - w.p.sets.upTo(from).members
 	w.p.addMembers([]int64{members})
-	var fused int64
-	if w.opt.Fusion {
-		fused = members
-		if w.base != nil { // a scan engine's counts; only this goroutine writes them here: no atomic adds
-			counts := w.base.Raw()
-			var c cursor
-			var vs, buf []int32
-			for i := from; i < to; i++ {
-				vs, buf = w.p.sets.members(&c, i, buf)
-				for _, v := range vs {
-					counts[v]++
-				}
-			}
-		}
-	}
 	w.bd.SamplingWall += time.Since(start)
-	w.bd.SamplingModeled += float64(edges + ModeledSortCost(w.policy, w.p.n, members, to-from) + 2*fused)
+	w.bd.SamplingModeled += float64(edges + ModeledSortCost(w.policy, w.p.n, members, to-from) + 2*members)
 	return true
 }
 

@@ -5,7 +5,6 @@ import (
 	"slices"
 
 	"repro/internal/bitset"
-	"repro/internal/counter"
 	"repro/internal/diffusion"
 	"repro/internal/graph"
 	"repro/internal/sched"
@@ -32,10 +31,10 @@ import (
 // cheaper.
 //
 // After repair the pool is indistinguishable (set contents, index — the
-// occurrence counts — and, for scan selection, the fused counter,
-// footprint accounting) from a pool generated cold on
+// occurrence counts — footprint accounting) from a pool generated cold on
 // the post-delta graph to the same physical length, which is what the
-// differential fuzz test pins across models × selection × workers.
+// differential fuzz test pins across models × workers. Only the default
+// toggles repair (ErrWarmOptions), so there is no fused counter to keep.
 
 // RepairReport describes one warm-pool repair.
 type RepairReport struct {
@@ -51,11 +50,15 @@ type RepairReport struct {
 // ApplyDelta repairs the warm pool for the post-delta graph ng,
 // described by rep (the report graph.ApplyDelta produced alongside
 // ng). Only slots whose sets intersect the dirty-vertex set are
-// resampled; everything else — sets, index postings, fused counts — is
-// retained. The engine serves the new graph afterwards,
-// and every future answer is byte-identical to a cold engine built on
-// ng. Like all WarmEngine methods, callers must serialize.
+// resampled; everything else — sets, index postings — is retained. The
+// engine serves the new graph afterwards, and every future answer is
+// byte-identical to a cold engine built on ng. An engine off the default
+// toggles is refused (ErrWarmOptions) and left as it was. Like all
+// WarmEngine methods, callers must serialize.
 func (w *WarmEngine) ApplyDelta(ng *graph.Graph, rep *graph.DeltaReport) (RepairReport, error) {
+	if err := warmOptions(w.opt); err != nil {
+		return RepairReport{}, err
+	}
 	if ng == nil || rep == nil {
 		return RepairReport{}, fmt.Errorf("imm: repair needs a post-delta graph and its report")
 	}
@@ -85,12 +88,8 @@ func (w *WarmEngine) repair(ng *graph.Graph, rep *graph.DeltaReport) RepairRepor
 
 	if grew {
 		// Root draws changed everywhere: drop the pool and regenerate
-		// its full length cold on the new graph. A scan engine's fused
-		// counter is resized along the way.
+		// its full length cold on the new graph.
 		w.p = newShardedPool(ng.N, w.policy)
-		if w.base != nil {
-			w.base = counter.New(ng.N)
-		}
 		if count > 0 {
 			r.Resampled = count
 			r.FullResample = true
@@ -108,15 +107,6 @@ func (w *WarmEngine) repair(ng *graph.Graph, rep *graph.DeltaReport) RepairRepor
 		return r
 	}
 
-	// Retire the invalidated sets from a scan engine's fused occurrence
-	// counter before their contents are replaced; the re-increment below
-	// makes the counter exactly what cold fusion on ng would have produced.
-	// The index patch keeps the counts CELF reads.
-	maintainBase := w.opt.Fusion && w.base != nil
-	if maintainBase {
-		w.p.sets.fold(invalid, w.base.Dec)
-	}
-
 	// Resample the invalidated slots from their slot-indexed streams on
 	// the new graph, in parallel, on the engine's own re-bound samplers,
 	// and replace them in one relayout.
@@ -131,9 +121,6 @@ func (w *WarmEngine) repair(ng *graph.Graph, rep *graph.DeltaReport) RepairRepor
 		next.Lists, next.Rows = append(next.Lists, r.Lists...), append(next.Rows, r.Rows...)
 	}
 	w.p.replace(invalid, sizes, next, w.opt.Workers)
-	if maintainBase {
-		w.p.sets.fold(invalid, w.base.Inc)
-	}
 	return r
 }
 
@@ -144,9 +131,8 @@ func (w *WarmEngine) repair(ng *graph.Graph, rep *graph.DeltaReport) RepairRepor
 // first replaced slot stay, the rest re-run lazily) and the inverted
 // index, when there is one — one patch, which also absorbs any sets not
 // indexed yet. The store is rebuilt in fresh arrays, so the old one still
-// holds the replaced sets for the patch to drop. A scan-mode pool (never
-// indexed) stays unindexed so the footprint accounting still reports
-// IndexBytes 0.
+// holds the replaced sets for the patch to drop. A pool not indexed yet
+// stays so, like the cold pool it must equal.
 func (p *shardedPool) replace(ids []int64, sizes []int32, next Chunk, workers int) {
 	old := p.sets
 	p.sets = old.replaced(ids, sizes, next)
@@ -162,8 +148,9 @@ func (p *shardedPool) replace(ids []int64, sizes []int32, next Chunk, workers in
 
 // invalidSlots returns, in ascending order, the global ids of pool
 // slots whose sets intersect the dirty vertices. Indexed sets are found
-// by walking each dirty vertex's postings; the un-indexed tail
-// (scan-mode pools never index) falls back to membership probes.
+// by walking each dirty vertex's postings; the un-indexed tail (sets a
+// slot generator supplied since the last selection) falls back to
+// membership probes.
 func (w *WarmEngine) invalidSlots(dirty []int32) []int64 {
 	p := w.p
 	marked := bitset.New(int(p.count))

@@ -7,7 +7,7 @@ import (
 	"repro/internal/rrr"
 )
 
-// setStore holds a pool's sets in set-id order, as .impool v6 lays them
+// setStore holds a pool's sets in set-id order, as .impool v7 lays them
 // out: sizes[i] is set i's member count, and the policy's Dense(n, size)
 // names its representation — a run of sorted members in lists, or a row
 // of (n+63)/64 words in rows. A set's payload starts where those of its
@@ -152,18 +152,6 @@ func (st *setStore) members(c *cursor, i int64, buf []int32) (vs, _ []int32) {
 	}
 	buf = appendRow(buf[:0], row, 0)
 	return buf, buf
-}
-
-// fold calls fn for every member of the sets ids, ascending.
-func (st *setStore) fold(ids []int64, fn func(v int32)) {
-	var c cursor
-	var vs, buf []int32
-	for _, id := range ids {
-		vs, buf = st.members(&c, id, buf)
-		for _, v := range vs {
-			fn(v)
-		}
-	}
 }
 
 // appendRow appends the vertices words holds, ascending; words starts at

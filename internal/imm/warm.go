@@ -1,6 +1,7 @@
 package imm
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -68,9 +69,10 @@ type WarmEngine struct {
 
 	policy rrr.Policy
 	// base holds occurrence counts over the whole pool for the scan
-	// kernel, maintained incrementally by kernel fusion (without it, scan
-	// selection rebuilds its counts from the sets). Nil under CELF, whose
-	// counts are the index's.
+	// kernel, maintained by kernel fusion as sets are drawn (without it,
+	// scan selection rebuilds its counts from the sets). Nil under CELF,
+	// whose counts are the index's. Only generation writes it: thaw,
+	// repair and rank extension refuse a scan engine (ErrWarmOptions).
 	base *counter.Counter
 	// gen holds the generation kernel's per-worker samplers and
 	// generators (fused.go), persistent across Generate calls.
@@ -91,13 +93,34 @@ type WarmEngine struct {
 	selections int64
 }
 
+// ErrWarmOptions refuses a warm-lifecycle call — Freeze, ThawWarmEngine,
+// ApplyDelta, SetRemote — on an engine whose options differ from Defaults
+// in anything but K, Epsilon, Ell, Workers, Seed, BatchSize or MaxTheta.
+// The §IV switches are cold-Run toggles (Figure 5, the ablations, the
+// memory sweep); a pool that outlives one query runs only their defaults.
+var ErrWarmOptions = errors.New("imm: the warm lifecycle runs only the default engine toggles")
+
+// warmOptions is the warm lifecycle's admission check (ErrWarmOptions).
+func warmOptions(opt Options) error {
+	toggles := func(o Options) Options {
+		o.K, o.Epsilon, o.Ell, o.Workers, o.Seed, o.BatchSize, o.MaxTheta = 0, 0, 0, 0, 0, 0, 0
+		return o
+	}
+	if toggles(opt) != toggles(Defaults()) {
+		return fmt.Errorf("%w: engine %v, fusion %v, adaptive representation %v, update %v, dynamic balance %v, selection %v",
+			ErrWarmOptions, opt.Engine, opt.Fusion, opt.AdaptiveRep, opt.Update, opt.DynamicBalance, opt.Selection)
+	}
+	return nil
+}
+
 // NewWarmEngine returns an engine with an empty pool for g under opt —
 // the one constructor behind Run, the serving layer and ThawWarmEngine.
 // Only the Efficient engine supports warm reuse (the Ripples baseline
 // keeps no incremental index); opt's per-query fields (K, Epsilon) are
-// ignored — each query's RunEngine call carries its own. The field that
-// shapes pool bytes (AdaptiveRep) and the RNG seed must stay fixed for the
-// engine's lifetime: they define which pool this is.
+// ignored — each query's RunEngine call carries its own. The RNG seed
+// must stay fixed for the engine's lifetime: it defines which pool this
+// is. Any toggle runs one cold query; only the defaults go on to the
+// lifecycle calls (ErrWarmOptions).
 func NewWarmEngine(g *graph.Graph, opt Options) (*WarmEngine, error) {
 	if err := opt.normalize(g); err != nil {
 		return nil, err

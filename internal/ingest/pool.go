@@ -11,24 +11,25 @@ import (
 	"repro/internal/imm"
 )
 
-// The .impool binary pool-snapshot format, version 6 — the warm-pool
+// The .impool binary pool-snapshot format, version 7 — the warm-pool
 // persistence companion to .imsnap/.imdelta: a container (container.go)
 // holding one frozen pool, which a reader either stream-decodes or maps
 // and aliases in place.
 //
 //	magic    "IMPOOL\x1a\x00"
-//	word     flags (bit 1: adaptive representation; every other bit must be clear)
+//	word     flags (none defined: every bit must be clear)
 //	words    pool RNG seed, N (vertices of the bound graph), pool length (slots generated)
 //
 // 9 sections. Section 0 is the metadata block: 5 little-endian int64
 // words — graph edge count M, graph delta epoch, total pool members Σ|R|,
 // the GraphChecksum content fingerprint and the diffusion model. Then the
 // set storage in set-id order: Sizes (i32 per set), ListData (i32),
-// BitmapData (u64). A set's size decides its representation: the adaptive
-// flag gives the policy (imm.PolicyFromOptions), and rrr.Policy.Dense of
-// the size says bitmap row or sorted list, so the file records no kind.
-// Then the pool's one inverted index: PostIdx (i64, N+1 offsets over the
-// vertices' occurrence counts, or empty when the pool is unindexed),
+// BitmapData (u64). A set's size decides its representation: under the
+// default policy (imm.PolicyFromOptions(imm.Defaults()), the only one a
+// warm pool runs) rrr.Policy.Dense of the size says bitmap row or sorted
+// list, so the file records no kind. Then the pool's one inverted index:
+// PostIdx (i64, N+1 offsets over the vertices' occurrence counts, empty
+// exactly when the pool holds no set),
 // PostData (i32, the ascending set ids of the vertices whose count the
 // policy calls sparse over the pool length) and PostRows (u64, a row of
 // (length+63)/64 words over set ids for each other vertex), both in vertex
@@ -59,7 +60,7 @@ import (
 // regeneration instead of treating the file as corrupt.
 
 // PoolSnapshotVersion is the current .impool format version.
-const PoolSnapshotVersion = 6
+const PoolSnapshotVersion = 7
 
 // PoolSnapshotExt is the conventional file extension.
 const PoolSnapshotExt = ".impool"
@@ -90,9 +91,8 @@ const (
 )
 
 const (
-	poolMetaWords    = 5
-	poolMemoWords    = 6 // per memo entry: limit, k, workers, base, coverage bits, ops bits
-	poolFlagAdaptive = 1 << 1
+	poolMetaWords = 5
+	poolMemoWords = 6 // per memo entry: limit, k, workers, base, coverage bits, ops bits
 )
 
 var poolSchema = schema{
@@ -114,7 +114,6 @@ type PoolSnapshotInfo struct {
 	Count        int64
 	TotalMembers int64
 	GraphSum     uint64
-	Adaptive     bool
 	Bytes        int64 // total snapshot size
 }
 
@@ -212,7 +211,7 @@ func (f *poolFlat) unflattenMemo(st *imm.PoolState) error {
 // writing it.
 func PoolSnapshotSize(st *imm.PoolState) int64 { return containerSize(poolPayloads(st)) }
 
-// WritePoolSnapshot writes st as a version-6 .impool stream. The output
+// WritePoolSnapshot writes st as a version-7 .impool stream. The output
 // is canonical — the same state always produces identical bytes.
 func WritePoolSnapshot(w io.Writer, st *imm.PoolState) error {
 	if st == nil {
@@ -222,9 +221,6 @@ func WritePoolSnapshot(w io.Writer, st *imm.PoolState) error {
 		return fmt.Errorf("%w: negative shape (n=%d count=%d)", ErrPoolSnapshot, st.N, st.Count)
 	}
 	h := header{words: [3]uint64{st.Seed, uint64(st.N), uint64(st.Count)}}
-	if st.AdaptiveRep {
-		h.word |= poolFlagAdaptive
-	}
 	return poolSchema.write(w, h, poolPayloads(st))
 }
 
@@ -236,12 +232,8 @@ func WritePoolSnapshotFile(path string, st *imm.PoolState) error {
 // poolInfo maps a pool header's words and checks the table's lengths
 // against what they imply.
 func poolInfo(h header, ents []entry) (PoolSnapshotInfo, error) {
-	info := PoolSnapshotInfo{
-		Version:  PoolSnapshotVersion,
-		Seed:     h.words[0],
-		Adaptive: h.word&poolFlagAdaptive != 0,
-	}
-	if h.word&^uint32(poolFlagAdaptive) != 0 {
+	info := PoolSnapshotInfo{Version: PoolSnapshotVersion, Seed: h.words[0]}
+	if h.word != 0 {
 		return info, poolSchema.errorf("unknown flags %#x", h.word)
 	}
 	n, count := int64(h.words[1]), int64(h.words[2])
@@ -295,7 +287,6 @@ func (info PoolSnapshotInfo) bind(st *imm.PoolState) {
 	st.Epoch = info.Epoch
 	st.GraphSum = info.GraphSum
 	st.Seed = info.Seed
-	st.AdaptiveRep = info.Adaptive
 	st.Count = info.Count
 	st.TotalMembers = info.TotalMembers
 }
@@ -318,7 +309,7 @@ func readPoolInfo(r io.Reader) ([]entry, PoolSnapshotInfo, error) {
 	return ents, info, applyPoolMeta(meta, &info)
 }
 
-// ReadPoolSnapshot reads a version-6 .impool stream, verifying the
+// ReadPoolSnapshot reads a version-7 .impool stream, verifying the
 // header, the canonical table, every section checksum, and the full
 // structural validity of the pool payloads and memo.
 func ReadPoolSnapshot(r io.Reader) (*imm.PoolState, PoolSnapshotInfo, error) {
@@ -410,7 +401,7 @@ func ValidatePoolGraph(st *imm.PoolState, g *graph.Graph, epoch int64) error {
 
 // validatePoolState performs the full structural audit of a decoded
 // state: a size for every set, each set's payload in the blob its size
-// selects under the frozen policy (rrr.Policy.Dense), the blobs consumed
+// selects under the default policy (rrr.Policy.Dense), the blobs consumed
 // exactly, every member list sorted and in range, bitmap rows exactly
 // (N+63)/64 words with clear tail bits and a popcount matching the size;
 // the inverted index absent from an empty pool (the writer's only
@@ -427,7 +418,7 @@ func validatePoolState(st *imm.PoolState) error {
 	if err := st.ValidateMemo(); err != nil {
 		return poolSchema.errorf("%v", err)
 	}
-	policy := imm.PolicyFromOptions(imm.Options{AdaptiveRep: st.AdaptiveRep})
+	policy := imm.PolicyFromOptions(imm.Defaults())
 	n := st.N
 	words := (int(n) + 63) / 64
 	denseSet := policy.MinDense(n)
@@ -479,6 +470,9 @@ func validatePoolState(st *imm.PoolState) error {
 		return fmt.Errorf("%w: member sum %d != recorded total %d", ErrPoolSnapshot, members, st.TotalMembers)
 	}
 	if st.PostIdx == nil {
+		if st.Count > 0 { // Freeze indexes every set
+			return fmt.Errorf("%w: a pool of %d sets without an index", ErrPoolSnapshot, st.Count)
+		}
 		if len(st.PostData) != 0 || len(st.PostRows) != 0 {
 			return fmt.Errorf("%w: postings without an offset table", ErrPoolSnapshot)
 		}

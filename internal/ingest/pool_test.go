@@ -21,14 +21,21 @@ import (
 	"repro/internal/imm"
 )
 
-// poolFixture runs a small warm query and freezes the resulting pool,
-// returning the graph it is bound to alongside the state.
-func poolFixture(t testing.TB, adaptive bool, epoch int64) (*graph.Graph, imm.Options, *imm.PoolState) {
+// poolFixture runs a small warm query under the default options and
+// freezes the resulting pool, returning the graph it is bound to
+// alongside the state. With bitmaps the graph is a 64-vertex IC one, on
+// which some sets and postings are bitmap rows; without, a 256-vertex LT
+// one, on which every set and every posting is a list.
+func poolFixture(t testing.TB, bitmaps bool, epoch int64) (*graph.Graph, imm.Options, *imm.PoolState) {
 	t.Helper()
-	return poolFixtureWith(t, epoch, func(opt *imm.Options) { opt.AdaptiveRep = adaptive })
+	model := graph.LT
+	if bitmaps {
+		model = graph.IC
+	}
+	return poolFixtureOn(t, model, epoch, func(*imm.Options) {}, imm.BatchQuery{K: 4, Epsilon: 0.5})
 }
 
-// poolFixtureWith is poolFixture under options shape adjusts.
+// poolFixtureWith is poolFixture's IC pool under options shape adjusts.
 func poolFixtureWith(t testing.TB, epoch int64, shape func(*imm.Options)) (*graph.Graph, imm.Options, *imm.PoolState) {
 	t.Helper()
 	return poolFixtureAsking(t, epoch, shape, imm.BatchQuery{K: 4, Epsilon: 0.5})
@@ -41,10 +48,27 @@ var memoQueries = []imm.BatchQuery{{K: 4, Epsilon: 0.5}, {K: 9, Epsilon: 0.4}, {
 // poolFixtureAsking is poolFixtureWith after queries, in order.
 func poolFixtureAsking(t testing.TB, epoch int64, shape func(*imm.Options), queries ...imm.BatchQuery) (*graph.Graph, imm.Options, *imm.PoolState) {
 	t.Helper()
-	g, err := gen.RMAT(gen.DefaultRMAT(6, 5), graph.IC, 3)
+	return poolFixtureOn(t, graph.IC, epoch, shape, queries...)
+}
+
+// fixtureGraph is the graph poolFixture freezes model's pool on.
+func fixtureGraph(t testing.TB, model graph.Model) *graph.Graph {
+	t.Helper()
+	scale := 6
+	if model == graph.LT {
+		scale = 8
+	}
+	g, err := gen.RMAT(gen.DefaultRMAT(scale, 5), model, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return g
+}
+
+// poolFixtureOn is poolFixtureAsking on model's fixture graph.
+func poolFixtureOn(t testing.TB, model graph.Model, epoch int64, shape func(*imm.Options), queries ...imm.BatchQuery) (*graph.Graph, imm.Options, *imm.PoolState) {
+	t.Helper()
+	g := fixtureGraph(t, model)
 	opt := imm.Defaults()
 	opt.Workers = 2
 	opt.Seed = 11
@@ -63,8 +87,8 @@ func poolFixtureAsking(t testing.TB, epoch int64, shape func(*imm.Options), quer
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Count == 0 {
-		t.Fatal("fixture froze an empty pool")
+	if (st.Count == 0) != (len(queries) == 0) {
+		t.Fatalf("fixture froze %d sets after %d queries", st.Count, len(queries))
 	}
 	return g, opt, st
 }
@@ -85,7 +109,7 @@ func i32eq(a, b []int32) bool {
 // empty slices as equal (the reader yields nil for empty sections).
 func equalPoolState(a, b *imm.PoolState) bool {
 	if a.N != b.N || a.M != b.M || a.Model != b.Model || a.Epoch != b.Epoch ||
-		a.GraphSum != b.GraphSum || a.Seed != b.Seed || a.AdaptiveRep != b.AdaptiveRep ||
+		a.GraphSum != b.GraphSum || a.Seed != b.Seed ||
 		a.Count != b.Count || a.TotalMembers != b.TotalMembers {
 		return false
 	}
@@ -103,14 +127,14 @@ func equalPoolState(a, b *imm.PoolState) bool {
 
 func TestPoolSnapshotRoundTrip(t *testing.T) {
 	cases := []struct {
-		name     string
-		adaptive bool
+		name    string
+		bitmaps bool
 	}{
 		{"lists", false},
 		{"adaptive", true},
 	}
 	for _, c := range cases {
-		g, opt, st := poolFixture(t, c.adaptive, 4)
+		g, opt, st := poolFixture(t, c.bitmaps, 4)
 		var buf bytes.Buffer
 		if err := WritePoolSnapshot(&buf, st); err != nil {
 			t.Fatalf("%s: write: %v", c.name, err)
@@ -131,8 +155,8 @@ func TestPoolSnapshotRoundTrip(t *testing.T) {
 			info.Bytes != int64(buf.Len()) {
 			t.Fatalf("%s: info %+v does not match state", c.name, info)
 		}
-		if info.Adaptive != c.adaptive {
-			t.Fatalf("%s: info flags %+v wrong", c.name, info)
+		if bitmaps := len(st.BitmapData) > 0; bitmaps != c.bitmaps {
+			t.Fatalf("%s: fixture holds bitmap rows: %v", c.name, bitmaps)
 		}
 
 		// Canonical: a second encode of the same state is byte-identical.
@@ -172,7 +196,7 @@ func TestPoolSnapshotFileAndInfo(t *testing.T) {
 		t.Fatal(err)
 	}
 	if info.Epoch != 2 || info.Count != st.Count || info.Seed != st.Seed ||
-		!info.Adaptive || info.Bytes != PoolSnapshotSize(st) {
+		info.Bytes != PoolSnapshotSize(st) {
 		t.Fatalf("header-only info %+v does not match state", info)
 	}
 }
@@ -353,7 +377,11 @@ func TestPoolSnapshotCorruption(t *testing.T) {
 		{"version 3's compressed-kind flag", mutate(func(d []byte) {
 			d[12] |= 0x01
 			rewriteHeaderCRC(d, poolSectionN)
-		}), "unknown flags 0x3"},
+		}), "unknown flags 0x1"},
+		{"version 6's adaptive flag", mutate(func(d []byte) {
+			d[12] |= 0x02
+			rewriteHeaderCRC(d, poolSectionN)
+		}), "unknown flags 0x2"},
 		{"section count mismatch", mutate(func(d []byte) {
 			binary.LittleEndian.PutUint32(d[40:], 53)
 			rewriteHeaderCRC(d, poolSectionN)
@@ -452,6 +480,22 @@ func TestPoolSnapshotIndexValidation(t *testing.T) {
 			if !errors.Is(err, ErrPoolSnapshot) || !bytes.Contains([]byte(err.Error()), []byte(c.want)) {
 				t.Errorf("%s: got %v, want ErrPoolSnapshot mentioning %q", c.name, err, c.want)
 			}
+		}
+	}
+
+	// A pool of sets freezes with its index: a v7 image without one is
+	// refused. Every checksum holds.
+	unindexed := *st
+	unindexed.PostIdx, unindexed.PostData, unindexed.PostRows = nil, nil, nil
+	path := filepath.Join(dir, "unindexed"+PoolSnapshotExt)
+	if err := WritePoolSnapshotFile(path, &unindexed); err != nil {
+		t.Fatal(err)
+	}
+	_, _, readErr := ReadPoolSnapshotFile(path)
+	_, _, mapErr := MapPoolSnapshotFile(path)
+	for _, err := range []error{readErr, mapErr} {
+		if !errors.Is(err, ErrPoolSnapshot) || !strings.Contains(err.Error(), "without an index") {
+			t.Errorf("non-empty pool without an index: got %v, want ErrPoolSnapshot", err)
 		}
 	}
 
@@ -709,28 +753,33 @@ func TestPoolSnapshotStaleBinding(t *testing.T) {
 }
 
 // poolShapes are the shapes a pool's sections take: list and bitmap
-// payloads, indexed and unindexed pools, and a pool of five sets (named
-// for format version 4, which striped sets over 16 shards and so left
-// most of this pool's shards empty).
+// payloads, a pool of no sets (the one pool without an index; it answered
+// no query) and a pool of five sets (named for format version 4, which
+// striped sets over 16 shards and so left most of this pool's shards
+// empty).
 var poolShapes = []struct {
-	name      string
-	adaptive  bool // the state must hold bitmap rows
-	selection imm.SelectionKind
-	maxTheta  int64
-	indexed   bool
+	name     string
+	bitmaps  bool // the state holds bitmap rows (poolFixture's IC graph) or none (its LT graph)
+	maxTheta int64
 }{
-	{"lists", false, imm.SelectCELF, 4000, true},
-	{"bitmaps", true, imm.SelectCELF, 4000, true},
-	{"unindexed", false, imm.SelectScan, 4000, false},
-	{"empty shards", false, imm.SelectCELF, 5, true},
+	{"lists", false, 4000},
+	{"bitmaps", true, 4000},
+	{"no sets", false, 0},
+	{"empty shards", false, 5},
 }
 
 // poolShapeState freezes the pool of poolShapes[i] at epoch 2.
 func poolShapeState(t testing.TB, i int) *imm.PoolState {
 	c := poolShapes[i]
-	_, _, st := poolFixtureWith(t, 2, func(opt *imm.Options) {
-		opt.MaxTheta, opt.AdaptiveRep, opt.Selection = c.maxTheta, c.adaptive, c.selection
-	})
+	model := graph.LT
+	if c.bitmaps {
+		model = graph.IC
+	}
+	var queries []imm.BatchQuery
+	if c.maxTheta > 0 {
+		queries = []imm.BatchQuery{{K: 4, Epsilon: 0.5}}
+	}
+	_, _, st := poolFixtureOn(t, model, 2, func(opt *imm.Options) { opt.MaxTheta = c.maxTheta }, queries...)
 	return st
 }
 
@@ -740,10 +789,7 @@ func TestPoolWriterMatchesElementEncoder(t *testing.T) {
 	for i, c := range poolShapes {
 		st := poolShapeState(t, i)
 		bitmaps, short := len(st.BitmapData) > 0, st.Count < 16
-		if (st.PostIdx != nil) != c.indexed {
-			t.Fatalf("%s: indexed=%v, want %v", c.name, st.PostIdx != nil, c.indexed)
-		}
-		if bitmaps != c.adaptive || short != (c.maxTheta < 16) {
+		if bitmaps != c.bitmaps || short != (c.maxTheta < 16) || (st.PostIdx == nil) != (st.Count == 0) {
 			t.Fatalf("%s: fixture lacks its shape (bitmap rows=%v, %d sets)", c.name, bitmaps, st.Count)
 		}
 		var buf bytes.Buffer
@@ -758,15 +804,14 @@ func TestPoolWriterMatchesElementEncoder(t *testing.T) {
 // reader. It must reject garbage with a typed error — never panic or
 // over-allocate — and any accepted input must re-encode to its own
 // bytes and re-decode to the same state. Every accepted input is also
-// thawed on the fixtures' graph (all of them share one) under the state's
-// own pool options: the thaw must never panic, may refuse only with
-// imm.ErrPoolIncompatible, and an engine it builds must freeze and write
-// back to the input's bytes.
+// thawed on the fixture graph of its model (poolFixture's two) under the
+// default options and its own seed: the thaw must never panic, may refuse
+// only with imm.ErrPoolIncompatible, and an engine it builds must freeze
+// and write back to the input's bytes.
 func FuzzPoolSnapshotRoundTrip(f *testing.F) {
-	var g *graph.Graph
-	for _, adaptive := range []bool{false, true} {
-		fg, _, st := poolFixture(f, adaptive, 1)
-		g = fg
+	graphs := map[graph.Model]*graph.Graph{graph.IC: fixtureGraph(f, graph.IC), graph.LT: fixtureGraph(f, graph.LT)}
+	for _, bitmaps := range []bool{false, true} {
+		_, _, st := poolFixture(f, bitmaps, 1)
 		var buf bytes.Buffer
 		if err := WritePoolSnapshot(&buf, st); err != nil {
 			f.Fatal(err)
@@ -776,11 +821,16 @@ func FuzzPoolSnapshotRoundTrip(f *testing.F) {
 	}
 	f.Add([]byte("IMPOOL\x1a\x00 not a real pool snapshot"))
 	f.Add([]byte{})
+	_, _, empty := poolFixtureOn(f, graph.IC, 1, func(*imm.Options) {}) // the one pool without an index
+	var buf bytes.Buffer
+	if err := WritePoolSnapshot(&buf, empty); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
 	for _, shape := range []func(*imm.Options){
-		func(opt *imm.Options) { opt.Selection = imm.SelectScan },    // never indexed
-		func(opt *imm.Options) { opt.MaxTheta = 5 },                  // shards without a set
-		func(opt *imm.Options) { opt.AdaptiveRep, opt.K = true, 12 }, // bitmap rows
-		func(opt *imm.Options) { opt.MaxTheta = 17 },                 // one shard with two
+		func(opt *imm.Options) { opt.MaxTheta = 5 },  // shards without a set
+		func(opt *imm.Options) { opt.K = 12 },        // bitmap rows
+		func(opt *imm.Options) { opt.MaxTheta = 17 }, // one shard with two
 	} {
 		_, _, st := poolFixtureWith(f, 1, shape)
 		var buf bytes.Buffer
@@ -836,8 +886,8 @@ func FuzzPoolSnapshotRoundTrip(f *testing.F) {
 
 		opt := imm.Defaults()
 		opt.Workers = 2
-		opt.Seed, opt.AdaptiveRep = st.Seed, st.AdaptiveRep
-		we, err := imm.ThawWarmEngine(g, opt, st)
+		opt.Seed = st.Seed
+		we, err := imm.ThawWarmEngine(graphs[st.Model], opt, st)
 		if err != nil {
 			if !errors.Is(err, imm.ErrPoolIncompatible) {
 				t.Fatalf("thaw refusal is not typed: %v", err)

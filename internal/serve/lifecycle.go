@@ -221,10 +221,19 @@ func (s *Server) repairPool(name string, pe *poolEntry, ng *graph.Graph, rep *gr
 	}
 
 	rr, err := eng.ApplyDelta(ng, rep)
+	if err == nil && s.opt.RemoteGen != nil {
+		// Repair detaches the remote slot generator (it was constructed
+		// against the old graph); re-attach one for the new epoch. Only
+		// the pool policy and RNG seed shape remote generation.
+		o := s.base
+		o.Seed = pe.key.seed
+		err = eng.SetRemote(s.opt.RemoteGen(name, ng, o))
+	}
 	if err != nil {
-		// Repair cannot legitimately fail here (the model never changes
-		// across a delta); if it somehow does, drop the pool so it
-		// rebuilds cold rather than serve a stale epoch.
+		// Neither can legitimately fail here (the model never changes
+		// across a delta, and every server engine runs the defaults); if
+		// one somehow does, drop the pool so it rebuilds cold rather than
+		// serve a stale epoch.
 		pe.dropEngine()
 		s.mu.Lock()
 		if s.pools[pe.key] == pe {
@@ -233,14 +242,6 @@ func (s *Server) repairPool(name string, pe *poolEntry, ng *graph.Graph, rep *gr
 		}
 		s.mu.Unlock()
 		return
-	}
-	if s.opt.RemoteGen != nil {
-		// Repair detaches the remote slot generator (it was constructed
-		// against the old graph); re-attach one for the new epoch. Only
-		// the pool policy and RNG seed shape remote generation.
-		o := s.base
-		o.Seed = pe.key.seed
-		eng.SetRemote(s.opt.RemoteGen(name, ng, o))
 	}
 
 	bytes := eng.PhysicalFootprint().TotalBytes() + eng.OverheadBytes()

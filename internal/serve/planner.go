@@ -261,7 +261,9 @@ func (s *Server) runBatch(ge *graphEntry, pe *poolEntry, batch []*batchWaiter) (
 			// chunks. Slot determinism keeps the pool — and every answer
 			// from it — byte-identical to local generation, so this is
 			// purely a placement decision.
-			eng.SetRemote(s.opt.RemoteGen(ge.info.Name, g, opt))
+			if err := eng.SetRemote(s.opt.RemoteGen(ge.info.Name, g, opt)); err != nil {
+				return fail(err)
+			}
 		}
 		pe.eng = eng
 	}

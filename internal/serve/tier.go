@@ -251,6 +251,9 @@ func (s *Server) tryPromote(ge *graphEntry, pe *poolEntry, opt imm.Options) bool
 	if err == nil {
 		eng, err = imm.ThawWarmEngine(g, opt, st)
 	}
+	if err == nil && s.opt.RemoteGen != nil {
+		err = eng.SetRemote(s.opt.RemoteGen(ge.info.Name, g, opt))
+	}
 	if err != nil {
 		if unmap != nil {
 			unmap() // nothing adopted the mapping
@@ -263,9 +266,6 @@ func (s *Server) tryPromote(ge *graphEntry, pe *poolEntry, opt imm.Options) bool
 		s.stats.PromoteFailures++
 		s.mu.Unlock()
 		return false
-	}
-	if s.opt.RemoteGen != nil {
-		eng.SetRemote(s.opt.RemoteGen(ge.info.Name, g, opt))
 	}
 	pe.eng, pe.unmap = eng, unmap
 	s.mu.Lock()

@@ -800,7 +800,7 @@ func TestOldFormatPoolFileRebuildsCold(t *testing.T) {
 	for _, old := range []struct {
 		version  uint32
 		sections int
-	}{{1, 129}, {2, 99}, {3, 101}, {4, 53}, {5, 8}} {
+	}{{1, 129}, {2, 99}, {3, 101}, {4, 53}, {5, 8}, {6, 9}} {
 		t.Run(fmt.Sprintf("v%d", old.version), func(t *testing.T) {
 			g := testGraph(t, 8, graph.IC)
 			dir := t.TempDir()
@@ -967,7 +967,7 @@ func TestRepairedPoolFileCarriesSurvivingMemo(t *testing.T) {
 	// dirties it alone, so repair replaces from that set on.
 	// A vertex's postings are a row or a list, as its count says.
 	target, first := int32(-1), int64(-1)
-	policy := imm.PolicyFromOptions(imm.Options{AdaptiveRep: pre.AdaptiveRep})
+	policy := imm.PolicyFromOptions(imm.Defaults())
 	words := (pre.Count + 63) / 64
 	var list, row int64
 	for v := int32(0); v < pre.N; v++ {

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"math/bits"
 	"net"
 	"reflect"
 	"strings"
@@ -222,14 +223,47 @@ func TestDecodersRejectTruncation(t *testing.T) {
 // uvarint length.
 var hugeCounterReply = binary.AppendUvarint([]byte{0, 0, 0, 1}, 1<<61)
 
-// auditChunk freezes sizes and c as a pool over fuzzN vertices and reads
-// it back through the .impool reader, whose structural audit refuses any
-// set a pool must not hold.
+// auditChunk freezes sizes and c as a pool over fuzzN vertices, with the
+// index the writer requires of a pool of sets, and reads it back through
+// the .impool reader, whose structural audit refuses any set a pool must
+// not hold.
 func auditChunk(t *testing.T, sizes []int32, c imm.Chunk) {
 	t.Helper()
-	st := &imm.PoolState{N: fuzzN, AdaptiveRep: true, Count: int64(len(sizes)), Sizes: sizes, ListData: c.Lists, BitmapData: c.Rows}
-	for _, size := range sizes {
+	st := &imm.PoolState{N: fuzzN, Count: int64(len(sizes)), Sizes: sizes, ListData: c.Lists, BitmapData: c.Rows}
+	policy := rrr.DefaultPolicy()
+	ids := make([][]int32, fuzzN) // each vertex's sets
+	var lc, bc int
+	for i, size := range sizes {
 		st.TotalMembers += int64(size)
+		if policy.Dense(fuzzN, int(size)) {
+			for wi, w := range c.Rows[bc : bc+fuzzN/64] {
+				for ; w != 0; w &= w - 1 {
+					v := wi<<6 + bits.TrailingZeros64(w)
+					ids[v] = append(ids[v], int32(i))
+				}
+			}
+			bc += fuzzN / 64
+			continue
+		}
+		for _, v := range c.Lists[lc : lc+int(size)] {
+			ids[v] = append(ids[v], int32(i))
+		}
+		lc += int(size)
+	}
+	if st.Count > 0 {
+		st.PostIdx = make([]int64, fuzzN+1)
+		for v, sets := range ids {
+			st.PostIdx[v+1] = st.PostIdx[v] + int64(len(sets))
+			if !policy.Dense(int32(st.Count), len(sets)) {
+				st.PostData = append(st.PostData, sets...)
+				continue
+			}
+			row := make([]uint64, (st.Count+63)/64)
+			for _, id := range sets {
+				row[id>>6] |= 1 << (id & 63)
+			}
+			st.PostRows = append(st.PostRows, row...)
+		}
 	}
 	var buf bytes.Buffer
 	if err := ingest.WritePoolSnapshot(&buf, st); err != nil {
