@@ -10,10 +10,9 @@ package serve
 // its engine mutex — so a batch that is mid-drain finishes on the old
 // epoch (in-flight queries drain on the epoch they started on), and
 // the delta call does not return until every resident pool answers for
-// the new epoch. Pools the byte budget evicted before the delta simply
-// regenerate cold on the post-delta graph when next queried — the
-// fallback needs no special casing because eviction already removes
-// the entry entirely.
+// the new epoch. The graph's snapshots are dropped with it: an on-disk
+// entry goes cold, and regenerates on the post-delta graph when next
+// queried.
 //
 // Repair correctness is internal/imm's contract: a repaired pool is
 // byte-identical to a pool generated cold on the post-delta graph, so
@@ -78,9 +77,9 @@ func (s *Server) RemoveGraph(name string) (GraphInfo, int, error) {
 			continue
 		}
 		// Pinned entries are unregistered too: the in-flight queries
-		// finish on the entries they hold, and execute's registry check
-		// keeps them from re-accounting a removed entry.
-		s.removeEntryLocked(pe)
+		// finish on the entries they hold, and a removed entry never
+		// takes budget bytes, a snapshot or an engine again.
+		s.moveLocked(pe, move{to: poolRemoved})
 		s.stats.Evictions++
 		removed = append(removed, pe)
 	}
@@ -89,7 +88,11 @@ func (s *Server) RemoveGraph(name string) (GraphInfo, int, error) {
 	// finished; a query that was admitted but not yet drained answers
 	// from a cold rebuild on the graph it was admitted against.
 	sort.Slice(removed, func(i, j int) bool { return removed[i].key.seed < removed[j].key.seed })
-	dropEngines(removed...)
+	for _, pe := range removed {
+		pe.mu.Lock()
+		pe.dropEngine()
+		pe.mu.Unlock()
+	}
 	return ge.info, len(removed), nil
 }
 
@@ -197,7 +200,7 @@ func (s *Server) repairPool(name string, pe *poolEntry, ng *graph.Graph, rep *gr
 	defer pe.mu.Unlock()
 
 	s.mu.Lock()
-	if pe.epoch >= epoch || s.pools[pe.key] != pe {
+	if pe.epoch >= epoch || pe.state == poolRemoved {
 		// Already current (a drainer built it from the new graph), or
 		// evicted/removed since the scan — an evicted pool regenerates
 		// cold on the post-delta graph when next queried.
@@ -236,8 +239,7 @@ func (s *Server) repairPool(name string, pe *poolEntry, ng *graph.Graph, rep *gr
 		// serve a stale epoch.
 		pe.dropEngine()
 		s.mu.Lock()
-		if s.pools[pe.key] == pe {
-			s.removeEntryLocked(pe)
+		if s.moveLocked(pe, move{to: poolRemoved}) {
 			s.stats.Evictions++
 		}
 		s.mu.Unlock()
@@ -246,7 +248,7 @@ func (s *Server) repairPool(name string, pe *poolEntry, ng *graph.Graph, rep *gr
 
 	bytes := eng.PhysicalFootprint().TotalBytes() + eng.OverheadBytes()
 	s.mu.Lock()
-	if s.pools[pe.key] == pe {
+	if pe.state == poolWarm {
 		s.usedBytes += bytes - pe.bytes
 		pe.bytes = bytes
 	}

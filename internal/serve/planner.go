@@ -165,22 +165,16 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // then answer the pool's whole wait queue batch by batch until it is
 // empty. The leader is itself a member of the first batch.
 //
-// The leader skips the window in two cases. When the pool's previous
-// drain answered exactly one query from the resident pool, grew nothing,
-// and ended less than one window ago (poolEntry.soloDone), it is a
-// sequential client coming straight back, and the window would wait for
-// a second query that is not coming. When the pool's engine is not in
-// RAM but an .impool snapshot backs the entry (demoted, or rehydrated by
-// LoadPools), the leader promotes it: a promotion generates nothing, so
-// there is no build for a joiner to share, and a query that arrives
-// meanwhile is answered by this drain's next sweep. Should that
-// promotion fail, the cold rebuild it falls through to runs without the
-// window too. Every other leader waits — on a new or dropped pool with
-// no snapshot, after a drain that built, promoted, extended, failed or
-// answered two or more queries, and after an idle gap longer than the
-// window — so a burst still gathers into one shared extension.
+// The leader skips the window when no joiner could share its work: when
+// the pool's previous drain answered exactly one query from the
+// resident pool, grew nothing, and ended less than one window ago
+// (poolEntry.soloDone) — a sequential client coming straight back — and
+// when the pool is on disk, since a promotion generates nothing (nor
+// does the cold rebuild a failed promotion falls through to wait).
+// Every other leader waits, so a burst still gathers into one shared
+// extension; a query arriving mid-drain is answered by the next sweep.
 func (s *Server) drainPool(ge *graphEntry, pe *poolEntry) {
-	if w := s.opt.GatherWindow; w > 0 && !pe.cameBack(w) && !s.onDisk(pe) {
+	if w := s.opt.GatherWindow; w > 0 && !pe.cameBack(w) && s.stateOf(pe) != poolOnDisk {
 		time.Sleep(w)
 	}
 	pe.mu.Lock()
@@ -207,20 +201,6 @@ func (s *Server) drainPool(ge *graphEntry, pe *poolEntry) {
 	}
 }
 
-// onDisk reports whether pe's next drain promotes it: no engine in RAM,
-// and a disk-tier snapshot behind the entry. It reads pe.eng under pe.mu
-// and pe.disk under s.mu, in the planner's lock order.
-func (s *Server) onDisk(pe *poolEntry) bool {
-	pe.mu.Lock()
-	defer pe.mu.Unlock()
-	if pe.eng != nil {
-		return false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return pe.disk != nil
-}
-
 // runBatch answers one drained batch on the pool's engine and reports
 // whether the answer was plain: the pool was resident and nothing was
 // extended or failed. Callers hold pe.mu. Per-member validation already
@@ -234,16 +214,17 @@ func (s *Server) runBatch(ge *graphEntry, pe *poolEntry, batch []*batchWaiter) (
 		}
 		return false
 	}
-	warm := pe.eng != nil
-	resident := warm
-	if !warm {
+	opt := s.queryOptions(batch[0].req)
+	eng := pe.eng
+	resident := eng != nil
+	if eng == nil {
 		// Disk tier first: a demoted or rehydrated pool promotes via
 		// mmap instead of regenerating — still warm, zero generated
 		// sets, byte-identical answers (the freeze/thaw contract).
-		warm = s.tryPromote(ge, pe, s.queryOptions(batch[0].req))
+		eng = s.tryPromote(ge, pe, opt)
 	}
-	if pe.eng == nil {
-		opt := s.queryOptions(batch[0].req)
+	warm := eng != nil
+	if eng == nil {
 		// Snapshot the registry's current graph and epoch under the
 		// server mutex: a concurrent delta swaps ge.g, and its repair
 		// pass finds engines built against the pre-swap graph by the
@@ -252,7 +233,7 @@ func (s *Server) runBatch(ge *graphEntry, pe *poolEntry, batch []*batchWaiter) (
 		g := ge.g
 		pe.epoch = ge.info.Epoch
 		s.mu.Unlock()
-		eng, err := imm.NewWarmEngine(g, opt)
+		built, err := imm.NewWarmEngine(g, opt)
 		if err != nil {
 			return fail(err)
 		}
@@ -261,17 +242,22 @@ func (s *Server) runBatch(ge *graphEntry, pe *poolEntry, batch []*batchWaiter) (
 			// chunks. Slot determinism keeps the pool — and every answer
 			// from it — byte-identical to local generation, so this is
 			// purely a placement decision.
-			if err := eng.SetRemote(s.opt.RemoteGen(ge.info.Name, g, opt)); err != nil {
+			if err := built.SetRemote(s.opt.RemoteGen(ge.info.Name, g, opt)); err != nil {
 				return fail(err)
 			}
 		}
-		pe.eng = eng
+		// An entry RemoveGraph took meanwhile refuses the engine; this
+		// batch is still answered from it, and then it goes.
+		s.mu.Lock()
+		s.moveLocked(pe, move{to: poolWarm, disk: pe.disk, eng: built})
+		s.mu.Unlock()
+		eng = built
 	}
 	queries := make([]imm.BatchQuery, len(batch))
 	for i, w := range batch {
 		queries[i] = imm.BatchQuery{K: w.req.K, Epsilon: w.req.Epsilon}
 	}
-	rep, err := pe.eng.AnswerBatch(s.queryOptions(batch[0].req), queries)
+	rep, err := eng.AnswerBatch(opt, queries)
 	if err != nil {
 		return fail(err)
 	}

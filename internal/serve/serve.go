@@ -34,6 +34,7 @@ import (
 	"container/list"
 	"fmt"
 	"math"
+	"os"
 	"runtime"
 	"sort"
 	"sync"
@@ -343,8 +344,10 @@ type inflight struct {
 // poolEntry is one warm pool plus its cache bookkeeping. The engine
 // mutex serializes batch drains; the wait queue (qmu, waiters,
 // draining) hands concurrent queries to whichever member drains; the
-// registry fields (bytes, elem, pinned) are guarded by the server
-// mutex.
+// registry fields (state, disk, bytes, elem, pinned, epoch) are guarded
+// by the server mutex. The state says which of the other fields hold
+// anything (see poolState); moveLocked and dropEngine are the only
+// writers of state, disk, eng and unmap.
 type poolEntry struct {
 	key poolKey
 
@@ -352,7 +355,8 @@ type poolEntry struct {
 	eng *imm.WarmEngine
 	// unmap releases the .impool mapping eng was thawed from (nil for an
 	// engine built cold). The entry owns the mapping: eng and unmap are
-	// set together and dropped together, by dropEngine, under mu.
+	// installed together, by moveLocked, and dropped together, by
+	// dropEngine, under mu.
 	unmap func()
 
 	qmu      sync.Mutex
@@ -365,20 +369,98 @@ type poolEntry struct {
 	// skips the window (see drainPool).
 	soloDone time.Time
 
-	bytes  int64         // footprint last accounted into Server.usedBytes
+	state  poolState
+	bytes  int64         // footprint accounted into Server.usedBytes; nonzero only while warm
 	elem   *list.Element // position in the LRU list
 	pinned int           // queries currently using the entry; > 0 blocks eviction
 	// epoch is the graph epoch the entry's engine was built or last
-	// repaired at (guarded by the server mutex; recorded when the
-	// drainer snapshots the graph). ApplyDelta's repair pass finds
-	// stale pools by comparing it against the registry epoch.
+	// repaired at (recorded when the drainer snapshots the graph).
+	// ApplyDelta's repair pass finds stale pools by comparing it against
+	// the registry epoch.
 	epoch int64
 	// disk points at the entry's .impool snapshot when one backs it
-	// (demoted, saved, or rehydrated); demoting marks a victim whose
-	// freeze is in progress so eviction picks it only once. Both are
-	// guarded by the server mutex.
-	disk     *diskPool
-	demoting bool
+	// (demoted, saved, or rehydrated).
+	disk *diskPool
+}
+
+// poolState is where a pool entry stands in its lifecycle. Only
+// moveLocked changes it, along the edges poolEdges allows.
+type poolState uint8
+
+const (
+	poolCold     poolState = iota // registered, with no engine and no snapshot
+	poolWarm                      // engine resident; a snapshot pointer may sit beside it
+	poolDemoting                  // eviction victim: budget bytes released, freeze not finished
+	poolOnDisk                    // no engine, with a snapshot pointer: the next drain promotes it
+	poolRemoved                   // unregistered; terminal
+)
+
+func (st poolState) String() string {
+	return [...]string{"cold", "warm", "demoting", "on-disk", "removed"}[st]
+}
+
+// poolEdges is the legal-edge table: bit to of poolEdges[from] is set
+// when an entry may move from state from to state to. The two
+// self-edges swap a resident entry's snapshot pointer (a save, a
+// delta's drop), or reinstall an engine dropped from a warm entry.
+var poolEdges = [...]uint8{
+	poolCold:     1<<poolWarm | 1<<poolOnDisk | 1<<poolRemoved,
+	poolWarm:     1<<poolWarm | 1<<poolDemoting | 1<<poolRemoved,
+	poolDemoting: 1<<poolDemoting | 1<<poolOnDisk | 1<<poolRemoved,
+	poolOnDisk:   1<<poolWarm | 1<<poolCold | 1<<poolRemoved,
+	poolRemoved:  0,
+}
+
+// move is one request to moveLocked: the state to enter, the snapshot
+// pointer the entry holds there, and, entering warm with an engine
+// built or promoted by the caller, that engine and the release of the
+// mapping it was thawed from.
+type move struct {
+	to    poolState
+	disk  *diskPool
+	eng   *imm.WarmEngine
+	unmap func()
+}
+
+// moveLocked takes pe along one edge of the pool-entry state machine
+// and reports whether it could. It refuses, changing nothing, an edge
+// poolEdges lacks and a payload that contradicts the target: a snapshot
+// in cold or removed, none in on-disk, an engine outside warm or over a
+// resident one. A move out of warm returns the entry's budget bytes, one
+// that drops a snapshot pointer deletes its file, and one into removed
+// unregisters the entry (its engine is the caller's to drop, under
+// pe.mu). Callers hold s.mu, and pe.mu too, taken first, to install an
+// engine.
+func (s *Server) moveLocked(pe *poolEntry, m move) bool {
+	if int(pe.state) >= len(poolEdges) || poolEdges[pe.state]&(1<<m.to) == 0 ||
+		m.to == poolOnDisk && m.disk == nil ||
+		(m.to == poolCold || m.to == poolRemoved) && m.disk != nil ||
+		m.eng != nil && (m.to != poolWarm || pe.eng != nil) {
+		return false
+	}
+	if m.to != poolWarm {
+		s.usedBytes -= pe.bytes
+		pe.bytes = 0
+	}
+	if pe.disk != nil && m.disk == nil {
+		os.Remove(pe.disk.path)
+	}
+	if m.to == poolRemoved {
+		s.lru.Remove(pe.elem)
+		delete(s.pools, pe.key)
+	}
+	pe.state, pe.disk = m.to, m.disk
+	if m.eng != nil {
+		pe.eng, pe.unmap = m.eng, m.unmap
+	}
+	return true
+}
+
+// stateOf reads pe's state under the server mutex.
+func (s *Server) stateOf(pe *poolEntry) poolState {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return pe.state
 }
 
 // dropEngine releases the entry's engine and, when the engine was
@@ -674,7 +756,6 @@ func (s *Server) execute(ge *graphEntry, req QueryRequest, mode admitMode) (*Que
 	res, err := w.res, w.err
 
 	var demote []*poolEntry
-	dropped := false
 	s.mu.Lock()
 	pe.pinned--
 	if err == nil {
@@ -684,15 +765,13 @@ func (s *Server) execute(ge *graphEntry, req QueryRequest, mode admitMode) (*Que
 		} else {
 			s.stats.ColdMisses++
 		}
-		// Re-account the pool's footprint and enforce the byte budget.
-		// res.PoolBytes was measured inside the drain under the engine
-		// mutex; re-reading the engine here would race with a concurrent
-		// batch on the same pool. The pool only ever grows, so take the
-		// monotonic max — two queries finishing out of order must not let
-		// the smaller, staler measurement overwrite the larger one. An
-		// entry RemoveGraph unregistered mid-flight is skipped: its bytes
-		// already left the budget.
-		if res.PoolBytes > pe.bytes && s.pools[pe.key] == pe {
+		// Re-account the pool's footprint (measured in the drain, under
+		// the engine mutex) and enforce the byte budget. The pool only
+		// grows, so take the monotonic max: two queries finishing out of
+		// order must not let the staler measurement win. Only a warm entry
+		// holds budget bytes; one removed or evicted mid-flight gave them
+		// back.
+		if res.PoolBytes > pe.bytes && pe.state == poolWarm {
 			s.usedBytes += res.PoolBytes - pe.bytes
 			pe.bytes = res.PoolBytes
 		}
@@ -700,21 +779,16 @@ func (s *Server) execute(ge *graphEntry, req QueryRequest, mode admitMode) (*Que
 		s.stats.GeneratedSets += res.GeneratedSets
 		s.stats.ReusedBytes += res.ReusedBytes
 		demote = s.evictLocked(pe)
-	} else if pe.pinned == 0 && pe.bytes == 0 && pe.disk == nil && s.pools[pe.key] == pe {
-		// The query failed, no query ever succeeded on this entry
-		// (successful queries always account a positive footprint), and
-		// nobody else is using it: drop the placeholder so later queries
-		// start clean instead of inheriting a dead entry. (The map check
-		// guards against unregistering a successor entry after
-		// RemoveGraph already dropped this one.)
-		s.removeEntryLocked(pe)
-		dropped = true
+	} else if pe.pinned == 0 && pe.state == poolCold {
+		// The query failed on an entry that holds nothing, and nobody else
+		// is using it: drop the placeholder so later queries start clean
+		// instead of inheriting a dead entry.
+		s.moveLocked(pe, move{to: poolRemoved})
 	}
 	s.mu.Unlock()
-	if dropped {
-		dropEngines(pe)
+	for _, victim := range demote {
+		s.demote(victim)
 	}
-	s.demoteEntries(demote)
 	return res, err
 }
 
@@ -728,30 +802,9 @@ func (s *Server) queryOptions(req QueryRequest) imm.Options {
 	return o
 }
 
-// removeEntryLocked unregisters a pool entry, returns its bytes to the
-// budget, and discards any disk-tier snapshot backing it. The engine is
-// the caller's to drop: under pe.mu if it holds it, else through
-// dropEngines once s.mu is released.
-func (s *Server) removeEntryLocked(pe *poolEntry) {
-	s.lru.Remove(pe.elem)
-	delete(s.pools, pe.key)
-	s.usedBytes -= pe.bytes
-	s.dropDiskLocked(pe)
-}
-
-// dropEngines releases the engines (and mappings) of entries the caller
-// just unregistered. It takes each entry's engine mutex, so a batch
-// mid-drain finishes first, and must be called with s.mu released.
-func dropEngines(removed ...*poolEntry) {
-	for _, pe := range removed {
-		pe.mu.Lock()
-		pe.dropEngine()
-		pe.mu.Unlock()
-	}
-}
-
 // evictLocked reclaims least-recently-used pools until resident bytes
-// fit the budget. Pinned (in-flight) pools are skipped, and so is keep
+// fit the budget. Victims are warm entries: pinned (in-flight) pools
+// are skipped, and so is keep
 // — the pool the finishing query just used: evicting it would make a
 // single over-budget pool its own victim and turn every repeat query
 // into a cold regeneration (the budget may transiently overshoot
@@ -759,38 +812,31 @@ func dropEngines(removed ...*poolEntry) {
 // pool may therefore remain over budget, which is the correct behavior
 // when a single pool exceeds the budget on its own.
 //
-// Without a disk tier victims are dropped outright. With
-// Options.PoolDir set they are demoted instead: their budget bytes are
-// released here (so admission of the triggering query is never blocked
-// on disk I/O) and the entries are returned for the caller to freeze
-// to disk after the registry unlocks — the freeze needs the engine
-// mutex, which must never be taken under s.mu.
+// Without a disk tier victims are removed outright. With
+// Options.PoolDir set they move to demoting, which releases their
+// budget bytes here, and are returned for the caller to demote once the
+// registry unlocks: the freeze needs the engine mutex, never taken
+// under s.mu.
 func (s *Server) evictLocked(keep *poolEntry) (demote []*poolEntry) {
 	for s.usedBytes > s.opt.PoolBudgetBytes {
 		victim := (*poolEntry)(nil)
 		for e := s.lru.Back(); e != nil; e = e.Prev() {
 			pe := e.Value.(*poolEntry)
-			if pe.pinned != 0 || pe == keep {
-				continue
+			if pe.state == poolWarm && pe.pinned == 0 && pe != keep {
+				victim = pe
+				break
 			}
-			if s.opt.PoolDir != "" && (pe.demoting || pe.bytes == 0) {
-				continue // freeze in progress, or nothing resident to demote
-			}
-			victim = pe
-			break
 		}
 		if victim == nil {
 			return demote // everything resident is in flight or just-used
 		}
-		if s.opt.PoolDir != "" {
-			victim.demoting = true
-			s.usedBytes -= victim.bytes
-			victim.bytes = 0
-			demote = append(demote, victim)
+		if s.opt.PoolDir == "" {
+			s.moveLocked(victim, move{to: poolRemoved})
+			s.stats.Evictions++
 			continue
 		}
-		s.removeEntryLocked(victim)
-		s.stats.Evictions++
+		s.moveLocked(victim, move{to: poolDemoting, disk: victim.disk})
+		demote = append(demote, victim)
 	}
 	return demote
 }

@@ -2,74 +2,52 @@ package serve
 
 // The disk tier: demotion, promotion, and pool-snapshot persistence.
 //
-// With Options.PoolDir set the LRU becomes two-tier. When resident
-// bytes exceed PoolBudgetBytes, the eviction scan no longer drops cold
-// pools — it demotes them: the victim's engine is released so the RAM
-// returns to the budget while the entry stays registered with a disk
-// pointer to a versioned .impool snapshot (internal/ingest) under
-// PoolDir. The next query on a demoted pool promotes it back: the
+// With Options.PoolDir set the LRU becomes two-tier: budget pressure
+// demotes a victim instead of dropping it. Its engine is released and
+// the entry keeps a pointer to a versioned .impool snapshot
+// (internal/ingest) under PoolDir. The next query promotes it: the
 // snapshot is memory-mapped, validated against the graph's current
 // delta epoch and content fingerprint, and thawed into a warm engine
-// whose set payloads alias the mapping — no resampling, no copy, and
-// the answer is byte-identical to both the demoted engine's and a cold
-// run's (the freeze/thaw contract internal/imm/persist.go establishes
-// and TestDemotedPoolAnswersIdentically pins).
+// whose set payloads alias the mapping — no resampling, no copy, and an
+// answer byte-identical to the demoted engine's and to a cold run's
+// (TestDemotedPoolAnswersIdentically).
 //
 // A tier transition costs what changed. Pool contents are a pure
-// function of (graph epoch, seed, policy, set count) — the argument
-// warm reuse already rests on — so a snapshot that was written from, or
-// thawed into, this engine at the engine's epoch and physical set count
-// already holds the pool, byte for byte what a fresh freeze would hold
-// below that count. Such a demotion is clean: it writes nothing, and
-// one stat confirms the file is still there at its recorded size
-// (diskPool.holds). A pool that is new, was extended to a larger θ, or
-// was repaired by a delta (which drops the pointer), or whose file is
-// gone, is dirty and is frozen and written as before — once per (pool,
-// growth, epoch), after which it is clean again. Stats.Demotions counts
-// both kinds, Stats.DemotionWrites the dirty ones. Nothing on the
-// promotion side depends on which kind the last demotion was: every
-// promotion verifies header, table and every section checksum, the
-// structure, and the binding.
+// function of (graph epoch, seed, policy, set count), so a snapshot
+// written from, or thawed into, this engine at the engine's epoch and
+// physical set count already holds the pool. Demoting such a pool is
+// clean: one stat confirms the file (diskPool.holds) and nothing is
+// written. A pool that is new, grew, or was repaired (which drops the
+// pointer), or whose file is gone, is dirty and is frozen and written.
+// Stats.Demotions counts both kinds, Stats.DemotionWrites the dirty
+// ones. Every promotion verifies header, table, every section checksum,
+// the structure and the binding, whichever kind of demotion preceded it.
+// A snapshot carries the selection memo as it stood when written; memo
+// growth alone does not make a pool dirty.
 //
-// A mapping has one owner, the pool entry that thawed an engine from
-// it: tryPromote stores the release function beside the engine and
-// poolEntry.dropEngine — the only way an engine leaves an entry — calls
-// it, under pe.mu, when the entry is demoted, evicted after a failed
-// write, removed with its graph, or dropped by a failed repair. Live
-// .impool mappings are therefore bounded by the resident promoted
-// pools. What aliases a mapping dies with the engine or earlier: the
-// engine's sets, index arrays and memo seeds, and the PoolState a Freeze
-// of it returns (consumed under pe.mu, before the drop). Answers never
-// alias it — seed lists are built by selection or copied out of the
-// memo.
+// A mapping has one owner, the entry whose engine was thawed from it:
+// the release is installed beside the engine, and poolEntry.dropEngine —
+// the only way an engine leaves an entry — calls it under pe.mu. Live
+// .impool mappings are therefore bounded by the resident promoted pools.
+// What aliases a mapping (the engine's sets, index arrays and memo
+// seeds, and the PoolState a Freeze of it returns, consumed under pe.mu)
+// dies with the engine; answers never alias it.
 //
-// A snapshot carries the pool's selection memo as it stood when the file
-// was written, so a promotion answers the shapes the pool had answered
-// by then without running CELF. Memo growth alone does not make a pool
-// dirty: a shape first asked after a promotion is remembered until the
-// next clean demotion, and then forgotten with the RAM copy.
+// SavePools makes every resident pool durable, and LoadPools registers a
+// PoolDir's snapshots at boot as on-disk entries that promote on first
+// touch, so a SIGKILLed server answers its next query warm.
 //
-// The same snapshot format powers instant-warm restarts: POST
-// /v1/pools/save (or Server.SavePools) makes every resident pool
-// durable, and a restarted server with -pool-dir rehydrates the
-// directory at boot — entries appear with only disk pointers and
-// promote lazily on first touch, so a SIGKILLed server answers its next
-// query warm.
+// An entry's state changes only through Server.moveLocked, under s.mu,
+// and the lock order everywhere is the planner's: pe.mu first, then
+// s.mu. evictLocked moves victims to demoting under s.mu, which releases
+// their budget bytes at once; demote runs after the registry unlocks,
+// under the engine mutex, so an in-flight batch drains before its pool
+// goes. moveLocked refuses a demotion or save that commits after
+// RemoveGraph took its entry, and the writer deletes the file it wrote.
 //
-// Lock order everywhere here matches the planner: pe.mu first, then
-// s.mu. Demotion candidates are therefore only *selected* under s.mu
-// (inside evictLocked, which also releases their budget bytes
-// immediately and marks them demoting so one demotion runs per entry);
-// the demotion itself runs after the registry unlocks, taking the
-// engine mutex so an in-flight batch drains before its pool goes.
-//
-// A demoted snapshot can go stale: a delta advances the graph epoch,
-// or an operator restarts onto different graph content. Promotion
-// validates before thawing and treats any failure — stale binding,
-// corrupt file, unreadable file — the same way: count it, drop the
-// disk pointer, and fall through to cold regeneration. Staleness is
-// never an error a client sees; it only costs the regeneration that
-// would have happened anyway.
+// Promotion treats any failure — stale epoch, changed graph content,
+// corrupt or unreadable file — alike: count it, drop the snapshot, and
+// build cold. Staleness is never an error a client sees.
 
 import (
 	"fmt"
@@ -167,16 +145,7 @@ func writePoolFile(dir, name string, eng *imm.WarmEngine, epoch int64) (*diskPoo
 	return &diskPool{path: path, epoch: epoch, count: st.Count, bytes: ingest.PoolSnapshotSize(st)}, nil
 }
 
-// demoteEntries moves each marked victim to the disk tier. Callers
-// (execute, after evictLocked marked the victims and released s.mu)
-// pass entries whose demoting flag they own.
-func (s *Server) demoteEntries(victims []*poolEntry) {
-	for _, pe := range victims {
-		s.demote(pe)
-	}
-}
-
-// demote releases one marked victim's engine, first writing its pool
+// demote releases one demoting victim's engine, first writing its pool
 // into PoolDir unless the snapshot there already holds it. On a failed
 // write the entry is dropped entirely — the pool regenerates cold on
 // next touch, exactly as a plain eviction.
@@ -185,18 +154,10 @@ func (s *Server) demote(pe *poolEntry) {
 	defer pe.mu.Unlock()
 
 	s.mu.Lock()
-	eng := pe.eng
-	epoch := pe.epoch
-	disk := pe.disk
-	alive := s.pools[pe.key] == pe
+	state, eng, epoch, disk := pe.state, pe.eng, pe.epoch, pe.disk
 	s.mu.Unlock()
-	if eng == nil || !alive {
-		// Never built, already demoted by an earlier pass, or removed
-		// (RemoveGraph) while we waited on the engine mutex.
-		s.mu.Lock()
-		pe.demoting = false
-		s.mu.Unlock()
-		return
+	if state != poolDemoting {
+		return // removed while we waited on the engine mutex
 	}
 
 	var err error
@@ -208,39 +169,33 @@ func (s *Server) demote(pe *poolEntry) {
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	pe.demoting = false
-	if err != nil {
-		if s.pools[pe.key] == pe {
-			s.removeEntryLocked(pe)
+	switch {
+	case err != nil:
+		if s.moveLocked(pe, move{to: poolRemoved}) {
 			s.stats.Evictions++
 		}
-		return
-	}
-	// A batch that ran while we waited for the engine mutex may have
-	// re-accounted the pool; the RAM is free now either way.
-	s.usedBytes -= pe.bytes
-	pe.bytes = 0
-	pe.disk = disk
-	s.stats.Demotions++
-	if wrote {
-		s.stats.DemotionWrites++
+	case s.moveLocked(pe, move{to: poolOnDisk, disk: disk}):
+		s.stats.Demotions++
+		if wrote {
+			s.stats.DemotionWrites++
+		}
+	case wrote:
+		os.Remove(disk.path) // the entry was removed during the write
 	}
 }
 
-// tryPromote attempts to thaw pe's disk snapshot into a warm engine.
-// Callers hold pe.mu with pe.eng == nil. On success the engine is
-// installed (warm, current epoch) and true is returned; on any failure
-// — stale epoch, changed graph content, corrupt or unreadable file —
-// the disk pointer and file are dropped, the failure counted, and the
-// caller falls through to a cold build.
-func (s *Server) tryPromote(ge *graphEntry, pe *poolEntry, opt imm.Options) bool {
+// tryPromote attempts to thaw an on-disk entry's snapshot into a warm
+// engine. Callers hold pe.mu with pe.eng == nil. It returns the
+// installed engine (warm, current epoch), or nil when pe is not on disk
+// or the promotion fails — stale epoch, changed graph content, corrupt
+// or unreadable file — in which case the snapshot is dropped, the
+// failure counted, and the caller falls through to a cold build.
+func (s *Server) tryPromote(ge *graphEntry, pe *poolEntry, opt imm.Options) *imm.WarmEngine {
 	s.mu.Lock()
-	disk := pe.disk
-	g := ge.g
-	epoch := ge.info.Epoch
+	state, disk, g, epoch := pe.state, pe.disk, ge.g, ge.info.Epoch
 	s.mu.Unlock()
-	if disk == nil {
-		return false
+	if state != poolOnDisk {
+		return nil
 	}
 
 	st, info, unmap, err := ingest.MapPoolSnapshot(disk.path)
@@ -254,46 +209,46 @@ func (s *Server) tryPromote(ge *graphEntry, pe *poolEntry, opt imm.Options) bool
 	if err == nil && s.opt.RemoteGen != nil {
 		err = eng.SetRemote(s.opt.RemoteGen(ge.info.Name, g, opt))
 	}
-	if err != nil {
-		if unmap != nil {
-			unmap() // nothing adopted the mapping
-		}
-		os.Remove(disk.path)
-		s.mu.Lock()
-		if pe.disk == disk {
-			pe.disk = nil
-		}
-		s.stats.PromoteFailures++
-		s.mu.Unlock()
-		return false
-	}
-	pe.eng, pe.unmap = eng, unmap
 	s.mu.Lock()
-	pe.epoch = epoch
-	if pe.disk == disk {
+	defer s.mu.Unlock()
+	if err == nil {
 		// Record what the file was just verified to hold, so the engine's
 		// next demotion can tell the snapshot still holds the pool.
-		pe.disk = &diskPool{path: disk.path, epoch: epoch, count: st.Count, bytes: info.Bytes}
+		verified := &diskPool{path: disk.path, epoch: epoch, count: st.Count, bytes: info.Bytes}
+		if s.moveLocked(pe, move{to: poolWarm, disk: verified, eng: eng, unmap: unmap}) {
+			pe.epoch = epoch
+			s.stats.Promotions++
+			return eng
+		}
+	} else {
+		s.moveLocked(pe, move{to: poolCold})
+		s.stats.PromoteFailures++
 	}
-	s.stats.Promotions++
-	s.mu.Unlock()
-	return true
+	if unmap != nil {
+		unmap() // nothing adopted the mapping: the promotion failed, or RemoveGraph took pe
+	}
+	return nil
 }
 
-// dropDiskLocked discards pe's disk-tier snapshot (pointer and file),
-// if any. Callers hold s.mu.
+// dropDiskLocked discards pe's snapshot, pointer and file, if it has
+// one: an on-disk entry goes cold, a resident one keeps its engine.
+// Callers hold s.mu.
 func (s *Server) dropDiskLocked(pe *poolEntry) {
-	if pe.disk != nil {
-		os.Remove(pe.disk.path)
-		pe.disk = nil
+	if pe.disk == nil {
+		return
 	}
+	to := pe.state
+	if to == poolOnDisk {
+		to = poolCold
+	}
+	s.moveLocked(pe, move{to: to})
 }
 
 // SavePools makes every resident warm pool durable as an .impool
 // snapshot in dir and returns how many pools that is. With dir empty it
-// defaults to Options.PoolDir. Entries whose engine is not built
-// (placeholders, already-demoted pools) are skipped — their state is
-// either nothing or already on disk. When dir is the server's own
+// defaults to Options.PoolDir. Entries with no resident engine (cold or
+// on disk) are skipped — their state is either nothing or already on
+// disk. When dir is the server's own
 // PoolDir the snapshot is also the entry's disk-tier copy, and a pool
 // whose copy there already holds it (diskPool.holds) is not written
 // again; any other directory is always written.
@@ -325,19 +280,16 @@ func (s *Server) SavePools(dir string) (int, error) {
 	})
 
 	saved := 0
+	own := dir == s.opt.PoolDir
 	for _, pe := range entries {
 		pe.mu.Lock()
 		s.mu.Lock()
-		eng := pe.eng
-		epoch := pe.epoch
-		disk := pe.disk
-		alive := s.pools[pe.key] == pe
+		state, eng, epoch, disk := pe.state, pe.eng, pe.epoch, pe.disk
 		s.mu.Unlock()
-		if eng == nil || !alive {
+		if state != poolWarm && state != poolDemoting {
 			pe.mu.Unlock()
 			continue
 		}
-		own := dir == s.opt.PoolDir
 		if !own || !disk.holds(eng, epoch) {
 			written, err := writePoolFile(dir, poolFileName(pe.key), eng, epoch)
 			if err != nil {
@@ -345,9 +297,16 @@ func (s *Server) SavePools(dir string) (int, error) {
 				return saved, fmt.Errorf("serve: save pool %s/%d: %w", pe.key.graph, pe.key.seed, err)
 			}
 			if own {
+				// Eviction may have moved the entry to demoting meanwhile;
+				// RemoveGraph may have removed it, and then the file goes.
 				s.mu.Lock()
-				pe.disk = written
+				kept := s.moveLocked(pe, move{to: pe.state, disk: written})
 				s.mu.Unlock()
+				if !kept {
+					os.Remove(written.path)
+					pe.mu.Unlock()
+					continue
+				}
 			}
 		}
 		pe.mu.Unlock()
@@ -402,15 +361,12 @@ func (s *Server) LoadPools() (int, error) {
 			s.mu.Unlock()
 			continue
 		}
-		pe := &poolEntry{
-			key:  key,
-			disk: &diskPool{path: path, epoch: info.Epoch, count: info.Count, bytes: info.Bytes},
-		}
+		pe := &poolEntry{key: key}
 		s.pools[key] = pe
 		// Rehydrated entries enter at the LRU cold end: they cost no RAM
-		// until promoted, and a budget squeeze should prefer dropping a
-		// never-touched disk entry over a hot resident pool.
+		// until promoted.
 		pe.elem = s.lru.PushBack(pe)
+		s.moveLocked(pe, move{to: poolOnDisk, disk: &diskPool{path: path, epoch: info.Epoch, count: info.Count, bytes: info.Bytes}})
 		s.stats.Rehydrated++
 		s.mu.Unlock()
 		loaded++
