@@ -776,25 +776,34 @@ func BenchmarkServeWarm(b *testing.B) {
 	b.ReportMetric(float64(reused), "reusedSets")
 }
 
-// BenchmarkColdRun is a complete cold Run in the three regimes the
-// sampler's density switch must serve — the same graphs imbench's
-// cold-ic-dense, serving (cluster-cold, tier-rotate, delta-churn) and
-// cold-lt-sparse workloads generate on. ns/edge divides the whole run by
-// the in-edges its θ slots examine, so it moves with the traversal and
-// not with θ. Reproduce with `go test -run '^$' -bench ColdRun -cpu 1`.
-func BenchmarkColdRun(b *testing.B) {
-	regimes := []struct {
-		name       string
-		scale      int
-		edgeFactor float64
-		model      graph.Model
-		wc         bool
-	}{
-		{"dense-ic", 9, 16, graph.IC, false}, // uniform IC: bitmap sets, dense scan shape
-		{"wc-ic", 13, 8, graph.IC, true},     // weighted cascade: list sets, sparse scan shape
-		{"lt", 16, 8, graph.LT, false},       // ~2-member walks: per-set overhead
-	}
-	for _, rg := range regimes {
+// coldRegimes are the three regimes the sampler's density switch must
+// serve — the same graphs imbench's cold-ic-dense, serving (cluster-cold,
+// tier-rotate, delta-churn) and cold-lt-sparse workloads generate on.
+var coldRegimes = []struct {
+	name       string
+	scale      int
+	edgeFactor float64
+	model      graph.Model
+	wc         bool
+}{
+	{"dense-ic", 9, 16, graph.IC, false}, // uniform IC: bitmap sets, dense scan shape
+	{"wc-ic", 13, 8, graph.IC, true},     // weighted cascade: list sets, sparse scan shape
+	{"lt", 16, 8, graph.LT, false},       // ~2-member walks: per-set overhead
+}
+
+// BenchmarkColdRun is a complete cold Run in each of coldRegimes. ns/edge
+// divides the whole run by the in-edges its θ slots examine, so it moves
+// with the traversal and not with θ. Reproduce with
+// `go test -run '^$' -bench 'ColdRun$' -cpu 1`.
+func BenchmarkColdRun(b *testing.B) { benchColdRun(b, imm.Efficient) }
+
+// BenchmarkColdRunRipples is BenchmarkColdRun on the Ripples baseline:
+// static generation into its list-only store, and the vertex-partitioned
+// selection that binary-searches every set.
+func BenchmarkColdRunRipples(b *testing.B) { benchColdRun(b, imm.Ripples) }
+
+func benchColdRun(b *testing.B, engine imm.EngineKind) {
+	for _, rg := range coldRegimes {
 		b.Run(rg.name, func(b *testing.B) {
 			g, err := gen.RMAT(gen.DefaultRMAT(rg.scale, rg.edgeFactor), rg.model, 1)
 			if err != nil {
@@ -804,6 +813,7 @@ func BenchmarkColdRun(b *testing.B) {
 				graph.AssignWC(g)
 			}
 			opt := imm.Defaults()
+			opt.Engine = engine
 			opt.Workers = 2
 			ref, err := imm.Run(g, opt)
 			if err != nil {

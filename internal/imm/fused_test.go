@@ -52,11 +52,11 @@ func runKernel(t testing.TB, g *graph.Graph, opt Options) (*Result, *WarmEngine)
 }
 
 // referencePool builds slots [0, count) with GenerateSlots into a fresh
-// pool and indexes it in one lazy pass.
-func referencePool(g *graph.Graph, opt Options, count int64) *shardedPool {
-	ref := newShardedPool(g.N, PolicyFromOptions(opt))
+// pool under policy and indexes it in one lazy pass.
+func referencePool(g *graph.Graph, policy rrr.Policy, seed uint64, count int64) *shardedPool {
+	ref := newShardedPool(g.N, policy)
 	out := make([]rrr.Set, count)
-	members, _ := GenerateSlots(g, PolicyFromOptions(opt), opt.Seed, 0, out)
+	members, _ := GenerateSlots(g, policy, seed, 0, out)
 	ref.putAll(out)
 	ref.addMembers([]int64{members})
 	ref.ensureIndexed(1, make([]int64, 1))
@@ -67,7 +67,7 @@ func compareFusedToReference(t *testing.T, model graph.Model, opt Options) {
 	t.Helper()
 	g := diffGraph(t, model)
 	res, eng := runKernel(t, g, opt)
-	ref := referencePool(g, opt, eng.p.len())
+	ref := referencePool(g, PolicyFromOptions(opt), opt.Seed, eng.p.len())
 	label := fmt.Sprintf("model=%v w=%d fusion=%v dynamic=%v adaptive=%v",
 		model, opt.Workers, opt.Fusion, opt.DynamicBalance, opt.AdaptiveRep)
 
@@ -118,11 +118,53 @@ func compareFusedToReference(t *testing.T, model graph.Model, opt Options) {
 	}
 }
 
+// compareRipplesToReference runs the Ripples baseline and checks its
+// list-only store against the reference generator's set for set — the
+// static chunks must land in slot order — with the statistics and
+// footprint a reference pool of the same θ reports (the baseline keeps
+// no index), and its seeds against the scan kernel's over the reference.
+func compareRipplesToReference(t *testing.T, model graph.Model, opt Options) {
+	t.Helper()
+	g := diffGraph(t, model)
+	eng := newRipplesEngine(g, opt)
+	res, err := RunEngine(g, opt, eng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := referencePool(g, rrr.ListOnlyPolicy(), opt.Seed, eng.SetCount())
+	label := fmt.Sprintf("ripples model=%v w=%d", model, opt.Workers)
+
+	got, want := eng.st.views(), ref.sets.views()
+	if len(got) != len(want) || len(eng.st.rows) != 0 {
+		t.Fatalf("%s: %d sets and %d row words, want %d sets and none", label, len(got), len(eng.st.rows), len(want))
+	}
+	for i := range want {
+		if !slices.Equal(got[i], want[i]) {
+			t.Fatalf("%s: slot %d members diverged: %v vs %v", label, i, got[i], want[i])
+		}
+	}
+	if want := ref.statsUpTo(ref.count); res.SetStats != want {
+		t.Fatalf("%s: pool stats diverged:\nripples:   %+v\nreference: %+v", label, res.SetStats, want)
+	}
+	wantPool := ref.footprintUpTo(ref.count)
+	wantPool.IndexBytes = 0
+	if res.Pool != wantPool {
+		t.Fatalf("%s: pool footprint diverged: %+v vs %+v", label, res.Pool, wantPool)
+	}
+	seeds, cov, _ := SelectOnSetsScan(g.N, ref.flatten(), ref.totalMembers, nil, opt.Workers, opt.Update, opt.K)
+	if !slices.Equal(res.Seeds, seeds) || res.Coverage != cov {
+		t.Fatalf("%s: selection diverged: ripples %v/%v, scan over reference %v/%v",
+			label, res.Seeds, res.Coverage, seeds, cov)
+	}
+}
+
 // FuzzFusedVsReference pins the engine's pool against the reference
 // generator. cfg bits switch Fusion off (2), the static schedule (4) and
-// AdaptiveRep off (8). The seed corpus
+// AdaptiveRep off (8); bit 16 runs the Ripples baseline instead, whose
+// switches those bits do not reach. The seed corpus
 // covers both models × workers ∈ {1,2,4,8} on the defaults plus each
-// switch — static schedule with fusion on included — so those cases run
+// switch — static schedule with fusion on included — and the baseline
+// at 1 and 3 workers (an uneven static split), so those cases run
 // on every plain `go test`; fuzzing additionally explores RNG seeds,
 // worker counts and switch combinations.
 func FuzzFusedVsReference(f *testing.F) {
@@ -138,6 +180,11 @@ func FuzzFusedVsReference(f *testing.F) {
 	f.Add(byte(1), byte(8), uint16(5), byte(2|4))
 	f.Add(byte(0), byte(4), uint16(3), byte(8))
 	f.Add(byte(1), byte(1), uint16(3), byte(8))
+	for _, model := range []byte{0, 1} {
+		for _, w := range []byte{1, 3} {
+			f.Add(model, w, uint16(11), byte(16))
+		}
+	}
 	f.Fuzz(func(t *testing.T, modelByte, workerByte byte, seed16 uint16, cfg byte) {
 		model := graph.IC
 		if modelByte%2 == 1 {
@@ -151,6 +198,11 @@ func FuzzFusedVsReference(f *testing.F) {
 		opt.Fusion = cfg&2 == 0
 		opt.DynamicBalance = cfg&4 == 0
 		opt.AdaptiveRep = cfg&8 == 0
+		if cfg&16 != 0 {
+			opt.Engine = Ripples
+			compareRipplesToReference(t, model, opt)
+			return
+		}
 		compareFusedToReference(t, model, opt)
 	})
 }

@@ -199,25 +199,16 @@ func TraceSelection(g *graph.Graph, kind EngineKind, k, nsets, simWorkers int, s
 	// pattern. (Ripples always uses lists; for the traced comparison the
 	// efficient engine's wins must come from its traversal order, not
 	// its representation, making the comparison conservative.)
-	pool := newSetPool(g.N)
-	pool.grow(int64(nsets))
-	smp := diffusion.NewSampler(g)
-	var buf []int32
-	var r rng.Xoshiro256
-	for i := 0; i < nsets; i++ {
-		r.SeedStream(seed, i)
-		buf = smp.SampleUniformRoot(&r, buf[:0])
-		pool.sets[i] = rrr.ListOnlyPolicy().BuildScratch(g.N, buf)
-		pool.totalMembers += int64(len(buf))
-	}
+	pool := newSetStore(g.N, rrr.ListOnlyPolicy())
+	generateStatic(g, &pool, seed, 1, 0, int64(nsets))
+	sets := pool.views()
 
 	space := memmodel.NewSpace()
-	// One contiguous region for all set payloads, as a slab allocator
-	// would lay them out.
-	slab := space.Alloc("rrr-slab", pool.totalMembers, 4)
+	// One contiguous region for all set payloads — the store's lists array.
+	slab := space.Alloc("rrr-slab", int64(len(pool.lists)), 4)
 	offsets := make([]int64, nsets+1)
-	for i, s := range pool.sets {
-		offsets[i+1] = offsets[i] + int64(s.Size())
+	for i, size := range pool.sizes {
+		offsets[i+1] = offsets[i] + int64(size)
 	}
 	countersRegion := space.Alloc("counters", int64(g.N), 8)
 
@@ -229,9 +220,9 @@ func TraceSelection(g *graph.Graph, kind EngineKind, k, nsets, simWorkers int, s
 		simWorkers = 1
 	}
 	if kind == Ripples {
-		traceRipplesSelection(g, pool, k, simWorkers, touchMember, touchCounter, h, countersRegion)
+		traceRipplesSelection(g, sets, k, simWorkers, touchMember, touchCounter, h, countersRegion)
 	} else {
-		traceEfficientSelection(g, pool, k, touchMember, touchCounter, h, countersRegion)
+		traceEfficientSelection(g, sets, k, touchMember, touchCounter, h, countersRegion)
 	}
 	st := h.Stats()
 	return CacheReport{Engine: kind, Stats: st, Accesses: st.Accesses()}
@@ -241,15 +232,14 @@ func TraceSelection(g *graph.Graph, kind EngineKind, k, nsets, simWorkers int, s
 // stream as one trace: for each simulated worker's vertex range, walk
 // every set (binary search bounds, then the in-range members), then per
 // selection round repeat containment checks and decrements.
-func traceRipplesSelection(g *graph.Graph, pool *setPool, k, simWorkers int,
+func traceRipplesSelection(g *graph.Graph, sets [][]int32, k, simWorkers int,
 	touchMember func(int, int), touchCounter func(int32), h *cachesim.Hierarchy, countersRegion memmodel.Region) {
 
 	n := int(g.N)
 	counts := make([]int64, n)
 	for w := 0; w < simWorkers; w++ {
 		vl, vh := w*n/simWorkers, (w+1)*n/simWorkers
-		for si, set := range pool.sets {
-			raw := set.(*rrr.ListSet).Raw()
+		for si, raw := range sets {
 			lo, hi := traceBinarySearchRange(raw, int32(vl), int32(vh), si, touchMember)
 			for j := lo; j < hi; j++ {
 				touchMember(si, j)
@@ -258,7 +248,7 @@ func traceRipplesSelection(g *graph.Graph, pool *setPool, k, simWorkers int,
 			}
 		}
 	}
-	covered := make([]bool, len(pool.sets))
+	covered := make([]bool, len(sets))
 	for round := 0; round < k; round++ {
 		v := argMaxPlain(counts, 1)
 		if v < 0 {
@@ -270,15 +260,13 @@ func traceRipplesSelection(g *graph.Graph, pool *setPool, k, simWorkers int,
 		h.AccessRange(countersRegion.Addr(0), int64(n)*8)
 		for w := 0; w < simWorkers; w++ {
 			vl, vh := w*n/simWorkers, (w+1)*n/simWorkers
-			for si, set := range pool.sets {
+			for si, raw := range sets {
 				// Sets covered in earlier rounds are skipped; sets being
 				// covered this round are marked only after the last
 				// simulated worker has processed them.
 				if covered[si] {
 					continue
 				}
-				ls := set.(*rrr.ListSet)
-				raw := ls.Raw()
 				if !traceContains(raw, v, si, touchMember) {
 					continue
 				}

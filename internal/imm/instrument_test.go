@@ -3,6 +3,7 @@ package imm
 import (
 	"testing"
 
+	"repro/internal/cachesim"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/numa"
@@ -95,5 +96,46 @@ func TestTraceSelectionDeterministic(t *testing.T) {
 	b := TraceSelection(g, Efficient, 5, 100, 8, 7)
 	if a.Stats != b.Stats {
 		t.Fatal("trace not deterministic")
+	}
+}
+
+// TestTraceSelectionPinned pins the whole Table IV trace — every hit and
+// miss count and the access total — for both kernels at one and at eight
+// simulated workers, so that a change to how the traced pool is built or
+// walked cannot move a figure unseen. The set-partitioned kernel's trace
+// does not depend on the worker count. LT sets are ~1.5 members: at 300
+// sets the trace misses only 93 times, so the LT rows use 2,000.
+func TestTraceSelectionPinned(t *testing.T) {
+	type row struct {
+		model    graph.Model
+		nsets    int
+		kind     EngineKind
+		workers  int
+		stats    cachesim.Stats
+		accesses int64
+	}
+	ripIC1 := cachesim.Stats{L1Hits: 161072, L1Misses: 5110, L2Hits: 2560, L2Misses: 2550}
+	ripIC8 := cachesim.Stats{L1Hits: 194341, L1Misses: 17627, L2Hits: 15077, L2Misses: 2550}
+	effIC := cachesim.Stats{L1Hits: 155787, L1Misses: 5110, L2Hits: 2560, L2Misses: 2550}
+	ripLT1 := cachesim.Stats{L1Hits: 26350, L1Misses: 269, L2Hits: 0, L2Misses: 269}
+	ripLT8 := cachesim.Stats{L1Hits: 144703, L1Misses: 269, L2Hits: 0, L2Misses: 269}
+	effLT := cachesim.Stats{L1Hits: 20296, L1Misses: 269, L2Hits: 0, L2Misses: 269}
+	rows := []row{
+		{graph.IC, 300, Ripples, 1, ripIC1, 166182},
+		{graph.IC, 300, Ripples, 8, ripIC8, 211968},
+		{graph.IC, 300, Efficient, 1, effIC, 160897},
+		{graph.IC, 300, Efficient, 8, effIC, 160897},
+		{graph.LT, 2000, Ripples, 1, ripLT1, 26619},
+		{graph.LT, 2000, Ripples, 8, ripLT8, 144972},
+		{graph.LT, 2000, Efficient, 1, effLT, 20565},
+		{graph.LT, 2000, Efficient, 8, effLT, 20565},
+	}
+	graphs := map[graph.Model]*graph.Graph{graph.IC: testGraph(t, 9, graph.IC), graph.LT: testGraph(t, 9, graph.LT)}
+	for _, r := range rows {
+		got := TraceSelection(graphs[r.model], r.kind, 5, r.nsets, r.workers, 3)
+		if got.Engine != r.kind || got.Stats != r.stats || got.Accesses != r.accesses {
+			t.Errorf("%v %v nsets=%d workers=%d: %+v, %d accesses; want %+v, %d",
+				r.model, r.kind, r.nsets, r.workers, got.Stats, got.Accesses, r.stats, r.accesses)
+		}
 	}
 }

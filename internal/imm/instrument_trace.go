@@ -6,7 +6,6 @@ import (
 	"repro/internal/cachesim"
 	"repro/internal/graph"
 	"repro/internal/memmodel"
-	"repro/internal/rrr"
 )
 
 // traceBinarySearchRange performs the sorted-list range location used by
@@ -37,22 +36,21 @@ func traceContains(raw []int32, v int32, si int, touch func(int, int)) bool {
 // counter, then per round a single containment probe per surviving set
 // and a decrement walk over only the newly covered sets (decrement
 // strategy; the rebuild path would touch even less on the skewed cases).
-func traceEfficientSelection(g *graph.Graph, pool *setPool, k int,
+func traceEfficientSelection(g *graph.Graph, sets [][]int32, k int,
 	touchMember func(int, int), touchCounter func(int32), h *cachesim.Hierarchy, countersRegion memmodel.Region) {
 
 	n := int(g.N)
 	counts := make([]int64, n)
 	// Fused/streaming count: each set is touched exactly once, in slab
 	// order — the cache-friendly pattern partitioning buys.
-	for si, set := range pool.sets {
-		raw := set.(*rrr.ListSet).Raw()
+	for si, raw := range sets {
 		for j, v := range raw {
 			touchMember(si, j)
 			counts[v]++
 			touchCounter(v)
 		}
 	}
-	covered := make([]bool, len(pool.sets))
+	covered := make([]bool, len(sets))
 	for round := 0; round < k; round++ {
 		v := argMaxPlain(counts, 1)
 		if v < 0 {
@@ -61,11 +59,10 @@ func traceEfficientSelection(g *graph.Graph, pool *setPool, k int,
 		counts[v] = -1
 		// Regional-maxima reduction reads the counter array once.
 		h.AccessRange(countersRegion.Addr(0), int64(n)*8)
-		for si, set := range pool.sets {
+		for si, raw := range sets {
 			if covered[si] {
 				continue
 			}
-			raw := set.(*rrr.ListSet).Raw()
 			if !traceContains(raw, v, si, touchMember) {
 				continue
 			}

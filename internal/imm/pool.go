@@ -1,6 +1,8 @@
 package imm
 
 import (
+	"slices"
+
 	"repro/internal/diffusion"
 	"repro/internal/graph"
 	"repro/internal/rng"
@@ -8,62 +10,24 @@ import (
 	"repro/internal/sched"
 )
 
-// setPool holds the RRR sets generated so far. Generation appends;
-// selection never mutates it, so the pool can keep growing across the
-// θ-estimation iterations exactly as Algorithm 1 requires.
-type setPool struct {
-	n            int32
-	sets         []rrr.Set
-	totalMembers int64
-}
-
-func newSetPool(n int32) *setPool { return &setPool{n: n} }
-
-// grow extends the pool with empty slots up to target and returns the
-// previous length.
-func (p *setPool) grow(target int64) (from, to int64) {
-	from = int64(len(p.sets))
-	if target <= from {
-		return from, from
-	}
-	p.sets = append(p.sets, make([]rrr.Set, target-from)...)
-	return from, target
-}
-
-func (p *setPool) put(i int64, set rrr.Set) { p.sets[i] = set }
-func (p *setPool) stats() rrr.Stats         { return rrr.Summarize(p.n, p.sets) }
-
-// generateJob is the reference slot-sampling loop (copy-out sampling,
-// one allocation per set): it hands put the set for each global slot in
-// [start, end). RNG streams are derived from the slot index, so pool
-// contents are identical for any worker count, schedule, engine, and
-// rank partitioning — which is what lets the tests compare engines and
-// the distributed runtime seed-for-seed. Representation choice lives
-// in rrr.Policy.BuildScratch, which sorts only when the list
-// representation is chosen (the paper's baseline sorts every set;
-// EFFICIENTIMM skips the sort for bitmaps).
-func generateJob(n int32, policy rrr.Policy, seed uint64, s *diffusion.Sampler, start, end int64, put func(i int64, set rrr.Set)) (members int64) {
-	var buf []int32
-	var r rng.Xoshiro256
-	for i := start; i < end; i++ {
-		r.SeedStream(seed, int(i))
-		buf = s.SampleUniformRoot(&r, buf[:0])
-		put(i, policy.BuildScratch(n, buf))
-		members += int64(len(buf))
-	}
-	return members
-}
-
 // GenerateSlots fills out[i] with the RRR set for global slot lo+int64(i),
 // drawing each set from the slot-indexed RNG stream that makes pool
-// contents identical across worker counts, schedules, and engines. It is
-// the copy-out reference the generation kernel is tested against
-// (FuzzFusedVsReference) and what bench/probes.go times; no production
-// path calls it. Returns the produced member count and the edges visited
-// (the sampling work metric).
+// contents identical across worker counts, schedules, engines, and rank
+// partitionings. It is the copy-out reference (one allocation per set;
+// rrr.Policy.BuildScratch sorts only the sets it keeps as lists) the
+// generation kernel is tested against (FuzzFusedVsReference) and what
+// bench/probes.go times; no production path calls it. Returns the
+// produced member count and the edges visited (the sampling work metric).
 func GenerateSlots(g *graph.Graph, policy rrr.Policy, seed uint64, lo int64, out []rrr.Set) (members, edges int64) {
 	smp := diffusion.NewSampler(g)
-	members = generateJob(g.N, policy, seed, smp, lo, lo+int64(len(out)), func(i int64, set rrr.Set) { out[i-lo] = set })
+	var buf []int32
+	var r rng.Xoshiro256
+	for i := range out {
+		r.SeedStream(seed, int(lo)+i)
+		buf = smp.SampleUniformRoot(&r, buf[:0])
+		out[i] = policy.BuildScratch(g.N, buf)
+		members += int64(len(buf))
+	}
 	return members, smp.EdgesVisited
 }
 
@@ -89,25 +53,21 @@ func ModeledSortCost(policy rrr.Policy, n int32, memberCount, setCount int64) in
 }
 
 // generateStatic is the Ripples baseline's generation schedule: the new
-// range is split into p contiguous chunks, one per worker (OpenMP
-// static). Set sizes vary wildly, so the slowest chunk gates the phase —
-// the imbalance the paper's dynamic balancing removes.
-// Returns per-worker edge-visit counts (the sampling work metric) and
-// the per-worker produced member counts.
-func generateStatic(g *graph.Graph, pool *setPool, policy rrr.Policy, seed uint64, workers int, from, to int64) (edges, members []int64) {
-	count := int(to - from)
-	edges = make([]int64, workers)
-	members = make([]int64, workers)
-	if count <= 0 {
-		return edges, members
-	}
-	sched.Static(workers, count, func(w, s0, e0 int) {
-		smp := diffusion.NewSampler(g)
-		m := generateJob(pool.n, policy, seed, smp, from+int64(s0), from+int64(e0), pool.put)
-		edges[w] += smp.EdgesVisited
-		members[w] += m
+// range [from, to) is split into p contiguous chunks, one per worker
+// (OpenMP static), each drawn with the pool kernel (SampleSlots) and
+// appended to st in worker order. Set sizes vary wildly, so the slowest
+// chunk gates the phase — the imbalance the paper's dynamic balancing
+// removes. Returns per-worker edge-visit counts (the sampling work
+// metric) and the per-worker produced member counts.
+func generateStatic(g *graph.Graph, st *setStore, seed uint64, workers int, from, to int64) (edges, members []int64) {
+	edges, members = make([]int64, workers), make([]int64, workers)
+	sizes := slices.Grow(st.sizes, int(to-from))[:to]
+	runs := make([]Chunk, workers)
+	sched.Static(workers, int(to-from), func(w, s0, e0 int) {
+		lo := from + int64(s0)
+		runs[w], members[w], edges[w] = SampleSlots(g, st.policy, seed, lo, sizes[lo:from+int64(e0)])
 	})
-	pool.totalMembers += sumOf(members)
+	st.extend(sizes, runs)
 	return edges, members
 }
 

@@ -1,6 +1,7 @@
 package imm
 
 import (
+	"slices"
 	"sort"
 	"time"
 
@@ -25,45 +26,40 @@ import (
 type ripplesEngine struct {
 	g   *graph.Graph
 	opt Options
-	p   *setPool
+	st  setStore // list-only: sizes plus one members array
 	bd  Breakdown
 }
 
 func newRipplesEngine(g *graph.Graph, opt Options) *ripplesEngine {
-	return &ripplesEngine{g: g, opt: opt, p: newSetPool(g.N)}
+	return &ripplesEngine{g: g, opt: opt, st: newSetStore(g.N, rrr.ListOnlyPolicy())}
 }
 
-func (e *ripplesEngine) SetCount() int64      { return int64(len(e.p.sets)) }
-func (e *ripplesEngine) Stats() rrr.Stats     { return e.p.stats() }
+func (e *ripplesEngine) SetCount() int64      { return int64(len(e.st.sizes)) }
+func (e *ripplesEngine) Stats() rrr.Stats     { return e.st.stats(e.SetCount()) }
 func (e *ripplesEngine) Breakdown() Breakdown { return e.bd }
 
 // PoolFootprint reports the baseline's flat list pool: every byte is set
 // payload (4 per member), there is no index, and the raw-slice baseline
 // is by definition the same figure.
 func (e *ripplesEngine) PoolFootprint() PoolFootprint {
-	var set int64
-	for _, s := range e.p.sets {
-		set += s.Bytes()
-	}
-	return PoolFootprint{SetBytes: set, RawBytes: 4 * e.p.totalMembers}
+	b := 4 * int64(len(e.st.lists))
+	return PoolFootprint{SetBytes: b, RawBytes: b}
 }
 
 func (e *ripplesEngine) Generate(target int64) {
-	from, to := e.p.grow(target)
-	if from == to {
+	from, to := e.SetCount(), target
+	if to <= from {
 		return
 	}
 	start := time.Now()
-	edges, members := generateStatic(e.g, e.p, rrr.ListOnlyPolicy(), e.opt.Seed, e.opt.Workers, from, to)
+	edges, members := generateStatic(e.g, &e.st, e.opt.Seed, e.opt.Workers, from, to)
 	e.bd.SamplingWall += time.Since(start)
-	// Modeled cost: edge traversals plus the per-set sort, charged at
-	// |R|·log2|R| comparisons against the worker's average set size. The
-	// static schedule's critical path is the slowest worker.
-	setsPer := max(1, (to-from)/int64(len(edges)))
+	// Modeled cost: edge traversals plus the per-set sort, charged against
+	// the worker's average set size. The static schedule's critical path
+	// is the slowest worker.
 	perWorker := make([]int64, len(edges))
 	for w := range perWorker {
-		avg := float64(members[w]) / float64(setsPer)
-		perWorker[w] = edges[w] + int64(float64(members[w])*log2f(avg+2))
+		perWorker[w] = edges[w] + ModeledSortCost(e.st.policy, e.g.N, members[w], (to-from)/int64(len(edges)))
 	}
 	e.bd.SamplingModeled += float64(maxOf(perWorker))
 }
@@ -73,7 +69,8 @@ func (e *ripplesEngine) SelectSeeds(k int) ([]int32, float64) {
 	start := time.Now()
 	defer func() { e.bd.SelectionWall += time.Since(start) }()
 
-	nsets := len(e.p.sets)
+	sets := e.st.views()
+	nsets := len(sets)
 	n := int(e.g.N)
 	p := e.opt.Workers
 	if nsets == 0 || k == 0 {
@@ -87,8 +84,7 @@ func (e *ripplesEngine) SelectSeeds(k int) ([]int32, float64) {
 	// searching for the bounds of its own vertex range.
 	sched.Static(p, n, func(w, vl, vh int) {
 		var o int64
-		for _, set := range e.p.sets {
-			raw := set.(*rrr.ListSet).Raw()
+		for _, raw := range sets {
 			lo := sort.Search(len(raw), func(i int) bool { return raw[i] >= int32(vl) })
 			hi := lo + sort.Search(len(raw)-lo, func(i int) bool { return raw[lo+i] >= int32(vh) })
 			o += int64(log2i(len(raw))) * 2
@@ -124,14 +120,12 @@ func (e *ripplesEngine) SelectSeeds(k int) ([]int32, float64) {
 		}
 		sched.Static(p, n, func(w, vl, vh int) {
 			var o int64
-			for si, set := range e.p.sets {
+			for si, raw := range sets {
 				if covered.Test(si) {
 					continue
 				}
-				ls := set.(*rrr.ListSet)
-				raw := ls.Raw()
 				o += int64(log2i(len(raw)))
-				if !ls.Contains(v) {
+				if _, ok := slices.BinarySearch(raw, v); !ok {
 					continue
 				}
 				newly[w] = append(newly[w], int32(si))

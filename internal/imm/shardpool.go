@@ -191,7 +191,7 @@ type shardedPool struct {
 }
 
 func newShardedPool(n int32, policy rrr.Policy) *shardedPool {
-	return &shardedPool{n: n, sets: setStore{n: n, words: (int64(n) + 63) / 64, policy: policy, blocks: []blockSum{{}}}}
+	return &shardedPool{n: n, sets: newSetStore(n, policy)}
 }
 
 func (p *shardedPool) len() int64 { return p.count }
@@ -708,24 +708,10 @@ func (p *shardedPool) ensureIndexed(workers int, ops []int64) {
 	}
 }
 
-// statsUpTo summarizes the logically truncated view holding only global
-// set ids below limit — what a pool that had stopped growing at θ=limit
-// would report. The warm-serving engine uses it so a reused pool's
-// result statistics match a cold run's exactly.
-func (p *shardedPool) statsUpTo(limit int64) rrr.Stats {
-	count := min(limit, p.count)
-	e := p.sets.upTo(count)
-	st := rrr.Stats{
-		Count:      int(count),
-		TotalSize:  e.members,
-		MaxSize:    int(e.maxSize),
-		TotalBytes: p.sets.bytes(e),
-		Bitmaps:    int(e.bitmaps),
-		Lists:      int(count) - int(e.bitmaps),
-	}
-	st.Finalize(p.n)
-	return st
-}
+// statsUpTo summarizes the view holding only global set ids below limit.
+// The warm-serving engine uses it so a reused pool's result statistics
+// match a cold run's exactly.
+func (p *shardedPool) statsUpTo(limit int64) rrr.Stats { return p.sets.stats(min(limit, p.count)) }
 
 // membersUpTo returns Σ|R| over global set ids below limit.
 func (p *shardedPool) membersUpTo(limit int64) int64 {

@@ -27,6 +27,10 @@ type setStore struct {
 	blocks []blockSum // blocks[b] summarizes sets [0, b·blockSets)
 }
 
+func newSetStore(n int32, policy rrr.Policy) setStore {
+	return setStore{n: n, words: (int64(n) + 63) / 64, policy: policy, blocks: []blockSum{{}}}
+}
+
 // blockSets is the summary grain, a power of two.
 const blockSets = 64
 
@@ -63,6 +67,22 @@ func (st *setStore) upTo(i int64) blockSum {
 
 // bytes is what the sets e summarizes take: 4 a list member, a row a bitmap.
 func (st *setStore) bytes(e blockSum) int64 { return 4*e.lists + 8*st.words*int64(e.bitmaps) }
+
+// stats summarizes the view of the store's first count sets — what a pool
+// that had stopped growing at θ=count would report.
+func (st *setStore) stats(count int64) rrr.Stats {
+	e := st.upTo(count)
+	s := rrr.Stats{
+		Count:      int(count),
+		TotalSize:  e.members,
+		MaxSize:    int(e.maxSize),
+		TotalBytes: st.bytes(e),
+		Bitmaps:    int(e.bitmaps),
+		Lists:      int(count) - int(e.bitmaps),
+	}
+	s.Finalize(st.n)
+	return s
+}
 
 // summarize re-derives the block summaries from set from on.
 func (st *setStore) summarize(from int64) {
@@ -115,6 +135,19 @@ func (st *setStore) replaced(ids []int64, sizes []int32, next Chunk) setStore {
 	b := ids[0] / blockSets
 	out.blocks = append(make([]blockSum, 0, len(st.blocks)), st.blocks[:b+1]...)
 	out.summarize(ids[0])
+	return out
+}
+
+// views returns every set's members as a window of lists, for a store
+// whose policy keeps no rows: one slice per set, built once, where a
+// cursor would re-derive each set's place on every walk.
+func (st *setStore) views() [][]int32 {
+	out := make([][]int32, len(st.sizes))
+	var at int64
+	for i, size := range st.sizes {
+		end := at + int64(size)
+		out[i], at = st.lists[at:end:end], end
+	}
 	return out
 }
 
